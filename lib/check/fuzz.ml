@@ -13,7 +13,7 @@ module Watchdog = Mimd_runtime.Watchdog
 
 type fault = No_fault | Hasten_dependent | Keep_extra_send
 
-type oracle = Pipeline | Comm | Exec
+type oracle = Pipeline | Comm
 
 type case = {
   loop : Ast.loop;
@@ -138,63 +138,13 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
     else begin
       (* ... and on real domains. *)
       let watchdog = Watchdog.config ~timeout:30.0 () in
-      let rt = Value_run.run ~watchdog ~loop ~program () in
+      let rt = Exec_compiled.run ~watchdog ~loop ~program () in
       let* () =
         Result.map_error (( ^ ) "runtime vs interpreter: ")
           (Value_run.check_against_sequential ~loop ~iterations:case.iterations rt)
       in
       compare_instances ~sim:sim.Value_exec.instance_values
         ~rt:rt.Value_run.instance_values
-    end
-  with e -> Error ("exception: " ^ Printexc.to_string e)
-
-(* ------------------------------------------------------------------ *)
-(* The compiled-execution oracle: compiled ≡ interpreted ≡ sequential  *)
-
-(* Every case runs the same program through the sequential interpreter
-   (via the simulator's check), the interpreted domain runtime and the
-   compiled domain runtime, and requires the full instance-value sets
-   bit-identical.  The comm-opt rewrite then runs over the program and
-   the optimized form repeats the compiled-vs-interpreted comparison —
-   that is what pushes Send_pack/Recv_pack frames (slot-array delivery)
-   through the compiled executor on every case that coalesces. *)
-let check_exec_case ?(runtime = true) case =
-  try
-    let loop =
-      if Ast.is_flat case.loop then case.loop else Mimd_loop_ir.If_convert.run case.loop
-    in
-    let graph = (Depend.analyze loop).Depend.graph in
-    let machine = machine_of_case case in
-    let full = Full_sched.run ~graph ~machine ~iterations:case.iterations () in
-    let names = Graph.name graph in
-    let program = Mimd_codegen.From_schedule.run full.Full_sched.schedule in
-    let* () = Validate.error_of ~names (Validate.program program) in
-    let sim = Value_exec.run ~loop ~program ~links:(links_of_case case) () in
-    let* () =
-      Result.map_error (( ^ ) "simulator vs interpreter: ")
-        (Value_exec.check_against_sequential ~loop ~iterations:case.iterations sim)
-    in
-    if not runtime then Ok ()
-    else begin
-      let watchdog = Watchdog.config ~timeout:30.0 () in
-      let differential program =
-        let interp = Value_run.run ~watchdog ~loop ~program () in
-        let compiled = Exec_compiled.run ~watchdog ~loop ~program () in
-        let* () =
-          Result.map_error (( ^ ) "compiled runtime vs interpreter: ")
-            (Value_run.check_against_sequential ~loop ~iterations:case.iterations
-               compiled)
-        in
-        Result.map_error (( ^ ) "compiled vs interpreted runtime: ")
-          (compare_instances ~sim:interp.Value_run.instance_values
-             ~rt:compiled.Value_run.instance_values)
-      in
-      let* () = differential program in
-      let window = 1 + (case.iterations mod 4) in
-      match Mimd_codegen.Comm_opt.run ~window program with
-      | exception Failure m -> Error ("comm-opt self-check: " ^ m)
-      | opt, _stats ->
-        Result.map_error (( ^ ) "optimized program: ") (differential opt)
     end
   with e -> Error ("exception: " ^ Printexc.to_string e)
 
@@ -216,20 +166,25 @@ let socket_backend :
 
 (* The domain runtime poisons fork (OCaml forbids forking once a domain
    exists), and the socket backend forks — so when one comm case needs
-   both, the domain leg runs inside a forked child that reports its
-   instance values over a pipe and exits without returning to the
-   harness.  The parent never creates a domain and stays fork-safe for
-   the next case. *)
-let domain_instances_forked ~loop ~program =
+   both, the domain leg runs inside a forked child that reports the
+   instance values of the base and the optimized program over a pipe
+   and exits without returning to the harness.  The parent never
+   creates a domain and stays fork-safe for the next case. *)
+type instances = ((int * int) * float) list
+
+let domain_instances_forked ~loop ~base ~opt =
   let r, w = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
     Unix.close r;
-    let result : (((int * int) * float) list, string) result =
+    let result : (instances * instances, string) result =
       try
         let watchdog = Watchdog.config ~timeout:30.0 () in
-        let rt = Value_run.run ~watchdog ~loop ~program () in
-        Ok rt.Value_run.instance_values
+        let run program =
+          (Exec_compiled.run ~watchdog ~loop ~program ()).Value_run.instance_values
+        in
+        let base = run base in
+        Ok (base, run opt)
       with e -> Error (Printexc.to_string e)
     in
     let oc = Unix.out_channel_of_descr w in
@@ -240,7 +195,7 @@ let domain_instances_forked ~loop ~program =
     Unix.close w;
     let ic = Unix.in_channel_of_descr r in
     let result =
-      match (Marshal.from_channel ic : (((int * int) * float) list, string) result) with
+      match (Marshal.from_channel ic : (instances * instances, string) result) with
       | result -> result
       | exception _ -> Error "domain helper child died before reporting"
     in
@@ -297,8 +252,11 @@ let check_comm_case ?(fault = No_fault) ?(runtime = true) ?window case =
       in
       if not runtime then Ok ()
       else begin
-        (* Socket run first (it forks), then the domain run in its own
-           forked child — the parent must never create a domain. *)
+        (* Socket run first (it forks), then the domain runs in their
+           own forked child — the parent must never create a domain.
+           The domain leg runs the base program too, so this oracle's
+           widened (fan-out) programs get compiled coverage with and
+           without packed frames. *)
         let* () =
           match !socket_backend with
           | None -> Ok ()
@@ -308,17 +266,22 @@ let check_comm_case ?(fault = No_fault) ?(runtime = true) ?window case =
               (( ^ ) "optimized simulator vs socket runtime: ")
               (compare_instances ~sim:sim_opt.Value_exec.instance_values ~rt:sock)
         in
-        let* dom = domain_instances_forked ~loop ~program:opt in
+        let* dom_base, dom_opt = domain_instances_forked ~loop ~base:program ~opt in
+        let* () =
+          Result.map_error
+            (( ^ ) "unoptimized simulator vs domain runtime: ")
+            (compare_instances ~sim:sim_base.Value_exec.instance_values ~rt:dom_base)
+        in
         Result.map_error
           (( ^ ) "optimized simulator vs domain runtime: ")
-          (compare_instances ~sim:sim_opt.Value_exec.instance_values ~rt:dom)
+          (compare_instances ~sim:sim_opt.Value_exec.instance_values ~rt:dom_opt)
       end
   with e -> Error ("exception: " ^ Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Replayable counterexample files                                     *)
 
-let oracle_name = function Pipeline -> "pipeline" | Comm -> "comm" | Exec -> "exec"
+let oracle_name = function Pipeline -> "pipeline" | Comm -> "comm"
 
 let render_case (case : case) =
   Format.asprintf
@@ -345,35 +308,36 @@ let dump_case ?(name = "mimd-fuzz-counterexample.loop") ~dir ~reason case =
 
 let load_case path =
   let src = In_channel.with_open_text path In_channel.input_all in
-  let header key default =
+  let lines = List.map String.trim (String.split_on_char '\n' src) in
+  (* The value of the first [# key: value] header line, if any. *)
+  let header key =
     let prefix = "# " ^ key ^ ":" in
-    List.fold_left
-      (fun acc line ->
-        let line = String.trim line in
-        if acc = default && String.starts_with ~prefix line then
-          let rest =
-            String.sub line (String.length prefix) (String.length line - String.length prefix)
-          in
-          Option.value ~default (int_of_string_opt (String.trim rest))
-        else acc)
-      default
-      (String.split_on_char '\n' src)
+    List.find_map
+      (fun line ->
+        if String.starts_with ~prefix line then
+          let n = String.length prefix in
+          Some (String.trim (String.sub line n (String.length line - n)))
+        else None)
+      lines
   in
-  let has line0 =
-    List.exists (fun line -> String.trim line = line0) (String.split_on_char '\n' src)
+  let int_header key default =
+    Option.value ~default (Option.bind (header key) int_of_string_opt)
   in
+  (* [exec] names the retired compiled-vs-interpreted oracle, whose
+     checks the comm oracle now carries. *)
   let oracle =
-    if has "# oracle: comm" then Comm
-    else if has "# oracle: exec" then Exec
-    else Pipeline
+    match header "oracle" with
+    | None | Some "pipeline" -> Pipeline
+    | Some ("comm" | "exec") -> Comm
+    | Some other -> failwith (Printf.sprintf "%s: unknown fuzz oracle %S" path other)
   in
   {
     loop = Parser.parse src;
-    processors = header "processors" 2;
-    comm = header "comm" 2;
-    iterations = header "iterations" 10;
+    processors = int_header "processors" 2;
+    comm = int_header "comm" 2;
+    iterations = int_header "iterations" 10;
     oracle;
-    matrix = has "# matrix: yes";
+    matrix = List.mem "# matrix: yes" lines;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -412,14 +376,14 @@ let gen_case_for ?(matrix = false) oracle =
          let* rhs = gen_expr 2 in
          return (Ast.Assign { array = arrays.(arr); offset = 0; rhs }))
     in
-    (* The comm and exec oracles want fan-out: extra reads of earlier
-       writers create transitive (diamond) dependence shapes a pure
-       statement chain never produces — elision fodder for comm-opt,
-       and pack-bearing programs for the compiled executor. *)
+    (* The comm oracle wants fan-out: extra reads of earlier writers
+       create transitive (diamond) dependence shapes a pure statement
+       chain never produces — elision fodder for comm-opt, and
+       pack-bearing programs for the compiled executor. *)
     let* body =
       match oracle with
       | Pipeline -> return body
-      | Comm | Exec ->
+      | Comm ->
         let rec widen earlier acc = function
           | [] -> return (List.rev acc)
           | Ast.Assign { array; offset; rhs } :: rest ->
@@ -472,7 +436,6 @@ let run cfg =
       match case.oracle with
       | Pipeline -> check_case ~fault:cfg.fault ~runtime:cfg.runtime case
       | Comm -> check_comm_case ~fault:cfg.fault ~runtime:cfg.runtime case
-      | Exec -> check_exec_case ~runtime:cfg.runtime case
     in
     match result with
     | Ok () -> true
@@ -483,8 +446,7 @@ let run cfg =
   let name =
     (match cfg.oracle with
     | Pipeline -> "mimd-check cross-layer fuzz"
-    | Comm -> "mimd-check comm-opt differential fuzz"
-    | Exec -> "mimd-check compiled-exec differential fuzz")
+    | Comm -> "mimd-check comm-opt differential fuzz")
     ^ if cfg.matrix then " (per-link matrix)" else ""
   in
   let cell =

@@ -9,10 +9,10 @@
       ({!Validate.pattern});
     + the emitted message protocol ({!Validate.program});
     + the computed {e values}, differentially: the simulated parallel
-      execution ({!Mimd_sim.Value_exec}) and the real-domain runtime
-      ({!Mimd_runtime.Value_run}) must both match the sequential
-      interpreter ({!Mimd_loop_ir.Interp}) bit for bit, and must match
-      each other instance by instance.
+      execution ({!Mimd_sim.Value_exec}) and the compiled real-domain
+      runtime ({!Mimd_runtime.Exec_compiled}) must both match the
+      sequential interpreter ({!Mimd_loop_ir.Interp}) bit for bit, and
+      must match each other instance by instance.
 
     Failures are shrunk by QCheck to a minimal loop and dumped as a
     replayable loop-IR file ([# key: value] headers carry the machine
@@ -35,9 +35,6 @@ type fault =
 type oracle =
   | Pipeline  (** the cross-layer oracle of {!check_case} *)
   | Comm  (** the comm-opt differential oracle of {!check_comm_case} *)
-  | Exec
-      (** the compiled-execution differential oracle of
-          {!check_exec_case} *)
 
 type case = {
   loop : Mimd_loop_ir.Ast.loop;  (** flat, distances in [{0, 1}] *)
@@ -83,18 +80,6 @@ val check_case : ?fault:fault -> ?runtime:bool -> case -> (unit, string) result
     {e before} any execution, so a broken schedule is reported without
     ever running its programs. *)
 
-val check_exec_case : ?runtime:bool -> case -> (unit, string) result
-(** The compiled-execution differential oracle for one case: compile,
-    then (with [runtime]) run the program through both domain
-    executors — the interpreted {!Mimd_runtime.Value_run} and the
-    compiled {!Mimd_runtime.Exec_compiled} — requiring both to match
-    the sequential interpreter and each other, every instance value
-    bit-for-bit; the comm-opt rewrite (window [1 + iterations mod 4],
-    deterministic for replay) then runs and the optimized, pack-bearing
-    program repeats the compiled-vs-interpreted comparison.  Spawns
-    domains in-process: in a combined run it must come after anything
-    that forks. *)
-
 val check_comm_case :
   ?fault:fault -> ?runtime:bool -> ?window:int -> case -> (unit, string) result
 (** The comm-opt differential oracle for one case: compile, optimize
@@ -105,8 +90,11 @@ val check_comm_case :
     require {!Validate.program} to accept the optimized program, then
     compare it value-by-value — optimized vs unoptimized on the
     simulator, optimized vs the sequential interpreter, and (with
-    [runtime]) optimized on the socket backend (via {!socket_backend})
-    and on real domains, every instance bit-for-bit.  With
+    [runtime]) optimized on the socket backend (via {!socket_backend}),
+    then both the unoptimized and the optimized program on real
+    domains ({!Mimd_runtime.Exec_compiled}, in a forked child so the
+    caller stays fork-safe), each against its own simulated run, every
+    instance bit-for-bit.  With
     [Keep_extra_send] injected the validator must {e reject} the
     program, which surfaces as the case failing. *)
 
@@ -137,7 +125,10 @@ val dump_case : ?name:string -> dir:string -> reason:string -> case -> string
 val load_case : string -> case
 (** Parse a dumped counterexample (or any loop-IR file; missing
     headers default to 2 processors, k = 2, 10 iterations, the
-    pipeline oracle).
+    pipeline oracle).  An [# oracle: exec] header — the retired
+    compiled-vs-interpreted oracle — replays through {!Comm}.
+    @raise Failure naming the value of any other unknown
+    [# oracle:] header.
     @raise Mimd_loop_ir.Parser.Error / [Sys_error] as reading does. *)
 
 val describe : outcome -> string

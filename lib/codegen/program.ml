@@ -23,16 +23,6 @@ let computes_of t proc =
       | Send _ | Recv _ | Send_pack _ | Recv_pack _ -> None)
     t.programs.(proc)
 
-let proc_instruction_count t proc = List.length t.programs.(proc)
-
-let compute_count t proc =
-  List.fold_left
-    (fun acc instr ->
-      match instr with
-      | Compute _ -> acc + 1
-      | Send _ | Recv _ | Send_pack _ | Recv_pack _ -> acc)
-    0 t.programs.(proc)
-
 type defect =
   | Unmatched_recv of { proc : int; instr : instr }
   | Unmatched_send of { proc : int; instr : instr }

@@ -37,14 +37,6 @@ val computes_of : t -> int -> (int * int) list
 (** The (node, iteration) instances computed by one processor, in
     program order. *)
 
-val proc_instruction_count : t -> int -> int
-(** Instructions in one processor's stream — what executors size their
-    per-PE stores from. *)
-
-val compute_count : t -> int -> int
-(** How many [Compute] instructions one processor's stream holds,
-    without materialising {!computes_of}'s list. *)
-
 type defect =
   | Unmatched_recv of { proc : int; instr : instr }
       (** no send delivers this message *)

@@ -78,9 +78,8 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
      immutable compiled form for free. *)
   let lowered =
     match exec with
-    | `Compiled -> Some (Mimd_runtime.Lower.run ~loop ~program ())
-    | `Compiled_form l -> Some l
-    | `Interp -> None
+    | `Compiled -> Mimd_runtime.Lower.run ~loop ~program ()
+    | `Compiled_form l -> l
   in
   (* A child that died mid-frame must cost an EPIPE, not a fatal
      SIGPIPE in the supervisor. *)
@@ -149,11 +148,7 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
             | `U m -> Mesh_sock.chans m ~proc:j
             | `T c -> Mesh_tcp.chans c
           in
-          match lowered with
-          | Some lowered ->
-            Mimd_runtime.Exec_compiled.worker ~init ~scalars ~lowered ~proc:j
-              ~chans ()
-          | None -> Value_run.worker ~init ~scalars ~loop ~program ~proc:j ~chans ()
+          Mimd_runtime.Exec_compiled.worker ~init ~scalars ~lowered ~proc:j ~chans ()
         with
         | computed, sent ->
           Ok

@@ -1,11 +1,11 @@
 (** The supervisor of the socket runtime: one forked OS process per
     scheduled processor, {!Mesh_sock} links between them, the shared
-    {!Mimd_runtime.Value_run.worker} inside each, and a parent that
+    {!Mimd_runtime.Exec_compiled.worker} inside each, and a parent that
     spawns, releases them together, collects per-child reports over
     control sockets and folds them through
     {!Mimd_runtime.Value_run.finalize} — so a distributed run yields
     the same [outcome] (bit-identical values) as the domain runtime
-    and the interpreter.
+    and the sequential interpreter.
 
     Failure is structured, mirroring
     {!Mimd_runtime.Watchdog.Runtime_deadlock}: a silent stall raises
@@ -18,7 +18,7 @@
 
     {b Fork ordering}: OCaml 5 forbids [Unix.fork] in a process that
     has ever created a domain.  Call this before anything that spawns
-    domains ({!Mimd_runtime.Value_run.run}, the server pool, parallel
+    domains ({!Mimd_runtime.Exec_compiled.run}, the server pool, parallel
     benchmarks). *)
 
 type failure =
@@ -56,8 +56,7 @@ val run :
   ?channel_capacity:int ->
   ?sabotage:(int array -> unit) ->
   ?transport:transport ->
-  ?exec:
-    [ `Compiled | `Compiled_form of Mimd_runtime.Lower.t | `Interp ] ->
+  ?exec:[ `Compiled | `Compiled_form of Mimd_runtime.Lower.t ] ->
   ?respawn:int ->
   loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
@@ -70,13 +69,11 @@ val run :
     [run-dist --inject-fault] use it; production callers omit it.
     [transport] (default {!Unix_sockets}) picks the link layer; both
     yield bit-identical outcomes (the TCP loopback differential in CI
-    pins this).  [exec] picks the per-child executor: [`Compiled]
-    (default) lowers the program once in the parent and runs
-    {!Mimd_runtime.Exec_compiled.worker} in every child,
-    [`Compiled_form l] reuses an already-lowered form (e.g. from
-    {!Mimd_runtime.Schedule_cache}), [`Interp] runs the interpreted
-    {!Mimd_runtime.Value_run.worker}; outcomes are bit-identical
-    either way.  [respawn] (default 0) retries the whole run up to
+    pins this).  Every child runs {!Mimd_runtime.Exec_compiled.worker}
+    over the lowered form named by [exec]: [`Compiled] (default)
+    lowers the program once in the parent, [`Compiled_form l] reuses
+    an already-lowered form (e.g. from
+    {!Mimd_runtime.Schedule_cache}).  [respawn] (default 0) retries the whole run up to
     that many times after an {e environmental} failure — a
     [Child_exit], a [Stalled], or a [Child_error] carrying a
     [link down:] message (a peer's death observed from the wrong

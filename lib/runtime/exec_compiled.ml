@@ -2,8 +2,8 @@ module Program = Mimd_codegen.Program
 module Interp = Mimd_loop_ir.Interp
 module Trace = Mimd_obs.Trace
 
-(* The compiled counterpart of Value_run.worker_with: a tight match
-   over a cinstr array with int fields.  All state is preallocated —
+(* The per-processor evaluator: a tight match over a cinstr array with
+   int fields.  All state is preallocated —
    the unboxed slot store, the evaluation stack, the computed-value
    array — so the compute path allocates nothing per instruction; only
    outbound message payloads are built on demand (they cross domains
@@ -63,8 +63,7 @@ let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
   (* Land one pack frame: arrivals usually match [insts] positionally
      (both sides come from the same Comm_opt rewrite); fall back to a
      linear search, and ignore instances this PE has no slot for — it
-     can never read them, exactly like the interpreted worker's
-     write-only Hashtbl entry. *)
+     can never read them. *)
   let land_pack (insts : (int * int) array) (dst_slots : int array) pairs =
     let n = Array.length pairs in
     let m = Array.length insts in

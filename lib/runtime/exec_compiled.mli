@@ -1,13 +1,14 @@
-(** Execution of {!Lower}ed programs: the compiled runtime backend.
+(** Execution of {!Lower}ed programs: the runtime's one evaluator.
 
-    Semantically identical to {!Value_run} — same instruction
-    semantics, same channel contract, same {!Value_run.outcome} with
-    the same ordering and contents — but the per-instruction work is a
-    tight match over an array of int-field records: operand reads are
-    slot lookups in an unboxed [float array], expression evaluation is
-    a postfix loop over a reusable float stack, and message endpoints
-    and slots were bound at lower time.  The differential suite and
-    [check --fuzz-exec] hold compiled ≡ interpreted ≡ sequential
+    The domain mesh, the Unix-socket mesh and the TCP mesh all run
+    processors through {!worker}, over the {!Value_run.chans} contract,
+    and fold results into the same {!Value_run.outcome}.  The
+    per-instruction work is a tight match over an array of int-field
+    records: operand reads are slot lookups in an unboxed
+    [float array], expression evaluation is a postfix loop over a
+    reusable float stack, and message endpoints and slots were bound
+    at lower time.  The differential suite and [check --fuzz-comm]
+    hold sequential [Interp] ≡ {!Mimd_sim.Value_exec} ≡ compiled
     bit-for-bit. *)
 
 val worker :
@@ -21,8 +22,9 @@ val worker :
   ((int * int) * float) list * int
 (** Execute processor [proc]'s lowered stream over any channel backend
     (the domain {!Mesh} or the [Mimd_dist] socket mesh); returns
-    (computed instance values, messages sent) exactly like
-    {!Value_run.worker}.  [tick] is the watchdog progress hook. *)
+    (computed instance values, messages sent), the per-processor input
+    of {!Value_run.finalize}.  [tick] is called after every instruction
+    (the watchdog progress hook). *)
 
 val run :
   ?init:(string -> int -> float) ->
@@ -34,9 +36,13 @@ val run :
   program:Mimd_codegen.Program.t ->
   unit ->
   Value_run.outcome
-(** Like {!Value_run.run} but executing the compiled form on the
-    domain mesh.  [lowered] (e.g. from {!Schedule_cache.find_lowered})
-    skips the lowering pass; omitted, the program is lowered here.
+(** Execute [program] on [program.processors] fresh domains over the
+    in-process {!Mesh}.  [loop] must be flat and its assignment count
+    must match the program's graph node count.  [lowered] (e.g. from
+    {!Schedule_cache.find_lowered}) skips the lowering pass; omitted,
+    the program is lowered here.
     @raise Invalid_argument as {!Lower.run} does, or when [lowered]
     was built for a different processor count.
-    @raise Watchdog.Runtime_deadlock as {!Value_run.run}. *)
+    @raise Watchdog.Runtime_deadlock when execution stalls for the
+    watchdog's timeout (default 5s; pass {!Watchdog.off} to wait
+    indefinitely). *)

@@ -1,10 +1,9 @@
 (** One-time lowering of per-processor programs to flat, unboxed code.
 
-    The runtime's interpreted worker ({!Value_run.worker}) re-walks
-    each statement's AST through closures on every [Compute] and keeps
-    every value behind a polymorphic [Hashtbl] keyed by boxed
-    [(node, iter)] tuples.  This pass pays all of that once, at
-    compile time:
+    Walking each statement's AST on every [Compute] and keeping every
+    value behind a [Hashtbl] keyed by boxed [(node, iter)] tuples (as
+    the simulator's {!Mimd_sim.Value_exec} does) is slow on a real
+    machine.  This pass pays all of that once, at compile time:
 
     - {b slot allocation} — every [(node, iter)] instance a PE touches
       (its own computes plus everything it receives) gets a dense int
@@ -22,10 +21,10 @@
 
     The lowered form is transport-agnostic: {!Exec_compiled} runs it
     over any {!Value_run.chans} backend (domain mesh or the [Mimd_dist]
-    socket mesh) with outcomes bit-identical to the interpreted
-    worker.  Malformed programs (an operand or sent value that is
-    never produced before use) are rejected {e here}, with the same
-    diagnosis the interpreted worker would raise at run time. *)
+    socket mesh) with outcomes bit-identical to
+    {!Mimd_sim.Value_exec}.  Malformed programs (an operand or sent
+    value that is never produced before use) are rejected {e here},
+    before any processor runs. *)
 
 type op =
   | Load of int  (** push the slot bound to the k-th operand read *)
@@ -92,8 +91,7 @@ val run : loop:Mimd_loop_ir.Ast.loop -> program:Mimd_codegen.Program.t -> unit -
     its assignment count must match the program's graph node count.
     @raise Invalid_argument on a malformed pair, including a [Compute]
     whose operand (or a [Send] whose value) is not defined before use
-    on its PE — the conditions the interpreted worker only detects at
-    run time. *)
+    on its PE. *)
 
 val sabotage_stale_slot : t -> t
 (** A copy of [t] with one deliberately stale operand: the first

@@ -39,7 +39,7 @@ val run :
   program:Mimd_codegen.Program.t ->
   unit ->
   outcome
-(** @raise Watchdog.Runtime_deadlock as {!Value_run.run} does.
+(** @raise Watchdog.Runtime_deadlock as {!Exec_compiled.run} does.
     [work] defaults to [No_work]. *)
 
 val speedup : baseline:outcome -> outcome -> float

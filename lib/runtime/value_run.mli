@@ -1,15 +1,11 @@
-(** Value-carrying execution of a compiled program on real OCaml 5
-    domains — the runtime counterpart of {!Mimd_sim.Value_exec}.
+(** The contract shared by every runtime backend: what a channel
+    provides to one processor, and the {!outcome} a run yields.
 
-    One domain per scheduled processor executes its instruction stream
-    over a concrete float store: a [Compute] for statement [s] at
-    iteration [i] evaluates the statement's right-hand side against
-    the domain's {e local} store (operands resolved by the shared
-    reaching-definition {!Mimd_sim.Value_exec.resolver}, initial
-    memory addressed via {!Mimd_loop_ir.Interp.cell_index}); a [Send]
-    ships the produced value through a bounded {!Channel} to the
-    consuming domain; a [Recv] blocks until it arrives.  No memory is
-    shared between domains — every cross-processor value travels in a
+    {!Exec_compiled} executes one processor's lowered program against
+    any {!chans} — the in-process domain {!Mesh}, or the forked-process
+    socket and TCP meshes in [Mimd_dist] — and {!finalize} folds the
+    per-processor results into an {!outcome}.  No memory is shared
+    between processors: every cross-processor value travels in a
     message, exactly as on the paper's asynchronous shared-nothing
     MIMD machine.
 
@@ -25,30 +21,20 @@ type outcome = {
           sorted *)
   final : (string * int * float) list;
       (** last-writer value of every written cell, sorted *)
-  messages : int;  (** messages actually sent between domains *)
-  domains : int;  (** domains spawned = program processors *)
+  messages : int;  (** messages actually sent between processors *)
+  domains : int;  (** processors run = program processors *)
   domain_wall_ns : float array;
-      (** per-domain wall-clock from collective start to that domain's
-          last instruction *)
+      (** per-processor wall-clock from collective start to that
+          processor's last instruction *)
   makespan_ns : float;  (** max over [domain_wall_ns] *)
 }
 
 val default_channel_capacity : int
-(** Per-channel message bound used by {!run} when [?channel_capacity]
-    is omitted.  Exposed so independent auditors (notably
-    {!Mimd_check.Validate.program}'s token simulation) and alternative
-    channel backends (the socket mesh in [Mimd_dist]) model the same
-    bound the real mesh enforces. *)
-
-(** {1 Channel-agnostic execution}
-
-    The instruction semantics above do not depend on {e how} a value
-    crosses processors.  [worker] runs one processor's instruction
-    stream against any channel backend; [finalize] folds the
-    per-processor results into an {!outcome}.  {!run} is exactly
-    [worker] over the in-process {!Mesh} plus [finalize]; [Mimd_dist]
-    is the same [worker] over forked processes and Unix-domain
-    sockets. *)
+(** Per-channel message bound used by {!Exec_compiled.run} when
+    [?channel_capacity] is omitted.  Exposed so independent auditors
+    (notably {!Mimd_check.Validate.program}'s token simulation) and
+    alternative channel backends (the socket mesh in [Mimd_dist])
+    model the same bound the real mesh enforces. *)
 
 type payload =
   | Single of float  (** a plain [Send]'s value *)
@@ -67,48 +53,15 @@ type chans = {
 }
 (** What a channel backend provides to one worker. *)
 
-val worker :
-  ?init:(string -> int -> float) ->
-  ?scalars:(string -> float) ->
-  ?tick:(unit -> unit) ->
-  loop:Mimd_loop_ir.Ast.loop ->
-  program:Mimd_codegen.Program.t ->
-  proc:int ->
-  chans:chans ->
-  unit ->
-  ((int * int) * float) list * int
-(** Execute processor [proc]'s stream of [program] over [chans];
-    returns (computed instance values, messages sent).  [tick] is
-    called after every instruction (watchdog progress hook).
-    @raise Invalid_argument as {!run} does on malformed pairs. *)
-
 val finalize :
   loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
   results:(((int * int) * float) list * int * float) array ->
   outcome
 (** Fold per-processor [(computed, sent, wall_ns)] triples — one per
-    processor, in processor order — into an {!outcome} using the same
-    last-writer merge as {!run}. *)
-
-val run :
-  ?init:(string -> int -> float) ->
-  ?scalars:(string -> float) ->
-  ?watchdog:Watchdog.config ->
-  ?channel_capacity:int ->
-  loop:Mimd_loop_ir.Ast.loop ->
-  program:Mimd_codegen.Program.t ->
-  unit ->
-  outcome
-(** Execute [program] on [program.processors] fresh domains.  [loop]
-    must be flat and its assignment count must match the program's
-    graph node count.
-    @raise Invalid_argument on a malformed loop/program pair (including
-    a [Compute] whose operand never arrived — surfaced via [Failure]
-    naming the domain).
-    @raise Watchdog.Runtime_deadlock when execution stalls for the
-    watchdog's timeout (default 5s; pass {!Watchdog.off} to wait
-    indefinitely). *)
+    processor, in processor order — into an {!outcome}, through the
+    simulator's own last-writer fold ({!Mimd_sim.Value_exec.settle}).
+    @raise Invalid_argument on a malformed loop/program pair. *)
 
 val check_against_sequential :
   ?init:(string -> int -> float) ->

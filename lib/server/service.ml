@@ -30,9 +30,6 @@ type t = {
   disk : Disk_cache.t option;
   validate : bool;
   comm_opt : int option;  (* coalescing window of the comm rewrite, when on *)
-  exec : [ `Compiled | `Interp ];
-      (* `Compiled pre-lowers freshly computed schedules' programs into
-         the cache's lowered tier, so an execution client starts warm *)
   mutex : Mutex.t;
   (* the hot set: recently served requests, bounded FIFO — the
      entries a [retune] re-prices (guarded by [mutex]) *)
@@ -66,8 +63,7 @@ type t = {
   h_queue_wait : Metrics.histogram;
 }
 
-let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt
-    ?(exec = `Compiled) () =
+let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt () =
   let metrics = Metrics.create () in
   let tiered name help tier =
     Metrics.counter ~help ~labels:[ ("tier", tier) ] metrics name
@@ -81,7 +77,6 @@ let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt
     disk;
     validate;
     comm_opt;
-    exec;
     mutex = Mutex.create ();
     hot = Hashtbl.create hot_capacity;
     hot_order = Queue.create ();
@@ -171,10 +166,8 @@ let compute t ~graph ~machine ~iterations ~validate =
    beyond {0, 1} after unwinding) simply skips the step — the served
    schedule itself is unaffected. *)
 let prelower t ~key ~flat ~full =
-  if t.exec = `Compiled
-     && Mimd_ddg.Graph.node_count
-          (Mimd_core.Schedule.graph full.Full_sched.schedule)
-        = List.length (Mimd_loop_ir.Ast.assignments flat)
+  if Mimd_ddg.Graph.node_count (Mimd_core.Schedule.graph full.Full_sched.schedule)
+     = List.length (Mimd_loop_ir.Ast.assignments flat)
   then begin
     let t0 = now_ms () in
     match
@@ -430,7 +423,6 @@ let stats_json ?pool t =
     let s = Schedule_cache.lowered_stats t.memory in
     Json.Obj
       [
-        ("enabled", Json.Bool (t.exec = `Compiled));
         ("hits", Json.Int s.Schedule_cache.hits);
         ("misses", Json.Int s.Schedule_cache.misses);
         ("entries", Json.Int s.Schedule_cache.entries);

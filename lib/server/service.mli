@@ -30,7 +30,6 @@ val create :
   ?disk:Disk_cache.t ->
   ?validate:bool ->
   ?comm_opt:int ->
-  ?exec:[ `Compiled | `Interp ] ->
   unit ->
   t
 (** [memory_capacity] defaults to 256 entries; no [disk] means tier 2
@@ -39,12 +38,11 @@ val create :
     synchronization-minimizing rewrite ({!Mimd_codegen.Comm_opt.run}
     with that coalescing window) over the programs generated from
     every served schedule and reports the message-count delta in the
-    reply's [comm] field.  [exec] (default [`Compiled]) pre-lowers
-    every freshly computed schedule's generated program
-    ({!Mimd_runtime.Lower.run}) into the memory cache's lowered tier,
-    so an execution client asking for the same loop starts warm; the
-    step is best effort (a loop the runtime cannot execute skips it)
-    and is timed as the [lower] stage.  [`Interp] disables it. *)
+    reply's [comm] field.  Every freshly computed schedule's generated
+    program is pre-lowered ({!Mimd_runtime.Lower.run}) into the memory
+    cache's lowered tier, so an execution client asking for the same
+    loop starts warm; the step is best effort (a loop the runtime
+    cannot execute skips it) and is timed as the [lower] stage. *)
 
 val validate_default : t -> bool
 

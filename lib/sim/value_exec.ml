@@ -57,6 +57,30 @@ let resolver stmts =
   in
   resolve
 
+(* Authoritative final memory: every cell takes the value of its last
+   writer in sequential (iteration, body position) order. *)
+let settle stmts values =
+  let last_writer : (string * int, (int * int) * float) Hashtbl.t = Hashtbl.create 256 in
+  Hashtbl.iter
+    (fun (node, iter) v ->
+      let array, offset, _ = stmts.(node) in
+      let cell = (array, Interp.cell_index array ~iter ~offset) in
+      let better =
+        match Hashtbl.find_opt last_writer cell with
+        | None -> true
+        | Some ((i', s'), _) -> (iter, node) > (i', s')
+      in
+      if better then Hashtbl.replace last_writer cell ((iter, node), v))
+    values;
+  let final =
+    Hashtbl.fold (fun (a, i) (_, v) acc -> (a, i, v) :: acc) last_writer []
+    |> List.sort compare
+  in
+  let instance_values =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) values [] |> List.sort compare
+  in
+  (instance_values, final)
+
 let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ~loop ~program ~links () =
   if not (Ast.is_flat loop) then invalid_arg "Value_exec.run: loop must be flat";
   let stmts = Array.of_list (Ast.assignments loop) in
@@ -169,27 +193,7 @@ let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ~loop ~program 
       raise (Exec.Deadlock "value execution blocked with work remaining")
   done;
   let proc_finish = Array.map (fun st -> st.time) procs in
-  (* Authoritative final memory: every cell takes the value of its last
-     writer in sequential (iteration, body position) order. *)
-  let last_writer : (string * int, (int * int) * float) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun (node, iter) v ->
-      let array, offset, _ = stmts.(node) in
-      let cell = (array, Interp.cell_index array ~iter ~offset) in
-      let better =
-        match Hashtbl.find_opt last_writer cell with
-        | None -> true
-        | Some ((i', s'), _) -> (iter, node) > (i', s')
-      in
-      if better then Hashtbl.replace last_writer cell ((iter, node), v))
-    values;
-  let final =
-    Hashtbl.fold (fun (a, i) (_, v) acc -> (a, i, v) :: acc) last_writer []
-    |> List.sort compare
-  in
-  let instance_values =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) values [] |> List.sort compare
-  in
+  let instance_values, final = settle stmts values in
   {
     timing =
       {

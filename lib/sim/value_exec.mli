@@ -38,6 +38,17 @@ val resolver :
     by this simulator and the real-domain runtime ({!Mimd_runtime}) so
     both address values identically. *)
 
+val settle :
+  (string * int * Mimd_loop_ir.Ast.expr) array ->
+  (int * int, float) Hashtbl.t ->
+  ((int * int) * float) list * (string * int * float) list
+(** [settle stmts values] folds every computed (statement, iteration)
+    instance value into [(instance_values, final)], both sorted:
+    [final] gives each written cell the value of its last writer in
+    sequential (iteration, body position) order.  {!run} and the
+    runtime's [Value_run.finalize] both fold through it, so every
+    executor's outcome is comparable list for list. *)
+
 val run :
   ?init:(string -> int -> float) ->
   ?scalars:(string -> float) ->

@@ -320,6 +320,39 @@ let test_case_file_round_trip () =
     (Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop case.F.loop)
     (Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop back.F.loop)
 
+(* Replay headers: [# oracle: exec] named the retired compiled-vs-
+   interpreted oracle, and its checks now ride the comm oracle; any
+   other unknown oracle is an error naming it, never a silent fallback
+   to the pipeline oracle. *)
+let with_case_file ~tag header k =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mimd-check-%s-%d.loop" tag (Unix.getpid ()))
+  in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        "# %s\n# processors: 2\n# comm: 1\n# iterations: 6\n\
+         for i = 1 to n { A[i] = A[i-1] + 1; B[i] = A[i] * 2; }\n"
+        header);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> k path)
+
+let test_exec_oracle_replays_as_comm () =
+  with_case_file ~tag:"exec-oracle" "oracle: exec" (fun path ->
+      let case = F.load_case path in
+      check_bool "exec header maps to the comm oracle" true (case.F.oracle = F.Comm);
+      check_int "other headers still read" 6 case.F.iterations;
+      check_bool "replays clean through the comm oracle" true
+        (F.check_comm_case ~runtime:false case = Ok ()))
+
+let test_unknown_oracle_rejected () =
+  with_case_file ~tag:"bogus-oracle" "oracle: bogus" (fun path ->
+      match F.load_case path with
+      | _ -> Alcotest.fail "unknown oracle header was accepted"
+      | exception Failure m ->
+        check_string "error names the unknown oracle"
+          (Printf.sprintf "%s: unknown fuzz oracle \"bogus\"" path)
+          m)
+
 (* Dumped counterexamples must stay replayable for arbitrary generated
    loops, not just the ones a particular failure happens to produce. *)
 let prop_case_files_replayable =
@@ -371,5 +404,9 @@ let suite =
     Alcotest.test_case "fuzz: injected violation caught (negative)" `Quick
       test_fuzz_catches_injected_violation;
     Alcotest.test_case "fuzz: case file round trip" `Quick test_case_file_round_trip;
+    Alcotest.test_case "fuzz: exec oracle header replays as comm" `Quick
+      test_exec_oracle_replays_as_comm;
+    Alcotest.test_case "fuzz: unknown oracle header rejected" `Quick
+      test_unknown_oracle_rejected;
     prop_case_files_replayable;
   ]

@@ -327,8 +327,10 @@ let test_runner_random_sweep () =
 let test_runner_compiled_pack_delivery () =
   (* Satellite of the compiled backend: pack frames over the socket
      transport, delivered into compiled slots and read iterations
-     later, must agree bit for bit with the interpreted executor and
-     the sequential interpreter. *)
+     later, must agree bit for bit with the simulator's value
+     execution and the sequential interpreter.  The children run a
+     form lowered once up front ([`Compiled_form]), as a caller
+     holding a cached lowering does. *)
   let loop = Parser.parse Mimd_workloads.Elliptic.source in
   let flat, program = compile ~p:3 ~iterations:30 loop in
   let packed, _stats = Mimd_codegen.Comm_opt.run ~window:6 program in
@@ -340,14 +342,17 @@ let test_runner_compiled_pack_delivery () =
       packed.Mimd_codegen.Program.programs
   in
   check_bool "optimized program carries multi-value packs" true has_pack;
-  let compiled = Runner.run ~exec:`Compiled ~loop:flat ~program:packed () in
-  let interp = Runner.run ~exec:`Interp ~loop:flat ~program:packed () in
+  let lowered = Mimd_runtime.Lower.run ~loop:flat ~program:packed () in
+  let compiled =
+    Runner.run ~exec:(`Compiled_form lowered) ~loop:flat ~program:packed ()
+  in
   (match Value_run.check_against_sequential ~loop:flat ~iterations:30 compiled with
   | Ok () -> ()
   | Error e -> Alcotest.failf "socket compiled vs interp: %s" e);
-  check_bool "socket: compiled == interpreted, every instance" true
-    (compiled.Value_run.instance_values = interp.Value_run.instance_values
-    && compiled.Value_run.final = interp.Value_run.final)
+  let sim = Value_exec.run ~loop:flat ~program:packed ~links:(Links.fixed 2) () in
+  check_bool "socket: compiled == simulated, every instance" true
+    (compiled.Value_run.instance_values = sim.Value_exec.instance_values
+    && compiled.Value_run.final = sim.Value_exec.final)
 
 let no_children_left () =
   (* The reap contract: after any runner return or failure there must

@@ -1,7 +1,7 @@
-(* Real-domain runtime: differential correctness against the
-   sequential interpreter (gold standard) and the value-carrying
-   simulator, channel/mesh mechanics, watchdog deadlock detection and
-   the schedule cache. *)
+(* Real-domain runtime: differential correctness of the compiled
+   evaluator against the sequential interpreter (gold standard) and the
+   value-carrying simulator, channel/mesh mechanics, watchdog deadlock
+   detection and the schedule cache. *)
 
 open Helpers
 module Ast = Mimd_loop_ir.Ast
@@ -55,7 +55,7 @@ let test_channel_cancel_unblocks () =
     (match Channel.send ch 1 with () -> false | exception Channel.Cancelled -> true)
 
 (* ---------------------------------------------------------------- *)
-(* Differential execution: runtime = Interp = Value_exec              *)
+(* Differential execution: compiled runtime = Interp = Value_exec     *)
 
 let compile ?(p = 2) ?(k = 2) ~iterations loop =
   let flat = if Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop in
@@ -64,9 +64,14 @@ let compile ?(p = 2) ?(k = 2) ~iterations loop =
   let schedule = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
   (flat, Mimd_codegen.From_schedule.run schedule)
 
-let differential ~name ?(p = 2) ?(k = 2) ?(iterations = 20) loop =
-  let flat, program = compile ~p ~k ~iterations loop in
-  let runtime = Value_run.run ~loop:flat ~program () in
+(* Run [program] on the compiled domain runtime and require it to match
+   the sequential interpreter (final memory) and the simulator's value
+   execution (every instance and the final memory), bit for bit.
+   [prelower] hands the runtime an already-lowered form, the path the
+   CLI's lowered cache and the compile service take. *)
+let check_runtime ?(prelower = false) ~name ~k ~iterations ~flat program =
+  let lowered = if prelower then Some (Lower.run ~loop:flat ~program ()) else None in
+  let runtime = Exec_compiled.run ?lowered ~loop:flat ~program () in
   (* vs the sequential interpreter (gold standard) *)
   (match Value_run.check_against_sequential ~loop:flat ~iterations runtime with
   | Ok () -> ()
@@ -78,6 +83,10 @@ let differential ~name ?(p = 2) ?(k = 2) ?(iterations = 20) loop =
   if sim.Value_exec.final <> runtime.Value_run.final then
     Alcotest.failf "%s: runtime final memory differs from Value_exec" name;
   check_bool (name ^ ": ran on >= 1 domain") true (runtime.Value_run.domains >= 1)
+
+let differential ?prelower ~name ?(p = 2) ?(k = 2) ?(iterations = 20) loop =
+  let flat, program = compile ~p ~k ~iterations loop in
+  check_runtime ?prelower ~name ~k ~iterations ~flat program
 
 let test_differential_paper_workloads () =
   List.iter
@@ -130,7 +139,7 @@ let test_full_sched_programs () =
   let machine = machine ~p:2 ~k:2 () in
   let full = Mimd_core.Full_sched.run ~graph ~machine ~iterations:15 () in
   let program = Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule in
-  let runtime = Value_run.run ~loop ~program () in
+  let runtime = Exec_compiled.run ~loop ~program () in
   match Value_run.check_against_sequential ~loop ~iterations:15 runtime with
   | Ok () -> ()
   | Error e -> Alcotest.failf "full-sched program: %s" e
@@ -159,7 +168,7 @@ let test_watchdog_detects_deadlock () =
   let broken = { program with Program.programs } in
   let watchdog = Watchdog.config ~timeout:0.3 ~poll_interval:0.01 () in
   let t0 = Unix.gettimeofday () in
-  match Value_run.run ~watchdog ~loop:flat ~program:broken () with
+  match Exec_compiled.run ~watchdog ~loop:flat ~program:broken () with
   | _ -> Alcotest.fail "broken program terminated normally"
   | exception Watchdog.Runtime_deadlock stall ->
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -175,7 +184,7 @@ let test_watchdog_quiet_on_healthy_run () =
   let loop = Parser.parse Mimd_workloads.Fig7.source in
   let flat, program = compile ~iterations:30 loop in
   let watchdog = Watchdog.config ~timeout:30.0 () in
-  let outcome = Value_run.run ~watchdog ~loop:flat ~program () in
+  let outcome = Exec_compiled.run ~watchdog ~loop:flat ~program () in
   check_bool "finished" true (outcome.Value_run.instance_values <> [])
 
 (* ---------------------------------------------------------------- *)
@@ -280,33 +289,21 @@ let test_lower_shape () =
   in
   check_bool "initial-memory read is a prefilled slot" true prefills
 
-let compiled_differential ~name ?(p = 2) ?(k = 2) ?(iterations = 20) loop =
-  let flat, program = compile ~p ~k ~iterations loop in
-  let compiled = Exec_compiled.run ~loop:flat ~program () in
-  (match Value_run.check_against_sequential ~loop:flat ~iterations compiled with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "%s: compiled vs interp: %s" name e);
-  let interp = Value_run.run ~loop:flat ~program () in
-  if compiled.Value_run.instance_values <> interp.Value_run.instance_values then
-    Alcotest.failf "%s: compiled instance values differ from interpreted" name;
-  if compiled.Value_run.final <> interp.Value_run.final then
-    Alcotest.failf "%s: compiled final memory differs from interpreted" name
-
 let test_compiled_differential_workloads () =
   List.iter
-    (fun (name, src) -> compiled_differential ~name (Parser.parse src))
+    (fun (name, src) -> differential ~prelower:true ~name (Parser.parse src))
     [
       ("fig1", Mimd_workloads.Fig1.source);
       ("fig7", Mimd_workloads.Fig7.source);
       ("elliptic", Mimd_workloads.Elliptic.source);
     ];
-  compiled_differential ~name:"ewf p=4" ~p:4
+  differential ~prelower:true ~name:"ewf p=4" ~p:4
     (Parser.parse Mimd_workloads.Elliptic.source)
 
 let test_compiled_differential_random () =
   for seed = 1 to 12 do
     let loop = Mimd_workloads.Random_loop.generate_loop ~seed () in
-    compiled_differential ~name:(Printf.sprintf "seed %d" seed)
+    differential ~prelower:true ~name:(Printf.sprintf "seed %d" seed)
       ~p:(2 + (seed mod 3)) ~iterations:10 loop
   done
 
@@ -315,7 +312,7 @@ let test_compiled_pack_delivery () =
      slots and survive until reads many iterations later.  ewf under a
      wide coalescing window produces Recv_pack frames whose extra
      values are consumed well after the head's iteration; the compiled
-     and interpreted executors must agree bit for bit on every
+     executor must agree with the simulator bit for bit on every
      instance, on both programs. *)
   let loop = Parser.parse Mimd_workloads.Elliptic.source in
   let flat, program = compile ~p:3 ~iterations:30 loop in
@@ -330,14 +327,8 @@ let test_compiled_pack_delivery () =
       packed.Program.programs
   in
   check_bool "optimized program carries multi-value packs" true has_pack;
-  let compiled = Exec_compiled.run ~loop:flat ~program:packed () in
-  (match Value_run.check_against_sequential ~loop:flat ~iterations:30 compiled with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "packed compiled vs interp: %s" e);
-  let interp = Value_run.run ~loop:flat ~program:packed () in
-  check_bool "packed: compiled == interpreted, every instance" true
-    (compiled.Value_run.instance_values = interp.Value_run.instance_values
-    && compiled.Value_run.final = interp.Value_run.final)
+  check_runtime ~prelower:true ~name:"ewf unpacked" ~k:2 ~iterations:30 ~flat program;
+  check_runtime ~prelower:true ~name:"ewf packed" ~k:2 ~iterations:30 ~flat packed
 
 let test_stale_slot_must_fail () =
   let loop = Parser.parse Mimd_workloads.Fig7.source in
