@@ -17,21 +17,25 @@
 
    2. Coalescing.  Retained messages on the same (src, dst) pair whose
       iterations fall inside a window merge into one frame, sent at
-      the latest member send position and received at the earliest
-      member recv position.  Moving sends later and recvs earlier can
-      introduce a happens-before cycle (the destination blocks at the
-      merged Recv while the source still needs a value the destination
-      has not sent yet), so every greedy extension is validated by a
-      deterministic token simulation of the tentatively rebuilt
-      program — FIFO links, blocking recvs, operand-availability
-      checks — and rolled back if the simulation blocks.  Simulating
-      the whole program (with every previously accepted group in
-      place) also accounts for interactions between merges on
-      different links.
+      the latest member send position [smax] and received at the
+      earliest member recv position [rmin].  A merge only moves member
+      Sends later, to a point where every tag is already held, and
+      member Recvs earlier, which lands values sooner; so the only
+      thing a merge can break is progress.  It deadlocks exactly when
+      it closes a happens-before cycle: the Recv at (dst, rmin) already
+      happens-before the Send at (src, smax).  Every greedy extension
+      is therefore checked by one earliest-arrival search from
+      (dst, rmin) over the live frames at their current positions
+      (every accepted group in place, so merges on different links
+      interact correctly), and rolled back if the search reaches src
+      at or before smax.
 
-   The rewrite is semantics-preserving by construction and checked by
-   {!Program.check} on every run; the differential fuzz tier
+   The rewrite is semantics-preserving by construction.  The output is
+   still checked as a whole on every run — {!Program.check} plus a
+   full token simulation ([simulate]) — and the differential fuzz tier
    ({!Mimd_check.Fuzz}) proves value-identity across all executors. *)
+
+module Trace = Mimd_obs.Trace
 
 type stats = {
   messages_before : int;
@@ -103,7 +107,9 @@ type msg = {
   recv_idx : int;
   mutable live : bool;
   mutable pinned : bool;  (* carries a forwarded value; must stay *)
-  mutable extras : Program.tag list;  (* forwarded tags riding this frame *)
+  mutable extras : Program.tag list;
+      (* forwarded tags riding this frame, in forwarding order once
+         [elide] returns (built newest-first while it runs) *)
   mutable group : int;  (* coalescing group id, -1 = ungrouped *)
 }
 
@@ -264,7 +270,7 @@ let elide ~procs ~avail ~first_use msgs =
             (fun hop ->
               hop.pinned <- true;
               if not (carries hop m.tag) then begin
-                hop.extras <- hop.extras @ [ m.tag ];
+                hop.extras <- m.tag :: hop.extras;
                 Hashtbl.replace extra_seen
                   (hop.src, hop.dst, m.tag.Program.node, m.tag.iter)
                   ()
@@ -277,6 +283,7 @@ let elide ~procs ~avail ~first_use msgs =
         end
       end)
     msgs;
+  List.iter (fun m -> m.extras <- List.rev m.extras) msgs;
   !elided
 
 let rebuild (p : Program.t) msgs groups =
@@ -292,15 +299,25 @@ let rebuild (p : Program.t) msgs groups =
     (fun (gid, members) ->
       let smax = List.fold_left (fun a m -> max a m.send_idx) min_int members in
       let rmin = List.fold_left (fun a m -> min a m.recv_idx) max_int members in
+      (* Base tags in member order, then each extra not already in the
+         frame, in first-seen order. *)
       let base = List.map (fun m -> m.tag) members in
-      let tags =
+      let seen = Hashtbl.create 16 in
+      List.iter (fun t -> Hashtbl.replace seen t ()) base;
+      let extras_rev =
         List.fold_left
           (fun acc m ->
             List.fold_left
-              (fun acc t -> if List.mem t acc then acc else acc @ [ t ])
+              (fun acc t ->
+                if Hashtbl.mem seen t then acc
+                else begin
+                  Hashtbl.add seen t ();
+                  t :: acc
+                end)
               acc m.extras)
-          base members
+          [] members
       in
+      let tags = base @ List.rev extras_rev in
       Hashtbl.replace ginfo gid (smax, rmin, tags))
     groups;
   Array.mapi
@@ -456,24 +473,58 @@ let simulate ~graph programs =
     else if !in_flight > 0 then Error "undelivered frame left on a link"
     else Ok ()
 
-(* Greedy coalescing with simulation-backed acceptance.  Candidate
+(* Greedy coalescing with a happens-before cycle check.  Candidate
    members are consecutive messages (in send order) on one (src, dst)
-   link whose iteration span fits the window; each extension is
-   validated by rebuilding the whole program — every previously
-   accepted group included — and token-simulating it.  Rejections roll
-   the extension back and flush the group, so link frames stay
-   contiguous in send order and FIFO order is preserved. *)
-let coalesce ~window (p : Program.t) msgs =
+   link whose iteration span fits the window.  [bounds] holds every
+   group's current (smax, rmin); a grouped message sits at its group's
+   positions, any other at its own.  An extension is accepted unless
+   the merged Recv at (dst, rmin) already happens-before the merged
+   Send at (src, smax) — the only way a merge can fail (see the header).
+   Rejections roll the extension back and flush the group, so link
+   frames stay contiguous in send order and FIFO order is preserved. *)
+let coalesce ~window ~procs msgs =
   let live = List.filter (fun m -> m.live) msgs in
   let pairs = List.sort_uniq compare (List.map (fun m -> (m.src, m.dst)) live) in
+  let outgoing = Array.make procs [] in
+  List.iter (fun m -> outgoing.(m.src) <- m :: outgoing.(m.src)) live;
+  let bounds = Hashtbl.create 64 in
+  let pos m =
+    if m.group >= 0 then Hashtbl.find bounds m.group else (m.send_idx, m.recv_idx)
+  in
+  (* Earliest-arrival search from (dst, rmin) over program order and
+     send->recv edges: [dist.(p)] is the earliest position on p that
+     happens-after the start.  Recvs match by tag (the stash), so links
+     add no FIFO edges. *)
+  let closes_cycle ~src ~smax ~dst ~rmin =
+    let dist = Array.make procs max_int in
+    let queued = Array.make procs false in
+    dist.(dst) <- rmin;
+    queued.(dst) <- true;
+    let rec search = function
+      | [] -> false
+      | p :: work ->
+        queued.(p) <- false;
+        let work =
+          List.fold_left
+            (fun work m ->
+              let s, r = pos m in
+              if s >= dist.(p) && r < dist.(m.dst) then begin
+                dist.(m.dst) <- r;
+                if queued.(m.dst) then work
+                else begin
+                  queued.(m.dst) <- true;
+                  m.dst :: work
+                end
+              end
+              else work)
+            work outgoing.(p)
+        in
+        dist.(src) <= smax || search work
+    in
+    search [ dst ]
+  in
   let next_gid = ref 0 in
   let committed = ref [] in
-  let feasible tentative =
-    let groups = List.rev (tentative :: !committed) in
-    match simulate ~graph:p.graph (rebuild p msgs groups) with
-    | Ok () -> true
-    | Error _ -> false
-  in
   List.iter
     (fun (src, dst) ->
       let ms = List.filter (fun m -> m.src = src && m.dst = dst) live in
@@ -500,12 +551,22 @@ let coalesce ~window (p : Program.t) msgs =
             let lo, hi = span m cur in
             let g = if gid >= 0 then gid else !next_gid in
             if hi - lo < window then begin
+              let smax, rmin =
+                List.fold_left
+                  (fun (s, r) x -> (max s x.send_idx, min r x.recv_idx))
+                  (m.send_idx, m.recv_idx) cur
+              in
+              let prev = Hashtbl.find_opt bounds g in
+              Hashtbl.replace bounds g (smax, rmin);
               List.iter (fun x -> x.group <- g) (m :: cur);
-              if feasible (g, List.rev (m :: cur)) then begin
+              if not (closes_cycle ~src ~smax ~dst ~rmin) then begin
                 if gid < 0 then incr next_gid;
                 go (m :: cur) g rest
               end
               else begin
+                (match prev with
+                | Some b -> Hashtbl.replace bounds g b
+                | None -> Hashtbl.remove bounds g);
                 m.group <- -1;
                 if gid < 0 then List.iter (fun x -> x.group <- -1) cur;
                 flush cur gid;
@@ -545,9 +606,15 @@ let run ?(window = 4) ?fault (p : Program.t) =
   let procs = p.processors in
   let msgs, avail, first_use = collect p in
   let messages_before = List.length msgs in
-  let elided = elide ~procs ~avail ~first_use msgs in
-  let groups = if window = 0 then [] else coalesce ~window p msgs in
-  let programs = rebuild p msgs groups in
+  let elided =
+    Trace.span ~cat:"compile" "compile.comm_opt.elide" (fun () ->
+        elide ~procs ~avail ~first_use msgs)
+  in
+  let programs =
+    Trace.span ~cat:"compile" "compile.comm_opt.coalesce" (fun () ->
+        let groups = if window = 0 then [] else coalesce ~window ~procs msgs in
+        rebuild p msgs groups)
+  in
   let programs =
     match fault with
     | Some Keep_extra_send -> break_first_recv programs
@@ -557,6 +624,7 @@ let run ?(window = 4) ?fault (p : Program.t) =
   let messages_after = messages p' in
   (match fault with
   | None -> (
+    Trace.span ~cat:"compile" "compile.comm_opt.check" @@ fun () ->
     (match Program.check p' with
     | [] -> ()
     | d :: _ ->

@@ -11,11 +11,13 @@
     messages crossing the same processor pair inside an iteration
     window are then coalesced into one multi-tag frame
     ({!Program.Send_pack} / {!Program.Recv_pack}), sent at the latest
-    member position and received at the earliest; every tentative
-    merge is validated by a deterministic token simulation of the
-    rebuilt program (FIFO links with stash-style tag matching,
-    blocking recvs, operand-availability checks) and rolled back if
-    it would deadlock.
+    member position and received at the earliest.  A merge only
+    moves Sends later (every tag is already held there) and Recvs
+    earlier (values land sooner), so the only failure it can
+    introduce is a deadlock: every tentative merge is rejected when
+    the merged Recv already happens-before the merged Send, found by
+    one earliest-arrival search over the retained frames (program
+    order plus send->recv edges, stash-style tag matching).
 
     The rewrite never changes which processor computes what, so the
     optimized program is value-differentially identical to its input
@@ -45,11 +47,13 @@ val run : ?window:int -> ?fault:fault -> Program.t -> Program.t * stats
     iteration span a coalesced frame may cover: members satisfy
     [max iter - min iter < window]; [1] merges only same-iteration
     messages, [0] disables coalescing, and the default [4] amortizes
-    per-frame overhead across up to four iterations.  Without a
-    fault, the result is re-checked with {!Program.check} {e and}
-    token-simulated to completion; any defect or blockage raises
-    [Failure] — the pass refuses to emit a program it cannot prove
-    well-formed and deadlock-free.
+    per-frame overhead across up to four iterations.  Each merge is
+    accepted by a happens-before cycle check, not a re-simulation;
+    the program is rebuilt once.  Without a fault, the whole result
+    is then re-checked with {!Program.check} {e and} token-simulated
+    to completion; any defect or blockage raises [Failure] — the
+    pass refuses to emit a program it cannot prove well-formed and
+    deadlock-free.
     @raise Invalid_argument on a negative window, an input that
     already contains packs, or unmatched sends/recvs. *)
 

@@ -1,6 +1,7 @@
 (* The synchronization-minimizing rewrite (Comm_opt): transitive
-   elision with value forwarding, simulation-backed coalescing, and
-   the differential guarantees both rely on. *)
+   elision with value forwarding, coalescing guarded by a
+   happens-before cycle check, and the differential guarantees both
+   rely on. *)
 
 open Helpers
 module Ast = Mimd_loop_ir.Ast
@@ -127,6 +128,45 @@ let test_elision_refused_when_value_would_arrive_late () =
   check_int "nothing elided" 0 stats.Comm_opt.elided;
   check_int "messages unchanged" 2 stats.Comm_opt.messages_after;
   check_bool "optimized well-formed" true (Program.check opt = [])
+
+(* Ping-pong a -> b (distance 0), b -> a (distance 1) over two
+   processors: P0 sends a0, waits for b0, computes and sends a1.  At
+   window 2 the two P0->P1 messages are merge candidates, but the merged
+   frame would leave P0 at a1's Send while P1 blocks at the merged Recv
+   before it can send b0 — a happens-before cycle.  The merge must be
+   refused and both frames kept. *)
+let test_coalesce_refuses_deadlocking_merge () =
+  let graph = two_cycle () in
+  let programs =
+    [|
+      [
+        Program.Compute { node = 0; iter = 0 };
+        Program.Send { tag = tag 0 0; dst = 1 };
+        Program.Recv { tag = tag 1 0; src = 1 };
+        Program.Compute { node = 0; iter = 1 };
+        Program.Send { tag = tag 0 1; dst = 1 };
+      ];
+      [
+        Program.Recv { tag = tag 0 0; src = 0 };
+        Program.Compute { node = 1; iter = 0 };
+        Program.Send { tag = tag 1 0; dst = 0 };
+        Program.Recv { tag = tag 0 1; src = 0 };
+        Program.Compute { node = 1; iter = 1 };
+      ];
+    |]
+  in
+  let p = { Program.graph; processors = 2; programs } in
+  check_bool "input well-formed" true (Program.check p = []);
+  let opt, stats = Comm_opt.run ~window:2 p in
+  check_int "nothing coalesced" 0 stats.Comm_opt.coalesced;
+  check_int "nothing elided" 0 stats.Comm_opt.elided;
+  check_int "messages unchanged" 3 stats.Comm_opt.messages_after;
+  check_bool "P0 keeps both frames to P1 separate" true
+    (opt.Program.programs.(0) = programs.(0));
+  check_bool "P1 keeps both receives separate" true
+    (opt.Program.programs.(1) = programs.(1));
+  check_bool "validator accepts (token simulation drains)" true
+    (Validate.program_validator opt = Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Full-pipeline cases: loop -> schedule -> program -> Comm_opt, with
@@ -309,6 +349,8 @@ let suite =
       test_same_link_forwarding_uses_first_use_bound;
     Alcotest.test_case "late arrival refused" `Quick
       test_elision_refused_when_value_would_arrive_late;
+    Alcotest.test_case "coalescing refuses a deadlocking merge" `Quick
+      test_coalesce_refuses_deadlocking_merge;
     Alcotest.test_case "fig7: coalesce across pattern boundary" `Quick
       test_fig7_coalesces_across_pattern_boundary;
     Alcotest.test_case "window boundaries" `Quick test_window_boundaries;

@@ -138,14 +138,16 @@ let test_corpus_fingerprints () =
   in
   check_int "every corpus file is pinned" (List.length corpus) (List.length lines)
 
-(* The comm-opt golden pins both the optimized programs (fingerprint)
+(* The comm-opt goldens pin both the optimized programs (fingerprint)
    and the message-count table (before->after) at the default window —
-   the same file the CI comm-opt fingerprint-diff step checks. *)
-let commopt_line_of_file path =
+   the same files the CI comm-opt fingerprint-diff steps check.  The
+   n=120 golden sits at the trip count where coalescing does the most
+   work, so it pins the acceptance decisions at scale. *)
+let commopt_line_of_file ~processors ~iterations path =
   let src = In_channel.with_open_text path In_channel.input_all in
   let g = (Mimd_loop_ir.Depend.analyze_string src).Mimd_loop_ir.Depend.graph in
-  let machine = Mimd_machine.Config.make ~processors:2 ~comm_estimate:2 in
-  let full = Mimd_core.Full_sched.run ~graph:g ~machine ~iterations:60 () in
+  let machine = Mimd_machine.Config.make ~processors ~comm_estimate:2 in
+  let full = Mimd_core.Full_sched.run ~graph:g ~machine ~iterations () in
   let program = Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule in
   let opt, stats = Mimd_codegen.Comm_opt.run program in
   Printf.sprintf "%s %d->%d"
@@ -153,10 +155,9 @@ let commopt_line_of_file path =
     stats.Mimd_codegen.Comm_opt.messages_before
     stats.Mimd_codegen.Comm_opt.messages_after
 
-let test_corpus_commopt_fingerprints () =
+let check_commopt_golden ~processors ~iterations golden =
   let lines =
-    In_channel.with_open_text "goldens/fingerprints_commopt_p2_k2_n60.txt"
-      In_channel.input_lines
+    In_channel.with_open_text golden In_channel.input_lines
     |> List.filter (fun l -> String.trim l <> "")
   in
   check_bool "golden file non-empty" true (lines <> []);
@@ -165,8 +166,9 @@ let test_corpus_commopt_fingerprints () =
       match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
       | [ hex; counts; name ] ->
         let path = Filename.concat "../examples/loops" name in
-        let got = commopt_line_of_file path in
-        check_string (name ^ ": deterministic") got (commopt_line_of_file path);
+        let line_of () = commopt_line_of_file ~processors ~iterations path in
+        let got = line_of () in
+        check_string (name ^ ": deterministic") got (line_of ());
         check_string (name ^ ": matches golden") (hex ^ " " ^ counts) got
       | _ -> Alcotest.failf "malformed comm-opt golden line: %S" line)
     lines;
@@ -175,6 +177,14 @@ let test_corpus_commopt_fingerprints () =
     |> List.filter (fun f -> Filename.check_suffix f ".loop")
   in
   check_int "every corpus file is pinned" (List.length corpus) (List.length lines)
+
+let test_corpus_commopt_fingerprints () =
+  check_commopt_golden ~processors:2 ~iterations:60
+    "goldens/fingerprints_commopt_p2_k2_n60.txt"
+
+let test_corpus_commopt_fingerprints_n120 () =
+  check_commopt_golden ~processors:4 ~iterations:120
+    "goldens/fingerprints_commopt_p4_k2_n120.txt"
 
 let suite =
   [
@@ -188,5 +198,7 @@ let suite =
     Alcotest.test_case "golden: corpus schedule fingerprints" `Quick test_corpus_fingerprints;
     Alcotest.test_case "golden: corpus comm-opt fingerprints" `Quick
       test_corpus_commopt_fingerprints;
+    Alcotest.test_case "golden: corpus comm-opt fingerprints p4 n120" `Quick
+      test_corpus_commopt_fingerprints_n120;
     prop_heavier_latencies_still_fine;
   ]
