@@ -778,28 +778,7 @@ let run_parallel_cmd =
         in
         let watchdog = Mimd_runtime.Watchdog.config ~timeout () in
         let run_backend () =
-          (* The lowered form rides the schedule cache — but only for
-             clean programs: a fault-mutated program must not poison
-             (or hit) the pristine entry. *)
-          let lowered =
-            if no_cache || fault <> `None then Mimd_runtime.Lower.run ~loop:flat ~program ()
-            else begin
-              let fingerprint =
-                Mimd_runtime.Schedule_cache.fingerprint ~graph ~machine ~iterations ()
-              in
-              let key =
-                Mimd_runtime.Schedule_cache.lowered_key
-                  ?comm_window:(if comm_opt then Some comm_window else None)
-                  ~fingerprint ~loop:flat ()
-              in
-              match Mimd_runtime.Schedule_cache.find_lowered cache ~key with
-              | Some l -> l
-              | None ->
-                let l = Mimd_runtime.Lower.run ~loop:flat ~program () in
-                Mimd_runtime.Schedule_cache.add_lowered cache ~key l;
-                l
-            end
-          in
+          let lowered = Mimd_runtime.Lower.run ~loop:flat ~program () in
           let lowered =
             if fault = `Stale_slot then Mimd_runtime.Lower.sabotage_stale_slot lowered
             else lowered
@@ -844,11 +823,6 @@ let run_parallel_cmd =
                 st.Mimd_runtime.Schedule_cache.hits st.Mimd_runtime.Schedule_cache.misses
                 st.Mimd_runtime.Schedule_cache.entries
                 (if st.Mimd_runtime.Schedule_cache.entries = 1 then "y" else "ies");
-              let lt = Mimd_runtime.Schedule_cache.lowered_stats cache in
-              Format.printf "  lowered cache: %d hit(s), %d miss(es), %d entr%s@."
-                lt.Mimd_runtime.Schedule_cache.hits lt.Mimd_runtime.Schedule_cache.misses
-                lt.Mimd_runtime.Schedule_cache.entries
-                (if lt.Mimd_runtime.Schedule_cache.entries = 1 then "y" else "ies")
             end;
             if not timed then 0
             else begin
@@ -948,13 +922,9 @@ let check_cmd =
     print_string (V.render ~names:(Graph.name g) report);
     V.ok report
   in
-  let run workload file seed all processors k iterations broken fuzz fuzz_comm fuzz_seed
-      fuzz_matrix fuzz_fault inject_fault fuzz_out no_runtime replay =
+  let run workload file seed all processors k iterations broken fuzz fuzz_seed fault fuzz_out
+      no_runtime replay =
     let machine = machine_of processors k in
-    let fault =
-      if fuzz_fault then F.Hasten_dependent
-      else match inject_fault with `Keep_extra_send -> F.Keep_extra_send | `None -> F.No_fault
-    in
     match replay with
     | Some path -> begin
       match F.load_case path with
@@ -971,13 +941,7 @@ let check_cmd =
         prerr_endline ("mimdloop: " ^ m);
         1
       | case -> begin
-        let result =
-          (* a dumped comm counterexample replays through the comm oracle *)
-          match case.F.oracle with
-          | F.Comm -> F.check_comm_case ~fault ~runtime:(not no_runtime) case
-          | F.Pipeline -> F.check_case ~fault ~runtime:(not no_runtime) case
-        in
-        match result with
+        match F.check_case ~fault ~runtime:(not no_runtime) case with
         | Ok () ->
           Printf.printf "replay %s: all checks passed\n" path;
           0
@@ -987,11 +951,8 @@ let check_cmd =
       end
     end
     | None -> begin
-      match (fuzz, fuzz_comm) with
-      | Some _, Some _ ->
-        prerr_endline "mimdloop: choose one of --fuzz, --fuzz-comm";
-        1
-      | (Some count, None | None, Some count) -> begin
+      match fuzz with
+      | Some count -> begin
         let cfg =
           {
             F.count;
@@ -999,15 +960,13 @@ let check_cmd =
             fault;
             runtime = not no_runtime;
             out_dir = fuzz_out;
-            oracle = (if Option.is_some fuzz_comm then F.Comm else F.Pipeline);
-            matrix = fuzz_matrix;
           }
         in
         let outcome = F.run cfg in
         print_endline (F.describe outcome);
         match outcome with F.Passed _ -> 0 | F.Failed _ -> 1
       end
-      | None, None ->
+      | None ->
         if all || (workload = None && file = None && seed = None) then begin
           let oks =
             List.map
@@ -1033,52 +992,41 @@ let check_cmd =
   in
   let fuzz_t =
     Arg.(value & opt (some int) None & info [ "fuzz" ] ~docv:"N"
-           ~doc:"Instead of checking workloads, drive N random loops through the whole \
-                 pipeline with every stage audited and the values compared against the \
-                 sequential interpreter.")
-  in
-  let fuzz_comm_t =
-    Arg.(value & opt (some int) None & info [ "fuzz-comm" ] ~docv:"N"
-           ~doc:"Differentially fuzz the synchronization-minimizing rewrite: N random \
-                 loops and machine shapes, each compiled, optimized with comm-opt, \
-                 accepted by the independent token simulation, and compared value by \
-                 value — optimized vs unoptimized — across the simulator, the domain \
-                 runtime and the forked-socket runtime.")
+           ~doc:"Instead of checking workloads, drive N random loops and machine shapes \
+                 through the whole pipeline, comm-opt rewrite included, with every stage \
+                 audited and the values compared against the sequential interpreter \
+                 across the simulator, the forked-socket runtime and the domain runtime. \
+                 Each case draws its own fan-out and pricing (scalar k or a per-link \
+                 matrix).")
   in
   let fuzz_seed_t =
     Arg.(value & opt int 0 & info [ "fuzz-seed" ] ~docv:"SEED"
-           ~doc:"Generator seed for --fuzz/--fuzz-comm (same seed, same cases).")
-  in
-  let fuzz_matrix_t =
-    Arg.(value & flag & info [ "fuzz-matrix" ]
-           ~doc:"Price (and simulate) every fuzzed case with a per-case asymmetric \
-                 per-link cost matrix instead of the uniform scalar k — the \
-                 calibrated-machine differential; the matrix is derived \
-                 deterministically from the case, so dumped counterexamples replay \
-                 unchanged.")
+           ~doc:"Generator seed for --fuzz (same seed, same cases).")
   in
   let inject_fault_t =
-    let faults = [ ("none", `None); ("keep-extra-send", `Keep_extra_send) ] in
-    Arg.(value & opt (enum faults) `None & info [ "inject-fault" ] ~docv:"FAULT"
-           ~doc:"Sabotage every --fuzz-comm case to prove the oracle has teeth: \
-                 $(b,keep-extra-send) makes the rewrite keep one frame's Send but drop \
-                 its Recv; the independent validator must reject every such program \
-                 (non-zero exit).")
-  in
-  let fuzz_fault_t =
-    Arg.(value & flag & info [ "fuzz-fault" ]
-           ~doc:"Inject a dependence violation into every fuzzed schedule; the harness \
-                 must catch it (non-zero exit proves the oracle has teeth).")
+    let faults =
+      [
+        ("none", F.No_fault);
+        ("hasten-dependent", F.Hasten_dependent);
+        ("keep-extra-send", F.Keep_extra_send);
+      ]
+    in
+    Arg.(value & opt (enum faults) F.No_fault & info [ "inject-fault" ] ~docv:"FAULT"
+           ~doc:"Sabotage every --fuzz and --replay case to prove the oracle has teeth: \
+                 $(b,hasten-dependent) moves one dependent instance a cycle too early \
+                 after scheduling; $(b,keep-extra-send) makes the comm-opt rewrite keep \
+                 one frame's Send but drop its Recv.  The independent validator must \
+                 catch either (non-zero exit).")
   in
   let fuzz_out_t =
     Arg.(value & opt (some string) None & info [ "fuzz-out" ] ~docv:"DIR"
            ~doc:"Dump the shrunk counterexample of a fuzz failure as a replayable \
-                 loop-IR file in this directory.")
+                 loop-IR file in this directory (created if missing).")
   in
   let no_runtime_t =
     Arg.(value & flag & info [ "no-runtime" ]
-           ~doc:"Skip the real-domain (OCaml 5) execution in --fuzz/--replay; the \
-                 simulator differential still runs.")
+           ~doc:"Skip the socket and real-domain (OCaml 5) execution in --fuzz/--replay; \
+                 the simulator differential still runs.")
   in
   let replay_t =
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE"
@@ -1091,8 +1039,8 @@ let check_cmd =
              whole pipeline against the sequential interpreter")
     Term.(
       const run $ workload_t $ file_t $ seed_t $ all_t $ processors_t $ k_t $ iterations_t
-      $ broken_t $ fuzz_t $ fuzz_comm_t $ fuzz_seed_t $ fuzz_matrix_t
-      $ fuzz_fault_t $ inject_fault_t $ fuzz_out_t $ no_runtime_t $ replay_t)
+      $ broken_t $ fuzz_t $ fuzz_seed_t $ inject_fault_t $ fuzz_out_t $ no_runtime_t
+      $ replay_t)
 
 (* ------------------------------------------------------------------ *)
 (* The compile service: serve (stdio / Unix socket) and batch           *)
@@ -1894,7 +1842,7 @@ let main_cmd =
    audited by the independent checker, not by the layers' own checks. *)
 let () = Mimd_check.Validate.install_hooks ()
 
-(* The comm fuzz oracle's socket leg: mimd_check sits below mimd_dist
+(* The fuzz oracle's socket leg: mimd_check sits below mimd_dist
    in the dependency graph, so the forked-socket executor is injected
    here, where both are visible. *)
 let () =

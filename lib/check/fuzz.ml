@@ -13,14 +13,11 @@ module Watchdog = Mimd_runtime.Watchdog
 
 type fault = No_fault | Hasten_dependent | Keep_extra_send
 
-type oracle = Pipeline | Comm
-
 type case = {
   loop : Ast.loop;
   processors : int;
   comm : int;
   iterations : int;
-  oracle : oracle;
   matrix : bool;
 }
 
@@ -30,20 +27,10 @@ type config = {
   fault : fault;
   runtime : bool;
   out_dir : string option;
-  oracle : oracle;
-  matrix : bool;
 }
 
 let default_config =
-  {
-    count = 200;
-    seed = 0;
-    fault = No_fault;
-    runtime = true;
-    out_dir = None;
-    oracle = Pipeline;
-    matrix = false;
-  }
+  { count = 200; seed = 0; fault = No_fault; runtime = true; out_dir = None }
 
 (* The per-link matrix of a matrix-mode case is a deterministic
    function of the case — like the comm-opt window — so a dumped
@@ -80,7 +67,7 @@ let ( let* ) = Result.bind
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* Simulator and runtime must agree on the value of every (statement,
+(* Two executions must agree on the value of every (statement,
    iteration) instance, bit for bit — not just on the final memory. *)
 let compare_instances ~sim ~rt =
   let sort l = List.sort (fun (a, _) (b, _) -> compare a b) l in
@@ -101,7 +88,58 @@ let compare_instances ~sim ~rt =
         else Ok ())
       (Ok ()) sim rt
 
-let check_case ?(fault = No_fault) ?(runtime = true) case =
+let labelled label r = Result.map_error (( ^ ) label) r
+
+(* The socket backend lives above this library in the dependency graph
+   (mimd_dist -> mimd_server -> mimd_check), so the oracle reaches it
+   through an injected hook; [mimdloop] installs it at startup, the
+   same pattern as {!Validate.install_hooks}.  The hook runs the
+   program on forked processes and returns its instance values. *)
+let socket_backend :
+    (loop:Ast.loop ->
+    program:Mimd_codegen.Program.t ->
+    (((int * int) * float) list, string) result)
+    option
+    ref =
+  ref None
+
+(* Run [f] in a forked child that marshals its result back over a pipe
+   and exits without returning to the harness.  The domain runtime
+   poisons fork (OCaml forbids forking once a domain exists) and the
+   socket backend forks, so while the socket leg is on the domain leg
+   runs here: the parent never creates a domain and stays fork-safe
+   for the next case. *)
+let in_child (f : unit -> 'a) : ('a, string) result =
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    let result : ('a, string) result =
+      try Ok (f ()) with e -> Error ("exception: " ^ Printexc.to_string e)
+    in
+    let oc = Unix.out_channel_of_descr w in
+    Marshal.to_channel oc result [];
+    flush oc;
+    Unix._exit 0
+  | pid ->
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let result =
+      match (Marshal.from_channel ic : ('a, string) result) with
+      | result -> result
+      | exception _ -> Error "domain helper child died before reporting"
+    in
+    In_channel.close ic;
+    ignore (Unix.waitpid [] pid);
+    result
+
+let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
+  (* The default window is a deterministic function of the case, so a
+     replayed counterexample exercises exactly the coalescing the
+     original run did without the dump having to carry the window. *)
+  let window =
+    match window with Some w -> w | None -> 1 + (case.iterations mod 4)
+  in
   try
     let loop =
       if Ast.is_flat case.loop then case.loop else Mimd_loop_ir.If_convert.run case.loop
@@ -128,98 +166,6 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
     in
     let program = Mimd_codegen.From_schedule.run sched in
     let* () = Validate.error_of ~names (Validate.program program) in
-    (* Value differential on the simulator... *)
-    let sim = Value_exec.run ~loop ~program ~links:(links_of_case case) () in
-    let* () =
-      Result.map_error (( ^ ) "simulator vs interpreter: ")
-        (Value_exec.check_against_sequential ~loop ~iterations:case.iterations sim)
-    in
-    if not runtime then Ok ()
-    else begin
-      (* ... and on real domains. *)
-      let watchdog = Watchdog.config ~timeout:30.0 () in
-      let rt = Exec_compiled.run ~watchdog ~loop ~program () in
-      let* () =
-        Result.map_error (( ^ ) "runtime vs interpreter: ")
-          (Value_run.check_against_sequential ~loop ~iterations:case.iterations rt)
-      in
-      compare_instances ~sim:sim.Value_exec.instance_values
-        ~rt:rt.Value_run.instance_values
-    end
-  with e -> Error ("exception: " ^ Printexc.to_string e)
-
-(* ------------------------------------------------------------------ *)
-(* The comm-opt oracle: optimized vs unoptimized, all executors        *)
-
-(* The socket backend lives above this library in the dependency graph
-   (mimd_dist -> mimd_server -> mimd_check), so the comm oracle reaches
-   it through an injected hook; [mimdloop] installs it at startup, the
-   same pattern as {!Validate.install_hooks}.  The hook runs the
-   program on forked processes and returns its instance values. *)
-let socket_backend :
-    (loop:Ast.loop ->
-    program:Mimd_codegen.Program.t ->
-    (((int * int) * float) list, string) result)
-    option
-    ref =
-  ref None
-
-(* The domain runtime poisons fork (OCaml forbids forking once a domain
-   exists), and the socket backend forks — so when one comm case needs
-   both, the domain leg runs inside a forked child that reports the
-   instance values of the base and the optimized program over a pipe
-   and exits without returning to the harness.  The parent never
-   creates a domain and stays fork-safe for the next case. *)
-type instances = ((int * int) * float) list
-
-let domain_instances_forked ~loop ~base ~opt =
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close r;
-    let result : (instances * instances, string) result =
-      try
-        let watchdog = Watchdog.config ~timeout:30.0 () in
-        let run program =
-          (Exec_compiled.run ~watchdog ~loop ~program ()).Value_run.instance_values
-        in
-        let base = run base in
-        Ok (base, run opt)
-      with e -> Error (Printexc.to_string e)
-    in
-    let oc = Unix.out_channel_of_descr w in
-    Marshal.to_channel oc result [];
-    flush oc;
-    Unix._exit 0
-  | pid ->
-    Unix.close w;
-    let ic = Unix.in_channel_of_descr r in
-    let result =
-      match (Marshal.from_channel ic : (instances * instances, string) result) with
-      | result -> result
-      | exception _ -> Error "domain helper child died before reporting"
-    in
-    In_channel.close ic;
-    ignore (Unix.waitpid [] pid);
-    result
-
-let check_comm_case ?(fault = No_fault) ?(runtime = true) ?window case =
-  (* The default window is a deterministic function of the case, so a
-     replayed counterexample exercises exactly the coalescing the
-     original run did without the dump having to carry the window. *)
-  let window =
-    match window with Some w -> w | None -> 1 + (case.iterations mod 4)
-  in
-  try
-    let loop =
-      if Ast.is_flat case.loop then case.loop else Mimd_loop_ir.If_convert.run case.loop
-    in
-    let graph = (Depend.analyze loop).Depend.graph in
-    let machine = machine_of_case case in
-    let full = Full_sched.run ~graph ~machine ~iterations:case.iterations () in
-    let names = Graph.name graph in
-    let program = Mimd_codegen.From_schedule.run full.Full_sched.schedule in
-    let* () = Validate.error_of ~names (Validate.program program) in
     let comm_fault =
       match fault with
       | Keep_extra_send -> Some Mimd_codegen.Comm_opt.Keep_extra_send
@@ -232,66 +178,73 @@ let check_comm_case ?(fault = No_fault) ?(runtime = true) ?window case =
          program — with an injected fault it must reject it instead,
          which surfaces here as the case failing. *)
       let* () =
-        Result.map_error
-          (( ^ ) "optimized program rejected: ")
+        labelled "optimized program rejected: "
           (Validate.error_of ~names (Validate.program opt))
       in
+      (* Value differential on the simulator... *)
       let links = links_of_case case in
       let sim_base = Value_exec.run ~loop ~program ~links () in
       let sim_opt = Value_exec.run ~loop ~program:opt ~links () in
-      let* () =
-        Result.map_error
-          (( ^ ) "optimized simulator vs interpreter: ")
-          (Value_exec.check_against_sequential ~loop ~iterations:case.iterations sim_opt)
+      let against_interp label sim =
+        labelled label
+          (Value_exec.check_against_sequential ~loop ~iterations:case.iterations sim)
       in
+      let* () = against_interp "simulator vs interpreter: " sim_base in
+      let* () = against_interp "optimized simulator vs interpreter: " sim_opt in
       let* () =
-        Result.map_error
-          (( ^ ) "optimized vs unoptimized simulator: ")
+        labelled "optimized vs unoptimized simulator: "
           (compare_instances ~sim:sim_base.Value_exec.instance_values
              ~rt:sim_opt.Value_exec.instance_values)
       in
       if not runtime then Ok ()
       else begin
-        (* Socket run first (it forks), then the domain runs in their
-           own forked child — the parent must never create a domain.
-           The domain leg runs the base program too, so this oracle's
-           widened (fan-out) programs get compiled coverage with and
-           without packed frames. *)
+        (* ... then on the socket backend (it forks, so it goes first)
+           and on real domains, base and optimized alike, so widened
+           (fan-out) programs get compiled coverage with and without
+           packed frames. *)
         let* () =
           match !socket_backend with
           | None -> Ok ()
           | Some run_sockets ->
             let* sock = run_sockets ~loop ~program:opt in
-            Result.map_error
-              (( ^ ) "optimized simulator vs socket runtime: ")
+            labelled "optimized simulator vs socket runtime: "
               (compare_instances ~sim:sim_opt.Value_exec.instance_values ~rt:sock)
         in
-        let* dom_base, dom_opt = domain_instances_forked ~loop ~base:program ~opt in
-        let* () =
-          Result.map_error
-            (( ^ ) "unoptimized simulator vs domain runtime: ")
-            (compare_instances ~sim:sim_base.Value_exec.instance_values ~rt:dom_base)
+        let domains () =
+          let watchdog = Watchdog.config ~timeout:30.0 () in
+          let run program = Exec_compiled.run ~watchdog ~loop ~program () in
+          let base = run program in
+          (base, run opt)
         in
-        Result.map_error
-          (( ^ ) "optimized simulator vs domain runtime: ")
-          (compare_instances ~sim:sim_opt.Value_exec.instance_values ~rt:dom_opt)
+        let* dom_base, dom_opt =
+          if Option.is_some !socket_backend then in_child domains else Ok (domains ())
+        in
+        let* () =
+          labelled "runtime vs interpreter: "
+            (Value_run.check_against_sequential ~loop ~iterations:case.iterations dom_base)
+        in
+        let* () =
+          labelled "unoptimized simulator vs domain runtime: "
+            (compare_instances ~sim:sim_base.Value_exec.instance_values
+               ~rt:dom_base.Value_run.instance_values)
+        in
+        labelled "optimized simulator vs domain runtime: "
+          (compare_instances ~sim:sim_opt.Value_exec.instance_values
+             ~rt:dom_opt.Value_run.instance_values)
       end
   with e -> Error ("exception: " ^ Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Replayable counterexample files                                     *)
 
-let oracle_name = function Pipeline -> "pipeline" | Comm -> "comm"
-
 let render_case (case : case) =
   Format.asprintf
     "# mimd-check fuzz counterexample (replay: mimdloop check --replay <file>)@\n\
-     # oracle: %s@\n\
      # processors: %d@\n\
      # comm: %d@\n\
      # iterations: %d@\n\
      %s%a@."
-    (oracle_name case.oracle) case.processors case.comm case.iterations
+    case.processors case.comm case.iterations
     (if case.matrix then "# matrix: yes\n" else "")
     Ast.pp_loop case.loop
 
@@ -299,6 +252,7 @@ let sanitize_line s =
   String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
 let dump_case ?(name = "mimd-fuzz-counterexample.loop") ~dir ~reason case =
+  Mimd_util.Fs.mkdir_p dir;
   let path = Filename.concat dir name in
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc
@@ -323,20 +277,17 @@ let load_case path =
   let int_header key default =
     Option.value ~default (Option.bind (header key) int_of_string_opt)
   in
-  (* [exec] names the retired compiled-vs-interpreted oracle, whose
-     checks the comm oracle now carries. *)
-  let oracle =
-    match header "oracle" with
-    | None | Some "pipeline" -> Pipeline
-    | Some ("comm" | "exec") -> Comm
-    | Some other -> failwith (Printf.sprintf "%s: unknown fuzz oracle %S" path other)
-  in
+  (* Files dumped before the oracles merged name the one they failed
+     in; every such case replays through the one oracle, which makes
+     all of their checks. *)
+  (match header "oracle" with
+  | None | Some ("pipeline" | "comm" | "exec") -> ()
+  | Some other -> failwith (Printf.sprintf "%s: unknown fuzz oracle %S" path other));
   {
     loop = Parser.parse src;
     processors = int_header "processors" 2;
     comm = int_header "comm" 2;
     iterations = int_header "iterations" 10;
-    oracle;
     matrix = List.mem "# matrix: yes" lines;
   }
 
@@ -348,7 +299,7 @@ let load_case path =
    in {-1, 0}, so dependence distances stay in the scheduler's {0, 1}.
    Operators exclude division to keep the float differential free of
    NaN/infinity plumbing. *)
-let gen_case_for ?(matrix = false) oracle =
+let gen_case =
   QCheck2.Gen.(
     let arrays = [| "A"; "B"; "C"; "D" |] in
     let gen_ref =
@@ -376,55 +327,43 @@ let gen_case_for ?(matrix = false) oracle =
          let* rhs = gen_expr 2 in
          return (Ast.Assign { array = arrays.(arr); offset = 0; rhs }))
     in
-    (* The comm oracle wants fan-out: extra reads of earlier writers
+    (* Fan-out, on a per-case coin: extra reads of earlier writers
        create transitive (diamond) dependence shapes a pure statement
        chain never produces — elision fodder for comm-opt, and
-       pack-bearing programs for the compiled executor. *)
-    let* body =
-      match oracle with
-      | Pipeline -> return body
-      | Comm ->
-        let rec widen earlier acc = function
-          | [] -> return (List.rev acc)
-          | Ast.Assign { array; offset; rhs } :: rest ->
-            let* rhs =
-              if earlier = [] then return rhs
-              else
-                let* add = bool in
-                if not add then return rhs
-                else
-                  let* j = int_range 0 (List.length earlier - 1) in
-                  let* off = int_range (-1) 0 in
-                  return
-                    (Ast.Binop
-                       ( Ast.Add,
-                         rhs,
-                         Ast.Ref { array = List.nth earlier j; offset = off } ))
-            in
-            widen (array :: earlier)
-              (Ast.Assign { array; offset; rhs } :: acc)
-              rest
-          | stmt :: rest -> widen earlier (stmt :: acc) rest
+       pack-bearing programs for the compiled executor.  The other half
+       of the cases stay pure chains. *)
+    let rec widen earlier acc = function
+      | [] -> return (List.rev acc)
+      | Ast.Assign { array; offset; rhs } :: rest ->
+        let* rhs =
+          if earlier = [] then return rhs
+          else
+            let* add = bool in
+            if not add then return rhs
+            else
+              let* j = int_range 0 (List.length earlier - 1) in
+              let* off = int_range (-1) 0 in
+              return
+                (Ast.Binop
+                   (Ast.Add, rhs, Ast.Ref { array = List.nth earlier j; offset = off }))
         in
-        widen [] [] body
+        widen (array :: earlier) (Ast.Assign { array; offset; rhs } :: acc) rest
+      | stmt :: rest -> widen earlier (stmt :: acc) rest
     in
+    let* fan_out = bool in
+    let* body = if fan_out then widen [] [] body else return body in
     let* processors = int_range 2 4 in
     let* comm = int_range 0 2 in
     let* iterations = int_range 4 14 in
+    let* matrix = bool in
     return
       {
         loop = { Ast.index = "i"; lo = "1"; hi = "n"; body };
         processors;
         comm;
         iterations;
-        oracle;
         matrix;
       })
-
-let print_case case =
-  (* What QCheck prints for a (shrunk) counterexample — same format as
-     the dumped file, so it can be pasted back and replayed. *)
-  render_case case
 
 let run cfg =
   (* QCheck2's integrated shrinking re-runs the property on ever
@@ -432,26 +371,17 @@ let run cfg =
      last failure the property itself observes IS the shrunk case. *)
   let last_failure = ref None in
   let prop (case : case) =
-    let result =
-      match case.oracle with
-      | Pipeline -> check_case ~fault:cfg.fault ~runtime:cfg.runtime case
-      | Comm -> check_comm_case ~fault:cfg.fault ~runtime:cfg.runtime case
-    in
-    match result with
+    match check_case ~fault:cfg.fault ~runtime:cfg.runtime case with
     | Ok () -> true
     | Error reason ->
       last_failure := Some (case, reason);
       false
   in
-  let name =
-    (match cfg.oracle with
-    | Pipeline -> "mimd-check cross-layer fuzz"
-    | Comm -> "mimd-check comm-opt differential fuzz")
-    ^ if cfg.matrix then " (per-link matrix)" else ""
-  in
+  (* What QCheck prints for a (shrunk) counterexample is the dump
+     format, so it can be pasted back and replayed. *)
   let cell =
-    QCheck2.Test.make_cell ~name ~count:cfg.count ~print:print_case
-      (gen_case_for ~matrix:cfg.matrix cfg.oracle) prop
+    QCheck2.Test.make_cell ~name:"mimd-check fuzz" ~count:cfg.count ~print:render_case
+      gen_case prop
   in
   let result = QCheck2.Test.check_cell ~rand:(Random.State.make [| cfg.seed |]) cell in
   if QCheck2.TestResult.is_success result then Passed cfg.count
@@ -467,17 +397,16 @@ let run cfg =
               processors = 2;
               comm = 2;
               iterations = 1;
-              oracle = cfg.oracle;
-              matrix = cfg.matrix;
+              matrix = false;
             };
           reason = "fuzz failed without a recorded counterexample";
           file = None;
         }
-    | Some (case, reason) ->
-      let file =
-        Option.map (fun dir -> dump_case ~dir ~reason case) cfg.out_dir
-      in
-      Failed { case; reason; file }
+    | Some (case, reason) -> (
+      match Option.map (fun dir -> dump_case ~dir ~reason case) cfg.out_dir with
+      | file -> Failed { case; reason; file }
+      | exception Sys_error e ->
+        Failed { case; reason = reason ^ " (counterexample not dumped: " ^ e ^ ")"; file = None })
 
 let describe = function
   | Passed n -> Printf.sprintf "fuzz: %d case(s) passed" n

@@ -284,12 +284,6 @@ let track_thread t th =
 (* ---------------------------------------------------------------- *)
 (* Spawning and connecting the fleet                                  *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let connect_retry ~path ~deadline =
   let rec go () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -314,7 +308,7 @@ exception Boot_failure of string
    no thread yet, which is the only window OCaml 5 allows fork in.
    (Respawns later go through the pre-forked warden.) *)
 let spawn_fleet cfg =
-  mkdir_p cfg.worker_dir;
+  Mimd_util.Fs.mkdir_p cfg.worker_dir;
   let jobs = match cfg.jobs with Some j -> max 1 j | None -> auto_jobs () in
   Array.init cfg.workers (fun idx ->
       let path = worker_path cfg idx in

@@ -72,9 +72,8 @@ val run :
     pins this).  Every child runs {!Mimd_runtime.Exec_compiled.worker}
     over the lowered form named by [exec]: [`Compiled] (default)
     lowers the program once in the parent, [`Compiled_form l] reuses
-    an already-lowered form (e.g. from
-    {!Mimd_runtime.Schedule_cache}).  [respawn] (default 0) retries the whole run up to
-    that many times after an {e environmental} failure — a
+    an already-lowered form.  [respawn] (default 0) retries the whole
+    run up to that many times after an {e environmental} failure — a
     [Child_exit], a [Stalled], or a [Child_error] carrying a
     [link down:] message (a peer's death observed from the wrong
     side).  A run is a deterministic pure function and every failure

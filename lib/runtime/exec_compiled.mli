@@ -7,8 +7,8 @@
     records: operand reads are slot lookups in an unboxed
     [float array], expression evaluation is a postfix loop over a
     reusable float stack, and message endpoints and slots were bound
-    at lower time.  The differential suite and [check --fuzz-comm]
-    hold sequential [Interp] ≡ {!Mimd_sim.Value_exec} ≡ compiled
+    at lower time.  The differential suite and [check --fuzz] hold
+    sequential [Interp] ≡ {!Mimd_sim.Value_exec} ≡ compiled
     bit-for-bit. *)
 
 val worker :
@@ -38,9 +38,9 @@ val run :
   Value_run.outcome
 (** Execute [program] on [program.processors] fresh domains over the
     in-process {!Mesh}.  [loop] must be flat and its assignment count
-    must match the program's graph node count.  [lowered] (e.g. from
-    {!Schedule_cache.find_lowered}) skips the lowering pass; omitted,
-    the program is lowered here.
+    must match the program's graph node count.  [lowered], an already
+    lowered form of [program], skips the lowering pass; omitted, the
+    program is lowered here.
     @raise Invalid_argument as {!Lower.run} does, or when [lowered]
     was built for a different processor count.
     @raise Watchdog.Runtime_deadlock when execution stalls for the

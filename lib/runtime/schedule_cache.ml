@@ -20,17 +20,6 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  (* Side tier for lowered programs (Lower.t): the executable form a
-     schedule compiles down to.  Keys are caller-built (see
-     [lowered_key]) because the lowered form depends on more than the
-     schedule — the loop's expressions and any program rewrite.  Kept
-     as a plain bounded table under the same mutex: entries are cheap
-     to rebuild, so wholesale reset beyond capacity beats maintaining
-     a second recency list. *)
-  lowered : (string, Lower.t) Hashtbl.t;
-  mutable lowered_hits : int;
-  mutable lowered_misses : int;
-  mutable lowered_evictions : int;
 }
 
 type stats = { hits : int; misses : int; entries : int; evictions : int }
@@ -46,10 +35,6 @@ let create ?(capacity = 128) () =
     hits = 0;
     misses = 0;
     evictions = 0;
-    lowered = Hashtbl.create 64;
-    lowered_hits = 0;
-    lowered_misses = 0;
-    lowered_evictions = 0;
   }
 
 let global = create ()
@@ -85,13 +70,10 @@ let strategy_tag = function
   | Full_sched.Folded -> 'F'
   | Full_sched.Auto -> 'A'
 
-(* The graph-only prefix of the cache key: everything the
-   machine-independent pipeline stages (unwind + classify) read.  Two
-   compiles of the same loop at different k / matrix / trip count share
-   this prefix — which is exactly what lets [Mimd_tune.Incr] reuse the
-   prepared DDG and classification across them. *)
-let graph_fingerprint ~graph () =
-  let b = Buffer.create 512 in
+(* Serialize everything the scheduler reads of the graph: nodes
+   (name, latency, kind) and edges (endpoints, distance, cost
+   override).  These bytes are the shared prefix of both keys below. *)
+let add_graph b graph =
   Buffer.add_string b (string_of_int (Graph.node_count graph));
   List.iter
     (fun (n : Graph.node) ->
@@ -104,24 +86,22 @@ let graph_fingerprint ~graph () =
       Buffer.add_string b
         (Printf.sprintf "|%d>%d@%d$%s" e.Graph.src e.Graph.dst e.Graph.distance
            (match e.Graph.cost with None -> "-" | Some c -> string_of_int c)))
-    (List.sort compare (Graph.edges graph));
+    (List.sort compare (Graph.edges graph))
+
+(* The graph-only prefix of the cache key: everything the
+   machine-independent pipeline stages (unwind + classify) read.  Two
+   compiles of the same loop at different k / matrix / trip count share
+   this prefix — which is exactly what lets [Mimd_tune.Incr] reuse the
+   prepared DDG and classification across them. *)
+let graph_fingerprint ~graph () =
+  let b = Buffer.create 512 in
+  add_graph b graph;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let fingerprint ?(strategy = Full_sched.Auto) ?(fold_tolerance = 0.05)
     ?(max_iterations = 1024) ~graph ~machine ~iterations () =
   let b = Buffer.create 512 in
-  Buffer.add_string b (string_of_int (Graph.node_count graph));
-  List.iter
-    (fun (n : Graph.node) ->
-      Buffer.add_string b
-        (Printf.sprintf "|%s~%d~%c" n.Graph.name n.Graph.latency (kind_tag n.Graph.kind)))
-    (Graph.nodes graph);
-  List.iter
-    (fun (e : Graph.edge) ->
-      Buffer.add_string b
-        (Printf.sprintf "|%d>%d@%d$%s" e.Graph.src e.Graph.dst e.Graph.distance
-           (match e.Graph.cost with None -> "-" | Some c -> string_of_int c)))
-    (List.sort compare (Graph.edges graph));
+  add_graph b graph;
   Buffer.add_string b
     (Printf.sprintf "|p%d|k%d|n%d|%c|f%h|m%d" machine.Config.processors
        machine.Config.comm_estimate iterations (strategy_tag strategy) fold_tolerance
@@ -188,49 +168,6 @@ let stats t =
         evictions = t.evictions;
       })
 
-(* ---- the lowered-program tier ------------------------------------ *)
-
-let lowered_key ?comm_window ~fingerprint ~loop () =
-  (* The schedule fingerprint does not pin the loop's expressions (two
-     bodies with the same dependence graph can differ in operators and
-     constants), and the lowered form bakes them in — so the key mixes
-     in a digest of the printed source, plus the comm-opt window when
-     the programs were rewritten before lowering. *)
-  let src = Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop loop in
-  fingerprint
-  ^ "|src"
-  ^ Digest.to_hex (Digest.string src)
-  ^ match comm_window with None -> "" | Some w -> Printf.sprintf "|co%d" w
-
-let find_lowered t ~key =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.lowered key with
-      | Some l ->
-        t.lowered_hits <- t.lowered_hits + 1;
-        Some l
-      | None ->
-        t.lowered_misses <- t.lowered_misses + 1;
-        None)
-
-let add_lowered t ~key value =
-  with_lock t (fun () ->
-      if not (Hashtbl.mem t.lowered key) then begin
-        if Hashtbl.length t.lowered >= t.capacity then begin
-          t.lowered_evictions <- t.lowered_evictions + Hashtbl.length t.lowered;
-          Hashtbl.reset t.lowered
-        end;
-        Hashtbl.replace t.lowered key value
-      end)
-
-let lowered_stats t =
-  with_lock t (fun () ->
-      {
-        hits = t.lowered_hits;
-        misses = t.lowered_misses;
-        entries = Hashtbl.length t.lowered;
-        evictions = t.lowered_evictions;
-      })
-
 let clear t =
   with_lock t (fun () ->
       Hashtbl.reset t.table;
@@ -238,8 +175,4 @@ let clear t =
       t.tail <- None;
       t.hits <- 0;
       t.misses <- 0;
-      t.evictions <- 0;
-      Hashtbl.reset t.lowered;
-      t.lowered_hits <- 0;
-      t.lowered_misses <- 0;
-      t.lowered_evictions <- 0)
+      t.evictions <- 0)

@@ -83,28 +83,5 @@ val find_or_compute :
 
 val stats : t -> stats
 
-(** {1 Lowered-program tier}
-
-    Alongside each schedule, callers may cache the {!Lower.t} the
-    compiled executor runs — re-running a cached schedule then skips
-    the lowering pass too.  The tier is a bounded side table under the
-    same lock (capacity shared with the schedule tier, wholesale reset
-    beyond it) with its own counters. *)
-
-val lowered_key :
-  ?comm_window:int ->
-  fingerprint:string ->
-  loop:Mimd_loop_ir.Ast.loop ->
-  unit ->
-  string
-(** The key for a lowered form: the schedule [fingerprint] extended
-    with a digest of the loop's printed source (the lowered code bakes
-    in expressions the schedule key does not pin) and, when the
-    programs went through [Comm_opt] first, the coalescing window. *)
-
-val find_lowered : t -> key:string -> Lower.t option
-val add_lowered : t -> key:string -> Lower.t -> unit
-val lowered_stats : t -> stats
-
 val clear : t -> unit
-(** Drop all entries (both tiers); [stats] counters reset too. *)
+(** Drop all entries; [stats] counters reset too. *)

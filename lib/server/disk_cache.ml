@@ -42,12 +42,6 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* File layout:
      line 1: "mimdsched <version> <ocaml-version>"
      line 2: MD5 hex digest of the payload
@@ -109,7 +103,7 @@ let store t ~key full =
   in
   let ok =
     try
-      mkdir_p (Filename.dirname path);
+      Mimd_util.Fs.mkdir_p (Filename.dirname path);
       (* Write-then-rename keeps concurrent readers (and crashed
          writers) from ever observing a torn entry. *)
       Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc (encode full));

@@ -16,7 +16,6 @@ type outcome = {
 (* A remembered compile request: everything needed to re-run it at a
    different communication cost.  The retune hook walks these. *)
 type hot_entry = {
-  h_flat : Mimd_loop_ir.Ast.loop;
   h_graph : Mimd_ddg.Graph.t;
   h_processors : int;
   h_iterations : int;
@@ -42,7 +41,6 @@ type t = {
   mutable schedule_ms : float list;
   mutable schedule_incr_ms : float list;
   mutable validate_ms : float list;
-  mutable lower_ms : float list;
   mutable total_ms : float list;
   (* Prometheus view of the same numbers (plus cache-tier counters),
      owned per service so concurrent services never share series. *)
@@ -58,7 +56,6 @@ type t = {
   h_schedule : Metrics.histogram;
   h_schedule_incr : Metrics.histogram;
   h_validate : Metrics.histogram;
-  h_lower : Metrics.histogram;
   h_total : Metrics.histogram;
   h_queue_wait : Metrics.histogram;
 }
@@ -86,7 +83,6 @@ let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt () =
     schedule_ms = [];
     schedule_incr_ms = [];
     validate_ms = [];
-    lower_ms = [];
     total_ms = [];
     metrics;
     m_requests =
@@ -106,7 +102,6 @@ let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt () =
     h_schedule = stage "schedule";
     h_schedule_incr = stage "schedule_incr";
     h_validate = stage "validate";
-    h_lower = stage "lower";
     h_total = stage "total";
     h_queue_wait =
       Metrics.histogram ~help:"Pool queue wait in milliseconds" metrics
@@ -160,37 +155,7 @@ let compute t ~graph ~machine ~iterations ~validate =
       | Error m -> err Protocol.Validation "schedule rejected: %s" m
     end
 
-(* Pre-lower the fresh schedule's generated program into the cache's
-   lowered tier, so the first execution client to ask starts warm.
-   Best effort: a loop that the runtime cannot execute (distances
-   beyond {0, 1} after unwinding) simply skips the step — the served
-   schedule itself is unaffected. *)
-let prelower t ~key ~flat ~full =
-  if Mimd_ddg.Graph.node_count (Mimd_core.Schedule.graph full.Full_sched.schedule)
-     = List.length (Mimd_loop_ir.Ast.assignments flat)
-  then begin
-    let t0 = now_ms () in
-    match
-      let program =
-        let p = Mimd_codegen.From_schedule.run full.Full_sched.schedule in
-        match t.comm_opt with
-        | None -> p
-        | Some window -> fst (Mimd_codegen.Comm_opt.run ~window p)
-      in
-      Mimd_runtime.Lower.run ~loop:flat ~program ()
-    with
-    | exception _ -> ()
-    | lowered ->
-      let lkey =
-        Schedule_cache.lowered_key ?comm_window:t.comm_opt ~fingerprint:key ~loop:flat ()
-      in
-      Schedule_cache.add_lowered t.memory ~key:lkey lowered;
-      let dt = now_ms () -. t0 in
-      with_lock t (fun () -> t.lower_ms <- dt :: t.lower_ms);
-      Metrics.observe t.h_lower dt
-  end
-
-let compile_graph t ?deadline ?flat ~validate ~graph ~machine ~iterations () =
+let compile_graph t ?deadline ~validate ~graph ~machine ~iterations () =
   let started = now_ms () in
   let finish tier full =
     let makespan = Full_sched.parallel_time full in
@@ -268,7 +233,6 @@ let compile_graph t ?deadline ?flat ~validate ~graph ~machine ~iterations () =
              on, which it was just above for this very entry). *)
           Schedule_cache.add t.memory ~key full;
           Option.iter (fun d -> Disk_cache.store d ~key full) t.disk;
-          Option.iter (fun flat -> prelower t ~key ~flat ~full) flat;
           if past deadline then
             err Protocol.Deadline "deadline elapsed during compilation (result cached)"
           else Ok (finish Protocol.Computed full)))
@@ -291,7 +255,6 @@ let record_hot t ~flat ~graph ~machine ~iterations ~validate =
       if not (Hashtbl.mem t.hot key) then begin
         Hashtbl.replace t.hot key
           {
-            h_flat = flat;
             h_graph = graph;
             h_processors = machine.Config.processors;
             h_iterations = iterations;
@@ -306,8 +269,8 @@ let record_hot t ~flat ~graph ~machine ~iterations ~validate =
    measured communication cost [k].  Entries whose schedule at that
    pricing is already cached cost a lookup; the rest recompile through
    the incremental path (same DDG prefix, new machine) and land in
-   both cache tiers plus the lowered tier — so after a retune, traffic
-   asking for the measured k is served warm.  Sent by the router's SLO
+   both cache tiers — so after a retune, traffic asking for the
+   measured k is served warm.  Sent by the router's SLO
    watcher past the drift threshold, or by an operator. *)
 let retune t ~k =
   Trace.span ~cat:"serve" ~args:[ ("k", string_of_int k) ] "serve.retune"
@@ -320,8 +283,8 @@ let retune t ~k =
     (fun e ->
       let machine = Config.make ~processors:e.h_processors ~comm_estimate:k in
       match
-        compile_graph t ~flat:e.h_flat ~validate:e.h_validate ~graph:e.h_graph
-          ~machine ~iterations:e.h_iterations ()
+        compile_graph t ~validate:e.h_validate ~graph:e.h_graph ~machine
+          ~iterations:e.h_iterations ()
       with
       | Ok o when o.result.Protocol.tier = Protocol.Computed -> incr recompiled
       | Ok _ | Error _ -> ())
@@ -351,7 +314,7 @@ let compile t ?deadline ?validate ~loop ~machine ~iterations () =
     match parsed with
     | Error e -> Error e
     | Ok (flat, graph) ->
-      let r = compile_graph t ?deadline ~flat ~validate ~graph ~machine ~iterations () in
+      let r = compile_graph t ?deadline ~validate ~graph ~machine ~iterations () in
       (match r with
       | Ok _ -> record_hot t ~flat ~graph ~machine ~iterations ~validate
       | Error _ -> ());
@@ -396,7 +359,6 @@ let stats_json ?pool t =
         schedule_ms,
         schedule_incr_ms,
         validate_ms,
-        lower_ms,
         total_ms ) =
     with_lock t (fun () ->
         ( t.requests,
@@ -405,7 +367,6 @@ let stats_json ?pool t =
           t.schedule_ms,
           t.schedule_incr_ms,
           t.validate_ms,
-          t.lower_ms,
           t.total_ms ))
   in
   let mem = Schedule_cache.stats t.memory in
@@ -417,15 +378,6 @@ let stats_json ?pool t =
         ("entries", Json.Int mem.Schedule_cache.entries);
         ("evictions", Json.Int mem.Schedule_cache.evictions);
         ("capacity", Json.Int (Schedule_cache.capacity t.memory));
-      ]
-  in
-  let lowered_json =
-    let s = Schedule_cache.lowered_stats t.memory in
-    Json.Obj
-      [
-        ("hits", Json.Int s.Schedule_cache.hits);
-        ("misses", Json.Int s.Schedule_cache.misses);
-        ("entries", Json.Int s.Schedule_cache.entries);
       ]
   in
   let disk_json =
@@ -465,7 +417,6 @@ let stats_json ?pool t =
         Json.Int (with_lock t (fun () -> Hashtbl.length t.hot)) );
       ("retunes", Json.Int (Metrics.counter_value t.m_retunes));
       ("memory_cache", memory_json);
-      ("lowered_cache", lowered_json);
       ("disk_cache", disk_json);
       ( "incr_prep",
         (let s = Incr.stats Incr.global in
@@ -483,7 +434,6 @@ let stats_json ?pool t =
             ("schedule", latency_json schedule_ms);
             ("schedule_incr", latency_json schedule_incr_ms);
             ("validate", latency_json validate_ms);
-            ("lower", latency_json lower_ms);
             ("total", latency_json total_ms);
           ] );
     ]

@@ -38,11 +38,7 @@ val create :
     synchronization-minimizing rewrite ({!Mimd_codegen.Comm_opt.run}
     with that coalescing window) over the programs generated from
     every served schedule and reports the message-count delta in the
-    reply's [comm] field.  Every freshly computed schedule's generated
-    program is pre-lowered ({!Mimd_runtime.Lower.run}) into the memory
-    cache's lowered tier, so an execution client asking for the same
-    loop starts warm; the step is best effort (a loop the runtime
-    cannot execute skips it) and is timed as the [lower] stage. *)
+    reply's [comm] field. *)
 
 val validate_default : t -> bool
 
@@ -72,11 +68,11 @@ val retune : t -> k:int -> Protocol.retuned
 (** The closed-loop rescheduling hook: re-price every entry of the hot
     set (the last 32 distinct served requests) at communication cost
     [k].  Already-cached pricings cost a lookup; the rest recompile
-    through the incremental path and land in both cache tiers (plus
-    the lowered tier), so traffic asking for the measured [k] is
-    served warm afterwards.  Counted by [mimd_serve_retunes_total] and
-    traced as [serve.retune].  Sent over the wire as the [retune] op —
-    by the router's SLO watcher past its drift threshold, or by an
+    through the incremental path and land in both cache tiers, so
+    traffic asking for the measured [k] is served warm afterwards.
+    Counted by [mimd_serve_retunes_total] and traced as
+    [serve.retune].  Sent over the wire as the [retune] op — by the
+    router's SLO watcher past its drift threshold, or by an
     operator. *)
 
 val stats_json : ?pool:Pool.t -> t -> Json.t

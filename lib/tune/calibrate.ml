@@ -120,14 +120,8 @@ let default_dir () =
 
 let default_path () = Filename.concat (default_dir ()) "calibration.txt"
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let save t ~path =
-  mkdir_p (Filename.dirname path);
+  Mimd_util.Fs.mkdir_p (Filename.dirname path);
   let tmp = path ^ ".tmp" in
   Out_channel.with_open_text tmp (fun oc ->
       Printf.fprintf oc "mimdtune-calibration %d\n" format_version;

@@ -211,8 +211,6 @@ let test_fuzz_passes_on_sound_pipeline () =
         fault = F.No_fault;
         runtime = false;
         out_dir = None;
-        oracle = F.Pipeline;
-        matrix = false;
       }
   with
   | F.Passed n -> check_int "all cases ran" 25 n
@@ -220,24 +218,43 @@ let test_fuzz_passes_on_sound_pipeline () =
     Alcotest.failf "sound pipeline failed fuzz: %s\n%s" reason (F.render_case case)
 
 let test_fuzz_matrix_differential () =
-  (* The calibrated-machine differential: every case is priced (and
-     simulated) with an asymmetric per-link matrix, and the values must
-     still match the sequential interpreter bit for bit. *)
-  match
-    F.run
+  (* The calibrated-machine differential: cases priced (and simulated)
+     with an asymmetric per-link matrix must still match the sequential
+     interpreter bit for bit, base and comm-opted alike. *)
+  for seed = 1 to 25 do
+    let case =
       {
-        F.count = 25;
-        seed = 5;
-        fault = F.No_fault;
-        runtime = false;
-        out_dir = None;
-        oracle = F.Pipeline;
+        F.loop = W.Random_loop.generate_loop ~seed ();
+        processors = 2 + (seed mod 3);
+        comm = 1 + (seed mod 2);
+        iterations = 4 + (seed mod 11);
         matrix = true;
       }
-  with
-  | F.Passed n -> check_int "all matrix cases ran" 25 n
-  | F.Failed { reason; case; _ } ->
-    Alcotest.failf "matrix-mode pipeline failed fuzz: %s\n%s" reason (F.render_case case)
+    in
+    match F.check_case ~runtime:false case with
+    | Ok () -> ()
+    | Error reason ->
+      Alcotest.failf "matrix-mode pipeline failed fuzz: %s\n%s" reason (F.render_case case)
+  done
+
+let test_matrix_fanout_full_oracle () =
+  (* Matrix pricing x comm-opt x the compiled runtime: a fan-out loop
+     (diamond dependences, so comm-opt has sends to elide and frames to
+     pack) through every check, the domain leg in-process. *)
+  let case =
+    {
+      F.loop = W.Random_loop.generate_loop ~fanout:0.6 ~seed:4 ();
+      processors = 3;
+      comm = 2;
+      iterations = 11;
+      matrix = true;
+    }
+  in
+  match F.check_case ~runtime:true case with
+  | Ok () -> ()
+  | Error reason ->
+    Alcotest.failf "matrix fan-out case failed the full oracle: %s\n%s" reason
+      (F.render_case case)
 
 let test_fuzz_runtime_differential_smoke () =
   (* A few cases with the real-domain differential switched on. *)
@@ -249,8 +266,6 @@ let test_fuzz_runtime_differential_smoke () =
         fault = F.No_fault;
         runtime = true;
         out_dir = None;
-        oracle = F.Pipeline;
-        matrix = false;
       }
   with
   | F.Passed _ -> ()
@@ -269,8 +284,6 @@ let test_fuzz_catches_injected_violation () =
         fault = F.Hasten_dependent;
         runtime = false;
         out_dir = Some dir;
-        oracle = F.Pipeline;
-        matrix = false;
       }
   with
   | F.Passed _ -> Alcotest.fail "injected dependence violations went undetected"
@@ -296,6 +309,42 @@ let test_fuzz_catches_injected_violation () =
       (F.check_case ~runtime:false replayed = Ok ());
     Sys.remove path
 
+let test_dump_creates_directory () =
+  (* A fault-injected run asked to dump into a directory that does not
+     exist yet must create it (parents too) rather than lose the
+     counterexample. *)
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mimd-check-dump-%d" (Unix.getpid ()))
+  in
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  check_bool "directory absent before the run" false (Sys.file_exists root);
+  let cfg =
+    { F.default_config with count = 10; seed = 42; fault = F.Hasten_dependent; runtime = false }
+  in
+  (match F.run { cfg with out_dir = Some dir } with
+  | F.Passed _ -> Alcotest.fail "injected dependence violations went undetected"
+  | F.Failed { file = None; reason; _ } -> Alcotest.failf "no counterexample dumped: %s" reason
+  | F.Failed { file = Some path; _ } ->
+    check_string "dumped under the requested directory" dir (Filename.dirname path);
+    check_bool "replayable" true
+      (F.check_case ~fault:F.Hasten_dependent ~runtime:false (F.load_case path) <> Ok ());
+    Sys.remove path);
+  List.iter Sys.rmdir [ dir; Filename.dirname dir; root ];
+  (* An unwritable target is reported, not raised. *)
+  let blocker = Filename.temp_file "mimd-check-blocker" "" in
+  Fun.protect ~finally:(fun () -> Sys.remove blocker) (fun () ->
+      match F.run { cfg with out_dir = Some (Filename.concat blocker "sub") } with
+      | F.Passed _ -> Alcotest.fail "injected dependence violations went undetected"
+      | F.Failed { file; reason; _ } ->
+        check_bool "nothing dumped" true (file = None);
+        let needle = "counterexample not dumped" in
+        let n = String.length needle in
+        let rec found i =
+          i + n <= String.length reason && (String.sub reason i n = needle || found (i + 1))
+        in
+        check_bool "reason says why" true (found 0))
+
 let test_case_file_round_trip () =
   let case =
     {
@@ -303,15 +352,19 @@ let test_case_file_round_trip () =
       processors = 3;
       comm = 1;
       iterations = 9;
-      oracle = F.Pipeline;
       matrix = true;
     }
   in
   let dir = Filename.get_temp_dir_name () in
   let name = Printf.sprintf "mimd-check-roundtrip-%d.loop" (Unix.getpid ()) in
   let path = F.dump_case ~name ~dir ~reason:"round trip" case in
+  let text = In_channel.with_open_text path In_channel.input_all in
   let back = F.load_case path in
   Sys.remove path;
+  check_bool "no oracle header written" false
+    (List.exists
+       (String.starts_with ~prefix:"# oracle:")
+       (String.split_on_char '\n' text));
   check_int "processors" case.F.processors back.F.processors;
   check_int "comm" case.F.comm back.F.comm;
   check_int "iterations" case.F.iterations back.F.iterations;
@@ -320,10 +373,10 @@ let test_case_file_round_trip () =
     (Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop case.F.loop)
     (Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop back.F.loop)
 
-(* Replay headers: [# oracle: exec] named the retired compiled-vs-
-   interpreted oracle, and its checks now ride the comm oracle; any
-   other unknown oracle is an error naming it, never a silent fallback
-   to the pipeline oracle. *)
+(* Replay headers: dumps written before the oracles merged carry an
+   [# oracle: pipeline|comm|exec] header; every such file replays
+   through the one oracle.  Any other oracle name is an error naming
+   it, never a silent fallback. *)
 let with_case_file ~tag header k =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -336,13 +389,15 @@ let with_case_file ~tag header k =
         header);
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> k path)
 
-let test_exec_oracle_replays_as_comm () =
-  with_case_file ~tag:"exec-oracle" "oracle: exec" (fun path ->
-      let case = F.load_case path in
-      check_bool "exec header maps to the comm oracle" true (case.F.oracle = F.Comm);
-      check_int "other headers still read" 6 case.F.iterations;
-      check_bool "replays clean through the comm oracle" true
-        (F.check_comm_case ~runtime:false case = Ok ()))
+let test_legacy_oracle_headers_replay () =
+  List.iter
+    (fun oracle ->
+      with_case_file ~tag:(oracle ^ "-oracle") ("oracle: " ^ oracle) (fun path ->
+          let case = F.load_case path in
+          check_int (oracle ^ ": other headers still read") 6 case.F.iterations;
+          check_bool (oracle ^ ": replays clean through the one oracle") true
+            (F.check_case ~runtime:false case = Ok ())))
+    [ "exec"; "comm"; "pipeline" ]
 
 let test_unknown_oracle_rejected () =
   with_case_file ~tag:"bogus-oracle" "oracle: bogus" (fun path ->
@@ -366,7 +421,6 @@ let prop_case_files_replayable =
           processors = 2 + (seed mod 3);
           comm = seed mod 3;
           iterations = 4 + (seed mod 9);
-          oracle = F.Pipeline;
           matrix = seed mod 2 = 0;
         }
       in
@@ -404,8 +458,12 @@ let suite =
     Alcotest.test_case "fuzz: injected violation caught (negative)" `Quick
       test_fuzz_catches_injected_violation;
     Alcotest.test_case "fuzz: case file round trip" `Quick test_case_file_round_trip;
-    Alcotest.test_case "fuzz: exec oracle header replays as comm" `Quick
-      test_exec_oracle_replays_as_comm;
+    Alcotest.test_case "fuzz: matrix fan-out through the full oracle" `Quick
+      test_matrix_fanout_full_oracle;
+    Alcotest.test_case "fuzz: dump into a fresh nested directory" `Quick
+      test_dump_creates_directory;
+    Alcotest.test_case "fuzz: exec oracle header replays as a plain case" `Quick
+      test_legacy_oracle_headers_replay;
     Alcotest.test_case "fuzz: unknown oracle header rejected" `Quick
       test_unknown_oracle_rejected;
     prop_case_files_replayable;

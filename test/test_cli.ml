@@ -22,7 +22,7 @@ let test_check_broken_exits_nonzero () =
 let test_check_fuzz () =
   check_int "clean fuzz passes" 0 (command "check --fuzz 8 --fuzz-seed 5 --no-runtime");
   check_bool "fault-injected fuzz fails" true
-    (command "check --fuzz 25 --fuzz-seed 5 --fuzz-fault --no-runtime" <> 0)
+    (command "check --fuzz 25 --fuzz-seed 5 --inject-fault hasten-dependent --no-runtime" <> 0)
 
 let test_run_parallel_ok_exits_zero () =
   check_int "healthy run" 0 (command "run-parallel --src fig7 -k 0 -n 10")

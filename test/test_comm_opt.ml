@@ -322,8 +322,8 @@ let test_fanout_distribution () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* A small sim-only sweep of the comm-opt differential fuzz tier (the
-   CI runs the full one with the runtime legs). *)
+(* A small sim-only sweep of the fuzz oracle, whose every case runs
+   comm-opt (the CI runs the full one with the runtime legs). *)
 let test_comm_fuzz_smoke () =
   let module F = Mimd_check.Fuzz in
   match
@@ -334,8 +334,6 @@ let test_comm_fuzz_smoke () =
         fault = F.No_fault;
         runtime = false;
         out_dir = None;
-        oracle = F.Comm;
-        matrix = false;
       }
   with
   | F.Passed n -> check_int "cases" 25 n

@@ -67,8 +67,8 @@ let compile ?(p = 2) ?(k = 2) ~iterations loop =
 (* Run [program] on the compiled domain runtime and require it to match
    the sequential interpreter (final memory) and the simulator's value
    execution (every instance and the final memory), bit for bit.
-   [prelower] hands the runtime an already-lowered form, the path the
-   CLI's lowered cache and the compile service take. *)
+   [prelower] hands the runtime an already-lowered form through
+   [~lowered], the path the socket runner takes. *)
 let check_runtime ?(prelower = false) ~name ~k ~iterations ~flat program =
   let lowered = if prelower then Some (Lower.run ~loop:flat ~program ()) else None in
   let runtime = Exec_compiled.run ?lowered ~loop:flat ~program () in
@@ -243,6 +243,16 @@ let test_schedule_cache_key_semantics () =
   check_bool "structural graph key" true
     (Schedule_cache.fingerprint ~graph:g2 ~machine ~iterations:10 () = key machine 10)
 
+(* The cache keys are content addresses: Disk_cache files are named by
+   [fingerprint], and Incr prepares under [graph_fingerprint].  Pin the
+   exact bytes so a refactor of the serializer cannot silently orphan
+   every stored entry. *)
+let test_schedule_cache_key_bytes_pinned () =
+  let graph = Mimd_workloads.Elliptic.graph () in
+  check_string "ewf p=2 k=2 n=60 fingerprint" "ad2dba60952a27e7725fa6bc91181ec6"
+    (Schedule_cache.fingerprint ~graph ~machine:(machine ~p:2 ~k:2 ()) ~iterations:60 ());
+  check_string "ewf graph fingerprint" "da4ac5463d380ef32b0fc05cf3b61cf0" (Schedule_cache.graph_fingerprint ~graph ())
+
 let test_schedule_cache_eviction () =
   let cache = Schedule_cache.create ~capacity:2 () in
   let machine = machine () in
@@ -339,36 +349,6 @@ let test_stale_slot_must_fail () =
   | Error _ -> ()  (* the NaN-poisoned slot must surface as a mismatch *)
   | Ok () -> Alcotest.fail "sabotaged lowering escaped the value differential"
 
-let test_lowered_cache () =
-  let cache = Schedule_cache.create () in
-  let loop = Parser.parse Mimd_workloads.Fig7.source in
-  let flat, program = compile ~iterations:12 loop in
-  let graph = (Depend.analyze flat).Depend.graph in
-  let machine = machine () in
-  let fingerprint = Schedule_cache.fingerprint ~graph ~machine ~iterations:12 () in
-  let key = Schedule_cache.lowered_key ~fingerprint ~loop:flat () in
-  check_bool "cold lookup misses" true (Schedule_cache.find_lowered cache ~key = None);
-  let lowered = Lower.run ~loop:flat ~program () in
-  Schedule_cache.add_lowered cache ~key lowered;
-  (match Schedule_cache.find_lowered cache ~key with
-  | Some l -> check_bool "hit is the stored form" true (l == lowered)
-  | None -> Alcotest.fail "stored lowered form not found");
-  let st = Schedule_cache.lowered_stats cache in
-  check_int "one lowered hit" 1 st.Schedule_cache.hits;
-  check_int "one lowered miss" 1 st.Schedule_cache.misses;
-  check_int "one lowered entry" 1 st.Schedule_cache.entries;
-  (* the key pins the loop source, not just the schedule fingerprint:
-     same dependence shape, different constant -> different key *)
-  let other = Parser.parse "for i = 1 to n { A[i] = A[i-1] + 2; B[i] = A[i] * 3; }" in
-  let other = if Ast.is_flat other then other else Mimd_loop_ir.If_convert.run other in
-  check_bool "loop source is part of the key" true
-    (Schedule_cache.lowered_key ~fingerprint ~loop:other () <> key);
-  check_bool "comm window is part of the key" true
-    (Schedule_cache.lowered_key ~comm_window:4 ~fingerprint ~loop:flat () <> key);
-  Schedule_cache.clear cache;
-  check_int "clear empties the lowered tier" 0
-    (Schedule_cache.lowered_stats cache).Schedule_cache.entries
-
 let suite =
   [
     Alcotest.test_case "channel: fifo" `Quick test_channel_fifo;
@@ -387,6 +367,8 @@ let suite =
     Alcotest.test_case "schedule cache: memoizes" `Quick test_schedule_cache_hits;
     Alcotest.test_case "schedule cache: key semantics" `Quick test_schedule_cache_key_semantics;
     Alcotest.test_case "schedule cache: bounded + clear" `Quick test_schedule_cache_eviction;
+    Alcotest.test_case "schedule cache: key bytes pinned" `Quick
+      test_schedule_cache_key_bytes_pinned;
     Alcotest.test_case "compiled exec: lowered form shape" `Quick test_lower_shape;
     Alcotest.test_case "compiled exec: differential on paper workloads" `Quick
       test_compiled_differential_workloads;
@@ -396,5 +378,4 @@ let suite =
       test_compiled_pack_delivery;
     Alcotest.test_case "compiled exec: stale-slot sabotage is caught" `Quick
       test_stale_slot_must_fail;
-    Alcotest.test_case "compiled exec: lowered cache tier" `Quick test_lowered_cache;
   ]
