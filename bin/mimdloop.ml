@@ -97,10 +97,10 @@ let machine_of processors k = Config.make ~processors ~comm_estimate:k
 let auto_k_t =
   Arg.(value & flag & info [ "auto-k" ]
          ~doc:"Calibrate the cost model first: fork a live link probe, fold the \
-               measured per-link costs into the persisted calibration file, and (where \
-               this command builds a schedule) price it with the measured matrix \
-               instead of the assumed uniform $(b,-k).  Probing forks, so it always \
-               runs before any domain or thread is spawned.")
+               measured per-link costs into the persisted calibration file, and price \
+               the schedule with the measured matrix instead of the assumed uniform \
+               $(b,-k).  Probing forks, so it always runs before any domain or thread \
+               is spawned.")
 
 let calib_file_t =
   Arg.(value & opt (some string) None & info [ "calib-file" ] ~docv:"FILE"
@@ -649,10 +649,9 @@ let src_t =
   Arg.(value & opt string "fig7" & info [ "src" ] ~docv:"NAME" ~doc)
 
 (* Compile a loop down to a per-processor message-passing program —
-   the front end of run-dist (run-parallel keeps its own inline copy
-   for its cache-repeat reporting).  Codegen runs with validate:true,
-   so the independent token simulation audits the message protocol
-   over whichever channel backend runs it next. *)
+   the front end of run-parallel and run-dist.  Codegen runs with
+   validate:true, so the independent token simulation audits the
+   message protocol over whichever channel backend runs it next. *)
 let compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache () =
   let flat =
     if Mimd_loop_ir.Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop
@@ -694,56 +693,30 @@ let run_parallel_cmd =
     | Ok loop ->
       guard_broken_pipe @@ fun () ->
       with_trace trace @@ fun () ->
-      let flat =
-        if Mimd_loop_ir.Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop
-      in
-      let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
       let machine = machine_of processors k in
-      let cache = Mimd_runtime.Schedule_cache.global in
-      let sched_for m =
-        if no_cache then Full_sched.run ~graph ~machine:m ~iterations ()
-        else
-          Mimd_runtime.Schedule_cache.find_or_compute cache ~graph ~machine:m ~iterations ()
-      in
-      (* Repeated requests for the same loop exercise the cache: only
-         the first repetition actually schedules. *)
-      let full = ref (sched_for machine) in
-      let t_sched = Unix.gettimeofday () in
-      for _ = 2 to repeat do
-        full := sched_for machine
-      done;
-      let resched_ns =
-        if repeat > 1 then
-          (Unix.gettimeofday () -. t_sched) /. float_of_int (repeat - 1) *. 1e9
-        else 0.0
-      in
-      let full = !full in
-      let schedule = full.Full_sched.schedule in
-      if Graph.node_count (Schedule.graph schedule) <> List.length (Mimd_loop_ir.Ast.assignments flat)
-      then begin
-        prerr_endline
-          "mimdloop: loop needed unwinding (some dependence distance > 1); run-parallel \
-           supports distances in {0, 1} only";
+      let comm_opt = if comm_opt then Some comm_window else None in
+      match compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache () with
+      | Error e ->
+        prerr_endline ("mimdloop: " ^ e);
         1
-      end
-      else begin
-        match Mimd_codegen.From_schedule.run ~validate:true schedule with
-        | exception Mimd_codegen.From_schedule.Invalid_program m ->
-          prerr_endline ("mimdloop: generated program rejected by the validator: " ^ m);
-          1
-        | program ->
-        let optimized =
-          if comm_opt then optimize_program ~window:comm_window program
-          else Ok (program, { Mimd_codegen.Comm_opt.messages_before = 0;
-                              messages_after = 0; elided = 0; coalesced = 0;
-                              forwarded_values = 0 })
+      | Ok (flat, full, program, comm_stats) ->
+        Option.iter print_comm_stats comm_stats;
+        let cache = Mimd_runtime.Schedule_cache.global in
+        (* Repeated requests for the same loop exercise the cache: only
+           the first compile above actually scheduled. *)
+        let resched_ns =
+          if repeat > 1 && not no_cache then begin
+            let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
+            let t0 = Unix.gettimeofday () in
+            for _ = 2 to repeat do
+              ignore
+                (Mimd_runtime.Schedule_cache.find_or_compute cache ~graph ~machine
+                   ~iterations ())
+            done;
+            (Unix.gettimeofday () -. t0) /. float_of_int (repeat - 1) *. 1e9
+          end
+          else 0.0
         in
-        match optimized with
-        | Error e ->
-          prerr_endline ("mimdloop: " ^ e);
-          1
-        | Ok (program, comm_stats) ->
-        if comm_opt then print_comm_stats comm_stats;
         (* Deterministic fault injection, exercising the failure exits:
            drop-send removes one message after validation (the watchdog
            must fire), skew-init perturbs only the runtime's initial
@@ -827,31 +800,32 @@ let run_parallel_cmd =
             if not timed then 0
             else begin
               match
-                let work = Mimd_runtime.Timed_run.Sleep (grain_us *. 1e3) in
-                let par = Mimd_runtime.Timed_run.run ~watchdog ~work ~program () in
-                let seq_machine = machine_of 1 k in
-                let seq_full = sched_for seq_machine in
-                let seq_program =
-                  Mimd_codegen.From_schedule.run ~validate:true seq_full.Full_sched.schedule
-                in
-                let seq = Mimd_runtime.Timed_run.run ~watchdog ~work ~program:seq_program () in
-                Format.printf
-                  "  timed dry run (%.1f us/cycle): %d domain(s) %.2f ms, 1 domain %.2f ms \
-                   -> wall-clock speedup %.2f@."
-                  grain_us par.Mimd_runtime.Timed_run.domains
-                  (par.Mimd_runtime.Timed_run.makespan_ns /. 1e6)
-                  (seq.Mimd_runtime.Timed_run.makespan_ns /. 1e6)
-                  (Mimd_runtime.Timed_run.speedup ~baseline:seq par)
+                compile_for_run ~loop ~machine:(machine_of 1 k) ~iterations ~no_cache ()
               with
-              | () -> 0
-              | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
-                prerr_endline
-                  ("mimdloop: runtime deadlock in the timed dry run\n"
-                  ^ Mimd_runtime.Watchdog.describe stall);
+              | Error e ->
+                prerr_endline ("mimdloop: " ^ e);
                 1
+              | Ok (_, _, seq_program, _) -> (
+                let work = Mimd_runtime.Timed_run.Sleep (grain_us *. 1e3) in
+                match
+                  let par = Mimd_runtime.Timed_run.run ~watchdog ~work ~program () in
+                  let seq = Mimd_runtime.Timed_run.run ~watchdog ~work ~program:seq_program () in
+                  Format.printf
+                    "  timed dry run (%.1f us/cycle): %d domain(s) %.2f ms, 1 domain %.2f ms \
+                     -> wall-clock speedup %.2f@."
+                    grain_us par.Mimd_runtime.Timed_run.domains
+                    (par.Mimd_runtime.Timed_run.makespan_ns /. 1e6)
+                    (seq.Mimd_runtime.Timed_run.makespan_ns /. 1e6)
+                    (Mimd_runtime.Timed_run.speedup ~baseline:seq par)
+                with
+                | () -> 0
+                | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
+                  prerr_endline
+                    ("mimdloop: runtime deadlock in the timed dry run\n"
+                    ^ Mimd_runtime.Watchdog.describe stall);
+                  1)
             end
         end
-      end
   in
   let timed_t =
     Arg.(value & flag & info [ "timed" ]
@@ -1092,17 +1066,9 @@ let make_server ?comm_opt ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate
   (server, pool)
 
 let serve_cmd =
-  let run stdio socket jobs queue_depth cache_dir no_disk_cache validate auto_k comm_opt
+  let run stdio socket jobs queue_depth cache_dir no_disk_cache validate comm_opt
       comm_window trace =
     with_streaming_trace trace @@ fun () ->
-    (* Boot-time calibration forks echo children, so it must precede
-       the pool's domain spawns just below. *)
-    if auto_k then begin
-      let _probe, calib, path = calibrate_now ~procs:2 ~calib_file:None () in
-      Printf.eprintf "mimdloop: tune: %s (saved %s)\n%!"
-        (Format.asprintf "%a" Calibrate.pp calib)
-        path
-    end;
     let comm_opt = if comm_opt then Some comm_window else None in
     let server, pool =
       make_server ?comm_opt ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate ()
@@ -1136,8 +1102,7 @@ let serve_cmd =
              a two-tier (memory + disk) schedule cache, speaking newline-delimited JSON")
     Term.(
       const run $ stdio_t $ socket_t $ jobs_t $ queue_depth_t $ cache_dir_t
-      $ no_disk_cache_t $ validate_sched_t $ auto_k_t $ comm_opt_t $ comm_window_t
-      $ trace_t)
+      $ no_disk_cache_t $ validate_sched_t $ comm_opt_t $ comm_window_t $ trace_t)
 
 let batch_cmd =
   let run paths jobs queue_depth cache_dir no_disk_cache validate processors k iterations
@@ -1450,23 +1415,12 @@ let run_dist_cmd =
 
 let route_cmd =
   let run workers socket worker_dir max_inflight jobs queue_depth cache_dir no_disk_cache
-      validate auto_k trace respawn slo_ms slo_interval drift_threshold =
+      validate trace respawn =
     if workers < 1 then begin
       prerr_endline "mimdloop: route needs --workers >= 1";
       1
     end
     else begin
-      (* Calibrate at boot, before the fleet forks and before the
-         router grows its reader threads (after which re-probing is
-         impossible — failover refits from live traffic instead). *)
-      if auto_k then begin
-        let _probe, calib, path =
-          calibrate_now ~procs:(max 2 workers) ~calib_file:None ()
-        in
-        Printf.eprintf "mimdloop: tune: %s (saved %s)\n%!"
-          (Format.asprintf "%a" Calibrate.pp calib)
-          path
-      end;
       (* Streaming trace: the router sets its own sink (and each
          worker its own file) only after the fleet has forked, so
          children never inherit the parent's sink fd. *)
@@ -1486,9 +1440,6 @@ let route_cmd =
           validate;
           trace;
           respawn = max 0 respawn;
-          slo_ms;
-          slo_interval = Float.max 0.2 slo_interval;
-          drift_threshold;
         }
       in
       let code = Mimd_dist.Router.serve cfg in
@@ -1523,34 +1474,15 @@ let route_cmd =
                  threads.  A fleet-wide circuit breaker refuses respawn storms.  \
                  0 disables supervision.")
   in
-  let slo_ms_t =
-    Arg.(value & opt (some float) None & info [ "slo-ms" ] ~docv:"MS"
-           ~doc:"Latency SLO: raise a structured $(b,latency) event (visible under \
-                 $(b,stats.slo)) whenever a worker's live request round trip exceeds \
-                 $(docv) milliseconds.")
-  in
-  let slo_interval_t =
-    Arg.(value & opt float 2.0 & info [ "slo-interval" ] ~docv:"SECONDS"
-           ~doc:"How often the SLO watcher inspects the live per-worker RTT \
-                 calibration.")
-  in
-  let route_drift_t =
-    Arg.(value & opt (some float) None & info [ "drift-threshold" ] ~docv:"R"
-           ~doc:"Closed-loop rescheduling: when a worker's live RTT drifts from its \
-                 baseline by more than the ratio $(docv) (either direction), broadcast \
-                 a $(b,retune) so every worker re-prices its hot compile entries at \
-                 the measured effective k.")
-  in
   Cmd.v
     (Cmd.info "route"
        ~doc:"Sharded serve fleet: a consistent-hash router in front of N forked serve \
              workers sharing one disk cache, with per-worker health, failover, respawn \
-             supervision, SLO-driven rescheduling and bounded-in-flight admission \
-             control")
+             supervision and bounded-in-flight admission control")
     Term.(
       const run $ workers_t $ socket_t $ worker_dir_t $ max_inflight_t $ jobs_t
-      $ queue_depth_t $ cache_dir_t $ no_disk_cache_t $ validate_sched_t $ auto_k_t
-      $ trace_t $ respawn_t $ slo_ms_t $ slo_interval_t $ route_drift_t)
+      $ queue_depth_t $ cache_dir_t $ no_disk_cache_t $ validate_sched_t $ trace_t
+      $ respawn_t)
 
 let tune_cmd =
   let run workload file seed processors k iterations probe_rounds calib_file

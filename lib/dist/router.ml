@@ -6,8 +6,6 @@ module Server = Mimd_server.Server
 module Disk_cache = Mimd_server.Disk_cache
 module Metrics = Mimd_obs.Metrics
 module Trace = Mimd_obs.Trace
-module Calibrate = Mimd_tune.Calibrate
-module Drift = Mimd_tune.Drift
 
 type config = {
   workers : int;
@@ -20,10 +18,6 @@ type config = {
   validate : bool;
   trace : string option;  (** streaming-sink base path *)
   respawn : int;  (** per-worker respawn budget; 0 = no supervision *)
-  slo_ms : float option;  (** worker-RTT latency SLO; [None] = off *)
-  slo_interval : float;  (** SLO watcher period, seconds *)
-  drift_threshold : float option;
-      (** RTT-drift ratio past which the watcher retunes; [None] = off *)
 }
 
 let default_config ~workers ~socket =
@@ -38,9 +32,6 @@ let default_config ~workers ~socket =
     validate = false;
     trace = None;
     respawn = 0;
-    slo_ms = None;
-    slo_interval = 2.0;
-    drift_threshold = None;
   }
 
 (* The shard key: a stable digest of the request's semantic fields.
@@ -170,10 +161,8 @@ let warden_spawn w idx =
 (* ---------------------------------------------------------------- *)
 (* Router state                                                       *)
 
-(* A reply sink.  Real clients wrap their out_channel; the retune
-   broadcast and the SLO watcher install closures that aggregate or
-   discard — which is what lets internal requests ride the ordinary
-   pending/reader path. *)
+(* A reply sink: a client connection's out_channel behind a mutex, so
+   reader threads of different workers may answer it concurrently. *)
 type client = { send : string -> unit }
 
 let client_of_channel oc =
@@ -199,9 +188,7 @@ type pending = {
   request : Json.t;  (** full request object, [id] stripped *)
   key : string;
   client : client;
-  admitted : bool;  (** went through admission control (in-flight accounting) *)
   mutable attempts : int;
-  mutable sent_at : float;  (** dispatch time; feeds link calibration *)
 }
 
 type worker = {
@@ -228,19 +215,11 @@ type t = {
   death_mutex : Mutex.t;  (* serialises failover and respawn decisions *)
   respawn_budget : int array;
   breaker : Respawn.t;
-  (* Router->worker link costs (µs, EWMA over live round trips).  Node
-     [cfg.workers] is the router itself.  Refit on every failover so
-     the surviving links' picture never stays frozen at boot time. *)
-  mutable calib : Calibrate.t;
-  calib_mutex : Mutex.t;
-  (* SLO watcher state: per-worker RTT baselines (µs; 0 = unset), the
-     measured cycle time that converts RTT to an effective k, and the
-     bounded recent-event list surfaced in stats. *)
-  baseline_rtt : float array;
-  cycle_ns : float;
-  mutable slo_events : Json.t list;  (* newest first, bounded *)
+  (* Supervision events (respawn, respawn_failed, breaker_tripped)
+     surfaced in stats. *)
+  mutable events : Json.t list;  (* newest first, bounded *)
   events_mutex : Mutex.t;
-  extra_threads : Thread.t list ref;  (* respawned readers + watcher *)
+  extra_threads : Thread.t list ref;  (* respawned readers *)
   extra_mutex : Mutex.t;
   registry : Metrics.t;
   m_requests : Metrics.counter;
@@ -248,26 +227,21 @@ type t = {
   m_deaths : Metrics.counter;
   m_retries : Metrics.counter;
   m_respawns : Metrics.counter;
-  m_retunes : Metrics.counter;
-  m_slo_latency : Metrics.counter;
-  m_slo_drift : Metrics.counter;
   m_inflight : Metrics.gauge;
   m_shard_hits : Metrics.counter array;
-  g_rtt : Metrics.gauge array;
-  g_keff : Metrics.gauge array;
 }
 
 let live_workers t =
   Array.fold_left (fun n w -> if w.alive then n + 1 else n) 0 t.workers
 
-let max_slo_events = 32
+let max_events = 32
 
 let push_event t ev =
   Mutex.lock t.events_mutex;
-  t.slo_events <- ev :: List.filteri (fun i _ -> i < max_slo_events - 1) t.slo_events;
+  t.events <- ev :: List.filteri (fun i _ -> i < max_events - 1) t.events;
   Mutex.unlock t.events_mutex
 
-let slo_event ~kind ~worker fields =
+let event ~kind ~worker fields =
   Json.Obj
     ([
        ("kind", Json.String kind);
@@ -358,11 +332,9 @@ let connect_fleet spawned =
 
 let set_inflight t = Metrics.set t.m_inflight (float_of_int (Atomic.get t.inflight))
 
-let finish_request t p =
-  if p.admitted then begin
-    Atomic.decr t.inflight;
-    set_inflight t
-  end
+let finish_request t =
+  Atomic.decr t.inflight;
+  set_inflight t
 
 let strip_id json =
   match json with
@@ -403,25 +375,6 @@ let rec handle_worker_death t (w : worker) =
   end;
   Mutex.unlock t.death_mutex;
   if was_alive && not (Atomic.get t.stop) then begin
-    (* Failover used to leave the link-cost picture frozen at whatever
-       the fleet looked like before the death.  Refit it over the
-       surviving topology instead: drop every observation touching the
-       dead worker and re-seed the survivors' EWMA.  No fresh probe —
-       this process has live threads, so forking an echo child here is
-       off the table; the refit works from traffic already measured,
-       and the reader threads keep feeding it. *)
-    Drift.recalibrate ~metrics:t.registry
-      ~args:[ ("reason", "worker_death"); ("worker", string_of_int idx) ]
-      (fun () ->
-        Mutex.lock t.calib_mutex;
-        let old = Calibrate.measured t.calib in
-        let fresh = Calibrate.create ~procs:(Calibrate.procs t.calib) () in
-        Calibrate.observe fresh
-          (List.filter
-             (fun s -> s.Calibrate.src <> idx && s.Calibrate.dst <> idx)
-             (Calibrate.samples_of_matrix old));
-        t.calib <- fresh;
-        Mutex.unlock t.calib_mutex);
     (* Re-shard every request that was in flight on the dead worker:
        accepted requests are never dropped while any worker lives. *)
     Mutex.lock t.pending_mutex;
@@ -450,7 +403,7 @@ and dispatch t p =
            kind = Protocol.Internal;
            message = "request could not be placed on any worker";
          });
-    finish_request t p
+    finish_request t
   end
   else
     match Ring.lookup t.ring ~key:p.key ~alive:(fun i -> t.workers.(i).alive) with
@@ -458,12 +411,11 @@ and dispatch t p =
       client_reply p.client
         (Protocol.Error
            { id = p.orig_id; kind = Protocol.Internal; message = "no live workers" });
-      finish_request t p
+      finish_request t
     | Some idx ->
       let w = t.workers.(idx) in
       Metrics.inc t.m_shard_hits.(idx);
       let rid = Atomic.fetch_and_add t.next_rid 1 in
-      p.sent_at <- Unix.gettimeofday ();
       Mutex.lock t.pending_mutex;
       Hashtbl.replace t.pending rid (idx, p);
       Mutex.unlock t.pending_mutex;
@@ -490,7 +442,7 @@ and maybe_respawn t idx =
       Mutex.unlock t.death_mutex;
       if now_tripped && not was_tripped then
         push_event t
-          (slo_event ~kind:"breaker_tripped" ~worker:idx
+          (event ~kind:"breaker_tripped" ~worker:idx
              [
                ("limit", Json.Int (Respawn.limit t.breaker));
                ("window_s", Json.Float (Respawn.window t.breaker));
@@ -502,7 +454,7 @@ and maybe_respawn t idx =
       match warden_spawn warden idx with
       | None ->
         push_event t
-          (slo_event ~kind:"respawn_failed" ~worker:idx
+          (event ~kind:"respawn_failed" ~worker:idx
              [ ("reason", Json.String "warden unreachable") ])
       | Some pid -> (
         let deadline = Unix.gettimeofday () +. 15.0 in
@@ -510,13 +462,15 @@ and maybe_respawn t idx =
         | Error msg ->
           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
           push_event t
-            (slo_event ~kind:"respawn_failed" ~worker:idx [ ("reason", Json.String msg) ])
+            (event ~kind:"respawn_failed" ~worker:idx [ ("reason", Json.String msg) ])
         | Ok w ->
           Mutex.lock t.death_mutex;
           t.workers.(idx) <- w;
           Mutex.unlock t.death_mutex;
+          (* Event before counter: whoever sees the respawn counted
+             also finds it in [stats.events]. *)
+          push_event t (event ~kind:"respawn" ~worker:idx [ ("pid", Json.Int pid) ]);
           Metrics.inc t.m_respawns;
-          push_event t (slo_event ~kind:"respawn" ~worker:idx [ ("pid", Json.Int pid) ]);
           track_thread t (Thread.create (reader_loop t) w))
     end
 
@@ -542,7 +496,7 @@ and reader_loop t (w : worker) =
           in
           match entry with
           | None -> () (* already failed over; a late duplicate *)
-          | Some (wi, p) ->
+          | Some (_, p) ->
             let restored =
               match reply_json with
               | Json.Obj fields ->
@@ -553,167 +507,10 @@ and reader_loop t (w : worker) =
               | other -> other
             in
             p.client.send (Json.to_string restored);
-            if p.sent_at > 0.0 then begin
-              let cost = (Unix.gettimeofday () -. p.sent_at) *. 1e6 in
-              Mutex.lock t.calib_mutex;
-              Calibrate.observe t.calib
-                [ { Calibrate.src = Calibrate.procs t.calib - 1; dst = wi; cost } ];
-              Mutex.unlock t.calib_mutex
-            end;
-            finish_request t p));
+            finish_request t));
         loop ())
   in
   loop ()
-
-(* ---------------------------------------------------------------- *)
-(* Retune broadcast                                                   *)
-
-(* Fan a retune out to every live worker through the ordinary
-   pending/reader path (each pending entry's client is an aggregating
-   closure) and reply once with the summed outcome.  The SLO watcher
-   calls this with a discarding client; the [retune] protocol op calls
-   it with the real one. *)
-let router_retune t ~k ~id ~client =
-  Metrics.inc t.m_retunes;
-  let live = List.filter (fun w -> w.alive) (Array.to_list t.workers) in
-  if live = [] then
-    client_reply client
-      (Protocol.Error { id; kind = Protocol.Internal; message = "no live workers" })
-  else begin
-    let remaining = ref (List.length live) in
-    let entries = ref 0 and recompiled = ref 0 in
-    let agg = Mutex.create () in
-    let collector =
-      {
-        send =
-          (fun line ->
-            let last =
-              Mutex.lock agg;
-              (match Json.parse line with
-              | exception Json.Parse_error _ -> ()
-              | j -> (
-                match Json.member "retuned" j with
-                | Some r ->
-                  let field name =
-                    Option.value ~default:0
-                      (Option.bind (Json.member name r) Json.to_int_opt)
-                  in
-                  entries := !entries + field "entries";
-                  recompiled := !recompiled + field "recompiled"
-                | None -> () (* a worker died mid-retune: count it as zero *)));
-              decr remaining;
-              let l = !remaining <= 0 in
-              Mutex.unlock agg;
-              l
-            in
-            if last then
-              client_reply client
-                (Protocol.Retuned
-                   {
-                     id;
-                     result = { Protocol.k; entries = !entries; recompiled = !recompiled };
-                   }))
-      }
-    in
-    let request = Json.Obj [ ("op", Json.String "retune"); ("k", Json.Int k) ] in
-    List.iter
-      (fun w ->
-        let p =
-          {
-            orig_id = Json.Null;
-            request;
-            key = "retune";
-            client = collector;
-            admitted = false;
-            (* at the attempts bound already: a death mid-retune must
-               answer the collector (as an error), not re-broadcast *)
-            attempts = Array.length t.workers + 1;
-            sent_at = 0.0;
-          }
-        in
-        let rid = Atomic.fetch_and_add t.next_rid 1 in
-        Mutex.lock t.pending_mutex;
-        Hashtbl.replace t.pending rid (w.idx, p);
-        Mutex.unlock t.pending_mutex;
-        if not (worker_send w (Json.to_string (with_rid request rid))) then
-          handle_worker_death t w)
-      live
-  end
-
-(* ---------------------------------------------------------------- *)
-(* SLO watcher: alerts over live RTTs, closed-loop rescheduling       *)
-
-(* Convert a router->worker round trip into the scheduler's currency:
-   the effective per-message cost k, in units of the calibrated cycle
-   time — the same conversion Linkprobe renders after a probe. *)
-let effective_k t rtt_us = rtt_us *. 1e3 /. t.cycle_ns
-
-let watcher_scan t =
-  let row =
-    Mutex.lock t.calib_mutex;
-    let m = Calibrate.measured t.calib in
-    let r = Array.copy m.(Calibrate.procs t.calib - 1) in
-    Mutex.unlock t.calib_mutex;
-    r
-  in
-  Array.iteri
-    (fun idx w ->
-      let rtt_us = row.(idx) in
-      if w.alive && rtt_us > 0.0 then begin
-        Metrics.set t.g_rtt.(idx) rtt_us;
-        let keff = effective_k t rtt_us in
-        Metrics.set t.g_keff.(idx) keff;
-        (match t.cfg.slo_ms with
-        | Some slo when rtt_us /. 1e3 > slo ->
-          Metrics.inc t.m_slo_latency;
-          push_event t
-            (slo_event ~kind:"latency" ~worker:idx
-               [
-                 ("rtt_ms", Json.Float (rtt_us /. 1e3)); ("threshold_ms", Json.Float slo);
-               ]);
-          Trace.instant
-            ~args:[ ("worker", string_of_int idx); ("rtt_ms", Printf.sprintf "%.2f" (rtt_us /. 1e3)) ]
-            "route.slo"
-        | _ -> ());
-        match t.cfg.drift_threshold with
-        | None -> ()
-        | Some thr ->
-          if t.baseline_rtt.(idx) <= 0.0 then t.baseline_rtt.(idx) <- rtt_us
-          else begin
-            let base = t.baseline_rtt.(idx) in
-            let ratio = Float.max (rtt_us /. base) (base /. rtt_us) in
-            if ratio > thr then begin
-              Metrics.inc t.m_slo_drift;
-              push_event t
-                (slo_event ~kind:"drift" ~worker:idx
-                   [
-                     ("ratio", Json.Float ratio);
-                     ("threshold", Json.Float thr);
-                     ("effective_k", Json.Float keff);
-                   ]);
-              (* Re-anchor so one sustained shift fires one retune,
-                 not one per scan. *)
-              t.baseline_rtt.(idx) <- rtt_us;
-              let k = max 1 (int_of_float (Float.round keff)) in
-              Trace.instant
-                ~args:[ ("worker", string_of_int idx); ("k", string_of_int k) ]
-                "route.retune_trigger";
-              router_retune t ~k ~id:Json.Null ~client:{ send = ignore }
-            end
-          end
-      end)
-    t.workers
-
-let watcher_loop t =
-  let slept = ref 0.0 in
-  while not (Atomic.get t.stop) do
-    Unix.sleepf 0.1;
-    slept := !slept +. 0.1;
-    if !slept >= t.cfg.slo_interval then begin
-      slept := 0.0;
-      if not (Atomic.get t.stop) then watcher_scan t
-    end
-  done
 
 (* ---------------------------------------------------------------- *)
 (* Router-answered ops                                                *)
@@ -721,7 +518,7 @@ let watcher_loop t =
 let stats_json t =
   let events =
     Mutex.lock t.events_mutex;
-    let e = t.slo_events in
+    let e = t.events in
     Mutex.unlock t.events_mutex;
     e
   in
@@ -757,42 +554,7 @@ let stats_json t =
                 (Array.to_list (Array.map (fun b -> Json.Int b) t.respawn_budget)) );
             ("breaker_tripped", Json.Bool (Respawn.tripped t.breaker));
           ] );
-      ("retunes", Json.Int (Metrics.counter_value t.m_retunes));
-      ("recalibrations", Json.Int (Drift.recalibrations ~metrics:t.registry ()));
-      ( "slo",
-        Json.Obj
-          [
-            ( "latency_threshold_ms",
-              match t.cfg.slo_ms with Some v -> Json.Float v | None -> Json.Null );
-            ( "drift_threshold",
-              match t.cfg.drift_threshold with Some v -> Json.Float v | None -> Json.Null
-            );
-            ("events", Json.List events);
-          ] );
-      ( "calibration",
-        (let updates, links, row =
-           Mutex.lock t.calib_mutex;
-           let m = Calibrate.measured t.calib in
-           let r =
-             (Calibrate.updates t.calib, Calibrate.observed_links t.calib,
-              m.(Calibrate.procs t.calib - 1))
-           in
-           Mutex.unlock t.calib_mutex;
-           r
-         in
-         Json.Obj
-           [
-             ("updates", Json.Int updates);
-             ("observed_links", Json.Int links);
-             ( "worker_rtt_us",
-               Json.List
-                 (List.init (Array.length t.workers) (fun i -> Json.Float row.(i))) );
-             ( "effective_k",
-               Json.List
-                 (List.init (Array.length t.workers) (fun i ->
-                      if row.(i) > 0.0 then Json.Float (effective_k t row.(i))
-                      else Json.Null)) );
-           ]) );
+      ("events", Json.List events);
     ]
 
 let shutdown_fleet t =
@@ -852,12 +614,6 @@ let serve_client t fd =
           client_reply client
             (Protocol.Metrics_reply { id; text = Metrics.render t.registry });
           loop ()
-        | Ok (Protocol.Retune { id; k }) ->
-          Metrics.inc t.m_requests;
-          (* Broadcast: every live worker re-prices its hot set at k;
-             the aggregated outcome comes back on this connection. *)
-          router_retune t ~k ~id ~client;
-          loop ()
         | Ok (Protocol.Shutdown { id }) ->
           Metrics.inc t.m_requests;
           Atomic.set t.stop true;
@@ -901,9 +657,7 @@ let serve_client t fd =
                 request;
                 key = shard_key params;
                 client;
-                admitted = true;
                 attempts = 0;
-                sent_at = 0.0;
               }
           end;
           loop ())
@@ -941,10 +695,6 @@ let serve cfg =
     1
   | workers ->
     let registry = Metrics.create () in
-    let labeled name help =
-      Array.init cfg.workers (fun i ->
-          Metrics.gauge ~help ~labels:[ ("worker", string_of_int i) ] registry name)
-    in
     let t =
       {
         cfg;
@@ -961,11 +711,7 @@ let serve cfg =
         (* Storm bound: a healthy fleet never needs more than a couple
            of respawns per worker inside one window. *)
         breaker = Respawn.create ~limit:(max 4 (2 * cfg.workers)) ();
-        calib = Calibrate.create ~procs:(cfg.workers + 1) ();
-        calib_mutex = Mutex.create ();
-        baseline_rtt = Array.make cfg.workers 0.0;
-        cycle_ns = Linkprobe.calibrate_cycle_ns ();
-        slo_events = [];
+        events = [];
         events_mutex = Mutex.create ();
         extra_threads = ref [];
         extra_mutex = Mutex.create ();
@@ -985,17 +731,6 @@ let serve cfg =
         m_respawns =
           Metrics.counter ~help:"Workers respawned by the warden" registry
             "mimd_dist_respawns_total";
-        m_retunes =
-          Metrics.counter ~help:"Retune broadcasts (client- or SLO-initiated)" registry
-            "mimd_route_retunes_total";
-        m_slo_latency =
-          Metrics.counter ~help:"SLO events raised, by kind"
-            ~labels:[ ("kind", "latency") ]
-            registry "mimd_route_slo_events_total";
-        m_slo_drift =
-          Metrics.counter ~help:"SLO events raised, by kind"
-            ~labels:[ ("kind", "drift") ]
-            registry "mimd_route_slo_events_total";
         m_inflight =
           Metrics.gauge ~help:"Compile requests currently in flight" registry
             "mimd_route_inflight";
@@ -1004,17 +739,11 @@ let serve cfg =
               Metrics.counter ~help:"Requests dispatched, by worker"
                 ~labels:[ ("worker", string_of_int i) ]
                 registry "mimd_route_shard_hits_total");
-        g_rtt =
-          labeled "mimd_route_worker_rtt_us" "EWMA router->worker round trip, microseconds";
-        g_keff =
-          labeled "mimd_route_worker_effective_k"
-            "Effective per-message cost k measured from live round trips";
       }
     in
     let readers =
       Array.to_list (Array.map (fun w -> Thread.create (reader_loop t) w) workers)
     in
-    let watcher = Thread.create watcher_loop t in
     (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
     let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket);
@@ -1063,7 +792,6 @@ let serve cfg =
     List.iter Thread.join !threads;
     shutdown_fleet t;
     List.iter Thread.join readers;
-    Thread.join watcher;
     Mutex.lock t.extra_mutex;
     let extras = !(t.extra_threads) in
     Mutex.unlock t.extra_mutex;

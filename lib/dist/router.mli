@@ -22,25 +22,13 @@
     of its environment would otherwise turn the supervisor into a
     fork bomb).  A respawned worker is dialed, boot-pinged, swapped
     into the fleet and given a fresh reader thread; every respawn
-    bumps [mimd_dist_respawns_total].
-
-    {b SLO watcher}: every [slo_interval] seconds the router inspects
-    its live per-worker RTT calibration (EWMA over real request round
-    trips).  RTTs past [slo_ms] raise structured [latency] events;
-    when a worker's RTT drifts from its baseline by more than
-    [drift_threshold] (a ratio, either direction), the router
-    converts the observed RTT into an effective per-message cost [k]
-    (via {!Linkprobe.calibrate_cycle_ns}) and broadcasts a [retune]
-    to the fleet — every worker re-prices its hot compile entries at
-    the measured [k], closing the loop from live latency back into
-    the schedules being served.  Events surface under [stats.slo];
-    per-worker RTT and effective-[k] gauges under [metrics].
+    bumps [mimd_dist_respawns_total].  Supervision events
+    ([respawn], [respawn_failed], [breaker_tripped]) are kept, newest
+    first and bounded to 32, under [stats.events].
 
     Router-answered ops: [ping], [stats] (fleet topology: worker
-    pids, liveness, in-flight, shed/retry/respawn counts, SLO
-    events), [metrics] (the [mimd_route_*] registry), [retune]
-    (broadcast to every live worker; the aggregated
-    entries/recompiled totals come back in one reply), [shutdown]
+    pids, liveness, in-flight, shed/retry/respawn counts, supervision
+    events), [metrics] (the [mimd_route_*] registry), [shutdown]
     (stops the fleet).  [compile] is forwarded with a router-assigned
     id and the reply is mapped back to the client's id.
 
@@ -63,19 +51,12 @@ type config = {
   respawn : int;
       (** per-worker respawn budget; 0 disables supervision (no warden
           is forked) *)
-  slo_ms : float option;
-      (** worker-RTT latency SLO in milliseconds; [None] = no latency
-          events *)
-  slo_interval : float;  (** watcher period, seconds *)
-  drift_threshold : float option;
-      (** RTT-over-baseline ratio past which the watcher fires a
-          retune broadcast; [None] = no closed-loop rescheduling *)
 }
 
 val default_config : workers:int -> socket:string -> config
 (** [max_inflight 64], [queue_depth 64], auto jobs, no disk cache, no
-    validation, no trace, no respawn, no SLO thresholds,
-    [slo_interval 2.0]; [worker_dir] beside the socket. *)
+    validation, no trace, no respawn; [worker_dir] beside the
+    socket. *)
 
 val shard_key : Mimd_server.Protocol.compile_params -> string
 (** The digest the router shards by: loop source, processors, [k] and

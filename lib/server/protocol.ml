@@ -27,7 +27,6 @@ type compile_params = {
 
 type request =
   | Compile of { id : Json.t; params : compile_params }
-  | Retune of { id : Json.t; k : int }
   | Stats of { id : Json.t }
   | Metrics of { id : Json.t }
   | Ping of { id : Json.t }
@@ -35,7 +34,6 @@ type request =
 
 let request_id = function
   | Compile { id; _ }
-  | Retune { id; _ }
   | Stats { id }
   | Metrics { id }
   | Ping { id }
@@ -125,12 +123,6 @@ let request_of_line line =
       | None -> Error (id, "field \"op\" must be a string")
       | Some "compile" ->
         Result.map_error (fun m -> (id, m)) (compile_of_json id json)
-      | Some "retune" -> (
-        match get_int json "k" ~default:(-1) with
-        | Error m -> Error (id, m)
-        | Ok k when k < 0 ->
-          Error (id, "retune request needs a \"k\" field >= 0")
-        | Ok k -> Ok (Retune { id; k }))
       | Some "stats" -> Ok (Stats { id })
       | Some "metrics" -> Ok (Metrics { id })
       | Some "ping" -> Ok (Ping { id })
@@ -140,11 +132,8 @@ let request_of_line line =
 (* ---------------------------------------------------------------- *)
 (* Encoding replies                                                   *)
 
-type retuned = { k : int; entries : int; recompiled : int }
-
 type reply =
   | Compiled of { id : Json.t; result : compiled }
-  | Retuned of { id : Json.t; result : retuned }
   | Stats_reply of { id : Json.t; stats : Json.t }
   | Metrics_reply of { id : Json.t; text : string }
   | Pong of { id : Json.t }
@@ -171,19 +160,6 @@ let reply_json = function
       | None -> []
       | Some (before, after) ->
         [ ("messages", Json.Int before); ("messages_opt", Json.Int after) ])
-  | Retuned { id; result = r } ->
-    Json.Obj
-      [
-        ("id", id);
-        ("ok", Json.Bool true);
-        ( "retuned",
-          Json.Obj
-            [
-              ("k", Json.Int r.k);
-              ("entries", Json.Int r.entries);
-              ("recompiled", Json.Int r.recompiled);
-            ] );
-      ]
   | Stats_reply { id; stats } ->
     Json.Obj [ ("id", id); ("ok", Json.Bool true); ("stats", stats) ]
   | Metrics_reply { id; text } ->

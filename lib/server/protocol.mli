@@ -12,7 +12,6 @@
       request ::= {"id": J?, "op": "compile", "loop": STRING,
                    "processors": INT?, "k": INT?, "iterations": INT?,
                    "deadline_ms": NUMBER?, "validate": BOOL?}
-                | {"id": J?, "op": "retune", "k": INT}
                 | {"id": J?, "op": "stats"}
                 | {"id": J?, "op": "metrics"}
                 | {"id": J?, "op": "ping"}
@@ -22,8 +21,6 @@
                    "folded": BOOL, "sequential": INT,
                    "percentage_parallelism": NUMBER, "elapsed_ms": NUMBER,
                    "messages": INT?, "messages_opt": INT?}
-                | {"id": J, "ok": true,
-                   "retuned": {"k": INT, "entries": INT, "recompiled": INT}}
                 | {"id": J, "ok": true, "stats": {...}}
                 | {"id": J, "ok": true, "metrics": STRING}
                 | {"id": J, "ok": true, "pong": true}
@@ -62,10 +59,6 @@ type compile_params = {
 
 type request =
   | Compile of { id : Json.t; params : compile_params }
-  | Retune of { id : Json.t; k : int }
-      (** re-price the worker's hot cache entries at measured
-          communication cost [k] (the router's SLO watcher sends this
-          past the drift threshold; operators can too) *)
   | Stats of { id : Json.t }
   | Metrics of { id : Json.t }
   | Ping of { id : Json.t }
@@ -93,14 +86,8 @@ type compiled = {
           ["messages_opt"] reply fields *)
 }
 
-type retuned = { k : int; entries : int; recompiled : int }
-(** Outcome of a [retune]: of [entries] remembered hot requests,
-    [recompiled] needed a fresh schedule at cost [k] (the rest were
-    already cached at that pricing). *)
-
 type reply =
   | Compiled of { id : Json.t; result : compiled }
-  | Retuned of { id : Json.t; result : retuned }
   | Stats_reply of { id : Json.t; stats : Json.t }
   | Metrics_reply of { id : Json.t; text : string }
       (** the whole metrics registry, Prometheus text format, as one

@@ -41,17 +41,6 @@ let dispatch t ~reply req =
         | Ok outcome -> reply (Protocol.Compiled { id; result = outcome.Service.result })
         | Error e -> reply (error_reply id e));
     `Continue
-  | Protocol.Retune { id; k } ->
-    Pool.submit t.pool (fun () ->
-        reply
-          (Protocol.Retuned
-             {
-               id;
-               result =
-                 Trace.span ~cat:"serve" "serve.dispatch_retune" (fun () ->
-                     Service.retune t.service ~k);
-             }));
-    `Continue
   | Protocol.Stats { id } ->
     (* Through the pool, not inline: with one worker this orders the
        stats snapshot after every compile submitted before it. *)
@@ -77,7 +66,8 @@ let dispatch t ~reply req =
 (* ---------------------------------------------------------------- *)
 (* Channel loop, shared by --stdio and by each socket connection.     *)
 
-let serve_channels t ic oc =
+(* [true] when this channel carried the shutdown frame. *)
+let serve_until_shutdown t ic oc =
   let out_mutex = Mutex.create () in
   let reply r =
     Trace.span ~cat:"serve" "serve.reply" @@ fun () ->
@@ -90,10 +80,10 @@ let serve_channels t ic oc =
         flush oc)
   in
   let rec loop () =
-    if Atomic.get t.stop then ()
+    if Atomic.get t.stop then false
     else
       match In_channel.input_line ic with
-      | None | (exception Sys_error _) -> ()
+      | None | (exception Sys_error _) -> false
       | Some line when String.trim line = "" -> loop ()
       | Some line -> (
         Trace.instant "serve.accept";
@@ -101,11 +91,15 @@ let serve_channels t ic oc =
         | Error (id, message) ->
           reply (Protocol.Error { id; kind = Protocol.Protocol; message });
           loop ()
-        | Ok req -> ( match dispatch t ~reply req with `Continue -> loop () | `Stop -> ()))
+        | Ok req -> (
+          match dispatch t ~reply req with `Continue -> loop () | `Stop -> true))
   in
-  loop ();
+  let stopped = loop () in
   (* Every submitted job replies before we let the channel go. *)
-  Pool.quiesce t.pool
+  Pool.quiesce t.pool;
+  stopped
+
+let serve_channels t ic oc = ignore (serve_until_shutdown t ic oc)
 
 let serve_stdio t =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -147,8 +141,10 @@ let serve_socket t ~path =
   let handle fd =
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr fd in
-    serve_channels t ic oc;
-    if Atomic.get t.stop then begin
+    (* Only the connection that carried the shutdown kicks the others:
+       one that merely ends after the stop flag is set must not cut
+       the shutdown connection off before its bye is written. *)
+    if serve_until_shutdown t ic oc then begin
       (* This connection carried the shutdown.  A blocked accept(2) is
          not interruptible portably, so wake the accept loop with a
          throwaway connection (it re-checks the stop flag first), and

@@ -13,27 +13,12 @@ type outcome = {
   graph : Mimd_ddg.Graph.t;
 }
 
-(* A remembered compile request: everything needed to re-run it at a
-   different communication cost.  The retune hook walks these. *)
-type hot_entry = {
-  h_graph : Mimd_ddg.Graph.t;
-  h_processors : int;
-  h_iterations : int;
-  h_validate : bool;
-}
-
-let hot_capacity = 32
-
 type t = {
   memory : Schedule_cache.t;
   disk : Disk_cache.t option;
   validate : bool;
   comm_opt : int option;  (* coalescing window of the comm rewrite, when on *)
   mutex : Mutex.t;
-  (* the hot set: recently served requests, bounded FIFO — the
-     entries a [retune] re-prices (guarded by [mutex]) *)
-  hot : (string, hot_entry) Hashtbl.t;
-  hot_order : string Queue.t;
   mutable requests : int;
   mutable errors : int;
   (* per-stage service latencies, milliseconds, newest first *)
@@ -47,7 +32,6 @@ type t = {
   metrics : Metrics.t;
   m_requests : Metrics.counter;
   m_errors : Metrics.counter;
-  m_retunes : Metrics.counter;
   m_hits_memory : Metrics.counter;
   m_hits_disk : Metrics.counter;
   m_miss_memory : Metrics.counter;
@@ -75,8 +59,6 @@ let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt () =
     validate;
     comm_opt;
     mutex = Mutex.create ();
-    hot = Hashtbl.create hot_capacity;
-    hot_order = Queue.create ();
     requests = 0;
     errors = 0;
     parse_ms = [];
@@ -90,9 +72,6 @@ let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt () =
     m_errors =
       Metrics.counter ~help:"Compile requests that returned an error" metrics
         "mimd_serve_errors_total";
-    m_retunes =
-      Metrics.counter ~help:"Retune requests served (hot entries re-priced)" metrics
-        "mimd_serve_retunes_total";
     m_hits_memory = tiered "mimd_cache_hits_total" "Schedule-cache hits by tier" "memory";
     m_hits_disk = tiered "mimd_cache_hits_total" "Schedule-cache hits by tier" "disk";
     m_miss_memory =
@@ -130,13 +109,13 @@ let parse_loop source =
     let flat =
       if Mimd_loop_ir.Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop
     in
-    Ok (flat, (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph)
+    Ok (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph
 
 let past deadline = match deadline with Some d -> Unix.gettimeofday () > d | None -> false
 
 let compute t ~graph ~machine ~iterations ~validate =
   (* Prefix-sharing misses (same loop, different k / matrix /
-     iteration count — what the drift loop issues) reuse the prepared
+     iteration count) reuse the prepared
      DDG + classification and pay only Cyclic-sched and downstream. *)
   match Incr.compile Incr.global ~graph ~machine ~iterations () with
   | exception Mimd_core.Cyclic_sched.No_pattern m ->
@@ -238,60 +217,6 @@ let compile_graph t ?deadline ~validate ~graph ~machine ~iterations () =
           else Ok (finish Protocol.Computed full)))
   end
 
-(* Remember a served request in the hot set.  Keyed independently of
-   the machine's pricing, so re-serving one loop at different k keeps
-   one slot; bounded FIFO, oldest out. *)
-let record_hot t ~flat ~graph ~machine ~iterations ~validate =
-  let key =
-    Digest.to_hex
-      (Digest.string
-         (Marshal.to_string
-            ( Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop flat,
-              machine.Config.processors,
-              iterations )
-            []))
-  in
-  with_lock t (fun () ->
-      if not (Hashtbl.mem t.hot key) then begin
-        Hashtbl.replace t.hot key
-          {
-            h_graph = graph;
-            h_processors = machine.Config.processors;
-            h_iterations = iterations;
-            h_validate = validate;
-          };
-        Queue.push key t.hot_order;
-        if Queue.length t.hot_order > hot_capacity then
-          Hashtbl.remove t.hot (Queue.pop t.hot_order)
-      end)
-
-(* The closed-loop rescheduling hook: re-price every hot entry at the
-   measured communication cost [k].  Entries whose schedule at that
-   pricing is already cached cost a lookup; the rest recompile through
-   the incremental path (same DDG prefix, new machine) and land in
-   both cache tiers — so after a retune, traffic asking for the
-   measured k is served warm.  Sent by the router's SLO
-   watcher past the drift threshold, or by an operator. *)
-let retune t ~k =
-  Trace.span ~cat:"serve" ~args:[ ("k", string_of_int k) ] "serve.retune"
-  @@ fun () ->
-  let snapshot =
-    with_lock t (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) t.hot [])
-  in
-  let recompiled = ref 0 in
-  List.iter
-    (fun e ->
-      let machine = Config.make ~processors:e.h_processors ~comm_estimate:k in
-      match
-        compile_graph t ~validate:e.h_validate ~graph:e.h_graph ~machine
-          ~iterations:e.h_iterations ()
-      with
-      | Ok o when o.result.Protocol.tier = Protocol.Computed -> incr recompiled
-      | Ok _ | Error _ -> ())
-    snapshot;
-  Metrics.inc t.m_retunes;
-  { Protocol.k; entries = List.length snapshot; recompiled = !recompiled }
-
 let compile t ?deadline ?validate ~loop ~machine ~iterations () =
   let validate = Option.value ~default:t.validate validate in
   let started = now_ms () in
@@ -313,12 +238,7 @@ let compile t ?deadline ?validate ~loop ~machine ~iterations () =
   let outcome =
     match parsed with
     | Error e -> Error e
-    | Ok (flat, graph) ->
-      let r = compile_graph t ?deadline ~validate ~graph ~machine ~iterations () in
-      (match r with
-      | Ok _ -> record_hot t ~flat ~graph ~machine ~iterations ~validate
-      | Error _ -> ());
-      r
+    | Ok graph -> compile_graph t ?deadline ~validate ~graph ~machine ~iterations ()
   in
   record outcome;
   outcome
@@ -413,9 +333,6 @@ let stats_json ?pool t =
       ("requests", Json.Int requests);
       ("errors", Json.Int errors);
       ("validate", Json.Bool t.validate);
-      ( "hot_entries",
-        Json.Int (with_lock t (fun () -> Hashtbl.length t.hot)) );
-      ("retunes", Json.Int (Metrics.counter_value t.m_retunes));
       ("memory_cache", memory_json);
       ("disk_cache", disk_json);
       ( "incr_prep",

@@ -64,17 +64,6 @@ val compile_params :
 (** {!compile} driven by a decoded protocol request (the request's
     own [validate] field, when present, wins over the default). *)
 
-val retune : t -> k:int -> Protocol.retuned
-(** The closed-loop rescheduling hook: re-price every entry of the hot
-    set (the last 32 distinct served requests) at communication cost
-    [k].  Already-cached pricings cost a lookup; the rest recompile
-    through the incremental path and land in both cache tiers, so
-    traffic asking for the measured [k] is served warm afterwards.
-    Counted by [mimd_serve_retunes_total] and traced as
-    [serve.retune].  Sent over the wire as the [retune] op — by the
-    router's SLO watcher past its drift threshold, or by an
-    operator. *)
-
 val stats_json : ?pool:Pool.t -> t -> Json.t
 (** The payload of a [stats] reply: request/error counts, both cache
     tiers (hits/misses/entries/evictions, stores), optional pool

@@ -47,8 +47,7 @@ let observed_max t =
       Array.fold_left (fun acc v -> if Float.is_nan v then acc else max acc v) acc row)
     0.0 t.ewma
 
-(* Links never observed (a dead worker's former peers, extra flow
-   processors) are priced at the fallback: the caller's assumed k, or
+(* Links never observed (extra flow processors, say) are priced at the fallback: the caller's assumed k, or
    the worst observed link — the conservative upper bound either way. *)
 let matrix ?fallback t =
   let fb =

@@ -10,8 +10,8 @@
     the {!Mimd_machine.Cost_model.Matrix} the scheduler prices with.
 
     This library sits {e below} [Mimd_server]/[Mimd_dist], so it never
-    calls the probe itself — callers (the CLI, the router) convert
-    probe results into samples. *)
+    calls the probe itself — the CLI converts probe results into
+    samples. *)
 
 type sample = { src : int; dst : int; cost : float }
 (** One observation: a message from [src] to [dst] cost [cost]

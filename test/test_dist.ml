@@ -894,6 +894,14 @@ let test_router_respawn () =
   let pids' = worker_pids st in
   check_int "still two workers listed" 2 (List.length pids');
   check_bool "victim's pid replaced" true (not (List.mem_assoc victim pids'));
+  (* the respawn is in the supervision event list, for the victim's slot *)
+  check_bool "stats.events holds a respawn for slot 0" true
+    (match Json.member "events" st with
+    | Some (Json.List evs) ->
+      List.exists
+        (fun e -> member_string "kind" e = Some "respawn" && member_int "worker" e = Some 0)
+        evs
+    | _ -> false);
   List.iteri
     (fun i stmt ->
       let r = rpc c (compile_req ~id:(200 + i) ~stmt) in
@@ -905,47 +913,21 @@ let test_router_respawn () =
   check_bool "mimd_dist_respawns_total exported" true
     (contains text "mimd_dist_respawns_total 1")
 
-let test_router_retune () =
-  (* The client-driven closed loop: compile primes a worker's hot set,
-     a retune broadcast re-prices it at the requested k, and the same
-     loop at that k is then served from the recompiled cache.  One
-     worker: the shard key includes k, so with a wider fleet the
-     retuned request could land on a cold worker. *)
+let test_router_retune_unknown () =
+  (* retune is not an op: the router answers with a structured
+     protocol error naming it, and the connection stays usable. *)
   with_router ~workers:1 @@ fun sock ->
   let c = client_connect sock in
   Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
-  let r1 = rpc c (compile_req ~id:1 ~stmt:"Y[i]") in
-  check_bool "compile ok" true (member_bool "ok" r1 = Some true);
-  let rt = rpc c {|{"id":"t","op":"retune","k":5}|} in
-  check_bool "retune ok" true (member_bool "ok" rt = Some true);
-  (match Json.member "retuned" rt with
-  | None -> Alcotest.fail "no retuned payload"
-  | Some r ->
-    check_bool "k echoed" true (member_int "k" r = Some 5);
-    check_bool "the hot entry was re-priced" true
-      (match member_int "entries" r with Some n -> n >= 1 | None -> false);
-    check_bool "recompiled at the new k" true
-      (match member_int "recompiled" r with Some n -> n >= 1 | None -> false));
-  let r2 =
-    rpc c
-      {|{"id":2,"op":"compile","loop":"for i = 1 to n { X[i] = X[i-1] + Y[i]; }","iterations":40,"k":5}|}
-  in
-  check_bool "compile at the retuned k ok" true (member_bool "ok" r2 = Some true);
-  check_bool "served from the retune-primed cache" true
-    (member_string "tier" r2 = Some "memory" || member_string "tier" r2 = Some "disk");
-  let st = stats c in
-  check_bool "retune counted" true
-    (match member_int "retunes" st with Some n -> n >= 1 | None -> false);
-  check_bool "stats carries the slo object" true (Json.member "slo" st <> None)
-
-let test_router_retune_validation () =
-  with_router ~workers:1 @@ fun sock ->
-  let c = client_connect sock in
-  Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
-  let r = rpc c {|{"id":1,"op":"retune"}|} in
-  check_bool "missing k rejected" true (member_bool "ok" r = Some false);
-  let r = rpc c {|{"id":2,"op":"retune","k":-3}|} in
-  check_bool "negative k rejected" true (member_bool "ok" r = Some false)
+  let r = rpc c {|{"id":1,"op":"retune","k":5}|} in
+  check_bool "retune rejected" true (member_bool "ok" r = Some false);
+  check_bool "kind protocol" true (error_kind r = Some "protocol");
+  check_bool "message names retune" true
+    (match Option.bind (Json.member "error" r) (member_string "message") with
+    | Some m -> contains m "\"retune\""
+    | None -> false);
+  check_bool "ping still answers" true
+    (member_bool "ok" (rpc c {|{"id":2,"op":"ping"}|}) = Some true)
 
 let suite =
   [
@@ -994,7 +976,5 @@ let suite =
     Alcotest.test_case "router: failover on worker death" `Quick test_router_failover;
     Alcotest.test_case "router: admission control sheds" `Quick test_router_admission_shed;
     Alcotest.test_case "router: respawn recovers the fleet" `Quick test_router_respawn;
-    Alcotest.test_case "router: retune broadcast re-prices hot loops" `Quick
-      test_router_retune;
-    Alcotest.test_case "router: retune validation" `Quick test_router_retune_validation;
+    Alcotest.test_case "router: retune is an unknown op" `Quick test_router_retune_unknown;
   ]

@@ -114,6 +114,7 @@ let test_protocol_rejects () =
   check_bool "not json" true (bad "][");
   check_bool "no op" true (bad {|{"id":1}|});
   check_bool "unknown op" true (bad {|{"op":"frobnicate"}|});
+  check_bool "retune is not an op" true (bad {|{"op":"retune","k":5}|});
   check_bool "compile without loop" true (bad {|{"op":"compile"}|});
   check_bool "bad field type" true (bad {|{"op":"compile","loop":"x","iterations":"ten"}|});
   (* The id must survive a decode failure so the error reply is
@@ -455,7 +456,12 @@ let test_stdio_contention_bijection () =
                       ("iterations", Json.Int 30);
                     ]))))
   in
-  let malformed = [ "{\"op\":"; "][ garbage"; "{\"id\":\"m2\",\"op\":\"nope\"}" ] in
+  let malformed =
+    [
+      "{\"op\":"; "][ garbage"; "{\"id\":\"m2\",\"op\":\"nope\"}";
+      "{\"id\":\"m3\",\"op\":\"retune\",\"k\":5}";
+    ]
+  in
   let replies, svc =
     with_stdio_server ~jobs:4 (fun oc ->
         List.iteri
