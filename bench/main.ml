@@ -56,14 +56,7 @@ let dist_compile ~src ~processors ~k ~iterations =
 let dist_socket_part () =
   let assumed_k = 2 in
   let probe = Mimd_dist.Linkprobe.probe ~procs:2 () in
-  let effective_k =
-    match probe.Mimd_dist.Linkprobe.links with
-    | l :: _ -> l.Mimd_dist.Linkprobe.effective_k
-    | [] -> float_of_int assumed_k
-  in
-  let effective_k_rounded =
-    min 32 (max 1 (int_of_float (Float.round effective_k)))
-  in
+  let effective_k_rounded = min 32 (Mimd_dist.Linkprobe.measured_k probe) in
   (* Where does the optimal k move?  Price the ewf schedule at the
      assumed k and again at the k the wire actually costs: the gap is
      what a scheduler tuned for domains gives away on sockets. *)
@@ -348,30 +341,7 @@ let dist_tcp_print (s : tcp_stats) =
     (s.respawn_recovered_ns /. 1e6)
     ((s.respawn_recovered_ns -. s.respawn_clean_ns) /. 1e6)
 
-(* Part 0c: the tuning loop (lib/tune).  Two costs matter: how much an
-   incremental recompile saves over a cold one when drift triggers a
-   reschedule (the latency a live service pays), and what the
-   measured-model schedule buys on the wire the measurement came from
-   (assumed-k vs measured-k socket wall-clock).  The measured model
-   comes from a real link probe, which forks — fork phase again.      *)
-
-type tune_run = {
-  t_kernel : string;
-  t_procs : int;
-  t_iterations : int;
-  t_assumed_ns : float;  (* socket wall-clock, schedule priced at the assumed k *)
-  t_measured_ns : float;  (* same loop, schedule priced at the measured matrix *)
-}
-
-type tune_stats = {
-  t_cycle_ns : float;
-  t_assumed_k : int;
-  t_measured_k_upper : int;
-  t_cold_ns : float;  (* median full compile, fresh prefix cache *)
-  t_incr_ns : float;  (* median measured-model recompile, prefix reused *)
-  t_runs : tune_run list;
-}
-
+(* Median wall-clock of [runs] calls of [f], in ns. *)
 let median_of ~runs f =
   let samples =
     Array.init runs (fun _ ->
@@ -381,86 +351,6 @@ let median_of ~runs f =
   in
   Array.sort compare samples;
   samples.(runs / 2)
-
-let tune_compile ~src ~machine ~iterations =
-  let loop = Mimd_loop_ir.Parser.parse src in
-  let flat =
-    if Mimd_loop_ir.Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop
-  in
-  let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
-  let full = Mimd_core.Full_sched.run ~graph ~machine ~iterations () in
-  (flat, Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule)
-
-let tune_part ~assumed_k () =
-  let module Calibrate = Mimd_tune.Calibrate in
-  let module Incr = Mimd_tune.Incr in
-  let probe = Mimd_dist.Linkprobe.probe_ordered ~procs:2 () in
-  let calib = Calibrate.create ~procs:2 () in
-  Calibrate.observe calib
-    (Calibrate.samples_of_matrix (Mimd_dist.Linkprobe.effective_k_matrix probe));
-  let measured = Config.of_model ~processors:2 (Calibrate.model calib) in
-  let assumed = Config.make ~processors:2 ~comm_estimate:assumed_k in
-  (* Compile latency — the drift loop's own recompile of the measured
-     model, cold (fresh cache: unwind + classification + scheduling)
-     vs incremental (prefix primed by the assumed-k compile, as
-     --auto-k leaves it: only Cyclic-sched and downstream).  Measured
-     at a small, service-sized trip count: the prefix is graph-sized
-     while Cyclic-sched scales with iterations, so this is where the
-     reuse is a visible fraction of the compile. *)
-  let graph = W.Elliptic.graph () in
-  let iterations = 6 in
-  let cold_ns =
-    median_of ~runs:49 (fun () ->
-        let cache = Incr.create () in
-        ignore (Incr.compile cache ~graph ~machine:measured ~iterations ()))
-  in
-  let incr_ns =
-    let cache = Incr.create () in
-    ignore (Incr.compile cache ~graph ~machine:assumed ~iterations ());
-    median_of ~runs:49 (fun () ->
-        ignore (Incr.compile cache ~graph ~machine:measured ~iterations ()))
-  in
-  (* The wire half: run both schedules on the socket backend the
-     measurement came from. *)
-  let runs =
-    List.map
-      (fun (t_kernel, src, t_iterations) ->
-        let sock machine =
-          let loop, program = tune_compile ~src ~machine ~iterations:t_iterations in
-          (Mimd_dist.Runner.run ~loop ~program ()).Mimd_runtime.Value_run.makespan_ns
-        in
-        {
-          t_kernel;
-          t_procs = 2;
-          t_iterations;
-          t_assumed_ns = sock assumed;
-          t_measured_ns = sock measured;
-        })
-      [ ("ewf", W.Elliptic.source, 60); ("fig1", W.Fig1.source, 60) ]
-  in
-  {
-    t_cycle_ns = probe.Mimd_dist.Linkprobe.cycle_ns;
-    t_assumed_k = assumed_k;
-    t_measured_k_upper = measured.Config.comm_estimate;
-    t_cold_ns = cold_ns;
-    t_incr_ns = incr_ns;
-    t_runs = runs;
-  }
-
-let tune_print t =
-  print_endline "\n=== TUNE (calibrated recompile: latency and wire wall-clock) ===";
-  Printf.printf "measured model: p=2, k<=%d (assumed k = %d)\n" t.t_measured_k_upper
-    t.t_assumed_k;
-  Printf.printf
-    "recompile ewf x6: cold %.1f us, incremental %.1f us (%.2fx — prefix reused)\n"
-    (t.t_cold_ns /. 1e3) (t.t_incr_ns /. 1e3) (t.t_cold_ns /. t.t_incr_ns);
-  Printf.printf "%-8s %5s %12s %12s\n" "kernel" "procs" "assumed-us" "measured-us";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8s %5d %12.0f %12.0f\n" r.t_kernel r.t_procs
-        (r.t_assumed_ns /. 1e3) (r.t_measured_ns /. 1e3))
-    t.t_runs;
-  flush stdout
 
 (* The in-process half: same programs on the domain runtime, plus the
    mesh round trip to hold next to the socket one.  Safe to run any
@@ -839,37 +729,13 @@ let comm_opt_json rows =
   Buffer.add_string b "  ]},\n";
   Buffer.contents b
 
-let tune_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"tune\": {\"cycle_ns\": %.1f, \"assumed_k\": %d, \"measured_k_upper\": %d, \
-        \"cold_compile_ns\": %.0f, \"incremental_compile_ns\": %.0f, \
-        \"incremental_speedup\": %.2f, \"runs\": [\n"
-       t.t_cycle_ns t.t_assumed_k t.t_measured_k_upper t.t_cold_ns t.t_incr_ns
-       (t.t_cold_ns /. t.t_incr_ns));
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"processors\": %d, \"iterations\": %d, \
-            \"socket_makespan_assumed_ns\": %.0f, \"socket_makespan_measured_ns\": \
-            %.0f}%s\n"
-           (json_escape r.t_kernel) r.t_procs r.t_iterations r.t_assumed_ns
-           r.t_measured_ns
-           (if i = List.length t.t_runs - 1 then "" else ",")))
-    t.t_runs;
-  Buffer.add_string b "  ]},\n";
-  Buffer.contents b
-
-let write_json ~dist ~dist_tcp ~comm_rows ~tune ~runtime_rows ~server
+let write_json ~dist ~dist_tcp ~comm_rows ~runtime_rows ~server
     ~bechamel_rows path =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"schema\": 1,\n  \"generated_by\": \"bench/main.exe\",\n";
   Buffer.add_string b (dist_json dist);
   Buffer.add_string b (dist_tcp_json dist_tcp);
   Buffer.add_string b (comm_opt_json comm_rows);
-  Buffer.add_string b (tune_json tune);
   Buffer.add_string b "  \"runtime\": [\n";
   List.iteri
     (fun i r ->
@@ -1111,34 +977,33 @@ let quick () =
         failed := true
       end)
     [ ("ewf", W.Elliptic.source); ("fig1", W.Fig1.source) ];
-  (* Tune smoke: a drift-triggered recompile reuses the prepared
-     prefix, so it must (a) report the reuse and (b) beat the cold
-     compile that primed it.  The prefix is graph-sized while
-     Cyclic-sched scales with the trip count, so the margin is gated
-     at a small, service-sized trip count where the prefix is a
-     visible fraction of the compile.  No forking: the measured model
-     is a synthetic asymmetric matrix under the same k upper bound. *)
+  (* Incr smoke: a k-only recompile reuses the prepared prefix, so it
+     must (a) report the reuse and (b) beat the cold compile.  The
+     prefix is graph-sized while Cyclic-sched scales with the trip
+     count, so the margin is gated at a small, service-sized trip
+     count where the prefix is a visible fraction of the compile.  The
+     prefix is primed at k=2 and recompiled at k=1, where ewf x6
+     compiles in ~1 ms; at k=3 it takes ~6 ms and the reuse drowns in
+     noise. *)
   let module Incr = Mimd_tune.Incr in
   let graph = W.Elliptic.graph () in
   let iterations = 6 in
-  let matrix_machine =
-    Config.with_matrix (Config.make ~processors:2 ~comm_estimate:2) [| [| 0; 2 |]; [| 1; 0 |] |]
-  in
+  let m1 = Config.make ~processors:2 ~comm_estimate:1 in
   let cold_ns =
     median_of ~runs:49 (fun () ->
         let cache = Incr.create () in
-        ignore (Incr.compile cache ~graph ~machine:matrix_machine ~iterations ()))
+        ignore (Incr.compile cache ~graph ~machine:m1 ~iterations ()))
   in
   let cache = Incr.create () in
   ignore (Incr.compile cache ~graph ~machine:m2 ~iterations ());
   let reused = ref true in
   let incr_ns =
     median_of ~runs:49 (fun () ->
-        let _, outcome = Incr.compile cache ~graph ~machine:matrix_machine ~iterations () in
+        let _, outcome = Incr.compile cache ~graph ~machine:m1 ~iterations () in
         if outcome <> Incr.Incremental then reused := false)
   in
   Printf.printf
-    "mimdloop tune: recompile ewf x%d cold %.1f us, incremental %.1f us (%.2fx)\n"
+    "mimdloop incr: recompile ewf x%d at k=1 cold %.1f us, incremental %.1f us (%.2fx)\n"
     iterations (cold_ns /. 1e3) (incr_ns /. 1e3) (cold_ns /. incr_ns);
   if not !reused then begin
     Printf.printf "recompile did not reuse the prepared prefix\n";
@@ -1159,15 +1024,13 @@ let () =
     let comm_rows =
       comm_opt_part ~assumed_k:dist.assumed_k ~effective_k:dist.effective_k_rounded ()
     in
-    let tune = tune_part ~assumed_k:dist.assumed_k () in
     reproduce ();
     let runtime_rows = runtime_comparison () in
     dist_domain_part dist;
     dist_tcp_print dist_tcp;
     comm_opt_print comm_rows;
-    tune_print tune;
     let server = server_comparison () in
     let bechamel_rows = benchmark () in
-    write_json ~dist ~dist_tcp ~comm_rows ~tune ~runtime_rows ~server
+    write_json ~dist ~dist_tcp ~comm_rows ~runtime_rows ~server
       ~bechamel_rows "BENCH_results.json"
   end

@@ -11,9 +11,6 @@ module Full_sched = Mimd_core.Full_sched
 module Schedule = Mimd_core.Schedule
 module Pattern = Mimd_core.Pattern
 module W = Mimd_workloads
-module Calibrate = Mimd_tune.Calibrate
-module Incr = Mimd_tune.Incr
-module Drift = Mimd_tune.Drift
 
 (* ------------------------------------------------------------------ *)
 (* Workload / input resolution                                         *)
@@ -92,46 +89,30 @@ let iterations_t =
 let machine_of processors k = Config.make ~processors ~comm_estimate:k
 
 (* ------------------------------------------------------------------ *)
-(* Cost-model tuning (the tune command and the --auto-k flags)         *)
+(* --auto-k: schedule at the measured k                                *)
 
 let auto_k_t =
   Arg.(value & flag & info [ "auto-k" ]
-         ~doc:"Calibrate the cost model first: fork a live link probe, fold the \
-               measured per-link costs into the persisted calibration file, and price \
-               the schedule with the measured matrix instead of the assumed uniform \
-               $(b,-k).  Probing forks, so it always runs before any domain or thread \
-               is spawned.")
+         ~doc:"Measure k first: fork a live link probe over the socket mesh and schedule \
+               at the measured k (the dearest link's effective k, rounded, at least 1) \
+               instead of the assumed $(b,-k).  Needs $(b,-p) >= 2.  Probing forks, so \
+               it always runs before any domain or thread is spawned.")
 
-let calib_file_t =
-  Arg.(value & opt (some string) None & info [ "calib-file" ] ~docv:"FILE"
-         ~doc:"Calibration file to fold probe measurements into (default: \
-               $(b,calibration.txt) under the mimdloop cache directory; format in \
-               docs/TUNING.md).")
-
-let probe_rounds_t =
-  Arg.(value & opt int 200 & info [ "probe-rounds" ] ~docv:"N"
-         ~doc:"Round trips per probed link when calibrating.")
-
-let drift_threshold_t =
-  Arg.(value & opt float 2.0 & info [ "drift-threshold" ] ~docv:"R"
-         ~doc:"Recalibrate when the worst per-link measured/priced cost ratio exceeds \
-               $(docv) (in either direction).")
-
-(* Fork-first: probe every ordered link of a [procs] mesh, EWMA-merge
-   the measurements into the persisted calibration, return it.  Must
-   run before the caller spawns any domain or thread. *)
-let calibrate_now ?(rounds = 200) ~procs ~calib_file () =
-  let path = Option.value ~default:(Calibrate.default_path ()) calib_file in
-  let probe = Mimd_dist.Linkprobe.probe_ordered ~rounds ~procs () in
-  let m = Mimd_dist.Linkprobe.effective_k_matrix probe in
-  let calib =
-    match Calibrate.load ~path with
-    | Ok c when Calibrate.procs c = Array.length m -> c
-    | Ok _ | Error _ -> Calibrate.create ~procs:(Array.length m) ()
-  in
-  Calibrate.observe calib (Calibrate.samples_of_matrix m);
-  Calibrate.save calib ~path;
-  (probe, calib, path)
+(* Fork-first: probe the mesh once and price the machine at the
+   measured scalar k.  Must run before the caller spawns any domain or
+   thread.  A single processor has no link to probe, so the assumed
+   machine stands. *)
+let auto_k_machine machine =
+  let processors = machine.Config.processors and assumed = machine.Config.comm_estimate in
+  if processors < 2 then begin
+    Format.eprintf "mimdloop: --auto-k needs -p >= 2; keeping the assumed k = %d@." assumed;
+    machine
+  end
+  else begin
+    let k = Mimd_dist.Linkprobe.(measured_k (probe ~procs:processors ())) in
+    Format.printf "auto-k: measured k = %d (assumed k = %d)@." k assumed;
+    machine_of processors k
+  end
 
 let with_graph workload file seed f =
   match load_graph ~workload ~file ~seed with
@@ -288,22 +269,10 @@ let schedule_cmd =
       trace =
     with_graph workload file seed (fun g ->
         with_trace trace @@ fun () ->
+        (* This command spawns no domain, so the probe's fork is safe
+           anywhere; it runs first regardless. *)
         let machine = machine_of processors k in
-        let machine =
-          if not auto_k then machine
-          else if processors < 2 then begin
-            Format.eprintf
-              "mimdloop: --auto-k needs -p >= 2; scheduling at the assumed k@.";
-            machine
-          end
-          else begin
-            (* Probe forks; this command spawns no domain, so it is safe
-               anywhere, but it runs first regardless. *)
-            let _probe, calib, path = calibrate_now ~procs:processors ~calib_file:None () in
-            Format.printf "tune: %a (saved %s)@." Calibrate.pp calib path;
-            Config.of_model ~processors (Calibrate.model calib)
-          end
-        in
+        let machine = if auto_k then auto_k_machine machine else machine in
         match Full_sched.run ~validate ~graph:g ~machine ~iterations () with
         | exception Full_sched.Invalid_schedule m ->
           prerr_endline ("mimdloop: schedule rejected by the independent validator: " ^ m);
@@ -329,17 +298,13 @@ let schedule_cmd =
             1
           | Ok (opt, stats) ->
             print_comm_stats stats;
-            let links =
-              match machine.Config.matrix with
-              | None -> Mimd_sim.Links.fixed k
-              | Some m -> Mimd_sim.Links.matrix m
-            in
+            let k = machine.Config.comm_estimate in
+            let links = Mimd_sim.Links.fixed k in
             let before = Mimd_sim.Exec.run ~program ~links () in
             let after = Mimd_sim.Exec.run ~program:opt ~links () in
             Format.printf
-              "comm-opt: simulated makespan %d -> %d at k<=%d (comm cycles %d -> %d)@."
-              before.Mimd_sim.Exec.makespan after.Mimd_sim.Exec.makespan
-              machine.Config.comm_estimate
+              "comm-opt: simulated makespan %d -> %d at k=%d (comm cycles %d -> %d)@."
+              before.Mimd_sim.Exec.makespan after.Mimd_sim.Exec.makespan k
               before.Mimd_sim.Exec.comm_cycles after.Mimd_sim.Exec.comm_cycles;
             0
         end)
@@ -970,8 +935,7 @@ let check_cmd =
                  through the whole pipeline, comm-opt rewrite included, with every stage \
                  audited and the values compared against the sequential interpreter \
                  across the simulator, the forked-socket runtime and the domain runtime. \
-                 Each case draws its own fan-out and pricing (scalar k or a per-link \
-                 matrix).")
+                 Each case draws its own fan-out and machine shape (p, k, trip count).")
   in
   let fuzz_seed_t =
     Arg.(value & opt int 0 & info [ "fuzz-seed" ] ~docv:"SEED"
@@ -1162,7 +1126,7 @@ let run_dist_cmd =
         | Ok () -> Ok (flat, program, stats, outcome)))
   in
   let run src file seed processors k iterations timeout probe vs_domains sweep fault
-      tcp connect respawn auto_k drift_threshold comm_opt comm_window trace =
+      tcp connect respawn auto_k comm_opt comm_window trace =
     let comm_opt = if comm_opt then Some comm_window else None in
     guard_broken_pipe @@ fun () ->
     with_trace trace @@ fun () ->
@@ -1236,57 +1200,9 @@ let run_dist_cmd =
         prerr_endline ("mimdloop: " ^ e);
         1
       | Ok loop -> (
-        (* The closed loop, end to end: cold-compile at the assumed
-           uniform k (priming the incremental prep cache), probe the
-           real wire, fold it into the persisted calibration, check
-           drift — and past the threshold, recompile with the measured
-           matrix (reusing the prepared DDG + classification) and swap
-           that schedule in for the run below.  Probing forks, so this
-           runs strictly before the run's own forks. *)
-        let machine =
-          if not auto_k then machine
-          else if processors < 2 then begin
-            Format.eprintf "mimdloop: --auto-k needs -p >= 2; running at the assumed k@.";
-            machine
-          end
-          else begin
-            let flat =
-              if Mimd_loop_ir.Ast.is_flat loop then loop
-              else Mimd_loop_ir.If_convert.run loop
-            in
-            let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
-            let c0 = Unix.gettimeofday () in
-            let _cold, out0 = Incr.compile Incr.global ~graph ~machine ~iterations () in
-            let cold_ms = (Unix.gettimeofday () -. c0) *. 1e3 in
-            let _probe, calib, path = calibrate_now ~procs:processors ~calib_file:None () in
-            Format.printf "tune: %a (saved %s)@." Calibrate.pp calib path;
-            let decision =
-              Drift.check
-                ~policy:(Drift.policy ~threshold:drift_threshold ())
-                ~machine ~measured:(Calibrate.measured calib) ()
-            in
-            Drift.note decision;
-            Format.printf "tune: %s@." (Drift.describe decision);
-            if not decision.Drift.drifted then machine
-            else
-              Drift.recalibrate
-                ~args:[ ("reason", "run_dist_auto_k"); ("cmd", "run-dist") ]
-                (fun () ->
-                  let tuned = Config.of_model ~processors (Calibrate.model calib) in
-                  let c1 = Unix.gettimeofday () in
-                  let _hot, out1 = Incr.compile Incr.global ~graph ~machine:tuned ~iterations () in
-                  let incr_ms = (Unix.gettimeofday () -. c1) *. 1e3 in
-                  Format.printf
-                    "tune: recompiled with the measured cost model in %.2f ms (cold \
-                     compile was %.2f ms): prep %s@."
-                    incr_ms cold_ms
-                    (match (out0, out1) with
-                    | _, Incr.Incremental -> "reused (DDG + classification)"
-                    | _, Incr.Cold -> "not reused");
-                  Format.printf "tune: swapped schedule in: %a@." Config.pp tuned;
-                  tuned)
-          end
-        in
+        (* Probing forks, so it runs strictly before the run's own
+           forks. *)
+        let machine = if auto_k then auto_k_machine machine else machine in
         let sabotage =
           match fault with
           | `None | `Handshake_fp -> None
@@ -1411,7 +1327,7 @@ let run_dist_cmd =
     Term.(
       const run $ src_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t
       $ dist_timeout_t $ probe_t $ vs_domains_t $ sweep_t $ fault_t $ tcp_t $ connect_t
-      $ respawn_t $ auto_k_t $ drift_threshold_t $ comm_opt_t $ comm_window_t $ trace_t)
+      $ respawn_t $ auto_k_t $ comm_opt_t $ comm_window_t $ trace_t)
 
 let route_cmd =
   let run workers socket worker_dir max_inflight jobs queue_depth cache_dir no_disk_cache
@@ -1483,78 +1399,6 @@ let route_cmd =
       const run $ workers_t $ socket_t $ worker_dir_t $ max_inflight_t $ jobs_t
       $ queue_depth_t $ cache_dir_t $ no_disk_cache_t $ validate_sched_t $ trace_t
       $ respawn_t)
-
-let tune_cmd =
-  let run workload file seed processors k iterations probe_rounds calib_file
-      drift_threshold trace =
-    with_graph workload file seed (fun g ->
-        guard_broken_pipe @@ fun () ->
-        with_trace trace @@ fun () ->
-        if processors < 2 then begin
-          prerr_endline "mimdloop: tune needs -p >= 2 (there is no link to probe)";
-          1
-        end
-        else begin
-          let assumed = machine_of processors k in
-          (* Cold compile at the assumed uniform k: the baseline, and
-             the priming of the incremental prep cache. *)
-          let c0 = Unix.gettimeofday () in
-          let full0, out0 = Incr.compile Incr.global ~graph:g ~machine:assumed ~iterations () in
-          let cold_ms = (Unix.gettimeofday () -. c0) *. 1e3 in
-          (* Probe (forks — nothing above spawned a domain), calibrate,
-             persist. *)
-          let probe, calib, path =
-            calibrate_now ~rounds:probe_rounds ~procs:processors ~calib_file ()
-          in
-          print_string (Mimd_dist.Linkprobe.render ~assumed_k:k probe);
-          Format.printf "%a@.calibration saved to %s@." Calibrate.pp calib path;
-          let decision =
-            Drift.check
-              ~policy:(Drift.policy ~threshold:drift_threshold ())
-              ~machine:assumed ~measured:(Calibrate.measured calib) ()
-          in
-          Drift.note decision;
-          Format.printf "%s@." (Drift.describe decision);
-          (* Re-price the same loop with the measured matrix.  The
-             graph-keyed prep cache is warm, so this is the cheap
-             incremental path the drift loop takes in production. *)
-          let tuned = Config.of_model ~processors (Calibrate.model calib) in
-          let c1 = Unix.gettimeofday () in
-          let full1, out1 =
-            if decision.Drift.drifted then
-              Drift.recalibrate ~args:[ ("cmd", "tune") ] (fun () ->
-                  Incr.compile Incr.global ~graph:g ~machine:tuned ~iterations ())
-            else Incr.compile Incr.global ~graph:g ~machine:tuned ~iterations ()
-          in
-          let incr_ms = (Unix.gettimeofday () -. c1) *. 1e3 in
-          Format.printf "assumed  %a: makespan %d, fingerprint %s (%s compile, %.2f ms)@."
-            Config.pp assumed
-            (Full_sched.parallel_time full0)
-            (Full_sched.output_fingerprint full0)
-            (Incr.outcome_name out0) cold_ms;
-          Format.printf "measured %a: makespan %d, fingerprint %s (%s compile, %.2f ms)@."
-            Config.pp tuned
-            (Full_sched.parallel_time full1)
-            (Full_sched.output_fingerprint full1)
-            (Incr.outcome_name out1) incr_ms;
-          (match out1 with
-          | Incr.Incremental ->
-            Format.printf
-              "tune: prep reused — only Cyclic-sched and downstream re-ran for the \
-               measured model@."
-          | Incr.Cold -> ());
-          0
-        end)
-  in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:"Close the cost-model loop once, by hand: probe every link of the socket \
-             mesh, fold the measured per-link costs into the persisted calibration, \
-             check them against the assumed k, and report the same loop scheduled both \
-             ways (the recompile is incremental: the DDG and classification are reused)")
-    Term.(
-      const run $ workload_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t
-      $ probe_rounds_t $ calib_file_t $ drift_threshold_t $ trace_t)
 
 let report_cmd =
   let run output iterations =
@@ -1766,7 +1610,6 @@ let main_cmd =
       serve_cmd;
       route_cmd;
       batch_cmd;
-      tune_cmd;
       report_cmd;
     ]
 

@@ -18,7 +18,6 @@ type case = {
   processors : int;
   comm : int;
   iterations : int;
-  matrix : bool;
 }
 
 type config = {
@@ -31,30 +30,6 @@ type config = {
 
 let default_config =
   { count = 200; seed = 0; fault = No_fault; runtime = true; out_dir = None }
-
-(* The per-link matrix of a matrix-mode case is a deterministic
-   function of the case — like the comm-opt window — so a dumped
-   counterexample replays through exactly the machine that failed
-   without the file having to carry a matrix.  Entries stay within
-   [0, comm] ([k] must remain the upper bound over every link) and the
-   matrix is asymmetric whenever [comm > 0]. *)
-let case_matrix (case : case) =
-  let p = case.processors in
-  Array.init p (fun i ->
-      Array.init p (fun j ->
-          if i = j then 0
-          else ((i * 31) + (j * 17) + case.iterations) mod (case.comm + 1)))
-
-let machine_of_case (case : case) =
-  let machine = Config.make ~processors:case.processors ~comm_estimate:case.comm in
-  if case.matrix then Config.with_matrix machine (case_matrix case) else machine
-
-let links_of_case (case : case) =
-  if case.matrix then
-    (* The simulated wire mirrors the calibrated pricing (latencies
-       clamped to >= 1 cycle so every message still takes time). *)
-    Links.matrix (Array.map (Array.map (max 1)) (case_matrix case))
-  else Links.fixed (max 1 case.comm)
 
 type outcome =
   | Passed of int
@@ -145,7 +120,7 @@ let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
       if Ast.is_flat case.loop then case.loop else Mimd_loop_ir.If_convert.run case.loop
     in
     let graph = (Depend.analyze loop).Depend.graph in
-    let machine = machine_of_case case in
+    let machine = Config.make ~processors:case.processors ~comm_estimate:case.comm in
     let full = Full_sched.run ~graph ~machine ~iterations:case.iterations () in
     let sched =
       match fault with
@@ -182,7 +157,7 @@ let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
           (Validate.error_of ~names (Validate.program opt))
       in
       (* Value differential on the simulator... *)
-      let links = links_of_case case in
+      let links = Links.fixed (max 1 case.comm) in
       let sim_base = Value_exec.run ~loop ~program ~links () in
       let sim_opt = Value_exec.run ~loop ~program:opt ~links () in
       let against_interp label sim =
@@ -243,10 +218,8 @@ let render_case (case : case) =
      # processors: %d@\n\
      # comm: %d@\n\
      # iterations: %d@\n\
-     %s%a@."
-    case.processors case.comm case.iterations
-    (if case.matrix then "# matrix: yes\n" else "")
-    Ast.pp_loop case.loop
+     %a@."
+    case.processors case.comm case.iterations Ast.pp_loop case.loop
 
 let sanitize_line s =
   String.map (function '\n' | '\r' -> ' ' | c -> c) s
@@ -283,12 +256,21 @@ let load_case path =
   (match header "oracle" with
   | None | Some ("pipeline" | "comm" | "exec") -> ()
   | Some other -> failwith (Printf.sprintf "%s: unknown fuzz oracle %S" path other));
+  (* Files dumped while cases could be priced with a per-link matrix
+     say so; that machine no longer exists, and replaying the loop on
+     the uniform one would check a different case. *)
+  (match header "matrix" with
+  | None -> ()
+  | Some v ->
+    failwith
+      (Printf.sprintf "%s: \"# matrix: %s\" header: per-link matrix cases are no longer \
+                       supported"
+         path v));
   {
     loop = Parser.parse src;
     processors = int_header "processors" 2;
     comm = int_header "comm" 2;
     iterations = int_header "iterations" 10;
-    matrix = List.mem "# matrix: yes" lines;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -355,15 +337,8 @@ let gen_case =
     let* processors = int_range 2 4 in
     let* comm = int_range 0 2 in
     let* iterations = int_range 4 14 in
-    let* matrix = bool in
     return
-      {
-        loop = { Ast.index = "i"; lo = "1"; hi = "n"; body };
-        processors;
-        comm;
-        iterations;
-        matrix;
-      })
+      { loop = { Ast.index = "i"; lo = "1"; hi = "n"; body }; processors; comm; iterations })
 
 let run cfg =
   (* QCheck2's integrated shrinking re-runs the property on ever
@@ -397,7 +372,6 @@ let run cfg =
               processors = 2;
               comm = 2;
               iterations = 1;
-              matrix = false;
             };
           reason = "fuzz failed without a recorded counterexample";
           file = None;

@@ -19,8 +19,8 @@
       bit for bit.
 
     Each case draws its own fan-out (diamond-shaped dependences, or a
-    pure statement chain) and pricing (uniform scalar [k], or a
-    per-link matrix), so one seed covers every dimension.  Failures
+    pure statement chain) and machine shape ([p], [k], trip count), so
+    one seed covers every dimension.  Failures
     are shrunk by QCheck to a minimal loop and dumped as a replayable
     loop-IR file ([# key: value] headers carry the machine shape; the
     lexer treats them as comments, so the file parses as is).  The
@@ -43,11 +43,6 @@ type case = {
   processors : int;
   comm : int;  (** the paper's [k] *)
   iterations : int;  (** trip count for scheduling and execution *)
-  matrix : bool;
-      (** price (and simulate) communication with a calibrated per-link
-          matrix instead of the uniform scalar [k]; the matrix itself
-          is a deterministic function of the case (entries in
-          [\[0, comm\]], asymmetric), so replays need no extra state *)
 }
 
 type config = {
@@ -112,7 +107,7 @@ val run : config -> outcome
 
 val render_case : case -> string
 (** The replayable file format: [#]-comment headers (processors,
-    comm, iterations, matrix mode) followed by the loop source. *)
+    comm, iterations) followed by the loop source. *)
 
 val dump_case : ?name:string -> dir:string -> reason:string -> case -> string
 (** Write {!render_case} (plus the failure reason as a comment) under
@@ -121,11 +116,12 @@ val dump_case : ?name:string -> dir:string -> reason:string -> case -> string
 
 val load_case : string -> case
 (** Parse a dumped counterexample (or any loop-IR file; missing
-    headers default to 2 processors, k = 2, 10 iterations, uniform
-    pricing).  An [# oracle: pipeline|comm|exec] header, written by
-    older dumps, is accepted and ignored: every case replays through
-    the one oracle.
-    @raise Failure naming the value of any other [# oracle:] header.
+    headers default to 2 processors, k = 2, 10 iterations).  An
+    [# oracle: pipeline|comm|exec] header, written by older dumps, is
+    accepted and ignored: every case replays through the one oracle.
+    @raise Failure naming the value of any other [# oracle:] header,
+    or naming a [# matrix:] header (older dumps of cases priced with a
+    per-link matrix, which no longer exists).
     @raise Mimd_loop_ir.Parser.Error / [Sys_error] as reading does. *)
 
 val describe : outcome -> string

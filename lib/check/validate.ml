@@ -102,10 +102,7 @@ let schedule ?(complete = true) sched =
             | None -> () (* ditto *)
             | Some pred ->
               incr checks;
-              let comm =
-                if pred.proc = succ.proc then 0
-                else Config.link_cost m ~src:pred.proc ~dst:succ.proc edge
-              in
+              let comm = if pred.proc = succ.proc then 0 else Config.edge_cost m edge in
               let earliest = pred.start + Graph.latency g pred.inst.node + comm in
               if succ.start < earliest then
                 issues := Dependence { edge; pred; succ; comm; earliest } :: !issues
@@ -358,10 +355,7 @@ let break_dependence sched =
                 match Schedule.find sched { node = edge.src; iter = pi } with
                 | None -> None
                 | Some pred ->
-                  let comm =
-                    if pred.proc = succ.proc then 0
-                    else Config.link_cost m ~src:pred.proc ~dst:succ.proc edge
-                  in
+                  let comm = if pred.proc = succ.proc then 0 else Config.edge_cost m edge in
                   let earliest = pred.start + Graph.latency g pred.inst.node + comm in
                   (* hastening to earliest - 1 needs earliest >= 1, and
                      must actually move the entry *)

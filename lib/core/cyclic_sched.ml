@@ -332,67 +332,36 @@ let schedule_one st ready_key =
      term is the global top-1 of comm_max, or the top-2 when the top-1
      lives on j itself.  O(preds + p) instead of O(preds × p). *)
   let best = ref None in
-  (match st.machine.Config.matrix with
-  | None ->
-    Array.fill st.raw_max 0 p (-1);
-    Array.fill st.comm_max 0 p (-1);
-    Graph.iter_preds st.csr v (fun (e : Graph.edge) ->
-        let pi = i - e.distance in
-        if pi >= 0 then
-          match scheduled_entry st (pack_inst st ~node:e.src ~iter:pi) with
-          | Some pe ->
-            let f = interval_finish st.graph pe in
-            if f > st.raw_max.(pe.proc) then st.raw_max.(pe.proc) <- f;
-            let fc = f + Config.edge_cost st.machine e in
-            if fc > st.comm_max.(pe.proc) then st.comm_max.(pe.proc) <- fc
-          | None -> ());
-    let top1 = ref (-1) and top1_proc = ref (-1) and top2 = ref (-1) in
-    for q = 0 to p - 1 do
-      let c = st.comm_max.(q) in
-      if c > !top1 then begin
-        top2 := !top1;
-        top1 := c;
-        top1_proc := q
-      end
-      else if c > !top2 then top2 := c
-    done;
-    for j = 0 to p - 1 do
-      let cross = if j = !top1_proc then !top2 else !top1 in
-      let ready_j = max 0 (max st.raw_max.(j) cross) in
-      let t = first_fit st.graph st.timelines.(j) ~ready:ready_j ~len in
-      match !best with
-      | Some (t0, _) when t0 <= t -> ()
-      | _ -> best := Some (t, j)
-    done
-  | Some _ ->
-    (* The per-source bucketing above relies on the cost of an edge
-       being destination-independent; with an asymmetric per-link
-       matrix the data-ready time must be priced per destination, so
-       collect the placed predecessors once and fold them for every
-       candidate processor — O(preds x p), still tiny next to
-       first-fit.  A constant matrix reproduces the uniform arithmetic
-       exactly (same max over the same finishes), so the placement —
-       and therefore the schedule — is bit-identical. *)
-    let preds = ref [] in
-    Graph.iter_preds st.csr v (fun (e : Graph.edge) ->
-        let pi = i - e.distance in
-        if pi >= 0 then
-          match scheduled_entry st (pack_inst st ~node:e.src ~iter:pi) with
-          | Some pe -> preds := (pe.Schedule.proc, interval_finish st.graph pe, e) :: !preds
-          | None -> ());
-    for j = 0 to p - 1 do
-      let ready_j =
-        List.fold_left
-          (fun acc (q, f, e) ->
-            let c = if q = j then 0 else Config.link_cost st.machine ~src:q ~dst:j e in
-            max acc (f + c))
-          0 !preds
-      in
-      let t = first_fit st.graph st.timelines.(j) ~ready:ready_j ~len in
-      match !best with
-      | Some (t0, _) when t0 <= t -> ()
-      | _ -> best := Some (t, j)
-    done);
+  Array.fill st.raw_max 0 p (-1);
+  Array.fill st.comm_max 0 p (-1);
+  Graph.iter_preds st.csr v (fun (e : Graph.edge) ->
+      let pi = i - e.distance in
+      if pi >= 0 then
+        match scheduled_entry st (pack_inst st ~node:e.src ~iter:pi) with
+        | Some pe ->
+          let f = interval_finish st.graph pe in
+          if f > st.raw_max.(pe.proc) then st.raw_max.(pe.proc) <- f;
+          let fc = f + Config.edge_cost st.machine e in
+          if fc > st.comm_max.(pe.proc) then st.comm_max.(pe.proc) <- fc
+        | None -> ());
+  let top1 = ref (-1) and top1_proc = ref (-1) and top2 = ref (-1) in
+  for q = 0 to p - 1 do
+    let c = st.comm_max.(q) in
+    if c > !top1 then begin
+      top2 := !top1;
+      top1 := c;
+      top1_proc := q
+    end
+    else if c > !top2 then top2 := c
+  done;
+  for j = 0 to p - 1 do
+    let cross = if j = !top1_proc then !top2 else !top1 in
+    let ready_j = max 0 (max st.raw_max.(j) cross) in
+    let t = first_fit st.graph st.timelines.(j) ~ready:ready_j ~len in
+    match !best with
+    | Some (t0, _) when t0 <= t -> ()
+    | _ -> best := Some (t, j)
+  done;
   let t, j = match !best with Some b -> b | None -> assert false in
   let entry = Schedule.{ inst = { node = v; iter = i }; proc = j; start = t } in
   st.scheduled.(inst_key) <- entry;

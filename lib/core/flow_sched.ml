@@ -50,10 +50,7 @@ let flow_in_entries ~graph ~machine ~flow_in ~procs ~base_proc ~iterations =
         else
           match Hashtbl.find_opt placed (e.src, pi) with
           | Some (pe : Schedule.entry) ->
-            let comm =
-              if pe.proc = proc then 0
-              else Config.link_cost machine ~src:pe.proc ~dst:proc e
-            in
+            let comm = if pe.proc = proc then 0 else Config.edge_cost machine e in
             max acc (pe.start + Graph.latency graph e.src + comm)
           | None -> acc)
       0
@@ -75,10 +72,7 @@ let flow_out_entries ~graph ~machine ~flow_out ~procs ~base_proc ~iterations ~pr
           in
           match found with
           | Some (pe : Schedule.entry) ->
-            let comm =
-              if pe.proc = proc then 0
-              else Config.link_cost machine ~src:pe.proc ~dst:proc e
-            in
+            let comm = if pe.proc = proc then 0 else Config.edge_cost machine e in
             max acc (pe.start + Graph.latency graph e.src + comm)
           | None -> acc)
       0
@@ -97,10 +91,7 @@ let required_shift ~graph ~machine ~flow_entry ~consumers =
             match flow_entry Schedule.{ node = e.src; iter = pi } with
             | None -> acc
             | Some (pe : Schedule.entry) ->
-              let comm =
-                if pe.proc = c.proc then 0
-                else Config.link_cost machine ~src:pe.proc ~dst:c.proc e
-              in
+              let comm = if pe.proc = c.proc then 0 else Config.edge_cost machine e in
               let needed = pe.start + Graph.latency graph e.src + comm - c.start in
               max acc needed)
         acc

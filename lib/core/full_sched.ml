@@ -77,19 +77,8 @@ let run_separate ~max_iterations ~graph:g ~machine ~iterations cls =
           ~procs:p_out ~base_proc:(p_cyc + p_in) ~iterations ~producer:core_lookup)
   in
   let total = p_cyc + p_in + p_out in
-  (* The flow processors are new PEs a calibrated matrix has no
-     measurements for; price their links at k, the upper bound, and
-     keep the measured block for the cyclic PEs. *)
   let full_machine =
-    let base = Config.make ~processors:total ~comm_estimate:machine.Config.comm_estimate in
-    match machine.Config.matrix with
-    | None -> base
-    | Some m ->
-      let p = Array.length m in
-      Config.with_matrix base
-        (Array.init total (fun i ->
-             Array.init total (fun j ->
-                 if i < p && j < p then m.(i).(j) else machine.Config.comm_estimate)))
+    Config.make ~processors:total ~comm_estimate:machine.Config.comm_estimate
   in
   let schedule =
     Schedule.make ~graph:g ~machine:full_machine (cyclic_entries @ flow_in @ flow_out)
@@ -146,7 +135,7 @@ let run_doall ~graph:g ~machine ~iterations cls =
 (* The machine-independent prefix of the pipeline: unwinding to
    distances in {0,1} and the Flow-in/Cyclic/Flow-out classification
    depend only on the graph, never on [machine] or [iterations] — so a
-   k-only (or matrix-only) recompile can reuse them.  [prepare] is that
+   k-only recompile can reuse them.  [prepare] is that
    prefix, [finish] the rest; [run] is their composition and behaves
    exactly as it always has. *)
 type prepared = {

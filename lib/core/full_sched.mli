@@ -56,8 +56,8 @@ type prepared = {
 }
 (** The machine-independent prefix of the pipeline: unwinding and the
     Flow-in/Cyclic/Flow-out classification depend only on the graph.
-    A recompile that changes only the cost model (a [k] edit, a
-    calibrated matrix) or the trip count can reuse a [prepared] and
+    A recompile that changes only the machine (a [k] edit) or the trip
+    count can reuse a [prepared] and
     skip straight to Cyclic-sched — that is what
     [Mimd_tune.Incr] caches. *)
 

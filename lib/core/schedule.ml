@@ -110,7 +110,7 @@ let violations_gen ~closed t =
             | Some pred_entry ->
               let comm =
                 if pred_entry.proc = succ_entry.proc then 0
-                else Config.link_cost t.machine ~src:pred_entry.proc ~dst:succ_entry.proc e
+                else Config.edge_cost t.machine e
               in
               let required_start = finish t pred_entry + comm in
               if succ_entry.start < required_start then

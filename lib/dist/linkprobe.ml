@@ -90,39 +90,12 @@ let probe ?rounds ?(procs = 2) () =
   done;
   { cycle_ns; links = List.rev !links }
 
-(* The ordered variant probes both directions of every pair through
-   their own echo children, so a genuinely lopsided wire (or a NUMA
-   hop) shows up as m.(i).(j) <> m.(j).(i). *)
-let probe_ordered ?rounds ?(procs = 2) () =
-  if procs < 2 then invalid_arg "Linkprobe.probe_ordered: procs < 2";
-  let cycle_ns = calibrate_cycle_ns () in
-  let links = ref [] in
-  for i = 0 to procs - 1 do
-    for j = 0 to procs - 1 do
-      if i <> j then begin
-        let l = probe_one ?rounds ~a:i ~b:j () in
-        links := { l with effective_k = l.one_way_ns /. cycle_ns } :: !links
-      end
-    done
-  done;
-  { cycle_ns; links = List.rev !links }
-
-let processors t =
-  List.fold_left (fun acc l -> max acc (max l.a l.b + 1)) 0 t.links
-
-(* The full per-link effective-k matrix.  Symmetric probes (i < j
-   pairs) fill both directions with the same measurement; ordered
-   probes overwrite each direction with its own.  The diagonal is 0 —
-   same-processor communication is free in the machine model. *)
-let effective_k_matrix t =
-  let p = processors t in
-  let m = Array.make_matrix p p 0.0 in
-  List.iter
-    (fun l ->
-      if m.(l.b).(l.a) = 0.0 then m.(l.b).(l.a) <- l.effective_k)
-    t.links;
-  List.iter (fun l -> m.(l.a).(l.b) <- l.effective_k) t.links;
-  m
+(* The scalar k a probe argues for: the dearest link's effective k,
+   rounded, never below 1 (a zero-cost wire would let the scheduler
+   spread every dependence across processors for free). *)
+let measured_k t =
+  let worst = List.fold_left (fun acc l -> Float.max acc l.effective_k) 0.0 t.links in
+  max 1 (int_of_float (Float.round worst))
 
 let render ?assumed_k t =
   let b = Buffer.create 256 in
@@ -140,7 +113,7 @@ let render ?assumed_k t =
   (match (assumed_k, t.links) with
   | Some k, l :: _ when l.effective_k > float_of_int (4 * max 1 k) ->
     Buffer.add_string b
-      "  note: measured message cost far exceeds the assumed k; schedules tuned for\n\
-      \  this wire should re-run the k sweep (mimdloop experiments / docs/DISTRIBUTED.md).\n"
+      "  note: measured message cost far exceeds the assumed k; schedule for this wire\n\
+      \  at the measured k instead (mimdloop schedule|run-dist --auto-k).\n"
   | _ -> ());
   Buffer.contents b

@@ -6,8 +6,8 @@
     socketpair, kernel crossings included.  The probe forks an echo
     peer per link, round-trips real frames, and divides the median
     one-way latency by a calibrated per-cycle cost, yielding the
-    {e effective} [k] to hold next to the assumed one — the input the
-    auto-tuning roadmap item needs.
+    {e effective} [k] to hold next to the assumed one; {!measured_k}
+    turns it into the scalar [k] that [--auto-k] schedules at.
 
     Forks: run before any domain is spawned (see {!Runner}). *)
 
@@ -34,24 +34,13 @@ val probe : ?rounds:int -> ?procs:int -> unit -> t
     pairs are probed and each measurement stands for both directions.
     @raise Invalid_argument when [procs < 2]. *)
 
-val probe_ordered : ?rounds:int -> ?procs:int -> unit -> t
-(** Like {!probe} but measures every {e ordered} pair through its own
-    echo child, so link asymmetry (NUMA hops, lopsided wires) survives
-    into {!effective_k_matrix}.  Twice the links, twice the time.
-    @raise Invalid_argument when [procs < 2]. *)
-
-val processors : t -> int
-(** Highest processor index mentioned by any probed link, plus one. *)
-
-val effective_k_matrix : t -> float array array
-(** The full per-link cost matrix in calibrated cycles:
-    [m.(src).(dst)] is the effective k of that direction.  Unordered
-    probes fill both directions of a pair with the same measurement;
-    ordered probes keep each direction's own.  Diagonal is 0.  This is
-    the raw material {!Mimd_tune.Calibrate} folds into the scheduler's
-    cost model. *)
+val measured_k : t -> int
+(** The scalar [k] the probe measures: [max 1 (round e)] where [e] is
+    the largest {!link.effective_k} over the probed links (the paper's
+    [k] is an upper bound, so the dearest link sets it).  What
+    [--auto-k] schedules at.  Pure: no probing happens here. *)
 
 val render : ?assumed_k:int -> t -> string
 (** Human report; with [assumed_k] each line shows the scheduler's
-    assumption next to the measurement, plus a re-tune hint when they
-    diverge wildly. *)
+    assumption next to the measurement, plus a hint to schedule at the
+    measured [k] ([--auto-k]) when they diverge wildly. *)

@@ -1,70 +1,16 @@
-type t = {
-  processors : int;
-  comm_estimate : int;
-  matrix : int array array option;
-}
+type t = { processors : int; comm_estimate : int }
 
 let make ~processors ~comm_estimate =
   if processors < 1 then invalid_arg "Config.make: processors < 1";
   if comm_estimate < 0 then invalid_arg "Config.make: negative comm_estimate";
-  { processors; comm_estimate; matrix = None }
+  { processors; comm_estimate }
 
-let with_matrix t m =
-  (match Cost_model.matrix m with
-  | exception Invalid_argument msg -> invalid_arg ("Config.with_matrix: " ^ msg)
-  | _ -> ());
-  if Array.length m <> t.processors then
-    invalid_arg
-      (Printf.sprintf "Config.with_matrix: %dx%d matrix for %d processors"
-         (Array.length m) (Array.length m) t.processors);
-  let k_upper = Cost_model.k_upper (Cost_model.Matrix m) in
-  if k_upper > t.comm_estimate then
-    invalid_arg
-      (Printf.sprintf
-         "Config.with_matrix: matrix entry %d exceeds comm_estimate %d (k must stay \
-          the upper bound over every link)"
-         k_upper t.comm_estimate);
-  { t with matrix = Some (Array.map Array.copy m) }
-
-let of_model ~processors model =
-  match model with
-  | Cost_model.Uniform k -> make ~processors ~comm_estimate:k
-  | Cost_model.Matrix m ->
-    (match Cost_model.processors model with
-    | Some p when p <> processors ->
-      invalid_arg
-        (Printf.sprintf "Config.of_model: %dx%d matrix for %d processors" p p processors)
-    | _ -> ());
-    with_matrix (make ~processors ~comm_estimate:(Cost_model.k_upper model)) m
-
-let model t =
-  match t.matrix with
-  | None -> Cost_model.Uniform t.comm_estimate
-  | Some m -> Cost_model.Matrix (Array.map Array.copy m)
-
-let default = { processors = 2; comm_estimate = 2; matrix = None }
+let default = { processors = 2; comm_estimate = 2 }
 
 let edge_cost t (e : Mimd_ddg.Graph.edge) =
   match e.cost with
   | None -> t.comm_estimate
   | Some c -> min c t.comm_estimate
 
-let link_cost t ~src ~dst (e : Mimd_ddg.Graph.edge) =
-  match t.matrix with
-  | None -> edge_cost t e
-  | Some m ->
-    (* Processors beyond the measured block (the flow PEs the full
-       schedule appends after the cyclic core) have no calibrated
-       links; price them at k, the upper bound. *)
-    let p = Array.length m in
-    if src < 0 || src >= p || dst < 0 || dst >= p then edge_cost t e
-    else
-      let base = m.(src).(dst) in
-      (match e.cost with None -> base | Some c -> min c base)
-
 let pp ppf t =
-  match t.matrix with
-  | None -> Format.fprintf ppf "machine(p=%d, k=%d)" t.processors t.comm_estimate
-  | Some _ ->
-    Format.fprintf ppf "machine(p=%d, k<=%d, per-link matrix)" t.processors
-      t.comm_estimate
+  Format.fprintf ppf "machine(p=%d, k=%d)" t.processors t.comm_estimate

@@ -4,8 +4,7 @@
     inter-processor communication cost.  At {e compile time} the
     scheduler works from an estimated cost: a global upper bound [k],
     optionally refined per dependence edge (each edge may cost less
-    than [k] but never more — Section 2.3's assumption), and optionally
-    refined per link by a calibrated {!Cost_model.Matrix}.  At {e run
+    than [k] but never more — Section 2.3's assumption).  At {e run
     time} the simulated machine may inflate each message by the
     fluctuation model of {!Mimd_machine.Fluctuation}. *)
 
@@ -13,33 +12,11 @@ type t = {
   processors : int;  (** number of processors, >= 1 *)
   comm_estimate : int;  (** the paper's [k]: compile-time upper bound on
                             communication cost, >= 0 *)
-  matrix : int array array option;
-      (** calibrated per-link cost, [m.(src).(dst)]; [None] means the
-          uniform scalar-[k] model, which schedules bit-identically to
-          the historical path *)
 }
 
 val make : processors:int -> comm_estimate:int -> t
-(** A uniform scalar-[k] machine ([matrix = None]).
-    @raise Invalid_argument on non-positive processor count or negative
+(** @raise Invalid_argument on non-positive processor count or negative
     [k]. *)
-
-val with_matrix : t -> int array array -> t
-(** The same machine priced with a calibrated per-link matrix (takes a
-    defensive copy).
-    @raise Invalid_argument unless the matrix is square
-    [processors x processors], non-negative, and bounded by
-    [comm_estimate] ([k] must remain the upper bound over every link —
-    it sizes the pattern-detection window). *)
-
-val of_model : processors:int -> Cost_model.t -> t
-(** Build a machine from a cost model; for a [Matrix] model
-    [comm_estimate] becomes the model's {!Cost_model.k_upper}.
-    @raise Invalid_argument when a matrix model is sized for a
-    different processor count. *)
-
-val model : t -> Cost_model.t
-(** The cost model this machine prices communication with. *)
 
 val default : t
 (** Two processors, k = 2 — the configuration of the paper's worked
@@ -47,18 +24,7 @@ val default : t
 
 val edge_cost : t -> Mimd_ddg.Graph.edge -> int
 (** Compile-time estimated cost of communicating along an edge between
-    {e distinct} processors under the uniform model: the edge's
-    override if present (clamped to [k]), else [k].  Communication
-    within a processor is free.  Ignores the matrix — use {!link_cost}
-    when the endpoints are known. *)
-
-val link_cost : t -> src:int -> dst:int -> Mimd_ddg.Graph.edge -> int
-(** Like {!edge_cost} but priced for the specific link
-    [src -> dst]: with a calibrated matrix the base cost is
-    [m.(src).(dst)] (still clamped by the edge's override); without
-    one, or when either endpoint lies outside the measured matrix (the
-    flow PEs appended after the cyclic core), this is exactly
-    [edge_cost] — unmeasured links are priced at [k], the upper bound.
-    The caller guards the same-processor case (cost 0) as before. *)
+    {e distinct} processors: the edge's override if present (clamped to
+    [k]), else [k].  Communication within a processor is free. *)
 
 val pp : Format.formatter -> t -> unit

@@ -243,21 +243,6 @@ let collect_all () =
   Mutex.unlock registry_mutex;
   drain_buffers () @ extra
 
-(* Structured read-back of the buffered capture, so consumers
-   (calibration) can fold over completed spans without round-tripping
-   through the JSON export.  Non-draining: the events stay buffered
-   for export/sinks. *)
-let fold_completed ~init ~f =
-  let acc = ref init in
-  List.iter
-    (fun (tid, ev) ->
-      match ev with
-      | Complete { name; cat; dur_ns; args; _ } ->
-        acc := f !acc ~name ~cat ~tid ~dur_ns ~args
-      | Instant _ | Thread_name _ -> ())
-    (collect_all ());
-  !acc
-
 let export ?(process_name = "mimdloop") () =
   let collected = collect_all () in
   let ts_of = function

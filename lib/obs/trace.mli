@@ -74,23 +74,6 @@ val export : ?process_name:string -> unit -> string
     Includes {!absorb}ed events; excludes anything already drained to
     a streaming sink. *)
 
-val fold_completed :
-  init:'a ->
-  f:
-    ('a ->
-    name:string ->
-    cat:string ->
-    tid:int ->
-    dur_ns:int ->
-    args:(string * string) list ->
-    'a) ->
-  'a
-(** Fold over every buffered {e complete} span (including absorbed
-    child captures), newest buffers first — the structured counterpart
-    of {!export} for consumers that want measurements, not JSON (the
-    calibration layer folds the [run.send]/[run.recv] spans into
-    per-link cost samples).  Does not drain anything. *)
-
 (** {1 Cross-process capture}
 
     A forked child (the [Mimd_dist] socket runtime) traces into its

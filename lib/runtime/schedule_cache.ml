@@ -90,7 +90,7 @@ let add_graph b graph =
 
 (* The graph-only prefix of the cache key: everything the
    machine-independent pipeline stages (unwind + classify) read.  Two
-   compiles of the same loop at different k / matrix / trip count share
+   compiles of the same loop at different p / k / trip count share
    this prefix — which is exactly what lets [Mimd_tune.Incr] reuse the
    prepared DDG and classification across them. *)
 let graph_fingerprint ~graph () =
@@ -106,11 +106,6 @@ let fingerprint ?(strategy = Full_sched.Auto) ?(fold_tolerance = 0.05)
     (Printf.sprintf "|p%d|k%d|n%d|%c|f%h|m%d" machine.Config.processors
        machine.Config.comm_estimate iterations (strategy_tag strategy) fold_tolerance
        max_iterations);
-  (* Matrix-priced machines append the model digest; uniform machines
-     append nothing, keeping every pre-matrix key byte-identical. *)
-  (match Mimd_machine.Cost_model.digest (Config.model machine) with
-  | None -> ()
-  | Some d -> Buffer.add_string b ("|x" ^ d));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let with_lock t f =

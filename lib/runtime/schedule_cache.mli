@@ -45,8 +45,8 @@ val fingerprint :
   string
 (** The hex digest used as cache key (exposed for tests, for logging
     cache behaviour, and as the content address of the on-disk store).
-    Machines priced with a calibrated matrix mix the model digest into
-    the key; uniform machines produce exactly the historical key. *)
+    It covers the graph, the machine's [p] and [k], the trip count and
+    the strategy knobs. *)
 
 val graph_fingerprint : graph:Mimd_ddg.Graph.t -> unit -> string
 (** Digest of only what the machine-independent pipeline prefix

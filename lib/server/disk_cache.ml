@@ -2,7 +2,7 @@ module Full_sched = Mimd_core.Full_sched
 
 (* Bump when the marshalled payload's meaning changes (any layout
    change in Full_sched.t or the types it contains). *)
-let format_version = 2 (* v2: Config.t gained the [matrix] field *)
+let format_version = 3 (* v3: Config.t dropped the per-link [matrix] field *)
 
 (* Marshal is not stable across compiler releases, so the stamp also
    pins the exact OCaml version: a cache written by another compiler

@@ -114,9 +114,9 @@ let parse_loop source =
 let past deadline = match deadline with Some d -> Unix.gettimeofday () > d | None -> false
 
 let compute t ~graph ~machine ~iterations ~validate =
-  (* Prefix-sharing misses (same loop, different k / matrix /
-     iteration count) reuse the prepared
-     DDG + classification and pay only Cyclic-sched and downstream. *)
+  (* Prefix-sharing misses (same loop, different p / k / iteration
+     count) reuse the prepared DDG + classification and pay only
+     Cyclic-sched and downstream. *)
   match Incr.compile Incr.global ~graph ~machine ~iterations () with
   | exception Mimd_core.Cyclic_sched.No_pattern m ->
     err Protocol.Schedule "no pattern: %s" m

@@ -12,7 +12,6 @@ type spec =
       mm : int;
       seed : int;
     }
-  | Matrix of { m : int array array; mm : int; seed : int }
 
 type t = { spec : spec; models : (int * int, Fluctuation.t) Hashtbl.t }
 
@@ -25,16 +24,6 @@ let bursty ~base ~mm ~burst_len ~seed =
 let topology_aware ~shape ~processors ~base ~per_hop ~mm ~seed =
   if per_hop < 0 then invalid_arg "Links.topology_aware: negative per_hop";
   { spec = Topo { shape; processors; base; per_hop; mm; seed }; models = Hashtbl.create 16 }
-
-let matrix ?(mm = 1) ?(seed = 42) m =
-  let p = Array.length m in
-  if p < 1 then invalid_arg "Links.matrix: empty matrix";
-  Array.iter
-    (fun row ->
-      if Array.length row <> p then invalid_arg "Links.matrix: non-square matrix";
-      Array.iter (fun c -> if c < 0 then invalid_arg "Links.matrix: negative cost") row)
-    m;
-  { spec = Matrix { m = Array.map Array.copy m; mm; seed }; models = Hashtbl.create 16 }
 
 (* A link's seed mixes the master seed with the link's identity so the
    streams are independent yet reproducible. *)
@@ -55,17 +44,6 @@ let model_for t ~src ~dst =
         let distance = base + (per_hop * (Topology.hops shape ~processors ~src ~dst - 1)) in
         if mm <= 1 then Fluctuation.fixed distance
         else Fluctuation.uniform ~base:distance ~mm ~seed:(link_seed seed src dst)
-      | Matrix { m; mm; seed } ->
-        (* Messages on links the matrix was not sized for (extra flow
-           processors, say) cost the matrix's maximum — the same upper
-           bound the compiler prices them at. *)
-        let p = Array.length m in
-        let base =
-          if src < p && dst < p then m.(src).(dst)
-          else Array.fold_left (fun acc row -> Array.fold_left max acc row) 0 m
-        in
-        if mm <= 1 then Fluctuation.fixed base
-        else Fluctuation.uniform ~base ~mm ~seed:(link_seed seed src dst)
     in
     Hashtbl.replace t.models (src, dst) m;
     m
@@ -80,5 +58,3 @@ let describe t =
     Printf.sprintf "bursty[%d,%d]/%d" base (base + mm - 1) burst_len
   | Topo { shape; base; per_hop; mm; _ } ->
     Printf.sprintf "%s(base %d, per-hop %d, mm %d)" (Topology.describe shape) base per_hop mm
-  | Matrix { m; mm; _ } ->
-    Printf.sprintf "matrix(%dx%d, mm %d)" (Array.length m) (Array.length m) mm

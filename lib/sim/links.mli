@@ -33,14 +33,6 @@ val topology_aware :
     [mm] fluctuation on top.  @raise Invalid_argument on negative
     [per_hop]. *)
 
-val matrix : ?mm:int -> ?seed:int -> int array array -> t
-(** Calibrated per-link latencies: a message on link (src, dst) costs
-    [m.(src).(dst)] (plus uniform [mm] fluctuation when [mm > 1]; the
-    defaults are deterministic).  Links outside the matrix — extra
-    flow processors — cost the matrix's largest entry, the same upper
-    bound the compiler prices them at.  Takes a defensive copy.
-    @raise Invalid_argument unless square, non-empty, non-negative. *)
-
 val sample : t -> src:int -> dst:int -> int
 (** Latency of the next message on the (src, dst) link. *)
 

@@ -8,8 +8,8 @@ let outcome_name = function Cold -> "cold" | Incremental -> "incremental"
 (* Bounded FIFO map of graph fingerprint -> prepared pipeline prefix.
    FIFO (not LRU) keeps this trivially cheap: prepared values are
    small (an unwound graph + classification), capacity is generous,
-   and the win we are after — a k-only or matrix-only recompile of a
-   loop the service just compiled — hits the newest entries anyway. *)
+   and the win we are after — a k-only recompile of a loop the
+   service just compiled — hits the newest entries anyway. *)
 type t = {
   capacity : int;
   table : (string, Full_sched.prepared) Hashtbl.t;

@@ -5,11 +5,10 @@
     only the graph, never the machine or trip count
     ({!Mimd_core.Full_sched.prepare}).  This cache keys those prepared
     prefixes by {!Mimd_runtime.Schedule_cache.graph_fingerprint}, so a
-    recompile that changes only [k], the calibrated matrix, or the
-    iteration count (exactly what the drift loop issues) reuses the
-    DDG + classification and pays only Cyclic-sched and downstream —
-    the cheap path the compile service routes prefix-sharing cache
-    misses through. *)
+    recompile that changes only the machine ([p], [k]) or the
+    iteration count reuses the DDG + classification and pays only
+    Cyclic-sched and downstream — the cheap path the compile service
+    routes prefix-sharing cache misses through. *)
 
 type outcome = Cold | Incremental
 (** Whether {!compile} found a prepared prefix ([Incremental]) or had

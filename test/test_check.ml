@@ -217,43 +217,22 @@ let test_fuzz_passes_on_sound_pipeline () =
   | F.Failed { reason; case; _ } ->
     Alcotest.failf "sound pipeline failed fuzz: %s\n%s" reason (F.render_case case)
 
-let test_fuzz_matrix_differential () =
-  (* The calibrated-machine differential: cases priced (and simulated)
-     with an asymmetric per-link matrix must still match the sequential
-     interpreter bit for bit, base and comm-opted alike. *)
-  for seed = 1 to 25 do
-    let case =
-      {
-        F.loop = W.Random_loop.generate_loop ~seed ();
-        processors = 2 + (seed mod 3);
-        comm = 1 + (seed mod 2);
-        iterations = 4 + (seed mod 11);
-        matrix = true;
-      }
-    in
-    match F.check_case ~runtime:false case with
-    | Ok () -> ()
-    | Error reason ->
-      Alcotest.failf "matrix-mode pipeline failed fuzz: %s\n%s" reason (F.render_case case)
-  done
-
-let test_matrix_fanout_full_oracle () =
-  (* Matrix pricing x comm-opt x the compiled runtime: a fan-out loop
-     (diamond dependences, so comm-opt has sends to elide and frames to
-     pack) through every check, the domain leg in-process. *)
+let test_fanout_full_oracle () =
+  (* Comm-opt x the compiled runtime: a fan-out loop (diamond
+     dependences, so comm-opt has sends to elide and frames to pack)
+     through every check, the domain leg in-process. *)
   let case =
     {
       F.loop = W.Random_loop.generate_loop ~fanout:0.6 ~seed:4 ();
       processors = 3;
       comm = 2;
       iterations = 11;
-      matrix = true;
     }
   in
   match F.check_case ~runtime:true case with
   | Ok () -> ()
   | Error reason ->
-    Alcotest.failf "matrix fan-out case failed the full oracle: %s\n%s" reason
+    Alcotest.failf "fan-out case failed the full oracle: %s\n%s" reason
       (F.render_case case)
 
 let test_fuzz_runtime_differential_smoke () =
@@ -352,7 +331,6 @@ let test_case_file_round_trip () =
       processors = 3;
       comm = 1;
       iterations = 9;
-      matrix = true;
     }
   in
   let dir = Filename.get_temp_dir_name () in
@@ -368,7 +346,6 @@ let test_case_file_round_trip () =
   check_int "processors" case.F.processors back.F.processors;
   check_int "comm" case.F.comm back.F.comm;
   check_int "iterations" case.F.iterations back.F.iterations;
-  check_bool "matrix mode survives the round trip" case.F.matrix back.F.matrix;
   check_string "loop"
     (Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop case.F.loop)
     (Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop back.F.loop)
@@ -408,6 +385,17 @@ let test_unknown_oracle_rejected () =
           (Printf.sprintf "%s: unknown fuzz oracle \"bogus\"" path)
           m)
 
+(* Dumps of cases priced with the deleted per-link matrix carry a
+   [# matrix: yes] header; replaying them on the uniform machine would
+   check a different case, so loading one is an error naming it. *)
+let test_matrix_header_rejected () =
+  with_case_file ~tag:"matrix-header" "matrix: yes" (fun path ->
+      match F.load_case path with
+      | _ -> Alcotest.fail "matrix header was accepted"
+      | exception Failure m ->
+        check_bool "error names the matrix header" true
+          (String.starts_with ~prefix:(path ^ ": \"# matrix: yes\" header") m))
+
 (* Dumped counterexamples must stay replayable for arbitrary generated
    loops, not just the ones a particular failure happens to produce. *)
 let prop_case_files_replayable =
@@ -421,7 +409,6 @@ let prop_case_files_replayable =
           processors = 2 + (seed mod 3);
           comm = seed mod 3;
           iterations = 4 + (seed mod 9);
-          matrix = seed mod 2 = 0;
         }
       in
       let dir = Filename.get_temp_dir_name () in
@@ -432,7 +419,6 @@ let prop_case_files_replayable =
       back.F.processors = case.F.processors
       && back.F.comm = case.F.comm
       && back.F.iterations = case.F.iterations
-      && back.F.matrix = case.F.matrix
       && Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop back.F.loop
          = Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop case.F.loop)
 
@@ -452,19 +438,19 @@ let suite =
     Alcotest.test_case "validator: capacity guard" `Quick test_protocol_capacity_guard;
     Alcotest.test_case "validator: hooks route ~validate" `Quick test_hooks_route_validate_flags;
     Alcotest.test_case "fuzz: sound pipeline passes" `Quick test_fuzz_passes_on_sound_pipeline;
-    Alcotest.test_case "fuzz: matrix-mode differential" `Quick test_fuzz_matrix_differential;
     Alcotest.test_case "fuzz: runtime differential smoke" `Quick
       test_fuzz_runtime_differential_smoke;
     Alcotest.test_case "fuzz: injected violation caught (negative)" `Quick
       test_fuzz_catches_injected_violation;
     Alcotest.test_case "fuzz: case file round trip" `Quick test_case_file_round_trip;
-    Alcotest.test_case "fuzz: matrix fan-out through the full oracle" `Quick
-      test_matrix_fanout_full_oracle;
+    Alcotest.test_case "fuzz: fan-out through the full oracle" `Quick
+      test_fanout_full_oracle;
     Alcotest.test_case "fuzz: dump into a fresh nested directory" `Quick
       test_dump_creates_directory;
     Alcotest.test_case "fuzz: exec oracle header replays as a plain case" `Quick
       test_legacy_oracle_headers_replay;
     Alcotest.test_case "fuzz: unknown oracle header rejected" `Quick
       test_unknown_oracle_rejected;
+    Alcotest.test_case "fuzz: matrix header rejected" `Quick test_matrix_header_rejected;
     prop_case_files_replayable;
   ]

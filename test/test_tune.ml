@@ -1,217 +1,12 @@
-(* lib/tune: cost-model calibration, drift detection and incremental
-   recompilation — plus the Cost_model/Config matrix plumbing they
-   ride on.  The load-bearing invariant throughout: a uniform cost
-   model is bit-identical to the scalar k it replaced, and a constant
-   matrix is bit-identical to uniform. *)
+(* lib/tune: incremental recompilation, plus the scalar k that
+   [--auto-k] derives from one link probe.  The load-bearing
+   invariant: an incremental recompile is bit-identical to the
+   monolithic pipeline at the same machine. *)
 
 open Helpers
-module Cost_model = Mimd_machine.Cost_model
 module Full_sched = Mimd_core.Full_sched
-module Links = Mimd_sim.Links
-module Calibrate = Mimd_tune.Calibrate
 module Incr = Mimd_tune.Incr
-module Drift = Mimd_tune.Drift
-module Trace = Mimd_obs.Trace
-
-let check_float = Alcotest.(check (float 1e-9))
-
-let const_matrix ~p ~k = Array.make_matrix p p k
-
-(* ---------------------------------------------------------------- *)
-(* Cost_model                                                        *)
-
-let test_cost_model_uniform () =
-  let m = Cost_model.uniform 3 in
-  check_int "k_upper" 3 (Cost_model.k_upper m);
-  check_bool "no procs" true (Cost_model.processors m = None);
-  check_bool "no digest" true (Cost_model.digest m = None)
-
-let test_cost_model_matrix () =
-  let m = Cost_model.matrix [| [| 0; 5 |]; [| 2; 0 |] |] in
-  check_int "k_upper is max entry" 5 (Cost_model.k_upper m);
-  check_bool "procs" true (Cost_model.processors m = Some 2);
-  check_bool "digest present" true (Cost_model.digest m <> None)
-
-let test_cost_model_digest_distinguishes () =
-  let d m = Option.get (Cost_model.digest (Cost_model.matrix m)) in
-  check_bool "different matrices, different digests" true
-    (d [| [| 0; 5 |]; [| 2; 0 |] |] <> d [| [| 0; 2 |]; [| 5; 0 |] |]);
-  check_string "digest deterministic"
-    (d [| [| 0; 5 |]; [| 2; 0 |] |])
-    (d [| [| 0; 5 |]; [| 2; 0 |] |])
-
-let test_cost_model_rejects () =
-  let bad m = try ignore (Cost_model.matrix m); false with Invalid_argument _ -> true in
-  check_bool "empty" true (bad [||]);
-  check_bool "ragged" true (bad [| [| 0; 1 |]; [| 1 |] |]);
-  check_bool "negative" true (bad [| [| 0; -1 |]; [| 1; 0 |] |])
-
-(* ---------------------------------------------------------------- *)
-(* Config + link_cost                                                *)
-
-let test_with_matrix_validates () =
-  let base = Config.make ~processors:2 ~comm_estimate:3 in
-  let ok = Config.with_matrix base [| [| 0; 3 |]; [| 1; 0 |] |] in
-  check_bool "matrix set" true (ok.Config.matrix <> None);
-  let bad m = try ignore (Config.with_matrix base m); false with Invalid_argument _ -> true in
-  check_bool "wrong size" true (bad (const_matrix ~p:3 ~k:1));
-  check_bool "entry above k" true (bad [| [| 0; 4 |]; [| 1; 0 |] |])
-
-let test_of_model_roundtrip () =
-  let u = Config.of_model ~processors:2 (Cost_model.uniform 4) in
-  check_int "uniform k" 4 u.Config.comm_estimate;
-  check_bool "uniform model" true (Cost_model.equal (Config.model u) (Cost_model.uniform 4));
-  let mat = [| [| 0; 5 |]; [| 2; 0 |] |] in
-  let m = Config.of_model ~processors:2 (Cost_model.matrix mat) in
-  check_int "k_upper becomes comm_estimate" 5 m.Config.comm_estimate;
-  check_bool "matrix model survives" true
-    (Cost_model.equal (Config.model m) (Cost_model.matrix mat))
-
-let test_link_cost () =
-  (* Graph.edge is private: pull real edges out of a two-node graph,
-     one plain and one with a per-edge cost override. *)
-  let b = Graph.builder () in
-  let a = Graph.add_node b "a" in
-  let c = Graph.add_node b "c" in
-  Graph.add_edge b ~src:a ~dst:c ~distance:0;
-  Graph.add_edge ~cost:1 b ~src:a ~dst:c ~distance:1;
-  let g = Graph.build b in
-  let plain, priced =
-    match Graph.edges g with
-    | [ e1; e2 ] -> if e1.Graph.cost = None then (e1, e2) else (e2, e1)
-    | es -> Alcotest.failf "expected 2 edges, got %d" (List.length es)
-  in
-  let u = Config.make ~processors:2 ~comm_estimate:3 in
-  check_int "uniform link" 3 (Config.link_cost u ~src:0 ~dst:1 plain);
-  let m = Config.of_model ~processors:2 (Cost_model.matrix [| [| 0; 5 |]; [| 2; 0 |] |]) in
-  check_int "asymmetric 0->1" 5 (Config.link_cost m ~src:0 ~dst:1 plain);
-  check_int "asymmetric 1->0" 2 (Config.link_cost m ~src:1 ~dst:0 plain);
-  (* flow PEs sit past the measured block: priced at k, the bound *)
-  check_int "out of range falls back to k" 5 (Config.link_cost m ~src:0 ~dst:7 plain);
-  check_int "edge override still clamps" 1 (Config.link_cost m ~src:0 ~dst:1 priced)
-
-(* ---------------------------------------------------------------- *)
-(* The bit-identity property: uniform = scalar k, constant matrix =   \
-   uniform — over the seeded random-loop corpus.                      *)
-
-let fingerprint ~machine g =
-  Full_sched.output_fingerprint (Full_sched.run ~graph:g ~machine ~iterations:24 ())
-
-let prop_constant_matrix_bit_identical =
-  qtest ~count:60 "constant matrix == scalar k (fingerprints)" gen_cyclic_graph
-    print_graph_spec (fun spec ->
-      let g = build_cyclic spec in
-      let uniform = Config.make ~processors:2 ~comm_estimate:2 in
-      let constm = Config.with_matrix uniform (const_matrix ~p:2 ~k:2) in
-      fingerprint ~machine:uniform g = fingerprint ~machine:constm g)
-
-let prop_matrix_schedules_validate =
-  qtest ~count:40 "asymmetric matrix schedules pass the independent checker"
-    gen_cyclic_graph print_graph_spec (fun spec ->
-      let g = build_cyclic spec in
-      let machine =
-        Config.of_model ~processors:2 (Cost_model.matrix [| [| 0; 4 |]; [| 1; 0 |] |])
-      in
-      match Full_sched.run ~validate:true ~graph:g ~machine ~iterations:16 () with
-      | _ -> true
-      | exception Full_sched.Invalid_schedule _ -> false)
-
-let test_seeded_corpus_bit_identity () =
-  (* The fixed corpus the goldens run on: Section-4 random loops. *)
-  List.iter
-    (fun seed ->
-      match Mimd_workloads.Random_loop.generate_cyclic ~seed () with
-      | None -> ()
-      | Some g ->
-        let uniform = machine ~p:2 ~k:2 () in
-        let constm = Config.with_matrix uniform (const_matrix ~p:2 ~k:2) in
-        check_string
-          (Printf.sprintf "seed %d" seed)
-          (fingerprint ~machine:uniform g)
-          (fingerprint ~machine:constm g))
-    [ 1; 2; 3; 5; 8; 13; 21; 34 ]
-
-(* ---------------------------------------------------------------- *)
-(* Links.matrix                                                      *)
-
-let test_links_matrix () =
-  let l = Links.matrix [| [| 0; 5 |]; [| 2; 0 |] |] in
-  check_int "0->1" 5 (Links.sample l ~src:0 ~dst:1);
-  check_int "1->0" 2 (Links.sample l ~src:1 ~dst:0);
-  check_int "outside the matrix costs the max" 5 (Links.sample l ~src:0 ~dst:3)
-
-let test_links_matrix_fluctuates () =
-  let l = Links.matrix ~mm:3 ~seed:7 [| [| 0; 4 |]; [| 4; 0 |] |] in
-  for _ = 1 to 50 do
-    let c = Links.sample l ~src:0 ~dst:1 in
-    check_bool "within [base, base+mm-1]" true (c >= 4 && c <= 6)
-  done
-
-(* ---------------------------------------------------------------- *)
-(* Calibrate                                                         *)
-
-let test_calibrate_ewma () =
-  let c = Calibrate.create ~alpha:0.5 ~procs:2 () in
-  check_int "no links yet" 0 (Calibrate.observed_links c);
-  Calibrate.observe c [ { Calibrate.src = 0; dst = 1; cost = 10.0 } ];
-  check_float "first observation seeds" 10.0 (Calibrate.measured c).(0).(1);
-  Calibrate.observe c [ { Calibrate.src = 0; dst = 1; cost = 20.0 } ];
-  check_float "ewma blends" 15.0 (Calibrate.measured c).(0).(1);
-  check_int "two updates" 2 (Calibrate.updates c)
-
-let test_calibrate_ignores_junk () =
-  let c = Calibrate.create ~procs:2 () in
-  Calibrate.observe c
-    [
-      { Calibrate.src = 0; dst = 0; cost = 5.0 };
-      { Calibrate.src = 5; dst = 1; cost = 5.0 };
-      { Calibrate.src = 0; dst = 1; cost = Float.nan };
-    ];
-  check_int "nothing observed" 0 (Calibrate.observed_links c)
-
-let test_calibrate_matrix_fallback () =
-  let c = Calibrate.create ~procs:3 () in
-  Calibrate.observe c [ { Calibrate.src = 0; dst = 1; cost = 7.4 } ];
-  let m = Calibrate.matrix c in
-  check_int "observed link rounds" 7 m.(0).(1);
-  check_int "unobserved link gets worst observed" 7 m.(2).(1);
-  check_int "diagonal free" 0 m.(1).(1);
-  let m' = Calibrate.matrix ~fallback:9 c in
-  check_int "explicit fallback" 9 m'.(1).(0)
-
-let test_calibrate_save_load () =
-  let c = Calibrate.create ~alpha:0.25 ~procs:2 () in
-  Calibrate.observe c
-    [ { Calibrate.src = 0; dst = 1; cost = 12.5 }; { Calibrate.src = 1; dst = 0; cost = 3.25 } ];
-  let path = Filename.temp_file "mimdtune" ".txt" in
-  Calibrate.save c ~path;
-  (match Calibrate.load ~path with
-  | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok c' ->
-    check_int "procs" 2 (Calibrate.procs c');
-    check_int "updates" 1 (Calibrate.updates c');
-    check_float "link 0->1" 12.5 (Calibrate.measured c').(0).(1);
-    check_float "link 1->0" 3.25 (Calibrate.measured c').(1).(0));
-  Sys.remove path
-
-let test_calibrate_load_rejects_garbage () =
-  let path = Filename.temp_file "mimdtune" ".txt" in
-  Out_channel.with_open_text path (fun oc -> output_string oc "not a calibration\n");
-  check_bool "rejected" true (Result.is_error (Calibrate.load ~path));
-  Sys.remove path
-
-let test_samples_of_trace () =
-  Trace.clear ();
-  Trace.enable ();
-  Trace.span ~args:[ ("pe", "0"); ("dst", "1") ] "run.send" (fun () -> ());
-  Trace.span ~args:[ ("pe", "1"); ("src", "0") ] "run.recv" (fun () -> ());
-  Trace.span ~args:[ ("pe", "0") ] "run.compute" (fun () -> ());
-  let samples = Calibrate.samples_of_trace ~cycle_ns:100.0 () in
-  Trace.disable ();
-  Trace.clear ();
-  check_int "send + recv harvested" 2 (List.length samples);
-  check_bool "both describe link 0->1" true
-    (List.for_all (fun s -> s.Calibrate.src = 0 && s.Calibrate.dst = 1) samples)
+module Linkprobe = Mimd_dist.Linkprobe
 
 (* ---------------------------------------------------------------- *)
 (* Incr                                                              *)
@@ -222,7 +17,7 @@ let test_incr_reuses_prep () =
   let m2 = machine ~p:2 ~k:2 () in
   let full_cold, out_cold = Incr.compile t ~graph:g ~machine:m2 ~iterations:30 () in
   check_string "cold first" "cold" (Incr.outcome_name out_cold);
-  (* k-only change: the exact recompile the drift loop issues *)
+  (* k-only change *)
   let m9 = machine ~p:2 ~k:9 () in
   let full_inc, out_inc = Incr.compile t ~graph:g ~machine:m9 ~iterations:30 () in
   check_string "incremental second" "incremental" (Incr.outcome_name out_inc);
@@ -238,16 +33,15 @@ let test_incr_reuses_prep () =
     (Full_sched.output_fingerprint (Full_sched.run ~graph:g ~machine:m9 ~iterations:30 ()))
     (Full_sched.output_fingerprint full_inc)
 
-let test_incr_matrix_recompile () =
+let test_incr_k_only_recompile () =
   let t = Incr.create () in
-  let g = fig7 () in
-  let uniform = machine ~p:2 ~k:2 () in
-  ignore (Incr.compile t ~graph:g ~machine:uniform ~iterations:20 ());
-  let tuned = Config.of_model ~processors:2 (Cost_model.matrix [| [| 0; 13 |]; [| 11; 0 |] |]) in
-  let full, outcome = Incr.compile t ~graph:g ~machine:tuned ~iterations:20 () in
-  check_string "matrix-only change is incremental" "incremental" (Incr.outcome_name outcome);
-  check_string "same as monolithic"
-    (Full_sched.output_fingerprint (Full_sched.run ~graph:g ~machine:tuned ~iterations:20 ()))
+  let g = Mimd_workloads.Elliptic.graph () in
+  ignore (Incr.compile t ~graph:g ~machine:(machine ~p:3 ~k:2 ()) ~iterations:20 ());
+  let m3 = machine ~p:3 ~k:3 () in
+  let full, outcome = Incr.compile t ~graph:g ~machine:m3 ~iterations:20 () in
+  check_string "k-only change is incremental" "incremental" (Incr.outcome_name outcome);
+  check_string "same as a cold Full_sched.run"
+    (Full_sched.output_fingerprint (Full_sched.run ~graph:g ~machine:m3 ~iterations:20 ()))
     (Full_sched.output_fingerprint full)
 
 let test_incr_capacity_evicts () =
@@ -260,122 +54,48 @@ let test_incr_capacity_evicts () =
   check_int "evicted entry is a miss again" 3 (Incr.stats t).Incr.misses
 
 (* ---------------------------------------------------------------- *)
-(* Drift                                                             *)
-
-let test_drift_quiet () =
-  let machine = Config.make ~processors:2 ~comm_estimate:4 in
-  let d =
-    Drift.check ~machine ~measured:[| [| 0.0; 4.5 |]; [| 3.8; 0.0 |] |] ()
-  in
-  check_bool "within threshold" false d.Drift.drifted;
-  check_int "both links compared" 2 d.Drift.links_compared
-
-let test_drift_detects () =
-  let machine = Config.make ~processors:2 ~comm_estimate:2 in
-  let d =
-    Drift.check ~machine ~measured:[| [| 0.0; 13.0 |]; [| 12.0; 0.0 |] |] ()
-  in
-  check_bool "drifted" true d.Drift.drifted;
-  check_float "worst ratio" 6.5 d.Drift.max_ratio;
-  check_bool "worst link named" true (d.Drift.worst_link = Some (0, 1));
-  check_bool "describe flags it" true
-    (String.length (Drift.describe d) > 0
-    && String.ends_with ~suffix:"RECALIBRATE" (Drift.describe d))
-
-let test_drift_overpriced_also_drifts () =
-  (* Priced 13, measured 2: mis-scheduled just the same. *)
-  let machine = Config.make ~processors:2 ~comm_estimate:13 in
-  let d = Drift.check ~machine ~measured:[| [| 0.0; 2.0 |]; [| 13.0; 0.0 |] |] () in
-  check_bool "drifted" true d.Drift.drifted;
-  check_float "inverse ratio" 6.5 d.Drift.max_ratio
-
-let test_drift_against_matrix_machine () =
-  let machine =
-    Config.of_model ~processors:2 (Cost_model.matrix [| [| 0; 12 |]; [| 11; 0 |] |])
-  in
-  let d = Drift.check ~machine ~measured:[| [| 0.0; 13.0 |]; [| 10.0; 0.0 |] |] () in
-  check_bool "calibrated machine holds" false d.Drift.drifted
-
-let test_drift_ignores_unmeasured () =
-  let machine = Config.make ~processors:2 ~comm_estimate:2 in
-  let d = Drift.check ~machine ~measured:[| [| 0.0; 0.0 |]; [| 0.0; 0.0 |] |] () in
-  check_int "nothing compared" 0 d.Drift.links_compared;
-  check_bool "no drift from no data" false d.Drift.drifted
-
-let test_drift_policy_rejects () =
-  let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
-  check_bool "threshold < 1" true (bad (fun () -> Drift.policy ~threshold:0.5 ()));
-  check_bool "min_links < 1" true (bad (fun () -> Drift.policy ~min_links:0 ()))
-
-let test_drift_counters () =
-  let metrics = Mimd_obs.Metrics.create () in
-  let machine = Config.make ~processors:2 ~comm_estimate:2 in
-  let d = Drift.check ~machine ~measured:[| [| 0.0; 13.0 |]; [| 12.0; 0.0 |] |] () in
-  Drift.note ~metrics d;
-  check_int "no recalibration yet" 0 (Drift.recalibrations ~metrics ());
-  let x = Drift.recalibrate ~metrics (fun () -> 42) in
-  check_int "body ran" 42 x;
-  check_int "recalibration counted" 1 (Drift.recalibrations ~metrics ());
-  let text = Mimd_obs.Metrics.render metrics in
-  let contains needle =
-    let nl = String.length needle and hl = String.length text in
-    let rec go i = i + nl <= hl && (String.sub text i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check_bool "series exported" true
-    (List.for_all contains
-       [
-         "mimd_tune_drift_checks_total";
-         "mimd_tune_drift_detected_total";
-         "mimd_tune_drift_ratio";
-         "mimd_tune_recalibrations_total";
-       ])
-
-(* ---------------------------------------------------------------- *)
 (* Cache keys                                                        *)
 
-let test_cache_key_uniform_unchanged () =
+let test_cache_keys () =
   let module Cache = Mimd_runtime.Schedule_cache in
   let g = fig7 () in
-  let uniform = machine ~p:2 ~k:2 () in
-  let matrixed = Config.with_matrix uniform (const_matrix ~p:2 ~k:2) in
-  let ku = Cache.fingerprint ~graph:g ~machine:uniform ~iterations:10 () in
-  let km = Cache.fingerprint ~graph:g ~machine:matrixed ~iterations:10 () in
-  check_bool "matrix machines get their own key" true (ku <> km);
-  (* graph_fingerprint — the Incr sub-key — sees neither machine *)
-  check_string "graph key machine-independent"
+  let key k = Cache.fingerprint ~graph:g ~machine:(machine ~p:2 ~k ()) ~iterations:10 () in
+  check_string "same machine, same key" (key 2) (key 2);
+  check_bool "a different k gets its own key" true (key 2 <> key 3);
+  (* graph_fingerprint — the Incr sub-key — reads no machine at all:
+     it only tells graphs apart. *)
+  check_string "graph key is deterministic"
     (Cache.graph_fingerprint ~graph:g ())
-    (Cache.graph_fingerprint ~graph:g ())
+    (Cache.graph_fingerprint ~graph:(fig7 ()) ());
+  check_bool "graph key tells graphs apart" true
+    (Cache.graph_fingerprint ~graph:g () <> Cache.graph_fingerprint ~graph:(self_loop ()) ())
+
+(* ---------------------------------------------------------------- *)
+(* The k --auto-k derives from a probe                               *)
+
+let probe_of effective_ks =
+  {
+    Linkprobe.cycle_ns = 100.0;
+    links =
+      List.mapi
+        (fun i effective_k ->
+          { Linkprobe.a = 0; b = i + 1; rtt_ns = 0.0; one_way_ns = 0.0; effective_k })
+        effective_ks;
+  }
+
+let test_measured_k () =
+  let k ks = Linkprobe.measured_k (probe_of ks) in
+  check_int "rounds down" 7 (k [ 7.4 ]);
+  check_int "rounds up" 8 (k [ 7.5 ]);
+  check_int "the dearest link sets k" 12 (k [ 3.0; 11.6; 5.2 ]);
+  check_int "floor of 1" 1 (k [ 0.2 ]);
+  check_int "no links: floor of 1" 1 (k [])
 
 let suite =
   [
-    ("cost-model uniform", `Quick, test_cost_model_uniform);
-    ("cost-model matrix", `Quick, test_cost_model_matrix);
-    ("cost-model digest", `Quick, test_cost_model_digest_distinguishes);
-    ("cost-model rejects", `Quick, test_cost_model_rejects);
-    ("with_matrix validates", `Quick, test_with_matrix_validates);
-    ("of_model roundtrip", `Quick, test_of_model_roundtrip);
-    ("link_cost", `Quick, test_link_cost);
-    ("seeded corpus bit-identity", `Quick, test_seeded_corpus_bit_identity);
-    prop_constant_matrix_bit_identical;
-    prop_matrix_schedules_validate;
-    ("links matrix", `Quick, test_links_matrix);
-    ("links matrix fluctuation", `Quick, test_links_matrix_fluctuates);
-    ("calibrate ewma", `Quick, test_calibrate_ewma);
-    ("calibrate ignores junk", `Quick, test_calibrate_ignores_junk);
-    ("calibrate fallback", `Quick, test_calibrate_matrix_fallback);
-    ("calibrate save/load", `Quick, test_calibrate_save_load);
-    ("calibrate load rejects garbage", `Quick, test_calibrate_load_rejects_garbage);
-    ("calibrate from trace spans", `Quick, test_samples_of_trace);
     ("incr reuses prep", `Quick, test_incr_reuses_prep);
-    ("incr matrix recompile", `Quick, test_incr_matrix_recompile);
+    ("incr k-only recompile", `Quick, test_incr_k_only_recompile);
     ("incr capacity", `Quick, test_incr_capacity_evicts);
-    ("drift quiet", `Quick, test_drift_quiet);
-    ("drift detects", `Quick, test_drift_detects);
-    ("drift overpriced", `Quick, test_drift_overpriced_also_drifts);
-    ("drift vs matrix machine", `Quick, test_drift_against_matrix_machine);
-    ("drift needs data", `Quick, test_drift_ignores_unmeasured);
-    ("drift policy rejects", `Quick, test_drift_policy_rejects);
-    ("drift counters", `Quick, test_drift_counters);
-    ("cache keys", `Quick, test_cache_key_uniform_unchanged);
+    ("cache keys", `Quick, test_cache_keys);
+    ("measured k from a probe", `Quick, test_measured_k);
   ]
