@@ -851,7 +851,7 @@ let tests =
     Test.make ~name:"kernel: op-level lowering"
       (Staged.stage (fun () ->
            ignore
-             (Mimd_loop_ir.Lower.run_string
+             (Mimd_loop_ir.Op_graph.run_string
                 "for i = 1 to n { P[i] = (P[i-1] * P[i-1] + Q[i-1]) * R[i-1]; Q[i] = P[i] + \
                  Q[i-1] * R[i-1]; R[i] = Q[i] * R[i-1] + P[i]; }")));
     Test.make ~name:"kernel: bounds (min cycle ratio) ewf"

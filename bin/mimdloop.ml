@@ -74,9 +74,20 @@ let seed_t =
   let doc = "Random loop (Section 4 generator), Cyclic subset of this seed." in
   Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* Counts that must be at least 1: cmdliner reports anything else as
+   a usage error instead of the pipeline raising on it later. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not a positive integer" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let processors_t =
   let doc = "Processors for the Cyclic core." in
-  Arg.(value & opt int 2 & info [ "p"; "processors" ] ~docv:"P" ~doc)
+  Arg.(value & opt positive_int 2 & info [ "p"; "processors" ] ~docv:"P" ~doc)
 
 let k_t =
   let doc = "Estimated communication cost (the paper's k)." in
@@ -84,9 +95,13 @@ let k_t =
 
 let iterations_t =
   let doc = "Loop trip count for measurements." in
-  Arg.(value & opt int 100 & info [ "n"; "iterations" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 100 & info [ "n"; "iterations" ] ~docv:"N" ~doc)
 
 let machine_of processors k = Config.make ~processors ~comm_estimate:k
+
+let needs_unwinding =
+  "loop needed unwinding (some dependence distance > 1); real execution supports \
+   distances in {0, 1} only"
 
 (* ------------------------------------------------------------------ *)
 (* --auto-k: schedule at the measured k                                *)
@@ -540,36 +555,49 @@ let verify_cmd =
             else Mimd_loop_ir.If_convert.run parsed
           in
           let graph = (Mimd_loop_ir.Depend.analyze loop).Mimd_loop_ir.Depend.graph in
-          let machine = machine_of processors k in
-          let schedule =
-            Cyclic_sched.schedule_iterations ~graph ~machine ~iterations ()
-          in
-          let program = Mimd_codegen.From_schedule.run schedule in
-          let links =
-            if mm <= 1 then Mimd_sim.Links.fixed k
-            else Mimd_sim.Links.uniform ~base:k ~mm ~seed:42
-          in
-          let outcome = Mimd_sim.Value_exec.run ~loop ~program ~links () in
-          (match
-             Mimd_sim.Value_exec.check_against_sequential ~loop ~iterations outcome
-           with
-          | Ok () ->
-            Format.printf
-              "OK: parallel execution matches the sequential interpreter bit-for-bit@.\
-               (%d iterations, %d PEs, makespan %d, %d messages)@."
-              iterations processors outcome.Mimd_sim.Value_exec.timing.Mimd_sim.Exec.makespan
-              outcome.Mimd_sim.Value_exec.timing.Mimd_sim.Exec.messages;
-            0
-          | Error e ->
-            Format.printf "MISMATCH: %s@." e;
-            1)
+          if List.exists (fun (e : Graph.edge) -> e.distance > 1) (Graph.edges graph) then begin
+            prerr_endline ("mimdloop: " ^ needs_unwinding);
+            1
+          end
+          else begin
+            let machine = machine_of processors k in
+            let schedule = Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
+            let program = Mimd_codegen.From_schedule.run schedule in
+            let links =
+              if mm <= 1 then Mimd_sim.Links.fixed k
+              else Mimd_sim.Links.uniform ~base:k ~mm ~seed:42
+            in
+            (* Timing from the simulator, values from the lowered
+               evaluator run inline: values do not depend on timing. *)
+            let timing = Mimd_sim.Exec.run ~program ~links () in
+            let outcome = Mimd_runtime.Exec_compiled.run_inline ~loop ~program () in
+            let spec = Mimd_loop_ir.Interp.instance_values loop ~iterations in
+            match
+              Result.bind
+                (Mimd_runtime.Value_run.check_instances ~spec
+                   outcome.Mimd_runtime.Value_run.instance_values)
+                (fun () ->
+                  Mimd_runtime.Value_run.check_against_sequential ~loop ~iterations outcome)
+            with
+            | Ok () ->
+              Format.printf
+                "OK: parallel execution matches the sequential interpreter bit-for-bit@.\
+                 (%d iterations, %d PEs, makespan %d, %d messages)@."
+                iterations processors timing.Mimd_sim.Exec.makespan
+                timing.Mimd_sim.Exec.messages;
+              0
+            | Error e ->
+              Format.printf "MISMATCH: %s@." e;
+              1
+          end
       end
     end
   in
   let mm_t = Arg.(value & opt int 1 & info [ "mm" ] ~docv:"MM" ~doc:"Fluctuation factor.") in
   Cmd.v
     (Cmd.info "verify"
-       ~doc:"Compile a loop, run it in parallel on the simulator, and compare values against sequential execution")
+       ~doc:"Compile a loop, time it on the simulator, run its values on the lowered \
+             evaluator inline, and compare every instance against sequential execution")
     Term.(const run $ file_t $ iterations_t $ processors_t $ k_t $ mm_t)
 
 (* Shared by run-parallel and run-dist: resolve a loop from a named
@@ -633,9 +661,7 @@ let compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache () =
     Graph.node_count (Schedule.graph schedule)
     <> List.length (Mimd_loop_ir.Ast.assignments flat)
   then
-    Error
-      "loop needed unwinding (some dependence distance > 1); real execution supports \
-       distances in {0, 1} only"
+    Error needs_unwinding
   else
     match Mimd_codegen.From_schedule.run ~validate:true schedule with
     | exception Mimd_codegen.From_schedule.Invalid_program m ->
@@ -933,8 +959,8 @@ let check_cmd =
     Arg.(value & opt (some int) None & info [ "fuzz" ] ~docv:"N"
            ~doc:"Instead of checking workloads, drive N random loops and machine shapes \
                  through the whole pipeline, comm-opt rewrite included, with every stage \
-                 audited and the values compared against the sequential interpreter \
-                 across the simulator, the forked-socket runtime and the domain runtime. \
+                 audited and every instance value compared against the sequential \
+                 interpreter: inline, on the forked-socket runtime and on domains. \
                  Each case draws its own fan-out and machine shape (p, k, trip count).")
   in
   let fuzz_seed_t =
@@ -964,7 +990,7 @@ let check_cmd =
   let no_runtime_t =
     Arg.(value & flag & info [ "no-runtime" ]
            ~doc:"Skip the socket and real-domain (OCaml 5) execution in --fuzz/--replay; \
-                 the simulator differential still runs.")
+                 the inline value legs still run.")
   in
   let replay_t =
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE"

@@ -6,15 +6,16 @@
 
    The pipeline under test: parse -> if-convert -> dependence analysis
    -> schedule (ours or DOACROSS) -> message-passing codegen ->
-   value-carrying simulation -> compare every written cell against the
-   reference interpreter. *)
+   the lowered evaluator run inline -> compare every written cell
+   against the reference interpreter; the simulator gives the
+   makespan under each traffic model (values do not depend on it). *)
 
 module Ast = Mimd_loop_ir.Ast
 module Parser = Mimd_loop_ir.Parser
 module Depend = Mimd_loop_ir.Depend
 module Interp = Mimd_loop_ir.Interp
-module Value_exec = Mimd_sim.Value_exec
 module Links = Mimd_sim.Links
+module Value_run = Mimd_runtime.Value_run
 
 let loops =
   [
@@ -41,14 +42,15 @@ let iterations = 40
 
 let check name loop schedule_kind schedule =
   let program = Mimd_codegen.From_schedule.run schedule in
+  let outcome = Mimd_runtime.Exec_compiled.run_inline ~loop ~program () in
+  let verdict = Value_run.check_against_sequential ~loop ~iterations outcome in
   List.iter
     (fun (traffic, links) ->
-      let outcome = Value_exec.run ~loop ~program ~links () in
-      match Value_exec.check_against_sequential ~loop ~iterations outcome with
+      match verdict with
       | Ok () ->
         Format.printf "  %-9s %-14s %-28s OK (makespan %d)@." schedule_kind traffic
-          (Printf.sprintf "(%d values produced)" (List.length outcome.Value_exec.instance_values))
-          outcome.Value_exec.timing.Mimd_sim.Exec.makespan
+          (Printf.sprintf "(%d values produced)" (List.length outcome.Value_run.instance_values))
+          (Mimd_sim.Exec.run ~program ~links ()).Mimd_sim.Exec.makespan
       | Error e -> Format.printf "  %-9s %-14s MISMATCH: %s (%s)@." schedule_kind traffic e name)
     [
       ("k exact", Links.fixed 2);

@@ -5,8 +5,7 @@ module Pattern = Mimd_core.Pattern
 module Ast = Mimd_loop_ir.Ast
 module Parser = Mimd_loop_ir.Parser
 module Depend = Mimd_loop_ir.Depend
-module Value_exec = Mimd_sim.Value_exec
-module Links = Mimd_sim.Links
+module Interp = Mimd_loop_ir.Interp
 module Value_run = Mimd_runtime.Value_run
 module Exec_compiled = Mimd_runtime.Exec_compiled
 module Watchdog = Mimd_runtime.Watchdog
@@ -39,29 +38,6 @@ type outcome =
 (* The oracle for one case                                             *)
 
 let ( let* ) = Result.bind
-
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-(* Two executions must agree on the value of every (statement,
-   iteration) instance, bit for bit — not just on the final memory. *)
-let compare_instances ~sim ~rt =
-  let sort l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  let sim = sort sim and rt = sort rt in
-  if List.length sim <> List.length rt then
-    Error
-      (Printf.sprintf "simulator computed %d instance(s), runtime %d"
-         (List.length sim) (List.length rt))
-  else
-    List.fold_left2
-      (fun acc ((s, i), v) ((s', i'), v') ->
-        let* () = acc in
-        if s <> s' || i <> i' then
-          Error (Printf.sprintf "instance sets differ at (%d,%d) vs (%d,%d)" s i s' i')
-        else if not (same_bits v v') then
-          Error
-            (Printf.sprintf "instance (%d,%d): simulator %h, runtime %h" s i v v')
-        else Ok ())
-      (Ok ()) sim rt
 
 let labelled label r = Result.map_error (( ^ ) label) r
 
@@ -156,20 +132,24 @@ let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
         labelled "optimized program rejected: "
           (Validate.error_of ~names (Validate.program opt))
       in
-      (* Value differential on the simulator... *)
-      let links = Links.fixed (max 1 case.comm) in
-      let sim_base = Value_exec.run ~loop ~program ~links () in
-      let sim_opt = Value_exec.run ~loop ~program:opt ~links () in
-      let against_interp label sim =
-        labelled label
-          (Value_exec.check_against_sequential ~loop ~iterations:case.iterations sim)
+      (* Value differential: every leg's instance list against the
+         spec, bit for bit.  The inline legs run the lowered evaluator
+         on this thread (no domain, so the harness stays fork-safe);
+         the base one also checks the last-writer fold against the
+         interpreter's final memory. *)
+      let spec = Interp.instance_values loop ~iterations:case.iterations in
+      let against_spec label instances =
+        labelled (label ^ " vs interpreter: ") (Value_run.check_instances ~spec instances)
       in
-      let* () = against_interp "simulator vs interpreter: " sim_base in
-      let* () = against_interp "optimized simulator vs interpreter: " sim_opt in
+      let inline_base = Exec_compiled.run_inline ~loop ~program () in
+      let* () = against_spec "inline base" inline_base.Value_run.instance_values in
       let* () =
-        labelled "optimized vs unoptimized simulator: "
-          (compare_instances ~sim:sim_base.Value_exec.instance_values
-             ~rt:sim_opt.Value_exec.instance_values)
+        labelled "inline base final memory vs interpreter: "
+          (Value_run.check_against_sequential ~loop ~iterations:case.iterations inline_base)
+      in
+      let* () =
+        against_spec "inline comm-opted"
+          (Exec_compiled.run_inline ~loop ~program:opt ()).Value_run.instance_values
       in
       if not runtime then Ok ()
       else begin
@@ -182,30 +162,19 @@ let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
           | None -> Ok ()
           | Some run_sockets ->
             let* sock = run_sockets ~loop ~program:opt in
-            labelled "optimized simulator vs socket runtime: "
-              (compare_instances ~sim:sim_opt.Value_exec.instance_values ~rt:sock)
+            against_spec "sockets" sock
         in
         let domains () =
           let watchdog = Watchdog.config ~timeout:30.0 () in
           let run program = Exec_compiled.run ~watchdog ~loop ~program () in
           let base = run program in
-          (base, run opt)
+          (base.Value_run.instance_values, (run opt).Value_run.instance_values)
         in
         let* dom_base, dom_opt =
           if Option.is_some !socket_backend then in_child domains else Ok (domains ())
         in
-        let* () =
-          labelled "runtime vs interpreter: "
-            (Value_run.check_against_sequential ~loop ~iterations:case.iterations dom_base)
-        in
-        let* () =
-          labelled "unoptimized simulator vs domain runtime: "
-            (compare_instances ~sim:sim_base.Value_exec.instance_values
-               ~rt:dom_base.Value_run.instance_values)
-        in
-        labelled "optimized simulator vs domain runtime: "
-          (compare_instances ~sim:sim_opt.Value_exec.instance_values
-             ~rt:dom_opt.Value_run.instance_values)
+        let* () = against_spec "domains base" dom_base in
+        against_spec "domains opt" dom_opt
       end
   with e -> Error ("exception: " ^ Printexc.to_string e)
 

@@ -10,13 +10,13 @@
       ({!Validate.pattern});
     + the emitted message protocol, before and after the rewrite
       ({!Validate.program});
-    + the computed {e values}, differentially: the simulated parallel
-      execution ({!Mimd_sim.Value_exec}) of the base and the optimized
-      program, the forked-socket runtime ({!socket_backend}) and the
-      compiled real-domain runtime ({!Mimd_runtime.Exec_compiled})
-      must all match the sequential interpreter
-      ({!Mimd_loop_ir.Interp}) and each other, instance by instance,
-      bit for bit.
+    + the computed {e values}: every executor of the base and the
+      optimized program — the lowered evaluator run inline
+      ({!Mimd_runtime.Exec_compiled.run_inline}), the forked-socket
+      runtime ({!socket_backend}) and the compiled real-domain runtime
+      ({!Mimd_runtime.Exec_compiled.run}) — must match the sequential
+      spec ({!Mimd_loop_ir.Interp.instance_values}) instance by
+      instance, bit for bit.
 
     Each case draws its own fan-out (diamond-shaped dependences, or a
     pure statement chain) and machine shape ([p], [k], trip count), so
@@ -51,8 +51,8 @@ type config = {
   fault : fault;
   runtime : bool;
       (** also execute every case on the socket backend (when
-          installed) and on real OCaml 5 domains (slower); the
-          simulator differential always runs *)
+          installed) and on real OCaml 5 domains (slower); the inline
+          legs always run *)
   out_dir : string option;
       (** where to dump the shrunk counterexample on failure (created
           if missing) *)
@@ -76,15 +76,14 @@ val check_case :
     program; {!Mimd_codegen.Comm_opt.run} with coalescing [window]
     (when omitted, [1 + iterations mod 4], a deterministic function of
     the case so replays coalesce exactly as the original run did) and
-    the optimized program; then on the simulator, base and optimized
-    vs the interpreter and vs each other, instance by instance.  With
-    [runtime] (default true): the optimized program on the socket
-    backend vs its simulated run, then base and optimized on
-    {!Mimd_runtime.Exec_compiled} vs their simulated runs, the base
-    run also vs the interpreter's final memory.  The domain leg runs
-    in a forked child while {!socket_backend} is installed, so the
-    caller stays fork-safe; otherwise in-process.  Never raises:
-    pipeline exceptions are returned as [Error].  Validation runs
+    the optimized program; then the value legs, each compared instance
+    by instance against {!Mimd_loop_ir.Interp.instance_values}: base
+    and optimized inline (the base run also vs the interpreter's final
+    memory); with [runtime] (default true) the optimized program on
+    the socket backend, then base and optimized on real domains.  The
+    domain legs run in a forked child while {!socket_backend} is
+    installed, so the caller stays fork-safe; otherwise in-process.
+    Never raises: pipeline exceptions are returned as [Error].  Validation runs
     {e before} any execution, so a broken schedule or protocol is
     reported without ever running its programs. *)
 

@@ -93,7 +93,7 @@ let grain () =
         float_of_int (Mimd_core.Schedule.makespan sched) /. float_of_int iterations
       in
       let stmt = (Mimd_loop_ir.Depend.analyze_string src).Mimd_loop_ir.Depend.graph in
-      let ops = (Mimd_loop_ir.Lower.run_string src).Mimd_loop_ir.Lower.graph in
+      let ops = (Mimd_loop_ir.Op_graph.run_string src).Mimd_loop_ir.Op_graph.graph in
       let rs = rate stmt and ro = rate ops in
       Tablefmt.add_row t
         [
@@ -266,10 +266,8 @@ let kernels () =
       in
       let program = Mimd_codegen.From_schedule.run ours_sched in
       let verdict =
-        let outcome =
-          Mimd_sim.Value_exec.run ~loop ~program ~links:(Mimd_sim.Links.fixed 2) ()
-        in
-        match Mimd_sim.Value_exec.check_against_sequential ~loop ~iterations:n outcome with
+        let outcome = Mimd_runtime.Exec_compiled.run_inline ~loop ~program () in
+        match Mimd_runtime.Value_run.check_against_sequential ~loop ~iterations:n outcome with
         | Ok () -> "OK"
         | Error _ -> "MISMATCH"
       in

@@ -7,7 +7,7 @@
       processors on structures with known ideal parallelism (the
       synthetic families of {!Mimd_ddg.Gen}) and on the filter?
     - {b granularity} (paper footnote 3): statement-level vs
-      operation-level nodes ({!Mimd_loop_ir.Lower}) on expression-heavy
+      operation-level nodes ({!Mimd_loop_ir.Op_graph}) on expression-heavy
       loops;
     - {b topology}: a schedule built with the uniform-[k] estimate,
       executed on ring / mesh / hypercube interconnects where distant

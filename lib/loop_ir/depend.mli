@@ -52,7 +52,7 @@ val pp_dep : t -> Format.formatter -> dep -> unit
 
 val is_fixed_cell : string -> bool
 (** Synthetic names of loop-invariant cells ([X@3]) — shared with
-    {!Lower}, which applies the same dependence rules at operation
+    {!Op_graph}, which applies the same dependence rules at operation
     granularity. *)
 
 val is_predicate : string -> bool

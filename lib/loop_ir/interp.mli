@@ -1,7 +1,8 @@
 (** Reference interpreter: sequential semantics of the mini language.
 
-    The gold standard the parallel execution is checked against
-    ({!Mimd_sim.Value_exec}): run the loop body statement by statement,
+    The gold standard every parallel executor is checked against
+    ({!instance_values} instance by instance, {!run}'s written cells
+    as final memory): run the loop body statement by statement,
     iteration by iteration, over concrete float arrays.
 
     Array cells are addressed by integer index; iteration [i] of the
@@ -29,7 +30,7 @@ val default_scalar : string -> float
 val cell_index : string -> iter:int -> offset:int -> int
 (** The memory index a reference touches at an iteration: [iter +
     offset], except fixed cells ([X@k]) which always live at index 0.
-    Shared with the value-level parallel executor. *)
+    Shared with the runtime's lowering and last-writer fold. *)
 
 val create_store : ?init:(string -> int -> float) -> unit -> store
 val read : store -> string -> int -> float
@@ -44,13 +45,6 @@ val eval_expr :
 (** Evaluate an expression at iteration [iter] (fixed cells [X@k]
     read/write index 0 of their synthetic array). *)
 
-val eval_expr_with :
-  read:(string -> int -> float) -> scalars:(string -> float) -> Ast.expr -> float
-(** Same arithmetic with a caller-supplied resolver: [read array
-    offset] supplies each reference's value.  Used by the value-level
-    parallel executor, whose operands come from messages rather than a
-    flat memory. *)
-
 val run :
   ?init:(string -> int -> float) ->
   ?scalars:(string -> float) ->
@@ -62,3 +56,13 @@ val run :
     original loop and its if-converted form produce identical stores
     (test-enforced).  [scalars] defaults to hashing the name into
     [\[1, 2)]. *)
+
+val instance_values : Ast.loop -> iterations:int -> ((int * int) * float) list
+(** The spec at instance level: the value every assignment computes,
+    keyed by [(body position, iteration)] and sorted — the same key
+    and order as a parallel executor's instance list (a flat loop's
+    body position is its dependence-graph node).  Same semantics as
+    {!run} over the default {!init} and {!default_scalar}, the inputs
+    every parallel executor's instance list is taken over; the loop
+    must be flat.
+    @raise Invalid_argument on a structured loop. *)

@@ -26,7 +26,7 @@ let run ?(cost = Cost.weighted) loop =
   let loop = if Ast.is_flat loop then loop else If_convert.run loop in
   let stmts = Array.of_list (Ast.assignments loop) in
   let m = Array.length stmts in
-  if m = 0 then invalid_arg "Lower.run: empty loop body";
+  if m = 0 then invalid_arg "Op_graph.run: empty loop body";
   let b = Graph.builder () in
   let stmt_of_node_rev = ref [] in
   (* node -> direct array reads *)

@@ -185,3 +185,92 @@ let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?watchdog
       ~worker ()
   in
   Value_run.finalize ~loop ~program ~results
+
+(* Raised inside a PE's fiber by a recv whose frame has not arrived:
+   the run loop parks the continuation under the frame's mailbox key. *)
+type _ Effect.t += Await : (int * int * (int * int)) -> unit Effect.t
+
+let run_inline ?lowered ~loop ~(program : Program.t) () =
+  let lowered =
+    match lowered with Some l -> l | None -> Lower.run ~loop ~program ()
+  in
+  if lowered.Lower.processors <> program.processors then
+    invalid_arg "Exec_compiled.run_inline: lowered form is for another program";
+  let p = program.processors in
+  (* One frame per (src, dst, head tag), exactly the mesh's matching
+     discipline; unbounded, so a send never blocks. *)
+  let mailbox : (int * int * (int * int), Value_run.payload) Hashtbl.t =
+    Hashtbl.create 1024
+  in
+  let parked : (int * int * (int * int), (unit, unit) Effect.Deep.continuation) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let runnable : (unit -> unit) Queue.t = Queue.create () in
+  let retired = Array.make p 0 in
+  let results = Array.make p None in
+  let t0 = Unix.gettimeofday () in
+  let chans j =
+    {
+      Value_run.send =
+        (fun ~dst ~tag v ->
+          let key = (j, dst, tag) in
+          Hashtbl.replace mailbox key v;
+          match Hashtbl.find_opt parked key with
+          | Some k ->
+            Hashtbl.remove parked key;
+            Queue.add (fun () -> Effect.Deep.continue k ()) runnable
+          | None -> ());
+      recv =
+        (fun ~src ~tag ->
+          let key = (src, j, tag) in
+          if not (Hashtbl.mem mailbox key) then Effect.perform (Await key);
+          let v = Hashtbl.find mailbox key in
+          Hashtbl.remove mailbox key;
+          v);
+    }
+  in
+  let start j () =
+    Effect.Deep.match_with
+      (fun () ->
+        worker_with ~init:Interp.init ~scalars:Interp.default_scalar
+          ~tick:(fun () -> retired.(j) <- retired.(j) + 1)
+          ~lowered ~proc:j ~chans:(chans j) ())
+      ()
+      {
+        retc =
+          (fun (computed, sent) ->
+            results.(j) <- Some (computed, sent, (Unix.gettimeofday () -. t0) *. 1e9));
+        exnc = raise;
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Await key ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  Hashtbl.replace parked key k)
+            | _ -> None);
+      }
+  in
+  for j = 0 to p - 1 do
+    Queue.add (start j) runnable
+  done;
+  while not (Queue.is_empty runnable) do
+    (Queue.take runnable) ()
+  done;
+  (* The queue drained with a PE unfinished: every such PE is parked
+     on a frame no one will send. *)
+  if Array.exists Option.is_none results then begin
+    let names = Mimd_ddg.Graph.name program.graph in
+    let snapshot j =
+      let prog = Array.of_list program.programs.(j) in
+      let done_ = retired.(j) in
+      let current =
+        if Option.is_some results.(j) || done_ >= Array.length prog then None
+        else Some (Format.asprintf "%a" (Program.pp_instr ~names) prog.(done_))
+      in
+      { Watchdog.proc = j; retired = done_; total = Array.length prog; current }
+    in
+    raise
+      (Watchdog.Runtime_deadlock { timeout = 0.0; snapshots = List.init p snapshot })
+  end;
+  Value_run.finalize ~loop ~program ~results:(Array.map Option.get results)

@@ -7,9 +7,11 @@
     records: operand reads are slot lookups in an unboxed
     [float array], expression evaluation is a postfix loop over a
     reusable float stack, and message endpoints and slots were bound
-    at lower time.  The differential suite and [check --fuzz] hold
-    sequential [Interp] ≡ {!Mimd_sim.Value_exec} ≡ compiled
-    bit-for-bit. *)
+    at lower time.  {!run_inline} is the same worker driven on the
+    calling thread — the simulator's value check.  The differential
+    suite and [check --fuzz] hold every run (inline, domains, sockets,
+    TCP) to {!Mimd_loop_ir.Interp.instance_values}, instance by
+    instance, bit for bit. *)
 
 val worker :
   ?init:(string -> int -> float) ->
@@ -46,3 +48,25 @@ val run :
     @raise Watchdog.Runtime_deadlock when execution stalls for the
     watchdog's timeout (default 5s; pass {!Watchdog.off} to wait
     indefinitely). *)
+
+val run_inline :
+  ?lowered:Lower.t ->
+  loop:Mimd_loop_ir.Ast.loop ->
+  program:Mimd_codegen.Program.t ->
+  unit ->
+  Value_run.outcome
+(** Execute [program] with every processor's {!worker} on the calling
+    thread, over the default initial memory and scalars
+    ({!Mimd_loop_ir.Interp.init}, {!Mimd_loop_ir.Interp.default_scalar}):
+    no domain is created, so the caller stays fork-safe.  The
+    chans are a local unbounded mailbox; a recv whose frame has not
+    arrived suspends that processor (an effect), and a round-robin
+    run loop resumes it once the frame is sent.  Values do not depend on
+    interleaving, so the outcome's instance values and final memory
+    are those of {!run}; timing belongs to [Mimd_sim.Exec.run], and
+    [domain_wall_ns] is the calling thread's clock when each processor
+    finished.  Spans, when tracing, all land on the calling thread.
+    @raise Invalid_argument as {!run} does.
+    @raise Watchdog.Runtime_deadlock at once when every unfinished
+    processor waits for a frame no one will send ([timeout = 0.]; one
+    snapshot per processor). *)

@@ -2,7 +2,7 @@ module Program = Mimd_codegen.Program
 module Graph = Mimd_ddg.Graph
 module Ast = Mimd_loop_ir.Ast
 module Interp = Mimd_loop_ir.Interp
-module Value_exec = Mimd_sim.Value_exec
+module Depend = Mimd_loop_ir.Depend
 
 type op =
   | Load of int
@@ -60,6 +60,51 @@ let check_pair ~loop ~program =
   if Array.length stmts <> Graph.node_count program.Program.graph then
     invalid_arg "Lower: statement/node count mismatch";
   stmts
+
+(* Reaching definition of a reference (array, offset) inside statement
+   [t]: which statement produces the value, how many iterations back.
+   [None] means the value comes from initial memory.
+
+   Affine refs: writer (s', array, a') produces element [j + b] at
+   iteration [j + b - a']; among writers strictly before the reader in
+   sequential order, the latest is the one maximising (b - a', s').
+   Fixed cells: the latest write before (j, t), i.e. the largest s' < t
+   at this iteration, else the largest s' one iteration back. *)
+let resolver stmts =
+  let writers = Array.to_list (Array.mapi (fun s (array, a, _) -> (s, array, a)) stmts) in
+  let resolve t array b =
+    if Depend.is_fixed_cell array then begin
+      let same_iter =
+        List.filter (fun (s', arr', _) -> arr' = array && s' < t) writers
+      in
+      match List.rev same_iter with
+      | (s', _, _) :: _ -> Some (s', 0)
+      | [] -> begin
+        match List.rev (List.filter (fun (_, arr', _) -> arr' = array) writers) with
+        | (s', _, _) :: _ -> Some (s', 1)
+        | [] -> None
+      end
+    end
+    else begin
+      (* delta = a' - b: reader at iteration j takes the value from
+         (s', j - delta); valid when delta > 0, or delta = 0 with
+         s' < t. *)
+      List.fold_left
+        (fun best (s', arr', a') ->
+          if arr' <> array then best
+          else begin
+            let delta = a' - b in
+            let valid = delta > 0 || (delta = 0 && s' < t) in
+            if not valid then best
+            else
+              match best with
+              | Some (bs, bd) when (-bd, bs) >= (-delta, s') -> best
+              | _ -> Some (s', delta)
+          end)
+        None writers
+    end
+  in
+  resolve
 
 (* Postfix compilation of one statement RHS.  [Load k] refers to the
    k-th reference in {!Ast.reads_of_expr} order — the pre-order leaf
@@ -231,7 +276,7 @@ let lower_proc ~resolve ~reads ~codes ~(program : Program.t) j =
 
 let run ~loop ~(program : Program.t) () =
   let stmts = check_pair ~loop ~program in
-  let resolve = Value_exec.resolver stmts in
+  let resolve = resolver stmts in
   let reads =
     Array.map (fun (_, _, rhs) -> Array.of_list (Ast.reads_of_expr rhs)) stmts
   in

@@ -1,17 +1,17 @@
 (** One-time lowering of per-processor programs to flat, unboxed code.
 
     Walking each statement's AST on every [Compute] and keeping every
-    value behind a [Hashtbl] keyed by boxed [(node, iter)] tuples (as
-    the simulator's {!Mimd_sim.Value_exec} does) is slow on a real
-    machine.  This pass pays all of that once, at compile time:
+    value behind a [Hashtbl] keyed by boxed [(node, iter)] tuples is
+    slow on a real machine.  This pass pays all of that once, at
+    compile time:
 
     - {b slot allocation} — every [(node, iter)] instance a PE touches
       (its own computes plus everything it receives) gets a dense int
-      slot in one unboxed [float array]; reaching definitions are
-      resolved here via {!Mimd_sim.Value_exec.resolver}, so an operand
-      read is a precomputed slot index, and reads that fall through to
-      initial memory become slots prefilled before the first
-      instruction;
+      slot in one unboxed [float array]; reaching definitions (the
+      statement and iteration distance that produce each operand) are
+      resolved here, so an operand read is a precomputed slot index,
+      and reads that fall through to initial memory become slots
+      prefilled before the first instruction;
     - {b expression compilation} — each statement RHS compiles once to
       a small postfix op array evaluated on a reusable float stack: no
       closures, no AST walk, no allocation per iteration;
@@ -19,12 +19,14 @@
       their endpoint, wire tag and source/destination slot arrays
       already resolved.
 
-    The lowered form is transport-agnostic: {!Exec_compiled} runs it
-    over any {!Value_run.chans} backend (domain mesh or the [Mimd_dist]
-    socket mesh) with outcomes bit-identical to
-    {!Mimd_sim.Value_exec}.  Malformed programs (an operand or sent
-    value that is never produced before use) are rejected {e here},
-    before any processor runs. *)
+    The lowered form is transport-agnostic and is the only
+    per-processor evaluator: {!Exec_compiled} runs it inline on the
+    calling thread (the simulator's value check), on domains, and over
+    the [Mimd_dist] socket and TCP meshes, and every one of those runs
+    must match {!Mimd_loop_ir.Interp.instance_values} bit for bit.
+    Malformed programs (an operand or sent value that is never
+    produced before use) are rejected {e here}, before any processor
+    runs. *)
 
 type op =
   | Load of int  (** push the slot bound to the k-th operand read *)

@@ -10,10 +10,12 @@
     MIMD machine.
 
     Determinism: the value computed for each instance is independent
-    of interleaving (messages are matched by instance tag), so the
-    final memory is bit-identical to {!Mimd_loop_ir.Interp.run} and to
-    {!Mimd_sim.Value_exec.run} whenever code generation is correct —
-    the differential tests assert exactly that. *)
+    of interleaving (messages are matched by instance tag), so every
+    instance value is bit-identical to
+    {!Mimd_loop_ir.Interp.instance_values} and the final memory to
+    {!Mimd_loop_ir.Interp.run} whenever code generation is correct —
+    {!check_instances} and {!check_against_sequential} assert exactly
+    that. *)
 
 type outcome = {
   instance_values : ((int * int) * float) list;
@@ -59,8 +61,10 @@ val finalize :
   results:(((int * int) * float) list * int * float) array ->
   outcome
 (** Fold per-processor [(computed, sent, wall_ns)] triples — one per
-    processor, in processor order — into an {!outcome}, through the
-    simulator's own last-writer fold ({!Mimd_sim.Value_exec.settle}).
+    processor, in processor order — into an {!outcome}: [final] gives
+    each written cell the value of its last writer in sequential
+    (iteration, body position) order.  Every executor folds through
+    here, so outcomes are comparable list for list.
     @raise Invalid_argument on a malformed loop/program pair. *)
 
 val check_against_sequential :
@@ -70,5 +74,18 @@ val check_against_sequential :
   iterations:int ->
   outcome ->
   (unit, string) result
-(** Bit-exact comparison of the runtime's final memory against the
-    sequential interpreter, via {!Mimd_sim.Value_exec.check_final}. *)
+(** Bit-exact comparison of the runtime's final memory against
+    {!Mimd_loop_ir.Interp.run} on the same loop, inputs and trip count
+    (identical computations must give identical bits, NaN included).
+    [Error] names the first differing cell. *)
+
+val check_instances :
+  spec:((int * int) * float) list ->
+  ((int * int) * float) list ->
+  (unit, string) result
+(** [check_instances ~spec got] compares an executor's instance list
+    against the spec ({!Mimd_loop_ir.Interp.instance_values}, computed
+    once by the caller), instance by instance, bit for bit.  Stronger
+    than {!check_against_sequential}: a wrong value that a later
+    writer of the same cell overwrites is still caught.  [Error] names
+    the first differing instance. *)

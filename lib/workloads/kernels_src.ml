@@ -96,5 +96,5 @@ let analyze ?(lower = false) t =
   let cost =
     if t.uniform_cost then Mimd_loop_ir.Cost.uniform else Mimd_loop_ir.Cost.weighted
   in
-  if lower then (Mimd_loop_ir.Lower.run_string ~cost t.source).Mimd_loop_ir.Lower.graph
+  if lower then (Mimd_loop_ir.Op_graph.run_string ~cost t.source).Mimd_loop_ir.Op_graph.graph
   else (Mimd_loop_ir.Depend.analyze_string ~cost t.source).Mimd_loop_ir.Depend.graph

@@ -84,6 +84,43 @@ let test_run_parallel_deadlock_exits_nonzero () =
        "run-parallel --src fig7 -k 0 -n 10 --inject-fault drop-send --watchdog-timeout 0.4"
     <> 0)
 
+(* Exit code and stderr of one run. *)
+let command_stderr args =
+  let err = Filename.temp_file "mimd-cli" ".err" in
+  let code = Sys.command (Printf.sprintf "%s %s > /dev/null 2> %s" exe args (Filename.quote err)) in
+  let text = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  (code, text)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let loop_file name = Filename.concat ".." (Filename.concat "examples" (Filename.concat "loops" name))
+
+let test_verify_needs_unwinding () =
+  (* iir2 carries a distance-2 dependence: a clean exit 1 with the
+     same message run-parallel prints, not an uncaught exception. *)
+  let code, err = command_stderr ("verify -f " ^ loop_file "iir2.loop") in
+  check_int "iir2 exits 1" 1 code;
+  check_bool "names the unwinding" true (contains ~sub:"loop needed unwinding" err);
+  check_int "a distance-1 loop verifies" 0 (command ("verify -f " ^ loop_file "fig7.loop"))
+
+(* cmdliner's exit code for a command-line error. *)
+let usage_error = 124
+
+let test_count_flag_rejects flag () =
+  List.iter
+    (fun cmd ->
+      let code, err = command_stderr (Printf.sprintf "%s -f %s %s 0" cmd (loop_file "fig1.loop") flag) in
+      check_int (Printf.sprintf "%s %s 0 is a usage error" cmd flag) usage_error code;
+      check_bool
+        (Printf.sprintf "%s %s 0 says why" cmd flag)
+        true
+        (contains ~sub:"not a positive integer" err))
+    [ "schedule"; "verify"; "run-parallel"; "run-dist" ]
+
 let suite =
   [
     Alcotest.test_case "cli: executable built" `Quick test_exe_present;
@@ -99,4 +136,8 @@ let suite =
       test_run_parallel_deadlock_exits_nonzero;
     Alcotest.test_case "cli: serve --stdio roundtrip" `Quick test_serve_stdio_roundtrip;
     Alcotest.test_case "cli: batch examples corpus" `Quick test_batch_examples;
+    Alcotest.test_case "cli: verify exits 1 on a loop needing unwinding" `Quick
+      test_verify_needs_unwinding;
+    Alcotest.test_case "cli: -n 0 is a usage error" `Quick (test_count_flag_rejects "-n");
+    Alcotest.test_case "cli: -p 0 is a usage error" `Quick (test_count_flag_rejects "-p");
   ]

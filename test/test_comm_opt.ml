@@ -10,7 +10,9 @@ module Depend = Mimd_loop_ir.Depend
 module Program = Mimd_codegen.Program
 module From_schedule = Mimd_codegen.From_schedule
 module Comm_opt = Mimd_codegen.Comm_opt
-module Value_exec = Mimd_sim.Value_exec
+module Interp = Mimd_loop_ir.Interp
+module Value_run = Mimd_runtime.Value_run
+module Exec_compiled = Mimd_runtime.Exec_compiled
 module Links = Mimd_sim.Links
 module Validate = Mimd_check.Validate
 module Random_loop = Mimd_workloads.Random_loop
@@ -187,13 +189,15 @@ let bits values =
     (List.map (fun (key, v) -> (key, Int64.bits_of_float v)) values)
 
 let assert_value_identical ~loop ~iterations base opt =
-  let links = Links.fixed 2 in
-  let sim_base = Value_exec.run ~loop ~program:base ~links () in
-  let sim_opt = Value_exec.run ~loop ~program:opt ~links () in
+  let run program = Exec_compiled.run_inline ~loop ~program () in
+  let run_base = run base and run_opt = run opt in
   check_bool "optimized = unoptimized, bitwise" true
-    (bits sim_base.Value_exec.instance_values
-    = bits sim_opt.Value_exec.instance_values);
-  match Value_exec.check_against_sequential ~loop ~iterations sim_opt with
+    (bits run_base.Value_run.instance_values = bits run_opt.Value_run.instance_values);
+  let spec = Interp.instance_values loop ~iterations in
+  match
+    Result.bind (Value_run.check_instances ~spec run_opt.Value_run.instance_values) (fun () ->
+        Value_run.check_against_sequential ~loop ~iterations run_opt)
+  with
   | Ok () -> ()
   | Error e -> Alcotest.failf "optimized vs sequential: %s" e
 

@@ -11,8 +11,7 @@ module Ast = Mimd_loop_ir.Ast
 module Parser = Mimd_loop_ir.Parser
 module Depend = Mimd_loop_ir.Depend
 module Value_run = Mimd_runtime.Value_run
-module Value_exec = Mimd_sim.Value_exec
-module Links = Mimd_sim.Links
+module Interp = Mimd_loop_ir.Interp
 module Json = Mimd_server.Json
 module Wire = Mimd_dist.Wire
 module Mesh_sock = Mimd_dist.Mesh_sock
@@ -264,7 +263,7 @@ let test_mesh_dead_peer_is_structured () =
     Mesh_sock.close_all mesh
 
 (* ---------------------------------------------------------------- *)
-(* Runner: forked processes = interpreter = simulator                 *)
+(* Runner: forked processes = interpreter, instance by instance      *)
 
 (* The full front end, with the token simulation on: install_hooks
    makes [validate:true] run lib/check's token audit over the message
@@ -285,11 +284,10 @@ let dist_differential ~name ?(p = 2) ?(k = 2) ?(iterations = 12) ?transport loop
   (match Value_run.check_against_sequential ~loop:flat ~iterations outcome with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: socket backend vs interp: %s" name e);
-  let sim = Value_exec.run ~loop:flat ~program ~links:(Links.fixed k) () in
-  if sim.Value_exec.instance_values <> outcome.Value_run.instance_values then
-    Alcotest.failf "%s: socket instance values differ from Value_exec" name;
-  if sim.Value_exec.final <> outcome.Value_run.final then
-    Alcotest.failf "%s: socket final memory differs from Value_exec" name;
+  let spec = Interp.instance_values flat ~iterations in
+  (match Value_run.check_instances ~spec outcome.Value_run.instance_values with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: socket instances vs interp: %s" name e);
   check_bool (name ^ ": forked >= 1 process") true (outcome.Value_run.domains >= 1)
 
 let test_runner_paper_workloads () =
@@ -327,8 +325,8 @@ let test_runner_random_sweep () =
 let test_runner_compiled_pack_delivery () =
   (* Satellite of the compiled backend: pack frames over the socket
      transport, delivered into compiled slots and read iterations
-     later, must agree bit for bit with the simulator's value
-     execution and the sequential interpreter.  The children run a
+     later, must agree bit for bit with the sequential interpreter,
+     every instance and the final memory.  The children run a
      form lowered once up front ([`Compiled_form]), as a caller
      holding a cached lowering does. *)
   let loop = Parser.parse Mimd_workloads.Elliptic.source in
@@ -349,10 +347,9 @@ let test_runner_compiled_pack_delivery () =
   (match Value_run.check_against_sequential ~loop:flat ~iterations:30 compiled with
   | Ok () -> ()
   | Error e -> Alcotest.failf "socket compiled vs interp: %s" e);
-  let sim = Value_exec.run ~loop:flat ~program:packed ~links:(Links.fixed 2) () in
-  check_bool "socket: compiled == simulated, every instance" true
-    (compiled.Value_run.instance_values = sim.Value_exec.instance_values
-    && compiled.Value_run.final = sim.Value_exec.final)
+  let spec = Interp.instance_values flat ~iterations:30 in
+  check_bool "socket: compiled == spec, every instance" true
+    (Value_run.check_instances ~spec compiled.Value_run.instance_values = Ok ())
 
 let no_children_left () =
   (* The reap contract: after any runner return or failure there must

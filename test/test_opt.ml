@@ -136,12 +136,14 @@ let test_kernels_values_correct () =
         Cyclic_sched.schedule_iterations ~graph ~machine:(machine ()) ~iterations:20 ()
       in
       let program = Mimd_codegen.From_schedule.run schedule in
-      let outcome =
-        Mimd_sim.Value_exec.run ~loop ~program
-          ~links:(Mimd_sim.Links.uniform ~base:2 ~mm:3 ~seed:2) ()
-      in
+      let outcome = Mimd_runtime.Exec_compiled.run_inline ~loop ~program () in
+      let spec = Mimd_loop_ir.Interp.instance_values loop ~iterations:20 in
       match
-        Mimd_sim.Value_exec.check_against_sequential ~loop ~iterations:20 outcome
+        Result.bind
+          (Mimd_runtime.Value_run.check_instances ~spec
+             outcome.Mimd_runtime.Value_run.instance_values)
+          (fun () ->
+            Mimd_runtime.Value_run.check_against_sequential ~loop ~iterations:20 outcome)
       with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: %s" k.Kernels.name e)

@@ -1,7 +1,7 @@
 (* Real-domain runtime: differential correctness of the compiled
-   evaluator against the sequential interpreter (gold standard) and the
-   value-carrying simulator, channel/mesh mechanics, watchdog deadlock
-   detection and the schedule cache. *)
+   evaluator, on domains and inline, against the sequential interpreter
+   (the spec, instance by instance), channel/mesh mechanics, watchdog
+   deadlock detection and the schedule cache. *)
 
 open Helpers
 module Ast = Mimd_loop_ir.Ast
@@ -9,8 +9,6 @@ module Parser = Mimd_loop_ir.Parser
 module Depend = Mimd_loop_ir.Depend
 module Interp = Mimd_loop_ir.Interp
 module Program = Mimd_codegen.Program
-module Value_exec = Mimd_sim.Value_exec
-module Links = Mimd_sim.Links
 module Channel = Mimd_runtime.Channel
 module Watchdog = Mimd_runtime.Watchdog
 module Value_run = Mimd_runtime.Value_run
@@ -55,7 +53,7 @@ let test_channel_cancel_unblocks () =
     (match Channel.send ch 1 with () -> false | exception Channel.Cancelled -> true)
 
 (* ---------------------------------------------------------------- *)
-(* Differential execution: compiled runtime = Interp = Value_exec     *)
+(* Differential execution: domains = inline = Interp, every instance  *)
 
 let compile ?(p = 2) ?(k = 2) ~iterations loop =
   let flat = if Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop in
@@ -64,29 +62,30 @@ let compile ?(p = 2) ?(k = 2) ~iterations loop =
   let schedule = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
   (flat, Mimd_codegen.From_schedule.run schedule)
 
-(* Run [program] on the compiled domain runtime and require it to match
-   the sequential interpreter (final memory) and the simulator's value
-   execution (every instance and the final memory), bit for bit.
-   [prelower] hands the runtime an already-lowered form through
-   [~lowered], the path the socket runner takes. *)
-let check_runtime ?(prelower = false) ~name ~k ~iterations ~flat program =
+(* Run [program] on the compiled domain runtime and inline, and require
+   both to match the sequential interpreter instance by instance and in
+   final memory, bit for bit.  [prelower] hands both runs an
+   already-lowered form through [~lowered], the path the socket runner
+   takes. *)
+let check_runtime ?(prelower = false) ~name ~iterations ~flat program =
   let lowered = if prelower then Some (Lower.run ~loop:flat ~program ()) else None in
+  let spec = Interp.instance_values flat ~iterations in
+  let check label (outcome : Value_run.outcome) =
+    (match Value_run.check_instances ~spec outcome.Value_run.instance_values with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %s instances vs interp: %s" name label e);
+    match Value_run.check_against_sequential ~loop:flat ~iterations outcome with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %s final memory vs interp: %s" name label e
+  in
   let runtime = Exec_compiled.run ?lowered ~loop:flat ~program () in
-  (* vs the sequential interpreter (gold standard) *)
-  (match Value_run.check_against_sequential ~loop:flat ~iterations runtime with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "%s: runtime vs interp: %s" name e);
-  (* vs the simulator's value execution, instance by instance *)
-  let sim = Value_exec.run ~loop:flat ~program ~links:(Links.fixed k) () in
-  if sim.Value_exec.instance_values <> runtime.Value_run.instance_values then
-    Alcotest.failf "%s: runtime instance values differ from Value_exec" name;
-  if sim.Value_exec.final <> runtime.Value_run.final then
-    Alcotest.failf "%s: runtime final memory differs from Value_exec" name;
+  check "domains" runtime;
+  check "inline" (Exec_compiled.run_inline ?lowered ~loop:flat ~program ());
   check_bool (name ^ ": ran on >= 1 domain") true (runtime.Value_run.domains >= 1)
 
 let differential ?prelower ~name ?(p = 2) ?(k = 2) ?(iterations = 20) loop =
   let flat, program = compile ~p ~k ~iterations loop in
-  check_runtime ?prelower ~name ~k ~iterations ~flat program
+  check_runtime ?prelower ~name ~iterations ~flat program
 
 let test_differential_paper_workloads () =
   List.iter
@@ -147,10 +146,9 @@ let test_full_sched_programs () =
 (* ---------------------------------------------------------------- *)
 (* Watchdog                                                           *)
 
-let test_watchdog_detects_deadlock () =
-  (* Drop one send from a correct program: the matching recv can never
-     complete, and the run must end in Runtime_deadlock (with
-     snapshots), not hang. *)
+(* A correct program with its first Send removed: the matching recv
+   can never complete. *)
+let program_missing_a_send () =
   let loop = Parser.parse "for i = 1 to n { X[i] = X[i-1] + 1; Y[i] = X[i] * 2; }" in
   let flat, program = compile ~k:0 ~iterations:10 loop in
   let dropped = ref false in
@@ -165,7 +163,11 @@ let test_watchdog_detects_deadlock () =
       program.Program.programs
   in
   check_bool "a send was dropped" true !dropped;
-  let broken = { program with Program.programs } in
+  (flat, program, { program with Program.programs })
+
+let test_watchdog_detects_deadlock () =
+  (* The run must end in Runtime_deadlock (with snapshots), not hang. *)
+  let flat, program, broken = program_missing_a_send () in
   let watchdog = Watchdog.config ~timeout:0.3 ~poll_interval:0.01 () in
   let t0 = Unix.gettimeofday () in
   match Exec_compiled.run ~watchdog ~loop:flat ~program:broken () with
@@ -178,6 +180,24 @@ let test_watchdog_detects_deadlock () =
     check_bool "some domain is stuck mid-program" true
       (List.exists
          (fun s -> s.Watchdog.current <> None)
+         stall.Watchdog.snapshots)
+
+let test_inline_deadlock_is_structured () =
+  (* Inline, the stall is known at once: every unfinished PE is parked
+     on a frame no one will send.  One snapshot per PE, and the stuck
+     one names the Recv it waits on. *)
+  let flat, program, broken = program_missing_a_send () in
+  match Exec_compiled.run_inline ~loop:flat ~program:broken () with
+  | _ -> Alcotest.fail "broken program terminated normally"
+  | exception Watchdog.Runtime_deadlock stall ->
+    check_int "one snapshot per PE" program.Program.processors
+      (List.length stall.Watchdog.snapshots);
+    check_bool "a PE is stuck on a recv" true
+      (List.exists
+         (fun s ->
+           match s.Watchdog.current with
+           | Some instr -> String.starts_with ~prefix:"recv" (String.lowercase_ascii instr)
+           | None -> false)
          stall.Watchdog.snapshots)
 
 let test_watchdog_quiet_on_healthy_run () =
@@ -337,8 +357,8 @@ let test_compiled_pack_delivery () =
       packed.Program.programs
   in
   check_bool "optimized program carries multi-value packs" true has_pack;
-  check_runtime ~prelower:true ~name:"ewf unpacked" ~k:2 ~iterations:30 ~flat program;
-  check_runtime ~prelower:true ~name:"ewf packed" ~k:2 ~iterations:30 ~flat packed
+  check_runtime ~prelower:true ~name:"ewf unpacked" ~iterations:30 ~flat program;
+  check_runtime ~prelower:true ~name:"ewf packed" ~iterations:30 ~flat packed
 
 let test_stale_slot_must_fail () =
   let loop = Parser.parse Mimd_workloads.Fig7.source in
@@ -362,6 +382,8 @@ let suite =
     Alcotest.test_case "differential: full pipeline programs" `Quick test_full_sched_programs;
     Alcotest.test_case "watchdog: broken program raises Runtime_deadlock" `Quick
       test_watchdog_detects_deadlock;
+    Alcotest.test_case "inline: deadlock raises Runtime_deadlock at once" `Quick
+      test_inline_deadlock_is_structured;
     Alcotest.test_case "watchdog: silent on healthy runs" `Quick test_watchdog_quiet_on_healthy_run;
     Alcotest.test_case "timed run: cycle accounting" `Quick test_timed_run_counts_cycles;
     Alcotest.test_case "schedule cache: memoizes" `Quick test_schedule_cache_hits;

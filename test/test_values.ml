@@ -6,8 +6,9 @@ module Ast = Mimd_loop_ir.Ast
 module Parser = Mimd_loop_ir.Parser
 module Depend = Mimd_loop_ir.Depend
 module Interp = Mimd_loop_ir.Interp
-module Value_exec = Mimd_sim.Value_exec
-module Links = Mimd_sim.Links
+module Value_run = Mimd_runtime.Value_run
+module Exec_compiled = Mimd_runtime.Exec_compiled
+module Lower = Mimd_runtime.Lower
 
 (* ---------------------------------------------------------------- *)
 (* The sequential interpreter itself                                 *)
@@ -55,6 +56,30 @@ let test_interp_written_cells () =
   let st = Interp.run loop ~iterations:3 in
   check_int "three cells" 3 (List.length (Interp.written_cells st))
 
+let test_interp_instance_values () =
+  (* Keyed by (body position, iteration), sorted; a multi-writer cell
+     keeps both writers' instances, and the last one is what [run]
+     leaves in memory. *)
+  let loop = Parser.parse "for i = 1 to n { B[i] = 1; B[i] = B[i] + 2; S[0] = S[0] + B[i]; }" in
+  let got = Interp.instance_values loop ~iterations:2 in
+  let s0 = Interp.init "S@0" 0 in
+  let expected =
+    [
+      ((0, 0), 1.0); ((0, 1), 1.0); ((1, 0), 3.0); ((1, 1), 3.0); ((2, 0), s0 +. 3.0);
+      ((2, 1), s0 +. 6.0);
+    ]
+  in
+  check_bool "instances" true (got = expected);
+  let st = Interp.run loop ~iterations:2 in
+  Alcotest.(check (float 0.0)) "last writer" 3.0 (Interp.read st "B" 1);
+  check_bool "structured loop rejected" true
+    (match
+       Interp.instance_values (Parser.parse "for i = 1 to n { if (X[i-1]) { X[i] = 1; } }")
+         ~iterations:2
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* ---------------------------------------------------------------- *)
 (* Parallel value execution                                          *)
 
@@ -76,43 +101,37 @@ let sources =
     );
   ]
 
-let run_parallel ?(p = 2) ?(k = 2) ?(iterations = 25) ?(links = Links.fixed 2) src =
+let compile ?(p = 2) ?(k = 2) ?(iterations = 25) src =
   let loop = Parser.parse src in
   let flat = if Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop in
   let analysis = Depend.analyze flat in
   let graph = analysis.Depend.graph in
   let machine = machine ~p ~k () in
   let schedule = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
-  let program = Mimd_codegen.From_schedule.run schedule in
-  let outcome = Value_exec.run ~loop:flat ~program ~links () in
-  (flat, outcome)
+  (flat, Mimd_codegen.From_schedule.run schedule)
+
+(* The lowered evaluator run inline must match the spec instance by
+   instance, and its last-writer fold the interpreter's final memory. *)
+let check_values ~loop ~iterations program =
+  let outcome = Exec_compiled.run_inline ~loop ~program () in
+  let spec = Interp.instance_values loop ~iterations in
+  Result.bind (Value_run.check_instances ~spec outcome.Value_run.instance_values) (fun () ->
+      Value_run.check_against_sequential ~loop ~iterations outcome)
 
 let test_parallel_matches_sequential () =
   List.iter
     (fun (name, src) ->
-      let flat, outcome = run_parallel src in
-      match Value_exec.check_against_sequential ~loop:flat ~iterations:25 outcome with
+      let flat, program = compile src in
+      match check_values ~loop:flat ~iterations:25 program with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: %s" name e)
-    sources
-
-let test_parallel_matches_under_fluctuation () =
-  (* Timing changes, values must not. *)
-  List.iter
-    (fun (name, src) ->
-      let flat, outcome =
-        run_parallel ~links:(Links.uniform ~base:2 ~mm:5 ~seed:3) src
-      in
-      match Value_exec.check_against_sequential ~loop:flat ~iterations:25 outcome with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s under mm=5: %s" name e)
     sources
 
 let test_parallel_matches_more_processors () =
   List.iter
     (fun (name, src) ->
-      let flat, outcome = run_parallel ~p:4 src in
-      match Value_exec.check_against_sequential ~loop:flat ~iterations:25 outcome with
+      let flat, program = compile ~p:4 src in
+      match check_values ~loop:flat ~iterations:25 program with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s on 4 PEs: %s" name e)
     sources
@@ -128,25 +147,29 @@ let test_parallel_doacross_programs_too () =
       let doa = Mimd_doacross.Doacross.analyze ~graph ~machine () in
       let schedule = Mimd_doacross.Doacross.effective_schedule doa ~iterations:20 in
       let program = Mimd_codegen.From_schedule.run schedule in
-      let outcome = Value_exec.run ~loop:flat ~program ~links:(Links.fixed 2) () in
-      match Value_exec.check_against_sequential ~loop:flat ~iterations:20 outcome with
+      match check_values ~loop:flat ~iterations:20 program with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s via doacross: %s" name e)
     sources
 
-let test_parallel_timing_agrees_with_exec () =
-  (* Value execution and plain timing execution see identical clocks. *)
-  let loop = Parser.parse Mimd_workloads.Fig7.source in
-  let graph = (Depend.analyze loop).Depend.graph in
-  let machine = machine () in
-  let schedule = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations:30 () in
-  let program = Mimd_codegen.From_schedule.run schedule in
-  let timed = Mimd_sim.Exec.run ~program ~links:(Links.fixed 2) () in
-  let valued = Value_exec.run ~loop ~program ~links:(Links.fixed 2) () in
-  check_int "same makespan" timed.Mimd_sim.Exec.makespan
-    valued.Value_exec.timing.Mimd_sim.Exec.makespan;
-  check_int "same messages" timed.Mimd_sim.Exec.messages
-    valued.Value_exec.timing.Mimd_sim.Exec.messages
+let test_instances_catch_overwritten_stale_value () =
+  (* T[i] is written twice per iteration: the first write reads X[i-1]
+     and the second overwrites it with a constant.  Poisoning the
+     first compute's operand makes instance (0,0) NaN, but no written
+     cell keeps that value, so only the instance-level spec sees it. *)
+  let flat, program =
+    compile ~k:1 ~iterations:10 "for i = 1 to n { T[i] = X[i-1] * 3; T[i] = 5; X[i] = X[i-1] + 1; }"
+  in
+  let lowered = Lower.sabotage_stale_slot (Lower.run ~loop:flat ~program ()) in
+  let outcome = Exec_compiled.run_inline ~lowered ~loop:flat ~program () in
+  check_bool "instance (0,0) is NaN" true
+    (Float.is_nan (List.assoc (0, 0) outcome.Value_run.instance_values));
+  check_bool "final memory misses it" true
+    (Value_run.check_against_sequential ~loop:flat ~iterations:10 outcome = Ok ());
+  let spec = Interp.instance_values flat ~iterations:10 in
+  match Value_run.check_instances ~spec outcome.Value_run.instance_values with
+  | Ok () -> Alcotest.fail "stale overwritten instance escaped the instance-level spec"
+  | Error e -> check_bool ("names instance (0,0): " ^ e) true (String.starts_with ~prefix:"instance (0,0)" e)
 
 let test_detects_missing_message () =
   (* Drop one send from a correct program: the executor must fail
@@ -174,9 +197,9 @@ let test_detects_missing_message () =
   check_bool "a send was dropped" true !dropped;
   let broken = { program with Mimd_codegen.Program.programs } in
   check_bool "fails loudly" true
-    (match Value_exec.run ~loop ~program:broken ~links:(Links.fixed 2) () with
+    (match Exec_compiled.run_inline ~loop ~program:broken () with
     | _ -> false
-    | exception (Mimd_sim.Exec.Deadlock _ | Invalid_argument _) -> true)
+    | exception (Mimd_runtime.Watchdog.Runtime_deadlock _ | Invalid_argument _) -> true)
 
 let test_rejects_structured_loop () =
   let loop = Parser.parse "for i = 1 to n { if (X[i-1]) { X[i] = 1; } }" in
@@ -186,7 +209,7 @@ let test_rejects_structured_loop () =
   in
   let program = Mimd_codegen.From_schedule.run schedule in
   check_bool "flat required" true
-    (match Value_exec.run ~loop ~program ~links:(Links.fixed 2) () with
+    (match Exec_compiled.run_inline ~loop ~program () with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -240,8 +263,7 @@ let prop_fuzz_values =
         Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations ()
       in
       let program = Mimd_codegen.From_schedule.run schedule in
-      let outcome = Value_exec.run ~loop ~program ~links:(Links.uniform ~base:1 ~mm:3 ~seed:5) () in
-      Value_exec.check_against_sequential ~loop ~iterations outcome = Ok ())
+      check_values ~loop ~iterations program = Ok ())
 
 let suite =
   [
@@ -251,11 +273,12 @@ let suite =
     Alcotest.test_case "interp: reductions" `Quick test_interp_fixed_cell_reduction;
     Alcotest.test_case "interp: if = if-converted" `Quick test_interp_if_matches_if_converted;
     Alcotest.test_case "interp: written cells" `Quick test_interp_written_cells;
+    Alcotest.test_case "interp: instance values" `Quick test_interp_instance_values;
     Alcotest.test_case "values: parallel = sequential" `Quick test_parallel_matches_sequential;
-    Alcotest.test_case "values: invariant under fluctuation" `Quick test_parallel_matches_under_fluctuation;
     Alcotest.test_case "values: invariant under more PEs" `Quick test_parallel_matches_more_processors;
     Alcotest.test_case "values: DOACROSS programs correct too" `Quick test_parallel_doacross_programs_too;
-    Alcotest.test_case "values: timing carried over" `Quick test_parallel_timing_agrees_with_exec;
+    Alcotest.test_case "values: overwritten stale instance caught" `Quick
+      test_instances_catch_overwritten_stale_value;
     Alcotest.test_case "values: missing message detected" `Quick test_detects_missing_message;
     Alcotest.test_case "values: rejects structured loops" `Quick test_rejects_structured_loop;
     prop_fuzz_values;
