@@ -8,7 +8,7 @@ module Clock = Mimd_obs.Clock
 module Metrics = Mimd_obs.Metrics
 
 type child_ok = {
-  computed : ((int * int) * float) list;
+  vals : float array;
   sent : int;
   wall_ns : float;
   trace : Trace.captured option;
@@ -150,10 +150,10 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
           in
           Mimd_runtime.Exec_compiled.worker ~init ~scalars ~lowered ~proc:j ~chans ()
         with
-        | computed, sent ->
+        | vals, sent ->
           Ok
             {
-              computed;
+              vals;
               sent;
               wall_ns = float_of_int (Clock.now_ns () - t0);
               trace = (if Trace.is_enabled () then Some (Trace.capture ()) else None);
@@ -178,9 +178,10 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
   let reap_status j =
     if not reaped.(j) then begin
       reaped.(j) <- true;
-      match Unix.waitpid [] pids.(j) with
-      | _, status -> Some status
-      | exception Unix.Unix_error _ -> None
+      Trace.span ~cat:"dist" ~args:[ ("proc", string_of_int j) ] "dist.reap" (fun () ->
+          match Unix.waitpid [] pids.(j) with
+          | _, status -> Some status
+          | exception Unix.Unix_error _ -> None)
     end
     else None
   in
@@ -253,7 +254,7 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
   let results =
     Array.init procs (fun j ->
         match reports.(j) with
-        | Some r -> (r.computed, r.sent, r.wall_ns)
+        | Some r -> (r.vals, r.sent, r.wall_ns)
         | None -> assert false)
   in
   (* Merge the children's spans into this process's capture: each
@@ -264,7 +265,8 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
       | Some { trace = Some c; _ } -> Trace.absorb ~tid_offset:((j + 1) * 1000) c
       | _ -> ())
     reports;
-  Value_run.finalize ~loop ~program ~results
+  Value_run.finalize ~loop ~program ~computes:(Mimd_runtime.Lower.computes lowered)
+    ~results
 
 (* Respawn supervision for a one-shot run.  A run is a deterministic
    pure function of (loop, program, inputs), and a crashed or stalled

@@ -2,7 +2,9 @@
     scheduled processor, {!Mesh_sock} links between them, the shared
     {!Mimd_runtime.Exec_compiled.worker} inside each, and a parent that
     spawns, releases them together, collects per-child reports over
-    control sockets and folds them through
+    control sockets — each child's computed values as one unboxed
+    [float array] in the order of its lowered [computes], its message
+    count and its wall time — and folds them through
     {!Mimd_runtime.Value_run.finalize} — so a distributed run yields
     the same [outcome] (bit-identical values) as the domain runtime
     and the sequential interpreter.

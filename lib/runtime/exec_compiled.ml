@@ -1,13 +1,15 @@
 module Program = Mimd_codegen.Program
 module Interp = Mimd_loop_ir.Interp
 module Trace = Mimd_obs.Trace
+module Clock = Mimd_obs.Clock
 
 (* The per-processor evaluator: a tight match over a cinstr array with
    int fields.  All state is preallocated —
    the unboxed slot store, the evaluation stack, the computed-value
    array — so the compute path allocates nothing per instruction; only
    outbound message payloads are built on demand (they cross domains
-   and must be fresh values either way). *)
+   and must be fresh values either way).  The computed-value array is
+   the result: [vals.(k)] is the value of [computes.(k)]. *)
 let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
     ~(chans : Value_run.chans) () =
   let pc = lowered.Lower.procs.(j) in
@@ -20,8 +22,7 @@ let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
     pc.Lower.prefill;
   let scal = Array.map scalars lowered.Lower.scalar_names in
   let stack = Array.make pc.Lower.stack_need 0.0 in
-  let ncomputes = Array.length pc.Lower.computes in
-  let vals = Array.make ncomputes 0.0 in
+  let vals = Array.make (Array.length pc.Lower.computes) 0.0 in
   let ci = ref 0 in
   let sent = ref 0 in
   let traced = Trace.is_enabled () in
@@ -149,7 +150,7 @@ let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
        else exec ins);
       tick ())
     pc.Lower.instrs;
-  (List.init ncomputes (fun i -> (pc.Lower.computes.(i), vals.(i))), !sent)
+  (vals, !sent)
 
 let worker ?(init = Interp.init) ?(scalars = Interp.default_scalar)
     ?(tick = ignore) ~lowered ~proc ~chans () =
@@ -164,7 +165,7 @@ let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?watchdog
   if lowered.Lower.processors <> program.processors then
     invalid_arg "Exec_compiled.run: lowered form is for another program";
   let mesh = Mesh.create ~procs:program.processors ~capacity:channel_capacity in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   let worker ~proc:j ~tick =
     let stash = Mesh.stash mesh in
     let chans =
@@ -173,18 +174,15 @@ let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?watchdog
         recv = (fun ~src ~tag -> Mesh.recv_tag mesh stash ~src ~dst:j ~tag);
       }
     in
-    let computed, sent =
-      worker_with ~init ~scalars ~tick ~lowered ~proc:j ~chans ()
-    in
-    let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-    (computed, sent, wall_ns)
+    let vals, sent = worker_with ~init ~scalars ~tick ~lowered ~proc:j ~chans () in
+    (vals, sent, float_of_int (Clock.now_ns () - t0))
   in
   let results =
     Domains.run ?watchdog ~graph:program.graph ~programs:program.programs
       ~cancel_all:(fun () -> Mesh.cancel_all mesh)
       ~worker ()
   in
-  Value_run.finalize ~loop ~program ~results
+  Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered) ~results
 
 (* Raised inside a PE's fiber by a recv whose frame has not arrived:
    the run loop parks the continuation under the frame's mailbox key. *)
@@ -208,7 +206,7 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
   let runnable : (unit -> unit) Queue.t = Queue.create () in
   let retired = Array.make p 0 in
   let results = Array.make p None in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   let chans j =
     {
       Value_run.send =
@@ -238,8 +236,8 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
       ()
       {
         retc =
-          (fun (computed, sent) ->
-            results.(j) <- Some (computed, sent, (Unix.gettimeofday () -. t0) *. 1e9));
+          (fun (vals, sent) ->
+            results.(j) <- Some (vals, sent, float_of_int (Clock.now_ns () - t0)));
         exnc = raise;
         effc =
           (fun (type a) (eff : a Effect.t) ->
@@ -273,4 +271,5 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
     raise
       (Watchdog.Runtime_deadlock { timeout = 0.0; snapshots = List.init p snapshot })
   end;
-  Value_run.finalize ~loop ~program ~results:(Array.map Option.get results)
+  Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered)
+    ~results:(Array.map Option.get results)

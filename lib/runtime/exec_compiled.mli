@@ -21,12 +21,14 @@ val worker :
   proc:int ->
   chans:Value_run.chans ->
   unit ->
-  ((int * int) * float) list * int
+  float array * int
 (** Execute processor [proc]'s lowered stream over any channel backend
     (the domain {!Mesh} or the [Mimd_dist] socket mesh); returns
-    (computed instance values, messages sent), the per-processor input
-    of {!Value_run.finalize}.  [tick] is called after every instruction
-    (the watchdog progress hook). *)
+    (computed values, messages sent), the per-processor input of
+    {!Value_run.finalize}.  The values are unboxed and in the order of
+    [lowered.procs.(proc).computes]: element [k] is the value of the
+    [k]-th instance that processor computes.  [tick] is called after
+    every instruction (the watchdog progress hook). *)
 
 val run :
   ?init:(string -> int -> float) ->

@@ -302,6 +302,8 @@ let run ~loop ~(program : Program.t) () =
     scalar_names = Array.of_list (List.rev !scalar_order);
   }
 
+let computes t = Array.map (fun pc -> pc.computes) t.procs
+
 (* Deliberate corruption for the must-fail differential probe: the
    first Compute that has any operand is redirected to a fresh slot
    that nothing ever writes (slots start as NaN), so the computed

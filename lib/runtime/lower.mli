@@ -77,8 +77,9 @@ type proc_code = {
       (** (array, cell index, slot): initial-memory cells to load
           before the first instruction *)
   computes : (int * int) array;
-      (** instances this PE computes, program order — pairs with the
-          executor's value array to rebuild the computed list *)
+      (** instances this PE computes, program order: element [k]
+          names the [k]-th value of the executor's value array, which
+          {!Value_run.finalize} scatters by this index *)
   stack_need : int;
 }
 
@@ -94,6 +95,11 @@ val run : loop:Mimd_loop_ir.Ast.loop -> program:Mimd_codegen.Program.t -> unit -
     @raise Invalid_argument on a malformed pair, including a [Compute]
     whose operand (or a [Send] whose value) is not defined before use
     on its PE. *)
+
+val computes : t -> (int * int) array array
+(** Every processor's {!proc_code.computes}, in processor order: the
+    [computes] argument of {!Value_run.finalize} for workers run over
+    this lowered form. *)
 
 val sabotage_stale_slot : t -> t
 (** A copy of [t] with one deliberately stale operand: the first

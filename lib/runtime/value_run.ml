@@ -2,6 +2,7 @@ module Program = Mimd_codegen.Program
 module Graph = Mimd_ddg.Graph
 module Ast = Mimd_loop_ir.Ast
 module Interp = Mimd_loop_ir.Interp
+module Trace = Mimd_obs.Trace
 
 type outcome = {
   instance_values : ((int * int) * float) list;
@@ -23,48 +24,108 @@ type chans = {
 
 let default_channel_capacity = 256
 
-(* Authoritative final memory: every cell takes the value of its last
-   writer in sequential (iteration, body position) order. *)
-let settle stmts values =
-  let last_writer : (string * int, (int * int) * float) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun (node, iter) v ->
-      let array, offset, _ = stmts.(node) in
-      let cell = (array, Interp.cell_index array ~iter ~offset) in
-      let better =
-        match Hashtbl.find_opt last_writer cell with
-        | None -> true
-        | Some ((i', s'), _) -> (iter, node) > (i', s')
-      in
-      if better then Hashtbl.replace last_writer cell ((iter, node), v))
-    values;
-  let final =
-    Hashtbl.fold (fun (a, i) (_, v) acc -> (a, i, v) :: acc) last_writer []
-    |> List.sort compare
-  in
-  let instance_values =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) values [] |> List.sort compare
-  in
-  (instance_values, final)
-
-let finalize ~loop ~program ~results =
+(* The outcome is built from dense tables: each PE's value array is
+   scattered into one nodes x iters table (later PEs overwrite earlier
+   ones, as every PE computing an instance computes the same value),
+   and the last writer of every cell is found by replaying that table
+   in sequential (iteration, body position) order into a per-array
+   cell range.  Both output lists are emitted already sorted. *)
+let finalize ~loop ~program ~computes ~results =
+  Trace.span ~cat:"run" "run.finalize" @@ fun () ->
   if not (Ast.is_flat loop) then invalid_arg "Value_run: loop must be flat";
   let stmts = Array.of_list (Ast.assignments loop) in
-  if Array.length stmts <> Graph.node_count program.Program.graph then
+  let nodes = Array.length stmts in
+  if nodes <> Graph.node_count program.Program.graph then
     invalid_arg "Value_run: statement/node count mismatch";
-  let values : (int * int, float) Hashtbl.t = Hashtbl.create 1024 in
-  let messages = ref 0 in
-  Array.iter
-    (fun (computed, sent, _) ->
-      messages := !messages + sent;
-      List.iter (fun (k, v) -> Hashtbl.replace values k v) computed)
-    results;
-  let instance_values, final = settle stmts values in
+  if Array.length computes <> Array.length results then
+    invalid_arg "Value_run: one computes array per processor";
+  let iters = ref 0 in
+  Array.iteri
+    (fun j cs ->
+      let vals, _, _ = results.(j) in
+      if Array.length vals <> Array.length cs then
+        invalid_arg
+          (Printf.sprintf "Value_run: PE%d returned %d value(s) for %d compute(s)" j
+             (Array.length vals) (Array.length cs));
+      Array.iter
+        (fun (node, iter) ->
+          if node < 0 || node >= nodes || iter < 0 then
+            invalid_arg "Value_run: instance out of range";
+          if iter >= !iters then iters := iter + 1)
+        cs)
+    computes;
+  let iters = !iters in
+  let table = Array.make (nodes * iters) 0.0 in
+  let present = Bytes.make (nodes * iters) '\000' in
+  Array.iteri
+    (fun j cs ->
+      let vals, _, _ = results.(j) in
+      Array.iteri
+        (fun k (node, iter) ->
+          let ix = (node * iters) + iter in
+          table.(ix) <- vals.(k);
+          Bytes.set present ix '\001')
+        cs)
+    computes;
+  let instance_values = ref [] in
+  for ix = (nodes * iters) - 1 downto 0 do
+    if Bytes.get present ix <> '\000' then
+      instance_values := ((ix / iters, ix mod iters), table.(ix)) :: !instance_values
+  done;
+  (* One dense cell range per written array, in name order: fixed
+     cells live at index 0 ({!Interp.cell_index}), an affine write at
+     offset [a] covers [a, a + iters). *)
+  let names =
+    List.sort_uniq String.compare (Array.to_list (Array.map (fun (a, _, _) -> a) stmts))
+    |> Array.of_list
+  in
+  let ranges =
+    Array.map
+      (fun name ->
+        Array.fold_left
+          (fun (lo, hi) (array, offset, _) ->
+            if not (String.equal array name) then (lo, hi)
+            else
+              ( min lo (Interp.cell_index array ~iter:0 ~offset),
+                max hi (Interp.cell_index array ~iter:(iters - 1) ~offset) ))
+          (max_int, min_int) stmts)
+      names
+  in
+  let array_of =
+    Array.map
+      (fun (a, _, _) ->
+        let rec find i = if String.equal names.(i) a then i else find (i + 1) in
+        find 0)
+      stmts
+  in
+  let cells = Array.map (fun (lo, hi) -> Array.make (hi - lo + 1) 0.0) ranges in
+  let written = Array.map (fun c -> Bytes.make (Array.length c) '\000') cells in
+  for iter = 0 to iters - 1 do
+    for node = 0 to nodes - 1 do
+      let ix = (node * iters) + iter in
+      if Bytes.get present ix <> '\000' then begin
+        let array, offset, _ = stmts.(node) in
+        let a = array_of.(node) in
+        let c = Interp.cell_index array ~iter ~offset - fst ranges.(a) in
+        cells.(a).(c) <- table.(ix);
+        Bytes.set written.(a) c '\001'
+      end
+    done
+  done;
+  let final = ref [] in
+  for a = Array.length names - 1 downto 0 do
+    let lo = fst ranges.(a) in
+    for c = Array.length cells.(a) - 1 downto 0 do
+      if Bytes.get written.(a) c <> '\000' then
+        final := (names.(a), lo + c, cells.(a).(c)) :: !final
+    done
+  done;
+  let messages = Array.fold_left (fun acc (_, sent, _) -> acc + sent) 0 results in
   let domain_wall_ns = Array.map (fun (_, _, ns) -> ns) results in
   {
-    instance_values;
-    final;
-    messages = !messages;
+    instance_values = !instance_values;
+    final = !final;
+    messages;
     domains = program.Program.processors;
     domain_wall_ns;
     makespan_ns = Array.fold_left max 0.0 domain_wall_ns;

@@ -4,7 +4,7 @@
     {!Exec_compiled} executes one processor's lowered program against
     any {!chans} — the in-process domain {!Mesh}, or the forked-process
     socket and TCP meshes in [Mimd_dist] — and {!finalize} folds the
-    per-processor results into an {!outcome}.  No memory is shared
+    per-processor value arrays into an {!outcome}.  No memory is shared
     between processors: every cross-processor value travels in a
     message, exactly as on the paper's asynchronous shared-nothing
     MIMD machine.
@@ -58,14 +58,25 @@ type chans = {
 val finalize :
   loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
-  results:(((int * int) * float) list * int * float) array ->
+  computes:(int * int) array array ->
+  results:(float array * int * float) array ->
   outcome
-(** Fold per-processor [(computed, sent, wall_ns)] triples — one per
-    processor, in processor order — into an {!outcome}: [final] gives
-    each written cell the value of its last writer in sequential
-    (iteration, body position) order.  Every executor folds through
-    here, so outcomes are comparable list for list.
-    @raise Invalid_argument on a malformed loop/program pair. *)
+(** Fold the per-processor results into an {!outcome}.  [computes.(j)]
+    lists the [(node, iteration)] instances processor [j] computes, in
+    program order ({!Lower.proc_code.computes}); [results.(j)] is that
+    processor's [(values, sent, wall_ns)], where [values.(k)] is the
+    value of [computes.(j).(k)].  The fold scatters every value into
+    one dense node x iteration table, reads [instance_values] off it in
+    (node, iteration) order, and replays it in sequential (iteration,
+    body position) order to give each written cell the value of its
+    last writer: [final] comes out in (array name, index) order, fixed
+    cells at index 0 as in {!Mimd_loop_ir.Interp.cell_index}.  Every
+    executor folds through here, so outcomes are comparable list for
+    list.  Traced as the [run.finalize] span.
+    @raise Invalid_argument on a malformed loop/program pair, when
+    [computes] and [results] differ in length, when a processor's
+    value array and its [computes] differ in length, or on an instance
+    outside the loop's statements. *)
 
 val check_against_sequential :
   ?init:(string -> int -> float) ->

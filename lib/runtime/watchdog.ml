@@ -15,7 +15,7 @@ let off = { timeout = infinity; poll_interval = 0.01 }
 
 let guard ~config ~finished ~progress ~cancel ~snapshots () =
   let last = ref (progress ()) in
-  let last_change = ref (Unix.gettimeofday ()) in
+  let last_change = ref (Mimd_obs.Clock.now_ns ()) in
   let rec loop () =
     if finished () then `Finished
     else begin
@@ -23,13 +23,13 @@ let guard ~config ~finished ~progress ~cancel ~snapshots () =
       if finished () then `Finished
       else begin
         let p = progress () in
-        let now = Unix.gettimeofday () in
+        let now = Mimd_obs.Clock.now_ns () in
         if p <> !last then begin
           last := p;
           last_change := now;
           loop ()
         end
-        else if now -. !last_change >= config.timeout then begin
+        else if float_of_int (now - !last_change) *. 1e-9 >= config.timeout then begin
           cancel ();
           `Stalled { timeout = config.timeout; snapshots = snapshots () }
         end

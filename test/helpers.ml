@@ -15,6 +15,16 @@ let fig7 () = Mimd_workloads.Fig7.graph ()
 
 let machine ?(p = 2) ?(k = 2) () = Config.make ~processors:p ~comm_estimate:k
 
+(* ewf compiled the way the exec benchmark compiles it: the full
+   pipeline at p=2, k=2, n=1000 under the default (weighted) cost
+   model.  Its value fold is the largest table any test builds. *)
+let ewf_benchmark_shape () =
+  let iterations = 1000 in
+  let flat = Mimd_loop_ir.Parser.parse Mimd_workloads.Elliptic.source in
+  let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
+  let full = Mimd_core.Full_sched.run ~graph ~machine:(machine ~p:2 ~k:2 ()) ~iterations () in
+  (flat, Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule, iterations)
+
 (* A single self-recurrence: the smallest Cyclic graph. *)
 let self_loop ?(latency = 1) () =
   graph_of ~latencies:[| latency |] ~edges:[ (0, 0, 1) ]

@@ -313,6 +313,19 @@ let test_runner_high_message_volume () =
   let loop = Mimd_workloads.Random_loop.generate_loop ~seed:83 () in
   dist_differential ~name:"seed 83 high volume" ~iterations:400 loop
 
+let test_runner_benchmark_shape () =
+  (* The exec benchmark's largest op: ewf at p=2, n=1000 over sockets,
+     every one of its 17000 instances against the spec. *)
+  let flat, program, iterations = ewf_benchmark_shape () in
+  let outcome = Runner.run ~loop:flat ~program () in
+  let spec = Interp.instance_values flat ~iterations in
+  (match Value_run.check_instances ~spec outcome.Value_run.instance_values with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "ewf n=1000: socket instances vs interp: %s" e);
+  match Value_run.check_against_sequential ~loop:flat ~iterations outcome with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "ewf n=1000: socket final memory vs interp: %s" e
+
 let test_runner_random_sweep () =
   (* The in-process face of [run-dist --sweep]: seeded random loops,
      socket backend vs the interpreter.  CI runs the 100-seed sweep
@@ -974,4 +987,6 @@ let suite =
     Alcotest.test_case "router: admission control sheds" `Quick test_router_admission_shed;
     Alcotest.test_case "router: respawn recovers the fleet" `Quick test_router_respawn;
     Alcotest.test_case "router: retune is an unknown op" `Quick test_router_retune_unknown;
+    Alcotest.test_case "runner: ewf p=2 n=1000 (benchmark shape)" `Quick
+      test_runner_benchmark_shape;
   ]

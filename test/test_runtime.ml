@@ -87,6 +87,12 @@ let differential ?prelower ~name ?(p = 2) ?(k = 2) ?(iterations = 20) loop =
   let flat, program = compile ~p ~k ~iterations loop in
   check_runtime ?prelower ~name ~iterations ~flat program
 
+let test_benchmark_shape () =
+  (* ewf at p=2, n=1000, the exec benchmark's largest op, on domains
+     and inline; the socket leg is in the dist suite. *)
+  let flat, program, iterations = ewf_benchmark_shape () in
+  check_runtime ~name:"ewf n=1000" ~iterations ~flat program
+
 let test_differential_paper_workloads () =
   List.iter
     (fun (name, src) -> differential ~name (Parser.parse src))
@@ -400,4 +406,6 @@ let suite =
       test_compiled_pack_delivery;
     Alcotest.test_case "compiled exec: stale-slot sabotage is caught" `Quick
       test_stale_slot_must_fail;
+    Alcotest.test_case "differential: ewf p=2 n=1000 (benchmark shape)" `Quick
+      test_benchmark_shape;
   ]

@@ -251,6 +251,42 @@ let gen_loop =
     in
     return { Ast.index = "i"; lo = "1"; hi = "n"; body })
 
+(* ---------------------------------------------------------------- *)
+(* The outcome fold on its own                                        *)
+
+(* Per-PE value arrays built by hand from the spec, in an order no
+   executor uses, so the fold alone must place every value: B[i] has
+   two writers in one iteration (the later body position wins) and a
+   third, B[i+1], that the next iteration overwrites; S[0] is the fixed
+   cell S@0; C and B are written at nonzero offsets. *)
+let test_fold_from_value_arrays () =
+  let src =
+    "for i = 1 to n { B[i] = B[i] + 1; B[i] = B[i] * 2; S[0] = S[0] + B[i]; \
+     C[i+2] = B[i] - C[i+1]; B[i+1] = B[i] + 3; }"
+  in
+  let iterations = 7 in
+  let loop, program = compile ~iterations src in
+  let spec = Interp.instance_values loop ~iterations in
+  (* PE0 takes even iterations, last first; PE1 the rest, node-major. *)
+  let on_pe0 ((_, iter), _) = iter mod 2 = 0 in
+  let pe0 = List.rev (List.filter on_pe0 spec) and pe1 = List.filter (fun x -> not (on_pe0 x)) spec in
+  let computes = Array.map (fun l -> Array.of_list (List.map fst l)) [| pe0; pe1 |] in
+  let vals = Array.map (fun l -> Array.of_list (List.map snd l)) [| pe0; pe1 |] in
+  let results = Array.map (fun v -> (v, 0, 0.0)) vals in
+  let outcome = Value_run.finalize ~loop ~program ~computes ~results in
+  check_bool "instance_values = Interp.instance_values" true
+    (outcome.Value_run.instance_values = spec);
+  let expected = Interp.written_cells (Interp.run loop ~iterations) in
+  check_bool "final = Interp.written_cells" true (outcome.Value_run.final = expected);
+  check_bool "fixed cell S@0 at index 0" true
+    (List.exists (fun (a, i, _) -> a = "S@0" && i = 0) outcome.Value_run.final);
+  let short = Array.copy results in
+  short.(1) <- (Array.sub vals.(1) 0 (Array.length vals.(1) - 1), 0, 0.0);
+  check_bool "value array shorter than its computes rejected" true
+    (match Value_run.finalize ~loop ~program ~computes ~results:short with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let print_loop loop = Format.asprintf "%a" Ast.pp_loop loop
 
 let prop_fuzz_values =
@@ -282,4 +318,5 @@ let suite =
     Alcotest.test_case "values: missing message detected" `Quick test_detects_missing_message;
     Alcotest.test_case "values: rejects structured loops" `Quick test_rejects_structured_loop;
     prop_fuzz_values;
+    Alcotest.test_case "values: fold from per-PE value arrays" `Quick test_fold_from_value_arrays;
   ]
