@@ -74,16 +74,28 @@ let seed_t =
   let doc = "Random loop (Section 4 generator), Cyclic subset of this seed." in
   Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
 
-(* Counts that must be at least 1: cmdliner reports anything else as
-   a usage error instead of the pipeline raising on it later. *)
-let positive_int =
+(* Numbers with a lower bound: cmdliner reports anything else as a
+   usage error instead of the pipeline raising on it later. *)
+let bounded_int ~min ~what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ -> Error (`Msg (Printf.sprintf "%s is not a positive integer" s))
+    | Some n when n >= min -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not a %s integer" s what))
     | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = bounded_int ~min:1 ~what:"positive"
+let non_negative_int = bounded_int ~min:0 ~what:"non-negative"
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0.0 -> Ok x
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not a positive number" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let processors_t =
   let doc = "Processors for the Cyclic core." in
@@ -91,7 +103,7 @@ let processors_t =
 
 let k_t =
   let doc = "Estimated communication cost (the paper's k)." in
-  Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc)
+  Arg.(value & opt non_negative_int 2 & info [ "k" ] ~docv:"K" ~doc)
 
 let iterations_t =
   let doc = "Loop trip count for measurements." in
@@ -433,8 +445,12 @@ let table1_cmd =
     print_string (Mimd_experiments.Table1.render (rows, summary));
     0
   in
-  let k_t3 = Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Estimated comm cost.") in
-  let p_t4 = Arg.(value & opt int 4 & info [ "p"; "processors" ] ~docv:"P" ~doc:"Processors.") in
+  let k_t3 =
+    Arg.(value & opt non_negative_int 3 & info [ "k" ] ~docv:"K" ~doc:"Estimated comm cost.")
+  in
+  let p_t4 =
+    Arg.(value & opt positive_int 4 & info [ "p"; "processors" ] ~docv:"P" ~doc:"Processors.")
+  in
   Cmd.v
     (Cmd.info "table1" ~doc:"Regenerate paper Table 1 (25 random loops, mm in {1,3,5})")
     Term.(const run $ iterations_t $ p_t4 $ k_t3)
@@ -675,7 +691,7 @@ let compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache () =
         | Ok (opt, stats) -> Ok (flat, full, opt, Some stats)))
 
 let run_parallel_cmd =
-  let run src file seed processors k iterations timed grain_us repeat no_cache timeout fault
+  let run src file seed processors k iterations repeat no_cache timeout fault
       comm_opt comm_window trace =
     match load_loop ~src ~file ~seed with
     | Error e ->
@@ -788,54 +804,18 @@ let run_parallel_cmd =
                 st.Mimd_runtime.Schedule_cache.entries
                 (if st.Mimd_runtime.Schedule_cache.entries = 1 then "y" else "ies");
             end;
-            if not timed then 0
-            else begin
-              match
-                compile_for_run ~loop ~machine:(machine_of 1 k) ~iterations ~no_cache ()
-              with
-              | Error e ->
-                prerr_endline ("mimdloop: " ^ e);
-                1
-              | Ok (_, _, seq_program, _) -> (
-                let work = Mimd_runtime.Timed_run.Sleep (grain_us *. 1e3) in
-                match
-                  let par = Mimd_runtime.Timed_run.run ~watchdog ~work ~program () in
-                  let seq = Mimd_runtime.Timed_run.run ~watchdog ~work ~program:seq_program () in
-                  Format.printf
-                    "  timed dry run (%.1f us/cycle): %d domain(s) %.2f ms, 1 domain %.2f ms \
-                     -> wall-clock speedup %.2f@."
-                    grain_us par.Mimd_runtime.Timed_run.domains
-                    (par.Mimd_runtime.Timed_run.makespan_ns /. 1e6)
-                    (seq.Mimd_runtime.Timed_run.makespan_ns /. 1e6)
-                    (Mimd_runtime.Timed_run.speedup ~baseline:seq par)
-                with
-                | () -> 0
-                | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
-                  prerr_endline
-                    ("mimdloop: runtime deadlock in the timed dry run\n"
-                    ^ Mimd_runtime.Watchdog.describe stall);
-                  1)
-            end
+            0
         end
   in
-  let timed_t =
-    Arg.(value & flag & info [ "timed" ]
-           ~doc:"Also run the cycle-emulating dry run and report wall-clock speedup over a \
-                 1-domain run.")
-  in
-  let grain_t =
-    Arg.(value & opt float 20.0 & info [ "grain-us" ] ~docv:"US"
-           ~doc:"Emulated duration of one schedule cycle in the dry run (microseconds).")
-  in
   let repeat_t =
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R"
+    Arg.(value & opt positive_int 1 & info [ "repeat" ] ~docv:"R"
            ~doc:"Schedule the same request R times (exercises the schedule cache).")
   in
   let no_cache_t =
     Arg.(value & flag & info [ "no-cache" ] ~doc:"Bypass the schedule cache.")
   in
   let timeout_t =
-    Arg.(value & opt float 5.0 & info [ "watchdog-timeout" ] ~docv:"SECONDS"
+    Arg.(value & opt positive_float 5.0 & info [ "watchdog-timeout" ] ~docv:"SECONDS"
            ~doc:"Declare a runtime deadlock after this long without progress.")
   in
   let fault_t =
@@ -858,9 +838,8 @@ let run_parallel_cmd =
        ~doc:"Execute a compiled loop on real OCaml 5 domains (one per scheduled processor) \
              and check the values against the sequential interpreter")
     Term.(
-      const run $ src_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t $ timed_t
-      $ grain_t $ repeat_t $ no_cache_t $ timeout_t $ fault_t $ comm_opt_t $ comm_window_t
-      $ trace_t)
+      const run $ src_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t $ repeat_t
+      $ no_cache_t $ timeout_t $ fault_t $ comm_opt_t $ comm_window_t $ trace_t)
 
 let check_cmd =
   let module V = Mimd_check.Validate in
@@ -1129,7 +1108,7 @@ let batch_cmd =
 (* The socket backend: run-dist and the sharded serve fleet (route)    *)
 
 let dist_timeout_t =
-  Arg.(value & opt float 5.0 & info [ "timeout" ] ~docv:"SECONDS"
+  Arg.(value & opt positive_float 5.0 & info [ "timeout" ] ~docv:"SECONDS"
          ~doc:"Declare the distributed run stalled after this long without any child \
                report (the socket analogue of the runtime watchdog).")
 
@@ -1461,7 +1440,8 @@ let procs_cmd =
           1)
   in
   let max_t =
-    Arg.(value & opt int 8 & info [ "max" ] ~docv:"P" ~doc:"Largest processor count to try.")
+    Arg.(value & opt positive_int 8 & info [ "max" ] ~docv:"P"
+           ~doc:"Largest processor count to try.")
   in
   Cmd.v
     (Cmd.info "procs" ~doc:"Find the cheapest processor count for the Cyclic core")

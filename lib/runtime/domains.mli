@@ -1,6 +1,6 @@
 (** Watchdog-guarded execution of per-processor programs on real
-    OCaml 5 domains — the spawn / monitor / join harness shared by the
-    value-carrying ({!Exec_compiled}) and timing ({!Timed_run}) executors.
+    OCaml 5 domains — the spawn / monitor / join harness under
+    {!Exec_compiled}, the one runtime executor.
 
     One domain is spawned per scheduled processor and runs that
     processor's instruction stream via the caller's [worker] callback;

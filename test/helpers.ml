@@ -118,3 +118,29 @@ let qtest ?(count = 100) name gen print prop =
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| seed |])
     (QCheck2.Test.make ~name ~count ~print gen prop)
+
+(* Tracing is a process-global switch: every test that turns it on
+   leaves it off and the buffers empty, so suite order cannot matter. *)
+let with_tracing f =
+  Mimd_obs.Trace.clear ();
+  Mimd_obs.Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Mimd_obs.Trace.disable ();
+      Mimd_obs.Trace.clear ())
+    f
+
+(* The capture so far, parsed back with the server's own JSON reader. *)
+let export_events () =
+  let module Json = Mimd_server.Json in
+  match Json.parse (Mimd_obs.Trace.export ()) with
+  | Json.Obj _ as doc -> begin
+    match Json.member "traceEvents" doc with
+    | Some (Json.List evs) -> evs
+    | _ -> Alcotest.fail "export has no traceEvents list"
+  end
+  | _ -> Alcotest.fail "export is not a JSON object"
+
+(* Complete (ph "X") events: one per finished span. *)
+let completes evs =
+  List.filter (fun ev -> Mimd_server.Json.(member "ph" ev = Some (String "X"))) evs

@@ -121,6 +121,30 @@ let test_count_flag_rejects flag () =
         (contains ~sub:"not a positive integer" err))
     [ "schedule"; "verify"; "run-parallel"; "run-dist" ]
 
+(* Out-of-range numbers are usage errors that name the bound.  Past
+   the parser, a negative -k or a zero processor bound or watchdog
+   timeout raises Invalid_argument (exit 125), a zero run-dist timeout
+   reports a stall "for 0.0 s", and --repeat 0 would run once. *)
+let test_out_of_range_numbers_reject () =
+  List.iter
+    (fun (args, why) ->
+      let code, err = command_stderr args in
+      check_int (args ^ " is a usage error") usage_error code;
+      check_bool (Printf.sprintf "%s says %S" args why) true (contains ~sub:why err))
+    [
+      ("schedule -w fig1 -k-3", "not a non-negative integer");
+      ("run-parallel -k-1", "not a non-negative integer");
+      ("run-dist -k-1", "not a non-negative integer");
+      ("table1 -k-1", "not a non-negative integer");
+      ("table1 -p 0", "not a positive integer");
+      ("procs -w ewf --max 0", "not a positive integer");
+      ("run-parallel --repeat 0", "not a positive integer");
+      ("run-parallel --repeat=-3", "not a positive integer");
+      ("run-parallel --watchdog-timeout 0", "not a positive number");
+      ("run-dist --timeout 0", "not a positive number");
+      ("run-dist --timeout=-1.5", "not a positive number");
+    ]
+
 let suite =
   [
     Alcotest.test_case "cli: executable built" `Quick test_exe_present;
@@ -140,4 +164,6 @@ let suite =
       test_verify_needs_unwinding;
     Alcotest.test_case "cli: -n 0 is a usage error" `Quick (test_count_flag_rejects "-n");
     Alcotest.test_case "cli: -p 0 is a usage error" `Quick (test_count_flag_rejects "-p");
+    Alcotest.test_case "cli: out-of-range -k, --repeat and timeouts are usage errors" `Quick
+      test_out_of_range_numbers_reject;
   ]

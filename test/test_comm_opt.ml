@@ -174,10 +174,13 @@ let test_coalesce_refuses_deadlocking_merge () =
 (* Full-pipeline cases: loop -> schedule -> program -> Comm_opt, with
    value identity as the ground truth. *)
 
-let compile ?(p = 2) ?(k = 2) ~iterations src =
+let front_end src =
   let loop = Parser.parse src in
   let flat = if Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop in
-  let graph = (Depend.analyze flat).Depend.graph in
+  (flat, (Depend.analyze flat).Depend.graph)
+
+let compile ?(p = 2) ?(k = 2) ~iterations src =
+  let flat, graph = front_end src in
   let machine = machine ~p ~k () in
   let schedule =
     Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations ()
@@ -226,6 +229,31 @@ let test_window_boundaries () =
     (s4.Comm_opt.messages_after < s1.Comm_opt.messages_after);
   check_bool "validator accepts w=1" true (Validate.program_validator opt1 = Ok ());
   check_bool "validator accepts w=4" true (Validate.program_validator opt4 = Ok ())
+
+(* The headline claim on the paper's loops: after the full pipeline
+   (unwind, classify, Cyclic and Flow scheduling) at p=2, k=2, n=60,
+   window 4 must cut messages by at least 20% and the rewritten
+   program must still validate.  The counts today are
+   ewf 353 -> 59 and fig1 240 -> 45; the CI comm-opt golden pins them
+   exactly, this pins the claim. *)
+let test_message_reduction_on_paper_loops () =
+  List.iter
+    (fun (name, src) ->
+      let _, graph = front_end src in
+      let full =
+        Mimd_core.Full_sched.run ~graph ~machine:(machine ~p:2 ~k:2 ()) ~iterations:60 ()
+      in
+      let program = From_schedule.run full.Mimd_core.Full_sched.schedule in
+      let opt, stats = Comm_opt.run ~window:4 program in
+      let before = stats.Comm_opt.messages_before and after = stats.Comm_opt.messages_after in
+      check_bool
+        (Printf.sprintf "%s: messages %d -> %d cut by >= 20%%" name before after)
+        true
+        (float_of_int after <= 0.8 *. float_of_int before);
+      match Validate.program_validator opt with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: optimized program rejected: %s" name e)
+    [ ("ewf", Mimd_workloads.Elliptic.source); ("fig1", Mimd_workloads.Fig1.source) ]
 
 (* Structural availability: in the optimized program every Compute's
    operand instance is present locally — computed earlier on the same
@@ -356,6 +384,8 @@ let suite =
     Alcotest.test_case "fig7: coalesce across pattern boundary" `Quick
       test_fig7_coalesces_across_pattern_boundary;
     Alcotest.test_case "window boundaries" `Quick test_window_boundaries;
+    Alcotest.test_case "ewf and fig1: messages cut by >= 20%" `Quick
+      test_message_reduction_on_paper_loops;
     Alcotest.test_case "values available in time" `Quick
       test_values_available_in_time;
     Alcotest.test_case "keep-extra-send fault caught" `Quick

@@ -15,26 +15,6 @@ let contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-(* Every test leaves the global switch off and the buffers empty, so
-   suite order cannot matter. *)
-let with_tracing f =
-  Trace.clear ();
-  Trace.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.disable ();
-      Trace.clear ())
-    f
-
-let export_events () =
-  match Json.parse (Trace.export ()) with
-  | Json.Obj _ as doc -> begin
-    match Json.member "traceEvents" doc with
-    | Some (Json.List evs) -> evs
-    | _ -> Alcotest.fail "export has no traceEvents list"
-  end
-  | _ -> Alcotest.fail "export is not a JSON object"
-
 let field name ev =
   match Json.member name ev with
   | Some v -> v
@@ -46,9 +26,6 @@ let str name ev =
   | None -> Alcotest.failf "field %S is not a string" name
 
 let arg name ev = str name (field "args" ev)
-
-let completes evs =
-  List.filter (fun ev -> Json.member "ph" ev = Some (Json.String "X")) evs
 
 let named n evs = List.filter (fun ev -> str "name" ev = n) evs
 
@@ -191,7 +168,23 @@ let test_disabled_path_does_not_allocate () =
   done;
   let allocated = Gc.minor_words () -. before in
   if allocated > 100.0 then
-    Alcotest.failf "disabled spans allocated %.0f minor words over 10k calls" allocated
+    Alcotest.failf "disabled spans allocated %.0f minor words over 10k calls" allocated;
+  (* ... and costs next to nothing: at most 100 ns a call (a few ns in
+     practice).  The median of five batches, so one preemption cannot
+     fail the suite. *)
+  let calls = 200_000 in
+  let batch () =
+    let t0 = Clock.now_ns () in
+    for _ = 1 to calls do
+      Trace.span "hot" f
+    done;
+    float_of_int (Clock.now_ns () - t0) /. float_of_int calls
+  in
+  let per_call = Array.init 5 (fun _ -> batch ()) in
+  Array.sort compare per_call;
+  if per_call.(2) > 100.0 then
+    Alcotest.failf "a disabled span costs %.1f ns per call (median of 5 batches), over 100 ns"
+      per_call.(2)
 
 (* ---------------------------------------------------------------- *)
 (* Metrics                                                           *)

@@ -12,7 +12,6 @@ module Program = Mimd_codegen.Program
 module Channel = Mimd_runtime.Channel
 module Watchdog = Mimd_runtime.Watchdog
 module Value_run = Mimd_runtime.Value_run
-module Timed_run = Mimd_runtime.Timed_run
 module Schedule_cache = Mimd_runtime.Schedule_cache
 module Lower = Mimd_runtime.Lower
 module Exec_compiled = Mimd_runtime.Exec_compiled
@@ -214,30 +213,6 @@ let test_watchdog_quiet_on_healthy_run () =
   check_bool "finished" true (outcome.Value_run.instance_values <> [])
 
 (* ---------------------------------------------------------------- *)
-(* Timed dry run                                                      *)
-
-let test_timed_run_counts_cycles () =
-  let loop = Parser.parse Mimd_workloads.Fig7.source in
-  let _, program = compile ~iterations:25 loop in
-  let out = Timed_run.run ~program () in
-  let graph = program.Program.graph in
-  let expected =
-    Array.fold_left
-      (fun acc prog ->
-        List.fold_left
-          (fun acc instr ->
-            match instr with
-            | Program.Compute { node; _ } -> acc + Mimd_ddg.Graph.latency graph node
-            | _ -> acc)
-          acc prog)
-      0 program.Program.programs
-  in
-  check_int "busy cycles = total scheduled latency" expected
-    (Array.fold_left ( + ) 0 out.Timed_run.busy_cycles);
-  check_int "one domain per processor" program.Program.processors out.Timed_run.domains;
-  check_bool "wall clock measured" true (out.Timed_run.makespan_ns > 0.0)
-
-(* ---------------------------------------------------------------- *)
 (* Schedule cache                                                     *)
 
 let test_schedule_cache_hits () =
@@ -391,7 +366,6 @@ let suite =
     Alcotest.test_case "inline: deadlock raises Runtime_deadlock at once" `Quick
       test_inline_deadlock_is_structured;
     Alcotest.test_case "watchdog: silent on healthy runs" `Quick test_watchdog_quiet_on_healthy_run;
-    Alcotest.test_case "timed run: cycle accounting" `Quick test_timed_run_counts_cycles;
     Alcotest.test_case "schedule cache: memoizes" `Quick test_schedule_cache_hits;
     Alcotest.test_case "schedule cache: key semantics" `Quick test_schedule_cache_key_semantics;
     Alcotest.test_case "schedule cache: bounded + clear" `Quick test_schedule_cache_eviction;

@@ -7,20 +7,46 @@ open Helpers
 module Full_sched = Mimd_core.Full_sched
 module Incr = Mimd_tune.Incr
 module Linkprobe = Mimd_dist.Linkprobe
+module Json = Mimd_server.Json
 
 (* ---------------------------------------------------------------- *)
 (* Incr                                                              *)
+
+(* [f ()] with tracing on, and the names of the spans it completed. *)
+let traced_span_names f =
+  with_tracing @@ fun () ->
+  let r = f () in
+  ( r,
+    List.filter_map
+      (fun ev -> Option.bind (Json.member "name" ev) Json.to_string_opt)
+      (completes (export_events ())) )
+
+(* The prefix Incr reuses is exactly unwind + classify: a cold compile
+   runs both stages, an incremental one runs neither.  Counting stages
+   rather than timing them keeps this deterministic. *)
+let check_prefix_stages ~label ~expected names =
+  List.iter
+    (fun stage ->
+      check_bool (Printf.sprintf "%s compile runs %s" label stage) expected
+        (List.mem stage names))
+    [ "compile.unwind"; "compile.classify" ]
 
 let test_incr_reuses_prep () =
   let t = Incr.create () in
   let g = fig7 () in
   let m2 = machine ~p:2 ~k:2 () in
-  let full_cold, out_cold = Incr.compile t ~graph:g ~machine:m2 ~iterations:30 () in
+  let (full_cold, out_cold), cold_spans =
+    traced_span_names (fun () -> Incr.compile t ~graph:g ~machine:m2 ~iterations:30 ())
+  in
   check_string "cold first" "cold" (Incr.outcome_name out_cold);
+  check_prefix_stages ~label:"cold" ~expected:true cold_spans;
   (* k-only change *)
   let m9 = machine ~p:2 ~k:9 () in
-  let full_inc, out_inc = Incr.compile t ~graph:g ~machine:m9 ~iterations:30 () in
+  let (full_inc, out_inc), inc_spans =
+    traced_span_names (fun () -> Incr.compile t ~graph:g ~machine:m9 ~iterations:30 ())
+  in
   check_string "incremental second" "incremental" (Incr.outcome_name out_inc);
+  check_prefix_stages ~label:"incremental" ~expected:false inc_spans;
   let s = Incr.stats t in
   check_int "one hit" 1 s.Incr.hits;
   check_int "one miss" 1 s.Incr.misses;
