@@ -21,23 +21,15 @@ let run ?(validate = false) sched =
   let processors = machine.Mimd_machine.Config.processors in
   let entries = Schedule.entries sched in
   (* Every (node, iter) pair is identified by the int iter * n + node
-     below; flat arrays over the instance space replace a balanced-map
-     search per incident edge.  The arrays are Θ(entries x processors)
-     bytes — proportional to the schedule itself. *)
+     below, indexing flat byte arrays of Θ(entries x processors) bytes —
+     proportional to the schedule itself.  Placements are read from the
+     schedule's own dense instance index. *)
   let n = Graph.node_count graph in
-  let iterations =
-    List.fold_left (fun acc (e : Schedule.entry) -> max acc (e.inst.iter + 1)) 0 entries
-  in
+  let iterations = Schedule.iterations sched in
   let inst_key ~node ~iter = (iter * n) + node in
   let inst_cap = max 1 (n * iterations) in
-  let placed = Array.make inst_cap (-1) in
-  List.iter
-    (fun (e : Schedule.entry) ->
-      placed.(inst_key ~node:e.inst.node ~iter:e.inst.iter) <- e.proc)
-    entries;
   let proc_of ~node ~iter =
-    let k = inst_key ~node ~iter in
-    if k < inst_cap then placed.(k) else -1
+    match Schedule.find sched { node; iter } with Some e -> e.proc | None -> -1
   in
   (* have.[k*p + q]: processor q holds instance k; sent.[k*p + q]: the
      producer already sent instance k to q. *)

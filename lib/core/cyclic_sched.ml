@@ -24,26 +24,34 @@ type order = Lexicographic | Critical_path
    valid intervals finish at >= 1) and the entry that owns it.  Slot
    probing reads and jumps over machine-word cells with no allocation,
    where the previous balanced-map timeline paid a search tree walk
-   plus a Seq materialisation per probe.  The arrays grow by doubling;
-   reads beyond the high-water mark mean "free". *)
+   plus a Seq materialisation per probe.  [next] is a skip pointer per
+   busy cell: every cell in [c, next.(c)) is busy, so following it from
+   any cell reaches the first free cell at or after it; path
+   compression keeps the chains short.  Cells only ever go from free to
+   busy, so a pointer never skips a free cell.  The arrays grow by
+   doubling; reads beyond the high-water mark mean "free". *)
 type timeline = {
   mutable cap : int;
   mutable fin : int array; (* cycle -> finish of covering interval, 0 = free *)
   mutable ent : Schedule.entry array; (* meaningful where fin > 0 *)
+  mutable next : int array; (* meaningful where fin > 0 *)
 }
 
 let dummy_entry = Schedule.{ inst = { node = 0; iter = 0 }; proc = 0; start = -1 }
-let new_timeline () = { cap = 0; fin = [||]; ent = [||] }
+let new_timeline () = { cap = 0; fin = [||]; ent = [||]; next = [||] }
 
 let ensure_capacity tl n =
   if n > tl.cap then begin
     let cap = max 1024 (max n (2 * tl.cap)) in
     let fin = Array.make cap 0 and ent = Array.make cap dummy_entry in
+    let next = Array.make cap 0 in
     Array.blit tl.fin 0 fin 0 tl.cap;
     Array.blit tl.ent 0 ent 0 tl.cap;
+    Array.blit tl.next 0 next 0 tl.cap;
     tl.cap <- cap;
     tl.fin <- fin;
-    tl.ent <- ent
+    tl.ent <- ent;
+    tl.next <- next
   end
 
 let place tl (e : Schedule.entry) ~len =
@@ -51,24 +59,40 @@ let place tl (e : Schedule.entry) ~len =
   ensure_capacity tl f;
   for c = e.start to f - 1 do
     tl.fin.(c) <- f;
-    tl.ent.(c) <- e
+    tl.ent.(c) <- e;
+    tl.next.(c) <- f
   done
+
+let is_free tl c = c >= tl.cap || tl.fin.(c) = 0
+
+(* Smallest free cell >= c; every busy cell on the way is pointed
+   straight at it. *)
+let next_free tl c =
+  let rec root c = if is_free tl c then c else root tl.next.(c) in
+  let r = root c in
+  let rec compress c =
+    if c < r then begin
+      let n = tl.next.(c) in
+      tl.next.(c) <- r;
+      compress n
+    end
+  in
+  compress c;
+  r
 
 let interval_finish g (e : Schedule.entry) = e.start + Graph.latency g e.inst.node
 
-(* Earliest start >= ready of a free [len]-cycle window: scan the
-   candidate window; the first busy cell rules out every start up to
-   its interval's finish, so jump there and retry. *)
+(* Earliest start >= ready of a free [len]-cycle window: jump to the
+   first free cell, then scan the rest of the window; a busy cell in
+   it rules out every start up to its interval's finish, so retry from
+   there. *)
 let first_fit _g (tl : timeline) ~ready ~len =
-  let busy_until c = if c < tl.cap then tl.fin.(c) else 0 in
   let rec probe t =
+    let t = next_free tl t in
     let rec scan c =
-      if c >= t + len then t
-      else
-        let f = busy_until c in
-        if f = 0 then scan (c + 1) else probe f
+      if c >= t + len then t else if is_free tl c then scan (c + 1) else probe tl.fin.(c)
     in
-    scan t
+    scan (t + 1)
   in
   probe ready
 

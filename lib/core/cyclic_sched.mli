@@ -78,8 +78,9 @@ val schedule_iterations :
     preconditions. *)
 
 (** Internal slot-probing primitives, exposed for the unit tests only.
-    A timeline is one processor's start-cycle -> entry map with
-    pairwise-disjoint busy intervals. *)
+    A timeline is one processor's per-cycle occupancy arena with
+    pairwise-disjoint busy intervals and a next-free skip pointer per
+    busy cell. *)
 module For_tests : sig
   type timeline
 
@@ -91,7 +92,9 @@ module For_tests : sig
       does; timelines are mutable, the return is for chaining. *)
 
   val first_fit : Mimd_ddg.Graph.t -> timeline -> ready:int -> len:int -> int
-  (** Earliest start >= [ready] where a [len]-cycle interval fits. *)
+  (** Earliest start >= [ready] where a [len]-cycle interval fits.  The
+      skip pointers carry it over a run of busy cells in amortised
+      near-constant time, however many intervals the run holds. *)
 
   val overlapping :
     Mimd_ddg.Graph.t ->

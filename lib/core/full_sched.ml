@@ -40,7 +40,7 @@ let run_separate ~max_iterations ~graph:g ~machine ~iterations cls =
         Cyclic_sched.solve ~max_iterations ~graph:cyc_g ~machine ())
   in
   let pattern = result.Cyclic_sched.pattern in
-  let cyclic_entries_local = Schedule.entries (Pattern.expand pattern ~iterations) in
+  let cyclic_entries_local = Pattern.expand_entries pattern ~iterations in
   let cyclic_entries =
     List.map
       (fun (e : Schedule.entry) ->

@@ -13,7 +13,7 @@ type t = {
 let rate t = float_of_int t.height /. float_of_int t.iter_shift
 let nodes_per_repetition t = List.length t.body
 
-let expand t ~iterations =
+let expand_entries t ~iterations =
   if iterations <= 0 then invalid_arg "Pattern.expand: iterations <= 0";
   let entries = ref [] in
   let add (e : Schedule.entry) =
@@ -41,7 +41,10 @@ let expand t ~iterations =
       t.body;
     incr r
   done;
-  Schedule.make ~graph:t.graph ~machine:t.machine !entries
+  !entries
+
+let expand t ~iterations =
+  Schedule.make ~graph:t.graph ~machine:t.machine (expand_entries t ~iterations)
 
 let makespan t ~iterations =
   let sched = expand t ~iterations in

@@ -41,6 +41,11 @@ val expand : t -> iterations:int -> Schedule.t
     valid schedule of exactly the requested iterations (test-enforced).
     @raise Invalid_argument if [iterations <= 0]. *)
 
+val expand_entries : t -> iterations:int -> Schedule.entry list
+(** The entries of {!expand}, in no particular order, without freezing
+    them into a schedule.
+    @raise Invalid_argument if [iterations <= 0]. *)
+
 val makespan : t -> iterations:int -> int
 (** Makespan of {!expand t ~iterations}. *)
 

@@ -4,68 +4,85 @@ module Config = Mimd_machine.Config
 type instance = { node : int; iter : int }
 
 (* (iter, node) lexicographic — written out so comparing allocates no
-   intermediate tuples; this runs inside every by-instance map
-   operation.  The order MUST NOT change: marshalled schedules in the
-   disk cache carry search trees built with it. *)
+   intermediate tuples.  It is the final tie-break of the entry order
+   below, so changing it reorders {!entries}. *)
 let compare_instance a b =
   if a.iter <> b.iter then compare a.iter b.iter else compare a.node b.node
 
 type entry = { inst : instance; proc : int; start : int }
 
-module Imap = Map.Make (struct
-  type t = instance
-
-  let compare = compare_instance
-end)
-
+(* [index] is dense over the instance space the entries span: instance
+   (node, iter) lives at [(iter - iter_lo) * nodes + node] for
+   [iter_lo <= iter < iter_lo + span], and [absent] fills the holes, so
+   a lookup is one bounds check and one array read.  Absence is tested
+   by [start < 0], never by physical equality: an unmarshalled schedule
+   carries its own copy of [absent]. *)
 type t = {
   graph : Graph.t;
   machine : Config.t;
   all : entry list; (* ascending (start, proc) *)
-  by_instance : entry Imap.t;
+  nodes : int;
+  iter_lo : int;
+  span : int;
+  index : entry array;
   by_proc : entry list array; (* ascending start *)
 }
 
+let absent = { inst = { node = 0; iter = 0 }; proc = 0; start = -1 }
+
 let make ~graph ~machine entry_list =
-  let n_entries = ref 0 in
-  let by_instance =
-    List.fold_left
-      (fun acc e ->
-        if e.start < 0 then invalid_arg "Schedule.make: negative start";
-        if e.proc < 0 || e.proc >= machine.Config.processors then
-          invalid_arg "Schedule.make: processor out of range";
-        if e.inst.node < 0 || e.inst.node >= Graph.node_count graph then
-          invalid_arg "Schedule.make: unknown node";
-        incr n_entries;
-        Imap.add e.inst e acc)
-      Imap.empty entry_list
-  in
-  (* a shadowed binding means two entries shared an instance *)
-  if Imap.cardinal by_instance <> !n_entries then
-    invalid_arg "Schedule.make: duplicate instance";
+  let nodes = Graph.node_count graph in
+  let iter_lo = ref max_int and iter_hi = ref min_int in
+  List.iter
+    (fun e ->
+      if e.start < 0 then invalid_arg "Schedule.make: negative start";
+      if e.proc < 0 || e.proc >= machine.Config.processors then
+        invalid_arg "Schedule.make: processor out of range";
+      if e.inst.node < 0 || e.inst.node >= nodes then
+        invalid_arg "Schedule.make: unknown node";
+      iter_lo := min !iter_lo e.inst.iter;
+      iter_hi := max !iter_hi e.inst.iter)
+    entry_list;
+  let iter_lo = if entry_list = [] then 0 else !iter_lo in
+  let span = if entry_list = [] then 0 else !iter_hi - iter_lo + 1 in
+  let index = Array.make (span * nodes) absent in
+  List.iter
+    (fun e ->
+      let k = ((e.inst.iter - iter_lo) * nodes) + e.inst.node in
+      if index.(k).start >= 0 then invalid_arg "Schedule.make: duplicate instance";
+      index.(k) <- e)
+    entry_list;
   let compare_entry a b =
     if a.start <> b.start then compare a.start b.start
     else if a.proc <> b.proc then compare a.proc b.proc
-    else if a.inst.iter <> b.inst.iter then compare a.inst.iter b.inst.iter
-    else compare a.inst.node b.inst.node
+    else compare_instance a.inst b.inst
   in
   let all = List.sort compare_entry entry_list in
   let by_proc = Array.make machine.Config.processors [] in
   List.iter (fun e -> by_proc.(e.proc) <- e :: by_proc.(e.proc)) (List.rev all);
-  { graph; machine; all; by_instance; by_proc }
+  { graph; machine; all; nodes; iter_lo; span; index; by_proc }
 
 let graph t = t.graph
 let machine t = t.machine
 let entries t = t.all
 let entries_on t p = t.by_proc.(p)
-let find t inst = Imap.find_opt inst t.by_instance
-let is_scheduled t inst = Imap.mem inst t.by_instance
+
+let slot t inst =
+  let d = inst.iter - t.iter_lo in
+  if d < 0 || d >= t.span || inst.node < 0 || inst.node >= t.nodes then absent
+  else t.index.((d * t.nodes) + inst.node)
+
+let find t inst =
+  let e = slot t inst in
+  if e.start < 0 then None else Some e
+
+let is_scheduled t inst = (slot t inst).start >= 0
+
 let finish t e = e.start + Graph.latency t.graph e.inst.node
 let makespan t = List.fold_left (fun acc e -> max acc (finish t e)) 0 t.all
 let instance_count t = List.length t.all
 
-let iterations t =
-  List.fold_left (fun acc e -> max acc (e.inst.iter + 1)) 0 t.all
+let iterations t = max 0 (t.iter_lo + t.span)
 
 let busy_cycles_on t p =
   List.fold_left (fun acc e -> acc + Graph.latency t.graph e.inst.node) 0 t.by_proc.(p)
@@ -104,7 +121,7 @@ let violations_gen ~closed t =
         (fun (e : Graph.edge) ->
           let pred_inst = { node = e.src; iter = succ_entry.inst.iter - e.distance } in
           if pred_inst.iter >= 0 then
-            match Imap.find_opt pred_inst t.by_instance with
+            match find t pred_inst with
             | None ->
               if closed then out := Missing_predecessor { succ = succ_entry; pred_inst } :: !out
             | Some pred_entry ->

@@ -37,6 +37,9 @@ val entries_on : t -> int -> entry list
 (** Entries of one processor, ascending start. *)
 
 val find : t -> instance -> entry option
+(** O(1): one bounds check and one read of a dense array indexed by
+    instance over the iterations the schedule spans. *)
+
 val is_scheduled : t -> instance -> bool
 
 val finish : t -> entry -> int

@@ -149,7 +149,7 @@ let compile_expr ~scalar_id rhs =
   go rhs;
   { ops = Array.of_list (List.rev !ops); stack_need = max 1 !maxd }
 
-let lower_proc ~resolve ~reads ~codes ~(program : Program.t) j =
+let lower_proc ~sources ~reads ~codes ~(program : Program.t) j =
   let instrs = Array.of_list program.programs.(j) in
   let n = Array.length instrs in
   (* Pass 1: a dense slot for every (node, iter) instance this PE
@@ -200,9 +200,9 @@ let lower_proc ~resolve ~reads ~codes ~(program : Program.t) j =
         match instr with
         | Program.Compute { node; iter } ->
           let args =
-            Array.map
-              (fun (array, offset) ->
-                match resolve node array offset with
+            Array.mapi
+              (fun r (array, offset) ->
+                match sources.(node).(r) with
                 | Some (s', delta) when iter - delta >= 0 -> begin
                   match defined_slot ~before:pos (s', iter - delta) with
                   | Some slot -> slot
@@ -280,6 +280,13 @@ let run ~loop ~(program : Program.t) () =
   let reads =
     Array.map (fun (_, _, rhs) -> Array.of_list (Ast.reads_of_expr rhs)) stmts
   in
+  (* A read's reaching definition depends only on its statement, so
+     resolve each (node, read) once rather than once per instance. *)
+  let sources =
+    Array.mapi
+      (fun node -> Array.map (fun (array, offset) -> resolve node array offset))
+      reads
+  in
   let scalar_ids : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let scalar_order = ref [] in
   let scalar_id s =
@@ -294,7 +301,7 @@ let run ~loop ~(program : Program.t) () =
   let codes = Array.map (fun (_, _, rhs) -> compile_expr ~scalar_id rhs) stmts in
   let procs =
     Array.init program.processors (fun j ->
-        lower_proc ~resolve ~reads ~codes ~program j)
+        lower_proc ~sources ~reads ~codes ~program j)
   in
   {
     processors = program.processors;

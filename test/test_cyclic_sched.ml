@@ -307,6 +307,46 @@ let test_first_fit_abutting () =
     (FT.first_fit g tl ~ready:4 ~len:2);
   check_int "empty tail fits at ready" 7 (FT.first_fit g tl ~ready:7 ~len:2)
 
+(* The skip pointers must give exactly the earliest fit a cell-by-cell
+   scan gives.  Each op is a probe or a placement at the first fit,
+   from a ready bound that is often 0 after many placements (the
+   Flow-in case).  The fixed prefix allocates the 1024-cycle arena and
+   then forces it to double under the pointers; random bounds up to
+   3000 double it again. *)
+let prop_first_fit_matches_scan =
+  let g =
+    graph_of ~latencies:[| 1; 2; 3; 5 |] ~edges:[ (0, 0, 1); (1, 1, 1); (2, 2, 1); (3, 3, 1) ]
+  in
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 100 400)
+        (triple bool (oneof [ return 0; int_range 0 3000 ]) (int_range 0 3)))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (fun (p, r, v) -> Printf.sprintf "%s %d n%d" (if p then "place" else "probe") r v)
+         ops)
+  in
+  qtest ~count:40 "first_fit: skip pointers == cell-by-cell scan" gen print (fun ops ->
+      let busy = Bytes.make 8192 '\000' in
+      let rec scan t len =
+        let rec fits c = c >= t + len || (Bytes.get busy c = '\000' && fits (c + 1)) in
+        if fits t then t else scan (t + 1) len
+      in
+      let tl = FT.empty_timeline () in
+      List.for_all
+        (fun (place, ready, node) ->
+          let len = Graph.latency g node in
+          let got = FT.first_fit g tl ~ready ~len in
+          let ok = got = scan ready len in
+          if place then begin
+            ignore (FT.add_entry g tl (entry ~node ~iter:0 ~proc:0 ~start:got));
+            Bytes.fill busy got len '\001'
+          end;
+          ok)
+        ((true, 0, 1) :: (true, 1500, 2) :: ops))
+
 let sort_entries = List.sort (fun (a : Schedule.entry) b -> compare a b)
 
 let test_overlapping_straddles_top () =
@@ -362,4 +402,5 @@ let suite =
     prop_finite_schedule_valid;
     prop_pattern_body_covers_each_node;
     prop_more_processors_never_hurt_much;
+    prop_first_fit_matches_scan;
   ]

@@ -189,6 +189,21 @@ let prop_full_valid_on_random_loops =
       let full = Full_sched.run ~graph:g ~machine:(machine ~p:2 ~k:2 ()) ~iterations:10 () in
       Schedule.validate full.Full_sched.schedule = Ok ())
 
+(* fig1 and ewf well past the benchmark's trip counts: every
+   per-instance structure (timelines, schedule index, lowering tables)
+   is exercised at a size where a quadratic term would dominate.  A
+   correctness check, not a timing test. *)
+let test_full_large_n_validates () =
+  List.iter
+    (fun (name, p, k) ->
+      let src = In_channel.with_open_text ("../examples/loops/" ^ name) In_channel.input_all in
+      let graph = (Mimd_loop_ir.Depend.analyze_string src).Mimd_loop_ir.Depend.graph in
+      let full = Full_sched.run ~graph ~machine:(machine ~p ~k ()) ~iterations:4000 () in
+      let report = Mimd_check.Validate.full full in
+      check_int (name ^ ": issues") 0 (List.length report.Mimd_check.Validate.issues);
+      check_int (name ^ ": iterations") 4000 (Schedule.iterations full.Full_sched.schedule))
+    [ ("fig1.loop", 2, 2); ("ewf.loop", 4, 4) ]
+
 let suite =
   [
     Alcotest.test_case "flow: processors_needed (paper: 3)" `Quick test_processors_needed;
@@ -209,4 +224,5 @@ let suite =
     prop_full_valid_on_random_loops;
     prop_full_schedules_simulate_without_deadlock;
     Alcotest.test_case "full: DOALL schedules simulate" `Quick test_full_doall_simulates;
+    Alcotest.test_case "full: fig1 and ewf validate at n=4000" `Quick test_full_large_n_validates;
   ]

@@ -106,19 +106,21 @@ let prop_heavier_latencies_still_fine =
       = Ok ())
 
 (* Every loop in the example corpus compiles to a schedule whose
-   canonical fingerprint is pinned in test/goldens — the same file the
-   CI fingerprint-diff step checks via the CLI.  Running the pipeline
-   twice per file also pins determinism of the optimized hot path. *)
-let fingerprint_of_file path =
+   canonical fingerprint is pinned in test/goldens — the same files the
+   CI fingerprint-diff steps check via the CLI.  Running the pipeline
+   twice per file also pins determinism of the optimized hot path.  The
+   n=2000 golden sits at the trip counts the benchmark compiles, where
+   a per-instance cost that grows with n would first show. *)
+let fingerprint_of_file ~iterations path =
   let src = In_channel.with_open_text path In_channel.input_all in
   let g = (Mimd_loop_ir.Depend.analyze_string src).Mimd_loop_ir.Depend.graph in
   let machine = Mimd_machine.Config.make ~processors:2 ~comm_estimate:2 in
-  let full = Mimd_core.Full_sched.run ~graph:g ~machine ~iterations:60 () in
+  let full = Mimd_core.Full_sched.run ~graph:g ~machine ~iterations () in
   Mimd_core.Full_sched.output_fingerprint full
 
-let test_corpus_fingerprints () =
+let check_fingerprint_golden ~iterations golden =
   let lines =
-    In_channel.with_open_text "goldens/fingerprints_p2_k2_n60.txt" In_channel.input_lines
+    In_channel.with_open_text golden In_channel.input_lines
     |> List.filter (fun l -> String.trim l <> "")
   in
   check_bool "golden file non-empty" true (lines <> []);
@@ -127,8 +129,8 @@ let test_corpus_fingerprints () =
       match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
       | [ hex; name ] ->
         let path = Filename.concat "../examples/loops" name in
-        let fp = fingerprint_of_file path in
-        check_string (name ^ ": deterministic") fp (fingerprint_of_file path);
+        let fp = fingerprint_of_file ~iterations path in
+        check_string (name ^ ": deterministic") fp (fingerprint_of_file ~iterations path);
         check_string (name ^ ": matches golden") hex fp
       | _ -> Alcotest.failf "malformed golden line: %S" line)
     lines;
@@ -137,6 +139,12 @@ let test_corpus_fingerprints () =
     |> List.filter (fun f -> Filename.check_suffix f ".loop")
   in
   check_int "every corpus file is pinned" (List.length corpus) (List.length lines)
+
+let test_corpus_fingerprints () =
+  check_fingerprint_golden ~iterations:60 "goldens/fingerprints_p2_k2_n60.txt"
+
+let test_corpus_fingerprints_n2000 () =
+  check_fingerprint_golden ~iterations:2000 "goldens/fingerprints_p2_k2_n2000.txt"
 
 (* The comm-opt goldens pin both the optimized programs (fingerprint)
    and the message-count table (before->after) at the default window —
@@ -196,6 +204,8 @@ let suite =
     Alcotest.test_case "golden: grid headers" `Quick test_grid_headers;
     Alcotest.test_case "report: deterministic and complete" `Slow test_report_deterministic;
     Alcotest.test_case "golden: corpus schedule fingerprints" `Quick test_corpus_fingerprints;
+    Alcotest.test_case "golden: corpus schedule fingerprints n2000" `Quick
+      test_corpus_fingerprints_n2000;
     Alcotest.test_case "golden: corpus comm-opt fingerprints" `Quick
       test_corpus_commopt_fingerprints;
     Alcotest.test_case "golden: corpus comm-opt fingerprints p4 n120" `Quick

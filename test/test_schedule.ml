@@ -20,6 +20,9 @@ let test_make_and_accessors () =
 let test_make_rejects () =
   Alcotest.check_raises "duplicate" (Invalid_argument "Schedule.make: duplicate instance")
     (fun () -> ignore (simple_sched [ entry 0 0 0 0; entry 0 0 1 5 ]));
+  Alcotest.check_raises "duplicate far from iteration 0"
+    (Invalid_argument "Schedule.make: duplicate instance") (fun () ->
+      ignore (simple_sched [ entry 0 0 0 0; entry 2 500 0 10; entry 2 500 1 20 ]));
   Alcotest.check_raises "negative" (Invalid_argument "Schedule.make: negative start")
     (fun () -> ignore (simple_sched [ entry 0 0 0 (-1) ]));
   Alcotest.check_raises "proc range" (Invalid_argument "Schedule.make: processor out of range")
@@ -179,6 +182,63 @@ let test_advantage () =
   let c0 = Metrics.{ label = "x"; sequential = 100; ours = 60; baseline = 100 } in
   check_bool "infinite vs nothing" true (Metrics.advantage c0 = infinity)
 
+(* The dense instance index spans [iter_lo, iter_hi] x nodes; lookups
+   outside it, and holes inside it, must read as absent. *)
+let test_index_find_out_of_range () =
+  let s = simple_sched [ entry 0 0 0 0; entry 1 3 0 5 ] in
+  let absent node iter =
+    check_bool (Printf.sprintf "(%d,%d) absent" node iter) true
+      (Schedule.find s { node; iter } = None && not (Schedule.is_scheduled s { node; iter }))
+  in
+  absent 0 (-1);
+  absent 0 4;
+  absent 1 1000;
+  absent 5 0;
+  absent (-1) 0;
+  absent 0 1;
+  check_bool "present" true (Schedule.find s { node = 1; iter = 3 } = Some (entry 1 3 0 5));
+  check_int "iterations" 4 (Schedule.iterations s)
+
+(* Iterations 500-501 only, with nodes 3 and 4 of iteration 501
+   missing: two holes inside the index's span. *)
+let sparse_slice () =
+  List.concat_map
+    (fun (iter, nodes) ->
+      List.init nodes (fun node -> entry node iter (node mod 2) ((10 * iter) + node)))
+    [ (500, 5); (501, 3) ]
+
+let check_sparse_slice s =
+  List.iter
+    (fun (e : Schedule.entry) ->
+      check_bool "slice entry found" true (Schedule.find s e.inst = Some e))
+    (sparse_slice ());
+  let absent node iter =
+    check_bool (Printf.sprintf "(%d,%d) absent" node iter) true
+      (Schedule.find s { node; iter } = None && not (Schedule.is_scheduled s { node; iter }))
+  in
+  absent 3 501;
+  absent 4 501;
+  List.iter (fun iter -> for node = 0 to 4 do absent node iter done) [ 0; 499; 502 ];
+  check_int "instances" 8 (Schedule.instance_count s);
+  check_int "iterations" 502 (Schedule.iterations s)
+
+let test_index_sparse_slice () =
+  let s = simple_sched (sparse_slice ()) in
+  check_sparse_slice s;
+  (* the disk cache marshals schedules: holes must stay absent in the
+     copy, which does not share the original's sentinel *)
+  check_sparse_slice (Marshal.from_string (Marshal.to_string s []) 0 : Schedule.t)
+
+let test_index_empty () =
+  let s = simple_sched [] in
+  check_int "instances" 0 (Schedule.instance_count s);
+  check_int "iterations" 0 (Schedule.iterations s);
+  check_int "makespan" 0 (Schedule.makespan s);
+  check_bool "entries" true (Schedule.entries s = []);
+  check_bool "find" true (Schedule.find s { node = 0; iter = 0 } = None);
+  assert_valid s;
+  ignore (Schedule.render_grid s)
+
 let suite =
   [
     Alcotest.test_case "schedule: make/accessors" `Quick test_make_and_accessors;
@@ -201,4 +261,7 @@ let suite =
     Alcotest.test_case "metrics: speedup" `Quick test_speedup;
     Alcotest.test_case "metrics: sequential time" `Quick test_sequential_time;
     Alcotest.test_case "metrics: advantage" `Quick test_advantage;
+    Alcotest.test_case "index: out-of-range find is absent" `Quick test_index_find_out_of_range;
+    Alcotest.test_case "index: sparse slice, also marshalled" `Quick test_index_sparse_slice;
+    Alcotest.test_case "index: empty schedule" `Quick test_index_empty;
   ]

@@ -215,13 +215,17 @@ let test_disk_roundtrip_and_corruption () =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (Printf.sprintf "mimdsched 2 %s%s" Sys.ocaml_version body));
   check_bool "v2 entry ignored" true (Disk_cache.find d ~key = None);
+  (* Likewise a v3 entry, whose schedule index was still a map. *)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (Printf.sprintf "mimdsched 3 %s%s" Sys.ocaml_version body));
+  check_bool "v3 entry ignored" true (Disk_cache.find d ~key = None);
   (* Overwriting heals the entry. *)
   Disk_cache.store d ~key full;
   check_bool "healed after re-store" true (Disk_cache.find d ~key <> None);
   let st = Disk_cache.stats d in
   check_int "stores" 2 st.Disk_cache.stores;
   check_int "hits" 2 st.Disk_cache.hits;
-  check_int "misses" 5 st.Disk_cache.misses
+  check_int "misses" 6 st.Disk_cache.misses
 
 let test_disk_concurrent_writers () =
   (* The router fleet points every worker process at one cache
