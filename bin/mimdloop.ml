@@ -10,6 +10,9 @@ module Cyclic_sched = Mimd_core.Cyclic_sched
 module Full_sched = Mimd_core.Full_sched
 module Schedule = Mimd_core.Schedule
 module Pattern = Mimd_core.Pattern
+module Depend = Mimd_loop_ir.Depend
+module Comm_opt = Mimd_codegen.Comm_opt
+module Server = Mimd_server.Server
 module W = Mimd_workloads
 
 (* ------------------------------------------------------------------ *)
@@ -30,6 +33,17 @@ let workloads : (string * (unit -> Graph.t) * string) list =
     ("iir4", (fun () -> (W.Recurrences.iir4 ()).W.Recurrences.graph), "4th-order IIR cascade");
   ]
 
+let fail e =
+  prerr_endline ("mimdloop: " ^ e);
+  1
+
+(* The one front end: a loop-IR file to its analysis (parse,
+   if-conversion, dependences), every failure a message. *)
+let analyze_file path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | src -> Depend.of_source src
+  | exception Sys_error e -> Error e
+
 let load_graph ~workload ~file ~seed =
   match (workload, file, seed) with
   | Some name, None, None -> begin
@@ -40,17 +54,7 @@ let load_graph ~workload ~file ~seed =
         (Printf.sprintf "unknown workload %S; known: %s" name
            (String.concat ", " (List.map (fun (n, _, _) -> n) workloads)))
   end
-  | None, Some path, None -> begin
-    match In_channel.with_open_text path In_channel.input_all with
-    | src -> begin
-      match Mimd_loop_ir.Depend.analyze_string src with
-      | a -> Ok a.Mimd_loop_ir.Depend.graph
-      | exception Mimd_loop_ir.Parser.Error msg -> Error ("parse error: " ^ msg)
-      | exception Mimd_loop_ir.Lexer.Error { position; message } ->
-        Error (Printf.sprintf "lex error at %d: %s" position message)
-    end
-    | exception Sys_error e -> Error e
-  end
+  | None, Some path, None -> Result.map (fun a -> a.Depend.graph) (analyze_file path)
   | None, None, Some seed -> begin
     match W.Random_loop.generate_cyclic ~seed () with
     | Some g -> Ok g
@@ -58,6 +62,8 @@ let load_graph ~workload ~file ~seed =
   end
   | None, None, None -> Error "choose an input: --workload, --file or --seed"
   | _ -> Error "choose exactly one of --workload, --file, --seed"
+
+let with_graph input f = match input with Error e -> fail e | Ok g -> f g
 
 (* ------------------------------------------------------------------ *)
 (* Common options                                                      *)
@@ -73,6 +79,12 @@ let file_t =
 let seed_t =
   let doc = "Random loop (Section 4 generator), Cyclic subset of this seed." in
   Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
+
+(* The input of the graph commands: one of -w, -f, --seed, resolved. *)
+let graph_t =
+  Term.(
+    const (fun workload file seed -> load_graph ~workload ~file ~seed)
+    $ workload_t $ file_t $ seed_t)
 
 (* Numbers with a lower bound: cmdliner reports anything else as a
    usage error instead of the pipeline raising on it later. *)
@@ -110,6 +122,15 @@ let iterations_t =
   Arg.(value & opt positive_int 100 & info [ "n"; "iterations" ] ~docv:"N" ~doc)
 
 let machine_of processors k = Config.make ~processors ~comm_estimate:k
+let machine_t = Term.(const machine_of $ processors_t $ k_t)
+
+let mm_t =
+  Arg.(value & opt positive_int 1 & info [ "mm" ] ~docv:"MM"
+         ~doc:"Run-time fluctuation factor: each message's latency is drawn uniformly \
+               from [k, k + $(docv) - 1].")
+
+let links_of ~k ~mm =
+  if mm = 1 then Mimd_sim.Links.fixed k else Mimd_sim.Links.uniform ~base:k ~mm ~seed:42
 
 let needs_unwinding =
   "loop needed unwinding (some dependence distance > 1); real execution supports \
@@ -141,13 +162,6 @@ let auto_k_machine machine =
     machine_of processors k
   end
 
-let with_graph workload file seed f =
-  match load_graph ~workload ~file ~seed with
-  | Error e ->
-    prerr_endline ("mimdloop: " ^ e);
-    1
-  | Ok g -> f g
-
 (* ------------------------------------------------------------------ *)
 (* Tracing                                                             *)
 
@@ -159,21 +173,26 @@ let trace_t =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
+(* Point fd 1 at /dev/null, so output still buffered for a reader that
+   went away drains harmlessly. *)
+let stdout_to_null () =
+  try
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    Unix.dup2 null Unix.stdout;
+    Unix.close null
+  with Unix.Unix_error _ -> ()
+
 (* Commands that print incrementally ([Format]'s [@.] flushes at every
    line) can hit a stdout the reader already closed (mimdloop ... |
    head): with SIGPIPE ignored the flush raises [Sys_error "Broken
    pipe"] mid-command, which cmdliner reports as an internal error.  A
    reader that stopped consuming is not an error — drop the rest of
-   the output and exit cleanly, like the at_exit guard below. *)
+   the output and exit cleanly, like the exit handler below. *)
 let guard_broken_pipe f =
   try f ()
-  with Sys_error msg when msg = "Broken pipe" -> (
-    try
-      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      Unix.dup2 null Unix.stdout;
-      Unix.close null;
-      0
-    with Unix.Unix_error _ -> 0)
+  with Sys_error msg when msg = "Broken pipe" ->
+    stdout_to_null ();
+    0
 
 (* Run [f] with tracing on when a trace file was requested; the export
    happens after [f] even when it fails, so partial traces of failing
@@ -181,7 +200,7 @@ let guard_broken_pipe f =
 let with_trace trace f =
   match trace with
   | None -> f ()
-  | Some path ->
+  | Some path -> (
     Mimd_obs.Trace.clear ();
     Mimd_obs.Trace.enable ();
     let code = Fun.protect ~finally:Mimd_obs.Trace.disable f in
@@ -190,15 +209,11 @@ let with_trace trace f =
       Printf.eprintf "mimdloop: warning: %d trace event(s) dropped (buffer full)\n%!"
         dropped;
     let json = Mimd_obs.Trace.export () in
-    (match
-       Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json)
-     with
+    match Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json) with
     | () ->
       Printf.eprintf "mimdloop: trace written to %s\n%!" path;
       code
-    | exception Sys_error e ->
-      prerr_endline ("mimdloop: " ^ e);
-      1)
+    | exception Sys_error e -> fail e)
 
 (* Long-running commands (serve) stream instead of exporting at exit:
    events flush to the file as the buffers fill, so a killed server
@@ -213,8 +228,7 @@ let with_streaming_trace trace f =
     match Mimd_obs.Trace.set_sink ~threshold:256 path with
     | exception Sys_error e ->
       Mimd_obs.Trace.disable ();
-      prerr_endline ("mimdloop: " ^ e);
-      1
+      fail e
     | () ->
       let code =
         Fun.protect
@@ -227,6 +241,43 @@ let with_streaming_trace trace f =
       code)
 
 (* ------------------------------------------------------------------ *)
+(* The comm-opt rewrite                                                *)
+
+(* --comm-opt with its --comm-window: [Some window] when the rewrite
+   is on. *)
+let comm_opt_t =
+  let on =
+    Arg.(value & flag & info [ "comm-opt" ]
+           ~doc:"Rewrite the generated programs with the synchronization-minimizing pass: \
+                 elide messages whose ordering is transitively implied by retained \
+                 messages (forwarding their values on the retained frames) and coalesce \
+                 per-link messages into multi-tag frames.")
+  in
+  let window =
+    Arg.(value & opt non_negative_int 4 & info [ "comm-window" ] ~docv:"W"
+           ~doc:"Iteration span a coalesced frame may cover under $(b,--comm-opt): \
+                 members satisfy max iter - min iter < $(docv); 0 disables coalescing.")
+  in
+  Term.(const (fun on window -> if on then Some window else None) $ on $ window)
+
+(* Every comm-opt run goes through here: optimize a generated program
+   and have the independent token simulation accept the result. *)
+let optimize_program ~window program =
+  match Comm_opt.run ~window program with
+  | exception Failure m -> Error ("comm-opt: " ^ m)
+  | exception Invalid_argument m -> Error ("comm-opt: " ^ m)
+  | opt, stats -> (
+    match Mimd_check.Validate.program_validator opt with
+    | Error m -> Error ("optimized program rejected by the independent validator: " ^ m)
+    | Ok () -> Ok (opt, stats))
+
+let print_comm_stats (stats : Comm_opt.stats) =
+  Format.printf
+    "comm-opt: messages %d -> %d (elided %d, coalesced %d, %d forwarded value(s))@."
+    stats.messages_before stats.messages_after stats.elided stats.coalesced
+    stats.forwarded_values
+
+(* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
 
 let list_cmd =
@@ -237,8 +288,8 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the built-in workloads") Term.(const run $ const ())
 
 let classify_cmd =
-  let run workload file seed dot =
-    with_graph workload file seed (fun g ->
+  let run input dot =
+    with_graph input (fun g ->
         let cls = Classify.run g in
         if dot then begin
           let highlight v =
@@ -258,71 +309,34 @@ let classify_cmd =
   let dot_t = Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz DOT with subset colours.") in
   Cmd.v
     (Cmd.info "classify" ~doc:"Partition a loop into Flow-in / Cyclic / Flow-out (paper Fig. 2)")
-    Term.(const run $ workload_t $ file_t $ seed_t $ dot_t)
-
-let comm_opt_t =
-  Arg.(value & flag & info [ "comm-opt" ]
-         ~doc:"Rewrite the generated programs with the synchronization-minimizing pass: \
-               elide messages whose ordering is transitively implied by retained \
-               messages (forwarding their values on the retained frames) and coalesce \
-               per-link messages into multi-tag frames.")
-
-let comm_window_t =
-  Arg.(value & opt int 4 & info [ "comm-window" ] ~docv:"W"
-         ~doc:"Iteration span a coalesced frame may cover under $(b,--comm-opt): \
-               members satisfy max iter - min iter < $(docv); 0 disables coalescing.")
-
-(* Shared by schedule/run-parallel/run-dist: optimize a generated
-   program, have the independent token simulation accept it, and
-   report the message/makespan deltas the rewrite bought. *)
-let optimize_program ~window program =
-  match Mimd_codegen.Comm_opt.run ~window program with
-  | exception Failure m -> Error ("comm-opt: " ^ m)
-  | exception Invalid_argument m -> Error ("comm-opt: " ^ m)
-  | opt, stats -> (
-    match Mimd_check.Validate.program_validator opt with
-    | Error m -> Error ("optimized program rejected by the independent validator: " ^ m)
-    | Ok () -> Ok (opt, stats))
-
-let print_comm_stats (stats : Mimd_codegen.Comm_opt.stats) =
-  Format.printf
-    "comm-opt: messages %d -> %d (elided %d, coalesced %d, %d forwarded value(s))@."
-    stats.Mimd_codegen.Comm_opt.messages_before stats.Mimd_codegen.Comm_opt.messages_after
-    stats.Mimd_codegen.Comm_opt.elided stats.Mimd_codegen.Comm_opt.coalesced
-    stats.Mimd_codegen.Comm_opt.forwarded_values
+    Term.(const run $ graph_t $ dot_t)
 
 let schedule_cmd =
-  let run workload file seed processors k iterations validate auto_k comm_opt comm_window
-      trace =
-    with_graph workload file seed (fun g ->
+  let run input machine iterations validate auto_k comm_opt trace =
+    with_graph input (fun g ->
         with_trace trace @@ fun () ->
         (* This command spawns no domain, so the probe's fork is safe
            anywhere; it runs first regardless. *)
-        let machine = machine_of processors k in
         let machine = if auto_k then auto_k_machine machine else machine in
         match Full_sched.run ~validate ~graph:g ~machine ~iterations () with
         | exception Full_sched.Invalid_schedule m ->
-          prerr_endline ("mimdloop: schedule rejected by the independent validator: " ^ m);
-          1
-        | full ->
+          fail ("schedule rejected by the independent validator: " ^ m)
+        | full -> (
         print_string (Full_sched.report full);
-        (match full.Full_sched.pattern with
-        | Some p -> Format.printf "%a@." Pattern.pp p
-        | None -> ());
+        Option.iter (Format.printf "%a@." Pattern.pp) full.Full_sched.pattern;
         print_string (Schedule.render_grid ~max_cycles:60 full.Full_sched.schedule);
         let seq = Mimd_doacross.Sequential.time g ~iterations in
         let par = Full_sched.parallel_time full in
         Format.printf "sequential %d, parallel %d -> percentage parallelism %.1f@." seq par
           (Mimd_core.Metrics.percentage_parallelism ~sequential:seq ~parallel:par);
-        if not comm_opt then 0
-        else begin
+        match comm_opt with
+        | None -> 0
+        | Some window -> (
           (* Re-price the schedule's communication term: same programs,
              fewer frames, simulated at the same per-message cost k. *)
           let program = Mimd_codegen.From_schedule.run full.Full_sched.schedule in
-          match optimize_program ~window:comm_window program with
-          | Error e ->
-            prerr_endline ("mimdloop: " ^ e);
-            1
+          match optimize_program ~window program with
+          | Error e -> fail e
           | Ok (opt, stats) ->
             print_comm_stats stats;
             let k = machine.Config.comm_estimate in
@@ -333,8 +347,7 @@ let schedule_cmd =
               "comm-opt: simulated makespan %d -> %d at k=%d (comm cycles %d -> %d)@."
               before.Mimd_sim.Exec.makespan after.Mimd_sim.Exec.makespan k
               before.Mimd_sim.Exec.comm_cycles after.Mimd_sim.Exec.comm_cycles;
-            0
-        end)
+            0)))
   in
   let validate_t =
     Arg.(value & flag & info [ "validate" ]
@@ -344,13 +357,12 @@ let schedule_cmd =
   Cmd.v
     (Cmd.info "schedule" ~doc:"Run the full pattern-based scheduling pipeline (paper Fig. 6)")
     Term.(
-      const run $ workload_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t
-      $ validate_t $ auto_k_t $ comm_opt_t $ comm_window_t $ trace_t)
+      const run $ graph_t $ machine_t $ iterations_t $ validate_t $ auto_k_t $ comm_opt_t
+      $ trace_t)
 
 let doacross_cmd =
-  let run workload file seed processors k iterations exhaustive =
-    with_graph workload file seed (fun g ->
-        let machine = machine_of processors k in
+  let run input machine iterations exhaustive =
+    with_graph input (fun g ->
         let doa =
           if exhaustive then (Mimd_doacross.Reorder.exhaustive ~graph:g ~machine ()).analysis
           else Mimd_doacross.Reorder.best ~graph:g ~machine ()
@@ -365,37 +377,33 @@ let doacross_cmd =
   let ex_t = Arg.(value & flag & info [ "exhaustive" ] ~doc:"Force exhaustive reordering.") in
   Cmd.v
     (Cmd.info "doacross" ~doc:"Run the DOACROSS baseline [Cytron86]")
-    Term.(const run $ workload_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t $ ex_t)
+    Term.(const run $ graph_t $ machine_t $ iterations_t $ ex_t)
+
+let cyclic_core g =
+  let cls = Classify.run g in
+  if Classify.is_doall cls then g
+  else
+    let core, _, _ = Classify.cyclic_subgraph g cls in
+    core
 
 let codegen_cmd =
-  let run workload file seed processors k =
-    with_graph workload file seed (fun g ->
-        let machine = machine_of processors k in
-        let cls = Classify.run g in
-        let core, _, _ =
-          if Classify.is_doall cls then (g, [||], [||]) else Classify.cyclic_subgraph g cls
-        in
-        match Cyclic_sched.solve ~graph:core ~machine () with
+  let run input machine =
+    with_graph input (fun g ->
+        match Cyclic_sched.solve ~graph:(cyclic_core g) ~machine () with
         | r ->
           print_string (Mimd_codegen.Rolled.render r.Cyclic_sched.pattern);
           0
-        | exception Cyclic_sched.No_pattern m ->
-          prerr_endline ("mimdloop: " ^ m);
-          1)
+        | exception Cyclic_sched.No_pattern m -> fail m)
   in
   Cmd.v
     (Cmd.info "codegen" ~doc:"Emit the transformed per-processor loop (paper Figs. 7(e)/10)")
-    Term.(const run $ workload_t $ file_t $ seed_t $ processors_t $ k_t)
+    Term.(const run $ graph_t $ machine_t)
 
 let simulate_cmd =
-  let run workload file seed processors k iterations mm =
-    with_graph workload file seed (fun g ->
-        let machine = machine_of processors k in
+  let run input machine iterations mm =
+    with_graph input (fun g ->
         let full = Full_sched.run ~graph:g ~machine ~iterations () in
-        let links =
-          if mm <= 1 then Mimd_sim.Links.fixed k
-          else Mimd_sim.Links.uniform ~base:k ~mm ~seed:42
-        in
+        let links = links_of ~k:machine.Config.comm_estimate ~mm in
         let out = Mimd_sim.Exec.simulate_schedule ~schedule:full.Full_sched.schedule ~links () in
         let seq = Mimd_doacross.Sequential.time g ~iterations in
         Format.printf
@@ -408,12 +416,9 @@ let simulate_cmd =
              ~parallel:out.Mimd_sim.Exec.makespan);
         0)
   in
-  let mm_t =
-    Arg.(value & opt int 1 & info [ "mm" ] ~docv:"MM" ~doc:"Run-time fluctuation factor.")
-  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Execute the generated programs on the simulated multiprocessor")
-    Term.(const run $ workload_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t $ mm_t)
+    Term.(const run $ graph_t $ machine_t $ iterations_t $ mm_t)
 
 let figures_cmd =
   let run only =
@@ -423,10 +428,7 @@ let figures_cmd =
       | None -> figs
       | Some id -> List.filter (fun (i, _) -> String.lowercase_ascii i = String.lowercase_ascii id) figs
     in
-    if selected = [] then begin
-      prerr_endline "mimdloop: unknown figure id";
-      1
-    end
+    if selected = [] then fail "unknown figure id"
     else begin
       List.iter (fun (id, text) -> Printf.printf "=== %s ===\n%s\n" id text) selected;
       0
@@ -456,8 +458,8 @@ let table1_cmd =
     Term.(const run $ iterations_t $ p_t4 $ k_t3)
 
 let bounds_cmd =
-  let run workload file seed processors iterations =
-    with_graph workload file seed (fun g ->
+  let run input processors iterations =
+    with_graph input (fun g ->
         let b = Mimd_core.Bounds.compute ~graph:g ~processors in
         Format.printf "%a@." Mimd_core.Bounds.pp b;
         let machine = machine_of processors 2 in
@@ -471,7 +473,7 @@ let bounds_cmd =
   in
   Cmd.v
     (Cmd.info "bounds" ~doc:"Lower bounds (recurrence/resource/span) and schedule efficiency")
-    Term.(const run $ workload_t $ file_t $ seed_t $ processors_t $ iterations_t)
+    Term.(const run $ graph_t $ processors_t $ iterations_t)
 
 let stats_cmd =
   let run with_random =
@@ -501,14 +503,10 @@ let extensions_cmd =
     Term.(const run $ const ())
 
 let gantt_cmd =
-  let run workload file seed processors k iterations mm cycles =
-    with_graph workload file seed (fun g ->
-        let machine = machine_of processors k in
+  let run input machine iterations mm cycles =
+    with_graph input (fun g ->
         let full = Full_sched.run ~graph:g ~machine ~iterations () in
-        let links =
-          if mm <= 1 then Mimd_sim.Links.fixed k
-          else Mimd_sim.Links.uniform ~base:k ~mm ~seed:42
-        in
+        let links = links_of ~k:machine.Config.comm_estimate ~mm in
         let out =
           Mimd_sim.Exec.simulate_schedule ~record:true ~schedule:full.Full_sched.schedule
             ~links ()
@@ -519,102 +517,37 @@ let gantt_cmd =
              out.Mimd_sim.Exec.trace);
         0)
   in
-  let mm_t = Arg.(value & opt int 1 & info [ "mm" ] ~docv:"MM" ~doc:"Fluctuation factor.") in
-  let cyc_t = Arg.(value & opt int 40 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to draw.") in
+  let cyc_t =
+    Arg.(value & opt non_negative_int 40 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to draw.")
+  in
   Cmd.v
     (Cmd.info "gantt" ~doc:"ASCII Gantt chart of the simulated execution")
-    Term.(const run $ workload_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t $ mm_t $ cyc_t)
+    Term.(const run $ graph_t $ machine_t $ iterations_t $ mm_t $ cyc_t)
 
 let export_cmd =
-  let run workload file seed processors k iterations =
-    with_graph workload file seed (fun g ->
-        let machine = machine_of processors k in
+  let run input machine iterations =
+    with_graph input (fun g ->
         let full = Full_sched.run ~graph:g ~machine ~iterations () in
         print_string (Mimd_experiments.Export.schedule_csv full.Full_sched.schedule);
         0)
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Dump the full schedule as CSV (node,name,iter,PE,start,finish)")
-    Term.(const run $ workload_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t)
+    Term.(const run $ graph_t $ machine_t $ iterations_t)
 
 let converge_cmd =
-  let run workload file seed processors k =
-    with_graph workload file seed (fun g ->
-        let machine = machine_of processors k in
+  let run input machine =
+    with_graph input (fun g ->
         let rows = Mimd_experiments.Convergence.measure ~graph:g ~machine () in
         print_string (Mimd_experiments.Convergence.render ~label:"loop" rows);
         0)
   in
   Cmd.v
     (Cmd.info "converge" ~doc:"Sp versus trip count (start-up transient)")
-    Term.(const run $ workload_t $ file_t $ seed_t $ processors_t $ k_t)
+    Term.(const run $ graph_t $ machine_t)
 
-let verify_cmd =
-  let run file iterations processors k mm =
-    match file with
-    | None ->
-      prerr_endline "mimdloop: verify needs --file";
-      1
-    | Some path -> begin
-      match In_channel.with_open_text path In_channel.input_all with
-      | exception Sys_error e ->
-        prerr_endline ("mimdloop: " ^ e);
-        1
-      | src -> begin
-        match Mimd_loop_ir.Parser.parse src with
-        | exception Mimd_loop_ir.Parser.Error m ->
-          prerr_endline ("mimdloop: parse error: " ^ m);
-          1
-        | parsed ->
-          let loop =
-            if Mimd_loop_ir.Ast.is_flat parsed then parsed
-            else Mimd_loop_ir.If_convert.run parsed
-          in
-          let graph = (Mimd_loop_ir.Depend.analyze loop).Mimd_loop_ir.Depend.graph in
-          if List.exists (fun (e : Graph.edge) -> e.distance > 1) (Graph.edges graph) then begin
-            prerr_endline ("mimdloop: " ^ needs_unwinding);
-            1
-          end
-          else begin
-            let machine = machine_of processors k in
-            let schedule = Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
-            let program = Mimd_codegen.From_schedule.run schedule in
-            let links =
-              if mm <= 1 then Mimd_sim.Links.fixed k
-              else Mimd_sim.Links.uniform ~base:k ~mm ~seed:42
-            in
-            (* Timing from the simulator, values from the lowered
-               evaluator run inline: values do not depend on timing. *)
-            let timing = Mimd_sim.Exec.run ~program ~links () in
-            let outcome = Mimd_runtime.Exec_compiled.run_inline ~loop ~program () in
-            let spec = Mimd_loop_ir.Interp.instance_values loop ~iterations in
-            match
-              Result.bind
-                (Mimd_runtime.Value_run.check_instances ~spec
-                   outcome.Mimd_runtime.Value_run.instance_values)
-                (fun () ->
-                  Mimd_runtime.Value_run.check_against_sequential ~loop ~iterations outcome)
-            with
-            | Ok () ->
-              Format.printf
-                "OK: parallel execution matches the sequential interpreter bit-for-bit@.\
-                 (%d iterations, %d PEs, makespan %d, %d messages)@."
-                iterations processors timing.Mimd_sim.Exec.makespan
-                timing.Mimd_sim.Exec.messages;
-              0
-            | Error e ->
-              Format.printf "MISMATCH: %s@." e;
-              1
-          end
-      end
-    end
-  in
-  let mm_t = Arg.(value & opt int 1 & info [ "mm" ] ~docv:"MM" ~doc:"Fluctuation factor.") in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:"Compile a loop, time it on the simulator, run its values on the lowered \
-             evaluator inline, and compare every instance against sequential execution")
-    Term.(const run $ file_t $ iterations_t $ processors_t $ k_t $ mm_t)
+(* ------------------------------------------------------------------ *)
+(* The executed program: verify, run-parallel, run-dist                *)
 
 (* Shared by run-parallel and run-dist: resolve a loop from a named
    source, a file, or the Section-4 random generator. *)
@@ -628,21 +561,11 @@ let loop_sources =
 
 let load_loop ~src ~file ~seed =
   match (file, seed) with
-  | Some path, None -> begin
-    match In_channel.with_open_text path In_channel.input_all with
-    | s -> begin
-      match Mimd_loop_ir.Parser.parse s with
-      | loop -> Ok loop
-      | exception Mimd_loop_ir.Parser.Error m -> Error ("parse error: " ^ m)
-      | exception Mimd_loop_ir.Lexer.Error { position; message } ->
-        Error (Printf.sprintf "lex error at %d: %s" position message)
-    end
-    | exception Sys_error e -> Error e
-  end
-  | None, Some seed -> Ok (W.Random_loop.generate_loop ~seed ())
+  | Some path, None -> analyze_file path
+  | None, Some seed -> Ok (Depend.analyze (W.Random_loop.generate_loop ~seed ()))
   | None, None -> begin
     match List.find_opt (fun (n, _, _) -> n = src) loop_sources with
-    | Some (_, s, _) -> Ok (Mimd_loop_ir.Parser.parse s)
+    | Some (_, s, _) -> Depend.of_source s
     | None ->
       Error
         (Printf.sprintf "unknown loop source %S; known: %s" src
@@ -650,80 +573,95 @@ let load_loop ~src ~file ~seed =
   end
   | Some _, Some _ -> Error "choose at most one of --file, --seed"
 
-let src_t =
-  let doc =
-    "Named loop source: " ^ String.concat ", " (List.map (fun (n, _, _) -> n) loop_sources)
-    ^ "."
+let loop_t =
+  let src_t =
+    let doc =
+      "Named loop source: " ^ String.concat ", " (List.map (fun (n, _, _) -> n) loop_sources)
+      ^ "."
+    in
+    Arg.(value & opt string "fig7" & info [ "src" ] ~docv:"NAME" ~doc)
   in
-  Arg.(value & opt string "fig7" & info [ "src" ] ~docv:"NAME" ~doc)
+  Term.(const (fun src file seed -> load_loop ~src ~file ~seed) $ src_t $ file_t $ seed_t)
 
-(* Compile a loop down to a per-processor message-passing program —
-   the front end of run-parallel and run-dist.  Codegen runs with
-   validate:true, so the independent token simulation audits the
-   message protocol over whichever channel backend runs it next. *)
-let compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache () =
-  let flat =
-    if Mimd_loop_ir.Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop
-  in
-  let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
-  let full =
-    if no_cache then Full_sched.run ~graph ~machine ~iterations ()
-    else
-      Mimd_runtime.Schedule_cache.find_or_compute Mimd_runtime.Schedule_cache.global ~graph
-        ~machine ~iterations ()
-  in
+(* Compile an analysed loop down to the per-processor message-passing
+   program that verify, run-parallel and run-dist execute.  Codegen
+   runs with validate:true, so the independent token simulation audits
+   the message protocol over whichever backend runs it next. *)
+let compile_for_run ?comm_opt ~(analysis : Depend.t) ~machine ~iterations () =
+  let full = Full_sched.run ~graph:analysis.graph ~machine ~iterations () in
   let schedule = full.Full_sched.schedule in
   if
     Graph.node_count (Schedule.graph schedule)
-    <> List.length (Mimd_loop_ir.Ast.assignments flat)
-  then
-    Error needs_unwinding
+    <> List.length (Mimd_loop_ir.Ast.assignments analysis.loop)
+  then Error needs_unwinding
   else
     match Mimd_codegen.From_schedule.run ~validate:true schedule with
     | exception Mimd_codegen.From_schedule.Invalid_program m ->
       Error ("generated program rejected by the validator: " ^ m)
     | program -> (
       match comm_opt with
-      | None -> Ok (flat, full, program, None)
-      | Some window -> (
-        match optimize_program ~window program with
-        | Error e -> Error e
-        | Ok (opt, stats) -> Ok (flat, full, opt, Some stats)))
+      | None -> Ok (full, program, None)
+      | Some window ->
+        Result.map
+          (fun (opt, stats) -> (full, opt, Some stats))
+          (optimize_program ~window program))
+
+let verify_cmd =
+  let run file machine iterations mm =
+    let compiled =
+      match file with
+      | None -> Error "verify needs --file"
+      | Some path ->
+        Result.bind (analyze_file path) (fun analysis ->
+            Result.map
+              (fun (_, program, _) -> (analysis.Depend.loop, program))
+              (compile_for_run ~analysis ~machine ~iterations ()))
+    in
+    match compiled with
+    | Error e -> fail e
+    | Ok (loop, program) -> (
+      (* Timing from the simulator, values from the lowered evaluator
+         run inline: values do not depend on timing. *)
+      let links = links_of ~k:machine.Config.comm_estimate ~mm in
+      let timing = Mimd_sim.Exec.run ~program ~links () in
+      let outcome = Mimd_runtime.Exec_compiled.run_inline ~loop ~program () in
+      let spec = Mimd_loop_ir.Interp.instance_values loop ~iterations in
+      match
+        Result.bind
+          (Mimd_runtime.Value_run.check_instances ~spec
+             outcome.Mimd_runtime.Value_run.instance_values)
+          (fun () -> Mimd_runtime.Value_run.check_against_sequential ~loop ~iterations outcome)
+      with
+      | Ok () ->
+        Format.printf
+          "OK: parallel execution matches the sequential interpreter bit-for-bit@.\
+           (%d iterations, %d PEs, makespan %d, %d messages)@."
+          iterations program.Mimd_codegen.Program.processors timing.Mimd_sim.Exec.makespan
+          timing.Mimd_sim.Exec.messages;
+        0
+      | Error e ->
+        Format.printf "MISMATCH: %s@." e;
+        1)
+  in
+  Cmd.v
+    (Cmd.info "verify"
+       ~doc:"Compile a loop to the program run-parallel and run-dist execute, time it on \
+             the simulator, run its values on the lowered evaluator inline, and compare \
+             every instance against sequential execution")
+    Term.(const run $ file_t $ machine_t $ iterations_t $ mm_t)
 
 let run_parallel_cmd =
-  let run src file seed processors k iterations repeat no_cache timeout fault
-      comm_opt comm_window trace =
-    match load_loop ~src ~file ~seed with
-    | Error e ->
-      prerr_endline ("mimdloop: " ^ e);
-      1
-    | Ok loop ->
+  let run loop machine iterations timeout fault comm_opt trace =
+    match loop with
+    | Error e -> fail e
+    | Ok analysis ->
       guard_broken_pipe @@ fun () ->
       with_trace trace @@ fun () ->
-      let machine = machine_of processors k in
-      let comm_opt = if comm_opt then Some comm_window else None in
-      match compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache () with
-      | Error e ->
-        prerr_endline ("mimdloop: " ^ e);
-        1
-      | Ok (flat, full, program, comm_stats) ->
+      match compile_for_run ?comm_opt ~analysis ~machine ~iterations () with
+      | Error e -> fail e
+      | Ok (full, program, comm_stats) ->
         Option.iter print_comm_stats comm_stats;
-        let cache = Mimd_runtime.Schedule_cache.global in
-        (* Repeated requests for the same loop exercise the cache: only
-           the first compile above actually scheduled. *)
-        let resched_ns =
-          if repeat > 1 && not no_cache then begin
-            let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
-            let t0 = Unix.gettimeofday () in
-            for _ = 2 to repeat do
-              ignore
-                (Mimd_runtime.Schedule_cache.find_or_compute cache ~graph ~machine
-                   ~iterations ())
-            done;
-            (Unix.gettimeofday () -. t0) /. float_of_int (repeat - 1) *. 1e9
-          end
-          else 0.0
-        in
+        let flat = analysis.Depend.loop in
         (* Deterministic fault injection, exercising the failure exits:
            drop-send removes one message after validation (the watchdog
            must fire), skew-init perturbs only the runtime's initial
@@ -747,9 +685,7 @@ let run_parallel_cmd =
             else Error "--inject-fault drop-send: the program sends no messages"
         in
         match inject program with
-        | Error e ->
-          prerr_endline ("mimdloop: " ^ e);
-          1
+        | Error e -> fail e
         | Ok program ->
         let run_init =
           match fault with
@@ -768,11 +704,8 @@ let run_parallel_cmd =
         in
         match run_backend () with
         | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
-          prerr_endline ("mimdloop: runtime deadlock\n" ^ Mimd_runtime.Watchdog.describe stall);
-          1
-        | exception Invalid_argument m ->
-          prerr_endline ("mimdloop: " ^ m);
-          1
+          fail ("runtime deadlock\n" ^ Mimd_runtime.Watchdog.describe stall)
+        | exception Invalid_argument m -> fail m
         | outcome -> begin
           match
             Mimd_runtime.Value_run.check_against_sequential ~loop:flat ~iterations outcome
@@ -791,28 +724,13 @@ let run_parallel_cmd =
             Array.iteri
               (fun j ns -> Format.printf "  domain %d finished at %.0f us@." j (ns /. 1e3))
               outcome.Mimd_runtime.Value_run.domain_wall_ns;
-            let sim = Mimd_sim.Exec.run ~program ~links:(Mimd_sim.Links.fixed k) () in
+            let links = Mimd_sim.Links.fixed machine.Config.comm_estimate in
+            let sim = Mimd_sim.Exec.run ~program ~links () in
             Format.printf "  simulated makespan: %d cycle(s) (static schedule: %d)@."
               sim.Mimd_sim.Exec.makespan
               (Full_sched.parallel_time full);
-            if repeat > 1 && not no_cache then
-              Format.printf "  schedule cache: %.0f ns per repeated request@." resched_ns;
-            if not no_cache then begin
-              let st = Mimd_runtime.Schedule_cache.stats cache in
-              Format.printf "  schedule cache: %d hit(s), %d miss(es), %d entr%s@."
-                st.Mimd_runtime.Schedule_cache.hits st.Mimd_runtime.Schedule_cache.misses
-                st.Mimd_runtime.Schedule_cache.entries
-                (if st.Mimd_runtime.Schedule_cache.entries = 1 then "y" else "ies");
-            end;
             0
         end
-  in
-  let repeat_t =
-    Arg.(value & opt positive_int 1 & info [ "repeat" ] ~docv:"R"
-           ~doc:"Schedule the same request R times (exercises the schedule cache).")
-  in
-  let no_cache_t =
-    Arg.(value & flag & info [ "no-cache" ] ~doc:"Bypass the schedule cache.")
   in
   let timeout_t =
     Arg.(value & opt positive_float 5.0 & info [ "watchdog-timeout" ] ~docv:"SECONDS"
@@ -838,8 +756,8 @@ let run_parallel_cmd =
        ~doc:"Execute a compiled loop on real OCaml 5 domains (one per scheduled processor) \
              and check the values against the sequential interpreter")
     Term.(
-      const run $ src_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t $ repeat_t
-      $ no_cache_t $ timeout_t $ fault_t $ comm_opt_t $ comm_window_t $ trace_t)
+      const run $ loop_t $ machine_t $ iterations_t $ timeout_t $ fault_t $ comm_opt_t
+      $ trace_t)
 
 let check_cmd =
   let module V = Mimd_check.Validate in
@@ -866,25 +784,13 @@ let check_cmd =
     print_string (V.render ~names:(Graph.name g) report);
     V.ok report
   in
-  let run workload file seed all processors k iterations broken fuzz fuzz_seed fault fuzz_out
+  let run workload file seed all machine iterations broken fuzz fuzz_seed fault fuzz_out
       no_runtime replay =
-    let machine = machine_of processors k in
-    match replay with
-    | Some path -> begin
+    match (replay, fuzz) with
+    | Some path, _ -> begin
       match F.load_case path with
-      | exception Sys_error e ->
-        prerr_endline ("mimdloop: " ^ e);
-        1
-      | exception Mimd_loop_ir.Parser.Error m ->
-        prerr_endline ("mimdloop: parse error: " ^ m);
-        1
-      | exception Mimd_loop_ir.Lexer.Error { position; message } ->
-        prerr_endline (Printf.sprintf "mimdloop: lex error at %d: %s" position message);
-        1
-      | exception Failure m ->
-        prerr_endline ("mimdloop: " ^ m);
-        1
-      | case -> begin
+      | Error e -> fail e
+      | Ok case -> begin
         match F.check_case ~fault ~runtime:(not no_runtime) case with
         | Ok () ->
           Printf.printf "replay %s: all checks passed\n" path;
@@ -894,36 +800,25 @@ let check_cmd =
           1
       end
     end
-    | None -> begin
-      match fuzz with
-      | Some count -> begin
-        let cfg =
-          {
-            F.count;
-            seed = fuzz_seed;
-            fault;
-            runtime = not no_runtime;
-            out_dir = fuzz_out;
-          }
+    | None, Some count ->
+      let outcome =
+        F.run { F.count; seed = fuzz_seed; fault; runtime = not no_runtime; out_dir = fuzz_out }
+      in
+      print_endline (F.describe outcome);
+      (match outcome with F.Passed _ -> 0 | F.Failed _ -> 1)
+    | None, None ->
+      if all || (workload = None && file = None && seed = None) then begin
+        let oks =
+          List.map
+            (fun (name, g, _) -> check_graph ~name ~machine ~iterations ~broken (g ()))
+            workloads
         in
-        let outcome = F.run cfg in
-        print_endline (F.describe outcome);
-        match outcome with F.Passed _ -> 0 | F.Failed _ -> 1
+        if List.for_all Fun.id oks then 0 else 1
       end
-      | None ->
-        if all || (workload = None && file = None && seed = None) then begin
-          let oks =
-            List.map
-              (fun (name, g, _) -> check_graph ~name ~machine ~iterations ~broken (g ()))
-              workloads
-          in
-          if List.for_all Fun.id oks then 0 else 1
-        end
-        else
-          with_graph workload file seed (fun g ->
-              let name = Option.value ~default:"input" workload in
-              if check_graph ~name ~machine ~iterations ~broken g then 0 else 1)
-    end
+      else
+        with_graph (load_graph ~workload ~file ~seed) (fun g ->
+            let name = Option.value ~default:"input" workload in
+            if check_graph ~name ~machine ~iterations ~broken g then 0 else 1)
   in
   let all_t =
     Arg.(value & flag & info [ "all" ] ~doc:"Check every built-in workload (the default \
@@ -935,7 +830,7 @@ let check_cmd =
                  detection; the exit code is then non-zero.")
   in
   let fuzz_t =
-    Arg.(value & opt (some int) None & info [ "fuzz" ] ~docv:"N"
+    Arg.(value & opt (some non_negative_int) None & info [ "fuzz" ] ~docv:"N"
            ~doc:"Instead of checking workloads, drive N random loops and machine shapes \
                  through the whole pipeline, comm-opt rewrite included, with every stage \
                  audited and every instance value compared against the sequential \
@@ -981,9 +876,8 @@ let check_cmd =
              (dependences, exclusivity, re-rolling, deadlock freedom), or fuzz the \
              whole pipeline against the sequential interpreter")
     Term.(
-      const run $ workload_t $ file_t $ seed_t $ all_t $ processors_t $ k_t $ iterations_t
-      $ broken_t $ fuzz_t $ fuzz_seed_t $ inject_fault_t $ fuzz_out_t $ no_runtime_t
-      $ replay_t)
+      const run $ workload_t $ file_t $ seed_t $ all_t $ machine_t $ iterations_t $ broken_t
+      $ fuzz_t $ fuzz_seed_t $ inject_fault_t $ fuzz_out_t $ no_runtime_t $ replay_t)
 
 (* ------------------------------------------------------------------ *)
 (* The compile service: serve (stdio / Unix socket) and batch           *)
@@ -993,17 +887,26 @@ let jobs_t =
     "Worker domains in the compile pool (default: the runtime's recommended domain \
      count, capped at 8)."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
+(* --cache-dir with --no-disk-cache: the disk tier's directory, or
+   [None] when it is off. *)
 let cache_dir_t =
-  let doc =
-    "Directory of the persistent schedule cache (default: \\$XDG_CACHE_HOME/mimdloop or \
-     ~/.cache/mimdloop)."
+  let dir =
+    let doc =
+      "Directory of the persistent schedule cache (default: \\$XDG_CACHE_HOME/mimdloop or \
+       ~/.cache/mimdloop)."
+    in
+    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in
-  Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-
-let no_disk_cache_t =
-  Arg.(value & flag & info [ "no-disk-cache" ] ~doc:"Disable the on-disk schedule cache.")
+  let off =
+    Arg.(value & flag & info [ "no-disk-cache" ] ~doc:"Disable the on-disk schedule cache.")
+  in
+  Term.(
+    const (fun dir off ->
+        if off then None
+        else Some (Option.value ~default:(Mimd_server.Disk_cache.default_dir ()) dir))
+    $ dir $ off)
 
 let validate_sched_t =
   Arg.(value & flag & info [ "validate" ]
@@ -1012,48 +915,31 @@ let validate_sched_t =
                error instead of an entry.")
 
 let queue_depth_t =
-  Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N"
+  Arg.(value & opt positive_int 64 & info [ "queue-depth" ] ~docv:"N"
          ~doc:"Bound on the work queue; a full queue blocks readers and accepts \
                (backpressure).")
 
-let resolve_jobs = function
-  | Some j when j >= 1 -> j
-  | Some _ -> 1
-  | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
-
-let make_server ?comm_opt ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate () =
-  let disk =
-    if no_disk_cache then None
-    else
-      Some
-        (Mimd_server.Disk_cache.create
-           ~dir:(Option.value ~default:(Mimd_server.Disk_cache.default_dir ()) cache_dir))
-  in
-  let service = Mimd_server.Service.create ?disk ~validate ?comm_opt () in
-  let pool = Mimd_server.Pool.create ~queue_depth ~jobs:(resolve_jobs jobs) () in
-  let server = Mimd_server.Server.create ~service ~pool () in
-  (server, pool)
+(* The serve stack of serve and batch, built from their shared pool
+   and cache options. *)
+let server_t =
+  Term.(
+    const (fun jobs queue_depth cache_dir validate ~comm_opt ->
+        let jobs = Option.value jobs ~default:(Server.default_jobs ~cap:8) in
+        Server.make ?comm_opt ?cache_dir ~validate ~jobs ~queue_depth ())
+    $ jobs_t $ queue_depth_t $ cache_dir_t $ validate_sched_t)
 
 let serve_cmd =
-  let run stdio socket jobs queue_depth cache_dir no_disk_cache validate comm_opt
-      comm_window trace =
+  let run stdio socket make_server comm_opt trace =
     with_streaming_trace trace @@ fun () ->
-    let comm_opt = if comm_opt then Some comm_window else None in
-    let server, pool =
-      make_server ?comm_opt ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate ()
-    in
+    let server = make_server ~comm_opt in
     let code =
       match (stdio, socket) with
-      | true, None -> Mimd_server.Server.serve_stdio server
-      | false, Some path -> Mimd_server.Server.serve_socket server ~path
-      | true, Some _ ->
-        prerr_endline "mimdloop: choose one of --stdio, --socket";
-        1
-      | false, None ->
-        prerr_endline "mimdloop: serve needs --stdio or --socket PATH";
-        1
+      | true, None -> Server.serve_stdio server
+      | false, Some path -> Server.serve_socket server ~path
+      | true, Some _ -> fail "choose one of --stdio, --socket"
+      | false, None -> fail "serve needs --stdio or --socket PATH"
     in
-    Mimd_server.Pool.shutdown pool;
+    Server.shutdown server;
     code
   in
   let stdio_t =
@@ -1069,21 +955,13 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Long-running schedule-compilation service: a pool of OCaml 5 domains behind \
              a two-tier (memory + disk) schedule cache, speaking newline-delimited JSON")
-    Term.(
-      const run $ stdio_t $ socket_t $ jobs_t $ queue_depth_t $ cache_dir_t
-      $ no_disk_cache_t $ validate_sched_t $ comm_opt_t $ comm_window_t $ trace_t)
+    Term.(const run $ stdio_t $ socket_t $ server_t $ comm_opt_t $ trace_t)
 
 let batch_cmd =
-  let run paths jobs queue_depth cache_dir no_disk_cache validate processors k iterations
-      deadline_ms =
-    let server, pool =
-      make_server ~jobs ~queue_depth ~cache_dir ~no_disk_cache ~validate ()
-    in
-    let machine = machine_of processors k in
-    let code =
-      Mimd_server.Server.batch server ~machine ~iterations ?deadline_ms ~paths ()
-    in
-    Mimd_server.Pool.shutdown pool;
+  let run paths make_server machine iterations deadline_ms =
+    let server = make_server ~comm_opt:None in
+    let code = Server.batch server ~machine ~iterations ?deadline_ms ~paths () in
+    Server.shutdown server;
     code
   in
   let paths_t =
@@ -1091,7 +969,7 @@ let batch_cmd =
            ~doc:"Loop-IR files, or directories searched recursively for *.loop files.")
   in
   let deadline_t =
-    Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS"
+    Arg.(value & opt (some positive_float) None & info [ "deadline-ms" ] ~docv:"MS"
            ~doc:"Per-file compile deadline; a blown deadline is a structured error (and \
                  a non-zero exit).")
   in
@@ -1100,17 +978,10 @@ let batch_cmd =
        ~doc:"Compile and report a whole corpus of loops in parallel on the compile \
              service's worker pool (same caches as serve, no socket); exits non-zero if \
              any file fails")
-    Term.(
-      const run $ paths_t $ jobs_t $ queue_depth_t $ cache_dir_t $ no_disk_cache_t
-      $ validate_sched_t $ processors_t $ k_t $ iterations_t $ deadline_t)
+    Term.(const run $ paths_t $ server_t $ machine_t $ iterations_t $ deadline_t)
 
 (* ------------------------------------------------------------------ *)
 (* The socket backend: run-dist and the sharded serve fleet (route)    *)
-
-let dist_timeout_t =
-  Arg.(value & opt positive_float 5.0 & info [ "timeout" ] ~docv:"SECONDS"
-         ~doc:"Declare the distributed run stalled after this long without any child \
-               report (the socket analogue of the runtime watchdog).")
 
 let run_dist_cmd =
   let module Runner = Mimd_dist.Runner in
@@ -1118,24 +989,22 @@ let run_dist_cmd =
   (* One dist execution: compile, fork, compare against the sequential
      interpreter.  Returns an error string instead of printing so the
      sweep can aggregate. *)
-  let dist_once ?sabotage ?comm_opt ?transport ?(respawn = 0) ~loop ~machine ~iterations
+  let dist_once ?sabotage ?comm_opt ?transport ~respawn ~analysis ~machine ~iterations
       ~timeout () =
-    match compile_for_run ?comm_opt ~loop ~machine ~iterations ~no_cache:false () with
-    | Error e -> Error e
-    | Ok (flat, _full, program, stats) -> (
-      match Runner.run ?sabotage ?transport ~respawn ~timeout ~loop:flat ~program () with
-      | exception Runner.Dist_error f -> Error ("dist failure: " ^ Runner.describe f)
-      | outcome -> (
-        match VR.check_against_sequential ~loop:flat ~iterations outcome with
-        | Error e -> Error ("MISMATCH vs sequential interpreter: " ^ e)
-        | Ok () -> Ok (flat, program, stats, outcome)))
+    let loop = analysis.Depend.loop in
+    Result.bind (compile_for_run ?comm_opt ~analysis ~machine ~iterations ())
+      (fun (_full, program, stats) ->
+        match Runner.run ?sabotage ?transport ~respawn ~timeout ~loop ~program () with
+        | exception Runner.Dist_error f -> Error ("dist failure: " ^ Runner.describe f)
+        | outcome -> (
+          match VR.check_against_sequential ~loop ~iterations outcome with
+          | Error e -> Error ("MISMATCH vs sequential interpreter: " ^ e)
+          | Ok () -> Ok (program, stats, outcome)))
   in
-  let run src file seed processors k iterations timeout probe vs_domains sweep fault
-      tcp connect respawn auto_k comm_opt comm_window trace =
-    let comm_opt = if comm_opt then Some comm_window else None in
+  let run loop machine iterations timeout probe vs_domains sweep fault tcp connect respawn
+      auto_k comm_opt trace =
     guard_broken_pipe @@ fun () ->
     with_trace trace @@ fun () ->
-    let machine = machine_of processors k in
     (* The TCP transport is implied by anything that needs it: an
        explicit roster, or the handshake fault (which only exists on
        the rendezvous path). *)
@@ -1154,9 +1023,7 @@ let run_dist_cmd =
         go [] (String.split_on_char ',' spec)
     in
     match roster with
-    | Error e ->
-      prerr_endline ("mimdloop: --connect: " ^ e);
-      1
+    | Error e -> fail ("--connect: " ^ e)
     | Ok roster ->
     let transport =
       if not want_tcp then None
@@ -1172,16 +1039,16 @@ let run_dist_cmd =
        the in-domain comparison (--vs-domains) runs last. *)
     if probe then
       print_string
-        (Mimd_dist.Linkprobe.render ~assumed_k:k
-           (Mimd_dist.Linkprobe.probe ~procs:(max 2 processors) ()));
+        (Mimd_dist.Linkprobe.render ~assumed_k:machine.Config.comm_estimate
+           (Mimd_dist.Linkprobe.probe ~procs:(max 2 machine.Config.processors) ()));
     if sweep > 0 then begin
       (* Differential sweep: seeded random loops, socket backend vs
          the sequential interpreter, all in one process. *)
       let failures = ref [] in
       for seed = 1 to sweep do
-        let loop = W.Random_loop.generate_loop ~seed () in
+        let analysis = Depend.analyze (W.Random_loop.generate_loop ~seed ()) in
         match
-          dist_once ?comm_opt ?transport ~respawn ~loop ~machine ~iterations ~timeout ()
+          dist_once ?comm_opt ?transport ~respawn ~analysis ~machine ~iterations ~timeout ()
         with
         | Ok _ -> ()
         | Error e -> failures := (seed, e) :: !failures
@@ -1200,11 +1067,9 @@ let run_dist_cmd =
         1
     end
     else
-      match load_loop ~src ~file ~seed with
-      | Error e ->
-        prerr_endline ("mimdloop: " ^ e);
-        1
-      | Ok loop -> (
+      match loop with
+      | Error e -> fail e
+      | Ok analysis -> (
         (* Probing forks, so it runs strictly before the run's own
            forks. *)
         let machine = if auto_k then auto_k_machine machine else machine in
@@ -1226,13 +1091,11 @@ let run_dist_cmd =
                 end)
         in
         match
-          dist_once ?sabotage ?comm_opt ?transport ~respawn ~loop ~machine ~iterations
+          dist_once ?sabotage ?comm_opt ?transport ~respawn ~analysis ~machine ~iterations
             ~timeout ()
         with
-        | Error e ->
-          prerr_endline ("mimdloop: " ^ e);
-          1
-        | Ok (flat, program, stats, outcome) ->
+        | Error e -> fail e
+        | Ok (program, stats, outcome) ->
           Option.iter print_comm_stats stats;
           Format.printf
             "OK: %d forked process(es)%s computed all %d iteration(s) bit-identically \
@@ -1248,12 +1111,11 @@ let run_dist_cmd =
           if not vs_domains then 0
           else begin
             (* The in-domain runtime runs strictly after every fork. *)
-            match Mimd_runtime.Exec_compiled.run ~loop:flat ~program () with
+            match Mimd_runtime.Exec_compiled.run ~loop:analysis.Depend.loop ~program () with
             | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
-              prerr_endline
-                ("mimdloop: runtime deadlock in the domain comparison\n"
-                ^ Mimd_runtime.Watchdog.describe stall);
-              1
+              fail
+                ("runtime deadlock in the domain comparison\n"
+                ^ Mimd_runtime.Watchdog.describe stall)
             | domains_outcome ->
               if
                 domains_outcome.VR.instance_values = outcome.VR.instance_values
@@ -1271,6 +1133,11 @@ let run_dist_cmd =
               end
           end)
   in
+  let timeout_t =
+    Arg.(value & opt positive_float 5.0 & info [ "timeout" ] ~docv:"SECONDS"
+           ~doc:"Declare the distributed run stalled after this long without any child \
+                 report (the socket analogue of the runtime watchdog).")
+  in
   let probe_t =
     Arg.(value & flag & info [ "probe" ]
            ~doc:"First measure real per-link round-trip cost over the socket mesh and \
@@ -1283,7 +1150,7 @@ let run_dist_cmd =
                  once domains exist).")
   in
   let sweep_t =
-    Arg.(value & opt int 0 & info [ "sweep" ] ~docv:"N"
+    Arg.(value & opt non_negative_int 0 & info [ "sweep" ] ~docv:"N"
            ~doc:"Differential sweep: run seeds 1..$(docv) of the Section-4 random loop \
                  generator through the socket backend and compare each against the \
                  sequential interpreter (ignores --src/--file/--seed).")
@@ -1318,7 +1185,7 @@ let run_dist_cmd =
                  documented in docs/DISTRIBUTED.md.")
   in
   let respawn_t =
-    Arg.(value & opt int 0 & info [ "respawn" ] ~docv:"N"
+    Arg.(value & opt non_negative_int 0 & info [ "respawn" ] ~docv:"N"
            ~doc:"Retry the whole run up to $(docv) times after a child crash or stall \
                  (a run is a deterministic pure function, so the retry is sound; every \
                  failure path reaps all children first).  Child-side errors are never \
@@ -1330,46 +1197,37 @@ let run_dist_cmd =
              sockets or TCP (one process per scheduled processor) and check the values \
              against the sequential interpreter")
     Term.(
-      const run $ src_t $ file_t $ seed_t $ processors_t $ k_t $ iterations_t
-      $ dist_timeout_t $ probe_t $ vs_domains_t $ sweep_t $ fault_t $ tcp_t $ connect_t
-      $ respawn_t $ auto_k_t $ comm_opt_t $ comm_window_t $ trace_t)
+      const run $ loop_t $ machine_t $ iterations_t $ timeout_t $ probe_t $ vs_domains_t
+      $ sweep_t $ fault_t $ tcp_t $ connect_t $ respawn_t $ auto_k_t $ comm_opt_t $ trace_t)
 
 let route_cmd =
-  let run workers socket worker_dir max_inflight jobs queue_depth cache_dir no_disk_cache
-      validate trace respawn =
-    if workers < 1 then begin
-      prerr_endline "mimdloop: route needs --workers >= 1";
-      1
-    end
-    else begin
-      (* Streaming trace: the router sets its own sink (and each
-         worker its own file) only after the fleet has forked, so
-         children never inherit the parent's sink fd. *)
-      if Option.is_some trace then Mimd_obs.Trace.enable ();
-      let cfg =
+  let run workers socket worker_dir max_inflight jobs queue_depth cache_dir validate trace
+      respawn =
+    (* Streaming trace: the router sets its own sink (and each worker
+       its own file) only after the fleet has forked, so children
+       never inherit the parent's sink fd. *)
+    if Option.is_some trace then Mimd_obs.Trace.enable ();
+    let worker_dir = Option.value ~default:(Filename.dirname socket) worker_dir in
+    let code =
+      Mimd_dist.Router.serve
         {
           Mimd_dist.Router.workers;
           socket;
-          worker_dir = Option.value ~default:(Filename.dirname socket) worker_dir;
+          worker_dir;
           max_inflight;
           jobs;
           queue_depth;
-          cache_dir =
-            (if no_disk_cache then None
-             else
-               Some (Option.value ~default:(Mimd_server.Disk_cache.default_dir ()) cache_dir));
+          cache_dir;
           validate;
           trace;
-          respawn = max 0 respawn;
+          respawn;
         }
-      in
-      let code = Mimd_dist.Router.serve cfg in
-      if Option.is_some trace then Mimd_obs.Trace.disable ();
-      code
-    end
+    in
+    if Option.is_some trace then Mimd_obs.Trace.disable ();
+    code
   in
   let workers_t =
-    Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
+    Arg.(value & opt positive_int 2 & info [ "workers" ] ~docv:"N"
            ~doc:"Size of the serve fleet: $(docv) forked worker processes, each a full \
                  compile service on its own Unix socket.")
   in
@@ -1384,12 +1242,12 @@ let route_cmd =
                  directory).")
   in
   let max_inflight_t =
-    Arg.(value & opt int 64 & info [ "max-inflight" ] ~docv:"N"
+    Arg.(value & opt positive_int 64 & info [ "max-inflight" ] ~docv:"N"
            ~doc:"Admission control: bound on compile requests in flight across the \
                  fleet; the excess is shed with a structured $(b,overload) error.")
   in
   let respawn_t =
-    Arg.(value & opt int 0 & info [ "respawn" ] ~docv:"N"
+    Arg.(value & opt non_negative_int 0 & info [ "respawn" ] ~docv:"N"
            ~doc:"Supervise the fleet: re-fork a dead worker up to $(docv) times (per \
                  worker), through a warden process forked before the router grows \
                  threads.  A fleet-wide circuit breaker refuses respawn storms.  \
@@ -1402,8 +1260,7 @@ let route_cmd =
              supervision and bounded-in-flight admission control")
     Term.(
       const run $ workers_t $ socket_t $ worker_dir_t $ max_inflight_t $ jobs_t
-      $ queue_depth_t $ cache_dir_t $ no_disk_cache_t $ validate_sched_t $ trace_t
-      $ respawn_t)
+      $ queue_depth_t $ cache_dir_t $ validate_sched_t $ trace_t $ respawn_t)
 
 let report_cmd =
   let run output iterations =
@@ -1422,22 +1279,16 @@ let report_cmd =
     Term.(const run $ out_t $ iterations_t)
 
 let procs_cmd =
-  let run workload file seed k max_procs =
-    with_graph workload file seed (fun g ->
-        let cls = Classify.run g in
-        let core, _, _ =
-          if Classify.is_doall cls then (g, [||], [||]) else Classify.cyclic_subgraph g cls
-        in
+  let run input k max_procs =
+    with_graph input (fun g ->
         match
-          Mimd_core.Auto_procs.search ~max_processors:max_procs ~graph:core
+          Mimd_core.Auto_procs.search ~max_processors:max_procs ~graph:(cyclic_core g)
             ~comm_estimate:k ()
         with
         | t ->
           print_string (Mimd_core.Auto_procs.render t);
           0
-        | exception Cyclic_sched.No_pattern m ->
-          prerr_endline ("mimdloop: " ^ m);
-          1)
+        | exception Cyclic_sched.No_pattern m -> fail m)
   in
   let max_t =
     Arg.(value & opt positive_int 8 & info [ "max" ] ~docv:"P"
@@ -1445,46 +1296,41 @@ let procs_cmd =
   in
   Cmd.v
     (Cmd.info "procs" ~doc:"Find the cheapest processor count for the Cyclic core")
-    Term.(const run $ workload_t $ file_t $ seed_t $ k_t $ max_t)
+    Term.(const run $ graph_t $ k_t $ max_t)
 
 let fingerprint_cmd =
-  let run workload file seed files processors k iterations comm_opt comm_window =
-    let machine = machine_of processors k in
+  let run workload file seed files machine iterations comm_opt =
     (* With --comm-opt the digest pins the optimized programs, and the
        line carries the message-count delta the rewrite bought, so the
        golden corpus doubles as a reduction table. *)
     let fp g =
-      let full = Full_sched.run ~graph:g ~machine ~iterations () in
-      if not comm_opt then Full_sched.output_fingerprint full
-      else begin
-        let program = Mimd_codegen.From_schedule.run full.Full_sched.schedule in
-        let opt, stats = Mimd_codegen.Comm_opt.run ~window:comm_window program in
-        Printf.sprintf "%s  %d->%d"
-          (Mimd_codegen.Comm_opt.fingerprint opt)
-          stats.Mimd_codegen.Comm_opt.messages_before
-          stats.Mimd_codegen.Comm_opt.messages_after
-      end
+      match Full_sched.run ~graph:g ~machine ~iterations () with
+      | exception Cyclic_sched.No_pattern m -> Error m
+      | full -> (
+        match comm_opt with
+        | None -> Ok (Full_sched.output_fingerprint full)
+        | Some window ->
+          Result.map
+            (fun (opt, (stats : Comm_opt.stats)) ->
+              Printf.sprintf "%s  %d->%d" (Comm_opt.fingerprint opt) stats.messages_before
+                stats.messages_after)
+            (optimize_program ~window
+               (Mimd_codegen.From_schedule.run full.Full_sched.schedule)))
     in
     if files <> [] then begin
-      let failed = ref false in
-      List.iter
-        (fun path ->
-          match load_graph ~workload:None ~file:(Some path) ~seed:None with
-          | Error e ->
-            prerr_endline ("mimdloop: " ^ path ^ ": " ^ e);
-            failed := true
-          | Ok g -> begin
-            match fp g with
-            | h -> Printf.printf "%s  %s\n" h (Filename.basename path)
-            | exception Cyclic_sched.No_pattern m ->
-              prerr_endline ("mimdloop: " ^ path ^ ": " ^ m);
-              failed := true
-          end)
-        (List.sort compare files);
-      if !failed then 1 else 0
+      let one path =
+        match Result.bind (analyze_file path) (fun a -> fp a.Depend.graph) with
+        | Ok h ->
+          Printf.printf "%s  %s\n" h (Filename.basename path);
+          true
+        | Error e ->
+          prerr_endline ("mimdloop: " ^ path ^ ": " ^ e);
+          false
+      in
+      if List.for_all Fun.id (List.map one (List.sort compare files)) then 0 else 1
     end
     else
-      with_graph workload file seed (fun g ->
+      with_graph (load_graph ~workload ~file ~seed) (fun g ->
           let label =
             match (workload, file, seed) with
             | Some w, _, _ -> w
@@ -1493,12 +1339,10 @@ let fingerprint_cmd =
             | _ -> "input"
           in
           match fp g with
-          | h ->
+          | Ok h ->
             Printf.printf "%s  %s\n" h label;
             0
-          | exception Cyclic_sched.No_pattern m ->
-            prerr_endline ("mimdloop: " ^ m);
-            1)
+          | Error e -> fail e)
   in
   let files_t =
     Arg.(value & pos_all string [] & info [] ~docv:"FILES"
@@ -1508,51 +1352,28 @@ let fingerprint_cmd =
     (Cmd.info "fingerprint"
        ~doc:"Print a canonical 64-bit digest of the compiled schedule, for golden diffs")
     Term.(
-      const run $ workload_t $ file_t $ seed_t $ files_t $ processors_t $ k_t $ iterations_t
-      $ comm_opt_t $ comm_window_t)
+      const run $ workload_t $ file_t $ seed_t $ files_t $ machine_t $ iterations_t
+      $ comm_opt_t)
 
 let trace_cmd =
-  let run pos_file workload file seed output processors k iterations mm =
-    let file =
-      match (pos_file, file) with Some p, None -> Some p | _, f -> f
-    in
-    with_graph workload file seed (fun g ->
-        let machine = machine_of processors k in
-        Mimd_obs.Trace.clear ();
-        Mimd_obs.Trace.enable ();
-        let code =
-          match Full_sched.run ~validate:true ~graph:g ~machine ~iterations () with
-          | exception Full_sched.Invalid_schedule m ->
-            prerr_endline ("mimdloop: schedule rejected by the independent validator: " ^ m);
-            1
-          | exception Cyclic_sched.No_pattern m ->
-            prerr_endline ("mimdloop: " ^ m);
-            1
-          | full ->
-            let links =
-              if mm <= 1 then Mimd_sim.Links.fixed k
-              else Mimd_sim.Links.uniform ~base:k ~mm ~seed:42
-            in
-            let out =
-              Mimd_sim.Exec.simulate_schedule ~schedule:full.Full_sched.schedule ~links ()
-            in
-            Format.printf "compiled: makespan %d on %d processor(s); simulated %d@."
-              (Full_sched.parallel_time full)
-              (Full_sched.total_processors full)
-              out.Mimd_sim.Exec.makespan;
-            0
-        in
-        Mimd_obs.Trace.disable ();
-        let json = Mimd_obs.Trace.export () in
-        match
-          Out_channel.with_open_text output (fun oc -> Out_channel.output_string oc json)
-        with
-        | () ->
-          Format.printf "trace written to %s@." output;
-          code
-        | exception Sys_error e ->
-          prerr_endline ("mimdloop: " ^ e);
-          1)
+  let run pos_file workload file seed output machine iterations mm =
+    let file = match (pos_file, file) with Some p, None -> Some p | _, f -> f in
+    with_graph (load_graph ~workload ~file ~seed) (fun g ->
+        with_trace (Some output) @@ fun () ->
+        match Full_sched.run ~validate:true ~graph:g ~machine ~iterations () with
+        | exception Full_sched.Invalid_schedule m ->
+          fail ("schedule rejected by the independent validator: " ^ m)
+        | exception Cyclic_sched.No_pattern m -> fail m
+        | full ->
+          let links = links_of ~k:machine.Config.comm_estimate ~mm in
+          let out =
+            Mimd_sim.Exec.simulate_schedule ~schedule:full.Full_sched.schedule ~links ()
+          in
+          Format.printf "compiled: makespan %d on %d processor(s); simulated %d@."
+            (Full_sched.parallel_time full)
+            (Full_sched.total_processors full)
+            out.Mimd_sim.Exec.makespan;
+          0)
   in
   let pos_file_t =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE"
@@ -1562,15 +1383,12 @@ let trace_cmd =
     Arg.(value & opt string "trace.json" & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Where to write the Chrome trace_event JSON.")
   in
-  let mm_t =
-    Arg.(value & opt int 1 & info [ "mm" ] ~docv:"MM" ~doc:"Run-time fluctuation factor.")
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Compile a loop (and simulate the result) with tracing on, writing every \
              pipeline stage as a Chrome trace_event JSON file for Perfetto")
     Term.(
-      const run $ pos_file_t $ workload_t $ file_t $ seed_t $ out_t $ processors_t $ k_t
+      const run $ pos_file_t $ workload_t $ file_t $ seed_t $ out_t $ machine_t
       $ iterations_t $ mm_t)
 
 let random_cmd =
@@ -1638,18 +1456,12 @@ let () =
 (* A reader that stops consuming (mimdloop ... | head) breaks stdout;
    with SIGPIPE ignored that surfaces as Sys_error EPIPE from the
    at_exit flush of the std formatter, turning a clean exit into
-   "Fatal error".  If stdout is already broken, point fd 1 at
-   /dev/null so the remaining buffered output drains harmlessly and
-   the exit code survives. *)
+   "Fatal error".  If stdout is already broken, drain the remaining
+   buffered output into /dev/null so the exit code survives. *)
 let () =
   let code = Cmd.eval' main_cmd in
   (try
      Format.pp_print_flush Format.std_formatter ();
      flush stdout
-   with Sys_error _ -> (
-     try
-       let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-       Unix.dup2 null Unix.stdout;
-       Unix.close null
-     with Unix.Unix_error _ -> ()));
+   with Sys_error _ -> stdout_to_null ());
   exit code

@@ -10,8 +10,6 @@
    against the reference interpreter; the simulator gives the
    makespan under each traffic model (values do not depend on it). *)
 
-module Ast = Mimd_loop_ir.Ast
-module Parser = Mimd_loop_ir.Parser
 module Depend = Mimd_loop_ir.Depend
 module Interp = Mimd_loop_ir.Interp
 module Links = Mimd_sim.Links
@@ -64,11 +62,7 @@ let () =
   List.iter
     (fun (name, src) ->
       Format.printf "--- %s ---@." name;
-      let parsed = Parser.parse src in
-      let loop =
-        if Ast.is_flat parsed then parsed else Mimd_loop_ir.If_convert.run parsed
-      in
-      let graph = (Depend.analyze loop).Depend.graph in
+      let { Depend.loop; graph; _ } = Depend.analyze_string src in
       let machine = Mimd_machine.Config.make ~processors:2 ~comm_estimate:2 in
       let ours =
         Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations ()

@@ -3,7 +3,6 @@ module Config = Mimd_machine.Config
 module Full_sched = Mimd_core.Full_sched
 module Pattern = Mimd_core.Pattern
 module Ast = Mimd_loop_ir.Ast
-module Parser = Mimd_loop_ir.Parser
 module Depend = Mimd_loop_ir.Depend
 module Interp = Mimd_loop_ir.Interp
 module Value_run = Mimd_runtime.Value_run
@@ -92,10 +91,7 @@ let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
     match window with Some w -> w | None -> 1 + (case.iterations mod 4)
   in
   try
-    let loop =
-      if Ast.is_flat case.loop then case.loop else Mimd_loop_ir.If_convert.run case.loop
-    in
-    let graph = (Depend.analyze loop).Depend.graph in
+    let { Depend.loop; graph; _ } = Depend.analyze case.loop in
     let machine = Config.make ~processors:case.processors ~comm_estimate:case.comm in
     let full = Full_sched.run ~graph ~machine ~iterations:case.iterations () in
     let sched =
@@ -203,44 +199,49 @@ let dump_case ?(name = "mimd-fuzz-counterexample.loop") ~dir ~reason case =
   path
 
 let load_case path =
-  let src = In_channel.with_open_text path In_channel.input_all in
-  let lines = List.map String.trim (String.split_on_char '\n' src) in
-  (* The value of the first [# key: value] header line, if any. *)
-  let header key =
-    let prefix = "# " ^ key ^ ":" in
-    List.find_map
-      (fun line ->
-        if String.starts_with ~prefix line then
-          let n = String.length prefix in
-          Some (String.trim (String.sub line n (String.length line - n)))
-        else None)
-      lines
-  in
-  let int_header key default =
-    Option.value ~default (Option.bind (header key) int_of_string_opt)
-  in
-  (* Files dumped before the oracles merged name the one they failed
-     in; every such case replays through the one oracle, which makes
-     all of their checks. *)
-  (match header "oracle" with
-  | None | Some ("pipeline" | "comm" | "exec") -> ()
-  | Some other -> failwith (Printf.sprintf "%s: unknown fuzz oracle %S" path other));
-  (* Files dumped while cases could be priced with a per-link matrix
-     say so; that machine no longer exists, and replaying the loop on
-     the uniform one would check a different case. *)
-  (match header "matrix" with
-  | None -> ()
-  | Some v ->
-    failwith
-      (Printf.sprintf "%s: \"# matrix: %s\" header: per-link matrix cases are no longer \
-                       supported"
-         path v));
-  {
-    loop = Parser.parse src;
-    processors = int_header "processors" 2;
-    comm = int_header "comm" 2;
-    iterations = int_header "iterations" 10;
-  }
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | src ->
+    let lines = List.map String.trim (String.split_on_char '\n' src) in
+    (* The value of the first [# key: value] header line, if any. *)
+    let header key =
+      let prefix = "# " ^ key ^ ":" in
+      List.find_map
+        (fun line ->
+          if String.starts_with ~prefix line then
+            let n = String.length prefix in
+            Some (String.trim (String.sub line n (String.length line - n)))
+          else None)
+        lines
+    in
+    let int_header key default =
+      Option.value ~default (Option.bind (header key) int_of_string_opt)
+    in
+    (* Files dumped before the oracles merged name the one they failed
+       in; every such case replays through the one oracle, which makes
+       all of their checks.  Files dumped while cases could be priced
+       with a per-link matrix say so; that machine no longer exists,
+       and replaying the loop on the uniform one would check a
+       different case. *)
+    match (header "oracle", header "matrix") with
+    | Some other, _ when not (List.mem other [ "pipeline"; "comm"; "exec" ]) ->
+      Error (Printf.sprintf "%s: unknown fuzz oracle %S" path other)
+    | _, Some v ->
+      Error
+        (Printf.sprintf
+           "%s: \"# matrix: %s\" header: per-link matrix cases are no longer supported"
+           path v)
+    | _ -> (
+      match Depend.of_source src with
+      | Error e -> Error (Printf.sprintf "%s: %s" path e)
+      | Ok a ->
+        Ok
+          {
+            loop = a.Depend.loop;
+            processors = int_header "processors" 2;
+            comm = int_header "comm" 2;
+            iterations = int_header "iterations" 10;
+          })
 
 (* ------------------------------------------------------------------ *)
 (* The QCheck harness                                                  *)

@@ -113,14 +113,14 @@ val dump_case : ?name:string -> dir:string -> reason:string -> case -> string
     [dir], creating it and its parents if missing; returns the path.  [name] defaults to
     ["mimd-fuzz-counterexample.loop"]. *)
 
-val load_case : string -> case
-(** Parse a dumped counterexample (or any loop-IR file; missing
-    headers default to 2 processors, k = 2, 10 iterations).  An
-    [# oracle: pipeline|comm|exec] header, written by older dumps, is
-    accepted and ignored: every case replays through the one oracle.
-    @raise Failure naming the value of any other [# oracle:] header,
-    or naming a [# matrix:] header (older dumps of cases priced with a
-    per-link matrix, which no longer exists).
-    @raise Mimd_loop_ir.Parser.Error / [Sys_error] as reading does. *)
+val load_case : string -> (case, string) result
+(** Read a dumped counterexample (or any loop-IR file; missing
+    headers default to 2 processors, k = 2, 10 iterations) through
+    {!Mimd_loop_ir.Depend.of_source}.  An [# oracle: pipeline|comm|exec]
+    header, written by older dumps, is accepted and ignored: every
+    case replays through the one oracle.  The error names an
+    unreadable file, a front-end error, the value of any other
+    [# oracle:] header, or a [# matrix:] header (older dumps of cases
+    priced with a per-link matrix, which no longer exists). *)
 
 val describe : outcome -> string

@@ -1,9 +1,6 @@
 module Protocol = Mimd_server.Protocol
 module Json = Mimd_server.Json
-module Service = Mimd_server.Service
-module Pool = Mimd_server.Pool
 module Server = Mimd_server.Server
-module Disk_cache = Mimd_server.Disk_cache
 module Metrics = Mimd_obs.Metrics
 module Trace = Mimd_obs.Trace
 
@@ -20,20 +17,6 @@ type config = {
   respawn : int;  (** per-worker respawn budget; 0 = no supervision *)
 }
 
-let default_config ~workers ~socket =
-  {
-    workers;
-    socket;
-    worker_dir = Filename.dirname socket;
-    max_inflight = 64;
-    jobs = None;
-    queue_depth = 64;
-    cache_dir = None;
-    validate = false;
-    trace = None;
-    respawn = 0;
-  }
-
 (* The shard key: a stable digest of the request's semantic fields.
    Identical requests always land on the same worker (hot memory LRU);
    textual variants of one loop may split across workers but still
@@ -47,7 +30,7 @@ let shard_key (p : Protocol.compile_params) =
 (* ---------------------------------------------------------------- *)
 (* Worker child: the ordinary serve stack on its own socket.          *)
 
-let auto_jobs () = max 1 (min 4 (Domain.recommended_domain_count ()))
+let worker_jobs cfg = match cfg.jobs with Some j -> j | None -> Server.default_jobs ~cap:4
 
 let worker_path cfg idx = Filename.concat cfg.worker_dir (Printf.sprintf "worker-%d.sock" idx)
 
@@ -58,12 +41,9 @@ let run_worker ~idx ~path ~jobs ~queue_depth ~cache_dir ~validate ~trace =
   | Some base ->
     Trace.clear ();
     Trace.set_sink ~threshold:256 (Printf.sprintf "%s.worker%d" base idx));
-  let disk = Option.map (fun dir -> Disk_cache.create ~dir) cache_dir in
-  let service = Service.create ?disk ~validate () in
-  let pool = Pool.create ~queue_depth ~jobs () in
-  let server = Server.create ~service ~pool () in
+  let server = Server.make ?cache_dir ~validate ~jobs ~queue_depth () in
   let code = Server.serve_socket server ~path in
-  Pool.shutdown pool;
+  Server.shutdown server;
   Trace.close_sink ();
   exit code
 
@@ -85,7 +65,7 @@ type warden_reply = Spawned of { idx : int; pid : int }
 type warden = { w_pid : int; w_fd : Unix.file_descr; w_mutex : Mutex.t }
 
 let warden_loop cfg fd =
-  let jobs = match cfg.jobs with Some j -> max 1 j | None -> auto_jobs () in
+  let jobs = worker_jobs cfg in
   let children = ref [] in
   let reap_zombies () =
     children :=
@@ -283,7 +263,7 @@ exception Boot_failure of string
    (Respawns later go through the pre-forked warden.) *)
 let spawn_fleet cfg =
   Mimd_util.Fs.mkdir_p cfg.worker_dir;
-  let jobs = match cfg.jobs with Some j -> max 1 j | None -> auto_jobs () in
+  let jobs = worker_jobs cfg in
   Array.init cfg.workers (fun idx ->
       let path = worker_path cfg idx in
       (try Unix.unlink path with Unix.Unix_error _ -> ());

@@ -53,11 +53,6 @@ type config = {
           is forked) *)
 }
 
-val default_config : workers:int -> socket:string -> config
-(** [max_inflight 64], [queue_depth 64], auto jobs, no disk cache, no
-    validation, no trace, no respawn; [worker_dir] beside the
-    socket. *)
-
 val shard_key : Mimd_server.Protocol.compile_params -> string
 (** The digest the router shards by: loop source, processors, [k] and
     iterations.  Deterministic across processes (exposed for the

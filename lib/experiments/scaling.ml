@@ -247,12 +247,9 @@ let kernels () =
   let n = 50 in
   List.iter
     (fun (k : Mimd_workloads.Kernels_src.t) ->
-      let parsed = Mimd_loop_ir.Parser.parse k.Mimd_workloads.Kernels_src.source in
-      let loop =
-        if Mimd_loop_ir.Ast.is_flat parsed then parsed
-        else Mimd_loop_ir.If_convert.run parsed
+      let { Mimd_loop_ir.Depend.loop; graph = g; _ } =
+        Mimd_loop_ir.Depend.analyze_string k.Mimd_workloads.Kernels_src.source
       in
-      let g = (Mimd_loop_ir.Depend.analyze loop).Mimd_loop_ir.Depend.graph in
       let cls = Mimd_core.Classify.run g in
       let seq = Mimd_doacross.Sequential.time g ~iterations:n in
       let ours_sched =

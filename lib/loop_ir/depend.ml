@@ -98,6 +98,16 @@ let analyze ?(cost = Cost.weighted) loop =
 
 let analyze_string ?cost src = analyze ?cost (Parser.parse src)
 
+let of_source ?cost src =
+  match Parser.parse src with
+  | exception Parser.Error m -> Error ("parse error: " ^ m)
+  | exception Lexer.Error { position; message } ->
+    Error (Printf.sprintf "lex error at %d: %s" position message)
+  | loop ->
+    let loop = if Ast.is_flat loop then loop else If_convert.run loop in
+    if Ast.assignments loop = [] then Error "parse error: empty loop body"
+    else Ok (analyze ?cost loop)
+
 let count t k = List.length (List.filter (fun d -> d.kind = k) t.deps)
 
 let pp_dep t ppf d =

@@ -47,6 +47,12 @@ val analyze : ?cost:Cost.t -> Ast.loop -> t
 val analyze_string : ?cost:Cost.t -> string -> t
 (** [analyze] o [Parser.parse]. *)
 
+val of_source : ?cost:Cost.t -> string -> (t, string) result
+(** The front end every caller of loop-IR source text goes through:
+    [analyze_string] with a parse error, a lex error (with its
+    position) or an empty body reported as a message instead of
+    raised. *)
+
 val count : t -> kind -> int
 val pp_dep : t -> Format.formatter -> dep -> unit
 

@@ -37,7 +37,6 @@ let create ?(capacity = 128) () =
     evictions = 0;
   }
 
-let global = create ()
 let capacity t = t.capacity
 
 (* List surgery; all callers hold the mutex. *)
@@ -140,19 +139,6 @@ let add t ~key value =
         push_front t n;
         Hashtbl.replace t.table key n
       end)
-
-let find_or_compute ?strategy ?fold_tolerance ?max_iterations t ~graph ~machine
-    ~iterations () =
-  let key = fingerprint ?strategy ?fold_tolerance ?max_iterations ~graph ~machine ~iterations () in
-  match find t ~key with
-  | Some full -> full
-  | None ->
-    (* Compute outside the lock: scheduling can be slow and other
-       domains may want unrelated entries meanwhile.  A racing miss on
-       the same key just computes twice and stores a equivalent value. *)
-    let full = Full_sched.run ?strategy ?fold_tolerance ?max_iterations ~graph ~machine ~iterations () in
-    add t ~key full;
-    full
 
 let stats t =
   with_lock t (fun () ->

@@ -9,10 +9,8 @@
     override, order-insensitively), the machine (processors, estimated
     communication cost), the trip count and the strategy parameters —
     so a hit is guaranteed to be the schedule the scheduler would have
-    recomputed.  Repeated [run-parallel] invocations of the same loop
-    skip rescheduling entirely, and the compile service
-    ([Mimd_server]) uses this table as the first tier in front of its
-    on-disk store.
+    recomputed.  The compile service ([Mimd_server]) uses this table
+    as the first tier in front of its on-disk store.
 
     The cache is domain-safe (a mutex guards every operation) and
     bounded: beyond [capacity] entries the {e least recently used}
@@ -28,9 +26,6 @@ type stats = { hits : int; misses : int; entries : int; evictions : int }
 val create : ?capacity:int -> unit -> t
 (** [capacity] defaults to 128.  @raise Invalid_argument if
     [capacity < 1]. *)
-
-val global : t
-(** A process-wide cache shared by the CLI and benchmarks. *)
 
 val capacity : t -> int
 
@@ -65,21 +60,6 @@ val add : t -> key:string -> Mimd_core.Full_sched.t -> unit
 (** Insert, evicting the least recently used entry when full.  A key
     already present is left untouched (first write wins; racing misses
     store equivalent values anyway). *)
-
-val find_or_compute :
-  ?strategy:Mimd_core.Full_sched.strategy ->
-  ?fold_tolerance:float ->
-  ?max_iterations:int ->
-  t ->
-  graph:Mimd_ddg.Graph.t ->
-  machine:Mimd_machine.Config.t ->
-  iterations:int ->
-  unit ->
-  Mimd_core.Full_sched.t
-(** Return the cached schedule for this key, or run
-    {!Mimd_core.Full_sched.run} (with identical arguments), store and
-    return it.  Exceptions from the scheduler propagate and cache
-    nothing. *)
 
 val stats : t -> stats
 

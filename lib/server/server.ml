@@ -9,14 +9,30 @@ type t = {
 }
 
 let create ~service ~pool () = { service; pool; stop = Atomic.make false }
+
+let default_jobs ~cap = max 1 (min cap (Domain.recommended_domain_count ()))
+
+let make ?comm_opt ?cache_dir ~validate ~jobs ~queue_depth () =
+  let disk = Option.map (fun dir -> Disk_cache.create ~dir) cache_dir in
+  let service = Service.create ?disk ~validate ?comm_opt () in
+  create ~service ~pool:(Pool.create ~queue_depth ~jobs ()) ()
+
 let service t = t.service
 let pool t = t.pool
+let shutdown t = Pool.shutdown t.pool
 
 let deadline_of ~received params =
   Option.map (fun ms -> received +. (ms /. 1e3)) params.Protocol.deadline_ms
 
 let error_reply id (e : Service.error) =
   Protocol.Error { id; kind = e.Service.kind; message = e.Service.message }
+
+(* A compile job's result, with any exception it escapes with turned
+   into one [internal] error: every admitted request gets exactly one
+   reply (a raising pool job would otherwise be dropped silently). *)
+let guarded compile =
+  try compile ()
+  with exn -> Error { Service.kind = Protocol.Internal; message = Printexc.to_string exn }
 
 (* Serve one decoded request; [reply] must be safe to call from any
    worker domain.  Returns [`Stop] when the frame was a shutdown. *)
@@ -36,7 +52,7 @@ let dispatch t ~reply req =
           (float_of_int (dequeued_ns - submitted_ns) /. 1e6);
         match
           Trace.span ~cat:"serve" "serve.compile" (fun () ->
-              Service.compile_params t.service ?deadline params)
+              guarded (fun () -> Service.compile_params t.service ?deadline params))
         with
         | Ok outcome -> reply (Protocol.Compiled { id; result = outcome.Service.result })
         | Error e -> reply (error_reply id e));
@@ -241,7 +257,10 @@ let batch t ~machine ~iterations ?deadline_ms ~paths () =
               Atomic.incr failures;
               say "%-40s ERROR internal: %s\n" path e
             | source -> (
-              match Service.compile t.service ?deadline ~loop:source ~machine ~iterations () with
+              match
+                guarded (fun () ->
+                    Service.compile t.service ?deadline ~loop:source ~machine ~iterations ())
+              with
               | Ok o ->
                 let r = o.Service.result in
                 say "%-40s %s makespan %d on %d proc(s), %%par %.1f, %.1f ms\n" path

@@ -5,17 +5,38 @@
     Both front ends share one {!Service} (so both cache tiers are
     shared too) and one {!Pool} of worker domains.  Every failure a
     request can provoke — malformed frame, unparsable loop, scheduler
-    error, validator reject, blown deadline — becomes a structured
-    [ok: false] reply on the wire; nothing a client sends can crash
-    the server.  Backpressure is physical: the pool's bounded queue
+    error, validator reject, blown deadline, or any exception a compile
+    escapes with (kind [internal]) — becomes one structured [ok: false]
+    reply on the wire; nothing a client sends can crash the server.  Backpressure is physical: the pool's bounded queue
     blocks readers and (via {!Pool.wait_capacity}) the accept loop,
     so overload queues in the clients, not in server memory. *)
 
 type t
 
 val create : service:Service.t -> pool:Pool.t -> unit -> t
+
+val make :
+  ?comm_opt:int ->
+  ?cache_dir:string ->
+  validate:bool ->
+  jobs:int ->
+  queue_depth:int ->
+  unit ->
+  t
+(** The serve stack in one call, for [mimdloop serve]/[batch] and for
+    each router worker alike: a {!Service} (with a {!Disk_cache} tier
+    in [cache_dir] when given, see {!Service.create} for [validate]
+    and [comm_opt]) behind a {!Pool} of [jobs] domains. *)
+
+val default_jobs : cap:int -> int
+(** The runtime's recommended domain count, capped at [cap] and at
+    least 1: the [--jobs] default. *)
+
 val service : t -> Service.t
 val pool : t -> Pool.t
+
+val shutdown : t -> unit
+(** {!Pool.shutdown} of the server's pool. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** Read request frames from the input channel until EOF or a

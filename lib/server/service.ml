@@ -101,15 +101,9 @@ let err kind fmt = Printf.ksprintf (fun message -> Error { kind; message }) fmt
 (* The request path: parse -> tier-1 -> tier-2 -> compute+validate.   *)
 
 let parse_loop source =
-  match Mimd_loop_ir.Parser.parse source with
-  | exception Mimd_loop_ir.Parser.Error m -> err Protocol.Parse "parse error: %s" m
-  | exception Mimd_loop_ir.Lexer.Error { position; message } ->
-    err Protocol.Parse "lex error at %d: %s" position message
-  | loop ->
-    let flat =
-      if Mimd_loop_ir.Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop
-    in
-    Ok (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph
+  match Mimd_loop_ir.Depend.of_source source with
+  | Ok a -> Ok a.Mimd_loop_ir.Depend.graph
+  | Error message -> Error { kind = Protocol.Parse; message }
 
 let past deadline = match deadline with Some d -> Unix.gettimeofday () > d | None -> false
 

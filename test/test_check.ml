@@ -250,6 +250,10 @@ let test_fuzz_runtime_differential_smoke () =
   | F.Passed _ -> ()
   | F.Failed { reason; _ } -> Alcotest.failf "runtime differential fuzz: %s" reason
 
+(* A dumped case read back; any load error fails the test. *)
+let load_case path =
+  match F.load_case path with Ok case -> case | Error e -> Alcotest.fail e
+
 let test_fuzz_catches_injected_violation () =
   (* The committed negative test: with a dependence violation injected
      into every schedule, the harness must fail, shrink, and dump a
@@ -273,7 +277,7 @@ let test_fuzz_catches_injected_violation () =
     in
     check_bool "dump exists" true (Sys.file_exists path);
     (* the dump parses back into the same case ... *)
-    let replayed = F.load_case path in
+    let replayed = load_case path in
     check_int "processors survive the round trip" case.F.processors replayed.F.processors;
     check_int "comm survives the round trip" case.F.comm replayed.F.comm;
     check_int "iterations survive the round trip" case.F.iterations replayed.F.iterations;
@@ -307,7 +311,7 @@ let test_dump_creates_directory () =
   | F.Failed { file = Some path; _ } ->
     check_string "dumped under the requested directory" dir (Filename.dirname path);
     check_bool "replayable" true
-      (F.check_case ~fault:F.Hasten_dependent ~runtime:false (F.load_case path) <> Ok ());
+      (F.check_case ~fault:F.Hasten_dependent ~runtime:false (load_case path) <> Ok ());
     Sys.remove path);
   List.iter Sys.rmdir [ dir; Filename.dirname dir; root ];
   (* An unwritable target is reported, not raised. *)
@@ -337,7 +341,7 @@ let test_case_file_round_trip () =
   let name = Printf.sprintf "mimd-check-roundtrip-%d.loop" (Unix.getpid ()) in
   let path = F.dump_case ~name ~dir ~reason:"round trip" case in
   let text = In_channel.with_open_text path In_channel.input_all in
-  let back = F.load_case path in
+  let back = load_case path in
   Sys.remove path;
   check_bool "no oracle header written" false
     (List.exists
@@ -370,7 +374,7 @@ let test_legacy_oracle_headers_replay () =
   List.iter
     (fun oracle ->
       with_case_file ~tag:(oracle ^ "-oracle") ("oracle: " ^ oracle) (fun path ->
-          let case = F.load_case path in
+          let case = load_case path in
           check_int (oracle ^ ": other headers still read") 6 case.F.iterations;
           check_bool (oracle ^ ": replays clean through the one oracle") true
             (F.check_case ~runtime:false case = Ok ())))
@@ -379,8 +383,8 @@ let test_legacy_oracle_headers_replay () =
 let test_unknown_oracle_rejected () =
   with_case_file ~tag:"bogus-oracle" "oracle: bogus" (fun path ->
       match F.load_case path with
-      | _ -> Alcotest.fail "unknown oracle header was accepted"
-      | exception Failure m ->
+      | Ok _ -> Alcotest.fail "unknown oracle header was accepted"
+      | Error m ->
         check_string "error names the unknown oracle"
           (Printf.sprintf "%s: unknown fuzz oracle \"bogus\"" path)
           m)
@@ -391,8 +395,8 @@ let test_unknown_oracle_rejected () =
 let test_matrix_header_rejected () =
   with_case_file ~tag:"matrix-header" "matrix: yes" (fun path ->
       match F.load_case path with
-      | _ -> Alcotest.fail "matrix header was accepted"
-      | exception Failure m ->
+      | Ok _ -> Alcotest.fail "matrix header was accepted"
+      | Error m ->
         check_bool "error names the matrix header" true
           (String.starts_with ~prefix:(path ^ ": \"# matrix: yes\" header") m))
 
@@ -414,7 +418,7 @@ let prop_case_files_replayable =
       let dir = Filename.get_temp_dir_name () in
       let name = Printf.sprintf "mimd-check-prop-%d-%d.loop" (Unix.getpid ()) seed in
       let path = F.dump_case ~name ~dir ~reason:"prop" case in
-      let back = F.load_case path in
+      let back = load_case path in
       Sys.remove path;
       back.F.processors = case.F.processors
       && back.F.comm = case.F.comm

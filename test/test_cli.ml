@@ -99,6 +99,35 @@ let contains ~sub s =
 
 let loop_file name = Filename.concat ".." (Filename.concat "examples" (Filename.concat "loops" name))
 
+(* An empty loop body is one structured parse error on serve, and a
+   failed file (exit 1) in batch. *)
+let test_empty_loop_is_a_parse_error () =
+  let out = Filename.temp_file "mimd-cli" ".out" in
+  let requests =
+    {|{"id":1,"op":"compile","loop":"for i = 1 to n { }"}
+{"id":2,"op":"shutdown"}|}
+  in
+  check_int "serve exits 0" 0
+    (Sys.command
+       (Printf.sprintf "printf %s | %s serve --stdio --jobs 1 --no-disk-cache > %s 2>&1"
+          (Filename.quote (requests ^ "\n"))
+          exe (Filename.quote out)));
+  let lines = In_channel.with_open_text out In_channel.input_lines in
+  Sys.remove out;
+  check_int "one reply per request" 2 (List.length lines);
+  check_bool "a parse error for the empty loop" true
+    (List.mem {|{"id":1,"ok":false,"error":{"kind":"parse","message":"parse error: empty loop body"}}|}
+       lines);
+  let dir = with_tmp_dir "mimd-cli-empty" Fun.id in
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+  @@ fun () ->
+  Out_channel.with_open_text (Filename.concat dir "empty.loop") (fun oc ->
+      output_string oc "for i = 1 to n { }\n");
+  ignore (Sys.command (Printf.sprintf "cp %s %s" (loop_file "fig7.loop") (Filename.quote dir)));
+  check_int "batch with an empty loop exits 1" 1
+    (shell (Printf.sprintf "%s batch %s --no-disk-cache" exe (Filename.quote dir)))
+
 let test_verify_needs_unwinding () =
   (* iir2 carries a distance-2 dependence: a clean exit 1 with the
      same message run-parallel prints, not an uncaught exception. *)
@@ -106,6 +135,62 @@ let test_verify_needs_unwinding () =
   check_int "iir2 exits 1" 1 code;
   check_bool "names the unwinding" true (contains ~sub:"loop needed unwinding" err);
   check_int "a distance-1 loop verifies" 0 (command ("verify -f " ^ loop_file "fig7.loop"))
+
+(* A temporary loop file holding [text], removed after [f]. *)
+let with_loop_file text f =
+  let path = Filename.temp_file "mimd-cli" ".loop" in
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* Front-end errors are exit 1 with the cause on stderr, never an
+   uncaught exception (125). *)
+let test_front_end_errors_exit_1 () =
+  List.iter
+    (fun (what, text, cause) ->
+      with_loop_file text (fun path ->
+          List.iter
+            (fun cmd ->
+              let code, err = command_stderr (Printf.sprintf "%s -f %s" cmd path) in
+              check_int (Printf.sprintf "%s on a %s exits 1" cmd what) 1 code;
+              check_bool (Printf.sprintf "%s on a %s names it" cmd what) true
+                (contains ~sub:cause err))
+            [ "verify"; "schedule"; "run-parallel"; "run-dist" ]))
+    [
+      ("lex error", "for i = 1 to n { X[i] = X[i-1] + $; }\n", "lex error at");
+      ("empty loop", "for i = 1 to n { }\n", "empty loop body");
+    ]
+
+(* The message count a command prints: run-parallel's "messages: N,"
+   line or verify's "(..., N messages)" summary. *)
+let messages_of args =
+  let out = Filename.temp_file "mimd-cli" ".out" in
+  let code = Sys.command (Printf.sprintf "%s %s > %s 2>&1" exe args (Filename.quote out)) in
+  let lines = In_channel.with_open_text out In_channel.input_lines in
+  Sys.remove out;
+  check_int (args ^ " exits 0") 0 code;
+  let scan line =
+    match Scanf.sscanf line "  messages: %d," Fun.id with
+    | n -> Some n
+    | exception _ -> (
+      match Scanf.sscanf line "(%_d iterations, %_d PEs, makespan %_d, %d messages)" Fun.id with
+      | n -> Some n
+      | exception _ -> None)
+  in
+  match List.find_map scan lines with
+  | Some n -> n
+  | None -> Alcotest.failf "%s printed no message count" args
+
+(* verify checks the program the executors run: same PEs, same
+   messages as run-parallel on every example loop it accepts. *)
+let test_verify_checks_the_executed_program () =
+  let dir = Filename.concat ".." (Filename.concat "examples" "loops") in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ".loop" && f <> "iir2.loop")
+  |> List.iter (fun f ->
+         let path = loop_file f in
+         check_int (f ^ ": verify and run-parallel send the same messages")
+           (messages_of ("run-parallel -f " ^ path))
+           (messages_of ("verify -f " ^ path)))
 
 (* cmdliner's exit code for a command-line error. *)
 let usage_error = 124
@@ -122,9 +207,11 @@ let test_count_flag_rejects flag () =
     [ "schedule"; "verify"; "run-parallel"; "run-dist" ]
 
 (* Out-of-range numbers are usage errors that name the bound.  Past
-   the parser, a negative -k or a zero processor bound or watchdog
-   timeout raises Invalid_argument (exit 125), a zero run-dist timeout
-   reports a stall "for 0.0 s", and --repeat 0 would run once. *)
+   the parser, a negative -k, a zero processor bound, watchdog
+   timeout or queue depth, or a negative cycle, fuzz or window count
+   raises (exit 125), a zero run-dist timeout reports a stall "for 0.0
+   s", and a negative respawn budget or fluctuation factor would be
+   clamped or ignored. *)
 let test_out_of_range_numbers_reject () =
   List.iter
     (fun (args, why) ->
@@ -138,11 +225,26 @@ let test_out_of_range_numbers_reject () =
       ("table1 -k-1", "not a non-negative integer");
       ("table1 -p 0", "not a positive integer");
       ("procs -w ewf --max 0", "not a positive integer");
-      ("run-parallel --repeat 0", "not a positive integer");
-      ("run-parallel --repeat=-3", "not a positive integer");
       ("run-parallel --watchdog-timeout 0", "not a positive number");
       ("run-dist --timeout 0", "not a positive number");
       ("run-dist --timeout=-1.5", "not a positive number");
+      ("gantt -w fig1 --cycles=-5", "not a non-negative integer");
+      ("check --fuzz=-3", "not a non-negative integer");
+      ("run-dist --sweep=-2", "not a non-negative integer");
+      ("run-dist --respawn=-3", "not a non-negative integer");
+      ("route --socket x.sock --respawn=-3", "not a non-negative integer");
+      ("fingerprint -w fig1 --comm-opt --comm-window=-1", "not a non-negative integer");
+      ("serve --stdio --queue-depth=0", "not a positive integer");
+      ("batch x.loop --queue-depth=0", "not a positive integer");
+      ("serve --stdio --jobs 0", "not a positive integer");
+      ("batch x.loop --jobs=-2", "not a positive integer");
+      ("route --socket x.sock --jobs 0", "not a positive integer");
+      ("route --socket x.sock --workers 0", "not a positive integer");
+      ("route --socket x.sock --max-inflight 0", "not a positive integer");
+      ("simulate -w fig1 --mm=-3", "not a positive integer");
+      ("verify --mm 0", "not a positive integer");
+      ("batch x.loop --deadline-ms 0", "not a positive number");
+      ("batch x.loop --deadline-ms=-5", "not a positive number");
     ]
 
 let suite =
@@ -164,6 +266,11 @@ let suite =
       test_verify_needs_unwinding;
     Alcotest.test_case "cli: -n 0 is a usage error" `Quick (test_count_flag_rejects "-n");
     Alcotest.test_case "cli: -p 0 is a usage error" `Quick (test_count_flag_rejects "-p");
-    Alcotest.test_case "cli: out-of-range -k, --repeat and timeouts are usage errors" `Quick
+    Alcotest.test_case "cli: out-of-range numbers are usage errors" `Quick
       test_out_of_range_numbers_reject;
+    Alcotest.test_case "cli: front-end errors exit 1" `Quick test_front_end_errors_exit_1;
+    Alcotest.test_case "cli: verify checks the executed program" `Quick
+      test_verify_checks_the_executed_program;
+    Alcotest.test_case "cli: an empty loop is a parse error" `Quick
+      test_empty_loop_is_a_parse_error;
   ]

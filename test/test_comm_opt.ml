@@ -4,8 +4,6 @@
    rely on. *)
 
 open Helpers
-module Ast = Mimd_loop_ir.Ast
-module Parser = Mimd_loop_ir.Parser
 module Depend = Mimd_loop_ir.Depend
 module Program = Mimd_codegen.Program
 module From_schedule = Mimd_codegen.From_schedule
@@ -175,9 +173,8 @@ let test_coalesce_refuses_deadlocking_merge () =
    value identity as the ground truth. *)
 
 let front_end src =
-  let loop = Parser.parse src in
-  let flat = if Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop in
-  (flat, (Depend.analyze flat).Depend.graph)
+  let a = Depend.analyze_string src in
+  (a.Depend.loop, a.Depend.graph)
 
 let compile ?(p = 2) ?(k = 2) ~iterations src =
   let flat, graph = front_end src in

@@ -7,7 +7,6 @@
    (runtime, server, obs, ...) in test/main.ml. *)
 
 open Helpers
-module Ast = Mimd_loop_ir.Ast
 module Parser = Mimd_loop_ir.Parser
 module Depend = Mimd_loop_ir.Depend
 module Value_run = Mimd_runtime.Value_run
@@ -272,8 +271,7 @@ let test_mesh_dead_peer_is_structured () =
 let () = Mimd_check.Validate.install_hooks ()
 
 let compile ?(p = 2) ?(k = 2) ~iterations loop =
-  let flat = if Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop in
-  let graph = (Depend.analyze flat).Depend.graph in
+  let { Depend.loop = flat; graph; _ } = Depend.analyze loop in
   let machine = machine ~p ~k () in
   let schedule = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
   (flat, Mimd_codegen.From_schedule.run ~validate:true schedule)
@@ -923,6 +921,25 @@ let test_router_respawn () =
   check_bool "mimd_dist_respawns_total exported" true
     (contains text "mimd_dist_respawns_total 1")
 
+let test_router_empty_loop_releases_slot () =
+  (* An empty loop body is a parse error the worker answers: each such
+     request gets one structured reply and gives its in-flight slot
+     back, so a valid compile after more of them than --max-inflight
+     is still admitted.  A lost reply fails on the read timeout
+     instead of hanging. *)
+  with_router ~extra:[ "--max-inflight"; "2" ] @@ fun sock ->
+  let c = client_connect sock in
+  Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 10.0;
+  Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
+  for id = 1 to 3 do
+    let r = rpc c (Printf.sprintf {|{"id":%d,"op":"compile","loop":"for i = 1 to n { }"}|} id) in
+    check_bool (Printf.sprintf "empty loop %d is a parse error" id) true
+      (error_kind r = Some "parse")
+  done;
+  check_bool "valid compile admitted" true
+    (member_bool "ok" (rpc c (compile_req ~id:4 ~stmt:"Y[i]")) = Some true);
+  check_bool "every slot released" true (member_int "inflight" (stats c) = Some 0)
+
 let test_router_retune_unknown () =
   (* retune is not an op: the router answers with a structured
      protocol error naming it, and the connection stays usable. *)
@@ -989,4 +1006,6 @@ let suite =
     Alcotest.test_case "router: retune is an unknown op" `Quick test_router_retune_unknown;
     Alcotest.test_case "runner: ewf p=2 n=1000 (benchmark shape)" `Quick
       test_runner_benchmark_shape;
+    Alcotest.test_case "router: empty loops release their slots" `Quick
+      test_router_empty_loop_releases_slot;
   ]

@@ -239,6 +239,25 @@ let test_depend_empty_rejected () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The one front end: every failure is a message, and the analysis
+   carries the if-converted loop. *)
+let test_of_source () =
+  (match Depend.of_source "for i = 1 to n { if (A[i-1]) { A[i] = 1; } }" with
+  | Ok a ->
+    check_bool "analysed loop is flat" true (Ast.is_flat a.Depend.loop);
+    check_int "one node per flat assignment"
+      (List.length (Ast.assignments a.Depend.loop))
+      (Mimd_ddg.Graph.node_count a.Depend.graph)
+  | Error e -> Alcotest.fail e);
+  let error src =
+    match Depend.of_source src with Ok _ -> Alcotest.failf "accepted %S" src | Error e -> e
+  in
+  check_string "empty body" "parse error: empty loop body" (error "for i = 1 to n { }");
+  check_bool "lex error with its position" true
+    (String.starts_with ~prefix:"lex error at 24:" (error "for i = 1 to n { A[i] = $; }"));
+  check_bool "parse error" true
+    (String.starts_with ~prefix:"parse error: " (error "for i = 1 to n { A[i] = ; }"))
+
 let suite =
   [
     Alcotest.test_case "lexer: tokens" `Quick test_lexer_tokens;
@@ -274,4 +293,5 @@ let suite =
     Alcotest.test_case "depend: zero-distance acyclicity" `Quick test_depend_zero_acyclic;
     Alcotest.test_case "depend: end-to-end schedule" `Quick test_depend_schedules_end_to_end;
     Alcotest.test_case "depend: empty body rejected" `Quick test_depend_empty_rejected;
+    Alcotest.test_case "depend: of_source front end" `Quick test_of_source;
   ]

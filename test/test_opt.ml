@@ -126,12 +126,9 @@ let test_kernels_values_correct () =
   (* Every textual kernel computes bit-identical values in parallel. *)
   List.iter
     (fun (k : Kernels.t) ->
-      let parsed = Mimd_loop_ir.Parser.parse k.Kernels.source in
-      let loop =
-        if Mimd_loop_ir.Ast.is_flat parsed then parsed
-        else Mimd_loop_ir.If_convert.run parsed
+      let { Mimd_loop_ir.Depend.loop; graph; _ } =
+        Mimd_loop_ir.Depend.analyze_string k.Kernels.source
       in
-      let graph = (Mimd_loop_ir.Depend.analyze loop).Mimd_loop_ir.Depend.graph in
       let schedule =
         Cyclic_sched.schedule_iterations ~graph ~machine:(machine ()) ~iterations:20 ()
       in

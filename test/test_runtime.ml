@@ -4,7 +4,6 @@
    deadlock detection and the schedule cache. *)
 
 open Helpers
-module Ast = Mimd_loop_ir.Ast
 module Parser = Mimd_loop_ir.Parser
 module Depend = Mimd_loop_ir.Depend
 module Interp = Mimd_loop_ir.Interp
@@ -55,8 +54,7 @@ let test_channel_cancel_unblocks () =
 (* Differential execution: domains = inline = Interp, every instance  *)
 
 let compile ?(p = 2) ?(k = 2) ~iterations loop =
-  let flat = if Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop in
-  let graph = (Depend.analyze flat).Depend.graph in
+  let { Depend.loop = flat; graph; _ } = Depend.analyze loop in
   let machine = machine ~p ~k () in
   let schedule = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
   (flat, Mimd_codegen.From_schedule.run schedule)
@@ -215,19 +213,30 @@ let test_watchdog_quiet_on_healthy_run () =
 (* ---------------------------------------------------------------- *)
 (* Schedule cache                                                     *)
 
+(* The compile service's tier-1 path: look the key up, schedule and
+   store on a miss. *)
+let cached cache ~graph ~machine ~iterations =
+  let key = Schedule_cache.fingerprint ~graph ~machine ~iterations () in
+  match Schedule_cache.find cache ~key with
+  | Some full -> full
+  | None ->
+    let full = Mimd_core.Full_sched.run ~graph ~machine ~iterations () in
+    Schedule_cache.add cache ~key full;
+    full
+
 let test_schedule_cache_hits () =
   let cache = Schedule_cache.create () in
   let graph = fig7 () in
   let machine = machine () in
-  let a = Schedule_cache.find_or_compute cache ~graph ~machine ~iterations:30 () in
-  let b = Schedule_cache.find_or_compute cache ~graph ~machine ~iterations:30 () in
+  let a = cached cache ~graph ~machine ~iterations:30 in
+  let b = cached cache ~graph ~machine ~iterations:30 in
   check_bool "second lookup is the memoized schedule" true (a == b);
   let st = Schedule_cache.stats cache in
   check_int "one hit" 1 st.Schedule_cache.hits;
   check_int "one miss" 1 st.Schedule_cache.misses;
   check_int "one entry" 1 st.Schedule_cache.entries;
   (* different request -> different entry *)
-  let c = Schedule_cache.find_or_compute cache ~graph ~machine ~iterations:31 () in
+  let c = cached cache ~graph ~machine ~iterations:31 in
   check_bool "different trip count misses" true (c != b);
   check_int "two entries" 2 (Schedule_cache.stats cache).Schedule_cache.entries
 
@@ -258,10 +267,16 @@ let test_schedule_cache_eviction () =
   let cache = Schedule_cache.create ~capacity:2 () in
   let machine = machine () in
   let graph = fig7 () in
-  List.iter
-    (fun n -> ignore (Schedule_cache.find_or_compute cache ~graph ~machine ~iterations:n ()))
-    [ 10; 11; 12; 13 ];
-  check_bool "bounded" true ((Schedule_cache.stats cache).Schedule_cache.entries <= 2);
+  List.iter (fun n -> ignore (cached cache ~graph ~machine ~iterations:n)) [ 10; 11; 12; 13 ];
+  let st = Schedule_cache.stats cache in
+  check_bool "bounded" true (st.Schedule_cache.entries <= 2);
+  check_int "two evictions" 2 st.Schedule_cache.evictions;
+  let present n =
+    Schedule_cache.find cache ~key:(Schedule_cache.fingerprint ~graph ~machine ~iterations:n ())
+    <> None
+  in
+  check_bool "least recently used evicted" false (present 10);
+  check_bool "most recent kept" true (present 13);
   Schedule_cache.clear cache;
   check_int "cleared" 0 (Schedule_cache.stats cache).Schedule_cache.entries
 

@@ -102,10 +102,8 @@ let sources =
   ]
 
 let compile ?(p = 2) ?(k = 2) ?(iterations = 25) src =
-  let loop = Parser.parse src in
-  let flat = if Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop in
-  let analysis = Depend.analyze flat in
-  let graph = analysis.Depend.graph in
+  let analysis = Depend.analyze_string src in
+  let flat = analysis.Depend.loop and graph = analysis.Depend.graph in
   let machine = machine ~p ~k () in
   let schedule = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
   (flat, Mimd_codegen.From_schedule.run schedule)
@@ -140,9 +138,7 @@ let test_parallel_doacross_programs_too () =
   (* The DOACROSS-generated programs also compute correct values. *)
   List.iter
     (fun (name, src) ->
-      let loop = Parser.parse src in
-      let flat = if Ast.is_flat loop then loop else Mimd_loop_ir.If_convert.run loop in
-      let graph = (Depend.analyze flat).Depend.graph in
+      let { Depend.loop = flat; graph; _ } = Depend.analyze_string src in
       let machine = machine () in
       let doa = Mimd_doacross.Doacross.analyze ~graph ~machine () in
       let schedule = Mimd_doacross.Doacross.effective_schedule doa ~iterations:20 in
