@@ -41,39 +41,39 @@ let schedule ?(complete = true) sched =
   (* (b) exclusivity and latency occupancy, cell by cell: an instance
      of latency L claims exactly the L cells [start, start + L) of its
      processor's timeline, and no cell may be claimed twice.  This is
-     deliberately not the scheduler's sorted-interval scan.  The cell
-     table is keyed on the int-packed (cycle, proc) pair — one word to
-     hash per cell instead of a boxed tuple, and this sweep visits
-     every busy cycle of the schedule. *)
-  let max_proc, min_start =
-    List.fold_left
-      (fun (mp, ms) (e : Schedule.entry) -> (max mp e.proc, min ms e.start))
-      (0, 0) entries
-  in
-  let proc_bits =
-    let rec go b = if max_proc < 1 lsl b then b else go (b + 1) in
-    go 1
-  in
-  let cell_key ~proc ~cycle = ((cycle - min_start) lsl proc_bits) lor proc in
-  let occ : (int, Schedule.instance) Hashtbl.t =
-    Hashtbl.create (4 * List.length entries)
-  in
-  let reported : (Schedule.instance * Schedule.instance, unit) Hashtbl.t = Hashtbl.create 8 in
-  let cells = ref 0 in
-  List.iter
+     deliberately not the scheduler's sorted-interval scan.  Each
+     processor's timeline is one int array over its busy range [first
+     start, last finish), each cell holding the index (in [entries]) of
+     the instance that claimed it first, or -1. *)
+  let entries_a = Array.of_list entries in
+  let p = m.Config.processors in
+  let lo = Array.make p max_int and hi = Array.make p 0 in
+  Array.iter
     (fun (e : Schedule.entry) ->
+      lo.(e.proc) <- min lo.(e.proc) e.start;
+      hi.(e.proc) <- max hi.(e.proc) (e.start + Graph.latency g e.inst.node))
+    entries_a;
+  let occ = Array.init p (fun q -> Array.make (max 0 (hi.(q) - lo.(q))) (-1)) in
+  let cells = ref 0 in
+  Array.iteri
+    (fun i (e : Schedule.entry) ->
+      let owners = occ.(e.proc) and base = lo.(e.proc) in
+      (* [entries] ascend by start, so the owners of this instance's
+         cells form runs that never recur: one overlap per owner is
+         reported by remembering only the last. *)
+      let reported = ref (-1) in
       for c = e.start to e.start + Graph.latency g e.inst.node - 1 do
         incr cells;
-        let k = cell_key ~proc:e.proc ~cycle:c in
-        match Hashtbl.find_opt occ k with
-        | None -> Hashtbl.replace occ k e.inst
-        | Some other ->
-          if not (Hashtbl.mem reported (other, e.inst)) then begin
-            Hashtbl.replace reported (other, e.inst) ();
-            issues := Overlap { proc = e.proc; cycle = c; a = other; b = e.inst } :: !issues
-          end
+        let other = owners.(c - base) in
+        if other < 0 then owners.(c - base) <- i
+        else if other <> !reported then begin
+          reported := other;
+          issues :=
+            Overlap { proc = e.proc; cycle = c; a = entries_a.(other).inst; b = e.inst }
+            :: !issues
+        end
       done)
-    entries;
+    entries_a;
   (* completeness: a schedule that claims [iterations] trips must hold
      every node of every one of them (Full_sched / Pattern.expand
      contract); pattern slices check with [complete = false]. *)
@@ -181,24 +181,32 @@ let program ?(capacity = Mimd_runtime.Value_run.default_channel_capacity)
   let remaining = Array.map (fun l -> ref l) p.programs in
   (* One bounded FIFO of tags per ordered processor pair, and one
      per-consumer-per-source stash for out-of-order arrivals — the
-     exact discipline of the runtime's Mesh.recv_tag. *)
-  let chan : (int * int, Program.tag Queue.t) Hashtbl.t = Hashtbl.create 16 in
-  let queue src dst =
-    match Hashtbl.find_opt chan (src, dst) with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.replace chan (src, dst) q;
-      q
+     exact discipline of the runtime's Mesh.recv_tag.  Both are arrays
+     indexed by [src * width + dst] over the processor ids the program
+     names (a peer outside [0, n) only ever fills or starves its
+     channel), and carry tags as their dense instance keys. *)
+  let lo = ref 0 and hi = ref (n - 1) in
+  let keys =
+    Program.Keys.scan (fun see ->
+        let named q (tag : Program.tag) =
+          lo := min !lo q;
+          hi := max !hi q;
+          see tag.node tag.iter
+        in
+        Array.iter
+          (List.iter (function
+            | Program.Compute _ -> ()
+            | Program.Send { tag; dst = q } | Program.Recv { tag; src = q } -> named q tag
+            | Program.Send_pack { tags; dst = q } | Program.Recv_pack { tags; src = q } ->
+              List.iter (named q) tags))
+          p.programs)
   in
-  let stash : (int * int, (Program.tag, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  let stash_of dst src =
-    match Hashtbl.find_opt stash (dst, src) with
-    | Some t -> t
-    | None ->
-      let t = Hashtbl.create 8 in
-      Hashtbl.replace stash (dst, src) t;
-      t
+  let key (tag : Program.tag) = Program.Keys.key keys ~node:tag.node ~iter:tag.iter in
+  let width = !hi - !lo + 1 in
+  let pair src dst = ((src - !lo) * width) + (dst - !lo) in
+  let chan = Array.init (width * width) (fun _ -> Queue.create ()) in
+  let stash : (int, unit) Hashtbl.t array =
+    Array.init (width * width) (fun _ -> Hashtbl.create 8)
   in
   let delivered = ref 0 in
   let step j =
@@ -216,26 +224,27 @@ let program ?(capacity = Mimd_runtime.Value_run.default_channel_capacity)
       (* a pack is one frame: one queue slot, one delivery, named by
          its head tag — the same accounting as the real meshes *)
       | Program.Send { tag; dst } | Program.Send_pack { tags = tag :: _; dst } ->
-        let q = queue j dst in
+        let q = chan.(pair j dst) in
         if Queue.length q < capacity then begin
-          Queue.push tag q;
+          Queue.push (key tag) q;
           advance ()
         end
         else false (* channel full: a real bounded send would block here *)
       | Program.Recv { tag; src } | Program.Recv_pack { tags = tag :: _; src } ->
-        let st = stash_of j src in
-        if Hashtbl.mem st tag then begin
-          Hashtbl.remove st tag;
+        let k = key tag in
+        let st = stash.(pair src j) in
+        if Hashtbl.mem st k then begin
+          Hashtbl.remove st k;
           incr delivered;
           advance ()
         end
         else begin
-          let q = queue src j in
+          let q = chan.(pair src j) in
           let rec drain () =
             if Queue.is_empty q then false
             else begin
               let t = Queue.pop q in
-              if t = tag then true
+              if t = k then true
               else begin
                 Hashtbl.replace st t ();
                 drain ()

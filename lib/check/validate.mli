@@ -16,8 +16,11 @@
       sit on different processors.  Checked edge-by-edge over the
       iteration space, not entry-by-entry over predecessor lists.
     - {b (b) exclusivity and occupancy} — an explicit cycle-by-cycle
-      occupancy map per processor: an instance of latency L claims
-      exactly L cells, and no cell is claimed twice.
+      occupancy map per processor: one dense int array over that
+      processor's busy range [first start, last finish), each cell
+      naming the instance that claimed it.  An instance of latency L
+      claims exactly L cells, and no cell is claimed twice.  This is
+      deliberately not the scheduler's sorted-interval scan.
     - {b (c) pattern re-rolling} — the compiled pattern, expanded for a
       spread of trip counts (crossing several repetition boundaries),
       must re-satisfy (a)-(b) and must contain every node exactly

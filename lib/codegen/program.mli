@@ -37,6 +37,26 @@ val computes_of : t -> int -> (int * int) list
 (** The (node, iteration) instances computed by one processor, in
     program order. *)
 
+(** Dense keys over the (node, iteration) pairs a program names, for
+    per-instance tables that are flat arrays rather than hash tables
+    keyed by boxed pairs. *)
+module Keys : sig
+  type t
+
+  val scan : ((int -> int -> unit) -> unit) -> t
+  (** [scan iter_pairs] sizes a key window to cover every pair that
+      [iter_pairs] passes to its callback. *)
+
+  val size : t -> int
+  (** Number of keys: the window's node range times its iteration
+      range. *)
+
+  val key : t -> node:int -> iter:int -> int
+  (** [(iter - iter_lo) * width + (node - node_lo)] in [[0, size)] —
+      [iter * nodes + node] for a program over a graph's nodes — or
+      [-1] for a pair outside the window. *)
+end
+
 type defect =
   | Unmatched_recv of { proc : int; instr : instr }
       (** no send delivers this message *)

@@ -219,23 +219,31 @@ let pack_ready st ~iter ~prio ~node =
 let ready_iter st key = key lsr (st.prio_bits + st.node_bits)
 let ready_node st key = key land ((1 lsl st.node_bits) - 1)
 
+(* Only [solve] reads the frontier ({!final_frontier}); a bounded run
+   ([trip = Some n]) skips the two [Iset] updates per instance. *)
 let frontier_add st rb =
-  if rb >= st.fr_cap then begin
-    let cap = max (2 * st.fr_cap) (rb + 1) in
-    let fr_count = Array.make cap 0 in
-    Array.blit st.fr_count 0 fr_count 0 st.fr_cap;
-    st.fr_cap <- cap;
-    st.fr_count <- fr_count
-  end;
-  let c = st.fr_count.(rb) in
-  st.fr_count.(rb) <- c + 1;
-  if c = 0 then st.fr_set <- Iset.add rb st.fr_set
+  match st.trip with
+  | Some _ -> ()
+  | None ->
+    if rb >= st.fr_cap then begin
+      let cap = max (2 * st.fr_cap) (rb + 1) in
+      let fr_count = Array.make cap 0 in
+      Array.blit st.fr_count 0 fr_count 0 st.fr_cap;
+      st.fr_cap <- cap;
+      st.fr_count <- fr_count
+    end;
+    let c = st.fr_count.(rb) in
+    st.fr_count.(rb) <- c + 1;
+    if c = 0 then st.fr_set <- Iset.add rb st.fr_set
 
 let frontier_remove st rb =
-  let c = st.fr_count.(rb) in
-  assert (c > 0);
-  st.fr_count.(rb) <- c - 1;
-  if c = 1 then st.fr_set <- Iset.remove rb st.fr_set
+  match st.trip with
+  | Some _ -> ()
+  | None ->
+    let c = st.fr_count.(rb) in
+    assert (c > 0);
+    st.fr_count.(rb) <- c - 1;
+    if c = 1 then st.fr_set <- Iset.remove rb st.fr_set
 
 let init_state ~graph ~machine ~trip ~order =
   check_preconditions graph;

@@ -22,7 +22,9 @@ let place_sequentially ~graph ~subset ~procs ~base_proc ~iterations ~ready_time 
   if procs = 0 || subset = [] then []
   else begin
     let order = subset_order graph subset in
-    let placed : (int * int, Schedule.entry) Hashtbl.t = Hashtbl.create 256 in
+    let placed =
+      Schedule.Index.create ~nodes:(Graph.node_count graph) ~iter_lo:0 ~span:iterations
+    in
     let avail = Array.make procs 0 in
     let entries = ref [] in
     for i = 0 to iterations - 1 do
@@ -34,7 +36,7 @@ let place_sequentially ~graph ~subset ~procs ~base_proc ~iterations ~ready_time 
           let start = max avail.(slot) ready in
           let entry = Schedule.{ inst = { node = v; iter = i }; proc; start } in
           avail.(slot) <- start + Graph.latency graph v;
-          Hashtbl.replace placed (v, i) entry;
+          Schedule.Index.add placed entry;
           entries := entry :: !entries)
         order
     done;
@@ -48,7 +50,7 @@ let flow_in_entries ~graph ~machine ~flow_in ~procs ~base_proc ~iterations =
         let pi = iter - e.distance in
         if pi < 0 then acc
         else
-          match Hashtbl.find_opt placed (e.src, pi) with
+          match Schedule.Index.find placed { node = e.src; iter = pi } with
           | Some (pe : Schedule.entry) ->
             let comm = if pe.proc = proc then 0 else Config.edge_cost machine e in
             max acc (pe.start + Graph.latency graph e.src + comm)
@@ -66,7 +68,7 @@ let flow_out_entries ~graph ~machine ~flow_out ~procs ~base_proc ~iterations ~pr
         if pi < 0 then acc
         else
           let found =
-            match Hashtbl.find_opt placed (e.src, pi) with
+            match Schedule.Index.find placed { node = e.src; iter = pi } with
             | Some pe -> Some pe
             | None -> producer Schedule.{ node = e.src; iter = pi }
           in

@@ -28,10 +28,8 @@ let shift_entries delta entries =
   if delta = 0 then entries
   else List.map (fun (e : Schedule.entry) -> { e with start = e.start + delta }) entries
 
-let lookup_in entries =
-  let tbl = Hashtbl.create (List.length entries * 2) in
-  List.iter (fun (e : Schedule.entry) -> Hashtbl.replace tbl (e.inst.node, e.inst.iter) e) entries;
-  fun (inst : Schedule.instance) -> Hashtbl.find_opt tbl (inst.node, inst.iter)
+let lookup_in g entries =
+  Schedule.Index.find (Schedule.Index.of_entries ~nodes:(Graph.node_count g) entries)
 
 let run_separate ~max_iterations ~graph:g ~machine ~iterations cls =
   let cyc_g, old_of_new, _ = Classify.cyclic_subgraph g cls in
@@ -59,7 +57,7 @@ let run_separate ~max_iterations ~graph:g ~machine ~iterations cls =
         Flow_sched.flow_in_entries ~graph:g ~machine ~flow_in:cls.Classify.flow_in
           ~procs:p_in ~base_proc:p_cyc ~iterations)
   in
-  let flow_in_lookup = lookup_in flow_in in
+  let flow_in_lookup = lookup_in g flow_in in
   let shift =
     Flow_sched.required_shift ~graph:g ~machine ~flow_entry:flow_in_lookup
       ~consumers:cyclic_entries
@@ -70,7 +68,7 @@ let run_separate ~max_iterations ~graph:g ~machine ~iterations cls =
       ~subset_latency:(subset_latency g cls.Classify.flow_out)
       ~height ~iter_shift
   in
-  let core_lookup = lookup_in (cyclic_entries @ flow_in) in
+  let core_lookup = lookup_in g (cyclic_entries @ flow_in) in
   let flow_out =
     Trace.span ~cat:"compile" "compile.flow_sched.out" (fun () ->
         Flow_sched.flow_out_entries ~graph:g ~machine ~flow_out:cls.Classify.flow_out

@@ -11,46 +11,82 @@ let compare_instance a b =
 
 type entry = { inst : instance; proc : int; start : int }
 
-(* [index] is dense over the instance space the entries span: instance
-   (node, iter) lives at [(iter - iter_lo) * nodes + node] for
-   [iter_lo <= iter < iter_lo + span], and [absent] fills the holes, so
-   a lookup is one bounds check and one array read.  Absence is tested
-   by [start < 0], never by physical equality: an unmarshalled schedule
-   carries its own copy of [absent]. *)
+let absent = { inst = { node = 0; iter = 0 }; proc = 0; start = -1 }
+
+(* A dense table over the instance space [nodes] x [iter_lo, iter_lo +
+   span): instance (node, iter) lives at [(iter - iter_lo) * nodes +
+   node], and [absent] fills the holes, so a lookup is one bounds check
+   and one array read.  Absence is tested by [start < 0], never by
+   physical equality: an unmarshalled schedule carries its own copy of
+   [absent]. *)
+module Index = struct
+  type t = { nodes : int; iter_lo : int; span : int; cells : entry array }
+
+  let create ~nodes ~iter_lo ~span =
+    { nodes; iter_lo; span; cells = Array.make (span * nodes) absent }
+
+  (* [(iter_lo, span)] of the iterations [entries] reach; [(0, 0)]
+     for none. *)
+  let iter_range entries =
+    let lo = ref max_int and hi = ref min_int in
+    List.iter
+      (fun e ->
+        if e.inst.iter < !lo then lo := e.inst.iter;
+        if e.inst.iter > !hi then hi := e.inst.iter)
+      entries;
+    if entries = [] then (0, 0) else (!lo, !hi - !lo + 1)
+
+  let key t inst =
+    let d = inst.iter - t.iter_lo in
+    if d < 0 || d >= t.span || inst.node < 0 || inst.node >= t.nodes then -1
+    else (d * t.nodes) + inst.node
+
+  let slot t inst =
+    let k = key t inst in
+    if k < 0 then absent else t.cells.(k)
+
+  let mem t inst = (slot t inst).start >= 0
+
+  let find t inst =
+    let e = slot t inst in
+    if e.start < 0 then None else Some e
+
+  let add t e =
+    let k = key t e.inst in
+    if k < 0 then invalid_arg "Schedule.Index.add: instance outside the table";
+    t.cells.(k) <- e
+
+  let of_entries ~nodes entries =
+    let iter_lo, span = iter_range entries in
+    let t = create ~nodes ~iter_lo ~span in
+    List.iter (add t) entries;
+    t
+end
+
 type t = {
   graph : Graph.t;
   machine : Config.t;
   all : entry list; (* ascending (start, proc) *)
-  nodes : int;
-  iter_lo : int;
-  span : int;
-  index : entry array;
+  index : Index.t;
   by_proc : entry list array; (* ascending start *)
 }
 
-let absent = { inst = { node = 0; iter = 0 }; proc = 0; start = -1 }
-
 let make ~graph ~machine entry_list =
   let nodes = Graph.node_count graph in
-  let iter_lo = ref max_int and iter_hi = ref min_int in
   List.iter
     (fun e ->
       if e.start < 0 then invalid_arg "Schedule.make: negative start";
       if e.proc < 0 || e.proc >= machine.Config.processors then
         invalid_arg "Schedule.make: processor out of range";
       if e.inst.node < 0 || e.inst.node >= nodes then
-        invalid_arg "Schedule.make: unknown node";
-      iter_lo := min !iter_lo e.inst.iter;
-      iter_hi := max !iter_hi e.inst.iter)
+        invalid_arg "Schedule.make: unknown node")
     entry_list;
-  let iter_lo = if entry_list = [] then 0 else !iter_lo in
-  let span = if entry_list = [] then 0 else !iter_hi - iter_lo + 1 in
-  let index = Array.make (span * nodes) absent in
+  let iter_lo, span = Index.iter_range entry_list in
+  let index = Index.create ~nodes ~iter_lo ~span in
   List.iter
     (fun e ->
-      let k = ((e.inst.iter - iter_lo) * nodes) + e.inst.node in
-      if index.(k).start >= 0 then invalid_arg "Schedule.make: duplicate instance";
-      index.(k) <- e)
+      if Index.mem index e.inst then invalid_arg "Schedule.make: duplicate instance";
+      Index.add index e)
     entry_list;
   let compare_entry a b =
     if a.start <> b.start then compare a.start b.start
@@ -60,29 +96,20 @@ let make ~graph ~machine entry_list =
   let all = List.sort compare_entry entry_list in
   let by_proc = Array.make machine.Config.processors [] in
   List.iter (fun e -> by_proc.(e.proc) <- e :: by_proc.(e.proc)) (List.rev all);
-  { graph; machine; all; nodes; iter_lo; span; index; by_proc }
+  { graph; machine; all; index; by_proc }
 
 let graph t = t.graph
 let machine t = t.machine
 let entries t = t.all
 let entries_on t p = t.by_proc.(p)
-
-let slot t inst =
-  let d = inst.iter - t.iter_lo in
-  if d < 0 || d >= t.span || inst.node < 0 || inst.node >= t.nodes then absent
-  else t.index.((d * t.nodes) + inst.node)
-
-let find t inst =
-  let e = slot t inst in
-  if e.start < 0 then None else Some e
-
-let is_scheduled t inst = (slot t inst).start >= 0
+let find t inst = Index.find t.index inst
+let is_scheduled t inst = Index.mem t.index inst
 
 let finish t e = e.start + Graph.latency t.graph e.inst.node
 let makespan t = List.fold_left (fun acc e -> max acc (finish t e)) 0 t.all
 let instance_count t = List.length t.all
 
-let iterations t = max 0 (t.iter_lo + t.span)
+let iterations t = max 0 (t.index.Index.iter_lo + t.index.Index.span)
 
 let busy_cycles_on t p =
   List.fold_left (fun acc e -> acc + Graph.latency t.graph e.inst.node) 0 t.by_proc.(p)

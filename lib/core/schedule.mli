@@ -21,6 +21,34 @@ val compare_instance : instance -> instance -> int
 
 type entry = { inst : instance; proc : int; start : int }
 
+(** A dense table of entries over an instance window: instance
+    [(node, iter)] with [0 <= node < nodes] and [iter_lo <= iter <
+    iter_lo + span] lives at [(iter - iter_lo) * nodes + node], so a
+    lookup is one bounds check and one array read, with nothing hashed.
+    A schedule indexes its own instances with one; the scheduling
+    passes that look instances up while they build entries
+    ({!Full_sched}, {!Flow_sched}) use the same table. *)
+module Index : sig
+  type t
+
+  val create : nodes:int -> iter_lo:int -> span:int -> t
+  (** An empty table over [nodes] x [[iter_lo, iter_lo + span)]. *)
+
+  val of_entries : nodes:int -> entry list -> t
+  (** A table over the iterations [entries] span, holding them; a later
+      entry replaces an earlier one of the same instance. *)
+
+  val add : t -> entry -> unit
+  (** Store an entry, replacing any earlier one of its instance.
+      @raise Invalid_argument if the instance lies outside the window. *)
+
+  val find : t -> instance -> entry option
+  (** [None] for absent instances and for any instance outside the
+      window. *)
+
+  val mem : t -> instance -> bool
+end
+
 type t
 
 val make : graph:Mimd_ddg.Graph.t -> machine:Mimd_machine.Config.t -> entry list -> t

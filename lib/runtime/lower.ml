@@ -149,48 +149,78 @@ let compile_expr ~scalar_id rhs =
   go rhs;
   { ops = Array.of_list (List.rev !ops); stack_need = max 1 !maxd }
 
-let lower_proc ~sources ~reads ~codes ~(program : Program.t) j =
+let lower_proc ~sources ~reads ~read_arrays ~codes ~(program : Program.t) j =
   let instrs = Array.of_list program.programs.(j) in
-  let n = Array.length instrs in
   (* Pass 1: a dense slot for every (node, iter) instance this PE
      defines — Compute destinations and every tag a Recv/Recv_pack
-     lands.  The first definition position is kept for the
-     def-before-use checks below. *)
-  let slot_of : (int * int, int * int) Hashtbl.t = Hashtbl.create (2 * n) in
-  let nslots = ref 0 in
-  let define key pos =
-    if not (Hashtbl.mem slot_of key) then begin
-      Hashtbl.replace slot_of key (!nslots, pos);
-      incr nslots
-    end
+     lands.  [slot_at] and [def_at] are indexed by the instance's key
+     over the window those definitions span; [def_at] keeps the first
+     definition's position for the def-before-use checks below. *)
+  let each_def f =
+    Array.iteri
+      (fun pos instr ->
+        match instr with
+        | Program.Compute { node; iter } -> f node iter pos
+        | Program.Recv { tag; _ } -> f tag.Program.node tag.Program.iter pos
+        | Program.Recv_pack { tags; _ } ->
+          List.iter (fun (t : Program.tag) -> f t.node t.iter pos) tags
+        | Program.Send _ | Program.Send_pack _ -> ())
+      instrs
   in
-  Array.iteri
-    (fun pos instr ->
-      match instr with
-      | Program.Compute { node; iter } -> define (node, iter) pos
-      | Program.Recv { tag; _ } -> define (tag.Program.node, tag.Program.iter) pos
-      | Program.Recv_pack { tags; _ } ->
-        List.iter (fun (t : Program.tag) -> define (t.node, t.iter) pos) tags
-      | Program.Send _ | Program.Send_pack _ -> ())
-    instrs;
+  let keys = Program.Keys.scan (fun see -> each_def (fun node iter _ -> see node iter)) in
+  let key node iter = Program.Keys.key keys ~node ~iter in
+  let slot_at = Array.make (Program.Keys.size keys) (-1) in
+  let def_at = Array.make (Program.Keys.size keys) 0 in
+  let nslots = ref 0 in
+  each_def (fun node iter pos ->
+      let k = key node iter in
+      if slot_at.(k) < 0 then begin
+        slot_at.(k) <- !nslots;
+        def_at.(k) <- pos;
+        incr nslots
+      end);
   (* Initial-memory reads become slots prefilled before the first
-     instruction; one slot per distinct cell. *)
-  let prefills : (string * int, int) Hashtbl.t = Hashtbl.create 16 in
+     instruction; one slot per distinct cell.  A cell is keyed by
+     (array id, cell index) over the cells this PE reads, the same way. *)
+  let from_memory node iter r =
+    match sources.(node).(r) with Some (_, delta) -> iter - delta < 0 | None -> true
+  in
+  let cells =
+    Program.Keys.scan (fun see ->
+        Array.iter
+          (function
+            | Program.Compute { node; iter } ->
+              Array.iteri
+                (fun r (array, offset) ->
+                  if from_memory node iter r then
+                    see read_arrays.(node).(r) (Interp.cell_index array ~iter ~offset))
+                reads.(node)
+            | Program.Send _ | Program.Send_pack _ | Program.Recv _ | Program.Recv_pack _ -> ())
+          instrs)
+  in
+  let prefill_at = Array.make (Program.Keys.size cells) (-1) in
   let prefill_order = ref [] in
-  let prefill_slot array idx =
-    match Hashtbl.find_opt prefills (array, idx) with
-    | Some slot -> slot
-    | None ->
+  let prefill_slot ~node ~r array idx =
+    let k = Program.Keys.key cells ~node:read_arrays.(node).(r) ~iter:idx in
+    if prefill_at.(k) >= 0 then prefill_at.(k)
+    else begin
       let slot = !nslots in
       incr nslots;
-      Hashtbl.replace prefills (array, idx) slot;
+      prefill_at.(k) <- slot;
       prefill_order := (array, idx, slot) :: !prefill_order;
       slot
+    end
   in
-  let defined_slot ~before key =
-    match Hashtbl.find_opt slot_of key with
-    | Some (slot, dpos) when dpos < before -> Some slot
-    | Some _ | None -> None
+  (* The slot of (node, iter) if this PE defines it before [before],
+     else -1. *)
+  let defined_slot ~before node iter =
+    let k = key node iter in
+    if k >= 0 && slot_at.(k) >= 0 && def_at.(k) < before then slot_at.(k) else -1
+  in
+  let sent_slot ~before (node, iter) =
+    let slot = defined_slot ~before node iter in
+    if slot < 0 then invalid_arg "Lower: send before compute (malformed program)";
+    slot
   in
   (* Pass 2: resolve every operand to a slot index, failing loudly on
      a malformed program before anything runs. *)
@@ -203,54 +233,38 @@ let lower_proc ~sources ~reads ~codes ~(program : Program.t) j =
             Array.mapi
               (fun r (array, offset) ->
                 match sources.(node).(r) with
-                | Some (s', delta) when iter - delta >= 0 -> begin
-                  match defined_slot ~before:pos (s', iter - delta) with
-                  | Some slot -> slot
-                  | None ->
+                | Some (s', delta) when iter - delta >= 0 ->
+                  let slot = defined_slot ~before:pos s' (iter - delta) in
+                  if slot < 0 then
                     invalid_arg
                       (Printf.sprintf
                          "Lower: PE%d computing (%d,%d) lacks operand (%d,%d) for %s"
-                         j node iter s' (iter - delta) array)
-                end
+                         j node iter s' (iter - delta) array);
+                  slot
                 | Some _ | None ->
-                  prefill_slot array (Interp.cell_index array ~iter ~offset))
+                  prefill_slot ~node ~r array (Interp.cell_index array ~iter ~offset))
               reads.(node)
           in
-          let dst, _ = Hashtbl.find slot_of (node, iter) in
-          CCompute { node; iter; code = codes.(node); args; dst }
-        | Program.Send { tag; dst } ->
-          let key = (tag.Program.node, tag.Program.iter) in
-          (match defined_slot ~before:pos key with
-          | Some slot -> CSend { dst; tag = key; src_slot = slot }
-          | None -> invalid_arg "Lower: send before compute (malformed program)")
+          CCompute { node; iter; code = codes.(node); args; dst = slot_at.(key node iter) }
+        | Program.Send { tag = { node; iter }; dst } ->
+          let slot = sent_slot ~before:pos (node, iter) in
+          CSend { dst; tag = (node, iter); src_slot = slot }
         | Program.Send_pack { tags = (rep :: _) as tags; dst } ->
           let insts =
             Array.of_list
               (List.map (fun (t : Program.tag) -> (t.node, t.iter)) tags)
           in
-          let src_slots =
-            Array.map
-              (fun key ->
-                match defined_slot ~before:pos key with
-                | Some slot -> slot
-                | None ->
-                  invalid_arg "Lower: send before compute (malformed program)")
-              insts
-          in
+          let src_slots = Array.map (sent_slot ~before:pos) insts in
           CSend_pack
             { dst; tag = (rep.Program.node, rep.Program.iter); insts; src_slots }
-        | Program.Recv { tag; src } ->
-          let key = (tag.Program.node, tag.Program.iter) in
-          let slot, _ = Hashtbl.find slot_of key in
-          CRecv { src; tag = key; dst_slot = slot }
+        | Program.Recv { tag = { node; iter }; src } ->
+          CRecv { src; tag = (node, iter); dst_slot = slot_at.(key node iter) }
         | Program.Recv_pack { tags = (rep :: _) as tags; src } ->
           let insts =
             Array.of_list
               (List.map (fun (t : Program.tag) -> (t.node, t.iter)) tags)
           in
-          let dst_slots =
-            Array.map (fun key -> fst (Hashtbl.find slot_of key)) insts
-          in
+          let dst_slots = Array.map (fun (node, iter) -> slot_at.(key node iter)) insts in
           CRecv_pack
             { src; tag = (rep.Program.node, rep.Program.iter); insts; dst_slots }
         | Program.Send_pack { tags = []; _ } | Program.Recv_pack { tags = []; _ }
@@ -287,6 +301,19 @@ let run ~loop ~(program : Program.t) () =
       (fun node -> Array.map (fun (array, offset) -> resolve node array offset))
       reads
   in
+  (* Arrays by dense id, so a prefilled cell is keyed by two ints. *)
+  let array_ids : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let read_arrays =
+    Array.map
+      (Array.map (fun (array, _) ->
+           match Hashtbl.find_opt array_ids array with
+           | Some a -> a
+           | None ->
+             let a = Hashtbl.length array_ids in
+             Hashtbl.replace array_ids array a;
+             a))
+      reads
+  in
   let scalar_ids : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let scalar_order = ref [] in
   let scalar_id s =
@@ -301,7 +328,7 @@ let run ~loop ~(program : Program.t) () =
   let codes = Array.map (fun (_, _, rhs) -> compile_expr ~scalar_id rhs) stmts in
   let procs =
     Array.init program.processors (fun j ->
-        lower_proc ~sources ~reads ~codes ~program j)
+        lower_proc ~sources ~reads ~read_arrays ~codes ~program j)
   in
   {
     processors = program.processors;

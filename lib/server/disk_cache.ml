@@ -2,7 +2,7 @@ module Full_sched = Mimd_core.Full_sched
 
 (* Bump when the marshalled payload's meaning changes (any layout
    change in Full_sched.t or the types it contains). *)
-let format_version = 4 (* v4: Schedule.t indexes instances by a dense array *)
+let format_version = 5 (* v5: Schedule.t keeps its dense instance table in a Schedule.Index.t *)
 
 (* Marshal is not stable across compiler releases, so the stamp also
    pins the exact OCaml version: a cache written by another compiler

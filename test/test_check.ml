@@ -53,6 +53,49 @@ let test_counters_show_work () =
   check_bool "constraints counted" true (counter "dependence constraints" > 0);
   check_bool "messages counted" true (counter "messages delivered" > 0)
 
+let test_counters_pinned () =
+  (* Every counter of a clean [V.full] at p=2 k=2 n=1000: the cells,
+     constraints and messages examined, pinned to the values the
+     tuple-keyed validator produced, so a rewrite of its tables must
+     examine exactly the same work. *)
+  List.iter
+    (fun (name, g, expected) ->
+      let report = V.full (full_of ~iterations:1000 g) in
+      check_bool (name ^ ": clean") true (V.ok report);
+      Alcotest.(check (list (pair string int))) name expected report.V.counters)
+    [
+      ( "fig1",
+        W.Fig1.graph (),
+        [
+          ("instances", 12000);
+          ("occupancy cells", 12000);
+          ("dependence constraints", 12998);
+          ("re-rolled trip counts", 5);
+          ("messages delivered", 4000);
+          ("channel capacity", 256);
+        ] );
+      ( "fig7",
+        W.Fig7.graph (),
+        [
+          ("instances", 5000);
+          ("occupancy cells", 5000);
+          ("dependence constraints", 6996);
+          ("re-rolled trip counts", 5);
+          ("messages delivered", 1998);
+          ("channel capacity", 256);
+        ] );
+      ( "ewf",
+        W.Elliptic.graph (),
+        [
+          ("instances", 34000);
+          ("occupancy cells", 42000);
+          ("dependence constraints", 59984);
+          ("re-rolled trip counts", 5);
+          ("messages delivered", 6998);
+          ("channel capacity", 256);
+        ] );
+    ]
+
 (* ---------------------------------------------------------------- *)
 (* Detection: every class of defect                                  *)
 
@@ -102,6 +145,50 @@ let test_overlap_detected () =
     (List.exists
        (function V.Overlap { cycle = 1; _ } -> true | _ -> false)
        report.V.issues)
+
+let entry n i proc start : Schedule.entry = { inst = { node = n; iter = i }; proc; start }
+
+let overlaps report =
+  List.filter_map
+    (function
+      | V.Overlap { proc; cycle; a; b } ->
+        Some (Printf.sprintf "PE%d@%d %d_%d/%d_%d" proc cycle a.node a.iter b.node b.iter)
+      | _ -> None)
+    report.V.issues
+
+let test_overlap_far_from_cycle_zero () =
+  (* The occupancy arrays cover each PE's busy range only; a PE whose
+     first entry starts at cycle 1000 reports the same cell. *)
+  let g = graph_of ~latencies:[| 3; 1 |] ~edges:[] in
+  let sched =
+    Schedule.make ~graph:g ~machine:(machine ~p:1 ()) [ entry 0 0 0 1000; entry 1 0 0 1002 ]
+  in
+  let report = V.schedule ~complete:false sched in
+  Alcotest.(check (list string)) "overlap" [ "PE0@1002 0_0/1_0" ] (overlaps report);
+  check_int "cells" 4 (List.assoc "occupancy cells" report.V.counters)
+
+let test_overlap_disjoint_busy_ranges () =
+  (* PE0 is busy around cycle 3, PE1 around cycle 700; each reports
+     its own overlaps, once per pair of instances, at the first shared
+     cycle. *)
+  let g = graph_of ~latencies:[| 3; 1; 2 |] ~edges:[] in
+  let sched =
+    Schedule.make ~graph:g ~machine:(machine ~p:2 ())
+      [
+        entry 0 0 0 3;
+        entry 1 0 0 4;
+        entry 2 0 0 4;
+        entry 0 1 1 700;
+        entry 1 1 1 702;
+        entry 2 1 1 701;
+      ]
+  in
+  let report = V.schedule ~complete:false sched in
+  Alcotest.(check (list string))
+    "overlaps"
+    [ "PE0@4 0_0/1_0"; "PE0@4 0_0/2_0"; "PE1@701 0_1/2_1"; "PE1@702 0_1/1_1" ]
+    (overlaps report);
+  check_int "cells" 12 (List.assoc "occupancy cells" report.V.counters)
 
 let test_missing_detected () =
   let g = graph_of ~latencies:[| 1; 1 |] ~edges:[] in
@@ -457,4 +544,9 @@ let suite =
       test_unknown_oracle_rejected;
     Alcotest.test_case "fuzz: matrix header rejected" `Quick test_matrix_header_rejected;
     prop_case_files_replayable;
+    Alcotest.test_case "validator: counters pinned at n=1000" `Quick test_counters_pinned;
+    Alcotest.test_case "validator: overlap far from cycle 0" `Quick
+      test_overlap_far_from_cycle_zero;
+    Alcotest.test_case "validator: overlaps on disjoint busy ranges" `Quick
+      test_overlap_disjoint_busy_ranges;
   ]

@@ -149,6 +149,117 @@ let test_duplicate_compute_detected () =
        (function Program.Duplicate_compute _ -> true | _ -> false)
        (Program.check bad))
 
+(* Program.check over hand-built programs.  Each defect renders as
+   "<defect> [<instruction>]", so a list pins kind, PE, instruction and
+   order.  The expected lists are what the tuple-keyed Hashtbl version
+   of the check produced. *)
+let tag n i : Program.tag = { node = n; iter = i }
+let compute n i = Program.Compute { node = n; iter = i }
+let send n i dst = Program.Send { tag = tag n i; dst }
+let recv n i src = Program.Recv { tag = tag n i; src }
+
+let defects programs =
+  let p = { Program.graph = fig7 (); processors = Array.length programs; programs } in
+  let names = Graph.name p.graph in
+  List.map
+    (fun d ->
+      let instr =
+        match d with
+        | Program.Unmatched_recv { instr; _ }
+        | Program.Unmatched_send { instr; _ }
+        | Program.Duplicate_send { instr; _ }
+        | Program.Self_message { instr; _ } ->
+          Format.asprintf "%a" (Program.pp_instr ~names) instr
+        | Program.Duplicate_compute _ -> ""
+      in
+      Format.asprintf "%a [%s]" Program.pp_defect d instr)
+    (Program.check p)
+
+let check_defects name expected programs =
+  Alcotest.(check (list string)) name expected (defects programs)
+
+let test_duplicate_send_detected () =
+  check_defects "plain" [ "duplicate send on PE0 [SEND A[0] -> PE1]" ]
+    [| [ compute 0 0; send 0 0 1; send 0 0 1 ]; [ recv 0 0 0 ] |];
+  check_defects "pack then plain" [ "duplicate send on PE0 [SEND B[0] -> PE1]" ]
+    [|
+      [
+        compute 0 0;
+        compute 1 0;
+        Program.Send_pack { tags = [ tag 0 0; tag 1 0 ]; dst = 1 };
+        send 1 0 1;
+      ];
+      [ Program.Recv_pack { tags = [ tag 0 0; tag 1 0 ]; src = 0 } ];
+    |]
+
+let test_unmatched_send_detected () =
+  check_defects "plain" [ "unmatched send on PE0 [SEND A[0] -> PE1]" ]
+    [| [ compute 0 0; send 0 0 1 ]; [] |];
+  (* one pack tag is received, the other is not *)
+  check_defects "pack" [ "unmatched send on PE0 [SEND {A[0],B[0]} -> PE1]" ]
+    [|
+      [ compute 0 0; compute 1 0; Program.Send_pack { tags = [ tag 0 0; tag 1 0 ]; dst = 1 } ];
+      [ recv 0 0 0 ];
+    |]
+
+let test_one_tag_from_two_senders () =
+  (* (tag, src, dst) names a message: the same tag sent to PE2 by PE0
+     and by PE1 is two messages, neither a duplicate. *)
+  check_defects "two messages" []
+    [| [ compute 0 0; send 0 0 2 ]; [ send 0 0 2 ]; [ recv 0 0 0; recv 0 0 1 ] |]
+
+let test_tags_beyond_every_compute () =
+  (* tags whose iteration no Compute reaches still size the tables *)
+  check_defects "late iterations" [ "unmatched recv on PE1 [RECV B[9] <- PE0]" ]
+    [| [ compute 0 0; send 0 5 1 ]; [ recv 0 5 0; recv 1 9 0 ] |]
+
+let test_empty_pe_program () =
+  check_defects "PE1 runs nothing" [ "unmatched recv on PE2 [RECV B[0] <- PE1]" ]
+    [| [ compute 0 0; send 0 0 2 ]; []; [ recv 0 0 0; recv 1 0 1 ] |];
+  check_defects "no instructions at all" [] [| []; [] |]
+
+let test_many_defects_in_order () =
+  check_defects "full list"
+    [
+      "duplicate send on PE0 [SEND A[0] -> PE1]";
+      "self message on PE0 [SEND A[0] -> PE0]";
+      "duplicate compute of (0,0) on PE1 []";
+      "self message on PE2 [RECV A[0] <- PE2]";
+      "self message on PE2 [SEND {E[4]} -> PE2]";
+      "duplicate compute of (0,0) on PE2 []";
+      "unmatched send on PE0 [SEND A[0] -> PE0]";
+      "unmatched recv on PE1 [RECV {A[0],D[7]} <- PE2]";
+      "unmatched recv on PE1 [RECV {A[0],D[7]} <- PE2]";
+      "unmatched send on PE1 [SEND C[1] -> PE2]";
+      "unmatched recv on PE2 [RECV E[9] <- PE1]";
+      "unmatched recv on PE2 [RECV A[0] <- PE2]";
+      "unmatched send on PE2 [SEND {E[4]} -> PE2]";
+    ]
+    [|
+      [
+        compute 0 0;
+        send 0 0 1;
+        send 0 0 1;
+        send 0 0 0;
+        Program.Send_pack { tags = [ tag 0 0; tag 1 2 ]; dst = 2 };
+        recv 2 1 1;
+      ];
+      [
+        recv 0 0 0;
+        compute 0 0;
+        Program.Recv_pack { tags = [ tag 0 0; tag 3 7 ]; src = 2 };
+        send 2 1 0;
+        send 2 1 2;
+      ];
+      [
+        Program.Recv_pack { tags = [ tag 0 0; tag 1 2 ]; src = 0 };
+        recv 4 9 1;
+        recv 0 0 2;
+        Program.Send_pack { tags = [ tag 4 4 ]; dst = 2 };
+        compute 0 0;
+      ];
+    |]
+
 let test_rolled_renders () =
   let r = Cyclic_sched.solve ~graph:(fig7 ()) ~machine:(machine ()) () in
   let s = Rolled.render r.Cyclic_sched.pattern in
@@ -212,4 +323,14 @@ let suite =
     Alcotest.test_case "rolled: symbolic step" `Quick test_rolled_symbolic_step;
     Alcotest.test_case "instr printing" `Quick test_pp_instr;
     prop_programs_well_formed;
+    Alcotest.test_case "defects: duplicate send, plain and packed" `Quick
+      test_duplicate_send_detected;
+    Alcotest.test_case "defects: unmatched send, plain and packed" `Quick
+      test_unmatched_send_detected;
+    Alcotest.test_case "defects: one tag from two senders is two messages" `Quick
+      test_one_tag_from_two_senders;
+    Alcotest.test_case "defects: tags beyond every compute's iteration" `Quick
+      test_tags_beyond_every_compute;
+    Alcotest.test_case "defects: a PE with an empty program" `Quick test_empty_pe_program;
+    Alcotest.test_case "defects: full list in order" `Quick test_many_defects_in_order;
   ]

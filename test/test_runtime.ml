@@ -315,6 +315,38 @@ let test_lower_shape () =
   in
   check_bool "initial-memory read is a prefilled slot" true prefills
 
+let test_lower_rejects_malformed () =
+  (* Each malformed program fails lowering with the message the
+     Hashtbl-keyed slot table gave. *)
+  let { Depend.loop = flat; graph; _ } =
+    Depend.analyze (Parser.parse "for i = 1 to n { X[i] = X[i-1] + 1; Y[i] = X[i] * 2; }")
+  in
+  let tag n i : Program.tag = { node = n; iter = i } in
+  let raises name msg programs =
+    let program = { Program.graph; processors = Array.length programs; programs } in
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Lower.run ~loop:flat ~program ()))
+  in
+  raises "lacks operand" "Lower: PE0 computing (0,2) lacks operand (0,1) for X"
+    [| [ Program.Compute { node = 0; iter = 0 }; Program.Compute { node = 0; iter = 2 } ]; [] |];
+  raises "send before compute" "Lower: send before compute (malformed program)"
+    [|
+      [ Program.Send { tag = tag 0 0; dst = 1 }; Program.Compute { node = 0; iter = 0 } ];
+      [ Program.Recv { tag = tag 0 0; src = 0 } ];
+    |];
+  raises "pack sent before compute" "Lower: send before compute (malformed program)"
+    [|
+      [
+        Program.Compute { node = 0; iter = 0 };
+        Program.Send_pack { tags = [ tag 0 0; tag 1 0 ]; dst = 1 };
+        Program.Compute { node = 1; iter = 0 };
+      ];
+      [];
+    |];
+  raises "empty send pack" "Lower: empty pack"
+    [| [ Program.Compute { node = 0; iter = 0 }; Program.Send_pack { tags = []; dst = 1 } ]; [] |];
+  raises "empty recv pack" "Lower: empty pack" [| []; [ Program.Recv_pack { tags = []; src = 0 } ] |]
+
 let test_compiled_differential_workloads () =
   List.iter
     (fun (name, src) -> differential ~prelower:true ~name (Parser.parse src))
@@ -397,4 +429,6 @@ let suite =
       test_stale_slot_must_fail;
     Alcotest.test_case "differential: ewf p=2 n=1000 (benchmark shape)" `Quick
       test_benchmark_shape;
+    Alcotest.test_case "compiled exec: malformed programs rejected" `Quick
+      test_lower_rejects_malformed;
   ]

@@ -219,13 +219,18 @@ let test_disk_roundtrip_and_corruption () =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (Printf.sprintf "mimdsched 3 %s%s" Sys.ocaml_version body));
   check_bool "v3 entry ignored" true (Disk_cache.find d ~key = None);
+  (* And a v4 entry, whose schedule kept its dense index in flat
+     fields rather than in a [Schedule.Index.t]. *)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (Printf.sprintf "mimdsched 4 %s%s" Sys.ocaml_version body));
+  check_bool "v4 entry ignored" true (Disk_cache.find d ~key = None);
   (* Overwriting heals the entry. *)
   Disk_cache.store d ~key full;
   check_bool "healed after re-store" true (Disk_cache.find d ~key <> None);
   let st = Disk_cache.stats d in
   check_int "stores" 2 st.Disk_cache.stores;
   check_int "hits" 2 st.Disk_cache.hits;
-  check_int "misses" 6 st.Disk_cache.misses
+  check_int "misses" 7 st.Disk_cache.misses
 
 let test_disk_concurrent_writers () =
   (* The router fleet points every worker process at one cache
