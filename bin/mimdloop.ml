@@ -1203,9 +1203,9 @@ let run_dist_cmd =
 let route_cmd =
   let run workers socket worker_dir max_inflight jobs queue_depth cache_dir validate trace
       respawn =
-    (* Streaming trace: the router sets its own sink (and each worker
-       its own file) only after the fleet has forked, so children
-       never inherit the parent's sink fd. *)
+    (* Streaming trace: the router streams to its own sink; each
+       worker it forks drops that sink unwritten and opens its own
+       file. *)
     if Option.is_some trace then Mimd_obs.Trace.enable ();
     let worker_dir = Option.value ~default:(Filename.dirname socket) worker_dir in
     let code =
@@ -1248,10 +1248,9 @@ let route_cmd =
   in
   let respawn_t =
     Arg.(value & opt non_negative_int 0 & info [ "respawn" ] ~docv:"N"
-           ~doc:"Supervise the fleet: re-fork a dead worker up to $(docv) times (per \
-                 worker), through a warden process forked before the router grows \
-                 threads.  A fleet-wide circuit breaker refuses respawn storms.  \
-                 0 disables supervision.")
+           ~doc:"Supervise the fleet: the router re-forks a dead worker up to $(docv) \
+                 times (per worker).  A fleet-wide circuit breaker refuses respawn \
+                 storms.  0 disables supervision.")
   in
   Cmd.v
     (Cmd.info "route"

@@ -24,6 +24,7 @@ let create ?(window = 10.0) ~limit () =
   if window <= 0.0 then invalid_arg "Respawn.create: window <= 0";
   { window; limit; recent = []; tripped = false; total = 0 }
 
+let copy t = { t with recent = t.recent }
 let limit t = t.limit
 let window t = t.window
 let total t = t.total

@@ -11,8 +11,8 @@
     automatic reset: the condition the breaker detects does not fix
     itself, so recovery is an operator action (restart the fleet).
 
-    Not thread-safe — callers serialise (the router holds its
-    failover mutex across {!record}). *)
+    Mutable and not thread-safe; {!Router_core} keeps its states
+    persistent by recording on a {!copy}. *)
 
 type t
 
@@ -25,6 +25,9 @@ val record : ?now:float -> t -> bool
     pass explicit instants).  [true]: admitted and counted.  [false]:
     refused — either the breaker was already tripped, or this call
     tripped it. *)
+
+val copy : t -> t
+(** An independent breaker with the same history. *)
 
 val tripped : t -> bool
 val total : t -> int

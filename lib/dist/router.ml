@@ -1,7 +1,5 @@
-module Protocol = Mimd_server.Protocol
-module Json = Mimd_server.Json
+module Core = Router_core
 module Server = Mimd_server.Server
-module Metrics = Mimd_obs.Metrics
 module Trace = Mimd_obs.Trace
 
 type config = {
@@ -17,766 +15,360 @@ type config = {
   respawn : int;  (** per-worker respawn budget; 0 = no supervision *)
 }
 
-(* The shard key: a stable digest of the request's semantic fields.
-   Identical requests always land on the same worker (hot memory LRU);
-   textual variants of one loop may split across workers but still
-   meet in the shared content-addressed disk cache. *)
-let shard_key (p : Protocol.compile_params) =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%s|%d|%d|%d" p.Protocol.loop p.Protocol.processors p.Protocol.k
-          p.Protocol.iterations))
+let shard_key = Core.shard_key
+let worker_path cfg idx = Filename.concat cfg.worker_dir (Printf.sprintf "worker-%d.sock" idx)
+
+(* A client stops being read once this much of its output is unsent:
+   a reader that falls behind throttles itself, never the fleet. *)
+let max_backlog = 256 * 1024
 
 (* ---------------------------------------------------------------- *)
-(* Worker child: the ordinary serve stack on its own socket.          *)
+(* Line-framed, non-blocking connections                              *)
+
+type conn = {
+  fd : Unix.file_descr;
+  inbuf : Buffer.t;  (** the unterminated tail of the input *)
+  out : string Queue.t;  (** unsent output, one frame per entry *)
+  mutable off : int;  (** bytes of the head frame already sent *)
+  mutable backlog : int;  (** unsent bytes *)
+}
+
+let conn fd =
+  Unix.set_nonblock fd;
+  { fd; inbuf = Buffer.create 256; out = Queue.create (); off = 0; backlog = 0 }
+
+let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let chunk = Bytes.create 65536
+
+(* The complete lines one read brings, and whether the peer is gone. *)
+let read_lines c =
+  match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ([], false)
+  | exception Unix.Unix_error _ -> ([], true)
+  | 0 -> ([], true)
+  | n ->
+    let lines = ref [] and start = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get chunk i = '\n' then begin
+        Buffer.add_subbytes c.inbuf chunk !start (i - !start);
+        lines := Buffer.contents c.inbuf :: !lines;
+        Buffer.clear c.inbuf;
+        start := i + 1
+      end
+    done;
+    Buffer.add_subbytes c.inbuf chunk !start (n - !start);
+    (List.rev !lines, false)
+
+(* Write what the socket takes now; [false] once the peer is gone. *)
+let rec flush_out c =
+  match Queue.peek_opt c.out with
+  | None -> true
+  | Some s -> (
+    let len = String.length s - c.off in
+    match Unix.single_write_substring c.fd s c.off len with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> true
+    | exception Unix.Unix_error _ -> false
+    | n ->
+      c.backlog <- c.backlog - n;
+      if n = len then begin
+        ignore (Queue.pop c.out);
+        c.off <- 0;
+        flush_out c
+      end
+      else begin
+        c.off <- c.off + n;
+        true
+      end)
+
+let send c line =
+  let s = line ^ "\n" in
+  Queue.push s c.out;
+  c.backlog <- c.backlog + String.length s;
+  flush_out c
+
+(* ---------------------------------------------------------------- *)
+(* The shell: one select loop feeding the pure core                   *)
+
+type peer = Listener | Client of int | Worker of int
+
+type t = {
+  cfg : config;
+  mutable core : Core.state;
+  queue : Core.event Queue.t;
+  clients : (int, conn) Hashtbl.t;
+  workers : conn option array;
+  peers : (Unix.file_descr, peer) Hashtbl.t;
+  mutable next_client : int;
+  mutable children : int list;  (** forked and not yet reaped *)
+  mutable stop_by : float option;  (** set by [Stop]: the flush deadline *)
+}
 
 let worker_jobs cfg = match cfg.jobs with Some j -> j | None -> Server.default_jobs ~cap:4
 
-let worker_path cfg idx = Filename.concat cfg.worker_dir (Printf.sprintf "worker-%d.sock" idx)
-
-let run_worker ~idx ~path ~jobs ~queue_depth ~cache_dir ~validate ~trace =
-  (* Forked from the router: shed anything inherited that is not ours. *)
-  (match trace with
+(* The forked child: the ordinary serve stack on the listener the
+   router bound for its slot. *)
+let run_worker cfg ~idx ~listener ~path =
+  (match cfg.trace with
   | None -> ()
-  | Some base ->
-    Trace.clear ();
-    Trace.set_sink ~threshold:256 (Printf.sprintf "%s.worker%d" base idx));
-  let server = Server.make ?cache_dir ~validate ~jobs ~queue_depth () in
-  let code = Server.serve_socket server ~path in
+  | Some base -> Trace.set_sink ~threshold:256 (Printf.sprintf "%s.worker%d" base idx));
+  let server =
+    Server.make ?cache_dir:cfg.cache_dir ~validate:cfg.validate ~jobs:(worker_jobs cfg)
+      ~queue_depth:cfg.queue_depth ()
+  in
+  let code = Server.serve_socket ~listener server ~path in
   Server.shutdown server;
   Trace.close_sink ();
   exit code
 
-(* ---------------------------------------------------------------- *)
-(* The warden: the only process allowed to fork after boot.
+let reap_exited t =
+  t.children <-
+    List.filter
+      (fun pid ->
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ -> true
+        | _ | (exception Unix.Unix_error _) -> false)
+      t.children
 
-   OCaml 5 forbids Unix.fork in a process that has ever created a
-   domain — and the router grows reader/client threads the moment the
-   fleet is up.  So respawn supervision forks a *warden* child first,
-   while the router is still single-threaded: a tiny fork server that
-   never creates threads or domains and re-forks workers on command
-   over a Wire-framed socketpair.  Respawned workers are the warden's
-   children (it reaps them); the router only ever talks to them
-   through their serve sockets, exactly like the initial fleet. *)
+let drop_client t id c =
+  close_noerr c.fd;
+  Hashtbl.remove t.clients id;
+  Hashtbl.remove t.peers c.fd;
+  Queue.push (Core.Client_closed { client = id }) t.queue
 
-type warden_cmd = Spawn of int
-type warden_reply = Spawned of { idx : int; pid : int }
+let drop_worker t slot c =
+  close_noerr c.fd;
+  t.workers.(slot) <- None;
+  Hashtbl.remove t.peers c.fd;
+  reap_exited t;
+  Queue.push (Core.Worker_closed { slot }) t.queue
 
-type warden = { w_pid : int; w_fd : Unix.file_descr; w_mutex : Mutex.t }
-
-let warden_loop cfg fd =
-  let jobs = worker_jobs cfg in
-  let children = ref [] in
-  let reap_zombies () =
-    children :=
-      List.filter
-        (fun pid ->
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ -> true
-          | _ -> false
-          | exception Unix.Unix_error _ -> false)
-        !children
-  in
-  let rec loop () =
-    match (Wire.read fd : (warden_cmd, Wire.error) result) with
-    | Error _ ->
-      (* Router gone (shutdown or crash).  Its shutdown_fleet already
-         asked every live worker to exit over its serve socket; give
-         ours a grace window, then make sure, then leave — no orphans. *)
-      let deadline = Unix.gettimeofday () +. 5.0 in
-      let rec drain () =
-        reap_zombies ();
-        if !children <> [] && Unix.gettimeofday () < deadline then begin
-          Unix.sleepf 0.05;
-          drain ()
-        end
-      in
-      drain ();
-      List.iter
-        (fun pid ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        !children;
-      Unix._exit 0
-    | Ok (Spawn idx) -> (
-      reap_zombies ();
-      let path = worker_path cfg idx in
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      match Unix.fork () with
-      | 0 ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        run_worker ~idx ~path ~jobs ~queue_depth:cfg.queue_depth ~cache_dir:cfg.cache_dir
-          ~validate:cfg.validate ~trace:cfg.trace
-      | pid ->
-        children := pid :: !children;
-        (try Wire.write fd (Spawned { idx; pid }) with _ -> ());
-        loop ())
-  in
-  loop ()
-
-(* Fork the warden while the router is still thread-free. *)
-let spawn_warden cfg =
-  let router_fd, warden_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.fork () with
-  | 0 ->
-    (try Unix.close router_fd with Unix.Unix_error _ -> ());
-    warden_loop cfg warden_fd
-  | pid ->
-    (try Unix.close warden_fd with Unix.Unix_error _ -> ());
-    { w_pid = pid; w_fd = router_fd; w_mutex = Mutex.create () }
-
-let warden_spawn w idx =
-  Mutex.lock w.w_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.w_mutex)
-    (fun () ->
-      match
-        Wire.write w.w_fd (Spawn idx);
-        (Wire.read w.w_fd : (warden_reply, Wire.error) result)
-      with
-      | Ok (Spawned { idx = i; pid }) when i = idx -> Some pid
-      | Ok _ | Error _ -> None
-      | exception _ -> None)
-
-(* ---------------------------------------------------------------- *)
-(* Router state                                                       *)
-
-(* A reply sink: a client connection's out_channel behind a mutex, so
-   reader threads of different workers may answer it concurrently. *)
-type client = { send : string -> unit }
-
-let client_of_channel oc =
-  let mutex = Mutex.create () in
-  {
-    send =
-      (fun line ->
-        Mutex.lock mutex;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock mutex)
-          (fun () ->
-            try
-              output_string oc line;
-              output_char oc '\n';
-              flush oc
-            with Sys_error _ -> () (* client went away; its replies are moot *)));
-  }
-
-let client_reply client r = client.send (Protocol.reply_to_line r)
-
-type pending = {
-  orig_id : Json.t;
-  request : Json.t;  (** full request object, [id] stripped *)
-  key : string;
-  client : client;
-  mutable attempts : int;
-}
-
-type worker = {
-  idx : int;
-  pid : int;
-  path : string;
-  fd : Unix.file_descr;
-  ic : in_channel;
-  w_oc : out_channel;
-  w_mutex : Mutex.t;
-  mutable alive : bool;
-}
-
-type t = {
-  cfg : config;
-  ring : Ring.t;
-  workers : worker array;  (** slot [i] is replaced on respawn *)
-  warden : warden option;
-  pending : (int, int * pending) Hashtbl.t;  (* rid -> (worker idx, request) *)
-  pending_mutex : Mutex.t;
-  next_rid : int Atomic.t;
-  inflight : int Atomic.t;
-  stop : bool Atomic.t;
-  death_mutex : Mutex.t;  (* serialises failover and respawn decisions *)
-  respawn_budget : int array;
-  breaker : Respawn.t;
-  (* Supervision events (respawn, respawn_failed, breaker_tripped)
-     surfaced in stats. *)
-  mutable events : Json.t list;  (* newest first, bounded *)
-  events_mutex : Mutex.t;
-  extra_threads : Thread.t list ref;  (* respawned readers *)
-  extra_mutex : Mutex.t;
-  registry : Metrics.t;
-  m_requests : Metrics.counter;
-  m_shed : Metrics.counter;
-  m_deaths : Metrics.counter;
-  m_retries : Metrics.counter;
-  m_respawns : Metrics.counter;
-  m_inflight : Metrics.gauge;
-  m_shard_hits : Metrics.counter array;
-}
-
-let live_workers t =
-  Array.fold_left (fun n w -> if w.alive then n + 1 else n) 0 t.workers
-
-let max_events = 32
-
-let push_event t ev =
-  Mutex.lock t.events_mutex;
-  t.events <- ev :: List.filteri (fun i _ -> i < max_events - 1) t.events;
-  Mutex.unlock t.events_mutex
-
-let event ~kind ~worker fields =
-  Json.Obj
-    ([
-       ("kind", Json.String kind);
-       ("worker", Json.Int worker);
-       ("at", Json.Float (Unix.gettimeofday ()));
-     ]
-    @ fields)
-
-let track_thread t th =
-  Mutex.lock t.extra_mutex;
-  t.extra_threads := th :: !(t.extra_threads);
-  Mutex.unlock t.extra_mutex
-
-(* ---------------------------------------------------------------- *)
-(* Spawning and connecting the fleet                                  *)
-
-let connect_retry ~path ~deadline =
-  let rec go () =
+(* Bind the slot's socket, dial it (the backlog takes the connection
+   before anyone accepts), fork, and send the boot ping whose answer
+   marks the slot live. *)
+let spawn t slot =
+  let path = worker_path t.cfg slot in
+  let forked =
+    let listener = Server.listen_unix path in
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> Some fd
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      if Unix.gettimeofday () > deadline then None
-      else begin
-        Unix.sleepf 0.05;
-        go ()
-      end
+    match
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      flush_all ();
+      Unix.fork ()
+    with
     | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      close_noerr fd;
+      close_noerr listener;
       raise e
+    | 0 ->
+      (* The worker owns its listener only: shed everything else the
+         router holds, and the router's trace sink unwritten. *)
+      close_noerr fd;
+      Hashtbl.iter (fun fd _ -> close_noerr fd) t.peers;
+      Trace.drop_sink ();
+      Trace.clear ();
+      run_worker t.cfg ~idx:slot ~listener ~path
+    | pid ->
+      close_noerr listener;
+      (fd, pid)
   in
-  go ()
+  match forked with
+  | exception Unix.Unix_error (e, fn, _) ->
+    Queue.push
+      (Core.Spawn_failed { slot; reason = Printf.sprintf "%s: %s" fn (Unix.error_message e) })
+      t.queue
+  | fd, pid ->
+    let c = conn fd in
+    t.workers.(slot) <- Some c;
+    Hashtbl.replace t.peers fd (Worker slot);
+    t.children <- pid :: t.children;
+    ignore (send c Core.boot_line);
+    Queue.push (Core.Spawned { slot; pid }) t.queue
 
-exception Boot_failure of string
+(* A failed write is followed by EOF on the read side, which is where
+   the core learns of the death. *)
+let to_worker t slot line =
+  match t.workers.(slot) with Some c -> ignore (send c line) | None -> ()
 
-(* Fork the whole fleet FIRST — the router has spawned no domain and
-   no thread yet, which is the only window OCaml 5 allows fork in.
-   (Respawns later go through the pre-forked warden.) *)
-let spawn_fleet cfg =
-  Mimd_util.Fs.mkdir_p cfg.worker_dir;
-  let jobs = worker_jobs cfg in
-  Array.init cfg.workers (fun idx ->
-      let path = worker_path cfg idx in
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      match Unix.fork () with
-      | 0 ->
-        run_worker ~idx ~path ~jobs ~queue_depth:cfg.queue_depth ~cache_dir:cfg.cache_dir
-          ~validate:cfg.validate ~trace:cfg.trace
-      | pid -> (idx, pid, path))
+let perform t = function
+  | Core.Reply { client; line } -> (
+    match Hashtbl.find_opt t.clients client with
+    | Some c -> if not (send c line) then drop_client t client c
+    | None -> ())
+  | Core.Forward { slot; line } -> to_worker t slot line
+  | Core.Retire { slot } -> to_worker t slot Core.retire_line
+  | Core.Spawn { slot } ->
+    if Core.boot_status t.core = `Up then
+      Trace.instant ~args:[ ("worker", string_of_int slot) ] "route.respawn";
+    spawn t slot
+  | Core.Stop ->
+    t.stop_by <- Some (Unix.gettimeofday () +. 2.0);
+    Hashtbl.filter_map_inplace
+      (fun fd peer -> if peer = Listener then (close_noerr fd; None) else Some peer)
+      t.peers;
+    (try Unix.unlink t.cfg.socket with Unix.Unix_error _ -> ())
 
-(* Dial one worker and prove its serve loop answers (synchronous boot
-   ping) before it joins the fleet — shared by boot and respawn. *)
-let connect_worker ~deadline ~idx ~pid ~path =
-  match connect_retry ~path ~deadline with
-  | None -> Error (Printf.sprintf "worker %d (pid %d) never bound %s" idx pid path)
-  | Some fd -> (
-    let ic = Unix.in_channel_of_descr fd in
-    let w_oc = Unix.out_channel_of_descr fd in
-    output_string w_oc "{\"id\":\"boot\",\"op\":\"ping\"}\n";
-    flush w_oc;
-    let booted =
-      match In_channel.input_line ic with
-      | Some line ->
-        Option.bind (Json.parse_opt line) (fun j ->
-            Option.bind (Json.member "ok" j) Json.to_bool_opt)
-        = Some true
-      | None | (exception Sys_error _) -> false
+let run_events t =
+  while not (Queue.is_empty t.queue) do
+    let ev = Queue.pop t.queue in
+    let feed () =
+      let core, actions = Core.step t.core ~now:(Unix.gettimeofday ()) ev in
+      t.core <- core;
+      List.iter (perform t) actions
     in
-    if booted then
-      Ok { idx; pid; path; fd; ic; w_oc; w_mutex = Mutex.create (); alive = true }
-    else begin
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Printf.sprintf "worker %d (pid %d) failed its boot ping" idx pid)
-    end)
+    match ev with
+    | Core.Client_line _ -> Trace.span ~cat:"route" "route.request" feed
+    | _ -> feed ()
+  done
 
-let connect_fleet spawned =
-  let deadline = Unix.gettimeofday () +. 15.0 in
-  Array.map
-    (fun (idx, pid, path) ->
-      match connect_worker ~deadline ~idx ~pid ~path with
-      | Ok w -> w
-      | Error msg -> raise (Boot_failure msg))
-    spawned
+let rec accept_all t lfd =
+  match Unix.accept lfd with
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ ->
+    let id = t.next_client in
+    t.next_client <- id + 1;
+    Hashtbl.replace t.clients id (conn fd);
+    Hashtbl.replace t.peers fd (Client id);
+    accept_all t lfd
 
-(* ---------------------------------------------------------------- *)
-(* Dispatch and failover                                              *)
+let on_readable t fd =
+  match Hashtbl.find_opt t.peers fd with
+  | Some Listener -> accept_all t fd
+  | Some (Client id) ->
+    let c = Hashtbl.find t.clients id in
+    let lines, eof = read_lines c in
+    List.iter (fun line -> Queue.push (Core.Client_line { client = id; line }) t.queue) lines;
+    if eof then drop_client t id c
+  | Some (Worker slot) -> (
+    match t.workers.(slot) with
+    | None -> ()
+    | Some c ->
+      let lines, eof = read_lines c in
+      List.iter (fun line -> Queue.push (Core.Worker_line { slot; line }) t.queue) lines;
+      if eof then drop_worker t slot c)
+  | None -> ()
 
-let set_inflight t = Metrics.set t.m_inflight (float_of_int (Atomic.get t.inflight))
+let on_writable t fd =
+  match Hashtbl.find_opt t.peers fd with
+  | Some (Client id) ->
+    let c = Hashtbl.find t.clients id in
+    if not (flush_out c) then drop_client t id c
+  | Some (Worker slot) -> Option.iter (fun c -> ignore (flush_out c)) t.workers.(slot)
+  | Some Listener | None -> ()
 
-let finish_request t =
-  Atomic.decr t.inflight;
-  set_inflight t
-
-let strip_id json =
-  match json with
-  | Json.Obj fields -> Json.Obj (List.filter (fun (k, _) -> k <> "id") fields)
-  | other -> other
-
-let with_rid request rid =
-  match request with
-  | Json.Obj fields -> Json.Obj (("id", Json.Int rid) :: fields)
-  | other -> other
-
-let worker_send w line =
-  Mutex.lock w.w_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.w_mutex)
-    (fun () ->
-      try
-        output_string w.w_oc line;
-        output_char w.w_oc '\n';
-        flush w.w_oc;
-        true
-      with Sys_error _ -> false)
-
-(* Failover takes the dead worker's *record*, not its index: respawn
-   replaces [t.workers.(idx)], and a racing EOF/EPIPE observed on the
-   old record must not take down the fresh one. *)
-let rec handle_worker_death t (w : worker) =
-  let idx = w.idx in
-  Mutex.lock t.death_mutex;
-  let was_alive = t.workers.(idx) == w && w.alive in
-  if was_alive then begin
-    w.alive <- false;
-    (try Unix.close w.fd with Unix.Unix_error _ -> ());
-    (* Initial workers are our children; respawned ones are the
-       warden's (its reap).  ECHILD is expected for the latter. *)
-    (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
-    if not (Atomic.get t.stop) then Metrics.inc t.m_deaths
-  end;
-  Mutex.unlock t.death_mutex;
-  if was_alive && not (Atomic.get t.stop) then begin
-    (* Re-shard every request that was in flight on the dead worker:
-       accepted requests are never dropped while any worker lives. *)
-    Mutex.lock t.pending_mutex;
-    let orphaned =
-      Hashtbl.fold
-        (fun rid (wi, p) acc -> if wi = idx then (rid, p) :: acc else acc)
-        t.pending []
-    in
-    List.iter (fun (rid, _) -> Hashtbl.remove t.pending rid) orphaned;
-    Mutex.unlock t.pending_mutex;
+(* One select round: write whoever can take it, read whoever is ready
+   and run what that produced through the core.  An idle round reaps
+   workers that exited after their EOF was seen. *)
+let pump t =
+  let reading = ref [] and writing = ref [] in
+  Hashtbl.iter
+    (fun fd peer ->
+      match peer with
+      | Listener -> reading := fd :: !reading
+      | Client id ->
+        let c = Hashtbl.find t.clients id in
+        if t.stop_by = None && c.backlog < max_backlog then reading := fd :: !reading;
+        if c.backlog > 0 then writing := fd :: !writing
+      | Worker slot -> (
+        reading := fd :: !reading;
+        match t.workers.(slot) with
+        | Some c when c.backlog > 0 -> writing := fd :: !writing
+        | _ -> ()))
+    t.peers;
+  match Unix.select !reading !writing [] 0.5 with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | [], [], _ -> reap_exited t
+  | readable, writable, _ ->
+    List.iter (on_writable t) writable;
+    run_events t;
     List.iter
-      (fun (_, p) ->
-        Metrics.inc t.m_retries;
-        dispatch t p)
-      orphaned;
-    maybe_respawn t idx
-  end
+      (fun fd ->
+        on_readable t fd;
+        run_events t)
+      readable
 
-and dispatch t p =
-  p.attempts <- p.attempts + 1;
-  if p.attempts > Array.length t.workers + 1 then begin
-    client_reply p.client
-      (Protocol.Error
-         {
-           id = p.orig_id;
-           kind = Protocol.Internal;
-           message = "request could not be placed on any worker";
-         });
-    finish_request t
-  end
-  else
-    match Ring.lookup t.ring ~key:p.key ~alive:(fun i -> t.workers.(i).alive) with
-    | None ->
-      client_reply p.client
-        (Protocol.Error
-           { id = p.orig_id; kind = Protocol.Internal; message = "no live workers" });
-      finish_request t
-    | Some idx ->
-      let w = t.workers.(idx) in
-      Metrics.inc t.m_shard_hits.(idx);
-      let rid = Atomic.fetch_and_add t.next_rid 1 in
-      Mutex.lock t.pending_mutex;
-      Hashtbl.replace t.pending rid (idx, p);
-      Mutex.unlock t.pending_mutex;
-      let line = Json.to_string (with_rid p.request rid) in
-      if not (worker_send w line) then begin
-        (* The write itself found the worker dead: failover now (the
-           entry we just registered rides along with the rest). *)
-        handle_worker_death t w
-      end
+(* Stopped and flushed: every worker gone and every reply written, or
+   the deadline passed. *)
+let finished t =
+  match t.stop_by with
+  | None -> false
+  | Some deadline ->
+    Unix.gettimeofday () > deadline
+    || Array.for_all Option.is_none t.workers
+       && Hashtbl.fold (fun _ c ok -> ok && c.backlog = 0) t.clients true
 
-(* Respawn supervision: budgeted per worker, storm-bounded fleet-wide.
-   Runs on whichever thread observed the death (reader or dispatcher);
-   the warden does the actual fork. *)
-and maybe_respawn t idx =
-  match t.warden with
-  | None -> ()
-  | Some warden ->
-    let admitted =
-      Mutex.lock t.death_mutex;
-      let was_tripped = Respawn.tripped t.breaker in
-      let ok = t.respawn_budget.(idx) > 0 && Respawn.record t.breaker in
-      if ok then t.respawn_budget.(idx) <- t.respawn_budget.(idx) - 1;
-      let now_tripped = Respawn.tripped t.breaker in
-      Mutex.unlock t.death_mutex;
-      if now_tripped && not was_tripped then
-        push_event t
-          (event ~kind:"breaker_tripped" ~worker:idx
-             [
-               ("limit", Json.Int (Respawn.limit t.breaker));
-               ("window_s", Json.Float (Respawn.window t.breaker));
-             ]);
-      ok
-    in
-    if admitted then begin
-      Trace.instant ~args:[ ("worker", string_of_int idx) ] "route.respawn";
-      match warden_spawn warden idx with
-      | None ->
-        push_event t
-          (event ~kind:"respawn_failed" ~worker:idx
-             [ ("reason", Json.String "warden unreachable") ])
-      | Some pid -> (
-        let deadline = Unix.gettimeofday () +. 15.0 in
-        match connect_worker ~deadline ~idx ~pid ~path:(worker_path t.cfg idx) with
-        | Error msg ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          push_event t
-            (event ~kind:"respawn_failed" ~worker:idx [ ("reason", Json.String msg) ])
-        | Ok w ->
-          Mutex.lock t.death_mutex;
-          t.workers.(idx) <- w;
-          Mutex.unlock t.death_mutex;
-          (* Event before counter: whoever sees the respawn counted
-             also finds it in [stats.events]. *)
-          push_event t (event ~kind:"respawn" ~worker:idx [ ("pid", Json.Int pid) ]);
-          Metrics.inc t.m_respawns;
-          track_thread t (Thread.create (reader_loop t) w))
-    end
-
-(* Reader thread: one per worker incarnation, owns that worker's
-   inbound side. *)
-and reader_loop t (w : worker) =
-  let rec loop () =
-    match In_channel.input_line w.ic with
-    | None | (exception Sys_error _) -> handle_worker_death t w
-    | Some line -> (
-      match Json.parse line with
-      | exception Json.Parse_error _ -> loop () (* torn frame from a dying worker *)
-      | reply_json ->
-        (match Option.bind (Json.member "id" reply_json) Json.to_int_opt with
-        | None -> () (* boot-ping stragglers etc.: unroutable, drop *)
-        | Some rid -> (
-          let entry =
-            Mutex.lock t.pending_mutex;
-            let e = Hashtbl.find_opt t.pending rid in
-            (match e with Some _ -> Hashtbl.remove t.pending rid | None -> ());
-            Mutex.unlock t.pending_mutex;
-            e
-          in
-          match entry with
-          | None -> () (* already failed over; a late duplicate *)
-          | Some (_, p) ->
-            let restored =
-              match reply_json with
-              | Json.Obj fields ->
-                Json.Obj
-                  (List.map
-                     (fun (k, v) -> if k = "id" then (k, p.orig_id) else (k, v))
-                     fields)
-              | other -> other
-            in
-            p.client.send (Json.to_string restored);
-            finish_request t));
-        loop ())
-  in
-  loop ()
-
-(* ---------------------------------------------------------------- *)
-(* Router-answered ops                                                *)
-
-let stats_json t =
-  let events =
-    Mutex.lock t.events_mutex;
-    let e = t.events in
-    Mutex.unlock t.events_mutex;
-    e
-  in
-  Json.Obj
-    [
-      ("router", Json.Bool true);
-      ( "workers",
-        Json.List
-          (Array.to_list
-             (Array.map
-                (fun w ->
-                  Json.Obj
-                    [
-                      ("idx", Json.Int w.idx);
-                      ("pid", Json.Int w.pid);
-                      ("path", Json.String w.path);
-                      ("alive", Json.Bool w.alive);
-                    ])
-                t.workers)) );
-      ("live", Json.Int (live_workers t));
-      ("inflight", Json.Int (Atomic.get t.inflight));
-      ("max_inflight", Json.Int t.cfg.max_inflight);
-      ("shed", Json.Int (Metrics.counter_value t.m_shed));
-      ("worker_deaths", Json.Int (Metrics.counter_value t.m_deaths));
-      ("retries", Json.Int (Metrics.counter_value t.m_retries));
-      ("respawns", Json.Int (Metrics.counter_value t.m_respawns));
-      ( "respawn",
-        Json.Obj
-          [
-            ("enabled", Json.Bool (t.warden <> None));
-            ( "budget",
-              Json.List
-                (Array.to_list (Array.map (fun b -> Json.Int b) t.respawn_budget)) );
-            ("breaker_tripped", Json.Bool (Respawn.tripped t.breaker));
-          ] );
-      ("events", Json.List events);
-    ]
-
-let shutdown_fleet t =
-  Array.iter
-    (fun w ->
-      if w.alive then begin
-        ignore (worker_send w "{\"id\":\"stop\",\"op\":\"shutdown\"}");
-        (* The worker replies Bye and closes; its reader thread sees
-           EOF and (stop being set) retires the worker quietly. *)
-        ()
-      end)
-    t.workers;
-  Array.iter
-    (fun w -> try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ())
-    t.workers;
-  Array.iter
-    (fun w -> try Unix.unlink w.path with Unix.Unix_error _ -> ())
-    t.workers;
-  (* EOF on the command channel is the warden's shutdown signal; it
-     reaps its own children (respawned workers) before exiting. *)
-  match t.warden with
-  | None -> ()
-  | Some w ->
-    (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
-
-(* ---------------------------------------------------------------- *)
-(* Client connections                                                 *)
-
-let serve_client t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let client = client_of_channel oc in
-  let rec loop () =
-    if Atomic.get t.stop then ()
-    else
-      match In_channel.input_line ic with
-      | None | (exception Sys_error _) -> ()
-      | Some line when String.trim line = "" -> loop ()
-      | Some line -> (
-        Trace.span ~cat:"route" "route.request" @@ fun () ->
-        match Protocol.request_of_line line with
-        | Error (id, message) ->
-          client_reply client (Protocol.Error { id; kind = Protocol.Protocol; message });
-          loop ()
-        | Ok (Protocol.Ping { id }) ->
-          Metrics.inc t.m_requests;
-          client_reply client (Protocol.Pong { id });
-          loop ()
-        | Ok (Protocol.Stats { id }) ->
-          Metrics.inc t.m_requests;
-          client_reply client (Protocol.Stats_reply { id; stats = stats_json t });
-          loop ()
-        | Ok (Protocol.Metrics { id }) ->
-          Metrics.inc t.m_requests;
-          set_inflight t;
-          client_reply client
-            (Protocol.Metrics_reply { id; text = Metrics.render t.registry });
-          loop ()
-        | Ok (Protocol.Shutdown { id }) ->
-          Metrics.inc t.m_requests;
-          Atomic.set t.stop true;
-          client_reply client (Protocol.Bye { id })
-        | Ok (Protocol.Compile { id; params }) ->
-          Metrics.inc t.m_requests;
-          (* Admission control: bounded in-flight, shed on saturation
-             with a structured overload error — the client can back
-             off and retry; nothing was dispatched. *)
-          let admitted =
-            let rec try_admit () =
-              let n = Atomic.get t.inflight in
-              if n >= t.cfg.max_inflight then false
-              else if Atomic.compare_and_set t.inflight n (n + 1) then true
-              else try_admit ()
-            in
-            try_admit ()
-          in
-          if not admitted then begin
-            Metrics.inc t.m_shed;
-            client_reply client
-              (Protocol.Error
-                 {
-                   id;
-                   kind = Protocol.Overload;
-                   message =
-                     Printf.sprintf "router at max in-flight (%d); retry later"
-                       t.cfg.max_inflight;
-                 })
-          end
-          else begin
-            set_inflight t;
-            let request =
-              match Json.parse line with
-              | j -> strip_id j
-              | exception Json.Parse_error _ -> Json.Null (* unreachable: it parsed above *)
-            in
-            dispatch t
-              {
-                orig_id = id;
-                request;
-                key = shard_key params;
-                client;
-                attempts = 0;
-              }
-          end;
-          loop ())
-  in
-  loop ()
-
-(* ---------------------------------------------------------------- *)
-(* Front door                                                         *)
+(* Close everything; give the children the rest of [grace] to exit,
+   then kill and reap them. *)
+let teardown t ~grace =
+  Hashtbl.iter (fun fd _ -> close_noerr fd) t.peers;
+  Hashtbl.reset t.peers;
+  let deadline = Unix.gettimeofday () +. grace in
+  while t.children <> [] && Unix.gettimeofday () < deadline do
+    reap_exited t;
+    if t.children <> [] then Unix.sleepf 0.02
+  done;
+  List.iter
+    (fun pid ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    t.children;
+  t.children <- [];
+  for i = 0 to t.cfg.workers - 1 do
+    try Unix.unlink (worker_path t.cfg i) with Unix.Unix_error _ -> ()
+  done;
+  Trace.close_sink ()
 
 let serve cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let spawned = spawn_fleet cfg in
-  (* The warden forks second, still pre-thread; it must exist before
-     the router grows reader threads or respawn is impossible. *)
-  let warden = if cfg.respawn > 0 then Some (spawn_warden cfg) else None in
-  (* Only now may this process create threads; and the parent's own
-     streaming sink opens after the forks so children never inherit
-     the fd. *)
-  (match cfg.trace with
-  | None -> ()
-  | Some base -> Trace.set_sink ~threshold:256 base);
-  match connect_fleet spawned with
-  | exception Boot_failure msg ->
-    Array.iter
-      (fun (_, pid, _) ->
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-      spawned;
-    (match warden with
-    | None -> ()
-    | Some w ->
-      (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
+  Mimd_util.Fs.mkdir_p cfg.worker_dir;
+  (match cfg.trace with None -> () | Some base -> Trace.set_sink ~threshold:256 base);
+  let core, spawns =
+    Core.create
+      {
+        Core.workers = cfg.workers;
+        max_inflight = cfg.max_inflight;
+        respawn = cfg.respawn;
+        paths = Array.init cfg.workers (worker_path cfg);
+      }
+  in
+  let t =
+    {
+      cfg;
+      core;
+      queue = Queue.create ();
+      clients = Hashtbl.create 16;
+      workers = Array.make cfg.workers None;
+      peers = Hashtbl.create 16;
+      next_client = 0;
+      children = [];
+      stop_by = None;
+    }
+  in
+  List.iter (perform t) spawns;
+  run_events t;
+  (* Boot: the router's socket appears only once every worker has
+     answered its boot ping. *)
+  let boot_deadline = Unix.gettimeofday () +. 15.0 in
+  let rec boot () =
+    match Core.boot_status t.core with
+    | `Up -> Ok ()
+    | `Failed msg -> Error msg
+    | `Booting when Unix.gettimeofday () > boot_deadline ->
+      Error "the fleet did not answer its boot pings within 15 s"
+    | `Booting ->
+      pump t;
+      boot ()
+  in
+  match boot () with
+  | Error msg ->
+    teardown t ~grace:0.0;
     prerr_endline ("mimdloop: route: " ^ msg);
     1
-  | workers ->
-    let registry = Metrics.create () in
-    let t =
-      {
-        cfg;
-        ring = Ring.create cfg.workers;
-        workers;
-        warden;
-        pending = Hashtbl.create 64;
-        pending_mutex = Mutex.create ();
-        next_rid = Atomic.make 1;
-        inflight = Atomic.make 0;
-        stop = Atomic.make false;
-        death_mutex = Mutex.create ();
-        respawn_budget = Array.make cfg.workers (max 0 cfg.respawn);
-        (* Storm bound: a healthy fleet never needs more than a couple
-           of respawns per worker inside one window. *)
-        breaker = Respawn.create ~limit:(max 4 (2 * cfg.workers)) ();
-        events = [];
-        events_mutex = Mutex.create ();
-        extra_threads = ref [];
-        extra_mutex = Mutex.create ();
-        registry;
-        m_requests =
-          Metrics.counter ~help:"Requests received by the router" registry
-            "mimd_route_requests_total";
-        m_shed =
-          Metrics.counter ~help:"Requests shed by admission control" registry
-            "mimd_route_shed_total";
-        m_deaths =
-          Metrics.counter ~help:"Worker processes lost" registry
-            "mimd_route_worker_deaths_total";
-        m_retries =
-          Metrics.counter ~help:"Requests re-dispatched after a worker death" registry
-            "mimd_route_retries_total";
-        m_respawns =
-          Metrics.counter ~help:"Workers respawned by the warden" registry
-            "mimd_dist_respawns_total";
-        m_inflight =
-          Metrics.gauge ~help:"Compile requests currently in flight" registry
-            "mimd_route_inflight";
-        m_shard_hits =
-          Array.init cfg.workers (fun i ->
-              Metrics.counter ~help:"Requests dispatched, by worker"
-                ~labels:[ ("worker", string_of_int i) ]
-                registry "mimd_route_shard_hits_total");
-      }
-    in
-    let readers =
-      Array.to_list (Array.map (fun w -> Thread.create (reader_loop t) w) workers)
-    in
-    (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
-    let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket);
-    Unix.listen listen_fd 16;
-    let threads = ref [] in
-    let conns = ref [] in
-    let conns_mutex = Mutex.create () in
-    let handle fd =
-      serve_client t fd;
-      if Atomic.get t.stop then begin
-        (* Wake the blocked accept with a throwaway connection (it
-           re-checks the stop flag first) and kick every other client
-           off its blocking read — same idiom as the serve socket
-           loop. *)
-        (let kick = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-         (try Unix.connect kick (Unix.ADDR_UNIX cfg.socket) with Unix.Unix_error _ -> ());
-         (try Unix.close kick with Unix.Unix_error _ -> ()));
-        Mutex.lock conns_mutex;
-        List.iter
-          (fun c -> try Unix.shutdown c Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-          !conns;
-        Mutex.unlock conns_mutex
-      end;
-      Mutex.lock conns_mutex;
-      conns := List.filter (fun c -> c <> fd) !conns;
-      Mutex.unlock conns_mutex;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-    in
-    let rec accept_loop () =
-      if Atomic.get t.stop then ()
-      else begin
-        match Unix.accept listen_fd with
-        | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
-          ->
-          ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-        | fd, _ ->
-          Mutex.lock conns_mutex;
-          conns := fd :: !conns;
-          Mutex.unlock conns_mutex;
-          threads := Thread.create handle fd :: !threads;
-          accept_loop ()
-      end
-    in
-    accept_loop ();
-    List.iter Thread.join !threads;
-    shutdown_fleet t;
-    List.iter Thread.join readers;
-    Mutex.lock t.extra_mutex;
-    let extras = !(t.extra_threads) in
-    Mutex.unlock t.extra_mutex;
-    List.iter Thread.join extras;
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
-    Trace.close_sink ();
+  | Ok () ->
+    let lfd = Server.listen_unix cfg.socket in
+    Unix.set_nonblock lfd;
+    Hashtbl.replace t.peers lfd Listener;
+    while not (finished t) do
+      pump t
+    done;
+    teardown t ~grace:3.0;
     0

@@ -13,28 +13,33 @@
     dropped while any worker lives) and the death is surfaced in
     [stats]/metrics.
 
-    {b Respawn supervision} ([respawn > 0]): a {e warden} process —
-    forked while the router is still single-threaded, because OCaml 5
-    forbids [fork] after the first thread/domain — re-forks a dead
-    worker on command over a Wire-framed socketpair.  Each worker
-    carries a respawn budget of [respawn]; a fleet-wide
-    {!Respawn} circuit breaker bounds respawn storms (a worker dying
-    of its environment would otherwise turn the supervisor into a
-    fork bomb).  A respawned worker is dialed, boot-pinged, swapped
-    into the fleet and given a fresh reader thread; every respawn
-    bumps [mimd_dist_respawns_total].  Supervision events
-    ([respawn], [respawn_failed], [breaker_tripped]) are kept, newest
-    first and bounded to 32, under [stats.events].
+    Every routing decision is {!Router_core.step}, a pure function of
+    the router's state and one event.  This module is the shell around
+    it: one [Unix.select] loop over the router's listener, the client
+    connections and the worker connections, with a line buffer and a
+    non-blocking output queue per connection.  A client whose unsent
+    replies pass a fixed bound is not read until it catches up, so a
+    client that stops reading throttles only itself.  The router
+    creates no thread and no domain.
+
+    {b Respawn supervision} ([respawn > 0]): the router re-forks a
+    dead worker itself.  It binds the slot's [worker-<i>.sock], dials
+    it, forks, and sends a boot ping; the slot takes traffic once the
+    ping's answer arrives.  Each worker carries a respawn budget of
+    [respawn]; a fleet-wide {!Respawn} circuit breaker bounds respawn
+    storms (a worker dying of its environment would otherwise turn the
+    supervisor into a fork bomb).  Every respawn bumps
+    [mimd_dist_respawns_total].  Supervision events ([respawn],
+    [respawn_failed], [breaker_tripped]) are kept, newest first and
+    bounded to 32, under [stats.events].
 
     Router-answered ops: [ping], [stats] (fleet topology: worker
     pids, liveness, in-flight, shed/retry/respawn counts, supervision
-    events), [metrics] (the [mimd_route_*] registry), [shutdown]
-    (stops the fleet).  [compile] is forwarded with a router-assigned
-    id and the reply is mapped back to the client's id.
-
-    Fork ordering: the fleet forks before the router creates any
-    thread, then the warden, and only then threads — see {!Runner}
-    for the OCaml 5 constraint. *)
+    events), [metrics] (the [mimd_route_*] families), [shutdown].
+    [compile] is forwarded with a router-assigned id and the reply is
+    mapped back to the client's id.  [shutdown] drains: later compiles
+    get an [overload] error, every admitted request is still answered,
+    and then the workers are asked to exit. *)
 
 type config = {
   workers : int;  (** fleet size (>= 1) *)
@@ -48,19 +53,15 @@ type config = {
   trace : string option;
       (** streaming-sink base: the router streams to this path, worker
           [i] to [<path>.worker<i>] (see {!Mimd_obs.Trace.set_sink}) *)
-  respawn : int;
-      (** per-worker respawn budget; 0 disables supervision (no warden
-          is forked) *)
+  respawn : int;  (** per-worker respawn budget; 0 disables supervision *)
 }
 
 val shard_key : Mimd_server.Protocol.compile_params -> string
-(** The digest the router shards by: loop source, processors, [k] and
-    iterations.  Deterministic across processes (exposed for the
-    tests). *)
+(** {!Router_core.shard_key}, the digest the router shards by
+    (exposed for the tests and the benchmark). *)
 
 val serve : config -> int
-(** Spawn the fleet, wait for every worker's boot ping, serve until a
-    [shutdown] request; returns the exit code.  Worker sockets and
-    the router socket are unlinked on the way out; all children are
-    reaped (respawned workers by the warden, which exits when the
-    router closes its command channel). *)
+(** Fork the fleet, wait for every worker's boot ping, serve until a
+    [shutdown] request has drained; returns the exit code (1 when the
+    fleet does not boot).  Every worker is reaped and the worker and
+    router sockets are unlinked on the way out. *)

@@ -42,8 +42,8 @@ type error_kind =
   | Validation  (** the independent checker rejected the fresh schedule *)
   | Deadline  (** the request's [deadline_ms] elapsed *)
   | Overload
-      (** shed by admission control: the router's in-flight bound is
-          full (retry later; the request was never dispatched) *)
+      (** shed by the router, never dispatched: its in-flight bound is
+          full (retry later), or it is draining after [shutdown] *)
   | Internal  (** unexpected exception; the message names it *)
 
 val error_kind_name : error_kind -> string

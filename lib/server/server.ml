@@ -144,14 +144,18 @@ let registry_shutdown_all reg =
     reg.fds;
   Mutex.unlock reg.mutex
 
-let serve_socket t ~path =
+let listen_unix path =
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 16;
+  fd
+
+let serve_socket ?listener t ~path =
   (* A client that disconnects mid-reply must cost us an EPIPE error,
      not a fatal SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX path);
-  Unix.listen listen_fd 16;
+  let listen_fd = match listener with Some fd -> fd | None -> listen_unix path in
   let reg = { fds = []; mutex = Mutex.create () } in
   let threads = ref [] in
   let handle fd =

@@ -50,11 +50,17 @@ val serve_stdio : t -> int
 (** {!serve_channels} over stdin/stdout.  Returns exit code 0: a
     request error is answered on the wire, not via the exit code. *)
 
-val serve_socket : t -> path:string -> int
+val listen_unix : string -> Unix.file_descr
+(** A listening Unix-domain socket bound at the path, replacing any
+    stale socket file. *)
+
+val serve_socket : ?listener:Unix.file_descr -> t -> path:string -> int
 (** Bind (replacing any stale socket file), accept, serve each
-    connection on its own thread.  A [shutdown] request from any
-    client stops the accept loop, unblocks the other connections and
-    drains the pool.  Returns exit code 0 on clean shutdown. *)
+    connection on its own thread.  [listener] is an already listening
+    socket bound at [path] (by {!listen_unix}) to serve instead.  A
+    [shutdown] request from any client stops the accept loop, unblocks
+    the other connections and drains the pool.  The socket file is
+    unlinked on the way out.  Returns exit code 0 on clean shutdown. *)
 
 val collect_corpus : string list -> (string list, string) result
 (** Expand batch arguments: directories are walked recursively for

@@ -5,6 +5,7 @@ let () =
          Unix.fork in a process that has ever created a domain — so it
          runs before any suite that spawns one. *)
       ("dist", Test_dist.suite);
+      ("router-core", Test_router_core.suite);
       ("util", Test_util.suite);
       ("ddg", Test_ddg.suite);
       ("machine", Test_machine.suite);

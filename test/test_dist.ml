@@ -732,12 +732,17 @@ let with_router ?(workers = 2) ?(extra = []) f =
   Unix.close devnull;
   Fun.protect
     ~finally:(fun () ->
-      (* belt and braces: ask politely, then make sure *)
-      (try
-         let c = client_connect sock in
-         ignore (rpc c {|{"id":"bye","op":"shutdown"}|});
-         client_close c
-       with _ -> ());
+      (* belt and braces: ask politely (unless the test already shut
+         the router down), then make sure *)
+      (match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Sys.file_exists sock -> (
+        try
+          let c = client_connect sock in
+          Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 5.0;
+          ignore (rpc c {|{"id":"bye","op":"shutdown"}|});
+          client_close c
+        with _ -> ())
+      | _ | (exception Unix.Unix_error _) -> ());
       let rec reap tries =
         match Unix.waitpid [ Unix.WNOHANG ] pid with
         | 0, _ when tries > 0 ->
@@ -867,8 +872,8 @@ let test_router_admission_shed () =
 let member_int name j = Option.bind (Json.member name j) Json.to_int_opt
 
 let test_router_respawn () =
-  (* Kill a worker under --respawn: the warden must re-fork it, the
-     router must boot-ping and re-admit it, and the fleet must answer
+  (* Kill a worker under --respawn: the router must re-fork it,
+     boot-ping and re-admit it, and the fleet must answer
      compiles at full strength with the respawn visible in stats and
      in mimd_dist_respawns_total. *)
   with_router ~workers:2 ~extra:[ "--respawn"; "2" ] @@ fun sock ->
@@ -882,7 +887,7 @@ let test_router_respawn () =
   check_int "two workers up" 2 (List.length pids);
   let victim, _ = List.hd pids in
   Unix.kill victim Sys.sigkill;
-  (* poll: death noticed, warden re-forked, boot ping answered *)
+  (* poll: death noticed, slot re-forked, boot ping answered *)
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec wait_recovered () =
     let st = stats c in
@@ -956,6 +961,72 @@ let test_router_retune_unknown () =
   check_bool "ping still answers" true
     (member_bool "ok" (rpc c {|{"id":2,"op":"ping"}|}) = Some true)
 
+let test_router_shutdown_drains () =
+  (* A shutdown from one client must not cut another client's admitted
+     compile off: the router drains, answers the compile admitted before
+     the shutdown and refuses the one sent after it, and only then
+     exits. *)
+  with_router ~workers:1 ~extra:[ "--jobs"; "1" ] @@ fun sock ->
+  let a = client_connect sock and b = client_connect sock in
+  Unix.setsockopt_float a.fd Unix.SO_RCVTIMEO 20.0;
+  Fun.protect ~finally:(fun () -> client_close a; client_close b) @@ fun () ->
+  send_line a
+    {|{"id":1,"op":"compile","loop":"for i = 1 to n { A[i] = A[i-1] + B[i]; B[i] = B[i-1] * 2; C[i] = A[i] + B[i]; D[i] = C[i-1] - A[i]; E[i] = D[i] + C[i]; }","iterations":100000,"processors":3}|};
+  (* long enough for the router to admit A's compile, far shorter than
+     the compile itself (over a second here) *)
+  Unix.sleepf 0.1;
+  check_bool "bye" true (member_bool "bye" (rpc b {|{"id":"s","op":"shutdown"}|}) = Some true);
+  send_line a (compile_req ~id:2 ~stmt:"Y[i]");
+  let replies =
+    List.init 2 (fun _ ->
+        match input_line a.ic with
+        | line -> Json.parse line
+        | exception End_of_file -> Alcotest.fail "EOF instead of a reply")
+  in
+  let by_id id = List.find_opt (fun r -> member_int "id" r = Some id) replies in
+  check_bool "admitted compile answered" true
+    (Option.bind (by_id 1) (member_bool "ok") = Some true);
+  check_bool "compile after shutdown refused" true
+    (Option.bind (by_id 2) error_kind = Some "overload");
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Sys.file_exists sock && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.05
+  done;
+  check_bool "router exits after draining" false (Sys.file_exists sock)
+
+let test_router_stalled_client () =
+  (* Client A pipelines thousands of memory-hit compiles and reads no
+     reply; client B on the same (only) worker must still be answered
+     promptly. *)
+  with_router ~workers:1 @@ fun sock ->
+  let a = client_connect sock and b = client_connect sock in
+  Fun.protect ~finally:(fun () -> client_close a; client_close b) @@ fun () ->
+  check_bool "warm" true (member_bool "ok" (rpc a (compile_req ~id:0 ~stmt:"Y[i]")) = Some true);
+  let line = compile_req ~id:1 ~stmt:"Y[i]" ^ "\n" in
+  let blob = String.concat "" (List.init 1000 (fun _ -> line)) in
+  Unix.set_nonblock a.fd;
+  let sent = ref 0 and off = ref 0 in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while Unix.gettimeofday () < deadline do
+    match Unix.single_write_substring a.fd blob !off (String.length blob - !off) with
+    | n ->
+      sent := !sent + n;
+      off := (!off + n) mod String.length blob
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Unix.sleepf 0.05
+  done;
+  let pipelined = !sent / String.length line in
+  check_bool (Printf.sprintf "thousands pipelined (%d)" pipelined) true (pipelined >= 1000);
+  Unix.setsockopt_float b.fd Unix.SO_RCVTIMEO 10.0;
+  let t0 = Unix.gettimeofday () in
+  let r =
+    match rpc b (compile_req ~id:2 ~stmt:"Y[i] * 9") with
+    | r -> r
+    | exception Sys_error e -> Alcotest.failf "client B got no answer: %s" e
+  in
+  let waited = Unix.gettimeofday () -. t0 in
+  check_bool "B answered" true (member_bool "ok" r = Some true);
+  check_bool (Printf.sprintf "B answered within 3 s (%.2f s)" waited) true (waited < 3.0)
+
 let suite =
   [
     Alcotest.test_case "wire: round-trip + clean close" `Quick test_wire_roundtrip;
@@ -1008,4 +1079,8 @@ let suite =
       test_runner_benchmark_shape;
     Alcotest.test_case "router: empty loops release their slots" `Quick
       test_router_empty_loop_releases_slot;
+    Alcotest.test_case "router: shutdown drains admitted work" `Quick
+      test_router_shutdown_drains;
+    Alcotest.test_case "router: a stalled client cannot stall the fleet" `Quick
+      test_router_stalled_client;
   ]
