@@ -21,85 +21,85 @@ type order = Lexicographic | Critical_path
 
 (* Per-processor timeline: a flat per-cycle occupancy arena.  Cell [c]
    holds the finish cycle of the busy interval covering it (0 = free —
-   valid intervals finish at >= 1) and the entry that owns it.  Slot
-   probing reads and jumps over machine-word cells with no allocation,
-   where the previous balanced-map timeline paid a search tree walk
-   plus a Seq materialisation per probe.  [next] is a skip pointer per
-   busy cell: every cell in [c, next.(c)) is busy, so following it from
-   any cell reaches the first free cell at or after it; path
-   compression keeps the chains short.  Cells only ever go from free to
-   busy, so a pointer never skips a free cell.  The arrays grow by
-   doubling; reads beyond the high-water mark mean "free". *)
+   valid intervals finish at >= 1) and the instance key of the entry
+   that owns it.  Slot probing reads and jumps over machine-word cells
+   with no allocation.  [next] is a skip pointer per busy cell: every
+   cell in [c, next.(c)) is busy, so following it from any cell
+   reaches the first free cell at or after it; path compression keeps
+   the chains short.  Cells only ever go from free to busy, so a
+   pointer never skips a free cell.  The arrays grow by doubling;
+   reads beyond the high-water mark mean "free". *)
 type timeline = {
   mutable cap : int;
   mutable fin : int array; (* cycle -> finish of covering interval, 0 = free *)
-  mutable ent : Schedule.entry array; (* meaningful where fin > 0 *)
+  mutable own : int array; (* owner's instance key, meaningful where fin > 0 *)
   mutable next : int array; (* meaningful where fin > 0 *)
 }
 
-let dummy_entry = Schedule.{ inst = { node = 0; iter = 0 }; proc = 0; start = -1 }
-let new_timeline () = { cap = 0; fin = [||]; ent = [||]; next = [||] }
+let new_timeline () = { cap = 0; fin = [||]; own = [||]; next = [||] }
 
 let ensure_capacity tl n =
   if n > tl.cap then begin
     let cap = max 1024 (max n (2 * tl.cap)) in
-    let fin = Array.make cap 0 and ent = Array.make cap dummy_entry in
-    let next = Array.make cap 0 in
-    Array.blit tl.fin 0 fin 0 tl.cap;
-    Array.blit tl.ent 0 ent 0 tl.cap;
-    Array.blit tl.next 0 next 0 tl.cap;
-    tl.cap <- cap;
-    tl.fin <- fin;
-    tl.ent <- ent;
-    tl.next <- next
+    let grow a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 tl.cap;
+      b
+    in
+    tl.fin <- grow tl.fin;
+    tl.own <- grow tl.own;
+    tl.next <- grow tl.next;
+    tl.cap <- cap
   end
 
-let place tl (e : Schedule.entry) ~len =
-  let f = e.start + len in
+let place tl ~key ~start ~len =
+  let f = start + len in
   ensure_capacity tl f;
-  for c = e.start to f - 1 do
+  for c = start to f - 1 do
     tl.fin.(c) <- f;
-    tl.ent.(c) <- e;
+    tl.own.(c) <- key;
     tl.next.(c) <- f
   done
 
 let is_free tl c = c >= tl.cap || tl.fin.(c) = 0
 
 (* Smallest free cell >= c; every busy cell on the way is pointed
-   straight at it. *)
-let next_free tl c =
-  let rec root c = if is_free tl c then c else root tl.next.(c) in
-  let r = root c in
-  let rec compress c =
-    if c < r then begin
-      let n = tl.next.(c) in
-      tl.next.(c) <- r;
-      compress n
-    end
-  in
-  compress c;
-  r
+   straight at it.  Top-level recursion with explicit arguments, so a
+   probe allocates no closure. *)
+let rec root tl c = if is_free tl c then c else root tl tl.next.(c)
 
-let interval_finish g (e : Schedule.entry) = e.start + Graph.latency g e.inst.node
+let rec compress tl c r =
+  if c < r then begin
+    let n = tl.next.(c) in
+    tl.next.(c) <- r;
+    compress tl n r
+  end
+
+let next_free tl c =
+  let r = root tl c in
+  compress tl c r;
+  r
 
 (* Earliest start >= ready of a free [len]-cycle window: jump to the
    first free cell, then scan the rest of the window; a busy cell in
    it rules out every start up to its interval's finish, so retry from
    there. *)
-let first_fit _g (tl : timeline) ~ready ~len =
-  let rec probe t =
-    let t = next_free tl t in
-    let rec scan c =
-      if c >= t + len then t else if is_free tl c then scan (c + 1) else probe tl.fin.(c)
-    in
-    scan (t + 1)
-  in
-  probe ready
+let rec probe tl t len =
+  let t = next_free tl t in
+  scan tl t (t + 1) len
+
+and scan tl t c len =
+  if c >= t + len then t
+  else if is_free tl c then scan tl t (c + 1) len
+  else probe tl tl.fin.(c) len
+
+let first_fit tl ~ready ~len = probe tl ready len
 
 (* Entries whose execution interval intersects [top, bottom] on one
    processor: walk backward from [bottom], hopping interval starts,
-   while starts can still reach the window. *)
-let overlapping _g (tl : timeline) ~max_latency ~top ~bottom =
+   while starts can still reach the window.  [entry_of] turns an
+   owner key back into its entry. *)
+let overlapping tl ~entry_of ~max_latency ~top ~bottom =
   let out = ref [] in
   let c = ref (min bottom (tl.cap - 1)) in
   let stop = ref false in
@@ -107,7 +107,7 @@ let overlapping _g (tl : timeline) ~max_latency ~top ~bottom =
     let f = tl.fin.(!c) in
     if f = 0 then decr c
     else begin
-      let e = tl.ent.(!c) in
+      let e : Schedule.entry = entry_of tl.own.(!c) in
       if e.start + max_latency > top then begin
         if f > top then out := e :: !out;
         c := e.start - 1
@@ -119,34 +119,46 @@ let overlapping _g (tl : timeline) ~max_latency ~top ~bottom =
 
 (* Node instances are identified by the int-packed pair
    [(iter lsl node_bits) lor node], and every per-instance table
-   (placement, admission count, ready bound) is a directly-indexed
-   array over that key space, grown by doubling — a machine-word read
-   or write per access, no hashing.  The ready queue is a plain
-   [Iset.t] of ints packing (iter, normalized priority, node) so that
-   integer order coincides with the tuple's lexicographic order.  The
-   frontier only ever answers "minimum ready-bound", so it is kept as
-   a multiset of rb values: an [Iset.t] of the distinct bounds plus a
-   per-bound multiplicity array. *)
+   (start, processor, admission count) is a
+   directly-indexed int array over that key space, grown by doubling —
+   a machine-word read or write per access, no hashing and no boxed
+   entry until the caller asks for one.  The ready queue is a binary
+   min-heap of ints packing (iter, normalized priority, node) so that
+   integer order coincides with the tuple's lexicographic order; the
+   keys are unique, so pops come out in exactly that order.  The graph
+   is flattened into CSR int arrays (latency, predecessor source,
+   distance and communication cost, successor destination and
+   distance) so the per-instance loops run over ints with no closure,
+   option or tuple.  The frontier only ever answers "minimum
+   ready-bound", so it is kept as a multiset of rb values: an [Iset.t]
+   of the distinct bounds plus a per-bound multiplicity array. *)
 type state = {
   graph : Graph.t;
-  csr : Graph.csr;
   machine : Config.t;
-  trip : int option; (* Some n: schedule iterations < n only *)
+  limit : int; (* schedule iterations < limit only; max_int = unbounded *)
+  lat : int array; (* node -> latency *)
+  pred_off : int array; (* preds of v: pred_off.(v) .. pred_off.(v+1)-1 *)
+  pred_src : int array;
+  pred_dist : int array;
+  pred_cost : int array; (* Config.edge_cost of the edge *)
+  succ_off : int array;
+  succ_dst : int array;
+  succ_dist : int array;
   timelines : timeline array;
   mutable inst_cap : int; (* capacity of the three instance arrays *)
-  mutable scheduled : Schedule.entry array; (* start = -1 when absent *)
+  mutable start_of : int array; (* -1 when absent *)
+  mutable proc_of : int array; (* meaningful where start_of >= 0 *)
   mutable counts : int array; (* max_int = never decremented *)
-  mutable rb_of : int array; (* -1 when absent *)
-  mutable entries_acc : Schedule.entry list; (* every placement, newest first *)
-  mutable ready : Iset.t; (* packed (iter, prio, node) *)
+  mutable heap : int array; (* ready queue: packed (iter, prio, node) *)
+  mutable heap_len : int;
   mutable fr_set : Iset.t; (* distinct ready-bounds in the frontier *)
   mutable fr_cap : int;
   mutable fr_count : int array; (* rb -> multiplicity *)
   mutable pops : int;
   mutable max_iter : int;
+  mutable makespan : int;
   max_latency : int;
   n_dist0_preds : int array;
-  n_all_preds : int array;
   priority : int array;
   (* packing parameters *)
   node_bits : int;
@@ -158,24 +170,23 @@ type state = {
   comm_max : int array; (* max finish + comm of preds on each proc *)
 }
 
+let grow_int a ~old_cap ~cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 old_cap;
+  b
+
 let ensure_inst st key =
   if key >= st.inst_cap then begin
-    let cap = max (2 * st.inst_cap) (key + 1) in
-    let scheduled = Array.make cap dummy_entry in
-    let counts = Array.make cap max_int in
-    let rb_of = Array.make cap (-1) in
-    Array.blit st.scheduled 0 scheduled 0 st.inst_cap;
-    Array.blit st.counts 0 counts 0 st.inst_cap;
-    Array.blit st.rb_of 0 rb_of 0 st.inst_cap;
-    st.inst_cap <- cap;
-    st.scheduled <- scheduled;
-    st.counts <- counts;
-    st.rb_of <- rb_of
+    let old_cap = st.inst_cap in
+    let cap = max (2 * old_cap) (key + 1) in
+    st.start_of <- grow_int st.start_of ~old_cap ~cap (-1);
+    st.proc_of <- grow_int st.proc_of ~old_cap ~cap 0;
+    st.counts <- grow_int st.counts ~old_cap ~cap max_int;
+    st.inst_cap <- cap
   end
 
-let scheduled_entry st key =
-  if key < st.inst_cap && st.scheduled.(key).start >= 0 then Some st.scheduled.(key)
-  else None
+(* Start cycle of a scheduled instance, -1 when it is not (yet). *)
+let start_at st key = if key < st.inst_cap then st.start_of.(key) else -1
 
 let check_preconditions g =
   if Graph.max_distance g > 1 then
@@ -211,6 +222,15 @@ let bits_for m =
   go 1
 
 let pack_inst st ~node ~iter = (iter lsl st.node_bits) lor node
+let inst_node st key = key land ((1 lsl st.node_bits) - 1)
+let inst_iter st key = key lsr st.node_bits
+
+let entry_of st key : Schedule.entry =
+  {
+    inst = { node = inst_node st key; iter = inst_iter st key };
+    proc = st.proc_of.(key);
+    start = st.start_of.(key);
+  }
 
 let pack_ready st ~iter ~prio ~node =
   assert (iter < st.iter_cap);
@@ -219,44 +239,116 @@ let pack_ready st ~iter ~prio ~node =
 let ready_iter st key = key lsr (st.prio_bits + st.node_bits)
 let ready_node st key = key land ((1 lsl st.node_bits) - 1)
 
+let heap_push st x =
+  if st.heap_len = Array.length st.heap then
+    st.heap <- grow_int st.heap ~old_cap:st.heap_len ~cap:(2 * st.heap_len) 0;
+  let h = st.heap in
+  let i = ref st.heap_len in
+  st.heap_len <- st.heap_len + 1;
+  while !i > 0 && h.((!i - 1) / 2) > x do
+    let parent = (!i - 1) / 2 in
+    h.(!i) <- h.(parent);
+    i := parent
+  done;
+  h.(!i) <- x
+
+let heap_pop st =
+  let h = st.heap in
+  let top = h.(0) in
+  let n = st.heap_len - 1 in
+  st.heap_len <- n;
+  if n > 0 then begin
+    let x = h.(n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let c = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
+        if h.(c) < x then begin
+          h.(!i) <- h.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    h.(!i) <- x
+  end;
+  top
+
+(* The earliest start any placement of (v, i) may take: the latest
+   finish among its predecessors.  Fixed once (v, i) is admitted, since
+   admission waits for every predecessor to be placed. *)
+let ready_bound st v i =
+  let rb = ref 0 in
+  for e = st.pred_off.(v) to st.pred_off.(v + 1) - 1 do
+    let pi = i - st.pred_dist.(e) in
+    if pi >= 0 then begin
+      let u = st.pred_src.(e) in
+      let s = start_at st (pack_inst st ~node:u ~iter:pi) in
+      if s >= 0 && s + st.lat.(u) > !rb then rb := s + st.lat.(u)
+    end
+  done;
+  !rb
+
 (* Only [solve] reads the frontier ({!final_frontier}); a bounded run
-   ([trip = Some n]) skips the two [Iset] updates per instance. *)
-let frontier_add st rb =
-  match st.trip with
-  | Some _ -> ()
-  | None ->
+   skips it, ready bounds included.  The bound being fixed from
+   admission on, removal recomputes it instead of storing it. *)
+let frontier_add st v i =
+  if st.limit = max_int then begin
+    let rb = ready_bound st v i in
     if rb >= st.fr_cap then begin
       let cap = max (2 * st.fr_cap) (rb + 1) in
-      let fr_count = Array.make cap 0 in
-      Array.blit st.fr_count 0 fr_count 0 st.fr_cap;
-      st.fr_cap <- cap;
-      st.fr_count <- fr_count
+      st.fr_count <- grow_int st.fr_count ~old_cap:st.fr_cap ~cap 0;
+      st.fr_cap <- cap
     end;
     let c = st.fr_count.(rb) in
     st.fr_count.(rb) <- c + 1;
     if c = 0 then st.fr_set <- Iset.add rb st.fr_set
+  end
 
-let frontier_remove st rb =
-  match st.trip with
-  | Some _ -> ()
-  | None ->
+let frontier_remove st v i =
+  if st.limit = max_int then begin
+    let rb = ready_bound st v i in
     let c = st.fr_count.(rb) in
     assert (c > 0);
     st.fr_count.(rb) <- c - 1;
     if c = 1 then st.fr_set <- Iset.remove rb st.fr_set
+  end
 
-let init_state ~graph ~machine ~trip ~order =
+let admit st v i =
+  ensure_inst st (pack_inst st ~node:v ~iter:i);
+  heap_push st (pack_ready st ~iter:i ~prio:st.priority.(v) ~node:v);
+  frontier_add st v i
+
+let init_state ~graph ~machine ~limit ~order =
   check_preconditions graph;
   let n = Graph.node_count graph in
   let csr = Graph.csr graph in
+  let m = Graph.edge_count graph in
+  let pred_off = Array.make (n + 1) 0 and succ_off = Array.make (n + 1) 0 in
+  let pred_src = Array.make m 0 and pred_dist = Array.make m 0 in
+  let pred_cost = Array.make m 0 in
+  let succ_dst = Array.make m 0 and succ_dist = Array.make m 0 in
   let n_dist0_preds = Array.make n 0 in
-  let n_all_preds = Array.make n 0 in
   for v = 0 to n - 1 do
+    let k = ref pred_off.(v) in
     Graph.iter_preds csr v (fun (e : Graph.edge) ->
-        n_all_preds.(v) <- n_all_preds.(v) + 1;
-        if e.distance = 0 then n_dist0_preds.(v) <- n_dist0_preds.(v) + 1)
+        pred_src.(!k) <- e.src;
+        pred_dist.(!k) <- e.distance;
+        pred_cost.(!k) <- Config.edge_cost machine e;
+        if e.distance = 0 then n_dist0_preds.(v) <- n_dist0_preds.(v) + 1;
+        incr k);
+    pred_off.(v + 1) <- !k;
+    let k = ref succ_off.(v) in
+    Graph.iter_succs csr v (fun (e : Graph.edge) ->
+        succ_dst.(!k) <- e.dst;
+        succ_dist.(!k) <- e.distance;
+        incr k);
+    succ_off.(v + 1) <- !k
   done;
-  let max_latency = List.fold_left (fun acc (nd : Graph.node) -> max acc nd.latency) 1 (Graph.nodes graph) in
+  let lat = Array.init n (Graph.latency graph) in
+  let max_latency = Array.fold_left max 1 lat in
   let priority = priorities graph order in
   let prio_base = Array.fold_left min 0 priority in
   let node_bits = bits_for (n - 1) in
@@ -266,24 +358,31 @@ let init_state ~graph ~machine ~trip ~order =
   let st =
     {
       graph;
-      csr;
       machine;
-      trip;
+      limit;
+      lat;
+      pred_off;
+      pred_src;
+      pred_dist;
+      pred_cost;
+      succ_off;
+      succ_dst;
+      succ_dist;
       timelines = Array.init p (fun _ -> new_timeline ());
       inst_cap = 1024;
-      scheduled = Array.make 1024 dummy_entry;
+      start_of = Array.make 1024 (-1);
+      proc_of = Array.make 1024 0;
       counts = Array.make 1024 max_int;
-      rb_of = Array.make 1024 (-1);
-      entries_acc = [];
-      ready = Iset.empty;
+      heap = Array.make (max 16 (2 * n)) 0;
+      heap_len = 0;
       fr_set = Iset.empty;
       fr_cap = 1024;
       fr_count = Array.make 1024 0;
       pops = 0;
       max_iter = 0;
+      makespan = 0;
       max_latency;
       n_dist0_preds;
-      n_all_preds;
       priority;
       node_bits;
       prio_bits;
@@ -294,13 +393,7 @@ let init_state ~graph ~machine ~trip ~order =
     }
   in
   for v = 0 to n - 1 do
-    if n_dist0_preds.(v) = 0 then begin
-      st.ready <- Iset.add (pack_ready st ~iter:0 ~prio:st.priority.(v) ~node:v) st.ready;
-      frontier_add st 0;
-      let key = pack_inst st ~node:v ~iter:0 in
-      ensure_inst st key;
-      st.rb_of.(key) <- 0
-    end
+    if n_dist0_preds.(v) = 0 then admit st v 0
   done;
   st
 
@@ -311,49 +404,27 @@ let init_state ~graph ~machine ~trip ~order =
    predecessors at all, whose next instance is admitted explicitly when
    the previous one is popped (such nodes never occur in a Cyclic
    subset; [solve] rejects them, [schedule_iterations] handles them). *)
-let initial_count st (v, i) =
-  if i = 0 then st.n_dist0_preds.(v) else st.n_all_preds.(v)
+let n_preds st v = st.pred_off.(v + 1) - st.pred_off.(v)
+let initial_count st v i = if i = 0 then st.n_dist0_preds.(v) else n_preds st v
 
-let ready_bound st (v, i) =
-  Graph.fold_preds st.csr v
-    (fun acc (e : Graph.edge) ->
-      let pi = i - e.distance in
-      if pi < 0 then acc
-      else
-        match scheduled_entry st (pack_inst st ~node:e.src ~iter:pi) with
-        | Some pe -> max acc (interval_finish st.graph pe)
-        | None -> acc (* unreachable: admission guarantees presence *))
-    0
 
-let admit st (v, i) =
-  let rb = ready_bound st (v, i) in
-  let key = pack_inst st ~node:v ~iter:i in
-  ensure_inst st key;
-  st.rb_of.(key) <- rb;
-  st.ready <- Iset.add (pack_ready st ~iter:i ~prio:st.priority.(v) ~node:v) st.ready;
-  frontier_add st rb
-
-let decrement st (v, i) =
-  let in_trip = match st.trip with None -> true | Some n -> i < n in
-  if in_trip then begin
+let decrement st v i =
+  if i < st.limit then begin
     let key = pack_inst st ~node:v ~iter:i in
     ensure_inst st key;
     let c0 = st.counts.(key) in
-    let c = (if c0 = max_int then initial_count st (v, i) else c0) - 1 in
+    let c = (if c0 = max_int then initial_count st v i else c0) - 1 in
     st.counts.(key) <- c;
-    if c = 0 then admit st (v, i)
+    if c = 0 then admit st v i
   end
 
-let schedule_one st ready_key =
+(* Pop the least ready instance and place it. *)
+let schedule_one st =
+  let ready_key = heap_pop st in
   let i = ready_iter st ready_key and v = ready_node st ready_key in
-  st.ready <- Iset.remove ready_key st.ready;
   let inst_key = pack_inst st ~node:v ~iter:i in
-  let rb = st.rb_of.(inst_key) in
-  (* every admitted instance records its bound in [admit]/[init_state] *)
-  assert (rb >= 0);
-  frontier_remove st rb;
-  st.rb_of.(inst_key) <- -1;
-  let len = Graph.latency st.graph v in
+  frontier_remove st v i;
+  let len = st.lat.(v) in
   let p = st.machine.Config.processors in
   (* One pass over the predecessors, bucketing their finish times by
      resident processor: [raw_max.(q)] is the latest finish among preds
@@ -363,22 +434,27 @@ let schedule_one st ready_key =
      max(raw_max.(j), max over q <> j of comm_max.(q)) — and that last
      term is the global top-1 of comm_max, or the top-2 when the top-1
      lives on j itself.  O(preds + p) instead of O(preds × p). *)
-  let best = ref None in
-  Array.fill st.raw_max 0 p (-1);
-  Array.fill st.comm_max 0 p (-1);
-  Graph.iter_preds st.csr v (fun (e : Graph.edge) ->
-      let pi = i - e.distance in
-      if pi >= 0 then
-        match scheduled_entry st (pack_inst st ~node:e.src ~iter:pi) with
-        | Some pe ->
-          let f = interval_finish st.graph pe in
-          if f > st.raw_max.(pe.proc) then st.raw_max.(pe.proc) <- f;
-          let fc = f + Config.edge_cost st.machine e in
-          if fc > st.comm_max.(pe.proc) then st.comm_max.(pe.proc) <- fc
-        | None -> ());
+  let raw_max = st.raw_max and comm_max = st.comm_max in
+  Array.fill raw_max 0 p (-1);
+  Array.fill comm_max 0 p (-1);
+  for e = st.pred_off.(v) to st.pred_off.(v + 1) - 1 do
+    let pi = i - st.pred_dist.(e) in
+    if pi >= 0 then begin
+      let u = st.pred_src.(e) in
+      let pk = pack_inst st ~node:u ~iter:pi in
+      let s = start_at st pk in
+      if s >= 0 then begin
+        let q = st.proc_of.(pk) in
+        let f = s + st.lat.(u) in
+        if f > raw_max.(q) then raw_max.(q) <- f;
+        let fc = f + st.pred_cost.(e) in
+        if fc > comm_max.(q) then comm_max.(q) <- fc
+      end
+    end
+  done;
   let top1 = ref (-1) and top1_proc = ref (-1) and top2 = ref (-1) in
   for q = 0 to p - 1 do
-    let c = st.comm_max.(q) in
+    let c = comm_max.(q) in
     if c > !top1 then begin
       top2 := !top1;
       top1 := c;
@@ -386,28 +462,32 @@ let schedule_one st ready_key =
     end
     else if c > !top2 then top2 := c
   done;
+  (* the first minimum: a later processor wins only by starting earlier *)
+  let best_t = ref max_int and best_j = ref (-1) in
   for j = 0 to p - 1 do
     let cross = if j = !top1_proc then !top2 else !top1 in
-    let ready_j = max 0 (max st.raw_max.(j) cross) in
-    let t = first_fit st.graph st.timelines.(j) ~ready:ready_j ~len in
-    match !best with
-    | Some (t0, _) when t0 <= t -> ()
-    | _ -> best := Some (t, j)
+    let raw = raw_max.(j) in
+    (* int comparisons written out: [Stdlib.max] is polymorphic *)
+    let ready_j = if raw > cross then raw else cross in
+    let ready_j = if ready_j > 0 then ready_j else 0 in
+    let t = first_fit st.timelines.(j) ~ready:ready_j ~len in
+    if t < !best_t then begin
+      best_t := t;
+      best_j := j
+    end
   done;
-  let t, j = match !best with Some b -> b | None -> assert false in
-  let entry = Schedule.{ inst = { node = v; iter = i }; proc = j; start = t } in
-  st.scheduled.(inst_key) <- entry;
-  st.entries_acc <- entry :: st.entries_acc;
-  place st.timelines.(j) entry ~len;
+  let t = !best_t and j = !best_j in
+  st.start_of.(inst_key) <- t;
+  st.proc_of.(inst_key) <- j;
+  place st.timelines.(j) ~key:inst_key ~start:t ~len;
+  if t + len > st.makespan then st.makespan <- t + len;
   st.pops <- st.pops + 1;
   if i + 1 > st.max_iter then st.max_iter <- i + 1;
   (* Release successors; keep predecessor-less nodes flowing. *)
-  Graph.iter_succs st.csr v (fun (e : Graph.edge) -> decrement st (e.dst, i + e.distance));
-  if st.n_all_preds.(v) = 0 then begin
-    let in_trip = match st.trip with None -> true | Some n -> i + 1 < n in
-    if in_trip then admit st (v, i + 1)
-  end;
-  entry
+  for e = st.succ_off.(v) to st.succ_off.(v + 1) - 1 do
+    decrement st st.succ_dst.(e) (i + st.succ_dist.(e))
+  done;
+  if n_preds st v = 0 && i + 1 < st.limit then admit st v (i + 1)
 
 (* Cycles strictly below the least ready-bound of any queued instance
    are final: every queued or future instance starts at or after that
@@ -415,47 +495,42 @@ let schedule_one st ready_key =
 let final_frontier st =
   match Iset.min_elt_opt st.fr_set with None -> max_int | Some rb -> rb
 
-let all_entries st = st.entries_acc
-
 let entries_overlapping st ~top ~bottom =
   let out = ref [] in
   Array.iter
     (fun tl ->
-      out := overlapping st.graph tl ~max_latency:st.max_latency ~top ~bottom @ !out)
+      let found = overlapping tl ~entry_of:(entry_of st) ~max_latency:st.max_latency ~top ~bottom in
+      out := found @ !out)
     st.timelines;
   !out
 
 (* The timeline arenas double as a start-cycle index: an entry starts
-   at [c] exactly when its cell at [c] records itself with that start.
+   at [c] exactly when the owner of its cell at [c] starts there.
    A range query is then O(p x range) array reads instead of a fold
    over every entry ever scheduled — the latter made pattern search
-   quadratic in the detection cycle. *)
+   quadratic in the detection cycle.  Walking cycles, then processors,
+   yields the entries in ascending (start, proc) order, which is
+   {!Schedule.entries}' order: intervals on one processor are disjoint,
+   so no two entries share a start and a processor. *)
 let entries_in_start_range st ~lo ~hi =
   let out = ref [] in
-  Array.iter
-    (fun tl ->
-      let hi = min hi tl.cap in
-      for c = max lo 0 to hi - 1 do
-        if tl.fin.(c) > 0 then begin
-          let e = tl.ent.(c) in
-          if e.start = c then out := e :: !out
-        end
-      done)
-    st.timelines;
+  for c = hi - 1 downto max lo 0 do
+    for j = Array.length st.timelines - 1 downto 0 do
+      let tl = st.timelines.(j) in
+      if c < tl.cap && tl.fin.(c) > 0 then begin
+        let key = tl.own.(c) in
+        if st.start_of.(key) = c then out := entry_of st key :: !out
+      end
+    done
+  done;
   !out
-
-let sort_entries l =
-  List.sort
-    (fun (a : Schedule.entry) (b : Schedule.entry) ->
-      compare (a.start, a.proc, a.inst.iter, a.inst.node) (b.start, b.proc, b.inst.iter, b.inst.node))
-    l
 
 (* Does the slice starting at t2 equal the body slice [t1, t2) shifted
    by (height, d)?  Both slices must be final when called. *)
 let period_repeats st ~t1 ~t2 ~d =
   let height = t2 - t1 in
-  let body = sort_entries (entries_in_start_range st ~lo:t1 ~hi:t2) in
-  let next = sort_entries (entries_in_start_range st ~lo:t2 ~hi:(t2 + height)) in
+  let body = entries_in_start_range st ~lo:t1 ~hi:t2 in
+  let next = entries_in_start_range st ~lo:t2 ~hi:(t2 + height) in
   let shifted =
     List.map
       (fun (e : Schedule.entry) ->
@@ -479,7 +554,7 @@ let solve ?(max_iterations = 1024) ?(verify = true) ?(order = Lexicographic) ~gr
             subset; schedule it with Flow_sched"
            (Graph.name graph v))
   done;
-  let st = init_state ~graph ~machine ~trip:None ~order in
+  let st = init_state ~graph ~machine ~limit:max_int ~order in
   let window_height = machine.Config.comm_estimate + st.max_latency in
   let window_height = max 1 window_height in
   let seen : Config_window.t Config_window.Tbl.t = Config_window.Tbl.create 256 in
@@ -497,14 +572,14 @@ let solve ?(max_iterations = 1024) ?(verify = true) ?(order = Lexicographic) ~gr
   let advance_until_final target =
     while final_frontier st < target do
       if st.pops >= max_pops then give_up ();
-      match Iset.min_elt_opt st.ready with
-      | None -> give_up () (* infinite unrolling never drains the queue *)
-      | Some key -> ignore (schedule_one st key)
+      (* infinite unrolling never drains the queue *)
+      if st.heap_len = 0 then give_up ();
+      schedule_one st
     done
   in
   let build_pattern ~t1 ~t2 ~d =
-    let body = sort_entries (entries_in_start_range st ~lo:t1 ~hi:t2) in
-    let prologue = sort_entries (entries_in_start_range st ~lo:0 ~hi:t1) in
+    let body = entries_in_start_range st ~lo:t1 ~hi:t2 in
+    let prologue = entries_in_start_range st ~lo:0 ~hi:t1 in
     Pattern.
       { graph; machine; prologue; body; window_start = t1; height = t2 - t1; iter_shift = d }
   in
@@ -564,29 +639,26 @@ let solve ?(max_iterations = 1024) ?(verify = true) ?(order = Lexicographic) ~gr
   in
   search ()
 
-let schedule_iterations ?(order = Lexicographic) ~graph ~machine ~iterations () =
+(* The bounded run: every instance of iterations [0, iterations) is
+   placed, and the placements are read back off the timelines in the
+   order a schedule keeps, so freezing them sorts nothing. *)
+let greedy_entries ?(order = Lexicographic) ~graph ~machine ~iterations () =
   if iterations <= 0 then invalid_arg "Cyclic_sched.schedule_iterations: iterations <= 0";
   Trace.span ~cat:"compile" "compile.schedule_iterations" @@ fun () ->
-  let st = init_state ~graph ~machine ~trip:(Some iterations) ~order in
-  let rec drain () =
-    match Iset.min_elt_opt st.ready with
-    | None -> ()
-    | Some key ->
-      ignore (schedule_one st key);
-      drain ()
-  in
-  drain ();
-  Schedule.make ~graph ~machine (all_entries st)
+  let st = init_state ~graph ~machine ~limit:iterations ~order in
+  while st.heap_len > 0 do
+    schedule_one st
+  done;
+  (entries_in_start_range st ~lo:0 ~hi:st.makespan, st.makespan)
+
+let schedule_iterations ?order ~graph ~machine ~iterations () =
+  Schedule.make ~graph ~machine (fst (greedy_entries ?order ~graph ~machine ~iterations ()))
 
 module For_tests = struct
   type nonrec timeline = timeline
 
   let empty_timeline = new_timeline
-
-  let add_entry g tl (e : Schedule.entry) =
-    place tl e ~len:(Graph.latency g e.inst.node);
-    tl
-
+  let place = place
   let first_fit = first_fit
   let overlapping = overlapping
 end

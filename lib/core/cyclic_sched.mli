@@ -77,6 +77,21 @@ val schedule_iterations :
     @raise Invalid_argument on non-positive [iterations] or violated
     preconditions. *)
 
+val greedy_entries :
+  ?order:order ->
+  graph:Mimd_ddg.Graph.t ->
+  machine:Mimd_machine.Config.t ->
+  iterations:int ->
+  unit ->
+  Schedule.entry list * int
+(** The run {!schedule_iterations} freezes: its entries, in the
+    ascending (start, proc) order of {!Schedule.entries}, and their
+    makespan — for a caller that decides
+    whether to keep the schedule before paying for {!Schedule.make}.
+    The per-instance loop allocates nothing: placements live in int
+    tables and the entries are built once, at the end.
+    @raise Invalid_argument as {!schedule_iterations}. *)
+
 (** Internal slot-probing primitives, exposed for the unit tests only.
     A timeline is one processor's per-cycle occupancy arena with
     pairwise-disjoint busy intervals and a next-free skip pointer per
@@ -86,22 +101,23 @@ module For_tests : sig
 
   val empty_timeline : unit -> timeline
 
-  val add_entry : Mimd_ddg.Graph.t -> timeline -> Schedule.entry -> timeline
-  (** Occupies [latency] cells from the entry's start.  The caller is
+  val place : timeline -> key:int -> start:int -> len:int -> unit
+  (** Occupies [len] cells from [start], owned by [key].  The caller is
       responsible for keeping intervals disjoint, as the scheduler
-      does; timelines are mutable, the return is for chaining. *)
+      does. *)
 
-  val first_fit : Mimd_ddg.Graph.t -> timeline -> ready:int -> len:int -> int
+  val first_fit : timeline -> ready:int -> len:int -> int
   (** Earliest start >= [ready] where a [len]-cycle interval fits.  The
       skip pointers carry it over a run of busy cells in amortised
       near-constant time, however many intervals the run holds. *)
 
   val overlapping :
-    Mimd_ddg.Graph.t ->
     timeline ->
+    entry_of:(int -> Schedule.entry) ->
     max_latency:int ->
     top:int ->
     bottom:int ->
     Schedule.entry list
-  (** Entries whose execution interval intersects [\[top, bottom\]]. *)
+  (** Entries whose execution interval intersects [\[top, bottom\]];
+      [entry_of] turns an owner key back into its entry. *)
 end

@@ -31,13 +31,33 @@ let shift_entries delta entries =
 let lookup_in g entries =
   Schedule.Index.find (Schedule.Index.of_entries ~nodes:(Graph.node_count g) entries)
 
-let run_separate ~max_iterations ~graph:g ~machine ~iterations cls =
+(* A schedule's entries before they are frozen, with its makespan and
+   the rest of its result: [freeze] builds the [t].  [Auto] compares
+   drafts and freezes only the one it keeps. *)
+type draft = {
+  entries : Schedule.entry list;
+  full_machine : Config.t;
+  makespan : int;
+  result : Schedule.t -> t;
+}
+
+let freeze ~graph d = d.result (Schedule.make ~graph ~machine:d.full_machine d.entries)
+
+(* The Cyclic core's pattern, in the Cyclic subgraph's node ids, or the
+   search's [No_pattern]; and the map back to the original ids. *)
+let solve_core ~max_iterations ~graph:g ~machine cls =
   let cyc_g, old_of_new, _ = Classify.cyclic_subgraph g cls in
-  let result =
-    Trace.span ~cat:"compile" "compile.cyclic_sched" (fun () ->
-        Cyclic_sched.solve ~max_iterations ~graph:cyc_g ~machine ())
+  let pattern =
+    match
+      Trace.span ~cat:"compile" "compile.cyclic_sched" (fun () ->
+          Cyclic_sched.solve ~max_iterations ~graph:cyc_g ~machine ())
+    with
+    | r -> Ok r.Cyclic_sched.pattern
+    | exception (Cyclic_sched.No_pattern _ as e) -> Error e
   in
-  let pattern = result.Cyclic_sched.pattern in
+  (pattern, old_of_new)
+
+let separate_draft ~graph:g ~machine ~iterations cls ~pattern ~old_of_new =
   let cyclic_entries_local = Pattern.expand_entries pattern ~iterations in
   let cyclic_entries =
     List.map
@@ -75,46 +95,98 @@ let run_separate ~max_iterations ~graph:g ~machine ~iterations cls =
           ~procs:p_out ~base_proc:(p_cyc + p_in) ~iterations ~producer:core_lookup)
   in
   let total = p_cyc + p_in + p_out in
-  let full_machine =
-    Config.make ~processors:total ~comm_estimate:machine.Config.comm_estimate
-  in
-  let schedule =
-    Schedule.make ~graph:g ~machine:full_machine (cyclic_entries @ flow_in @ flow_out)
-  in
+  let entries = cyclic_entries @ flow_in @ flow_out in
   {
-    schedule;
-    classification = cls;
-    pattern = Some pattern;
-    cyclic_old_of_new = old_of_new;
-    cyclic_processors = p_cyc;
-    flow_in_processors = p_in;
-    flow_out_processors = p_out;
-    startup_shift = shift;
-    folded = false;
+    entries;
+    full_machine = Config.make ~processors:total ~comm_estimate:machine.Config.comm_estimate;
+    makespan =
+      List.fold_left
+        (fun acc (e : Schedule.entry) -> max acc (e.start + Graph.latency g e.inst.node))
+        0 entries;
+    result =
+      (fun schedule ->
+        {
+          schedule;
+          classification = cls;
+          pattern = Some pattern;
+          cyclic_old_of_new = old_of_new;
+          cyclic_processors = p_cyc;
+          flow_in_processors = p_in;
+          flow_out_processors = p_out;
+          startup_shift = shift;
+          folded = false;
+        });
   }
 
-let run_folded ~max_iterations ~graph:g ~machine ~iterations cls =
-  let cyc_g, old_of_new, _ = Classify.cyclic_subgraph g cls in
-  let pattern =
-    match
-      Trace.span ~cat:"compile" "compile.cyclic_sched" (fun () ->
-          Cyclic_sched.solve ~max_iterations ~graph:cyc_g ~machine ())
-    with
-    | r -> Some r.Cyclic_sched.pattern
-    | exception Cyclic_sched.No_pattern _ -> None
-  in
-  let schedule = Cyclic_sched.schedule_iterations ~graph:g ~machine ~iterations () in
+let folded_draft ~graph:g ~machine ~iterations cls ~pattern ~old_of_new =
+  let entries, makespan = Cyclic_sched.greedy_entries ~graph:g ~machine ~iterations () in
   {
-    schedule;
-    classification = cls;
-    pattern;
-    cyclic_old_of_new = old_of_new;
-    cyclic_processors = machine.Config.processors;
-    flow_in_processors = 0;
-    flow_out_processors = 0;
-    startup_shift = 0;
-    folded = true;
+    entries;
+    full_machine = machine;
+    makespan;
+    result =
+      (fun schedule ->
+        {
+          schedule;
+          classification = cls;
+          pattern;
+          cyclic_old_of_new = old_of_new;
+          cyclic_processors = machine.Config.processors;
+          flow_in_processors = 0;
+          flow_out_processors = 0;
+          startup_shift = 0;
+          folded = true;
+        });
   }
+
+(* [Auto]: keep the fold when its makespan [mf] is within
+   [fold_tolerance] of the Separate makespan [ms].  By Theorem 1 the
+   Separate schedule holds the pattern's expansion shifted by
+   [startup_shift >= 0], so [Pattern.makespan] is a lower bound [lb] on
+   [ms], priced in O(pattern): when [mf <= lb (1 + tolerance)] the rule
+   already picks the fold and Separate is never built.  Otherwise both
+   are built and the rule compares their makespans; only the winner is
+   frozen, and the loser goes through {!Schedule.check}, so it raises
+   whatever freezing it would.  A Cyclic core whose weakly-connected
+   components advance at different rates never settles into a joint
+   pattern (the paper schedules such components independently); then
+   the folded greedy, which needs no pattern, is the only candidate. *)
+let run_auto ~fold_tolerance ~max_iterations ~graph:g ~machine ~iterations cls =
+  let pattern, old_of_new = solve_core ~max_iterations ~graph:g ~machine cls in
+  let pattern = Result.to_option pattern in
+  let folded = folded_draft ~graph:g ~machine ~iterations cls ~pattern ~old_of_new in
+  let mf = folded.makespan in
+  let keeps_fold ms = float_of_int mf <= float_of_int ms *. (1.0 +. fold_tolerance) in
+  let note ~keep ~lb ~ms =
+    if Trace.is_enabled () then
+      Trace.instant "compile.auto"
+        ~args:
+          [
+            ("folded", string_of_bool keep);
+            ("separate_built", string_of_bool (ms >= 0));
+            ("lb", string_of_int lb);
+            ("mf", string_of_int mf);
+            ("ms", string_of_int ms);
+          ]
+  in
+  match pattern with
+  | None ->
+    note ~keep:true ~lb:(-1) ~ms:(-1);
+    freeze ~graph:g folded
+  | Some pattern ->
+    let lb = Pattern.makespan pattern ~iterations in
+    if keeps_fold lb then begin
+      note ~keep:true ~lb ~ms:(-1);
+      freeze ~graph:g folded
+    end
+    else begin
+      let separate = separate_draft ~graph:g ~machine ~iterations cls ~pattern ~old_of_new in
+      let keep = keeps_fold separate.makespan in
+      note ~keep ~lb ~ms:separate.makespan;
+      let winner, loser = if keep then (folded, separate) else (separate, folded) in
+      Schedule.check ~graph:g ~machine:loser.full_machine loser.entries;
+      freeze ~graph:g winner
+    end
 
 let run_doall ~graph:g ~machine ~iterations cls =
   let schedule = Cyclic_sched.schedule_iterations ~graph:g ~machine ~iterations () in
@@ -160,23 +232,15 @@ let finish ?(strategy = Auto) ?(fold_tolerance = 0.05) ?(max_iterations = 1024)
     if Classify.is_doall cls then run_doall ~graph:g ~machine ~iterations cls
     else begin
       match strategy with
-      | Separate -> run_separate ~max_iterations ~graph:g ~machine ~iterations cls
-      | Folded -> run_folded ~max_iterations ~graph:g ~machine ~iterations cls
-      | Auto -> begin
-        (* A Cyclic core whose weakly-connected components advance at
-           different rates never settles into a joint pattern (the paper
-           schedules such components independently); fall back to the
-           folded greedy, which needs no pattern. *)
-        match run_separate ~max_iterations ~graph:g ~machine ~iterations cls with
-        | separate ->
-          let folded = run_folded ~max_iterations ~graph:g ~machine ~iterations cls in
-          let ms = Schedule.makespan separate.schedule in
-          let mf = Schedule.makespan folded.schedule in
-          if float_of_int mf <= float_of_int ms *. (1.0 +. fold_tolerance) then folded
-          else separate
-        | exception Cyclic_sched.No_pattern _ ->
-          run_folded ~max_iterations ~graph:g ~machine ~iterations cls
-      end
+      | Separate ->
+        let pattern, old_of_new = solve_core ~max_iterations ~graph:g ~machine cls in
+        let pattern = match pattern with Ok p -> p | Error e -> raise e in
+        freeze ~graph:g (separate_draft ~graph:g ~machine ~iterations cls ~pattern ~old_of_new)
+      | Folded ->
+        let pattern, old_of_new = solve_core ~max_iterations ~graph:g ~machine cls in
+        let pattern = Result.to_option pattern in
+        freeze ~graph:g (folded_draft ~graph:g ~machine ~iterations cls ~pattern ~old_of_new)
+      | Auto -> run_auto ~fold_tolerance ~max_iterations ~graph:g ~machine ~iterations cls
     end
   in
   if validate then begin

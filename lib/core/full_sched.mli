@@ -14,8 +14,14 @@
     folded into them instead of taking extra processors — formalised
     here by running the same greedy policy over the {e whole} graph on
     the Cyclic processor count, which fills exactly those idle slots.
-    [Auto] measures both and keeps the fold when it costs at most
-    [fold_tolerance] extra makespan (default 5%). *)
+    [Auto] keeps the fold when it costs at most [fold_tolerance] extra
+    makespan over the Separate schedule (default 5%).  It solves the
+    pattern once and prices Separate from below first: by Theorem 1 the
+    Separate schedule contains the pattern's expansion, shifted by
+    [startup_shift >= 0], so {!Pattern.makespan} bounds its makespan
+    from below, and when the fold is within tolerance of that bound
+    Separate is never built.  The decision is identical to building
+    both (test-enforced); a [compile.auto] trace instant records it. *)
 
 type strategy = Separate | Folded | Auto
 

@@ -46,9 +46,28 @@ let expand_entries t ~iterations =
 let expand t ~iterations =
   Schedule.make ~graph:t.graph ~machine:t.machine (expand_entries t ~iterations)
 
+(* Theorem 1 in closed form: body entry [e] recurs while its iteration
+   stays below [iterations], so its last copy is repetition
+   [(iterations - 1 - e.iter) / iter_shift] and finishes at [e.start +
+   r * height + latency]; the makespan is the largest such finish (or
+   prologue finish).  O(pattern), where {!expand} is O(iterations). *)
 let makespan t ~iterations =
-  let sched = expand t ~iterations in
-  Schedule.makespan sched
+  if iterations <= 0 then invalid_arg "Pattern.makespan: iterations <= 0";
+  let finish acc (e : Schedule.entry) ~reps =
+    max acc (e.start + (reps * t.height) + Graph.latency t.graph e.inst.node)
+  in
+  let acc =
+    List.fold_left
+      (fun acc (e : Schedule.entry) ->
+        if e.inst.iter < iterations then finish acc e ~reps:0 else acc)
+      0 t.prologue
+  in
+  List.fold_left
+    (fun acc (e : Schedule.entry) ->
+      if e.inst.iter < iterations then
+        finish acc e ~reps:((iterations - 1 - e.inst.iter) / t.iter_shift)
+      else acc)
+    acc t.body
 
 let utilization t =
   let busy =

@@ -47,7 +47,10 @@ val expand_entries : t -> iterations:int -> Schedule.entry list
     @raise Invalid_argument if [iterations <= 0]. *)
 
 val makespan : t -> iterations:int -> int
-(** Makespan of {!expand t ~iterations}. *)
+(** Makespan of {!expand t ~iterations}, computed in O(pattern) from
+    the closed form: each entry's last repetition below [iterations]
+    (test-checked against the expansion).
+    @raise Invalid_argument if [iterations <= 0]. *)
 
 val utilization : t -> float
 (** Busy share of the steady state: total body latency over

@@ -36,16 +36,21 @@ module Index = struct
       entries;
     if entries = [] then (0, 0) else (!lo, !hi - !lo + 1)
 
-  let key t inst =
-    let d = inst.iter - t.iter_lo in
-    if d < 0 || d >= t.span || inst.node < 0 || inst.node >= t.nodes then -1
-    else (d * t.nodes) + inst.node
+  let key_of t ~node ~iter =
+    let d = iter - t.iter_lo in
+    if d < 0 || d >= t.span || node < 0 || node >= t.nodes then -1 else (d * t.nodes) + node
+
+  let key t inst = key_of t ~node:inst.node ~iter:inst.iter
 
   let slot t inst =
     let k = key t inst in
     if k < 0 then absent else t.cells.(k)
 
   let mem t inst = (slot t inst).start >= 0
+
+  let proc_at t ~node ~iter =
+    let k = key_of t ~node ~iter in
+    if k < 0 then -1 else if t.cells.(k).start < 0 then -1 else t.cells.(k).proc
 
   let find t inst =
     let e = slot t inst in
@@ -71,7 +76,9 @@ type t = {
   by_proc : entry list array; (* ascending start *)
 }
 
-let make ~graph ~machine entry_list =
+(* The per-entry checks and the instance index every schedule carries.
+   [make] and [check] share them, so both raise the same errors. *)
+let index_entries ~graph ~machine entry_list =
   let nodes = Graph.node_count graph in
   List.iter
     (fun e ->
@@ -88,12 +95,23 @@ let make ~graph ~machine entry_list =
       if Index.mem index e.inst then invalid_arg "Schedule.make: duplicate instance";
       Index.add index e)
     entry_list;
-  let compare_entry a b =
-    if a.start <> b.start then compare a.start b.start
-    else if a.proc <> b.proc then compare a.proc b.proc
-    else compare_instance a.inst b.inst
-  in
-  let all = List.sort compare_entry entry_list in
+  index
+
+let check ~graph ~machine entry_list = ignore (index_entries ~graph ~machine entry_list)
+
+let compare_entry a b =
+  if a.start <> b.start then compare a.start b.start
+  else if a.proc <> b.proc then compare a.proc b.proc
+  else compare_instance a.inst b.inst
+
+let rec ascending = function
+  | a :: (b :: _ as rest) -> compare_entry a b < 0 && ascending rest
+  | [ _ ] | [] -> true
+
+let make ~graph ~machine entry_list =
+  let index = index_entries ~graph ~machine entry_list in
+  (* a list that already ascends (the greedy's does) is kept as is *)
+  let all = if ascending entry_list then entry_list else List.sort compare_entry entry_list in
   let by_proc = Array.make machine.Config.processors [] in
   List.iter (fun e -> by_proc.(e.proc) <- e :: by_proc.(e.proc)) (List.rev all);
   { graph; machine; all; index; by_proc }
@@ -104,6 +122,7 @@ let entries t = t.all
 let entries_on t p = t.by_proc.(p)
 let find t inst = Index.find t.index inst
 let is_scheduled t inst = Index.mem t.index inst
+let proc_at t ~node ~iter = Index.proc_at t.index ~node ~iter
 
 let finish t e = e.start + Graph.latency t.graph e.inst.node
 let makespan t = List.fold_left (fun acc e -> max acc (finish t e)) 0 t.all

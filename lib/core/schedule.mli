@@ -56,6 +56,10 @@ val make : graph:Mimd_ddg.Graph.t -> machine:Mimd_machine.Config.t -> entry list
     duplicate instances, negative start cycles, or processor ids
     outside the machine. *)
 
+val check : graph:Mimd_ddg.Graph.t -> machine:Mimd_machine.Config.t -> entry list -> unit
+(** The checks of {!make} without building the schedule: raises exactly
+    what [make] would raise on the same arguments. *)
+
 val graph : t -> Mimd_ddg.Graph.t
 val machine : t -> Mimd_machine.Config.t
 val entries : t -> entry list
@@ -69,6 +73,10 @@ val find : t -> instance -> entry option
     instance over the iterations the schedule spans. *)
 
 val is_scheduled : t -> instance -> bool
+
+val proc_at : t -> node:int -> iter:int -> int
+(** Processor of instance [(node, iter)], or [-1] when it is not
+    scheduled: {!find} without the option or the instance record. *)
 
 val finish : t -> entry -> int
 (** [start + latency]. *)

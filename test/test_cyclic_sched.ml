@@ -248,6 +248,31 @@ let prop_more_processors_never_hurt_much =
       in
       float_of_int m4 <= (1.2 *. float_of_int m1) +. 20.0)
 
+let prop_makespan_closed_form =
+  let gen =
+    QCheck2.Gen.(
+      let* spec = gen_cyclic_graph in
+      let* p = int_range 1 4 in
+      let* k = int_range 0 3 in
+      return (spec, p, k))
+  in
+  let print (spec, p, k) = Printf.sprintf "p=%d k=%d %s" p k (print_graph_spec spec) in
+  qtest ~count:60 "pattern: closed-form makespan == expanded makespan" gen print
+    (fun (spec, p, k) ->
+      let r = solve ~p ~k (build_cyclic spec) in
+      let pat = r.Cyclic_sched.pattern in
+      let last_iter =
+        List.fold_left
+          (fun acc (e : Schedule.entry) -> max acc e.inst.iter)
+          0 (pat.Pattern.prologue @ pat.Pattern.body)
+      in
+      let upto = last_iter + 1 + (5 * pat.Pattern.iter_shift) in
+      List.for_all
+        (fun iterations ->
+          Pattern.makespan pat ~iterations
+          = Schedule.makespan (Pattern.expand pat ~iterations))
+        (List.init upto (fun i -> i + 1)))
+
 let test_pattern_utilization () =
   (* fig7: 10 latency in a 2x6 pattern = 5/6 busy. *)
   let r = solve (fig7 ()) in
@@ -286,26 +311,24 @@ module FT = Cyclic_sched.For_tests
 let entry ~node ~iter ~proc ~start = Schedule.{ inst = { node; iter }; proc; start }
 
 let test_first_fit_gap_exactly_fits () =
-  let g = graph_of ~latencies:[| 2; 3 |] ~edges:[ (0, 0, 1); (1, 1, 1) ] in
   (* busy [0,2) and [5,8): the gap [2,5) is exactly three cycles wide *)
   let tl = FT.empty_timeline () in
-  let tl = FT.add_entry g tl (entry ~node:0 ~iter:0 ~proc:0 ~start:0) in
-  let tl = FT.add_entry g tl (entry ~node:1 ~iter:0 ~proc:0 ~start:5) in
-  check_int "3-wide interval lands in the 3-wide gap" 2 (FT.first_fit g tl ~ready:0 ~len:3);
-  check_int "4-wide interval skips past both" 8 (FT.first_fit g tl ~ready:0 ~len:4);
-  check_int "ready at the gap's first cycle still fits" 2 (FT.first_fit g tl ~ready:2 ~len:3);
-  check_int "ready past the gap start cannot use it" 8 (FT.first_fit g tl ~ready:3 ~len:3)
+  FT.place tl ~key:0 ~start:0 ~len:2;
+  FT.place tl ~key:1 ~start:5 ~len:3;
+  check_int "3-wide interval lands in the 3-wide gap" 2 (FT.first_fit tl ~ready:0 ~len:3);
+  check_int "4-wide interval skips past both" 8 (FT.first_fit tl ~ready:0 ~len:4);
+  check_int "ready at the gap's first cycle still fits" 2 (FT.first_fit tl ~ready:2 ~len:3);
+  check_int "ready past the gap start cannot use it" 8 (FT.first_fit tl ~ready:3 ~len:3)
 
 let test_first_fit_abutting () =
-  let g = graph_of ~latencies:[| 2 |] ~edges:[ (0, 0, 1) ] in
   let tl = FT.empty_timeline () in
   (* busy [3,5): candidates may end exactly where it starts and begin
      exactly where it finishes *)
-  let tl = FT.add_entry g tl (entry ~node:0 ~iter:0 ~proc:0 ~start:3) in
-  check_int "abuts the busy interval from below" 1 (FT.first_fit g tl ~ready:1 ~len:2);
+  FT.place tl ~key:0 ~start:3 ~len:2;
+  check_int "abuts the busy interval from below" 1 (FT.first_fit tl ~ready:1 ~len:2);
   check_int "ready inside the busy interval slides to its finish" 5
-    (FT.first_fit g tl ~ready:4 ~len:2);
-  check_int "empty tail fits at ready" 7 (FT.first_fit g tl ~ready:7 ~len:2)
+    (FT.first_fit tl ~ready:4 ~len:2);
+  check_int "empty tail fits at ready" 7 (FT.first_fit tl ~ready:7 ~len:2)
 
 (* The skip pointers must give exactly the earliest fit a cell-by-cell
    scan gives.  Each op is a probe or a placement at the first fit,
@@ -314,9 +337,7 @@ let test_first_fit_abutting () =
    then forces it to double under the pointers; random bounds up to
    3000 double it again. *)
 let prop_first_fit_matches_scan =
-  let g =
-    graph_of ~latencies:[| 1; 2; 3; 5 |] ~edges:[ (0, 0, 1); (1, 1, 1); (2, 2, 1); (3, 3, 1) ]
-  in
+  let lens = [| 1; 2; 3; 5 |] in
   let gen =
     QCheck2.Gen.(
       list_size (int_range 100 400)
@@ -337,11 +358,11 @@ let prop_first_fit_matches_scan =
       let tl = FT.empty_timeline () in
       List.for_all
         (fun (place, ready, node) ->
-          let len = Graph.latency g node in
-          let got = FT.first_fit g tl ~ready ~len in
+          let len = lens.(node) in
+          let got = FT.first_fit tl ~ready ~len in
           let ok = got = scan ready len in
           if place then begin
-            ignore (FT.add_entry g tl (entry ~node ~iter:0 ~proc:0 ~start:got));
+            FT.place tl ~key:0 ~start:got ~len;
             Bytes.fill busy got len '\001'
           end;
           ok)
@@ -352,22 +373,54 @@ let sort_entries = List.sort (fun (a : Schedule.entry) b -> compare a b)
 let test_overlapping_straddles_top () =
   (* Node 1 carries the max latency 4; the instance starting below the
      window must be found only while its interval still crosses top. *)
-  let g = graph_of ~latencies:[| 1; 4 |] ~edges:[ (0, 1, 0); (1, 0, 1) ] in
   let e_before = entry ~node:0 ~iter:0 ~proc:0 ~start:0 in (* [0,1): ends before top *)
   let e_straddle = entry ~node:1 ~iter:0 ~proc:0 ~start:2 in (* [2,6): crosses top 5 *)
   let e_inside = entry ~node:0 ~iter:1 ~proc:0 ~start:7 in (* [7,8): inside window *)
+  let placed = [| (e_before, 1); (e_straddle, 4); (e_inside, 1) |] in
   let tl = FT.empty_timeline () in
-  let tl = FT.add_entry g tl e_before in
-  let tl = FT.add_entry g tl e_straddle in
-  let tl = FT.add_entry g tl e_inside in
+  Array.iteri
+    (fun key ((e : Schedule.entry), len) -> FT.place tl ~key ~start:e.start ~len)
+    placed;
+  let entry_of key = fst placed.(key) in
   check_bool "straddler and inside entry, not the finished one" true
-    (sort_entries (FT.overlapping g tl ~max_latency:4 ~top:5 ~bottom:8)
+    (sort_entries (FT.overlapping tl ~entry_of ~max_latency:4 ~top:5 ~bottom:8)
     = sort_entries [ e_straddle; e_inside ]);
   (* with top = 6 the latency-4 interval finishes exactly at top and no
      longer overlaps *)
   check_bool "half-open finish at top excluded" true
-    (sort_entries (FT.overlapping g tl ~max_latency:4 ~top:6 ~bottom:8)
+    (sort_entries (FT.overlapping tl ~entry_of ~max_latency:4 ~top:6 ~bottom:8)
     = sort_entries [ e_inside ])
+
+(* ---------------------------------------------------------------- *)
+(* Allocation                                                        *)
+
+(* Minor-heap words per scheduled instance of the bounded greedy plus
+   its [Schedule.make], on the loops and shape the compile benchmark
+   runs (p=2 k=2 n=2000).  Allocation is deterministic, so this holds
+   on any host: the placement loop allocates nothing per instance, and
+   what remains is the entry records and the schedule's lists: 16.0
+   words on both loops.  The bound, 32, leaves 2x headroom; the
+   greedy's predecessor, with a set-backed ready queue, an entry record
+   per placement and a comparison-sorted freeze, measured 161-165. *)
+let minor_words_per_instance name =
+  let src = In_channel.with_open_text ("../examples/loops/" ^ name) In_channel.input_all in
+  let g = (Mimd_loop_ir.Depend.analyze_string src).Mimd_loop_ir.Depend.graph in
+  let g = (Mimd_ddg.Unwind.normalize g).Mimd_ddg.Unwind.graph in
+  let machine = machine ~p:2 ~k:2 () in
+  let run () = Cyclic_sched.schedule_iterations ~graph:g ~machine ~iterations:2000 () in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let sched = run () in
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int (Schedule.instance_count sched)
+
+let test_greedy_minor_words () =
+  List.iter
+    (fun name ->
+      let w = minor_words_per_instance name in
+      if w > 32.0 then
+        Alcotest.failf "%s: %.1f minor words per scheduled instance (bound 32)" name w)
+    [ "ewf.loop"; "fig1.loop" ]
 
 let suite =
   [
@@ -403,4 +456,7 @@ let suite =
     prop_pattern_body_covers_each_node;
     prop_more_processors_never_hurt_much;
     prop_first_fit_matches_scan;
+    Alcotest.test_case "greedy: minor words per instance bounded" `Quick
+      test_greedy_minor_words;
+    prop_makespan_closed_form;
   ]

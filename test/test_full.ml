@@ -204,6 +204,86 @@ let test_full_large_n_validates () =
       check_int (name ^ ": iterations") 4000 (Schedule.iterations full.Full_sched.schedule))
     [ ("fig1.loop", 2, 2); ("ewf.loop", 4, 4) ]
 
+(* [Auto] prunes the Separate schedule with a pattern-only lower bound
+   on its makespan; the reference below is the rule with nothing
+   pruned: build both, keep the fold when mf <= ms (1 + tolerance), and
+   fall back to the fold when the core has no pattern. *)
+let build_both_rule ~fold_tolerance ~graph ~machine ~iterations =
+  let folded () = Full_sched.run ~strategy:Full_sched.Folded ~graph ~machine ~iterations () in
+  match Full_sched.run ~strategy:Full_sched.Separate ~graph ~machine ~iterations () with
+  | separate ->
+    let fold = folded () in
+    let ms = Full_sched.parallel_time separate and mf = Full_sched.parallel_time fold in
+    if float_of_int mf <= float_of_int ms *. (1.0 +. fold_tolerance) then fold else separate
+  | exception Mimd_core.Cyclic_sched.No_pattern _ -> folded ()
+
+let prop_auto_matches_build_both =
+  let gen =
+    QCheck2.Gen.(
+      let* seed = int_range 1 100_000 in
+      let* shape = int_range 0 2 in
+      let* p = int_range 1 4 in
+      let* k = oneofl [ 0; 1; 2; 4 ] in
+      let* n = oneofl [ 1; 2; 7; 40; 150 ] in
+      let* tol = oneofl [ 0.0; 0.05; 0.5 ] in
+      return (seed, shape, p, k, n, tol))
+  in
+  let print (seed, shape, p, k, n, tol) =
+    Printf.sprintf "seed=%d shape=%d p=%d k=%d n=%d tol=%g" seed shape p k n tol
+  in
+  (* shape 0/1: loop-IR draws without/with fan-out; shape 2: the
+     paper's 40-node random loop, Flow-in and Flow-out included *)
+  qtest ~count:120 "auto: pruned decision == build-both rule" gen print
+    (fun (seed, shape, p, k, n, fold_tolerance) ->
+      let graph =
+        match shape with
+        | 2 -> Mimd_workloads.Random_loop.generate ~seed ()
+        | _ ->
+          let fanout = if shape = 0 then 0.0 else 0.5 in
+          let loop = Mimd_workloads.Random_loop.generate_loop ~fanout ~seed () in
+          (Mimd_loop_ir.Depend.analyze loop).Mimd_loop_ir.Depend.graph
+      in
+      let machine = machine ~p ~k () in
+      let auto = Full_sched.run ~fold_tolerance ~graph ~machine ~iterations:n () in
+      let want = build_both_rule ~fold_tolerance ~graph ~machine ~iterations:n in
+      auto.Full_sched.folded = want.Full_sched.folded
+      && Full_sched.output_fingerprint auto = Full_sched.output_fingerprint want)
+
+(* A core whose pattern search gives up (a one-iteration budget) still
+   falls back to the folded greedy with no pattern — after one search,
+   not two — and the [compile.auto] instant says Separate was never
+   built. *)
+let test_auto_no_pattern_falls_back () =
+  let graph = Mimd_workloads.Elliptic.graph () in
+  let machine = machine () in
+  let run strategy =
+    Full_sched.run ~strategy ~max_iterations:1 ~graph ~machine ~iterations:30 ()
+  in
+  let auto, events =
+    with_tracing (fun () ->
+        let auto = run Full_sched.Auto in
+        (auto, export_events ()))
+  in
+  let named name =
+    List.filter (fun ev -> Mimd_server.Json.(member "name" ev = Some (String name))) events
+  in
+  check_bool "folded" true auto.Full_sched.folded;
+  check_bool "no pattern" true (auto.Full_sched.pattern = None);
+  check_string "same schedule as Folded"
+    (Full_sched.output_fingerprint (run Full_sched.Folded))
+    (Full_sched.output_fingerprint auto);
+  check_int "one pattern search" 1 (List.length (named "compile.cyclic_sched"));
+  match named "compile.auto" with
+  | [ ev ] ->
+    let arg key =
+      match Mimd_server.Json.(member "args" ev) with
+      | Some args -> Mimd_server.Json.(member key args)
+      | None -> None
+    in
+    check_bool "separate not built" true
+      (arg "separate_built" = Some (Mimd_server.Json.String "false"))
+  | evs -> Alcotest.failf "expected one compile.auto instant, got %d" (List.length evs)
+
 let suite =
   [
     Alcotest.test_case "flow: processors_needed (paper: 3)" `Quick test_processors_needed;
@@ -225,4 +305,7 @@ let suite =
     prop_full_schedules_simulate_without_deadlock;
     Alcotest.test_case "full: DOALL schedules simulate" `Quick test_full_doall_simulates;
     Alcotest.test_case "full: fig1 and ewf validate at n=4000" `Quick test_full_large_n_validates;
+    prop_auto_matches_build_both;
+    Alcotest.test_case "full: auto without a pattern folds after one search" `Quick
+      test_auto_no_pattern_falls_back;
   ]

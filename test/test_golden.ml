@@ -194,6 +194,62 @@ let test_corpus_commopt_fingerprints_n120 () =
   check_commopt_golden ~processors:4 ~iterations:120
     "goldens/fingerprints_commopt_p4_k2_n120.txt"
 
+(* The sweep golden pins [Full_sched]'s default (Auto) decisions off
+   the p=2 k=2 diagonal: every corpus loop and textual kernel at
+   p in 1..5, k in {0,1,2,4,8} and n in {7, 250, 1000}, one line
+   "<hex> <p> <k> <n> <name>" each, including the shapes where the
+   Separate schedule wins the fold decision. *)
+let sweep_sources () =
+  let dir = "../examples/loops" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".loop")
+    |> List.sort compare
+  in
+  List.map
+    (fun f ->
+      let src = In_channel.with_open_text (Filename.concat dir f) In_channel.input_all in
+      (f, (Mimd_loop_ir.Depend.analyze_string src).Mimd_loop_ir.Depend.graph))
+    files
+  @ List.map
+      (fun (k : Mimd_workloads.Kernels_src.t) ->
+        ("kernel:" ^ k.name, Mimd_workloads.Kernels_src.analyze k))
+      (Mimd_workloads.Kernels_src.all ())
+
+let sweep_lines () =
+  let sources = sweep_sources () in
+  List.concat_map
+    (fun p ->
+      List.concat_map
+        (fun k ->
+          List.concat_map
+            (fun n ->
+              let machine = Mimd_machine.Config.make ~processors:p ~comm_estimate:k in
+              List.map
+                (fun (name, g) ->
+                  let full = Mimd_core.Full_sched.run ~graph:g ~machine ~iterations:n () in
+                  Printf.sprintf "%s %d %d %d %s"
+                    (Mimd_core.Full_sched.output_fingerprint full)
+                    p k n name)
+                sources)
+            [ 7; 250; 1000 ])
+        [ 0; 1; 2; 4; 8 ])
+    [ 1; 2; 3; 4; 5 ]
+
+let test_sweep_fingerprints () =
+  let golden =
+    In_channel.with_open_text "goldens/fingerprints_sweep.txt" In_channel.input_lines
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  let got = sweep_lines () in
+  check_int "one line per shape and source" (List.length golden) (List.length got);
+  let drift = List.filter (fun (a, b) -> a <> b) (List.combine golden got) in
+  match drift with
+  | [] -> ()
+  | (want, have) :: _ ->
+    Alcotest.failf "%d of %d sweep fingerprints drifted; first: want %S, got %S"
+      (List.length drift) (List.length golden) want have
+
 let suite =
   [
     Alcotest.test_case "golden: fig1 classification" `Quick test_fig1_classification_text;
@@ -211,4 +267,6 @@ let suite =
     Alcotest.test_case "golden: corpus comm-opt fingerprints p4 n120" `Quick
       test_corpus_commopt_fingerprints_n120;
     prop_heavier_latencies_still_fine;
+    Alcotest.test_case "golden: sweep fingerprints p1-5 k0-8 n7-1000" `Quick
+      test_sweep_fingerprints;
   ]

@@ -33,6 +33,57 @@ let test_entries_sorted () =
   let starts = List.map (fun (e : Schedule.entry) -> e.start) (Schedule.entries s) in
   check_bool "ascending" true (starts = [ 0; 3; 5 ])
 
+(* [make] keeps a list that already ascends and sorts any other by
+   (start, proc, iter, node); both paths must agree with the plain
+   sort, and [check] must raise exactly what [make] raises. *)
+let prop_make_orders_like_sort =
+  let gen =
+    QCheck2.Gen.(
+      let* cells = list_size (int_range 0 40) (pair (int_range 0 4) (int_range 0 30)) in
+      let* placed =
+        flatten_l
+          (List.map
+             (fun inst ->
+               let* proc = int_range 0 2 in
+               let* start = int_range 0 20 in
+               return (inst, proc, start))
+             (List.sort_uniq compare cells))
+      in
+      let* order = int_range 0 2 in
+      let* dup = bool in
+      return (placed, order, dup))
+  in
+  let print (placed, order, dup) =
+    Printf.sprintf "order=%d dup=%b [%s]" order dup
+      (String.concat "; "
+         (List.map (fun ((n, i), p, t) -> Printf.sprintf "%d_%d@%d/PE%d" n i t p) placed))
+  in
+  let cmp (a : Schedule.entry) (b : Schedule.entry) =
+    compare (a.start, a.proc, a.inst.iter, a.inst.node) (b.start, b.proc, b.inst.iter, b.inst.node)
+  in
+  qtest ~count:200 "schedule: make orders like a sort; check raises like make" gen print
+    (fun (placed, order, dup) ->
+      let entries =
+        List.map (fun ((node, iter), proc, start) -> entry node iter proc start) placed
+      in
+      (* 0: instance order; 1: already ascending; 2: descending *)
+      let entries =
+        match order with
+        | 1 -> List.sort cmp entries
+        | 2 -> List.rev (List.sort cmp entries)
+        | _ -> entries
+      in
+      let entries =
+        match (dup, entries) with
+        | true, e :: _ -> { e with proc = 1 - min 1 e.proc } :: entries
+        | _ -> entries
+      in
+      let machine = machine ~p:3 () in
+      let outcome f = match f () with () -> None | exception Invalid_argument m -> Some m in
+      let made = outcome (fun () -> ignore (simple_sched ~machine entries)) in
+      made = outcome (fun () -> Schedule.check ~graph:(fig7 ()) ~machine entries)
+      && (made <> None || Schedule.entries (simple_sched ~machine entries) = List.sort cmp entries))
+
 let test_overlap_detected () =
   (* B has latency 1; two entries at the same cycle on one processor. *)
   let s = simple_sched [ entry 0 0 0 0; entry 1 0 0 0 ] in
@@ -264,4 +315,5 @@ let suite =
     Alcotest.test_case "index: out-of-range find is absent" `Quick test_index_find_out_of_range;
     Alcotest.test_case "index: sparse slice, also marshalled" `Quick test_index_sparse_slice;
     Alcotest.test_case "index: empty schedule" `Quick test_index_empty;
+    prop_make_orders_like_sort;
   ]
