@@ -24,11 +24,13 @@
       thing a merge can break is progress.  It deadlocks exactly when
       it closes a happens-before cycle: the Recv at (dst, rmin) already
       happens-before the Send at (src, smax).  Every greedy extension
-      is therefore checked by one earliest-arrival search from
-      (dst, rmin) over the live frames at their current positions
-      (every accepted group in place, so merges on different links
-      interact correctly), and rolled back if the search reaches src
-      at or before smax.
+      is therefore rolled back if the search from (dst, rmin) reaches
+      src at or before smax, with every accepted group in place, so
+      merges on different links interact correctly.
+
+   Both rewrites ask one question of one search ([reach]): the
+   earliest position on each processor that happens after a start
+   point, over the live messages at their current positions.
 
    The rewrite is semantics-preserving by construction.  The output is
    still checked as a whole on every run — {!Program.check} plus a
@@ -36,6 +38,7 @@
    ({!Mimd_check.Fuzz}) proves value-identity across all executors. *)
 
 module Trace = Mimd_obs.Trace
+module Keys = Program.Keys
 
 type stats = {
   messages_before : int;
@@ -43,6 +46,7 @@ type stats = {
   elided : int;
   coalesced : int;
   forwarded_values : int;
+  examined : int;
 }
 
 type fault = Keep_extra_send
@@ -58,12 +62,11 @@ let messages (p : Program.t) =
         acc prog)
     0 p.Program.programs
 
-(* Mirrors {!Full_sched.output_fingerprint}: FNV-1a over the instruction
-   streams, so goldens pin the exact optimized programs. *)
+(* FNV-1a ({!Mimd_util.Fnv}, as {!Full_sched.output_fingerprint}) over
+   the instruction streams, so goldens pin the exact optimized
+   programs. *)
 let fingerprint (p : Program.t) =
-  let fnv_prime = 0x100000001b3 in
-  let h = ref 0x3bf29ce484222325 in
-  let mix v = h := (!h lxor (v land max_int)) * fnv_prime land max_int in
+  Mimd_util.Fnv.digest @@ fun mix ->
   let mix_tag (t : Program.tag) =
     mix t.node;
     mix t.iter
@@ -96,15 +99,22 @@ let fingerprint (p : Program.t) =
             List.iter mix_tag tags;
             mix src)
         prog)
-    p.programs;
-  Printf.sprintf "%016x" !h
+    p.programs
 
 type msg = {
   tag : Program.tag;
+  key : int;  (* the tag's dense instance key *)
   src : int;
   dst : int;
   send_idx : int;
   recv_idx : int;
+  start : int;  (* the first position on src after the value exists there *)
+  deadline : int;
+      (* the position of the first Compute on dst that consumes the
+         value — the real deadline a forwarded value must beat — or,
+         when the graph records no consumer, just after the Recv *)
+  mutable smax : int;  (* where the Send sits now: its group's smax, else send_idx *)
+  mutable rmin : int;  (* where the Recv sits now: its group's rmin, else recv_idx *)
   mutable live : bool;
   mutable pinned : bool;  (* carries a forwarded value; must stay *)
   mutable extras : Program.tag list;
@@ -113,243 +123,317 @@ type msg = {
   mutable group : int;  (* coalescing group id, -1 = ungrouped *)
 }
 
-(* Index every message, the position at which each processor first
-   holds each instance's value (its Compute, or the Recv that lands
-   it), and the position of the first Compute that consumes it — the
-   real deadline a forwarded value must beat. *)
+(* The input, indexed: every message in (src, send position) order,
+   and [at.(proc).(idx)], the one that sends or receives at [idx]. *)
+type input = { procs : int; keys : Keys.t; msgs : msg array; at : int array array }
+
+(* Dense keys over every instance a program array computes or sends. *)
+let keys_of progs =
+  Keys.scan (fun see ->
+      let see_tag (t : Program.tag) = see t.node t.iter in
+      Array.iter
+        (Array.iter (function
+          | Program.Compute { node; iter } -> see node iter
+          | Program.Send { tag; _ } | Program.Recv { tag; _ } -> see_tag tag
+          | Program.Send_pack { tags; _ } | Program.Recv_pack { tags; _ } ->
+            List.iter see_tag tags))
+        progs)
+
 let collect (p : Program.t) =
-  let sends = Hashtbl.create 128 in
-  let recvs = Hashtbl.create 128 in
-  let avail = Hashtbl.create 128 in
-  let first_use = Hashtbl.create 128 in
+  let progs = Array.map Array.of_list p.programs in
+  let procs = Array.length progs in
+  let keys = keys_of progs in
+  let n = Keys.size keys in
+  let key (t : Program.tag) = Keys.key keys ~node:t.node ~iter:t.iter in
+  (* Per processor, by instance key: where it first holds the value
+     (its Compute, or the Recv that lands it) and first consumes it. *)
+  let hold = Array.make n (-1) and use = Array.make n (-1) in
+  let first table k idx = if k >= 0 && table.(k) < 0 then table.(k) <- idx in
+  (* [limit.(proc).(idx)]: a Send's [start], a Recv's [deadline]. *)
+  let limit = Array.map (fun prog -> Array.make (Array.length prog) (-1)) progs in
+  (* [recv_at.(key * procs + dst)]: where dst receives that value. *)
+  let recv_at = Array.make (n * procs) (-1) in
+  let recvs = ref 0 in
   Array.iteri
     (fun proc prog ->
-      List.iteri
-        (fun idx instr ->
-          match instr with
+      Array.fill hold 0 n (-1);
+      Array.fill use 0 n (-1);
+      Array.iteri
+        (fun idx -> function
           | Program.Compute { node; iter } ->
-            if not (Hashtbl.mem avail (node, iter, proc)) then
-              Hashtbl.replace avail (node, iter, proc) idx;
+            first hold (Keys.key keys ~node ~iter) idx;
             List.iter
               (fun (e : Mimd_ddg.Graph.edge) ->
-                let operand = (e.src, iter - e.distance, proc) in
-                if iter - e.distance >= 0 && not (Hashtbl.mem first_use operand)
-                then Hashtbl.replace first_use operand idx)
+                if iter - e.distance >= 0 then
+                  first use (Keys.key keys ~node:e.src ~iter:(iter - e.distance)) idx)
               (Mimd_ddg.Graph.preds p.graph node)
-          | Program.Send { tag; dst } ->
-            Hashtbl.replace sends (tag.node, tag.iter, proc, dst) idx
-          | Program.Recv { tag; src } ->
-            Hashtbl.replace recvs (tag.node, tag.iter, src, proc) idx;
-            if not (Hashtbl.mem avail (tag.node, tag.iter, proc)) then
-              Hashtbl.replace avail (tag.node, tag.iter, proc) idx
+          | Program.Recv { tag; _ } ->
+            let c = (key tag * procs) + proc in
+            if recv_at.(c) >= 0 then invalid_arg "Comm_opt.run: duplicate recv in input";
+            recv_at.(c) <- idx;
+            incr recvs;
+            first hold (key tag) idx
+          | Program.Send _ -> ()
           | Program.Send_pack _ | Program.Recv_pack _ ->
             invalid_arg "Comm_opt.run: program already optimized")
+        prog;
+      Array.iteri
+        (fun idx -> function
+          | Program.Send { tag; _ } -> limit.(proc).(idx) <- hold.(key tag) + 1
+          | Program.Recv { tag; _ } ->
+            limit.(proc).(idx) <- (match use.(key tag) with -1 -> idx + 1 | u -> u)
+          | _ -> ())
         prog)
-    p.programs;
+    progs;
   let msgs = ref [] in
-  Hashtbl.iter
-    (fun (node, iter, src, dst) send_idx ->
-      match Hashtbl.find_opt recvs (node, iter, src, dst) with
-      | Some recv_idx ->
-        msgs :=
-          {
-            tag = { Program.node; iter };
-            src;
-            dst;
-            send_idx;
-            recv_idx;
-            live = true;
-            pinned = false;
-            extras = [];
-            group = -1;
-          }
-          :: !msgs
-      | None -> invalid_arg "Comm_opt.run: unmatched send in input")
-    sends;
-  Hashtbl.iter
-    (fun (node, iter, src, dst) _ ->
-      if not (Hashtbl.mem sends (node, iter, src, dst)) then
-        invalid_arg "Comm_opt.run: unmatched recv in input")
-    recvs;
-  let msgs =
-    List.sort
-      (fun a b -> compare (a.src, a.send_idx, a.dst) (b.src, b.send_idx, b.dst))
-      !msgs
-  in
-  (msgs, avail, first_use)
-
-(* Shortest-arrival search over processors: [dist.(p)] is the earliest
-   position on p at which m's value (and ordering) is known to have
-   arrived via retained messages.  An edge through msg' is usable when
-   msg' sends at or after the arrival position on its source — program
-   order bridges the gap.  Succeeds when the value reaches m.dst no
-   later than [bound]: the first Compute on m.dst that consumes the
-   value (the original Recv position is only a fallback when the graph
-   records no consumer).  Landing after the original Recv but before
-   the first use is fine — no instruction in between can observe the
-   difference. *)
-let implied_chain ~procs ~avail_pos ~bound msgs m =
-  let dist = Array.make procs max_int in
-  let parent = Array.make procs None in
-  dist.(m.src) <- avail_pos;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun m' ->
-        if
-          m'.live
-          && dist.(m'.src) <> max_int
-          && m'.send_idx >= dist.(m'.src)
-          && m'.recv_idx + 1 < dist.(m'.dst)
-        then begin
-          dist.(m'.dst) <- m'.recv_idx + 1;
-          parent.(m'.dst) <- Some m';
-          changed := true
-        end)
-      msgs
-  done;
-  if dist.(m.dst) <= bound then begin
-    let rec walk acc proc guard =
-      if proc = m.src then Some acc
-      else if guard = 0 then None
-      else
-        match parent.(proc) with
-        | None -> None
-        | Some hop -> walk (hop :: acc) hop.src (guard - 1)
-    in
-    walk [] m.dst procs
-  end
-  else None
-
-let elide ~procs ~avail ~first_use msgs =
-  (* One tag per (src, dst) pair per frame: seed with every base tag so
-     a forwarded extra never collides with a base or another chain's
-     extra on the same link. *)
-  let extra_seen = Hashtbl.create 128 in
-  List.iter
-    (fun m ->
-      Hashtbl.replace extra_seen (m.src, m.dst, m.tag.Program.node, m.tag.iter) ())
+  Array.iteri
+    (fun proc ->
+      Array.iteri (fun idx -> function
+          | Program.Send { tag; dst } ->
+            let key = key tag in
+            let c = (key * procs) + dst in
+            let recv_idx = recv_at.(c) in
+            let matched =
+              recv_idx >= 0
+              &&
+              match progs.(dst).(recv_idx) with
+              | Program.Recv { src; _ } -> src = proc
+              | _ -> false
+            in
+            if not matched then invalid_arg "Comm_opt.run: unmatched send in input";
+            recv_at.(c) <- -1;
+            msgs :=
+              { tag; key; src = proc; dst; send_idx = idx; recv_idx;
+                start = limit.(proc).(idx); deadline = limit.(dst).(recv_idx); smax = idx;
+                rmin = recv_idx; live = true; pinned = false; extras = []; group = -1 }
+              :: !msgs
+          | _ -> ()))
+    progs;
+  if List.length !msgs <> !recvs then invalid_arg "Comm_opt.run: unmatched recv in input";
+  let msgs = Array.of_list (List.rev !msgs) in
+  let at = Array.map (fun prog -> Array.make (Array.length prog) (-1)) progs in
+  Array.iteri
+    (fun i m ->
+      at.(m.src).(m.send_idx) <- i;
+      at.(m.dst).(m.recv_idx) <- i)
     msgs;
+  (progs, { procs; keys; msgs; at })
+
+(* The one happens-before search, an earliest-arrival worklist over
+   processors.  [out.(p)] holds the messages p sends, ascending by own
+   Send position.  After [reach ~from ~at], [dist.(q)] is the first
+   position on q known to happen after the instruction at [at - 1] on
+   [from]: a live message m whose Send sits at or after [dist.(m.src)]
+   lands at its current Recv, so [dist.(m.dst)] is at most
+   [m.rmin + 1].
+
+   Each processor's [out] is scanned downwards from [next.(p)] and
+   stops at the first own Send position below [dist.(p)].  That loses
+   no edge: a grouped member sits at its group's smax, which is some
+   member's own Send position, and that member — same link, same
+   rmin — is scanned.  An entry scanned once is never scanned again in
+   the same search: [dist] only falls, so its edge stays applied.  So
+   every search examines each message at most once.
+
+   [until = (goal, by)] stops the search as soon as [dist.(goal) <= by]
+   and returns true; without it the search runs to its fixpoint. *)
+type search = {
+  out : msg array array;
+  dist : int array;
+  next : int array;
+  queued : bool array;
+  stack : int array;
+  mutable examined : int;
+}
+
+let searcher { procs; msgs; _ } =
+  let out = Array.make procs [] in
+  for i = Array.length msgs - 1 downto 0 do
+    out.(msgs.(i).src) <- msgs.(i) :: out.(msgs.(i).src)
+  done;
+  let dist = Array.make procs max_int and queued = Array.make procs false in
+  let out = Array.map Array.of_list out in
+  { out; dist; next = Array.make procs 0; queued; stack = Array.make procs 0; examined = 0 }
+
+let reach ?until s ~from ~at =
+  let goal, by = Option.value until ~default:(-1, 0) in
+  Array.fill s.dist 0 (Array.length s.dist) max_int;
+  Array.fill s.queued 0 (Array.length s.queued) false;
+  Array.iteri (fun p o -> s.next.(p) <- Array.length o - 1) s.out;
+  s.dist.(from) <- at;
+  s.stack.(0) <- from;
+  s.queued.(from) <- true;
+  let top = ref 1 and found = ref false in
+  while (not !found) && !top > 0 do
+    decr top;
+    let p = s.stack.(!top) in
+    s.queued.(p) <- false;
+    let o = s.out.(p) in
+    while (not !found) && s.next.(p) >= 0 && o.(s.next.(p)).send_idx >= s.dist.(p) do
+      let m = o.(s.next.(p)) in
+      s.next.(p) <- s.next.(p) - 1;
+      s.examined <- s.examined + 1;
+      if m.live && m.rmin + 1 < s.dist.(m.dst) then begin
+        s.dist.(m.dst) <- m.rmin + 1;
+        if m.dst = goal && m.rmin + 1 <= by then found := true
+        else if not s.queued.(m.dst) then begin
+          s.queued.(m.dst) <- true;
+          s.stack.(!top) <- m.dst;
+          incr top
+        end
+      end
+    done
+  done;
+  !found
+
+(* Elision, in message order.  The search from m's [start] succeeds
+   when it reaches m.dst no later than m's [deadline].  Landing after
+   the original Recv but before the first use is fine — no instruction
+   in between can observe the difference.  The chain is read off the
+   search: a processor's parent is the unique message whose Recv sits
+   at [dist - 1], so any exact search yields the same chain. *)
+let elide s { procs; keys; msgs; at } =
+  (* One tag per link per frame: [on_link] marks each (tag, link) some
+     frame carries — seeded with every base tag — so a forwarded extra
+     never collides with a base or another chain's extra on the same
+     link. *)
+  let on_link = Bytes.make (Keys.size keys * procs * procs) '\000' in
+  let slot hop key = (((key * procs) + hop.src) * procs) + hop.dst in
+  let mark hop key v = Bytes.set on_link (slot hop key) (if v then '\001' else '\000') in
+  let free hop key = Bytes.get on_link (slot hop key) = '\000' in
+  Array.iter (fun m -> mark m m.key true) msgs;
   let carries hop (t : Program.tag) = hop.tag = t || List.mem t hop.extras in
+  let rec chain m acc proc guard =
+    if proc = m.src then Some acc
+    else if guard = 0 then None
+    else
+      let hop = msgs.(at.(proc).(s.dist.(proc) - 1)) in
+      chain m (hop :: acc) hop.src (guard - 1)
+  in
   let elided = ref 0 in
-  List.iter
+  Array.iter
     (fun m ->
       if m.live && not m.pinned then begin
-        let avail_pos =
-          Hashtbl.find avail (m.tag.Program.node, m.tag.iter, m.src) + 1
-        in
-        let bound =
-          match
-            Hashtbl.find_opt first_use (m.tag.Program.node, m.tag.iter, m.dst)
-          with
-          | Some use_idx -> use_idx
-          | None -> m.recv_idx + 1
-        in
         m.live <- false;
         (* Eliding m vacates its own tag's slot on its link, so a hop
            on the same link may carry it; restored if elision fails. *)
-        let self_key = (m.src, m.dst, m.tag.Program.node, m.tag.iter) in
-        Hashtbl.remove extra_seen self_key;
-        let chain = implied_chain ~procs ~avail_pos ~bound msgs m in
-        let ok =
-          match chain with
-          | None -> false
-          | Some hops ->
-            List.for_all
-              (fun hop ->
-                carries hop m.tag
-                || not
-                     (Hashtbl.mem extra_seen
-                        (hop.src, hop.dst, m.tag.Program.node, m.tag.iter)))
-              hops
-        in
-        if ok then begin
+        mark m m.key false;
+        ignore (reach s ~from:m.src ~at:m.start);
+        let hops = if s.dist.(m.dst) <= m.deadline then chain m [] m.dst procs else None in
+        match hops with
+        | Some hops when List.for_all (fun hop -> carries hop m.tag || free hop m.key) hops ->
           incr elided;
           List.iter
             (fun hop ->
               hop.pinned <- true;
               if not (carries hop m.tag) then begin
                 hop.extras <- m.tag :: hop.extras;
-                Hashtbl.replace extra_seen
-                  (hop.src, hop.dst, m.tag.Program.node, m.tag.iter)
-                  ()
+                mark hop m.key true
               end)
-            (Option.get chain)
-        end
-        else begin
+            hops
+        | _ ->
           m.live <- true;
-          Hashtbl.replace extra_seen self_key ()
-        end
+          mark m m.key true
       end)
     msgs;
-  List.iter (fun m -> m.extras <- List.rev m.extras) msgs;
+  Array.iter (fun m -> m.extras <- List.rev m.extras) msgs;
   !elided
 
-let rebuild (p : Program.t) msgs groups =
-  let by_send = Hashtbl.create 128 in
-  let by_recv = Hashtbl.create 128 in
-  List.iter
-    (fun m ->
-      Hashtbl.replace by_send (m.src, m.send_idx) m;
-      Hashtbl.replace by_recv (m.dst, m.recv_idx) m)
-    msgs;
-  let ginfo = Hashtbl.create 16 in
-  List.iter
-    (fun (gid, members) ->
-      let smax = List.fold_left (fun a m -> max a m.send_idx) min_int members in
-      let rmin = List.fold_left (fun a m -> min a m.recv_idx) max_int members in
-      (* Base tags in member order, then each extra not already in the
-         frame, in first-seen order. *)
-      let base = List.map (fun m -> m.tag) members in
-      let seen = Hashtbl.create 16 in
-      List.iter (fun t -> Hashtbl.replace seen t ()) base;
-      let extras_rev =
+(* Greedy coalescing.  Candidate members are consecutive live messages
+   (in send order) on one link, links in (src, dst) order, whose
+   iteration span fits the window.  An extension places every member
+   at the merged (smax, rmin) and is kept unless [reach] finds the
+   merged Recv already happens-before the merged Send — the only way a
+   merge can fail (see the header).  A rejection puts the members back
+   and flushes the group, so link frames stay contiguous in send order
+   and FIFO order is preserved.  Returns the groups, indexed by id. *)
+let coalesce s ~window { procs; msgs; _ } =
+  let links = Array.make (procs * procs) [] in
+  for i = Array.length msgs - 1 downto 0 do
+    let m = msgs.(i) in
+    let l = (m.src * procs) + m.dst in
+    if m.live then links.(l) <- m :: links.(l)
+  done;
+  let groups = ref [] and ngroups = ref 0 in
+  let place members smax rmin =
+    List.iter
+      (fun x ->
+        x.smax <- smax;
+        x.rmin <- rmin)
+      members
+  in
+  let flush = function
+    | [] | [ _ ] -> ()
+    | members ->
+      List.iter (fun x -> x.group <- !ngroups) members;
+      incr ngroups;
+      groups := List.rev members :: !groups
+  in
+  (* [cur] is the open group, newest first, placed at (smax, rmin). *)
+  let rec go cur smax rmin = function
+    | [] -> flush cur
+    | m :: rest ->
+      let lo, hi =
         List.fold_left
-          (fun acc m ->
-            List.fold_left
-              (fun acc t ->
-                if Hashtbl.mem seen t then acc
-                else begin
-                  Hashtbl.add seen t ();
-                  t :: acc
-                end)
-              acc m.extras)
-          [] members
+          (fun (lo, hi) x -> (min lo x.tag.Program.iter, max hi x.tag.iter))
+          (m.tag.Program.iter, m.tag.iter) cur
       in
-      let tags = base @ List.rev extras_rev in
-      Hashtbl.replace ginfo gid (smax, rmin, tags))
-    groups;
+      let smax' = max smax m.send_idx and rmin' = min rmin m.recv_idx in
+      if cur <> [] && hi - lo < window then begin
+        place (m :: cur) smax' rmin';
+        if not (reach s ~from:m.dst ~at:(rmin' + 1) ~until:(m.src, smax')) then
+          go (m :: cur) smax' rmin' rest
+        else begin
+          place cur smax rmin;
+          place [ m ] m.send_idx m.recv_idx;
+          flush cur;
+          go [ m ] m.send_idx m.recv_idx rest
+        end
+      end
+      else begin
+        flush cur;
+        go [ m ] m.send_idx m.recv_idx rest
+      end
+  in
+  Array.iter (go [] 0 0) links;
+  Array.of_list (List.rev !groups)
+
+(* Every message at its current position: a grouped frame at its
+   group's smax and rmin, carrying the base tags in member order, then
+   each extra not already in the frame, in first-seen order. *)
+let rebuild progs { msgs; at; _ } groups =
+  let frames =
+    Array.map
+      (fun members ->
+        let add acc t = if List.mem t acc then acc else t :: acc in
+        List.rev
+          (List.fold_left
+             (fun acc m -> List.fold_left add acc m.extras)
+             (List.rev_map (fun m -> m.tag) members)
+             members))
+      groups
+  in
+  let frame m = if m.group >= 0 then frames.(m.group) else m.tag :: m.extras in
+  let plain m = m.group < 0 && m.extras = [] in
   Array.mapi
     (fun proc prog ->
-      List.concat
-        (List.mapi
-           (fun idx instr ->
-             match instr with
-             | Program.Compute _ -> [ instr ]
-             | Program.Send { dst; _ } ->
-               let m = Hashtbl.find by_send (proc, idx) in
-               if not m.live then []
-               else if m.group >= 0 then begin
-                 let smax, _, tags = Hashtbl.find ginfo m.group in
-                 if idx = smax then [ Program.Send_pack { tags; dst } ] else []
-               end
-               else if m.extras <> [] then
-                 [ Program.Send_pack { tags = m.tag :: m.extras; dst } ]
-               else [ instr ]
-             | Program.Recv { src; _ } ->
-               let m = Hashtbl.find by_recv (proc, idx) in
-               if not m.live then []
-               else if m.group >= 0 then begin
-                 let _, rmin, tags = Hashtbl.find ginfo m.group in
-                 if idx = rmin then [ Program.Recv_pack { tags; src } ] else []
-               end
-               else if m.extras <> [] then
-                 [ Program.Recv_pack { tags = m.tag :: m.extras; src } ]
-               else [ instr ]
-             | Program.Send_pack _ | Program.Recv_pack _ -> assert false)
-           prog))
-    p.programs
+      let kept = ref [] in
+      for idx = Array.length prog - 1 downto 0 do
+        let keep i = kept := i :: !kept in
+        match prog.(idx) with
+        | Program.Compute _ as instr -> keep instr
+        | Program.Send { dst; _ } as instr ->
+          let m = msgs.(at.(proc).(idx)) in
+          if m.live && idx = m.smax then
+            keep (if plain m then instr else Program.Send_pack { tags = frame m; dst })
+        | Program.Recv { src; _ } as instr ->
+          let m = msgs.(at.(proc).(idx)) in
+          if m.live && idx = m.rmin then
+            keep (if plain m then instr else Program.Recv_pack { tags = frame m; src })
+        | Program.Send_pack _ | Program.Recv_pack _ -> assert false
+      done;
+      !kept)
+    progs
 
 (* Deterministic token simulation of an instruction-stream array:
    non-blocking sends into per-link in-flight sets, recvs that block
@@ -363,28 +447,28 @@ let rebuild (p : Program.t) msgs groups =
 let simulate ~graph programs =
   let procs = Array.length programs in
   let progs = Array.map Array.of_list programs in
+  let keys = keys_of progs in
+  let key (t : Program.tag) = Keys.key keys ~node:t.node ~iter:t.iter in
   let pc = Array.make procs 0 in
-  let have = Array.init procs (fun _ -> Hashtbl.create 64) in
-  (* (src, dst, rep tag) -> full frame tag list, in flight *)
-  let links : (int * int * Program.tag, Program.tag list) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  let have = Array.init procs (fun _ -> Bytes.make (Keys.size keys) '\000') in
+  (* (rep tag, src, dst) -> full frame tag list, in flight *)
+  let links : (int, Program.tag list) Hashtbl.t = Hashtbl.create 64 in
+  let link src dst rep = (((key rep * procs) + src) * procs) + dst in
   let in_flight = ref 0 in
   let error = ref None in
   let fail msg = if !error = None then error := Some msg in
   let holds proc (t : Program.tag) =
-    t.iter < 0 || Hashtbl.mem have.(proc) (t.node, t.iter)
+    t.iter < 0
+    ||
+    let k = key t in
+    k >= 0 && Bytes.get have.(proc) k <> '\000'
   in
-  let land_tags proc tags =
-    List.iter
-      (fun (t : Program.tag) -> Hashtbl.replace have.(proc) (t.node, t.iter) ())
-      tags
-  in
+  let land_tags proc tags = List.iter (fun t -> Bytes.set have.(proc) (key t) '\001') tags in
   let push src dst tags =
     match tags with
     | [] -> fail "empty frame"
     | rep :: _ ->
-      Hashtbl.replace links (src, dst, rep) tags;
+      Hashtbl.replace links (link src dst rep) tags;
       incr in_flight
   in
   (* One step of [proc]; true when it advanced. *)
@@ -404,7 +488,7 @@ let simulate ~graph programs =
           false
         end
         else begin
-          Hashtbl.replace have.(proc) (node, iter) ();
+          Bytes.set have.(proc) (Keys.key keys ~node ~iter) '\001';
           pc.(proc) <- pc.(proc) + 1;
           true
         end
@@ -435,10 +519,10 @@ let simulate ~graph programs =
           | Program.Recv_pack { tags; _ } -> tags
           | _ -> [ tag ]
         in
-        match Hashtbl.find_opt links (src, proc, tag) with
+        match Hashtbl.find_opt links (link src proc tag) with
         | None -> false
         | Some frame when frame = expected ->
-          Hashtbl.remove links (src, proc, tag);
+          Hashtbl.remove links (link src proc tag);
           decr in_flight;
           land_tags proc frame;
           pc.(proc) <- pc.(proc) + 1;
@@ -473,115 +557,6 @@ let simulate ~graph programs =
     else if !in_flight > 0 then Error "undelivered frame left on a link"
     else Ok ()
 
-(* Greedy coalescing with a happens-before cycle check.  Candidate
-   members are consecutive messages (in send order) on one (src, dst)
-   link whose iteration span fits the window.  [bounds] holds every
-   group's current (smax, rmin); a grouped message sits at its group's
-   positions, any other at its own.  An extension is accepted unless
-   the merged Recv at (dst, rmin) already happens-before the merged
-   Send at (src, smax) — the only way a merge can fail (see the header).
-   Rejections roll the extension back and flush the group, so link
-   frames stay contiguous in send order and FIFO order is preserved. *)
-let coalesce ~window ~procs msgs =
-  let live = List.filter (fun m -> m.live) msgs in
-  let pairs = List.sort_uniq compare (List.map (fun m -> (m.src, m.dst)) live) in
-  let outgoing = Array.make procs [] in
-  List.iter (fun m -> outgoing.(m.src) <- m :: outgoing.(m.src)) live;
-  let bounds = Hashtbl.create 64 in
-  let pos m =
-    if m.group >= 0 then Hashtbl.find bounds m.group else (m.send_idx, m.recv_idx)
-  in
-  (* Earliest-arrival search from (dst, rmin) over program order and
-     send->recv edges: [dist.(p)] is the earliest position on p that
-     happens-after the start.  Recvs match by tag (the stash), so links
-     add no FIFO edges. *)
-  let closes_cycle ~src ~smax ~dst ~rmin =
-    let dist = Array.make procs max_int in
-    let queued = Array.make procs false in
-    dist.(dst) <- rmin;
-    queued.(dst) <- true;
-    let rec search = function
-      | [] -> false
-      | p :: work ->
-        queued.(p) <- false;
-        let work =
-          List.fold_left
-            (fun work m ->
-              let s, r = pos m in
-              if s >= dist.(p) && r < dist.(m.dst) then begin
-                dist.(m.dst) <- r;
-                if queued.(m.dst) then work
-                else begin
-                  queued.(m.dst) <- true;
-                  m.dst :: work
-                end
-              end
-              else work)
-            work outgoing.(p)
-        in
-        dist.(src) <= smax || search work
-    in
-    search [ dst ]
-  in
-  let next_gid = ref 0 in
-  let committed = ref [] in
-  List.iter
-    (fun (src, dst) ->
-      let ms = List.filter (fun m -> m.src = src && m.dst = dst) live in
-      (* already sorted by send_idx from [collect]'s global order *)
-      let flush cur gid =
-        match cur with
-        | [] | [ _ ] -> ()
-        | members -> committed := (gid, List.rev members) :: !committed
-      in
-      let span extra cur =
-        List.fold_left
-          (fun (lo, hi) m -> (min lo m.tag.Program.iter, max hi m.tag.iter))
-          (extra.tag.Program.iter, extra.tag.iter)
-          cur
-      in
-      (* [gid] is the current group's id once it has >= 2 members, -1
-         while [cur] is a singleton. *)
-      let rec go cur gid = function
-        | [] -> flush cur gid
-        | m :: rest -> (
-          match cur with
-          | [] -> go [ m ] (-1) rest
-          | _ ->
-            let lo, hi = span m cur in
-            let g = if gid >= 0 then gid else !next_gid in
-            if hi - lo < window then begin
-              let smax, rmin =
-                List.fold_left
-                  (fun (s, r) x -> (max s x.send_idx, min r x.recv_idx))
-                  (m.send_idx, m.recv_idx) cur
-              in
-              let prev = Hashtbl.find_opt bounds g in
-              Hashtbl.replace bounds g (smax, rmin);
-              List.iter (fun x -> x.group <- g) (m :: cur);
-              if not (closes_cycle ~src ~smax ~dst ~rmin) then begin
-                if gid < 0 then incr next_gid;
-                go (m :: cur) g rest
-              end
-              else begin
-                (match prev with
-                | Some b -> Hashtbl.replace bounds g b
-                | None -> Hashtbl.remove bounds g);
-                m.group <- -1;
-                if gid < 0 then List.iter (fun x -> x.group <- -1) cur;
-                flush cur gid;
-                go [ m ] (-1) rest
-              end
-            end
-            else begin
-              flush cur gid;
-              go [ m ] (-1) rest
-            end)
-      in
-      go [] (-1) ms)
-    pairs;
-  List.rev !committed
-
 (* The oracle-has-teeth probe: keep a frame's Send but drop its Recv,
    exactly the footprint of an unsound elision that forgot the
    consumer.  {!Program.check} must flag the unmatched send. *)
@@ -603,17 +578,16 @@ let break_first_recv programs =
 
 let run ?(window = 4) ?fault (p : Program.t) =
   if window < 0 then invalid_arg "Comm_opt.run: negative window";
-  let procs = p.processors in
-  let msgs, avail, first_use = collect p in
-  let messages_before = List.length msgs in
+  let progs, input = collect p in
+  let search = searcher input in
+  let messages_before = Array.length input.msgs in
   let elided =
-    Trace.span ~cat:"compile" "compile.comm_opt.elide" (fun () ->
-        elide ~procs ~avail ~first_use msgs)
+    Trace.span ~cat:"compile" "compile.comm_opt.elide" (fun () -> elide search input)
   in
   let programs =
     Trace.span ~cat:"compile" "compile.comm_opt.coalesce" (fun () ->
-        let groups = if window = 0 then [] else coalesce ~window ~procs msgs in
-        rebuild p msgs groups)
+        let groups = if window = 0 then [||] else coalesce search ~window input in
+        rebuild progs input groups)
   in
   let programs =
     match fault with
@@ -637,10 +611,10 @@ let run ?(window = 4) ?fault (p : Program.t) =
       failwith ("Comm_opt.run: optimized program infeasible: " ^ msg))
   | Some _ -> ());
   let forwarded_values =
-    List.fold_left
+    Array.fold_left
       (fun acc m -> if m.live then acc + List.length m.extras else acc)
-      0 msgs
+      0 input.msgs
   in
   let coalesced = messages_before - elided - messages_after in
-  ( p',
-    { messages_before; messages_after; elided; coalesced; forwarded_values } )
+  let examined = search.examined in
+  (p', { messages_before; messages_after; elided; coalesced; forwarded_values; examined })

@@ -17,7 +17,8 @@
     introduce is a deadlock: every tentative merge is rejected when
     the merged Recv already happens-before the merged Send, found by
     one earliest-arrival search over the retained frames (program
-    order plus send->recv edges, stash-style tag matching).
+    order plus send->recv edges, stash-style tag matching) — the same
+    search that finds elision's forwarding chains.
 
     The rewrite never changes which processor computes what, so the
     optimized program is value-differentially identical to its input
@@ -33,6 +34,11 @@ type stats = {
   forwarded_values : int;
       (** extra value slots piggybacked on retained frames to carry
           the elided messages' payloads *)
+  examined : int;
+      (** messages the happens-before search examined, summed over
+          every elision and coalescing query: a deterministic measure
+          of the pass's work (each query examines a message at most
+          once) *)
 }
 
 type fault =
@@ -55,13 +61,13 @@ val run : ?window:int -> ?fault:fault -> Program.t -> Program.t * stats
     pass refuses to emit a program it cannot prove well-formed and
     deadlock-free.
     @raise Invalid_argument on a negative window, an input that
-    already contains packs, or unmatched sends/recvs. *)
+    already contains packs, or unmatched or duplicated sends/recvs. *)
 
 val messages : Program.t -> int
 (** Frames sent: plain [Send]s plus [Send_pack]s, each counted once —
     the quantity the paper's comm term [k] prices. *)
 
 val fingerprint : Program.t -> string
-(** FNV-1a digest of the instruction streams (same construction as
-    {!Full_sched.output_fingerprint}), pinning optimized codegen in
-    the golden corpus. *)
+(** FNV-1a digest ({!Mimd_util.Fnv}, as
+    {!Mimd_core.Full_sched.output_fingerprint}) of the instruction
+    streams, pinning optimized codegen in the golden corpus. *)

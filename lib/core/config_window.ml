@@ -67,16 +67,8 @@ let equal_key (a : key) (b : key) =
   let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
   go (Array.length a - 1)
 
-(* FNV-1a over the words (offset basis truncated to OCaml's 63-bit
-   int), folded to a non-negative int. *)
-let hash_key (k : key) =
-  let h = ref 0x3bf29ce484222325 in
-  Array.iter
-    (fun w ->
-      h := !h lxor w;
-      h := !h * 0x100000001b3)
-    k;
-  !h land max_int
+(* FNV-1a over the words, a non-negative int. *)
+let hash_key (k : key) = Array.fold_left Mimd_util.Fnv.mix Mimd_util.Fnv.basis k
 
 module Tbl = Hashtbl.Make (struct
   type t = key

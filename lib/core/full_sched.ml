@@ -5,6 +5,10 @@ module Trace = Mimd_obs.Trace
 
 type strategy = Separate | Folded | Auto
 
+let default_strategy = Auto
+let default_fold_tolerance = 0.05
+let default_max_iterations = 1024
+
 exception Invalid_schedule of string
 
 let validator : (Schedule.t -> (unit, string) result) ref =
@@ -220,8 +224,9 @@ let prepare ~graph () =
   let cls = Trace.span ~cat:"compile" "compile.classify" (fun () -> Classify.run g) in
   { unwound = g; copies = mapping.Unwind.copies; cls }
 
-let finish ?(strategy = Auto) ?(fold_tolerance = 0.05) ?(max_iterations = 1024)
-    ?(validate = false) ~prepared ~machine ~iterations () =
+let finish ?(strategy = default_strategy) ?(fold_tolerance = default_fold_tolerance)
+    ?(max_iterations = default_max_iterations) ?(validate = false) ~prepared ~machine
+    ~iterations () =
   if iterations <= 0 then invalid_arg "Full_sched.run: iterations <= 0";
   if fold_tolerance < 0.0 then invalid_arg "Full_sched.run: negative fold_tolerance";
   let g = prepared.unwound in
@@ -262,9 +267,7 @@ let parallel_time t = Schedule.makespan t.schedule
    string, whatever order the scheduler emitted the entries in — the
    determinism tests and CI diff this against checked-in goldens. *)
 let output_fingerprint t =
-  let fnv_prime = 0x100000001b3 in
-  let h = ref 0x3bf29ce484222325 in
-  let mix v = h := (!h lxor (v land max_int)) * fnv_prime land max_int in
+  Mimd_util.Fnv.digest @@ fun mix ->
   mix (Schedule.machine t.schedule).Config.processors;
   mix t.cyclic_processors;
   mix t.flow_in_processors;
@@ -283,8 +286,7 @@ let output_fingerprint t =
       mix e.proc;
       mix e.inst.iter;
       mix e.inst.node)
-    (Schedule.entries t.schedule);
-  Printf.sprintf "%016x" !h
+    (Schedule.entries t.schedule)
 
 let total_processors t =
   t.cyclic_processors + t.flow_in_processors + t.flow_out_processors

@@ -25,6 +25,17 @@
 
 type strategy = Separate | Folded | Auto
 
+val default_strategy : strategy
+(** [Auto]: what {!run} and {!finish} use without [?strategy]. *)
+
+val default_fold_tolerance : float
+(** [0.05]: the default [?fold_tolerance]. *)
+
+val default_max_iterations : int
+(** [1024]: the default [?max_iterations].  These three constants are
+    the whole strategy part of the compile service's cache key
+    ({!Mimd_runtime.Schedule_cache.fingerprint}). *)
+
 exception Invalid_schedule of string
 (** Raised by {!run} with [~validate:true] when the installed
     {!validator} rejects the complete schedule. *)

@@ -97,14 +97,16 @@ let graph_fingerprint ~graph () =
   add_graph b graph;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let fingerprint ?(strategy = Full_sched.Auto) ?(fold_tolerance = 0.05)
-    ?(max_iterations = 1024) ~graph ~machine ~iterations () =
+(* The key ends in [Full_sched]'s default strategy knobs: the service
+   never sets them, and a change of default must change every key. *)
+let fingerprint ~graph ~machine ~iterations () =
   let b = Buffer.create 512 in
   add_graph b graph;
   Buffer.add_string b
     (Printf.sprintf "|p%d|k%d|n%d|%c|f%h|m%d" machine.Config.processors
-       machine.Config.comm_estimate iterations (strategy_tag strategy) fold_tolerance
-       max_iterations);
+       machine.Config.comm_estimate iterations
+       (strategy_tag Full_sched.default_strategy)
+       Full_sched.default_fold_tolerance Full_sched.default_max_iterations);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let with_lock t f =

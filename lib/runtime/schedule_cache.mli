@@ -30,9 +30,6 @@ val create : ?capacity:int -> unit -> t
 val capacity : t -> int
 
 val fingerprint :
-  ?strategy:Mimd_core.Full_sched.strategy ->
-  ?fold_tolerance:float ->
-  ?max_iterations:int ->
   graph:Mimd_ddg.Graph.t ->
   machine:Mimd_machine.Config.t ->
   iterations:int ->
@@ -41,7 +38,8 @@ val fingerprint :
 (** The hex digest used as cache key (exposed for tests, for logging
     cache behaviour, and as the content address of the on-disk store).
     It covers the graph, the machine's [p] and [k], the trip count and
-    the strategy knobs. *)
+    {!Mimd_core.Full_sched}'s default strategy knobs, the only ones a
+    cached schedule is ever built with. *)
 
 val graph_fingerprint : graph:Mimd_ddg.Graph.t -> unit -> string
 (** Digest of only what the machine-independent pipeline prefix

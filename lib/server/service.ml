@@ -21,14 +21,9 @@ type t = {
   mutex : Mutex.t;
   mutable requests : int;
   mutable errors : int;
-  (* per-stage service latencies, milliseconds, newest first *)
-  mutable parse_ms : float list;
-  mutable schedule_ms : float list;
-  mutable schedule_incr_ms : float list;
-  mutable validate_ms : float list;
-  mutable total_ms : float list;
-  (* Prometheus view of the same numbers (plus cache-tier counters),
-     owned per service so concurrent services never share series. *)
+  (* Request counters and per-stage latency histograms (the [stats]
+     reply's latency section reads them too), owned per service so
+     concurrent services never share series. *)
   metrics : Metrics.t;
   m_requests : Metrics.counter;
   m_errors : Metrics.counter;
@@ -61,11 +56,6 @@ let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt () =
     mutex = Mutex.create ();
     requests = 0;
     errors = 0;
-    parse_ms = [];
-    schedule_ms = [];
-    schedule_incr_ms = [];
-    validate_ms = [];
-    total_ms = [];
     metrics;
     m_requests =
       Metrics.counter ~help:"Compile requests served" metrics "mimd_serve_requests_total";
@@ -121,7 +111,6 @@ let compute t ~graph ~machine ~iterations ~validate =
       let t0 = now_ms () in
       let report = Mimd_check.Validate.full full in
       let dt = now_ms () -. t0 in
-      with_lock t (fun () -> t.validate_ms <- dt :: t.validate_ms);
       Metrics.observe t.h_validate dt;
       match Mimd_check.Validate.error_of ~names:(Mimd_ddg.Graph.name graph) report with
       | Ok () -> Ok (full, outcome, dt)
@@ -195,13 +184,11 @@ let compile_graph t ?deadline ~validate ~graph ~machine ~iterations () =
         | Ok (full, outcome, validate_ms) ->
           let dt = now_ms () -. t0 -. validate_ms in
           Trace.instant ~args:[ ("prep", Incr.outcome_name outcome) ] "serve.prep";
-          (match outcome with
-          | Incr.Cold ->
-            with_lock t (fun () -> t.schedule_ms <- dt :: t.schedule_ms);
-            Metrics.observe t.h_schedule dt
-          | Incr.Incremental ->
-            with_lock t (fun () -> t.schedule_incr_ms <- dt :: t.schedule_incr_ms);
-            Metrics.observe t.h_schedule_incr dt);
+          Metrics.observe
+            (match outcome with
+            | Incr.Cold -> t.h_schedule
+            | Incr.Incremental -> t.h_schedule_incr)
+            dt;
           (* Only proven schedules are persisted (when validation is
              on, which it was just above for this very entry). *)
           Schedule_cache.add t.memory ~key full;
@@ -218,7 +205,6 @@ let compile t ?deadline ?validate ~loop ~machine ~iterations () =
     let elapsed = now_ms () -. started in
     with_lock t (fun () ->
         t.requests <- t.requests + 1;
-        t.total_ms <- elapsed :: t.total_ms;
         match outcome with Error _ -> t.errors <- t.errors + 1 | Ok _ -> ());
     Metrics.inc t.m_requests;
     Metrics.observe t.h_total elapsed;
@@ -226,9 +212,7 @@ let compile t ?deadline ?validate ~loop ~machine ~iterations () =
   in
   let t0 = now_ms () in
   let parsed = Trace.span ~cat:"serve" "serve.parse" (fun () -> parse_loop loop) in
-  let parse_dt = now_ms () -. t0 in
-  with_lock t (fun () -> t.parse_ms <- parse_dt :: t.parse_ms);
-  Metrics.observe t.h_parse parse_dt;
+  Metrics.observe t.h_parse (now_ms () -. t0);
   let outcome =
     match parsed with
     | Error e -> Error e
@@ -245,44 +229,24 @@ let compile_params t ?deadline (p : Protocol.compile_params) =
 (* ---------------------------------------------------------------- *)
 (* Stats                                                              *)
 
-let latency_json samples =
-  match samples with
-  | [] -> Json.Obj [ ("count", Json.Int 0) ]
-  | _ ->
-    let module S = Mimd_util.Stats in
+(* One stage's summary, read off its latency histogram: the service
+   keeps no per-request samples, so quantiles are bucket estimates. *)
+let latency_json h =
+  match Metrics.histogram_count h with
+  | 0 -> Json.Obj [ ("count", Json.Int 0) ]
+  | count ->
+    let q x = Json.Float (Metrics.quantile h x) in
     Json.Obj
       [
-        ("count", Json.Int (List.length samples));
-        ("mean_ms", Json.Float (S.mean samples));
-        ("p50_ms", Json.Float (S.percentile 50.0 samples));
-        ("p90_ms", Json.Float (S.percentile 90.0 samples));
-        ("p99_ms", Json.Float (S.percentile 99.0 samples));
-        ("max_ms", Json.Float (S.maximum samples));
-        ( "histogram",
-          Json.List
-            (List.map
-               (fun (lo, hi, n) ->
-                 Json.List [ Json.Float lo; Json.Float hi; Json.Int n ])
-               (S.histogram ~bins:8 samples)) );
+        ("count", Json.Int count);
+        ("mean_ms", Json.Float (Metrics.histogram_sum h /. float_of_int count));
+        ("p50_ms", q 0.5);
+        ("p90_ms", q 0.9);
+        ("p99_ms", q 0.99);
       ]
 
 let stats_json ?pool t =
-  let ( requests,
-        errors,
-        parse_ms,
-        schedule_ms,
-        schedule_incr_ms,
-        validate_ms,
-        total_ms ) =
-    with_lock t (fun () ->
-        ( t.requests,
-          t.errors,
-          t.parse_ms,
-          t.schedule_ms,
-          t.schedule_incr_ms,
-          t.validate_ms,
-          t.total_ms ))
-  in
+  let requests, errors = with_lock t (fun () -> (t.requests, t.errors)) in
   let mem = Schedule_cache.stats t.memory in
   let memory_json =
     Json.Obj
@@ -341,11 +305,11 @@ let stats_json ?pool t =
       ( "latency",
         Json.Obj
           [
-            ("parse", latency_json parse_ms);
-            ("schedule", latency_json schedule_ms);
-            ("schedule_incr", latency_json schedule_incr_ms);
-            ("validate", latency_json validate_ms);
-            ("total", latency_json total_ms);
+            ("parse", latency_json t.h_parse);
+            ("schedule", latency_json t.h_schedule);
+            ("schedule_incr", latency_json t.h_schedule_incr);
+            ("validate", latency_json t.h_validate);
+            ("total", latency_json t.h_total);
           ] );
     ]
 

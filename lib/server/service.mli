@@ -67,9 +67,14 @@ val compile_params :
 val stats_json : ?pool:Pool.t -> t -> Json.t
 (** The payload of a [stats] reply: request/error counts, both cache
     tiers (hits/misses/entries/evictions, stores), optional pool
-    gauges (jobs, queue depth, executed), and per-stage latency
-    summaries (count, mean, p50/p90/p99, max, 8-bin histogram) for
-    parse / schedule / validate / total, via {!Mimd_util.Stats}. *)
+    gauges (jobs, queue depth, executed), the prepared-prefix reuse
+    counts ([incr_prep]), and per-stage latency summaries for parse /
+    schedule / schedule_incr / validate / total.  A summary is read off
+    that stage's [mimd_serve_stage_latency_ms] histogram: [count],
+    [mean_ms] (sum over count) and [p50_ms]/[p90_ms]/[p99_ms] through
+    {!Mimd_obs.Metrics.quantile}; an empty stage is [{"count":0}].  The
+    service keeps no per-request samples, so memory stays flat however
+    long it serves. *)
 
 val memory_stats : t -> Mimd_runtime.Schedule_cache.stats
 val disk_stats : t -> Disk_cache.stats option

@@ -60,8 +60,7 @@ let add t key prepared =
         Queue.add key t.order
       end)
 
-let compile ?strategy ?fold_tolerance ?max_iterations ?validate t ~graph ~machine
-    ~iterations () =
+let compile t ~graph ~machine ~iterations () =
   let key = Cache.graph_fingerprint ~graph () in
   let prepared, outcome =
     match find t key with
@@ -73,11 +72,7 @@ let compile ?strategy ?fold_tolerance ?max_iterations ?validate t ~graph ~machin
       add t key p;
       (p, Cold)
   in
-  let full =
-    Full_sched.finish ?strategy ?fold_tolerance ?max_iterations ?validate ~prepared
-      ~machine ~iterations ()
-  in
-  (full, outcome)
+  (Full_sched.finish ~prepared ~machine ~iterations (), outcome)
 
 let stats t =
   with_lock t (fun () ->

@@ -29,19 +29,15 @@ val global : t
 (** Process-wide instance shared by the CLI and the compile service. *)
 
 val compile :
-  ?strategy:Mimd_core.Full_sched.strategy ->
-  ?fold_tolerance:float ->
-  ?max_iterations:int ->
-  ?validate:bool ->
   t ->
   graph:Mimd_ddg.Graph.t ->
   machine:Mimd_machine.Config.t ->
   iterations:int ->
   unit ->
   Mimd_core.Full_sched.t * outcome
-(** Exactly {!Mimd_core.Full_sched.run} with the same arguments and
-    the same result — plus whether the machine-independent prefix was
-    reused.  Domain-safe. *)
+(** Exactly {!Mimd_core.Full_sched.run} with the same arguments (and
+    its default strategy) and the same result — plus whether the
+    machine-independent prefix was reused.  Domain-safe. *)
 
 val stats : t -> stats
 val clear : t -> unit

@@ -53,25 +53,3 @@ let geometric_mean = function
 let ratio_of_means xs ys =
   let my = mean ys in
   if my = 0.0 then nan else mean xs /. my
-
-let histogram ?(bins = 8) xs =
-  if bins < 1 then invalid_arg "Stats.histogram: bins < 1";
-  match xs with
-  | [] -> []
-  | _ ->
-    let lo = minimum xs and hi = maximum xs in
-    if lo = hi then [ (lo, hi, List.length xs) ]
-    else begin
-      let width = (hi -. lo) /. float_of_int bins in
-      let counts = Array.make bins 0 in
-      List.iter
-        (fun x ->
-          let i = int_of_float ((x -. lo) /. width) in
-          let i = max 0 (min (bins - 1) i) in
-          counts.(i) <- counts.(i) + 1)
-        xs;
-      List.init bins (fun i ->
-          let l = lo +. (float_of_int i *. width) in
-          let r = if i = bins - 1 then hi else l +. width in
-          (l, r, counts.(i)))
-    end

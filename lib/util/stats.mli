@@ -43,11 +43,3 @@ val geometric_mean : float list -> float
 
 val ratio_of_means : float list -> float list -> float
 (** [ratio_of_means xs ys] = mean xs / mean ys; [nan] when mean ys = 0. *)
-
-val histogram : ?bins:int -> float list -> (float * float * int) list
-(** [histogram ~bins xs] buckets [xs] into [bins] (default 8)
-    equal-width intervals spanning [min xs, max xs], returning
-    [(lo, hi, count)] per bucket (the last bucket is closed on the
-    right).  [[]] on the empty list; a single bucket when all values
-    coincide.  Used by the compile service's per-stage latency
-    reports.  @raise Invalid_argument if [bins < 1]. *)

@@ -252,6 +252,25 @@ let test_message_reduction_on_paper_loops () =
       | Error e -> Alcotest.failf "%s: optimized program rejected: %s" name e)
     [ ("ewf", Mimd_workloads.Elliptic.source); ("fig1", Mimd_workloads.Fig1.source) ]
 
+(* The happens-before search's work, pinned exactly: a query examines
+   each message at most once, so a return to whole-list sweeps (or a
+   lost scan stop) moves these counts on any host.  ewf and fig1 at
+   p=2, k=2, n=120, window 4. *)
+let test_search_work_pinned () =
+  List.iter
+    (fun (name, src, want) ->
+      let _, graph = front_end src in
+      let full =
+        Mimd_core.Full_sched.run ~graph ~machine:(machine ~p:2 ~k:2 ()) ~iterations:120 ()
+      in
+      let program = From_schedule.run full.Mimd_core.Full_sched.schedule in
+      let _, stats = Comm_opt.run ~window:4 program in
+      check_int (name ^ ": messages examined") want stats.Comm_opt.examined)
+    [
+      ("ewf", Mimd_workloads.Elliptic.source, 400093);
+      ("fig1", Mimd_workloads.Fig1.source, 43740);
+    ]
+
 (* Structural availability: in the optimized program every Compute's
    operand instance is present locally — computed earlier on the same
    processor or landed by an earlier Recv/Recv_pack.  This is the
@@ -383,6 +402,7 @@ let suite =
     Alcotest.test_case "window boundaries" `Quick test_window_boundaries;
     Alcotest.test_case "ewf and fig1: messages cut by >= 20%" `Quick
       test_message_reduction_on_paper_loops;
+    Alcotest.test_case "search work pinned (ewf, fig1 n120)" `Quick test_search_work_pinned;
     Alcotest.test_case "values available in time" `Quick
       test_values_available_in_time;
     Alcotest.test_case "keep-extra-send fault caught" `Quick

@@ -151,13 +151,13 @@ let test_corpus_fingerprints_n2000 () =
    the same files the CI comm-opt fingerprint-diff steps check.  The
    n=120 golden sits at the trip count where coalescing does the most
    work, so it pins the acceptance decisions at scale. *)
-let commopt_line_of_file ~processors ~iterations path =
+let commopt_line_of_file ?(comm_estimate = 2) ?window ~processors ~iterations path =
   let src = In_channel.with_open_text path In_channel.input_all in
   let g = (Mimd_loop_ir.Depend.analyze_string src).Mimd_loop_ir.Depend.graph in
-  let machine = Mimd_machine.Config.make ~processors ~comm_estimate:2 in
+  let machine = Mimd_machine.Config.make ~processors ~comm_estimate in
   let full = Mimd_core.Full_sched.run ~graph:g ~machine ~iterations () in
   let program = Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule in
-  let opt, stats = Mimd_codegen.Comm_opt.run program in
+  let opt, stats = Mimd_codegen.Comm_opt.run ?window program in
   Printf.sprintf "%s %d->%d"
     (Mimd_codegen.Comm_opt.fingerprint opt)
     stats.Mimd_codegen.Comm_opt.messages_before
@@ -193,6 +193,36 @@ let test_corpus_commopt_fingerprints () =
 let test_corpus_commopt_fingerprints_n120 () =
   check_commopt_golden ~processors:4 ~iterations:120
     "goldens/fingerprints_commopt_p4_k2_n120.txt"
+
+(* The comm-opt sweep golden pins every elision and coalescing
+   decision off the default shapes: each corpus loop at p in {2,3,4},
+   k in {1,2,4}, n in {30,60,120} and window in {1,4}, one line
+   "<hex> <before>-><after> <p> <k> <n> <w> <name>" each — the output
+   of [mimdloop fingerprint --comm-opt --comm-window w] with the shape
+   spliced in. *)
+let test_commopt_sweep_fingerprints () =
+  let golden =
+    In_channel.with_open_text "goldens/fingerprints_commopt_sweep.txt" In_channel.input_lines
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  check_int "one line per shape and loop" 432 (List.length golden);
+  let drift =
+    List.filter
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ hex; counts; p; k; n; w; name ] ->
+          commopt_line_of_file ~comm_estimate:(int_of_string k) ~window:(int_of_string w)
+            ~processors:(int_of_string p) ~iterations:(int_of_string n)
+            (Filename.concat "../examples/loops" name)
+          <> hex ^ " " ^ counts
+        | _ -> Alcotest.failf "malformed comm-opt sweep line: %S" line)
+      golden
+  in
+  match drift with
+  | [] -> ()
+  | first :: _ ->
+    Alcotest.failf "%d of %d comm-opt sweep lines drifted; first: %S" (List.length drift)
+      (List.length golden) first
 
 (* The sweep golden pins [Full_sched]'s default (Auto) decisions off
    the p=2 k=2 diagonal: every corpus loop and textual kernel at
@@ -269,4 +299,6 @@ let suite =
     prop_heavier_latencies_still_fine;
     Alcotest.test_case "golden: sweep fingerprints p1-5 k0-8 n7-1000" `Quick
       test_sweep_fingerprints;
+    Alcotest.test_case "golden: comm-opt sweep fingerprints p2-4 k1-4 n30-120 w1,4" `Quick
+      test_commopt_sweep_fingerprints;
   ]

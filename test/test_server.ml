@@ -416,6 +416,37 @@ let test_service_validates_fresh_schedules () =
     check_bool "validate stage recorded" true (count = Some (Json.Int 1))
   | Error e -> Alcotest.failf "validated compile failed: %s" e.Service.message
 
+(* The stats reply's latency section is read off the stage histograms
+   the service observes anyway: no per-request sample list, so a long
+   run stays flat, and the summary agrees with the metrics registry. *)
+let test_service_latency_from_histograms () =
+  let svc = Service.create () in
+  let n = 6 in
+  for i = 1 to n do
+    let iterations = 10 + i in
+    match Service.compile svc ~loop:prefix_loop ~machine:(machine ()) ~iterations () with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "compile failed: %s" e.Service.message
+  done;
+  let stage name =
+    let latency = Json.member "latency" (Service.stats_json svc) in
+    match Option.bind latency (Json.member name) with
+    | Some j -> j
+    | None -> Alcotest.failf "no latency.%s in stats" name
+  in
+  let total = stage "total" in
+  check_bool "total count = compiles" true (Json.member "count" total = Some (Json.Int n));
+  let h =
+    Mimd_obs.Metrics.histogram ~labels:[ ("stage", "total") ] (Service.metrics svc)
+      "mimd_serve_stage_latency_ms"
+  in
+  check_bool "p50 is the histogram's quantile" true
+    (Json.member "p50_ms" total = Some (Json.Float (Mimd_obs.Metrics.quantile h 0.5)));
+  check_bool "no max_ms" true (Json.member "max_ms" total = None);
+  check_bool "no min-max histogram" true (Json.member "histogram" total = None);
+  check_bool "empty stage is count 0" true
+    (stage "validate" = Json.Obj [ ("count", Json.Int 0) ])
+
 (* ---------------------------------------------------------------- *)
 (* Channel server under contention (the --stdio shape)                *)
 
@@ -737,6 +768,8 @@ let suite =
       test_service_errors_structured;
     Alcotest.test_case "server: service validates fresh schedules" `Quick
       test_service_validates_fresh_schedules;
+    Alcotest.test_case "server: service latency from histograms" `Quick
+      test_service_latency_from_histograms;
     Alcotest.test_case "server: stdio contention bijection" `Quick
       test_stdio_contention_bijection;
     Alcotest.test_case "server: stdio sequential hit counts" `Quick
