@@ -261,7 +261,7 @@ let comm_opt_t =
   Term.(const (fun on window -> if on then Some window else None) $ on $ window)
 
 (* Every comm-opt run goes through here: optimize a generated program
-   and have the independent token simulation accept the result. *)
+   and have the independent protocol check accept the result. *)
 let optimize_program ~window program =
   match Comm_opt.run ~window program with
   | exception Failure m -> Error ("comm-opt: " ^ m)
@@ -585,7 +585,7 @@ let loop_t =
 
 (* Compile an analysed loop down to the per-processor message-passing
    program that verify, run-parallel and run-dist execute.  Codegen
-   runs with validate:true, so the independent token simulation audits
+   runs with validate:true, so the independent protocol check audits
    the message protocol over whichever backend runs it next. *)
 let compile_for_run ?comm_opt ~(analysis : Depend.t) ~machine ~iterations () =
   let full = Full_sched.run ~graph:analysis.graph ~machine ~iterations () in

@@ -121,7 +121,7 @@ let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
     match Mimd_codegen.Comm_opt.run ~window ?fault:comm_fault program with
     | exception Failure m -> Error ("comm-opt self-check: " ^ m)
     | opt, _stats ->
-      (* The independent token simulation must accept every optimized
+      (* The independent protocol check must accept every optimized
          program — with an injected fault it must reject it instead,
          which surfaces here as the case failing. *)
       let* () =

@@ -19,6 +19,7 @@ type issue =
   | Reroll of { iterations : int; issue : issue }
   | Protocol_defect of Program.defect
   | Protocol_deadlock of { capacity : int; delivered : int; stuck : (int * string) list }
+  | Protocol_failure of Program.failure
 
 type report = { issues : issue list; counters : (string * int) list }
 
@@ -168,118 +169,25 @@ let pattern ?trips (p : Pattern.t) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* (d): abstract token simulation of the Send/Recv protocol            *)
-
-let render_instr (p : Program.t) instr =
-  Format.asprintf "%a" (Program.pp_instr ~names:(Graph.name p.graph)) instr
+(* (d): the Send/Recv protocol, simulated at the runtime's capacity    *)
 
 let program ?(capacity = Mimd_runtime.Value_run.default_channel_capacity)
     (p : Program.t) =
-  if capacity < 1 then invalid_arg "Validate.program: capacity < 1";
   let static = List.map (fun d -> Protocol_defect d) (Program.check p) in
-  let n = p.processors in
-  let remaining = Array.map (fun l -> ref l) p.programs in
-  (* One bounded FIFO of tags per ordered processor pair, and one
-     per-consumer-per-source stash for out-of-order arrivals — the
-     exact discipline of the runtime's Mesh.recv_tag.  Both are arrays
-     indexed by [src * width + dst] over the processor ids the program
-     names (a peer outside [0, n) only ever fills or starves its
-     channel), and carry tags as their dense instance keys. *)
-  let lo = ref 0 and hi = ref (n - 1) in
-  let keys =
-    Program.Keys.scan (fun see ->
-        let named q (tag : Program.tag) =
-          lo := min !lo q;
-          hi := max !hi q;
-          see tag.node tag.iter
-        in
-        Array.iter
-          (List.iter (function
-            | Program.Compute _ -> ()
-            | Program.Send { tag; dst = q } | Program.Recv { tag; src = q } -> named q tag
-            | Program.Send_pack { tags; dst = q } | Program.Recv_pack { tags; src = q } ->
-              List.iter (named q) tags))
-          p.programs)
-  in
-  let key (tag : Program.tag) = Program.Keys.key keys ~node:tag.node ~iter:tag.iter in
-  let width = !hi - !lo + 1 in
-  let pair src dst = ((src - !lo) * width) + (dst - !lo) in
-  let chan = Array.init (width * width) (fun _ -> Queue.create ()) in
-  let stash : (int, unit) Hashtbl.t array =
-    Array.init (width * width) (fun _ -> Hashtbl.create 8)
-  in
-  let delivered = ref 0 in
-  let step j =
-    match !(remaining.(j)) with
-    | [] -> false
-    | instr :: rest ->
-      let advance () =
-        remaining.(j) := rest;
-        true
+  let delivered, dynamic =
+    match Program.simulate ~capacity p with
+    | Ok out -> (out.messages, [])
+    | Error (Program.Stuck { delivered; blocked }) ->
+      let names = Graph.name p.graph in
+      let stuck =
+        List.map (fun (j, instr) -> (j, Format.asprintf "%a" (Program.pp_instr ~names) instr)) blocked
       in
-      (match instr with
-      | Program.Send_pack { tags = []; _ } | Program.Recv_pack { tags = []; _ } ->
-        invalid_arg "Validate.program: empty pack"
-      | Program.Compute _ -> advance ()
-      (* a pack is one frame: one queue slot, one delivery, named by
-         its head tag — the same accounting as the real meshes *)
-      | Program.Send { tag; dst } | Program.Send_pack { tags = tag :: _; dst } ->
-        let q = chan.(pair j dst) in
-        if Queue.length q < capacity then begin
-          Queue.push (key tag) q;
-          advance ()
-        end
-        else false (* channel full: a real bounded send would block here *)
-      | Program.Recv { tag; src } | Program.Recv_pack { tags = tag :: _; src } ->
-        let k = key tag in
-        let st = stash.(pair src j) in
-        if Hashtbl.mem st k then begin
-          Hashtbl.remove st k;
-          incr delivered;
-          advance ()
-        end
-        else begin
-          let q = chan.(pair src j) in
-          let rec drain () =
-            if Queue.is_empty q then false
-            else begin
-              let t = Queue.pop q in
-              if t = k then true
-              else begin
-                Hashtbl.replace st t ();
-                drain ()
-              end
-            end
-          in
-          if drain () then begin
-            incr delivered;
-            advance ()
-          end
-          else false
-        end)
-  in
-  let progressed = ref true in
-  while !progressed do
-    progressed := false;
-    for j = 0 to n - 1 do
-      while step j do
-        progressed := true
-      done
-    done
-  done;
-  let stuck = ref [] in
-  for j = n - 1 downto 0 do
-    match !(remaining.(j)) with
-    | [] -> ()
-    | instr :: _ -> stuck := (j, render_instr p instr) :: !stuck
-  done;
-  let issues =
-    if !stuck = [] then static
-    else static @ [ Protocol_deadlock { capacity; delivered = !delivered; stuck = !stuck } ]
+      (delivered, [ Protocol_deadlock { capacity; delivered; stuck } ])
+    | Error f -> (0, [ Protocol_failure f ])
   in
   {
-    issues;
-    counters = [ ("messages delivered", !delivered); ("channel capacity", capacity) ];
+    issues = static @ dynamic;
+    counters = [ ("messages delivered", delivered); ("channel capacity", capacity) ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -316,9 +224,10 @@ let rec pp_issue ~names ppf = function
   | Protocol_defect d -> Format.fprintf ppf "protocol: %a" Program.pp_defect d
   | Protocol_deadlock { capacity; delivered; stuck } ->
     Format.fprintf ppf
-      "protocol: token simulation deadlocks (capacity %d, %d message(s) delivered); stuck:"
+      "protocol: simulation deadlocks (capacity %d, %d message(s) delivered); stuck:"
       capacity delivered;
     List.iter (fun (j, s) -> Format.fprintf ppf " PE%d on [%s]" j s) stuck
+  | Protocol_failure f -> Format.fprintf ppf "protocol: %a" (Program.pp_failure ~names) f
 
 let render ~names r =
   let buf = Buffer.create 256 in

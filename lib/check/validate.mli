@@ -25,11 +25,12 @@
       spread of trip counts (crossing several repetition boundaries),
       must re-satisfy (a)-(b) and must contain every node exactly
       [iter_shift] times per repetition.
-    - {b (d) protocol} — the emitted Send/Recv programs, run as an
-      abstract token simulation over bounded FIFO channels (mirroring
-      the real runtime's {!Mimd_runtime.Mesh}), must drain completely:
-      no deadlock, no send blocked forever on a full channel, no recv
-      waiting for a message nobody sends. *)
+    - {b (d) protocol} — the emitted Send/Recv programs, run by
+      {!Mimd_codegen.Program.simulate} over links bounded at the real
+      runtime's channel capacity ({!Mimd_runtime.Mesh}), must drain
+      completely: no deadlock, no send blocked forever on a full
+      channel, no recv waiting for a message nobody sends, and every
+      operand held where it is used. *)
 
 type issue =
   | Overlap of {
@@ -61,6 +62,10 @@ type issue =
       stuck : (int * string) list;
           (** per blocked processor: the instruction it cannot retire *)
     }
+  | Protocol_failure of Mimd_codegen.Program.failure
+      (** the simulation stopped short of a deadlock: an operand missing
+          at a Compute or Send, a frame received with other tags than
+          it was sent with, or a frame nobody receives *)
 
 type report = {
   issues : issue list;
@@ -85,12 +90,13 @@ val pattern : ?trips:int list -> Mimd_core.Pattern.t -> report
     repetition boundaries, scaled by the pattern's iteration shift). *)
 
 val program : ?capacity:int -> Mimd_codegen.Program.t -> report
-(** Check (d): static pairing plus the abstract token simulation with
-    the given channel [capacity] (default
-    {!Mimd_runtime.Value_run.default_channel_capacity}, the bound the
-    real mesh enforces;
-    a send into a full channel blocks, exactly as the real
-    {!Mimd_runtime.Channel} does).
+(** Check (d): {!Mimd_codegen.Program.check}'s static pairing, then
+    {!Mimd_codegen.Program.simulate} at the given channel [capacity]
+    (default {!Mimd_runtime.Value_run.default_channel_capacity}, the
+    bound the real mesh enforces; a send into a full channel blocks,
+    exactly as the real {!Mimd_runtime.Channel} does).  A deadlock is
+    {!Protocol_deadlock}; any other simulation failure is
+    {!Protocol_failure}.
     @raise Invalid_argument if [capacity < 1]. *)
 
 val full :
@@ -98,8 +104,6 @@ val full :
 (** Everything: {!schedule} on the complete schedule, {!pattern} on
     the detected pattern (if any), {!program} on the code generated
     from the schedule. *)
-
-val pp_issue : names:(int -> string) -> Format.formatter -> issue -> unit
 
 val render : names:(int -> string) -> report -> string
 (** Multi-line human-readable report: counters first, then issues. *)

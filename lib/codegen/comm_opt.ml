@@ -33,8 +33,8 @@
    point, over the live messages at their current positions.
 
    The rewrite is semantics-preserving by construction.  The output is
-   still checked as a whole on every run — {!Program.check} plus a
-   full token simulation ([simulate]) — and the differential fuzz tier
+   still checked as a whole on every run — {!Program.check} plus
+   {!Program.simulate} — and the differential fuzz tier
    ({!Mimd_check.Fuzz}) proves value-identity across all executors. *)
 
 module Trace = Mimd_obs.Trace
@@ -435,128 +435,6 @@ let rebuild progs { msgs; at; _ } groups =
       !kept)
     progs
 
-(* Deterministic token simulation of an instruction-stream array:
-   non-blocking sends into per-link in-flight sets, recvs that block
-   until a frame whose head (representative) tag matches theirs has
-   been sent — mirroring the runtime's stash, which pulls frames off a
-   link in any order and matches by rep tag — and operand-availability
-   checks at every Compute and Send.  Run order does not matter —
-   availability is determined by each processor's own prefix, so the
-   simulation is confluent: it either drains completely or reports a
-   failure. *)
-let simulate ~graph programs =
-  let procs = Array.length programs in
-  let progs = Array.map Array.of_list programs in
-  let keys = keys_of progs in
-  let key (t : Program.tag) = Keys.key keys ~node:t.node ~iter:t.iter in
-  let pc = Array.make procs 0 in
-  let have = Array.init procs (fun _ -> Bytes.make (Keys.size keys) '\000') in
-  (* (rep tag, src, dst) -> full frame tag list, in flight *)
-  let links : (int, Program.tag list) Hashtbl.t = Hashtbl.create 64 in
-  let link src dst rep = (((key rep * procs) + src) * procs) + dst in
-  let in_flight = ref 0 in
-  let error = ref None in
-  let fail msg = if !error = None then error := Some msg in
-  let holds proc (t : Program.tag) =
-    t.iter < 0
-    ||
-    let k = key t in
-    k >= 0 && Bytes.get have.(proc) k <> '\000'
-  in
-  let land_tags proc tags = List.iter (fun t -> Bytes.set have.(proc) (key t) '\001') tags in
-  let push src dst tags =
-    match tags with
-    | [] -> fail "empty frame"
-    | rep :: _ ->
-      Hashtbl.replace links (link src dst rep) tags;
-      incr in_flight
-  in
-  (* One step of [proc]; true when it advanced. *)
-  let step proc =
-    if !error <> None || pc.(proc) >= Array.length progs.(proc) then false
-    else
-      match progs.(proc).(pc.(proc)) with
-      | Program.Compute { node; iter } ->
-        let missing =
-          List.exists
-            (fun (e : Mimd_ddg.Graph.edge) ->
-              not (holds proc { Program.node = e.src; iter = iter - e.distance }))
-            (Mimd_ddg.Graph.preds graph node)
-        in
-        if missing then begin
-          fail (Printf.sprintf "operand missing at compute on P%d" proc);
-          false
-        end
-        else begin
-          Bytes.set have.(proc) (Keys.key keys ~node ~iter) '\001';
-          pc.(proc) <- pc.(proc) + 1;
-          true
-        end
-      | Program.Send { tag; dst } ->
-        if not (holds proc tag) then begin
-          fail (Printf.sprintf "value sent before available on P%d" proc);
-          false
-        end
-        else begin
-          push proc dst [ tag ];
-          pc.(proc) <- pc.(proc) + 1;
-          true
-        end
-      | Program.Send_pack { tags; dst } ->
-        if List.exists (fun t -> not (holds proc t)) tags then begin
-          fail (Printf.sprintf "value sent before available on P%d" proc);
-          false
-        end
-        else begin
-          push proc dst tags;
-          pc.(proc) <- pc.(proc) + 1;
-          true
-        end
-      | Program.Recv { tag; src } | Program.Recv_pack { tags = tag :: _; src }
-        -> (
-        let expected =
-          match progs.(proc).(pc.(proc)) with
-          | Program.Recv_pack { tags; _ } -> tags
-          | _ -> [ tag ]
-        in
-        match Hashtbl.find_opt links (link src proc tag) with
-        | None -> false
-        | Some frame when frame = expected ->
-          Hashtbl.remove links (link src proc tag);
-          decr in_flight;
-          land_tags proc frame;
-          pc.(proc) <- pc.(proc) + 1;
-          true
-        | Some _ ->
-          fail (Printf.sprintf "frame shape mismatch on P%d<-P%d" proc src);
-          false)
-      | Program.Recv_pack { tags = []; _ } ->
-        fail "empty recv frame";
-        false
-  in
-  let progress = ref true in
-  while !progress && !error = None do
-    progress := false;
-    for proc = 0 to procs - 1 do
-      while step proc do
-        progress := true
-      done
-    done
-  done;
-  match !error with
-  | Some msg -> Error msg
-  | None ->
-    let stuck = ref [] in
-    Array.iteri
-      (fun proc n -> if pc.(proc) < n then stuck := proc :: !stuck)
-      (Array.map Array.length progs);
-    if !stuck <> [] then
-      Error
-        (Printf.sprintf "deadlock: processor(s) %s blocked"
-           (String.concat "," (List.map string_of_int (List.rev !stuck))))
-    else if !in_flight > 0 then Error "undelivered frame left on a link"
-    else Ok ()
-
 (* The oracle-has-teeth probe: keep a frame's Send but drop its Recv,
    exactly the footprint of an unsound elision that forgot the
    consumer.  {!Program.check} must flag the unmatched send. *)
@@ -605,10 +483,13 @@ let run ?(window = 4) ?fault (p : Program.t) =
       failwith
         (Format.asprintf "Comm_opt.run: optimized program ill-formed: %a"
            Program.pp_defect d));
-    match simulate ~graph:p.graph programs with
-    | Ok () -> ()
-    | Error msg ->
-      failwith ("Comm_opt.run: optimized program infeasible: " ^ msg))
+    match Program.simulate p' with
+    | Ok _ -> ()
+    | Error f ->
+      failwith
+        (Format.asprintf "Comm_opt.run: optimized program infeasible: %a"
+           (Program.pp_failure ~names:(Mimd_ddg.Graph.name p.graph))
+           f))
   | Some _ -> ());
   let forwarded_values =
     Array.fold_left

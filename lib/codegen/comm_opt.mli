@@ -56,10 +56,11 @@ val run : ?window:int -> ?fault:fault -> Program.t -> Program.t * stats
     per-frame overhead across up to four iterations.  Each merge is
     accepted by a happens-before cycle check, not a re-simulation;
     the program is rebuilt once.  Without a fault, the whole result
-    is then re-checked with {!Program.check} {e and} token-simulated
-    to completion; any defect or blockage raises [Failure] — the
-    pass refuses to emit a program it cannot prove well-formed and
-    deadlock-free.
+    is then re-checked with {!Program.check} {e and} run to completion
+    by {!Program.simulate} at unbounded capacity, which also checks
+    every operand and frame shape; any defect or failure raises
+    [Failure] — the pass refuses to emit a program it cannot prove
+    well-formed and deadlock-free.
     @raise Invalid_argument on a negative window, an input that
     already contains packs, or unmatched or duplicated sends/recvs. *)
 

@@ -19,7 +19,8 @@ val validator : (Program.t -> (unit, string) result) ref
 (** The check applied by [~validate:true].  Defaults to the in-layer
     {!Program.check}; the independent checker ([Mimd_check], which this
     library cannot depend on) replaces it at start-up with its
-    token-simulation protocol check via
+    protocol check ({!Program.simulate} at the runtime's channel
+    capacity) via
     [Mimd_check.Validate.install_hooks]. *)
 
 val run : ?validate:bool -> Mimd_core.Schedule.t -> Program.t

@@ -180,6 +180,285 @@ let pp_instr ~names ppf = function
   | Recv_pack { tags; src } ->
     Format.fprintf ppf "RECV %a <- PE%d" (pp_tags ~names) tags src
 
+(* ------------------------------------------------------------------ *)
+(* Simulation                                                          *)
+
+type event = { time : int; proc : int; instr : instr }
+
+type outcome = {
+  makespan : int;
+  proc_finish : int array;
+  messages : int;
+  comm_cycles : int;
+  busy_cycles : int;
+  trace : event list;
+  steps : int;
+}
+
+type failure =
+  | Stuck of { delivered : int; blocked : (int * instr) list }
+  | Missing_operand of { proc : int; instr : instr; operand : tag }
+  | Frame_mismatch of { proc : int; instr : instr; sent : instr }
+  | Undelivered of { src : int; dst : int; instr : instr }
+
+exception Fail of failure
+
+let head_of = function
+  | Send { tag; _ } | Recv { tag; _ } | Send_pack { tags = tag :: _; _ }
+  | Recv_pack { tags = tag :: _; _ } ->
+    tag
+  | Send_pack { tags = []; _ } | Recv_pack { tags = []; _ } ->
+    invalid_arg "Program.simulate: empty pack"
+  | Compute _ -> invalid_arg "Program.simulate: not a message"
+
+(* The frame a Recv names is the one the Send carried: the lookup
+   matched the head tag, so single-tag frames agree; packs must carry the
+   same tags in the same order. *)
+let same_frame sent recv =
+  match (sent, recv) with
+  | (Send _ | Send_pack { tags = [ _ ]; _ }), (Recv _ | Recv_pack { tags = [ _ ]; _ }) -> true
+  | Send_pack { tags = a; _ }, Recv_pack { tags = b; _ } -> a = b
+  | _ -> false
+
+let simulate ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(record = false) t =
+  if capacity < 1 then invalid_arg "Program.simulate: capacity < 1";
+  let graph = t.graph in
+  let n = Array.length t.programs in
+  (* One scan sizes every table: the instance window of every Compute
+     and tag, the processor ids messages name (out-of-range ones too, so
+     a stray peer only fills or starves its own link), and the number of
+     Sends. *)
+  let lo = ref 0 and hi = ref (n - 1) and sends = ref 0 in
+  let keys =
+    Keys.scan (fun see ->
+        let peer q (tg : tag) =
+          if q < !lo then lo := q;
+          if q > !hi then hi := q;
+          see tg.node tg.iter
+        in
+        Array.iter
+          (List.iter (function
+            | Compute { node; iter } -> see node iter
+            | Send { tag; dst } ->
+              incr sends;
+              peer dst tag
+            | Send_pack { tags; dst } ->
+              incr sends;
+              List.iter (peer dst) tags
+            | Recv { tag; src } -> peer src tag
+            | Recv_pack { tags; src } -> List.iter (peer src) tags))
+          t.programs)
+  in
+  let lo = !lo in
+  let width = !hi - lo + 1 and size = Keys.size keys in
+  let { Keys.node_lo; width = kw; iter_lo; span } = keys in
+  let key (tg : tag) = ((tg.iter - iter_lo) * kw) + (tg.node - node_lo) in
+  (* [held] is one byte per (processor, instance): set by its Compute
+     or by the Recv that lands it. *)
+  let held = Bytes.make (n * size) '\000' in
+  let land_ j (tg : tag) = Bytes.unsafe_set held ((j * size) + key tg) '\001' in
+  (* Values from before iteration 0 are the loop's inputs, held by all. *)
+  let[@inline] holds j ~node ~iter =
+    let dn = node - node_lo and di = iter - iter_lo in
+    iter < 0
+    || dn >= 0 && dn < kw && di >= 0 && di < span
+       && Bytes.unsafe_get held ((j * size) + (di * kw) + dn) <> '\000'
+  in
+  let need j instr (tg : tag) =
+    if not (holds j ~node:tg.node ~iter:tg.iter) then
+      raise (Fail (Missing_operand { proc = j; instr; operand = tg }))
+  in
+  (* A Compute's operands: each predecessor's instance at its distance. *)
+  let rec operands j instr iter = function
+    | [] -> ()
+    | (e : Mimd_ddg.Graph.edge) :: es ->
+      let at = iter - e.distance in
+      if not (holds j ~node:e.src ~iter:at) then
+        raise (Fail (Missing_operand { proc = j; instr; operand = { node = e.src; iter = at } }));
+      operands j instr iter es
+  in
+  (* Frames in flight, by id in send order.  [pending.(key head)] heads
+     the chain (through [f_next]) of frames with that head tag sent and
+     not yet received — one per consumer of the value. *)
+  let pending = Array.make size (-1) in
+  let f_next = Array.make !sends (-1) in
+  let f_src = Array.make !sends 0 and f_dst = Array.make !sends 0 in
+  let f_arrival = Array.make !sends 0 and f_seq = Array.make !sends 0 in
+  let f_send = Array.make !sends (Compute { node = 0; iter = 0 }) in
+  let frames = ref 0 in
+  (* Unlink and return the frame [src] sent [dst] in chain [k], or -1. *)
+  let rec take k ~src ~dst prev m =
+    if m < 0 then -1
+    else if f_src.(m) = src && f_dst.(m) = dst then begin
+      if prev < 0 then pending.(k) <- f_next.(m) else f_next.(prev) <- f_next.(m);
+      m
+    end
+    else take k ~src ~dst m f_next.(m)
+  in
+  (* Per link [src * width + dst]: frames sent, frames the receiver has
+     pulled off it (in FIFO order, into its stash), and whether the
+     sender is parked on a full link.  Unpulled = sent - pulled never
+     exceeds [capacity]. *)
+  let link src dst = ((src - lo) * width) + (dst - lo) in
+  let sent = Array.make (width * width) 0 and pulled = Array.make (width * width) 0 in
+  let sender_parked = Array.make (width * width) false in
+  (* Per processor: clock, remaining program, and the (head key, src)
+     cell and link of the Recv it is parked on, or -1. *)
+  let time = Array.make n 0 and todo = Array.copy t.programs in
+  let wait_cell = Array.make n (-1) and wait_link = Array.make n (-1) in
+  let runnable = Queue.create () and queued = Array.make n false in
+  let delivered = ref 0 in
+  let comm_cycles = ref 0 and busy_cycles = ref 0 and steps = ref 0 in
+  let trace = ref [] in
+  let enqueue j =
+    if not queued.(j) then begin
+      queued.(j) <- true;
+      Queue.add j runnable
+    end
+  in
+  let wake j =
+    incr steps;
+    enqueue j
+  in
+  (* The receiver pulls every frame up to [upto] off link [l] at its
+     current clock; a sender parked on the full link resumes, no
+     earlier than that pull. *)
+  let pull l ~upto ~at =
+    if upto > pulled.(l) then begin
+      pulled.(l) <- upto;
+      if sender_parked.(l) then begin
+        sender_parked.(l) <- false;
+        let src = (l / width) + lo in
+        time.(src) <- max time.(src) at;
+        wake src
+      end
+    end
+  in
+  (* Run one processor until it finishes or parks: on a Recv whose frame
+     has not been sent (re-queued by that Send) or on a Send into a full
+     link (re-queued by the receiver's pull).  Each processor executes
+     its own instructions strictly in program order, so the per-link
+     sequence of [latency] draws — every send on a link issues from the
+     same source processor — does not depend on the run order.  The
+     processor's program and clock live in locals while it runs. *)
+  let advance j =
+    let prog = ref todo.(j) and clock = ref time.(j) and parked = ref false in
+    while not !parked do
+      match !prog with
+      | [] -> parked := true
+      | (Compute { node; iter } as instr) :: rest ->
+        operands j instr iter (Mimd_ddg.Graph.preds graph node);
+        Bytes.unsafe_set held ((j * size) + ((iter - iter_lo) * kw) + (node - node_lo)) '\001';
+        let lat = Mimd_ddg.Graph.latency graph node in
+        clock := !clock + lat;
+        busy_cycles := !busy_cycles + lat;
+        prog := rest;
+        incr steps;
+        if record then trace := { time = !clock; proc = j; instr } :: !trace
+      | ((Send { dst; _ } | Send_pack { dst; _ }) as instr) :: rest ->
+        (match instr with
+        | Send_pack { tags; _ } -> List.iter (need j instr) tags
+        | _ -> need j instr (head_of instr));
+        let l = link j dst in
+        if sent.(l) - pulled.(l) >= capacity then begin
+          sender_parked.(l) <- true;
+          parked := true
+        end
+        else begin
+          (* a pack is one frame on the link: one latency draw, one
+             message, identified by its head tag *)
+          let lat = latency ~src:j ~dst in
+          let m = !frames in
+          incr frames;
+          let k = key (head_of instr) in
+          f_src.(m) <- j;
+          f_dst.(m) <- dst;
+          f_arrival.(m) <- !clock + lat;
+          f_seq.(m) <- sent.(l);
+          f_send.(m) <- instr;
+          f_next.(m) <- pending.(k);
+          pending.(k) <- m;
+          sent.(l) <- sent.(l) + 1;
+          comm_cycles := !comm_cycles + lat;
+          prog := rest;
+          incr steps;
+          if record then trace := { time = !clock; proc = j; instr } :: !trace;
+          if dst >= 0 && dst < n && wait_link.(dst) = l then begin
+            (* a parked receiver takes every frame off its link as it
+               comes *)
+            pull l ~upto:sent.(l) ~at:time.(dst);
+            if wait_cell.(dst) = (k * width) + (j - lo) then begin
+              wait_cell.(dst) <- -1;
+              wait_link.(dst) <- -1;
+              wake dst
+            end
+          end
+        end
+      | ((Recv { src; _ } | Recv_pack { src; _ }) as instr) :: rest ->
+        let k = key (head_of instr) in
+        let l = link src j in
+        let m = take k ~src ~dst:j (-1) pending.(k) in
+        if m < 0 then begin
+          wait_cell.(j) <- (k * width) + (src - lo);
+          wait_link.(j) <- l;
+          pull l ~upto:sent.(l) ~at:!clock;
+          parked := true
+        end
+        else begin
+          if not (same_frame f_send.(m) instr) then
+            raise (Fail (Frame_mismatch { proc = j; instr; sent = f_send.(m) }));
+          if f_arrival.(m) > !clock then clock := f_arrival.(m);
+          pull l ~upto:(f_seq.(m) + 1) ~at:!clock;
+          (match instr with
+          | Recv_pack { tags; _ } -> List.iter (land_ j) tags
+          | _ -> land_ j (head_of instr));
+          incr delivered;
+          prog := rest;
+          incr steps;
+          if record then trace := { time = !clock; proc = j; instr } :: !trace
+        end
+    done;
+    todo.(j) <- !prog;
+    time.(j) <- !clock
+  in
+  match
+    for j = 0 to n - 1 do
+      if todo.(j) <> [] then enqueue j
+    done;
+    while not (Queue.is_empty runnable) do
+      let j = Queue.take runnable in
+      queued.(j) <- false;
+      advance j
+    done
+  with
+  | exception Fail f -> Error f
+  | () ->
+    (* The queue drained: every processor is done or parked for good. *)
+    let blocked = ref [] in
+    for j = n - 1 downto 0 do
+      match todo.(j) with [] -> () | instr :: _ -> blocked := (j, instr) :: !blocked
+    done;
+    if !blocked <> [] then Error (Stuck { delivered = !delivered; blocked = !blocked })
+    else if !delivered < !frames then begin
+      let k = ref 0 in
+      while pending.(!k) < 0 do
+        incr k
+      done;
+      let m = pending.(!k) in
+      Error (Undelivered { src = f_src.(m); dst = f_dst.(m); instr = f_send.(m) })
+    end
+    else
+      Ok
+        {
+          makespan = Array.fold_left max 0 time;
+          proc_finish = time;
+          messages = !frames;
+          comm_cycles = !comm_cycles;
+          busy_cycles = !busy_cycles;
+          trace = List.rev !trace;
+          steps = !steps;
+        }
+
 let pp_defect ppf d =
   let generic label proc = Format.fprintf ppf "%s on PE%d" label proc in
   match d with
@@ -199,3 +478,18 @@ let pp ppf t =
       List.iter (fun i -> Format.fprintf ppf "    %a@," (pp_instr ~names) i) prog)
     t.programs;
   Format.fprintf ppf "PAREND@]"
+
+let pp_failure ~names ppf = function
+  | Stuck { delivered; blocked } ->
+    Format.fprintf ppf "stuck after %d message(s) delivered:" delivered;
+    List.iter
+      (fun (j, instr) -> Format.fprintf ppf " PE%d on [%a]" j (pp_instr ~names) instr)
+      blocked
+  | Missing_operand { proc; instr; operand } ->
+    Format.fprintf ppf "operand %s[%d] missing on PE%d at [%a]" (names operand.node)
+      operand.iter proc (pp_instr ~names) instr
+  | Frame_mismatch { proc; instr; sent } ->
+    Format.fprintf ppf "frame shape mismatch on PE%d: [%a] receives [%a]" proc
+      (pp_instr ~names) instr (pp_instr ~names) sent
+  | Undelivered { src; dst; instr } ->
+    Format.fprintf ppf "undelivered frame PE%d -> PE%d: [%a]" src dst (pp_instr ~names) instr

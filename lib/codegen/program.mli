@@ -69,7 +69,74 @@ type defect =
 val check : t -> defect list
 (** Static well-formedness: sends and recvs pair up one-to-one across
     processors, nothing is computed twice, nobody messages itself.
-    (Deadlock freedom is dynamic; the simulator detects it.) *)
+    (Deadlock freedom is dynamic; {!simulate} detects it.) *)
+
+(** {1 Simulation}
+
+    The dynamic twin of {!check}: the one definition of how a
+    Send/Recv program runs on the paper's asynchronous MIMD machine
+    (Section 4).  Each processor executes its program in order.
+    [Compute] occupies it for the node's latency; [Send] is free for
+    the sender (communication is fully overlapped) and its frame
+    arrives [latency] cycles later; [Recv] blocks until its frame has
+    been sent and then waits for its arrival.  Frames on a link are
+    pulled in FIFO order into the receiver's stash, the discipline of
+    the runtime's [Mesh.recv_tag]: a Recv takes its frame from the
+    stash or pulls frames until it finds it, and a parked receiver
+    pulls every frame that reaches its link.
+
+    A processor that cannot proceed parks and is re-queued by the Send
+    (or, on a bounded link, the pull) that frees it, so the run order,
+    the per-link sequence of [latency] draws and every time are
+    deterministic.  Every [Compute] and [Send] must hold its operands
+    (computed or received on that processor earlier in its program, or
+    from before iteration 0), and every [Recv] must name the frame's
+    tags exactly. *)
+
+type event = {
+  time : int;  (** cycle at which the instruction completed *)
+  proc : int;
+  instr : instr;
+}
+
+type outcome = {
+  makespan : int;  (** latest completion across processors *)
+  proc_finish : int array;
+  messages : int;  (** frames sent (each was delivered) *)
+  comm_cycles : int;  (** sum of the frames' latencies *)
+  busy_cycles : int;  (** total compute cycles across processors *)
+  trace : event list;  (** completion order; empty unless [record] *)
+  steps : int;
+      (** instructions retired plus parked processors woken: a
+          deterministic measure of the simulator's work *)
+}
+
+type failure =
+  | Stuck of { delivered : int; blocked : (int * instr) list }
+      (** no processor can proceed: frames received so far, and each
+          unfinished processor with the instruction it cannot retire *)
+  | Missing_operand of { proc : int; instr : instr; operand : tag }
+      (** a [Compute] or [Send] on [proc] whose operand it does not hold *)
+  | Frame_mismatch of { proc : int; instr : instr; sent : instr }
+      (** the frame [instr] receives was sent by [sent] with other tags *)
+  | Undelivered of { src : int; dst : int; instr : instr }
+      (** every processor finished, but this frame was never received *)
+
+val simulate :
+  ?capacity:int ->
+  ?latency:(src:int -> dst:int -> int) ->
+  ?record:bool ->
+  t ->
+  (outcome, failure) result
+(** Run to completion.  [capacity] (default unbounded) bounds each
+    link's unpulled frames: a Send into a full link parks until the
+    receiver pulls one, and the sender's clock then advances to that
+    pull's time.  [latency] (default 0) is drawn once per frame, when
+    its Send retires.  At unbounded capacity the outcome does not
+    depend on [capacity] at all.
+    @raise Invalid_argument if [capacity < 1] or on an empty pack. *)
+
+val pp_failure : names:(int -> string) -> Format.formatter -> failure -> unit
 
 val pp_defect : Format.formatter -> defect -> unit
 val pp_instr : names:(int -> string) -> Format.formatter -> instr -> unit

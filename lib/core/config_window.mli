@@ -30,17 +30,13 @@ type key = int array
     words (or five raw words per cell for machines whose coordinates
     exceed the bit-fields — the tag keeps the formats from aliasing).
     Structural equality ([=]) on keys coincides with equality of the
-    underlying cell lists; hash with {!hash_key} or use {!Tbl} —
-    polymorphic [Hashtbl.hash] truncates long arrays. *)
-
-val equal_key : key -> key -> bool
-
-val hash_key : key -> int
-(** Monomorphic FNV-1a over the whole array — no truncation, so wide
-    windows don't collide the way polymorphic hashing made them. *)
+    underlying cell lists; key tables with {!Tbl} — polymorphic
+    [Hashtbl.hash] truncates long arrays. *)
 
 module Tbl : Hashtbl.S with type key = key
-(** Hash tables keyed on full-width configuration keys. *)
+(** Hash tables keyed on full-width configuration keys, hashed by a
+    monomorphic FNV-1a over the whole array — no truncation, so wide
+    windows don't collide the way polymorphic hashing made them. *)
 
 type t = {
   key : key;

@@ -25,10 +25,9 @@ type comparison = {
 }
 
 val ours_sp : comparison -> float
-val baseline_sp : comparison -> float
 val advantage : comparison -> float
-(** [ours_sp / baseline_sp]; [infinity] when the baseline achieved no
-    parallelism at all ([baseline_sp <= 0] with [ours_sp > 0]), [nan]
-    when both are 0. *)
+(** [ours_sp] over the baseline's Sp; [infinity] when the baseline
+    achieved no parallelism at all (its Sp [<= 0] with [ours_sp > 0]),
+    [nan] when both are 0. *)
 
 val pp_comparison : Format.formatter -> comparison -> unit

@@ -5,21 +5,11 @@
     the tests, and by the critical-path lower bound reported next to
     each schedule. *)
 
-val reachable_from : Graph.t -> int -> bool array
-(** [reachable_from g v].(w) is true iff there is a (possibly empty)
-    directed path v ->* w using all edges. *)
-
 val reaches : Graph.t -> src:int -> dst:int -> bool
 (** Directed reachability src ->* dst (true when src = dst). *)
 
 val ancestors : Graph.t -> int -> bool array
 (** Nodes with a directed path into the given node (including itself). *)
-
-val longest_path_dag : Graph.t -> use_edge:(Graph.edge -> bool) -> int array
-(** Longest path weights: [w.(v)] = maximum, over paths ending at [v]
-    using edges selected by [use_edge], of the sum of latencies of the
-    path's nodes (including [v]).  The selected subgraph must be
-    acyclic.  @raise Topo.Cycle otherwise. *)
 
 val critical_path_zero : Graph.t -> int
 (** Length (total latency) of the longest chain in the distance-0

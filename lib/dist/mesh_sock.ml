@@ -18,7 +18,7 @@ type t = { procs : int; fds : Unix.file_descr option array array }
    AF_UNIX: each small write becomes one skb accounted at its truesize
    — frame + struct sk_buff + aligned data + shared info, close to 1
    KiB.  Undershooting this makes the socket bound *tighter* than the
-   domain mesh's and deadlocks programs the token simulation proved
+   domain mesh's and deadlocks programs the protocol simulation proved
    safe at [capacity], so budget a full KiB per message.  (The kernel
    clamps the request to wmem_max and then doubles it, so on a stock
    host the effective bound still clears [capacity] messages.) *)

@@ -175,7 +175,6 @@ let create ?roster ~fingerprint ~procs () =
   { procs; fingerprint; listeners = Array.map fst bound; addrs = Array.map snd bound }
 
 let procs t = t.procs
-let addrs t = Array.to_list t.addrs
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -218,7 +217,5 @@ let link c ~peer =
   match c.fds.(peer) with
   | Some fd -> fd
   | None -> invalid_arg "Mesh_tcp: self link or unconnected peer"
-
-let close_conns c = Array.iter (function Some fd -> close_quietly fd | None -> ()) c.fds
 
 let chans c = Mesh_sock.chans_of ~proc:c.proc ~link:(fun peer -> link c ~peer)

@@ -45,9 +45,6 @@ val create : ?roster:addr list -> fingerprint:string -> procs:int -> unit -> t
 
 val procs : t -> int
 
-val addrs : t -> addr list
-(** The resolved listen addresses (ephemeral ports filled in). *)
-
 val retain_only : t -> proc:int -> unit
 (** Child-side, right after fork: close every listener except PE
     [proc]'s own. *)
@@ -63,7 +60,6 @@ val connect_all : ?fingerprint:string -> t -> proc:int -> conns
     @raise Handshake_failure on a rendezvous mismatch (both sides). *)
 
 val link : conns -> peer:int -> Unix.file_descr
-val close_conns : conns -> unit
 
 val chans : conns -> Mimd_runtime.Value_run.chans
 (** The shared channel discipline ({!Mesh_sock.chans_of}) over this

@@ -14,7 +14,7 @@
       processors really cost more. *)
 
 val processors : unit -> string
-(** Sp versus processor count, ours / DOACROSS / chunked DOACROSS. *)
+(** Sp versus processor count, ours / DOACROSS. *)
 
 val grain : unit -> string
 (** Cycles/iteration at both granularities, with node counts. *)

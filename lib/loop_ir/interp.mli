@@ -32,18 +32,12 @@ val cell_index : string -> iter:int -> offset:int -> int
     offset], except fixed cells ([X@k]) which always live at index 0.
     Shared with the runtime's lowering and last-writer fold. *)
 
-val create_store : ?init:(string -> int -> float) -> unit -> store
 val read : store -> string -> int -> float
 val write : store -> string -> int -> float -> unit
 
 val written_cells : store -> (string * int * float) list
 (** Every cell explicitly written, sorted — the loop's observable
     output. *)
-
-val eval_expr :
-  store -> scalars:(string -> float) -> iter:int -> Ast.expr -> float
-(** Evaluate an expression at iteration [iter] (fixed cells [X@k]
-    read/write index 0 of their synthetic array). *)
 
 val run :
   ?init:(string -> int -> float) ->

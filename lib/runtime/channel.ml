@@ -58,6 +58,5 @@ let cancel t =
       Condition.broadcast t.not_empty;
       Condition.broadcast t.not_full)
 
-let cancelled t = with_lock t (fun () -> t.poisoned)
 let length t = with_lock t (fun () -> Queue.length t.buf)
 let capacity t = t.cap

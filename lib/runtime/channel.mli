@@ -42,8 +42,6 @@ val try_recv : 'a t -> 'a option
 val cancel : 'a t -> unit
 (** Idempotent: wake every waiter and poison the channel. *)
 
-val cancelled : 'a t -> bool
-
 val length : 'a t -> int
 (** Messages currently buffered. *)
 

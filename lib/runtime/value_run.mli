@@ -34,7 +34,7 @@ type outcome = {
 val default_channel_capacity : int
 (** Per-channel message bound used by {!Exec_compiled.run} when
     [?channel_capacity] is omitted.  Exposed so independent auditors
-    (notably {!Mimd_check.Validate.program}'s token simulation) and
+    (notably {!Mimd_check.Validate.program}'s protocol simulation) and
     alternative channel backends (the socket mesh in [Mimd_dist])
     model the same bound the real mesh enforces. *)
 

@@ -77,8 +77,6 @@ let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt () =
         "mimd_pool_queue_wait_ms";
   }
 
-let validate_default t = t.validate
-
 let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f

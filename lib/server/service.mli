@@ -40,8 +40,6 @@ val create :
     every served schedule and reports the message-count delta in the
     reply's [comm] field. *)
 
-val validate_default : t -> bool
-
 val compile :
   t ->
   ?deadline:float ->

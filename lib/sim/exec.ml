@@ -3,176 +3,35 @@ module Graph = Mimd_ddg.Graph
 
 exception Deadlock of string
 
-type event = { time : int; proc : int; instr : Program.instr }
+type event = Program.event = { time : int; proc : int; instr : Program.instr }
 
-type outcome = {
+type outcome = Program.outcome = {
   makespan : int;
   proc_finish : int array;
   messages : int;
   comm_cycles : int;
   busy_cycles : int;
   trace : event list;
+  steps : int;
 }
 
-type proc_state = { mutable time : int; mutable todo : Program.instr list }
-
-(* Mailbox keys identify a message by (node, iter, src, dst).  The hot
-   loop packs the quadruple into one int — field widths measured from
-   the program up front — so the mailbox and waiter tables hash a
-   machine word instead of running polymorphic hash/compare over a
-   tuple.  Programs whose coordinates overflow the packing budget
-   (astronomical trip counts) fall back to interning tuples, keeping
-   the same int-keyed tables. *)
-let make_key_fn program =
-  let max_node = ref 0 and max_iter = ref 0 in
-  Array.iter
-    (List.iter (fun (instr : Program.instr) ->
-         let scan (tag : Program.tag) =
-           if tag.node > !max_node then max_node := tag.node;
-           if tag.iter > !max_iter then max_iter := tag.iter
-         in
-         match instr with
-         | Program.Send { tag; _ } | Program.Recv { tag; _ } -> scan tag
-         | Program.Send_pack { tags; _ } | Program.Recv_pack { tags; _ } ->
-           List.iter scan tags
-         | Program.Compute _ -> ()))
-    program.Program.programs;
-  let bits_for m =
-    let rec go b = if m < 1 lsl b then b else go (b + 1) in
-    go 1
-  in
-  let proc_bits = bits_for (max 1 (program.Program.processors - 1)) in
-  let node_bits = bits_for !max_node in
-  let iter_bits = bits_for !max_iter in
-  if iter_bits + node_bits + (2 * proc_bits) <= 62 then
-    fun ~node ~iter ~src ~dst ->
-      ((((iter lsl node_bits) lor node) lsl proc_bits) lor src) lsl proc_bits lor dst
-  else begin
-    let interned : (int * int * int * int, int) Hashtbl.t = Hashtbl.create 1024 in
-    let next = ref 0 in
-    fun ~node ~iter ~src ~dst ->
-      let q = (node, iter, src, dst) in
-      match Hashtbl.find_opt interned q with
-      | Some id -> id
-      | None ->
-        let id = !next in
-        incr next;
-        Hashtbl.add interned q id;
-        id
-  end
-
-let run ?(record = false) ~program ~links () =
+let run ?record ~program ~links () =
   Mimd_obs.Trace.span ~cat:"sim" "sim.execute" @@ fun () ->
-  let p = program.Program.processors in
   let graph = program.Program.graph in
-  let procs = Array.map (fun prog -> { time = 0; todo = prog }) program.Program.programs in
-  let key = make_key_fn program in
-  let mailbox : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  (* message key -> the processor blocked on that Recv (at most one:
-     the key includes the receiver) *)
-  let waiting : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let runnable : int Queue.t = Queue.create () in
-  let queued = Array.make p false in
-  let messages = ref 0 in
-  let comm_cycles = ref 0 in
-  let busy_cycles = ref 0 in
-  let trace = ref [] in
-  let emit time proc instr = if record then trace := { time; proc; instr } :: !trace in
-  let enqueue j =
-    if not queued.(j) then begin
-      queued.(j) <- true;
-      Queue.add j runnable
-    end
-  in
-  (* Run one processor until it finishes or blocks on a Recv whose
-     message has not arrived; in the latter case it parks itself in
-     [waiting] and is re-queued by the matching Send.  Each processor
-     still executes its own instructions strictly in program order, so
-     the per-link sequence of [Links.sample] draws — all sends on a
-     link issue from the same source processor — is identical to the
-     round-robin executor's, and so are all times. *)
-  let advance j =
-    let st = procs.(j) in
-    let blocked = ref false in
-    while (not !blocked) && st.todo <> [] do
-      match st.todo with
-      | [] -> ()
-      | instr :: rest -> begin
-        match instr with
-        | Program.Compute { node; _ } ->
-          st.time <- st.time + Graph.latency graph node;
-          busy_cycles := !busy_cycles + Graph.latency graph node;
-          st.todo <- rest;
-          emit st.time j instr
-        | Program.Send { tag; dst } | Program.Send_pack { tags = tag :: _; dst }
-          ->
-          (* a pack is one frame on the link: one latency draw, one
-             message, identified by its head tag *)
-          let l = Links.sample links ~src:j ~dst in
-          let k = key ~node:tag.node ~iter:tag.iter ~src:j ~dst in
-          Hashtbl.replace mailbox k (st.time + l);
-          incr messages;
-          comm_cycles := !comm_cycles + l;
-          st.todo <- rest;
-          emit st.time j instr;
-          (match Hashtbl.find_opt waiting k with
-          | Some sleeper ->
-            Hashtbl.remove waiting k;
-            enqueue sleeper
-          | None -> ())
-        | Program.Recv { tag; src } | Program.Recv_pack { tags = tag :: _; src }
-          -> begin
-          let k = key ~node:tag.node ~iter:tag.iter ~src ~dst:j in
-          match Hashtbl.find_opt mailbox k with
-          | Some arrival ->
-            Hashtbl.remove mailbox k;
-            st.time <- max st.time arrival;
-            st.todo <- rest;
-            emit st.time j instr
-          | None ->
-            Hashtbl.replace waiting k j;
-            blocked := true
-        end
-        | Program.Send_pack { tags = []; _ } | Program.Recv_pack { tags = []; _ }
-          ->
-          invalid_arg "Exec.run: empty pack"
-      end
-    done
-  in
-  for j = 0 to p - 1 do
-    if procs.(j).todo <> [] then enqueue j
-  done;
-  while not (Queue.is_empty runnable) do
-    let j = Queue.take runnable in
-    queued.(j) <- false;
-    advance j
-  done;
-  (* The queue drained: every processor is either done or parked on an
-     unsatisfiable Recv — exactly the no-progress condition of a
-     polling executor. *)
-  if not (Array.for_all (fun st -> st.todo = []) procs) then begin
-    let stuck =
-      Array.to_list procs
-      |> List.mapi (fun j st ->
-             match st.todo with
-             | Program.Recv { tag; src } :: _
-             | Program.Recv_pack { tags = tag :: _; src } :: _ ->
-               Printf.sprintf "PE%d waits for %s[%d] from PE%d" j
-                 (Graph.name graph tag.node) tag.iter src
-             | _ -> Printf.sprintf "PE%d" j)
-      |> String.concat "; "
-    in
-    raise (Deadlock stuck)
-  end;
-  let proc_finish = Array.map (fun st -> st.time) procs in
-  {
-    makespan = Array.fold_left max 0 proc_finish;
-    proc_finish;
-    messages = !messages;
-    comm_cycles = !comm_cycles;
-    busy_cycles = !busy_cycles;
-    trace = List.rev !trace;
-  }
+  match Program.simulate ?record ~latency:(Links.sample links) program with
+  | Ok out -> out
+  | Error (Program.Stuck { blocked; _ }) ->
+    blocked
+    |> List.map (fun (j, instr) ->
+           match instr with
+           | Program.Recv { tag; src } | Program.Recv_pack { tags = tag :: _; src } ->
+             Printf.sprintf "PE%d waits for %s[%d] from PE%d" j (Graph.name graph tag.node)
+               tag.iter src
+           | _ -> Printf.sprintf "PE%d" j)
+    |> String.concat "; "
+    |> fun stuck -> raise (Deadlock stuck)
+  | Error f ->
+    failwith (Format.asprintf "Exec.run: %a" (Program.pp_failure ~names:(Graph.name graph)) f)
 
 let simulate_schedule ?record ~schedule ~links () =
   let program = Mimd_codegen.From_schedule.run schedule in

@@ -1,4 +1,6 @@
-(** The simulated asynchronous MIMD multiprocessor.
+(** The simulated asynchronous MIMD multiprocessor: a thin adapter that
+    runs {!Mimd_codegen.Program.simulate} at unbounded link capacity,
+    drawing each frame's latency from {!Links}.
 
     Each processor executes its program in order.  [Compute] occupies
     the processor for the node's latency; [Send] is free for the sender
@@ -6,33 +8,33 @@
     message after the link's sampled latency; [Recv] blocks until the
     named message has arrived.  Processors are otherwise completely
     asynchronous — there is no global clock alignment, only messages.
-
-    The simulation is execution-order independent: message latencies
-    are drawn per link in send order ({!Links}), and a blocked
-    processor simply retries after others progressed.  A round in which
-    nothing progresses while work remains is a deadlock and raises. *)
+    Latencies are drawn per link in send order, so every time is
+    independent of the order the simulator visits processors in. *)
 
 exception Deadlock of string
 
-type event = {
+type event = Mimd_codegen.Program.event = {
   time : int;  (** cycle at which the instruction completed *)
   proc : int;
   instr : Mimd_codegen.Program.instr;
 }
 
-type outcome = {
+type outcome = Mimd_codegen.Program.outcome = {
   makespan : int;  (** latest completion across processors *)
   proc_finish : int array;
   messages : int;  (** total messages delivered *)
   comm_cycles : int;  (** sum of sampled message latencies *)
   busy_cycles : int;  (** total compute cycles across processors *)
   trace : event list;  (** completion order; empty unless [record] *)
+  steps : int;  (** instructions retired plus parked processors woken *)
 }
 
 val run : ?record:bool -> program:Mimd_codegen.Program.t -> links:Links.t -> unit -> outcome
 (** Execute to completion.  @raise Deadlock when blocked forever (e.g.
-    a recv whose send never happens — {!Mimd_codegen.Program.check}
-    catches most such defects statically). *)
+    a recv whose send never happens), with each blocked processor's
+    wait.  @raise Failure on the simulator's other failures: an operand
+    missing at a Compute or Send, a frame received with other tags than
+    it was sent with, or a frame nobody receives. *)
 
 val simulate_schedule :
   ?record:bool -> schedule:Mimd_core.Schedule.t -> links:Links.t -> unit -> outcome

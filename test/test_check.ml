@@ -253,11 +253,73 @@ let test_protocol_deadlock_detected () =
   let report = V.program broken in
   check_bool "static pairing defect reported" true
     (List.exists (function V.Protocol_defect _ -> true | _ -> false) report.V.issues);
-  check_bool "token simulation deadlocks" true
+  check_bool "simulation deadlocks" true
     (List.exists
        (function
          | V.Protocol_deadlock { stuck; _ } -> stuck <> [] | _ -> false)
        report.V.issues)
+
+(* Remove the first Send and the Recv that matches it: the pairing is
+   still perfect, so only a simulation that tracks operands sees that
+   the consumer never gets its value. *)
+let drop_matched_pair (program : Program.t) =
+  let dropped = ref None in
+  let programs =
+    Array.mapi
+      (fun src ->
+        List.filter (fun instr ->
+            match (instr, !dropped) with
+            | Program.Send { tag; dst }, None ->
+              dropped := Some (tag, src, dst);
+              false
+            | _ -> true))
+      program.Program.programs
+  in
+  match !dropped with
+  | None -> Alcotest.fail "no send to drop"
+  | Some (tag, src, dst) ->
+    programs.(dst) <-
+      List.filter
+        (function Program.Recv { tag = t; src = s } -> not (t = tag && s = src) | _ -> true)
+        programs.(dst);
+    { program with Program.programs }
+
+let test_protocol_missing_operand_detected () =
+  List.iter
+    (fun (name, g, p) ->
+      let program = From_schedule.run (full_of ~p ~iterations:20 g).Full_sched.schedule in
+      let broken = drop_matched_pair program in
+      check_int (name ^ ": pairing still perfect") 0 (List.length (Program.check broken));
+      let report = V.program broken in
+      check_bool (name ^ ": missing operand reported") true
+        (List.exists
+           (function
+             | V.Protocol_failure (Program.Missing_operand _) -> true | _ -> false)
+           report.V.issues);
+      check_bool (name ^ ": simulator raises") true
+        (match
+           Mimd_sim.Exec.run ~program:broken ~links:(Mimd_sim.Links.fixed 2) ()
+         with
+        | _ -> false
+        | exception Failure _ -> true))
+    [ ("ewf p=2", W.Elliptic.graph (), 2); ("fig1 p=4", W.Fig1.graph (), 4) ]
+
+let test_protocol_stray_peer_reported () =
+  (* A peer index outside [0, processors) is a structured issue, not an
+     exception, whichever end of a message names it. *)
+  let program = From_schedule.run (full_of ~k:0 (fig7 ())).Full_sched.schedule in
+  List.iter
+    (fun stray ->
+      let retarget =
+        List.map (function
+          | Program.Send { tag; _ } -> Program.Send { tag; dst = stray }
+          | Program.Recv { tag; _ } -> Program.Recv { tag; src = stray }
+          | instr -> instr)
+      in
+      let broken = { program with Program.programs = Array.map retarget program.Program.programs } in
+      let report = V.program broken in
+      check_bool (Printf.sprintf "peer %d reported" stray) false (V.ok report))
+    [ -1; program.Program.processors; 7 ]
 
 let test_protocol_capacity_guard () =
   let program = From_schedule.run (full_of (fig7 ())).Full_sched.schedule in
@@ -527,6 +589,9 @@ let suite =
     Alcotest.test_case "validator: protocol deadlock detected" `Quick
       test_protocol_deadlock_detected;
     Alcotest.test_case "validator: capacity guard" `Quick test_protocol_capacity_guard;
+    Alcotest.test_case "validator: missing operand detected" `Quick
+      test_protocol_missing_operand_detected;
+    Alcotest.test_case "validator: stray peer reported" `Quick test_protocol_stray_peer_reported;
     Alcotest.test_case "validator: hooks route ~validate" `Quick test_hooks_route_validate_flags;
     Alcotest.test_case "fuzz: sound pipeline passes" `Quick test_fuzz_passes_on_sound_pipeline;
     Alcotest.test_case "fuzz: runtime differential smoke" `Quick

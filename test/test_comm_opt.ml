@@ -165,7 +165,7 @@ let test_coalesce_refuses_deadlocking_merge () =
     (opt.Program.programs.(0) = programs.(0));
   check_bool "P1 keeps both receives separate" true
     (opt.Program.programs.(1) = programs.(1));
-  check_bool "validator accepts (token simulation drains)" true
+  check_bool "validator accepts (simulation drains)" true
     (Validate.program_validator opt = Ok ())
 
 (* ------------------------------------------------------------------ *)

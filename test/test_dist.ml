@@ -264,7 +264,7 @@ let test_mesh_dead_peer_is_structured () =
 (* ---------------------------------------------------------------- *)
 (* Runner: forked processes = interpreter, instance by instance      *)
 
-(* The full front end, with the token simulation on: install_hooks
+(* The full front end, with the protocol simulation on: install_hooks
    makes [validate:true] run lib/check's token audit over the message
    protocol, so every program the runner executes below has had its
    socket-bound send/recv sequence proven against the schedule. *)

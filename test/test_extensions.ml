@@ -1,4 +1,4 @@
-(* Bounds, topologies, chunked DOACROSS, synthetic families, and the
+(* Bounds, topologies, synthetic families, and the
    pattern-statistics experiment. *)
 
 open Helpers
@@ -7,7 +7,6 @@ module Gen = Mimd_ddg.Gen
 module Bounds = Mimd_core.Bounds
 module Topology = Mimd_sim.Topology
 module Links = Mimd_sim.Links
-module Chunked = Mimd_doacross.Chunked
 
 (* ---------------------------------------------------------------- *)
 (* Bounds                                                            *)
@@ -119,66 +118,6 @@ let test_topology_links_hurt_more_with_distance () =
       .Mimd_sim.Exec.makespan
   in
   check_bool "ring >= crossbar" true (run Topology.Ring >= run Topology.Crossbar)
-
-(* ---------------------------------------------------------------- *)
-(* Chunked DOACROSS                                                  *)
-
-let test_chunked_chunk1_is_doacross () =
-  let g = Mimd_workloads.Cytron86.graph () in
-  let m = machine () in
-  let c = Chunked.analyze ~chunk:1 ~graph:g ~machine:m () in
-  let d = Mimd_doacross.Doacross.analyze ~graph:g ~machine:m () in
-  check_int "block delay = delay" d.Mimd_doacross.Doacross.delay c.Chunked.block_delay;
-  check_int "same makespan" (Mimd_doacross.Doacross.makespan d ~iterations:40)
-    (Chunked.makespan c ~iterations:40)
-
-let test_chunked_rejects () =
-  check_bool "chunk < 1" true
-    (match Chunked.analyze ~chunk:0 ~graph:(fig7 ()) ~machine:(machine ()) () with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_chunked_overlapped_model_prefers_chunk1 () =
-  (* In the paper's fully-overlapped model, chunking only lengthens the
-     pipeline: chunk 1 dominates. *)
-  let g = Mimd_workloads.Cytron86.graph () in
-  let m = machine () in
-  let best = Chunked.best_chunk ~graph:g ~machine:m ~iterations:64 () in
-  check_int "chunk 1 dominates at overhead 0" 1 best.Chunked.chunk
-
-let test_chunked_amortises_overhead () =
-  (* A loose distance-8 recurrence: blocks up to 8 iterations pipeline
-     with a tiny delay, so once receives cost processor time, chunking
-     pays the overhead per block instead of per iteration and wins. *)
-  let g = graph_of ~latencies:[| 2; 2 |] ~edges:[ (0, 1, 0); (1, 0, 8) ] in
-  let m = machine () in
-  let n = 64 in
-  let c1 = Chunked.analyze ~overhead:4 ~chunk:1 ~graph:g ~machine:m () in
-  let c8 = Chunked.analyze ~overhead:4 ~chunk:8 ~graph:g ~machine:m () in
-  check_bool "chunk 8 beats chunk 1" true
-    (Chunked.effective_makespan c8 ~iterations:n < Chunked.effective_makespan c1 ~iterations:n);
-  let best = Chunked.best_chunk ~overhead:4 ~graph:g ~machine:m ~iterations:n () in
-  check_bool "best chunk > 1" true (best.Chunked.chunk > 1)
-
-let test_chunked_best () =
-  let g = Mimd_workloads.Cytron86.graph () in
-  let m = machine () in
-  let best = Chunked.best_chunk ~graph:g ~machine:m ~iterations:64 () in
-  List.iter
-    (fun chunk ->
-      let c = Chunked.analyze ~chunk ~graph:g ~machine:m () in
-      check_bool "best is best" true
-        (Chunked.effective_makespan best ~iterations:64
-        <= Chunked.effective_makespan c ~iterations:64))
-    [ 1; 2; 4; 8; 16 ]
-
-let test_chunked_never_beats_sequential_bound () =
-  let g = fig7 () in
-  let m = machine () in
-  let c = Chunked.best_chunk ~graph:g ~machine:m ~iterations:50 () in
-  check_bool "effective <= sequential" true
-    (Chunked.effective_makespan c ~iterations:50
-    <= Mimd_doacross.Sequential.time g ~iterations:50)
 
 (* ---------------------------------------------------------------- *)
 (* Synthetic families                                                *)
@@ -310,12 +249,6 @@ let suite =
     Alcotest.test_case "topology: rejects" `Quick test_topology_rejects;
     Alcotest.test_case "topology: links pricing" `Quick test_topology_links;
     Alcotest.test_case "topology: distance hurts" `Quick test_topology_links_hurt_more_with_distance;
-    Alcotest.test_case "chunked: chunk 1 = doacross" `Quick test_chunked_chunk1_is_doacross;
-    Alcotest.test_case "chunked: rejects chunk 0" `Quick test_chunked_rejects;
-    Alcotest.test_case "chunked: overhead-free model prefers chunk 1" `Quick test_chunked_overlapped_model_prefers_chunk1;
-    Alcotest.test_case "chunked: amortises per-message overhead" `Quick test_chunked_amortises_overhead;
-    Alcotest.test_case "chunked: best_chunk" `Quick test_chunked_best;
-    Alcotest.test_case "chunked: sequential bound" `Quick test_chunked_never_beats_sequential_bound;
     Alcotest.test_case "gen: chain of cycles" `Quick test_gen_chain_of_cycles;
     Alcotest.test_case "gen: coupled recurrences" `Quick test_gen_coupled;
     Alcotest.test_case "gen: wide body beats doacross" `Quick test_gen_wide_body;

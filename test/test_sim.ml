@@ -256,6 +256,75 @@ let prop_dropped_sends_deadlock_cleanly =
         (not dropped_any) || out.Exec.makespan >= 0
       | exception Exec.Deadlock _ -> dropped_any)
 
+
+(* ---------------------------------------------------------------- *)
+(* Program.simulate: the one simulator                               *)
+
+let program_of ?(p = 2) ?(k = 2) ~iterations g =
+  let full = Mimd_core.Full_sched.run ~graph:g ~machine:(machine ~p ~k ()) ~iterations () in
+  Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule
+
+let test_simulate_steps_pinned () =
+  (* The simulator's work, pinned exactly: instructions retired plus
+     parked processors woken.  An algorithmic regression in the run
+     queue (spurious wake-ups, re-stepping) moves it on any host. *)
+  List.iter
+    (fun (name, g, p, expected) ->
+      match Program.simulate (program_of ~p ~iterations:120 g) with
+      | Ok out -> check_int name expected out.Program.steps
+      | Error _ -> Alcotest.failf "%s: simulation failed" name)
+    [
+      ("ewf p=2 k=2 n=120", Mimd_workloads.Elliptic.graph (), 2, 5993);
+      ("fig1 p=4 k=2 n=120", Mimd_workloads.Fig1.graph (), 4, 2793);
+    ]
+
+let frames_per_link (program : Program.t) =
+  let counts = Hashtbl.create 16 in
+  Array.iteri
+    (fun src ->
+      List.iter (function
+        | Program.Send { dst; _ } | Program.Send_pack { dst; _ } ->
+          Hashtbl.replace counts (src, dst)
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts (src, dst)))
+        | _ -> ()))
+    program.Program.programs;
+  Hashtbl.fold (fun _ c acc -> max c acc) counts 0
+
+(* Over random loops and their comm-opted programs: a capacity no link
+   ever fills gives the unbounded result exactly, and the tightest
+   capacity never raises — it drains or deadlocks cleanly whenever the
+   program is feasible.  A feasible program must also survive
+   [Comm_opt.run]'s own re-simulation. *)
+let prop_simulate_capacity =
+  let gen =
+    QCheck2.Gen.(
+      let* seed = int_range 1 10_000 in
+      let* p = int_range 1 4 in
+      let* k = int_range 0 3 in
+      let* iterations = int_range 1 24 in
+      return (seed, p, k, iterations))
+  in
+  Helpers.qtest ~count:40 "simulate: capacity bound" gen
+    (fun (seed, p, k, n) -> Printf.sprintf "seed=%d p=%d k=%d n=%d" seed p k n)
+    (fun (seed, p, k, iterations) ->
+      let loop = Mimd_workloads.Random_loop.generate_loop ~fanout:0.5 ~seed () in
+      let base = program_of ~p ~k ~iterations (Mimd_loop_ir.Depend.analyze loop).graph in
+      let latency ~src ~dst = 1 + ((src + (2 * dst)) mod 3) in
+      let holds program =
+        let unbounded = Program.simulate ~latency ~record:true program in
+        let roomy =
+          Program.simulate ~capacity:(max 1 (frames_per_link program)) ~latency ~record:true
+            program
+        in
+        unbounded = roomy
+        &&
+        match (unbounded, Program.simulate ~capacity:1 ~latency program) with
+        | Ok _, (Ok _ | Error (Program.Stuck _)) | Error _, _ -> true
+        | Ok _, Error _ -> false
+      in
+      holds base
+      && (Result.is_error (Program.simulate base) || holds (fst (Mimd_codegen.Comm_opt.run base))))
+
 let suite =
   [
     Alcotest.test_case "links: fixed" `Quick test_links_fixed;
@@ -273,6 +342,8 @@ let suite =
     Alcotest.test_case "sim: deadlock detection" `Quick test_sim_deadlock_detected;
     Alcotest.test_case "sim: blocking recv timing" `Quick test_sim_send_before_recv_ordering;
     Alcotest.test_case "sim: runs DOACROSS programs" `Quick test_sim_doacross_program_runs;
+    Alcotest.test_case "simulate: step counter pinned" `Quick test_simulate_steps_pinned;
+    prop_simulate_capacity;
     Alcotest.test_case "gantt: renders" `Quick test_gantt_renders;
     Alcotest.test_case "gantt: truncates" `Quick test_gantt_truncates;
     prop_sim_reproduces_greedy_makespan;
