@@ -609,15 +609,21 @@ let solve ?(max_iterations = 1024) ?(verify = true) ?(order = Lexicographic) ~gr
         end
         else begin
           let t1 = earlier.top and t2 = cfg.top in
-          let ok =
+          let verified =
             if not verify then true
             else
               Trace.span ~cat:"compile" "compile.pattern_verify" (fun () ->
                   advance_until_final (t2 + (t2 - t1) + window_height);
                   period_repeats st ~t1 ~t2 ~d)
           in
-          if ok then begin
-            let pattern = build_pattern ~t1 ~t2 ~d in
+          let pattern = if verified then Some (build_pattern ~t1 ~t2 ~d) else None in
+          (* A node that runs ahead of the rest can repeat with the
+             same configuration windows while its own instances fall
+             outside the slice: the body must hold every node [d]
+             times, or expanding it drops instances. *)
+          match pattern with
+          | Some pattern
+            when Pattern.nodes_per_repetition pattern = Graph.node_count graph * d ->
             let stats =
               {
                 pops = st.pops;
@@ -628,12 +634,10 @@ let solve ?(max_iterations = 1024) ?(verify = true) ?(order = Lexicographic) ~gr
               }
             in
             { pattern; stats }
-          end
-          else begin
+          | _ ->
             incr rejected;
             Config_window.Tbl.replace seen cfg.key cfg;
             search ()
-          end
         end
     end
   in

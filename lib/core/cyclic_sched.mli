@@ -16,7 +16,11 @@
     so first-fit can no longer change them.  Two identical
     configurations delimit a candidate pattern, which is then verified
     by scheduling one more period and comparing (belt and braces on top
-    of Theorem 1); a verified pattern is returned.
+    of Theorem 1); a verified pattern whose body holds every node
+    exactly [iter_shift] times is returned.  (A node that runs ahead
+    of the rest can repeat identical windows while its own instances
+    fall outside the slice; such a candidate is rejected and the search
+    goes on.)
 
     Preconditions: dependence distances in [{0, 1}] (use
     {!Mimd_ddg.Unwind.normalize} first) and an acyclic distance-0
@@ -44,7 +48,8 @@ type stats = {
   iterations_touched : int;  (** highest iteration index + 1 *)
   configurations_checked : int;
   detection_cycle : int;  (** cycle of the second (matching) window *)
-  candidates_rejected : int;  (** candidates that failed verification *)
+  candidates_rejected : int;
+      (** candidates that failed verification or lacked a node *)
 }
 
 type result = { pattern : Pattern.t; stats : stats }

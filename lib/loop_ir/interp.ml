@@ -4,79 +4,178 @@ let hashed_unit_float h = 1.0 +. (float_of_int (h land 0xFFFF) /. 65536.0)
 let init name index = hashed_unit_float (Hashtbl.hash (name, index))
 let default_scalar name = hashed_unit_float (Hashtbl.hash name)
 
-type store = {
-  cells : (string * int, float) Hashtbl.t;
-  initial : string -> int -> float;
-}
-
-let create_store ?(init = init) () = { cells = Hashtbl.create 256; initial = init }
-
 let cell_index array ~iter ~offset = if Depend.is_fixed_cell array then 0 else iter + offset
 
-let read_idx st array index =
-  match Hashtbl.find_opt st.cells (array, index) with
-  | Some v -> v
-  | None -> st.initial array index
+(* One dense table per array the loop writes: cell [lo + j] is
+   [data.(j)], and has been written when byte [j] of [written] is
+   non-zero. *)
+type table = { name : string; lo : int; data : float array; written : Bytes.t }
 
-let write_idx st array index v = Hashtbl.replace st.cells (array, index) v
+(* [tables] is in ascending name order, so [written_cells] reads its
+   output off in order; an array id is an index into it, -1 for an
+   array the loop never writes. *)
+type store = { tables : table array; initial : string -> int -> float }
 
-let read st array index = read_idx st array index
-let write st array index v = write_idx st array index v
+(* Every cell an assignment can write over [iterations] iterations,
+   both branches of every [If] included: [offset, iterations-1+offset]
+   per affine write, index 0 for a fixed cell. *)
+let create ~initial ~iterations body =
+  let ranges = Hashtbl.create 8 in
+  let rec note = function
+    | Ast.Assign { array; offset; _ } ->
+      let lo = cell_index array ~iter:0 ~offset
+      and hi = cell_index array ~iter:(iterations - 1) ~offset in
+      let lo, hi =
+        match Hashtbl.find_opt ranges array with
+        | Some (lo', hi') -> (min lo lo', max hi hi')
+        | None -> (lo, hi)
+      in
+      Hashtbl.replace ranges array (lo, hi)
+    | Ast.If { then_; else_; _ } ->
+      List.iter note then_;
+      List.iter note else_
+  in
+  List.iter note body;
+  let tables =
+    Hashtbl.fold (fun name range acc -> (name, range) :: acc) ranges []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.map (fun (name, (lo, hi)) ->
+           let len = max 0 (hi - lo + 1) in
+           { name; lo; data = Array.make len 0.0; written = Bytes.make len '\000' })
+    |> Array.of_list
+  in
+  { tables; initial }
+
+let table_id st name =
+  let rec find t =
+    if t = Array.length st.tables then -1
+    else if String.equal st.tables.(t).name name then t
+    else find (t + 1)
+  in
+  find 0
+
+let[@inline] get st t name index =
+  if t < 0 then st.initial name index
+  else
+    let tb = st.tables.(t) in
+    let j = index - tb.lo in
+    if j >= 0 && j < Array.length tb.data && Bytes.unsafe_get tb.written j <> '\000' then
+      Array.unsafe_get tb.data j
+    else st.initial name index
+
+let[@inline] set st t index v =
+  let tb = st.tables.(t) in
+  let j = index - tb.lo in
+  tb.data.(j) <- v;
+  Bytes.set tb.written j '\001'
+
+let read st name index = get st (table_id st name) name index
 
 let written_cells st =
-  Hashtbl.fold (fun (a, i) v acc -> (a, i, v) :: acc) st.cells [] |> List.sort compare
+  let out = ref [] in
+  for t = Array.length st.tables - 1 downto 0 do
+    let { name; lo; data; written } = st.tables.(t) in
+    for j = Array.length data - 1 downto 0 do
+      if Bytes.unsafe_get written j <> '\000' then out := (name, lo + j, data.(j)) :: !out
+    done
+  done;
+  !out
+
+(* The loop body with array names resolved to table ids, fixed cells
+   flagged and scalars bound, once per run. *)
+type expr =
+  | Const of float
+  | Ref of { table : int; name : string; fixed : bool; offset : int }
+  | Neg of expr
+  | Binop of Ast.binop * expr * expr
+  | Select of expr * expr * expr
+
+type stmt =
+  | Assign of { table : int; fixed : bool; offset : int; rhs : expr }
+  | If of { cond : expr; then_ : stmt list; else_ : stmt list }
+
+let rec resolve_expr st ~scalars : Ast.expr -> expr = function
+  | Ast.Int k -> Const (float_of_int k)
+  | Ast.Scalar s -> Const (scalars s)
+  | Ast.Ref { array; offset } ->
+    Ref { table = table_id st array; name = array; fixed = Depend.is_fixed_cell array; offset }
+  | Ast.Neg e -> Neg (resolve_expr st ~scalars e)
+  | Ast.Binop (op, a, b) -> Binop (op, resolve_expr st ~scalars a, resolve_expr st ~scalars b)
+  | Ast.Select (p, a, b) ->
+    Select (resolve_expr st ~scalars p, resolve_expr st ~scalars a, resolve_expr st ~scalars b)
+
+let rec resolve_stmt st ~scalars : Ast.stmt -> stmt = function
+  | Ast.Assign { array; offset; rhs } ->
+    Assign
+      {
+        table = table_id st array;
+        fixed = Depend.is_fixed_cell array;
+        offset;
+        rhs = resolve_expr st ~scalars rhs;
+      }
+  | Ast.If { cond; then_; else_ } ->
+    If
+      {
+        cond = resolve_expr st ~scalars cond;
+        then_ = List.map (resolve_stmt st ~scalars) then_;
+        else_ = List.map (resolve_stmt st ~scalars) else_;
+      }
 
 let truthy v = v > 0.0
 
-let rec eval_expr st ~scalars ~iter (e : Ast.expr) =
-  match e with
-  | Ast.Int k -> float_of_int k
-  | Ast.Scalar s -> scalars s
-  | Ast.Ref { array; offset } -> read_idx st array (cell_index array ~iter ~offset)
-  | Ast.Neg e -> -.eval_expr st ~scalars ~iter e
-  | Ast.Binop (op, a, b) ->
-    let va = eval_expr st ~scalars ~iter a and vb = eval_expr st ~scalars ~iter b in
-    (match op with
+let rec eval st ~iter = function
+  | Const c -> c
+  | Ref { table; name; fixed; offset } -> get st table name (if fixed then 0 else iter + offset)
+  | Neg e -> -.eval st ~iter e
+  | Binop (op, a, b) -> (
+    let va = eval st ~iter a and vb = eval st ~iter b in
+    match op with
     | Ast.Add -> va +. vb
     | Ast.Sub -> va -. vb
     | Ast.Mul -> va *. vb
     | Ast.Div -> va /. vb)
-  | Ast.Select (p, a, b) ->
-    if truthy (eval_expr st ~scalars ~iter p) then eval_expr st ~scalars ~iter a
-    else eval_expr st ~scalars ~iter b
+  | Select (p, a, b) -> if truthy (eval st ~iter p) then eval st ~iter a else eval st ~iter b
 
-(* One sequential walk; [record pos iter v] sees every top-level
-   assignment's value (body position [pos], iteration [iter]). *)
-let exec_loop ?init:init_fn ~scalars ~record (loop : Ast.loop) ~iterations =
+(* One sequential walk.  With [values], a flat body's top-level
+   assignment at body position [pos] leaves its value at
+   [values.(pos).(iter)]. *)
+let exec_loop ?values ~initial ~scalars (loop : Ast.loop) ~iterations =
   if iterations < 0 then invalid_arg "Interp.run: negative iterations";
-  let st = create_store ?init:init_fn () in
-  let assign ~iter array offset rhs =
-    let v = eval_expr st ~scalars ~iter rhs in
-    write_idx st array (cell_index array ~iter ~offset) v;
+  let st = create ~initial ~iterations loop.Ast.body in
+  let body = Array.of_list (List.map (resolve_stmt st ~scalars) loop.Ast.body) in
+  let[@inline] assign ~iter table fixed offset rhs =
+    let v = eval st ~iter rhs in
+    set st table (if fixed then 0 else iter + offset) v;
     v
   in
-  let rec exec_stmt ~iter = function
-    | Ast.Assign { array; offset; rhs } -> ignore (assign ~iter array offset rhs)
-    | Ast.If { cond; then_; else_ } ->
-      let branch = if truthy (eval_expr st ~scalars ~iter cond) then then_ else else_ in
-      List.iter (exec_stmt ~iter) branch
+  let rec exec ~iter = function
+    | Assign { table; fixed; offset; rhs } -> ignore (assign ~iter table fixed offset rhs)
+    | If { cond; then_; else_ } ->
+      List.iter (exec ~iter) (if truthy (eval st ~iter cond) then then_ else else_)
   in
-  for i = 0 to iterations - 1 do
-    List.iteri
-      (fun pos stmt ->
-        match stmt with
-        | Ast.Assign { array; offset; rhs } -> record pos i (assign ~iter:i array offset rhs)
-        | Ast.If _ -> exec_stmt ~iter:i stmt)
-      loop.Ast.body
+  for iter = 0 to iterations - 1 do
+    for pos = 0 to Array.length body - 1 do
+      match body.(pos) with
+      | Assign { table; fixed; offset; rhs } -> (
+        let v = assign ~iter table fixed offset rhs in
+        match values with Some values -> values.(pos).(iter) <- v | None -> ())
+      | If _ as s -> exec ~iter s
+    done
   done;
   st
 
-let run ?init ?(scalars = default_scalar) loop ~iterations =
-  exec_loop ?init ~scalars ~record:(fun _ _ _ -> ()) loop ~iterations
+let run ?(init = init) ?(scalars = default_scalar) loop ~iterations =
+  exec_loop ~initial:init ~scalars loop ~iterations
 
 let instance_values loop ~iterations =
   if not (Ast.is_flat loop) then invalid_arg "Interp.instance_values: loop must be flat";
-  let values = ref [] in
-  let record pos iter v = values := ((pos, iter), v) :: !values in
-  ignore (exec_loop ~scalars:default_scalar ~record loop ~iterations);
-  List.sort (fun (a, _) (b, _) -> compare a b) !values
+  let nodes = List.length loop.Ast.body in
+  let values = Array.init nodes (fun _ -> Array.make (max 0 iterations) 0.0) in
+  ignore (exec_loop ~values ~initial:init ~scalars:default_scalar loop ~iterations);
+  let out = ref [] in
+  for pos = nodes - 1 downto 0 do
+    for iter = iterations - 1 downto 0 do
+      out := ((pos, iter), values.(pos).(iter)) :: !out
+    done
+  done;
+  !out

@@ -12,13 +12,25 @@
     from the {!init} function, which is also what reads of
     before-the-loop elements (negative indices included) see.
 
+    Memory is dense: before the first iteration every array the loop
+    writes (in either branch of any [If]) gets one [float array] over
+    the cells its assignments can reach — [[c, iterations-1+c]] across
+    its offsets [c], or cell 0 for a fixed cell [X@k] — plus a written
+    bitmap, and the body's array names are resolved to those tables
+    once.  A read outside a table, or of a cell not yet written, falls
+    back to {!init}.  The store is deliberately not the runtime's
+    lowered form ([Mimd_runtime.Lower]): this module is the oracle the
+    lowered evaluator is checked against, so it shares only
+    {!cell_index} with it and a lowering bug cannot cancel out.
+
     Value conventions: predicates are truthy when positive;
     [select (p, a, b)] is [a] when [p > 0].  Division by zero follows
     IEEE (infinities/NaN propagate) — the default {!init} avoids zero
     so deterministic comparisons stay finite. *)
 
 type store
-(** Mutable map from (array name, index) to float. *)
+(** Final memory of one run: a dense float table and written bitmap
+    per written array, falling back to the run's initial values. *)
 
 val init : string -> int -> float
 (** Default initial memory: a deterministic, non-zero, array- and
@@ -33,11 +45,12 @@ val cell_index : string -> iter:int -> offset:int -> int
     Shared with the runtime's lowering and last-writer fold. *)
 
 val read : store -> string -> int -> float
-val write : store -> string -> int -> float -> unit
+(** [read st array index]: the cell's last written value, else its
+    initial value. *)
 
 val written_cells : store -> (string * int * float) list
-(** Every cell explicitly written, sorted — the loop's observable
-    output. *)
+(** Every cell explicitly written, sorted by array name and then
+    index — the loop's observable output. *)
 
 val run :
   ?init:(string -> int -> float) ->
@@ -49,7 +62,7 @@ val run :
     conditionals use the same truthiness as [select], so running the
     original loop and its if-converted form produce identical stores
     (test-enforced).  [scalars] defaults to hashing the name into
-    [\[1, 2)]. *)
+    [\[1, 2)]; it is looked up once per run, as the runtime does. *)
 
 val instance_values : Ast.loop -> iterations:int -> ((int * int) * float) list
 (** The spec at instance level: the value every assignment computes,

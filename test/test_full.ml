@@ -204,6 +204,31 @@ let test_full_large_n_validates () =
       check_int (name ^ ": iterations") 4000 (Schedule.iterations full.Full_sched.schedule))
     [ ("fig1.loop", 2, 2); ("ewf.loop", 4, 4) ]
 
+(* A latency-1 self-recurrence that runs ahead of the rest of the
+   Cyclic core can leave two identical configuration windows whose
+   slice lacks its instances: this loop's core has 5 nodes, and the
+   first verified candidate's body held 4 instances, so the expanded
+   schedule never contained D_5.  A pattern whose body does not hold
+   every node [iter_shift] times is now rejected and the search goes
+   on; both strategies must validate clean. *)
+let test_pattern_body_holds_every_node () =
+  let loop = Mimd_workloads.Random_loop.generate_loop ~fanout:0.5 ~seed:3698 () in
+  let graph = (Mimd_loop_ir.Depend.analyze loop).Mimd_loop_ir.Depend.graph in
+  List.iter
+    (fun (label, strategy) ->
+      let full =
+        Full_sched.run ~strategy ~graph ~machine:(machine ~p:2 ~k:3 ()) ~iterations:6 ()
+      in
+      (match full.Full_sched.pattern with
+      | None -> Alcotest.failf "%s: no pattern" label
+      | Some pat ->
+        check_int (label ^ ": body = nodes x iter_shift")
+          (Mimd_ddg.Graph.node_count pat.Mimd_core.Pattern.graph * pat.Mimd_core.Pattern.iter_shift)
+          (Mimd_core.Pattern.nodes_per_repetition pat));
+      let report = Mimd_check.Validate.full full in
+      check_int (label ^ ": issues") 0 (List.length report.Mimd_check.Validate.issues))
+    [ ("auto", Full_sched.Auto); ("separate", Full_sched.Separate) ]
+
 (* [Auto] prunes the Separate schedule with a pattern-only lower bound
    on its makespan; the reference below is the rule with nothing
    pruned: build both, keep the fold when mf <= ms (1 + tolerance), and
@@ -306,6 +331,8 @@ let suite =
     Alcotest.test_case "full: DOALL schedules simulate" `Quick test_full_doall_simulates;
     Alcotest.test_case "full: fig1 and ewf validate at n=4000" `Quick test_full_large_n_validates;
     prop_auto_matches_build_both;
+    Alcotest.test_case "full: pattern body holds every node (seed 3698)" `Quick
+      test_pattern_body_holds_every_node;
     Alcotest.test_case "full: auto without a pattern folds after one search" `Quick
       test_auto_no_pattern_falls_back;
   ]

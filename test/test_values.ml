@@ -80,6 +80,190 @@ let test_interp_instance_values () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The store's edges: every array sized from both branches, reads
+   outside what was written fall back to [init]. *)
+
+let written st = Interp.written_cells st |> List.map (fun (a, i, _) -> (a, i))
+
+let test_interp_untaken_branch () =
+  (* init is in [1, 2), so the predicate is always true and C is never
+     written, although its table is sized from the else branch. *)
+  let loop = Parser.parse "for i = 1 to n { if (A[i-1]) { B[i] = 1; } else { C[i] = 2; } }" in
+  let st = Interp.run loop ~iterations:3 in
+  check_bool "only B written" true (written st = [ ("B", 0); ("B", 1); ("B", 2) ]);
+  Alcotest.(check (float 0.0)) "C[1] reads init" (Interp.init "C" 1) (Interp.read st "C" 1)
+
+let test_interp_negative_reads () =
+  let loop = Parser.parse "for i = 1 to n { Y[i] = X[i-2] + Y[i-1]; }" in
+  (match Interp.instance_values loop ~iterations:2 with
+  | [ ((0, 0), v0); ((0, 1), v1) ] ->
+    Alcotest.(check (float 0.0)) "Y[0]" (Interp.init "X" (-2) +. Interp.init "Y" (-1)) v0;
+    Alcotest.(check (float 0.0)) "Y[1]" (Interp.init "X" (-1) +. v0) v1
+  | _ -> Alcotest.fail "two instances expected");
+  let st = Interp.run loop ~iterations:2 in
+  Alcotest.(check (float 0.0)) "Y[-1] never written" (Interp.init "Y" (-1)) (Interp.read st "Y" (-1));
+  check_bool "Y[0], Y[1] written" true (written st = [ ("Y", 0); ("Y", 1) ])
+
+let test_interp_negative_write () =
+  (* X[i] is written one iteration after it is read, so every read
+     sees init. *)
+  let loop = Parser.parse "for i = 1 to n { X[i-1] = X[i] + 1; }" in
+  let cells = Interp.written_cells (Interp.run loop ~iterations:4) in
+  check_bool "cells X[-1..2]" true
+    (cells = List.init 4 (fun i -> ("X", i - 1, Interp.init "X" i +. 1.0)))
+
+let test_interp_fixed_cell_accumulation () =
+  let loop = Parser.parse "for i = 1 to n { S[0] = S[0] + W[i]; }" in
+  let st = Interp.run loop ~iterations:5 in
+  let sum = ref (Interp.init "S@0" 0) in
+  for i = 0 to 4 do
+    sum := !sum +. Interp.init "W" i
+  done;
+  check_bool "one cell S@0[0]" true (Interp.written_cells st = [ ("S@0", 0, !sum) ])
+
+let test_interp_read_only_array () =
+  let loop = Parser.parse "for i = 1 to n { Y[i] = Z[i+5]; }" in
+  let st = Interp.run loop ~iterations:3 in
+  check_bool "Z not written" true (written st = [ ("Y", 0); ("Y", 1); ("Y", 2) ]);
+  Alcotest.(check (float 0.0)) "Y[2] = Z[7]" (Interp.init "Z" 7) (Interp.read st "Y" 2);
+  Alcotest.(check (float 0.0)) "Z[7] reads init" (Interp.init "Z" 7) (Interp.read st "Z" 7)
+
+let test_interp_zero_iterations () =
+  let loop = Parser.parse "for i = 1 to n { X[i] = X[i-1] + 1; S[0] = S[0] + X[i]; }" in
+  let st = Interp.run loop ~iterations:0 in
+  check_int "no cells" 0 (List.length (Interp.written_cells st));
+  check_int "no instances" 0 (List.length (Interp.instance_values loop ~iterations:0));
+  Alcotest.(check (float 0.0)) "S@0 reads init" (Interp.init "S@0" 0) (Interp.read st "S@0" 0)
+
+(* Minor-heap words of the oracle on ewf at n=1000, the size the
+   exec benchmarks check.  Allocation is deterministic, so this holds
+   on any host: a statement instance boxes only its intermediate
+   floats (5.8 words) and a written cell is its own list node, tuple
+   and boxed value (9.0).  The store it replaced, a (name, index)
+   hash table sorted by polymorphic compare, measured 18.8 and 51.9. *)
+let test_interp_minor_words () =
+  let loop = Parser.parse Mimd_workloads.Elliptic.source in
+  let iterations = 1000 in
+  ignore (Interp.written_cells (Interp.run loop ~iterations));
+  let w0 = Gc.minor_words () in
+  let st = Interp.run loop ~iterations in
+  let w1 = Gc.minor_words () in
+  let cells = Interp.written_cells st in
+  let w2 = Gc.minor_words () in
+  let per_instance = (w1 -. w0) /. float_of_int (List.length loop.Ast.body * iterations) in
+  let per_cell = (w2 -. w1) /. float_of_int (List.length cells) in
+  if per_instance > 8.0 then
+    Alcotest.failf "Interp.run: %.1f minor words per statement instance (bound 8)" per_instance;
+  if per_cell > 10.0 then
+    Alcotest.failf "written_cells: %.1f minor words per cell (bound 10)" per_cell
+
+(* The store as a list: an assoc list from (array, index) to the last
+   value written, with the same truthiness and fixed-cell convention
+   ([X@k] lives at index 0). *)
+let model_written_cells (loop : Ast.loop) ~iterations =
+  let mem = ref [] in
+  let index array ~iter ~offset = if String.contains array '@' then 0 else iter + offset in
+  let read key =
+    match List.assoc_opt key !mem with Some v -> v | None -> Interp.init (fst key) (snd key)
+  in
+  let rec eval ~iter = function
+    | Ast.Int k -> float_of_int k
+    | Ast.Scalar s -> Interp.default_scalar s
+    | Ast.Ref { array; offset } -> read (array, index array ~iter ~offset)
+    | Ast.Neg e -> -.eval ~iter e
+    | Ast.Binop (op, a, b) -> (
+      let va = eval ~iter a in
+      let vb = eval ~iter b in
+      match op with
+      | Ast.Add -> va +. vb
+      | Ast.Sub -> va -. vb
+      | Ast.Mul -> va *. vb
+      | Ast.Div -> va /. vb)
+    | Ast.Select (p, a, b) -> if eval ~iter p > 0.0 then eval ~iter a else eval ~iter b
+  in
+  let rec exec ~iter = function
+    | Ast.Assign { array; offset; rhs } ->
+      let v = eval ~iter rhs in
+      let key = (array, index array ~iter ~offset) in
+      mem := (key, v) :: List.remove_assoc key !mem
+    | Ast.If { cond; then_; else_ } ->
+      List.iter (exec ~iter) (if eval ~iter cond > 0.0 then then_ else else_)
+  in
+  for iter = 0 to iterations - 1 do
+    List.iter (exec ~iter) loop.Ast.body
+  done;
+  List.sort compare !mem |> List.map (fun ((a, i), v) -> (a, i, v))
+
+(* Random structured loops: nested conditionals with optional else
+   branches, writes at offsets -1..1 and to a fixed cell, reads at
+   -2..1 of written arrays and of a read-only one. *)
+let gen_structured_loop =
+  QCheck2.Gen.(
+    let fixed a = String.contains a '@' in
+    let gen_ref =
+      let* array = oneofl [ "A"; "B"; "C"; "S@0"; "R" ] in
+      let* offset = int_range (-2) 1 in
+      return (Ast.Ref { array; offset = (if fixed array then 0 else offset) })
+    in
+    let rec gen_expr depth =
+      let leaves =
+        [ gen_ref; map (fun k -> Ast.Int k) (int_range (-2) 3); return (Ast.Scalar "K") ]
+      in
+      if depth = 0 then oneof leaves
+      else
+        oneof
+          (leaves
+          @ [
+              map (fun e -> Ast.Neg e) (gen_expr (depth - 1));
+              (let* op = oneofl [ Ast.Add; Ast.Sub; Ast.Mul; Ast.Div ] in
+               let* a = gen_expr (depth - 1) in
+               let* b = gen_expr (depth - 1) in
+               return (Ast.Binop (op, a, b)));
+            ])
+    in
+    let gen_assign =
+      let* array = oneofl [ "A"; "B"; "C"; "S@0" ] in
+      let* offset = int_range (-1) 1 in
+      let* rhs = gen_expr 2 in
+      return (Ast.Assign { array; offset = (if fixed array then 0 else offset); rhs })
+    in
+    let rec gen_stmt depth =
+      if depth = 0 then gen_assign
+      else
+        frequency
+          [
+            (2, gen_assign);
+            ( 1,
+              let* cond = gen_expr 1 in
+              let* then_ = list_size (int_range 1 2) (gen_stmt (depth - 1)) in
+              let* else_ = list_size (int_range 0 2) (gen_stmt (depth - 1)) in
+              return (Ast.If { cond; then_; else_ }) );
+          ]
+    in
+    let* body = list_size (int_range 1 4) (gen_stmt 2) in
+    let* iterations = int_range 0 8 in
+    return ({ Ast.index = "i"; lo = "1"; hi = "n"; body }, iterations))
+
+let same_cells a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (a1, i1, v1) (a2, i2, v2) ->
+         String.equal a1 a2 && i1 = i2
+         && Int64.equal (Int64.bits_of_float v1) (Int64.bits_of_float v2))
+       a b
+
+let prop_interp_matches_model =
+  qtest ~count:200 "interp: written cells = assoc-list model" gen_structured_loop
+    (fun (loop, iterations) ->
+      Printf.sprintf "%s\niterations = %d" (Format.asprintf "%a" Ast.pp_loop loop) iterations)
+    (fun (loop, iterations) ->
+      List.for_all
+        (fun loop ->
+          same_cells
+            (Interp.written_cells (Interp.run loop ~iterations))
+            (model_written_cells loop ~iterations))
+        [ loop; Mimd_loop_ir.If_convert.run loop ])
+
 (* ---------------------------------------------------------------- *)
 (* Parallel value execution                                          *)
 
@@ -306,6 +490,14 @@ let suite =
     Alcotest.test_case "interp: if = if-converted" `Quick test_interp_if_matches_if_converted;
     Alcotest.test_case "interp: written cells" `Quick test_interp_written_cells;
     Alcotest.test_case "interp: instance values" `Quick test_interp_instance_values;
+    Alcotest.test_case "interp: untaken branch leaves no cell" `Quick test_interp_untaken_branch;
+    Alcotest.test_case "interp: negative reads at iteration 0" `Quick test_interp_negative_reads;
+    Alcotest.test_case "interp: write at a negative offset" `Quick test_interp_negative_write;
+    Alcotest.test_case "interp: fixed-cell accumulation" `Quick test_interp_fixed_cell_accumulation;
+    Alcotest.test_case "interp: read-only array" `Quick test_interp_read_only_array;
+    Alcotest.test_case "interp: zero iterations" `Quick test_interp_zero_iterations;
+    Alcotest.test_case "interp: minor words bounded" `Quick test_interp_minor_words;
+    prop_interp_matches_model;
     Alcotest.test_case "values: parallel = sequential" `Quick test_parallel_matches_sequential;
     Alcotest.test_case "values: invariant under more PEs" `Quick test_parallel_matches_more_processors;
     Alcotest.test_case "values: DOACROSS programs correct too" `Quick test_parallel_doacross_programs_too;
