@@ -132,10 +132,6 @@ let mm_t =
 let links_of ~k ~mm =
   if mm = 1 then Mimd_sim.Links.fixed k else Mimd_sim.Links.uniform ~base:k ~mm ~seed:42
 
-let needs_unwinding =
-  "loop needed unwinding (some dependence distance > 1); real execution supports \
-   distances in {0, 1} only"
-
 (* ------------------------------------------------------------------ *)
 (* --auto-k: schedule at the measured k                                *)
 
@@ -584,70 +580,54 @@ let loop_t =
   Term.(const (fun src file seed -> load_loop ~src ~file ~seed) $ src_t $ file_t $ seed_t)
 
 (* Compile an analysed loop down to the per-processor message-passing
-   program that verify, run-parallel and run-dist execute.  Codegen
-   runs with validate:true, so the independent protocol check audits
-   the message protocol over whichever backend runs it next. *)
+   program that run-parallel and run-dist execute.  Codegen runs with
+   validate:true, so the independent protocol check audits the message
+   protocol over whichever backend runs it next. *)
 let compile_for_run ?comm_opt ~(analysis : Depend.t) ~machine ~iterations () =
+  Result.bind (Mimd_runtime.Lower.check_distances analysis.graph) @@ fun () ->
   let full = Full_sched.run ~graph:analysis.graph ~machine ~iterations () in
-  let schedule = full.Full_sched.schedule in
-  if
-    Graph.node_count (Schedule.graph schedule)
-    <> List.length (Mimd_loop_ir.Ast.assignments analysis.loop)
-  then Error needs_unwinding
-  else
-    match Mimd_codegen.From_schedule.run ~validate:true schedule with
-    | exception Mimd_codegen.From_schedule.Invalid_program m ->
-      Error ("generated program rejected by the validator: " ^ m)
-    | program -> (
-      match comm_opt with
-      | None -> Ok (full, program, None)
-      | Some window ->
-        Result.map
-          (fun (opt, stats) -> (full, opt, Some stats))
-          (optimize_program ~window program))
+  match Mimd_codegen.From_schedule.run ~validate:true full.Full_sched.schedule with
+  | exception Mimd_codegen.From_schedule.Invalid_program m ->
+    Error ("generated program rejected by the validator: " ^ m)
+  | program -> (
+    match comm_opt with
+    | None -> Ok (full, program, None)
+    | Some window ->
+      Result.map
+        (fun (opt, stats) -> (full, opt, Some stats))
+        (optimize_program ~window program))
 
+(* The fuzz oracle on one loop file, without the forked legs; the
+   summary line times the base program it checked on the simulator
+   (values do not depend on timing). *)
 let verify_cmd =
   let run file machine iterations mm =
-    let compiled =
+    let checked =
       match file with
       | None -> Error "verify needs --file"
       | Some path ->
         Result.bind (analyze_file path) (fun analysis ->
-            Result.map
-              (fun (_, program, _) -> (analysis.Depend.loop, program))
-              (compile_for_run ~analysis ~machine ~iterations ()))
+            Mimd_check.Fuzz.check_case ~runtime:false
+              (Mimd_check.Fuzz.make_case ~loop:analysis.Depend.loop
+                 ~processors:machine.Config.processors ~comm:machine.Config.comm_estimate
+                 ~iterations))
     in
-    match compiled with
+    match checked with
     | Error e -> fail e
-    | Ok (loop, program) -> (
-      (* Timing from the simulator, values from the lowered evaluator
-         run inline: values do not depend on timing. *)
+    | Ok program ->
       let links = links_of ~k:machine.Config.comm_estimate ~mm in
       let timing = Mimd_sim.Exec.run ~program ~links () in
-      let outcome = Mimd_runtime.Exec_compiled.run_inline ~loop ~program () in
-      let spec = Mimd_loop_ir.Interp.instance_values loop ~iterations in
-      match
-        Result.bind
-          (Mimd_runtime.Value_run.check_instances ~spec
-             outcome.Mimd_runtime.Value_run.instance_values)
-          (fun () -> Mimd_runtime.Value_run.check_against_sequential ~loop ~iterations outcome)
-      with
-      | Ok () ->
-        Format.printf
-          "OK: parallel execution matches the sequential interpreter bit-for-bit@.\
-           (%d iterations, %d PEs, makespan %d, %d messages)@."
-          iterations program.Mimd_codegen.Program.processors timing.Mimd_sim.Exec.makespan
-          timing.Mimd_sim.Exec.messages;
-        0
-      | Error e ->
-        Format.printf "MISMATCH: %s@." e;
-        1)
+      Format.printf
+        "OK: parallel execution matches the sequential interpreter bit-for-bit@.\
+         (%d iterations, %d PEs, makespan %d, %d messages)@."
+        iterations program.Mimd_codegen.Program.processors timing.Mimd_sim.Exec.makespan
+        timing.Mimd_sim.Exec.messages;
+      0
   in
   Cmd.v
     (Cmd.info "verify"
-       ~doc:"Compile a loop to the program run-parallel and run-dist execute, time it on \
-             the simulator, run its values on the lowered evaluator inline, and compare \
-             every instance against sequential execution")
+       ~doc:"Run the fuzz oracle, without its forked legs, on the program run-parallel and \
+             run-dist execute for one loop file, and time that program on the simulator")
     Term.(const run $ file_t $ machine_t $ iterations_t $ mm_t)
 
 let run_parallel_cmd =
@@ -792,7 +772,7 @@ let check_cmd =
       | Error e -> fail e
       | Ok case -> begin
         match F.check_case ~fault ~runtime:(not no_runtime) case with
-        | Ok () ->
+        | Ok _ ->
           Printf.printf "replay %s: all checks passed\n" path;
           0
         | Error e ->
@@ -834,8 +814,9 @@ let check_cmd =
            ~doc:"Instead of checking workloads, drive N random loops and machine shapes \
                  through the whole pipeline, comm-opt rewrite included, with every stage \
                  audited and every instance value compared against the sequential \
-                 interpreter: inline, on the forked-socket runtime and on domains. \
-                 Each case draws its own fan-out and machine shape (p, k, trip count).")
+                 interpreter: inline, on forked processes and on domains.  Each case \
+                 draws its own fan-out, machine shape (p, k), trip count, comm-opt window \
+                 and transport for the forked run (Unix sockets or TCP).")
   in
   let fuzz_seed_t =
     Arg.(value & opt int 0 & info [ "fuzz-seed" ] ~docv:"SEED"
@@ -986,23 +967,8 @@ let batch_cmd =
 let run_dist_cmd =
   let module Runner = Mimd_dist.Runner in
   let module VR = Mimd_runtime.Value_run in
-  (* One dist execution: compile, fork, compare against the sequential
-     interpreter.  Returns an error string instead of printing so the
-     sweep can aggregate. *)
-  let dist_once ?sabotage ?comm_opt ?transport ~respawn ~analysis ~machine ~iterations
-      ~timeout () =
-    let loop = analysis.Depend.loop in
-    Result.bind (compile_for_run ?comm_opt ~analysis ~machine ~iterations ())
-      (fun (_full, program, stats) ->
-        match Runner.run ?sabotage ?transport ~respawn ~timeout ~loop ~program () with
-        | exception Runner.Dist_error f -> Error ("dist failure: " ^ Runner.describe f)
-        | outcome -> (
-          match VR.check_against_sequential ~loop ~iterations outcome with
-          | Error e -> Error ("MISMATCH vs sequential interpreter: " ^ e)
-          | Ok () -> Ok (program, stats, outcome)))
-  in
-  let run loop machine iterations timeout probe vs_domains sweep fault tcp connect respawn
-      auto_k comm_opt trace =
+  let run loop machine iterations timeout probe vs_domains fault tcp connect respawn auto_k
+      comm_opt trace =
     guard_broken_pipe @@ fun () ->
     with_trace trace @@ fun () ->
     (* The TCP transport is implied by anything that needs it: an
@@ -1041,97 +1007,82 @@ let run_dist_cmd =
       print_string
         (Mimd_dist.Linkprobe.render ~assumed_k:machine.Config.comm_estimate
            (Mimd_dist.Linkprobe.probe ~procs:(max 2 machine.Config.processors) ()));
-    if sweep > 0 then begin
-      (* Differential sweep: seeded random loops, socket backend vs
-         the sequential interpreter, all in one process. *)
-      let failures = ref [] in
-      for seed = 1 to sweep do
-        let analysis = Depend.analyze (W.Random_loop.generate_loop ~seed ()) in
-        match
-          dist_once ?comm_opt ?transport ~respawn ~analysis ~machine ~iterations ~timeout ()
-        with
-        | Ok _ -> ()
-        | Error e -> failures := (seed, e) :: !failures
-      done;
-      match !failures with
-      | [] ->
-        Format.printf "sweep OK: %d seeded loop(s) bit-identical over the %s backend@."
-          sweep
-          (if want_tcp then "loopback-TCP" else "socket");
-        0
-      | fs ->
-        List.iter
-          (fun (seed, e) -> Format.printf "seed %d: %s@." seed e)
-          (List.rev fs);
-        Format.printf "sweep FAILED: %d of %d seed(s)@." (List.length fs) sweep;
-        1
-    end
-    else
-      match loop with
+    match loop with
+    | Error e -> fail e
+    | Ok analysis -> (
+      (* Probing forks, so it runs strictly before the run's own
+         forks. *)
+      let machine = if auto_k then auto_k_machine machine else machine in
+      let sabotage =
+        match fault with
+        | `None | `Handshake_fp -> None
+        | `Kill_child ->
+          (* Deterministic mid-run sabotage: SIGKILL the PE0 child
+             right after the collective start; the supervisor must
+             surface a structured child-exit error and reap the
+             rest.  One-shot, so --respawn can demonstrate recovery:
+             a kill on every attempt would just exhaust any budget. *)
+          let armed = ref true in
+          Some
+            (fun pids ->
+              if !armed then begin
+                armed := false;
+                try Unix.kill pids.(0) Sys.sigkill with Unix.Unix_error _ -> ()
+              end)
+      in
+      (* Compile, fork, compare against the sequential interpreter.  A
+         roster the mesh cannot bind (wrong length, a host that does not
+         resolve) fails in the parent before any fork. *)
+      let loop = analysis.Depend.loop in
+      match
+        Result.bind (compile_for_run ?comm_opt ~analysis ~machine ~iterations ())
+          (fun (_full, program, stats) ->
+            match Runner.run ?sabotage ?transport ~respawn ~timeout ~loop ~program () with
+            | exception Runner.Dist_error f -> Error ("dist failure: " ^ Runner.describe f)
+            | exception Invalid_argument m -> Error m
+            | outcome -> (
+              match VR.check_against_sequential ~loop ~iterations outcome with
+              | Error e -> Error ("MISMATCH vs sequential interpreter: " ^ e)
+              | Ok () -> Ok (program, stats, outcome)))
+      with
       | Error e -> fail e
-      | Ok analysis -> (
-        (* Probing forks, so it runs strictly before the run's own
-           forks. *)
-        let machine = if auto_k then auto_k_machine machine else machine in
-        let sabotage =
-          match fault with
-          | `None | `Handshake_fp -> None
-          | `Kill_child ->
-            (* Deterministic mid-run sabotage: SIGKILL the PE0 child
-               right after the collective start; the supervisor must
-               surface a structured child-exit error and reap the
-               rest.  One-shot, so --respawn can demonstrate recovery:
-               a kill on every attempt would just exhaust any budget. *)
-            let armed = ref true in
-            Some
-              (fun pids ->
-                if !armed then begin
-                  armed := false;
-                  try Unix.kill pids.(0) Sys.sigkill with Unix.Unix_error _ -> ()
-                end)
-        in
-        match
-          dist_once ?sabotage ?comm_opt ?transport ~respawn ~analysis ~machine ~iterations
-            ~timeout ()
-        with
-        | Error e -> fail e
-        | Ok (program, stats, outcome) ->
-          Option.iter print_comm_stats stats;
-          Format.printf
-            "OK: %d forked process(es)%s computed all %d iteration(s) bit-identically \
-             to the sequential interpreter@."
-            outcome.VR.domains
-            (if want_tcp then " over TCP" else "")
-            iterations;
-          Format.printf "  messages: %d, wall-clock makespan: %.0f us@." outcome.VR.messages
-            (outcome.VR.makespan_ns /. 1e3);
-          Array.iteri
-            (fun j ns -> Format.printf "  process %d finished at %.0f us@." j (ns /. 1e3))
-            outcome.VR.domain_wall_ns;
-          if not vs_domains then 0
-          else begin
-            (* The in-domain runtime runs strictly after every fork. *)
-            match Mimd_runtime.Exec_compiled.run ~loop:analysis.Depend.loop ~program () with
-            | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
-              fail
-                ("runtime deadlock in the domain comparison\n"
-                ^ Mimd_runtime.Watchdog.describe stall)
-            | domains_outcome ->
-              if
-                domains_outcome.VR.instance_values = outcome.VR.instance_values
-                && domains_outcome.VR.final = outcome.VR.final
-              then begin
-                Format.printf
-                  "  vs domains: bit-identical (%d instance value(s), %d final cell(s))@."
-                  (List.length outcome.VR.instance_values)
-                  (List.length outcome.VR.final);
-                0
-              end
-              else begin
-                Format.printf "MISMATCH between socket and domain backends@.";
-                1
-              end
-          end)
+      | Ok (program, stats, outcome) ->
+        Option.iter print_comm_stats stats;
+        Format.printf
+          "OK: %d forked process(es)%s computed all %d iteration(s) bit-identically \
+           to the sequential interpreter@."
+          outcome.VR.domains
+          (if want_tcp then " over TCP" else "")
+          iterations;
+        Format.printf "  messages: %d, wall-clock makespan: %.0f us@." outcome.VR.messages
+          (outcome.VR.makespan_ns /. 1e3);
+        Array.iteri
+          (fun j ns -> Format.printf "  process %d finished at %.0f us@." j (ns /. 1e3))
+          outcome.VR.domain_wall_ns;
+        if not vs_domains then 0
+        else begin
+          (* The in-domain runtime runs strictly after every fork. *)
+          match Mimd_runtime.Exec_compiled.run ~loop ~program () with
+          | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
+            fail
+              ("runtime deadlock in the domain comparison\n"
+              ^ Mimd_runtime.Watchdog.describe stall)
+          | domains_outcome ->
+            if
+              domains_outcome.VR.instance_values = outcome.VR.instance_values
+              && domains_outcome.VR.final = outcome.VR.final
+            then begin
+              Format.printf
+                "  vs domains: bit-identical (%d instance value(s), %d final cell(s))@."
+                (List.length outcome.VR.instance_values)
+                (List.length outcome.VR.final);
+              0
+            end
+            else begin
+              Format.printf "MISMATCH between socket and domain backends@.";
+              1
+            end
+        end)
   in
   let timeout_t =
     Arg.(value & opt positive_float 5.0 & info [ "timeout" ] ~docv:"SECONDS"
@@ -1148,12 +1099,6 @@ let run_dist_cmd =
            ~doc:"Also execute on the in-process domain runtime and require bit-identical \
                  instance values (runs after the forked execution; OCaml forbids forking \
                  once domains exist).")
-  in
-  let sweep_t =
-    Arg.(value & opt non_negative_int 0 & info [ "sweep" ] ~docv:"N"
-           ~doc:"Differential sweep: run seeds 1..$(docv) of the Section-4 random loop \
-                 generator through the socket backend and compare each against the \
-                 sequential interpreter (ignores --src/--file/--seed).")
   in
   let fault_t =
     let faults =
@@ -1198,7 +1143,7 @@ let run_dist_cmd =
              against the sequential interpreter")
     Term.(
       const run $ loop_t $ machine_t $ iterations_t $ timeout_t $ probe_t $ vs_domains_t
-      $ sweep_t $ fault_t $ tcp_t $ connect_t $ respawn_t $ auto_k_t $ comm_opt_t $ trace_t)
+      $ fault_t $ tcp_t $ connect_t $ respawn_t $ auto_k_t $ comm_opt_t $ trace_t)
 
 let route_cmd =
   let run workers socket worker_dir max_inflight jobs queue_depth cache_dir validate trace
@@ -1441,13 +1386,18 @@ let main_cmd =
 let () = Mimd_check.Validate.install_hooks ()
 
 (* The fuzz oracle's socket leg: mimd_check sits below mimd_dist
-   in the dependency graph, so the forked-socket executor is injected
+   in the dependency graph, so the forked-process executor is injected
    here, where both are visible. *)
 let () =
   Mimd_check.Fuzz.socket_backend :=
     Some
-      (fun ~loop ~program ->
-        match Mimd_dist.Runner.run ~timeout:30.0 ~loop ~program () with
+      (fun ~transport ~loop ~program ->
+        let transport =
+          match transport with
+          | Mimd_check.Fuzz.Unix_sockets -> Mimd_dist.Runner.Unix_sockets
+          | Mimd_check.Fuzz.Tcp -> Mimd_dist.Runner.Tcp { roster = None; handshake_fault = None }
+        in
+        match Mimd_dist.Runner.run ~transport ~timeout:30.0 ~loop ~program () with
         | exception Mimd_dist.Runner.Dist_error f ->
           Error ("dist failure: " ^ Mimd_dist.Runner.describe f)
         | outcome -> Ok outcome.Mimd_runtime.Value_run.instance_values)

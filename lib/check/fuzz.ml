@@ -11,12 +11,22 @@ module Watchdog = Mimd_runtime.Watchdog
 
 type fault = No_fault | Hasten_dependent | Keep_extra_send
 
+type transport = Unix_sockets | Tcp
+
 type case = {
   loop : Ast.loop;
   processors : int;
   comm : int;
   iterations : int;
+  window : int;
+  transport : transport;
 }
+
+(* A dump without the [window] header replays with the window every
+   case used before cases drew their own. *)
+let make_case ~loop ~processors ~comm ~iterations =
+  let window = 1 + (iterations mod 4) in
+  { loop; processors; comm; iterations; window; transport = Unix_sockets }
 
 type config = {
   count : int;
@@ -45,13 +55,7 @@ let labelled label r = Result.map_error (( ^ ) label) r
    through an injected hook; [mimdloop] installs it at startup, the
    same pattern as {!Validate.install_hooks}.  The hook runs the
    program on forked processes and returns its instance values. *)
-let socket_backend :
-    (loop:Ast.loop ->
-    program:Mimd_codegen.Program.t ->
-    (((int * int) * float) list, string) result)
-    option
-    ref =
-  ref None
+let socket_backend = ref None
 
 (* Run [f] in a forked child that marshals its result back over a pipe
    and exits without returning to the harness.  The domain runtime
@@ -83,15 +87,10 @@ let in_child (f : unit -> 'a) : ('a, string) result =
     ignore (Unix.waitpid [] pid);
     result
 
-let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
-  (* The default window is a deterministic function of the case, so a
-     replayed counterexample exercises exactly the coalescing the
-     original run did without the dump having to carry the window. *)
-  let window =
-    match window with Some w -> w | None -> 1 + (case.iterations mod 4)
-  in
+let check_case ?(fault = No_fault) ?(runtime = true) case =
   try
     let { Depend.loop; graph; _ } = Depend.analyze case.loop in
+    let* () = Mimd_runtime.Lower.check_distances graph in
     let machine = Config.make ~processors:case.processors ~comm_estimate:case.comm in
     let full = Full_sched.run ~graph ~machine ~iterations:case.iterations () in
     let sched =
@@ -118,7 +117,7 @@ let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
       | Keep_extra_send -> Some Mimd_codegen.Comm_opt.Keep_extra_send
       | No_fault | Hasten_dependent -> None
     in
-    match Mimd_codegen.Comm_opt.run ~window ?fault:comm_fault program with
+    match Mimd_codegen.Comm_opt.run ~window:case.window ?fault:comm_fault program with
     | exception Failure m -> Error ("comm-opt self-check: " ^ m)
     | opt, _stats ->
       (* The independent protocol check must accept every optimized
@@ -147,7 +146,7 @@ let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
         against_spec "inline comm-opted"
           (Exec_compiled.run_inline ~loop ~program:opt ()).Value_run.instance_values
       in
-      if not runtime then Ok ()
+      if not runtime then Ok program
       else begin
         (* ... then on the socket backend (it forks, so it goes first)
            and on real domains, base and optimized alike, so widened
@@ -157,7 +156,7 @@ let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
           match !socket_backend with
           | None -> Ok ()
           | Some run_sockets ->
-            let* sock = run_sockets ~loop ~program:opt in
+            let* sock = run_sockets ~transport:case.transport ~loop ~program:opt in
             against_spec "sockets" sock
         in
         let domains () =
@@ -170,12 +169,15 @@ let check_case ?(fault = No_fault) ?(runtime = true) ?window case =
           if Option.is_some !socket_backend then in_child domains else Ok (domains ())
         in
         let* () = against_spec "domains base" dom_base in
-        against_spec "domains opt" dom_opt
+        let* () = against_spec "domains opt" dom_opt in
+        Ok program
       end
   with e -> Error ("exception: " ^ Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Replayable counterexample files                                     *)
+
+let transport_names = [ ("unix", Unix_sockets); ("tcp", Tcp) ]
 
 let render_case (case : case) =
   Format.asprintf
@@ -183,8 +185,12 @@ let render_case (case : case) =
      # processors: %d@\n\
      # comm: %d@\n\
      # iterations: %d@\n\
+     # window: %d@\n\
+     # transport: %s@\n\
      %a@."
-    case.processors case.comm case.iterations Ast.pp_loop case.loop
+    case.processors case.comm case.iterations case.window
+    (fst (List.find (fun (_, t) -> t = case.transport) transport_names))
+    Ast.pp_loop case.loop
 
 let sanitize_line s =
   String.map (function '\n' | '\r' -> ' ' | c -> c) s
@@ -214,8 +220,18 @@ let load_case path =
           else None)
         lines
     in
-    let int_header key default =
-      Option.value ~default (Option.bind (header key) int_of_string_opt)
+    (* A header that is present must parse: a typo never replays a
+       different case than the one dumped. *)
+    let field key ~default ~expected parse =
+      match header key with
+      | None -> Ok default
+      | Some v ->
+        Option.to_result (parse v)
+          ~none:(Printf.sprintf "%s: bad \"# %s: %s\" header (expected %s)" path key v expected)
+    in
+    let int_field key ~default ~min =
+      field key ~default ~expected:(Printf.sprintf "an integer >= %d" min) (fun v ->
+          Option.bind (int_of_string_opt v) (fun n -> if n >= min then Some n else None))
     in
     (* Files dumped before the oracles merged name the one they failed
        in; every such case replays through the one oracle, which makes
@@ -231,17 +247,18 @@ let load_case path =
         (Printf.sprintf
            "%s: \"# matrix: %s\" header: per-link matrix cases are no longer supported"
            path v)
-    | _ -> (
-      match Depend.of_source src with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok a ->
-        Ok
-          {
-            loop = a.Depend.loop;
-            processors = int_header "processors" 2;
-            comm = int_header "comm" 2;
-            iterations = int_header "iterations" 10;
-          })
+    | _ ->
+      let* processors = int_field "processors" ~default:2 ~min:1 in
+      let* comm = int_field "comm" ~default:2 ~min:0 in
+      let* iterations = int_field "iterations" ~default:10 ~min:1 in
+      let* a = Result.map_error (Printf.sprintf "%s: %s" path) (Depend.of_source src) in
+      let case = make_case ~loop:a.Depend.loop ~processors ~comm ~iterations in
+      let* window = int_field "window" ~default:case.window ~min:0 in
+      let* transport =
+        field "transport" ~default:case.transport ~expected:"unix or tcp" (fun v ->
+            List.assoc_opt v transport_names)
+      in
+      Ok { case with window; transport }
 
 (* ------------------------------------------------------------------ *)
 (* The QCheck harness                                                  *)
@@ -306,18 +323,24 @@ let gen_case =
     let* body = if fan_out then widen [] [] body else return body in
     let* processors = int_range 2 4 in
     let* comm = int_range 0 2 in
-    let* iterations = int_range 4 14 in
-    return
-      { loop = { Ast.index = "i"; lo = "1"; hi = "n"; body }; processors; comm; iterations })
+    (* One case in five runs long enough for steady-state traffic to
+       pile up on the links. *)
+    let* iterations = frequency [ (4, int_range 4 14); (1, int_range 100 120) ] in
+    let* window = int_range 0 6 in
+    let* transport = oneofl [ Unix_sockets; Tcp ] in
+    let loop = { Ast.index = "i"; lo = "1"; hi = "n"; body } in
+    return { loop; processors; comm; iterations; window; transport })
 
 let run cfg =
   (* QCheck2's integrated shrinking re-runs the property on ever
      smaller candidates and stops at a minimal failing one — so the
-     last failure the property itself observes IS the shrunk case. *)
+     last failure the property itself observes IS the shrunk case.
+     The property never raises, so the run failed iff it recorded
+     one. *)
   let last_failure = ref None in
   let prop (case : case) =
     match check_case ~fault:cfg.fault ~runtime:cfg.runtime case with
-    | Ok () -> true
+    | Ok _ -> true
     | Error reason ->
       last_failure := Some (case, reason);
       false
@@ -328,29 +351,14 @@ let run cfg =
     QCheck2.Test.make_cell ~name:"mimd-check fuzz" ~count:cfg.count ~print:render_case
       gen_case prop
   in
-  let result = QCheck2.Test.check_cell ~rand:(Random.State.make [| cfg.seed |]) cell in
-  if QCheck2.TestResult.is_success result then Passed cfg.count
-  else
-    match !last_failure with
-    | None ->
-      (* unreachable in practice: the property never raises *)
-      Failed
-        {
-          case =
-            {
-              loop = { Ast.index = "i"; lo = "1"; hi = "n"; body = [] };
-              processors = 2;
-              comm = 2;
-              iterations = 1;
-            };
-          reason = "fuzz failed without a recorded counterexample";
-          file = None;
-        }
-    | Some (case, reason) -> (
-      match Option.map (fun dir -> dump_case ~dir ~reason case) cfg.out_dir with
-      | file -> Failed { case; reason; file }
-      | exception Sys_error e ->
-        Failed { case; reason = reason ^ " (counterexample not dumped: " ^ e ^ ")"; file = None })
+  ignore (QCheck2.Test.check_cell ~rand:(Random.State.make [| cfg.seed |]) cell);
+  match !last_failure with
+  | None -> Passed cfg.count
+  | Some (case, reason) -> (
+    match Option.map (fun dir -> dump_case ~dir ~reason case) cfg.out_dir with
+    | file -> Failed { case; reason; file }
+    | exception Sys_error e ->
+      Failed { case; reason = reason ^ " (counterexample not dumped: " ^ e ^ ")"; file = None })
 
 let describe = function
   | Passed n -> Printf.sprintf "fuzz: %d case(s) passed" n

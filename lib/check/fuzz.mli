@@ -12,20 +12,22 @@
       ({!Validate.program});
     + the computed {e values}: every executor of the base and the
       optimized program — the lowered evaluator run inline
-      ({!Mimd_runtime.Exec_compiled.run_inline}), the forked-socket
-      runtime ({!socket_backend}) and the compiled real-domain runtime
-      ({!Mimd_runtime.Exec_compiled.run}) — must match the sequential
-      spec ({!Mimd_loop_ir.Interp.instance_values}) instance by
-      instance, bit for bit.
+      ({!Mimd_runtime.Exec_compiled.run_inline}), the forked-process
+      runtime over Unix sockets or TCP ({!socket_backend}) and the
+      compiled real-domain runtime ({!Mimd_runtime.Exec_compiled.run})
+      — must match the sequential spec
+      ({!Mimd_loop_ir.Interp.instance_values}) instance by instance,
+      bit for bit.
 
     Each case draws its own fan-out (diamond-shaped dependences, or a
-    pure statement chain) and machine shape ([p], [k], trip count), so
-    one seed covers every dimension.  Failures
-    are shrunk by QCheck to a minimal loop and dumped as a replayable
-    loop-IR file ([# key: value] headers carry the machine shape; the
-    lexer treats them as comments, so the file parses as is).  The
-    {!fault} injection knob exists to prove the oracle has teeth: each
-    fault applies to every case, and the harness must catch it. *)
+    pure statement chain), machine shape ([p], [k]), trip count (one
+    case in five runs 100 to 120 iterations), coalescing window and
+    transport, so one seed covers every dimension.  [check --fuzz],
+    [check --replay] and [verify] all run {!check_case}.  Failures are
+    shrunk by QCheck and dumped as a replayable loop-IR file
+    ([# key: value] headers carry the case's shape; the lexer treats
+    them as comments).  Each {!fault} applies to every case, and the
+    harness must catch it. *)
 
 type fault =
   | No_fault
@@ -38,12 +40,23 @@ type fault =
           its Recv — the footprint of an unsound elision;
           {!Validate.program} must reject the result *)
 
+type transport =
+  | Unix_sockets  (** one socketpair per link *)
+  | Tcp  (** loopback listeners, dialed after the fork *)
+
 type case = {
-  loop : Mimd_loop_ir.Ast.loop;  (** flat, distances in [{0, 1}] *)
+  loop : Mimd_loop_ir.Ast.loop;  (** flat; a distance over 1 fails {!check_case} *)
   processors : int;
   comm : int;  (** the paper's [k] *)
   iterations : int;  (** trip count for scheduling and execution *)
+  window : int;  (** {!Mimd_codegen.Comm_opt.run}'s coalescing window *)
+  transport : transport;  (** the link layer of the socket leg *)
 }
+
+val make_case :
+  loop:Mimd_loop_ir.Ast.loop -> processors:int -> comm:int -> iterations:int -> case
+(** Window [1 + iterations mod 4], Unix sockets: the defaults of a dump
+    without [window] and [transport] headers. *)
 
 type config = {
   count : int;  (** random cases to try *)
@@ -70,34 +83,37 @@ type outcome =
     }
 
 val check_case :
-  ?fault:fault -> ?runtime:bool -> ?window:int -> case -> (unit, string) result
-(** The oracle for one case, checks in this order: the schedule (under
+  ?fault:fault -> ?runtime:bool -> case -> (Mimd_codegen.Program.t, string) result
+(** The oracle for one case; returns the base program it checked.
+    Checks in this order: the dependence distances
+    ({!Mimd_runtime.Lower.check_distances}), the schedule (under
     [Hasten_dependent], the broken one), the pattern, the base
-    program; {!Mimd_codegen.Comm_opt.run} with coalescing [window]
-    (when omitted, [1 + iterations mod 4], a deterministic function of
-    the case so replays coalesce exactly as the original run did) and
+    program; {!Mimd_codegen.Comm_opt.run} with the case's [window] and
     the optimized program; then the value legs, each compared instance
     by instance against {!Mimd_loop_ir.Interp.instance_values}: base
     and optimized inline (the base run also vs the interpreter's final
     memory); with [runtime] (default true) the optimized program on
-    the socket backend, then base and optimized on real domains.  The
-    domain legs run in a forked child while {!socket_backend} is
-    installed, so the caller stays fork-safe; otherwise in-process.
-    Never raises: pipeline exceptions are returned as [Error].  Validation runs
-    {e before} any execution, so a broken schedule or protocol is
-    reported without ever running its programs. *)
+    the socket backend over the case's [transport], then base and
+    optimized on real domains.  The domain legs run in a forked child
+    while {!socket_backend} is installed, so the caller stays
+    fork-safe; otherwise in-process.  Never raises: pipeline
+    exceptions are returned as [Error].  Validation runs {e before}
+    any execution. *)
 
 val socket_backend :
-  (loop:Mimd_loop_ir.Ast.loop ->
+  (transport:transport ->
+  loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
   (((int * int) * float) list, string) result)
   option
   ref
-(** The forked-socket executor, injected from above this library in
-    the dependency graph (mimd_dist cannot be a dependency here —
-    it already depends on mimd_check through mimd_server).  [mimdloop]
-    installs it at startup; [None] skips the socket leg and runs the
-    domain leg in-process. *)
+(** The forked-process executor, injected from above this library in
+    the dependency graph (mimd_dist depends on mimd_check through
+    mimd_server).  [mimdloop] installs it at startup; [None] skips the
+    socket leg and runs the domain leg in-process. *)
+
+val gen_case : case QCheck2.Gen.t
+(** The generator {!run} draws its cases from. *)
 
 val run : config -> outcome
 (** Generate, check, shrink, dump.  A counterexample that cannot be
@@ -106,7 +122,7 @@ val run : config -> outcome
 
 val render_case : case -> string
 (** The replayable file format: [#]-comment headers (processors,
-    comm, iterations) followed by the loop source. *)
+    comm, iterations, window, transport) followed by the loop source. *)
 
 val dump_case : ?name:string -> dir:string -> reason:string -> case -> string
 (** Write {!render_case} (plus the failure reason as a comment) under
@@ -114,13 +130,14 @@ val dump_case : ?name:string -> dir:string -> reason:string -> case -> string
     ["mimd-fuzz-counterexample.loop"]. *)
 
 val load_case : string -> (case, string) result
-(** Read a dumped counterexample (or any loop-IR file; missing
-    headers default to 2 processors, k = 2, 10 iterations) through
-    {!Mimd_loop_ir.Depend.of_source}.  An [# oracle: pipeline|comm|exec]
-    header, written by older dumps, is accepted and ignored: every
-    case replays through the one oracle.  The error names an
-    unreadable file, a front-end error, the value of any other
-    [# oracle:] header, or a [# matrix:] header (older dumps of cases
-    priced with a per-link matrix, which no longer exists). *)
+(** Read a dumped counterexample (or any loop-IR file) through
+    {!Mimd_loop_ir.Depend.of_source}.  Missing headers default to 2
+    processors, k = 2, 10 iterations, then {!make_case}'s window and
+    transport; a present one must parse (processors, iterations >= 1;
+    comm, window >= 0; transport [unix] or [tcp]).  An
+    [# oracle: pipeline|comm|exec] header from older dumps is ignored.
+    The error names an unreadable file, a front-end error, a malformed
+    header, any other [# oracle:] value, or a [# matrix:] header
+    (dumps of the removed per-link matrix mode). *)
 
 val describe : outcome -> string

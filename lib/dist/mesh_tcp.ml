@@ -94,14 +94,18 @@ let read_ack fd ~proc ~peer =
 let set_nodelay fd =
   try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
+(* The one resolver of roster hosts, for binding and dialing alike:
+   an IPv4 literal as is, any other name through getaddrinfo. *)
+let resolve host =
+  match Unix.inet_addr_of_string host with
+  | inet -> inet
+  | exception Failure _ -> (
+    match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
+    | { Unix.ai_addr = Unix.ADDR_INET (inet, _); _ } :: _ -> inet
+    | _ -> invalid_arg (Printf.sprintf "Mesh_tcp: cannot resolve host %S" host))
+
 let dial_with_backoff ?(deadline = 15.0) addr =
-  let inet =
-    try Unix.inet_addr_of_string addr.host
-    with Failure _ -> (
-      match Unix.getaddrinfo addr.host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-      | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
-      | _ -> failwith (Printf.sprintf "cannot resolve %s" addr.host))
-  in
+  let inet = resolve addr.host in
   let until = Unix.gettimeofday () +. deadline in
   let rec go pause =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -134,18 +138,15 @@ type t = {
   procs : int;
   fingerprint : string;
   listeners : Unix.file_descr array;  (* PE i's listener, bound pre-fork *)
-  addrs : addr array;  (* where PE i listens (ports resolved) *)
+  addrs : addr array;  (* where PE i listens (host and port resolved) *)
 }
 
 type conns = { proc : int; fds : Unix.file_descr option array }
 
 let bind_listener spec =
+  let inet = resolve spec.host in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try Unix.setsockopt fd Unix.SO_REUSEADDR true with Unix.Unix_error _ -> ());
-  let inet =
-    try Unix.inet_addr_of_string spec.host
-    with Failure _ -> Unix.inet_addr_loopback
-  in
   Unix.bind fd (Unix.ADDR_INET (inet, spec.port));
   Unix.listen fd 16;
   let port =
@@ -155,10 +156,12 @@ let bind_listener spec =
   in
   (fd, { spec with port })
 
-(* Bind every PE's listener in the parent, before any fork: binding
-   first is what lets [create] hand out ephemeral ports (port 0) on
-   loopback without a race, and what guarantees a dialer's backoff
-   loop always terminates once the fleet is up. *)
+(* Resolve every host, then bind every PE's listener, in the parent
+   before any fork: a bad roster fails here, naming the host, with
+   nothing bound yet, and the dialers see the resolved literal.
+   Binding first is what lets [create] hand out ephemeral ports
+   (port 0) on loopback without a race, and what guarantees a
+   dialer's backoff loop always terminates once the fleet is up. *)
 let create ?roster ~fingerprint ~procs () =
   if procs < 1 then invalid_arg "Mesh_tcp.create: procs < 1";
   let specs =
@@ -170,6 +173,9 @@ let create ?roster ~fingerprint ~procs () =
           (Printf.sprintf "Mesh_tcp.create: roster has %d address(es) for %d PE(s)"
              (List.length l) procs);
       Array.of_list l
+  in
+  let specs =
+    Array.map (fun spec -> { spec with host = Unix.string_of_inet_addr (resolve spec.host) }) specs
   in
   let bound = Array.map bind_listener specs in
   { procs; fingerprint; listeners = Array.map fst bound; addrs = Array.map snd bound }

@@ -38,10 +38,12 @@ type conns
 val create : ?roster:addr list -> fingerprint:string -> procs:int -> unit -> t
 (** Bind every PE's listener {e before} forking children.  Without a
     [roster], each PE listens on an ephemeral loopback port; with one,
-    PE [i] binds [roster[i]] (the list length must equal [procs]).
+    PE [i] binds [roster[i]] (the list length must equal [procs]);
+    each host resolves here, once, for its listener and its dialers.
     [fingerprint] is the schedule identity the handshake enforces.
-    @raise Invalid_argument on a bad roster; [Unix.Unix_error] when an
-    address cannot be bound. *)
+    @raise Invalid_argument on a bad roster (wrong length, or a host
+    that does not resolve); [Unix.Unix_error] when an address cannot
+    be bound. *)
 
 val procs : t -> int
 
@@ -83,4 +85,5 @@ val read_ack : Unix.file_descr -> proc:int -> peer:int -> unit
 val dial_with_backoff : ?deadline:float -> addr -> Unix.file_descr
 (** Connect with capped exponential backoff (10 ms doubling to 500 ms)
     until [deadline] seconds (default 15) elapse; TCP_NODELAY is set.
+    @raise Invalid_argument when the host does not resolve.
     @raise Failure when the deadline passes. *)

@@ -61,6 +61,13 @@ let check_pair ~loop ~program =
     invalid_arg "Lower: statement/node count mismatch";
   stmts
 
+let check_distances graph =
+  if Graph.max_distance graph <= 1 then Ok ()
+  else
+    Error
+      "loop needed unwinding (some dependence distance > 1); real execution supports \
+       distances in {0, 1} only"
+
 (* Reaching definition of a reference (array, offset) inside statement
    [t]: which statement produces the value, how many iterations back.
    [None] means the value comes from initial memory.

@@ -96,6 +96,11 @@ val run : loop:Mimd_loop_ir.Ast.loop -> program:Mimd_codegen.Program.t -> unit -
     whose operand (or a [Send] whose value) is not defined before use
     on its PE. *)
 
+val check_distances : Mimd_ddg.Graph.t -> (unit, string) result
+(** [Ok ()] when every dependence distance of a loop's graph is 0 or 1,
+    the only distances {!run} executes; otherwise the "loop needed
+    unwinding" error that the fuzz oracle and the CLI report. *)
+
 val computes : t -> (int * int) array array
 (** Every processor's {!proc_code.computes}, in processor order: the
     [computes] argument of {!Value_run.finalize} for workers run over

@@ -371,15 +371,12 @@ let test_fanout_full_oracle () =
      dependences, so comm-opt has sends to elide and frames to pack)
      through every check, the domain leg in-process. *)
   let case =
-    {
-      F.loop = W.Random_loop.generate_loop ~fanout:0.6 ~seed:4 ();
-      processors = 3;
-      comm = 2;
-      iterations = 11;
-    }
+    F.make_case
+      ~loop:(W.Random_loop.generate_loop ~fanout:0.6 ~seed:4 ())
+      ~processors:3 ~comm:2 ~iterations:11
   in
   match F.check_case ~runtime:true case with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error reason ->
     Alcotest.failf "fan-out case failed the full oracle: %s\n%s" reason
       (F.render_case case)
@@ -435,10 +432,10 @@ let test_fuzz_catches_injected_violation () =
       (Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop replayed.F.loop);
     (* ... and replaying it under the same fault fails again *)
     check_bool "replay reproduces the failure" true
-      (F.check_case ~fault:F.Hasten_dependent ~runtime:false replayed <> Ok ());
+      (Result.is_error (F.check_case ~fault:F.Hasten_dependent ~runtime:false replayed));
     (* without the fault the pipeline is sound on this loop *)
     check_bool "replay without fault is clean" true
-      (F.check_case ~runtime:false replayed = Ok ());
+      (Result.is_ok (F.check_case ~runtime:false replayed));
     Sys.remove path
 
 let test_dump_creates_directory () =
@@ -460,7 +457,8 @@ let test_dump_creates_directory () =
   | F.Failed { file = Some path; _ } ->
     check_string "dumped under the requested directory" dir (Filename.dirname path);
     check_bool "replayable" true
-      (F.check_case ~fault:F.Hasten_dependent ~runtime:false (load_case path) <> Ok ());
+      (Result.is_error
+         (F.check_case ~fault:F.Hasten_dependent ~runtime:false (load_case path)));
     Sys.remove path);
   List.iter Sys.rmdir [ dir; Filename.dirname dir; root ];
   (* An unwritable target is reported, not raised. *)
@@ -480,10 +478,11 @@ let test_dump_creates_directory () =
 let test_case_file_round_trip () =
   let case =
     {
-      F.loop = W.Random_loop.generate_loop ~seed:7 ();
-      processors = 3;
-      comm = 1;
-      iterations = 9;
+      (F.make_case ~loop:(W.Random_loop.generate_loop ~seed:7 ()) ~processors:3 ~comm:1
+         ~iterations:9)
+      with
+      window = 6;
+      transport = F.Tcp;
     }
   in
   let dir = Filename.get_temp_dir_name () in
@@ -499,6 +498,8 @@ let test_case_file_round_trip () =
   check_int "processors" case.F.processors back.F.processors;
   check_int "comm" case.F.comm back.F.comm;
   check_int "iterations" case.F.iterations back.F.iterations;
+  check_int "window" case.F.window back.F.window;
+  check_bool "transport" true (case.F.transport = back.F.transport);
   check_string "loop"
     (Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop case.F.loop)
     (Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop back.F.loop)
@@ -526,7 +527,7 @@ let test_legacy_oracle_headers_replay () =
           let case = load_case path in
           check_int (oracle ^ ": other headers still read") 6 case.F.iterations;
           check_bool (oracle ^ ": replays clean through the one oracle") true
-            (F.check_case ~runtime:false case = Ok ())))
+            (Result.is_ok (F.check_case ~runtime:false case))))
     [ "exec"; "comm"; "pipeline" ]
 
 let test_unknown_oracle_rejected () =
@@ -537,6 +538,67 @@ let test_unknown_oracle_rejected () =
         check_string "error names the unknown oracle"
           (Printf.sprintf "%s: unknown fuzz oracle \"bogus\"" path)
           m)
+
+(* Every header that is present must parse; a malformed one is an
+   error naming it, never a silent default. *)
+let test_malformed_headers_rejected () =
+  List.iter
+    (fun (header, expected) ->
+      with_case_file ~tag:"bad-header" header (fun path ->
+          match F.load_case path with
+          | Ok _ -> Alcotest.failf "\"# %s\" was accepted" header
+          | Error m ->
+            check_string ("error names " ^ header)
+              (Printf.sprintf "%s: bad \"# %s\" header (expected %s)" path header expected)
+              m))
+    [
+      ("processors: two", "an integer >= 1");
+      ("processors: 0", "an integer >= 1");
+      ("comm: -1", "an integer >= 0");
+      ("iterations: ten", "an integer >= 1");
+      ("window: -2", "an integer >= 0");
+      ("window: wide", "an integer >= 0");
+      ("transport: udp", "unix or tcp");
+    ]
+
+(* A dump written before cases drew their window and transport
+   replays with the window every case used then and Unix sockets. *)
+let test_headerless_dump_defaults () =
+  with_case_file ~tag:"old-dump" "reason: an older dump" (fun path ->
+      let case = load_case path in
+      check_int "iterations read" 6 case.F.iterations;
+      check_int "window = 1 + iterations mod 4" 3 case.F.window;
+      check_bool "Unix sockets" true (case.F.transport = F.Unix_sockets))
+
+(* The one unwinding check: a distance-2 loop is the oracle's error
+   with the executors' message, not an exception from the lowering. *)
+let test_check_case_needs_unwinding () =
+  let case = load_case (Filename.concat ".." (Filename.concat "examples" "loops/iir2.loop")) in
+  let expected =
+    match Mimd_runtime.Lower.check_distances (Mimd_loop_ir.Depend.analyze case.F.loop).graph with
+    | Error m -> m
+    | Ok () -> Alcotest.fail "iir2 has a distance-2 dependence"
+  in
+  match F.check_case ~runtime:false case with
+  | Ok _ -> Alcotest.fail "iir2 passed the oracle without unwinding"
+  | Error m -> check_string "the unwinding message" expected m
+
+(* The cases [check --fuzz 450 --fuzz-seed 42] draws (QCheck draws
+   them one at a time from the seeded state) cover both transports,
+   long runs and every coalescing window. *)
+let test_fuzz_draws_cover_shapes () =
+  let rand = Random.State.make [| 42 |] in
+  let cases = List.init 450 (fun _ -> QCheck2.Gen.generate1 ~rand F.gen_case) in
+  let count p = List.length (List.filter p cases) in
+  check_bool "some cases over Unix sockets" true
+    (count (fun c -> c.F.transport = F.Unix_sockets) > 0);
+  check_bool "some cases over TCP" true (count (fun c -> c.F.transport = F.Tcp) > 0);
+  check_bool "some cases at n >= 100" true (count (fun c -> c.F.iterations >= 100) > 0);
+  List.iter
+    (fun w ->
+      check_bool (Printf.sprintf "some case at window %d" w) true
+        (count (fun c -> c.F.window = w) > 0))
+    [ 0; 1; 2; 3; 4; 5; 6 ]
 
 (* Dumps of cases priced with the deleted per-link matrix carry a
    [# matrix: yes] header; replaying them on the uniform machine would
@@ -558,10 +620,11 @@ let prop_case_files_replayable =
     (fun seed ->
       let case =
         {
-          F.loop = W.Random_loop.generate_loop ~seed ();
-          processors = 2 + (seed mod 3);
-          comm = seed mod 3;
-          iterations = 4 + (seed mod 9);
+          (F.make_case ~loop:(W.Random_loop.generate_loop ~seed ()) ~processors:(2 + (seed mod 3))
+             ~comm:(seed mod 3) ~iterations:(4 + (seed mod 9)))
+          with
+          window = seed mod 7;
+          transport = (if seed mod 2 = 0 then F.Unix_sockets else F.Tcp);
         }
       in
       let dir = Filename.get_temp_dir_name () in
@@ -572,6 +635,8 @@ let prop_case_files_replayable =
       back.F.processors = case.F.processors
       && back.F.comm = case.F.comm
       && back.F.iterations = case.F.iterations
+      && back.F.window = case.F.window
+      && back.F.transport = case.F.transport
       && Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop back.F.loop
          = Format.asprintf "%a" Mimd_loop_ir.Ast.pp_loop case.F.loop)
 
@@ -608,6 +673,14 @@ let suite =
     Alcotest.test_case "fuzz: unknown oracle header rejected" `Quick
       test_unknown_oracle_rejected;
     Alcotest.test_case "fuzz: matrix header rejected" `Quick test_matrix_header_rejected;
+    Alcotest.test_case "fuzz: malformed headers rejected" `Quick
+      test_malformed_headers_rejected;
+    Alcotest.test_case "fuzz: dump without window/transport headers" `Quick
+      test_headerless_dump_defaults;
+    Alcotest.test_case "fuzz: check_case on iir2 needs unwinding" `Quick
+      test_check_case_needs_unwinding;
+    Alcotest.test_case "fuzz: draws both transports and n >= 100" `Quick
+      test_fuzz_draws_cover_shapes;
     prop_case_files_replayable;
     Alcotest.test_case "validator: counters pinned at n=1000" `Quick test_counters_pinned;
     Alcotest.test_case "validator: overlap far from cycle 0" `Quick

@@ -130,11 +130,37 @@ let test_empty_loop_is_a_parse_error () =
 
 let test_verify_needs_unwinding () =
   (* iir2 carries a distance-2 dependence: a clean exit 1 with the
-     same message run-parallel prints, not an uncaught exception. *)
+     same message run-parallel prints, not an uncaught exception.
+     verify, check --replay and run-dist share one unwinding check, so
+     all of them name the same cause. *)
+  let cause = "loop needed unwinding (some dependence distance > 1)" in
   let code, err = command_stderr ("verify -f " ^ loop_file "iir2.loop") in
   check_int "iir2 exits 1" 1 code;
-  check_bool "names the unwinding" true (contains ~sub:"loop needed unwinding" err);
+  check_bool "names the unwinding" true (contains ~sub:cause err);
+  let code, err = command_stderr ("run-dist -f " ^ loop_file "iir2.loop") in
+  check_int "run-dist on iir2 exits 1" 1 code;
+  check_bool "run-dist names the unwinding" true (contains ~sub:cause err);
+  let out = Filename.temp_file "mimd-cli" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s check --no-runtime --replay %s > %s" exe (loop_file "iir2.loop")
+         (Filename.quote out))
+  in
+  let replay = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  check_int "replaying iir2 exits 1" 1 code;
+  check_bool "the replay names the unwinding" true (contains ~sub:cause replay);
   check_int "a distance-1 loop verifies" 0 (command ("verify -f " ^ loop_file "fig7.loop"))
+
+(* A roster host that does not resolve fails in the supervisor before
+   any fork, naming the host; a wrong-length roster is a message too. *)
+let test_run_dist_bad_roster () =
+  let code, err = command_stderr "run-dist -n 8 --connect nosuch.invalid:0,127.0.0.1:0" in
+  check_int "unresolvable host exits 1" 1 code;
+  check_bool "names the host" true (contains ~sub:"cannot resolve host \"nosuch.invalid\"" err);
+  let code, err = command_stderr "run-dist -n 8 --connect 127.0.0.1:0" in
+  check_int "short roster exits 1" 1 code;
+  check_bool "says why" true (contains ~sub:"roster has 1 address(es) for 2 PE(s)" err)
 
 (* A temporary loop file holding [text], removed after [f]. *)
 let with_loop_file text f =
@@ -230,7 +256,6 @@ let test_out_of_range_numbers_reject () =
       ("run-dist --timeout=-1.5", "not a positive number");
       ("gantt -w fig1 --cycles=-5", "not a non-negative integer");
       ("check --fuzz=-3", "not a non-negative integer");
-      ("run-dist --sweep=-2", "not a non-negative integer");
       ("run-dist --respawn=-3", "not a non-negative integer");
       ("route --socket x.sock --respawn=-3", "not a non-negative integer");
       ("fingerprint -w fig1 --comm-opt --comm-window=-1", "not a non-negative integer");
@@ -273,4 +298,6 @@ let suite =
       test_verify_checks_the_executed_program;
     Alcotest.test_case "cli: an empty loop is a parse error" `Quick
       test_empty_loop_is_a_parse_error;
+    Alcotest.test_case "cli: run-dist rejects a bad roster before forking" `Quick
+      test_run_dist_bad_roster;
   ]

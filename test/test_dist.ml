@@ -325,9 +325,10 @@ let test_runner_benchmark_shape () =
   | Error e -> Alcotest.failf "ewf n=1000: socket final memory vs interp: %s" e
 
 let test_runner_random_sweep () =
-  (* The in-process face of [run-dist --sweep]: seeded random loops,
-     socket backend vs the interpreter.  CI runs the 100-seed sweep
-     through the CLI; this keeps a fast slice in the unit suite. *)
+  (* Seeded Section-4 random loops, socket backend vs the interpreter.
+     The fuzz oracle's socket leg covers random loops at every trip
+     count and over both transports; this slice pins the generator
+     the paper's experiments use. *)
   for seed = 1 to 25 do
     let loop = Mimd_workloads.Random_loop.generate_loop ~seed () in
     dist_differential ~name:(Printf.sprintf "seed %d" seed) ~iterations:6 loop
@@ -564,6 +565,30 @@ let test_runner_tcp_random_slice () =
       ~name:(Printf.sprintf "tcp seed %d" seed)
       ~iterations:6 ~transport:tcp loop
   done
+
+let test_runner_tcp_roster_resolution () =
+  (* Roster hosts resolve once, in the parent, before any fork: a
+     name is bound and dialed at the one address it resolves to, and
+     a name that does not resolve fails the run there, naming the
+     host, instead of binding loopback and failing later in a child. *)
+  let flat, program = compile ~iterations:8 (Parser.parse Mimd_workloads.Fig7.source) in
+  let roster hosts =
+    Runner.Tcp
+      {
+        roster = Some (List.map (fun host -> { Mesh_tcp.host; port = 0 }) hosts);
+        handshake_fault = None;
+      }
+  in
+  (match Runner.run ~transport:(roster [ "nosuch.invalid"; "127.0.0.1" ]) ~loop:flat ~program () with
+  | _ -> Alcotest.fail "a roster host that does not resolve ran"
+  | exception Invalid_argument m ->
+    check_bool "error names the host" true (contains m "nosuch.invalid"));
+  check_bool "nothing was forked" true (no_children_left ());
+  let outcome = Runner.run ~transport:(roster [ "localhost"; "localhost" ]) ~loop:flat ~program () in
+  (match Value_run.check_against_sequential ~loop:flat ~iterations:8 outcome with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "named roster host: %s" e);
+  check_bool "no orphan processes" true (no_children_left ())
 
 let test_runner_tcp_handshake_must_fail () =
   (* One PE presents a corrupted fingerprint at the rendezvous: the
@@ -1083,4 +1108,6 @@ let suite =
       test_router_shutdown_drains;
     Alcotest.test_case "router: a stalled client cannot stall the fleet" `Quick
       test_router_stalled_client;
+    Alcotest.test_case "runner: TCP roster hosts resolve once, before any fork" `Quick
+      test_runner_tcp_roster_resolution;
   ]
