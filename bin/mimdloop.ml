@@ -1032,7 +1032,8 @@ let run_dist_cmd =
       in
       (* Compile, fork, compare against the sequential interpreter.  A
          roster the mesh cannot bind (wrong length, a host that does not
-         resolve) fails in the parent before any fork. *)
+         resolve, an address that is not local) fails in the parent
+         before any fork. *)
       let loop = analysis.Depend.loop in
       match
         Result.bind (compile_for_run ?comm_opt ~analysis ~machine ~iterations ())

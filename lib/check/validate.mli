@@ -27,7 +27,8 @@
       [iter_shift] times per repetition.
     - {b (d) protocol} — the emitted Send/Recv programs, run by
       {!Mimd_codegen.Program.simulate} over links bounded at the real
-      runtime's channel capacity ({!Mimd_runtime.Mesh}), must drain
+      runtime's channel capacity
+      ({!Mimd_runtime.Value_run.default_channel_capacity}), must drain
       completely: no deadlock, no send blocked forever on a full
       channel, no recv waiting for a message nobody sends, and every
       operand held where it is used. *)

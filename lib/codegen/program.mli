@@ -81,7 +81,7 @@ val check : t -> defect list
     arrives [latency] cycles later; [Recv] blocks until its frame has
     been sent and then waits for its arrival.  Frames on a link are
     pulled in FIFO order into the receiver's stash, the discipline of
-    the runtime's [Mesh.recv_tag]: a Recv takes its frame from the
+    the runtime's [Value_run.of_links]: a Recv takes its frame from the
     stash or pulls frames until it finds it, and a parked receiver
     pulls every frame that reaches its link.
 

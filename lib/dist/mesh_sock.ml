@@ -6,11 +6,11 @@ module Trace = Mimd_obs.Trace
    [fds.(i).(j)] is processor [i]'s endpoint of the i<->j link: writes
    go to [j], reads come from [j] (the two directions of one stream
    socket never interleave).  The diagonal is [None] — a self-message
-   is a codegen bug, same as {!Mimd_runtime.Mesh}. *)
+   is a codegen bug. *)
 
 type t = { procs : int; fds : Unix.file_descr option array array }
 
-(* Approximate the in-process mesh's bounded channels with the kernel
+(* Approximate the in-process domains' bounded channels with the kernel
    socket buffer: capacity messages x a per-message cost.  A sender
    past the bound blocks in write(2) exactly like [Channel.send] past
    its capacity.  The cost that matters is not the frame's byte length
@@ -87,12 +87,12 @@ let () =
            (Wire.error_to_string error))
     | _ -> None)
 
-(* The channel discipline is transport-independent: anything that can
+(* The wire side of a link is transport-independent: anything that can
    map a peer index to a connected stream fd gets the same framing,
-   the same (tag, src) stash for out-of-order arrivals and the same
-   tracing.  [Mesh_tcp] reuses this over dialed TCP connections. *)
-let chans_of ~proc ~(link : int -> Unix.file_descr) =
-  let stash : ((int * int) * int, Value_run.payload) Hashtbl.t = Hashtbl.create 64 in
+   the same [Link_down] classification and the same tracing, and
+   {!Value_run.of_links} matches frames to recvs over it.  [Mesh_tcp]
+   reuses this over dialed TCP connections. *)
+let chans_of ~procs ~proc ~(link : int -> Unix.file_descr) =
   let traced = Trace.is_enabled () in
   let send ~dst ~tag (v : Value_run.payload) =
     let fd = link dst in
@@ -111,30 +111,17 @@ let chans_of ~proc ~(link : int -> Unix.file_descr) =
       Trace.span ~cat:"dist" ~args:[ ("dst", string_of_int dst) ] "dist.send" write
     else write ()
   in
-  let rec pull fd ~src ~tag =
-    match (Wire.read fd : ((int * int) * Value_run.payload, Wire.error) result) with
+  let read src =
+    match (Wire.read (link src) : ((int * int) * Value_run.payload, Wire.error) result) with
+    | Ok frame -> frame
     | Error error -> raise (Link_down { proc; peer = src; error })
-    | Ok (t', v) ->
-      if t' = tag then v
-      else begin
-        Hashtbl.replace stash (t', src) v;
-        pull fd ~src ~tag
-      end
   in
-  let recv ~src ~tag =
-    match Hashtbl.find_opt stash (tag, src) with
-    | Some v ->
-      Hashtbl.remove stash (tag, src);
-      v
-    | None ->
-      let fd = link src in
-      if traced then
-        Trace.span ~cat:"dist"
-          ~args:[ ("src", string_of_int src) ]
-          "dist.recv"
-          (fun () -> pull fd ~src ~tag)
-      else pull fd ~src ~tag
+  let next ~src =
+    if traced then
+      Trace.span ~cat:"dist" ~args:[ ("src", string_of_int src) ] "dist.recv" (fun () ->
+          read src)
+    else read src
   in
-  { Value_run.send; recv }
+  Value_run.of_links ~procs ~send ~next
 
-let chans t ~proc = chans_of ~proc ~link:(fun peer -> link t ~proc ~peer)
+let chans t ~proc = chans_of ~procs:t.procs ~proc ~link:(fun peer -> link t ~proc ~peer)

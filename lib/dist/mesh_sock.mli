@@ -1,10 +1,11 @@
-(** The socket counterpart of {!Mimd_runtime.Mesh}: one full-duplex
-    [socketpair(2)] per unordered processor pair, with {!Wire} frames
-    as messages, presented to {!Mimd_runtime.Exec_compiled.worker} through
-    the same {!Mimd_runtime.Value_run.chans} interface as the
-    in-process mesh — so the worker's instruction semantics (tagged
-    messages, out-of-order stashing, blocking at capacity) are shared
-    code, not a reimplementation.
+(** The socket counterpart of the in-process domain channels: one
+    full-duplex [socketpair(2)] per unordered processor pair, with
+    {!Wire} frames as messages, presented to
+    {!Mimd_runtime.Exec_compiled.worker} through the same
+    {!Mimd_runtime.Value_run.chans} interface, built by
+    {!Mimd_runtime.Value_run.of_links} — so the worker's instruction
+    semantics (tagged messages, out-of-order stashing, blocking at
+    capacity) are shared code, not a reimplementation.
 
     Capacity: the kernel socket buffer is sized to
     [capacity * frame-estimate] bytes, so a sender that runs far ahead
@@ -40,15 +41,18 @@ exception Link_down of { proc : int; peer : int; error : Wire.error }
     breaks — the child-side face of a crashed peer. *)
 
 val chans : t -> proc:int -> Mimd_runtime.Value_run.chans
-(** The channel interface for processor [proc]: [send] frames the
-    tagged value onto the link; [recv] stashes out-of-order arrivals
-    per (tag, src), exactly the {!Mimd_runtime.Mesh.recv_tag}
-    discipline.  Emits [dist.send]/[dist.recv] spans while tracing is
-    on. *)
+(** The channel interface for processor [proc]: {!chans_of} over this
+    mesh's row. *)
 
 val chans_of :
-  proc:int -> link:(int -> Unix.file_descr) -> Mimd_runtime.Value_run.chans
-(** The same channel discipline over any peer-to-fd mapping —
-    transports ({!Mesh_tcp}) share this rather than reimplementing the
-    framing/stash/trace logic.  Stream errors raise {!Link_down} with
-    this [proc]. *)
+  procs:int -> proc:int -> link:(int -> Unix.file_descr) -> Mimd_runtime.Value_run.chans
+(** The channel interface over any peer-to-fd mapping of a [procs]-PE
+    mesh: each link is one {!Wire} frame stream, and
+    {!Mimd_runtime.Value_run.of_links} matches its frames to recvs by
+    tag.  [send] writes one frame; a pull reads one.  Emits a
+    [dist.send] span per frame written and a [dist.recv] span per
+    frame read (waiting for it included) while tracing is on; a recv
+    served from the stash reads nothing.  Stream errors, either way,
+    raise {!Link_down} with this [proc].  Transports ({!Mesh_tcp})
+    share this rather than reimplementing framing, matching or
+    tracing. *)

@@ -143,22 +143,31 @@ type t = {
 
 type conns = { proc : int; fds : Unix.file_descr option array }
 
-let bind_listener spec =
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* PE [proc]'s listener on [spec]; an address that cannot be bound
+   closes the socket and names the PE and the address. *)
+let bind_listener ~proc spec =
   let inet = resolve spec.host in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.setsockopt fd Unix.SO_REUSEADDR true with Unix.Unix_error _ -> ());
-  Unix.bind fd (Unix.ADDR_INET (inet, spec.port));
-  Unix.listen fd 16;
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> spec.port
-  in
-  (fd, { spec with port })
+  match
+    (try Unix.setsockopt fd Unix.SO_REUSEADDR true with Unix.Unix_error _ -> ());
+    Unix.bind fd (Unix.ADDR_INET (inet, spec.port));
+    Unix.listen fd 16;
+    Unix.getsockname fd
+  with
+  | Unix.ADDR_INET (_, port) -> (fd, { spec with port })
+  | _ -> (fd, spec)
+  | exception Unix.Unix_error (err, _, _) ->
+    close_quietly fd;
+    invalid_arg
+      (Printf.sprintf "Mesh_tcp: PE %d cannot listen on %s: %s" proc (addr_to_string spec)
+         (Unix.error_message err))
 
 (* Resolve every host, then bind every PE's listener, in the parent
    before any fork: a bad roster fails here, naming the host, with
-   nothing bound yet, and the dialers see the resolved literal.
+   nothing bound yet, and the dialers see the resolved literal.  An
+   address that cannot be bound closes every listener bound before it.
    Binding first is what lets [create] hand out ephemeral ports
    (port 0) on loopback without a race, and what guarantees a
    dialer's backoff loop always terminates once the fleet is up. *)
@@ -177,12 +186,19 @@ let create ?roster ~fingerprint ~procs () =
   let specs =
     Array.map (fun spec -> { spec with host = Unix.string_of_inet_addr (resolve spec.host) }) specs
   in
-  let bound = Array.map bind_listener specs in
+  let rec bind_all acc proc =
+    if proc = procs then Array.of_list (List.rev acc)
+    else
+      match bind_listener ~proc specs.(proc) with
+      | listener -> bind_all (listener :: acc) (proc + 1)
+      | exception e ->
+        List.iter (fun (fd, _) -> close_quietly fd) acc;
+        raise e
+  in
+  let bound = bind_all [] 0 in
   { procs; fingerprint; listeners = Array.map fst bound; addrs = Array.map snd bound }
 
 let procs t = t.procs
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let close_parent t = Array.iter close_quietly t.listeners
 
@@ -224,4 +240,5 @@ let link c ~peer =
   | Some fd -> fd
   | None -> invalid_arg "Mesh_tcp: self link or unconnected peer"
 
-let chans c = Mesh_sock.chans_of ~proc:c.proc ~link:(fun peer -> link c ~peer)
+let chans c =
+  Mesh_sock.chans_of ~procs:(Array.length c.fds) ~proc:c.proc ~link:(fun peer -> link c ~peer)

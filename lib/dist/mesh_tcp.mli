@@ -41,9 +41,9 @@ val create : ?roster:addr list -> fingerprint:string -> procs:int -> unit -> t
     PE [i] binds [roster[i]] (the list length must equal [procs]);
     each host resolves here, once, for its listener and its dialers.
     [fingerprint] is the schedule identity the handshake enforces.
-    @raise Invalid_argument on a bad roster (wrong length, or a host
-    that does not resolve); [Unix.Unix_error] when an address cannot
-    be bound. *)
+    @raise Invalid_argument on a bad roster (wrong length, a host that
+    does not resolve, or an address that cannot be bound, naming the
+    PE and [HOST:PORT]); nothing stays open then. *)
 
 val procs : t -> int
 
@@ -65,8 +65,9 @@ val link : conns -> peer:int -> Unix.file_descr
 
 val chans : conns -> Mimd_runtime.Value_run.chans
 (** The shared channel discipline ({!Mesh_sock.chans_of}) over this
-    row: framed tagged sends, (tag, src)-stashed receives, stream
-    errors as {!Mesh_sock.Link_down}. *)
+    row: framed tagged sends, receives matched by tag through
+    {!Mimd_runtime.Value_run.of_links}, stream errors as
+    {!Mesh_sock.Link_down}. *)
 
 (** {1 Handshake internals} — exposed for the framing tests and for
     peers that rendezvous outside {!connect_all}. *)

@@ -43,20 +43,8 @@ let recv t =
       Condition.signal t.not_full;
       v)
 
-let try_recv t =
-  with_lock t (fun () ->
-      if t.poisoned then raise Cancelled;
-      match Queue.take_opt t.buf with
-      | Some v ->
-        Condition.signal t.not_full;
-        Some v
-      | None -> None)
-
 let cancel t =
   with_lock t (fun () ->
       t.poisoned <- true;
       Condition.broadcast t.not_empty;
       Condition.broadcast t.not_full)
-
-let length t = with_lock t (fun () -> Queue.length t.buf)
-let capacity t = t.cap

@@ -35,14 +35,5 @@ val recv : 'a t -> 'a
 (** Dequeue the oldest message, blocking while the channel is empty.
     @raise Cancelled if the channel is (or becomes) cancelled. *)
 
-val try_recv : 'a t -> 'a option
-(** Non-blocking dequeue; [None] when empty.
-    @raise Cancelled if the channel is cancelled. *)
-
 val cancel : 'a t -> unit
 (** Idempotent: wake every waiter and poison the channel. *)
-
-val length : 'a t -> int
-(** Messages currently buffered. *)
-
-val capacity : 'a t -> int

@@ -1,23 +1,9 @@
-module Program = Mimd_codegen.Program
-module Graph = Mimd_ddg.Graph
-
 type 'r outcome = Done of 'r | Torn_down | Failed of string
 
 let run ?(watchdog = Watchdog.default) ~graph ~programs ~cancel_all ~worker () =
   let procs = Array.length programs in
-  let progs = Array.map Array.of_list programs in
   let progress = Array.init procs (fun _ -> Atomic.make 0) in
   let finished = Atomic.make 0 in
-  let names i = Graph.name graph i in
-  let snapshot j =
-    let retired = Atomic.get progress.(j) in
-    let prog = progs.(j) in
-    let current =
-      if retired >= Array.length prog then None
-      else Some (Format.asprintf "%a" (Program.pp_instr ~names) prog.(retired))
-    in
-    { Watchdog.proc = j; retired; total = Array.length prog; current }
-  in
   let body j () =
     let tick () = Atomic.incr progress.(j) in
     let r =
@@ -39,7 +25,8 @@ let run ?(watchdog = Watchdog.default) ~graph ~programs ~cancel_all ~worker () =
       ~finished:(fun () -> Atomic.get finished = procs)
       ~progress:(fun () -> Array.fold_left (fun acc c -> acc + Atomic.get c) 0 progress)
       ~cancel:cancel_all
-      ~snapshots:(fun () -> List.init procs snapshot)
+      ~snapshots:(fun () ->
+        Watchdog.snapshots ~graph ~programs ~retired:(fun j -> Atomic.get progress.(j)))
       ()
   in
   let results = Array.map Domain.join doms in

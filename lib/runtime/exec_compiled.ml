@@ -164,29 +164,34 @@ let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?watchdog
   in
   if lowered.Lower.processors <> program.processors then
     invalid_arg "Exec_compiled.run: lowered form is for another program";
-  let mesh = Mesh.create ~procs:program.processors ~capacity:channel_capacity in
+  let p = program.processors in
+  (* [links.(src).(dst)]: one bounded channel per ordered pair, all
+     built up front so a cancel reaches every potential waiter. *)
+  let links =
+    Array.init p (fun _ -> Array.init p (fun _ -> Channel.create ~capacity:channel_capacity))
+  in
   let t0 = Clock.now_ns () in
   let worker ~proc:j ~tick =
-    let stash = Mesh.stash mesh in
     let chans =
-      {
-        Value_run.send = (fun ~dst ~tag v -> Mesh.send mesh ~src:j ~dst ~tag v);
-        recv = (fun ~src ~tag -> Mesh.recv_tag mesh stash ~src ~dst:j ~tag);
-      }
+      Value_run.of_links ~procs:p
+        ~send:(fun ~dst ~tag v ->
+          if dst = j then invalid_arg "Exec_compiled.run: self message";
+          Channel.send links.(j).(dst) (tag, v))
+        ~next:(fun ~src -> Channel.recv links.(src).(j))
     in
     let vals, sent = worker_with ~init ~scalars ~tick ~lowered ~proc:j ~chans () in
     (vals, sent, float_of_int (Clock.now_ns () - t0))
   in
   let results =
     Domains.run ?watchdog ~graph:program.graph ~programs:program.programs
-      ~cancel_all:(fun () -> Mesh.cancel_all mesh)
+      ~cancel_all:(fun () -> Array.iter (Array.iter Channel.cancel) links)
       ~worker ()
   in
   Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered) ~results
 
-(* Raised inside a PE's fiber by a recv whose frame has not arrived:
-   the run loop parks the continuation under the frame's mailbox key. *)
-type _ Effect.t += Await : (int * int * (int * int)) -> unit Effect.t
+(* Performed inside a PE's fiber by a pull from an empty link: the run
+   loop parks the continuation on the link from that source. *)
+type _ Effect.t += Await : int -> unit Effect.t
 
 let run_inline ?lowered ~loop ~(program : Program.t) () =
   let lowered =
@@ -195,37 +200,27 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
   if lowered.Lower.processors <> program.processors then
     invalid_arg "Exec_compiled.run_inline: lowered form is for another program";
   let p = program.processors in
-  (* One frame per (src, dst, head tag), exactly the mesh's matching
-     discipline; unbounded, so a send never blocks. *)
-  let mailbox : (int * int * (int * int), Value_run.payload) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  let parked : (int * int * (int * int), (unit, unit) Effect.Deep.continuation) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  (* [links.(src).(dst)]: one unbounded FIFO per ordered pair, so a
+     send never blocks; [parked.(src).(dst)] is [dst] waiting on it. *)
+  let links = Array.init p (fun _ -> Array.init p (fun _ -> Queue.create ())) in
+  let parked = Array.init p (fun _ -> Array.make p None) in
   let runnable : (unit -> unit) Queue.t = Queue.create () in
   let retired = Array.make p 0 in
   let results = Array.make p None in
   let t0 = Clock.now_ns () in
   let chans j =
-    {
-      Value_run.send =
-        (fun ~dst ~tag v ->
-          let key = (j, dst, tag) in
-          Hashtbl.replace mailbox key v;
-          match Hashtbl.find_opt parked key with
-          | Some k ->
-            Hashtbl.remove parked key;
-            Queue.add (fun () -> Effect.Deep.continue k ()) runnable
-          | None -> ());
-      recv =
-        (fun ~src ~tag ->
-          let key = (src, j, tag) in
-          if not (Hashtbl.mem mailbox key) then Effect.perform (Await key);
-          let v = Hashtbl.find mailbox key in
-          Hashtbl.remove mailbox key;
-          v);
-    }
+    Value_run.of_links ~procs:p
+      ~send:(fun ~dst ~tag v ->
+        Queue.push (tag, v) links.(j).(dst);
+        match parked.(j).(dst) with
+        | Some k ->
+          parked.(j).(dst) <- None;
+          Queue.add (fun () -> Effect.Deep.continue k ()) runnable
+        | None -> ())
+      ~next:(fun ~src ->
+        let link = links.(src).(j) in
+        if Queue.is_empty link then Effect.perform (Await src);
+        Queue.pop link)
   in
   let start j () =
     Effect.Deep.match_with
@@ -242,10 +237,10 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Await key ->
+            | Await src ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  Hashtbl.replace parked key k)
+                  parked.(src).(j) <- Some k)
             | _ -> None);
       }
   in
@@ -256,20 +251,15 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
     (Queue.take runnable) ()
   done;
   (* The queue drained with a PE unfinished: every such PE is parked
-     on a frame no one will send. *)
-  if Array.exists Option.is_none results then begin
-    let names = Mimd_ddg.Graph.name program.graph in
-    let snapshot j =
-      let prog = Array.of_list program.programs.(j) in
-      let done_ = retired.(j) in
-      let current =
-        if Option.is_some results.(j) || done_ >= Array.length prog then None
-        else Some (Format.asprintf "%a" (Program.pp_instr ~names) prog.(done_))
-      in
-      { Watchdog.proc = j; retired = done_; total = Array.length prog; current }
-    in
+     on a link no one will send on. *)
+  if Array.exists Option.is_none results then
     raise
-      (Watchdog.Runtime_deadlock { timeout = 0.0; snapshots = List.init p snapshot })
-  end;
+      (Watchdog.Runtime_deadlock
+         {
+           timeout = 0.0;
+           snapshots =
+             Watchdog.snapshots ~graph:program.graph ~programs:program.programs
+               ~retired:(Array.get retired);
+         });
   Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered)
     ~results:(Array.map Option.get results)

@@ -1,8 +1,9 @@
 (** Execution of {!Lower}ed programs: the runtime's one evaluator.
 
-    The domain mesh, the Unix-socket mesh and the TCP mesh all run
-    processors through {!worker}, over the {!Value_run.chans} contract,
-    and fold results into the same {!Value_run.outcome}.  The
+    Domains, the inline run, the Unix-socket mesh and the TCP mesh all
+    run processors through {!worker}, over {!Value_run.chans} built by
+    {!Value_run.of_links} on their own FIFO links, and fold results
+    into the same {!Value_run.outcome}.  The
     per-instruction work is a tight match over an array of int-field
     records: operand reads are slot lookups in an unboxed
     [float array], expression evaluation is a postfix loop over a
@@ -23,7 +24,7 @@ val worker :
   unit ->
   float array * int
 (** Execute processor [proc]'s lowered stream over any channel backend
-    (the domain {!Mesh} or the [Mimd_dist] socket mesh); returns
+    (the domain channels of {!run} or the [Mimd_dist] socket mesh); returns
     (computed values, messages sent), the per-processor input of
     {!Value_run.finalize}.  The values are unboxed and in the order of
     [lowered.procs.(proc).computes]: element [k] is the value of the
@@ -40,8 +41,9 @@ val run :
   program:Mimd_codegen.Program.t ->
   unit ->
   Value_run.outcome
-(** Execute [program] on [program.processors] fresh domains over the
-    in-process {!Mesh}.  [loop] must be flat and its assignment count
+(** Execute [program] on [program.processors] fresh domains, one
+    bounded {!Channel} of [channel_capacity] frames per ordered
+    processor pair, matched by {!Value_run.of_links}.  [loop] must be flat and its assignment count
     must match the program's graph node count.  [lowered], an already
     lowered form of [program], skips the lowering pass; omitted, the
     program is lowered here.
@@ -60,10 +62,11 @@ val run_inline :
 (** Execute [program] with every processor's {!worker} on the calling
     thread, over the default initial memory and scalars
     ({!Mimd_loop_ir.Interp.init}, {!Mimd_loop_ir.Interp.default_scalar}):
-    no domain is created, so the caller stays fork-safe.  The
-    chans are a local unbounded mailbox; a recv whose frame has not
-    arrived suspends that processor (an effect), and a round-robin
-    run loop resumes it once the frame is sent.  Values do not depend on
+    no domain is created, so the caller stays fork-safe.  Each
+    ordered processor pair is one unbounded FIFO queue, matched by
+    {!Value_run.of_links}; a pull from an empty link suspends that
+    processor (an effect), and a round-robin run loop resumes it on
+    the next send over that link.  Values do not depend on
     interleaving, so the outcome's instance values and final memory
     are those of {!run}; timing belongs to [Mimd_sim.Exec.run], and
     [domain_wall_ns] is the calling thread's clock when each processor

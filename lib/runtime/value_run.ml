@@ -24,6 +24,31 @@ type chans = {
 
 let default_channel_capacity = 256
 
+(* Pull frames off [src]'s link until [tag]'s arrives, holding every
+   other frame in [held] for a later recv.  A function of its own, not
+   a closure in [recv], so an in-order frame costs no allocation. *)
+let rec pull next held ~src (((n : int), (i : int)) as tag) =
+  let ((n', i') as tag'), v = next ~src in
+  if n = n' && i = i' then v
+  else begin
+    Hashtbl.replace held tag' v;
+    pull next held ~src tag
+  end
+
+let of_links ~procs ~send ~next =
+  let stash = Array.init procs (fun _ -> Hashtbl.create 16) in
+  let recv ~src ~tag =
+    let held = stash.(src) in
+    if Hashtbl.length held = 0 then pull next held ~src tag
+    else
+      match Hashtbl.find_opt held tag with
+      | Some v ->
+        Hashtbl.remove held tag;
+        v
+      | None -> pull next held ~src tag
+  in
+  { send; recv }
+
 (* The outcome is built from dense tables: each PE's value array is
    scattered into one nodes x iters table (later PEs overwrite earlier
    ones, as every PE computing an instance computes the same value),

@@ -2,12 +2,13 @@
     provides to one processor, and the {!outcome} a run yields.
 
     {!Exec_compiled} executes one processor's lowered program against
-    any {!chans} — the in-process domain {!Mesh}, or the forked-process
-    socket and TCP meshes in [Mimd_dist] — and {!finalize} folds the
-    per-processor value arrays into an {!outcome}.  No memory is shared
-    between processors: every cross-processor value travels in a
-    message, exactly as on the paper's asynchronous shared-nothing
-    MIMD machine.
+    any {!chans} — every executor builds them with {!of_links}, over
+    in-process channels between domains, over per-link queues inline,
+    or over the forked-process socket and TCP meshes in [Mimd_dist] —
+    and {!finalize} folds the per-processor value arrays into an
+    {!outcome}.  No memory is shared between processors: every
+    cross-processor value travels in a message, exactly as on the
+    paper's asynchronous shared-nothing MIMD machine.
 
     Determinism: the value computed for each instance is independent
     of interleaving (messages are matched by instance tag), so every
@@ -36,7 +37,7 @@ val default_channel_capacity : int
     [?channel_capacity] is omitted.  Exposed so independent auditors
     (notably {!Mimd_check.Validate.program}'s protocol simulation) and
     alternative channel backends (the socket mesh in [Mimd_dist])
-    model the same bound the real mesh enforces. *)
+    model the same bound the domain channels enforce. *)
 
 type payload =
   | Single of float  (** a plain [Send]'s value *)
@@ -47,13 +48,31 @@ type payload =
 type chans = {
   send : dst:int -> tag:int * int -> payload -> unit;
       (** Ship the frame for instance [tag] (a pack's head tag) to
-          processor [dst]; must block when the link is at capacity. *)
+          processor [dst]. *)
   recv : src:int -> tag:int * int -> payload;
-      (** Block until the frame named [tag] arrives from [src]; must
-          stash out-of-order arrivals (same discipline as
-          {!Mesh.recv_tag}). *)
+      (** Block until the frame named [tag] arrives from [src]. *)
 }
 (** What a channel backend provides to one worker. *)
+
+val of_links :
+  procs:int ->
+  send:(dst:int -> tag:int * int -> payload -> unit) ->
+  next:(src:int -> (int * int) * payload) ->
+  chans
+(** The one frame-matching rule, over any transport of FIFO links.
+    [send] ships a frame to [dst] (blocking, if the transport bounds
+    its links, while the link is full); [next ~src] blocks for the
+    next [(tag, payload)] frame on the link from [src], in the order
+    [src] sent them.  The returned [recv ~src ~tag] takes the frame
+    from a per-source stash keyed by tag when an earlier pull already
+    brought it in, and otherwise pulls frames from [src] until [tag]'s
+    arrives, stashing the others.  A consumer may issue its [Recv]s in
+    another order than the producer issued the matching [Send]s; each
+    (src, dst, tag) frame is unique, so stashing never mis-delivers —
+    the rule {!Mimd_codegen.Program.simulate} models.  Receiving an
+    in-order frame allocates nothing.  One [chans] per processor
+    ([procs] sources); exceptions from [send] and [next] pass
+    through. *)
 
 val finalize :
   loop:Mimd_loop_ir.Ast.loop ->

@@ -13,13 +13,18 @@ let config ?(timeout = 5.0) ?(poll_interval = 0.01) () =
 let default = config ()
 let off = { timeout = infinity; poll_interval = 0.01 }
 
+(* The first pause is short so a run that finishes in a millisecond
+   returns in about one; each pause doubles up to [poll_interval]. *)
+let first_pause = 1e-4
+
 let guard ~config ~finished ~progress ~cancel ~snapshots () =
   let last = ref (progress ()) in
   let last_change = ref (Mimd_obs.Clock.now_ns ()) in
-  let rec loop () =
+  let rec loop pause =
     if finished () then `Finished
     else begin
-      Unix.sleepf config.poll_interval;
+      Unix.sleepf pause;
+      let pause = Float.min config.poll_interval (pause *. 2.0) in
       if finished () then `Finished
       else begin
         let p = progress () in
@@ -27,17 +32,28 @@ let guard ~config ~finished ~progress ~cancel ~snapshots () =
         if p <> !last then begin
           last := p;
           last_change := now;
-          loop ()
+          loop pause
         end
         else if float_of_int (now - !last_change) *. 1e-9 >= config.timeout then begin
           cancel ();
           `Stalled { timeout = config.timeout; snapshots = snapshots () }
         end
-        else loop ()
+        else loop pause
       end
     end
   in
-  loop ()
+  loop (Float.min config.poll_interval first_pause)
+
+let snapshots ~graph ~programs ~retired =
+  let names = Mimd_ddg.Graph.name graph in
+  List.init (Array.length programs) (fun proc ->
+      let prog = Array.of_list programs.(proc) in
+      let retired = retired proc in
+      let current =
+        if retired >= Array.length prog then None
+        else Some (Format.asprintf "%a" (Mimd_codegen.Program.pp_instr ~names) prog.(retired))
+      in
+      { proc; retired; total = Array.length prog; current })
 
 let pp_snapshot ppf s =
   Format.fprintf ppf "PE%d: %d/%d retired%s" s.proc s.retired s.total

@@ -28,7 +28,7 @@ type config = { timeout : float; poll_interval : float }
 
 val config : ?timeout:float -> ?poll_interval:float -> unit -> config
 (** Defaults: [timeout = 5.0] seconds without global progress,
-    [poll_interval = 0.01] seconds between polls.
+    [poll_interval = 0.01] seconds, the longest pause between polls.
     @raise Invalid_argument on a non-positive timeout or interval. *)
 
 val default : config
@@ -47,8 +47,19 @@ val guard :
   [ `Finished | `Stalled of stall ]
 (** Poll until [finished ()] or until [progress ()] (any monotone
     counter) stops increasing for [timeout] seconds; in the latter
-    case call [cancel ()] once and return the [snapshots ()].  Runs in
-    the calling domain. *)
+    case call [cancel ()] once and return the [snapshots ()].  The
+    first pause is 0.1 ms (or [poll_interval], if shorter) and each
+    one doubles up to [poll_interval], so a short run returns soon
+    after it finishes.  Runs in the calling domain. *)
+
+val snapshots :
+  graph:Mimd_ddg.Graph.t ->
+  programs:Mimd_codegen.Program.instr list array ->
+  retired:(int -> int) ->
+  snapshot list
+(** One snapshot per processor: [retired proc] instructions of
+    [programs.(proc)] done, [current] the next one rendered with the
+    graph's node names.  Every executor's stall report is built here. *)
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
 

@@ -210,7 +210,7 @@ let test_mesh_ping_pong () =
   match Unix.fork () with
   | 0 ->
     (* child = PE1: echo each tagged value back doubled, tags shifted
-       so the parent exercises the (tag, src) stash keying. *)
+       so the parent exercises the per-source stash keyed by tag. *)
     let code =
       try
         Mesh_sock.retain_only mesh ~proc:1;
@@ -589,6 +589,20 @@ let test_runner_tcp_roster_resolution () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "named roster host: %s" e);
   check_bool "no orphan processes" true (no_children_left ())
+
+let test_tcp_unbindable_roster_address () =
+  (* A roster address that resolves but is no local interface
+     (TEST-NET-1) cannot be bound: [create] names the PE and the
+     address, and closes the listener it already bound for PE 0. *)
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  let roster = [ { Mesh_tcp.host = "127.0.0.1"; port = 0 }; { host = "192.0.2.1"; port = 0 } ] in
+  (match Mesh_tcp.create ~roster ~fingerprint:"f" ~procs:2 () with
+  | _ -> Alcotest.fail "an unbindable roster address was bound"
+  | exception Invalid_argument m ->
+    check_bool "error names the PE" true (contains m "PE 1");
+    check_bool "error names the address" true (contains m "192.0.2.1:0"));
+  check_int "no descriptor left open" before (open_fds ())
 
 let test_runner_tcp_handshake_must_fail () =
   (* One PE presents a corrupted fingerprint at the rendezvous: the
@@ -1110,4 +1124,6 @@ let suite =
       test_router_stalled_client;
     Alcotest.test_case "runner: TCP roster hosts resolve once, before any fork" `Quick
       test_runner_tcp_roster_resolution;
+    Alcotest.test_case "tcp: an unbindable roster address names its PE" `Quick
+      test_tcp_unbindable_roster_address;
   ]

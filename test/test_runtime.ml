@@ -1,7 +1,7 @@
 (* Real-domain runtime: differential correctness of the compiled
    evaluator, on domains and inline, against the sequential interpreter
-   (the spec, instance by instance), channel/mesh mechanics, watchdog
-   deadlock detection and the schedule cache. *)
+   (the spec, instance by instance), channel mechanics, frame matching
+   over links, watchdog deadlock detection and the schedule cache. *)
 
 open Helpers
 module Parser = Mimd_loop_ir.Parser
@@ -23,9 +23,9 @@ let test_channel_fifo () =
   List.iter (fun i -> Channel.send ch i) [ 1; 2; 3 ];
   check_int "fifo 1" 1 (Channel.recv ch);
   check_int "fifo 2" 2 (Channel.recv ch);
-  check_int "length" 1 (Channel.length ch);
+  Channel.send ch 4;
   check_int "fifo 3" 3 (Channel.recv ch);
-  check_bool "empty" true (Channel.try_recv ch = None)
+  check_int "fifo 4, sent after a recv" 4 (Channel.recv ch)
 
 let test_channel_bounded () =
   (* A producer pushing capacity + N items blocks until the consumer
@@ -49,6 +49,86 @@ let test_channel_cancel_unblocks () =
   check_bool "blocked recv woken with Cancelled" true (Domain.join consumer);
   check_bool "send after cancel raises" true
     (match Channel.send ch 1 with () -> false | exception Channel.Cancelled -> true)
+
+(* ---------------------------------------------------------------- *)
+(* Value_run.of_links: the one frame-matching rule                    *)
+
+(* Frame [k] of any source carries tag (k mod 3, k / 3), so every
+   source sends the same tags and the stash must key by source too. *)
+let link_tag k = (k mod 3, k / 3)
+
+(* A fake in-memory transport: [sent.(src)] lists the keys source
+   [src] sent, in its send (FIFO) order, and [order] is the order the
+   consumer receives its (src, key) frames in.  Every recv must return
+   its own frame object, and the links must drain exactly. *)
+let prop_links_match_by_tag (sent, order) =
+  let frames =
+    Array.of_list
+      (List.mapi
+         (fun src keys ->
+           Array.init (List.length keys) (fun k ->
+               (link_tag k, Value_run.Single (float_of_int ((100 * src) + k)))))
+         sent)
+  in
+  let links =
+    Array.mapi
+      (fun src keys -> Queue.of_seq (Seq.map (fun k -> frames.(src).(k)) (List.to_seq keys)))
+      (Array.of_list sent)
+  in
+  let chans =
+    Value_run.of_links ~procs:(Array.length links)
+      ~send:(fun ~dst:_ ~tag:_ _ -> ())
+      ~next:(fun ~src -> Queue.pop links.(src))
+  in
+  List.for_all
+    (fun (src, k) -> chans.Value_run.recv ~src ~tag:(link_tag k) == snd frames.(src).(k))
+    order
+  && Array.for_all Queue.is_empty links
+
+let gen_links =
+  QCheck2.Gen.(
+    let* sources = int_range 1 4 in
+    let* sent =
+      list_repeat sources
+        (let* n = int_range 0 12 in
+         shuffle_l (List.init n Fun.id))
+    in
+    let+ order =
+      shuffle_l (List.concat (List.mapi (fun src keys -> List.map (fun k -> (src, k)) keys) sent))
+    in
+    (sent, order))
+
+let print_links (sent, order) =
+  Printf.sprintf "sent %s; received %s"
+    (String.concat " | "
+       (List.map (fun keys -> String.concat "," (List.map string_of_int keys)) sent))
+    (String.concat " " (List.map (fun (src, k) -> Printf.sprintf "%d:%d" src k) order))
+
+(* Minor-heap words per in-order frame through the builder, over a
+   transport that hands out prebuilt frames.  Measured 0.00 (the only
+   allocation is the boxed result of [Gc.minor_words]); any per-frame
+   block costs at least 2 words, so the 0.1 bound catches one. *)
+let test_links_minor_words () =
+  let n = 10_000 in
+  let frames = Array.init n (fun k -> (link_tag k, Value_run.Single (float_of_int k))) in
+  let next = ref 0 in
+  let chans =
+    Value_run.of_links ~procs:2
+      ~send:(fun ~dst:_ ~tag:_ _ -> ())
+      ~next:(fun ~src:_ ->
+        let frame = frames.(!next) in
+        incr next;
+        frame)
+  in
+  let tags = Array.map fst frames in
+  let w0 = Gc.minor_words () in
+  for k = 0 to n - 1 do
+    ignore (chans.Value_run.recv ~src:1 ~tag:tags.(k))
+  done;
+  let per_frame = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_frame > 0.1 then
+    Alcotest.failf "Value_run.of_links: %.2f minor words per in-order frame (bound 0.1)"
+      per_frame
 
 (* ---------------------------------------------------------------- *)
 (* Differential execution: domains = inline = Interp, every instance  *)
@@ -431,4 +511,8 @@ let suite =
       test_benchmark_shape;
     Alcotest.test_case "compiled exec: malformed programs rejected" `Quick
       test_lower_rejects_malformed;
+    qtest ~count:200 "links: every recv gets its own frame, once" gen_links print_links
+      prop_links_match_by_tag;
+    Alcotest.test_case "links: no allocation per in-order frame" `Quick
+      test_links_minor_words;
   ]
