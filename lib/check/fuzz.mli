@@ -11,7 +11,8 @@
     + the emitted message protocol, before and after the rewrite
       ({!Validate.program});
     + the computed {e values}: every executor of the base and the
-      optimized program — the lowered evaluator run inline
+      optimized program — the lowered evaluator run inline as
+      {!Mimd_codegen.Program.simulate}'s value step
       ({!Mimd_runtime.Exec_compiled.run_inline}), the forked-process
       runtime over Unix sockets or TCP ({!socket_backend}) and the
       compiled real-domain runtime ({!Mimd_runtime.Exec_compiled.run})

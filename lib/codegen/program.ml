@@ -220,7 +220,17 @@ let same_frame sent recv =
   | Send_pack { tags = a; _ }, Recv_pack { tags = b; _ } -> a = b
   | _ -> false
 
-let simulate ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(record = false) t =
+(* [simulate]'s value step [f] as processor [j] retires its next
+   instruction: a Send's result becomes frame [m]'s payload, a Recv is
+   handed it, a Compute ([m < 0]) gets nothing. *)
+let value_step f pcs payload j ~send m =
+  let pc = pcs.(j) in
+  pcs.(j) <- pc + 1;
+  if send then payload.(m) <- f ~proc:j ~pc None
+  else ignore (f ~proc:j ~pc (if m < 0 then None else payload.(m)))
+
+let simulate ?step ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(record = false)
+    t =
   if capacity < 1 then invalid_arg "Program.simulate: capacity < 1";
   let graph = t.graph in
   let n = Array.length t.programs in
@@ -286,6 +296,12 @@ let simulate ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(record 
   let f_arrival = Array.make !sends 0 and f_seq = Array.make !sends 0 in
   let f_send = Array.make !sends (Compute { node = 0; iter = 0 }) in
   let frames = ref 0 in
+  (* A value step's state: each frame's payload, each processor's pc.
+     Without a step, each retirement pays one test of [stepping]. *)
+  let stepping = Option.is_some step in
+  let step = Option.value step ~default:(fun ~proc:_ ~pc:_ _ -> None) in
+  let payload = if stepping then Array.make !sends None else [||] in
+  let pcs = if stepping then Array.make n 0 else [||] in
   (* Unlink and return the frame [src] sent [dst] in chain [k], or -1. *)
   let rec take k ~src ~dst prev m =
     if m < 0 then -1
@@ -348,6 +364,7 @@ let simulate ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(record 
       | [] -> parked := true
       | (Compute { node; iter } as instr) :: rest ->
         operands j instr iter (Mimd_ddg.Graph.preds graph node);
+        if stepping then value_step step pcs payload j ~send:false (-1);
         Bytes.unsafe_set held ((j * size) + ((iter - iter_lo) * kw) + (node - node_lo)) '\001';
         let lat = Mimd_ddg.Graph.latency graph node in
         clock := !clock + lat;
@@ -376,6 +393,7 @@ let simulate ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(record 
           f_arrival.(m) <- !clock + lat;
           f_seq.(m) <- sent.(l);
           f_send.(m) <- instr;
+          if stepping then value_step step pcs payload j ~send:true m;
           f_next.(m) <- pending.(k);
           pending.(k) <- m;
           sent.(l) <- sent.(l) + 1;
@@ -407,6 +425,7 @@ let simulate ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(record 
         else begin
           if not (same_frame f_send.(m) instr) then
             raise (Fail (Frame_mismatch { proc = j; instr; sent = f_send.(m) }));
+          if stepping then value_step step pcs payload j ~send:false m;
           if f_arrival.(m) > !clock then clock := f_arrival.(m);
           pull l ~upto:(f_seq.(m) + 1) ~at:!clock;
           (match instr with

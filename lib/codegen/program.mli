@@ -123,6 +123,7 @@ type failure =
       (** every processor finished, but this frame was never received *)
 
 val simulate :
+  ?step:(proc:int -> pc:int -> 'p option -> 'p option) ->
   ?capacity:int ->
   ?latency:(src:int -> dst:int -> int) ->
   ?record:bool ->
@@ -134,6 +135,12 @@ val simulate :
     pull's time.  [latency] (default 0) is drawn once per frame, when
     its Send retires.  At unbounded capacity the outcome does not
     depend on [capacity] at all.
+    [step] (the runtime's inline value run) is called once per
+    instruction as it retires, in program order per processor, with
+    its index [pc] in [programs.(proc)].  A Send's result is kept as
+    its frame's payload and handed to the Recv that takes the frame;
+    Computes get and return [None].  [step] changes nothing in the
+    outcome, [steps] included; its exceptions pass through.
     @raise Invalid_argument if [capacity < 1] or on an empty pack. *)
 
 val pp_failure : names:(int -> string) -> Format.formatter -> failure -> unit

@@ -38,10 +38,12 @@ type order = Lexicographic | Critical_path
     measured against the default in the ablation experiments. *)
 
 exception No_pattern of string
-(** Raised when no pattern emerged within the iteration budget —
-    Theorem 1 says this cannot happen for Cyclic subsets, so hitting it
-    indicates a budget set too low (or a non-Cyclic input whose ideal
-    schedule keeps accelerating). *)
+(** Raised when no pattern emerged within the iteration budget.  Real
+    Cyclic cores hit it at any budget: 10 of the 25 Table-1 random
+    cores (p = 4, k = 3) still have none at 4096 iterations — seven
+    disconnected, three with SCCs of different recurrence bounds
+    ([mimdloop stats --random] lists them).  So do non-Cyclic inputs
+    whose ideal schedule keeps accelerating. *)
 
 type stats = {
   pops : int;  (** instances scheduled before detection *)

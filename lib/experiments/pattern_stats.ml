@@ -3,37 +3,22 @@ module Cyclic_sched = Mimd_core.Cyclic_sched
 module Classify = Mimd_core.Classify
 module Pattern = Mimd_core.Pattern
 
-type row = {
-  label : string;
-  nodes : int;
-  iterations_unwound : int;
-  detection_cycle : int;
-  configurations : int;
-  rejected : int;
-  height : int;
-  iter_shift : int;
-}
+type row = { label : string; nodes : int; pattern : (Cyclic_sched.result, string) result }
 
 let measure ?(machine = Mimd_machine.Config.default) ~label graph =
   let cls = Classify.run graph in
   if cls.Classify.cyclic = [] then None
   else begin
     let core, _, _ = Classify.cyclic_subgraph graph cls in
-    match Cyclic_sched.solve ~max_iterations:256 ~graph:core ~machine () with
-    | r ->
-      let s = r.Cyclic_sched.stats and p = r.Cyclic_sched.pattern in
-      Some
-        {
-          label;
-          nodes = Graph.node_count core;
-          iterations_unwound = s.Cyclic_sched.iterations_touched;
-          detection_cycle = s.Cyclic_sched.detection_cycle;
-          configurations = s.Cyclic_sched.configurations_checked;
-          rejected = s.Cyclic_sched.candidates_rejected;
-          height = p.Pattern.height;
-          iter_shift = p.Pattern.iter_shift;
-        }
-    | exception (Cyclic_sched.No_pattern _ | Invalid_argument _) -> None
+    let pattern =
+      match Cyclic_sched.solve ~max_iterations:256 ~graph:core ~machine () with
+      | r -> Ok r
+      | exception Cyclic_sched.No_pattern _ ->
+        let c = List.length (Graph.connected_components core) in
+        Error (Printf.sprintf "no pattern in 256 iters, %d component%s" c (if c = 1 then "" else "s"))
+      | exception Invalid_argument msg -> Error msg
+    in
+    Some { label; nodes = Graph.node_count core; pattern }
   end
 
 let paper_workloads () =
@@ -61,22 +46,33 @@ let render rows =
       ~header:[ "loop"; "nodes"; "M"; "cycle"; "cfgs"; "rejected"; "H"; "d" ]
       ()
   in
-  List.iter
-    (fun r ->
-      Mimd_util.Tablefmt.add_row t
-        [
-          r.label;
-          string_of_int r.nodes;
-          string_of_int r.iterations_unwound;
-          string_of_int r.detection_cycle;
-          string_of_int r.configurations;
-          string_of_int r.rejected;
-          string_of_int r.height;
-          string_of_int r.iter_shift;
-        ])
-    rows;
-  let ms = List.map (fun r -> float_of_int r.iterations_unwound) rows in
+  let ms =
+    List.filter_map
+      (fun r ->
+        let lead = [ r.label; string_of_int r.nodes ] in
+        match r.pattern with
+        | Ok { Cyclic_sched.stats = s; pattern = p } ->
+          Mimd_util.Tablefmt.add_row t
+            (lead
+            @ List.map string_of_int
+                [
+                  s.Cyclic_sched.iterations_touched;
+                  s.Cyclic_sched.detection_cycle;
+                  s.Cyclic_sched.configurations_checked;
+                  s.Cyclic_sched.candidates_rejected;
+                  p.Pattern.height;
+                  p.Pattern.iter_shift;
+                ]);
+          Some (float_of_int s.Cyclic_sched.iterations_touched)
+        | Error cause ->
+          Mimd_util.Tablefmt.add_span_row t lead cause;
+          None)
+      rows
+  in
+  let unsettled = List.length rows - List.length ms in
   Mimd_util.Tablefmt.render t
-  ^ Printf.sprintf "M (iterations unwound): mean %.1f, max %.0f  (paper: \"less than 10 in all the examples we ran\")\n"
-      (Mimd_util.Stats.mean ms)
+  ^ Printf.sprintf
+      "M (iterations unwound) over %d of %d loops: mean %.1f, max %.0f%s  (paper: \"less than 10 in all the examples we ran\")\n"
+      (List.length ms) (List.length rows) (Mimd_util.Stats.mean ms)
       (if ms = [] then 0.0 else Mimd_util.Stats.maximum ms)
+      (if unsettled = 0 then "" else Printf.sprintf "; %d without a pattern" unsettled)

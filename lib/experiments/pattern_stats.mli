@@ -10,27 +10,26 @@
 
 type row = {
   label : string;
-  nodes : int;
-  iterations_unwound : int;  (** the paper's M *)
-  detection_cycle : int;
-  configurations : int;
-  rejected : int;
-  height : int;
-  iter_shift : int;
+  nodes : int;  (** of the Cyclic core *)
+  pattern : (Mimd_core.Cyclic_sched.result, string) result;
+      (** the search at a 256-iteration budget ([stats.iterations_touched]
+          is the paper's M), or why it found nothing: "no pattern in
+          256 iters" with the core's number of weakly connected
+          components, or an invalid [solve] input *)
 }
 
 val measure :
   ?machine:Mimd_machine.Config.t -> label:string -> Mimd_ddg.Graph.t -> row option
-(** [None] if the graph is not a valid [solve] input (pred-less nodes)
-    or no pattern was found in budget.  The graph should be a Cyclic
-    subset; full loops are reduced automatically. *)
+(** [None] only when the graph has no Cyclic subset; full loops are
+    reduced to their Cyclic core automatically. *)
 
 val paper_workloads : unit -> row list
 (** The four worked examples plus Fig. 3. *)
 
 val random_loops : ?count:int -> unit -> row list
 (** The Table-1 random Cyclic subsets (default: the first 25 usable
-    seeds), skipping those whose disconnected components never settle
-    into a joint pattern. *)
+    seeds), one row per seed, settled or not. *)
 
 val render : row list -> string
+(** The table, a row's cause spanning M … d when it has no pattern, and
+    M's mean and max over the settled rows, saying how many. *)

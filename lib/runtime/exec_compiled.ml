@@ -6,12 +6,13 @@ module Clock = Mimd_obs.Clock
 (* The per-processor evaluator: a tight match over a cinstr array with
    int fields.  All state is preallocated —
    the unboxed slot store, the evaluation stack, the computed-value
-   array — so the compute path allocates nothing per instruction; only
+   array — so the compute path allocates nothing per instruction: [eval]
+   stores its result in place, as a returned float would be boxed; only
    outbound message payloads are built on demand (they cross domains
-   and must be fresh values either way).  The computed-value array is
-   the result: [vals.(k)] is the value of [computes.(k)]. *)
-let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
-    ~(chans : Value_run.chans) () =
+   and must be fresh values either way).  Returns the function that
+   executes one of processor [j]'s lowered instructions, and the one
+   that reads the result: [vals.(k)] is the value of [computes.(k)]. *)
+let processor ~init ~scalars ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.chans) =
   let pc = lowered.Lower.procs.(j) in
   (* NaN, not 0: a slot read before any write (impossible in a lowered
      program, guaranteed by the planted stale-slot fault) poisons the
@@ -25,9 +26,7 @@ let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
   let vals = Array.make (Array.length pc.Lower.computes) 0.0 in
   let ci = ref 0 in
   let sent = ref 0 in
-  let traced = Trace.is_enabled () in
-  if traced then Trace.set_thread_name (Printf.sprintf "PE%d" j);
-  let eval (code : Lower.code) (args : int array) =
+  let eval (code : Lower.code) (args : int array) dst =
     let ops = code.Lower.ops in
     let sp = ref 0 in
     for k = 0 to Array.length ops - 1 do
@@ -59,7 +58,9 @@ let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
           (if stack.(!sp - 3) > 0.0 then stack.(!sp - 2) else stack.(!sp - 1));
         sp := !sp - 2
     done;
-    stack.(0)
+    slots.(dst) <- stack.(0);
+    vals.(!ci) <- stack.(0);
+    incr ci
   in
   (* Land one pack frame: arrivals usually match [insts] positionally
      (both sides come from the same Comm_opt rewrite); fall back to a
@@ -82,11 +83,7 @@ let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
   in
   let exec (ins : Lower.cinstr) =
     match ins with
-    | Lower.CCompute { code; args; dst; _ } ->
-      let v = eval code args in
-      slots.(dst) <- v;
-      vals.(!ci) <- v;
-      incr ci
+    | Lower.CCompute { code; args; dst; _ } -> eval code args dst
     | Lower.CSend { dst; tag; src_slot } ->
       chans.Value_run.send ~dst ~tag (Value_run.Single slots.(src_slot));
       incr sent
@@ -106,64 +103,51 @@ let worker_with ~init ~scalars ~tick ~(lowered : Lower.t) ~proc:j
       | Value_run.Single v -> slots.(dst_slots.(0)) <- v
       | Value_run.Pack pairs -> land_pack insts dst_slots pairs)
   in
+  let traced_exec ins =
+    let int k v = (k, string_of_int v) in
+    let msg name args peer q = (name, args @ [ int "pe" j; int peer q ]) in
+    let name, args =
+      match ins with
+      | Lower.CCompute { node; iter; _ } -> ("run.compute", [ int "node" node; int "iter" iter ])
+      | Lower.CSend { tag = node, iter; dst; _ } ->
+        msg "run.send" [ int "node" node; int "iter" iter ] "dst" dst
+      | Lower.CRecv { tag = node, iter; src; _ } ->
+        msg "run.recv" [ int "node" node; int "iter" iter ] "src" src
+      | Lower.CSend_pack { insts; dst; _ } ->
+        msg "run.send" [ int "tags" (Array.length insts) ] "dst" dst
+      | Lower.CRecv_pack { insts; src; _ } ->
+        msg "run.recv" [ int "tags" (Array.length insts) ] "src" src
+    in
+    Trace.span ~cat:"run" ~args name (fun () -> exec ins)
+  in
+  ((if Trace.is_enabled () then traced_exec else exec), fun () -> (vals, !sent))
+
+(* A processor on a thread of its own: its whole stream in order,
+   [tick] after every instruction (the watchdog progress hook). *)
+let drive ~init ~scalars ~tick ~(lowered : Lower.t) ~proc ~chans =
+  if Trace.is_enabled () then Trace.set_thread_name (Printf.sprintf "PE%d" proc);
+  let exec, result = processor ~init ~scalars ~lowered ~proc ~chans in
   Array.iter
     (fun ins ->
-      (if traced then begin
-         let name, args =
-           match ins with
-           | Lower.CCompute { node; iter; _ } ->
-             ( "run.compute",
-               [ ("node", string_of_int node); ("iter", string_of_int iter) ] )
-           | Lower.CSend { tag = node, iter; dst; _ } ->
-             ( "run.send",
-               [
-                 ("node", string_of_int node);
-                 ("iter", string_of_int iter);
-                 ("pe", string_of_int j);
-                 ("dst", string_of_int dst);
-               ] )
-           | Lower.CRecv { tag = node, iter; src; _ } ->
-             ( "run.recv",
-               [
-                 ("node", string_of_int node);
-                 ("iter", string_of_int iter);
-                 ("pe", string_of_int j);
-                 ("src", string_of_int src);
-               ] )
-           | Lower.CSend_pack { insts; dst; _ } ->
-             ( "run.send",
-               [
-                 ("tags", string_of_int (Array.length insts));
-                 ("pe", string_of_int j);
-                 ("dst", string_of_int dst);
-               ] )
-           | Lower.CRecv_pack { insts; src; _ } ->
-             ( "run.recv",
-               [
-                 ("tags", string_of_int (Array.length insts));
-                 ("pe", string_of_int j);
-                 ("src", string_of_int src);
-               ] )
-         in
-         Trace.span ~cat:"run" ~args name (fun () -> exec ins)
-       end
-       else exec ins);
+      exec ins;
       tick ())
-    pc.Lower.instrs;
-  (vals, !sent)
+    lowered.Lower.procs.(proc).Lower.instrs;
+  result ()
 
-let worker ?(init = Interp.init) ?(scalars = Interp.default_scalar)
-    ?(tick = ignore) ~lowered ~proc ~chans () =
-  worker_with ~init ~scalars ~tick ~lowered ~proc ~chans ()
+let worker ?(init = Interp.init) ?(scalars = Interp.default_scalar) ~lowered ~proc ~chans () =
+  drive ~init ~scalars ~tick:ignore ~lowered ~proc ~chans
+
+(* [lowered], or [program] lowered here. *)
+let lowered_for name lowered ~loop ~(program : Program.t) =
+  let l = match lowered with Some l -> l | None -> Lower.run ~loop ~program () in
+  if l.Lower.processors <> program.processors then
+    invalid_arg ("Exec_compiled." ^ name ^ ": lowered form is for another program");
+  l
 
 let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?watchdog
     ?(channel_capacity = Value_run.default_channel_capacity) ?lowered ~loop
     ~(program : Program.t) () =
-  let lowered =
-    match lowered with Some l -> l | None -> Lower.run ~loop ~program ()
-  in
-  if lowered.Lower.processors <> program.processors then
-    invalid_arg "Exec_compiled.run: lowered form is for another program";
+  let lowered = lowered_for "run" lowered ~loop ~program in
   let p = program.processors in
   (* [links.(src).(dst)]: one bounded channel per ordered pair, all
      built up front so a cancel reaches every potential waiter. *)
@@ -179,7 +163,7 @@ let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?watchdog
           Channel.send links.(j).(dst) (tag, v))
         ~next:(fun ~src -> Channel.recv links.(src).(j))
     in
-    let vals, sent = worker_with ~init ~scalars ~tick ~lowered ~proc:j ~chans () in
+    let vals, sent = drive ~init ~scalars ~tick ~lowered ~proc:j ~chans in
     (vals, sent, float_of_int (Clock.now_ns () - t0))
   in
   let results =
@@ -189,70 +173,43 @@ let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?watchdog
   in
   Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered) ~results
 
-(* Performed inside a PE's fiber by a pull from an empty link: the run
-   loop parks the continuation on the link from that source. *)
-type _ Effect.t += Await : int -> unit Effect.t
-
 let run_inline ?lowered ~loop ~(program : Program.t) () =
-  let lowered =
-    match lowered with Some l -> l | None -> Lower.run ~loop ~program ()
-  in
-  if lowered.Lower.processors <> program.processors then
-    invalid_arg "Exec_compiled.run_inline: lowered form is for another program";
+  let lowered = lowered_for "run_inline" lowered ~loop ~program in
   let p = program.processors in
-  (* [links.(src).(dst)]: one unbounded FIFO per ordered pair, so a
-     send never blocks; [parked.(src).(dst)] is [dst] waiting on it. *)
-  let links = Array.init p (fun _ -> Array.init p (fun _ -> Queue.create ())) in
-  let parked = Array.init p (fun _ -> Array.make p None) in
-  let runnable : (unit -> unit) Queue.t = Queue.create () in
-  let retired = Array.make p 0 in
-  let results = Array.make p None in
+  let retired = Array.make p 0 and wall = Array.make p 0.0 in
+  (* The one frame in hand: a Send's payload on its way out to the
+     simulation, or a Recv's on its way in from it. *)
+  let frame = ref None in
+  let chans =
+    {
+      Value_run.send = (fun ~dst:_ ~tag:_ v -> frame := Some v);
+      recv = (fun ~src:_ ~tag:_ -> Option.get !frame);
+    }
+  in
+  let pes =
+    Array.init p (fun proc ->
+        processor ~init:Interp.init ~scalars:Interp.default_scalar ~lowered ~proc ~chans)
+  in
   let t0 = Clock.now_ns () in
-  let chans j =
-    Value_run.of_links ~procs:p
-      ~send:(fun ~dst ~tag v ->
-        Queue.push (tag, v) links.(j).(dst);
-        match parked.(j).(dst) with
-        | Some k ->
-          parked.(j).(dst) <- None;
-          Queue.add (fun () -> Effect.Deep.continue k ()) runnable
-        | None -> ())
-      ~next:(fun ~src ->
-        let link = links.(src).(j) in
-        if Queue.is_empty link then Effect.perform (Await src);
-        Queue.pop link)
+  let value_step ~proc ~pc got =
+    let instrs = lowered.Lower.procs.(proc).Lower.instrs in
+    frame := got;
+    fst pes.(proc) instrs.(pc);
+    retired.(proc) <- pc + 1;
+    if pc + 1 = Array.length instrs then wall.(proc) <- float_of_int (Clock.now_ns () - t0);
+    !frame
   in
-  let start j () =
-    Effect.Deep.match_with
-      (fun () ->
-        worker_with ~init:Interp.init ~scalars:Interp.default_scalar
-          ~tick:(fun () -> retired.(j) <- retired.(j) + 1)
-          ~lowered ~proc:j ~chans:(chans j) ())
-      ()
-      {
-        retc =
-          (fun (vals, sent) ->
-            results.(j) <- Some (vals, sent, float_of_int (Clock.now_ns () - t0)));
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Await src ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  parked.(src).(j) <- Some k)
-            | _ -> None);
-      }
-  in
-  for j = 0 to p - 1 do
-    Queue.add (start j) runnable
-  done;
-  while not (Queue.is_empty runnable) do
-    (Queue.take runnable) ()
-  done;
-  (* The queue drained with a PE unfinished: every such PE is parked
-     on a link no one will send on. *)
-  if Array.exists Option.is_none results then
+  match Program.simulate ~step:value_step program with
+  | Ok _ ->
+    Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered)
+      ~results:
+        (Array.mapi
+           (fun j (_, result) ->
+             let vals, sent = result () in
+             (vals, sent, wall.(j)))
+           pes)
+  | Error (Program.Stuck _) ->
+    (* Every unfinished PE waits for a frame no one will send. *)
     raise
       (Watchdog.Runtime_deadlock
          {
@@ -260,6 +217,9 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
            snapshots =
              Watchdog.snapshots ~graph:program.graph ~programs:program.programs
                ~retired:(Array.get retired);
-         });
-  Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered)
-    ~results:(Array.map Option.get results)
+         })
+  | Error f ->
+    invalid_arg
+      (Format.asprintf "Exec_compiled.run_inline: %a"
+         (Program.pp_failure ~names:(Mimd_ddg.Graph.name program.graph))
+         f)

@@ -1,23 +1,21 @@
 (** Execution of {!Lower}ed programs: the runtime's one evaluator.
 
-    Domains, the inline run, the Unix-socket mesh and the TCP mesh all
-    run processors through {!worker}, over {!Value_run.chans} built by
-    {!Value_run.of_links} on their own FIFO links, and fold results
-    into the same {!Value_run.outcome}.  The
-    per-instruction work is a tight match over an array of int-field
-    records: operand reads are slot lookups in an unboxed
-    [float array], expression evaluation is a postfix loop over a
-    reusable float stack, and message endpoints and slots were bound
-    at lower time.  {!run_inline} is the same worker driven on the
-    calling thread — the simulator's value check.  The differential
-    suite and [check --fuzz] hold every run (inline, domains, sockets,
-    TCP) to {!Mimd_loop_ir.Interp.instance_values}, instance by
-    instance, bit for bit. *)
+    Each processor is one preallocated state plus "execute lowered
+    instruction [ins]".  Domains and the socket and TCP meshes run a
+    processor's whole stream through {!worker}, over {!Value_run.chans}
+    built by {!Value_run.of_links}; {!run_inline} runs each instruction
+    as {!Mimd_codegen.Program.simulate}'s value step.  Operand reads
+    are slot lookups in an unboxed [float array], expressions are
+    postfix loops over a reusable float stack that store their result
+    straight into the slots (no float is boxed per [Compute]), and
+    message endpoints and slots were bound at lower time.  The
+    differential suite and [check --fuzz] hold every run (inline,
+    domains, sockets, TCP) to {!Mimd_loop_ir.Interp.instance_values},
+    instance by instance, bit for bit. *)
 
 val worker :
   ?init:(string -> int -> float) ->
   ?scalars:(string -> float) ->
-  ?tick:(unit -> unit) ->
   lowered:Lower.t ->
   proc:int ->
   chans:Value_run.chans ->
@@ -28,8 +26,8 @@ val worker :
     (computed values, messages sent), the per-processor input of
     {!Value_run.finalize}.  The values are unboxed and in the order of
     [lowered.procs.(proc).computes]: element [k] is the value of the
-    [k]-th instance that processor computes.  [tick] is called after
-    every instruction (the watchdog progress hook). *)
+    [k]-th instance that processor computes.  Outbound payloads are
+    the only allocation per instruction. *)
 
 val run :
   ?init:(string -> int -> float) ->
@@ -59,19 +57,20 @@ val run_inline :
   program:Mimd_codegen.Program.t ->
   unit ->
   Value_run.outcome
-(** Execute [program] with every processor's {!worker} on the calling
-    thread, over the default initial memory and scalars
-    ({!Mimd_loop_ir.Interp.init}, {!Mimd_loop_ir.Interp.default_scalar}):
-    no domain is created, so the caller stays fork-safe.  Each
-    ordered processor pair is one unbounded FIFO queue, matched by
-    {!Value_run.of_links}; a pull from an empty link suspends that
-    processor (an effect), and a round-robin run loop resumes it on
-    the next send over that link.  Values do not depend on
-    interleaving, so the outcome's instance values and final memory
-    are those of {!run}; timing belongs to [Mimd_sim.Exec.run], and
+(** Execute [program] on the calling thread, over the default initial
+    memory and scalars ({!Mimd_loop_ir.Interp.init},
+    {!Mimd_loop_ir.Interp.default_scalar}): no domain is created, so
+    the caller stays fork-safe.  The run is
+    {!Mimd_codegen.Program.simulate} (unbounded links, zero latency)
+    whose value step executes each retiring instruction; a Send's
+    payload rides with the simulated frame to its Recv.  Values do not
+    depend on interleaving, so instance values and final memory are
+    those of {!run}; timing belongs to [Mimd_sim.Exec.run], and
     [domain_wall_ns] is the calling thread's clock when each processor
-    finished.  Spans, when tracing, all land on the calling thread.
-    @raise Invalid_argument as {!run} does.
-    @raise Watchdog.Runtime_deadlock at once when every unfinished
-    processor waits for a frame no one will send ([timeout = 0.]; one
-    snapshot per processor). *)
+    retired its last instruction.  Spans all land on the calling
+    thread.
+    @raise Invalid_argument as {!run} does, or with
+    {!Mimd_codegen.Program.pp_failure}'s text on any failure but a
+    stall (e.g. an [undelivered frame]).
+    @raise Watchdog.Runtime_deadlock at once on a stall ([timeout = 0.];
+    one snapshot per processor, [retired] = the pc it stopped at). *)

@@ -2,13 +2,14 @@
     provides to one processor, and the {!outcome} a run yields.
 
     {!Exec_compiled} executes one processor's lowered program against
-    any {!chans} — every executor builds them with {!of_links}, over
-    in-process channels between domains, over per-link queues inline,
-    or over the forked-process socket and TCP meshes in [Mimd_dist] —
-    and {!finalize} folds the per-processor value arrays into an
-    {!outcome}.  No memory is shared between processors: every
-    cross-processor value travels in a message, exactly as on the
-    paper's asynchronous shared-nothing MIMD machine.
+    any {!chans} — built with {!of_links} over in-process channels
+    between domains or the forked-process socket and TCP meshes in
+    [Mimd_dist], or by the inline run around
+    {!Mimd_codegen.Program.simulate}'s frames — and {!finalize} folds
+    the per-processor value arrays into an {!outcome}.  No memory is
+    shared between processors: every cross-processor value travels in
+    a message, exactly as on the paper's asynchronous shared-nothing
+    MIMD machine.
 
     Determinism: the value computed for each instance is independent
     of interleaving (messages are matched by instance tag), so every

@@ -61,7 +61,5 @@ val snapshots :
     [programs.(proc)] done, [current] the next one rendered with the
     graph's node names.  Every executor's stall report is built here. *)
 
-val pp_snapshot : Format.formatter -> snapshot -> unit
-
 val describe : stall -> string
 (** Multi-line report: one snapshot per domain. *)

@@ -2,10 +2,6 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let mean_array a =
-  if Array.length a = 0 then 0.0
-  else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
-
 let variance xs =
   match xs with
   | [] | [ _ ] -> 0.0

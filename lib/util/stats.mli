@@ -3,9 +3,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 on the empty list. *)
 
-val mean_array : float array -> float
-(** Arithmetic mean; 0 on the empty array. *)
-
 val variance : float list -> float
 (** Population variance; 0 on lists shorter than 2. *)
 

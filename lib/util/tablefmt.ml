@@ -1,6 +1,6 @@
-type align = Left | Right | Center
+type align = Left | Right
 
-type row = Cells of string list | Rule
+type row = Cells of string list * string option (* the spanning text *) | Rule
 
 type t = {
   header : string list;
@@ -22,7 +22,11 @@ let create ?aligns ~header () =
 
 let add_row t cells =
   if List.length cells <> t.ncols then invalid_arg "Tablefmt.add_row: arity";
-  t.rows <- Cells cells :: t.rows
+  t.rows <- Cells (cells, None) :: t.rows
+
+let add_span_row t cells text =
+  if List.length cells >= t.ncols then invalid_arg "Tablefmt.add_span_row: arity";
+  t.rows <- Cells (cells, Some text) :: t.rows
 
 let add_rule t = t.rows <- Rule :: t.rows
 
@@ -34,9 +38,6 @@ let pad align width s =
     match align with
     | Left -> s ^ String.make missing ' '
     | Right -> String.make missing ' ' ^ s
-    | Center ->
-      let lhs = missing / 2 in
-      String.make lhs ' ' ^ s ^ String.make (missing - lhs) ' '
 
 let render t =
   let rows = List.rev t.rows in
@@ -45,7 +46,16 @@ let render t =
     List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) cells
   in
   feed t.header;
-  List.iter (function Cells c -> feed c | Rule -> ()) rows;
+  List.iter (function Cells (c, _) -> feed c | Rule -> ()) rows;
+  (* A span covers the columns after its [k] cells; the last column
+     widens to fit a longer text. *)
+  let spanned k = Array.fold_left ( + ) (3 * (t.ncols - 1 - k)) (Array.sub widths k (t.ncols - k)) in
+  List.iter
+    (function
+      | Cells (c, Some text) ->
+        widths.(t.ncols - 1) <- widths.(t.ncols - 1) + max 0 (String.length text - spanned (List.length c))
+      | Cells (_, None) | Rule -> ())
+    rows;
   let buf = Buffer.create 1024 in
   let rule () =
     Buffer.add_char buf '+';
@@ -56,20 +66,21 @@ let render t =
       widths;
     Buffer.add_char buf '\n'
   in
-  let line cells =
+  let cell align width c =
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (pad align width c);
+    Buffer.add_string buf " |"
+  in
+  let line ?span cells =
     Buffer.add_char buf '|';
-    List.iteri
-      (fun i c ->
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (pad t.aligns.(i) widths.(i) c);
-        Buffer.add_string buf " |")
-      cells;
+    List.iteri (fun i c -> cell t.aligns.(i) widths.(i) c) cells;
+    Option.iter (cell Left (spanned (List.length cells))) span;
     Buffer.add_char buf '\n'
   in
   rule ();
   line t.header;
   rule ();
-  List.iter (function Cells c -> line c | Rule -> rule ()) rows;
+  List.iter (function Cells (c, span) -> line ?span c | Rule -> rule ()) rows;
   rule ();
   Buffer.contents buf
 

@@ -4,7 +4,7 @@
     reproduction of Table 1(a)/(b)); this module centralizes the
     column-width bookkeeping. *)
 
-type align = Left | Right | Center
+type align = Left | Right
 
 type t
 (** A table under construction. *)
@@ -16,6 +16,11 @@ val create : ?aligns:align list -> header:string list -> unit -> t
 val add_row : t -> string list -> unit
 (** Append a row.  @raise Invalid_argument if the arity differs from
     the header's. *)
+
+val add_span_row : t -> string list -> string -> unit
+(** A row of leading [cells] and a left-aligned text spanning the other
+    columns (the last widens to fit).  @raise Invalid_argument if
+    [cells] leaves no column. *)
 
 val add_rule : t -> unit
 (** Append a horizontal rule. *)

@@ -179,19 +179,39 @@ let test_pattern_stats_paper_claim () =
   check_int "five workloads" 5 (List.length rows);
   List.iter
     (fun (r : Mimd_experiments.Pattern_stats.row) ->
-      check_bool (r.label ^ ": M <= 12") true (r.iterations_unwound <= 12))
+      match r.pattern with
+      | Ok { stats; _ } ->
+        check_bool (r.label ^ ": M <= 12") true (stats.iterations_touched <= 12)
+      | Error cause -> Alcotest.failf "%s: %s" r.label cause)
     rows
 
 let test_pattern_stats_random () =
   (* Disconnected Cyclic cores whose components advance at different
-     rates have no joint pattern (the paper schedules components
-     separately), so only a fraction of the random loops settles. *)
-  let rows = Mimd_experiments.Pattern_stats.random_loops ~count:10 () in
-  check_bool "some random loops settle" true (List.length rows >= 2);
-  List.iter
-    (fun (r : Mimd_experiments.Pattern_stats.row) ->
-      check_bool "pattern sane" true (r.height >= 1 && r.iter_shift >= 1))
-    rows
+     rates, and connected cores whose SCCs do, have no joint pattern
+     within the budget: one row per seed all the same, the unsettled
+     ones naming their cause. *)
+  let seeds = Mimd_experiments.Table1.select_seeds () in
+  let rows = Mimd_experiments.Pattern_stats.random_loops () in
+  check_bool "one row per seed" true
+    (List.map (fun (r : Mimd_experiments.Pattern_stats.row) -> r.label) rows
+    = List.map (Printf.sprintf "random-%d") seeds);
+  let unsettled =
+    List.filter_map
+      (fun (r : Mimd_experiments.Pattern_stats.row) ->
+        match r.pattern with
+        | Ok { pattern = p; _ } ->
+          check_bool (r.label ^ ": pattern sane") true
+            (p.Mimd_core.Pattern.height >= 1 && p.iter_shift >= 1);
+          None
+        | Error cause ->
+          check_bool (r.label ^ " names its cause: " ^ cause) true
+            (String.starts_with ~prefix:"no pattern in 256 iters, " cause);
+          Some r.label)
+      rows
+  in
+  check_bool "the ten unsettled seeds" true
+    (unsettled
+    = List.map (Printf.sprintf "random-%d") [ 6; 10; 27; 28; 50; 61; 105; 113; 119; 127 ])
 
 let test_scaling_renders () =
   List.iter

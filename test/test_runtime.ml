@@ -281,7 +281,20 @@ let test_inline_deadlock_is_structured () =
            match s.Watchdog.current with
            | Some instr -> String.starts_with ~prefix:"recv" (String.lowercase_ascii instr)
            | None -> false)
-         stall.Watchdog.snapshots)
+         stall.Watchdog.snapshots);
+    (* [retired] is the pc the PE stopped at: on the PE whose Recv lost
+       its Send, the index of that Recv. *)
+    let orphan j = function
+      | Program.Recv { tag; src } ->
+        not
+          (List.mem (Program.Send { tag; dst = j }) broken.Program.programs.(src))
+      | _ -> false
+    in
+    let blocking = Array.mapi (fun j -> List.find_index (orphan j)) broken.Program.programs in
+    let j = Option.get (Array.find_index Option.is_some blocking) in
+    check_int
+      (Printf.sprintf "PE%d retired up to its blocking recv" j)
+      (Option.get blocking.(j)) (List.nth stall.Watchdog.snapshots j).Watchdog.retired
 
 let test_watchdog_quiet_on_healthy_run () =
   let loop = Parser.parse Mimd_workloads.Fig7.source in
@@ -477,6 +490,57 @@ let test_stale_slot_must_fail () =
   | Error _ -> ()  (* the NaN-poisoned slot must surface as a mismatch *)
   | Ok () -> Alcotest.fail "sabotaged lowering escaped the value differential"
 
+(* The inline run is [Program.simulate] with a value step, so a frame
+   that no Recv takes fails the run as it fails the simulation. *)
+let test_inline_undelivered_frame () =
+  let loop = Parser.parse "for i = 1 to n { X[i] = X[i-1] + 1; Y[i] = X[i] * 2; }" in
+  let flat, program = compile ~k:0 ~iterations:10 loop in
+  let extra =
+    Array.mapi
+      (fun j instrs ->
+        if j <> 0 then instrs
+        else
+          let tag =
+            List.find_map
+              (function
+                | Program.Compute { node; iter } -> Some { Program.node; iter } | _ -> None)
+              instrs
+            |> Option.get
+          in
+          instrs @ [ Program.Send { tag; dst = 1 } ])
+      program.Program.programs
+  in
+  let extra = { program with Program.programs = extra } in
+  match Exec_compiled.run_inline ~loop:flat ~program:extra () with
+  | _ -> Alcotest.fail "a stranded frame went unnoticed"
+  | exception Invalid_argument msg ->
+    check_bool ("names the frame: " ^ msg) true
+      (String.starts_with ~prefix:"Exec_compiled.run_inline: undelivered frame PE0 -> PE1" msg)
+
+(* Minor-heap words per executed instruction of one PE running fig7 at
+   n = 1000 through [worker]: the compute path stores each result
+   straight into its slot, so no float is boxed per [Compute].  The
+   prefill and the state itself are the only allocations; a boxed
+   result costs 2 words per Compute and fails the 0.1 bound. *)
+let test_worker_minor_words () =
+  let loop = Parser.parse Mimd_workloads.Fig7.source in
+  let flat, program = compile ~p:1 ~iterations:1000 loop in
+  let lowered = Lower.run ~loop:flat ~program () in
+  let chans =
+    Value_run.of_links ~procs:1
+      ~send:(fun ~dst:_ ~tag:_ _ -> invalid_arg "one PE sends nothing")
+      ~next:(fun ~src:_ -> invalid_arg "one PE receives nothing")
+  in
+  let instrs = Array.length lowered.Lower.procs.(0).Lower.instrs in
+  let w0 = Gc.minor_words () in
+  let vals, _ = Exec_compiled.worker ~lowered ~proc:0 ~chans () in
+  let per_instr = (Gc.minor_words () -. w0) /. float_of_int instrs in
+  check_int "one value per compute" (Array.length lowered.Lower.procs.(0).Lower.computes)
+    (Array.length vals);
+  if per_instr > 0.1 then
+    Alcotest.failf "Exec_compiled.worker: %.3f minor words per instruction over %d (bound 0.1)"
+      per_instr instrs
+
 let suite =
   [
     Alcotest.test_case "channel: fifo" `Quick test_channel_fifo;
@@ -515,4 +579,7 @@ let suite =
       prop_links_match_by_tag;
     Alcotest.test_case "links: no allocation per in-order frame" `Quick
       test_links_minor_words;
+    Alcotest.test_case "inline: an undelivered frame fails the run" `Quick
+      test_inline_undelivered_frame;
+    Alcotest.test_case "worker: no allocation per compute" `Quick test_worker_minor_words;
   ]

@@ -325,6 +325,66 @@ let prop_simulate_capacity =
       holds base
       && (Result.is_error (Program.simulate base) || holds (fst (Mimd_codegen.Comm_opt.run base))))
 
+(* The value step is an observer: over random programs (comm-opted
+   ones too), at a random capacity and a fixed or random latency,
+   [simulate ~step] returns exactly what [simulate] does, the step sees
+   every (processor, pc) once in program order per processor, and each
+   Recv is handed the payload its Send returned. *)
+let prop_simulate_step_observes =
+  let gen =
+    QCheck2.Gen.(
+      let* seed = int_range 1 10_000 in
+      let* p = int_range 1 4 in
+      let* k = int_range 0 3 in
+      let* iterations = int_range 1 24 in
+      let* capacity = oneof [ return max_int; int_range 1 4 ] in
+      let* mm = int_range 1 3 in
+      let* opt = bool in
+      return (seed, p, k, iterations, capacity, mm, opt))
+  in
+  Helpers.qtest ~count:60 "simulate: a value step changes nothing" gen
+    (fun (seed, p, k, n, capacity, mm, opt) ->
+      Printf.sprintf "seed=%d p=%d k=%d n=%d capacity=%d mm=%d comm-opt=%b" seed p k n
+        capacity mm opt)
+    (fun (seed, p, k, iterations, capacity, mm, opt) ->
+      let loop = Mimd_workloads.Random_loop.generate_loop ~fanout:0.5 ~seed () in
+      let base = program_of ~p ~k ~iterations (Mimd_loop_ir.Depend.analyze loop).graph in
+      let program = if opt then fst (Mimd_codegen.Comm_opt.run base) else base in
+      (* [mm = 1]: every frame takes k cycles; otherwise a fresh
+         per-link stream per run, so both runs draw alike. *)
+      let latency () =
+        let links = if mm = 1 then Links.fixed k else Links.uniform ~base:k ~mm ~seed in
+        fun ~src ~dst -> Links.sample links ~src ~dst
+      in
+      let prog = Array.map Array.of_list program.Program.programs in
+      let head = function
+        | Program.Send { tag; _ } | Program.Recv { tag; _ } -> Some tag
+        | Program.Send_pack { tags; _ } | Program.Recv_pack { tags; _ } -> List.nth_opt tags 0
+        | Program.Compute _ -> None
+      in
+      let next_pc = Array.make (Array.length prog) 0 and ok = ref true in
+      let step ~proc ~pc got =
+        if pc <> next_pc.(proc) then ok := false;
+        next_pc.(proc) <- pc + 1;
+        match (prog.(proc).(pc), got) with
+        | (Program.Send _ | Program.Send_pack _), None -> Some (proc, pc)
+        | ((Program.Recv { src; _ } | Program.Recv_pack { src; _ }) as recv), Some (q, spc) ->
+          (match prog.(q).(spc) with
+          | (Program.Send { dst; _ } | Program.Send_pack { dst; _ }) as send ->
+            if q <> src || dst <> proc || head send <> head recv then ok := false
+          | _ -> ok := false);
+          None
+        | Program.Compute _, None -> None
+        | _ -> ok := false; None
+      in
+      let plain = Program.simulate ~capacity ~latency:(latency ()) ~record:true program in
+      let stepped = Program.simulate ~step ~capacity ~latency:(latency ()) ~record:true program in
+      plain = stepped && !ok
+      &&
+      match plain with
+      | Ok _ -> Array.for_all2 (fun n prog -> n = Array.length prog) next_pc prog
+      | Error _ -> true)
+
 let suite =
   [
     Alcotest.test_case "links: fixed" `Quick test_links_fixed;
@@ -349,4 +409,5 @@ let suite =
     prop_sim_reproduces_greedy_makespan;
     prop_dropped_sends_deadlock_cleanly;
     prop_sim_respects_recurrence_bound;
+    prop_simulate_step_observes;
   ]

@@ -186,6 +186,21 @@ let test_cell_float () =
   check_string "one decimal" "3.1" (Tablefmt.cell_float 3.14159);
   check_string "four decimals" "3.1416" (Tablefmt.cell_float ~decimals:4 3.14159)
 
+(* A span row fills the columns after its cells; a text longer than
+   those columns widens the last one, so every line keeps one width. *)
+let test_table_span () =
+  let t = Tablefmt.create ~header:[ "a"; "b"; "c" ] () in
+  Tablefmt.add_row t [ "1"; "2"; "3" ];
+  Tablefmt.add_span_row t [ "4" ] "fits";
+  Tablefmt.add_span_row t [ "5" ] "longer than b and c";
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' (Tablefmt.render t)) in
+  check_bool "one width" true
+    (List.for_all (fun l -> String.length l = String.length (List.hd lines)) lines);
+  check_bool "span text" true (List.mem "| 5 | longer than b and c |" lines);
+  check_bool "short span padded" true (List.mem "| 4 | fits                |" lines);
+  Alcotest.check_raises "no column left" (Invalid_argument "Tablefmt.add_span_row: arity")
+    (fun () -> Tablefmt.add_span_row t [ "1"; "2"; "3" ] "x")
+
 let suite =
   [
     Alcotest.test_case "prng: determinism" `Quick test_prng_determinism;
@@ -214,4 +229,5 @@ let suite =
     Alcotest.test_case "table: arity check" `Quick test_table_arity;
     Alcotest.test_case "table: alignment" `Quick test_table_alignment;
     Alcotest.test_case "table: cell_float" `Quick test_cell_float;
+    Alcotest.test_case "table: span rows" `Quick test_table_span;
   ]
