@@ -193,14 +193,14 @@ let program ?(capacity = Mimd_runtime.Value_run.default_channel_capacity)
 (* ------------------------------------------------------------------ *)
 (* Whole pipeline result                                               *)
 
-let full ?trips ?capacity (f : Full_sched.t) =
+let full ?trips (f : Full_sched.t) =
   merge
     [
       schedule f.schedule;
       (match f.pattern with
       | Some p -> pattern ?trips p
       | None -> { issues = []; counters = [ ("re-rolled trip counts", 0) ] });
-      program ?capacity (Mimd_codegen.From_schedule.run f.schedule);
+      program (Mimd_codegen.From_schedule.run f.schedule);
     ]
 
 (* ------------------------------------------------------------------ *)

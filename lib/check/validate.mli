@@ -100,11 +100,10 @@ val program : ?capacity:int -> Mimd_codegen.Program.t -> report
     {!Protocol_failure}.
     @raise Invalid_argument if [capacity < 1]. *)
 
-val full :
-  ?trips:int list -> ?capacity:int -> Mimd_core.Full_sched.t -> report
+val full : ?trips:int list -> Mimd_core.Full_sched.t -> report
 (** Everything: {!schedule} on the complete schedule, {!pattern} on
-    the detected pattern (if any), {!program} on the code generated
-    from the schedule. *)
+    the detected pattern (if any), {!program} at the default capacity
+    on the code generated from the schedule. *)
 
 val render : names:(int -> string) -> report -> string
 (** Multi-line human-readable report: counters first, then issues. *)

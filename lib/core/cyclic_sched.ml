@@ -544,7 +544,7 @@ let period_repeats st ~t1 ~t2 ~d =
   in
   shifted = next
 
-let solve ?(max_iterations = 1024) ?(verify = true) ?(order = Lexicographic) ~graph ~machine () =
+let solve ?(max_iterations = 1024) ?(order = Lexicographic) ~graph ~machine () =
   let csr0 = Graph.csr graph in
   for v = 0 to Graph.node_count graph - 1 do
     if Graph.in_degree csr0 v = 0 then
@@ -610,11 +610,9 @@ let solve ?(max_iterations = 1024) ?(verify = true) ?(order = Lexicographic) ~gr
         else begin
           let t1 = earlier.top and t2 = cfg.top in
           let verified =
-            if not verify then true
-            else
-              Trace.span ~cat:"compile" "compile.pattern_verify" (fun () ->
-                  advance_until_final (t2 + (t2 - t1) + window_height);
-                  period_repeats st ~t1 ~t2 ~d)
+            Trace.span ~cat:"compile" "compile.pattern_verify" (fun () ->
+                advance_until_final (t2 + (t2 - t1) + window_height);
+                period_repeats st ~t1 ~t2 ~d)
           in
           let pattern = if verified then Some (build_pattern ~t1 ~t2 ~d) else None in
           (* A node that runs ahead of the rest can repeat with the

@@ -58,16 +58,15 @@ type result = { pattern : Pattern.t; stats : stats }
 
 val solve :
   ?max_iterations:int ->
-  ?verify:bool ->
   ?order:order ->
   graph:Mimd_ddg.Graph.t ->
   machine:Mimd_machine.Config.t ->
   unit ->
   result
 (** Find the steady-state pattern.  [max_iterations] (default 1024)
-    bounds how many iterations may be unwound before giving up;
-    [verify] (default true) re-schedules one extra period and checks it
-    equals the shifted pattern body, rejecting false positives.
+    bounds how many iterations may be unwound before giving up.  Every
+    candidate is verified: one extra period is re-scheduled and must
+    equal the shifted pattern body, so false positives are rejected.
     @raise No_pattern when the budget is exhausted.
     @raise Invalid_argument when preconditions are violated. *)
 

@@ -24,9 +24,9 @@ type t = { procs : int; fds : Unix.file_descr option array array }
    host the effective bound still clears [capacity] messages.) *)
 let frame_estimate = 1024
 
-let buffer_bytes ~capacity = capacity * frame_estimate
+let buffer_bytes = Value_run.default_channel_capacity * frame_estimate
 
-let create ?(capacity = Value_run.default_channel_capacity) ~procs () =
+let create ~procs () =
   if procs < 1 then invalid_arg "Mesh_sock.create: procs < 1";
   let fds = Array.init procs (fun _ -> Array.make procs None) in
   for i = 0 to procs - 1 do
@@ -35,8 +35,8 @@ let create ?(capacity = Value_run.default_channel_capacity) ~procs () =
       List.iter
         (fun fd ->
           try
-            Unix.setsockopt_int fd Unix.SO_SNDBUF (buffer_bytes ~capacity);
-            Unix.setsockopt_int fd Unix.SO_RCVBUF (buffer_bytes ~capacity)
+            Unix.setsockopt_int fd Unix.SO_SNDBUF buffer_bytes;
+            Unix.setsockopt_int fd Unix.SO_RCVBUF buffer_bytes
           with Unix.Unix_error _ -> ())
         [ a; b ];
       fds.(i).(j) <- Some a;

@@ -17,10 +17,9 @@
 
 type t
 
-val create : ?capacity:int -> procs:int -> unit -> t
-(** Build every link in the parent, {e before} forking children.
-    [capacity] defaults to
-    {!Mimd_runtime.Value_run.default_channel_capacity}. *)
+val create : procs:int -> unit -> t
+(** Build every link in the parent, {e before} forking children, with
+    [capacity] = {!Mimd_runtime.Value_run.default_channel_capacity}. *)
 
 val procs : t -> int
 

@@ -1,7 +1,6 @@
 module Program = Mimd_codegen.Program
 module Graph = Mimd_ddg.Graph
 module Ast = Mimd_loop_ir.Ast
-module Interp = Mimd_loop_ir.Interp
 module Value_run = Mimd_runtime.Value_run
 module Trace = Mimd_obs.Trace
 module Clock = Mimd_obs.Clock
@@ -68,9 +67,8 @@ let respawns_counter () =
    domain was created (even a joined one), which is why run-dist does
    its socket run before any in-domain comparison and why the dist
    test suite runs first. *)
-let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout = 5.0)
-    ?channel_capacity ?sabotage ?(transport = Unix_sockets) ?(exec = `Compiled) ~loop
-    ~program () =
+let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Compiled)
+    ~loop ~program () =
   if not (Ast.is_flat loop) then invalid_arg "Runner.run: loop must be flat";
   if List.length (Ast.assignments loop) <> Graph.node_count program.Program.graph then
     invalid_arg "Runner.run: statement/node count mismatch";
@@ -87,7 +85,7 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
   let procs = program.Program.processors in
   let mesh =
     match transport with
-    | Unix_sockets -> `U (Mesh_sock.create ?capacity:channel_capacity ~procs ())
+    | Unix_sockets -> `U (Mesh_sock.create ~procs ())
     | Tcp { roster; handshake_fault } ->
       `T
         ( Mesh_tcp.create ?roster ~fingerprint:(fingerprint ~loop ~program) ~procs (),
@@ -148,7 +146,7 @@ let run_once ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?(timeout 
             | `U m -> Mesh_sock.chans m ~proc:j
             | `T c -> Mesh_tcp.chans c
           in
-          Mimd_runtime.Exec_compiled.worker ~init ~scalars ~lowered ~proc:j ~chans ()
+          Mimd_runtime.Exec_compiled.worker ~lowered ~proc:j ~chans ()
         with
         | vals, sent ->
           Ok
@@ -292,12 +290,10 @@ let retryable = function
   | Child_exit _ | Stalled _ -> true
   | Child_error { message; _ } -> starts_with ~prefix:"link down:" message
 
-let run ?init ?scalars ?timeout ?channel_capacity ?sabotage ?transport ?exec
-    ?(respawn = 0) ~loop ~program () =
+let run ?timeout ?sabotage ?transport ?exec ?(respawn = 0) ~loop ~program () =
   let rec attempt remaining =
     match
-      run_once ?init ?scalars ?timeout ?channel_capacity ?sabotage ?transport ?exec
-        ~loop ~program ()
+      run_once ?timeout ?sabotage ?transport ?exec ~loop ~program ()
     with
     | outcome -> outcome
     | exception Dist_error f when retryable f && remaining > 0 ->

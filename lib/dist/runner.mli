@@ -52,10 +52,7 @@ val fingerprint :
     it iff they compiled the same schedule. *)
 
 val run :
-  ?init:(string -> int -> float) ->
-  ?scalars:(string -> float) ->
   ?timeout:float ->
-  ?channel_capacity:int ->
   ?sabotage:(int array -> unit) ->
   ?transport:transport ->
   ?exec:[ `Compiled | `Compiled_form of Mimd_runtime.Lower.t ] ->

@@ -8,6 +8,7 @@ type dep = {
   distance : int;
   kind : kind;
   array : string;
+  read : int option;
 }
 
 type t = { loop : Ast.loop; graph : Graph.t; deps : dep list }
@@ -30,11 +31,58 @@ let node_names stmts =
       if n = 0 then array else Printf.sprintf "%s#%d" array n)
     stmts
 
+(* The one subscript rule.  Statement [src] touching [X\[i+c\]] and
+   statement [dst] touching [X\[i+c'\]] meet on one element
+   [delta = c - c'] iterations apart; the dependence runs from [src] to
+   [dst] when [src]'s access comes first in sequential order: a later
+   iteration, or the same one with [src] earlier in the body.  A fixed
+   cell is one element in every iteration, so two accesses always
+   meet: in the same iteration when [src] precedes [dst] in the body,
+   else in the next.  Distance 0 thus always joins two statements. *)
+let distance ~fixed ~src ~dst delta =
+  if fixed then Some (if src < dst then 0 else 1)
+  else if delta > 0 || (delta = 0 && src < dst) then Some delta
+  else None
+
+let deps loop =
+  let stmts = Array.of_list (Ast.assignments loop) in
+  let reads = Array.map (fun (_, _, rhs) -> Ast.reads_of_expr rhs) stmts in
+  let found = ref [] in
+  let emit src_stmt dst_stmt kind array read = function
+    | Some distance -> found := { src_stmt; dst_stmt; distance; kind; array; read } :: !found
+    | None -> ()
+  in
+  (* Flow and anti: every (write, read) pair on one array. *)
+  Array.iteri
+    (fun s (warr, a, _) ->
+      let fixed = is_fixed_cell warr in
+      Array.iteri
+        (fun t reads_of_t ->
+          List.iteri
+            (fun k (rarr, b) ->
+              if rarr = warr then begin
+                emit s t Flow warr (Some k) (distance ~fixed ~src:s ~dst:t (a - b));
+                emit t s Anti warr (Some k) (distance ~fixed ~src:t ~dst:s (b - a))
+              end)
+            reads_of_t)
+        reads)
+    stmts;
+  (* Output: every ordered pair of writes on one array. *)
+  Array.iteri
+    (fun s (warr, a, _) ->
+      let fixed = is_fixed_cell warr in
+      Array.iteri
+        (fun s' (warr', a', _) ->
+          if warr = warr' then
+            emit s s' Output warr None (distance ~fixed ~src:s ~dst:s' (a - a')))
+        stmts)
+    stmts;
+  List.rev !found
+
 let analyze ?(cost = Cost.weighted) loop =
   let loop = if Ast.is_flat loop then loop else If_convert.run loop in
   let stmts = Array.of_list (Ast.assignments loop) in
-  let m = Array.length stmts in
-  if m = 0 then invalid_arg "Depend.analyze: empty loop body";
+  if Array.length stmts = 0 then invalid_arg "Depend.analyze: empty loop body";
   let names = node_names stmts in
   let b = Graph.builder () in
   Array.iteri
@@ -42,59 +90,9 @@ let analyze ?(cost = Cost.weighted) loop =
       let kind = if is_predicate array then Graph.Predicate else Cost.kind_of_rhs rhs in
       ignore (Graph.add_node b ~latency:(Cost.expr_latency cost rhs) ~kind names.(idx)))
     stmts;
-  let deps = ref [] in
-  let emit src_stmt dst_stmt distance kind array =
-    if distance > 0 || (distance = 0 && src_stmt <> dst_stmt) then begin
-      deps := { src_stmt; dst_stmt; distance; kind; array } :: !deps;
-      Graph.add_edge b ~src:src_stmt ~dst:dst_stmt ~distance
-    end
-  in
-  (* Writes: statement index -> (array, offset).  Reads likewise. *)
-  let writes = Array.mapi (fun idx (array, offset, _) -> (idx, array, offset)) stmts in
-  let reads =
-    Array.to_list stmts
-    |> List.mapi (fun idx (_, _, rhs) ->
-           List.map (fun (array, offset) -> (idx, array, offset)) (Ast.reads_of_expr rhs))
-    |> List.concat
-  in
-  (* Flow and anti dependences: every (write, read) pair on one array. *)
-  Array.iter
-    (fun (s, warr, a) ->
-      List.iter
-        (fun (t, rarr, bo) ->
-          if warr = rarr then
-            if is_fixed_cell warr then begin
-              (* Same element every iteration. *)
-              if t > s then emit s t 0 Flow warr else emit s t 1 Flow warr;
-              if t < s then emit t s 0 Anti warr else emit t s 1 Anti warr
-            end
-            else begin
-              let delta = a - bo in
-              if delta > 0 then emit s t delta Flow warr
-              else if delta = 0 && s < t then emit s t 0 Flow warr
-              else if delta < 0 then emit t s (-delta) Anti warr
-              else if delta = 0 && t < s then emit t s 0 Anti warr
-            end)
-        reads)
-    writes;
-  (* Output dependences: every ordered pair of writes on one array. *)
-  Array.iter
-    (fun (s, warr, a) ->
-      Array.iter
-        (fun (s', warr', a') ->
-          if warr = warr' then
-            if is_fixed_cell warr then begin
-              if s < s' then emit s s' 0 Output warr;
-              if s >= s' then emit s s' 1 Output warr
-            end
-            else begin
-              let delta = a - a' in
-              if delta > 0 then emit s s' delta Output warr
-              else if delta = 0 && s < s' then emit s s' 0 Output warr
-            end)
-        writes)
-    writes;
-  { loop; graph = Graph.build b; deps = List.rev !deps }
+  let deps = deps loop in
+  List.iter (fun d -> Graph.add_edge b ~src:d.src_stmt ~dst:d.dst_stmt ~distance:d.distance) deps;
+  { loop; graph = Graph.build b; deps }
 
 let analyze_string ?cost src = analyze ?cost (Parser.parse src)
 

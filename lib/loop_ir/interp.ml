@@ -94,31 +94,30 @@ type stmt =
   | Assign of { table : int; fixed : bool; offset : int; rhs : expr }
   | If of { cond : expr; then_ : stmt list; else_ : stmt list }
 
-let rec resolve_expr st ~scalars : Ast.expr -> expr = function
+let rec resolve_expr st : Ast.expr -> expr = function
   | Ast.Int k -> Const (float_of_int k)
-  | Ast.Scalar s -> Const (scalars s)
+  | Ast.Scalar s -> Const (default_scalar s)
   | Ast.Ref { array; offset } ->
     Ref { table = table_id st array; name = array; fixed = Depend.is_fixed_cell array; offset }
-  | Ast.Neg e -> Neg (resolve_expr st ~scalars e)
-  | Ast.Binop (op, a, b) -> Binop (op, resolve_expr st ~scalars a, resolve_expr st ~scalars b)
-  | Ast.Select (p, a, b) ->
-    Select (resolve_expr st ~scalars p, resolve_expr st ~scalars a, resolve_expr st ~scalars b)
+  | Ast.Neg e -> Neg (resolve_expr st e)
+  | Ast.Binop (op, a, b) -> Binop (op, resolve_expr st a, resolve_expr st b)
+  | Ast.Select (p, a, b) -> Select (resolve_expr st p, resolve_expr st a, resolve_expr st b)
 
-let rec resolve_stmt st ~scalars : Ast.stmt -> stmt = function
+let rec resolve_stmt st : Ast.stmt -> stmt = function
   | Ast.Assign { array; offset; rhs } ->
     Assign
       {
         table = table_id st array;
         fixed = Depend.is_fixed_cell array;
         offset;
-        rhs = resolve_expr st ~scalars rhs;
+        rhs = resolve_expr st rhs;
       }
   | Ast.If { cond; then_; else_ } ->
     If
       {
-        cond = resolve_expr st ~scalars cond;
-        then_ = List.map (resolve_stmt st ~scalars) then_;
-        else_ = List.map (resolve_stmt st ~scalars) else_;
+        cond = resolve_expr st cond;
+        then_ = List.map (resolve_stmt st) then_;
+        else_ = List.map (resolve_stmt st) else_;
       }
 
 let truthy v = v > 0.0
@@ -139,10 +138,10 @@ let rec eval st ~iter = function
 (* One sequential walk.  With [values], a flat body's top-level
    assignment at body position [pos] leaves its value at
    [values.(pos).(iter)]. *)
-let exec_loop ?values ~initial ~scalars (loop : Ast.loop) ~iterations =
+let exec_loop ?values ~initial (loop : Ast.loop) ~iterations =
   if iterations < 0 then invalid_arg "Interp.run: negative iterations";
   let st = create ~initial ~iterations loop.Ast.body in
-  let body = Array.of_list (List.map (resolve_stmt st ~scalars) loop.Ast.body) in
+  let body = Array.of_list (List.map (resolve_stmt st) loop.Ast.body) in
   let[@inline] assign ~iter table fixed offset rhs =
     let v = eval st ~iter rhs in
     set st table (if fixed then 0 else iter + offset) v;
@@ -164,14 +163,13 @@ let exec_loop ?values ~initial ~scalars (loop : Ast.loop) ~iterations =
   done;
   st
 
-let run ?(init = init) ?(scalars = default_scalar) loop ~iterations =
-  exec_loop ~initial:init ~scalars loop ~iterations
+let run ?(init = init) loop ~iterations = exec_loop ~initial:init loop ~iterations
 
 let instance_values loop ~iterations =
   if not (Ast.is_flat loop) then invalid_arg "Interp.instance_values: loop must be flat";
   let nodes = List.length loop.Ast.body in
   let values = Array.init nodes (fun _ -> Array.make (max 0 iterations) 0.0) in
-  ignore (exec_loop ~values ~initial:init ~scalars:default_scalar loop ~iterations);
+  ignore (exec_loop ~values ~initial:init loop ~iterations);
   let out = ref [] in
   for pos = nodes - 1 downto 0 do
     for iter = iterations - 1 downto 0 do

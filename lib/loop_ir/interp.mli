@@ -54,15 +54,14 @@ val written_cells : store -> (string * int * float) list
 
 val run :
   ?init:(string -> int -> float) ->
-  ?scalars:(string -> float) ->
   Ast.loop ->
   iterations:int ->
   store
 (** Execute the (flat or structured) loop sequentially.  Structured
     conditionals use the same truthiness as [select], so running the
     original loop and its if-converted form produce identical stores
-    (test-enforced).  [scalars] defaults to hashing the name into
-    [\[1, 2)]; it is looked up once per run, as the runtime does. *)
+    (test-enforced).  Scalars are {!default_scalar}, looked up once per
+    run, as the runtime does. *)
 
 val instance_values : Ast.loop -> iterations:int -> ((int * int) * float) list
 (** The spec at instance level: the value every assignment computes,

@@ -12,10 +12,11 @@
     - each binary operation / negation / select becomes a node with
       its own latency from the {!Cost} model;
     - intra-statement data flow becomes distance-0 edges;
-    - a statement's array-level dependences (from the same analysis as
-      {!Depend}) connect the {e root} operation of the producing
-      statement to the operations of the consuming statement that
-      actually read the array reference;
+    - the cross-statement edges are {!Depend.deps}, mapped onto
+      operation nodes: a flow dependence runs from the writer's {e
+      root} operation to the node that consumes its read, an anti
+      dependence the other way, an output dependence root to root.
+      This module compares no subscripts;
     - copy statements ([X\[i\] = Y\[i-1\]]) still need a node (the
       value must materialise somewhere) with the cost model's base
       latency.

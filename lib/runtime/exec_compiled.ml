@@ -12,7 +12,7 @@ module Clock = Mimd_obs.Clock
    and must be fresh values either way).  Returns the function that
    executes one of processor [j]'s lowered instructions, and the one
    that reads the result: [vals.(k)] is the value of [computes.(k)]. *)
-let processor ~init ~scalars ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.chans) =
+let processor ~init ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.chans) =
   let pc = lowered.Lower.procs.(j) in
   (* NaN, not 0: a slot read before any write (impossible in a lowered
      program, guaranteed by the planted stale-slot fault) poisons the
@@ -21,7 +21,7 @@ let processor ~init ~scalars ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.ch
   Array.iter
     (fun (array, idx, slot) -> slots.(slot) <- init array idx)
     pc.Lower.prefill;
-  let scal = Array.map scalars lowered.Lower.scalar_names in
+  let scal = Array.map Interp.default_scalar lowered.Lower.scalar_names in
   let stack = Array.make pc.Lower.stack_need 0.0 in
   let vals = Array.make (Array.length pc.Lower.computes) 0.0 in
   let ci = ref 0 in
@@ -124,9 +124,9 @@ let processor ~init ~scalars ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.ch
 
 (* A processor on a thread of its own: its whole stream in order,
    [tick] after every instruction (the watchdog progress hook). *)
-let drive ~init ~scalars ~tick ~(lowered : Lower.t) ~proc ~chans =
+let drive ~init ~tick ~(lowered : Lower.t) ~proc ~chans =
   if Trace.is_enabled () then Trace.set_thread_name (Printf.sprintf "PE%d" proc);
-  let exec, result = processor ~init ~scalars ~lowered ~proc ~chans in
+  let exec, result = processor ~init ~lowered ~proc ~chans in
   Array.iter
     (fun ins ->
       exec ins;
@@ -134,8 +134,8 @@ let drive ~init ~scalars ~tick ~(lowered : Lower.t) ~proc ~chans =
     lowered.Lower.procs.(proc).Lower.instrs;
   result ()
 
-let worker ?(init = Interp.init) ?(scalars = Interp.default_scalar) ~lowered ~proc ~chans () =
-  drive ~init ~scalars ~tick:ignore ~lowered ~proc ~chans
+let worker ~lowered ~proc ~chans () =
+  drive ~init:Interp.init ~tick:ignore ~lowered ~proc ~chans
 
 (* [lowered], or [program] lowered here. *)
 let lowered_for name lowered ~loop ~(program : Program.t) =
@@ -144,16 +144,13 @@ let lowered_for name lowered ~loop ~(program : Program.t) =
     invalid_arg ("Exec_compiled." ^ name ^ ": lowered form is for another program");
   l
 
-let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?watchdog
-    ?(channel_capacity = Value_run.default_channel_capacity) ?lowered ~loop
-    ~(program : Program.t) () =
+let run ?(init = Interp.init) ?watchdog ?lowered ~loop ~(program : Program.t) () =
   let lowered = lowered_for "run" lowered ~loop ~program in
   let p = program.processors in
   (* [links.(src).(dst)]: one bounded channel per ordered pair, all
      built up front so a cancel reaches every potential waiter. *)
-  let links =
-    Array.init p (fun _ -> Array.init p (fun _ -> Channel.create ~capacity:channel_capacity))
-  in
+  let capacity = Value_run.default_channel_capacity in
+  let links = Array.init p (fun _ -> Array.init p (fun _ -> Channel.create ~capacity)) in
   let t0 = Clock.now_ns () in
   let worker ~proc:j ~tick =
     let chans =
@@ -163,7 +160,7 @@ let run ?(init = Interp.init) ?(scalars = Interp.default_scalar) ?watchdog
           Channel.send links.(j).(dst) (tag, v))
         ~next:(fun ~src -> Channel.recv links.(src).(j))
     in
-    let vals, sent = drive ~init ~scalars ~tick ~lowered ~proc:j ~chans in
+    let vals, sent = drive ~init ~tick ~lowered ~proc:j ~chans in
     (vals, sent, float_of_int (Clock.now_ns () - t0))
   in
   let results =
@@ -188,7 +185,7 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
   in
   let pes =
     Array.init p (fun proc ->
-        processor ~init:Interp.init ~scalars:Interp.default_scalar ~lowered ~proc ~chans)
+        processor ~init:Interp.init ~lowered ~proc ~chans)
   in
   let t0 = Clock.now_ns () in
   let value_step ~proc ~pc got =

@@ -14,8 +14,6 @@
     instance by instance, bit for bit. *)
 
 val worker :
-  ?init:(string -> int -> float) ->
-  ?scalars:(string -> float) ->
   lowered:Lower.t ->
   proc:int ->
   chans:Value_run.chans ->
@@ -26,23 +24,27 @@ val worker :
     (computed values, messages sent), the per-processor input of
     {!Value_run.finalize}.  The values are unboxed and in the order of
     [lowered.procs.(proc).computes]: element [k] is the value of the
-    [k]-th instance that processor computes.  Outbound payloads are
+    [k]-th instance that processor computes.  Initial memory and
+    scalars are the defaults ({!Mimd_loop_ir.Interp.init},
+    {!Mimd_loop_ir.Interp.default_scalar}).  Outbound payloads are
     the only allocation per instruction. *)
 
 val run :
   ?init:(string -> int -> float) ->
-  ?scalars:(string -> float) ->
   ?watchdog:Watchdog.config ->
-  ?channel_capacity:int ->
   ?lowered:Lower.t ->
   loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
   unit ->
   Value_run.outcome
 (** Execute [program] on [program.processors] fresh domains, one
-    bounded {!Channel} of [channel_capacity] frames per ordered
-    processor pair, matched by {!Value_run.of_links}.  [loop] must be flat and its assignment count
-    must match the program's graph node count.  [lowered], an already
+    bounded {!Channel} of {!Value_run.default_channel_capacity} frames
+    per ordered processor pair, matched by {!Value_run.of_links}.
+    [init] is the initial memory (default
+    {!Mimd_loop_ir.Interp.init}); scalars are
+    {!Mimd_loop_ir.Interp.default_scalar}.  [loop] must be flat and
+    its assignment count must match the program's graph node count.
+    [lowered], an already
     lowered form of [program], skips the lowering pass; omitted, the
     program is lowered here.
     @raise Invalid_argument as {!Lower.run} does, or when [lowered]

@@ -68,51 +68,6 @@ let check_distances graph =
       "loop needed unwinding (some dependence distance > 1); real execution supports \
        distances in {0, 1} only"
 
-(* Reaching definition of a reference (array, offset) inside statement
-   [t]: which statement produces the value, how many iterations back.
-   [None] means the value comes from initial memory.
-
-   Affine refs: writer (s', array, a') produces element [j + b] at
-   iteration [j + b - a']; among writers strictly before the reader in
-   sequential order, the latest is the one maximising (b - a', s').
-   Fixed cells: the latest write before (j, t), i.e. the largest s' < t
-   at this iteration, else the largest s' one iteration back. *)
-let resolver stmts =
-  let writers = Array.to_list (Array.mapi (fun s (array, a, _) -> (s, array, a)) stmts) in
-  let resolve t array b =
-    if Depend.is_fixed_cell array then begin
-      let same_iter =
-        List.filter (fun (s', arr', _) -> arr' = array && s' < t) writers
-      in
-      match List.rev same_iter with
-      | (s', _, _) :: _ -> Some (s', 0)
-      | [] -> begin
-        match List.rev (List.filter (fun (_, arr', _) -> arr' = array) writers) with
-        | (s', _, _) :: _ -> Some (s', 1)
-        | [] -> None
-      end
-    end
-    else begin
-      (* delta = a' - b: reader at iteration j takes the value from
-         (s', j - delta); valid when delta > 0, or delta = 0 with
-         s' < t. *)
-      List.fold_left
-        (fun best (s', arr', a') ->
-          if arr' <> array then best
-          else begin
-            let delta = a' - b in
-            let valid = delta > 0 || (delta = 0 && s' < t) in
-            if not valid then best
-            else
-              match best with
-              | Some (bs, bd) when (-bd, bs) >= (-delta, s') -> best
-              | _ -> Some (s', delta)
-          end)
-        None writers
-    end
-  in
-  resolve
-
 (* Postfix compilation of one statement RHS.  [Load k] refers to the
    k-th reference in {!Ast.reads_of_expr} order — the pre-order leaf
    walk below visits leaves in exactly that order, so the per-instance
@@ -297,17 +252,26 @@ let lower_proc ~sources ~reads ~read_arrays ~codes ~(program : Program.t) j =
 
 let run ~loop ~(program : Program.t) () =
   let stmts = check_pair ~loop ~program in
-  let resolve = resolver stmts in
   let reads =
     Array.map (fun (_, _, rhs) -> Array.of_list (Ast.reads_of_expr rhs)) stmts
   in
-  (* A read's reaching definition depends only on its statement, so
-     resolve each (node, read) once rather than once per instance. *)
-  let sources =
-    Array.mapi
-      (fun node -> Array.map (fun (array, offset) -> resolve node array offset))
-      reads
-  in
+  (* The source of read [k] of statement [t], [Some (s, delta)] for the
+     value statement [s] computed [delta] iterations back, [None] for
+     initial memory: among the flow dependences into [(t, k)], the
+     least distance, ties to the latest statement — the last write
+     before the read in sequential order.  It depends only on the
+     statement, so it is found once rather than once per instance. *)
+  let sources = Array.map (fun r -> Array.make (Array.length r) None) reads in
+  List.iter
+    (fun (d : Depend.dep) ->
+      match (d.kind, d.read) with
+      | Depend.Flow, Some k -> (
+        let s = d.src_stmt and t = d.dst_stmt in
+        match sources.(t).(k) with
+        | Some (s', delta) when delta < d.distance || (delta = d.distance && s' > s) -> ()
+        | _ -> sources.(t).(k) <- Some (s, d.distance))
+      | _ -> ())
+    (Depend.deps loop);
   (* Arrays by dense id, so a prefilled cell is keyed by two ints. *)
   let array_ids : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let read_arrays =

@@ -7,11 +7,14 @@
 
     - {b slot allocation} — every [(node, iter)] instance a PE touches
       (its own computes plus everything it receives) gets a dense int
-      slot in one unboxed [float array]; reaching definitions (the
-      statement and iteration distance that produce each operand) are
-      resolved here, so an operand read is a precomputed slot index,
-      and reads that fall through to initial memory become slots
-      prefilled before the first instruction;
+      slot in one unboxed [float array]; each operand's source (the
+      statement and iteration distance that produce it) comes from
+      {!Mimd_loop_ir.Depend.deps}: the flow dependence into that read
+      with the least distance, ties to the latest statement, i.e. the
+      last write before the read in sequential order.  An operand read
+      is a precomputed slot index, and reads that fall through to
+      initial memory become slots prefilled before the first
+      instruction;
     - {b expression compilation} — each statement RHS compiles once to
       a small postfix op array evaluated on a reusable float stack: no
       closures, no AST walk, no allocation per iteration;

@@ -158,8 +158,8 @@ let finalize ~loop ~program ~computes ~results =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let check_against_sequential ?init ?scalars ~loop ~iterations outcome =
-  let expected = Interp.written_cells (Interp.run ?init ?scalars loop ~iterations) in
+let check_against_sequential ~loop ~iterations outcome =
+  let expected = Interp.written_cells (Interp.run loop ~iterations) in
   let got = outcome.final in
   if List.length expected <> List.length got then
     Error

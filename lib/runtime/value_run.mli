@@ -34,9 +34,9 @@ type outcome = {
 }
 
 val default_channel_capacity : int
-(** Per-channel message bound used by {!Exec_compiled.run} when
-    [?channel_capacity] is omitted.  Exposed so independent auditors
-    (notably {!Mimd_check.Validate.program}'s protocol simulation) and
+(** Per-channel message bound of {!Exec_compiled.run}'s domain
+    channels.  Exposed so independent auditors (notably
+    {!Mimd_check.Validate.program}'s protocol simulation) and
     alternative channel backends (the socket mesh in [Mimd_dist])
     model the same bound the domain channels enforce. *)
 
@@ -99,14 +99,13 @@ val finalize :
     outside the loop's statements. *)
 
 val check_against_sequential :
-  ?init:(string -> int -> float) ->
-  ?scalars:(string -> float) ->
   loop:Mimd_loop_ir.Ast.loop ->
   iterations:int ->
   outcome ->
   (unit, string) result
 (** Bit-exact comparison of the runtime's final memory against
-    {!Mimd_loop_ir.Interp.run} on the same loop, inputs and trip count
+    {!Mimd_loop_ir.Interp.run} on the same loop and trip count, over
+    the default inputs
     (identical computations must give identical bits, NaN included).
     [Error] names the first differing cell. *)
 

@@ -18,9 +18,6 @@ type t = {
   disk : Disk_cache.t option;
   validate : bool;
   comm_opt : int option;  (* coalescing window of the comm rewrite, when on *)
-  mutex : Mutex.t;
-  mutable requests : int;
-  mutable errors : int;
   (* Request counters and per-stage latency histograms (the [stats]
      reply's latency section reads them too), owned per service so
      concurrent services never share series. *)
@@ -53,9 +50,6 @@ let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt () =
     disk;
     validate;
     comm_opt;
-    mutex = Mutex.create ();
-    requests = 0;
-    errors = 0;
     metrics;
     m_requests =
       Metrics.counter ~help:"Compile requests served" metrics "mimd_serve_requests_total";
@@ -76,10 +70,6 @@ let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt () =
       Metrics.histogram ~help:"Pool queue wait in milliseconds" metrics
         "mimd_pool_queue_wait_ms";
   }
-
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 let now_ms () = Unix.gettimeofday () *. 1e3
 
@@ -201,9 +191,6 @@ let compile t ?deadline ?validate ~loop ~machine ~iterations () =
   let started = now_ms () in
   let record outcome =
     let elapsed = now_ms () -. started in
-    with_lock t (fun () ->
-        t.requests <- t.requests + 1;
-        match outcome with Error _ -> t.errors <- t.errors + 1 | Ok _ -> ());
     Metrics.inc t.m_requests;
     Metrics.observe t.h_total elapsed;
     match outcome with Error _ -> Metrics.inc t.m_errors | Ok _ -> ()
@@ -244,7 +231,10 @@ let latency_json h =
       ]
 
 let stats_json ?pool t =
-  let requests, errors = with_lock t (fun () -> (t.requests, t.errors)) in
+  (* Errors first: a request is counted before its error, so the pair
+     read never shows more errors than requests. *)
+  let errors = Metrics.counter_value t.m_errors in
+  let requests = Metrics.counter_value t.m_requests in
   let mem = Schedule_cache.stats t.memory in
   let memory_json =
     Json.Obj

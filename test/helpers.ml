@@ -25,6 +25,12 @@ let ewf_benchmark_shape () =
   let full = Mimd_core.Full_sched.run ~graph ~machine:(machine ~p:2 ~k:2 ()) ~iterations () in
   (flat, Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule, iterations)
 
+(* Two loop-invariant cells (reductions into S[0] and T[0]), one read
+   by the other statements in the same iteration, plus a carried read
+   of Y: every operand source comes from the fixed-cell rule. *)
+let fixed_cell_source =
+  "for i = 1 to n { S[0] = S[0] + X[i]; Y[i] = S[0] * 2; T[0] = T[0] * Y[i-1] + S[0]; }"
+
 (* A single self-recurrence: the smallest Cyclic graph. *)
 let self_loop ?(latency = 1) () =
   graph_of ~latencies:[| latency |] ~edges:[ (0, 0, 1) ]

@@ -1066,6 +1066,13 @@ let test_router_stalled_client () =
   check_bool "B answered" true (member_bool "ok" r = Some true);
   check_bool (Printf.sprintf "B answered within 3 s (%.2f s)" waited) true (waited < 3.0)
 
+let test_runner_fixed_cells () =
+  List.iter
+    (fun p ->
+      dist_differential ~name:(Printf.sprintf "fixed cells p=%d" p) ~p
+        (Parser.parse fixed_cell_source))
+    [ 2; 3 ]
+
 let suite =
   [
     Alcotest.test_case "wire: round-trip + clean close" `Quick test_wire_roundtrip;
@@ -1126,4 +1133,6 @@ let suite =
       test_runner_tcp_roster_resolution;
     Alcotest.test_case "tcp: an unbindable roster address names its PE" `Quick
       test_tcp_unbindable_roster_address;
+    Alcotest.test_case "runner: fixed cells match interp (p=2,3)" `Quick
+      test_runner_fixed_cells;
   ]

@@ -541,6 +541,13 @@ let test_worker_minor_words () =
     Alcotest.failf "Exec_compiled.worker: %.3f minor words per instruction over %d (bound 0.1)"
       per_instr instrs
 
+let test_differential_fixed_cells () =
+  List.iter
+    (fun p ->
+      differential ~name:(Printf.sprintf "fixed cells p=%d" p) ~p
+        (Parser.parse fixed_cell_source))
+    [ 2; 3 ]
+
 let suite =
   [
     Alcotest.test_case "channel: fifo" `Quick test_channel_fifo;
@@ -582,4 +589,6 @@ let suite =
     Alcotest.test_case "inline: an undelivered frame fails the run" `Quick
       test_inline_undelivered_frame;
     Alcotest.test_case "worker: no allocation per compute" `Quick test_worker_minor_words;
+    Alcotest.test_case "differential: fixed cells (inline, domains; p=2,3)" `Quick
+      test_differential_fixed_cells;
   ]
