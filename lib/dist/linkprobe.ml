@@ -1,4 +1,5 @@
 module Clock = Mimd_obs.Clock
+module Value_run = Mimd_runtime.Value_run
 
 type link = {
   a : int;
@@ -33,15 +34,17 @@ let calibrate_cycle_ns () =
 
 let stop_tag = (-1, -1)
 
-(* The echo child: a real Value_run peer in miniature — same Wire
-   frames, same tagged-float payloads — so the measured cost includes
-   marshalling, framing, and both kernel crossings. *)
+(* The echo child: a real Value_run peer in miniature — the same
+   {!Mesh_sock.Link} as a run's links, so the measured cost is the
+   link runs use: binary frames, both kernel crossings, spin and
+   park. *)
 let echo_child fd =
+  let link = Mesh_sock.Link.create fd in
   let rec loop () =
-    match (Wire.read fd : ((int * int) * float, Wire.error) result) with
+    match Mesh_sock.Link.pull link with
     | Ok (tag, _) when tag = stop_tag -> Unix._exit 0
-    | Ok msg ->
-      Wire.write fd msg;
+    | Ok (tag, v) ->
+      Mesh_sock.Link.send link ~tag v;
       loop ()
     | Error _ -> Unix._exit 0
   in
@@ -62,17 +65,22 @@ let probe_one ?(rounds = 200) ~a ~b () =
     echo_child c
   | pid ->
     (try Unix.close c with Unix.Unix_error _ -> ());
+    let link = Mesh_sock.Link.create p in
+    let round i =
+      Mesh_sock.Link.send link ~tag:(0, i) (Value_run.Single (float_of_int i));
+      match Mesh_sock.Link.pull link with
+      | Ok _ -> ()
+      | Error e -> raise (Wire.Wire_error e)
+    in
     (* Warm-up round covers fork cold start and first-touch costs. *)
-    Wire.write p ((0, 0), 0.0);
-    ignore (Wire.read_exn p : (int * int) * float);
+    round 0;
     let samples = ref [] in
     for i = 1 to rounds do
       let t0 = Clock.now_ns () in
-      Wire.write p ((0, i), float_of_int i);
-      ignore (Wire.read_exn p : (int * int) * float);
+      round i;
       samples := float_of_int (Clock.now_ns () - t0) :: !samples
     done;
-    Wire.write p (stop_tag, 0.0);
+    Mesh_sock.Link.send link ~tag:stop_tag (Value_run.Single 0.0);
     ignore (Unix.waitpid [] pid);
     (try Unix.close p with Unix.Unix_error _ -> ());
     let rtt_ns = median !samples in

@@ -2,9 +2,10 @@
 
     The scheduler prices every cross-processor value at [k] abstract
     cycles (machine parameter, paper §2).  The socket backend makes
-    that cost real: a {!Wire}-framed tagged float through a Unix
-    socketpair, kernel crossings included.  The probe forks an echo
-    peer per link, round-trips real frames, and divides the median
+    that cost real: a tagged float in a {!Wire} link frame through a
+    Unix socketpair, kernel crossings included, over the same
+    {!Mesh_sock.Link} a run's links use (spin, then park).  The probe
+    forks an echo peer per link, round-trips real frames, and divides the median
     one-way latency by a calibrated per-cycle cost, yielding the
     {e effective} [k] to hold next to the assumed one; {!measured_k}
     turns it into the scalar [k] that [--auto-k] schedules at.

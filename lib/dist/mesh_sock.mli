@@ -1,6 +1,6 @@
 (** The socket counterpart of the in-process domain channels: one
     full-duplex [socketpair(2)] per unordered processor pair, with
-    {!Wire} frames as messages, presented to
+    {!Wire} link frames as messages ({!Link}), presented to
     {!Mimd_runtime.Exec_compiled.worker} through the same
     {!Mimd_runtime.Value_run.chans} interface, built by
     {!Mimd_runtime.Value_run.of_links} — so the worker's instruction
@@ -9,7 +9,8 @@
 
     Capacity: the kernel socket buffer is sized to
     [capacity * frame-estimate] bytes, so a sender that runs far ahead
-    blocks in [write(2)] just as [Channel.send] blocks past its bound.
+    waits for the link to drain just as [Channel.send] blocks past its
+    bound.
     The kernel enforces a minimum buffer, so the socket bound is never
     {e tighter} than the domain mesh's — a program the token
     simulation proves deadlock-free at the default capacity cannot
@@ -39,6 +40,63 @@ exception Link_down of { proc : int; peer : int; error : Wire.error }
 (** Raised out of a channel operation when the underlying stream
     breaks — the child-side face of a crashed peer. *)
 
+(** {1 The link}
+
+    What every socket link — socketpair or TCP — runs: binary
+    {!Wire} link frames, each encoded into a reused buffer and sent
+    with one [write(2)]; a buffered reader that decodes every whole
+    frame one [read(2)] brought in; and a non-blocking fd that a pull
+    spins on for an adaptive budget ({!Spin}) before it parks in
+    [select(2)].  A full send buffer parks in [select(2)] too. *)
+
+val spin_cap_ns : int
+(** The largest spin budget, 50 us: a fixed 30 us spin already made
+    fig7 2.5-3.5x slower beside one CPU hog on a 2-vCPU host, and a
+    fixed 50 us spin at p=3 doubled ewf, so the budget adapts
+    ({!Spin}) and never exceeds this. *)
+
+(** The spin budget of one link, additive increase and multiplicative
+    decrease.  It starts at the cap, so two peers begin by spinning;
+    six wasted spins take it to 0. *)
+module Spin : sig
+  type t
+
+  val create : unit -> t
+  val budget_ns : t -> int
+
+  val arrived : t -> unit
+  (** A frame arrived while spinning: add [spin_cap_ns / 8], up to the
+      cap. *)
+
+  val wasted : t -> unit
+  (** The spin ran out and the reader parks: halve the budget, and
+      make a budget under 1 us 0. *)
+
+  val parked_idle : t -> unit
+  (** The reader parked with a budget of 0 and no spin: every 16th
+      such park resets the budget to [spin_cap_ns / 8]. *)
+end
+
+module Link : sig
+  type t
+
+  val create : Unix.file_descr -> t
+  (** Take over a connected stream fd: it is made non-blocking. *)
+
+  val send : t -> tag:int * int -> Mimd_runtime.Value_run.payload -> unit
+  (** Encode and write one frame, parking in [select(2)] while the
+      send buffer is full.  Allocates nothing for a Single once the
+      encode buffer has grown to fit.
+      @raise Unix.Unix_error when the stream is broken. *)
+
+  val pull : t -> (Wire.frame, Wire.error) result
+  (** The next frame, in the order the peer sent them: decoded from
+      the buffer if a whole one is there, else read for — spinning up
+      to the {!Spin} budget, then parked.  End of stream is [Closed]
+      on a frame boundary and [Truncated] inside one; a malformed
+      frame is its {!Wire.decode} error. *)
+end
+
 val chans : t -> proc:int -> Mimd_runtime.Value_run.chans
 (** The channel interface for processor [proc]: {!chans_of} over this
     mesh's row. *)
@@ -46,12 +104,12 @@ val chans : t -> proc:int -> Mimd_runtime.Value_run.chans
 val chans_of :
   procs:int -> proc:int -> link:(int -> Unix.file_descr) -> Mimd_runtime.Value_run.chans
 (** The channel interface over any peer-to-fd mapping of a [procs]-PE
-    mesh: each link is one {!Wire} frame stream, and
-    {!Mimd_runtime.Value_run.of_links} matches its frames to recvs by
-    tag.  [send] writes one frame; a pull reads one.  Emits a
-    [dist.send] span per frame written and a [dist.recv] span per
-    frame read (waiting for it included) while tracing is on; a recv
-    served from the stash reads nothing.  Stream errors, either way,
-    raise {!Link_down} with this [proc].  Transports ({!Mesh_tcp})
-    share this rather than reimplementing framing, matching or
-    tracing. *)
+    mesh: each peer's fd becomes a {!Link} (so it is non-blocking from
+    here on), and {!Mimd_runtime.Value_run.of_links} matches its
+    frames to recvs by tag.  [send] writes one frame; a pull reads
+    one.  Emits a [dist.send] span per frame written and a [dist.recv]
+    span per frame pulled (waiting for it included, with [parked] =
+    whether the wait parked) while tracing is on; a recv served from
+    the stash pulls nothing.  Stream errors, either way, raise
+    {!Link_down} with this [proc].  Transports ({!Mesh_tcp}) share
+    this rather than reimplementing framing, matching or tracing. *)

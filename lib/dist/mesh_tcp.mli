@@ -1,7 +1,7 @@
 (** The TCP transport of the processor mesh: per-PE listeners bound in
-    the parent, children that {e dial} each other after the fork, the
-    same {!Wire} framing as {!Mesh_sock} and the same channel
-    discipline (shared via {!Mesh_sock.chans_of}).
+    the parent, children that {e dial} each other after the fork, and
+    the same link layer ({!Mesh_sock.Link}) and channel discipline as
+    {!Mesh_sock} (shared via {!Mesh_sock.chans_of}).
 
     Connection plan: PE [j] dials every peer [i < j] (capped
     exponential backoff until the peer's listener answers) and accepts

@@ -47,6 +47,12 @@ let describe = function
     Printf.sprintf "child for PE %d died without reporting (%s)" proc status
   | Child_error { proc; message } -> Printf.sprintf "child for PE %d failed: %s" proc message
 
+(* A "link down:" child error is a peer's death observed from the
+   other end of a link; every other failure is the child's own. *)
+let own_failure = function
+  | Child_error { message; _ } -> not (String.starts_with ~prefix:"link down:" message)
+  | Child_exit _ | Stalled _ -> true
+
 type transport =
   | Unix_sockets
   | Tcp of { roster : Mesh_tcp.addr list option; handshake_fault : int option }
@@ -208,45 +214,59 @@ let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Co
   (match sabotage with None -> () | Some f -> f (Array.copy pids));
   (* Collect: select across the control sockets; [timeout] seconds
      with no report anywhere is the distributed analogue of the
-     watchdog's stall. *)
+     watchdog's stall.  A failure does not end the collection: a
+     child's death reaches its peers as "link down:", so the first
+     report to arrive is often the symptom, not the cause.  Once one
+     child has failed, the others get up to [timeout] more seconds to
+     report or exit, and the run fails with the lowest-numbered PE
+     whose failure is its own ({!own_failure}). *)
   let reports : child_ok option array = Array.make procs None in
-  let remaining = ref procs in
-  Trace.span ~cat:"dist" "dist.join" (fun () ->
-      while !remaining > 0 do
-        let pending =
-          List.filter_map
-            (fun j -> if reports.(j) = None then Some (parent_end j) else None)
-            (List.init procs Fun.id)
-        in
-        match Unix.select pending [] [] timeout with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | [], _, _ ->
-          let waiting =
-            List.filter (fun j -> reports.(j) = None) (List.init procs Fun.id)
-          in
-          fail (Stalled { timeout; waiting })
-        | ready, _, _ ->
-          List.iter
-            (fun fd ->
-              let j =
-                let rec find i = if parent_end i == fd then i else find (i + 1) in
-                find 0
-              in
-              match (Wire.read fd : (report, Wire.error) result) with
-              | Ok (Ok ok) ->
-                reports.(j) <- Some ok;
-                decr remaining;
-                ignore (reap_status j)
-              | Ok (Error message) -> fail (Child_error { proc = j; message })
-              | Error _ ->
-                let status =
-                  match reap_status j with
-                  | Some st -> status_string st
-                  | None -> "already reaped"
-                in
-                fail (Child_exit { proc = j; status }))
-            ready
-      done);
+  let failures : failure option array = Array.make procs None in
+  let unsettled () =
+    List.filter (fun j -> reports.(j) = None && failures.(j) = None) (List.init procs Fun.id)
+  in
+  let settle fd =
+    let j =
+      let rec find i = if parent_end i == fd then i else find (i + 1) in
+      find 0
+    in
+    match (Wire.read fd : (report, Wire.error) result) with
+    | Ok (Ok ok) ->
+      reports.(j) <- Some ok;
+      ignore (reap_status j)
+    | Ok (Error message) -> failures.(j) <- Some (Child_error { proc = j; message })
+    | Error _ ->
+      let status =
+        match reap_status j with Some st -> status_string st | None -> "already reaped"
+      in
+      failures.(j) <- Some (Child_exit { proc = j; status })
+  in
+  let rec collect deadline =
+    match unsettled () with
+    | [] -> ()
+    | pending -> (
+      let wait =
+        match deadline with
+        | None -> timeout
+        | Some d -> Float.max 0.0 (d -. Unix.gettimeofday ())
+      in
+      match Unix.select (List.map parent_end pending) [] [] wait with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> collect deadline
+      | [], _, _ ->
+        if deadline = None then fail (Stalled { timeout; waiting = pending })
+      | ready, _, _ ->
+        List.iter settle ready;
+        collect
+          (match deadline with
+          | None when Array.exists Option.is_some failures ->
+            Some (Unix.gettimeofday () +. timeout)
+          | d -> d))
+  in
+  Trace.span ~cat:"dist" "dist.join" (fun () -> collect None);
+  (let failed = List.filter_map Fun.id (Array.to_list failures) in
+   match List.filter own_failure failed @ failed with
+   | f :: _ -> fail f
+   | [] -> ());
   Array.iteri (fun j _ -> close_quietly (parent_end j)) ctl;
   Array.iteri (fun j _ -> ignore (reap_status j)) pids;
   let results =
@@ -275,20 +295,16 @@ let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Co
    state; the router's fleet (stateless workers) is where per-worker
    respawn is sound — see {!Router}.  Child_error is not retried: it
    is the child's own exception (a handshake mismatch, a codegen bug)
-   and will recur deterministically. *)
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+   and will recur deterministically.
 
-(* Which failures may a respawn retry?  Crashes and stalls are
+   Which failures may a respawn retry?  Crashes and stalls are
    environmental.  So is a "link down:" child error — its root cause
-   is a peer's death, and the parent merely lost the race to observe
-   the exit directly.  Every other Child_error is the child's own
-   deterministic exception (a handshake mismatch, a codegen bug) and
-   recurs on retry. *)
+   is a peer's death, reported when no PE failed on its own account.
+   Every other Child_error is the child's own deterministic exception
+   (a handshake mismatch, a codegen bug) and recurs on retry. *)
 let retryable = function
   | Child_exit _ | Stalled _ -> true
-  | Child_error { message; _ } -> starts_with ~prefix:"link down:" message
+  | Child_error _ as f -> not (own_failure f)
 
 let run ?timeout ?sabotage ?transport ?exec ?(respawn = 0) ~loop ~program () =
   let rec attempt remaining =

@@ -13,7 +13,13 @@
     {!Mimd_runtime.Watchdog.Runtime_deadlock}: a silent stall raises
     {!Dist_error}[ (Stalled _)], a crashed child
     {!Dist_error}[ (Child_exit _)], a child-side exception
-    {!Dist_error}[ (Child_error _)].  On every failure path the
+    {!Dist_error}[ (Child_error _)].  A child's death reaches its
+    peers as a [link down:] error, so the first report to arrive may
+    be a symptom: after the first failure the supervisor waits up to
+    the stall bound for every other child to report or exit, then
+    raises the failure of the lowest-numbered PE whose failure is its
+    own (not [link down:]), or else of the lowest-numbered failed PE.
+    The same fault thus names the same PE on every run.  On every failure path the
     supervisor SIGKILLs and reaps all remaining children before
     raising — no orphans, ever (the fault-injection tests pin this
     down).

@@ -1073,6 +1073,261 @@ let test_runner_fixed_cells () =
         (Parser.parse fixed_cell_source))
     [ 2; 3 ]
 
+(* ---------------------------------------------------------------- *)
+(* The link: binary frame codec, allocation, spin budget, park        *)
+
+(* Floats that must survive the codec bit for bit: NaNs with payloads
+   and either sign, both zeros, infinities, subnormals. *)
+let awkward_floats =
+  [|
+    Int64.float_of_bits 0x7FF8_0000_0000_0001L;
+    Int64.float_of_bits 0xFFF4_0000_DEAD_BEEFL;
+    Int64.float_of_bits 0x7FF0_0000_0000_0001L;
+    -0.;
+    0.;
+    infinity;
+    neg_infinity;
+    Float.min_float /. 4.;
+    Float.max_float;
+  |]
+
+let gen_link_frame =
+  QCheck2.Gen.(
+    let tag_int = oneof [ oneofl [ min_int; max_int; 0; -1 ]; int ] in
+    let value =
+      oneof [ oneofa awkward_floats; map Int64.float_of_bits ui64; float ]
+    in
+    let tag = pair tag_int tag_int in
+    let payload =
+      oneof
+        [
+          map (fun v -> Value_run.Single v) value;
+          map
+            (fun entries -> Value_run.Pack (Array.of_list entries))
+            (list_size (int_range 0 64) (pair tag value));
+        ]
+    in
+    pair tag payload)
+
+let bits v = Int64.bits_of_float v
+
+let same_frame ((n, i), p) ((n', i'), p') =
+  n = n' && i = i'
+  &&
+  match (p, p') with
+  | Value_run.Single v, Value_run.Single v' -> bits v = bits v'
+  | Value_run.Pack a, Value_run.Pack a' ->
+    Array.length a = Array.length a'
+    && Array.for_all2 (fun ((n, i), v) ((n', i'), v') -> n = n' && i = i' && bits v = bits v') a a'
+  | _ -> false
+
+let encode_frame frame =
+  let tag, payload = frame in
+  let buf = Bytes.create (Wire.frame_size payload) in
+  ignore (Wire.encode buf ~tag payload : int);
+  buf
+
+(* Decode [len] bytes at [pos] frame by frame: the whole frames in
+   order and the error that ended it. *)
+let decode_all buf ~pos ~len =
+  let rec go pos len acc =
+    match Wire.decode buf ~pos ~len with
+    | Ok ((_, payload) as frame) ->
+      let size = Wire.frame_size payload in
+      go (pos + size) (len - size) (frame :: acc)
+    | Error e -> (List.rev acc, e)
+  in
+  go pos len []
+
+let test_link_codec_prop =
+  qtest "wire: link codec round-trips every prefix bit for bit"
+    QCheck2.Gen.(pair (int_range 0 7) (list_size (int_range 1 5) gen_link_frame))
+    (fun (skip, frames) -> Printf.sprintf "%d frame(s) after %d junk byte(s)" (List.length frames) skip)
+    (fun (skip, frames) ->
+      let encoded = List.map encode_frame frames in
+      let stream = Bytes.concat Bytes.empty (Bytes.make skip 'j' :: encoded) in
+      let ends =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (off, acc) b -> (off + Bytes.length b, (off + Bytes.length b) :: acc))
+                (0, []) encoded))
+      in
+      let total = Bytes.length stream - skip in
+      let ok = ref true in
+      for len = 0 to total do
+        let whole = List.length (List.filter (fun e -> e <= len) ends) in
+        let got, stop = decode_all stream ~pos:skip ~len in
+        let at_boundary = len = 0 || List.mem len ends in
+        ok :=
+          !ok
+          && List.length got = whole
+          && List.for_all2 same_frame got (List.filteri (fun i _ -> i < whole) frames)
+          && stop = if at_boundary then Wire.Closed else Wire.Truncated
+      done;
+      !ok)
+
+let test_link_codec_errors () =
+  let single = encode_frame ((3, 4), Value_run.Single 1.5) in
+  let pack = encode_frame ((3, 4), Value_run.Pack [| ((1, 2), 2.5); ((5, 6), 7.5) |]) in
+  let decode b = snd (decode_all b ~pos:0 ~len:(Bytes.length b)) in
+  let expect name want b =
+    let got = decode b in
+    if got <> want then
+      Alcotest.failf "%s: got %s, want %s" name (Wire.error_to_string got)
+        (Wire.error_to_string want)
+  in
+  let edit b f =
+    let b = Bytes.copy b in
+    f b;
+    b
+  in
+  expect "marshal magic" Wire.Bad_magic (edit single (fun b -> Bytes.blit_string Wire.magic 0 b 0 4));
+  expect "bad magic on a 2-byte prefix" Wire.Bad_magic (Bytes.of_string "MX");
+  expect "oversized length" (Wire.Oversized 0x7FFF_FFFF)
+    (edit single (fun b -> Bytes.set_int32_be b 4 0x7FFF_FFFFl));
+  expect "unknown kind" (Wire.Unknown_kind 7) (edit single (fun b -> Bytes.set_uint8 b 24 7));
+  expect "Single with a Pack's length" (Wire.Length_mismatch 30)
+    (edit (Bytes.extend single 0 5) (fun b -> Bytes.set_int32_be b 4 30l));
+  expect "Pack whose count disagrees with its length" (Wire.Length_mismatch (Bytes.length pack - 8))
+    (edit pack (fun b -> Bytes.set_int32_be b 25 3l));
+  expect "body shorter than a tag" (Wire.Length_mismatch 4)
+    (edit single (fun b -> Bytes.set_int32_be b 4 4l));
+  (* the same errors through a link: garbage on the stream is the
+     link's Bad_magic, an EOF inside a frame is Truncated *)
+  with_socketpair @@ fun a b ->
+  let link = Mesh_sock.Link.create b in
+  ignore (Unix.write a single 0 20);
+  Unix.close a;
+  check_bool "mid-frame EOF -> Truncated" true (Mesh_sock.Link.pull link = Error Wire.Truncated)
+
+let test_link_alloc_per_frame () =
+  (* An in-order Single frame, sent and pulled over a socketpair, must
+     cost a bounded handful of minor words: the sent tag, and the
+     pulled tag, payload, frame and result blocks (15-17 words).  The
+     marshalled frame this link replaced cost 54. *)
+  with_socketpair @@ fun a b ->
+  let tx = Mesh_sock.Link.create a and rx = Mesh_sock.Link.create b in
+  let payload = Value_run.Single 2.5 in
+  let round i =
+    Mesh_sock.Link.send tx ~tag:(1, i) payload;
+    match Mesh_sock.Link.pull rx with
+    | Ok ((1, j), Value_run.Single 2.5) when j = i -> ()
+    | _ -> Alcotest.fail "frame lost or reordered"
+  in
+  for i = 0 to 99 do
+    round i
+  done;
+  let frames = 2000 in
+  let before = Gc.minor_words () in
+  for i = 1 to frames do
+    round i
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int frames in
+  check_bool (Printf.sprintf "%.1f minor words per frame <= 20" words) true (words <= 20.0)
+
+let test_link_burst_and_big_frame () =
+  (* A burst of frames read in few reads, with a Pack several times
+     the reader's initial buffer in the middle: every frame comes out
+     whole, in order, bit for bit. *)
+  with_socketpair @@ fun a b ->
+  let tx = Mesh_sock.Link.create a and rx = Mesh_sock.Link.create b in
+  let frames =
+    List.init 40 (fun i -> ((0, i), Value_run.Single (float_of_int i)))
+    @ [ ((1, 0), Value_run.Pack (Array.init 300 (fun i -> ((i, -i), awkward_floats.(i mod 9))))) ]
+    @ List.init 40 (fun i -> ((2, i), Value_run.Single (-.float_of_int i)))
+  in
+  List.iter (fun (tag, payload) -> Mesh_sock.Link.send tx ~tag payload) frames;
+  List.iteri
+    (fun i want ->
+      match Mesh_sock.Link.pull rx with
+      | Ok got -> check_bool (Printf.sprintf "frame %d" i) true (same_frame want got)
+      | Error e -> Alcotest.failf "frame %d: %s" i (Wire.error_to_string e))
+    frames
+
+let test_spin_budget_rule () =
+  let cap = Mesh_sock.spin_cap_ns in
+  let b = Mesh_sock.Spin.create () in
+  let budget () = Mesh_sock.Spin.budget_ns b in
+  check_int "starts at the cap" cap (budget ());
+  Mesh_sock.Spin.arrived b;
+  check_int "capped" cap (budget ());
+  Mesh_sock.Spin.wasted b;
+  check_int "a wasted spin halves" (cap / 2) (budget ());
+  Mesh_sock.Spin.wasted b;
+  Mesh_sock.Spin.arrived b;
+  check_int "an arrival adds cap/8" ((cap / 4) + (cap / 8)) (budget ());
+  let rec drain n = if budget () > 0 then (Mesh_sock.Spin.wasted b; drain (n + 1)) else n in
+  check_int "18.75 us halves to 0 in five misses (under 1 us is 0)" 5 (drain 0);
+  Mesh_sock.Spin.wasted b;
+  check_int "0 stays 0" 0 (budget ());
+  for i = 1 to 15 do
+    Mesh_sock.Spin.parked_idle b;
+    check_int (Printf.sprintf "idle park %d keeps 0" i) 0 (budget ())
+  done;
+  Mesh_sock.Spin.parked_idle b;
+  check_int "the 16th idle park resets to cap/8" (cap / 8) (budget ());
+  Mesh_sock.Spin.wasted b;
+  Mesh_sock.Spin.wasted b;
+  Mesh_sock.Spin.wasted b;
+  check_int "cap/8 drains to 0 in three misses" 0 (budget ());
+  for _ = 1 to 15 do
+    Mesh_sock.Spin.parked_idle b
+  done;
+  check_int "15 more idle parks keep 0" 0 (budget ());
+  Mesh_sock.Spin.parked_idle b;
+  check_int "every 16th idle park resets" (cap / 8) (budget ())
+
+let test_runner_park_fallback () =
+  (* SIGSTOP PE 1 for 50 ms mid-run: PE 0's spins run dry, it parks
+     in select, and the run still completes bit-identically, over
+     socketpairs and over TCP.  The socket run is traced: some recv
+     must say it parked. *)
+  let iterations = 1000 in
+  let flat, program = compile ~iterations (Parser.parse Mimd_workloads.Fig7.source) in
+  let spec = Interp.instance_values flat ~iterations in
+  let pause pids =
+    (try Unix.kill pids.(1) Sys.sigstop with Unix.Unix_error _ -> ());
+    Unix.sleepf 0.05;
+    try Unix.kill pids.(1) Sys.sigcont with Unix.Unix_error _ -> ()
+  in
+  List.iter
+    (fun (name, transport) ->
+      let outcome, json =
+        with_tracing (fun () ->
+            let o = Runner.run ~sabotage:pause ~transport ~loop:flat ~program () in
+            (o, Trace.export ()))
+      in
+      (match Value_run.check_instances ~spec outcome.Value_run.instance_values with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: paused run vs interp: %s" name e);
+      (match Value_run.check_against_sequential ~loop:flat ~iterations outcome with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: paused run final memory: %s" name e);
+      check_bool (name ^ ": a recv parked") true (contains json "\"parked\":\"true\""))
+    [ ("sockets", Runner.Unix_sockets); ("tcp", tcp) ];
+  check_bool "no orphan processes" true (no_children_left ())
+
+let test_runner_failure_names_same_pe () =
+  (* The corrupted PE 0 fails its handshake and so does its peer; the
+     report must name PE 0 every time, not whichever came first. *)
+  let flat, program = compile ~iterations:8 (Parser.parse Mimd_workloads.Fig7.source) in
+  let once () =
+    match
+      Runner.run
+        ~transport:(Runner.Tcp { roster = None; handshake_fault = Some 0 })
+        ~loop:flat ~program ()
+    with
+    | _ -> Alcotest.fail "corrupted fingerprint but the run reported success"
+    | exception Runner.Dist_error f -> Runner.describe f
+  in
+  let first = once () in
+  check_bool ("names PE 0: " ^ first) true (contains first "child for PE 0 failed");
+  for i = 2 to 12 do
+    check_string (Printf.sprintf "run %d reports the same failure" i) first (once ())
+  done;
+  check_bool "no orphan processes" true (no_children_left ())
+
 let suite =
   [
     Alcotest.test_case "wire: round-trip + clean close" `Quick test_wire_roundtrip;
@@ -1135,4 +1390,15 @@ let suite =
       test_tcp_unbindable_roster_address;
     Alcotest.test_case "runner: fixed cells match interp (p=2,3)" `Quick
       test_runner_fixed_cells;
+      Alcotest.test_case "wire: link frame errors are named" `Quick test_link_codec_errors;
+    test_link_codec_prop;
+    Alcotest.test_case "link: bounded allocation per Single frame" `Quick
+      test_link_alloc_per_frame;
+    Alcotest.test_case "link: spin budget rule" `Quick test_spin_budget_rule;
+    Alcotest.test_case "link: a burst around a frame bigger than the buffer" `Quick
+      test_link_burst_and_big_frame;
+    Alcotest.test_case "runner: a paused PE parks its peer (sockets, TCP)" `Quick
+      test_runner_park_fallback;
+    Alcotest.test_case "runner: a failure names the same PE every run" `Quick
+      test_runner_failure_names_same_pe;
   ]
