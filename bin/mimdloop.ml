@@ -256,17 +256,6 @@ let comm_opt_t =
   in
   Term.(const (fun on window -> if on then Some window else None) $ on $ window)
 
-(* Every comm-opt run goes through here: optimize a generated program
-   and have the independent protocol check accept the result. *)
-let optimize_program ~window program =
-  match Comm_opt.run ~window program with
-  | exception Failure m -> Error ("comm-opt: " ^ m)
-  | exception Invalid_argument m -> Error ("comm-opt: " ^ m)
-  | opt, stats -> (
-    match Mimd_check.Validate.program_validator opt with
-    | Error m -> Error ("optimized program rejected by the independent validator: " ^ m)
-    | Ok () -> Ok (opt, stats))
-
 let print_comm_stats (stats : Comm_opt.stats) =
   Format.printf
     "comm-opt: messages %d -> %d (elided %d, coalesced %d, %d forwarded value(s))@."
@@ -314,10 +303,16 @@ let schedule_cmd =
         (* This command spawns no domain, so the probe's fork is safe
            anywhere; it runs first regardless. *)
         let machine = if auto_k then auto_k_machine machine else machine in
-        match Full_sched.run ~validate ~graph:g ~machine ~iterations () with
-        | exception Full_sched.Invalid_schedule m ->
-          fail ("schedule rejected by the independent validator: " ^ m)
-        | full -> (
+        let compiled =
+          if validate || Option.is_some comm_opt then
+            Mimd_check.Fuzz.compile ?window:comm_opt ~graph:g ~machine ~iterations ()
+            |> Result.map (fun (c : Mimd_check.Fuzz.compiled) ->
+                   (c.full, Option.map (fun opt -> (c.program, opt)) c.optimized))
+          else Ok (Full_sched.run ~graph:g ~machine ~iterations (), None)
+        in
+        match compiled with
+        | Error e -> fail e
+        | Ok (full, comm) -> (
         print_string (Full_sched.report full);
         Option.iter (Format.printf "%a@." Pattern.pp) full.Full_sched.pattern;
         print_string (Schedule.render_grid ~max_cycles:60 full.Full_sched.schedule);
@@ -325,30 +320,27 @@ let schedule_cmd =
         let par = Full_sched.parallel_time full in
         Format.printf "sequential %d, parallel %d -> percentage parallelism %.1f@." seq par
           (Mimd_core.Metrics.percentage_parallelism ~sequential:seq ~parallel:par);
-        match comm_opt with
+        match comm with
         | None -> 0
-        | Some window -> (
+        | Some (program, (opt, stats)) ->
           (* Re-price the schedule's communication term: same programs,
              fewer frames, simulated at the same per-message cost k. *)
-          let program = Mimd_codegen.From_schedule.run full.Full_sched.schedule in
-          match optimize_program ~window program with
-          | Error e -> fail e
-          | Ok (opt, stats) ->
-            print_comm_stats stats;
-            let k = machine.Config.comm_estimate in
-            let links = Mimd_sim.Links.fixed k in
-            let before = Mimd_sim.Exec.run ~program ~links () in
-            let after = Mimd_sim.Exec.run ~program:opt ~links () in
-            Format.printf
-              "comm-opt: simulated makespan %d -> %d at k=%d (comm cycles %d -> %d)@."
-              before.Mimd_sim.Exec.makespan after.Mimd_sim.Exec.makespan k
-              before.Mimd_sim.Exec.comm_cycles after.Mimd_sim.Exec.comm_cycles;
-            0)))
+          print_comm_stats stats;
+          let k = machine.Config.comm_estimate in
+          let links = Mimd_sim.Links.fixed k in
+          let before = Mimd_sim.Exec.run ~program ~links () in
+          let after = Mimd_sim.Exec.run ~program:opt ~links () in
+          Format.printf
+            "comm-opt: simulated makespan %d -> %d at k=%d (comm cycles %d -> %d)@."
+            before.Mimd_sim.Exec.makespan after.Mimd_sim.Exec.makespan k
+            before.Mimd_sim.Exec.comm_cycles after.Mimd_sim.Exec.comm_cycles;
+          0))
   in
   let validate_t =
     Arg.(value & flag & info [ "validate" ]
-           ~doc:"Audit the finished schedule with the independent checker (mimd_check) \
-                 before reporting; exit non-zero if it is rejected.")
+           ~doc:"Audit the schedule, its pattern and the generated programs with the \
+                 independent checker (mimd_check) before reporting; exit non-zero if any \
+                 is rejected.  $(b,--comm-opt) implies the same audit.")
   in
   Cmd.v
     (Cmd.info "schedule" ~doc:"Run the full pattern-based scheduling pipeline (paper Fig. 6)")
@@ -579,23 +571,17 @@ let loop_t =
   in
   Term.(const (fun src file seed -> load_loop ~src ~file ~seed) $ src_t $ file_t $ seed_t)
 
-(* Compile an analysed loop down to the per-processor message-passing
-   program that run-parallel and run-dist execute.  Codegen runs with
-   validate:true, so the independent protocol check audits the message
-   protocol over whichever backend runs it next. *)
-let compile_for_run ?comm_opt ~(analysis : Depend.t) ~machine ~iterations () =
+(* What run-parallel and run-dist execute: the audited compile's
+   program, or its comm-opt rewrite under --comm-opt.  Real execution
+   runs dependence distances 0 and 1 only, so a loop that needs
+   unwinding stops before it is compiled. *)
+let executable_program ?comm_opt ~(analysis : Depend.t) ~machine ~iterations () =
   Result.bind (Mimd_runtime.Lower.check_distances analysis.graph) @@ fun () ->
-  let full = Full_sched.run ~graph:analysis.graph ~machine ~iterations () in
-  match Mimd_codegen.From_schedule.run ~validate:true full.Full_sched.schedule with
-  | exception Mimd_codegen.From_schedule.Invalid_program m ->
-    Error ("generated program rejected by the validator: " ^ m)
-  | program -> (
-    match comm_opt with
-    | None -> Ok (full, program, None)
-    | Some window ->
-      Result.map
-        (fun (opt, stats) -> (full, opt, Some stats))
-        (optimize_program ~window program))
+  Mimd_check.Fuzz.compile ?window:comm_opt ~graph:analysis.graph ~machine ~iterations ()
+  |> Result.map (fun (c : Mimd_check.Fuzz.compiled) ->
+         match c.optimized with
+         | None -> (c.full, c.program, None)
+         | Some (opt, stats) -> (c.full, opt, Some stats))
 
 (* The fuzz oracle on one loop file, without the forked legs; the
    summary line times the base program it checked on the simulator
@@ -637,7 +623,7 @@ let run_parallel_cmd =
     | Ok analysis ->
       guard_broken_pipe @@ fun () ->
       with_trace trace @@ fun () ->
-      match compile_for_run ?comm_opt ~analysis ~machine ~iterations () with
+      match executable_program ?comm_opt ~analysis ~machine ~iterations () with
       | Error e -> fail e
       | Ok (full, program, comm_stats) ->
         Option.iter print_comm_stats comm_stats;
@@ -1036,7 +1022,7 @@ let run_dist_cmd =
          before any fork. *)
       let loop = analysis.Depend.loop in
       match
-        Result.bind (compile_for_run ?comm_opt ~analysis ~machine ~iterations ())
+        Result.bind (executable_program ?comm_opt ~analysis ~machine ~iterations ())
           (fun (_full, program, stats) ->
             match Runner.run ?sabotage ?transport ~respawn ~timeout ~loop ~program () with
             | exception Runner.Dist_error f -> Error ("dist failure: " ^ Runner.describe f)
@@ -1249,18 +1235,13 @@ let fingerprint_cmd =
        line carries the message-count delta the rewrite bought, so the
        golden corpus doubles as a reduction table. *)
     let fp g =
-      match Full_sched.run ~graph:g ~machine ~iterations () with
-      | exception Cyclic_sched.No_pattern m -> Error m
-      | full -> (
-        match comm_opt with
-        | None -> Ok (Full_sched.output_fingerprint full)
-        | Some window ->
-          Result.map
-            (fun (opt, (stats : Comm_opt.stats)) ->
-              Printf.sprintf "%s  %d->%d" (Comm_opt.fingerprint opt) stats.messages_before
-                stats.messages_after)
-            (optimize_program ~window
-               (Mimd_codegen.From_schedule.run full.Full_sched.schedule)))
+      Mimd_check.Fuzz.compile ?window:comm_opt ~graph:g ~machine ~iterations ()
+      |> Result.map (fun (c : Mimd_check.Fuzz.compiled) ->
+             match c.optimized with
+             | None -> Full_sched.output_fingerprint c.full
+             | Some (opt, (stats : Comm_opt.stats)) ->
+               Printf.sprintf "%s  %d->%d" (Comm_opt.fingerprint opt) stats.messages_before
+                 stats.messages_after)
     in
     if files <> [] then begin
       let one path =
@@ -1305,15 +1286,11 @@ let trace_cmd =
     let file = match (pos_file, file) with Some p, None -> Some p | _, f -> f in
     with_graph (load_graph ~workload ~file ~seed) (fun g ->
         with_trace (Some output) @@ fun () ->
-        match Full_sched.run ~validate:true ~graph:g ~machine ~iterations () with
-        | exception Full_sched.Invalid_schedule m ->
-          fail ("schedule rejected by the independent validator: " ^ m)
-        | exception Cyclic_sched.No_pattern m -> fail m
-        | full ->
+        match Mimd_check.Fuzz.compile ~graph:g ~machine ~iterations () with
+        | Error e -> fail e
+        | Ok { full; program; _ } ->
           let links = links_of ~k:machine.Config.comm_estimate ~mm in
-          let out =
-            Mimd_sim.Exec.simulate_schedule ~schedule:full.Full_sched.schedule ~links ()
-          in
+          let out = Mimd_sim.Exec.run ~program ~links () in
           Format.printf "compiled: makespan %d on %d processor(s); simulated %d@."
             (Full_sched.parallel_time full)
             (Full_sched.total_processors full)
@@ -1381,10 +1358,6 @@ let main_cmd =
       batch_cmd;
       report_cmd;
     ]
-
-(* Every ~validate:true pipeline run — here and in the tests — is
-   audited by the independent checker, not by the layers' own checks. *)
-let () = Mimd_check.Validate.install_hooks ()
 
 (* The fuzz oracle's socket leg: mimd_check sits below mimd_dist
    in the dependency graph, so the forked-process executor is injected

@@ -50,11 +50,11 @@ let ( let* ) = Result.bind
 
 let labelled label r = Result.map_error (( ^ ) label) r
 
-(* The socket backend lives above this library in the dependency graph
-   (mimd_dist -> mimd_server -> mimd_check), so the oracle reaches it
-   through an injected hook; [mimdloop] installs it at startup, the
-   same pattern as {!Validate.install_hooks}.  The hook runs the
-   program on forked processes and returns its instance values. *)
+(* The one injected hook: the socket backend lives above this library
+   in the dependency graph (mimd_dist -> mimd_server -> mimd_check),
+   so the oracle cannot call it; [mimdloop], which links both,
+   installs it at startup.  The hook runs the program on forked
+   processes and returns its instance values. *)
 let socket_backend = ref None
 
 (* Run [f] in a forked child that marshals its result back over a pipe
@@ -87,12 +87,20 @@ let in_child (f : unit -> 'a) : ('a, string) result =
     ignore (Unix.waitpid [] pid);
     result
 
-let check_case ?(fault = No_fault) ?(runtime = true) case =
-  try
-    let { Depend.loop; graph; _ } = Depend.analyze case.loop in
-    let* () = Mimd_runtime.Lower.check_distances graph in
-    let machine = Config.make ~processors:case.processors ~comm_estimate:case.comm in
-    let full = Full_sched.run ~graph ~machine ~iterations:case.iterations () in
+type compiled = {
+  full : Full_sched.t;
+  program : Mimd_codegen.Program.t;
+  optimized : (Mimd_codegen.Program.t * Mimd_codegen.Comm_opt.stats) option;
+}
+
+let compile ?(fault = No_fault) ?window ~graph ~machine ~iterations () =
+  let audit f = Mimd_obs.Trace.span ~cat:"compile" "compile.validate" f in
+  let program_ok (p : Mimd_codegen.Program.t) =
+    audit (fun () -> Validate.error_of ~names:(Graph.name p.graph) (Validate.program p))
+  in
+  match Full_sched.run ~graph ~machine ~iterations () with
+  | exception Mimd_core.Cyclic_sched.No_pattern m -> Error m
+  | full -> (
     let sched =
       match fault with
       | No_fault | Keep_extra_send -> full.Full_sched.schedule
@@ -101,77 +109,89 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
         | Some broken -> broken
         | None -> full.Full_sched.schedule (* nothing to break: vacuous case *))
     in
-    let names = Graph.name graph in
-    (* Validation first: an injected (or real) schedule bug must be
-       reported without ever executing the broken programs. *)
-    let* () = Validate.error_of ~names (Validate.schedule sched) in
+    (* Each stage is audited before the next one consumes it, so an
+       injected (or real) schedule bug is reported without generating,
+       let alone executing, programs from it. *)
     let* () =
-      match full.Full_sched.pattern with
-      | None -> Ok ()
-      | Some p -> Validate.error_of ~names:(Graph.name p.Pattern.graph) (Validate.pattern p)
+      audit (fun () ->
+          let names = Graph.name (Mimd_core.Schedule.graph sched) in
+          let* () = Validate.error_of ~names (Validate.schedule sched) in
+          match full.Full_sched.pattern with
+          | None -> Ok ()
+          | Some p -> Validate.error_of ~names:(Graph.name p.Pattern.graph) (Validate.pattern p))
     in
     let program = Mimd_codegen.From_schedule.run sched in
-    let* () = Validate.error_of ~names (Validate.program program) in
-    let comm_fault =
-      match fault with
-      | Keep_extra_send -> Some Mimd_codegen.Comm_opt.Keep_extra_send
-      | No_fault | Hasten_dependent -> None
+    let* () = program_ok program in
+    match window with
+    | None -> Ok { full; program; optimized = None }
+    | Some window -> (
+      let fault =
+        match fault with
+        | Keep_extra_send -> Some Mimd_codegen.Comm_opt.Keep_extra_send
+        | No_fault | Hasten_dependent -> None
+      in
+      match Mimd_codegen.Comm_opt.run ~window ?fault program with
+      | exception Failure m -> Error ("comm-opt self-check: " ^ m)
+      | opt, stats ->
+        (* The independent protocol check must accept every optimized
+           program; under [Keep_extra_send] it must reject it. *)
+        let* () = labelled "optimized program rejected: " (program_ok opt) in
+        Ok { full; program; optimized = Some (opt, stats) }))
+
+let check_case ?(fault = No_fault) ?(runtime = true) case =
+  try
+    let { Depend.loop; graph; _ } = Depend.analyze case.loop in
+    let* () = Mimd_runtime.Lower.check_distances graph in
+    let machine = Config.make ~processors:case.processors ~comm_estimate:case.comm in
+    let* { program; optimized; _ } =
+      compile ~fault ~window:case.window ~graph ~machine ~iterations:case.iterations ()
     in
-    match Mimd_codegen.Comm_opt.run ~window:case.window ?fault:comm_fault program with
-    | exception Failure m -> Error ("comm-opt self-check: " ^ m)
-    | opt, _stats ->
-      (* The independent protocol check must accept every optimized
-         program — with an injected fault it must reject it instead,
-         which surfaces here as the case failing. *)
+    let opt = Option.fold ~none:program ~some:fst optimized in
+    (* Value differential: every leg's instance list against the
+       spec, bit for bit.  The inline legs run the lowered evaluator
+       on this thread (no domain, so the harness stays fork-safe);
+       the base one also checks the last-writer fold against the
+       interpreter's final memory. *)
+    let spec = Interp.instance_values loop ~iterations:case.iterations in
+    let against_spec label instances =
+      labelled (label ^ " vs interpreter: ") (Value_run.check_instances ~spec instances)
+    in
+    let inline_base = Exec_compiled.run_inline ~loop ~program () in
+    let* () = against_spec "inline base" inline_base.Value_run.instance_values in
+    let* () =
+      labelled "inline base final memory vs interpreter: "
+        (Value_run.check_against_sequential ~loop ~iterations:case.iterations inline_base)
+    in
+    let* () =
+      against_spec "inline comm-opted"
+        (Exec_compiled.run_inline ~loop ~program:opt ()).Value_run.instance_values
+    in
+    if not runtime then Ok program
+    else begin
+      (* ... then on the socket backend (it forks, so it goes first)
+         and on real domains, base and optimized alike, so widened
+         (fan-out) programs get compiled coverage with and without
+         packed frames. *)
       let* () =
-        labelled "optimized program rejected: "
-          (Validate.error_of ~names (Validate.program opt))
+        match !socket_backend with
+        | None -> Ok ()
+        | Some run_sockets ->
+          let* sock = run_sockets ~transport:case.transport ~loop ~program:opt in
+          against_spec "sockets" sock
       in
-      (* Value differential: every leg's instance list against the
-         spec, bit for bit.  The inline legs run the lowered evaluator
-         on this thread (no domain, so the harness stays fork-safe);
-         the base one also checks the last-writer fold against the
-         interpreter's final memory. *)
-      let spec = Interp.instance_values loop ~iterations:case.iterations in
-      let against_spec label instances =
-        labelled (label ^ " vs interpreter: ") (Value_run.check_instances ~spec instances)
+      let domains () =
+        let watchdog = Watchdog.config ~timeout:30.0 () in
+        let run program = Exec_compiled.run ~watchdog ~loop ~program () in
+        let base = run program in
+        (base.Value_run.instance_values, (run opt).Value_run.instance_values)
       in
-      let inline_base = Exec_compiled.run_inline ~loop ~program () in
-      let* () = against_spec "inline base" inline_base.Value_run.instance_values in
-      let* () =
-        labelled "inline base final memory vs interpreter: "
-          (Value_run.check_against_sequential ~loop ~iterations:case.iterations inline_base)
+      let* dom_base, dom_opt =
+        if Option.is_some !socket_backend then in_child domains else Ok (domains ())
       in
-      let* () =
-        against_spec "inline comm-opted"
-          (Exec_compiled.run_inline ~loop ~program:opt ()).Value_run.instance_values
-      in
-      if not runtime then Ok program
-      else begin
-        (* ... then on the socket backend (it forks, so it goes first)
-           and on real domains, base and optimized alike, so widened
-           (fan-out) programs get compiled coverage with and without
-           packed frames. *)
-        let* () =
-          match !socket_backend with
-          | None -> Ok ()
-          | Some run_sockets ->
-            let* sock = run_sockets ~transport:case.transport ~loop ~program:opt in
-            against_spec "sockets" sock
-        in
-        let domains () =
-          let watchdog = Watchdog.config ~timeout:30.0 () in
-          let run program = Exec_compiled.run ~watchdog ~loop ~program () in
-          let base = run program in
-          (base.Value_run.instance_values, (run opt).Value_run.instance_values)
-        in
-        let* dom_base, dom_opt =
-          if Option.is_some !socket_backend then in_child domains else Ok (domains ())
-        in
-        let* () = against_spec "domains base" dom_base in
-        let* () = against_spec "domains opt" dom_opt in
-        Ok program
-      end
+      let* () = against_spec "domains base" dom_base in
+      let* () = against_spec "domains opt" dom_opt in
+      Ok program
+    end
   with e -> Error ("exception: " ^ Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)

@@ -20,6 +20,9 @@
       ({!Mimd_loop_ir.Interp.instance_values}) instance by instance,
       bit for bit.
 
+    The first three audits are {!compile}, the one audited compile
+    every CLI command that runs or rewrites a compiled loop shares.
+
     Each case draws its own fan-out (diamond-shaped dependences, or a
     pure statement chain), machine shape ([p], [k]), trip count (one
     case in five runs 100 to 120 iterations), coalescing window and
@@ -83,16 +86,47 @@ type outcome =
       file : string option;  (** dumped counterexample, if requested *)
     }
 
+type compiled = {
+  full : Mimd_core.Full_sched.t;
+  program : Mimd_codegen.Program.t;  (** generated from the audited schedule *)
+  optimized : (Mimd_codegen.Program.t * Mimd_codegen.Comm_opt.stats) option;
+      (** the comm-opt rewrite of [program] and what it bought, when a
+          [window] was given *)
+}
+
+val compile :
+  ?fault:fault ->
+  ?window:int ->
+  graph:Mimd_ddg.Graph.t ->
+  machine:Mimd_machine.Config.t ->
+  iterations:int ->
+  unit ->
+  (compiled, string) result
+(** The one audited compile behind {!check_case} and every [mimdloop]
+    command that runs, validates or comm-opts a loop:
+    {!Mimd_core.Full_sched.run} (then {!Validate.break_dependence}
+    under [Hasten_dependent]); {!Validate.schedule} and
+    {!Validate.pattern}; {!Mimd_codegen.From_schedule.run} and
+    {!Validate.program}; with a [window], {!Mimd_codegen.Comm_opt.run}
+    (with [Keep_extra_send]'s fault) and {!Validate.program} again.
+    Each stage is audited, in a [compile.validate] trace span, before
+    the next consumes it.  The first rejection is the [Error]: an issue
+    as {!Validate.error_of} renders it, a
+    {!Mimd_core.Cyclic_sched.No_pattern} message, or a cause after
+    ["comm-opt self-check: "] or ["optimized program rejected: "].
+    Distances are not checked: an unwound loop compiles, and the
+    executors call {!Mimd_runtime.Lower.check_distances} first.
+    @raise Invalid_argument on non-positive [iterations] or a negative
+    [window]. *)
+
 val check_case :
   ?fault:fault -> ?runtime:bool -> case -> (Mimd_codegen.Program.t, string) result
 (** The oracle for one case; returns the base program it checked.
-    Checks in this order: the dependence distances
-    ({!Mimd_runtime.Lower.check_distances}), the schedule (under
-    [Hasten_dependent], the broken one), the pattern, the base
-    program; {!Mimd_codegen.Comm_opt.run} with the case's [window] and
-    the optimized program; then the value legs, each compared instance
-    by instance against {!Mimd_loop_ir.Interp.instance_values}: base
-    and optimized inline (the base run also vs the interpreter's final
+    Checks the dependence distances
+    ({!Mimd_runtime.Lower.check_distances}), runs {!compile} with the
+    case's [window], then the value legs, each compared instance by
+    instance against {!Mimd_loop_ir.Interp.instance_values}: base and
+    optimized inline (the base run also vs the interpreter's final
     memory); with [runtime] (default true) the optimized program on
     the socket backend over the case's [transport], then base and
     optimized on real domains.  The domain legs run in a forked child
@@ -108,10 +142,10 @@ val socket_backend :
   (((int * int) * float) list, string) result)
   option
   ref
-(** The forked-process executor, injected from above this library in
-    the dependency graph (mimd_dist depends on mimd_check through
-    mimd_server).  [mimdloop] installs it at startup; [None] skips the
-    socket leg and runs the domain leg in-process. *)
+(** The forked-process executor, the library's one injected hook:
+    mimd_dist depends on mimd_check (through mimd_server), so this
+    library cannot call it.  [mimdloop] installs it at startup; [None]
+    skips the socket leg and runs the domain leg in-process. *)
 
 val gen_case : case QCheck2.Gen.t
 (** The generator {!run} draws its cases from. *)

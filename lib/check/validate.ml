@@ -291,16 +291,3 @@ let break_dependence sched =
         entries
     in
     Some (Schedule.make ~graph:g ~machine:m entries')
-
-(* ------------------------------------------------------------------ *)
-(* Hook wiring                                                         *)
-
-let schedule_validator sched =
-  error_of ~names:(Graph.name (Schedule.graph sched)) (schedule sched)
-
-let program_validator (p : Program.t) =
-  error_of ~names:(Graph.name p.graph) (program p)
-
-let install_hooks () =
-  Full_sched.validator := schedule_validator;
-  Mimd_codegen.From_schedule.validator := program_validator

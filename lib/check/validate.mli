@@ -118,15 +118,3 @@ val break_dependence : Mimd_core.Schedule.t -> Mimd_core.Schedule.t option
     cycle before the earliest legal start).  [None] when no scheduled
     instance has an in-window predecessor constraint to violate.  Used
     by the negative tests and [mimdloop check --broken]. *)
-
-val schedule_validator : Mimd_core.Schedule.t -> (unit, string) result
-(** {!schedule} with [complete = true], as a hook-shaped function. *)
-
-val program_validator : Mimd_codegen.Program.t -> (unit, string) result
-(** {!program} with the default capacity, as a hook-shaped function. *)
-
-val install_hooks : unit -> unit
-(** Replace {!Mimd_core.Full_sched.validator} and
-    {!Mimd_codegen.From_schedule.validator} with the independent
-    checkers above, so every [~validate:true] pipeline run is audited
-    by this module instead of by the layers' own checks.  Idempotent. *)

@@ -3,16 +3,6 @@ module Schedule = Mimd_core.Schedule
 
 exception Invalid_program of string
 
-let validator : (Program.t -> (unit, string) result) ref =
-  ref (fun p ->
-      match Program.check p with
-      | [] -> Ok ()
-      | d :: rest ->
-        Error
-          (Format.asprintf "%a%s" Program.pp_defect d
-             (if rest = [] then ""
-              else Printf.sprintf " (+%d more defect(s))" (List.length rest))))
-
 (* Insertion sort of [a.(0 .. len-1)]: the prefixes are a node's
    degree long, a handful of ints. *)
 let sort_prefix a len =
@@ -104,9 +94,13 @@ let run ?(validate = false) sched =
       done)
     entries;
   let p = { Program.graph; processors; programs = Array.map List.rev programs } in
-  if validate then begin
-    match !validator p with
-    | Ok () -> ()
-    | Error msg -> raise (Invalid_program msg)
-  end;
+  (if validate then
+     match Program.check p with
+     | [] -> ()
+     | d :: rest ->
+       raise
+         (Invalid_program
+            (Format.asprintf "%a%s" Program.pp_defect d
+               (if rest = [] then ""
+                else Printf.sprintf " (+%d more defect(s))" (List.length rest)))));
   p

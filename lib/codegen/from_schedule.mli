@@ -12,20 +12,16 @@
     simulated makespan can only be smaller. *)
 
 exception Invalid_program of string
-(** Raised by {!run} with [~validate:true] when the installed
-    {!validator} rejects the emitted programs. *)
-
-val validator : (Program.t -> (unit, string) result) ref
-(** The check applied by [~validate:true].  Defaults to the in-layer
-    {!Program.check}; the independent checker ([Mimd_check], which this
-    library cannot depend on) replaces it at start-up with its
-    protocol check ({!Program.simulate} at the runtime's channel
-    capacity) via
-    [Mimd_check.Validate.install_hooks]. *)
+(** Raised by {!run} with [~validate:true] when {!Program.check} finds a
+    send/recv pairing defect; the message names the first defect and
+    counts the rest. *)
 
 val run : ?validate:bool -> Mimd_core.Schedule.t -> Program.t
 (** Dependences whose producer instance lies outside the schedule
     (negative iteration) need no message.  Entries must form a closed
-    schedule — see {!Mimd_core.Schedule.validate}.  With
-    [~validate:true] the emitted programs are passed to the installed
-    {!validator}; @raise Invalid_program if it reports a defect. *)
+    schedule — see {!Mimd_core.Schedule.validate}.  [~validate:true]
+    (default false) runs the in-layer {!Program.check} on the emitted
+    programs; the independent protocol audit ([Mimd_check.Validate.program],
+    which simulates the programs) is a separate call, made by
+    [Mimd_check.Fuzz.compile].
+    @raise Invalid_program on a pairing defect under [~validate:true]. *)

@@ -9,11 +9,6 @@ let default_strategy = Auto
 let default_fold_tolerance = 0.05
 let default_max_iterations = 1024
 
-exception Invalid_schedule of string
-
-let validator : (Schedule.t -> (unit, string) result) ref =
-  ref (fun sched -> Schedule.validate sched)
-
 type t = {
   schedule : Schedule.t;
   classification : Classify.t;
@@ -225,38 +220,29 @@ let prepare ~graph () =
   { unwound = g; copies = mapping.Unwind.copies; cls }
 
 let finish ?(strategy = default_strategy) ?(fold_tolerance = default_fold_tolerance)
-    ?(max_iterations = default_max_iterations) ?(validate = false) ~prepared ~machine
-    ~iterations () =
+    ?(max_iterations = default_max_iterations) ~prepared ~machine ~iterations () =
   if iterations <= 0 then invalid_arg "Full_sched.run: iterations <= 0";
   if fold_tolerance < 0.0 then invalid_arg "Full_sched.run: negative fold_tolerance";
   let g = prepared.unwound in
   let copies = prepared.copies in
   let iterations = (iterations + copies - 1) / copies in
   let cls = prepared.cls in
-  let t =
-    if Classify.is_doall cls then run_doall ~graph:g ~machine ~iterations cls
-    else begin
-      match strategy with
-      | Separate ->
-        let pattern, old_of_new = solve_core ~max_iterations ~graph:g ~machine cls in
-        let pattern = match pattern with Ok p -> p | Error e -> raise e in
-        freeze ~graph:g (separate_draft ~graph:g ~machine ~iterations cls ~pattern ~old_of_new)
-      | Folded ->
-        let pattern, old_of_new = solve_core ~max_iterations ~graph:g ~machine cls in
-        let pattern = Result.to_option pattern in
-        freeze ~graph:g (folded_draft ~graph:g ~machine ~iterations cls ~pattern ~old_of_new)
-      | Auto -> run_auto ~fold_tolerance ~max_iterations ~graph:g ~machine ~iterations cls
-    end
-  in
-  if validate then begin
-    match Trace.span ~cat:"compile" "compile.validate" (fun () -> !validator t.schedule) with
-    | Ok () -> ()
-    | Error msg -> raise (Invalid_schedule msg)
-  end;
-  t
+  if Classify.is_doall cls then run_doall ~graph:g ~machine ~iterations cls
+  else begin
+    match strategy with
+    | Separate ->
+      let pattern, old_of_new = solve_core ~max_iterations ~graph:g ~machine cls in
+      let pattern = match pattern with Ok p -> p | Error e -> raise e in
+      freeze ~graph:g (separate_draft ~graph:g ~machine ~iterations cls ~pattern ~old_of_new)
+    | Folded ->
+      let pattern, old_of_new = solve_core ~max_iterations ~graph:g ~machine cls in
+      let pattern = Result.to_option pattern in
+      freeze ~graph:g (folded_draft ~graph:g ~machine ~iterations cls ~pattern ~old_of_new)
+    | Auto -> run_auto ~fold_tolerance ~max_iterations ~graph:g ~machine ~iterations cls
+  end
 
-let run ?strategy ?fold_tolerance ?max_iterations ?validate ~graph ~machine ~iterations () =
-  finish ?strategy ?fold_tolerance ?max_iterations ?validate ~prepared:(prepare ~graph ())
+let run ?strategy ?fold_tolerance ?max_iterations ~graph ~machine ~iterations () =
+  finish ?strategy ?fold_tolerance ?max_iterations ~prepared:(prepare ~graph ())
     ~machine ~iterations ()
 
 let parallel_time t = Schedule.makespan t.schedule

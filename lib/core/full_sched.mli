@@ -36,17 +36,6 @@ val default_max_iterations : int
     the whole strategy part of the compile service's cache key
     ({!Mimd_runtime.Schedule_cache.fingerprint}). *)
 
-exception Invalid_schedule of string
-(** Raised by {!run} with [~validate:true] when the installed
-    {!validator} rejects the complete schedule. *)
-
-val validator : (Schedule.t -> (unit, string) result) ref
-(** The check applied by [~validate:true].  Defaults to the in-layer
-    {!Schedule.validate}; the independent checker ([Mimd_check], which
-    this library cannot depend on) replaces it at start-up via
-    [Mimd_check.Validate.install_hooks], so validated pipelines are
-    cross-checked by code that shares nothing with the scheduler. *)
-
 type t = {
   schedule : Schedule.t;
       (** complete schedule of the whole graph over all processors
@@ -86,21 +75,19 @@ val finish :
   ?strategy:strategy ->
   ?fold_tolerance:float ->
   ?max_iterations:int ->
-  ?validate:bool ->
   prepared:prepared ->
   machine:Mimd_machine.Config.t ->
   iterations:int ->
   unit ->
   t
 (** The rest of the pipeline: Cyclic-sched, Flow-in/Flow-out, fold
-    decision, optional validation.  [run] is literally
+    decision.  [run] is literally
     [finish ~prepared:(prepare ~graph ())]. *)
 
 val run :
   ?strategy:strategy ->
   ?fold_tolerance:float ->
   ?max_iterations:int ->
-  ?validate:bool ->
   graph:Mimd_ddg.Graph.t ->
   machine:Mimd_machine.Config.t ->
   iterations:int ->
@@ -113,10 +100,9 @@ val run :
     case the returned structures talk about the {e unwound} loop, whose
     iteration counts are scaled accordingly (and an extra partial
     unwound iteration may be scheduled to cover the requested trip
-    count).
-    With [~validate:true] the finished schedule is passed to the
-    installed {!validator} and {!Invalid_schedule} is raised if it
-    reports a violation.
+    count).  The result is not validated here: the independent audit
+    is a separate call ([Mimd_check.Fuzz.compile], or
+    {!Schedule.validate} for the in-layer check).
     @raise Invalid_argument on non-positive [iterations].
     @raise Cyclic_sched.No_pattern when the pattern search exceeds
     [max_iterations]. *)

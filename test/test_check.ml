@@ -53,6 +53,21 @@ let test_counters_show_work () =
   check_bool "constraints counted" true (counter "dependence constraints" > 0);
   check_bool "messages counted" true (counter "messages delivered" > 0)
 
+(* Minor-heap words of one [V.full] on ewf as the exec benchmark
+   compiles it (p=2 k=2 n=1000, 17000 instances): 1150649 (67.7 per
+   instance) when the bound was set, 10% below it.  Allocation is
+   deterministic, so this holds on any host. *)
+let test_validate_minor_words () =
+  let flat = Mimd_loop_ir.Parser.parse W.Elliptic.source in
+  let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
+  let full = Full_sched.run ~graph ~machine:(machine ()) ~iterations:1000 () in
+  let w0 = Gc.minor_words () in
+  let report = V.full full in
+  let words = Gc.minor_words () -. w0 in
+  check_bool "ewf clean" true (V.ok report);
+  if words > 1_265_714.0 then
+    Alcotest.failf "Validate.full: %.0f minor words on ewf n=1000 (bound 1265714)" words
+
 let test_counters_pinned () =
   (* Every counter of a clean [V.full] at p=2 k=2 n=1000: the cells,
      constraints and messages examined, pinned to the values the
@@ -329,24 +344,32 @@ let test_protocol_capacity_guard () =
     | exception Invalid_argument _ -> true)
 
 (* ---------------------------------------------------------------- *)
-(* Hook wiring                                                       *)
+(* The in-layer codegen check                                        *)
 
-let test_hooks_route_validate_flags () =
-  V.install_hooks ();
-  (* clean pipelines pass through ~validate:true silently *)
-  let full =
-    Full_sched.run ~validate:true ~graph:(fig7 ()) ~machine:(machine ()) ~iterations:10 ()
+(* [From_schedule.run ~validate:true] runs the in-layer
+   [Program.check] itself, with nothing installed first.  Codegen pairs
+   every Send with its Recv by construction, so no schedule
+   [Schedule.make] accepts makes it raise: the clean path must return
+   the program unchanged, and the check it runs must reject fig7's
+   program with one Recv dropped. *)
+let test_codegen_validate_runs_check () =
+  let sched = (full_of (fig7 ())).Full_sched.schedule in
+  let program = From_schedule.run sched in
+  check_bool "validated program unchanged" true
+    (From_schedule.run ~validate:true sched = program);
+  let dropped = ref false in
+  let programs =
+    Array.map
+      (List.filter (function
+        | Program.Recv _ when not !dropped ->
+          dropped := true;
+          false
+        | _ -> true))
+      program.Program.programs
   in
-  let (_ : Program.t) = From_schedule.run ~validate:true full.Full_sched.schedule in
-  (* the installed validators are mimd_check's, not the layers' own *)
-  (match V.break_dependence full.Full_sched.schedule with
-  | None -> Alcotest.fail "fig7 should have a breakable dependence"
-  | Some broken ->
-    check_bool "installed schedule validator rejects" true
-      (!Full_sched.validator broken <> Ok ()));
-  let broken_program = drop_first_send (From_schedule.run full.Full_sched.schedule) in
-  check_bool "installed program validator rejects" true
-    (!From_schedule.validator broken_program <> Ok ())
+  check_bool "a recv was dropped" true !dropped;
+  check_bool "Program.check rejects the dropped recv" true
+    (Program.check { program with Program.programs } <> [])
 
 (* ---------------------------------------------------------------- *)
 (* The fuzzing oracle                                                *)
@@ -583,6 +606,30 @@ let test_check_case_needs_unwinding () =
   | Ok _ -> Alcotest.fail "iir2 passed the oracle without unwinding"
   | Error m -> check_string "the unwinding message" expected m
 
+(* The one audited compile: each fault is caught at its own stage, the
+   rewrite runs only with a window, and a loop that needs unwinding
+   compiles (only the executors need distances 0 and 1). *)
+let test_compile_audits_each_stage () =
+  let compile ?fault ?window graph =
+    F.compile ?fault ?window ~graph ~machine:(machine ()) ~iterations:20 ()
+  in
+  (match compile (fig7 ()) with
+  | Ok c -> check_bool "no window, no rewrite" true (c.F.optimized = None)
+  | Error e -> Alcotest.failf "fig7 rejected: %s" e);
+  (match compile ~window:4 (fig7 ()) with
+  | Ok c -> check_bool "window: rewrite" true (c.F.optimized <> None)
+  | Error e -> Alcotest.failf "fig7 with comm-opt rejected: %s" e);
+  check_bool "hastened dependence rejected" true
+    (Result.is_error (compile ~fault:F.Hasten_dependent (fig7 ())));
+  (match compile ~fault:F.Keep_extra_send ~window:4 (fig7 ()) with
+  | Ok _ -> Alcotest.fail "kept extra send accepted"
+  | Error e ->
+    check_bool "named as the rewrite's rejection" true
+      (String.starts_with ~prefix:"optimized program rejected: " e));
+  let iir2 = load_case (Filename.concat ".." (Filename.concat "examples" "loops/iir2.loop")) in
+  check_bool "iir2 compiles unwound" true
+    (Result.is_ok (compile ~window:4 (Mimd_loop_ir.Depend.analyze iir2.F.loop).graph))
+
 (* The cases [check --fuzz 450 --fuzz-seed 42] draws (QCheck draws
    them one at a time from the seeded state) cover both transports,
    long runs and every coalescing window. *)
@@ -657,7 +704,8 @@ let suite =
     Alcotest.test_case "validator: missing operand detected" `Quick
       test_protocol_missing_operand_detected;
     Alcotest.test_case "validator: stray peer reported" `Quick test_protocol_stray_peer_reported;
-    Alcotest.test_case "validator: hooks route ~validate" `Quick test_hooks_route_validate_flags;
+    Alcotest.test_case "validator: codegen ~validate checks" `Quick
+      test_codegen_validate_runs_check;
     Alcotest.test_case "fuzz: sound pipeline passes" `Quick test_fuzz_passes_on_sound_pipeline;
     Alcotest.test_case "fuzz: runtime differential smoke" `Quick
       test_fuzz_runtime_differential_smoke;
@@ -679,10 +727,12 @@ let suite =
       test_headerless_dump_defaults;
     Alcotest.test_case "fuzz: check_case on iir2 needs unwinding" `Quick
       test_check_case_needs_unwinding;
+    Alcotest.test_case "fuzz: compile audits each stage" `Quick test_compile_audits_each_stage;
     Alcotest.test_case "fuzz: draws both transports and n >= 100" `Quick
       test_fuzz_draws_cover_shapes;
     prop_case_files_replayable;
     Alcotest.test_case "validator: counters pinned at n=1000" `Quick test_counters_pinned;
+    Alcotest.test_case "validator: minor words bounded" `Quick test_validate_minor_words;
     Alcotest.test_case "validator: overlap far from cycle 0" `Quick
       test_overlap_far_from_cycle_zero;
     Alcotest.test_case "validator: overlaps on disjoint busy ranges" `Quick

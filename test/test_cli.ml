@@ -152,6 +152,40 @@ let test_verify_needs_unwinding () =
   check_bool "the replay names the unwinding" true (contains ~sub:cause replay);
   check_int "a distance-1 loop verifies" 0 (command ("verify -f " ^ loop_file "fig7.loop"))
 
+(* [schedule --validate --comm-opt] over the corpus, pinned: the
+   report, grid and comm-opt lines of the one audited compile.  The
+   golden is the output of
+   [for f in examples/loops/*.loop; do echo "== $f"; mimdloop schedule
+   -f $f --validate --comm-opt -p 2 -k 2 -n 60; done], the same loop CI
+   diffs. *)
+let test_schedule_validate_commopt_golden () =
+  let corpus =
+    Sys.readdir (Filename.concat ".." (Filename.concat "examples" "loops"))
+    |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".loop")
+    |> List.sort compare
+  in
+  let out = Filename.temp_file "mimd-cli" ".out" in
+  let got =
+    Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+    String.concat ""
+      (List.map
+         (fun name ->
+           let code =
+             Sys.command
+               (Printf.sprintf "%s schedule -f %s --validate --comm-opt -p 2 -k 2 -n 60 > %s"
+                  exe (loop_file name) (Filename.quote out))
+           in
+           check_int (name ^ " exits 0") 0 code;
+           Printf.sprintf "== examples/loops/%s\n%s" name
+             (In_channel.with_open_text out In_channel.input_all))
+         corpus)
+  in
+  let golden =
+    In_channel.with_open_text "goldens/schedule_validate_commopt.txt" In_channel.input_all
+  in
+  check_string "matches goldens/schedule_validate_commopt.txt" golden got
+
 (* A roster host that does not resolve fails in the supervisor before
    any fork, naming the host; a wrong-length roster is a message too. *)
 let test_run_dist_bad_roster () =
@@ -300,4 +334,6 @@ let suite =
       test_empty_loop_is_a_parse_error;
     Alcotest.test_case "cli: run-dist rejects a bad roster before forking" `Quick
       test_run_dist_bad_roster;
+    Alcotest.test_case "cli: schedule --validate --comm-opt golden" `Quick
+      test_schedule_validate_commopt_golden;
   ]

@@ -15,6 +15,9 @@ module Links = Mimd_sim.Links
 module Validate = Mimd_check.Validate
 module Random_loop = Mimd_workloads.Random_loop
 
+(* The independent protocol audit of a (rewritten) program. *)
+let audit (p : Program.t) = Validate.error_of ~names:(Graph.name p.graph) (Validate.program p)
+
 let tag node iter = { Program.node; iter }
 
 (* ------------------------------------------------------------------ *)
@@ -166,7 +169,7 @@ let test_coalesce_refuses_deadlocking_merge () =
   check_bool "P1 keeps both receives separate" true
     (opt.Program.programs.(1) = programs.(1));
   check_bool "validator accepts (simulation drains)" true
-    (Validate.program_validator opt = Ok ())
+    (audit opt = Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Full-pipeline cases: loop -> schedule -> program -> Comm_opt, with
@@ -210,7 +213,7 @@ let test_fig7_coalesces_across_pattern_boundary () =
   let opt, stats = Comm_opt.run ~window:2 program in
   check_bool "messages reduced" true
     (stats.Comm_opt.messages_after < stats.Comm_opt.messages_before);
-  check_bool "validator accepts" true (Validate.program_validator opt = Ok ());
+  check_bool "validator accepts" true (audit opt = Ok ());
   assert_value_identical ~loop ~iterations program opt
 
 let test_window_boundaries () =
@@ -224,8 +227,8 @@ let test_window_boundaries () =
   check_bool "window 1 reduces" true (s1.Comm_opt.messages_after < base);
   check_bool "window 4 reduces further" true
     (s4.Comm_opt.messages_after < s1.Comm_opt.messages_after);
-  check_bool "validator accepts w=1" true (Validate.program_validator opt1 = Ok ());
-  check_bool "validator accepts w=4" true (Validate.program_validator opt4 = Ok ())
+  check_bool "validator accepts w=1" true (audit opt1 = Ok ());
+  check_bool "validator accepts w=4" true (audit opt4 = Ok ())
 
 (* The headline claim on the paper's loops: after the full pipeline
    (unwind, classify, Cyclic and Flow scheduling) at p=2, k=2, n=60,
@@ -247,7 +250,7 @@ let test_message_reduction_on_paper_loops () =
         (Printf.sprintf "%s: messages %d -> %d cut by >= 20%%" name before after)
         true
         (float_of_int after <= 0.8 *. float_of_int before);
-      match Validate.program_validator opt with
+      match audit opt with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: optimized program rejected: %s" name e)
     [ ("ewf", Mimd_workloads.Elliptic.source); ("fig1", Mimd_workloads.Fig1.source) ]
@@ -316,7 +319,7 @@ let test_keep_extra_send_fault_is_caught () =
   let _, program = compile ~iterations:10 Mimd_workloads.Fig7.source in
   let opt, _ = Comm_opt.run ~window:2 ~fault:Comm_opt.Keep_extra_send program in
   check_bool "validator rejects the faulty program" true
-    (Validate.program_validator opt <> Ok ());
+    (audit opt <> Ok ());
   check_bool "Program.check flags it too" true (Program.check opt <> [])
 
 (* ------------------------------------------------------------------ *)
@@ -339,7 +342,7 @@ let test_random_fanout_loops_differential () =
       incr exercised;
       let opt, stats = Comm_opt.run ~window:3 program in
       total_elided := !total_elided + stats.Comm_opt.elided;
-      (match Validate.program_validator opt with
+      (match audit opt with
       | Ok () -> ()
       | Error e -> Alcotest.failf "seed %d: validator rejected: %s" seed e);
       assert_value_identical ~loop ~iterations program opt

@@ -264,17 +264,19 @@ let test_mesh_dead_peer_is_structured () =
 (* ---------------------------------------------------------------- *)
 (* Runner: forked processes = interpreter, instance by instance      *)
 
-(* The full front end, with the protocol simulation on: install_hooks
-   makes [validate:true] run lib/check's token audit over the message
-   protocol, so every program the runner executes below has had its
-   socket-bound send/recv sequence proven against the schedule. *)
-let () = Mimd_check.Validate.install_hooks ()
-
+(* The full front end, with the protocol simulation on: every program
+   the runner executes below has had its socket-bound send/recv
+   sequence proven by lib/check's protocol audit first. *)
 let compile ?(p = 2) ?(k = 2) ~iterations loop =
   let { Depend.loop = flat; graph; _ } = Depend.analyze loop in
   let machine = machine ~p ~k () in
   let schedule = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
-  (flat, Mimd_codegen.From_schedule.run ~validate:true schedule)
+  let program = Mimd_codegen.From_schedule.run schedule in
+  let module V = Mimd_check.Validate in
+  (match V.error_of ~names:(Graph.name graph) (V.program program) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "protocol audit rejected the program: %s" e);
+  (flat, program)
 
 let dist_differential ~name ?(p = 2) ?(k = 2) ?(iterations = 12) ?transport loop =
   let flat, program = compile ~p ~k ~iterations loop in

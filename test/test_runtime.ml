@@ -130,6 +130,18 @@ let test_links_minor_words () =
     Alcotest.failf "Value_run.of_links: %.2f minor words per in-order frame (bound 0.1)"
       per_frame
 
+(* Minor-heap words of one [Lower.run] on ewf as the exec benchmark
+   compiles it (p=2 k=2 n=1000, 17000 instances): 742435 (43.7 per
+   instance) when the bound was set, 10% below it. *)
+let test_lower_minor_words () =
+  let flat, program, _ = ewf_benchmark_shape () in
+  let w0 = Gc.minor_words () in
+  let lowered = Lower.run ~loop:flat ~program () in
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity lowered);
+  if words > 816_679.0 then
+    Alcotest.failf "Lower.run: %.0f minor words on ewf n=1000 (bound 816679)" words
+
 (* ---------------------------------------------------------------- *)
 (* Differential execution: domains = inline = Interp, every instance  *)
 
@@ -586,6 +598,7 @@ let suite =
       prop_links_match_by_tag;
     Alcotest.test_case "links: no allocation per in-order frame" `Quick
       test_links_minor_words;
+    Alcotest.test_case "lower: minor words bounded" `Quick test_lower_minor_words;
     Alcotest.test_case "inline: an undelivered frame fails the run" `Quick
       test_inline_undelivered_frame;
     Alcotest.test_case "worker: no allocation per compute" `Quick test_worker_minor_words;
