@@ -1055,14 +1055,11 @@ let run_dist_cmd =
               ("runtime deadlock in the domain comparison\n"
               ^ Mimd_runtime.Watchdog.describe stall)
           | domains_outcome ->
-            if
-              domains_outcome.VR.instance_values = outcome.VR.instance_values
-              && domains_outcome.VR.final = outcome.VR.final
-            then begin
+            if VR.same_values domains_outcome outcome then begin
               Format.printf
                 "  vs domains: bit-identical (%d instance value(s), %d final cell(s))@."
-                (List.length outcome.VR.instance_values)
-                (List.length outcome.VR.final);
+                (VR.instance_count outcome.VR.instances)
+                (Mimd_loop_ir.Interp.written_count outcome.VR.memory);
               0
             end
             else begin
@@ -1374,7 +1371,7 @@ let () =
         match Mimd_dist.Runner.run ~transport ~timeout:30.0 ~loop ~program () with
         | exception Mimd_dist.Runner.Dist_error f ->
           Error ("dist failure: " ^ Mimd_dist.Runner.describe f)
-        | outcome -> Ok outcome.Mimd_runtime.Value_run.instance_values)
+        | outcome -> Ok outcome.Mimd_runtime.Value_run.instances)
 
 (* A reader that stops consuming (mimdloop ... | head) breaks stdout;
    with SIGPIPE ignored that surfaces as Sys_error EPIPE from the

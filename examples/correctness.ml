@@ -47,7 +47,8 @@ let check name loop schedule_kind schedule =
       match verdict with
       | Ok () ->
         Format.printf "  %-9s %-14s %-28s OK (makespan %d)@." schedule_kind traffic
-          (Printf.sprintf "(%d values produced)" (List.length outcome.Value_run.instance_values))
+          (Printf.sprintf "(%d values produced)"
+             (Value_run.instance_count outcome.Value_run.instances))
           (Mimd_sim.Exec.run ~program ~links ()).Mimd_sim.Exec.makespan
       | Error e -> Format.printf "  %-9s %-14s MISMATCH: %s (%s)@." schedule_kind traffic e name)
     [

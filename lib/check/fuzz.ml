@@ -4,7 +4,6 @@ module Full_sched = Mimd_core.Full_sched
 module Pattern = Mimd_core.Pattern
 module Ast = Mimd_loop_ir.Ast
 module Depend = Mimd_loop_ir.Depend
-module Interp = Mimd_loop_ir.Interp
 module Value_run = Mimd_runtime.Value_run
 module Exec_compiled = Mimd_runtime.Exec_compiled
 module Watchdog = Mimd_runtime.Watchdog
@@ -54,7 +53,7 @@ let labelled label r = Result.map_error (( ^ ) label) r
    in the dependency graph (mimd_dist -> mimd_server -> mimd_check),
    so the oracle cannot call it; [mimdloop], which links both,
    installs it at startup.  The hook runs the program on forked
-   processes and returns its instance values. *)
+   processes and returns its instance table. *)
 let socket_backend = ref None
 
 (* Run [f] in a forked child that marshals its result back over a pipe
@@ -147,24 +146,24 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
       compile ~fault ~window:case.window ~graph ~machine ~iterations:case.iterations ()
     in
     let opt = Option.fold ~none:program ~some:fst optimized in
-    (* Value differential: every leg's instance list against the
+    (* Value differential: every leg's instance table against the
        spec, bit for bit.  The inline legs run the lowered evaluator
        on this thread (no domain, so the harness stays fork-safe);
        the base one also checks the last-writer fold against the
        interpreter's final memory. *)
-    let spec = Interp.instance_values loop ~iterations:case.iterations in
+    let spec = Value_run.spec ~loop ~iterations:case.iterations in
     let against_spec label instances =
       labelled (label ^ " vs interpreter: ") (Value_run.check_instances ~spec instances)
     in
     let inline_base = Exec_compiled.run_inline ~loop ~program () in
-    let* () = against_spec "inline base" inline_base.Value_run.instance_values in
+    let* () = against_spec "inline base" inline_base.Value_run.instances in
     let* () =
       labelled "inline base final memory vs interpreter: "
         (Value_run.check_against_sequential ~loop ~iterations:case.iterations inline_base)
     in
     let* () =
       against_spec "inline comm-opted"
-        (Exec_compiled.run_inline ~loop ~program:opt ()).Value_run.instance_values
+        (Exec_compiled.run_inline ~loop ~program:opt ()).Value_run.instances
     in
     if not runtime then Ok program
     else begin
@@ -183,7 +182,7 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
         let watchdog = Watchdog.config ~timeout:30.0 () in
         let run program = Exec_compiled.run ~watchdog ~loop ~program () in
         let base = run program in
-        (base.Value_run.instance_values, (run opt).Value_run.instance_values)
+        (base.Value_run.instances, (run opt).Value_run.instances)
       in
       let* dom_base, dom_opt =
         if Option.is_some !socket_backend then in_child domains else Ok (domains ())

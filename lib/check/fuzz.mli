@@ -17,8 +17,8 @@
       runtime over Unix sockets or TCP ({!socket_backend}) and the
       compiled real-domain runtime ({!Mimd_runtime.Exec_compiled.run})
       — must match the sequential spec
-      ({!Mimd_loop_ir.Interp.instance_values}) instance by instance,
-      bit for bit.
+      ({!Mimd_runtime.Value_run.spec}) instance by instance, bit for
+      bit, table against table.
 
     The first three audits are {!compile}, the one audited compile
     every CLI command that runs or rewrites a compiled loop shares.
@@ -124,8 +124,9 @@ val check_case :
 (** The oracle for one case; returns the base program it checked.
     Checks the dependence distances
     ({!Mimd_runtime.Lower.check_distances}), runs {!compile} with the
-    case's [window], then the value legs, each compared instance by
-    instance against {!Mimd_loop_ir.Interp.instance_values}: base and
+    case's [window], then the value legs, each instance table compared
+    with {!Mimd_runtime.Value_run.check_instances} against
+    {!Mimd_runtime.Value_run.spec}: base and
     optimized inline (the base run also vs the interpreter's final
     memory); with [runtime] (default true) the optimized program on
     the socket backend over the case's [transport], then base and
@@ -139,7 +140,7 @@ val socket_backend :
   (transport:transport ->
   loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
-  (((int * int) * float) list, string) result)
+  (Mimd_runtime.Value_run.instances, string) result)
   option
   ref
 (** The forked-process executor, the library's one injected hook:

@@ -101,29 +101,57 @@ let () =
    PE takes the CPU its producer needs.  The budget is additive
    increase, multiplicative decrease: a frame that arrives while
    spinning adds an eighth of the cap, a spin that runs out halves it
-   (below 1 us it is 0, and the reader parks at once), and every 16th
-   park at 0 resets it to an eighth of the cap to try spinning again.
-   It starts at the cap: two links that start lower can both give up
-   before either sees the other spin (a ping-pong round trip is about
-   7 us), and two parked peers stay parked, since a frame from a
-   parked peer comes later than a short probe spin waits.  Wasted
+   (below 1 us it is 0, and the reader parks at once), and a link at 0
+   re-probes: after 16 parks it spins once at the full cap.  The probe
+   must be the cap: a frame from a parked peer takes 10-20 us (the peer
+   must wake, compute and send), so a probe of an eighth of the cap
+   (6.25 us) ran out every time and two links at 0 never spun again.
+   A probe that a frame ends keeps the cap.  One that runs out goes
+   straight back to 0 and doubles the parks before the next probe, up
+   to 1024, so an idle link pays at most one 50 us spin per 16 parks
+   and a contended one far less: with a cap probe every 16 parks, fig7
+   and ewf beside one CPU hog ran 1.24-1.34x slower than with the
+   cap/8 probe.  The budget starts at the cap for the same reason as the
+   probe: two links that start lower can both give up before either
+   sees the other spin (a ping-pong round trip is about 7 us).  Wasted
    spins take a contended link from the cap to 0 in six pulls. *)
 let spin_cap_ns = 50_000
 
 module Spin = struct
-  type t = { mutable budget_ns : int; mutable idle_parks : int }
+  type t = {
+    mutable budget_ns : int;
+    mutable idle_parks : int;  (* parks at 0 since the last probe *)
+    mutable probe_every : int;  (* parks at 0 between probes: 16 to 1024 *)
+    mutable probing : bool;
+  }
 
-  let create () = { budget_ns = spin_cap_ns; idle_parks = 0 }
+  let create () = { budget_ns = spin_cap_ns; idle_parks = 0; probe_every = 16; probing = false }
   let budget_ns t = t.budget_ns
-  let arrived t = t.budget_ns <- min spin_cap_ns (t.budget_ns + (spin_cap_ns / 8))
+
+  let arrived t =
+    if t.probing then begin
+      t.probing <- false;
+      t.probe_every <- 16
+    end;
+    t.budget_ns <- min spin_cap_ns (t.budget_ns + (spin_cap_ns / 8))
 
   let wasted t =
-    let half = t.budget_ns / 2 in
-    t.budget_ns <- (if half < 1_000 then 0 else half)
+    if t.probing then begin
+      t.probing <- false;
+      t.probe_every <- min 1024 (2 * t.probe_every);
+      t.budget_ns <- 0
+    end
+    else
+      let half = t.budget_ns / 2 in
+      t.budget_ns <- (if half < 1_000 then 0 else half)
 
   let parked_idle t =
     t.idle_parks <- t.idle_parks + 1;
-    if t.idle_parks mod 16 = 0 then t.budget_ns <- spin_cap_ns / 8
+    if t.idle_parks >= t.probe_every then begin
+      t.idle_parks <- 0;
+      t.budget_ns <- spin_cap_ns;
+      t.probing <- true
+    end
 end
 
 module Link = struct

@@ -53,11 +53,16 @@ val spin_cap_ns : int
 (** The largest spin budget, 50 us: a fixed 30 us spin already made
     fig7 2.5-3.5x slower beside one CPU hog on a 2-vCPU host, and a
     fixed 50 us spin at p=3 doubled ewf, so the budget adapts
-    ({!Spin}) and never exceeds this. *)
+    ({!Spin}) and never exceeds this.  It is also the length of the
+    probe a link at 0 makes after 16 or more parks: a frame from a
+    parked peer takes 10-20 us, longer than a shorter probe waits. *)
 
 (** The spin budget of one link, additive increase and multiplicative
     decrease.  It starts at the cap, so two peers begin by spinning;
-    six wasted spins take it to 0. *)
+    six wasted spins take it to 0.  A link at 0 probes once at the
+    cap after 16 parks; each wasted probe doubles the parks before the
+    next, up to 1024, and a frame that ends a probe resets them to
+    16. *)
 module Spin : sig
   type t
 
@@ -70,11 +75,15 @@ module Spin : sig
 
   val wasted : t -> unit
   (** The spin ran out and the reader parks: halve the budget, and
-      make a budget under 1 us 0. *)
+      make a budget under 1 us 0.  A probe that runs out goes straight
+      to 0 and doubles the parks before the next probe. *)
 
   val parked_idle : t -> unit
-  (** The reader parked with a budget of 0 and no spin: every 16th
-      such park resets the budget to [spin_cap_ns / 8]. *)
+  (** The reader parked with a budget of 0 and no spin: once there
+      have been as many such parks as the probe interval (16 at
+      first), set the budget to [spin_cap_ns] for one probe.  A frame
+      that arrives during the probe keeps the cap and resets the
+      interval to 16 ({!arrived}). *)
 end
 
 module Link : sig

@@ -19,7 +19,7 @@ type store = { tables : table array; initial : string -> int -> float }
 (* Every cell an assignment can write over [iterations] iterations,
    both branches of every [If] included: [offset, iterations-1+offset]
    per affine write, index 0 for a fixed cell. *)
-let create ~initial ~iterations body =
+let create ?(init = init) (loop : Ast.loop) ~iterations =
   let ranges = Hashtbl.create 8 in
   let rec note = function
     | Ast.Assign { array; offset; _ } ->
@@ -35,7 +35,7 @@ let create ~initial ~iterations body =
       List.iter note then_;
       List.iter note else_
   in
-  List.iter note body;
+  List.iter note loop.Ast.body;
   let tables =
     Hashtbl.fold (fun name range acc -> (name, range) :: acc) ranges []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -44,7 +44,7 @@ let create ~initial ~iterations body =
            { name; lo; data = Array.make len 0.0; written = Bytes.make len '\000' })
     |> Array.of_list
   in
-  { tables; initial }
+  { tables; initial = init }
 
 let table_id st name =
   let rec find t =
@@ -80,6 +80,67 @@ let written_cells st =
     done
   done;
   !out
+
+let written_count st =
+  Array.fold_left
+    (fun n { written; _ } ->
+      let c = ref n in
+      Bytes.iter (fun b -> if b <> '\000' then incr c) written;
+      !c)
+    0 st.tables
+
+(* [=] at type int64 compares unboxed: no allocation. *)
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+type difference =
+  | Cell_count of int * int
+  | Cell of (string * int) * (string * int)
+  | Value of string * int * float * float
+
+(* A position in a store's written cells, in [written_cells] order:
+   table [t], offset [j]; [t] past the last table at the end. *)
+type cursor = { cells : table array; mutable t : int; mutable j : int }
+
+(* Move to the first written cell at or after the current position. *)
+let rec settle c =
+  if c.t < Array.length c.cells then begin
+    let tb = c.cells.(c.t) in
+    if c.j = Array.length tb.data then begin
+      c.t <- c.t + 1;
+      c.j <- 0;
+      settle c
+    end
+    else if Bytes.unsafe_get tb.written c.j = '\000' then begin
+      c.j <- c.j + 1;
+      settle c
+    end
+  end
+
+let first_difference a b =
+  let na = written_count a and nb = written_count b in
+  if na <> nb then Some (Cell_count (na, nb))
+  else begin
+    (* Equal counts: both cursors run out together. *)
+    let ca = { cells = a.tables; t = 0; j = 0 } and cb = { cells = b.tables; t = 0; j = 0 } in
+    let rec walk () =
+      settle ca;
+      settle cb;
+      if ca.t = Array.length a.tables then None
+      else begin
+        let x = a.tables.(ca.t) and y = b.tables.(cb.t) in
+        let ia = x.lo + ca.j and ib = y.lo + cb.j in
+        let va = x.data.(ca.j) and vb = y.data.(cb.j) in
+        if not (String.equal x.name y.name && ia = ib) then Some (Cell ((x.name, ia), (y.name, ib)))
+        else if not (same_bits va vb) then Some (Value (x.name, ia, va, vb))
+        else begin
+          ca.j <- ca.j + 1;
+          cb.j <- cb.j + 1;
+          walk ()
+        end
+      end
+    in
+    walk ()
+  end
 
 (* The loop body with array names resolved to table ids, fixed cells
    flagged and scalars bound, once per run. *)
@@ -137,10 +198,10 @@ let rec eval st ~iter = function
 
 (* One sequential walk.  With [values], a flat body's top-level
    assignment at body position [pos] leaves its value at
-   [values.(pos).(iter)]. *)
-let exec_loop ?values ~initial (loop : Ast.loop) ~iterations =
+   [values.((pos * iterations) + iter)]. *)
+let exec_loop ?values ~init (loop : Ast.loop) ~iterations =
   if iterations < 0 then invalid_arg "Interp.run: negative iterations";
-  let st = create ~initial ~iterations loop.Ast.body in
+  let st = create ~init loop ~iterations in
   let body = Array.of_list (List.map (resolve_stmt st) loop.Ast.body) in
   let[@inline] assign ~iter table fixed offset rhs =
     let v = eval st ~iter rhs in
@@ -157,23 +218,46 @@ let exec_loop ?values ~initial (loop : Ast.loop) ~iterations =
       match body.(pos) with
       | Assign { table; fixed; offset; rhs } -> (
         let v = assign ~iter table fixed offset rhs in
-        match values with Some values -> values.(pos).(iter) <- v | None -> ())
+        match values with Some values -> values.((pos * iterations) + iter) <- v | None -> ())
       | If _ as s -> exec ~iter s
     done
   done;
   st
 
-let run ?(init = init) loop ~iterations = exec_loop ~initial:init loop ~iterations
+let run ?(init = init) loop ~iterations = exec_loop ~init loop ~iterations
+
+let of_instances loop ~iterations ~values ~present =
+  let stmts = Array.of_list (Ast.assignments loop) in
+  let nodes = Array.length stmts in
+  if Array.length values <> nodes * iterations || Bytes.length present <> nodes * iterations then
+    invalid_arg "Interp.of_instances: table size is not statements x iterations";
+  let st = create loop ~iterations in
+  (* Node [n] writes cell [base.(n) + step.(n) * iter] of table
+     [ids.(n)]: {!cell_index}, resolved once per node. *)
+  let ids = Array.map (fun (array, _, _) -> table_id st array) stmts in
+  let base = Array.map (fun (array, offset, _) -> cell_index array ~iter:0 ~offset) stmts in
+  let step =
+    Array.mapi (fun n (array, offset, _) -> cell_index array ~iter:1 ~offset - base.(n)) stmts
+  in
+  for iter = 0 to iterations - 1 do
+    for node = 0 to nodes - 1 do
+      let ix = (node * iterations) + iter in
+      if Bytes.get present ix <> '\000' then
+        set st ids.(node) (base.(node) + (step.(node) * iter)) values.(ix)
+    done
+  done;
+  st
+
+let instance_table loop ~iterations =
+  if not (Ast.is_flat loop) then invalid_arg "Interp.instance_table: loop must be flat";
+  let values = Array.make (List.length loop.Ast.body * max 0 iterations) 0.0 in
+  ignore (exec_loop ~values ~init loop ~iterations);
+  values
 
 let instance_values loop ~iterations =
-  if not (Ast.is_flat loop) then invalid_arg "Interp.instance_values: loop must be flat";
-  let nodes = List.length loop.Ast.body in
-  let values = Array.init nodes (fun _ -> Array.make (max 0 iterations) 0.0) in
-  ignore (exec_loop ~values ~initial:init loop ~iterations);
+  let values = instance_table loop ~iterations in
   let out = ref [] in
-  for pos = nodes - 1 downto 0 do
-    for iter = iterations - 1 downto 0 do
-      out := ((pos, iter), values.(pos).(iter)) :: !out
-    done
+  for ix = Array.length values - 1 downto 0 do
+    out := ((ix / iterations, ix mod iterations), values.(ix)) :: !out
   done;
   !out

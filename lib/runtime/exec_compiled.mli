@@ -10,8 +10,10 @@
     straight into the slots (no float is boxed per [Compute]), and
     message endpoints and slots were bound at lower time.  The
     differential suite and [check --fuzz] hold every run (inline,
-    domains, sockets, TCP) to {!Mimd_loop_ir.Interp.instance_values},
-    instance by instance, bit for bit. *)
+    domains, sockets, TCP) to {!Value_run.spec}, instance by instance,
+    bit for bit.  Every run returns its values as dense tables
+    ({!Value_run.outcome}: an instance table and an
+    {!Mimd_loop_ir.Interp.store}), folded by {!Value_run.finalize}. *)
 
 val worker :
   lowered:Lower.t ->

@@ -27,7 +27,7 @@
     calling thread (as {!Mimd_codegen.Program.simulate}'s value step:
     [instrs.(k)] is the program's instruction [k]), on domains, and
     over the [Mimd_dist] socket and TCP meshes, and every one of those runs
-    must match {!Mimd_loop_ir.Interp.instance_values} bit for bit.
+    must match {!Mimd_loop_ir.Interp.instance_table} bit for bit.
     Malformed programs (an operand or sent value that is never
     produced before use) are rejected {e here}, before any processor
     runs. *)

@@ -4,9 +4,11 @@ module Ast = Mimd_loop_ir.Ast
 module Interp = Mimd_loop_ir.Interp
 module Trace = Mimd_obs.Trace
 
+type instances = { iters : int; values : float array; present : Bytes.t }
+
 type outcome = {
-  instance_values : ((int * int) * float) list;
-  final : (string * int * float) list;
+  instances : instances;
+  memory : Interp.store;
   messages : int;
   domains : int;
   domain_wall_ns : float array;
@@ -49,17 +51,14 @@ let of_links ~procs ~send ~next =
   in
   { send; recv }
 
-(* The outcome is built from dense tables: each PE's value array is
-   scattered into one nodes x iters table (later PEs overwrite earlier
-   ones, as every PE computing an instance computes the same value),
-   and the last writer of every cell is found by replaying that table
-   in sequential (iteration, body position) order into a per-array
-   cell range.  Both output lists are emitted already sorted. *)
+(* Each PE's value array is scattered into one nodes x iters table
+   (later PEs overwrite earlier ones, as every PE computing an instance
+   computes the same value); {!Interp.of_instances} replays it into the
+   final memory.  Nothing is allocated per instance. *)
 let finalize ~loop ~program ~computes ~results =
   Trace.span ~cat:"run" "run.finalize" @@ fun () ->
   if not (Ast.is_flat loop) then invalid_arg "Value_run: loop must be flat";
-  let stmts = Array.of_list (Ast.assignments loop) in
-  let nodes = Array.length stmts in
+  let nodes = List.length loop.Ast.body in
   if nodes <> Graph.node_count program.Program.graph then
     invalid_arg "Value_run: statement/node count mismatch";
   if Array.length computes <> Array.length results then
@@ -80,7 +79,7 @@ let finalize ~loop ~program ~computes ~results =
         cs)
     computes;
   let iters = !iters in
-  let table = Array.make (nodes * iters) 0.0 in
+  let values = Array.make (nodes * iters) 0.0 in
   let present = Bytes.make (nodes * iters) '\000' in
   Array.iteri
     (fun j cs ->
@@ -88,113 +87,79 @@ let finalize ~loop ~program ~computes ~results =
       Array.iteri
         (fun k (node, iter) ->
           let ix = (node * iters) + iter in
-          table.(ix) <- vals.(k);
+          values.(ix) <- vals.(k);
           Bytes.set present ix '\001')
         cs)
     computes;
-  let instance_values = ref [] in
-  for ix = (nodes * iters) - 1 downto 0 do
-    if Bytes.get present ix <> '\000' then
-      instance_values := ((ix / iters, ix mod iters), table.(ix)) :: !instance_values
-  done;
-  (* One dense cell range per written array, in name order: fixed
-     cells live at index 0 ({!Interp.cell_index}), an affine write at
-     offset [a] covers [a, a + iters). *)
-  let names =
-    List.sort_uniq String.compare (Array.to_list (Array.map (fun (a, _, _) -> a) stmts))
-    |> Array.of_list
-  in
-  let ranges =
-    Array.map
-      (fun name ->
-        Array.fold_left
-          (fun (lo, hi) (array, offset, _) ->
-            if not (String.equal array name) then (lo, hi)
-            else
-              ( min lo (Interp.cell_index array ~iter:0 ~offset),
-                max hi (Interp.cell_index array ~iter:(iters - 1) ~offset) ))
-          (max_int, min_int) stmts)
-      names
-  in
-  let array_of =
-    Array.map
-      (fun (a, _, _) ->
-        let rec find i = if String.equal names.(i) a then i else find (i + 1) in
-        find 0)
-      stmts
-  in
-  let cells = Array.map (fun (lo, hi) -> Array.make (hi - lo + 1) 0.0) ranges in
-  let written = Array.map (fun c -> Bytes.make (Array.length c) '\000') cells in
-  for iter = 0 to iters - 1 do
-    for node = 0 to nodes - 1 do
-      let ix = (node * iters) + iter in
-      if Bytes.get present ix <> '\000' then begin
-        let array, offset, _ = stmts.(node) in
-        let a = array_of.(node) in
-        let c = Interp.cell_index array ~iter ~offset - fst ranges.(a) in
-        cells.(a).(c) <- table.(ix);
-        Bytes.set written.(a) c '\001'
-      end
-    done
-  done;
-  let final = ref [] in
-  for a = Array.length names - 1 downto 0 do
-    let lo = fst ranges.(a) in
-    for c = Array.length cells.(a) - 1 downto 0 do
-      if Bytes.get written.(a) c <> '\000' then
-        final := (names.(a), lo + c, cells.(a).(c)) :: !final
-    done
-  done;
+  let memory = Interp.of_instances loop ~iterations:iters ~values ~present in
   let messages = Array.fold_left (fun acc (_, sent, _) -> acc + sent) 0 results in
   let domain_wall_ns = Array.map (fun (_, _, ns) -> ns) results in
   {
-    instance_values = !instance_values;
-    final = !final;
+    instances = { iters; values; present };
+    memory;
     messages;
     domains = program.Program.processors;
     domain_wall_ns;
     makespan_ns = Array.fold_left max 0.0 domain_wall_ns;
   }
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let spec ~loop ~iterations =
+  let values = Interp.instance_table loop ~iterations in
+  { iters = iterations; values; present = Bytes.make (Array.length values) '\001' }
+
+let instance_count { present; _ } =
+  let n = ref 0 in
+  Bytes.iter (fun b -> if b <> '\000' then incr n) present;
+  !n
+
+let instance_values o =
+  let { iters; values; present } = o.instances in
+  let out = ref [] in
+  for ix = Array.length values - 1 downto 0 do
+    if Bytes.get present ix <> '\000' then out := ((ix / iters, ix mod iters), values.(ix)) :: !out
+  done;
+  !out
+
+let final o = Interp.written_cells o.memory
 
 let check_against_sequential ~loop ~iterations outcome =
-  let expected = Interp.written_cells (Interp.run loop ~iterations) in
-  let got = outcome.final in
-  if List.length expected <> List.length got then
-    Error
-      (Printf.sprintf "cell count mismatch: sequential wrote %d, parallel %d"
-         (List.length expected) (List.length got))
-  else begin
-    let rec compare_cells = function
-      | [], [] -> Ok ()
-      | (a1, i1, v1) :: r1, (a2, i2, v2) :: r2 ->
-        if a1 <> a2 || i1 <> i2 then
-          Error (Printf.sprintf "cell mismatch: sequential %s[%d] vs parallel %s[%d]" a1 i1 a2 i2)
-        else if not (same_bits v1 v2) then
-          Error
-            (Printf.sprintf "value mismatch at %s[%d]: sequential %.17g, parallel %.17g" a1 i1
-               v1 v2)
-        else compare_cells (r1, r2)
-      | _ -> Error "cell list length mismatch"
-    in
-    compare_cells (expected, got)
-  end
+  match Interp.first_difference (Interp.run loop ~iterations) outcome.memory with
+  | None -> Ok ()
+  | Some (Interp.Cell_count (s, p)) ->
+    Error (Printf.sprintf "cell count mismatch: sequential wrote %d, parallel %d" s p)
+  | Some (Interp.Cell ((a1, i1), (a2, i2))) ->
+    Error (Printf.sprintf "cell mismatch: sequential %s[%d] vs parallel %s[%d]" a1 i1 a2 i2)
+  | Some (Interp.Value (a, i, s, p)) ->
+    Error (Printf.sprintf "value mismatch at %s[%d]: sequential %.17g, parallel %.17g" a i s p)
+
+(* The first present instance at or after [ix], in node-major, so
+   (node, iteration), order; the table's length when there is none. *)
+let rec next_present t ix =
+  if ix < Bytes.length t.present && Bytes.unsafe_get t.present ix = '\000' then
+    next_present t (ix + 1)
+  else ix
 
 let check_instances ~spec got =
-  let sort l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  let rec go = function
-    | [], [] -> Ok ()
-    | ((s, i), v) :: r1, ((s', i'), v') :: r2 ->
-      if s <> s' || i <> i' then
-        Error (Printf.sprintf "instance sets differ at (%d,%d) vs (%d,%d)" s i s' i')
-      else if not (same_bits v v') then
-        Error (Printf.sprintf "instance (%d,%d): sequential %h, parallel %h" s i v v')
-      else go (r1, r2)
-    | _ -> Error "instance list length mismatch"
-  in
-  if List.length spec <> List.length got then
-    Error
-      (Printf.sprintf "sequential computed %d instance(s), parallel %d"
-         (List.length spec) (List.length got))
-  else go (sort spec, sort got)
+  let ns = instance_count spec and ng = instance_count got in
+  if ns <> ng then
+    Error (Printf.sprintf "sequential computed %d instance(s), parallel %d" ns ng)
+  else
+    (* Equal counts: both walks run out together. *)
+    let rec go i j =
+      let i = next_present spec i and j = next_present got j in
+      if i = Bytes.length spec.present then Ok ()
+      else
+        let s = i / spec.iters and si = i mod spec.iters in
+        let s' = j / got.iters and si' = j mod got.iters in
+        let v = spec.values.(i) and v' = got.values.(j) in
+        if s <> s' || si <> si' then
+          Error (Printf.sprintf "instance sets differ at (%d,%d) vs (%d,%d)" s si s' si')
+        else if not (Interp.same_bits v v') then
+          Error (Printf.sprintf "instance (%d,%d): sequential %h, parallel %h" s si v v')
+        else go (i + 1) (j + 1)
+    in
+    go 0 0
+
+let same_values a b =
+  Result.is_ok (check_instances ~spec:a.instances b.instances)
+  && Option.is_none (Interp.first_difference a.memory b.memory)

@@ -14,17 +14,29 @@
     Determinism: the value computed for each instance is independent
     of interleaving (messages are matched by instance tag), so every
     instance value is bit-identical to
-    {!Mimd_loop_ir.Interp.instance_values} and the final memory to
+    {!Mimd_loop_ir.Interp.instance_table} and the final memory to
     {!Mimd_loop_ir.Interp.run} whenever code generation is correct —
     {!check_instances} and {!check_against_sequential} assert exactly
-    that. *)
+    that, table against table, without building a list. *)
+
+type instances = {
+  iters : int;  (** iterations covered (an outcome's: the highest computed + 1) *)
+  values : float array;
+      (** [values.((node * iters) + iter)] is the value of instance
+          (node, iter), when computed *)
+  present : Bytes.t;
+      (** byte [(node * iters) + iter] is non-zero when some processor
+          computed instance (node, iter) *)
+}
+(** The value of every computed instance: one dense node x iteration
+    table and a present bitmap. *)
 
 type outcome = {
-  instance_values : ((int * int) * float) list;
-      (** value produced by every (statement, iteration) instance,
-          sorted *)
-  final : (string * int * float) list;
-      (** last-writer value of every written cell, sorted *)
+  instances : instances;  (** value produced by every instance *)
+  memory : Mimd_loop_ir.Interp.store;
+      (** final memory: every written cell holds its last writer's
+          value (sequential order), over the cell ranges
+          {!Mimd_loop_ir.Interp.run} uses *)
   messages : int;  (** messages actually sent between processors *)
   domains : int;  (** processors run = program processors *)
   domain_wall_ns : float array;
@@ -32,6 +44,18 @@ type outcome = {
           processor's last instruction *)
   makespan_ns : float;  (** max over [domain_wall_ns] *)
 }
+
+val instance_values : outcome -> ((int * int) * float) list
+(** Every computed instance's value, sorted by (node, iteration): the
+    list form of [instances], built on demand for printing and
+    tests. *)
+
+val final : outcome -> (string * int * float) list
+(** {!Mimd_loop_ir.Interp.written_cells} of [memory]: every written
+    cell, sorted by array name and index, built on demand. *)
+
+val instance_count : instances -> int
+(** Instances present. *)
 
 val default_channel_capacity : int
 (** Per-channel message bound of {!Exec_compiled.run}'s domain
@@ -86,36 +110,52 @@ val finalize :
     program order ({!Lower.proc_code.computes}); [results.(j)] is that
     processor's [(values, sent, wall_ns)], where [values.(k)] is the
     value of [computes.(j).(k)].  The fold scatters every value into
-    one dense node x iteration table, reads [instance_values] off it in
-    (node, iteration) order, and replays it in sequential (iteration,
-    body position) order to give each written cell the value of its
-    last writer: [final] comes out in (array name, index) order, fixed
-    cells at index 0 as in {!Mimd_loop_ir.Interp.cell_index}.  Every
-    executor folds through here, so outcomes are comparable list for
-    list.  Traced as the [run.finalize] span.
+    the [instances] table, then replays it in sequential (iteration,
+    body position) order with {!Mimd_loop_ir.Interp.of_instances}, so
+    each written cell holds its last writer's value (fixed cells at
+    index 0 as in {!Mimd_loop_ir.Interp.cell_index}).  Nothing is
+    allocated per instance: the tables, the store and a few per-node
+    arrays are the whole cost.  Every executor folds through here, so
+    outcomes are comparable table for table.  Traced as the
+    [run.finalize] span.
     @raise Invalid_argument on a malformed loop/program pair, when
     [computes] and [results] differ in length, when a processor's
     value array and its [computes] differ in length, or on an instance
     outside the loop's statements. *)
+
+val spec : loop:Mimd_loop_ir.Ast.loop -> iterations:int -> instances
+(** The sequential spec as an instance table:
+    {!Mimd_loop_ir.Interp.instance_table} with every instance present,
+    over the default inputs.  Computed once and passed to
+    {!check_instances}.
+    @raise Invalid_argument on a structured loop. *)
 
 val check_against_sequential :
   loop:Mimd_loop_ir.Ast.loop ->
   iterations:int ->
   outcome ->
   (unit, string) result
-(** Bit-exact comparison of the runtime's final memory against
+(** Bit-exact comparison of the outcome's [memory] against
     {!Mimd_loop_ir.Interp.run} on the same loop and trip count, over
-    the default inputs
-    (identical computations must give identical bits, NaN included).
-    [Error] names the first differing cell. *)
+    the default inputs (identical computations must give identical
+    bits, NaN included), by {!Mimd_loop_ir.Interp.first_difference}.
+    [Error] is ["cell count mismatch: sequential wrote N, parallel
+    M"], ["cell mismatch: sequential A[i] vs parallel B[j]"] at the
+    first differing written cell, or ["value mismatch at A[i]:
+    sequential x, parallel y"] (values as [%.17g]). *)
 
-val check_instances :
-  spec:((int * int) * float) list ->
-  ((int * int) * float) list ->
-  (unit, string) result
-(** [check_instances ~spec got] compares an executor's instance list
-    against the spec ({!Mimd_loop_ir.Interp.instance_values}, computed
-    once by the caller), instance by instance, bit for bit.  Stronger
+val check_instances : spec:instances -> instances -> (unit, string) result
+(** [check_instances ~spec got] compares an executor's instance table
+    against the spec ({!spec}, computed once by the caller), instance
+    by instance in (node, iteration) order, bit for bit.  Stronger
     than {!check_against_sequential}: a wrong value that a later
-    writer of the same cell overwrites is still caught.  [Error] names
-    the first differing instance. *)
+    writer of the same cell overwrites is still caught.  [Error] is
+    ["sequential computed N instance(s), parallel M"], ["instance sets
+    differ at (n,i) vs (n',i')"] at the first differing present
+    instance, or ["instance (n,i): sequential x, parallel y"] (values
+    as [%h]). *)
+
+val same_values : outcome -> outcome -> bool
+(** Two outcomes computed the same instances and final memory, every
+    value identical by {!Mimd_loop_ir.Interp.same_bits}: [0.0] and
+    [-0.0] differ, a NaN matches the same NaN. *)

@@ -187,18 +187,14 @@ let compile ?(p = 2) ?(k = 2) ~iterations src =
   in
   (flat, From_schedule.run schedule)
 
-let bits values =
-  List.sort compare
-    (List.map (fun (key, v) -> (key, Int64.bits_of_float v)) values)
-
 let assert_value_identical ~loop ~iterations base opt =
   let run program = Exec_compiled.run_inline ~loop ~program () in
   let run_base = run base and run_opt = run opt in
   check_bool "optimized = unoptimized, bitwise" true
-    (bits run_base.Value_run.instance_values = bits run_opt.Value_run.instance_values);
-  let spec = Interp.instance_values loop ~iterations in
+    (Value_run.same_values run_base run_opt);
+  let spec = Value_run.spec ~loop ~iterations in
   match
-    Result.bind (Value_run.check_instances ~spec run_opt.Value_run.instance_values) (fun () ->
+    Result.bind (Value_run.check_instances ~spec run_opt.Value_run.instances) (fun () ->
         Value_run.check_against_sequential ~loop ~iterations run_opt)
   with
   | Ok () -> ()

@@ -284,8 +284,8 @@ let dist_differential ~name ?(p = 2) ?(k = 2) ?(iterations = 12) ?transport loop
   (match Value_run.check_against_sequential ~loop:flat ~iterations outcome with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: socket backend vs interp: %s" name e);
-  let spec = Interp.instance_values flat ~iterations in
-  (match Value_run.check_instances ~spec outcome.Value_run.instance_values with
+  let spec = Value_run.spec ~loop:flat ~iterations in
+  (match Value_run.check_instances ~spec outcome.Value_run.instances with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: socket instances vs interp: %s" name e);
   check_bool (name ^ ": forked >= 1 process") true (outcome.Value_run.domains >= 1)
@@ -318,8 +318,8 @@ let test_runner_benchmark_shape () =
      every one of its 17000 instances against the spec. *)
   let flat, program, iterations = ewf_benchmark_shape () in
   let outcome = Runner.run ~loop:flat ~program () in
-  let spec = Interp.instance_values flat ~iterations in
-  (match Value_run.check_instances ~spec outcome.Value_run.instance_values with
+  let spec = Value_run.spec ~loop:flat ~iterations in
+  (match Value_run.check_instances ~spec outcome.Value_run.instances with
   | Ok () -> ()
   | Error e -> Alcotest.failf "ewf n=1000: socket instances vs interp: %s" e);
   match Value_run.check_against_sequential ~loop:flat ~iterations outcome with
@@ -361,9 +361,9 @@ let test_runner_compiled_pack_delivery () =
   (match Value_run.check_against_sequential ~loop:flat ~iterations:30 compiled with
   | Ok () -> ()
   | Error e -> Alcotest.failf "socket compiled vs interp: %s" e);
-  let spec = Interp.instance_values flat ~iterations:30 in
+  let spec = Value_run.spec ~loop:flat ~iterations:30 in
   check_bool "socket: compiled == spec, every instance" true
-    (Value_run.check_instances ~spec compiled.Value_run.instance_values = Ok ())
+    (Value_run.check_instances ~spec compiled.Value_run.instances = Ok ())
 
 let no_children_left () =
   (* The reap contract: after any runner return or failure there must
@@ -1263,22 +1263,39 @@ let test_spin_budget_rule () =
   check_int "18.75 us halves to 0 in five misses (under 1 us is 0)" 5 (drain 0);
   Mesh_sock.Spin.wasted b;
   check_int "0 stays 0" 0 (budget ());
+  let parks_to_probe () =
+    let rec go n =
+      Mesh_sock.Spin.parked_idle b;
+      if budget () = 0 then go (n + 1) else n + 1
+    in
+    go 0
+  in
   for i = 1 to 15 do
     Mesh_sock.Spin.parked_idle b;
     check_int (Printf.sprintf "idle park %d keeps 0" i) 0 (budget ())
   done;
   Mesh_sock.Spin.parked_idle b;
-  check_int "the 16th idle park resets to cap/8" (cap / 8) (budget ());
+  check_int "the 16th idle park probes at the cap" cap (budget ());
   Mesh_sock.Spin.wasted b;
+  check_int "a wasted probe goes straight back to 0" 0 (budget ());
+  check_int "a wasted probe doubles the parks to the next" 32 (parks_to_probe ());
+  check_int "the next probe is at the cap" cap (budget ());
   Mesh_sock.Spin.wasted b;
-  Mesh_sock.Spin.wasted b;
-  check_int "cap/8 drains to 0 in three misses" 0 (budget ());
-  for _ = 1 to 15 do
-    Mesh_sock.Spin.parked_idle b
+  check_int "and doubles again" 64 (parks_to_probe ());
+  for _ = 1 to 10 do
+    Mesh_sock.Spin.wasted b;
+    ignore (parks_to_probe ())
   done;
-  check_int "15 more idle parks keep 0" 0 (budget ());
-  Mesh_sock.Spin.parked_idle b;
-  check_int "every 16th idle park resets" (cap / 8) (budget ())
+  Mesh_sock.Spin.wasted b;
+  check_int "up to 1024 parks" 1024 (parks_to_probe ());
+  Mesh_sock.Spin.arrived b;
+  check_int "a probe a frame ends keeps the cap" cap (budget ());
+  Mesh_sock.Spin.wasted b;
+  check_int "after it a miss halves again" (cap / 2) (budget ());
+  while budget () > 0 do
+    Mesh_sock.Spin.wasted b
+  done;
+  check_int "and the interval is back to 16" 16 (parks_to_probe ())
 
 let test_runner_park_fallback () =
   (* SIGSTOP PE 1 for 50 ms mid-run: PE 0's spins run dry, it parks
@@ -1287,7 +1304,7 @@ let test_runner_park_fallback () =
      must say it parked. *)
   let iterations = 1000 in
   let flat, program = compile ~iterations (Parser.parse Mimd_workloads.Fig7.source) in
-  let spec = Interp.instance_values flat ~iterations in
+  let spec = Value_run.spec ~loop:flat ~iterations in
   let pause pids =
     (try Unix.kill pids.(1) Sys.sigstop with Unix.Unix_error _ -> ());
     Unix.sleepf 0.05;
@@ -1300,7 +1317,7 @@ let test_runner_park_fallback () =
             let o = Runner.run ~sabotage:pause ~transport ~loop:flat ~program () in
             (o, Trace.export ()))
       in
-      (match Value_run.check_instances ~spec outcome.Value_run.instance_values with
+      (match Value_run.check_instances ~spec outcome.Value_run.instances with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: paused run vs interp: %s" name e);
       (match Value_run.check_against_sequential ~loop:flat ~iterations outcome with

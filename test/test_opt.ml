@@ -134,11 +134,11 @@ let test_kernels_values_correct () =
       in
       let program = Mimd_codegen.From_schedule.run schedule in
       let outcome = Mimd_runtime.Exec_compiled.run_inline ~loop ~program () in
-      let spec = Mimd_loop_ir.Interp.instance_values loop ~iterations:20 in
+      let spec = Mimd_runtime.Value_run.spec ~loop ~iterations:20 in
       match
         Result.bind
           (Mimd_runtime.Value_run.check_instances ~spec
-             outcome.Mimd_runtime.Value_run.instance_values)
+             outcome.Mimd_runtime.Value_run.instances)
           (fun () ->
             Mimd_runtime.Value_run.check_against_sequential ~loop ~iterations:20 outcome)
       with

@@ -158,9 +158,9 @@ let compile ?(p = 2) ?(k = 2) ~iterations loop =
    takes. *)
 let check_runtime ?(prelower = false) ~name ~iterations ~flat program =
   let lowered = if prelower then Some (Lower.run ~loop:flat ~program ()) else None in
-  let spec = Interp.instance_values flat ~iterations in
+  let spec = Value_run.spec ~loop:flat ~iterations in
   let check label (outcome : Value_run.outcome) =
-    (match Value_run.check_instances ~spec outcome.Value_run.instance_values with
+    (match Value_run.check_instances ~spec outcome.Value_run.instances with
     | Ok () -> ()
     | Error e -> Alcotest.failf "%s: %s instances vs interp: %s" name label e);
     match Value_run.check_against_sequential ~loop:flat ~iterations outcome with
@@ -313,7 +313,7 @@ let test_watchdog_quiet_on_healthy_run () =
   let flat, program = compile ~iterations:30 loop in
   let watchdog = Watchdog.config ~timeout:30.0 () in
   let outcome = Exec_compiled.run ~watchdog ~loop:flat ~program () in
-  check_bool "finished" true (outcome.Value_run.instance_values <> [])
+  check_bool "finished" true (Value_run.instance_count outcome.Value_run.instances > 0)
 
 (* ---------------------------------------------------------------- *)
 (* Schedule cache                                                     *)

@@ -296,8 +296,8 @@ let compile ?(p = 2) ?(k = 2) ?(iterations = 25) src =
    instance, and its last-writer fold the interpreter's final memory. *)
 let check_values ~loop ~iterations program =
   let outcome = Exec_compiled.run_inline ~loop ~program () in
-  let spec = Interp.instance_values loop ~iterations in
-  Result.bind (Value_run.check_instances ~spec outcome.Value_run.instance_values) (fun () ->
+  let spec = Value_run.spec ~loop ~iterations in
+  Result.bind (Value_run.check_instances ~spec outcome.Value_run.instances) (fun () ->
       Value_run.check_against_sequential ~loop ~iterations outcome)
 
 let test_parallel_matches_sequential () =
@@ -343,11 +343,11 @@ let test_instances_catch_overwritten_stale_value () =
   let lowered = Lower.sabotage_stale_slot (Lower.run ~loop:flat ~program ()) in
   let outcome = Exec_compiled.run_inline ~lowered ~loop:flat ~program () in
   check_bool "instance (0,0) is NaN" true
-    (Float.is_nan (List.assoc (0, 0) outcome.Value_run.instance_values));
+    (Float.is_nan (List.assoc (0, 0) (Value_run.instance_values outcome)));
   check_bool "final memory misses it" true
     (Value_run.check_against_sequential ~loop:flat ~iterations:10 outcome = Ok ());
-  let spec = Interp.instance_values flat ~iterations:10 in
-  match Value_run.check_instances ~spec outcome.Value_run.instance_values with
+  let spec = Value_run.spec ~loop:flat ~iterations:10 in
+  match Value_run.check_instances ~spec outcome.Value_run.instances with
   | Ok () -> Alcotest.fail "stale overwritten instance escaped the instance-level spec"
   | Error e -> check_bool ("names instance (0,0): " ^ e) true (String.starts_with ~prefix:"instance (0,0)" e)
 
@@ -455,17 +455,142 @@ let test_fold_from_value_arrays () =
   let results = Array.map (fun v -> (v, 0, 0.0)) vals in
   let outcome = Value_run.finalize ~loop ~program ~computes ~results in
   check_bool "instance_values = Interp.instance_values" true
-    (outcome.Value_run.instance_values = spec);
+    (Value_run.instance_values outcome = spec);
   let expected = Interp.written_cells (Interp.run loop ~iterations) in
-  check_bool "final = Interp.written_cells" true (outcome.Value_run.final = expected);
+  check_bool "final = Interp.written_cells" true (Value_run.final outcome = expected);
   check_bool "fixed cell S@0 at index 0" true
-    (List.exists (fun (a, i, _) -> a = "S@0" && i = 0) outcome.Value_run.final);
+    (List.exists (fun (a, i, _) -> a = "S@0" && i = 0) (Value_run.final outcome));
   let short = Array.copy results in
   short.(1) <- (Array.sub vals.(1) 0 (Array.length vals.(1) - 1), 0, 0.0);
   check_bool "value array shorter than its computes rejected" true
     (match Value_run.finalize ~loop ~program ~computes ~results:short with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+(* Outcomes built by hand: [A[i] = 3; B[i] = A[i] * 2] over three
+   iterations, every listed instance on one PE with the given value.
+   The sequential run writes A[0..2] = 3 and B[0..2] = 6. *)
+let hand_loop, hand_program =
+  compile ~iterations:3 "for i = 1 to n { A[i] = 3; B[i] = A[i] * 2; }"
+
+let hand_outcome instances =
+  let computes = [| Array.of_list (List.map fst instances) |] in
+  let results = [| (Array.of_list (List.map snd instances), 0, 0.0) |] in
+  Value_run.finalize ~loop:hand_loop ~program:hand_program ~computes ~results
+
+let hand_spec =
+  [ ((0, 0), 3.0); ((0, 1), 3.0); ((0, 2), 3.0); ((1, 0), 6.0); ((1, 1), 6.0); ((1, 2), 6.0) ]
+
+let set_value key v = List.map (fun (k, v') -> (k, if k = key then v else v'))
+let without key = List.filter (fun (k, _) -> k <> key)
+
+(* The list walk the dense comparisons replaced, kept as the reference
+   for which mismatch comes first. *)
+let list_walk expected got =
+  if List.length expected <> List.length got then
+    Error
+      (Printf.sprintf "cell count mismatch: sequential wrote %d, parallel %d"
+         (List.length expected) (List.length got))
+  else
+    let rec go = function
+      | (a1, i1, v1) :: r1, (a2, i2, v2) :: r2 ->
+        if a1 <> a2 || i1 <> i2 then
+          Error (Printf.sprintf "cell mismatch: sequential %s[%d] vs parallel %s[%d]" a1 i1 a2 i2)
+        else if not (Interp.same_bits v1 v2) then
+          Error
+            (Printf.sprintf "value mismatch at %s[%d]: sequential %.17g, parallel %.17g" a1 i1
+               v1 v2)
+        else go (r1, r2)
+      | _ -> Ok ()
+    in
+    go (expected, got)
+
+let check_result = Alcotest.(check (result unit string))
+
+let test_final_memory_error_texts () =
+  let expected = Interp.written_cells (Interp.run hand_loop ~iterations:3) in
+  let verdict instances =
+    let o = hand_outcome instances in
+    (Value_run.check_against_sequential ~loop:hand_loop ~iterations:3 o, Value_run.final o)
+  in
+  let check_text label want instances =
+    let got, final = verdict instances in
+    check_result label (Error want) got;
+    check_result (label ^ ", as the list walk") (list_walk expected final) got
+  in
+  check_result "the spec itself passes" (Ok ()) (fst (verdict hand_spec));
+  let no_b2 = without (1, 2) hand_spec in
+  check_text "a missing cell" "cell count mismatch: sequential wrote 6, parallel 5" no_b2;
+  check_text "a cell moved" "cell mismatch: sequential B[0] vs parallel A[3]"
+    (no_b2 @ [ ((0, 3), 3.0) ]);
+  check_text "a wrong value" "value mismatch at A[1]: sequential 3, parallel 4"
+    (set_value (0, 1) 4.0 hand_spec);
+  check_text "a sign bit" "value mismatch at B[2]: sequential 6, parallel -6"
+    (set_value (1, 2) (-6.0) hand_spec)
+
+let test_instance_error_texts () =
+  let spec = Value_run.spec ~loop:hand_loop ~iterations:3 in
+  let check_text label want instances =
+    check_result label want
+      (Value_run.check_instances ~spec (hand_outcome instances).Value_run.instances)
+  in
+  check_text "the spec itself passes" (Ok ()) hand_spec;
+  let no_b2 = without (1, 2) hand_spec in
+  check_text "a missing instance" (Error "sequential computed 6 instance(s), parallel 5") no_b2;
+  check_text "an instance moved" (Error "instance sets differ at (1,0) vs (0,3)")
+    (no_b2 @ [ ((0, 3), 3.0) ]);
+  check_text "a wrong value" (Error "instance (0,1): sequential 0x1.8p+1, parallel 0x1p+2")
+    (set_value (0, 1) 4.0 hand_spec)
+
+(* run-dist --vs-domains compares two outcomes bit for bit: a signed
+   zero is a different value, the same NaN is the same value. *)
+let test_same_values_by_bits () =
+  let same a0 a0' =
+    Value_run.same_values
+      (hand_outcome (set_value (0, 0) a0 hand_spec))
+      (hand_outcome (set_value (0, 0) a0' hand_spec))
+  in
+  check_bool "identical tables" true (same 3.0 3.0);
+  check_bool "0.0 vs -0.0 differ" false (same 0.0 (-0.0));
+  check_bool "the same NaN matches" true (same Float.nan Float.nan);
+  check_bool "a missing instance differs" false
+    (Value_run.same_values (hand_outcome hand_spec) (hand_outcome (without (0, 0) hand_spec)))
+
+(* Words allocated, minor plus directly major: deterministic, so the
+   bounds hold on any host.  [Gc.minor_words], not the minor count of
+   [Gc.counters], which may leave out the words allocated since the
+   last minor collection. *)
+let words_of f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* ewf at p=2, k=2, n=1000 (17 000 instances), the exec benchmark's
+   size.  The fold costs its tables: one float per instance, a present
+   byte, a store cell per written cell (39 505 words, 2.32 an
+   instance); the sorted lists it replaced cost 380 027 (22.4).  The
+   final-memory check costs Interp.run and nothing more (115 754
+   words, bound 10% above; the list walk cost 268 535). *)
+let test_finalize_words_bounded () =
+  let flat, program, iterations = ewf_benchmark_shape () in
+  let computes = Lower.computes (Lower.run ~loop:flat ~program ()) in
+  let spec = Interp.instance_table flat ~iterations in
+  let value (n, i) = spec.((n * iterations) + i) in
+  let results = Array.map (fun cs -> (Array.map value cs, 0, 0.0)) computes in
+  let instances = Array.fold_left (fun a cs -> a + Array.length cs) 0 computes in
+  check_int "one compute per instance" (List.length flat.Ast.body * iterations) instances;
+  let finalize () = Value_run.finalize ~loop:flat ~program ~computes ~results in
+  ignore (finalize ());
+  let outcome, fold = words_of finalize in
+  if fold > 3.0 *. float_of_int instances then
+    Alcotest.failf "finalize: %.0f words for %d instances (bound 3 an instance)" fold instances;
+  let verdict, check =
+    words_of (fun () -> Value_run.check_against_sequential ~loop:flat ~iterations outcome)
+  in
+  check_result "values agree" (Ok ()) verdict;
+  if check > 127_329.0 then
+    Alcotest.failf "check_against_sequential: %.0f words (bound 127 329)" check
 
 let print_loop loop = Format.asprintf "%a" Ast.pp_loop loop
 
@@ -507,4 +632,9 @@ let suite =
     Alcotest.test_case "values: rejects structured loops" `Quick test_rejects_structured_loop;
     prop_fuzz_values;
     Alcotest.test_case "values: fold from per-PE value arrays" `Quick test_fold_from_value_arrays;
+    Alcotest.test_case "values: final-memory error texts" `Quick test_final_memory_error_texts;
+    Alcotest.test_case "values: instance error texts" `Quick test_instance_error_texts;
+    Alcotest.test_case "values: same_values compares bits" `Quick test_same_values_by_bits;
+    Alcotest.test_case "values: finalize and check words bounded" `Quick
+      test_finalize_words_bounded;
   ]
