@@ -1028,6 +1028,10 @@ let run_dist_cmd =
             | exception Runner.Dist_error f -> Error ("dist failure: " ^ Runner.describe f)
             | exception Invalid_argument m -> Error m
             | outcome -> (
+              (* One call: end the team now rather than at exit, so
+                 the check below does not pay copy-on-write faults
+                 against members that will never run again. *)
+              Runner.shutdown ();
               match VR.check_against_sequential ~loop ~iterations outcome with
               | Error e -> Error ("MISMATCH vs sequential interpreter: " ^ e)
               | Ok () -> Ok (program, stats, outcome)))

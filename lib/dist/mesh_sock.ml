@@ -272,37 +272,58 @@ end
    map a peer index to a connected stream fd gets the same link layer,
    the same [Link_down] classification and the same tracing, and
    {!Value_run.of_links} matches frames to recvs over it.  [Mesh_tcp]
-   reuses this over dialed TCP connections. *)
-let chans_of ~procs ~proc ~(link : int -> Unix.file_descr) =
+   reuses this over dialed TCP connections.  A row outlives a call:
+   its links keep their buffers and spin budgets, and [settle] proves
+   a call left nothing on them for the next one. *)
+type row = {
+  proc : int;
+  links : Link.t option array;
+  mutable pulled : int;  (* frames pulled this call *)
+  mutable delivered : int;  (* frames a recv returned this call *)
+}
+
+let row ~procs ~proc ~(link : int -> Unix.file_descr) =
+  {
+    proc;
+    links =
+      Array.init procs (fun peer ->
+          if peer = proc then None else Some (Link.create (link peer)));
+    pulled = 0;
+    delivered = 0;
+  }
+
+let link_to row peer =
+  match row.links.(peer) with Some l -> l | None -> invalid_arg "Mesh_sock: self link"
+
+let read row src l =
+  match Link.pull l with
+  | Ok frame -> frame
+  | Error error -> raise (Link_down { proc = row.proc; peer = src; error })
+
+(* A dead peer on the *send* side: SIGPIPE is ignored process-wide, so
+   the write surfaces as EPIPE/ECONNRESET.  Classify it as the link
+   going down, same as EOF on the read side — it is the same
+   environmental event, and respawn supervision keys off the
+   [Link_down] rendering. *)
+let write row dst ~tag v =
+  try Link.send (link_to row dst) ~tag v
+  with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
+    raise (Link_down { proc = row.proc; peer = dst; error = Wire.Closed })
+
+let row_chans row =
   let traced = Trace.is_enabled () in
-  let links = Array.init procs (fun peer -> if peer = proc then None else Some (Link.create (link peer))) in
-  let link_to peer =
-    match links.(peer) with Some l -> l | None -> invalid_arg "Mesh_sock: self link"
-  in
+  row.pulled <- 0;
+  row.delivered <- 0;
   let send ~dst ~tag (v : Value_run.payload) =
-    let l = link_to dst in
-    (* A dead peer on the *send* side: SIGPIPE is ignored process-wide,
-       so the write surfaces as EPIPE/ECONNRESET.  Classify it as the
-       link going down, same as EOF on the read side — it is the same
-       environmental event, and respawn supervision keys off the
-       [Link_down] rendering. *)
-    let write () =
-      try Link.send l ~tag v
-      with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
-        raise (Link_down { proc; peer = dst; error = Wire.Closed })
-    in
     if traced then
-      Trace.span ~cat:"dist" ~args:[ ("dst", string_of_int dst) ] "dist.send" write
-    else write ()
-  in
-  let read src l =
-    match Link.pull l with
-    | Ok frame -> frame
-    | Error error -> raise (Link_down { proc; peer = src; error })
+      Trace.span ~cat:"dist" ~args:[ ("dst", string_of_int dst) ] "dist.send" (fun () ->
+          write row dst ~tag v)
+    else write row dst ~tag v
   in
   let next ~src =
-    let l = link_to src in
-    if not traced then read src l
+    let l = link_to row src in
+    row.pulled <- row.pulled + 1;
+    if not traced then read row src l
     else begin
       let parks = Link.parks l and start_ns = Mimd_obs.Clock.now_ns () in
       let record () =
@@ -310,7 +331,7 @@ let chans_of ~procs ~proc ~(link : int -> Unix.file_descr) =
           ~args:[ ("src", string_of_int src); ("parked", string_of_bool (Link.parks l > parks)) ]
           ~name:"dist.recv" ~start_ns ~end_ns:(Mimd_obs.Clock.now_ns ()) ()
       in
-      match read src l with
+      match read row src l with
       | frame ->
         record ();
         frame
@@ -319,6 +340,37 @@ let chans_of ~procs ~proc ~(link : int -> Unix.file_descr) =
         raise e
     end
   in
-  Value_run.of_links ~procs ~send ~next
+  let chans = Value_run.of_links ~procs:(Array.length row.links) ~send ~next in
+  {
+    chans with
+    recv =
+      (fun ~src ~tag ->
+        let v = chans.recv ~src ~tag in
+        row.delivered <- row.delivered + 1;
+        v);
+  }
 
-let chans t ~proc = chans_of ~procs:t.procs ~proc ~link:(fun peer -> link t ~proc ~peer)
+(* No real tag is negative, so this one marks the end of a call. *)
+let end_tag = (-1, -1)
+
+(* Every PE sends the end marker to every peer, then reads each link up
+   to the peer's marker: a link is FIFO, so whatever comes before it
+   is a frame of this call that nobody received.  With the frames
+   pulled but never received (left in the stash) that is the count. *)
+let settle row =
+  let stashed = row.pulled - row.delivered in
+  Array.iteri
+    (fun dst l -> if Option.is_some l then write row dst ~tag:end_tag (Single 0.0))
+    row.links;
+  let unread = ref stashed in
+  Array.iteri
+    (fun src -> function
+      | None -> ()
+      | Some l ->
+        while fst (read row src l) <> end_tag do
+          incr unread
+        done)
+    row.links;
+  !unread
+
+let chans t ~proc = row_chans (row ~procs:t.procs ~proc ~link:(fun peer -> link t ~proc ~peer))

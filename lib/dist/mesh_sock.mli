@@ -107,18 +107,37 @@ module Link : sig
 end
 
 val chans : t -> proc:int -> Mimd_runtime.Value_run.chans
-(** The channel interface for processor [proc]: {!chans_of} over this
-    mesh's row. *)
+(** The channel interface for processor [proc]: {!row_chans} of a
+    fresh {!row} over this mesh's row [proc]. *)
 
-val chans_of :
-  procs:int -> proc:int -> link:(int -> Unix.file_descr) -> Mimd_runtime.Value_run.chans
-(** The channel interface over any peer-to-fd mapping of a [procs]-PE
-    mesh: each peer's fd becomes a {!Link} (so it is non-blocking from
-    here on), and {!Mimd_runtime.Value_run.of_links} matches its
-    frames to recvs by tag.  [send] writes one frame; a pull reads
-    one.  Emits a [dist.send] span per frame written and a [dist.recv]
-    span per frame pulled (waiting for it included, with [parked] =
-    whether the wait parked) while tracing is on; a recv served from
-    the stash pulls nothing.  Stream errors, either way, raise
-    {!Link_down} with this [proc].  Transports ({!Mesh_tcp}) share
-    this rather than reimplementing framing, matching or tracing. *)
+(** {1 A PE's row, across calls} *)
+
+type row
+(** One processor's links, one {!Link} per peer: what a long-lived PE
+    process keeps between calls, so each link keeps its buffers and
+    its {!Spin} budget. *)
+
+val row : procs:int -> proc:int -> link:(int -> Unix.file_descr) -> row
+(** Take over processor [proc]'s fds in any peer-to-fd mapping of a
+    [procs]-PE mesh (a socketpair row, or {!Mesh_tcp}'s dialed
+    connections): each becomes a {!Link}, non-blocking from here on. *)
+
+val row_chans : row -> Mimd_runtime.Value_run.chans
+(** The channel interface for one call over the row: a fresh
+    {!Mimd_runtime.Value_run.of_links} matching state over the row's
+    links.  [send] writes one frame; a pull reads one.  Emits a
+    [dist.send] span per frame written and a [dist.recv] span per
+    frame pulled (waiting for it included, with [parked] = whether the
+    wait parked) when tracing is on as the call starts; a recv served
+    from the stash pulls nothing.  Stream errors, either way, raise
+    {!Link_down} with this row's [proc].  Transports ({!Mesh_tcp})
+    share this rather than reimplementing framing, matching or
+    tracing. *)
+
+val settle : row -> int
+(** End a call: send an end marker to every peer, then read each link
+    up to its peer's marker.  Every PE of the call must settle.
+    Returns the frames this call left unreceived — those read before a
+    marker plus those still in the call's stash; 0 means the links
+    are clean for the next call.
+    @raise Link_down when a peer's stream breaks first. *)

@@ -141,7 +141,7 @@ type t = {
   addrs : addr array;  (* where PE i listens (host and port resolved) *)
 }
 
-type conns = { proc : int; fds : Unix.file_descr option array }
+type conns = { fds : Unix.file_descr option array }
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -202,9 +202,7 @@ let procs t = t.procs
 
 let close_parent t = Array.iter close_quietly t.listeners
 
-(* Child-side, right after fork: keep only our own listener. *)
-let retain_only t ~proc =
-  Array.iteri (fun i fd -> if i <> proc then close_quietly fd) t.listeners
+let listener t ~proc = t.listeners.(proc)
 
 (* Establish the full row of connections for PE [proc]: dial the
    smaller indices (hello + ack), then accept the larger ones (in
@@ -233,12 +231,9 @@ let connect_all ?fingerprint t ~proc =
       raise e
   done;
   close_quietly t.listeners.(proc);
-  { proc; fds }
+  { fds }
 
 let link c ~peer =
   match c.fds.(peer) with
   | Some fd -> fd
   | None -> invalid_arg "Mesh_tcp: self link or unconnected peer"
-
-let chans c =
-  Mesh_sock.chans_of ~procs:(Array.length c.fds) ~proc:c.proc ~link:(fun peer -> link c ~peer)

@@ -1,7 +1,8 @@
 (** The TCP transport of the processor mesh: per-PE listeners bound in
     the parent, children that {e dial} each other after the fork, and
     the same link layer ({!Mesh_sock.Link}) and channel discipline as
-    {!Mesh_sock} (shared via {!Mesh_sock.chans_of}).
+    {!Mesh_sock} (shared via {!Mesh_sock.row}: {!link} is the
+    peer-to-fd mapping a row takes over).
 
     Connection plan: PE [j] dials every peer [i < j] (capped
     exponential backoff until the peer's listener answers) and accepts
@@ -47,9 +48,9 @@ val create : ?roster:addr list -> fingerprint:string -> procs:int -> unit -> t
 
 val procs : t -> int
 
-val retain_only : t -> proc:int -> unit
-(** Child-side, right after fork: close every listener except PE
-    [proc]'s own. *)
+val listener : t -> proc:int -> Unix.file_descr
+(** PE [proc]'s bound listener: the one fd of the mesh its forked
+    child keeps. *)
 
 val close_parent : t -> unit
 (** Parent-side, after all forks: the parent holds no listener. *)
@@ -62,12 +63,6 @@ val connect_all : ?fingerprint:string -> t -> proc:int -> conns
     @raise Handshake_failure on a rendezvous mismatch (both sides). *)
 
 val link : conns -> peer:int -> Unix.file_descr
-
-val chans : conns -> Mimd_runtime.Value_run.chans
-(** The shared channel discipline ({!Mesh_sock.chans_of}) over this
-    row: framed tagged sends, receives matched by tag through
-    {!Mimd_runtime.Value_run.of_links}, stream errors as
-    {!Mesh_sock.Link_down}. *)
 
 (** {1 Handshake internals} — exposed for the framing tests and for
     peers that rendezvous outside {!connect_all}. *)

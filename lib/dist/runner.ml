@@ -5,17 +5,24 @@ module Value_run = Mimd_runtime.Value_run
 module Trace = Mimd_obs.Trace
 module Clock = Mimd_obs.Clock
 module Metrics = Mimd_obs.Metrics
+module Lower = Mimd_runtime.Lower
 
 type child_ok = {
   vals : float array;
   sent : int;
   wall_ns : float;
   trace : Trace.captured option;
+  unread : int;  (* frames the call left on this PE's links (Mesh_sock.settle) *)
 }
 
-(* What travels over a child's control socket: its whole result, or
-   the rendering of whatever it died of. *)
-type report = (child_ok, string) result
+(* What the parent sends a team member for each call: the key of the
+   program to run, the lowered form itself only when the member does
+   not hold that key yet, and whether to trace the call. *)
+type request = { key : int; form : Lower.t option; tracing : bool }
+
+(* What a member sends back: once, that its links are up; then, per
+   call, its whole result or the rendering of whatever it died of. *)
+type reply = Ready | Done of child_ok | Failed of string
 
 type failure =
   | Stalled of { timeout : float; waiting : int list }
@@ -68,179 +75,173 @@ let respawns_counter () =
   Metrics.counter ~help:"Distributed workers/runs respawned after a failure"
     Metrics.default "mimd_dist_respawns_total"
 
-(* Fork one process per scheduled processor.  MUST run before this
-   process ever spawns a domain: OCaml 5 forbids Unix.fork once any
-   domain was created (even a joined one), which is why run-dist does
-   its socket run before any in-domain comparison and why the dist
-   test suite runs first. *)
-let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Compiled)
-    ~loop ~program () =
-  if not (Ast.is_flat loop) then invalid_arg "Runner.run: loop must be flat";
-  if List.length (Ast.assignments loop) <> Graph.node_count program.Program.graph then
-    invalid_arg "Runner.run: statement/node count mismatch";
-  (* Lower once in the parent; the fork hands every child the shared
-     immutable compiled form for free. *)
-  let lowered =
-    match exec with
-    | `Compiled -> Mimd_runtime.Lower.run ~loop ~program ()
-    | `Compiled_form l -> l
-  in
-  (* A child that died mid-frame must cost an EPIPE, not a fatal
-     SIGPIPE in the supervisor. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let procs = program.Program.processors in
-  let mesh =
-    match transport with
-    | Unix_sockets -> `U (Mesh_sock.create ~procs ())
-    | Tcp { roster; handshake_fault } ->
-      `T
-        ( Mesh_tcp.create ?roster ~fingerprint:(fingerprint ~loop ~program) ~procs (),
-          handshake_fault )
-  in
-  (* One control socketpair per child, all created before the first
-     fork so each child can close every endpoint that is not its own. *)
-  let ctl = Array.init procs (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0) in
-  let parent_end j = fst ctl.(j) and child_end j = snd ctl.(j) in
-  let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> () in
-  let child j =
-    (* Keep: our mesh row (or listener) and our control endpoint.
-       Everything else inherited from the parent closes now, so a dead
-       peer is EOF. *)
-    (match mesh with
-    | `U m -> Mesh_sock.retain_only m ~proc:j
-    | `T (m, _) -> Mesh_tcp.retain_only m ~proc:j);
-    for i = 0 to procs - 1 do
-      close_quietly (parent_end i);
-      if i <> j then close_quietly (child_end i)
-    done;
-    let fd = child_end j in
-    (* The fork copied the parent's trace buffer; drop those events so
-       a capture holds only this child's own spans. *)
-    if Trace.is_enabled () then Trace.clear ();
-    (* TCP only: establish and handshake the whole connection row
-       before the rendezvous, so the parent's "go" still marks the
-       start of execution (not connection setup) and a handshake
-       mismatch fails the run before any peer computes a value. *)
-    let conns =
-      match mesh with
-      | `U m -> Ok (`U m)
-      | `T (m, handshake_fault) -> (
-        let fingerprint =
-          if handshake_fault = Some j then Some "0000deadbeef0000" else None
-        in
-        match Mesh_tcp.connect_all ?fingerprint m ~proc:j with
-        | c -> Ok (`T c)
-        | exception e -> Error (Printexc.to_string e))
-    in
-    match conns with
-    | Error message ->
-      (try Wire.write fd (Error message : report) with _ -> ());
+let forks_counter () =
+  Metrics.counter ~help:"PE processes forked to start a socket-run team"
+    Metrics.default "mimd_dist_forks_total"
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* ---------------------------------------------------------------- *)
+(* The team: p forked PE processes that run call after call            *)
+
+(* A member and the parent each hold the forms of the last [max_held]
+   programs, by key, evicting the oldest first.  Both apply the rule to
+   the same sequence of requests, so every key the parent sends is one
+   the member holds. *)
+let max_held = 8
+
+let hold entry held = List.filteri (fun i _ -> i < max_held) (entry :: held)
+
+type team = {
+  procs : int;
+  owner : int;  (* the pid that forked the members: only it may end them *)
+  pids : int array;
+  ctl : Unix.file_descr array;  (* the parent's end of each member's control socket *)
+  reaped : bool array;
+  mutable closed : bool;  (* the control ends are closed: the team takes no call *)
+  mutable held : (Lower.t * int) list;  (* newest first; a key is a form by [==] *)
+  mutable next_key : int;
+}
+
+(* On Unix a file_descr is the descriptor number. *)
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
+let fd_of_number (n : int) : Unix.file_descr = Obj.magic n
+
+(* Child-side, right after fork: stdin, stdout and stderr go to
+   /dev/null, and every other inherited descriptor but [keep] closes,
+   so a dead peer is EOF and a member that lives for many calls never
+   holds another process's pipe or socket open. *)
+let close_inherited ~keep =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  List.iter (fun fd -> Unix.dup2 ~cloexec:false null fd) [ Unix.stdin; Unix.stdout; Unix.stderr ];
+  let keep = List.map fd_number keep in
+  Array.iter
+    (fun name ->
+      match int_of_string_opt name with
+      | Some n when n > 2 && not (List.mem n keep) -> close_quietly (fd_of_number n)
+      | _ -> ())
+    (try Sys.readdir "/proc/self/fd" with Sys_error _ -> [||])
+
+(* A member's life: bring its links up, say "ready", then serve
+   requests until its control socket reaches end of stream (the team
+   retired, or the parent died).  A failed call ends the member: its
+   team is retired anyway. *)
+let member ~proc ~ctl ~held ~connect =
+  let reply r = try Wire.write ctl (r : reply) with _ -> Unix._exit 1 in
+  (* The fork copied the parent's trace buffer; drop those events so a
+     capture holds only this member's own spans. *)
+  Trace.clear ();
+  let row =
+    match connect () with
+    | row -> row
+    | exception e ->
+      reply (Failed (Printexc.to_string e));
       Unix._exit 1
-    | Ok conns ->
-      (* Rendezvous: all children start on the parent's "go", so wall
-         clocks measure execution, not staggered spawn. *)
-      let b = Bytes.create 1 in
-      (match Unix.read fd b 0 1 with
-      | 0 -> Unix._exit 2 (* parent vanished before the go *)
-      | _ -> ()
-      | exception Unix.Unix_error _ -> Unix._exit 2);
+  in
+  reply Ready;
+  let rec serve held =
+    match (Wire.read ctl : (request, Wire.error) result) with
+    | Error _ -> Unix._exit 0
+    | Ok { key; form; tracing } ->
+      let held = match form with Some l -> hold (key, l) held | None -> held in
+      if tracing then begin
+        Trace.enable ();
+        Trace.clear ()
+      end
+      else Trace.disable ();
       let t0 = Clock.now_ns () in
-      let outcome : report =
+      let outcome =
         match
-          let chans =
-            match conns with
-            | `U m -> Mesh_sock.chans m ~proc:j
-            | `T c -> Mesh_tcp.chans c
-          in
-          Mimd_runtime.Exec_compiled.worker ~lowered ~proc:j ~chans ()
+          Mimd_runtime.Exec_compiled.worker ~lowered:(List.assoc key held) ~proc
+            ~chans:(Mesh_sock.row_chans row) ()
         with
         | vals, sent ->
-          Ok
-            {
-              vals;
-              sent;
-              wall_ns = float_of_int (Clock.now_ns () - t0);
-              trace = (if Trace.is_enabled () then Some (Trace.capture ()) else None);
-            }
-        | exception e -> Error (Printexc.to_string e)
+          let wall_ns = float_of_int (Clock.now_ns () - t0) in
+          let unread = Mesh_sock.settle row in
+          let trace = if tracing then Some (Trace.capture ()) else None in
+          Trace.clear ();
+          Done { vals; sent; wall_ns; trace; unread }
+        | exception e -> Failed (Printexc.to_string e)
       in
-      (try Wire.write fd outcome with _ -> ());
-      Unix._exit (match outcome with Ok _ -> 0 | Error _ -> 1)
+      reply outcome;
+      (match outcome with Done _ -> serve held | Ready | Failed _ -> Unix._exit 1)
   in
-  let pids = Array.make procs (-1) in
-  Trace.span ~cat:"dist" ~args:[ ("procs", string_of_int procs) ] "dist.spawn" (fun () ->
-      for j = 0 to procs - 1 do
-        match Unix.fork () with 0 -> child j | pid -> pids.(j) <- pid
-      done);
-  (* Parent: no link endpoints or listeners, no child-side control
-     endpoints. *)
-  (match mesh with
-  | `U m -> Mesh_sock.close_all m
-  | `T (m, _) -> Mesh_tcp.close_parent m);
-  Array.iteri (fun j _ -> close_quietly (child_end j)) ctl;
-  let reaped = Array.make procs false in
-  let reap_status j =
-    if not reaped.(j) then begin
-      reaped.(j) <- true;
-      Trace.span ~cat:"dist" ~args:[ ("proc", string_of_int j) ] "dist.reap" (fun () ->
-          match Unix.waitpid [] pids.(j) with
-          | _, status -> Some status
-          | exception Unix.Unix_error _ -> None)
-    end
-    else None
-  in
-  let fail failure =
-    Array.iteri
-      (fun j pid ->
-        if not reaped.(j) then begin
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          ignore (reap_status j)
-        end)
-      pids;
-    Array.iteri (fun j _ -> close_quietly (parent_end j)) ctl;
-    raise (Dist_error failure)
-  in
-  (* Go. *)
-  let go = Bytes.of_string "g" in
+  serve held
+
+let current : team option ref = ref None
+
+let reap t j =
+  if t.reaped.(j) then None
+  else begin
+    t.reaped.(j) <- true;
+    Trace.span ~cat:"dist" ~args:[ ("proc", string_of_int j) ] "dist.reap" (fun () ->
+        match Unix.waitpid [] t.pids.(j) with
+        | _, status -> Some status
+        | exception Unix.Unix_error _ -> None)
+  end
+
+let close_ctl t =
+  if not t.closed then begin
+    t.closed <- true;
+    Array.iter close_quietly t.ctl
+  end
+
+(* Stop a team: it takes no further call.  Its control ends close and
+   every member still running is SIGKILLed.  The kernel takes 1.5-3 ms
+   to tear a pair of members down on a 2-vCPU host, so a caller with
+   other work does it between [stop] and [reap_all]. *)
+let stop t =
+  (match !current with Some c when c == t -> current := None | _ -> ());
+  close_ctl t;
   Array.iteri
-    (fun j _ ->
-      match Unix.write (parent_end j) go 0 1 with
-      | _ -> ()
-      | exception Unix.Unix_error _ ->
-        (* The child is already gone; the collect loop will see EOF
-           and report its exit status. *)
-        ())
-    ctl;
-  (match sabotage with None -> () | Some f -> f (Array.copy pids));
-  (* Collect: select across the control sockets; [timeout] seconds
-     with no report anywhere is the distributed analogue of the
-     watchdog's stall.  A failure does not end the collection: a
-     child's death reaches its peers as "link down:", so the first
-     report to arrive is often the symptom, not the cause.  Once one
-     child has failed, the others get up to [timeout] more seconds to
-     report or exit, and the run fails with the lowest-numbered PE
-     whose failure is its own ({!own_failure}). *)
-  let reports : child_ok option array = Array.make procs None in
-  let failures : failure option array = Array.make procs None in
+    (fun j pid ->
+      if not t.reaped.(j) then try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+    t.pids
+
+let reap_all t = Array.iteri (fun j _ -> ignore (reap t j)) t.pids
+
+(* Retire a team: stop it and reap every member. *)
+let retire t =
+  stop t;
+  reap_all t
+
+let fail t failure =
+  retire t;
+  raise (Dist_error failure)
+
+(* One reply from every member, by select across the control sockets;
+   [timeout] seconds with no reply anywhere is the distributed
+   analogue of the watchdog's stall.  A failure does not end the
+   gathering: a member's death reaches its peers as "link down:", so
+   the first failure to arrive is often the symptom, not the cause.
+   Once one member has failed, the others get up to [timeout] more
+   seconds to reply or exit, and the team is retired with the failure
+   of the lowest-numbered PE whose failure is its own
+   ({!own_failure}).  The deadline is on the monotonic clock, so a
+   wall-clock step cannot stretch or cut the stall bound. *)
+let gather t ~timeout =
+  let procs = t.procs in
+  let replies = Array.make procs None and failures = Array.make procs None in
   let unsettled () =
-    List.filter (fun j -> reports.(j) = None && failures.(j) = None) (List.init procs Fun.id)
+    List.filter
+      (fun j -> Option.is_none replies.(j) && Option.is_none failures.(j))
+      (List.init procs Fun.id)
   in
   let settle fd =
     let j =
-      let rec find i = if parent_end i == fd then i else find (i + 1) in
+      let rec find i = if t.ctl.(i) == fd then i else find (i + 1) in
       find 0
     in
-    match (Wire.read fd : (report, Wire.error) result) with
-    | Ok (Ok ok) ->
-      reports.(j) <- Some ok;
-      ignore (reap_status j)
-    | Ok (Error message) -> failures.(j) <- Some (Child_error { proc = j; message })
+    match (Wire.read fd : (reply, Wire.error) result) with
+    | Ok (Failed message) -> failures.(j) <- Some (Child_error { proc = j; message })
+    | Ok r -> replies.(j) <- Some r
     | Error _ ->
       let status =
-        match reap_status j with Some st -> status_string st | None -> "already reaped"
+        match reap t j with Some st -> status_string st | None -> "already reaped"
       in
       failures.(j) <- Some (Child_exit { proc = j; status })
   in
+  let timeout_ns = int_of_float (timeout *. 1e9) in
   let rec collect deadline =
     match unsettled () with
     | [] -> ()
@@ -248,43 +249,221 @@ let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Co
       let wait =
         match deadline with
         | None -> timeout
-        | Some d -> Float.max 0.0 (d -. Unix.gettimeofday ())
+        | Some d -> Float.max 0.0 (float_of_int (d - Clock.now_ns ()) /. 1e9)
       in
-      match Unix.select (List.map parent_end pending) [] [] wait with
+      match Unix.select (List.map (fun j -> t.ctl.(j)) pending) [] [] wait with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> collect deadline
       | [], _, _ ->
-        if deadline = None then fail (Stalled { timeout; waiting = pending })
+        if deadline = None then fail t (Stalled { timeout; waiting = pending })
       | ready, _, _ ->
         List.iter settle ready;
         collect
           (match deadline with
           | None when Array.exists Option.is_some failures ->
-            Some (Unix.gettimeofday () +. timeout)
+            Some (Clock.now_ns () + timeout_ns)
           | d -> d))
   in
-  Trace.span ~cat:"dist" "dist.join" (fun () -> collect None);
+  collect None;
   (let failed = List.filter_map Fun.id (Array.to_list failures) in
    match List.filter own_failure failed @ failed with
-   | f :: _ -> fail f
+   | f :: _ -> fail t f
    | [] -> ());
-  Array.iteri (fun j _ -> close_quietly (parent_end j)) ctl;
-  Array.iteri (fun j _ -> ignore (reap_status j)) pids;
-  let results =
-    Array.init procs (fun j ->
-        match reports.(j) with
-        | Some r -> (r.vals, r.sent, r.wall_ns)
-        | None -> assert false)
+  Array.map Option.get replies
+
+(* Retire this process's warm team, if any.  In a process forked from
+   the team's owner, only drop these copies of its control ends: the
+   members are not this process's to end. *)
+let retire_current () =
+  match !current with
+  | None -> ()
+  | Some t ->
+    current := None;
+    if t.owner = Unix.getpid () then retire t else close_ctl t
+
+let shutdown () =
+  (match !current with
+  | Some t when t.owner = Unix.getpid () ->
+    (* End of stream on its control socket ends a member, and the
+       member's own end closes as it exits: wait up to 0.25 s for every
+       member's before retiring the team stops the rest. *)
+    Array.iter
+      (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
+      t.ctl;
+    let deadline = Clock.now_ns () + 250_000_000 in
+    let rec wait open_ =
+      let left = float_of_int (deadline - Clock.now_ns ()) /. 1e9 in
+      if open_ <> [] && left > 0.0 then
+        match Unix.select open_ [] [] left with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait open_
+        | ready, _, _ ->
+          let still fd =
+            (not (List.memq fd ready))
+            ||
+            match Unix.read fd (Bytes.create 64) 0 64 with
+            | 0 -> false
+            | _ -> true
+            | exception Unix.Unix_error _ -> false
+          in
+          wait (List.filter still open_)
+    in
+    wait (Array.to_list t.ctl)
+  | _ -> ());
+  retire_current ()
+
+let exit_hook = lazy (at_exit shutdown)
+
+(* Fork the members, one per processor, each with its row of [mesh]
+   and its control socket, and return once every member has said its
+   links are up.  The members inherit [form], the program of the call
+   that starts the team, under key 0: the fork copies it for free, so
+   only later programs are shipped.  Forking MUST happen before this
+   process ever spawns a domain: OCaml 5 forbids Unix.fork once any
+   domain was created (even a joined one).  A live team needs no
+   fork. *)
+let start ~timeout ~procs ~form mesh =
+  Lazy.force exit_hook;
+  let ctl =
+    Array.init procs (fun _ -> Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0)
   in
-  (* Merge the children's spans into this process's capture: each
-     child's timeline lands on its own track block. *)
+  let t =
+    {
+      procs;
+      owner = Unix.getpid ();
+      pids = Array.make procs (-1);
+      ctl = Array.map fst ctl;
+      reaped = Array.make procs true;
+      closed = false;
+      held = [ (form, 0) ];
+      next_key = 1;
+    }
+  in
+  let child j =
+    let ctl = snd ctl.(j) in
+    match mesh with
+    | `U m ->
+      let link peer = Mesh_sock.link m ~proc:j ~peer in
+      close_inherited
+        ~keep:(ctl :: List.filter_map (fun peer -> if peer = j then None else Some (link peer))
+                        (List.init procs Fun.id));
+      member ~proc:j ~ctl ~held:[ (0, form) ] ~connect:(fun () ->
+          Mesh_sock.row ~procs ~proc:j ~link)
+    | `T (m, handshake_fault) ->
+      close_inherited ~keep:[ ctl; Mesh_tcp.listener m ~proc:j ];
+      (* The whole connection row is up and handshaken before "ready",
+         so a call's request marks the start of execution, not of
+         connection set-up, and a handshake mismatch fails the start
+         before any peer computes a value. *)
+      let fingerprint = if handshake_fault = Some j then Some "0000deadbeef0000" else None in
+      member ~proc:j ~ctl ~held:[ (0, form) ] ~connect:(fun () ->
+          let c = Mesh_tcp.connect_all ?fingerprint m ~proc:j in
+          Mesh_sock.row ~procs ~proc:j ~link:(fun peer -> Mesh_tcp.link c ~peer))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* Parent: no link endpoints or listeners, no member-side control
+         endpoints. *)
+      (match mesh with `U m -> Mesh_sock.close_all m | `T (m, _) -> Mesh_tcp.close_parent m);
+      Array.iter (fun (_, c) -> close_quietly c) ctl)
+    (fun () ->
+      Trace.span ~cat:"dist" ~args:[ ("procs", string_of_int procs) ] "dist.spawn" (fun () ->
+          try
+            for j = 0 to procs - 1 do
+              match Unix.fork () with
+              | 0 ->
+                (* Nothing may unwind into the parent's code here. *)
+                (try child j with _ -> ());
+                Unix._exit 1
+              | pid ->
+                Metrics.inc (forks_counter ());
+                t.pids.(j) <- pid;
+                t.reaped.(j) <- false
+            done
+          with e ->
+            retire t;
+            raise e));
+  ignore (Trace.span ~cat:"dist" "dist.ready" (fun () -> gather t ~timeout));
+  t
+
+(* One call on a started team: send every member the request (the
+   program's key, its form only the first time), hand [sabotage] the
+   pids, gather every report. *)
+let call t ~timeout ~sabotage ~lowered =
+  let request =
+    match List.find_opt (fun (l, _) -> l == lowered) t.held with
+    | Some (_, key) -> { key; form = None; tracing = Trace.is_enabled () }
+    | None ->
+      let key = t.next_key in
+      t.next_key <- key + 1;
+      t.held <- hold (lowered, key) t.held;
+      { key; form = Some lowered; tracing = Trace.is_enabled () }
+  in
+  Trace.span ~cat:"dist" "dist.ship" (fun () ->
+      let frame = Wire.marshal_frame request in
+      Array.iter
+        (fun fd ->
+          (* A member already gone is found by the gathering below: end
+             of stream, and its exit status. *)
+          try Wire.write_frame fd frame with Unix.Unix_error _ -> ())
+        t.ctl);
+  Option.iter (fun f -> f (Array.copy t.pids)) sabotage;
+  Trace.span ~cat:"dist" "dist.collect" (fun () ->
+      Array.map (function Done ok -> ok | Ready | Failed _ -> assert false) (gather t ~timeout))
+
+let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Compiled)
+    ~loop ~program () =
+  if not (Ast.is_flat loop) then invalid_arg "Runner.run: loop must be flat";
+  if List.length (Ast.assignments loop) <> Graph.node_count program.Program.graph then
+    invalid_arg "Runner.run: statement/node count mismatch";
+  let procs = program.Program.processors in
+  (* A warm team this call cannot use retires before anything else:
+     while its members live, every page this process writes is copied
+     on write, and lowering horner took 3.7 ms with the last team alive
+     against 1.0 ms without. *)
+  let usable t =
+    t.owner = Unix.getpid () && t.procs = procs
+    && match transport with Unix_sockets -> true | Tcp _ -> false
+  in
+  (match !current with
+  | Some t when not (usable t) -> retire_current ()
+  | _ -> ());
+  let lowered =
+    match exec with `Compiled -> Lower.run ~loop ~program () | `Compiled_form l -> l
+  in
+  (* A member that died mid-frame must cost an EPIPE, not a fatal
+     SIGPIPE in the supervisor. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let team, lifetime =
+    match (transport, !current) with
+    | Unix_sockets, Some t -> (t, `Warm)
+    | Unix_sockets, None ->
+      let t = start ~timeout ~procs ~form:lowered (`U (Mesh_sock.create ~procs ())) in
+      current := Some t;
+      (t, `Warm)
+    | Tcp { roster; handshake_fault }, _ ->
+      (* The handshake binds this loop and program, so a TCP team
+         lives for one call. *)
+      let mesh = Mesh_tcp.create ?roster ~fingerprint:(fingerprint ~loop ~program) ~procs () in
+      (start ~timeout ~procs ~form:lowered (`T (mesh, handshake_fault)), `One_call)
+  in
+  Trace.span ~cat:"dist" "dist.run" @@ fun () ->
+  let reports =
+    match call team ~timeout ~sabotage ~lowered with
+    | reports ->
+      (* A frame left on a link would be read by the next call. *)
+      if lifetime = `One_call || Array.exists (fun r -> r.unread > 0) reports then stop team;
+      reports
+    | exception e ->
+      retire team;
+      raise e
+  in
+  (* Merge the members' spans into this process's capture: each
+     member's timeline lands on its own track block. *)
   Array.iteri
-    (fun j r ->
-      match r with
-      | Some { trace = Some c; _ } -> Trace.absorb ~tid_offset:((j + 1) * 1000) c
-      | _ -> ())
+    (fun j r -> Option.iter (fun c -> Trace.absorb ~tid_offset:((j + 1) * 1000) c) r.trace)
     reports;
-  Value_run.finalize ~loop ~program ~computes:(Mimd_runtime.Lower.computes lowered)
-    ~results
+  Fun.protect ~finally:(fun () -> if team.closed then reap_all team) @@ fun () ->
+  Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered)
+    ~results:(Array.map (fun r -> (r.vals, r.sent, r.wall_ns)) reports)
 
 (* Respawn supervision for a one-shot run.  A run is a deterministic
    pure function of (loop, program, inputs), and a crashed or stalled

@@ -372,17 +372,27 @@ let no_children_left () =
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
   | _ -> false
 
+(* A failed call retires its team: every member it had is reaped. *)
+let all_reaped pids =
+  Array.for_all
+    (fun pid ->
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+      | _ -> false)
+    pids
+
 let test_runner_kill_child () =
   (* A long enough run that the SIGKILL lands mid-execution.  Either
      the parent notices PE 0's death first (Child_exit) or a peer's
      Link_down report wins the race (Child_error) — both are the
      structured contract; a hang or success is the bug. *)
   let flat, program = compile ~iterations:3000 (Parser.parse Mimd_workloads.Fig7.source) in
-  let killed = ref false in
+  let killed = ref false and team = ref [||] in
   (match
      Runner.run
        ~sabotage:(fun pids ->
          killed := true;
+         team := pids;
          try Unix.kill pids.(0) Sys.sigkill with Unix.Unix_error _ -> ())
        ~loop:flat ~program ()
    with
@@ -393,15 +403,18 @@ let test_runner_kill_child () =
   | exception Runner.Dist_error (Runner.Stalled _ as f) ->
     Alcotest.failf "expected a child failure, got %s" (Runner.describe f));
   check_bool "sabotage ran" true !killed;
+  check_bool "every member of the failed team reaped" true (all_reaped !team);
   check_bool "no orphan processes" true (no_children_left ())
 
 let test_runner_stall_detected () =
   (* SIGSTOP one child: nobody crashes, nothing reports — the select
      watchdog must call it a stall and still reap everyone. *)
   let flat, program = compile ~iterations:3000 (Parser.parse Mimd_workloads.Fig7.source) in
+  let team = ref [||] in
   (match
      Runner.run ~timeout:0.4
        ~sabotage:(fun pids ->
+         team := pids;
          try Unix.kill pids.(0) Sys.sigstop with Unix.Unix_error _ -> ())
        ~loop:flat ~program ()
    with
@@ -410,27 +423,33 @@ let test_runner_stall_detected () =
     check_bool "PE 0 listed as waiting" true (List.mem 0 waiting)
   | exception Runner.Dist_error f ->
     Alcotest.failf "expected Stalled, got %s" (Runner.describe f));
+  check_bool "every member of the stalled team reaped" true (all_reaped !team);
   check_bool "no orphan processes" true (no_children_left ())
 
 let test_runner_traces_absorbed () =
-  (* While tracing, children capture their own spans and the parent
-     absorbs them: the export must hold the parent's dist.spawn/join
-     and the children's run.compute on offset tracks. *)
-  Trace.clear ();
-  Trace.enable ();
-  let json =
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.disable ();
-        Trace.clear ())
-      (fun () ->
-        let flat, program = compile ~iterations:6 (Parser.parse Mimd_workloads.Fig7.source) in
+  (* While tracing, members capture their own spans and the parent
+     absorbs them.  A call that starts a team holds the parent's
+     dist.spawn and dist.ready; every call holds dist.ship, dist.run
+     and dist.collect, and the members' run.compute on offset
+     tracks. *)
+  let flat, program = compile ~iterations:6 (Parser.parse Mimd_workloads.Fig7.source) in
+  let traced_call () =
+    with_tracing (fun () ->
         ignore (Runner.run ~loop:flat ~program ());
         Trace.export ())
   in
+  Runner.shutdown ();
+  let first = traced_call () in
+  let second = traced_call () in
   List.iter
-    (fun needle -> check_bool (needle ^ " span present") true (contains json needle))
-    [ "dist.spawn"; "dist.join"; "run.compute" ]
+    (fun needle -> check_bool (needle ^ " span present") true (contains first needle))
+    [ "dist.spawn"; "dist.ready"; "dist.ship"; "dist.run"; "dist.collect"; "run.compute" ];
+  List.iter
+    (fun needle -> check_bool (needle ^ " span in a warm call") true (contains second needle))
+    [ "dist.ship"; "dist.run"; "dist.collect"; "run.compute" ];
+  List.iter
+    (fun needle -> check_bool (needle ^ " only when a team starts") false (contains second needle))
+    [ "dist.spawn"; "dist.ready" ]
 
 (* ---------------------------------------------------------------- *)
 (* Mesh_tcp: rendezvous handshake, backoff dial, TCP framing          *)
@@ -656,12 +675,13 @@ let test_runner_respawn_recovers () =
      orphans.  (A run is a deterministic pure function, so whole-run
      retry is the sound respawn unit — see the Runner doc.) *)
   let flat, program = compile ~iterations:200 (Parser.parse Mimd_workloads.Fig7.source) in
-  let first = ref true in
+  let first = ref true and team = ref [||] in
   let outcome =
     Runner.run ~respawn:2
       ~sabotage:(fun pids ->
         if !first then begin
           first := false;
+          team := pids;
           try Unix.kill pids.(0) Sys.sigkill with Unix.Unix_error _ -> ()
         end)
       ~loop:flat ~program ()
@@ -670,23 +690,27 @@ let test_runner_respawn_recovers () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "respawned run vs interp: %s" e);
   check_bool "sabotage consumed" false !first;
+  check_bool "every member of the failed team reaped" true (all_reaped !team);
+  Runner.shutdown ();
   check_bool "no orphan processes" true (no_children_left ())
 
 let test_runner_respawn_exhausted () =
   (* The sabotage kills every attempt: the budget must run out and the
      structured failure surface, still with no orphans. *)
   let flat, program = compile ~iterations:3000 (Parser.parse Mimd_workloads.Fig7.source) in
-  let attempts = ref 0 in
+  let attempts = ref 0 and teams = ref [] in
   (match
      Runner.run ~respawn:1
        ~sabotage:(fun pids ->
          incr attempts;
+         teams := pids :: !teams;
          try Unix.kill pids.(0) Sys.sigkill with Unix.Unix_error _ -> ())
        ~loop:flat ~program ()
    with
   | _ -> Alcotest.fail "every attempt was killed yet the run succeeded"
   | exception Runner.Dist_error (Runner.Child_exit _ | Runner.Child_error _) -> ());
   check_int "original + one respawn" 2 !attempts;
+  check_bool "every member of both teams reaped" true (List.for_all all_reaped !teams);
   check_bool "no orphan processes" true (no_children_left ())
 
 let test_linkprobe () =
@@ -698,6 +722,7 @@ let test_linkprobe () =
   check_bool "effective k >= 1" true (l.Linkprobe.effective_k >= 1.0);
   check_bool "render mentions effective k" true
     (contains (Linkprobe.render ~assumed_k:2 t) "effective k");
+  Runner.shutdown ();
   check_bool "no orphan processes" true (no_children_left ())
 
 (* ---------------------------------------------------------------- *)
@@ -1347,6 +1372,190 @@ let test_runner_failure_names_same_pe () =
   done;
   check_bool "no orphan processes" true (no_children_left ())
 
+(* ---------------------------------------------------------------- *)
+(* The warm team: reuse, retirement, lifetime                        *)
+
+let forks () =
+  Mimd_obs.Metrics.counter_value
+    (Mimd_obs.Metrics.counter Mimd_obs.Metrics.default "mimd_dist_forks_total")
+
+let expect_interp name ~iterations flat (outcome : Value_run.outcome) =
+  let spec = Value_run.spec ~loop:flat ~iterations in
+  (match Value_run.check_instances ~spec outcome.instances with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: instances vs interp: %s" name e);
+  match Value_run.check_against_sequential ~loop:flat ~iterations outcome with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: final memory vs interp: %s" name e
+
+let kill_pe0 team pids =
+  team := pids;
+  try Unix.kill pids.(0) Sys.sigkill with Unix.Unix_error _ -> ()
+
+(* Long enough that a SIGKILL after the request lands mid-call. *)
+let long_fig7 () = compile ~iterations:3000 (Parser.parse Mimd_workloads.Fig7.source)
+
+let test_runner_fork_counter () =
+  Runner.shutdown ();
+  let lowered (flat, program) = (flat, program, Mimd_runtime.Lower.run ~loop:flat ~program ()) in
+  let progs =
+    [|
+      lowered (compile ~iterations:40 (Parser.parse Mimd_workloads.Fig7.source));
+      lowered (compile ~iterations:20 (Parser.parse Mimd_workloads.Elliptic.source));
+    |]
+  in
+  let f0 = forks () in
+  for i = 0 to 19 do
+    let flat, program, l = progs.(i mod 2) in
+    ignore (Runner.run ~exec:(`Compiled_form l) ~loop:flat ~program ())
+  done;
+  check_int "20 calls at p=2 over two programs fork one team" 2 (forks () - f0);
+  let f1 = forks () in
+  let flat, program = long_fig7 () in
+  let first = ref true and team = ref [||] in
+  ignore
+    (Runner.run ~respawn:1
+       ~sabotage:(fun pids ->
+         if !first then begin
+           first := false;
+           kill_pe0 team pids
+         end)
+       ~loop:flat ~program ());
+  check_bool "the killed team is reaped" true (all_reaped !team);
+  check_int "a killed member plus one respawn fork one new team" 2 (forks () - f1);
+  let f2 = forks () in
+  let flat, program, _ = progs.(0) in
+  ignore (Runner.run ~transport:tcp ~loop:flat ~program ());
+  check_int "a TCP call forks p members" 2 (forks () - f2);
+  Runner.shutdown ();
+  check_bool "no orphan processes" true (no_children_left ())
+
+let test_runner_team_reuse () =
+  (* Every call on a live team starts from fresh tables: two programs
+     back to back, a program after a failed call, a wider team after a
+     narrower one, and a form evicted from the members and shipped
+     again — each bit-identical to the interpreter. *)
+  Runner.shutdown ();
+  let fig7 = compile ~iterations:40 (Parser.parse Mimd_workloads.Fig7.source) in
+  let ewf = compile ~iterations:20 (Parser.parse Mimd_workloads.Elliptic.source) in
+  let run ?exec name ~iterations (flat, program) =
+    expect_interp name ~iterations flat (Runner.run ?exec ~loop:flat ~program ())
+  in
+  let f0 = forks () in
+  run "fig7" ~iterations:40 fig7;
+  run "ewf after fig7" ~iterations:20 ewf;
+  run "fig7 after ewf" ~iterations:40 fig7;
+  check_int "one team ran all three" 2 (forks () - f0);
+  let flat, program = long_fig7 () in
+  let team = ref [||] in
+  (match Runner.run ~sabotage:(kill_pe0 team) ~loop:flat ~program () with
+  | _ -> Alcotest.fail "killed a member but the call succeeded"
+  | exception Runner.Dist_error _ -> ());
+  check_bool "the failed team is reaped" true (all_reaped !team);
+  run "ewf after a failed call" ~iterations:20 ewf;
+  let f1 = forks () in
+  run "ewf at p=3 after p=2" ~iterations:8
+    (compile ~p:3 ~iterations:8 (Parser.parse Mimd_workloads.Elliptic.source));
+  check_int "a call at p=3 starts a team of 3" 3 (forks () - f1);
+  let flat, program = fig7 in
+  let forms = Array.init 9 (fun _ -> Mimd_runtime.Lower.run ~loop:flat ~program ()) in
+  Array.iteri
+    (fun i l -> run (Printf.sprintf "form %d" i) ~exec:(`Compiled_form l) ~iterations:40 fig7)
+    forms;
+  run "an evicted form, shipped again" ~exec:(`Compiled_form forms.(0)) ~iterations:40 fig7;
+  Runner.shutdown ();
+  check_bool "no orphan processes" true (no_children_left ())
+
+let test_runner_unread_frame_retires () =
+  (* A program whose PE sends one frame twice leaves the duplicate
+     unread: the call still succeeds, but the team is retired so the
+     frame cannot reach the next call. *)
+  Runner.shutdown ();
+  let iterations = 12 in
+  let flat, program = compile ~iterations (Parser.parse Mimd_workloads.Fig7.source) in
+  let programs = Array.copy program.Mimd_codegen.Program.programs in
+  let is_send = function Mimd_codegen.Program.Send _ -> true | _ -> false in
+  let sender =
+    let rec find j =
+      if List.exists is_send programs.(j) then j else find (j + 1)
+    in
+    find 0
+  in
+  let dup = List.find is_send (List.rev programs.(sender)) in
+  programs.(sender) <- programs.(sender) @ [ dup ];
+  let extra = { program with Mimd_codegen.Program.programs } in
+  let f0 = forks () in
+  expect_interp "extra send" ~iterations flat (Runner.run ~loop:flat ~program:extra ());
+  expect_interp "the next call" ~iterations flat (Runner.run ~loop:flat ~program ());
+  check_int "the next call ran on a new team" 4 (forks () - f0);
+  Runner.shutdown ();
+  check_bool "no orphan processes" true (no_children_left ())
+
+let test_team_holds_no_pipe () =
+  (* A pipe made before the team starts: once this process closes its
+     write end, the read end sees EOF, so no member holds it. *)
+  Runner.shutdown ();
+  let r, w = Unix.pipe () in
+  let flat, program = compile ~iterations:12 (Parser.parse Mimd_workloads.Fig7.source) in
+  ignore (Runner.run ~loop:flat ~program ());
+  Unix.close w;
+  let eof =
+    match Unix.select [ r ] [] [] 2.0 with
+    | [], _, _ -> false
+    | _ -> Unix.read r (Bytes.create 1) 0 1 = 0
+  in
+  Unix.close r;
+  check_bool "the pipe sees EOF with the team alive" true eof;
+  Runner.shutdown ();
+  check_bool "no orphan processes" true (no_children_left ())
+
+(* Gone or a zombie: a pid no process runs as any more. *)
+let gone pid =
+  match In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+  | exception Sys_error _ -> true
+  | stat -> (
+    match String.rindex_opt stat ')' with
+    | Some i when i + 2 < String.length stat -> stat.[i + 2] = 'Z' || stat.[i + 2] = 'X'
+    | _ -> true)
+
+let test_team_dies_with_its_parent () =
+  (* A helper starts a team and exits without Runner.shutdown: every
+     member sees end of stream on its control socket and exits. *)
+  Runner.shutdown ();
+  let flat, program = compile ~iterations:12 (Parser.parse Mimd_workloads.Fig7.source) in
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    let oc = Unix.out_channel_of_descr w in
+    (try
+       ignore
+         (Runner.run
+            ~sabotage:(fun pids ->
+              Marshal.to_channel oc (pids : int array) [];
+              flush oc)
+            ~loop:flat ~program ())
+     with _ -> ());
+    Unix._exit 0
+  | helper ->
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let pids = (Marshal.from_channel ic : int array) in
+    In_channel.close ic;
+    ignore (Unix.waitpid [] helper);
+    let deadline = Unix.gettimeofday () +. 2.0 in
+    let rec wait () =
+      Array.for_all gone pids
+      || Unix.gettimeofday () < deadline
+         && begin
+           Unix.sleepf 0.01;
+           wait ()
+         end
+    in
+    check_int "the helper's team had 2 members" 2 (Array.length pids);
+    check_bool "no member outlives its parent by 2 s" true (wait ());
+    check_bool "no orphan processes" true (no_children_left ())
+
 let suite =
   [
     Alcotest.test_case "wire: round-trip + clean close" `Quick test_wire_roundtrip;
@@ -1420,4 +1629,10 @@ let suite =
       test_runner_park_fallback;
     Alcotest.test_case "runner: a failure names the same PE every run" `Quick
       test_runner_failure_names_same_pe;
+    Alcotest.test_case "team: a fork counter pins one team per p" `Quick test_runner_fork_counter;
+    Alcotest.test_case "team: calls reuse one team, bit for bit" `Quick test_runner_team_reuse;
+    Alcotest.test_case "team: a frame left unread retires it" `Quick
+      test_runner_unread_frame_retires;
+    Alcotest.test_case "team: members hold no inherited pipe" `Quick test_team_holds_no_pipe;
+    Alcotest.test_case "team: members die with their parent" `Quick test_team_dies_with_its_parent;
   ]
