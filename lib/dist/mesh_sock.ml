@@ -52,8 +52,6 @@ let link t ~proc ~peer =
   | Some fd -> fd
   | None -> invalid_arg "Mesh_sock: self link"
 
-(* Child-side: keep only row [proc], close every other inherited
-   endpoint so a dead peer turns into EOF instead of a silent hang. *)
 (* Closed slots become [None] so a later close cannot hit a reused
    descriptor number. *)
 let close_row row =
@@ -64,11 +62,6 @@ let close_row row =
         (try Unix.close fd with Unix.Unix_error _ -> ())
       | None -> ())
     row
-
-let retain_only t ~proc =
-  for i = 0 to t.procs - 1 do
-    if i <> proc then close_row t.fds.(i)
-  done
 
 let close_all t = Array.iter close_row t.fds
 
@@ -372,5 +365,3 @@ let settle row =
         done)
     row.links;
   !unread
-
-let chans t ~proc = row_chans (row ~procs:t.procs ~proc ~link:(fun peer -> link t ~proc ~peer))

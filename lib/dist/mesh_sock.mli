@@ -28,11 +28,6 @@ val link : t -> proc:int -> peer:int -> Unix.file_descr
 (** Processor [proc]'s endpoint of its link to [peer].
     @raise Invalid_argument for the diagonal. *)
 
-val retain_only : t -> proc:int -> unit
-(** Child-side, right after fork: close every inherited endpoint that
-    does not belong to row [proc], so a dead peer becomes EOF (a
-    structured {!Link_down}) instead of a silent hang. *)
-
 val close_all : t -> unit
 (** Parent-side, after all forks: the parent holds no link. *)
 
@@ -105,10 +100,6 @@ module Link : sig
       on a frame boundary and [Truncated] inside one; a malformed
       frame is its {!Wire.decode} error. *)
 end
-
-val chans : t -> proc:int -> Mimd_runtime.Value_run.chans
-(** The channel interface for processor [proc]: {!row_chans} of a
-    fresh {!row} over this mesh's row [proc]. *)
 
 (** {1 A PE's row, across calls} *)
 

@@ -16,9 +16,10 @@ type child_ok = {
 }
 
 (* What the parent sends a team member for each call: the key of the
-   program to run, the lowered form itself only when the member does
-   not hold that key yet, and whether to trace the call. *)
-type request = { key : int; form : Lower.t option; tracing : bool }
+   program to run ({!fingerprint}), the lowered form itself only when
+   the member does not hold that key yet, and whether to trace the
+   call. *)
+type request = { key : string; form : Lower.t option; tracing : bool }
 
 (* What a member sends back: once, that its links are up; then, per
    call, its whole result or the rendering of whatever it died of. *)
@@ -92,15 +93,20 @@ let max_held = 8
 
 let hold entry held = List.filteri (fun i _ -> i < max_held) (entry :: held)
 
+(* A form the parent holds.  Its key is the {!fingerprint} of the loop
+   and program it was lowered from; the loop and program themselves
+   are kept so that a caller passing the same values again finds the
+   form by [==] without hashing them. *)
+type held = { key : string; loop : Ast.loop; program : Program.t; form : Lower.t }
+
 type team = {
   procs : int;
   owner : int;  (* the pid that forked the members: only it may end them *)
   pids : int array;
   ctl : Unix.file_descr array;  (* the parent's end of each member's control socket *)
   reaped : bool array;
-  mutable closed : bool;  (* the control ends are closed: the team takes no call *)
-  mutable held : (Lower.t * int) list;  (* newest first; a key is a form by [==] *)
-  mutable next_key : int;
+  mutable retired : bool;  (* the control ends are closed: the team takes no call *)
+  mutable held : held list;  (* newest first *)
 }
 
 (* On Unix a file_descr is the descriptor number. *)
@@ -150,14 +156,19 @@ let member ~proc ~ctl ~held ~connect =
       end
       else Trace.disable ();
       let t0 = Clock.now_ns () in
+      (* Settling is part of the call: a peer that dies while this
+         member waits for its end marker is a "link down:" report, a
+         symptom, like a death seen during the worker. *)
       let outcome =
         match
-          Mimd_runtime.Exec_compiled.worker ~lowered:(List.assoc key held) ~proc
-            ~chans:(Mesh_sock.row_chans row) ()
-        with
-        | vals, sent ->
+          let vals, sent =
+            Mimd_runtime.Exec_compiled.worker ~lowered:(List.assoc key held) ~proc
+              ~chans:(Mesh_sock.row_chans row) ()
+          in
           let wall_ns = float_of_int (Clock.now_ns () - t0) in
-          let unread = Mesh_sock.settle row in
+          (vals, sent, wall_ns, Mesh_sock.settle row)
+        with
+        | vals, sent, wall_ns, unread ->
           let trace = if tracing then Some (Trace.capture ()) else None in
           Trace.clear ();
           Done { vals; sent; wall_ns; trace; unread }
@@ -181,29 +192,21 @@ let reap t j =
   end
 
 let close_ctl t =
-  if not t.closed then begin
-    t.closed <- true;
+  if not t.retired then begin
+    t.retired <- true;
     Array.iter close_quietly t.ctl
   end
 
-(* Stop a team: it takes no further call.  Its control ends close and
-   every member still running is SIGKILLed.  The kernel takes 1.5-3 ms
-   to tear a pair of members down on a 2-vCPU host, so a caller with
-   other work does it between [stop] and [reap_all]. *)
-let stop t =
+(* Retire a team: it takes no further call.  Its control ends close,
+   and every member is SIGKILLed and reaped. *)
+let retire t =
   (match !current with Some c when c == t -> current := None | _ -> ());
   close_ctl t;
   Array.iteri
     (fun j pid ->
       if not t.reaped.(j) then try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-    t.pids
-
-let reap_all t = Array.iteri (fun j _ -> ignore (reap t j)) t.pids
-
-(* Retire a team: stop it and reap every member. *)
-let retire t =
-  stop t;
-  reap_all t
+    t.pids;
+  Array.iteri (fun j _ -> ignore (reap t j)) t.pids
 
 let fail t failure =
   retire t;
@@ -273,54 +276,23 @@ let gather t ~timeout =
 (* Retire this process's warm team, if any.  In a process forked from
    the team's owner, only drop these copies of its control ends: the
    members are not this process's to end. *)
-let retire_current () =
+let shutdown () =
   match !current with
   | None -> ()
   | Some t ->
     current := None;
     if t.owner = Unix.getpid () then retire t else close_ctl t
 
-let shutdown () =
-  (match !current with
-  | Some t when t.owner = Unix.getpid () ->
-    (* End of stream on its control socket ends a member, and the
-       member's own end closes as it exits: wait up to 0.25 s for every
-       member's before retiring the team stops the rest. *)
-    Array.iter
-      (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
-      t.ctl;
-    let deadline = Clock.now_ns () + 250_000_000 in
-    let rec wait open_ =
-      let left = float_of_int (deadline - Clock.now_ns ()) /. 1e9 in
-      if open_ <> [] && left > 0.0 then
-        match Unix.select open_ [] [] left with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait open_
-        | ready, _, _ ->
-          let still fd =
-            (not (List.memq fd ready))
-            ||
-            match Unix.read fd (Bytes.create 64) 0 64 with
-            | 0 -> false
-            | _ -> true
-            | exception Unix.Unix_error _ -> false
-          in
-          wait (List.filter still open_)
-    in
-    wait (Array.to_list t.ctl)
-  | _ -> ());
-  retire_current ()
-
 let exit_hook = lazy (at_exit shutdown)
 
 (* Fork the members, one per processor, each with its row of [mesh]
    and its control socket, and return once every member has said its
-   links are up.  The members inherit [form], the program of the call
-   that starts the team, under key 0: the fork copies it for free, so
-   only later programs are shipped.  Forking MUST happen before this
-   process ever spawns a domain: OCaml 5 forbids Unix.fork once any
-   domain was created (even a joined one).  A live team needs no
-   fork. *)
-let start ~timeout ~procs ~form mesh =
+   links are up.  The members inherit [first], the program of the call
+   that starts the team: the fork copies it for free, so only later
+   programs are shipped.  Forking MUST happen before this process ever
+   spawns a domain: OCaml 5 forbids Unix.fork once any domain was
+   created (even a joined one).  A live team needs no fork. *)
+let start ~timeout ~procs ~first mesh =
   Lazy.force exit_hook;
   let ctl =
     Array.init procs (fun _ -> Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0)
@@ -332,9 +304,8 @@ let start ~timeout ~procs ~form mesh =
       pids = Array.make procs (-1);
       ctl = Array.map fst ctl;
       reaped = Array.make procs true;
-      closed = false;
-      held = [ (form, 0) ];
-      next_key = 1;
+      retired = false;
+      held = [ first ];
     }
   in
   let child j =
@@ -345,7 +316,7 @@ let start ~timeout ~procs ~form mesh =
       close_inherited
         ~keep:(ctl :: List.filter_map (fun peer -> if peer = j then None else Some (link peer))
                         (List.init procs Fun.id));
-      member ~proc:j ~ctl ~held:[ (0, form) ] ~connect:(fun () ->
+      member ~proc:j ~ctl ~held:[ (first.key, first.form) ] ~connect:(fun () ->
           Mesh_sock.row ~procs ~proc:j ~link)
     | `T (m, handshake_fault) ->
       close_inherited ~keep:[ ctl; Mesh_tcp.listener m ~proc:j ];
@@ -354,7 +325,7 @@ let start ~timeout ~procs ~form mesh =
          connection set-up, and a handshake mismatch fails the start
          before any peer computes a value. *)
       let fingerprint = if handshake_fault = Some j then Some "0000deadbeef0000" else None in
-      member ~proc:j ~ctl ~held:[ (0, form) ] ~connect:(fun () ->
+      member ~proc:j ~ctl ~held:[ (first.key, first.form) ] ~connect:(fun () ->
           let c = Mesh_tcp.connect_all ?fingerprint m ~proc:j in
           Mesh_sock.row ~procs ~proc:j ~link:(fun peer -> Mesh_tcp.link c ~peer))
   in
@@ -384,30 +355,60 @@ let start ~timeout ~procs ~form mesh =
   ignore (Trace.span ~cat:"dist" "dist.ready" (fun () -> gather t ~timeout));
   t
 
-(* One call on a started team: send every member the request (the
-   program's key, its form only the first time), hand [sabotage] the
-   pids, gather every report. *)
-let call t ~timeout ~sabotage ~lowered =
-  let request =
-    match List.find_opt (fun (l, _) -> l == lowered) t.held with
-    | Some (_, key) -> { key; form = None; tracing = Trace.is_enabled () }
-    | None ->
-      let key = t.next_key in
-      t.next_key <- key + 1;
-      t.held <- hold (lowered, key) t.held;
-      { key; form = Some lowered; tracing = Trace.is_enabled () }
+(* Send [frame] to every member within [timeout] seconds.  The control
+   ends are non-blocking while it ships, so a member that takes no
+   request (a stopped one, say) is a stall, not a parent blocked in
+   write(2).  A member already gone is found by the gathering: end of
+   stream, and its exit status. *)
+let ship t ~timeout frame =
+  let len = Bytes.length frame in
+  let sent = Array.make t.procs 0 in
+  let deadline = Clock.now_ns () + int_of_float (timeout *. 1e9) in
+  let rec go pending =
+    List.iter
+      (fun j ->
+        match Unix.single_write t.ctl.(j) frame sent.(j) (len - sent.(j)) with
+        | n -> sent.(j) <- sent.(j) + n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+        | exception Unix.Unix_error _ -> sent.(j) <- len)
+      pending;
+    match List.filter (fun j -> sent.(j) < len) pending with
+    | [] -> ()
+    | pending ->
+      let left = float_of_int (deadline - Clock.now_ns ()) /. 1e9 in
+      if left <= 0.0 then fail t (Stalled { timeout; waiting = pending });
+      (try ignore (Unix.select [] (List.map (fun j -> t.ctl.(j)) pending) [] left)
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      go pending
   in
-  Trace.span ~cat:"dist" "dist.ship" (fun () ->
-      let frame = Wire.marshal_frame request in
-      Array.iter
-        (fun fd ->
-          (* A member already gone is found by the gathering below: end
-             of stream, and its exit status. *)
-          try Wire.write_frame fd frame with Unix.Unix_error _ -> ())
-        t.ctl);
-  Option.iter (fun f -> f (Array.copy t.pids)) sabotage;
-  Trace.span ~cat:"dist" "dist.collect" (fun () ->
-      Array.map (function Done ok -> ok | Ready | Failed _ -> assert false) (gather t ~timeout))
+  Array.iter Unix.set_nonblock t.ctl;
+  Fun.protect
+    ~finally:(fun () -> if not t.retired then Array.iter Unix.clear_nonblock t.ctl)
+    (fun () -> go (List.init t.procs Fun.id))
+
+let lower exec ~loop ~program =
+  match exec with `Compiled -> Lower.run ~loop ~program () | `Compiled_form l -> l
+
+(* The form a call runs and the request that names it.  A program the
+   team holds goes by its key alone: found by [==] on the loop and
+   program, else by their fingerprint, and never lowered again.  Any
+   other is lowered (unless the caller lowered it already), held, and
+   shipped with its key. *)
+let prepare t ~exec ~loop ~program =
+  let tracing = Trace.is_enabled () in
+  let found =
+    match List.find_opt (fun h -> h.loop == loop && h.program == program) t.held with
+    | Some h -> Ok h
+    | None -> (
+      let key = fingerprint ~loop ~program in
+      match List.find_opt (fun h -> h.key = key) t.held with Some h -> Ok h | None -> Error key)
+  in
+  match found with
+  | Ok h -> (h.form, { key = h.key; form = None; tracing })
+  | Error key ->
+    let form = lower exec ~loop ~program in
+    t.held <- hold { key; loop; program; form } t.held;
+    (form, { key; form = Some form; tracing })
 
 let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Compiled)
     ~loop ~program () =
@@ -423,34 +424,42 @@ let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Co
     t.owner = Unix.getpid () && t.procs = procs
     && match transport with Unix_sockets -> true | Tcp _ -> false
   in
-  (match !current with
-  | Some t when not (usable t) -> retire_current ()
-  | _ -> ());
-  let lowered =
-    match exec with `Compiled -> Lower.run ~loop ~program () | `Compiled_form l -> l
-  in
+  (match !current with Some t when not (usable t) -> shutdown () | _ -> ());
   (* A member that died mid-frame must cost an EPIPE, not a fatal
      SIGPIPE in the supervisor. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let team, lifetime =
+  let team =
     match (transport, !current) with
-    | Unix_sockets, Some t -> (t, `Warm)
+    | Unix_sockets, Some t -> t
     | Unix_sockets, None ->
-      let t = start ~timeout ~procs ~form:lowered (`U (Mesh_sock.create ~procs ())) in
+      let first = { key = fingerprint ~loop ~program; loop; program; form = lower exec ~loop ~program } in
+      let t = start ~timeout ~procs ~first (`U (Mesh_sock.create ~procs ())) in
       current := Some t;
-      (t, `Warm)
+      t
     | Tcp { roster; handshake_fault }, _ ->
       (* The handshake binds this loop and program, so a TCP team
          lives for one call. *)
-      let mesh = Mesh_tcp.create ?roster ~fingerprint:(fingerprint ~loop ~program) ~procs () in
-      (start ~timeout ~procs ~form:lowered (`T (mesh, handshake_fault)), `One_call)
+      let key = fingerprint ~loop ~program in
+      let mesh = Mesh_tcp.create ?roster ~fingerprint:key ~procs () in
+      let first = { key; loop; program; form = lower exec ~loop ~program } in
+      start ~timeout ~procs ~first (`T (mesh, handshake_fault))
   in
+  let lowered, request = prepare team ~exec ~loop ~program in
   Trace.span ~cat:"dist" "dist.run" @@ fun () ->
   let reports =
-    match call team ~timeout ~sabotage ~lowered with
+    match
+      Trace.span ~cat:"dist"
+        ~args:[ ("form", if Option.is_none request.form then "held" else "shipped") ]
+        "dist.ship" (fun () -> ship team ~timeout (Wire.frame request));
+      Option.iter (fun f -> f (Array.copy team.pids)) sabotage;
+      Trace.span ~cat:"dist" "dist.collect" (fun () ->
+          Array.map (function Done ok -> ok | Ready | Failed _ -> assert false) (gather team ~timeout))
+    with
     | reports ->
       (* A frame left on a link would be read by the next call. *)
-      if lifetime = `One_call || Array.exists (fun r -> r.unread > 0) reports then stop team;
+      (match transport with
+      | Tcp _ -> retire team
+      | Unix_sockets -> if Array.exists (fun r -> r.unread > 0) reports then retire team);
       reports
     | exception e ->
       retire team;
@@ -461,7 +470,6 @@ let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Co
   Array.iteri
     (fun j r -> Option.iter (fun c -> Trace.absorb ~tid_offset:((j + 1) * 1000) c) r.trace)
     reports;
-  Fun.protect ~finally:(fun () -> if team.closed then reap_all team) @@ fun () ->
   Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered)
     ~results:(Array.map (fun r -> (r.vals, r.sent, r.wall_ns)) reports)
 

@@ -18,13 +18,17 @@
     start returns only once every member has.  A call then sends each
     member a request — a program key, the marshalled
     {!Mimd_runtime.Lower.t} only the first time the team sees that
-    form (a key is the form compared by [==]; the bytes are marshalled
-    once and written to every member; member and parent both hold the
-    last 8 forms, evicting the oldest first) and the parent's tracing
-    switch — and the members run it, report, settle their links
-    ({!Mesh_sock.settle}) and block on the next request.  The members
-    of a live team are not forked again: a horner call at p=2 n=1000
-    costs 0.4-0.7 ms where fork, start-up and exit made it 2.6-5 ms.
+    key, and the parent's tracing switch — and the members run it,
+    settle their links ({!Mesh_sock.settle}), report and block on the
+    next request.  A key is the {!fingerprint} of the call's loop and
+    program; a held form is found by [==] on the loop and program
+    first, so a caller passing the same values again hashes nothing.
+    A program the team holds is neither lowered nor shipped again.  The
+    request is marshalled once and written to every member within the
+    stall bound; member and parent both hold the last 8 forms, evicting
+    the oldest first.  The members of a live team are not forked again:
+    a horner call at p=2 n=1000 costs 0.4-0.7 ms where fork, start-up
+    and exit made it 2.6-5 ms.
 
     A team is {e retired} — no further call, every member SIGKILLed
     and reaped — on any failure below, after a call that left a frame
@@ -42,8 +46,9 @@
     {!Dist_error}[ (Stalled _)], a crashed child
     {!Dist_error}[ (Child_exit _)], a child-side exception
     {!Dist_error}[ (Child_error _)].  A child's death reaches its
-    peers as a [link down:] error, so the first report to arrive may
-    be a symptom: after the first failure the supervisor waits up to
+    peers as a [link down:] error — while they run the call or while
+    they settle after it — so the first report to arrive may be a
+    symptom: after the first failure the supervisor waits up to
     the stall bound for every other child to report or exit, then
     raises the failure of the lowest-numbered PE whose failure is its
     own (not [link down:]), or else of the lowest-numbered failed PE.
@@ -101,8 +106,9 @@ val run :
   Mimd_runtime.Value_run.outcome
 (** Execute [program] on the [program.processors] members of a team
     (the warm team over {!Unix_sockets}, a one-call team over TCP).
-    [timeout] (default 5 s) is the no-report stall bound, on the
-    monotonic clock.  [sabotage] is a fault-injection hook handed the
+    [timeout] (default 5 s) is the stall bound, on the monotonic
+    clock: on shipping the request to every member, and on each wait
+    for a report.  [sabotage] is a fault-injection hook handed the
     team's pids right after the call's request reaches every member
     (after the team's start, and after every TCP handshake, so a pause
     it makes lands inside execution) — the kill-child tests and
@@ -111,9 +117,10 @@ val run :
     yield bit-identical outcomes (the TCP loopback differential in CI
     pins this).  Every child runs {!Mimd_runtime.Exec_compiled.worker}
     over the lowered form named by [exec]: [`Compiled] (default)
-    lowers the program in the parent on every call (so its form ships
-    every call), [`Compiled_form l] reuses an already-lowered form
-    (shipped to a warm team once).  [respawn] (default 0) retries the whole
+    lowers the program in the parent unless the team holds it,
+    [`Compiled_form l] passes [l], which must be the lowering of this
+    [loop] and [program] (a team that holds their key runs its own
+    copy).  Either way a form ships to a team once.  [respawn] (default 0) retries the whole
     run up to that many times after an {e environmental} failure — a
     [Child_exit], a [Stalled], or a [Child_error] carrying a
     [link down:] message (a peer's death observed from the wrong
@@ -131,8 +138,7 @@ val run :
     @raise Dist_error as above; the team is retired first. *)
 
 val shutdown : unit -> unit
-(** End this process's warm team, if any: close the control ends, give
-    the members 0.25 s to exit, SIGKILL any still running, and reap
-    them all.  Registered with [at_exit] when a team first starts; a
-    process forked from the team's owner only drops its copies of the
-    control ends. *)
+(** Retire this process's warm team, if any: close the control ends,
+    SIGKILL every member and reap them all.  Registered with [at_exit]
+    when a team first starts; a process forked from the team's owner
+    only drops its copies of the control ends. *)

@@ -43,19 +43,18 @@ let rec write_all fd buf off len =
     write_all fd buf (off + n) (len - n)
   end
 
-(* The header goes out in its own write(2), so a large payload (a
-   lowered program is up to half a megabyte) is never copied behind
-   it. *)
-let marshal_frame v = Marshal.to_bytes v []
+let frame v =
+  let payload = Marshal.to_bytes v [] in
+  let n = Bytes.length payload in
+  let frame = Bytes.create (header_len + n) in
+  Bytes.blit_string magic 0 frame 0 4;
+  Bytes.set_int32_be frame 4 (Int32.of_int n);
+  Bytes.blit payload 0 frame header_len n;
+  frame
 
-let write_frame fd payload =
-  let header = Bytes.create header_len in
-  Bytes.blit_string magic 0 header 0 4;
-  Bytes.set_int32_be header 4 (Int32.of_int (Bytes.length payload));
-  write_all fd header 0 header_len;
-  write_all fd payload 0 (Bytes.length payload)
-
-let write fd v = write_frame fd (marshal_frame v)
+let write fd v =
+  let frame = frame v in
+  write_all fd frame 0 (Bytes.length frame)
 
 (* Read exactly [len] bytes; [`Eof n] reports how many arrived first. *)
 let read_exact fd buf len =

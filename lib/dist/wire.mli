@@ -37,15 +37,9 @@ val write : Unix.file_descr -> 'a -> unit
     [Marshal] rejects.
     @raise Unix.Unix_error when the fd is closed/broken. *)
 
-val marshal_frame : 'a -> Bytes.t
-(** The payload of the marshal frame {!write} sends, for a writer that
-    sends the same value to many readers: marshal once, then
-    {!write_frame} to each. *)
-
-val write_frame : Unix.file_descr -> Bytes.t -> unit
-(** Write one frame around a payload made by {!marshal_frame}: the
-    header, then the payload (handles short writes).
-    @raise Unix.Unix_error when the fd is closed/broken. *)
+val frame : 'a -> Bytes.t
+(** The whole frame {!write} sends, header included: for a writer that
+    sends one value to many readers, or paces its own writes. *)
 
 val read : ?max_frame:int -> Unix.file_descr -> ('a, error) result
 (** Read one complete frame.  Unsafe cast on success — reader and

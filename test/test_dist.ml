@@ -205,6 +205,10 @@ let test_ring_spill () =
 (* ---------------------------------------------------------------- *)
 (* Mesh_sock: the channel discipline over a real fork                 *)
 
+let mesh_chans mesh ~proc =
+  Mesh_sock.row_chans
+    (Mesh_sock.row ~procs:(Mesh_sock.procs mesh) ~proc ~link:(fun peer -> Mesh_sock.link mesh ~proc ~peer))
+
 let test_mesh_ping_pong () =
   let mesh = Mesh_sock.create ~procs:2 () in
   match Unix.fork () with
@@ -213,8 +217,7 @@ let test_mesh_ping_pong () =
        so the parent exercises the per-source stash keyed by tag. *)
     let code =
       try
-        Mesh_sock.retain_only mesh ~proc:1;
-        let ch = Mesh_sock.chans mesh ~proc:1 in
+        let ch = mesh_chans mesh ~proc:1 in
         for i = 0 to 9 do
           match ch.Value_run.recv ~src:0 ~tag:(0, i) with
           | Value_run.Single v ->
@@ -226,7 +229,7 @@ let test_mesh_ping_pong () =
     in
     Unix._exit code
   | pid ->
-    let ch = Mesh_sock.chans mesh ~proc:0 in
+    let ch = mesh_chans mesh ~proc:0 in
     let single = function Value_run.Single v -> v | Value_run.Pack _ -> nan in
     for i = 0 to 9 do
       ch.Value_run.send ~dst:1 ~tag:(0, i) (Value_run.Single (float_of_int i))
@@ -245,21 +248,21 @@ let test_mesh_ping_pong () =
     check_bool "child exited clean" true (status = Unix.WEXITED 0)
 
 let test_mesh_dead_peer_is_structured () =
-  let mesh = Mesh_sock.create ~procs:2 () in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.fork () with
-  | 0 -> Unix._exit 0 (* child dies immediately without sending *)
+  | 0 -> Unix._exit 0 (* child = PE1 dies immediately without sending *)
   | pid ->
-    (* the parent plays PE0, so it must drop PE1's endpoints just as
-       a real child does — otherwise its own copies keep the link
-       open and the death never surfaces as EOF *)
-    Mesh_sock.retain_only mesh ~proc:0;
+    (* the parent plays PE0, so it must drop PE1's endpoint just as a
+       team member does — otherwise its own copy keeps the link open
+       and the death never surfaces as EOF *)
+    Unix.close b;
     ignore (Unix.waitpid [] pid);
-    let ch = Mesh_sock.chans mesh ~proc:0 in
-    (match ch.Value_run.recv ~src:1 ~tag:(0, 0) with
+    Fun.protect ~finally:(fun () -> Unix.close a) @@ fun () ->
+    let ch = Mesh_sock.row_chans (Mesh_sock.row ~procs:2 ~proc:0 ~link:(fun _ -> a)) in
+    match ch.Value_run.recv ~src:1 ~tag:(0, 0) with
     | _ -> Alcotest.fail "recv from a dead peer returned a value"
     | exception Mesh_sock.Link_down { peer = 1; error = Wire.Closed; _ } -> ()
-    | exception Mesh_sock.Link_down _ -> ());
-    Mesh_sock.close_all mesh
+    | exception Mesh_sock.Link_down _ -> ()
 
 (* ---------------------------------------------------------------- *)
 (* Runner: forked processes = interpreter, instance by instance      *)
@@ -430,17 +433,23 @@ let test_runner_traces_absorbed () =
   (* While tracing, members capture their own spans and the parent
      absorbs them.  A call that starts a team holds the parent's
      dist.spawn and dist.ready; every call holds dist.ship, dist.run
-     and dist.collect, and the members' run.compute on offset
-     tracks. *)
-  let flat, program = compile ~iterations:6 (Parser.parse Mimd_workloads.Fig7.source) in
-  let traced_call () =
+     and dist.collect, and the members' run.compute on offset tracks.
+     The second call compiles the same loop again: the team holds its
+     form by fingerprint, so nothing is lowered or shipped; a third,
+     different program is. *)
+  let fig7 iterations = compile ~iterations (Parser.parse Mimd_workloads.Fig7.source) in
+  let traced_call (flat, program) =
     with_tracing (fun () ->
         ignore (Runner.run ~loop:flat ~program ());
         Trace.export ())
   in
   Runner.shutdown ();
-  let first = traced_call () in
-  let second = traced_call () in
+  let first = traced_call (fig7 6) in
+  let second = traced_call (fig7 6) in
+  let third = traced_call (fig7 7) in
+  check_bool "a recompiled program is held, not shipped" true
+    (contains second "\"form\":\"held\"" && not (contains second "\"form\":\"shipped\""));
+  check_bool "a new program is shipped" true (contains third "\"form\":\"shipped\"");
   List.iter
     (fun needle -> check_bool (needle ^ " span present") true (contains first needle))
     [ "dist.spawn"; "dist.ready"; "dist.ship"; "dist.run"; "dist.collect"; "run.compute" ];
@@ -449,7 +458,8 @@ let test_runner_traces_absorbed () =
     [ "dist.ship"; "dist.run"; "dist.collect"; "run.compute" ];
   List.iter
     (fun needle -> check_bool (needle ^ " only when a team starts") false (contains second needle))
-    [ "dist.spawn"; "dist.ready" ]
+    [ "dist.spawn"; "dist.ready" ];
+  Runner.shutdown ()
 
 (* ---------------------------------------------------------------- *)
 (* Mesh_tcp: rendezvous handshake, backoff dial, TCP framing          *)
@@ -1457,12 +1467,17 @@ let test_runner_team_reuse () =
   run "ewf at p=3 after p=2" ~iterations:8
     (compile ~p:3 ~iterations:8 (Parser.parse Mimd_workloads.Elliptic.source));
   check_int "a call at p=3 starts a team of 3" 3 (forks () - f1);
-  let flat, program = fig7 in
-  let forms = Array.init 9 (fun _ -> Mimd_runtime.Lower.run ~loop:flat ~program ()) in
-  Array.iteri
-    (fun i l -> run (Printf.sprintf "form %d" i) ~exec:(`Compiled_form l) ~iterations:40 fig7)
-    forms;
-  run "an evicted form, shipped again" ~exec:(`Compiled_form forms.(0)) ~iterations:40 fig7;
+  let progs =
+    Array.init 9 (fun i ->
+        let flat, program = compile ~iterations:(40 + i) (Parser.parse Mimd_workloads.Fig7.source) in
+        (flat, program, Mimd_runtime.Lower.run ~loop:flat ~program ()))
+  in
+  let run_form name i =
+    let flat, program, l = progs.(i) in
+    run name ~exec:(`Compiled_form l) ~iterations:(40 + i) (flat, program)
+  in
+  Array.iteri (fun i _ -> run_form (Printf.sprintf "form %d" i) i) progs;
+  run_form "an evicted form, shipped again" 0;
   Runner.shutdown ();
   check_bool "no orphan processes" true (no_children_left ())
 
@@ -1489,6 +1504,67 @@ let test_runner_unread_frame_retires () =
   expect_interp "the next call" ~iterations flat (Runner.run ~loop:flat ~program ());
   check_int "the next call ran on a new team" 4 (forks () - f0);
   Runner.shutdown ();
+  check_bool "no orphan processes" true (no_children_left ())
+
+(* PE 0 only sends here: it finishes its worker and settles, waiting
+   for PE 1's end marker. *)
+let send_only_pe0 () =
+  let flat, program =
+    compile ~iterations:12
+      (Parser.parse
+         "for i = 1 to n { A[i] = A[i-1] * 3 + A[i-1] * 2 + 1; B[i] = B[i-1] * 2 + B[i-1] * 3 + A[i-1]; }")
+  in
+  let instrs = program.Mimd_codegen.Program.programs.(0) in
+  check_bool "PE 0 sends and receives nothing" true
+    (List.exists (function Mimd_codegen.Program.Send _ -> true | _ -> false) instrs
+    && not
+         (List.exists
+            (function
+              | Mimd_codegen.Program.Recv _ | Mimd_codegen.Program.Recv_pack _ -> true | _ -> false)
+            instrs));
+  (flat, program)
+
+let test_runner_settle_names_the_dead_peer () =
+  (* PE 1 is stopped between calls, so in the next call PE 0 runs its
+     sends and waits in settle for PE 1's end marker; then PE 1 is
+     killed.  PE 0's report is the symptom ("link down:"), and the
+     failure names PE 1 — the PE that died — on every run. *)
+  Runner.shutdown ();
+  let flat, program = send_only_pe0 () in
+  let team = ref [||] in
+  ignore (Runner.run ~sabotage:(fun pids -> team := pids) ~loop:flat ~program ());
+  (try Unix.kill !team.(1) Sys.sigstop with Unix.Unix_error _ -> ());
+  (match
+     Runner.run
+       ~sabotage:(fun pids ->
+         Unix.sleepf 0.1;
+         try Unix.kill pids.(1) Sys.sigkill with Unix.Unix_error _ -> ())
+       ~loop:flat ~program ()
+   with
+  | _ -> Alcotest.fail "killed PE 1 but the call succeeded"
+  | exception Runner.Dist_error (Runner.Child_exit { proc = 1; status }) ->
+    check_bool "status names the kill" true (contains status "SIGKILL")
+  | exception Runner.Dist_error f -> Alcotest.failf "expected PE 1's death, got %s" (Runner.describe f));
+  check_bool "every member of the failed team reaped" true (all_reaped !team);
+  check_bool "no orphan processes" true (no_children_left ())
+
+let test_runner_ship_stall () =
+  (* A member stopped between calls reads no request.  The next call
+     ships a form larger than the control socket's buffer, so its
+     write cannot finish: the stall bound covers the ship too, and the
+     call fails Stalled instead of blocking the parent. *)
+  Runner.shutdown ();
+  let flat, program = compile ~iterations:12 (Parser.parse Mimd_workloads.Fig7.source) in
+  let team = ref [||] in
+  ignore (Runner.run ~sabotage:(fun pids -> team := pids) ~loop:flat ~program ());
+  (try Unix.kill !team.(1) Sys.sigstop with Unix.Unix_error _ -> ());
+  let flat, program, _ = ewf_benchmark_shape () in
+  (match Runner.run ~timeout:0.5 ~loop:flat ~program () with
+  | _ -> Alcotest.fail "stopped a member but the call succeeded"
+  | exception Runner.Dist_error (Runner.Stalled { waiting; _ }) ->
+    check_bool "PE 1 listed as waiting" true (List.mem 1 waiting)
+  | exception Runner.Dist_error f -> Alcotest.failf "expected Stalled, got %s" (Runner.describe f));
+  check_bool "every member of the stalled team reaped" true (all_reaped !team);
   check_bool "no orphan processes" true (no_children_left ())
 
 let test_team_holds_no_pipe () =
@@ -1634,5 +1710,8 @@ let suite =
     Alcotest.test_case "team: a frame left unread retires it" `Quick
       test_runner_unread_frame_retires;
     Alcotest.test_case "team: members hold no inherited pipe" `Quick test_team_holds_no_pipe;
+    Alcotest.test_case "team: a peer dying during settle is named" `Quick
+      test_runner_settle_names_the_dead_peer;
+    Alcotest.test_case "team: a stopped member stalls the ship" `Quick test_runner_ship_stall;
     Alcotest.test_case "team: members die with their parent" `Quick test_team_dies_with_its_parent;
   ]
