@@ -3,10 +3,11 @@
     The scheduler prices every cross-processor value at [k] abstract
     cycles (machine parameter, paper §2).  The socket backend makes
     that cost real: a tagged float in a {!Wire} link frame through a
-    Unix socketpair, kernel crossings included, over the same
-    {!Mesh_sock.Link} a run's links use (spin, then park).  The probe
-    forks an echo peer per link, round-trips real frames, and divides the median
-    one-way latency by a calibrated per-cycle cost, yielding the
+    shared-memory ring, over the same {!Mesh_sock.ring_link} a team's
+    links use (spin, then park on the socketpair doorbell).  The probe
+    forks an echo peer per link over a one-pair mesh, round-trips real
+    frames, and divides the median one-way latency by the calibrated
+    cost of a cycle of the lowered evaluator, yielding the
     {e effective} [k] to hold next to the assumed one; {!measured_k}
     turns it into the scalar [k] that [--auto-k] schedules at.
 
@@ -23,9 +24,13 @@ type link = {
 type t = { cycle_ns : float; links : link list }
 
 val calibrate_cycle_ns : unit -> float
-(** Nanoseconds per abstract machine cycle on this host: the timed mix
-    (hashtable store/load + float evaluation) approximating one
-    [Compute] instruction of the value runtime. *)
+(** Nanoseconds per abstract machine cycle on this host, as the
+    lowered evaluator runs them: the median of five timed one-PE runs
+    of ewf at n = 1000 through {!Mimd_runtime.Exec_compiled.worker} on
+    the calling thread, divided by the schedule's makespan in cycles.
+    The runs happen in a forked child, so the caller's heap does not
+    grow; like {!probe}, call it before any domain is spawned.
+    @raise Failure when the child reports no time. *)
 
 val probe : ?rounds:int -> ?procs:int -> unit -> t
 (** Probe every link of a [procs]-processor mesh (default 2; all

@@ -1,30 +1,27 @@
 module Value_run = Mimd_runtime.Value_run
 module Trace = Mimd_obs.Trace
+module Spsc = Mimd_obs.Spsc
 
-(* One full-duplex socketpair per unordered processor pair, created in
-   the parent before any fork so every child inherits its own row.
-   [fds.(i).(j)] is processor [i]'s endpoint of the i<->j link: writes
-   go to [j], reads come from [j] (the two directions of one stream
-   socket never interleave).  The diagonal is [None] — a self-message
+(* One full-duplex socketpair per unordered processor pair and one
+   byte ring per ordered pair, created in the parent before any fork
+   so every child inherits its own row.  [fds.(i).(j)] is processor
+   [i]'s endpoint of the i<->j socketpair; ring [ring_index i j]
+   carries i's bytes to j.  The diagonal is [None] — a self-message
    is a codegen bug. *)
 
-type t = { procs : int; fds : Unix.file_descr option array array }
+type t = { procs : int; fds : Unix.file_descr option array array; rings : Spsc.mapping }
 
-(* Approximate the in-process domains' bounded channels with the kernel
-   socket buffer: capacity messages x a per-message cost.  A sender
-   past the bound waits for the link to drain exactly like
-   [Channel.send] past its capacity.  The cost that matters is not the
-   frame's byte length (33 bytes) but what the kernel *charges* the
-   buffer per sendmsg on AF_UNIX: each small write becomes one skb
-   accounted at its truesize — frame + struct sk_buff + aligned data +
-   shared info, close to 1 KiB.  Undershooting this makes the socket bound *tighter* than the
-   domain mesh's and deadlocks programs the protocol simulation proved
-   safe at [capacity], so budget a full KiB per message.  (The kernel
-   clamps the request to wmem_max and then doubles it, so on a stock
-   host the effective bound still clears [capacity] messages.) *)
-let frame_estimate = 1024
+(* A ring holds [capacity] KiB of frame bytes: what the socketpairs'
+   buffers were sized to when the frames travelled through them (the
+   kernel charges each small AF_UNIX write its skb truesize, close to
+   1 KiB, not its 33 bytes).  That is far more than [capacity] frames,
+   so a ring link is never tighter than the domain mesh's bound, and a
+   program the protocol simulation proved safe at [capacity] cannot
+   deadlock on one. *)
+let buffer_bytes = Value_run.default_channel_capacity * 1024
 
-let buffer_bytes = Value_run.default_channel_capacity * frame_estimate
+(* Ring i->j among the p (p - 1) off-diagonal pairs. *)
+let ring_index ~procs i j = (i * (procs - 1)) + if j < i then j else j - 1
 
 let create ~procs () =
   if procs < 1 then invalid_arg "Mesh_sock.create: procs < 1";
@@ -32,18 +29,11 @@ let create ~procs () =
   for i = 0 to procs - 1 do
     for j = i + 1 to procs - 1 do
       let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      List.iter
-        (fun fd ->
-          try
-            Unix.setsockopt_int fd Unix.SO_SNDBUF buffer_bytes;
-            Unix.setsockopt_int fd Unix.SO_RCVBUF buffer_bytes
-          with Unix.Unix_error _ -> ())
-        [ a; b ];
       fds.(i).(j) <- Some a;
       fds.(j).(i) <- Some b
     done
   done;
-  { procs; fds }
+  { procs; fds; rings = Spsc.map ~rings:(procs * (procs - 1)) ~capacity:buffer_bytes }
 
 let procs t = t.procs
 
@@ -52,18 +42,20 @@ let link t ~proc ~peer =
   | Some fd -> fd
   | None -> invalid_arg "Mesh_sock: self link"
 
+let close_fd slots i =
+  match slots.(i) with
+  | Some fd ->
+    slots.(i) <- None;
+    (try Unix.close fd with Unix.Unix_error _ -> ())
+  | None -> ()
+
 (* Closed slots become [None] so a later close cannot hit a reused
    descriptor number. *)
-let close_row row =
-  Array.iteri
-    (fun i -> function
-      | Some fd ->
-        row.(i) <- None;
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ())
-    row
+let close_link t ~proc ~peer = close_fd t.fds.(proc) peer
 
-let close_all t = Array.iter close_row t.fds
+let close_all t =
+  Array.iter (fun row -> Array.iteri (fun i _ -> close_fd row i) row) t.fds;
+  Spsc.unmap t.rings
 
 exception Link_down of { proc : int; peer : int; error : Wire.error }
 
@@ -86,11 +78,26 @@ let () =
 (* A message on the critical path costs what the receiver takes to
    notice it.  A reader blocked in read(2) sleeps, and waking it costs
    a scheduler round trip: on a 2-vCPU host a socketpair ping-pong
-   measured 15-17 us a round trip with blocking reads and 7 us with
-   polling ones.  So a pull first retries the non-blocking read for a
-   short spin, then parks in select(2).  The spin must adapt: a fixed
-   30 us spin made fig7 2.5-3.5x slower beside one CPU hog, and a
-   fixed 50 us spin at p=3 on 2 vCPUs doubled ewf, because a spinning
+   measured 15-17 us a round trip with blocking reads, 7 us with
+   polling ones, and about 1 us when the frames go through a shared
+   ring that the reader polls (no system call on either side).  So a
+   pull first polls for a short spin, then parks in select(2).
+
+   A ring link's wait is a handshake on the ring's flags, with the
+   socketpair as doorbell.  A reader that parks sets its flag, looks
+   at the ring once more, and blocks only if that look finds nothing;
+   a writer, after publishing, reads the flag and, when it is set,
+   clears it and sends one byte.  Each side stores its own word (flag,
+   or head index) before it loads the other's, sequentially
+   consistent, so at least one of them sees the other: the reader
+   finds the bytes, or the writer rings.  A full ring parks its writer
+   the same way, and the reader rings it after freeing room.  A waiter
+   woken by a stale byte drains it and looks again; end of stream on
+   the socket is the peer's death, as on a stream link.
+
+   The spin must adapt: a fixed 30 us spin made fig7 2.5-3.5x slower
+   beside one CPU hog, and a fixed 50 us spin at p=3 on 2 vCPUs
+   doubled ewf (both on socket links), because a spinning
    PE takes the CPU its producer needs.  The budget is additive
    increase, multiplicative decrease: a frame that arrives while
    spinning adds an eighth of the cap, a spin that runs out halves it
@@ -149,7 +156,8 @@ end
 
 module Link = struct
   type t = {
-    fd : Unix.file_descr;
+    fd : Unix.file_descr;  (* the stream, or a ring link's doorbell *)
+    rings : (Spsc.ring * Spsc.ring) option;  (* from the peer, to the peer *)
     mutable out : Bytes.t;  (* reused encode buffer *)
     mutable buf : Bytes.t;  (* bytes read, not yet decoded: [pos, pos + len) *)
     mutable pos : int;
@@ -161,10 +169,11 @@ module Link = struct
   (* Both buffers start small enough to come from the minor heap (a
      forked child's major heap is the parent's, shared copy-on-write)
      and grow when a frame needs more. *)
-  let create fd =
+  let make ?rings fd =
     Unix.set_nonblock fd;
     {
       fd;
+      rings;
       out = Bytes.create 64;
       buf = Bytes.create 1024;
       pos = 0;
@@ -173,6 +182,7 @@ module Link = struct
       parks = 0;
     }
 
+  let create fd = make fd
   let parks t = t.parks
 
   let rec select_on r w =
@@ -180,17 +190,34 @@ module Link = struct
     | _ -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> select_on r w
 
-  (* One write(2) per frame, so the kernel charges one skb per message
-     and [buffer_bytes] bounds the link in messages as before; a full
-     send buffer parks until the peer drains it. *)
+  (* A ring waiter blocks until its doorbell rings; end of stream there
+     means the peer is gone. *)
+  let doorbell t =
+    select_on [ t.fd ] [];
+    Spsc.drain t.fd <> 0
+
+  (* Over a socket, one write(2) per frame, so the kernel charges one
+     skb per message and its buffers bound the link in messages; a
+     full send buffer parks until the peer drains it.  Over a ring, a
+     copy; a full ring parks until the reader frees room, and a frame
+     larger than the ring goes in pieces. *)
   let rec write_from t off size =
     if off < size then
-      match Unix.single_write t.fd t.out off (size - off) with
-      | n -> write_from t (off + n) size
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        select_on [] [ t.fd ];
-        write_from t off size
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_from t off size
+      match t.rings with
+      | Some (_, tx) -> (
+        match Spsc.write tx ~doorbell:t.fd t.out off (size - off) with
+        | 0 ->
+          if Spsc.park_writer tx = 0 && not (doorbell t) then
+            raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
+          write_from t off size
+        | n -> write_from t (off + n) size)
+      | None -> (
+        match Unix.single_write t.fd t.out off (size - off) with
+        | n -> write_from t (off + n) size
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          select_on [] [ t.fd ];
+          write_from t off size
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_from t off size)
 
   let send t ~tag payload =
     let size = Wire.frame_size payload in
@@ -209,19 +236,35 @@ module Link = struct
     t.pos <- 0
 
   (* One non-blocking read into the free tail: [n > 0] bytes, [0] at
-     end of stream, [-1] when nothing is there yet. *)
+     end of stream, [-1] when nothing is there yet.  A ring has no end
+     of stream: its doorbell shows it ({!park}). *)
   let fill t =
     let off = t.pos + t.len in
-    match Unix.read t.fd t.buf off (Bytes.length t.buf - off) with
-    | n ->
-      t.len <- t.len + n;
-      n
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> -1
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
+    match t.rings with
+    | Some (rx, _) -> (
+      match Spsc.read rx ~doorbell:t.fd t.buf off (Bytes.length t.buf - off) with
+      | 0 -> -1
+      | n ->
+        t.len <- t.len + n;
+        n)
+    | None -> (
+      match Unix.read t.fd t.buf off (Bytes.length t.buf - off) with
+      | n ->
+        t.len <- t.len + n;
+        n
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> -1
+      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0)
 
+  (* A poll eases off the core between looks: a ring poll is a few
+     loads, and a PE spinning on a shared core slows its producer. *)
   let rec spin t deadline =
     match fill t with
-    | -1 -> if Mimd_obs.Clock.now_ns () < deadline then spin t deadline else -1
+    | -1 ->
+      if Mimd_obs.Clock.now_ns () < deadline then begin
+        Domain.cpu_relax ();
+        spin t deadline
+      end
+      else -1
     | n -> n
 
   (* Nothing buffered: spin for the budget, then park until readable. *)
@@ -242,9 +285,22 @@ module Link = struct
     else begin
       if budget = 0 then Spin.parked_idle t.spin;
       t.parks <- t.parks + 1;
-      select_on [ t.fd ] [];
-      match fill t with -1 -> wait t | n -> n
+      park t
     end
+
+  (* A ring reader raises its flag and looks once more before it
+     blocks, so a frame published meanwhile is either seen here or
+     rings the doorbell.  At end of stream it still takes what the
+     peer published before it went. *)
+  and park t =
+    match t.rings with
+    | Some (rx, _) when Spsc.park_reader rx > 0 -> fill t
+    | Some _ ->
+      let live = doorbell t in
+      (match fill t with -1 -> if live then park t else 0 | n -> n)
+    | None -> (
+      select_on [ t.fd ] [];
+      match fill t with -1 -> wait t | n -> n)
 
   let rec pull t =
     match Wire.decode t.buf ~pos:t.pos ~len:t.len with
@@ -261,11 +317,19 @@ module Link = struct
     | Error _ as e -> e
 end
 
-(* The wire side of a link is transport-independent: anything that can
-   map a peer index to a connected stream fd gets the same link layer,
+let ring_link t ~proc ~peer =
+  Link.make
+    ~rings:
+      ( Spsc.ring t.rings (ring_index ~procs:t.procs peer proc),
+        Spsc.ring t.rings (ring_index ~procs:t.procs proc peer) )
+    (link t ~proc ~peer)
+
+(* The wire side of a link is transport-independent: a row of ring
+   links over a socketpair mesh ([ring_row]), or anything that can map
+   a peer index to a connected stream fd ([row]), gets the same frames,
    the same [Link_down] classification and the same tracing, and
    {!Value_run.of_links} matches frames to recvs over it.  [Mesh_tcp]
-   reuses this over dialed TCP connections.  A row outlives a call:
+   reuses [row] over dialed TCP connections.  A row outlives a call:
    its links keep their buffers and spin budgets, and [settle] proves
    a call left nothing on them for the next one. *)
 type row = {
@@ -275,15 +339,18 @@ type row = {
   mutable delivered : int;  (* frames a recv returned this call *)
 }
 
-let row ~procs ~proc ~(link : int -> Unix.file_descr) =
+let row_of ~procs ~proc link =
   {
     proc;
-    links =
-      Array.init procs (fun peer ->
-          if peer = proc then None else Some (Link.create (link peer)));
+    links = Array.init procs (fun peer -> if peer = proc then None else Some (link peer));
     pulled = 0;
     delivered = 0;
   }
+
+let row ~procs ~proc ~(link : int -> Unix.file_descr) =
+  row_of ~procs ~proc (fun peer -> Link.create (link peer))
+
+let ring_row t ~proc = row_of ~procs:t.procs ~proc (fun peer -> ring_link t ~proc ~peer)
 
 let link_to row peer =
   match row.links.(peer) with Some l -> l | None -> invalid_arg "Mesh_sock: self link"

@@ -1,26 +1,49 @@
 (** The socket counterpart of the in-process domain channels: one
-    full-duplex [socketpair(2)] per unordered processor pair, with
-    {!Wire} link frames as messages ({!Link}), presented to
-    {!Mimd_runtime.Exec_compiled.worker} through the same
+    full-duplex [socketpair(2)] per unordered processor pair and one
+    single-producer single-consumer byte ring ({!Mimd_obs.Spsc}) per
+    ordered pair, with {!Wire} link frames as messages ({!Link}),
+    presented to {!Mimd_runtime.Exec_compiled.worker} through the same
     {!Mimd_runtime.Value_run.chans} interface, built by
     {!Mimd_runtime.Value_run.of_links} — so the worker's instruction
     semantics (tagged messages, out-of-order stashing, blocking at
     capacity) are shared code, not a reimplementation.
 
-    Capacity: the kernel socket buffer is sized to
-    [capacity * frame-estimate] bytes, so a sender that runs far ahead
-    waits for the link to drain just as [Channel.send] blocks past its
-    bound.
-    The kernel enforces a minimum buffer, so the socket bound is never
-    {e tighter} than the domain mesh's — a program the token
-    simulation proves deadlock-free at the default capacity cannot
-    deadlock here. *)
+    {b Rings.}  A team's link ({!ring_link}) copies its frames'
+    bytes into and out of a ring in a shared anonymous mapping that
+    {!create} makes before the fork: a message costs a cache-line
+    hop, not a [write(2)] and a [read(2)].  The socketpair stays as
+    the link's doorbell and liveness signal.  A side that must wait
+    (nothing to read, no room to write) sets its parked flag, looks at
+    the ring once more and only then blocks in [select(2)] on the
+    socket; the other side, after each copy, reads that flag and, when
+    it is set, clears it and writes one byte.  Flag and index are each
+    stored before the other side's is loaded, sequentially consistent
+    on both sides, so either the waiter sees the bytes or the other
+    side sees the flag: a wake-up cannot be lost.  End of stream on
+    the socket is still a dead peer ({!Link_down}).
+
+    Capacity: a ring holds {!buffer_bytes} of frame bytes, far more
+    than [capacity] frames, so a sender that runs far ahead waits for
+    the link to drain just as [Channel.send] blocks past its bound,
+    and the bound is never {e tighter} than the domain mesh's — a
+    program the token simulation proves deadlock-free at the default
+    capacity cannot deadlock here.  A link whose frames travel through
+    a socket (TCP, or {!row} over bare fds) is bounded by the kernel's
+    socket buffers instead, which charge a small write its skb
+    truesize (about 1 KiB), not its 33 bytes. *)
 
 type t
 
 val create : procs:int -> unit -> t
-(** Build every link in the parent, {e before} forking children, with
-    [capacity] = {!Mimd_runtime.Value_run.default_channel_capacity}. *)
+(** Build every link in the parent, {e before} forking children: the
+    socketpairs, and [procs * (procs - 1)] rings of {!buffer_bytes}
+    in one shared mapping.  Making it touches no ring page: a page is
+    backed only once a link's bytes pass through it.
+    @raise Failure when the rings cannot be mapped. *)
+
+val buffer_bytes : int
+(** A ring's data bytes: [capacity] KiB, with [capacity] =
+    {!Mimd_runtime.Value_run.default_channel_capacity}. *)
 
 val procs : t -> int
 
@@ -28,8 +51,14 @@ val link : t -> proc:int -> peer:int -> Unix.file_descr
 (** Processor [proc]'s endpoint of its link to [peer].
     @raise Invalid_argument for the diagonal. *)
 
+val close_link : t -> proc:int -> peer:int -> unit
+(** Close processor [proc]'s endpoint of its link to [peer] in this
+    process: what a process that plays [peer] does with the other
+    end. *)
+
 val close_all : t -> unit
-(** Parent-side, after all forks: the parent holds no link. *)
+(** Parent-side, after all forks: close every endpoint still open here
+    and unmap the rings — the parent holds no link. *)
 
 exception Link_down of { proc : int; peer : int; error : Wire.error }
 (** Raised out of a channel operation when the underlying stream
@@ -37,12 +66,12 @@ exception Link_down of { proc : int; peer : int; error : Wire.error }
 
 (** {1 The link}
 
-    What every socket link — socketpair or TCP — runs: binary
-    {!Wire} link frames, each encoded into a reused buffer and sent
+    What every link — ring or TCP — runs: binary {!Wire} link frames,
+    each encoded into a reused buffer and copied into the ring or sent
     with one [write(2)]; a buffered reader that decodes every whole
-    frame one [read(2)] brought in; and a non-blocking fd that a pull
-    spins on for an adaptive budget ({!Spin}) before it parks in
-    [select(2)].  A full send buffer parks in [select(2)] too. *)
+    frame one copy or [read(2)] brought in; and a pull that polls for
+    an adaptive budget ({!Spin}) before it parks in [select(2)].  A
+    full ring or send buffer parks in [select(2)] too. *)
 
 val spin_cap_ns : int
 (** The largest spin budget, 50 us: a fixed 30 us spin already made
@@ -85,21 +114,29 @@ module Link : sig
   type t
 
   val create : Unix.file_descr -> t
-  (** Take over a connected stream fd: it is made non-blocking. *)
+  (** Take over a connected stream fd, whose bytes carry the frames:
+      it is made non-blocking. *)
 
   val send : t -> tag:int * int -> Mimd_runtime.Value_run.payload -> unit
   (** Encode and write one frame, parking in [select(2)] while the
-      send buffer is full.  Allocates nothing for a Single once the
-      encode buffer has grown to fit.
-      @raise Unix.Unix_error when the stream is broken. *)
+      ring or send buffer is full.  Allocates nothing for a Single
+      once the encode buffer has grown to fit.
+      @raise Unix.Unix_error when the stream is broken (over a ring:
+      when the peer is found gone while waiting for room). *)
 
   val pull : t -> (Wire.frame, Wire.error) result
   (** The next frame, in the order the peer sent them: decoded from
-      the buffer if a whole one is there, else read for — spinning up
+      the buffer if a whole one is there, else read for — polling up
       to the {!Spin} budget, then parked.  End of stream is [Closed]
       on a frame boundary and [Truncated] inside one; a malformed
       frame is its {!Wire.decode} error. *)
 end
+
+val ring_link : t -> proc:int -> peer:int -> Link.t
+(** Processor [proc]'s link to [peer] over the mesh's rings, the
+    socketpair endpoint as its doorbell: what a team member and the
+    link probe run.  Call it in the process that plays [proc], after
+    the fork; the mesh must still be mapped there. *)
 
 (** {1 A PE's row, across calls} *)
 
@@ -110,8 +147,11 @@ type row
 
 val row : procs:int -> proc:int -> link:(int -> Unix.file_descr) -> row
 (** Take over processor [proc]'s fds in any peer-to-fd mapping of a
-    [procs]-PE mesh (a socketpair row, or {!Mesh_tcp}'s dialed
-    connections): each becomes a {!Link}, non-blocking from here on. *)
+    [procs]-PE mesh ({!Mesh_tcp}'s dialed connections, say): each
+    becomes a {!Link.create} link, non-blocking from here on. *)
+
+val ring_row : t -> proc:int -> row
+(** Processor [proc]'s row of the mesh: one {!ring_link} per peer. *)
 
 val row_chans : row -> Mimd_runtime.Value_run.chans
 (** The channel interface for one call over the row: a fresh

@@ -286,7 +286,9 @@ let shutdown () =
 let exit_hook = lazy (at_exit shutdown)
 
 (* Fork the members, one per processor, each with its row of [mesh]
-   and its control socket, and return once every member has said its
+   (over Unix sockets: its socketpairs and the shared mapping of the
+   mesh's rings, which this process unmaps right after the forks) and
+   its control socket, and return once every member has said its
    links are up.  The members inherit [first], the program of the call
    that starts the team: the fork copies it for free, so only later
    programs are shipped.  Forking MUST happen before this process ever
@@ -317,7 +319,7 @@ let start ~timeout ~procs ~first mesh =
         ~keep:(ctl :: List.filter_map (fun peer -> if peer = j then None else Some (link peer))
                         (List.init procs Fun.id));
       member ~proc:j ~ctl ~held:[ (first.key, first.form) ] ~connect:(fun () ->
-          Mesh_sock.row ~procs ~proc:j ~link)
+          Mesh_sock.ring_row m ~proc:j)
     | `T (m, handshake_fault) ->
       close_inherited ~keep:[ ctl; Mesh_tcp.listener m ~proc:j ];
       (* The whole connection row is up and handshaken before "ready",
@@ -331,8 +333,9 @@ let start ~timeout ~procs ~first mesh =
   in
   Fun.protect
     ~finally:(fun () ->
-      (* Parent: no link endpoints or listeners, no member-side control
-         endpoints. *)
+      (* Parent: no link endpoints, rings or listeners, no member-side
+         control endpoints.  The rings are unmapped before this process
+         touches a page of them. *)
       (match mesh with `U m -> Mesh_sock.close_all m | `T (m, _) -> Mesh_tcp.close_parent m);
       Array.iter (fun (_, c) -> close_quietly c) ctl)
     (fun () ->

@@ -80,7 +80,9 @@ exception Dist_error of failure
 val describe : failure -> string
 
 type transport =
-  | Unix_sockets  (** one inherited socketpair per link ({!Mesh_sock}) *)
+  | Unix_sockets
+      (** one inherited socketpair per link, its frames carried by a
+          shared-memory ring per direction ({!Mesh_sock}) *)
   | Tcp of { roster : Mesh_tcp.addr list option; handshake_fault : int option }
       (** per-PE listeners + dialed connections ({!Mesh_tcp}): [roster]
           pins explicit HOST:PORT listen addresses (default: ephemeral

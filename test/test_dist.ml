@@ -205,9 +205,7 @@ let test_ring_spill () =
 (* ---------------------------------------------------------------- *)
 (* Mesh_sock: the channel discipline over a real fork                 *)
 
-let mesh_chans mesh ~proc =
-  Mesh_sock.row_chans
-    (Mesh_sock.row ~procs:(Mesh_sock.procs mesh) ~proc ~link:(fun peer -> Mesh_sock.link mesh ~proc ~peer))
+let mesh_chans mesh ~proc = Mesh_sock.row_chans (Mesh_sock.ring_row mesh ~proc)
 
 let test_mesh_ping_pong () =
   let mesh = Mesh_sock.create ~procs:2 () in
@@ -1282,6 +1280,214 @@ let test_link_burst_and_big_frame () =
       | Error e -> Alcotest.failf "frame %d: %s" i (Wire.error_to_string e))
     frames
 
+(* ---------------------------------------------------------------- *)
+(* Ring links: a shared ring per direction, the socketpair a doorbell *)
+
+(* A two-PE mesh and a forked peer playing PE 1 over its ring link:
+   [peer] runs in the child (its exit code is the child's), [parent]
+   gets the mesh, to take PE 0's link from, and the child's pid.  The
+   mesh is gone from this process when it returns. *)
+let with_ring_peer ~peer parent =
+  let mesh = Mesh_sock.create ~procs:2 () in
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        Mesh_sock.close_link mesh ~proc:0 ~peer:1;
+        peer (Mesh_sock.ring_link mesh ~proc:1 ~peer:0)
+      with _ -> 2
+    in
+    Unix._exit code
+  | pid ->
+    Fun.protect ~finally:(fun () -> Mesh_sock.close_all mesh) @@ fun () ->
+    Mesh_sock.close_link mesh ~proc:1 ~peer:0;
+    parent mesh pid
+
+let stop_frame = ((-1, -1), Value_run.Single 0.0)
+
+(* Echo every frame back until the stop frame: exit 0. *)
+let ring_echo link =
+  let rec go () =
+    match Mesh_sock.Link.pull link with
+    | Ok (tag, _) when tag = fst stop_frame -> 0
+    | Ok (tag, payload) ->
+      Mesh_sock.Link.send link ~tag payload;
+      go ()
+    | Error _ -> 3
+  in
+  go ()
+
+let send_frame link (tag, payload) = Mesh_sock.Link.send link ~tag payload
+
+let expect_exit name pid =
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, st ->
+    Alcotest.failf "%s: peer %s" name
+      (match st with
+      | Unix.WEXITED n -> Printf.sprintf "exited %d" n
+      | Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
+      | Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n)
+
+let test_ring_ping_pong_wraps () =
+  (* 20 480 frames, one in eight a Pack of up to 300 entries, echoed in
+     bursts of up to 40: about 7 MiB each way, so every frame position
+     straddles the 256 KiB wrap point many times over.  Every frame
+     comes back whole, in order, bit for bit. *)
+  let rng = Random.State.make [| fuzz_seed |] in
+  let value () =
+    match Random.State.int rng 4 with
+    | 0 -> awkward_floats.(Random.State.int rng (Array.length awkward_floats))
+    | _ -> Int64.float_of_bits (Random.State.bits64 rng)
+  in
+  let frame i =
+    if Random.State.int rng 8 = 0 then
+      ( (1, i),
+        Value_run.Pack
+          (Array.init (1 + Random.State.int rng 300) (fun j -> ((j, i - j), value ()))) )
+    else ((0, i), Value_run.Single (value ()))
+  in
+  let frames = 20_480 in
+  let bytes = ref 0 in
+  with_ring_peer ~peer:ring_echo @@ fun mesh pid ->
+  let link = Mesh_sock.ring_link mesh ~proc:0 ~peer:1 in
+  let rec go i =
+    if i < frames then begin
+      let burst = Array.init (min (frames - i) (1 + Random.State.int rng 40)) (fun j -> frame (i + j)) in
+      Array.iter
+        (fun ((_, payload) as f) ->
+          bytes := !bytes + Wire.frame_size payload;
+          send_frame link f)
+        burst;
+      Array.iteri
+        (fun j want ->
+          match Mesh_sock.Link.pull link with
+          | Ok got when same_frame want got -> ()
+          | Ok _ -> Alcotest.failf "frame %d came back different" (i + j)
+          | Error e -> Alcotest.failf "frame %d: %s" (i + j) (Wire.error_to_string e))
+        burst;
+      go (i + Array.length burst)
+    end
+  in
+  go 0;
+  send_frame link stop_frame;
+  expect_exit "echo" pid;
+  check_bool
+    (Printf.sprintf "%d bytes wrap the ring at least 8 times" !bytes)
+    true
+    (!bytes > 8 * Mesh_sock.buffer_bytes)
+
+let test_ring_full_parks_writer () =
+  (* The reader is stopped while its writer sends more than the ring
+     holds: the writer parks, and finishes once the reader runs. *)
+  let count = (Mesh_sock.buffer_bytes / 33) + 5000 in
+  let reader link =
+    let rec go i =
+      match Mesh_sock.Link.pull link with
+      | Ok (tag, _) when tag = fst stop_frame -> if i = count then 0 else 4
+      | Ok ((0, j), Value_run.Single v) when j = i && v = float_of_int i -> go (i + 1)
+      | _ -> 5
+    in
+    go 0
+  in
+  with_ring_peer ~peer:reader @@ fun mesh pid ->
+  Unix.kill pid Sys.sigstop;
+  let waker =
+    match Unix.fork () with
+    | 0 ->
+      Unix.sleepf 0.1;
+      (try Unix.kill pid Sys.sigcont with Unix.Unix_error _ -> ());
+      Unix._exit 0
+    | w -> w
+  in
+  let link = Mesh_sock.ring_link mesh ~proc:0 ~peer:1 in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to count - 1 do
+    send_frame link ((0, i), Value_run.Single (float_of_int i))
+  done;
+  send_frame link stop_frame;
+  let waited = Unix.gettimeofday () -. t0 in
+  expect_exit "waker" waker;
+  expect_exit "reader" pid;
+  check_bool (Printf.sprintf "the writer waited for the stopped reader (%.3f s)" waited) true
+    (waited >= 0.05)
+
+(* A peer that kills itself after 50 ms, far past any spin: the link's
+   other end is parked by then. *)
+let dies_later _link =
+  Unix.sleepf 0.05;
+  Unix.kill (Unix.getpid ()) Sys.sigkill;
+  6
+
+let expect_link_down name f =
+  match f () with
+  | () -> Alcotest.failf "%s: no Link_down" name
+  | exception (Mesh_sock.Link_down { proc = 0; peer = 1; _ } as e) ->
+    check_bool (name ^ ": " ^ Printexc.to_string e) true
+      (contains (Printexc.to_string e) "link down: PE 0 lost its link to PE 1")
+
+let test_ring_dead_peer_parked () =
+  with_ring_peer ~peer:dies_later (fun mesh pid ->
+      let ch = Mesh_sock.row_chans (Mesh_sock.ring_row mesh ~proc:0) in
+      expect_link_down "parked reader" (fun () -> ignore (ch.Value_run.recv ~src:1 ~tag:(0, 0)));
+      ignore (Unix.waitpid [] pid));
+  with_ring_peer ~peer:dies_later (fun mesh pid ->
+      let ch = Mesh_sock.row_chans (Mesh_sock.ring_row mesh ~proc:0) in
+      expect_link_down "parked writer" (fun () ->
+          for i = 0 to Mesh_sock.buffer_bytes do
+            ch.Value_run.send ~dst:1 ~tag:(0, i) (Value_run.Single 1.0)
+          done);
+      ignore (Unix.waitpid [] pid))
+
+let test_ring_alloc_per_frame () =
+  (* The bound of the socket link above, over a ring pair. *)
+  let mesh = Mesh_sock.create ~procs:2 () in
+  Fun.protect ~finally:(fun () -> Mesh_sock.close_all mesh) @@ fun () ->
+  let tx = Mesh_sock.ring_link mesh ~proc:0 ~peer:1
+  and rx = Mesh_sock.ring_link mesh ~proc:1 ~peer:0 in
+  let payload = Value_run.Single 2.5 in
+  let round i =
+    Mesh_sock.Link.send tx ~tag:(1, i) payload;
+    match Mesh_sock.Link.pull rx with
+    | Ok ((1, j), Value_run.Single 2.5) when j = i -> ()
+    | _ -> Alcotest.fail "frame lost or reordered"
+  in
+  for i = 0 to 99 do
+    round i
+  done;
+  let frames = 2000 in
+  let before = Gc.minor_words () in
+  for i = 1 to frames do
+    round i
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int frames in
+  check_bool (Printf.sprintf "%.1f minor words per frame <= 20" words) true (words <= 20.0)
+
+(* Shared anonymous mappings (the rings) show in a maps file as
+   /dev/zero. *)
+let ring_mappings pid =
+  In_channel.with_open_text (Printf.sprintf "/proc/%s/maps" pid) In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> contains l "/dev/zero")
+  |> List.length
+
+let test_team_unmaps_its_rings () =
+  (* Five team starts and retirements: the members hold the rings, the
+     parent never keeps them past the forks. *)
+  Runner.shutdown ();
+  let flat, program = compile ~iterations:40 (Parser.parse Mimd_workloads.Fig7.source) in
+  let before = ring_mappings "self" in
+  for i = 1 to 5 do
+    let member = ref 0 in
+    let count pids = member := ring_mappings (string_of_int pids.(0)) in
+    ignore (Runner.run ~sabotage:count ~loop:flat ~program ());
+    check_bool (Printf.sprintf "cycle %d: a member maps the rings" i) true (!member > 0);
+    check_int (Printf.sprintf "cycle %d: the parent maps no ring" i) before (ring_mappings "self");
+    Runner.shutdown ()
+  done;
+  check_int "after five retirements" before (ring_mappings "self");
+  check_bool "no orphan processes" true (no_children_left ())
+
 let test_spin_budget_rule () =
   let cap = Mesh_sock.spin_cap_ns in
   let b = Mesh_sock.Spin.create () in
@@ -1699,6 +1905,15 @@ let suite =
     Alcotest.test_case "link: bounded allocation per Single frame" `Quick
       test_link_alloc_per_frame;
     Alcotest.test_case "link: spin budget rule" `Quick test_spin_budget_rule;
+    Alcotest.test_case "ring link: a forked ping-pong wraps the ring, bit for bit" `Quick
+      test_ring_ping_pong_wraps;
+    Alcotest.test_case "ring link: a full ring parks its writer" `Quick test_ring_full_parks_writer;
+    Alcotest.test_case "ring link: a peer killed while its link is parked is Link_down" `Quick
+      test_ring_dead_peer_parked;
+    Alcotest.test_case "ring link: bounded allocation per Single frame" `Quick
+      test_ring_alloc_per_frame;
+    Alcotest.test_case "ring link: five team cycles leave no ring mapped" `Quick
+      test_team_unmaps_its_rings;
     Alcotest.test_case "link: a burst around a frame bigger than the buffer" `Quick
       test_link_burst_and_big_frame;
     Alcotest.test_case "runner: a paused PE parks its peer (sockets, TCP)" `Quick

@@ -590,7 +590,14 @@ let test_finalize_words_bounded () =
   in
   check_result "values agree" (Ok ()) verdict;
   if check > 127_329.0 then
-    Alcotest.failf "check_against_sequential: %.0f words (bound 127 329)" check
+    Alcotest.failf "check_against_sequential: %.0f words (bound 127 329)" check;
+  (* The instance check walks two tables and compares bits in place:
+     28 words (bound 10% above), where calling [Interp.same_bits]
+     boxed both floats of every instance (68 028). *)
+  let spec = Value_run.spec ~loop:flat ~iterations in
+  let verdict, walk = words_of (fun () -> Value_run.check_instances ~spec outcome.instances) in
+  check_result "instances agree" (Ok ()) verdict;
+  if walk > 31.0 then Alcotest.failf "check_instances: %.0f words (bound 31)" walk
 
 let print_loop loop = Format.asprintf "%a" Ast.pp_loop loop
 
