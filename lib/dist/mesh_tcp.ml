@@ -94,6 +94,18 @@ let read_ack fd ~proc ~peer =
 let set_nodelay fd =
   try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
+(* Both buffers of a link hold what a ring holds, {!Mesh_sock.buffer_bytes}:
+   far more than [Value_run.default_channel_capacity] frames, so a TCP
+   link is never tighter than the domain mesh's bound.  Set before
+   connect on a dialer and before listen on a listener (an accepted
+   socket inherits the listener's sizes), so the receive window is
+   scaled for them. *)
+let size_buffers fd =
+  List.iter
+    (fun opt ->
+      try Unix.setsockopt_int fd opt Mesh_sock.buffer_bytes with Unix.Unix_error _ -> ())
+    [ Unix.SO_SNDBUF; Unix.SO_RCVBUF ]
+
 (* The one resolver of roster hosts, for binding and dialing alike:
    an IPv4 literal as is, any other name through getaddrinfo. *)
 let resolve host =
@@ -109,6 +121,7 @@ let dial_with_backoff ?(deadline = 15.0) addr =
   let until = Unix.gettimeofday () +. deadline in
   let rec go pause =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    size_buffers fd;
     match Unix.connect fd (Unix.ADDR_INET (inet, addr.port)) with
     | () ->
       set_nodelay fd;
@@ -152,6 +165,7 @@ let bind_listener ~proc spec =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
     (try Unix.setsockopt fd Unix.SO_REUSEADDR true with Unix.Unix_error _ -> ());
+    size_buffers fd;
     Unix.bind fd (Unix.ADDR_INET (inet, spec.port));
     Unix.listen fd 16;
     Unix.getsockname fd

@@ -3,36 +3,41 @@ module Interp = Mimd_loop_ir.Interp
 module Trace = Mimd_obs.Trace
 module Clock = Mimd_obs.Clock
 
-(* The per-processor evaluator: a tight match over a cinstr array with
-   int fields.  All state is preallocated —
-   the unboxed slot store, the evaluation stack, the computed-value
-   array — so the compute path allocates nothing per instruction: [eval]
-   stores its result in place, as a returned float would be boxed; only
-   outbound message payloads are built on demand (they cross domains
-   and must be fresh values either way).  Returns the function that
-   executes one of processor [j]'s lowered instructions, and the one
-   that reads the result: [vals.(k)] is the value of [computes.(k)]. *)
+(* The per-processor evaluator: a tight walk over the flat records of
+   {!Lower}.  All state is preallocated — the unboxed slot store, the
+   evaluation stack, the computed-value array — so the compute path
+   allocates nothing per instruction: [eval] stores its result in
+   place, as a returned float would be boxed; only outbound message
+   payloads are built on demand (they cross domains and must be fresh
+   values either way), around tags built at lower time.  Returns the
+   function that executes instruction [k] of processor [j]'s lowered
+   stream, and the one that reads the result: [vals.(k)] is the value
+   of the [k]-th pair of [computes]. *)
 let processor ~init ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.chans) =
   let pc = lowered.Lower.procs.(j) in
+  let instrs = pc.Lower.instrs and pool = pc.Lower.pool and tags = pc.Lower.tags in
+  let codes = lowered.Lower.codes in
   (* NaN, not 0: a slot read before any write (impossible in a lowered
      program, guaranteed by the planted stale-slot fault) poisons the
      value instead of silently looking plausible. *)
   let slots = Array.make pc.Lower.slot_count nan in
-  Array.iter
-    (fun (array, idx, slot) -> slots.(slot) <- init array idx)
-    pc.Lower.prefill;
+  let prefill = pc.Lower.prefill in
+  for f = 0 to (Array.length prefill / 3) - 1 do
+    slots.(prefill.((3 * f) + 2)) <-
+      init lowered.Lower.array_names.(prefill.(3 * f)) prefill.((3 * f) + 1)
+  done;
   let scal = Array.map Interp.default_scalar lowered.Lower.scalar_names in
   let stack = Array.make pc.Lower.stack_need 0.0 in
-  let vals = Array.make (Array.length pc.Lower.computes) 0.0 in
+  let vals = Array.make (Array.length pc.Lower.computes / 2) 0.0 in
   let ci = ref 0 in
   let sent = ref 0 in
-  let eval (code : Lower.code) (args : int array) dst =
+  let eval (code : Lower.code) args dst =
     let ops = code.Lower.ops in
     let sp = ref 0 in
     for k = 0 to Array.length ops - 1 do
       match ops.(k) with
       | Lower.Load a ->
-        stack.(!sp) <- slots.(args.(a));
+        stack.(!sp) <- slots.(pool.(args + a));
         incr sp
       | Lower.Const c ->
         stack.(!sp) <- c;
@@ -62,63 +67,66 @@ let processor ~init ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.chans) =
     vals.(!ci) <- stack.(0);
     incr ci
   in
-  (* Land one pack frame: arrivals usually match [insts] positionally
-     (both sides come from the same Comm_opt rewrite); fall back to a
-     linear search, and ignore instances this PE has no slot for — it
-     can never read them. *)
-  let land_pack (insts : (int * int) array) (dst_slots : int array) pairs =
-    let n = Array.length pairs in
-    let m = Array.length insts in
-    for i = 0 to n - 1 do
-      let inst, v = pairs.(i) in
-      if i < m && insts.(i) = inst then slots.(dst_slots.(i)) <- v
+  (* Land one frame's pairs on the [m] (node, iter, slot) triples at
+     [at]: arrivals usually match them positionally (both sides come
+     from the same Comm_opt rewrite); fall back to a linear search, and
+     ignore instances this PE has no slot for — it can never read
+     them. *)
+  let land_pack at m pairs =
+    for i = 0 to Array.length pairs - 1 do
+      let (node, iter), v = pairs.(i) in
+      let e = at + (3 * i) in
+      if i < m && pool.(e) = node && pool.(e + 1) = iter then slots.(pool.(e + 2)) <- v
       else begin
         let k = ref 0 in
-        while !k < m && insts.(!k) <> inst do
+        while !k < m && not (pool.(at + (3 * !k)) = node && pool.(at + (3 * !k) + 1) = iter) do
           incr k
         done;
-        if !k < m then slots.(dst_slots.(!k)) <- v
+        if !k < m then slots.(pool.(at + (3 * !k) + 2)) <- v
       end
     done
   in
-  let exec (ins : Lower.cinstr) =
-    match ins with
-    | Lower.CCompute { code; args; dst; _ } -> eval code args dst
-    | Lower.CSend { dst; tag; src_slot } ->
-      chans.Value_run.send ~dst ~tag (Value_run.Single slots.(src_slot));
+  let exec k =
+    let b = k * Lower.width in
+    let kind = instrs.(b + Lower.field_kind) in
+    let peer = instrs.(b + Lower.field_peer) in
+    let at = instrs.(b + Lower.field_pool) in
+    let aux = instrs.(b + Lower.field_aux) in
+    if kind = Lower.compute then eval codes.(instrs.(b + Lower.field_node)) at aux
+    else if kind = Lower.send then begin
+      chans.Value_run.send ~dst:peer ~tag:tags.(aux) (Value_run.Single slots.(pool.(at)));
       incr sent
-    | Lower.CSend_pack { dst; tag; insts; src_slots } ->
-      let pairs =
-        Array.init (Array.length insts) (fun i ->
-            (insts.(i), slots.(src_slots.(i))))
-      in
-      chans.Value_run.send ~dst ~tag (Value_run.Pack pairs);
+    end
+    else if kind = Lower.send_pack then begin
+      let pairs = Array.make instrs.(b + Lower.field_count) (tags.(aux), slots.(pool.(at))) in
+      for i = 1 to Array.length pairs - 1 do
+        pairs.(i) <- (tags.(aux + i), slots.(pool.(at + i)))
+      done;
+      chans.Value_run.send ~dst:peer ~tag:tags.(aux) (Value_run.Pack pairs);
       incr sent
-    | Lower.CRecv { src; tag; dst_slot } -> (
-      match chans.Value_run.recv ~src ~tag with
-      | Value_run.Single v -> slots.(dst_slot) <- v
-      | Value_run.Pack pairs -> land_pack [| tag |] [| dst_slot |] pairs)
-    | Lower.CRecv_pack { src; tag; insts; dst_slots } -> (
-      match chans.Value_run.recv ~src ~tag with
-      | Value_run.Single v -> slots.(dst_slots.(0)) <- v
-      | Value_run.Pack pairs -> land_pack insts dst_slots pairs)
+    end
+    else
+      (* A Recv or a Recv_pack: either may take a Single or a Pack. *)
+      match chans.Value_run.recv ~src:peer ~tag:tags.(aux) with
+      | Value_run.Single v -> slots.(pool.(at + 2)) <- v
+      | Value_run.Pack pairs -> land_pack at instrs.(b + Lower.field_count) pairs
   in
-  let traced_exec ins =
-    let int k v = (k, string_of_int v) in
+  let traced_exec k =
+    let b = k * Lower.width in
+    let field f = instrs.(b + f) in
+    let int name v = (name, string_of_int v) in
     let msg name args peer q = (name, args @ [ int "pe" j; int peer q ]) in
+    let instance = [ int "node" (field Lower.field_node); int "iter" (field Lower.field_iter) ] in
+    let kind = field Lower.field_kind and peer = field Lower.field_peer in
     let name, args =
-      match ins with
-      | Lower.CCompute { node; iter; _ } -> ("run.compute", [ int "node" node; int "iter" iter ])
-      | Lower.CSend { tag = node, iter; dst; _ } ->
-        msg "run.send" [ int "node" node; int "iter" iter ] "dst" dst
-      | Lower.CRecv { tag = node, iter; src; _ } ->
-        msg "run.recv" [ int "node" node; int "iter" iter ] "src" src
-      | Lower.CSend_pack { insts; dst; _ } ->
-        msg "run.send" [ int "tags" (Array.length insts) ] "dst" dst
-      | Lower.CRecv_pack { insts; src; _ } ->
-        msg "run.recv" [ int "tags" (Array.length insts) ] "src" src
+      if kind = Lower.compute then ("run.compute", instance)
+      else if kind = Lower.send then msg "run.send" instance "dst" peer
+      else if kind = Lower.recv then msg "run.recv" instance "src" peer
+      else if kind = Lower.send_pack then
+        msg "run.send" [ int "tags" (field Lower.field_count) ] "dst" peer
+      else msg "run.recv" [ int "tags" (field Lower.field_count) ] "src" peer
     in
-    Trace.span ~cat:"run" ~args name (fun () -> exec ins)
+    Trace.span ~cat:"run" ~args name (fun () -> exec k)
   in
   ((if Trace.is_enabled () then traced_exec else exec), fun () -> (vals, !sent))
 
@@ -127,11 +135,10 @@ let processor ~init ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.chans) =
 let drive ~init ~tick ~(lowered : Lower.t) ~proc ~chans =
   if Trace.is_enabled () then Trace.set_thread_name (Printf.sprintf "PE%d" proc);
   let exec, result = processor ~init ~lowered ~proc ~chans in
-  Array.iter
-    (fun ins ->
-      exec ins;
-      tick ())
-    lowered.Lower.procs.(proc).Lower.instrs;
+  for k = 0 to Lower.instr_count lowered.Lower.procs.(proc) - 1 do
+    exec k;
+    tick ()
+  done;
   result ()
 
 let worker ~lowered ~proc ~chans () =
@@ -189,11 +196,11 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
   in
   let t0 = Clock.now_ns () in
   let value_step ~proc ~pc got =
-    let instrs = lowered.Lower.procs.(proc).Lower.instrs in
     frame := got;
-    fst pes.(proc) instrs.(pc);
+    fst pes.(proc) pc;
     retired.(proc) <- pc + 1;
-    if pc + 1 = Array.length instrs then wall.(proc) <- float_of_int (Clock.now_ns () - t0);
+    if pc + 1 = Lower.instr_count lowered.Lower.procs.(proc) then
+      wall.(proc) <- float_of_int (Clock.now_ns () - t0);
     !frame
   in
   match Program.simulate ~step:value_step program with

@@ -8,7 +8,8 @@
     are slot lookups in an unboxed [float array], expressions are
     postfix loops over a reusable float stack that store their result
     straight into the slots (no float is boxed per [Compute]), and
-    message endpoints and slots were bound at lower time.  The
+    message endpoints, wire tags and slots were bound at lower time:
+    executing instruction [k] reads record [k] of the flat form.  The
     differential suite and [check --fuzz] hold every run (inline,
     domains, sockets, TCP) to {!Value_run.spec}, instance by instance,
     bit for bit.  Every run returns its values as dense tables
@@ -25,8 +26,9 @@ val worker :
     (the domain channels of {!run} or the [Mimd_dist] socket mesh); returns
     (computed values, messages sent), the per-processor input of
     {!Value_run.finalize}.  The values are unboxed and in the order of
-    [lowered.procs.(proc).computes]: element [k] is the value of the
-    [k]-th instance that processor computes.  Initial memory and
+    [lowered.procs.(proc).computes]: element [k] is the value of its
+    [k]-th (node, iter) pair, the [k]-th instance that processor
+    computes.  Initial memory and
     scalars are the defaults ({!Mimd_loop_ir.Interp.init},
     {!Mimd_loop_ir.Interp.default_scalar}).  Outbound payloads are
     the only allocation per instruction. *)

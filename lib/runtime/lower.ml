@@ -1,7 +1,6 @@
 module Program = Mimd_codegen.Program
 module Graph = Mimd_ddg.Graph
 module Ast = Mimd_loop_ir.Ast
-module Interp = Mimd_loop_ir.Interp
 module Depend = Mimd_loop_ir.Depend
 
 type op =
@@ -17,42 +16,39 @@ type op =
 
 type code = { ops : op array; stack_need : int }
 
-type cinstr =
-  | CCompute of {
-      node : int;
-      iter : int;
-      code : code;
-      args : int array;
-      dst : int;
-    }
-  | CSend of { dst : int; tag : int * int; src_slot : int }
-  | CSend_pack of {
-      dst : int;
-      tag : int * int;
-      insts : (int * int) array;
-      src_slots : int array;
-    }
-  | CRecv of { src : int; tag : int * int; dst_slot : int }
-  | CRecv_pack of {
-      src : int;
-      tag : int * int;
-      insts : (int * int) array;
-      dst_slots : int array;
-    }
+let width = 7
+let field_kind = 0
+let field_node = 1
+let field_iter = 2
+let field_peer = 3
+let field_pool = 4
+let field_count = 5
+let field_aux = 6
+let compute = 0
+let send = 1
+let send_pack = 2
+let recv = 3
+let recv_pack = 4
 
 type proc_code = {
-  instrs : cinstr array;
+  instrs : int array;
+  pool : int array;
+  tags : (int * int) array;
   slot_count : int;
-  prefill : (string * int * int) array;
-  computes : (int * int) array;
+  prefill : int array;
+  computes : int array;
   stack_need : int;
 }
 
 type t = {
   processors : int;
   procs : proc_code array;
+  codes : code array;
+  array_names : string array;
   scalar_names : string array;
 }
+
+let instr_count pc = Array.length pc.instrs / width
 
 let check_pair ~loop ~program =
   if not (Ast.is_flat loop) then invalid_arg "Lower: loop must be flat";
@@ -70,8 +66,8 @@ let check_distances graph =
 
 (* Postfix compilation of one statement RHS.  [Load k] refers to the
    k-th reference in {!Ast.reads_of_expr} order — the pre-order leaf
-   walk below visits leaves in exactly that order, so the per-instance
-   [args] array (resolved slot per read) indexes directly.  Select is
+   walk below visits leaves in exactly that order, so a compute's
+   operand slots (one per read, in the pool) index directly.  Select is
    compiled eagerly (predicate and both branches on the stack); the
    expressions are pure and every operand of either branch is delivered
    by codegen (dependences come from [reads_of_expr], which also covers
@@ -111,143 +107,248 @@ let compile_expr ~scalar_id rhs =
   go rhs;
   { ops = Array.of_list (List.rev !ops); stack_need = max 1 !maxd }
 
-let lower_proc ~sources ~reads ~read_arrays ~codes ~(program : Program.t) j =
-  let instrs = Array.of_list program.programs.(j) in
-  (* Pass 1: a dense slot for every (node, iter) instance this PE
-     defines — Compute destinations and every tag a Recv/Recv_pack
-     lands.  [slot_at] and [def_at] are indexed by the instance's key
-     over the window those definitions span; [def_at] keeps the first
-     definition's position for the def-before-use checks below. *)
-  let each_def f =
-    Array.iteri
-      (fun pos instr ->
-        match instr with
-        | Program.Compute { node; iter } -> f node iter pos
-        | Program.Recv { tag; _ } -> f tag.Program.node tag.Program.iter pos
-        | Program.Recv_pack { tags; _ } ->
-          List.iter (fun (t : Program.tag) -> f t.node t.iter pos) tags
-        | Program.Send _ | Program.Send_pack _ -> ())
-      instrs
+(* How each read of one statement finds its value, resolved once per
+   statement: read [r] is the value statement [src.(r)] computed
+   [dist.(r)] iterations back, or initial memory when [src.(r) < 0] or
+   that iteration precedes the run; the cell it names is [(arr.(r),
+   iter + offset.(r))], index 0 when [fixed.(r)]. *)
+type plan = {
+  src : int array;
+  dist : int array;
+  arr : int array;
+  offset : int array;
+  fixed : bool array;
+}
+
+(* The sizes of one PE's arrays, from a first walk of its program. *)
+type sizes = { n_instrs : int; n_pool : int; n_tags : int; n_computes : int; n_memory : int }
+
+(* The window of initial-memory cells read, by array id and cell index. *)
+type cells = {
+  mutable arr_lo : int;
+  mutable arr_hi : int;
+  mutable idx_lo : int;
+  mutable idx_hi : int;
+}
+
+let no_tag = (-1, -1)
+
+(* Pass 1 over one PE's program: its sizes; every instance it defines
+   (Compute destinations and every tag a Recv/Recv_pack lands) goes to
+   [see], and every initial-memory cell it reads widens [cells]. *)
+let measure ~plans ~cells ~see prog =
+  let n_instrs = ref 0 and n_pool = ref 0 and n_tags = ref 0 in
+  let n_computes = ref 0 and n_memory = ref 0 in
+  let rec see_tags = function
+    | [] -> ()
+    | (t : Program.tag) :: rest ->
+      see t.node t.iter;
+      see_tags rest
   in
-  let keys = Program.Keys.scan (fun see -> each_def (fun node iter _ -> see node iter)) in
+  List.iter
+    (fun instr ->
+      incr n_instrs;
+      match instr with
+      | Program.Compute { node; iter } ->
+        see node iter;
+        incr n_computes;
+        let p = plans.(node) in
+        let nr = Array.length p.src in
+        n_pool := !n_pool + nr;
+        for r = 0 to nr - 1 do
+          if p.src.(r) < 0 || iter - p.dist.(r) < 0 then begin
+            incr n_memory;
+            let a = p.arr.(r) and idx = if p.fixed.(r) then 0 else iter + p.offset.(r) in
+            if a < cells.arr_lo then cells.arr_lo <- a;
+            if a > cells.arr_hi then cells.arr_hi <- a;
+            if idx < cells.idx_lo then cells.idx_lo <- idx;
+            if idx > cells.idx_hi then cells.idx_hi <- idx
+          end
+        done
+      | Program.Send _ ->
+        incr n_pool;
+        incr n_tags
+      | Program.Send_pack { tags; _ } ->
+        let n = List.length tags in
+        n_pool := !n_pool + n;
+        n_tags := !n_tags + n
+      | Program.Recv { tag; _ } ->
+        see tag.node tag.iter;
+        n_pool := !n_pool + 3;
+        incr n_tags
+      | Program.Recv_pack { tags; _ } ->
+        see_tags tags;
+        n_pool := !n_pool + (3 * List.length tags);
+        incr n_tags)
+    prog;
+  {
+    n_instrs = !n_instrs;
+    n_pool = !n_pool;
+    n_tags = !n_tags;
+    n_computes = !n_computes;
+    n_memory = !n_memory;
+  }
+
+(* Pass 2: fill PE [j]'s arrays in one walk of its program, resolving
+   every operand to a slot and failing loudly on a malformed program
+   before anything runs.  [slot_at] (by instance key) and [prefill_at]
+   (by cell key) are shared by every PE and hold -1 between PEs: each
+   PE clears what it set. *)
+let lower_proc ~plans ~(codes : code array) ~array_names ~keys ~slot_at ~cells ~prefill_at sz
+    prog j =
   let key node iter = Program.Keys.key keys ~node ~iter in
-  let slot_at = Array.make (Program.Keys.size keys) (-1) in
-  let def_at = Array.make (Program.Keys.size keys) 0 in
-  let nslots = ref 0 in
-  each_def (fun node iter pos ->
-      let k = key node iter in
-      if slot_at.(k) < 0 then begin
-        slot_at.(k) <- !nslots;
-        def_at.(k) <- pos;
-        incr nslots
-      end);
+  let narr = cells.arr_hi - cells.arr_lo + 1 in
+  let cell_key a idx = ((idx - cells.idx_lo) * narr) + (a - cells.arr_lo) in
+  let instrs = Array.make (width * sz.n_instrs) 0 in
+  let pool = Array.make sz.n_pool 0 in
+  let tags = Array.make sz.n_tags no_tag in
+  let computes = Array.make (2 * sz.n_computes) 0 in
+  let prefill = Array.make (3 * min sz.n_memory (Array.length prefill_at)) 0 in
+  let nslots = ref 0 and nprefill = ref 0 in
+  let ptop = ref 0 and ttop = ref 0 and ctop = ref 0 and stack_need = ref 1 in
+  (* A dense slot for every instance this PE defines, in order of first
+     definition.  An instruction's reads resolve before its own
+     definitions, so a slot defined at position [pos] is read from
+     [pos + 1] on: [slot_at] holds exactly the instances defined so
+     far. *)
+  let define node iter =
+    let k = key node iter in
+    if slot_at.(k) < 0 then begin
+      slot_at.(k) <- !nslots;
+      incr nslots
+    end;
+    slot_at.(k)
+  in
+  let defined_slot node iter =
+    let k = key node iter in
+    if k < 0 then -1 else slot_at.(k)
+  in
+  let sent_slot node iter =
+    let slot = defined_slot node iter in
+    if slot < 0 then invalid_arg "Lower: send before compute (malformed program)";
+    slot
+  in
   (* Initial-memory reads become slots prefilled before the first
-     instruction; one slot per distinct cell.  A cell is keyed by
-     (array id, cell index) over the cells this PE reads, the same way. *)
-  let from_memory node iter r =
-    match sources.(node).(r) with Some (_, delta) -> iter - delta < 0 | None -> true
-  in
-  let cells =
-    Program.Keys.scan (fun see ->
-        Array.iter
-          (function
-            | Program.Compute { node; iter } ->
-              Array.iteri
-                (fun r (array, offset) ->
-                  if from_memory node iter r then
-                    see read_arrays.(node).(r) (Interp.cell_index array ~iter ~offset))
-                reads.(node)
-            | Program.Send _ | Program.Send_pack _ | Program.Recv _ | Program.Recv_pack _ -> ())
-          instrs)
-  in
-  let prefill_at = Array.make (Program.Keys.size cells) (-1) in
-  let prefill_order = ref [] in
-  let prefill_slot ~node ~r array idx =
-    let k = Program.Keys.key cells ~node:read_arrays.(node).(r) ~iter:idx in
+     instruction: one slot per distinct cell, at its first read. *)
+  let prefill_slot a idx =
+    let k = cell_key a idx in
     if prefill_at.(k) >= 0 then prefill_at.(k)
     else begin
       let slot = !nslots in
       incr nslots;
       prefill_at.(k) <- slot;
-      prefill_order := (array, idx, slot) :: !prefill_order;
+      let f = 3 * !nprefill in
+      prefill.(f) <- a;
+      prefill.(f + 1) <- idx;
+      prefill.(f + 2) <- slot;
+      incr nprefill;
       slot
     end
   in
-  (* The slot of (node, iter) if this PE defines it before [before],
-     else -1. *)
-  let defined_slot ~before node iter =
-    let k = key node iter in
-    if k >= 0 && slot_at.(k) >= 0 && def_at.(k) < before then slot_at.(k) else -1
+  let record pos kind node iter peer at count aux =
+    let b = pos * width in
+    instrs.(b + field_kind) <- kind;
+    instrs.(b + field_node) <- node;
+    instrs.(b + field_iter) <- iter;
+    instrs.(b + field_peer) <- peer;
+    instrs.(b + field_pool) <- at;
+    instrs.(b + field_count) <- count;
+    instrs.(b + field_aux) <- aux
   in
-  let sent_slot ~before (node, iter) =
-    let slot = defined_slot ~before node iter in
-    if slot < 0 then invalid_arg "Lower: send before compute (malformed program)";
-    slot
+  let send_entry node iter =
+    pool.(!ptop) <- sent_slot node iter;
+    incr ptop;
+    tags.(!ttop) <- (node, iter);
+    incr ttop
   in
-  (* Pass 2: resolve every operand to a slot index, failing loudly on
-     a malformed program before anything runs. *)
-  let lowered =
-    Array.mapi
-      (fun pos instr ->
-        match instr with
-        | Program.Compute { node; iter } ->
-          let args =
-            Array.mapi
-              (fun r (array, offset) ->
-                match sources.(node).(r) with
-                | Some (s', delta) when iter - delta >= 0 ->
-                  let slot = defined_slot ~before:pos s' (iter - delta) in
-                  if slot < 0 then
-                    invalid_arg
-                      (Printf.sprintf
-                         "Lower: PE%d computing (%d,%d) lacks operand (%d,%d) for %s"
-                         j node iter s' (iter - delta) array);
-                  slot
-                | Some _ | None ->
-                  prefill_slot ~node ~r array (Interp.cell_index array ~iter ~offset))
-              reads.(node)
-          in
-          CCompute { node; iter; code = codes.(node); args; dst = slot_at.(key node iter) }
-        | Program.Send { tag = { node; iter }; dst } ->
-          let slot = sent_slot ~before:pos (node, iter) in
-          CSend { dst; tag = (node, iter); src_slot = slot }
-        | Program.Send_pack { tags = (rep :: _) as tags; dst } ->
-          let insts =
-            Array.of_list
-              (List.map (fun (t : Program.tag) -> (t.node, t.iter)) tags)
-          in
-          let src_slots = Array.map (sent_slot ~before:pos) insts in
-          CSend_pack
-            { dst; tag = (rep.Program.node, rep.Program.iter); insts; src_slots }
-        | Program.Recv { tag = { node; iter }; src } ->
-          CRecv { src; tag = (node, iter); dst_slot = slot_at.(key node iter) }
-        | Program.Recv_pack { tags = (rep :: _) as tags; src } ->
-          let insts =
-            Array.of_list
-              (List.map (fun (t : Program.tag) -> (t.node, t.iter)) tags)
-          in
-          let dst_slots = Array.map (fun (node, iter) -> slot_at.(key node iter)) insts in
-          CRecv_pack
-            { src; tag = (rep.Program.node, rep.Program.iter); insts; dst_slots }
-        | Program.Send_pack { tags = []; _ } | Program.Recv_pack { tags = []; _ }
-          ->
-          invalid_arg "Lower: empty pack")
-      instrs
+  let rec send_entries = function
+    | [] -> ()
+    | (t : Program.tag) :: rest ->
+      send_entry t.node t.iter;
+      send_entries rest
   in
-  let stack_need =
-    Array.fold_left
-      (fun acc ci ->
-        match ci with
-        | CCompute { code; _ } -> max acc code.stack_need
-        | _ -> acc)
-      1 lowered
+  let recv_entry node iter =
+    pool.(!ptop) <- node;
+    pool.(!ptop + 1) <- iter;
+    pool.(!ptop + 2) <- define node iter;
+    ptop := !ptop + 3
   in
+  let rec recv_entries = function
+    | [] -> ()
+    | (t : Program.tag) :: rest ->
+      recv_entry t.node t.iter;
+      recv_entries rest
+  in
+  let recv_head kind pos node iter src count =
+    record pos kind node iter src !ptop count !ttop;
+    tags.(!ttop) <- (node, iter);
+    incr ttop
+  in
+  List.iteri
+    (fun pos instr ->
+      match instr with
+      | Program.Compute { node; iter } ->
+        let p = plans.(node) in
+        let nr = Array.length p.src and at = !ptop in
+        for r = 0 to nr - 1 do
+          let s = p.src.(r) and back = iter - p.dist.(r) in
+          pool.(at + r) <-
+            (if s >= 0 && back >= 0 then begin
+               let slot = defined_slot s back in
+               if slot < 0 then
+                 invalid_arg
+                   (Printf.sprintf "Lower: PE%d computing (%d,%d) lacks operand (%d,%d) for %s" j
+                      node iter s back array_names.(p.arr.(r)));
+               slot
+             end
+             else prefill_slot p.arr.(r) (if p.fixed.(r) then 0 else iter + p.offset.(r)))
+        done;
+        ptop := at + nr;
+        record pos compute node iter (-1) at nr (define node iter);
+        computes.(!ctop) <- node;
+        computes.(!ctop + 1) <- iter;
+        ctop := !ctop + 2;
+        let need = codes.(node).stack_need in
+        if need > !stack_need then stack_need := need
+      | Program.Send { tag = { node; iter }; dst } ->
+        record pos send node iter dst !ptop 1 !ttop;
+        send_entry node iter
+      | Program.Send_pack { tags = { node; iter } :: _ as entries; dst } ->
+        record pos send_pack node iter dst !ptop (List.length entries) !ttop;
+        send_entries entries
+      | Program.Recv { tag = { node; iter }; src } ->
+        recv_head recv pos node iter src 1;
+        recv_entry node iter
+      | Program.Recv_pack { tags = { node; iter } :: _ as entries; src } ->
+        recv_head recv_pack pos node iter src (List.length entries);
+        recv_entries entries
+      | Program.Send_pack { tags = []; _ } | Program.Recv_pack { tags = []; _ } ->
+        invalid_arg "Lower: empty pack")
+    prog;
+  (* Leave the shared tables as they were found, for the next PE. *)
+  for k = 0 to sz.n_instrs - 1 do
+    let b = k * width in
+    let kind = instrs.(b + field_kind) in
+    if kind = compute then slot_at.(key instrs.(b + field_node) instrs.(b + field_iter)) <- -1
+    else if kind = recv || kind = recv_pack then
+      for i = 0 to instrs.(b + field_count) - 1 do
+        let e = instrs.(b + field_pool) + (3 * i) in
+        slot_at.(key pool.(e) pool.(e + 1)) <- -1
+      done
+  done;
+  for f = 0 to !nprefill - 1 do
+    prefill_at.(cell_key prefill.(3 * f) prefill.((3 * f) + 1)) <- -1
+  done;
   {
-    instrs = lowered;
+    instrs;
+    pool;
+    tags;
     slot_count = max 1 !nslots;
-    prefill = Array.of_list (List.rev !prefill_order);
-    computes = Array.of_list (Program.computes_of program j);
-    stack_need;
+    prefill =
+      (if 3 * !nprefill = Array.length prefill then prefill
+       else Array.sub prefill 0 (3 * !nprefill));
+    computes;
+    stack_need = !stack_need;
   }
 
 let run ~loop ~(program : Program.t) () =
@@ -255,36 +356,46 @@ let run ~loop ~(program : Program.t) () =
   let reads =
     Array.map (fun (_, _, rhs) -> Array.of_list (Ast.reads_of_expr rhs)) stmts
   in
-  (* The source of read [k] of statement [t], [Some (s, delta)] for the
-     value statement [s] computed [delta] iterations back, [None] for
-     initial memory: among the flow dependences into [(t, k)], the
-     least distance, ties to the latest statement — the last write
-     before the read in sequential order.  It depends only on the
-     statement, so it is found once rather than once per instance. *)
-  let sources = Array.map (fun r -> Array.make (Array.length r) None) reads in
+  (* Arrays by dense id, so a prefilled cell is keyed by two ints. *)
+  let array_ids : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let array_order = ref [] in
+  let array_id array =
+    match Hashtbl.find_opt array_ids array with
+    | Some a -> a
+    | None ->
+      let a = Hashtbl.length array_ids in
+      Hashtbl.replace array_ids array a;
+      array_order := array :: !array_order;
+      a
+  in
+  let plans =
+    Array.map
+      (fun r ->
+        {
+          src = Array.make (Array.length r) (-1);
+          dist = Array.make (Array.length r) 0;
+          arr = Array.map (fun (array, _) -> array_id array) r;
+          offset = Array.map snd r;
+          fixed = Array.map (fun (array, _) -> Depend.is_fixed_cell array) r;
+        })
+      reads
+  in
+  (* The source of read [k] of statement [t]: among the flow
+     dependences into [(t, k)], the least distance, ties to the latest
+     statement — the last write before the read in sequential order. *)
   List.iter
     (fun (d : Depend.dep) ->
       match (d.kind, d.read) with
-      | Depend.Flow, Some k -> (
-        let s = d.src_stmt and t = d.dst_stmt in
-        match sources.(t).(k) with
-        | Some (s', delta) when delta < d.distance || (delta = d.distance && s' > s) -> ()
-        | _ -> sources.(t).(k) <- Some (s, d.distance))
+      | Depend.Flow, Some k ->
+        let p = plans.(d.dst_stmt) in
+        let s' = p.src.(k) and delta = p.dist.(k) in
+        if not (s' >= 0 && (delta < d.distance || (delta = d.distance && s' > d.src_stmt)))
+        then begin
+          p.src.(k) <- d.src_stmt;
+          p.dist.(k) <- d.distance
+        end
       | _ -> ())
     (Depend.deps loop);
-  (* Arrays by dense id, so a prefilled cell is keyed by two ints. *)
-  let array_ids : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let read_arrays =
-    Array.map
-      (Array.map (fun (array, _) ->
-           match Hashtbl.find_opt array_ids array with
-           | Some a -> a
-           | None ->
-             let a = Hashtbl.length array_ids in
-             Hashtbl.replace array_ids array a;
-             a))
-      reads
-  in
   let scalar_ids : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let scalar_order = ref [] in
   let scalar_id s =
@@ -297,47 +408,69 @@ let run ~loop ~(program : Program.t) () =
       i
   in
   let codes = Array.map (fun (_, _, rhs) -> compile_expr ~scalar_id rhs) stmts in
+  let array_names = Array.of_list (List.rev !array_order) in
+  let p = program.processors in
+  let cells = { arr_lo = max_int; arr_hi = min_int; idx_lo = max_int; idx_hi = min_int } in
+  let sizes = Array.make p { n_instrs = 0; n_pool = 0; n_tags = 0; n_computes = 0; n_memory = 0 } in
+  let keys =
+    Program.Keys.scan (fun see ->
+        for j = 0 to p - 1 do
+          sizes.(j) <- measure ~plans ~cells ~see program.programs.(j)
+        done)
+  in
+  let slot_at = Array.make (Program.Keys.size keys) (-1) in
+  let prefill_at =
+    Array.make
+      (if cells.arr_lo > cells.arr_hi then 0
+       else (cells.arr_hi - cells.arr_lo + 1) * (cells.idx_hi - cells.idx_lo + 1))
+      (-1)
+  in
   let procs =
-    Array.init program.processors (fun j ->
-        lower_proc ~sources ~reads ~read_arrays ~codes ~program j)
+    Array.init p (fun j ->
+        lower_proc ~plans ~codes ~array_names ~keys ~slot_at ~cells ~prefill_at sizes.(j)
+          program.programs.(j) j)
   in
   {
     processors = program.processors;
     procs;
+    codes;
+    array_names;
     scalar_names = Array.of_list (List.rev !scalar_order);
   }
 
 let computes t = Array.map (fun pc -> pc.computes) t.procs
 
 (* Deliberate corruption for the must-fail differential probe: the
-   first Compute that has any operand is redirected to a fresh slot
-   that nothing ever writes (slots start as NaN), so the computed
-   value goes wrong in a way only the value differential can see.
-   The input is left untouched — cached lowered forms stay valid. *)
+   first Compute that has any operand has its first operand redirected
+   to a fresh slot that nothing ever writes (slots start as NaN), so
+   the computed value goes wrong in a way only the value differential
+   can see.  The input is left untouched — cached lowered forms stay
+   valid. *)
 let sabotage_stale_slot t =
+  let first_read pc =
+    let rec find k =
+      if k = instr_count pc then -1
+      else
+        let b = k * width in
+        if pc.instrs.(b + field_kind) = compute && pc.instrs.(b + field_count) > 0 then
+          pc.instrs.(b + field_pool)
+        else find (k + 1)
+    in
+    find 0
+  in
   let planted = ref false in
   let procs =
     Array.map
       (fun pc ->
         if !planted then pc
-        else begin
-          let poison = pc.slot_count in
-          let instrs =
-            Array.map
-              (fun ci ->
-                match ci with
-                | CCompute ({ args; _ } as c)
-                  when (not !planted) && Array.length args > 0 ->
-                  planted := true;
-                  let args = Array.copy args in
-                  args.(0) <- poison;
-                  CCompute { c with args }
-                | _ -> ci)
-              pc.instrs
-          in
-          if !planted then { pc with instrs; slot_count = pc.slot_count + 1 }
-          else pc
-        end)
+        else
+          match first_read pc with
+          | -1 -> pc
+          | at ->
+            planted := true;
+            let pool = Array.copy pc.pool in
+            pool.(at) <- pc.slot_count;
+            { pc with pool; slot_count = pc.slot_count + 1 })
       t.procs
   in
   if not !planted then

@@ -67,16 +67,16 @@ let finalize ~loop ~program ~computes ~results =
   Array.iteri
     (fun j cs ->
       let vals, _, _ = results.(j) in
-      if Array.length vals <> Array.length cs then
+      if Array.length vals <> Array.length cs / 2 then
         invalid_arg
           (Printf.sprintf "Value_run: PE%d returned %d value(s) for %d compute(s)" j
-             (Array.length vals) (Array.length cs));
-      Array.iter
-        (fun (node, iter) ->
-          if node < 0 || node >= nodes || iter < 0 then
-            invalid_arg "Value_run: instance out of range";
-          if iter >= !iters then iters := iter + 1)
-        cs)
+             (Array.length vals) (Array.length cs / 2));
+      for k = 0 to Array.length vals - 1 do
+        let node = cs.(2 * k) and iter = cs.((2 * k) + 1) in
+        if node < 0 || node >= nodes || iter < 0 then
+          invalid_arg "Value_run: instance out of range";
+        if iter >= !iters then iters := iter + 1
+      done)
     computes;
   let iters = !iters in
   let values = Array.make (nodes * iters) 0.0 in
@@ -84,12 +84,11 @@ let finalize ~loop ~program ~computes ~results =
   Array.iteri
     (fun j cs ->
       let vals, _, _ = results.(j) in
-      Array.iteri
-        (fun k (node, iter) ->
-          let ix = (node * iters) + iter in
-          values.(ix) <- vals.(k);
-          Bytes.set present ix '\001')
-        cs)
+      for k = 0 to Array.length vals - 1 do
+        let ix = (cs.(2 * k) * iters) + cs.((2 * k) + 1) in
+        values.(ix) <- vals.(k);
+        Bytes.set present ix '\001'
+      done)
     computes;
   let memory = Interp.of_instances loop ~iterations:iters ~values ~present in
   let messages = Array.fold_left (fun acc (_, sent, _) -> acc + sent) 0 results in

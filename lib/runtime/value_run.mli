@@ -102,14 +102,15 @@ val of_links :
 val finalize :
   loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
-  computes:(int * int) array array ->
+  computes:int array array ->
   results:(float array * int * float) array ->
   outcome
 (** Fold the per-processor results into an {!outcome}.  [computes.(j)]
-    lists the [(node, iteration)] instances processor [j] computes, in
-    program order ({!Lower.proc_code.computes}); [results.(j)] is that
-    processor's [(values, sent, wall_ns)], where [values.(k)] is the
-    value of [computes.(j).(k)].  The fold scatters every value into
+    holds the instances processor [j] computes as flat
+    [(node, iteration)] pairs, in program order
+    ({!Lower.proc_code.computes}); [results.(j)] is that processor's
+    [(values, sent, wall_ns)], where [values.(k)] is the value of pair
+    [k], [(computes.(j).(2k), computes.(j).(2k+1))].  The fold scatters every value into
     the [instances] table, then replays it in sequential (iteration,
     body position) order with {!Mimd_loop_ir.Interp.of_instances}, so
     each written cell holds its last writer's value (fixed cells at
@@ -119,8 +120,8 @@ val finalize :
     outcomes are comparable table for table.  Traced as the
     [run.finalize] span.
     @raise Invalid_argument on a malformed loop/program pair, when
-    [computes] and [results] differ in length, when a processor's
-    value array and its [computes] differ in length, or on an instance
+    [computes] and [results] differ in length, when a processor's value
+    array and its pairs differ in count, or on an instance
     outside the loop's statements. *)
 
 val spec : loop:Mimd_loop_ir.Ast.loop -> iterations:int -> instances

@@ -619,6 +619,51 @@ let test_runner_tcp_roster_resolution () =
   | Error e -> Alcotest.failf "named roster host: %s" e);
   check_bool "no orphan processes" true (no_children_left ())
 
+(* A TCP link whose reader never reads still takes
+   [Value_run.default_channel_capacity] Single frames before its writer
+   blocks: the bound the protocol simulation proves programs safe at.
+   PE 1 dials PE 0 and then holds its end open, unread, until the
+   parent closes the pipe. *)
+let test_tcp_link_holds_capacity () =
+  let mesh = Mesh_tcp.create ~fingerprint:"fp" ~procs:2 () in
+  let hold_r, hold_w = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        Unix.close hold_w;
+        ignore (Mesh_tcp.connect_all mesh ~proc:1 : Mesh_tcp.conns);
+        ignore (Unix.read hold_r (Bytes.create 1) 0 1 : int);
+        0
+      with _ -> 1
+    in
+    Unix._exit code
+  | pid ->
+    Unix.close hold_r;
+    let conns = Mesh_tcp.connect_all mesh ~proc:0 in
+    Unix.close (Mesh_tcp.listener mesh ~proc:1);
+    let fd = Mesh_tcp.link conns ~peer:1 in
+    Unix.set_nonblock fd;
+    let frame = Bytes.create 64 in
+    let len = Wire.encode frame ~tag:(0, 0) (Value_run.Single 1.0) in
+    let rec fill n =
+      if n = 100_000 then n
+      else
+        match Unix.single_write fd frame 0 len with
+        | w when w = len -> fill (n + 1)
+        | _ -> n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> n
+    in
+    let frames = fill 0 in
+    Unix.close hold_w;
+    Unix.close fd;
+    check_bool "PE 1 exited cleanly" true (snd (Unix.waitpid [] pid) = Unix.WEXITED 0);
+    check_bool
+      (Printf.sprintf "%d frames before the link blocked (capacity %d)" frames
+         Value_run.default_channel_capacity)
+      true
+      (frames >= Value_run.default_channel_capacity)
+
 let test_tcp_unbindable_roster_address () =
   (* A roster address that resolves but is no local interface
      (TEST-NET-1) cannot be bound: [create] names the PE and the
@@ -1898,6 +1943,8 @@ let suite =
       test_runner_tcp_roster_resolution;
     Alcotest.test_case "tcp: an unbindable roster address names its PE" `Quick
       test_tcp_unbindable_roster_address;
+    Alcotest.test_case "tcp: a link with no reader holds the channel capacity" `Quick
+      test_tcp_link_holds_capacity;
     Alcotest.test_case "runner: fixed cells match interp (p=2,3)" `Quick
       test_runner_fixed_cells;
       Alcotest.test_case "wire: link frame errors are named" `Quick test_link_codec_errors;

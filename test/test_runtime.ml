@@ -131,16 +131,19 @@ let test_links_minor_words () =
       per_frame
 
 (* Minor-heap words of one [Lower.run] on ewf as the exec benchmark
-   compiles it (p=2 k=2 n=1000, 17000 instances): 742435 (43.7 per
-   instance) when the bound was set, 10% below it. *)
+   compiles it (p=2 k=2 n=1000, 17000 instances): 42786 (2.5 per
+   instance: one wire tag per message end, the read plans and small
+   arrays; the flat arrays themselves are too large for the minor
+   heap) when the bound was set, 10% below it.  The boxed form it
+   replaced, one record per instruction, cost 742435. *)
 let test_lower_minor_words () =
   let flat, program, _ = ewf_benchmark_shape () in
   let w0 = Gc.minor_words () in
   let lowered = Lower.run ~loop:flat ~program () in
   let words = Gc.minor_words () -. w0 in
   ignore (Sys.opaque_identity lowered);
-  if words > 816_679.0 then
-    Alcotest.failf "Lower.run: %.0f minor words on ewf n=1000 (bound 816679)" words
+  if words > 47_065.0 then
+    Alcotest.failf "Lower.run: %.0f minor words on ewf n=1000 (bound 47065)" words
 
 (* ---------------------------------------------------------------- *)
 (* Differential execution: domains = inline = Interp, every instance  *)
@@ -394,31 +397,139 @@ let test_lower_shape () =
   let lowered = Lower.run ~loop:flat ~program () in
   check_int "one scalar" 1 (Array.length lowered.Lower.scalar_names);
   check_string "scalar name" "c" lowered.Lower.scalar_names.(0);
+  (* X[i-1] * 2 + c in postfix: Load Const Mul Scalar Add *)
+  check_int "postfix length" 5 (Array.length lowered.Lower.codes.(0).Lower.ops);
   Array.iteri
     (fun j pc ->
       check_bool (Printf.sprintf "PE%d slot store non-empty" j) true
         (pc.Lower.slot_count >= 1);
-      check_bool (Printf.sprintf "PE%d stack bounded" j) true (pc.Lower.stack_need >= 1);
-      Array.iter
-        (fun ci ->
-          match ci with
-          | Lower.CCompute { code; args; dst; _ } ->
-            (* X[i-1] * 2 + c in postfix: Load Const Mul Scalar Add *)
-            check_int "postfix length" 5 (Array.length code.Lower.ops);
-            check_bool "compute has operand slots" true
-              (Array.for_all (fun s -> s >= 0 && s < pc.Lower.slot_count) args);
-            check_bool "dst in range" true (dst >= 0 && dst < pc.Lower.slot_count)
-          | Lower.CSend _ | Lower.CSend_pack _ | Lower.CRecv _ | Lower.CRecv_pack _ -> ())
-        pc.Lower.instrs)
+      check_bool (Printf.sprintf "PE%d stack bounded" j) true (pc.Lower.stack_need >= 1))
     lowered.Lower.procs;
   (* the first iteration reads X[0] from initial memory: some PE
      prefills it *)
   let prefills =
     Array.exists
-      (fun pc -> Array.exists (fun (a, i, _) -> a = "X" && i < 1) pc.Lower.prefill)
+      (fun pc ->
+        let p = pc.Lower.prefill in
+        List.exists
+          (fun f -> lowered.Lower.array_names.(p.(3 * f)) = "X" && p.((3 * f) + 1) < 1)
+          (List.init (Array.length p / 3) Fun.id))
       lowered.Lower.procs
   in
   check_bool "initial-memory read is a prefilled slot" true prefills
+
+(* The contract [run_inline] relies on: record [k] of PE [j] is
+   instruction [k] of [programs.(j)] — the same kind, (node, iter) and
+   peer, a pack's entries in order — and every slot the form names is
+   inside the PE's store. *)
+let check_mirrors name (program : Program.t) (lowered : Lower.t) =
+  Array.iteri
+    (fun j prog ->
+      let pc = lowered.Lower.procs.(j) in
+      let fail k what = Alcotest.failf "%s: PE%d instruction %d: %s" name j k what in
+      let field k f = pc.Lower.instrs.((k * Lower.width) + f) in
+      let in_store s = s >= 0 && s < pc.Lower.slot_count in
+      check_int
+        (Printf.sprintf "%s: PE%d records" name j)
+        (List.length prog) (Lower.instr_count pc);
+      List.iteri
+        (fun k instr ->
+          let kind, (head : Program.tag), peer, entries =
+            match instr with
+            | Program.Compute { node; iter } -> (Lower.compute, { node; iter }, -1, [])
+            | Program.Send { tag; dst } -> (Lower.send, tag, dst, [ tag ])
+            | Program.Recv { tag; src } -> (Lower.recv, tag, src, [ tag ])
+            | Program.Send_pack { tags; dst } -> (Lower.send_pack, List.hd tags, dst, tags)
+            | Program.Recv_pack { tags; src } -> (Lower.recv_pack, List.hd tags, src, tags)
+          in
+          if field k Lower.field_kind <> kind then fail k "kind";
+          if field k Lower.field_node <> head.node || field k Lower.field_iter <> head.iter then
+            fail k "(node, iter)";
+          if field k Lower.field_peer <> peer then fail k "peer";
+          let at = field k Lower.field_pool and count = field k Lower.field_count in
+          let aux = field k Lower.field_aux in
+          if kind = Lower.compute then begin
+            let loads =
+              Array.fold_left
+                (fun n -> function Lower.Load _ -> n + 1 | _ -> n)
+                0 lowered.Lower.codes.(head.node).Lower.ops
+            in
+            if count <> loads then fail k "operand count";
+            for r = 0 to count - 1 do
+              if not (in_store pc.Lower.pool.(at + r)) then fail k "operand slot"
+            done;
+            if not (in_store aux) then fail k "destination slot"
+          end
+          else begin
+            if count <> List.length entries then fail k "entry count";
+            if pc.Lower.tags.(aux) <> (head.node, head.iter) then fail k "wire tag";
+            List.iteri
+              (fun i (t : Program.tag) ->
+                if kind = Lower.send || kind = Lower.send_pack then begin
+                  if pc.Lower.tags.(aux + i) <> (t.node, t.iter) then fail k "entry tag";
+                  if not (in_store pc.Lower.pool.(at + i)) then fail k "source slot"
+                end
+                else begin
+                  let e = at + (3 * i) in
+                  if pc.Lower.pool.(e) <> t.node || pc.Lower.pool.(e + 1) <> t.iter then
+                    fail k "landing entry";
+                  if not (in_store pc.Lower.pool.(e + 2)) then fail k "landing slot"
+                end)
+              entries
+          end)
+        prog;
+      let p = pc.Lower.prefill in
+      for f = 0 to (Array.length p / 3) - 1 do
+        if not (in_store p.((3 * f) + 2)) then
+          Alcotest.failf "%s: PE%d prefill %d outside the store" name j f
+      done)
+    program.Program.programs
+
+let test_lower_mirrors_program () =
+  let full_program ~p ~n (name, source, cost) =
+    let ast = Parser.parse source in
+    let flat = if Mimd_loop_ir.Ast.is_flat ast then ast else Mimd_loop_ir.If_convert.run ast in
+    let graph = (Depend.analyze ~cost flat).Depend.graph in
+    let full = Mimd_core.Full_sched.run ~graph ~machine:(machine ~p ~k:2 ()) ~iterations:n () in
+    ( Printf.sprintf "%s p=%d n=%d" name p n,
+      flat,
+      Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule )
+  in
+  let mirrors (name, flat, program) =
+    check_mirrors name program (Lower.run ~loop:flat ~program ())
+  in
+  let dir = Filename.concat ".." (Filename.concat "examples" "loops") in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".loop" && f <> "iir2.loop")
+    |> List.sort compare
+    |> List.map (fun f ->
+           (f, In_channel.with_open_text (Filename.concat dir f) In_channel.input_all,
+            Mimd_loop_ir.Cost.weighted))
+  in
+  let ss2 = Mimd_workloads.Kernels_src.state_space2 () in
+  let deck =
+    [
+      ("ewf", Mimd_workloads.Elliptic.source, Mimd_loop_ir.Cost.weighted);
+      ("fig7", Mimd_workloads.Fig7.source, Mimd_loop_ir.Cost.weighted);
+      ( ss2.name,
+        ss2.source,
+        if ss2.uniform_cost then Mimd_loop_ir.Cost.uniform else Mimd_loop_ir.Cost.weighted );
+      List.find (fun (f, _, _) -> f = "horner.loop") examples;
+    ]
+  in
+  check_int "every example but iir2" 7 (List.length examples);
+  List.iter
+    (fun p ->
+      List.iter
+        (fun entry ->
+          let name, flat, program = full_program ~p ~n:60 entry in
+          mirrors (name, flat, program);
+          let packed, _ = Mimd_codegen.Comm_opt.run ~window:4 program in
+          mirrors (name ^ " comm-opt", flat, packed))
+        examples;
+      List.iter (fun entry -> mirrors (full_program ~p ~n:1000 entry)) deck)
+    [ 2; 3; 4 ]
 
 let test_lower_rejects_malformed () =
   (* Each malformed program fails lowering with the message the
@@ -543,11 +654,11 @@ let test_worker_minor_words () =
       ~send:(fun ~dst:_ ~tag:_ _ -> invalid_arg "one PE sends nothing")
       ~next:(fun ~src:_ -> invalid_arg "one PE receives nothing")
   in
-  let instrs = Array.length lowered.Lower.procs.(0).Lower.instrs in
+  let instrs = Lower.instr_count lowered.Lower.procs.(0) in
   let w0 = Gc.minor_words () in
   let vals, _ = Exec_compiled.worker ~lowered ~proc:0 ~chans () in
   let per_instr = (Gc.minor_words () -. w0) /. float_of_int instrs in
-  check_int "one value per compute" (Array.length lowered.Lower.procs.(0).Lower.computes)
+  check_int "one value per compute" (Array.length lowered.Lower.procs.(0).Lower.computes / 2)
     (Array.length vals);
   if per_instr > 0.1 then
     Alcotest.failf "Exec_compiled.worker: %.3f minor words per instruction over %d (bound 0.1)"
@@ -582,6 +693,8 @@ let suite =
     Alcotest.test_case "schedule cache: key bytes pinned" `Quick
       test_schedule_cache_key_bytes_pinned;
     Alcotest.test_case "compiled exec: lowered form shape" `Quick test_lower_shape;
+    Alcotest.test_case "compiled exec: record k of PE j is the program's instruction k" `Quick
+      test_lower_mirrors_program;
     Alcotest.test_case "compiled exec: differential on paper workloads" `Quick
       test_compiled_differential_workloads;
     Alcotest.test_case "compiled exec: differential on random loops" `Quick

@@ -434,6 +434,9 @@ let gen_loop =
 (* ---------------------------------------------------------------- *)
 (* The outcome fold on its own                                        *)
 
+(* Instances as {!Value_run.finalize} takes them: flat (node, iter) pairs. *)
+let flat_pairs instances = Array.concat (List.map (fun (n, i) -> [| n; i |]) instances)
+
 (* Per-PE value arrays built by hand from the spec, in an order no
    executor uses, so the fold alone must place every value: B[i] has
    two writers in one iteration (the later body position wins) and a
@@ -450,7 +453,7 @@ let test_fold_from_value_arrays () =
   (* PE0 takes even iterations, last first; PE1 the rest, node-major. *)
   let on_pe0 ((_, iter), _) = iter mod 2 = 0 in
   let pe0 = List.rev (List.filter on_pe0 spec) and pe1 = List.filter (fun x -> not (on_pe0 x)) spec in
-  let computes = Array.map (fun l -> Array.of_list (List.map fst l)) [| pe0; pe1 |] in
+  let computes = Array.map (fun l -> flat_pairs (List.map fst l)) [| pe0; pe1 |] in
   let vals = Array.map (fun l -> Array.of_list (List.map snd l)) [| pe0; pe1 |] in
   let results = Array.map (fun v -> (v, 0, 0.0)) vals in
   let outcome = Value_run.finalize ~loop ~program ~computes ~results in
@@ -474,7 +477,7 @@ let hand_loop, hand_program =
   compile ~iterations:3 "for i = 1 to n { A[i] = 3; B[i] = A[i] * 2; }"
 
 let hand_outcome instances =
-  let computes = [| Array.of_list (List.map fst instances) |] in
+  let computes = [| flat_pairs (List.map fst instances) |] in
   let results = [| (Array.of_list (List.map snd instances), 0, 0.0) |] in
   Value_run.finalize ~loop:hand_loop ~program:hand_program ~computes ~results
 
@@ -576,9 +579,11 @@ let test_finalize_words_bounded () =
   let flat, program, iterations = ewf_benchmark_shape () in
   let computes = Lower.computes (Lower.run ~loop:flat ~program ()) in
   let spec = Interp.instance_table flat ~iterations in
-  let value (n, i) = spec.((n * iterations) + i) in
-  let results = Array.map (fun cs -> (Array.map value cs, 0, 0.0)) computes in
-  let instances = Array.fold_left (fun a cs -> a + Array.length cs) 0 computes in
+  let value cs k = spec.((cs.(2 * k) * iterations) + cs.((2 * k) + 1)) in
+  let results =
+    Array.map (fun cs -> (Array.init (Array.length cs / 2) (value cs), 0, 0.0)) computes
+  in
+  let instances = Array.fold_left (fun a cs -> a + (Array.length cs / 2)) 0 computes in
   check_int "one compute per instance" (List.length flat.Ast.body * iterations) instances;
   let finalize () = Value_run.finalize ~loop:flat ~program ~computes ~results in
   ignore (finalize ());
