@@ -93,9 +93,10 @@ val pattern : ?trips:int list -> Mimd_core.Pattern.t -> report
 val program : ?capacity:int -> Mimd_codegen.Program.t -> report
 (** Check (d): {!Mimd_codegen.Program.check}'s static pairing, then
     {!Mimd_codegen.Program.simulate} at the given channel [capacity]
-    (default {!Mimd_runtime.Value_run.default_channel_capacity}, the
-    bound the real mesh enforces; a send into a full channel blocks,
-    exactly as the real {!Mimd_runtime.Channel} does).  A deadlock is
+    (default {!Mimd_runtime.Value_run.default_channel_capacity}; a
+    send into a full channel blocks, as a writer parks on a full
+    {!Mimd_runtime.Mesh_sock} ring, and every ring holds at least that
+    many frames).  A deadlock is
     {!Protocol_deadlock}; any other simulation failure is
     {!Protocol_failure}.
     @raise Invalid_argument if [capacity < 1]. *)

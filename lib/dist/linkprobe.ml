@@ -1,5 +1,7 @@
 module Clock = Mimd_obs.Clock
 module Value_run = Mimd_runtime.Value_run
+module Wire = Mimd_runtime.Wire
+module Mesh_sock = Mimd_runtime.Mesh_sock
 
 type link = {
   a : int;

@@ -2,9 +2,10 @@
 
     The scheduler prices every cross-processor value at [k] abstract
     cycles (machine parameter, paper §2).  The socket backend makes
-    that cost real: a tagged float in a {!Wire} link frame through a
-    shared-memory ring, over the same {!Mesh_sock.ring_link} a team's
-    links use (spin, then park on the socketpair doorbell).  The probe
+    that cost real: a tagged float in a {!Mimd_runtime.Wire} link
+    frame through a shared-memory ring, over the same
+    {!Mimd_runtime.Mesh_sock.ring_link} a team's links, and a run's
+    domains, use (spin, then park on the socketpair doorbell).  The probe
     forks an echo peer per link over a one-pair mesh, round-trips real
     frames, and divides the median one-way latency by the calibrated
     cost of a cycle of the lowered evaluator, yielding the

@@ -1,4 +1,6 @@
 module Value_run = Mimd_runtime.Value_run
+module Wire = Mimd_runtime.Wire
+module Mesh_sock = Mimd_runtime.Mesh_sock
 
 (* The TCP face of the processor mesh.  Where {!Mesh_sock} inherits
    one socketpair per unordered pair across the fork, this transport
@@ -96,7 +98,8 @@ let set_nodelay fd =
 
 (* Both buffers of a link hold what a ring holds, {!Mesh_sock.buffer_bytes}:
    far more than [Value_run.default_channel_capacity] frames, so a TCP
-   link is never tighter than the domain mesh's bound.  Set before
+   link is never tighter than the bound the protocol simulation
+   proves.  Set before
    connect on a dialer and before listen on a listener (an accepted
    socket inherits the listener's sizes), so the receive window is
    scaled for them. *)

@@ -1,8 +1,9 @@
 (** The TCP transport of the processor mesh: per-PE listeners bound in
     the parent, children that {e dial} each other after the fork, and
-    the same link layer ({!Mesh_sock.Link}) and channel discipline as
-    {!Mesh_sock} (shared via {!Mesh_sock.row}: {!link} is the
-    peer-to-fd mapping a row takes over).
+    the same link layer ({!Mimd_runtime.Mesh_sock.Link}) and channel
+    discipline as {!Mimd_runtime.Mesh_sock} (shared via
+    {!Mimd_runtime.Mesh_sock.row}: {!link} is the peer-to-fd mapping a
+    row takes over).
 
     Connection plan: PE [j] dials every peer [i < j] (capped
     exponential backoff until the peer's listener answers) and accepts

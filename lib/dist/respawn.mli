@@ -1,5 +1,6 @@
-(** The respawn-storm circuit breaker shared by {!Runner}'s whole-run
-    retry and {!Router}'s worker re-fork supervision.
+(** The respawn-storm circuit breaker of {!Router}'s worker re-fork
+    supervision.  {!Runner}'s whole-run retry does not use it: its
+    budget is the [?respawn] count of a call.
 
     A sliding window over recent respawn instants: while fewer than
     [limit] respawns happened in the last [window] seconds, a respawn

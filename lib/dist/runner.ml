@@ -6,6 +6,8 @@ module Trace = Mimd_obs.Trace
 module Clock = Mimd_obs.Clock
 module Metrics = Mimd_obs.Metrics
 module Lower = Mimd_runtime.Lower
+module Wire = Mimd_runtime.Wire
+module Mesh_sock = Mimd_runtime.Mesh_sock
 
 type child_ok = {
   vals : float array;

@@ -1,6 +1,6 @@
 (** The supervisor of the socket runtime: one forked OS process per
-    scheduled processor, {!Mesh_sock} links between them, the shared
-    {!Mimd_runtime.Exec_compiled.worker} inside each, and a parent that
+    scheduled processor, {!Mimd_runtime.Mesh_sock} links between
+    them, the shared {!Mimd_runtime.Exec_compiled.worker} inside each, and a parent that
     sends each call to them, collects per-child reports over control
     sockets — each child's computed values as one unboxed [float
     array] in the order of its lowered [computes], its message count
@@ -19,8 +19,8 @@
     member a request — a program key, the marshalled
     {!Mimd_runtime.Lower.t} only the first time the team sees that
     key, and the parent's tracing switch — and the members run it,
-    settle their links ({!Mesh_sock.settle}), report and block on the
-    next request.  A key is the {!fingerprint} of the call's loop and
+    settle their links ({!Mimd_runtime.Mesh_sock.settle}), report and
+    block on the next request.  A key is the {!fingerprint} of the call's loop and
     program; a held form is found by [==] on the loop and program
     first, so a caller passing the same values again hashes nothing.
     A program the team holds is neither lowered nor shipped again.  The
@@ -82,7 +82,7 @@ val describe : failure -> string
 type transport =
   | Unix_sockets
       (** one inherited socketpair per link, its frames carried by a
-          shared-memory ring per direction ({!Mesh_sock}) *)
+          shared-memory ring per direction ({!Mimd_runtime.Mesh_sock}) *)
   | Tcp of { roster : Mesh_tcp.addr list option; handshake_fault : int option }
       (** per-PE listeners + dialed connections ({!Mesh_tcp}): [roster]
           pins explicit HOST:PORT listen addresses (default: ephemeral

@@ -9,7 +9,7 @@ let run ?(watchdog = Watchdog.default) ~graph ~programs ~cancel_all ~worker () =
     let r =
       match worker ~proc:j ~tick with
       | v -> Done v
-      | exception Channel.Cancelled -> Torn_down
+      | exception Mesh_sock.Link_down _ -> Torn_down
       | exception e ->
         (* Fail fast: siblings blocked on this domain's messages must
            not wait out the watchdog. *)

@@ -9,7 +9,9 @@
 
     - a worker raising any exception first cancels the mesh so its
       siblings cannot block forever on messages that will never come,
-      then surfaces the exception after all domains joined;
+      then surfaces the exception after all domains joined; a sibling
+      the cancel wakes ({!Mesh_sock.Link_down}) is torn down, not
+      failed;
     - a global stall (every domain blocked, e.g. on a malformed
       program whose [Send] was lost) is converted into
       {!Watchdog.Runtime_deadlock} with per-domain snapshots instead

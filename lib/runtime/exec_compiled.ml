@@ -154,25 +154,19 @@ let lowered_for name lowered ~loop ~(program : Program.t) =
 let run ?(init = Interp.init) ?watchdog ?lowered ~loop ~(program : Program.t) () =
   let lowered = lowered_for "run" lowered ~loop ~program in
   let p = program.processors in
-  (* [links.(src).(dst)]: one bounded channel per ordered pair, all
-     built up front so a cancel reaches every potential waiter. *)
-  let capacity = Value_run.default_channel_capacity in
-  let links = Array.init p (fun _ -> Array.init p (fun _ -> Channel.create ~capacity)) in
+  (* The socket team's ring mesh, every row built up front so a cancel
+     reaches every potential waiter; closed on every way out. *)
+  let mesh = Mesh_sock.create ~procs:p () in
+  Fun.protect ~finally:(fun () -> Mesh_sock.close_all mesh) @@ fun () ->
+  let rows = Array.init p (fun proc -> Mesh_sock.ring_row mesh ~proc) in
   let t0 = Clock.now_ns () in
   let worker ~proc:j ~tick =
-    let chans =
-      Value_run.of_links ~procs:p
-        ~send:(fun ~dst ~tag v ->
-          if dst = j then invalid_arg "Exec_compiled.run: self message";
-          Channel.send links.(j).(dst) (tag, v))
-        ~next:(fun ~src -> Channel.recv links.(src).(j))
-    in
-    let vals, sent = drive ~init ~tick ~lowered ~proc:j ~chans in
+    let vals, sent = drive ~init ~tick ~lowered ~proc:j ~chans:(Mesh_sock.row_chans rows.(j)) in
     (vals, sent, float_of_int (Clock.now_ns () - t0))
   in
   let results =
     Domains.run ?watchdog ~graph:program.graph ~programs:program.programs
-      ~cancel_all:(fun () -> Array.iter (Array.iter Channel.cancel) links)
+      ~cancel_all:(fun () -> Mesh_sock.cancel mesh)
       ~worker ()
   in
   Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered) ~results

@@ -23,7 +23,7 @@ val worker :
   unit ->
   float array * int
 (** Execute processor [proc]'s lowered stream over any channel backend
-    (the domain channels of {!run} or the [Mimd_dist] socket mesh); returns
+    (the ring links of {!run} or of a [Mimd_dist] team, or TCP); returns
     (computed values, messages sent), the per-processor input of
     {!Value_run.finalize}.  The values are unboxed and in the order of
     [lowered.procs.(proc).computes]: element [k] is the value of its
@@ -41,9 +41,12 @@ val run :
   program:Mimd_codegen.Program.t ->
   unit ->
   Value_run.outcome
-(** Execute [program] on [program.processors] fresh domains, one
-    bounded {!Channel} of {!Value_run.default_channel_capacity} frames
-    per ordered processor pair, matched by {!Value_run.of_links}.
+(** Execute [program] on [program.processors] fresh domains over a
+    {!Mesh_sock} built for this call: one shared-memory ring per
+    ordered processor pair and a socketpair per pair as doorbell, the
+    links a socket team runs, each domain on its
+    {!Mesh_sock.row_chans}.  The mesh is closed and unmapped on every
+    way out, a stall included.
     [init] is the initial memory (default
     {!Mimd_loop_ir.Interp.init}); scalars are
     {!Mimd_loop_ir.Interp.default_scalar}.  [loop] must be flat and

@@ -1,4 +1,3 @@
-module Value_run = Mimd_runtime.Value_run
 module Trace = Mimd_obs.Trace
 module Spsc = Mimd_obs.Spsc
 
@@ -15,9 +14,8 @@ type t = { procs : int; fds : Unix.file_descr option array array; rings : Spsc.m
    buffers were sized to when the frames travelled through them (the
    kernel charges each small AF_UNIX write its skb truesize, close to
    1 KiB, not its 33 bytes).  That is far more than [capacity] frames,
-   so a ring link is never tighter than the domain mesh's bound, and a
-   program the protocol simulation proved safe at [capacity] cannot
-   deadlock on one. *)
+   so a program the protocol simulation proved safe at [capacity]
+   cannot deadlock on a ring link. *)
 let buffer_bytes = Value_run.default_channel_capacity * 1024
 
 (* Ring i->j among the p (p - 1) off-diagonal pairs. *)
@@ -56,6 +54,17 @@ let close_link t ~proc ~peer = close_fd t.fds.(proc) peer
 let close_all t =
   Array.iter (fun row -> Array.iteri (fun i _ -> close_fd row i) row) t.fds;
   Spsc.unmap t.rings
+
+(* A shut endpoint reads as end of stream on both sides of its pair:
+   every reader or writer parked on a doorbell wakes, finds the link
+   gone and raises [Link_down].  Unlike a close, a shutdown leaves the
+   descriptor number held, so a waiter never selects on a reused one. *)
+let cancel t =
+  Array.iter
+    (Array.iter (function
+      | Some fd -> ( try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+      | None -> ()))
+    t.fds
 
 exception Link_down of { proc : int; peer : int; error : Wire.error }
 

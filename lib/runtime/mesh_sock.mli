@@ -1,18 +1,19 @@
-(** The socket counterpart of the in-process domain channels: one
-    full-duplex [socketpair(2)] per unordered processor pair and one
+(** The processor mesh of every in-host run: one full-duplex
+    [socketpair(2)] per unordered processor pair and one
     single-producer single-consumer byte ring ({!Mimd_obs.Spsc}) per
     ordered pair, with {!Wire} link frames as messages ({!Link}),
-    presented to {!Mimd_runtime.Exec_compiled.worker} through the same
-    {!Mimd_runtime.Value_run.chans} interface, built by
-    {!Mimd_runtime.Value_run.of_links} — so the worker's instruction
-    semantics (tagged messages, out-of-order stashing, blocking at
-    capacity) are shared code, not a reimplementation.
+    presented to {!Exec_compiled.worker} through the
+    {!Value_run.chans} interface, built by {!Value_run.of_links}.  The
+    domains of {!Exec_compiled.run} and the forked members of a socket
+    team run the same links, so frame matching, the wait rule and the
+    [Link_down] classification are one piece of code; TCP runs the
+    same {!Link} over dialed sockets ({!row}).
 
-    {b Rings.}  A team's link ({!ring_link}) copies its frames'
-    bytes into and out of a ring in a shared anonymous mapping that
-    {!create} makes before the fork: a message costs a cache-line
-    hop, not a [write(2)] and a [read(2)].  The socketpair stays as
-    the link's doorbell and liveness signal.  A side that must wait
+    {b Rings.}  A ring link ({!ring_link}) copies its frames' bytes
+    into and out of a ring in a shared anonymous mapping that
+    {!create} makes — before the fork, for a team: a message costs a
+    cache-line hop, not a [write(2)] and a [read(2)].  The socketpair
+    stays as the link's doorbell and liveness signal.  A side that must wait
     (nothing to read, no room to write) sets its parked flag, looks at
     the ring once more and only then blocks in [select(2)] on the
     socket; the other side, after each copy, reads that flag and, when
@@ -22,28 +23,28 @@
     side sees the flag: a wake-up cannot be lost.  End of stream on
     the socket is still a dead peer ({!Link_down}).
 
-    Capacity: a ring holds {!buffer_bytes} of frame bytes, far more
-    than [capacity] frames, so a sender that runs far ahead waits for
-    the link to drain just as [Channel.send] blocks past its bound,
-    and the bound is never {e tighter} than the domain mesh's — a
-    program the token simulation proves deadlock-free at the default
-    capacity cannot deadlock here.  A link whose frames travel through
-    a socket (TCP, or {!row} over bare fds) is bounded by the kernel's
-    socket buffers instead, which charge a small write its skb
-    truesize (about 1 KiB), not its 33 bytes. *)
+    Capacity: a ring holds {!buffer_bytes} of frame bytes, at least
+    [capacity] Single frames ({!Value_run.default_channel_capacity}),
+    so a sender that runs far ahead waits for the link to drain, and
+    the bound is never {e tighter} than the one the protocol
+    simulation proves — a program it proves deadlock-free at the
+    default capacity cannot deadlock here.  A link whose frames travel
+    through a socket (TCP, or {!row} over bare fds) is bounded by the
+    kernel's socket buffers instead, which charge a small write its
+    skb truesize (about 1 KiB), not its 33 bytes. *)
 
 type t
 
 val create : procs:int -> unit -> t
-(** Build every link in the parent, {e before} forking children: the
-    socketpairs, and [procs * (procs - 1)] rings of {!buffer_bytes}
+(** Build every link, for a team in the parent {e before} forking
+    children: the socketpairs, and [procs * (procs - 1)] rings of {!buffer_bytes}
     in one shared mapping.  Making it touches no ring page: a page is
     backed only once a link's bytes pass through it.
     @raise Failure when the rings cannot be mapped. *)
 
 val buffer_bytes : int
 (** A ring's data bytes: [capacity] KiB, with [capacity] =
-    {!Mimd_runtime.Value_run.default_channel_capacity}. *)
+    {!Value_run.default_channel_capacity}. *)
 
 val procs : t -> int
 
@@ -57,8 +58,16 @@ val close_link : t -> proc:int -> peer:int -> unit
     end. *)
 
 val close_all : t -> unit
-(** Parent-side, after all forks: close every endpoint still open here
-    and unmap the rings — the parent holds no link. *)
+(** Close every endpoint still open here and unmap the rings: a team's
+    parent after all forks (it holds no link), or {!Exec_compiled.run}
+    once its domains have joined. *)
+
+val cancel : t -> unit
+(** Shut down every endpoint still open here, both directions, without
+    closing it: every reader or writer parked on one of the mesh's
+    links, and every later wait on one, ends in {!Link_down}.  Frames
+    already in a ring are still read.  Safe to call from any domain
+    while others wait; idempotent.  The domain watchdog's teardown. *)
 
 exception Link_down of { proc : int; peer : int; error : Wire.error }
 (** Raised out of a channel operation when the underlying stream
@@ -117,7 +126,7 @@ module Link : sig
   (** Take over a connected stream fd, whose bytes carry the frames:
       it is made non-blocking. *)
 
-  val send : t -> tag:int * int -> Mimd_runtime.Value_run.payload -> unit
+  val send : t -> tag:int * int -> Value_run.payload -> unit
   (** Encode and write one frame, parking in [select(2)] while the
       ring or send buffer is full.  Allocates nothing for a Single
       once the encode buffer has grown to fit.
@@ -147,21 +156,21 @@ type row
 
 val row : procs:int -> proc:int -> link:(int -> Unix.file_descr) -> row
 (** Take over processor [proc]'s fds in any peer-to-fd mapping of a
-    [procs]-PE mesh ({!Mesh_tcp}'s dialed connections, say): each
+    [procs]-PE mesh ({!Mimd_dist.Mesh_tcp}'s dialed connections, say): each
     becomes a {!Link.create} link, non-blocking from here on. *)
 
 val ring_row : t -> proc:int -> row
 (** Processor [proc]'s row of the mesh: one {!ring_link} per peer. *)
 
-val row_chans : row -> Mimd_runtime.Value_run.chans
+val row_chans : row -> Value_run.chans
 (** The channel interface for one call over the row: a fresh
-    {!Mimd_runtime.Value_run.of_links} matching state over the row's
+    {!Value_run.of_links} matching state over the row's
     links.  [send] writes one frame; a pull reads one.  Emits a
     [dist.send] span per frame written and a [dist.recv] span per
     frame pulled (waiting for it included, with [parked] = whether the
     wait parked) when tracing is on as the call starts; a recv served
     from the stash pulls nothing.  Stream errors, either way, raise
-    {!Link_down} with this row's [proc].  Transports ({!Mesh_tcp})
+    {!Link_down} with this row's [proc].  Transports ({!Mimd_dist.Mesh_tcp})
     share this rather than reimplementing framing, matching or
     tracing. *)
 

@@ -58,11 +58,12 @@ val instance_count : instances -> int
 (** Instances present. *)
 
 val default_channel_capacity : int
-(** Per-channel message bound of {!Exec_compiled.run}'s domain
-    channels.  Exposed so independent auditors (notably
-    {!Mimd_check.Validate.program}'s protocol simulation) and
-    alternative channel backends (the socket mesh in [Mimd_dist])
-    model the same bound the domain channels enforce. *)
+(** The per-link message bound that {!Mimd_check.Validate.program}'s
+    protocol simulation proves every program deadlock-free at.  Every
+    real link holds at least that many [Single] frames: a
+    {!Mesh_sock} ring, between domains or team members, holds
+    [capacity] KiB ({!Mesh_sock.buffer_bytes}), and a TCP link's
+    socket buffers are sized to match. *)
 
 type payload =
   | Single of float  (** a plain [Send]'s value *)

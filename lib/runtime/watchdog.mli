@@ -5,8 +5,8 @@
     message nobody will send just waits forever.  The watchdog runs in
     the coordinating domain while the workers execute: it polls a
     global progress counter and, when no instruction retires anywhere
-    for [timeout] seconds, cancels every channel (unblocking all
-    waiters) and reports a {!stall} carrying one {!snapshot} per
+    for [timeout] seconds, cancels the run's links (waking every
+    waiter) and reports a {!stall} carrying one {!snapshot} per
     domain, which executors surface as {!Runtime_deadlock}. *)
 
 type snapshot = {

@@ -105,13 +105,13 @@ let tag_len = 16
 let single_body = tag_len + 1 + 8
 let pack_body count = tag_len + 1 + 4 + (24 * count)
 
-type frame = (int * int) * Mimd_runtime.Value_run.payload
+type frame = (int * int) * Value_run.payload
 
-let frame_size : Mimd_runtime.Value_run.payload -> int = function
+let frame_size : Value_run.payload -> int = function
   | Single _ -> header_len + single_body
   | Pack entries -> header_len + pack_body (Array.length entries)
 
-let encode buf ~tag:(node, iter) (payload : Mimd_runtime.Value_run.payload) =
+let encode buf ~tag:(node, iter) (payload : Value_run.payload) =
   let size = frame_size payload in
   if Bytes.length buf < size then invalid_arg "Wire.encode: buffer too small";
   Bytes.blit_string link_magic 0 buf 0 4;
@@ -164,7 +164,7 @@ let decode buf ~pos ~len =
       else if len < header_len + body then Error Truncated
       else
         let tag = (get_int buf (pos + 8), get_int buf (pos + 16)) in
-        let payload : Mimd_runtime.Value_run.payload =
+        let payload : Value_run.payload =
           if kind = kind_single then Single (get_float buf (pos + 25))
           else
             Pack

@@ -2,7 +2,7 @@
 
     A {e marshal frame} is ["MDW1"], a big-endian u32 payload length,
     then the [Marshal] image of a value: the supervisor's
-    control/report channels in {!Runner} and the TCP handshake speak
+    control/report channels in {!Mimd_dist.Runner} and the TCP handshake speak
     it ({!write}, {!read}).  A {e link frame} is the binary value
     frame of the mesh links ({!encode}, {!decode}): {!Mesh_sock}'s
     links carry nothing else.  Either way a stream that
@@ -55,14 +55,14 @@ val read : ?max_frame:int -> Unix.file_descr -> ('a, error) result
     (node, iteration, bits) int64 triples.  Values travel as bits, so
     NaN payloads and [-0.] round-trip bit for bit. *)
 
-type frame = (int * int) * Mimd_runtime.Value_run.payload
-(** A tag and its payload: what {!Mimd_runtime.Value_run.of_links}
+type frame = (int * int) * Value_run.payload
+(** A tag and its payload: what {!Value_run.of_links}
     pulls. *)
 
-val frame_size : Mimd_runtime.Value_run.payload -> int
+val frame_size : Value_run.payload -> int
 (** Bytes of the link frame carrying this payload, header included. *)
 
-val encode : Bytes.t -> tag:int * int -> Mimd_runtime.Value_run.payload -> int
+val encode : Bytes.t -> tag:int * int -> Value_run.payload -> int
 (** Write the link frame at offset 0 of the buffer and return its
     size ({!frame_size}).  Allocates nothing for a Single.
     @raise Invalid_argument when the buffer is shorter than the

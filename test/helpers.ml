@@ -8,6 +8,19 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+(* Shared anonymous mappings (a mesh's rings) show in a maps file as
+   /dev/zero.  [pid] is a process id or "self". *)
+let ring_mappings pid =
+  In_channel.with_open_text (Printf.sprintf "/proc/%s/maps" pid) In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l ->
+         let n = String.length l in
+         let rec at i = i + 9 <= n && (String.sub l i 9 = "/dev/zero" || at (i + 1)) in
+         at 0)
+  |> List.length
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
 let graph_of ~latencies ~edges = Graph.of_arrays ~latencies ~edges ()
 
 (* The Figure 7 loop, used all over. *)

@@ -12,8 +12,8 @@ module Depend = Mimd_loop_ir.Depend
 module Value_run = Mimd_runtime.Value_run
 module Interp = Mimd_loop_ir.Interp
 module Json = Mimd_server.Json
-module Wire = Mimd_dist.Wire
-module Mesh_sock = Mimd_dist.Mesh_sock
+module Wire = Mimd_runtime.Wire
+module Mesh_sock = Mimd_runtime.Mesh_sock
 module Mesh_tcp = Mimd_dist.Mesh_tcp
 module Respawn = Mimd_dist.Respawn
 module Runner = Mimd_dist.Runner
@@ -668,7 +668,6 @@ let test_tcp_unbindable_roster_address () =
   (* A roster address that resolves but is no local interface
      (TEST-NET-1) cannot be bound: [create] names the PE and the
      address, and closes the listener it already bound for PE 0. *)
-  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
   let before = open_fds () in
   let roster = [ { Mesh_tcp.host = "127.0.0.1"; port = 0 }; { host = "192.0.2.1"; port = 0 } ] in
   (match Mesh_tcp.create ~roster ~fingerprint:"f" ~procs:2 () with
@@ -1507,14 +1506,6 @@ let test_ring_alloc_per_frame () =
   done;
   let words = (Gc.minor_words () -. before) /. float_of_int frames in
   check_bool (Printf.sprintf "%.1f minor words per frame <= 20" words) true (words <= 20.0)
-
-(* Shared anonymous mappings (the rings) show in a maps file as
-   /dev/zero. *)
-let ring_mappings pid =
-  In_channel.with_open_text (Printf.sprintf "/proc/%s/maps" pid) In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> contains l "/dev/zero")
-  |> List.length
 
 let test_team_unmaps_its_rings () =
   (* Five team starts and retirements: the members hold the rings, the

@@ -1,6 +1,6 @@
 (* Real-domain runtime: differential correctness of the compiled
    evaluator, on domains and inline, against the sequential interpreter
-   (the spec, instance by instance), channel mechanics, frame matching
+   (the spec, instance by instance), ring links between domains, frame matching
    over links, watchdog deadlock detection and the schedule cache. *)
 
 open Helpers
@@ -8,7 +8,8 @@ module Parser = Mimd_loop_ir.Parser
 module Depend = Mimd_loop_ir.Depend
 module Interp = Mimd_loop_ir.Interp
 module Program = Mimd_codegen.Program
-module Channel = Mimd_runtime.Channel
+module Mesh_sock = Mimd_runtime.Mesh_sock
+module Wire = Mimd_runtime.Wire
 module Watchdog = Mimd_runtime.Watchdog
 module Value_run = Mimd_runtime.Value_run
 module Schedule_cache = Mimd_runtime.Schedule_cache
@@ -16,39 +17,106 @@ module Lower = Mimd_runtime.Lower
 module Exec_compiled = Mimd_runtime.Exec_compiled
 
 (* ---------------------------------------------------------------- *)
-(* Channels                                                           *)
+(* Ring links between domains                                         *)
 
-let test_channel_fifo () =
-  let ch = Channel.create ~capacity:8 in
-  List.iter (fun i -> Channel.send ch i) [ 1; 2; 3 ];
-  check_int "fifo 1" 1 (Channel.recv ch);
-  check_int "fifo 2" 2 (Channel.recv ch);
-  Channel.send ch 4;
-  check_int "fifo 3" 3 (Channel.recv ch);
-  check_int "fifo 4, sent after a recv" 4 (Channel.recv ch)
+(* A ring holds this many 33-byte Single frames, and no more. *)
+let frames_per_ring = Mesh_sock.buffer_bytes / 33
 
-let test_channel_bounded () =
-  (* A producer pushing capacity + N items blocks until the consumer
-     drains; both sides must still complete. *)
-  let ch = Channel.create ~capacity:2 in
-  let producer = Domain.spawn (fun () -> List.iter (fun i -> Channel.send ch i) [ 1; 2; 3; 4; 5 ]) in
-  let got = List.init 5 (fun _ -> Channel.recv ch) in
+let with_mesh procs f =
+  let mesh = Mesh_sock.create ~procs () in
+  Fun.protect ~finally:(fun () -> Mesh_sock.close_all mesh) (fun () -> f mesh)
+
+(* Pull [n] frames: whether they are frames 0 .. n - 1, in order. *)
+let pulls_in_order link n =
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    match Mesh_sock.Link.pull link with
+    | Ok (tag, Value_run.Single v) -> if tag <> (0, i) || v <> float_of_int i then ok := false
+    | Ok (_, Value_run.Pack _) -> Alcotest.fail "a Pack where a Single was sent"
+    | Error e -> Alcotest.failf "pull: %s" (Wire.error_to_string e)
+  done;
+  !ok
+
+(* Frame [i] carries tag (0, i) and value [i]. *)
+let send_frames link ~sent n =
+  for i = 0 to n - 1 do
+    Mesh_sock.Link.send link ~tag:(0, i) (Value_run.Single (float_of_int i));
+    Atomic.incr sent
+  done
+
+(* Wait (5 s at most) for [count] to reach [n], then 50 ms more: its
+   value then, [n] when the counting side stopped there. *)
+let stops_at count n =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Atomic.get count < n && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Unix.sleepf 0.05;
+  Atomic.get count
+
+let test_ring_fifo_across_wrap () =
+  (* Three rings' worth of frames through one ring while the reader
+     keeps up: 33 does not divide the ring, so frames straddle the
+     wrap, and every one must arrive whole and in order. *)
+  with_mesh 2 @@ fun mesh ->
+  let n = (3 * frames_per_ring) + 7 in
+  let tx = Mesh_sock.ring_link mesh ~proc:0 ~peer:1 in
+  let rx = Mesh_sock.ring_link mesh ~proc:1 ~peer:0 in
+  let producer = Domain.spawn (fun () -> send_frames tx ~sent:(Atomic.make 0) n) in
+  let in_order = pulls_in_order rx n in
   Domain.join producer;
-  check_bool "all items in order" true (got = [ 1; 2; 3; 4; 5 ])
+  check_bool (Printf.sprintf "%d frames in send order" n) true in_order
 
-let test_channel_cancel_unblocks () =
-  let ch : int Channel.t = Channel.create ~capacity:2 in
-  let consumer =
+let test_ring_full_parks_writer () =
+  (* Twice a ring's worth with no reader: the writer fills the ring,
+     parks, and finishes only once the reader drains it. *)
+  with_mesh 2 @@ fun mesh ->
+  let n = 2 * frames_per_ring in
+  let tx = Mesh_sock.ring_link mesh ~proc:0 ~peer:1 in
+  let rx = Mesh_sock.ring_link mesh ~proc:1 ~peer:0 in
+  let sent = Atomic.make 0 in
+  let producer = Domain.spawn (fun () -> send_frames tx ~sent n) in
+  check_int "the writer stops when the ring is full" frames_per_ring
+    (stops_at sent frames_per_ring);
+  let in_order = pulls_in_order rx n in
+  Domain.join producer;
+  check_int "then sends the rest" n (Atomic.get sent);
+  check_bool "every frame in order" true in_order
+
+let test_ring_cancel_wakes_waiters () =
+  (* PE 0 writes to PE 1, which never reads, until PE 0 parks on the
+     full ring; PE 2 parks reading from PE 1, which never sends.  One
+     cancel must wake both with Link_down, well within 5 s: a waiter
+     that stays parked fails the test rather than hanging it. *)
+  with_mesh 3 @@ fun mesh ->
+  let sent = Atomic.make 0 and ended = Atomic.make 0 in
+  let down f =
     Domain.spawn (fun () ->
-        match Channel.recv ch with
-        | _ -> false
-        | exception Channel.Cancelled -> true)
+        let r =
+          match f () with
+          | () -> None
+          | exception Mesh_sock.Link_down { proc; peer; _ } -> Some (proc, peer)
+        in
+        Atomic.incr ended;
+        r)
   in
-  Unix.sleepf 0.02;
-  Channel.cancel ch;
-  check_bool "blocked recv woken with Cancelled" true (Domain.join consumer);
-  check_bool "send after cancel raises" true
-    (match Channel.send ch 1 with () -> false | exception Channel.Cancelled -> true)
+  let writer =
+    let chans = Mesh_sock.row_chans (Mesh_sock.ring_row mesh ~proc:0) in
+    down (fun () ->
+        while true do
+          chans.Value_run.send ~dst:1 ~tag:(0, 0) (Value_run.Single 0.0);
+          Atomic.incr sent
+        done)
+  in
+  let reader =
+    let chans = Mesh_sock.row_chans (Mesh_sock.ring_row mesh ~proc:2) in
+    down (fun () -> ignore (chans.Value_run.recv ~src:1 ~tag:(0, 0)))
+  in
+  check_int "the writer filled the ring" frames_per_ring (stops_at sent frames_per_ring);
+  Mesh_sock.cancel mesh;
+  check_int "both waiters woken" 2 (stops_at ended 2);
+  check_bool "parked writer woken with Link_down" true (Domain.join writer = Some (0, 1));
+  check_bool "parked reader woken with Link_down" true (Domain.join reader = Some (2, 1))
 
 (* ---------------------------------------------------------------- *)
 (* Value_run.of_links: the one frame-matching rule                    *)
@@ -317,6 +385,24 @@ let test_watchdog_quiet_on_healthy_run () =
   let watchdog = Watchdog.config ~timeout:30.0 () in
   let outcome = Exec_compiled.run ~watchdog ~loop:flat ~program () in
   check_bool "finished" true (Value_run.instance_count outcome.Value_run.instances > 0)
+
+let test_runs_leave_no_link () =
+  (* Twenty runs, the tenth a stall the watchdog tears down: each
+     closes its endpoints and unmaps its rings on the way out. *)
+  let loop = Parser.parse Mimd_workloads.Fig7.source in
+  let flat, program = compile ~p:3 ~iterations:30 loop in
+  let bflat, _, broken = program_missing_a_send () in
+  let watchdog = Watchdog.config ~timeout:0.3 ~poll_interval:0.01 () in
+  let fds = open_fds () and rings = ring_mappings "self" in
+  for i = 1 to 20 do
+    if i = 10 then
+      match Exec_compiled.run ~watchdog ~loop:bflat ~program:broken () with
+      | _ -> Alcotest.fail "broken program terminated normally"
+      | exception Watchdog.Runtime_deadlock _ -> ()
+    else ignore (Exec_compiled.run ~watchdog ~loop:flat ~program ())
+  done;
+  check_int "descriptors after 20 runs" fds (open_fds ());
+  check_int "ring mappings after 20 runs" rings (ring_mappings "self")
 
 (* ---------------------------------------------------------------- *)
 (* Schedule cache                                                     *)
@@ -673,9 +759,11 @@ let test_differential_fixed_cells () =
 
 let suite =
   [
-    Alcotest.test_case "channel: fifo" `Quick test_channel_fifo;
-    Alcotest.test_case "channel: bounded send blocks" `Quick test_channel_bounded;
-    Alcotest.test_case "channel: cancel unblocks" `Quick test_channel_cancel_unblocks;
+    Alcotest.test_case "ring link: fifo across a wrap" `Quick test_ring_fifo_across_wrap;
+    Alcotest.test_case "ring link: a full ring parks its writer" `Quick
+      test_ring_full_parks_writer;
+    Alcotest.test_case "ring link: cancel wakes a parked reader and writer" `Quick
+      test_ring_cancel_wakes_waiters;
     Alcotest.test_case "differential: paper workloads" `Quick test_differential_paper_workloads;
     Alcotest.test_case "differential: more processors" `Quick test_differential_more_processors;
     Alcotest.test_case "differential: 20 random loops" `Slow test_differential_random_loops;
@@ -687,6 +775,8 @@ let suite =
     Alcotest.test_case "inline: deadlock raises Runtime_deadlock at once" `Quick
       test_inline_deadlock_is_structured;
     Alcotest.test_case "watchdog: silent on healthy runs" `Quick test_watchdog_quiet_on_healthy_run;
+    Alcotest.test_case "links: 20 runs, one stalled, leave no descriptor or ring" `Quick
+      test_runs_leave_no_link;
     Alcotest.test_case "schedule cache: memoizes" `Quick test_schedule_cache_hits;
     Alcotest.test_case "schedule cache: key semantics" `Quick test_schedule_cache_key_semantics;
     Alcotest.test_case "schedule cache: bounded + clear" `Quick test_schedule_cache_eviction;
