@@ -316,7 +316,7 @@ let schedule_cmd =
         print_string (Full_sched.report full);
         Option.iter (Format.printf "%a@." Pattern.pp) full.Full_sched.pattern;
         print_string (Schedule.render_grid ~max_cycles:60 full.Full_sched.schedule);
-        let seq = Mimd_doacross.Sequential.time g ~iterations in
+        let seq = Mimd_core.Metrics.sequential_time g ~iterations in
         let par = Full_sched.parallel_time full in
         Format.printf "sequential %d, parallel %d -> percentage parallelism %.1f@." seq par
           (Mimd_core.Metrics.percentage_parallelism ~sequential:seq ~parallel:par);
@@ -356,7 +356,7 @@ let doacross_cmd =
           else Mimd_doacross.Reorder.best ~graph:g ~machine ()
         in
         Format.printf "%a@." Mimd_doacross.Doacross.pp doa;
-        let seq = Mimd_doacross.Sequential.time g ~iterations in
+        let seq = Mimd_core.Metrics.sequential_time g ~iterations in
         let par = Mimd_doacross.Doacross.effective_makespan doa ~iterations in
         Format.printf "sequential %d, parallel %d -> percentage parallelism %.1f@." seq par
           (Mimd_core.Metrics.percentage_parallelism ~sequential:seq ~parallel:par);
@@ -393,7 +393,7 @@ let simulate_cmd =
         let full = Full_sched.run ~graph:g ~machine ~iterations () in
         let links = links_of ~k:machine.Config.comm_estimate ~mm in
         let out = Mimd_sim.Exec.simulate_schedule ~schedule:full.Full_sched.schedule ~links () in
-        let seq = Mimd_doacross.Sequential.time g ~iterations in
+        let seq = Mimd_core.Metrics.sequential_time g ~iterations in
         Format.printf
           "simulated makespan %d (static %d), %d messages, %d comm cycles, busy %d@."
           out.Mimd_sim.Exec.makespan

@@ -22,7 +22,7 @@ let () =
   Format.printf "recurrence bound: %.2f cycles/iteration (no machine can beat this)@.@."
     (Mimd_ddg.Reach.recurrence_bound graph);
 
-  let seq = Mimd_doacross.Sequential.time graph ~iterations in
+  let seq = Mimd_core.Metrics.sequential_time graph ~iterations in
   Format.printf "sequential: %d cycles for %d iterations@.@." seq iterations;
 
   (* Sweep processors and k. *)

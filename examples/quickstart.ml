@@ -59,7 +59,7 @@ let () =
   | Error e -> failwith ("schedule does not validate: " ^ e));
   let run links_label links =
     let out = Mimd_sim.Exec.simulate_schedule ~schedule ~links () in
-    let seq = Mimd_doacross.Sequential.time graph ~iterations in
+    let seq = Mimd_core.Metrics.sequential_time graph ~iterations in
     Format.printf "%-22s makespan %5d cycles  (sequential %d, Sp %.1f%%)@." links_label
       out.Mimd_sim.Exec.makespan seq
       (Mimd_core.Metrics.percentage_parallelism ~sequential:seq
@@ -81,7 +81,7 @@ let () =
 
   (* And the baseline for contrast. *)
   let doa = Mimd_doacross.Reorder.best ~graph ~machine () in
-  let seq = Mimd_doacross.Sequential.time graph ~iterations in
+  let seq = Mimd_core.Metrics.sequential_time graph ~iterations in
   let doa_time = Mimd_doacross.Doacross.effective_makespan doa ~iterations in
   Format.printf "@.DOACROSS on the same loop: %d cycles (Sp %.1f%%) — %s@." doa_time
     (Mimd_core.Metrics.percentage_parallelism ~sequential:seq ~parallel:doa_time)

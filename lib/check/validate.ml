@@ -256,30 +256,27 @@ let error_of ~names r =
 
 let break_dependence sched =
   let g = Schedule.graph sched in
-  let csr = Graph.csr g in
   let m = Schedule.machine sched in
   let entries = Schedule.entries sched in
   let candidate =
     List.find_map
       (fun (succ : Schedule.entry) ->
         (* first match in (src, distance) order, as Graph.preds lists *)
-        Graph.fold_preds csr succ.inst.node
-          (fun acc (edge : Graph.edge) ->
-            if acc <> None then acc
+        List.find_map
+          (fun (edge : Graph.edge) ->
+            let pi = succ.inst.iter - edge.distance in
+            if pi < 0 then None
             else
-              let pi = succ.inst.iter - edge.distance in
-              if pi < 0 then None
-              else
-                match Schedule.find sched { node = edge.src; iter = pi } with
-                | None -> None
-                | Some pred ->
-                  let comm = if pred.proc = succ.proc then 0 else Config.edge_cost m edge in
-                  let earliest = pred.start + Graph.latency g pred.inst.node + comm in
-                  (* hastening to earliest - 1 needs earliest >= 1, and
-                     must actually move the entry *)
-                  if earliest >= 1 && succ.start >= earliest then Some (succ, earliest - 1)
-                  else None)
-          None)
+              match Schedule.find sched { node = edge.src; iter = pi } with
+              | None -> None
+              | Some pred ->
+                let comm = if pred.proc = succ.proc then 0 else Config.edge_cost m edge in
+                let earliest = pred.start + Graph.latency g pred.inst.node + comm in
+                (* hastening to earliest - 1 needs earliest >= 1, and
+                   must actually move the entry *)
+                if earliest >= 1 && succ.start >= earliest then Some (succ, earliest - 1)
+                else None)
+          (Graph.preds g succ.inst.node))
       entries
   in
   match candidate with

@@ -19,7 +19,6 @@ let sort_prefix a len =
 let run ?(validate = false) sched =
   Mimd_obs.Trace.span ~cat:"compile" "compile.codegen" @@ fun () ->
   let graph = Schedule.graph sched in
-  let csr = Graph.csr graph in
   let machine = Schedule.machine sched in
   let processors = machine.Mimd_machine.Config.processors in
   let entries = Schedule.entries sched in
@@ -44,17 +43,18 @@ let run ?(validate = false) sched =
   let max_degree f =
     let m = ref 0 in
     for v = 0 to n - 1 do
-      m := max !m (f csr v)
+      m := max !m (List.length (f graph v))
     done;
     !m
   in
-  let operands = Array.make (max_degree Graph.in_degree) 0 in
-  let consumers = Array.make (max_degree Graph.out_degree) 0 in
+  let operands = Array.make (max_degree Graph.preds) 0 in
+  let consumers = Array.make (max_degree Graph.succs) 0 in
   List.iter
     (fun (e : Schedule.entry) ->
       let v = e.inst.node and i = e.inst.iter in
       let n_ops = ref 0 in
-      Graph.iter_preds csr v (fun (edge : Graph.edge) ->
+      List.iter
+        (fun (edge : Graph.edge) ->
           let pi = i - edge.distance in
           if pi >= 0 then begin
             let pp = Schedule.proc_at sched ~node:edge.src ~iter:pi in
@@ -62,7 +62,8 @@ let run ?(validate = false) sched =
               operands.(!n_ops) <- inst_key ~node:edge.src ~iter:pi;
               incr n_ops
             end
-          end);
+          end)
+        (Graph.preds graph v);
       sort_prefix operands !n_ops;
       for j = 0 to !n_ops - 1 do
         let key = operands.(j) in
@@ -77,12 +78,14 @@ let run ?(validate = false) sched =
       emit e.proc (Program.Compute { node = v; iter = i });
       Bytes.set have ((inst_key ~node:v ~iter:i * processors) + e.proc) '\001';
       let n_cons = ref 0 in
-      Graph.iter_succs csr v (fun (edge : Graph.edge) ->
+      List.iter
+        (fun (edge : Graph.edge) ->
           let cp = Schedule.proc_at sched ~node:edge.dst ~iter:(i + edge.distance) in
           if cp >= 0 && cp <> e.proc then begin
             consumers.(!n_cons) <- cp;
             incr n_cons
-          end);
+          end)
+        (Graph.succs graph v);
       sort_prefix consumers !n_cons;
       for j = 0 to !n_cons - 1 do
         let dst = consumers.(j) in

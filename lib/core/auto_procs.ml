@@ -4,10 +4,11 @@ module Config = Mimd_machine.Config
 type point = { processors : int; rate : float; height : int; iter_shift : int }
 type t = { curve : point list; chosen : point; bound : float }
 
-let search ?(max_processors = 8) ?(tolerance = 0.02) ?max_iterations ~graph ~comm_estimate
-    () =
+(* A p within 2% of the best rate counts as reaching it. *)
+let tolerance = 0.02
+
+let search ?(max_processors = 8) ?max_iterations ~graph ~comm_estimate () =
   if max_processors < 1 then invalid_arg "Auto_procs.search: max_processors < 1";
-  if tolerance < 0.0 then invalid_arg "Auto_procs.search: negative tolerance";
   let point processors =
     let machine = Config.make ~processors ~comm_estimate in
     let r = Cyclic_sched.solve ?max_iterations ~graph ~machine () in

@@ -17,21 +17,20 @@ type point = {
 
 type t = {
   curve : point list;  (** ascending processor count *)
-  chosen : point;  (** cheapest within [tolerance] of the best rate *)
+  chosen : point;  (** cheapest within 2% of the best rate *)
   bound : float;  (** the machine-independent recurrence bound *)
 }
 
 val search :
   ?max_processors:int ->
-  ?tolerance:float ->
   ?max_iterations:int ->
   graph:Mimd_ddg.Graph.t ->
   comm_estimate:int ->
   unit ->
   t
 (** Solve the Cyclic pattern for p = 1 .. [max_processors] (default 8)
-    and pick the smallest p whose rate is within [tolerance] (default
-    2%) of the best rate seen.  The graph must satisfy
+    and pick the smallest p whose rate is within 2% of the best rate
+    seen.  The graph must satisfy
     {!Cyclic_sched.solve}'s preconditions.
     @raise Cyclic_sched.No_pattern if any p in range fails to settle. *)
 

@@ -28,12 +28,11 @@ let collect membership =
    subgraph. *)
 let run g =
   let n = Graph.node_count g in
-  let c = Graph.csr g in
   let membership = Array.make n Cyclic in
   let in_flow_in = Array.make n false in
   let remaining = Array.make n 0 in
   for v = 0 to n - 1 do
-    remaining.(v) <- Graph.in_degree c v
+    remaining.(v) <- List.length (Graph.preds g v)
   done;
   let queue = Queue.create () in
   for v = 0 to n - 1 do
@@ -44,20 +43,22 @@ let run g =
     if not in_flow_in.(v) then begin
       in_flow_in.(v) <- true;
       membership.(v) <- Flow_in;
-      Graph.iter_succs c v (fun (e : Graph.edge) ->
+      List.iter
+        (fun (e : Graph.edge) ->
           if e.dst <> v then begin
             remaining.(e.dst) <- remaining.(e.dst) - 1;
             if remaining.(e.dst) = 0 then Queue.add e.dst queue
           end)
+        (Graph.succs g v)
     end
   done;
   let remaining_succ = Array.make n 0 in
   for v = 0 to n - 1 do
     if not in_flow_in.(v) then
       remaining_succ.(v) <-
-        Graph.fold_succs c v
+        List.fold_left
           (fun acc (e : Graph.edge) -> if in_flow_in.(e.dst) then acc else acc + 1)
-          0
+          0 (Graph.succs g v)
   done;
   let in_flow_out = Array.make n false in
   for v = 0 to n - 1 do
@@ -68,11 +69,13 @@ let run g =
     if not in_flow_out.(v) then begin
       in_flow_out.(v) <- true;
       membership.(v) <- Flow_out;
-      Graph.iter_preds c v (fun (e : Graph.edge) ->
+      List.iter
+        (fun (e : Graph.edge) ->
           if e.src <> v && not in_flow_in.(e.src) then begin
             remaining_succ.(e.src) <- remaining_succ.(e.src) - 1;
             if remaining_succ.(e.src) = 0 then Queue.add e.src queue
           end)
+        (Graph.preds g v)
     end
   done;
   collect membership

@@ -202,15 +202,14 @@ let priorities graph = function
   | Lexicographic -> Array.make (Graph.node_count graph) 0
   | Critical_path ->
     let order = Topo.sort_zero graph in
-    let c = Graph.csr graph in
     let height = Array.make (Graph.node_count graph) 0 in
     List.iter
       (fun v ->
         let tail =
-          Graph.fold_succs c v
+          List.fold_left
             (fun acc (e : Graph.edge) ->
               if e.distance = 0 then max acc height.(e.dst) else acc)
-            0
+            0 (Graph.succs graph v)
         in
         height.(v) <- Graph.latency graph v + tail)
       (List.rev order);
@@ -324,7 +323,6 @@ let admit st v i =
 let init_state ~graph ~machine ~limit ~order =
   check_preconditions graph;
   let n = Graph.node_count graph in
-  let csr = Graph.csr graph in
   let m = Graph.edge_count graph in
   let pred_off = Array.make (n + 1) 0 and succ_off = Array.make (n + 1) 0 in
   let pred_src = Array.make m 0 and pred_dist = Array.make m 0 in
@@ -333,18 +331,22 @@ let init_state ~graph ~machine ~limit ~order =
   let n_dist0_preds = Array.make n 0 in
   for v = 0 to n - 1 do
     let k = ref pred_off.(v) in
-    Graph.iter_preds csr v (fun (e : Graph.edge) ->
+    List.iter
+      (fun (e : Graph.edge) ->
         pred_src.(!k) <- e.src;
         pred_dist.(!k) <- e.distance;
         pred_cost.(!k) <- Config.edge_cost machine e;
         if e.distance = 0 then n_dist0_preds.(v) <- n_dist0_preds.(v) + 1;
-        incr k);
+        incr k)
+      (Graph.preds graph v);
     pred_off.(v + 1) <- !k;
     let k = ref succ_off.(v) in
-    Graph.iter_succs csr v (fun (e : Graph.edge) ->
+    List.iter
+      (fun (e : Graph.edge) ->
         succ_dst.(!k) <- e.dst;
         succ_dist.(!k) <- e.distance;
-        incr k);
+        incr k)
+      (Graph.succs graph v);
     succ_off.(v + 1) <- !k
   done;
   let lat = Array.init n (Graph.latency graph) in
@@ -545,9 +547,8 @@ let period_repeats st ~t1 ~t2 ~d =
   shifted = next
 
 let solve ?(max_iterations = 1024) ?(order = Lexicographic) ~graph ~machine () =
-  let csr0 = Graph.csr graph in
   for v = 0 to Graph.node_count graph - 1 do
-    if Graph.in_degree csr0 v = 0 then
+    if Graph.preds graph v = [] then
       invalid_arg
         (Printf.sprintf
            "Cyclic_sched.solve: node %s has no predecessors, so this is not a Cyclic \

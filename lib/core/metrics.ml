@@ -2,26 +2,4 @@ let percentage_parallelism ~sequential ~parallel =
   if sequential <= 0 then invalid_arg "Metrics.percentage_parallelism: sequential <= 0";
   float_of_int (sequential - parallel) /. float_of_int sequential *. 100.0
 
-let speedup ~sequential ~parallel =
-  if parallel <= 0 then invalid_arg "Metrics.speedup: parallel <= 0";
-  float_of_int sequential /. float_of_int parallel
-
 let sequential_time g ~iterations = iterations * Mimd_ddg.Graph.total_latency g
-
-type comparison = {
-  label : string;
-  sequential : int;
-  ours : int;
-  baseline : int;
-}
-
-let ours_sp c = percentage_parallelism ~sequential:c.sequential ~parallel:c.ours
-let baseline_sp c = percentage_parallelism ~sequential:c.sequential ~parallel:c.baseline
-
-let advantage c =
-  let a = ours_sp c and b = baseline_sp c in
-  if b <= 0.0 then if a > 0.0 then infinity else nan else a /. b
-
-let pp_comparison ppf c =
-  Format.fprintf ppf "%s: seq=%d ours=%d (Sp=%.1f) baseline=%d (Sp=%.1f)" c.label
-    c.sequential c.ours (ours_sp c) c.baseline (baseline_sp c)

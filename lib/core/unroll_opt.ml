@@ -3,9 +3,11 @@ module Unwind = Mimd_ddg.Unwind
 type point = { factor : int; rate : float; pattern : Pattern.t }
 type t = { curve : point list; chosen : point }
 
-let search ?(max_factor = 4) ?(tolerance = 0.02) ?max_iterations ~graph ~machine () =
+(* A factor within 2% of the best rate counts as reaching it. *)
+let tolerance = 0.02
+
+let search ?(max_factor = 4) ?max_iterations ~graph ~machine () =
   if max_factor < 1 then invalid_arg "Unroll_opt.search: max_factor < 1";
-  if tolerance < 0.0 then invalid_arg "Unroll_opt.search: negative tolerance";
   let point factor =
     let unrolled = (Unwind.unroll graph ~times:factor).Unwind.graph in
     let r = Cyclic_sched.solve ?max_iterations ~graph:unrolled ~machine () in

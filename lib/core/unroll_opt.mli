@@ -17,12 +17,11 @@ type point = {
 
 type t = {
   curve : point list;  (** ascending factor *)
-  chosen : point;  (** cheapest factor within [tolerance] of the best rate *)
+  chosen : point;  (** cheapest factor within 2% of the best rate *)
 }
 
 val search :
   ?max_factor:int ->
-  ?tolerance:float ->
   ?max_iterations:int ->
   graph:Mimd_ddg.Graph.t ->
   machine:Mimd_machine.Config.t ->
@@ -30,7 +29,8 @@ val search :
   t
 (** Try unroll factors 1 .. [max_factor] (default 4) on the Cyclic
     graph (distances must already be <= 1; each candidate is the
-    [u]-fold {!Mimd_ddg.Unwind.unroll}).  [tolerance] defaults to 2%.
+    [u]-fold {!Mimd_ddg.Unwind.unroll}) and pick the smallest whose
+    rate is within 2% of the best.
     @raise Cyclic_sched.No_pattern / Invalid_argument as
     {!Cyclic_sched.solve} does. *)
 

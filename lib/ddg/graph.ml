@@ -12,6 +12,12 @@ type kind =
 type node = { id : int; name : string; latency : int; kind : kind }
 type edge = { src : int; dst : int; distance : int; cost : int option }
 
+(* Full_sched values embed graphs and are marshalled into the on-disk
+   schedule cache, whose stamp carries [Disk_cache.format_version]: any
+   change to this record (or to [node]/[edge]) must bump that version,
+   since the stamp only catches a layout change that bumps it.  The
+   per-node lists are the one adjacency; a pass that wants flat arrays
+   in an inner loop flattens them itself. *)
 type t = {
   node_arr : node array;
   edge_list : edge list;
@@ -100,116 +106,7 @@ let latency g i = g.node_arr.(i).latency
 let name g i = g.node_arr.(i).name
 let kind g i = g.node_arr.(i).kind
 
-(* ------------------------------------------------------------------ *)
-(* CSR view.
-
-   [t] itself must keep its exact four-field layout: Full_sched values
-   (which embed graphs) are marshalled into the on-disk schedule cache,
-   and changing the layout would silently corrupt every existing entry
-   without tripping the cache's stamp or digest checks.  The flat
-   adjacency arrays therefore live in a derived side structure, built
-   on demand and memoized in a small physical-identity cache — so
-   unmarshalled graphs get a CSR view too, and repeated queries
-   (edge_count, find_node, the schedulers' inner loops) pay for the
-   construction once. *)
-
-type csr = {
-  csr_edge_count : int;
-  fwd : edge array;  (* grouped by src, each group ascending (dst, distance) *)
-  fwd_off : int array;  (* length n + 1: succs of v are fwd.(fwd_off.(v)) .. *)
-  bwd : edge array;  (* grouped by dst, each group ascending (src, distance) *)
-  bwd_off : int array;
-  by_name : (string, int) Hashtbl.t;  (* name -> lowest node id *)
-}
-
-let build_csr g =
-  let n = node_count g in
-  let m = List.length g.edge_list in
-  let fwd_off = Array.make (n + 1) 0 and bwd_off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    fwd_off.(v + 1) <- fwd_off.(v) + List.length g.succ_arr.(v);
-    bwd_off.(v + 1) <- bwd_off.(v) + List.length g.pred_arr.(v)
-  done;
-  let dummy = { src = 0; dst = 0; distance = 0; cost = None } in
-  let fwd = Array.make (max 1 m) dummy and bwd = Array.make (max 1 m) dummy in
-  for v = 0 to n - 1 do
-    List.iteri (fun i e -> fwd.(fwd_off.(v) + i) <- e) g.succ_arr.(v);
-    List.iteri (fun i e -> bwd.(bwd_off.(v) + i) <- e) g.pred_arr.(v)
-  done;
-  let by_name = Hashtbl.create (2 * n) in
-  for v = n - 1 downto 0 do
-    Hashtbl.replace by_name g.node_arr.(v).name v
-  done;
-  { csr_edge_count = m; fwd; fwd_off; bwd; bwd_off; by_name }
-
-(* Physical-identity memo, most recent first, bounded.  Guarded by a
-   mutex: the compile service builds schedules on several domains at
-   once.  A miss rebuilds (O(V + E), microseconds) so eviction is only
-   a performance event, never a correctness one. *)
-let csr_memo : (t * csr) list ref = ref []
-let csr_memo_cap = 64
-let csr_lock = Mutex.create ()
-
-let csr g =
-  Mutex.lock csr_lock;
-  let hit =
-    let rec find acc = function
-      | [] -> None
-      | (g', c) :: rest ->
-        if g' == g then begin
-          (* promote to front *)
-          csr_memo := (g', c) :: List.rev_append acc rest;
-          Some c
-        end
-        else find ((g', c) :: acc) rest
-    in
-    find [] !csr_memo
-  in
-  match hit with
-  | Some c ->
-    Mutex.unlock csr_lock;
-    c
-  | None ->
-    Mutex.unlock csr_lock;
-    let c = build_csr g in
-    Mutex.lock csr_lock;
-    let pruned =
-      if List.length !csr_memo >= csr_memo_cap then
-        List.filteri (fun i _ -> i < csr_memo_cap - 1) !csr_memo
-      else !csr_memo
-    in
-    csr_memo := (g, c) :: pruned;
-    Mutex.unlock csr_lock;
-    c
-
-let iter_succs c v f =
-  for i = c.fwd_off.(v) to c.fwd_off.(v + 1) - 1 do
-    f c.fwd.(i)
-  done
-
-let iter_preds c v f =
-  for i = c.bwd_off.(v) to c.bwd_off.(v + 1) - 1 do
-    f c.bwd.(i)
-  done
-
-let fold_succs c v f init =
-  let acc = ref init in
-  for i = c.fwd_off.(v) to c.fwd_off.(v + 1) - 1 do
-    acc := f !acc c.fwd.(i)
-  done;
-  !acc
-
-let fold_preds c v f init =
-  let acc = ref init in
-  for i = c.bwd_off.(v) to c.bwd_off.(v + 1) - 1 do
-    acc := f !acc c.bwd.(i)
-  done;
-  !acc
-
-let out_degree c v = c.fwd_off.(v + 1) - c.fwd_off.(v)
-let in_degree c v = c.bwd_off.(v + 1) - c.bwd_off.(v)
-let edge_count g = (csr g).csr_edge_count
-let find_node g nm = Hashtbl.find_opt (csr g).by_name nm
+let edge_count g = List.length g.edge_list
 
 let max_distance g = List.fold_left (fun acc e -> max acc e.distance) 0 g.edge_list
 let total_latency g = Array.fold_left (fun acc nd -> acc + nd.latency) 0 g.node_arr

@@ -40,6 +40,11 @@ type edge = private {
 }
 
 type t
+(** Immutable, so one graph may be read from several domains at once.
+    Graphs are marshalled inside the on-disk schedule cache: a change
+    to this type's layout (or to {!node}/{!edge}) must bump
+    [Disk_cache.format_version], since the cache's stamp only catches
+    a layout change that bumps it. *)
 
 (** {1 Construction} *)
 
@@ -91,41 +96,6 @@ val preds : t -> int -> edge list
 val latency : t -> int -> int
 val name : t -> int -> string
 val kind : t -> int -> kind
-
-val find_node : t -> string -> int option
-(** First node with the given name, if any.  Backed by the CSR view's
-    name table, so repeated lookups are O(1) after the first. *)
-
-(** {1 CSR view}
-
-    A flat compressed-sparse-row rendering of the adjacency lists, for
-    the schedulers' inner loops: one array of edges grouped by source
-    (resp. destination) plus per-node offset ranges, so traversing a
-    node's successors touches a contiguous arena instead of chasing
-    list cells.  Iteration order is identical to {!succs} / {!preds}.
-
-    The view is derived — [t] itself is unchanged, keeping marshalled
-    graphs (the on-disk schedule cache) readable — and memoized by
-    physical identity, so calling {!csr} per query is cheap. *)
-
-type csr
-
-val csr : t -> csr
-(** Build (or fetch the memoized) CSR view of a graph. *)
-
-val iter_succs : csr -> int -> (edge -> unit) -> unit
-(** [iter_succs c v f] applies [f] to each outgoing edge of [v],
-    ascending (dst, distance) — same order as {!succs}. *)
-
-val iter_preds : csr -> int -> (edge -> unit) -> unit
-(** [iter_preds c v f] applies [f] to each incoming edge of [v],
-    ascending (src, distance) — same order as {!preds}. *)
-
-val fold_succs : csr -> int -> ('a -> edge -> 'a) -> 'a -> 'a
-val fold_preds : csr -> int -> ('a -> edge -> 'a) -> 'a -> 'a
-
-val out_degree : csr -> int -> int
-val in_degree : csr -> int -> int
 
 val max_distance : t -> int
 (** Largest edge distance; 0 for edge-less graphs. *)

@@ -5,14 +5,14 @@ module Iset = Set.Make (Int)
 let find_cycle g ~use_edge =
   (* DFS cycle extraction for the error message. *)
   let n = Graph.node_count g in
-  let c = Graph.csr g in
   let colour = Array.make n 0 in
   (* 0 white, 1 grey, 2 black *)
   let parent = Array.make n (-1) in
   let cycle = ref [] in
   let rec dfs v =
     colour.(v) <- 1;
-    Graph.iter_succs c v (fun (e : Graph.edge) ->
+    List.iter
+      (fun (e : Graph.edge) ->
         if !cycle = [] && use_edge e then
           if colour.(e.dst) = 1 then begin
             (* reconstruct v -> ... -> e.dst *)
@@ -22,7 +22,8 @@ let find_cycle g ~use_edge =
           else if colour.(e.dst) = 0 then begin
             parent.(e.dst) <- v;
             dfs e.dst
-          end);
+          end)
+      (Graph.succs g v);
     if colour.(v) = 1 then colour.(v) <- 2
   in
   for v = 0 to n - 1 do
@@ -32,7 +33,6 @@ let find_cycle g ~use_edge =
 
 let kahn g ~use_edge =
   let n = Graph.node_count g in
-  let c = Graph.csr g in
   let indeg = Array.make n 0 in
   List.iter (fun (e : Graph.edge) -> if use_edge e then indeg.(e.dst) <- indeg.(e.dst) + 1) (Graph.edges g);
   let frontier = ref Iset.empty in
@@ -46,11 +46,13 @@ let kahn g ~use_edge =
     frontier := Iset.remove v !frontier;
     order := v :: !order;
     incr emitted;
-    Graph.iter_succs c v (fun (e : Graph.edge) ->
+    List.iter
+      (fun (e : Graph.edge) ->
         if use_edge e then begin
           indeg.(e.dst) <- indeg.(e.dst) - 1;
           if indeg.(e.dst) = 0 then frontier := Iset.add e.dst !frontier
         end)
+      (Graph.succs g v)
   done;
   if !emitted < n then raise (Cycle (find_cycle g ~use_edge));
   List.rev !order
@@ -63,12 +65,13 @@ let is_zero_acyclic g =
 
 let zero_levels g =
   let order = sort_zero g in
-  let c = Graph.csr g in
   let level = Array.make (Graph.node_count g) 0 in
   List.iter
     (fun v ->
-      Graph.iter_succs c v (fun (e : Graph.edge) ->
+      List.iter
+        (fun (e : Graph.edge) ->
           if e.distance = 0 then
-            level.(e.dst) <- max level.(e.dst) (level.(v) + Graph.latency g v)))
+            level.(e.dst) <- max level.(e.dst) (level.(v) + Graph.latency g v))
+        (Graph.succs g v))
     order;
   level

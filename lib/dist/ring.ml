@@ -1,7 +1,7 @@
 (* Consistent hashing for the serve fleet: each worker owns [vnodes]
    points on a 2^63 ring; a key lands on the first point clockwise
    from its own hash.  Virtual nodes smooth the split (~1/n per worker
-   for vnodes >= 64); when a worker dies its keys spill to the next
+   at 64); when a worker dies its keys spill to the next
    live point, and every other worker's keys stay put — which is the
    whole reason this beats [hash mod n] for a cache-affine fleet. *)
 
@@ -17,9 +17,10 @@ let hash_point s =
   done;
   Int64.logand !v Int64.max_int
 
-let create ?(vnodes = 64) workers =
+let vnodes = 64
+
+let create workers =
   if workers < 1 then invalid_arg "Ring.create: workers < 1";
-  if vnodes < 1 then invalid_arg "Ring.create: vnodes < 1";
   let points = Array.make (workers * vnodes) (0L, 0) in
   for w = 0 to workers - 1 do
     for v = 0 to vnodes - 1 do

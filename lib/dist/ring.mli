@@ -1,6 +1,6 @@
 (** Consistent-hash ring for the serve fleet.
 
-    Each worker owns [vnodes] pseudo-random points (MD5-derived, so
+    Each worker owns 64 pseudo-random points (MD5-derived, so
     deterministic across processes and runs); a key belongs to the
     first point clockwise from its hash.  Losing a worker moves only
     that worker's keys — the survivors' memory-LRU caches stay hot,
@@ -9,10 +9,10 @@
 
 type t
 
-val create : ?vnodes:int -> int -> t
-(** [create n] builds the ring for workers [0 .. n-1].  [vnodes]
-    (default 64) smooths the key split to roughly [1/n] per worker.
-    @raise Invalid_argument when either count is < 1. *)
+val create : int -> t
+(** [create n] builds the ring for workers [0 .. n-1]; 64 points per
+    worker smooth the key split to roughly [1/n] per worker.
+    @raise Invalid_argument when [n < 1]. *)
 
 val workers : t -> int
 

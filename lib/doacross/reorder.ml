@@ -84,7 +84,10 @@ let heuristic ~graph ~machine () =
   done;
   Doacross.analyze ~order:(List.rev !order) ~graph ~machine ()
 
-let best ?(exhaustive_node_limit = 9) ~graph ~machine () =
+(* Bodies of at most this many nodes get the exhaustive search. *)
+let exhaustive_node_limit = 9
+
+let best ~graph ~machine () =
   if Graph.node_count graph <= exhaustive_node_limit then
     (exhaustive ~graph ~machine ()).analysis
   else begin

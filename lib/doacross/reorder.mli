@@ -34,11 +34,10 @@ val heuristic :
     delay against the natural order's and keep the minimum. *)
 
 val best :
-  ?exhaustive_node_limit:int ->
   graph:Mimd_ddg.Graph.t ->
   machine:Mimd_machine.Config.t ->
   unit ->
   Doacross.t
 (** The strongest baseline we can afford: exhaustive for bodies of at
-    most [exhaustive_node_limit] nodes (default 9), otherwise the best
+    most 9 nodes, otherwise the best
     of the natural order and the heuristic. *)

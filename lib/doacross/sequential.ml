@@ -1,8 +1,6 @@
 module Graph = Mimd_ddg.Graph
 module Schedule = Mimd_core.Schedule
 
-let time g ~iterations = iterations * Graph.total_latency g
-
 let schedule ~graph ~iterations =
   if iterations <= 0 then invalid_arg "Sequential.schedule: iterations <= 0";
   let order = Mimd_ddg.Topo.sort_zero graph in

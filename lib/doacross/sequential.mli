@@ -1,8 +1,5 @@
 (** Sequential execution: the reference point for percentage
-    parallelism. *)
-
-val time : Mimd_ddg.Graph.t -> iterations:int -> int
-(** [iterations * total body latency]. *)
+    parallelism (its makespan is {!Mimd_core.Metrics.sequential_time}). *)
 
 val schedule : graph:Mimd_ddg.Graph.t -> iterations:int -> Mimd_core.Schedule.t
 (** All instances back to back on one processor, iterations in order,

@@ -48,7 +48,7 @@ let run ?label ?(iterations = 100) ?links ?(with_dopipe = false) ?strategy ~grap
   let links =
     match links with Some l -> l | None -> Links.fixed machine.Config.comm_estimate
   in
-  let sequential = Mimd_doacross.Sequential.time graph ~iterations in
+  let sequential = Mimd_core.Metrics.sequential_time graph ~iterations in
   let full = Full_sched.run ?strategy ~graph ~machine ~iterations () in
   let ours = Full_sched.parallel_time full in
   let ours_sim = simulate full.Full_sched.schedule links in
@@ -78,7 +78,7 @@ let cyclic_only ?label ?(iterations = 100) ?links ~graph ~machine () =
   let links =
     match links with Some l -> l | None -> Links.fixed machine.Config.comm_estimate
   in
-  let sequential = Mimd_doacross.Sequential.time graph ~iterations in
+  let sequential = Mimd_core.Metrics.sequential_time graph ~iterations in
   let sched = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
   let ours = Schedule.makespan sched in
   let ours_sim = simulate sched links in

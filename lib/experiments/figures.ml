@@ -179,7 +179,7 @@ let ablation () =
     (fun (name, g) ->
       let machine = Config.make ~processors:2 ~comm_estimate:2 in
       let iterations = 100 in
-      let seq = Mimd_doacross.Sequential.time g ~iterations in
+      let seq = Mimd_core.Metrics.sequential_time g ~iterations in
       let sp p = float_of_int (seq - p) /. float_of_int seq *. 100.0 in
       let sep = Full_sched.run ~strategy:Full_sched.Separate ~graph:g ~machine ~iterations () in
       let fold = Full_sched.run ~strategy:Full_sched.Folded ~graph:g ~machine ~iterations () in

@@ -30,7 +30,7 @@ let processors () =
   in
   List.iter
     (fun (name, g) ->
-      let seq = Mimd_doacross.Sequential.time g ~iterations in
+      let seq = Mimd_core.Metrics.sequential_time g ~iterations in
       let cells =
         List.concat_map
           (fun p ->
@@ -118,7 +118,7 @@ let topology () =
   let g = Gen.coupled_recurrences ~width:8 ~coupling:2 () in
   let machine = Config.make ~processors:8 ~comm_estimate:2 in
   let sched = Mimd_core.Cyclic_sched.schedule_iterations ~graph:g ~machine ~iterations () in
-  let seq = Mimd_doacross.Sequential.time g ~iterations in
+  let seq = Mimd_core.Metrics.sequential_time g ~iterations in
   let t = Tablefmt.create ~header:[ "interconnect"; "diameter"; "sim makespan"; "Sp" ] () in
   List.iter
     (fun shape ->
@@ -220,7 +220,7 @@ let estimate () =
             let out =
               Mimd_sim.Exec.simulate_schedule ~schedule:sched ~links:true_links ()
             in
-            let seq = Mimd_doacross.Sequential.time core ~iterations:100 in
+            let seq = Mimd_core.Metrics.sequential_time core ~iterations:100 in
             Tablefmt.cell_float (sp ~seq ~par:out.Mimd_sim.Exec.makespan))
           (workloads_for_ablation ())
       in
@@ -251,7 +251,7 @@ let kernels () =
         Mimd_loop_ir.Depend.analyze_string k.Mimd_workloads.Kernels_src.source
       in
       let cls = Mimd_core.Classify.run g in
-      let seq = Mimd_doacross.Sequential.time g ~iterations:n in
+      let seq = Mimd_core.Metrics.sequential_time g ~iterations:n in
       let ours_sched =
         Mimd_core.Cyclic_sched.schedule_iterations ~graph:g ~machine ~iterations:n ()
       in
@@ -275,7 +275,7 @@ let kernels () =
         Mimd_core.Schedule.makespan
           (Mimd_core.Cyclic_sched.schedule_iterations ~graph:ops ~machine ~iterations:n ())
       in
-      let seq_ops = Mimd_doacross.Sequential.time ops ~iterations:n in
+      let seq_ops = Mimd_core.Metrics.sequential_time ops ~iterations:n in
       Tablefmt.add_row t
         [
           k.Mimd_workloads.Kernels_src.name;

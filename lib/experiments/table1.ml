@@ -19,7 +19,9 @@ type summary = {
   factor : float array;
 }
 
-let select_seeds ?(count = 25) ?(min_cyclic = 6) ?params () =
+let min_cyclic = 6
+
+let select_seeds ?(count = 25) ?params () =
   let rec scan seed acc found =
     if found >= count then List.rev acc
     else begin

@@ -13,7 +13,7 @@
     Two documented deviations (see DESIGN.md): our PRNG differs from
     the authors', so per-seed rows cannot match numerically — only the
     aggregate shape (Table 1(b)) is comparable; and seeds whose Cyclic
-    subset is degenerate (fewer than [min_cyclic] nodes — including
+    subset is degenerate (fewer than 6 nodes — including
     empty, on which the protocol is undefined) are skipped, scanning
     forward until [count] usable loops are found. *)
 
@@ -33,9 +33,9 @@ type summary = {
   factor : float array;  (** ours_mean / doacross_mean per mm *)
 }
 
-val select_seeds : ?count:int -> ?min_cyclic:int -> ?params:Mimd_workloads.Random_loop.params -> unit -> int list
+val select_seeds : ?count:int -> ?params:Mimd_workloads.Random_loop.params -> unit -> int list
 (** First [count] (default 25) seeds, scanning from 1, whose Cyclic
-    subset has at least [min_cyclic] (default 6) nodes. *)
+    subset has at least 6 nodes. *)
 
 val run :
   ?iterations:int ->

@@ -243,7 +243,7 @@ let collect_all () =
   Mutex.unlock registry_mutex;
   drain_buffers () @ extra
 
-let export ?(process_name = "mimdloop") () =
+let export () =
   let collected = collect_all () in
   let ts_of = function
     | Complete { ts_ns; _ } | Instant { ts_ns; _ } -> ts_ns
@@ -269,7 +269,7 @@ let export ?(process_name = "mimdloop") () =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   Buffer.add_string b "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,";
-  add_args b [ ("name", process_name) ];
+  add_args b [ ("name", "mimdloop") ];
   Buffer.add_char b '}';
   List.iter
     (fun (tid, ev) ->

@@ -65,7 +65,7 @@ val dropped : unit -> int
 (** Events discarded because a domain's buffer hit its cap (tracing a
     pathologically long run).  0 in healthy captures. *)
 
-val export : ?process_name:string -> unit -> string
+val export : unit -> string
 (** The whole capture as a Chrome trace JSON object:
     [{"traceEvents": [...], "displayTimeUnit": "ms"}].  Timestamps are
     microseconds rebased to the earliest event; every complete event

@@ -2,9 +2,9 @@
     provides to one processor, and the {!outcome} a run yields.
 
     {!Exec_compiled} executes one processor's lowered program against
-    any {!chans} — built with {!of_links} over in-process channels
-    between domains or the forked-process socket and TCP meshes in
-    [Mimd_dist], or by the inline run around
+    any {!chans} — built with {!of_links} over {!Mesh_sock} links
+    (ring links between domains or forked processes, or the TCP
+    mesh of [Mimd_dist]), or by the inline run around
     {!Mimd_codegen.Program.simulate}'s frames — and {!finalize} folds
     the per-processor value arrays into an {!outcome}.  No memory is
     shared between processors: every cross-processor value travels in

@@ -69,7 +69,7 @@ let read_exact fd buf len =
   in
   go 0
 
-let read ?(max_frame = default_max_frame) fd =
+let read fd =
   let hdr = Bytes.create header_len in
   match read_exact fd hdr header_len with
   | `Eof 0 -> Error Closed
@@ -78,7 +78,7 @@ let read ?(max_frame = default_max_frame) fd =
     if Bytes.sub_string hdr 0 4 <> magic then Error Bad_magic
     else
       let len = Int32.to_int (Bytes.get_int32_be hdr 4) in
-      if len < 0 || len > max_frame then Error (Oversized len)
+      if len < 0 || len > default_max_frame then Error (Oversized len)
       else
         let payload = Bytes.create len in
         (match read_exact fd payload len with

@@ -41,8 +41,9 @@ val frame : 'a -> Bytes.t
 (** The whole frame {!write} sends, header included: for a writer that
     sends one value to many readers, or paces its own writes. *)
 
-val read : ?max_frame:int -> Unix.file_descr -> ('a, error) result
-(** Read one complete frame.  Unsafe cast on success — reader and
+val read : Unix.file_descr -> ('a, error) result
+(** Read one complete frame; a payload over {!default_max_frame} is
+    [Oversized].  Unsafe cast on success — reader and
     writer must agree on the type, which the runner's fixed
     per-channel protocols guarantee. *)
 

@@ -36,7 +36,7 @@ type t = {
   h_queue_wait : Metrics.histogram;
 }
 
-let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt () =
+let create ?disk ?(validate = false) ?comm_opt () =
   let metrics = Metrics.create () in
   let tiered name help tier =
     Metrics.counter ~help ~labels:[ ("tier", tier) ] metrics name
@@ -46,7 +46,7 @@ let create ?(memory_capacity = 256) ?disk ?(validate = false) ?comm_opt () =
       ~labels:[ ("stage", s) ] metrics "mimd_serve_stage_latency_ms"
   in
   {
-    memory = Schedule_cache.create ~capacity:memory_capacity ();
+    memory = Schedule_cache.create ~capacity:256 ();
     disk;
     validate;
     comm_opt;
@@ -109,7 +109,7 @@ let compile_graph t ?deadline ~validate ~graph ~machine ~iterations () =
   let started = now_ms () in
   let finish tier full =
     let makespan = Full_sched.parallel_time full in
-    let sequential = Mimd_doacross.Sequential.time graph ~iterations in
+    let sequential = Mimd_core.Metrics.sequential_time graph ~iterations in
     (* The comm rewrite is priced per reply (cheap next to scheduling)
        rather than cached: the cache keys schedules, not programs. *)
     let comm =

@@ -26,13 +26,12 @@ type outcome = {
 }
 
 val create :
-  ?memory_capacity:int ->
   ?disk:Disk_cache.t ->
   ?validate:bool ->
   ?comm_opt:int ->
   unit ->
   t
-(** [memory_capacity] defaults to 256 entries; no [disk] means tier 2
+(** The memory tier holds 256 entries; no [disk] means tier 2
     is off; [validate] (default false) audits every fresh schedule
     before it is cached.  [comm_opt] (off by default) runs the
     synchronization-minimizing rewrite ({!Mimd_codegen.Comm_opt.run}

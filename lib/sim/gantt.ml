@@ -1,8 +1,10 @@
 module Graph = Mimd_ddg.Graph
 module Program = Mimd_codegen.Program
 
-let render ?(max_cycles = 120) ?(cell_width = 3) ~graph ~processors events =
-  if cell_width < 1 then invalid_arg "Gantt.render: cell_width < 1";
+(* Characters per cycle. *)
+let cell_width = 3
+
+let render ?(max_cycles = 120) ~graph ~processors events =
   let span =
     List.fold_left (fun acc (e : Exec.event) -> max acc e.Exec.time) 0 events
   in

@@ -8,13 +8,11 @@
 
 val render :
   ?max_cycles:int ->
-  ?cell_width:int ->
   graph:Mimd_ddg.Graph.t ->
   processors:int ->
   Exec.event list ->
   string
 (** Render a recorded trace (run the simulator with [~record:true]).
     [max_cycles] truncates the horizontal axis (default 120 cycles);
-    [cell_width] is characters per cycle (default 3); labels sit at
-    each op's start, the rest of its span shows as [=].
-    @raise Invalid_argument when [cell_width < 1]. *)
+    each cycle is three characters wide; labels sit at each op's
+    start, the rest of its span shows as [=]. *)

@@ -60,8 +60,8 @@ module Ast = Mimd_loop_ir.Ast
 
 let loop_arrays = [| "A"; "B"; "C"; "D"; "E" |]
 
-let generate_loop ?(min_stmts = 2) ?(max_stmts = 6) ?(fanout = 0.0) ~seed () =
-  if min_stmts < 1 || max_stmts < min_stmts then
+let generate_loop ?(max_stmts = 6) ?(fanout = 0.0) ~seed () =
+  if max_stmts < 2 then
     invalid_arg "Random_loop.generate_loop: bad statement bounds";
   if fanout < 0.0 || fanout > 1.0 then
     invalid_arg "Random_loop.generate_loop: fanout outside [0, 1]";
@@ -81,7 +81,7 @@ let generate_loop ?(min_stmts = 2) ?(max_stmts = 6) ?(fanout = 0.0) ~seed () =
       in
       Ast.Binop (op, gen_expr (depth - 1), gen_expr (depth - 1))
   in
-  let nstmts = Prng.int_in rng ~lo:min_stmts ~hi:max_stmts in
+  let nstmts = Prng.int_in rng ~lo:2 ~hi:max_stmts in
   (* Each statement past the first reads the array its predecessor
      writes, so consecutive statements always share a dependence edge
      (flow at distance 0 or 1, by the Depend rules) and the DDG is

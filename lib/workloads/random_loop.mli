@@ -34,14 +34,13 @@ val paper_seeds : int list
 (** 1..25 *)
 
 val generate_loop :
-  ?min_stmts:int ->
   ?max_stmts:int ->
   ?fanout:float ->
   seed:int ->
   unit ->
   Mimd_loop_ir.Ast.loop
 (** A seeded random {e loop-IR program} (not just a graph): a flat
-    loop of [min_stmts]..[max_stmts] (default 2..6) assignments over a
+    loop of 2..[max_stmts] (default 6) assignments over a
     small array pool, reads at offsets in [{-1, 0}] so dependence
     distances stay within the scheduler's [{0, 1}].  Each statement
     past the first reads its predecessor's array, so the dependence

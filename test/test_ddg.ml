@@ -20,8 +20,8 @@ let test_build_basic () =
 let test_build_names () =
   let g = fig7 () in
   check_string "name" "A" (Graph.name g 0);
-  check_bool "find A" true (Graph.find_node g "A" = Some 0);
-  check_bool "find missing" true (Graph.find_node g "Z" = None)
+  check_bool "nodes in id order" true
+    (List.map (fun (nd : Graph.node) -> nd.name) (Graph.nodes g) = [ "A"; "B"; "C"; "D"; "E" ])
 
 let test_build_rejects_bad_latency () =
   let b = Graph.builder () in

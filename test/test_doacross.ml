@@ -83,7 +83,7 @@ let test_schedule_validates () =
 let test_effective_fallback () =
   let d = analyze (fig7 ()) in
   let n = 50 in
-  check_int "falls back to sequential" (Sequential.time (fig7 ()) ~iterations:n)
+  check_int "falls back to sequential" (Mimd_core.Metrics.sequential_time (fig7 ()) ~iterations:n)
     (Doacross.effective_makespan d ~iterations:n);
   (* The effective schedule is single-processor and message-free. *)
   let s = Doacross.effective_schedule d ~iterations:n in
@@ -95,7 +95,7 @@ let test_effective_keeps_pipelining () =
   let d = Reorder.best ~graph:g ~machine:Mimd_workloads.Cytron86.machine () in
   let n = 50 in
   check_bool "pipelined beats sequential" true
-    (Doacross.effective_makespan d ~iterations:n < Sequential.time g ~iterations:n)
+    (Doacross.effective_makespan d ~iterations:n < Mimd_core.Metrics.sequential_time g ~iterations:n)
 
 (* ---------------------------------------------------------------- *)
 (* Reordering                                                        *)
@@ -137,7 +137,7 @@ let test_best_never_worse_than_natural () =
 (* Sequential                                                        *)
 
 let test_sequential () =
-  check_int "time" 500 (Sequential.time (fig7 ()) ~iterations:100);
+  check_int "time" 500 (Mimd_core.Metrics.sequential_time (fig7 ()) ~iterations:100);
   let s = Sequential.schedule ~graph:(fig7 ()) ~iterations:5 in
   check_int "makespan = time" 25 (Schedule.makespan s);
   assert_valid s
@@ -167,7 +167,7 @@ let test_dopipe_beats_sequential_on_decoupled () =
   let g = graph_of ~latencies:[| 2; 2 |] ~edges:[ (0, 0, 1); (1, 1, 1); (0, 1, 1) ] in
   let d = Dopipe.analyze ~graph:g ~machine:(machine ~k:1 ()) () in
   let n = 50 in
-  check_bool "overlap" true (Dopipe.makespan d ~iterations:n < Sequential.time g ~iterations:n)
+  check_bool "overlap" true (Dopipe.makespan d ~iterations:n < Mimd_core.Metrics.sequential_time g ~iterations:n)
 
 (* ---------------------------------------------------------------- *)
 (* Properties                                                        *)

@@ -757,6 +757,36 @@ let test_differential_fixed_cells () =
         (Parser.parse fixed_cell_source))
     [ 2; 3 ]
 
+(* Graphs are immutable, so one graph may feed the compile service's
+   domains at once: four domains schedule and validate one shared ewf
+   graph together, released by one start flag, and must agree with
+   each other and with a run on this domain. *)
+let test_shared_graph_across_domains () =
+  let graph = Mimd_workloads.Elliptic.graph () in
+  let machine = machine ~p:2 ~k:2 () in
+  let compile () =
+    let full = Mimd_core.Full_sched.run ~graph ~machine ~iterations:200 () in
+    let report = Mimd_check.Validate.full full in
+    (Mimd_core.Full_sched.output_fingerprint full, List.length report.Mimd_check.Validate.issues)
+  in
+  let go = Atomic.make false in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            compile ()))
+  in
+  Atomic.set go true;
+  let results = List.map Domain.join domains in
+  let reference, _ = compile () in
+  List.iteri
+    (fun i (fp, issues) ->
+      check_string (Printf.sprintf "domain %d fingerprint" i) reference fp;
+      check_int (Printf.sprintf "domain %d issues" i) 0 issues)
+    results
+
 let suite =
   [
     Alcotest.test_case "ring link: fifo across a wrap" `Quick test_ring_fifo_across_wrap;
@@ -807,4 +837,6 @@ let suite =
     Alcotest.test_case "worker: no allocation per compute" `Quick test_worker_minor_words;
     Alcotest.test_case "differential: fixed cells (inline, domains; p=2,3)" `Quick
       test_differential_fixed_cells;
+    Alcotest.test_case "graph: one graph shared by four domains" `Quick
+      test_shared_graph_across_domains;
   ]

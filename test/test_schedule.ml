@@ -221,17 +221,8 @@ let test_percentage_parallelism () =
   check_bool "negative allowed" true
     (Metrics.percentage_parallelism ~sequential:10 ~parallel:12 < 0.0)
 
-let test_speedup () =
-  Alcotest.(check (float 0.001)) "2x" 2.0 (Metrics.speedup ~sequential:10 ~parallel:5)
-
 let test_sequential_time () =
   check_int "fig7 x 100" 500 (Metrics.sequential_time (fig7 ()) ~iterations:100)
-
-let test_advantage () =
-  let c = Metrics.{ label = "x"; sequential = 100; ours = 60; baseline = 80 } in
-  Alcotest.(check (float 0.001)) "2x" 2.0 (Metrics.advantage c);
-  let c0 = Metrics.{ label = "x"; sequential = 100; ours = 60; baseline = 100 } in
-  check_bool "infinite vs nothing" true (Metrics.advantage c0 = infinity)
 
 (* The dense instance index spans [iter_lo, iter_hi] x nodes; lookups
    outside it, and holes inside it, must read as absent. *)
@@ -309,9 +300,7 @@ let suite =
     Alcotest.test_case "window: phase distinguishes" `Quick test_window_phase_distinguishes;
     Alcotest.test_case "window: layout distinguishes" `Quick test_window_layout_distinguishes;
     Alcotest.test_case "metrics: percentage parallelism" `Quick test_percentage_parallelism;
-    Alcotest.test_case "metrics: speedup" `Quick test_speedup;
     Alcotest.test_case "metrics: sequential time" `Quick test_sequential_time;
-    Alcotest.test_case "metrics: advantage" `Quick test_advantage;
     Alcotest.test_case "index: out-of-range find is absent" `Quick test_index_find_out_of_range;
     Alcotest.test_case "index: sparse slice, also marshalled" `Quick test_index_sparse_slice;
     Alcotest.test_case "index: empty schedule" `Quick test_index_empty;
