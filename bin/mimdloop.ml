@@ -629,8 +629,8 @@ let run_parallel_cmd =
         Option.iter print_comm_stats comm_stats;
         let flat = analysis.Depend.loop in
         (* Deterministic fault injection, exercising the failure exits:
-           drop-send removes one message after validation (the watchdog
-           must fire), skew-init perturbs only the runtime's initial
+           drop-send removes one message after validation (the run must
+           stall), skew-init perturbs only the runtime's initial
            memory (the value differential must report a mismatch). *)
         let inject p =
           match fault with
@@ -658,14 +658,13 @@ let run_parallel_cmd =
           | `Skew_init -> Some (fun a i -> Mimd_loop_ir.Interp.init a i +. 1.0)
           | `None | `Drop_send | `Stale_slot -> None
         in
-        let watchdog = Mimd_runtime.Watchdog.config ~timeout () in
         let run_backend () =
           let lowered = Mimd_runtime.Lower.run ~loop:flat ~program () in
           let lowered =
             if fault = `Stale_slot then Mimd_runtime.Lower.sabotage_stale_slot lowered
             else lowered
           in
-          Mimd_runtime.Exec_compiled.run ?init:run_init ~watchdog ~lowered ~loop:flat
+          Mimd_runtime.Exec_compiled.run ?init:run_init ~timeout ~lowered ~loop:flat
             ~program ()
         in
         match run_backend () with
@@ -700,7 +699,9 @@ let run_parallel_cmd =
   in
   let timeout_t =
     Arg.(value & opt positive_float 5.0 & info [ "watchdog-timeout" ] ~docv:"SECONDS"
-           ~doc:"Declare a runtime deadlock after this long without progress.")
+           ~doc:"Declare a runtime deadlock when no domain has reported for this long. A \
+                 domain reports once, when it stops; any run the pipeline compiles takes \
+                 milliseconds.")
   in
   let fault_t =
     let faults =
@@ -713,7 +714,7 @@ let run_parallel_cmd =
     in
     Arg.(value & opt (enum faults) `None & info [ "inject-fault" ] ~docv:"FAULT"
            ~doc:"Deliberately sabotage the run to demonstrate the failure exits: \
-                 $(b,drop-send) removes one message (watchdog fires), $(b,skew-init) \
+                 $(b,drop-send) removes one message (a stall), $(b,skew-init) \
                  perturbs the runtime's initial memory (value mismatch), $(b,stale-slot) \
                  rewires one compiled operand to an unwritten slot (value mismatch).")
   in
@@ -1075,7 +1076,7 @@ let run_dist_cmd =
   let timeout_t =
     Arg.(value & opt positive_float 5.0 & info [ "timeout" ] ~docv:"SECONDS"
            ~doc:"Declare the distributed run stalled after this long without any child \
-                 report (the socket analogue of the runtime watchdog).")
+                 report (the rule run-parallel's --watchdog-timeout applies to domains).")
   in
   let probe_t =
     Arg.(value & flag & info [ "probe" ]

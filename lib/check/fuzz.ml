@@ -6,7 +6,6 @@ module Ast = Mimd_loop_ir.Ast
 module Depend = Mimd_loop_ir.Depend
 module Value_run = Mimd_runtime.Value_run
 module Exec_compiled = Mimd_runtime.Exec_compiled
-module Watchdog = Mimd_runtime.Watchdog
 
 type fault = No_fault | Hasten_dependent | Keep_extra_send
 
@@ -179,8 +178,7 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
           against_spec "sockets" sock
       in
       let domains () =
-        let watchdog = Watchdog.config ~timeout:30.0 () in
-        let run program = Exec_compiled.run ~watchdog ~loop ~program () in
+        let run program = Exec_compiled.run ~timeout:30.0 ~loop ~program () in
         let base = run program in
         (base.Value_run.instances, (run opt).Value_run.instances)
       in

@@ -8,6 +8,7 @@ module Metrics = Mimd_obs.Metrics
 module Lower = Mimd_runtime.Lower
 module Wire = Mimd_runtime.Wire
 module Mesh_sock = Mimd_runtime.Mesh_sock
+module Collect = Mimd_runtime.Collect
 
 type child_ok = {
   vals : float array;
@@ -58,10 +59,11 @@ let describe = function
   | Child_error { proc; message } -> Printf.sprintf "child for PE %d failed: %s" proc message
 
 (* A "link down:" child error is a peer's death observed from the
-   other end of a link; every other failure is the child's own. *)
-let own_failure = function
-  | Child_error { message; _ } -> not (String.starts_with ~prefix:"link down:" message)
-  | Child_exit _ | Stalled _ -> true
+   other end of a link, a symptom; every other failure is the child's
+   own. *)
+let symptom = function
+  | Child_error { message; _ } -> String.starts_with ~prefix:"link down:" message
+  | Child_exit _ | Stalled _ -> false
 
 type transport =
   | Unix_sockets
@@ -214,66 +216,36 @@ let fail t failure =
   retire t;
   raise (Dist_error failure)
 
-(* One reply from every member, by select across the control sockets;
-   [timeout] seconds with no reply anywhere is the distributed
-   analogue of the watchdog's stall.  A failure does not end the
-   gathering: a member's death reaches its peers as "link down:", so
-   the first failure to arrive is often the symptom, not the cause.
-   Once one member has failed, the others get up to [timeout] more
-   seconds to reply or exit, and the team is retired with the failure
-   of the lowest-numbered PE whose failure is its own
-   ({!own_failure}).  The deadline is on the monotonic clock, so a
-   wall-clock step cannot stretch or cut the stall bound. *)
+(* One reply from every member, by select across the control sockets,
+   ended by {!Mimd_runtime.Collect}'s rule: [timeout] seconds with no
+   reply anywhere is a stall, and after the first failure the others
+   get one more bound before the team is retired with the failure of
+   the lowest-numbered PE whose failure is its own.  A member's death
+   reaches its peers as "link down:", so the first failure to arrive
+   is often the symptom, not the cause. *)
 let gather t ~timeout =
-  let procs = t.procs in
-  let replies = Array.make procs None and failures = Array.make procs None in
-  let unsettled () =
-    List.filter
-      (fun j -> Option.is_none replies.(j) && Option.is_none failures.(j))
-      (List.init procs Fun.id)
-  in
-  let settle fd =
-    let j =
-      let rec find i = if t.ctl.(i) == fd then i else find (i + 1) in
-      find 0
-    in
-    match (Wire.read fd : (reply, Wire.error) result) with
-    | Ok (Failed message) -> failures.(j) <- Some (Child_error { proc = j; message })
-    | Ok r -> replies.(j) <- Some r
+  let replies = Array.make t.procs None in
+  let settle j =
+    let failed f = if symptom f then Collect.Symptom (j, f) else Own (j, f) in
+    match (Wire.read t.ctl.(j) : (reply, Wire.error) result) with
+    | Ok (Failed message) -> failed (Child_error { proc = j; message })
+    | Ok r ->
+      replies.(j) <- Some r;
+      Collect.Report j
     | Error _ ->
-      let status =
-        match reap t j with Some st -> status_string st | None -> "already reaped"
-      in
-      failures.(j) <- Some (Child_exit { proc = j; status })
+      let status = match reap t j with Some st -> status_string st | None -> "already reaped" in
+      failed (Child_exit { proc = j; status })
   in
-  let timeout_ns = int_of_float (timeout *. 1e9) in
-  let rec collect deadline =
-    match unsettled () with
-    | [] -> ()
-    | pending -> (
-      let wait =
-        match deadline with
-        | None -> timeout
-        | Some d -> Float.max 0.0 (float_of_int (d - Clock.now_ns ()) /. 1e9)
-      in
-      match Unix.select (List.map (fun j -> t.ctl.(j)) pending) [] [] wait with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> collect deadline
-      | [], _, _ ->
-        if deadline = None then fail t (Stalled { timeout; waiting = pending })
-      | ready, _, _ ->
-        List.iter settle ready;
-        collect
-          (match deadline with
-          | None when Array.exists Option.is_some failures ->
-            Some (Clock.now_ns () + timeout_ns)
-          | d -> d))
+  let wait pending seconds =
+    match Unix.select (List.map (fun j -> t.ctl.(j)) pending) [] [] seconds with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+    | ready, _, _ ->
+      List.filter_map (fun j -> if List.mem t.ctl.(j) ready then Some (settle j) else None) pending
   in
-  collect None;
-  (let failed = List.filter_map Fun.id (Array.to_list failures) in
-   match List.filter own_failure failed @ failed with
-   | f :: _ -> fail t f
-   | [] -> ());
-  Array.map Option.get replies
+  match Collect.run ~procs:t.procs ~timeout ~now:Clock.now_ns ~wait with
+  | Done -> Array.map Option.get replies
+  | Failed f -> fail t f
+  | Stalled waiting -> fail t (Stalled { timeout; waiting })
 
 (* Retire this process's warm team, if any.  In a process forked from
    the team's owner, only drop these copies of its control ends: the
@@ -496,7 +468,7 @@ let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Co
    (a handshake mismatch, a codegen bug) and recurs on retry. *)
 let retryable = function
   | Child_exit _ | Stalled _ -> true
-  | Child_error _ as f -> not (own_failure f)
+  | Child_error _ as f -> symptom f
 
 let run ?timeout ?sabotage ?transport ?exec ?(respawn = 0) ~loop ~program () =
   let rec attempt remaining =

@@ -41,20 +41,23 @@
     and exits.  [mimd_dist_forks_total] on the default metrics
     registry counts every member forked.
 
-    Failure is structured, mirroring
-    {!Mimd_runtime.Watchdog.Runtime_deadlock}: a silent stall raises
-    {!Dist_error}[ (Stalled _)], a crashed child
-    {!Dist_error}[ (Child_exit _)], a child-side exception
-    {!Dist_error}[ (Child_error _)].  A child's death reaches its
-    peers as a [link down:] error — while they run the call or while
-    they settle after it — so the first report to arrive may be a
-    symptom: after the first failure the supervisor waits up to
-    the stall bound for every other child to report or exit, then
-    raises the failure of the lowest-numbered PE whose failure is its
-    own (not [link down:]), or else of the lowest-numbered failed PE.
-    The same fault thus names the same PE on every run.  The same rule
-    reads the members' "ready" at a team's start, so a TCP handshake
-    mismatch fails the start the same way.  On every failure path the
+    Failure is structured, as on domains
+    ({!Mimd_runtime.Watchdog.Runtime_deadlock}): no child reported
+    for the stall bound raises {!Dist_error}[ (Stalled _)], a crashed
+    child {!Dist_error}[ (Child_exit _)], a child-side exception
+    {!Dist_error}[ (Child_error _)].  A run ends by
+    {!Mimd_runtime.Collect}'s rule, the one
+    {!Mimd_runtime.Exec_compiled.run} ends a domain run by.  A
+    child's death reaches its peers as a [link down:] error — while
+    they run the call or while they settle after it — so the first
+    report to arrive may be a symptom: after the first failure the
+    supervisor waits up to one more stall bound for every other child
+    to report or exit, then raises the failure of the lowest-numbered
+    PE whose failure is its own (not [link down:]), or else of the
+    lowest-numbered failed PE.  The same fault thus names the same PE
+    on every run.  The same rule reads the members' "ready" at a
+    team's start, so a TCP handshake mismatch fails the start the
+    same way.  On every failure path the
     team is retired before raising — no orphans, ever (the
     fault-injection tests pin this down).
 

@@ -130,19 +130,25 @@ let processor ~init ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.chans) =
   in
   ((if Trace.is_enabled () then traced_exec else exec), fun () -> (vals, !sent))
 
-(* A processor on a thread of its own: its whole stream in order,
-   [tick] after every instruction (the watchdog progress hook). *)
-let drive ~init ~tick ~(lowered : Lower.t) ~proc ~chans =
+(* A processor on a thread of its own: its whole stream in order.
+   [Error (pc, e)]: instruction [pc] (0 while the state is built)
+   raised [e]. *)
+let drive ~init ~(lowered : Lower.t) ~proc ~chans =
   if Trace.is_enabled () then Trace.set_thread_name (Printf.sprintf "PE%d" proc);
-  let exec, result = processor ~init ~lowered ~proc ~chans in
-  for k = 0 to Lower.instr_count lowered.Lower.procs.(proc) - 1 do
-    exec k;
-    tick ()
-  done;
-  result ()
+  let pc = ref 0 in
+  match
+    let exec, result = processor ~init ~lowered ~proc ~chans in
+    for k = 0 to Lower.instr_count lowered.Lower.procs.(proc) - 1 do
+      pc := k;
+      exec k
+    done;
+    result ()
+  with
+  | r -> Ok r
+  | exception e -> Error (!pc, e)
 
 let worker ~lowered ~proc ~chans () =
-  drive ~init:Interp.init ~tick:ignore ~lowered ~proc ~chans
+  match drive ~init:Interp.init ~lowered ~proc ~chans with Ok r -> r | Error (_, e) -> raise e
 
 (* [lowered], or [program] lowered here. *)
 let lowered_for name lowered ~loop ~(program : Program.t) =
@@ -151,25 +157,78 @@ let lowered_for name lowered ~loop ~(program : Program.t) =
     invalid_arg ("Exec_compiled." ^ name ^ ": lowered form is for another program");
   l
 
-let run ?(init = Interp.init) ?watchdog ?lowered ~loop ~(program : Program.t) () =
+let run ?(init = Interp.init) ?(timeout = 5.0) ?lowered ~loop ~(program : Program.t) () =
   let lowered = lowered_for "run" lowered ~loop ~program in
   let p = program.processors in
   (* The socket team's ring mesh, every row built up front so a cancel
-     reaches every potential waiter; closed on every way out. *)
+     reaches every potential waiter, and the pipe each domain rings
+     once it has stopped; both closed on every way out. *)
   let mesh = Mesh_sock.create ~procs:p () in
   Fun.protect ~finally:(fun () -> Mesh_sock.close_all mesh) @@ fun () ->
+  let bell, ring = Unix.pipe ~cloexec:true () in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close [ bell; ring ]) @@ fun () ->
   let rows = Array.init p (fun proc -> Mesh_sock.ring_row mesh ~proc) in
+  (* Domain j's slot: the pc it stopped at and what it stopped with. *)
+  let slots = Array.init p (fun _ -> Atomic.make None) in
   let t0 = Clock.now_ns () in
-  let worker ~proc:j ~tick =
-    let vals, sent = drive ~init ~tick ~lowered ~proc:j ~chans:(Mesh_sock.row_chans rows.(j)) in
-    (vals, sent, float_of_int (Clock.now_ns () - t0))
+  let body j () =
+    let stop =
+      match drive ~init ~lowered ~proc:j ~chans:(Mesh_sock.row_chans rows.(j)) with
+      | Ok (vals, sent) ->
+        let wall = float_of_int (Clock.now_ns () - t0) in
+        (Lower.instr_count lowered.Lower.procs.(j), Ok (vals, sent, wall))
+      | Error (pc, e) ->
+        (* Fail fast: siblings blocked on this domain's messages must
+           not wait out the stall bound. *)
+        (match e with Mesh_sock.Link_down _ -> () | _ -> Mesh_sock.cancel mesh);
+        (pc, Error e)
+    in
+    Atomic.set slots.(j) (Some stop);
+    ignore (Unix.write_substring ring "." 0 1)
   in
-  let results =
-    Domains.run ?watchdog ~graph:program.graph ~programs:program.programs
-      ~cancel_all:(fun () -> Mesh_sock.cancel mesh)
-      ~worker ()
+  let event j = function
+    | _, Ok _ -> Collect.Report j
+    | _, Error (Mesh_sock.Link_down _) -> Symptom (j, "runtime: domain torn down without a stall")
+    | _, Error e ->
+      Own (j, Printf.sprintf "runtime: domain %d failed: %s" j (Printexc.to_string e))
   in
-  Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered) ~results
+  let buf = Bytes.create p in
+  let wait pending seconds =
+    match Unix.select [ bell ] [] [] seconds with
+    | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> []
+    | _ ->
+      ignore (Unix.read bell buf 0 p);
+      List.filter_map (fun j -> Option.map (event j) (Atomic.get slots.(j))) pending
+  in
+  (* Every domain is joined before the mesh closes.  The cancel wakes
+     any still waiting (after a stall or a failure); after a run that
+     ended well it finds none. *)
+  let domains = ref [] in
+  let verdict =
+    Fun.protect ~finally:(fun () ->
+        Mesh_sock.cancel mesh;
+        List.iter Domain.join !domains)
+    @@ fun () ->
+    for j = 0 to p - 1 do
+      domains := Domain.spawn (body j) :: !domains
+    done;
+    Collect.run ~procs:p ~timeout ~now:Clock.now_ns ~wait
+  in
+  let stopped j = Option.get (Atomic.get slots.(j)) in
+  match verdict with
+  | Collect.Done ->
+    Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered)
+      ~results:(Array.init p (fun j -> Result.get_ok (snd (stopped j))))
+  | Failed msg -> failwith msg
+  | Stalled _ ->
+    raise
+      (Watchdog.Runtime_deadlock
+         {
+           timeout;
+           snapshots =
+             Watchdog.snapshots ~graph:program.graph ~programs:program.programs
+               ~retired:(fun j -> fst (stopped j));
+         })
 
 let run_inline ?lowered ~loop ~(program : Program.t) () =
   let lowered = lowered_for "run_inline" lowered ~loop ~program in

@@ -35,7 +35,7 @@ val worker :
 
 val run :
   ?init:(string -> int -> float) ->
-  ?watchdog:Watchdog.config ->
+  ?timeout:float ->
   ?lowered:Lower.t ->
   loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
@@ -45,8 +45,16 @@ val run :
     {!Mesh_sock} built for this call: one shared-memory ring per
     ordered processor pair and a socketpair per pair as doorbell, the
     links a socket team runs, each domain on its
-    {!Mesh_sock.row_chans}.  The mesh is closed and unmapped on every
-    way out, a stall included.
+    {!Mesh_sock.row_chans}.  A domain that stops stores its result and
+    the pc it stopped at, and writes one byte to a pipe the caller
+    blocks on in [select]; {!Collect} decides how the run ends.  A
+    domain that raises cancels the mesh at once (a peer that the
+    cancel wakes is torn down, not failed).  [timeout] (default 5 s)
+    is the stall bound, as on [Mimd_dist.Runner.run]: no domain
+    reported for that long (any run the pipeline compiles takes
+    milliseconds).  A stall cancels the mesh, joins every domain and
+    builds {!Watchdog.snapshots} from the recorded pcs.  The mesh and
+    the pipe are closed on every way out, a stall included.
     [init] is the initial memory (default
     {!Mimd_loop_ir.Interp.init}); scalars are
     {!Mimd_loop_ir.Interp.default_scalar}.  [loop] must be flat and
@@ -56,9 +64,10 @@ val run :
     program is lowered here.
     @raise Invalid_argument as {!Lower.run} does, or when [lowered]
     was built for a different processor count.
-    @raise Watchdog.Runtime_deadlock when execution stalls for the
-    watchdog's timeout (default 5s; pass {!Watchdog.off} to wait
-    indefinitely). *)
+    @raise Watchdog.Runtime_deadlock on a stall.
+    @raise Failure [runtime: domain j failed: ...] with the
+    lowest-numbered domain's own exception, once every domain
+    stopped. *)
 
 val run_inline :
   ?lowered:Lower.t ->

@@ -67,7 +67,8 @@ val cancel : t -> unit
     closing it: every reader or writer parked on one of the mesh's
     links, and every later wait on one, ends in {!Link_down}.  Frames
     already in a ring are still read.  Safe to call from any domain
-    while others wait; idempotent.  The domain watchdog's teardown. *)
+    while others wait; idempotent.  How a stalled or failed domain
+    run is torn down. *)
 
 exception Link_down of { proc : int; peer : int; error : Wire.error }
 (** Raised out of a channel operation when the underlying stream

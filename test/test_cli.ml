@@ -77,8 +77,8 @@ let test_batch_examples () =
     <> 0)
 
 let test_run_parallel_deadlock_exits_nonzero () =
-  (* drop-send removes one message after validation; the watchdog must
-     fire and the exit code must say so. *)
+  (* drop-send removes one message after validation; the run must
+     stall and the exit code must say so. *)
   check_bool "dropped send fails" true
     (command
        "run-parallel --src fig7 -k 0 -n 10 --inject-fault drop-send --watchdog-timeout 0.4"

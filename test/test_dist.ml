@@ -408,8 +408,8 @@ let test_runner_kill_child () =
   check_bool "no orphan processes" true (no_children_left ())
 
 let test_runner_stall_detected () =
-  (* SIGSTOP one child: nobody crashes, nothing reports — the select
-     watchdog must call it a stall and still reap everyone. *)
+  (* SIGSTOP one child: nobody crashes, nothing reports — the
+     gathering must call it a stall and still reap everyone. *)
   let flat, program = compile ~iterations:3000 (Parser.parse Mimd_workloads.Fig7.source) in
   let team = ref [||] in
   (match

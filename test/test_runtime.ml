@@ -1,7 +1,8 @@
 (* Real-domain runtime: differential correctness of the compiled
    evaluator, on domains and inline, against the sequential interpreter
    (the spec, instance by instance), ring links between domains, frame matching
-   over links, watchdog deadlock detection and the schedule cache. *)
+   over links, stall detection, the rule that ends a run (Collect) and
+   the schedule cache. *)
 
 open Helpers
 module Parser = Mimd_loop_ir.Parser
@@ -310,7 +311,7 @@ let test_full_sched_programs () =
   | Error e -> Alcotest.failf "full-sched program: %s" e
 
 (* ---------------------------------------------------------------- *)
-(* Watchdog                                                           *)
+(* Stalls and failures on domains                                     *)
 
 (* A correct program with its first Send removed: the matching recv
    can never complete. *)
@@ -332,21 +333,27 @@ let program_missing_a_send () =
   (flat, program, { program with Program.programs })
 
 let test_watchdog_detects_deadlock () =
-  (* The run must end in Runtime_deadlock (with snapshots), not hang. *)
-  let flat, program, broken = program_missing_a_send () in
-  let watchdog = Watchdog.config ~timeout:0.3 ~poll_interval:0.01 () in
+  (* The run must end in Runtime_deadlock, not hang, and each domain's
+     snapshot is the pc it stopped at: the same as the inline run's,
+     which sees the stall at once. *)
+  let flat, _, broken = program_missing_a_send () in
+  let inline =
+    match Exec_compiled.run_inline ~loop:flat ~program:broken () with
+    | _ -> Alcotest.fail "broken program terminated normally inline"
+    | exception Watchdog.Runtime_deadlock stall -> stall.Watchdog.snapshots
+  in
   let t0 = Unix.gettimeofday () in
-  match Exec_compiled.run ~watchdog ~loop:flat ~program:broken () with
+  match Exec_compiled.run ~timeout:0.3 ~loop:flat ~program:broken () with
   | _ -> Alcotest.fail "broken program terminated normally"
   | exception Watchdog.Runtime_deadlock stall ->
     let elapsed = Unix.gettimeofday () -. t0 in
     check_bool "terminated within a few timeouts" true (elapsed < 3.0);
-    check_int "one snapshot per domain" program.Program.processors
-      (List.length stall.Watchdog.snapshots);
-    check_bool "some domain is stuck mid-program" true
-      (List.exists
-         (fun s -> s.Watchdog.current <> None)
-         stall.Watchdog.snapshots)
+    check_int "one snapshot per domain" (List.length inline) (List.length stall.Watchdog.snapshots);
+    List.iter2
+      (fun (d : Watchdog.snapshot) (i : Watchdog.snapshot) ->
+        check_int (Printf.sprintf "PE%d retired" d.proc) i.retired d.retired;
+        Alcotest.(check (option string)) (Printf.sprintf "PE%d current" d.proc) i.current d.current)
+      stall.Watchdog.snapshots inline
 
 let test_inline_deadlock_is_structured () =
   (* Inline, the stall is known at once: every unfinished PE is parked
@@ -382,27 +389,164 @@ let test_inline_deadlock_is_structured () =
 let test_watchdog_quiet_on_healthy_run () =
   let loop = Parser.parse Mimd_workloads.Fig7.source in
   let flat, program = compile ~iterations:30 loop in
-  let watchdog = Watchdog.config ~timeout:30.0 () in
-  let outcome = Exec_compiled.run ~watchdog ~loop:flat ~program () in
+  let outcome = Exec_compiled.run ~timeout:30.0 ~loop:flat ~program () in
   check_bool "finished" true (Value_run.instance_count outcome.Value_run.instances > 0)
 
 let test_runs_leave_no_link () =
-  (* Twenty runs, the tenth a stall the watchdog tears down: each
-     closes its endpoints and unmaps its rings on the way out. *)
+  (* Twenty runs, the tenth a stall, the fifteenth a domain that
+     raises: each closes its endpoints and its pipe and unmaps its
+     rings on the way out. *)
   let loop = Parser.parse Mimd_workloads.Fig7.source in
   let flat, program = compile ~p:3 ~iterations:30 loop in
   let bflat, _, broken = program_missing_a_send () in
-  let watchdog = Watchdog.config ~timeout:0.3 ~poll_interval:0.01 () in
   let fds = open_fds () and rings = ring_mappings "self" in
   for i = 1 to 20 do
     if i = 10 then
-      match Exec_compiled.run ~watchdog ~loop:bflat ~program:broken () with
+      match Exec_compiled.run ~timeout:0.3 ~loop:bflat ~program:broken () with
       | _ -> Alcotest.fail "broken program terminated normally"
       | exception Watchdog.Runtime_deadlock _ -> ()
-    else ignore (Exec_compiled.run ~watchdog ~loop:flat ~program ())
+    else if i = 15 then
+      match Exec_compiled.run ~init:(fun _ _ -> failwith "no memory") ~loop:flat ~program () with
+      | _ -> Alcotest.fail "a failing init went unnoticed"
+      | exception Failure _ -> ()
+    else ignore (Exec_compiled.run ~loop:flat ~program ())
   done;
   check_int "descriptors after 20 runs" fds (open_fds ());
   check_int "ring mappings after 20 runs" rings (ring_mappings "self")
+
+let test_failed_domain_named () =
+  (* Initial memory that fails only for a cell PE 1 prefills: domain 1
+     fails on its own, the cancel tears its peers down, and the run
+     names domain 1, never a torn-down peer. *)
+  let loop = Parser.parse Mimd_workloads.Fig7.source in
+  let flat, program = compile ~p:3 ~iterations:30 loop in
+  let lowered = Lower.run ~loop:flat ~program () in
+  let cells j =
+    let pre = lowered.Lower.procs.(j).Lower.prefill in
+    List.init (Array.length pre / 3) (fun f ->
+        (lowered.Lower.array_names.(pre.(3 * f)), pre.((3 * f) + 1)))
+  in
+  let others = List.concat_map cells [ 0; 2 ] in
+  let cell = List.find (fun c -> not (List.mem c others)) (cells 1) in
+  let init a i = if (a, i) = cell then failwith "unreadable cell" else Interp.init a i in
+  match Exec_compiled.run ~init ~lowered ~loop:flat ~program () with
+  | _ -> Alcotest.fail "a failing init went unnoticed"
+  | exception Failure msg ->
+    check_string "domain 1's own failure"
+      "runtime: domain 1 failed: Failure(\"unreadable cell\")" msg
+
+(* ---------------------------------------------------------------- *)
+(* Collect: how a run ends, with no process or domain                 *)
+
+module Collect = Mimd_runtime.Collect
+
+let bound = 1_000_000_000
+
+(* Feed [events] at 1 ns apart from a start at 0. *)
+let collect ?(procs = 4) events =
+  let c, _ =
+    List.fold_left
+      (fun (c, now) e -> (Collect.step c ~now e, now + 1))
+      (Collect.start ~procs ~timeout:1.0 ~now:0, 1)
+      events
+  in
+  Collect.next c
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun x -> List.map (List.cons x) (permutations (List.filter (( <> ) x) l)))
+      l
+
+let test_collect_names_own_failure () =
+  (* PE 2 fails on its own; PEs 0, 1 and 3 see its death as a link
+     down.  Every arrival order names PE 2. *)
+  let events =
+    [
+      Collect.Symptom (0, "link down 0");
+      Symptom (1, "link down 1");
+      Own (2, "own 2");
+      Symptom (3, "link down 3");
+    ]
+  in
+  let orders = permutations events in
+  check_int "24 orders" 24 (List.length orders);
+  List.iter
+    (fun order ->
+      match collect order with
+      | Collect.End (Failed f) -> check_string "the own failure" "own 2" f
+      | _ -> Alcotest.fail "a run with a failure did not fail")
+    orders;
+  (* Symptoms only: the lowest-numbered. *)
+  (match collect ~procs:2 [ Symptom (1, "b"); Symptom (0, "a") ] with
+  | Collect.End (Failed f) -> check_string "lowest symptom" "a" f
+  | _ -> Alcotest.fail "symptoms did not fail");
+  (* Two own failures: the lowest-numbered, whichever came first. *)
+  match collect ~procs:3 [ Own (2, "c"); Report 0; Own (1, "b") ] with
+  | Collect.End (Failed f) -> check_string "lowest own" "b" f
+  | _ -> Alcotest.fail "own failures did not fail"
+
+let test_collect_quiet_is_a_stall () =
+  let c = Collect.step (Collect.start ~procs:3 ~timeout:1.0 ~now:0) ~now:10 (Report 1) in
+  (match Collect.next c with
+  | Collect.Wait { pending; until } ->
+    Alcotest.(check (list int)) "pending" [ 0; 2 ] pending;
+    check_int "one bound after the last report" (10 + bound) until
+  | _ -> Alcotest.fail "not waiting");
+  (* A bound too long for an int of nanoseconds is capped, not wrapped. *)
+  (match Collect.next (Collect.start ~procs:1 ~timeout:1e12 ~now:10) with
+  | Collect.Wait { until; _ } -> check_bool "a huge bound's deadline is ahead" true (until > 10)
+  | _ -> Alcotest.fail "not waiting");
+  (* A quiet wake before the deadline changes nothing. *)
+  (match Collect.next (Collect.step c ~now:(bound - 1) Quiet) with
+  | Collect.Wait _ -> ()
+  | _ -> Alcotest.fail "an early quiet ended the run");
+  match Collect.next (Collect.step c ~now:(10 + bound) Quiet) with
+  | Collect.End (Stalled waiting) -> Alcotest.(check (list int)) "stalled on" [ 0; 2 ] waiting
+  | _ -> Alcotest.fail "a quiet bound is not a stall"
+
+let test_collect_run_on_a_scripted_wait () =
+  (* A virtual clock: an interrupted wait returns early with nothing,
+     PE 0 reports, and PE 1 never does.  The run is a stall on PE 1,
+     exactly one bound after PE 0's report. *)
+  let clock = ref 0 and script = ref [ (100, []); (200, [ Collect.Report 0 ]) ] in
+  let wait _ seconds =
+    match !script with
+    | (dt, events) :: rest ->
+      script := rest;
+      clock := !clock + dt;
+      events
+    | [] ->
+      clock := !clock + int_of_float (seconds *. 1e9);
+      []
+  in
+  match Collect.run ~procs:2 ~timeout:1.0 ~now:(fun () -> !clock) ~wait with
+  | Collect.Stalled waiting ->
+    Alcotest.(check (list int)) "stalled on" [ 1 ] waiting;
+    check_int "one bound after the report" (300 + bound) !clock
+  | _ -> Alcotest.fail "not a stall"
+
+let test_collect_failure_extends_once () =
+  let c = Collect.start ~procs:4 ~timeout:1.0 ~now:0 in
+  let c = Collect.step c ~now:100 (Own (0, "own")) in
+  let until c = match Collect.next c with Collect.Wait { until; _ } -> until | _ -> -1 in
+  check_int "one bound after the first failure" (100 + bound) (until c);
+  let c = Collect.step c ~now:200 (Symptom (1, "link down")) in
+  check_int "a later failure does not extend" (100 + bound) (until c);
+  (match Collect.next (Collect.step c ~now:(100 + bound) Quiet) with
+  | Collect.End (Failed f) -> check_string "the own failure once the bound ran out" "own" f
+  | _ -> Alcotest.fail "a quiet bound after a failure is not that failure");
+  (* A report after the failure does not extend it either. *)
+  check_int "a report does not extend" (100 + bound) (until (Collect.step c ~now:300 (Report 2)))
+
+let test_collect_done () =
+  (match collect ~procs:3 [ Report 2; Report 0; Report 0; Report 1 ] with
+  | Collect.End Done -> ()
+  | _ -> Alcotest.fail "every PE reported but the run is not done");
+  match collect ~procs:2 [ Report 0; Own (0, "late") ] with
+  | Collect.Wait { pending = [ 1 ]; _ } -> ()
+  | _ -> Alcotest.fail "a second event from PE 0 counted"
 
 (* ---------------------------------------------------------------- *)
 (* Schedule cache                                                     *)
@@ -807,6 +951,17 @@ let suite =
     Alcotest.test_case "watchdog: silent on healthy runs" `Quick test_watchdog_quiet_on_healthy_run;
     Alcotest.test_case "links: 20 runs, one stalled, leave no descriptor or ring" `Quick
       test_runs_leave_no_link;
+    Alcotest.test_case "domains: a failing PE is named, not its torn-down peers" `Quick
+      test_failed_domain_named;
+    Alcotest.test_case "collect: every arrival order names the own failure" `Quick
+      test_collect_names_own_failure;
+    Alcotest.test_case "collect: a quiet bound is a stall listing the waiting PEs" `Quick
+      test_collect_quiet_is_a_stall;
+    Alcotest.test_case "collect: run over a scripted wait and clock" `Quick
+      test_collect_run_on_a_scripted_wait;
+    Alcotest.test_case "collect: the first failure extends the deadline once" `Quick
+      test_collect_failure_extends_once;
+    Alcotest.test_case "collect: every PE reported is done" `Quick test_collect_done;
     Alcotest.test_case "schedule cache: memoizes" `Quick test_schedule_cache_hits;
     Alcotest.test_case "schedule cache: key semantics" `Quick test_schedule_cache_key_semantics;
     Alcotest.test_case "schedule cache: bounded + clear" `Quick test_schedule_cache_eviction;
