@@ -137,15 +137,13 @@ let links_of ~k ~mm =
 
 let auto_k_t =
   Arg.(value & flag & info [ "auto-k" ]
-         ~doc:"Measure k first: fork a live link probe over the socket mesh and schedule \
+         ~doc:"Measure k first: run a live link probe over the socket mesh and schedule \
                at the measured k (the dearest link's effective k, rounded, at least 1) \
-               instead of the assumed $(b,-k).  Needs $(b,-p) >= 2.  Probing forks, so \
-               it always runs before any domain or thread is spawned.")
+               instead of the assumed $(b,-k).  Needs $(b,-p) >= 2.")
 
-(* Fork-first: probe the mesh once and price the machine at the
-   measured scalar k.  Must run before the caller spawns any domain or
-   thread.  A single processor has no link to probe, so the assumed
-   machine stands. *)
+(* Probe the mesh once and price the machine at the measured scalar k.
+   A single processor has no link to probe, so the assumed machine
+   stands. *)
 let auto_k_machine machine =
   let processors = machine.Config.processors and assumed = machine.Config.comm_estimate in
   if processors < 2 then begin
@@ -300,8 +298,6 @@ let schedule_cmd =
   let run input machine iterations validate auto_k comm_opt trace =
     with_graph input (fun g ->
         with_trace trace @@ fun () ->
-        (* This command spawns no domain, so the probe's fork is safe
-           anywhere; it runs first regardless. *)
         let machine = if auto_k then auto_k_machine machine else machine in
         let compiled =
           if validate || Option.is_some comm_opt then
@@ -583,7 +579,7 @@ let executable_program ?comm_opt ~(analysis : Depend.t) ~machine ~iterations () 
          | None -> (c.full, c.program, None)
          | Some (opt, stats) -> (c.full, opt, Some stats))
 
-(* The fuzz oracle on one loop file, without the forked legs; the
+(* The fuzz oracle on one loop file, without the runtime legs; the
    summary line times the base program it checked on the simulator
    (values do not depend on timing). *)
 let verify_cmd =
@@ -612,7 +608,7 @@ let verify_cmd =
   in
   Cmd.v
     (Cmd.info "verify"
-       ~doc:"Run the fuzz oracle, without its forked legs, on the program run-parallel and \
+       ~doc:"Run the fuzz oracle, without its runtime legs, on the program run-parallel and \
              run-dist execute for one loop file, and time that program on the simulator")
     Term.(const run $ file_t $ machine_t $ iterations_t $ mm_t)
 
@@ -801,9 +797,9 @@ let check_cmd =
            ~doc:"Instead of checking workloads, drive N random loops and machine shapes \
                  through the whole pipeline, comm-opt rewrite included, with every stage \
                  audited and every instance value compared against the sequential \
-                 interpreter: inline, on forked processes and on domains.  Each case \
+                 interpreter: inline, on spawned processes and on domains.  Each case \
                  draws its own fan-out, machine shape (p, k), trip count, comm-opt window \
-                 and transport for the forked run (Unix sockets or TCP).")
+                 and transport for the process team (Unix sockets or TCP).")
   in
   let fuzz_seed_t =
     Arg.(value & opt int 0 & info [ "fuzz-seed" ] ~docv:"SEED"
@@ -988,8 +984,6 @@ let run_dist_cmd =
                handshake_fault = (if fault = `Handshake_fp then Some 0 else None);
              })
     in
-    (* Forks before domains, always: probe and dist runs come first;
-       the in-domain comparison (--vs-domains) runs last. *)
     if probe then
       print_string
         (Mimd_dist.Linkprobe.render ~assumed_k:machine.Config.comm_estimate
@@ -997,8 +991,6 @@ let run_dist_cmd =
     match loop with
     | Error e -> fail e
     | Ok analysis -> (
-      (* Probing forks, so it runs strictly before the run's own
-         forks. *)
       let machine = if auto_k then auto_k_machine machine else machine in
       let sabotage =
         match fault with
@@ -1017,10 +1009,10 @@ let run_dist_cmd =
                 try Unix.kill pids.(0) Sys.sigkill with Unix.Unix_error _ -> ()
               end)
       in
-      (* Compile, fork, compare against the sequential interpreter.  A
-         roster the mesh cannot bind (wrong length, a host that does not
-         resolve, an address that is not local) fails in the parent
-         before any fork. *)
+      (* Compile, run on a team, compare against the sequential
+         interpreter.  A roster the mesh cannot bind (wrong length, a
+         host that does not resolve, an address that is not local)
+         fails in the parent before any member starts. *)
       let loop = analysis.Depend.loop in
       match
         Result.bind (executable_program ?comm_opt ~analysis ~machine ~iterations ())
@@ -1029,9 +1021,7 @@ let run_dist_cmd =
             | exception Runner.Dist_error f -> Error ("dist failure: " ^ Runner.describe f)
             | exception Invalid_argument m -> Error m
             | outcome -> (
-              (* One call: end the team now rather than at exit, so
-                 the check below does not pay copy-on-write faults
-                 against members that will never run again. *)
+              (* One call: the team has no further use. *)
               Runner.shutdown ();
               match VR.check_against_sequential ~loop ~iterations outcome with
               | Error e -> Error ("MISMATCH vs sequential interpreter: " ^ e)
@@ -1041,7 +1031,7 @@ let run_dist_cmd =
       | Ok (program, stats, outcome) ->
         Option.iter print_comm_stats stats;
         Format.printf
-          "OK: %d forked process(es)%s computed all %d iteration(s) bit-identically \
+          "OK: %d spawned process(es)%s computed all %d iteration(s) bit-identically \
            to the sequential interpreter@."
           outcome.VR.domains
           (if want_tcp then " over TCP" else "")
@@ -1053,7 +1043,6 @@ let run_dist_cmd =
           outcome.VR.domain_wall_ns;
         if not vs_domains then 0
         else begin
-          (* The in-domain runtime runs strictly after every fork. *)
           match Mimd_runtime.Exec_compiled.run ~loop ~program () with
           | exception Mimd_runtime.Watchdog.Runtime_deadlock stall ->
             fail
@@ -1086,8 +1075,7 @@ let run_dist_cmd =
   let vs_domains_t =
     Arg.(value & flag & info [ "vs-domains" ]
            ~doc:"Also execute on the in-process domain runtime and require bit-identical \
-                 instance values (runs after the forked execution; OCaml forbids forking \
-                 once domains exist).")
+                 instance values.")
   in
   let fault_t =
     let faults =
@@ -1107,7 +1095,7 @@ let run_dist_cmd =
   let tcp_t =
     Arg.(value & flag & info [ "tcp" ]
            ~doc:"Use the TCP transport for the processor mesh: per-PE loopback \
-                 listeners on ephemeral ports, dialed after the fork with a \
+                 listeners on ephemeral ports, dialed by the members with a \
                  fingerprint-checked rendezvous handshake, TCP_NODELAY on every link.  \
                  Values are bit-identical to the Unix-socketpair transport.")
   in
@@ -1127,7 +1115,7 @@ let run_dist_cmd =
   in
   Cmd.v
     (Cmd.info "run-dist"
-       ~doc:"Execute a compiled loop on forked OS processes connected by Unix-domain \
+       ~doc:"Execute a compiled loop on spawned OS processes connected by Unix-domain \
              sockets or TCP (one process per scheduled processor) and check the values \
              against the sequential interpreter")
     Term.(
@@ -1362,7 +1350,7 @@ let main_cmd =
     ]
 
 (* The fuzz oracle's socket leg: mimd_check sits below mimd_dist
-   in the dependency graph, so the forked-process executor is injected
+   in the dependency graph, so the spawned-process executor is injected
    here, where both are visible. *)
 let () =
   Mimd_check.Fuzz.socket_backend :=

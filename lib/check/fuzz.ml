@@ -51,39 +51,9 @@ let labelled label r = Result.map_error (( ^ ) label) r
 (* The one injected hook: the socket backend lives above this library
    in the dependency graph (mimd_dist -> mimd_server -> mimd_check),
    so the oracle cannot call it; [mimdloop], which links both,
-   installs it at startup.  The hook runs the program on forked
-   processes and returns its instance table. *)
+   installs it at startup.  The hook runs the program on a team of
+   spawned processes and returns its instance table. *)
 let socket_backend = ref None
-
-(* Run [f] in a forked child that marshals its result back over a pipe
-   and exits without returning to the harness.  The domain runtime
-   poisons fork (OCaml forbids forking once a domain exists) and the
-   socket backend forks, so while the socket leg is on the domain leg
-   runs here: the parent never creates a domain and stays fork-safe
-   for the next case. *)
-let in_child (f : unit -> 'a) : ('a, string) result =
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close r;
-    let result : ('a, string) result =
-      try Ok (f ()) with e -> Error ("exception: " ^ Printexc.to_string e)
-    in
-    let oc = Unix.out_channel_of_descr w in
-    Marshal.to_channel oc result [];
-    flush oc;
-    Unix._exit 0
-  | pid ->
-    Unix.close w;
-    let ic = Unix.in_channel_of_descr r in
-    let result =
-      match (Marshal.from_channel ic : ('a, string) result) with
-      | result -> result
-      | exception _ -> Error "domain helper child died before reporting"
-    in
-    In_channel.close ic;
-    ignore (Unix.waitpid [] pid);
-    result
 
 type compiled = {
   full : Full_sched.t;
@@ -147,9 +117,8 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
     let opt = Option.fold ~none:program ~some:fst optimized in
     (* Value differential: every leg's instance table against the
        spec, bit for bit.  The inline legs run the lowered evaluator
-       on this thread (no domain, so the harness stays fork-safe);
-       the base one also checks the last-writer fold against the
-       interpreter's final memory. *)
+       on this thread; the base one also checks the last-writer fold
+       against the interpreter's final memory. *)
     let spec = Value_run.spec ~loop ~iterations:case.iterations in
     let against_spec label instances =
       labelled (label ^ " vs interpreter: ") (Value_run.check_instances ~spec instances)
@@ -166,10 +135,9 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
     in
     if not runtime then Ok program
     else begin
-      (* ... then on the socket backend (it forks, so it goes first)
-         and on real domains, base and optimized alike, so widened
-         (fan-out) programs get compiled coverage with and without
-         packed frames. *)
+      (* ... then on the socket backend and on real domains, base and
+         optimized alike, so widened (fan-out) programs get compiled
+         coverage with and without packed frames. *)
       let* () =
         match !socket_backend with
         | None -> Ok ()
@@ -177,16 +145,11 @@ let check_case ?(fault = No_fault) ?(runtime = true) case =
           let* sock = run_sockets ~transport:case.transport ~loop ~program:opt in
           against_spec "sockets" sock
       in
-      let domains () =
-        let run program = Exec_compiled.run ~timeout:30.0 ~loop ~program () in
-        let base = run program in
-        (base.Value_run.instances, (run opt).Value_run.instances)
+      let domains program =
+        (Exec_compiled.run ~timeout:30.0 ~loop ~program ()).Value_run.instances
       in
-      let* dom_base, dom_opt =
-        if Option.is_some !socket_backend then in_child domains else Ok (domains ())
-      in
-      let* () = against_spec "domains base" dom_base in
-      let* () = against_spec "domains opt" dom_opt in
+      let* () = against_spec "domains base" (domains program) in
+      let* () = against_spec "domains opt" (domains opt) in
       Ok program
     end
   with e -> Error ("exception: " ^ Printexc.to_string e)

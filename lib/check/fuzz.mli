@@ -13,7 +13,7 @@
     + the computed {e values}: every executor of the base and the
       optimized program — the lowered evaluator run inline as
       {!Mimd_codegen.Program.simulate}'s value step
-      ({!Mimd_runtime.Exec_compiled.run_inline}), the forked-process
+      ({!Mimd_runtime.Exec_compiled.run_inline}), the spawned-process
       runtime over Unix sockets or TCP ({!socket_backend}) and the
       compiled real-domain runtime ({!Mimd_runtime.Exec_compiled.run})
       — must match the sequential spec
@@ -46,7 +46,7 @@ type fault =
 
 type transport =
   | Unix_sockets  (** one socketpair per link *)
-  | Tcp  (** loopback listeners, dialed after the fork *)
+  | Tcp  (** loopback listeners that the members dial *)
 
 type case = {
   loop : Mimd_loop_ir.Ast.loop;  (** flat; a distance over 1 fails {!check_case} *)
@@ -130,9 +130,7 @@ val check_case :
     optimized inline (the base run also vs the interpreter's final
     memory); with [runtime] (default true) the optimized program on
     the socket backend over the case's [transport], then base and
-    optimized on real domains.  The domain legs run in a forked child
-    while {!socket_backend} is installed, so the caller stays
-    fork-safe; otherwise in-process.  Never raises: pipeline
+    optimized on real domains, in this process.  Never raises: pipeline
     exceptions are returned as [Error].  Validation runs {e before}
     any execution. *)
 
@@ -143,10 +141,10 @@ val socket_backend :
   (Mimd_runtime.Value_run.instances, string) result)
   option
   ref
-(** The forked-process executor, the library's one injected hook:
+(** The spawned-process executor, the library's one injected hook:
     mimd_dist depends on mimd_check (through mimd_server), so this
     library cannot call it.  [mimdloop] installs it at startup; [None]
-    skips the socket leg and runs the domain leg in-process. *)
+    skips the socket leg. *)
 
 val gen_case : case QCheck2.Gen.t
 (** The generator {!run} draws its cases from. *)

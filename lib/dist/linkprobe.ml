@@ -13,106 +13,50 @@ type link = {
 
 type t = { cycle_ns : float; links : link list }
 
-(* One "cycle" of the paper's machine model is one unit of node
-   latency.  The evaluator that runs is the lowered one, so time it:
-   ewf on one PE at n = 1000, through {!Exec_compiled.worker} on the
-   calling thread (no domain), and divide by the schedule's makespan
-   in cycles.  The median of five runs, after one that warms the
-   caches. *)
-let time_cycle_ns () =
-  let iterations = 1000 in
-  let { Mimd_loop_ir.Depend.loop; graph; _ } =
-    Mimd_loop_ir.Depend.analyze_string Mimd_workloads.Elliptic.source
-  in
-  let machine = Mimd_machine.Config.make ~processors:1 ~comm_estimate:2 in
-  let schedule = Mimd_core.Cyclic_sched.schedule_iterations ~graph ~machine ~iterations () in
-  let program = Mimd_codegen.From_schedule.run schedule in
-  let lowered = Mimd_runtime.Lower.run ~loop ~program () in
-  let alone _ = invalid_arg "Linkprobe.calibrate_cycle_ns: a one-PE run sent a message" in
-  let chans = { Value_run.send = (fun ~dst ~tag:_ _ -> alone dst); recv = (fun ~src ~tag:_ -> alone src) } in
-  let run () =
-    let t0 = Clock.now_ns () in
-    ignore (Sys.opaque_identity (Mimd_runtime.Exec_compiled.worker ~lowered ~proc:0 ~chans ()));
-    float_of_int (Clock.now_ns () - t0)
-  in
-  ignore (run ());
-  let times = List.sort compare (List.init 5 (fun _ -> run ())) in
-  List.nth times 2 /. float_of_int (Mimd_core.Schedule.makespan schedule)
-
 (* The schedule and the lowered form take about 8 MB of heap; timed in
-   a forked child, they never grow the caller's. *)
+   a spawned member, they never grow the caller's. *)
 let calibrate_cycle_ns () =
-  let r, w = Unix.pipe ~cloexec:true () in
-  match Unix.fork () with
-  | 0 ->
-    (try Wire.write w (time_cycle_ns ()) with _ -> ());
-    Unix._exit 0
-  | pid ->
-    Unix.close w;
-    let got : (float, Wire.error) result = Wire.read r in
-    Unix.close r;
-    ignore (Unix.waitpid [] pid);
-    match got with
-    | Ok ns -> ns
-    | Error _ -> failwith "Linkprobe.calibrate_cycle_ns: the timing run failed"
-
-let stop_tag = (-1, -1)
-
-(* The echo child: a real Value_run peer in miniature — the link a
-   team member runs ({!Mesh_sock.ring_link}), so the measured cost is
-   what a run's messages cost: binary frames through a shared ring,
-   spin and park. *)
-let echo_child link =
-  let rec loop () =
-    match Mesh_sock.Link.pull link with
-    | Ok (tag, _) when tag = stop_tag -> Unix._exit 0
-    | Ok (tag, v) ->
-      Mesh_sock.Link.send link ~tag v;
-      loop ()
-    | Error _ -> Unix._exit 0
-  in
-  loop ()
+  let pid, ctl = Member.spawn Member.Cycle_timer in
+  let got : (float, Wire.error) result = Wire.read ctl in
+  Unix.close ctl;
+  ignore (Unix.waitpid [] pid);
+  match got with
+  | Ok ns -> ns
+  | Error _ -> failwith "Linkprobe.calibrate_cycle_ns: the timing run failed"
 
 let median samples =
   let a = Array.of_list samples in
   Array.sort compare a;
   a.(Array.length a / 2)
 
-(* Round-trip a tagged float [rounds] times over a forked echo child
-   on a one-pair mesh and take the median.  Must run before any domain
-   is spawned. *)
+(* Round-trip a tagged float [rounds] times over a spawned echo peer
+   on a one-pair mesh and take the median.  Closing this end stops the
+   peer. *)
 let probe_one ?(rounds = 200) ~a ~b () =
-  let mesh = Mesh_sock.create ~procs:2 () in
-  match Unix.fork () with
-  | 0 ->
-    (* Nothing may unwind into the parent's code here. *)
-    (try
-       Mesh_sock.close_link mesh ~proc:0 ~peer:1;
-       echo_child (Mesh_sock.ring_link mesh ~proc:1 ~peer:0)
-     with _ -> ());
-    Unix._exit 1
-  | pid ->
-    Fun.protect ~finally:(fun () -> Mesh_sock.close_all mesh) @@ fun () ->
-    Mesh_sock.close_link mesh ~proc:1 ~peer:0;
-    let link = Mesh_sock.ring_link mesh ~proc:0 ~peer:1 in
-    let round i =
-      Mesh_sock.Link.send link ~tag:(0, i) (Value_run.Single (float_of_int i));
-      match Mesh_sock.Link.pull link with
-      | Ok _ -> ()
-      | Error e -> raise (Wire.Wire_error e)
-    in
-    (* Warm-up round covers fork cold start and first-touch costs. *)
-    round 0;
-    let samples = ref [] in
-    for i = 1 to rounds do
-      let t0 = Clock.now_ns () in
-      round i;
-      samples := float_of_int (Clock.now_ns () - t0) :: !samples
-    done;
-    Mesh_sock.Link.send link ~tag:stop_tag (Value_run.Single 0.0);
-    ignore (Unix.waitpid [] pid);
-    let rtt_ns = median !samples in
-    { a; b; rtt_ns; one_way_ns = rtt_ns /. 2.0; effective_k = 0.0 }
+  let mesh = Mesh_sock.create ~procs:2 () and peer = ref None in
+  Fun.protect ~finally:(fun () ->
+      Mesh_sock.close_all mesh;
+      Option.iter (fun (pid, ctl) -> Unix.close ctl; ignore (Unix.waitpid [] pid)) !peer)
+  @@ fun () ->
+  peer := Some (Member.spawn (Member.Echo (Mesh_sock.part mesh ~proc:1)));
+  Mesh_sock.close_link mesh ~proc:1 ~peer:0;
+  let link = Mesh_sock.ring_link mesh ~proc:0 ~peer:1 in
+  let round i =
+    Mesh_sock.Link.send link ~tag:(0, i) (Value_run.Single (float_of_int i));
+    match Mesh_sock.Link.pull link with
+    | Ok _ -> ()
+    | Error e -> raise (Wire.Wire_error e)
+  in
+  (* Warm-up round covers the peer's start and first-touch costs. *)
+  round 0;
+  let samples = ref [] in
+  for i = 1 to rounds do
+    let t0 = Clock.now_ns () in
+    round i;
+    samples := float_of_int (Clock.now_ns () - t0) :: !samples
+  done;
+  let rtt_ns = median !samples in
+  { a; b; rtt_ns; one_way_ns = rtt_ns /. 2.0; effective_k = 0.0 }
 
 let probe ?rounds ?(procs = 2) () =
   if procs < 2 then invalid_arg "Linkprobe.probe: procs < 2";

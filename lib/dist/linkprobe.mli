@@ -6,13 +6,12 @@
     frame through a shared-memory ring, over the same
     {!Mimd_runtime.Mesh_sock.ring_link} a team's links, and a run's
     domains, use (spin, then park on the socketpair doorbell).  The probe
-    forks an echo peer per link over a one-pair mesh, round-trips real
-    frames, and divides the median one-way latency by the calibrated
-    cost of a cycle of the lowered evaluator, yielding the
-    {e effective} [k] to hold next to the assumed one; {!measured_k}
-    turns it into the scalar [k] that [--auto-k] schedules at.
-
-    Forks: run before any domain is spawned (see {!Runner}). *)
+    spawns an echo peer ({!Member.Echo}) per link over a one-pair mesh,
+    round-trips real frames, and divides the median one-way latency by
+    the calibrated cost of a cycle of the lowered evaluator, yielding
+    the {e effective} [k] to hold next to the assumed one;
+    {!measured_k} turns it into the scalar [k] that [--auto-k]
+    schedules at. *)
 
 type link = {
   a : int;
@@ -29,9 +28,9 @@ val calibrate_cycle_ns : unit -> float
     lowered evaluator runs them: the median of five timed one-PE runs
     of ewf at n = 1000 through {!Mimd_runtime.Exec_compiled.worker} on
     the calling thread, divided by the schedule's makespan in cycles.
-    The runs happen in a forked child, so the caller's heap does not
-    grow; like {!probe}, call it before any domain is spawned.
-    @raise Failure when the child reports no time. *)
+    The runs happen in a spawned member ({!Member.Cycle_timer}), so
+    the caller's heap does not grow.
+    @raise Failure when the member reports no time. *)
 
 val probe : ?rounds:int -> ?procs:int -> unit -> t
 (** Probe every link of a [procs]-processor mesh (default 2; all

@@ -2,22 +2,15 @@ module Value_run = Mimd_runtime.Value_run
 module Wire = Mimd_runtime.Wire
 module Mesh_sock = Mimd_runtime.Mesh_sock
 
-(* The TCP face of the processor mesh.  Where {!Mesh_sock} inherits
-   one socketpair per unordered pair across the fork, this transport
-   gives every PE its own listener and has the children *dial* each
-   other after the fork — which is exactly the shape a multi-host
+(* The TCP face of the processor mesh.  Where a {!Mesh_sock} member
+   inherits one socketpair per peer across its spawn, this transport
+   gives every PE its own listener and has the members *dial* each
+   other once started — which is exactly the shape a multi-host
    deployment needs (peers that rendezvous over addresses, not
    inherited descriptors).  A single parent on loopback is the CI
-   configuration; the roster pins explicit HOST:PORT addresses.
-
-   Connection plan: PE [j] dials every peer [i < j] and accepts every
-   peer [i > j] on its own listener.  Dials never wait on the dialer's
-   own accepts, so by induction (PE 0 only accepts) the plan is
-   deadlock-free regardless of scheduling.  Each dialed connection
-   opens with a hello frame carrying the schedule fingerprint and the
-   (src, dst) pair; the acceptor verifies both and acks, so a peer
-   compiled against a different schedule — or wired to the wrong
-   address — fails structurally instead of desyncing mid-run. *)
+   configuration; the roster pins explicit HOST:PORT addresses.  The
+   interface states the connection plan (deadlock-free by induction)
+   and the handshake. *)
 
 type addr = { host : string; port : int }
 
@@ -123,7 +116,7 @@ let dial_with_backoff ?(deadline = 15.0) addr =
   let inet = resolve addr.host in
   let until = Unix.gettimeofday () +. deadline in
   let rec go pause =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
     size_buffers fd;
     match Unix.connect fd (Unix.ADDR_INET (inet, addr.port)) with
     | () ->
@@ -153,7 +146,7 @@ let dial_with_backoff ?(deadline = 15.0) addr =
 type t = {
   procs : int;
   fingerprint : string;
-  listeners : Unix.file_descr array;  (* PE i's listener, bound pre-fork *)
+  listeners : Unix.file_descr array;  (* PE i's listener, bound before the spawn *)
   addrs : addr array;  (* where PE i listens (host and port resolved) *)
 }
 
@@ -165,7 +158,7 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
    closes the socket and names the PE and the address. *)
 let bind_listener ~proc spec =
   let inet = resolve spec.host in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
     (try Unix.setsockopt fd Unix.SO_REUSEADDR true with Unix.Unix_error _ -> ());
     size_buffers fd;
@@ -182,7 +175,7 @@ let bind_listener ~proc spec =
          (Unix.error_message err))
 
 (* Resolve every host, then bind every PE's listener, in the parent
-   before any fork: a bad roster fails here, naming the host, with
+   before any member starts: a bad roster fails here, naming the host, with
    nothing bound yet, and the dialers see the resolved literal.  An
    address that cannot be bound closes every listener bound before it.
    Binding first is what lets [create] hand out ephemeral ports
@@ -239,7 +232,7 @@ let connect_all ?fingerprint t ~proc =
     fds.(peer) <- Some fd
   done;
   for _ = proc + 1 to t.procs - 1 do
-    let fd, _ = Unix.accept t.listeners.(proc) in
+    let fd, _ = Unix.accept ~cloexec:true t.listeners.(proc) in
     set_nodelay fd;
     match accept_hello fd ~fingerprint ~self:proc with
     | src -> fds.(src) <- Some fd

@@ -1,5 +1,5 @@
 (** The TCP transport of the processor mesh: per-PE listeners bound in
-    the parent, children that {e dial} each other after the fork, and
+    the parent, spawned members that {e dial} each other, and
     the same link layer ({!Mimd_runtime.Mesh_sock.Link}) and channel
     discipline as {!Mimd_runtime.Mesh_sock} (shared via
     {!Mimd_runtime.Mesh_sock.row}: {!link} is the peer-to-fd mapping a
@@ -35,10 +35,11 @@ type t
 (** The parent-side mesh: one bound listener per PE. *)
 
 type conns
-(** One PE's established row of connections (child-side). *)
+(** One PE's established row of connections (member-side). *)
 
 val create : ?roster:addr list -> fingerprint:string -> procs:int -> unit -> t
-(** Bind every PE's listener {e before} forking children.  Without a
+(** Bind every PE's listener, close-on-exec, {e before} the members
+    are spawned.  Without a
     [roster], each PE listens on an ephemeral loopback port; with one,
     PE [i] binds [roster[i]] (the list length must equal [procs]);
     each host resolves here, once, for its listener and its dialers.
@@ -50,11 +51,11 @@ val create : ?roster:addr list -> fingerprint:string -> procs:int -> unit -> t
 val procs : t -> int
 
 val listener : t -> proc:int -> Unix.file_descr
-(** PE [proc]'s bound listener: the one fd of the mesh its forked
-    child keeps. *)
+(** PE [proc]'s bound listener: the one fd of the mesh its spawned
+    member inherits. *)
 
 val close_parent : t -> unit
-(** Parent-side, after all forks: the parent holds no listener. *)
+(** Parent-side, after all spawns: the parent holds no listener. *)
 
 val connect_all : ?fingerprint:string -> t -> proc:int -> conns
 (** Establish PE [proc]'s full connection row (dial smaller indices,

@@ -10,24 +10,6 @@ module Wire = Mimd_runtime.Wire
 module Mesh_sock = Mimd_runtime.Mesh_sock
 module Collect = Mimd_runtime.Collect
 
-type child_ok = {
-  vals : float array;
-  sent : int;
-  wall_ns : float;
-  trace : Trace.captured option;
-  unread : int;  (* frames the call left on this PE's links (Mesh_sock.settle) *)
-}
-
-(* What the parent sends a team member for each call: the key of the
-   program to run ({!fingerprint}), the lowered form itself only when
-   the member does not hold that key yet, and whether to trace the
-   call. *)
-type request = { key : string; form : Lower.t option; tracing : bool }
-
-(* What a member sends back: once, that its links are up; then, per
-   call, its whole result or the rendering of whatever it died of. *)
-type reply = Ready | Done of child_ok | Failed of string
-
 type failure =
   | Stalled of { timeout : float; waiting : int list }
   | Child_exit of { proc : int; status : string }
@@ -80,22 +62,10 @@ let respawns_counter () =
   Metrics.counter ~help:"Distributed workers/runs respawned after a failure"
     Metrics.default "mimd_dist_respawns_total"
 
-let forks_counter () =
-  Metrics.counter ~help:"PE processes forked to start a socket-run team"
-    Metrics.default "mimd_dist_forks_total"
-
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ---------------------------------------------------------------- *)
-(* The team: p forked PE processes that run call after call            *)
-
-(* A member and the parent each hold the forms of the last [max_held]
-   programs, by key, evicting the oldest first.  Both apply the rule to
-   the same sequence of requests, so every key the parent sends is one
-   the member holds. *)
-let max_held = 8
-
-let hold entry held = List.filteri (fun i _ -> i < max_held) (entry :: held)
+(* The team: p spawned PE processes that run call after call           *)
 
 (* A form the parent holds.  Its key is the {!fingerprint} of the loop
    and program it was lowered from; the loop and program themselves
@@ -105,83 +75,13 @@ type held = { key : string; loop : Ast.loop; program : Program.t; form : Lower.t
 
 type team = {
   procs : int;
-  owner : int;  (* the pid that forked the members: only it may end them *)
+  owner : int;  (* the pid that spawned the members: only it may end them *)
   pids : int array;
   ctl : Unix.file_descr array;  (* the parent's end of each member's control socket *)
   reaped : bool array;
   mutable retired : bool;  (* the control ends are closed: the team takes no call *)
-  mutable held : held list;  (* newest first *)
+  mutable held : held list;  (* newest first, by {!Member.hold} *)
 }
-
-(* On Unix a file_descr is the descriptor number. *)
-let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
-let fd_of_number (n : int) : Unix.file_descr = Obj.magic n
-
-(* Child-side, right after fork: stdin, stdout and stderr go to
-   /dev/null, and every other inherited descriptor but [keep] closes,
-   so a dead peer is EOF and a member that lives for many calls never
-   holds another process's pipe or socket open. *)
-let close_inherited ~keep =
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  List.iter (fun fd -> Unix.dup2 ~cloexec:false null fd) [ Unix.stdin; Unix.stdout; Unix.stderr ];
-  let keep = List.map fd_number keep in
-  Array.iter
-    (fun name ->
-      match int_of_string_opt name with
-      | Some n when n > 2 && not (List.mem n keep) -> close_quietly (fd_of_number n)
-      | _ -> ())
-    (try Sys.readdir "/proc/self/fd" with Sys_error _ -> [||])
-
-(* A member's life: bring its links up, say "ready", then serve
-   requests until its control socket reaches end of stream (the team
-   retired, or the parent died).  A failed call ends the member: its
-   team is retired anyway. *)
-let member ~proc ~ctl ~held ~connect =
-  let reply r = try Wire.write ctl (r : reply) with _ -> Unix._exit 1 in
-  (* The fork copied the parent's trace buffer; drop those events so a
-     capture holds only this member's own spans. *)
-  Trace.clear ();
-  let row =
-    match connect () with
-    | row -> row
-    | exception e ->
-      reply (Failed (Printexc.to_string e));
-      Unix._exit 1
-  in
-  reply Ready;
-  let rec serve held =
-    match (Wire.read ctl : (request, Wire.error) result) with
-    | Error _ -> Unix._exit 0
-    | Ok { key; form; tracing } ->
-      let held = match form with Some l -> hold (key, l) held | None -> held in
-      if tracing then begin
-        Trace.enable ();
-        Trace.clear ()
-      end
-      else Trace.disable ();
-      let t0 = Clock.now_ns () in
-      (* Settling is part of the call: a peer that dies while this
-         member waits for its end marker is a "link down:" report, a
-         symptom, like a death seen during the worker. *)
-      let outcome =
-        match
-          let vals, sent =
-            Mimd_runtime.Exec_compiled.worker ~lowered:(List.assoc key held) ~proc
-              ~chans:(Mesh_sock.row_chans row) ()
-          in
-          let wall_ns = float_of_int (Clock.now_ns () - t0) in
-          (vals, sent, wall_ns, Mesh_sock.settle row)
-        with
-        | vals, sent, wall_ns, unread ->
-          let trace = if tracing then Some (Trace.capture ()) else None in
-          Trace.clear ();
-          Done { vals; sent; wall_ns; trace; unread }
-        | exception e -> Failed (Printexc.to_string e)
-      in
-      reply outcome;
-      (match outcome with Done _ -> serve held | Ready | Failed _ -> Unix._exit 1)
-  in
-  serve held
 
 let current : team option ref = ref None
 
@@ -227,8 +127,8 @@ let gather t ~timeout =
   let replies = Array.make t.procs None in
   let settle j =
     let failed f = if symptom f then Collect.Symptom (j, f) else Own (j, f) in
-    match (Wire.read t.ctl.(j) : (reply, Wire.error) result) with
-    | Ok (Failed message) -> failed (Child_error { proc = j; message })
+    match (Wire.read t.ctl.(j) : (Member.reply, Wire.error) result) with
+    | Ok (Member.Failed message) -> failed (Child_error { proc = j; message })
     | Ok r ->
       replies.(j) <- Some r;
       Collect.Report j
@@ -259,76 +159,47 @@ let shutdown () =
 
 let exit_hook = lazy (at_exit shutdown)
 
-(* Fork the members, one per processor, each with its row of [mesh]
-   (over Unix sockets: its socketpairs and the shared mapping of the
-   mesh's rings, which this process unmaps right after the forks) and
-   its control socket, and return once every member has said its
-   links are up.  The members inherit [first], the program of the call
-   that starts the team: the fork copies it for free, so only later
-   programs are shipped.  Forking MUST happen before this process ever
-   spawns a domain: OCaml 5 forbids Unix.fork once any domain was
-   created (even a joined one).  A live team needs no fork. *)
-let start ~timeout ~procs ~first mesh =
+(* Spawn the members, one per processor, each handed its row of
+   [mesh] (over Unix sockets: its socketpairs and the rings' memfd,
+   which this process unmaps right after the spawns), and return once
+   every member has said its links are up.  Every program, the first
+   included, is shipped by the call that runs it. *)
+let start ~timeout ~procs mesh =
   Lazy.force exit_hook;
-  let ctl =
-    Array.init procs (fun _ -> Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0)
+  let role j =
+    match mesh with
+    | `U m -> Member.Pe (Mesh_sock.part m ~proc:j)
+    | `T (m, handshake_fault) ->
+      let fingerprint = if handshake_fault = Some j then Some "0000deadbeef0000" else None in
+      Member.Tcp_pe { mesh = m; proc = j; fingerprint }
   in
-  let t =
+  let members = ref [] in
+  let team () =
+    let m = Array.of_list (List.rev !members) in
     {
       procs;
       owner = Unix.getpid ();
-      pids = Array.make procs (-1);
-      ctl = Array.map fst ctl;
-      reaped = Array.make procs true;
+      pids = Array.map fst m;
+      ctl = Array.map snd m;
+      reaped = Array.map (fun _ -> false) m;
       retired = false;
-      held = [ first ];
+      held = [];
     }
-  in
-  let child j =
-    let ctl = snd ctl.(j) in
-    match mesh with
-    | `U m ->
-      let link peer = Mesh_sock.link m ~proc:j ~peer in
-      close_inherited
-        ~keep:(ctl :: List.filter_map (fun peer -> if peer = j then None else Some (link peer))
-                        (List.init procs Fun.id));
-      member ~proc:j ~ctl ~held:[ (first.key, first.form) ] ~connect:(fun () ->
-          Mesh_sock.ring_row m ~proc:j)
-    | `T (m, handshake_fault) ->
-      close_inherited ~keep:[ ctl; Mesh_tcp.listener m ~proc:j ];
-      (* The whole connection row is up and handshaken before "ready",
-         so a call's request marks the start of execution, not of
-         connection set-up, and a handshake mismatch fails the start
-         before any peer computes a value. *)
-      let fingerprint = if handshake_fault = Some j then Some "0000deadbeef0000" else None in
-      member ~proc:j ~ctl ~held:[ (first.key, first.form) ] ~connect:(fun () ->
-          let c = Mesh_tcp.connect_all ?fingerprint m ~proc:j in
-          Mesh_sock.row ~procs ~proc:j ~link:(fun peer -> Mesh_tcp.link c ~peer))
   in
   Fun.protect
     ~finally:(fun () ->
-      (* Parent: no link endpoints, rings or listeners, no member-side
-         control endpoints.  The rings are unmapped before this process
-         touches a page of them. *)
-      (match mesh with `U m -> Mesh_sock.close_all m | `T (m, _) -> Mesh_tcp.close_parent m);
-      Array.iter (fun (_, c) -> close_quietly c) ctl)
+      (* Parent: no link endpoints, rings or listeners. *)
+      match mesh with `U m -> Mesh_sock.close_all m | `T (m, _) -> Mesh_tcp.close_parent m)
     (fun () ->
       Trace.span ~cat:"dist" ~args:[ ("procs", string_of_int procs) ] "dist.spawn" (fun () ->
           try
             for j = 0 to procs - 1 do
-              match Unix.fork () with
-              | 0 ->
-                (* Nothing may unwind into the parent's code here. *)
-                (try child j with _ -> ());
-                Unix._exit 1
-              | pid ->
-                Metrics.inc (forks_counter ());
-                t.pids.(j) <- pid;
-                t.reaped.(j) <- false
+              members := Member.spawn (role j) :: !members
             done
           with e ->
-            retire t;
+            retire (team ());
             raise e));
+  let t = team () in
   ignore (Trace.span ~cat:"dist" "dist.ready" (fun () -> gather t ~timeout));
   t
 
@@ -381,11 +252,11 @@ let prepare t ~exec ~loop ~program =
       match List.find_opt (fun h -> h.key = key) t.held with Some h -> Ok h | None -> Error key)
   in
   match found with
-  | Ok h -> (h.form, { key = h.key; form = None; tracing })
+  | Ok h -> (h.form, { Member.key = h.key; form = None; tracing })
   | Error key ->
     let form = lower exec ~loop ~program in
-    t.held <- hold { key; loop; program; form } t.held;
-    (form, { key; form = Some form; tracing })
+    t.held <- Member.hold { key; loop; program; form } t.held;
+    (form, { Member.key; form = Some form; tracing })
 
 let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Compiled)
     ~loop ~program () =
@@ -393,33 +264,24 @@ let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Co
   if List.length (Ast.assignments loop) <> Graph.node_count program.Program.graph then
     invalid_arg "Runner.run: statement/node count mismatch";
   let procs = program.Program.processors in
-  (* A warm team this call cannot use retires before anything else:
-     while its members live, every page this process writes is copied
-     on write, and lowering horner took 3.7 ms with the last team alive
-     against 1.0 ms without. *)
+  (* A warm team this call cannot use retires first. *)
   let usable t =
     t.owner = Unix.getpid () && t.procs = procs
     && match transport with Unix_sockets -> true | Tcp _ -> false
   in
   (match !current with Some t when not (usable t) -> shutdown () | _ -> ());
-  (* A member that died mid-frame must cost an EPIPE, not a fatal
-     SIGPIPE in the supervisor. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let team =
     match (transport, !current) with
     | Unix_sockets, Some t -> t
     | Unix_sockets, None ->
-      let first = { key = fingerprint ~loop ~program; loop; program; form = lower exec ~loop ~program } in
-      let t = start ~timeout ~procs ~first (`U (Mesh_sock.create ~procs ())) in
+      let t = start ~timeout ~procs (`U (Mesh_sock.create ~procs ())) in
       current := Some t;
       t
     | Tcp { roster; handshake_fault }, _ ->
       (* The handshake binds this loop and program, so a TCP team
          lives for one call. *)
-      let key = fingerprint ~loop ~program in
-      let mesh = Mesh_tcp.create ?roster ~fingerprint:key ~procs () in
-      let first = { key; loop; program; form = lower exec ~loop ~program } in
-      start ~timeout ~procs ~first (`T (mesh, handshake_fault))
+      let mesh = Mesh_tcp.create ?roster ~fingerprint:(fingerprint ~loop ~program) ~procs () in
+      start ~timeout ~procs (`T (mesh, handshake_fault))
   in
   let lowered, request = prepare team ~exec ~loop ~program in
   Trace.span ~cat:"dist" "dist.run" @@ fun () ->
@@ -430,13 +292,16 @@ let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Co
         "dist.ship" (fun () -> ship team ~timeout (Wire.frame request));
       Option.iter (fun f -> f (Array.copy team.pids)) sabotage;
       Trace.span ~cat:"dist" "dist.collect" (fun () ->
-          Array.map (function Done ok -> ok | Ready | Failed _ -> assert false) (gather team ~timeout))
+          Array.map
+            (function Member.Done ok -> ok | Ready | Failed _ -> assert false)
+            (gather team ~timeout))
     with
     | reports ->
       (* A frame left on a link would be read by the next call. *)
       (match transport with
       | Tcp _ -> retire team
-      | Unix_sockets -> if Array.exists (fun r -> r.unread > 0) reports then retire team);
+      | Unix_sockets ->
+        if Array.exists (fun (r : Member.report) -> r.unread > 0) reports then retire team);
       reports
     | exception e ->
       retire team;
@@ -445,36 +310,28 @@ let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Co
   (* Merge the members' spans into this process's capture: each
      member's timeline lands on its own track block. *)
   Array.iteri
-    (fun j r -> Option.iter (fun c -> Trace.absorb ~tid_offset:((j + 1) * 1000) c) r.trace)
+    (fun j (r : Member.report) ->
+      Option.iter (fun c -> Trace.absorb ~tid_offset:((j + 1) * 1000) c) r.trace)
     reports;
   Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered)
-    ~results:(Array.map (fun r -> (r.vals, r.sent, r.wall_ns)) reports)
+    ~results:(Array.map (fun (r : Member.report) -> (r.vals, r.sent, r.wall_ns)) reports)
 
 (* Respawn supervision for a one-shot run.  A run is a deterministic
    pure function of (loop, program, inputs), and a crashed or stalled
    PE takes its peers' channel state with it — so the sound respawn
-   unit is the {e whole run}, re-forked from scratch (every failure
-   path above already SIGKILLed and reaped the previous attempt).
-   Mid-run single-PE resurrection would need checkpointed channel
-   state; the router's fleet (stateless workers) is where per-worker
-   respawn is sound — see {!Router}.  Child_error is not retried: it
-   is the child's own exception (a handshake mismatch, a codegen bug)
-   and will recur deterministically.
-
-   Which failures may a respawn retry?  Crashes and stalls are
-   environmental.  So is a "link down:" child error — its root cause
-   is a peer's death, reported when no PE failed on its own account.
-   Every other Child_error is the child's own deterministic exception
-   (a handshake mismatch, a codegen bug) and recurs on retry. *)
+   unit is the {e whole run}, on a new team (every failure path above
+   already SIGKILLed and reaped the previous attempt).  Crashes and
+   stalls are environmental, and so is a "link down:" child error: its
+   root cause is a peer's death.  Every other Child_error is the
+   child's own deterministic exception (a handshake mismatch, a codegen
+   bug) and recurs on retry. *)
 let retryable = function
   | Child_exit _ | Stalled _ -> true
   | Child_error _ as f -> symptom f
 
 let run ?timeout ?sabotage ?transport ?exec ?(respawn = 0) ~loop ~program () =
   let rec attempt remaining =
-    match
-      run_once ?timeout ?sabotage ?transport ?exec ~loop ~program ()
-    with
+    match run_once ?timeout ?sabotage ?transport ?exec ~loop ~program () with
     | outcome -> outcome
     | exception Dist_error f when retryable f && remaining > 0 ->
       Metrics.inc (respawns_counter ());

@@ -1,5 +1,6 @@
 external header_bytes : unit -> int = "mimd_spsc_header_bytes" [@@noalloc]
-external mmap : int -> int = "mimd_spsc_map" [@@noalloc]
+external memfd : int -> Unix.file_descr = "mimd_spsc_memfd"
+external mmap : Unix.file_descr -> int -> int = "mimd_spsc_map" [@@noalloc]
 external munmap : int -> int -> unit = "mimd_spsc_unmap" [@@noalloc]
 external write_raw : int -> int -> Bytes.t -> int -> int -> int = "mimd_spsc_write" [@@noalloc]
 external read_raw : int -> int -> Bytes.t -> int -> int -> int = "mimd_spsc_read" [@@noalloc]
@@ -10,21 +11,40 @@ external drain : Unix.file_descr -> int = "mimd_spsc_drain" [@@noalloc]
 
 (* Addresses travel as OCaml ints: user-space addresses fit in 62
    bits, and only the stubs ever dereference them. *)
-type mapping = { addr : int; rings : int; stride : int; capacity : int; mutable live : bool }
+type mapping = {
+  fd : Unix.file_descr;
+  addr : int;
+  bytes : int;
+  rings : int;
+  stride : int;
+  capacity : int;
+  mutable live : bool;
+}
 
 let header = header_bytes ()
 
-let map ~rings ~capacity =
+(* Making the rings and mapping inherited ones are one path: a memfd,
+   made here unless given, mapped shared.  Zero rings map one ring's
+   worth that nothing touches. *)
+let map ?fd ~rings ~capacity () =
   if rings < 0 || capacity <= 0 then invalid_arg "Spsc.map";
   let stride = header + capacity in
-  let addr = if rings = 0 then 0 else mmap (rings * stride) in
-  if rings > 0 && addr = 0 then failwith "Spsc.map: mmap failed";
-  { addr; rings; stride; capacity; live = rings > 0 }
+  let bytes = max 1 rings * stride in
+  let fd = match fd with Some fd -> fd | None -> memfd bytes in
+  let addr = mmap fd bytes in
+  if addr = 0 then begin
+    Unix.close fd;
+    failwith "Spsc.map: mmap failed"
+  end;
+  { fd; addr; bytes; rings; stride; capacity; live = true }
+
+let fd m = m.fd
 
 let unmap m =
   if m.live then begin
     m.live <- false;
-    munmap m.addr (m.rings * m.stride)
+    munmap m.addr m.bytes;
+    Unix.close m.fd
   end
 
 type ring = { at : int; cap : int }

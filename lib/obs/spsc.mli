@@ -1,8 +1,9 @@
-(** Single-producer single-consumer byte rings in a shared anonymous
-    mapping, with a socket as each ring's doorbell.
+(** Single-producer single-consumer byte rings in a shared mapping of
+    a memfd, with a socket as each ring's doorbell.
 
-    A mapping made before [fork(2)] is shared by every process forked
-    after it: one process copies bytes into a ring ({!write}) and
+    Every process that maps the memfd's descriptor shares the rings,
+    whether it made them or inherited the descriptor across a spawn:
+    one process copies bytes into a ring ({!write}) and
     another copies them out ({!read}), with no system call on either
     side.  A side that must wait — a reader with nothing to read, a
     writer with no room — parks: {!park_reader} or {!park_writer} sets
@@ -19,18 +20,25 @@
     are ever backed. *)
 
 type mapping
-(** Some rings of one capacity, in one shared anonymous mapping. *)
+(** Some rings of one capacity, in one shared mapping of a memfd. *)
 
-val map : rings:int -> capacity:int -> mapping
-(** Map [rings] empty rings of [capacity] data bytes each.  Zero rings
-    map nothing.
+val map : ?fd:Unix.file_descr -> rings:int -> capacity:int -> unit -> mapping
+(** Map [rings] rings of [capacity] data bytes each from [fd], the
+    memfd of another mapping ({!fd}) that this process inherited, or
+    else from a fresh close-on-exec memfd, whose rings are empty.  The
+    mapping owns the descriptor.
     @raise Invalid_argument when a count is negative or [capacity] is
     not positive.
-    @raise Failure when [mmap(2)] fails. *)
+    @raise Failure when the memfd cannot be made or mapped. *)
+
+val fd : mapping -> Unix.file_descr
+(** The memfd, close-on-exec: what a process spawned to share the
+    rings inherits. *)
 
 val unmap : mapping -> unit
-(** Release the mapping in this process; later calls do nothing.
-    Every {!ring} of it is then unusable here. *)
+(** Release the mapping in this process and close its descriptor;
+    later calls do nothing.  Every {!ring} of it is then unusable
+    here. *)
 
 type ring
 (** One direction of one link. *)

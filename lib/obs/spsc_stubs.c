@@ -1,12 +1,12 @@
-/* Single-producer single-consumer byte rings in a shared anonymous
-   mapping, and the one-byte socket doorbell that wakes a parked peer.
+/* Single-producer single-consumer byte rings in a shared mapping of a
+   memfd, and the one-byte socket doorbell that wakes a parked peer.
 
    A ring is a 128-byte header and [cap] data bytes.  The header keeps
    what each side writes on its own cache line: the producer's [head]
    (bytes ever published) and [writer_parked], the consumer's [tail]
-   (bytes ever consumed) and [reader_parked].  A fresh mapping is all
-   zeros, so a ring needs no initialising write: the process that maps
-   the rings never touches their pages.
+   (bytes ever consumed) and [reader_parked].  A fresh memfd reads as
+   all zeros, so a ring needs no initialising write: the process that
+   makes the rings never touches their pages.
 
    The indices are the whole protocol.  A copy in publishes its bytes
    with a release store of [head]; a copy out reads [head] with
@@ -25,6 +25,7 @@
    the given [bytes], and returns a tagged int. */
 
 #define _GNU_SOURCE
+#include <caml/fail.h>
 #include <caml/mlvalues.h>
 #include <errno.h>
 #include <stddef.h>
@@ -32,6 +33,7 @@
 #include <string.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 struct ring {
   uint64_t head;
@@ -54,13 +56,26 @@ CAMLprim value mimd_spsc_header_bytes(value unit)
   return Val_long(sizeof(struct ring));
 }
 
-/* The address of a fresh shared anonymous mapping of [bytes], or 0.
+/* A fresh close-on-exec memfd of [bytes], all holes: a process that
+   inherits its descriptor maps the same rings. */
+CAMLprim value mimd_spsc_memfd(value bytes)
+{
+  int fd = memfd_create("mimd-rings", MFD_CLOEXEC);
+  if (fd < 0) caml_failwith("Spsc.map: memfd_create failed");
+  if (ftruncate(fd, (off_t)Long_val(bytes)) != 0) {
+    close(fd);
+    caml_failwith("Spsc.map: ftruncate failed");
+  }
+  return Val_int(fd);
+}
+
+/* The address of a shared mapping of [bytes] of memfd [fd], or 0.
    MAP_NORESERVE: only the pages a ring's bytes pass through are ever
    backed. */
-CAMLprim value mimd_spsc_map(value bytes)
+CAMLprim value mimd_spsc_map(value fd, value bytes)
 {
   void *p = mmap(NULL, (size_t)Long_val(bytes), PROT_READ | PROT_WRITE,
-                 MAP_SHARED | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+                 MAP_SHARED | MAP_NORESERVE, Int_val(fd), 0);
   return Val_long(p == MAP_FAILED ? 0 : (intnat)p);
 }
 

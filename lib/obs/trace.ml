@@ -198,12 +198,12 @@ let render_event b ~base tid ev =
     Buffer.add_char b '}'
 
 (* ---------------------------------------------------------------- *)
-(* Cross-process capture: a forked child traces into its own buffers
-   (copies of the parent's DLS state), captures them as plain data,
-   ships them over its report channel, and the parent absorbs them so
-   the export shows one merged timeline.  Absorbed events keep their
-   own (offset) tids — monotonic clocks are per-boot, so parent and
-   child stamps share a timebase.                                     *)
+(* Cross-process capture: a team member traces into its own buffers,
+   captures them as plain data, ships them over its report channel,
+   and the parent absorbs them so the export shows one merged
+   timeline.  Absorbed events keep their own (offset) tids — monotonic
+   clocks are per-boot, so parent and member stamps share a
+   timebase.                                                          *)
 
 type captured = (int * event) list
 

@@ -77,12 +77,12 @@ val export : unit -> string
 
 (** {1 Cross-process capture}
 
-    A forked child (the [Mimd_dist] socket runtime) traces into its
-    own buffers; {!capture} snapshots them as marshalable plain data
-    so the child can ship them over its report channel, and the parent
-    {!absorb}s them into its own capture before {!export}.  Monotonic
-    stamps are per-boot, so parent and child events share a timebase
-    without rebasing. *)
+    A team member (a process of the [Mimd_dist] socket runtime) traces
+    into its own buffers; {!capture} snapshots them as marshalable
+    plain data so the member can ship them over its report channel,
+    and the parent {!absorb}s them into its own capture before
+    {!export}.  Monotonic stamps are per-boot, so parent and member
+    events share a timebase without rebasing. *)
 
 type captured
 (** A snapshot of every buffered event in this process.  Plain data:

@@ -77,8 +77,8 @@ val run_inline :
   Value_run.outcome
 (** Execute [program] on the calling thread, over the default initial
     memory and scalars ({!Mimd_loop_ir.Interp.init},
-    {!Mimd_loop_ir.Interp.default_scalar}): no domain is created, so
-    the caller stays fork-safe.  The run is
+    {!Mimd_loop_ir.Interp.default_scalar}): no domain is created.
+    The run is
     {!Mimd_codegen.Program.simulate} (unbounded links, zero latency)
     whose value step executes each retiring instruction; a Send's
     payload rides with the simulated frame to its Recv.  Values do not

@@ -2,11 +2,19 @@ module Trace = Mimd_obs.Trace
 module Spsc = Mimd_obs.Spsc
 
 (* One full-duplex socketpair per unordered processor pair and one
-   byte ring per ordered pair, created in the parent before any fork
-   so every child inherits its own row.  [fds.(i).(j)] is processor
-   [i]'s endpoint of the i<->j socketpair; ring [ring_index i j]
-   carries i's bytes to j.  The diagonal is [None] — a self-message
-   is a codegen bug. *)
+   byte ring per ordered pair in a memfd, created in the parent; a
+   process spawned to play processor [i] inherits row [i] and the
+   memfd ({!part}).  [fds.(i).(j)] is processor [i]'s endpoint of the
+   i<->j socketpair; ring [ring_index i j] carries i's bytes to j.
+   The diagonal is [None] — a self-message is a codegen bug.  Every
+   descriptor is close-on-exec: a spawner hands a member its own. *)
+
+type part = {
+  procs : int;
+  proc : int;
+  links : Unix.file_descr option array;
+  rings : Unix.file_descr;
+}
 
 type t = { procs : int; fds : Unix.file_descr option array array; rings : Spsc.mapping }
 
@@ -26,14 +34,20 @@ let create ~procs () =
   let fds = Array.init procs (fun _ -> Array.make procs None) in
   for i = 0 to procs - 1 do
     for j = i + 1 to procs - 1 do
-      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       fds.(i).(j) <- Some a;
       fds.(j).(i) <- Some b
     done
   done;
-  { procs; fds; rings = Spsc.map ~rings:(procs * (procs - 1)) ~capacity:buffer_bytes }
+  { procs; fds; rings = Spsc.map ~rings:(procs * (procs - 1)) ~capacity:buffer_bytes () }
 
-let procs t = t.procs
+let part (t : t) ~proc : part =
+  { procs = t.procs; proc; links = Array.copy t.fds.(proc); rings = Spsc.fd t.rings }
+
+let attach (p : part) =
+  let fds = Array.init p.procs (fun i -> if i = p.proc then p.links else Array.make p.procs None) in
+  let rings = Spsc.map ~fd:p.rings ~rings:(p.procs * (p.procs - 1)) ~capacity:buffer_bytes () in
+  { procs = p.procs; fds; rings }
 
 let link t ~proc ~peer =
   match t.fds.(proc).(peer) with
@@ -92,17 +106,11 @@ let () =
    ring that the reader polls (no system call on either side).  So a
    pull first polls for a short spin, then parks in select(2).
 
-   A ring link's wait is a handshake on the ring's flags, with the
-   socketpair as doorbell.  A reader that parks sets its flag, looks
-   at the ring once more, and blocks only if that look finds nothing;
-   a writer, after publishing, reads the flag and, when it is set,
-   clears it and sends one byte.  Each side stores its own word (flag,
-   or head index) before it loads the other's, sequentially
-   consistent, so at least one of them sees the other: the reader
-   finds the bytes, or the writer rings.  A full ring parks its writer
-   the same way, and the reader rings it after freeing room.  A waiter
-   woken by a stale byte drains it and looks again; end of stream on
-   the socket is the peer's death, as on a stream link.
+   A ring link's wait is {!Spsc}'s handshake on the ring's flags, with
+   the socketpair as doorbell (spsc_stubs.c says why no wake-up is
+   lost).  A waiter woken by a stale byte drains it and looks again;
+   end of stream on the socket is the peer's death, as on a stream
+   link.
 
    The spin must adapt: a fixed 30 us spin made fig7 2.5-3.5x slower
    beside one CPU hog, and a fixed 50 us spin at p=3 on 2 vCPUs
@@ -175,9 +183,8 @@ module Link = struct
     mutable parks : int;
   }
 
-  (* Both buffers start small enough to come from the minor heap (a
-     forked child's major heap is the parent's, shared copy-on-write)
-     and grow when a frame needs more. *)
+  (* Both buffers start small enough to come from the minor heap and
+     grow when a frame needs more. *)
   let make ?rings fd =
     Unix.set_nonblock fd;
     {

@@ -4,24 +4,19 @@
     ordered pair, with {!Wire} link frames as messages ({!Link}),
     presented to {!Exec_compiled.worker} through the
     {!Value_run.chans} interface, built by {!Value_run.of_links}.  The
-    domains of {!Exec_compiled.run} and the forked members of a socket
+    domains of {!Exec_compiled.run} and the spawned members of a socket
     team run the same links, so frame matching, the wait rule and the
     [Link_down] classification are one piece of code; TCP runs the
     same {!Link} over dialed sockets ({!row}).
 
     {b Rings.}  A ring link ({!ring_link}) copies its frames' bytes
-    into and out of a ring in a shared anonymous mapping that
-    {!create} makes — before the fork, for a team: a message costs a
-    cache-line hop, not a [write(2)] and a [read(2)].  The socketpair
-    stays as the link's doorbell and liveness signal.  A side that must wait
-    (nothing to read, no room to write) sets its parked flag, looks at
-    the ring once more and only then blocks in [select(2)] on the
-    socket; the other side, after each copy, reads that flag and, when
-    it is set, clears it and writes one byte.  Flag and index are each
-    stored before the other side's is loaded, sequentially consistent
-    on both sides, so either the waiter sees the bytes or the other
-    side sees the flag: a wake-up cannot be lost.  End of stream on
-    the socket is still a dead peer ({!Link_down}).
+    into and out of a ring in a shared mapping of the memfd that
+    {!create} makes; a spawned member maps it from the descriptor it
+    inherits ({!attach}).  A message costs a cache-line hop, not a
+    [write(2)] and a [read(2)].  The socketpair stays as the link's
+    doorbell, rung by the handshake {!Mimd_obs.Spsc} describes, which
+    loses no wake-up, and as its liveness signal: end of stream on it
+    is a dead peer ({!Link_down}).
 
     Capacity: a ring holds {!buffer_bytes} of frame bytes, at least
     [capacity] Single frames ({!Value_run.default_channel_capacity}),
@@ -36,21 +31,31 @@
 type t
 
 val create : procs:int -> unit -> t
-(** Build every link, for a team in the parent {e before} forking
-    children: the socketpairs, and [procs * (procs - 1)] rings of {!buffer_bytes}
-    in one shared mapping.  Making it touches no ring page: a page is
-    backed only once a link's bytes pass through it.
+(** Build every link, for a team in the parent before it spawns the
+    members: the socketpairs, and [procs * (procs - 1)] rings of
+    {!buffer_bytes} in one shared mapping of a memfd.  Every
+    descriptor is close-on-exec.  Making it touches no ring page: a
+    page is backed only once a link's bytes pass through it.
     @raise Failure when the rings cannot be mapped. *)
 
 val buffer_bytes : int
 (** A ring's data bytes: [capacity] KiB, with [capacity] =
     {!Value_run.default_channel_capacity}. *)
 
-val procs : t -> int
+type part = {
+  procs : int;
+  proc : int;
+  links : Unix.file_descr option array;  (** [proc]'s endpoint per peer *)
+  rings : Unix.file_descr;  (** the rings' memfd *)
+}
+(** What a process spawned to play [proc] needs of the mesh: plain
+    data naming descriptors it inherits under the same numbers. *)
 
-val link : t -> proc:int -> peer:int -> Unix.file_descr
-(** Processor [proc]'s endpoint of its link to [peer].
-    @raise Invalid_argument for the diagonal. *)
+val part : t -> proc:int -> part
+
+val attach : part -> t
+(** In the process that plays [part.proc]: the mesh of its endpoints
+    alone, the rings mapped from the inherited memfd. *)
 
 val close_link : t -> proc:int -> peer:int -> unit
 (** Close processor [proc]'s endpoint of its link to [peer] in this
@@ -59,7 +64,7 @@ val close_link : t -> proc:int -> peer:int -> unit
 
 val close_all : t -> unit
 (** Close every endpoint still open here and unmap the rings: a team's
-    parent after all forks (it holds no link), or {!Exec_compiled.run}
+    parent after all spawns (it holds no link), or {!Exec_compiled.run}
     once its domains have joined. *)
 
 val cancel : t -> unit
@@ -145,8 +150,8 @@ end
 val ring_link : t -> proc:int -> peer:int -> Link.t
 (** Processor [proc]'s link to [peer] over the mesh's rings, the
     socketpair endpoint as its doorbell: what a team member and the
-    link probe run.  Call it in the process that plays [proc], after
-    the fork; the mesh must still be mapped there. *)
+    link probe run.  Call it in the process that plays [proc]; the
+    mesh must still be mapped there. *)
 
 (** {1 A PE's row, across calls} *)
 

@@ -3,7 +3,7 @@
 
     {!Exec_compiled} executes one processor's lowered program against
     any {!chans} — built with {!of_links} over {!Mesh_sock} links
-    (ring links between domains or forked processes, or the TCP
+    (ring links between domains or spawned processes, or the TCP
     mesh of [Mimd_dist]), or by the inline run around
     {!Mimd_codegen.Program.simulate}'s frames — and {!finalize} folds
     the per-processor value arrays into an {!outcome}.  No memory is

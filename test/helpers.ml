@@ -8,14 +8,16 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* Shared anonymous mappings (a mesh's rings) show in a maps file as
-   /dev/zero.  [pid] is a process id or "self". *)
+(* A mesh's rings are a memfd's mapping, shown in a maps file as
+   /memfd:mimd-rings.  [pid] is a process id or "self". *)
 let ring_mappings pid =
+  let name = "/memfd:mimd-rings" in
+  let len = String.length name in
   In_channel.with_open_text (Printf.sprintf "/proc/%s/maps" pid) In_channel.input_all
   |> String.split_on_char '\n'
   |> List.filter (fun l ->
          let n = String.length l in
-         let rec at i = i + 9 <= n && (String.sub l i 9 = "/dev/zero" || at (i + 1)) in
+         let rec at i = i + len <= n && (String.sub l i len = name || at (i + 1)) in
          at 0)
   |> List.length
 

@@ -1,9 +1,10 @@
 let () =
   Alcotest.run "mimdloop"
     [
-      (* dist MUST stay first: its tests fork, and OCaml 5 forbids
-         Unix.fork in a process that has ever created a domain — so it
-         runs before any suite that spawns one. *)
+      (* dist MUST stay first: OCaml 5 forbids Unix.fork in a process
+         that has ever created a domain, and the dist suite forks its
+         own test peers and the route fleet's workers.  (Team members
+         are spawned and may follow domains.) *)
       ("dist", Test_dist.suite);
       ("router-core", Test_router_core.suite);
       ("util", Test_util.suite);

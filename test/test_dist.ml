@@ -1,10 +1,13 @@
 (* lib/dist: the multi-process socket backend and the serve fleet.
 
    THIS SUITE MUST RUN FIRST.  OCaml 5 refuses Unix.fork in a process
-   that has ever created a domain, and every test here forks — mesh
-   ping-pongs, the runner differentials, the link probe, the router
-   fleet.  Keep it ahead of any suite that touches Domain.spawn
-   (runtime, server, obs, ...) in test/main.ml. *)
+   that has ever created a domain, and some tests here fork: the mesh,
+   TCP and ring-link tests fork their own peers, a team test forks the
+   parent it lets die, and the router fleet forks its workers.  (Team
+   members and the link probe's peers are spawned, which needs no such
+   order.)  Keep it ahead of any suite
+   that touches Domain.spawn (runtime, server, obs, ...) in
+   test/main.ml. *)
 
 open Helpers
 module Parser = Mimd_loop_ir.Parser
@@ -263,7 +266,7 @@ let test_mesh_dead_peer_is_structured () =
     | exception Mesh_sock.Link_down _ -> ()
 
 (* ---------------------------------------------------------------- *)
-(* Runner: forked processes = interpreter, instance by instance      *)
+(* Runner: spawned processes = interpreter, instance by instance     *)
 
 (* The full front end, with the protocol simulation on: every program
    the runner executes below has had its socket-bound send/recv
@@ -289,7 +292,7 @@ let dist_differential ~name ?(p = 2) ?(k = 2) ?(iterations = 12) ?transport loop
   (match Value_run.check_instances ~spec outcome.Value_run.instances with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: socket instances vs interp: %s" name e);
-  check_bool (name ^ ": forked >= 1 process") true (outcome.Value_run.domains >= 1)
+  check_bool (name ^ ": spawned >= 1 process") true (outcome.Value_run.domains >= 1)
 
 let test_runner_paper_workloads () =
   List.iter
@@ -596,10 +599,10 @@ let test_runner_tcp_random_slice () =
   done
 
 let test_runner_tcp_roster_resolution () =
-  (* Roster hosts resolve once, in the parent, before any fork: a
+  (* Roster hosts resolve once, in the parent, before any spawn: a
      name is bound and dialed at the one address it resolves to, and
      a name that does not resolve fails the run there, naming the
-     host, instead of binding loopback and failing later in a child. *)
+     host, instead of binding loopback and failing later in a member. *)
   let flat, program = compile ~iterations:8 (Parser.parse Mimd_workloads.Fig7.source) in
   let roster hosts =
     Runner.Tcp
@@ -612,7 +615,7 @@ let test_runner_tcp_roster_resolution () =
   | _ -> Alcotest.fail "a roster host that does not resolve ran"
   | exception Invalid_argument m ->
     check_bool "error names the host" true (contains m "nosuch.invalid"));
-  check_bool "nothing was forked" true (no_children_left ());
+  check_bool "nothing was spawned" true (no_children_left ());
   let outcome = Runner.run ~transport:(roster [ "localhost"; "localhost" ]) ~loop:flat ~program () in
   (match Value_run.check_against_sequential ~loop:flat ~iterations:8 outcome with
   | Ok () -> ()
@@ -1509,7 +1512,7 @@ let test_ring_alloc_per_frame () =
 
 let test_team_unmaps_its_rings () =
   (* Five team starts and retirements: the members hold the rings, the
-     parent never keeps them past the forks. *)
+     parent never keeps them past the spawns. *)
   Runner.shutdown ();
   let flat, program = compile ~iterations:40 (Parser.parse Mimd_workloads.Fig7.source) in
   let before = ring_mappings "self" in
@@ -1627,9 +1630,9 @@ let test_runner_failure_names_same_pe () =
 (* ---------------------------------------------------------------- *)
 (* The warm team: reuse, retirement, lifetime                        *)
 
-let forks () =
+let spawns () =
   Mimd_obs.Metrics.counter_value
-    (Mimd_obs.Metrics.counter Mimd_obs.Metrics.default "mimd_dist_forks_total")
+    (Mimd_obs.Metrics.counter Mimd_obs.Metrics.default "mimd_dist_spawns_total")
 
 let expect_interp name ~iterations flat (outcome : Value_run.outcome) =
   let spec = Value_run.spec ~loop:flat ~iterations in
@@ -1647,7 +1650,7 @@ let kill_pe0 team pids =
 (* Long enough that a SIGKILL after the request lands mid-call. *)
 let long_fig7 () = compile ~iterations:3000 (Parser.parse Mimd_workloads.Fig7.source)
 
-let test_runner_fork_counter () =
+let test_runner_spawn_counter () =
   Runner.shutdown ();
   let lowered (flat, program) = (flat, program, Mimd_runtime.Lower.run ~loop:flat ~program ()) in
   let progs =
@@ -1656,13 +1659,13 @@ let test_runner_fork_counter () =
       lowered (compile ~iterations:20 (Parser.parse Mimd_workloads.Elliptic.source));
     |]
   in
-  let f0 = forks () in
+  let f0 = spawns () in
   for i = 0 to 19 do
     let flat, program, l = progs.(i mod 2) in
     ignore (Runner.run ~exec:(`Compiled_form l) ~loop:flat ~program ())
   done;
-  check_int "20 calls at p=2 over two programs fork one team" 2 (forks () - f0);
-  let f1 = forks () in
+  check_int "20 calls at p=2 over two programs spawn one team" 2 (spawns () - f0);
+  let f1 = spawns () in
   let flat, program = long_fig7 () in
   let first = ref true and team = ref [||] in
   ignore
@@ -1674,11 +1677,11 @@ let test_runner_fork_counter () =
          end)
        ~loop:flat ~program ());
   check_bool "the killed team is reaped" true (all_reaped !team);
-  check_int "a killed member plus one respawn fork one new team" 2 (forks () - f1);
-  let f2 = forks () in
+  check_int "a killed member plus one respawn spawn one new team" 2 (spawns () - f1);
+  let f2 = spawns () in
   let flat, program, _ = progs.(0) in
   ignore (Runner.run ~transport:tcp ~loop:flat ~program ());
-  check_int "a TCP call forks p members" 2 (forks () - f2);
+  check_int "a TCP call spawns p members" 2 (spawns () - f2);
   Runner.shutdown ();
   check_bool "no orphan processes" true (no_children_left ())
 
@@ -1693,11 +1696,11 @@ let test_runner_team_reuse () =
   let run ?exec name ~iterations (flat, program) =
     expect_interp name ~iterations flat (Runner.run ?exec ~loop:flat ~program ())
   in
-  let f0 = forks () in
+  let f0 = spawns () in
   run "fig7" ~iterations:40 fig7;
   run "ewf after fig7" ~iterations:20 ewf;
   run "fig7 after ewf" ~iterations:40 fig7;
-  check_int "one team ran all three" 2 (forks () - f0);
+  check_int "one team ran all three" 2 (spawns () - f0);
   let flat, program = long_fig7 () in
   let team = ref [||] in
   (match Runner.run ~sabotage:(kill_pe0 team) ~loop:flat ~program () with
@@ -1705,10 +1708,10 @@ let test_runner_team_reuse () =
   | exception Runner.Dist_error _ -> ());
   check_bool "the failed team is reaped" true (all_reaped !team);
   run "ewf after a failed call" ~iterations:20 ewf;
-  let f1 = forks () in
+  let f1 = spawns () in
   run "ewf at p=3 after p=2" ~iterations:8
     (compile ~p:3 ~iterations:8 (Parser.parse Mimd_workloads.Elliptic.source));
-  check_int "a call at p=3 starts a team of 3" 3 (forks () - f1);
+  check_int "a call at p=3 starts a team of 3" 3 (spawns () - f1);
   let progs =
     Array.init 9 (fun i ->
         let flat, program = compile ~iterations:(40 + i) (Parser.parse Mimd_workloads.Fig7.source) in
@@ -1741,10 +1744,10 @@ let test_runner_unread_frame_retires () =
   let dup = List.find is_send (List.rev programs.(sender)) in
   programs.(sender) <- programs.(sender) @ [ dup ];
   let extra = { program with Mimd_codegen.Program.programs } in
-  let f0 = forks () in
+  let f0 = spawns () in
   expect_interp "extra send" ~iterations flat (Runner.run ~loop:flat ~program:extra ());
   expect_interp "the next call" ~iterations flat (Runner.run ~loop:flat ~program ());
-  check_int "the next call ran on a new team" 4 (forks () - f0);
+  check_int "the next call ran on a new team" 4 (spawns () - f0);
   Runner.shutdown ();
   check_bool "no orphan processes" true (no_children_left ())
 
@@ -1874,6 +1877,30 @@ let test_team_dies_with_its_parent () =
     check_bool "no member outlives its parent by 2 s" true (wait ());
     check_bool "no orphan processes" true (no_children_left ())
 
+(* A member's resident set, in MB, from /proc/<pid>/status. *)
+let vm_rss_mb pid =
+  In_channel.with_open_text (Printf.sprintf "/proc/%d/status" pid) In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.find_map (fun l -> Scanf.sscanf_opt l "VmRSS: %d kB" (fun kb -> kb / 1024))
+  |> Option.get
+
+let test_team_holds_no_parent_heap () =
+  (* 128 MB live and touched here: a forked member would count the
+     pages it shares with this process as resident. *)
+  Runner.shutdown ();
+  let ballast = Array.init 16 (fun i -> Bytes.make (8 * 1024 * 1024) (Char.chr (i + 1))) in
+  let flat, program = compile ~iterations:12 (Parser.parse Mimd_workloads.Fig7.source) in
+  let rss = ref [||] in
+  expect_interp "fig7" ~iterations:12 flat
+    (Runner.run ~sabotage:(fun pids -> rss := Array.map vm_rss_mb pids) ~loop:flat ~program ());
+  check_int "the ballast is live" 16 (Array.length (Sys.opaque_identity ballast));
+  check_int "two members" 2 (Array.length !rss);
+  Array.iteri
+    (fun j mb -> check_bool (Printf.sprintf "member %d: VmRSS %d MB < 64 MB" j mb) true (mb < 64))
+    !rss;
+  Runner.shutdown ();
+  check_bool "no orphan processes" true (no_children_left ())
+
 let suite =
   [
     Alcotest.test_case "wire: round-trip + clean close" `Quick test_wire_roundtrip;
@@ -1958,7 +1985,8 @@ let suite =
       test_runner_park_fallback;
     Alcotest.test_case "runner: a failure names the same PE every run" `Quick
       test_runner_failure_names_same_pe;
-    Alcotest.test_case "team: a fork counter pins one team per p" `Quick test_runner_fork_counter;
+    Alcotest.test_case "team: a spawn counter pins one team per p" `Quick
+      test_runner_spawn_counter;
     Alcotest.test_case "team: calls reuse one team, bit for bit" `Quick test_runner_team_reuse;
     Alcotest.test_case "team: a frame left unread retires it" `Quick
       test_runner_unread_frame_retires;
@@ -1967,4 +1995,6 @@ let suite =
       test_runner_settle_names_the_dead_peer;
     Alcotest.test_case "team: a stopped member stalls the ship" `Quick test_runner_ship_stall;
     Alcotest.test_case "team: members die with their parent" `Quick test_team_dies_with_its_parent;
+    Alcotest.test_case "team: a member holds none of its parent's heap" `Quick
+      test_team_holds_no_parent_heap;
   ]

@@ -931,9 +931,48 @@ let test_shared_graph_across_domains () =
       check_int (Printf.sprintf "domain %d issues" i) 0 issues)
     results
 
+(* A team's members are spawned, not forked, so one process may run
+   domains and teams in any order: domains, a Unix-socket team, a TCP
+   team, then domains again, each bit-identical to the spec and to the
+   others. *)
+let test_domains_and_teams_any_order () =
+  let module Runner = Mimd_dist.Runner in
+  let iterations = 200 in
+  let flat, program = compile ~iterations (Parser.parse Mimd_workloads.Fig7.source) in
+  let spec = Value_run.spec ~loop:flat ~iterations in
+  let tcp = Runner.Tcp { roster = None; handshake_fault = None } in
+  let legs =
+    [
+      ("domains", fun () -> Exec_compiled.run ~loop:flat ~program ());
+      ("sockets", fun () -> Runner.run ~loop:flat ~program ());
+      ("tcp", fun () -> Runner.run ~transport:tcp ~loop:flat ~program ());
+      ("domains again", fun () -> Exec_compiled.run ~loop:flat ~program ());
+    ]
+  in
+  let outcomes =
+    List.map
+      (fun (name, run) ->
+        let outcome = run () in
+        (match Value_run.check_instances ~spec outcome.Value_run.instances with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s vs spec: %s" name e);
+        (name, outcome))
+      legs
+  in
+  Runner.shutdown ();
+  List.iter
+    (fun (a, x) ->
+      List.iter
+        (fun (b, y) ->
+          check_bool (Printf.sprintf "%s == %s" a b) true (Value_run.same_values x y))
+        outcomes)
+    outcomes
+
 let suite =
   [
     Alcotest.test_case "ring link: fifo across a wrap" `Quick test_ring_fifo_across_wrap;
+    Alcotest.test_case "teams: domains and teams in any order, in one process" `Quick
+      test_domains_and_teams_any_order;
     Alcotest.test_case "ring link: a full ring parks its writer" `Quick
       test_ring_full_parks_writer;
     Alcotest.test_case "ring link: cancel wakes a parked reader and writer" `Quick
