@@ -282,6 +282,16 @@ let compile ?(p = 2) ?(k = 2) ~iterations loop =
   | Error e -> Alcotest.failf "protocol audit rejected the program: %s" e);
   (flat, program)
 
+(* A fault that [sabotage] injects must land while the members still
+   run the call, but the parent sends it only when it next gets a CPU:
+   the members it woke with the request may hold both of a 2-vCPU
+   host's for a few ms.  A spawned member starts with a small, fresh
+   heap, and a warm call at fig7 n=3000 takes about 3 ms, short enough
+   that the call sometimes ended first; at n=20000 a warm call takes
+   about 20 ms. *)
+let long_iterations = 20000
+let long_fig7 = lazy (compile ~iterations:long_iterations (Parser.parse Mimd_workloads.Fig7.source))
+
 let dist_differential ~name ?(p = 2) ?(k = 2) ?(iterations = 12) ?transport loop =
   let flat, program = compile ~p ~k ~iterations loop in
   let outcome = Runner.run ?transport ~loop:flat ~program () in
@@ -390,7 +400,7 @@ let test_runner_kill_child () =
      the parent notices PE 0's death first (Child_exit) or a peer's
      Link_down report wins the race (Child_error) — both are the
      structured contract; a hang or success is the bug. *)
-  let flat, program = compile ~iterations:3000 (Parser.parse Mimd_workloads.Fig7.source) in
+  let flat, program = Lazy.force long_fig7 in
   let killed = ref false and team = ref [||] in
   (match
      Runner.run
@@ -413,7 +423,7 @@ let test_runner_kill_child () =
 let test_runner_stall_detected () =
   (* SIGSTOP one child: nobody crashes, nothing reports — the
      gathering must call it a stall and still reap everyone. *)
-  let flat, program = compile ~iterations:3000 (Parser.parse Mimd_workloads.Fig7.source) in
+  let flat, program = Lazy.force long_fig7 in
   let team = ref [||] in
   (match
      Runner.run ~timeout:0.4
@@ -729,7 +739,7 @@ let test_runner_respawn_recovers () =
      retry must produce the full bit-identical outcome and leave no
      orphans.  (A run is a deterministic pure function, so whole-run
      retry is the sound respawn unit — see the Runner doc.) *)
-  let flat, program = compile ~iterations:200 (Parser.parse Mimd_workloads.Fig7.source) in
+  let flat, program = Lazy.force long_fig7 in
   let first = ref true and team = ref [||] in
   let outcome =
     Runner.run ~respawn:2
@@ -741,7 +751,7 @@ let test_runner_respawn_recovers () =
         end)
       ~loop:flat ~program ()
   in
-  (match Value_run.check_against_sequential ~loop:flat ~iterations:200 outcome with
+  (match Value_run.check_against_sequential ~loop:flat ~iterations:long_iterations outcome with
   | Ok () -> ()
   | Error e -> Alcotest.failf "respawned run vs interp: %s" e);
   check_bool "sabotage consumed" false !first;
@@ -752,7 +762,7 @@ let test_runner_respawn_recovers () =
 let test_runner_respawn_exhausted () =
   (* The sabotage kills every attempt: the budget must run out and the
      structured failure surface, still with no orphans. *)
-  let flat, program = compile ~iterations:3000 (Parser.parse Mimd_workloads.Fig7.source) in
+  let flat, program = Lazy.force long_fig7 in
   let attempts = ref 0 and teams = ref [] in
   (match
      Runner.run ~respawn:1
@@ -1647,9 +1657,6 @@ let kill_pe0 team pids =
   team := pids;
   try Unix.kill pids.(0) Sys.sigkill with Unix.Unix_error _ -> ()
 
-(* Long enough that a SIGKILL after the request lands mid-call. *)
-let long_fig7 () = compile ~iterations:3000 (Parser.parse Mimd_workloads.Fig7.source)
-
 let test_runner_spawn_counter () =
   Runner.shutdown ();
   let lowered (flat, program) = (flat, program, Mimd_runtime.Lower.run ~loop:flat ~program ()) in
@@ -1666,7 +1673,7 @@ let test_runner_spawn_counter () =
   done;
   check_int "20 calls at p=2 over two programs spawn one team" 2 (spawns () - f0);
   let f1 = spawns () in
-  let flat, program = long_fig7 () in
+  let flat, program = Lazy.force long_fig7 in
   let first = ref true and team = ref [||] in
   ignore
     (Runner.run ~respawn:1
@@ -1701,7 +1708,7 @@ let test_runner_team_reuse () =
   run "ewf after fig7" ~iterations:20 ewf;
   run "fig7 after ewf" ~iterations:40 fig7;
   check_int "one team ran all three" 2 (spawns () - f0);
-  let flat, program = long_fig7 () in
+  let flat, program = Lazy.force long_fig7 in
   let team = ref [||] in
   (match Runner.run ~sabotage:(kill_pe0 team) ~loop:flat ~program () with
   | _ -> Alcotest.fail "killed a member but the call succeeded"
