@@ -968,11 +968,11 @@ let test_domains_and_teams_any_order () =
         outcomes)
     outcomes
 
+(* Alcotest reports a case by its index in the suite: new cases go at
+   the end, so existing ones keep theirs. *)
 let suite =
   [
     Alcotest.test_case "ring link: fifo across a wrap" `Quick test_ring_fifo_across_wrap;
-    Alcotest.test_case "teams: domains and teams in any order, in one process" `Quick
-      test_domains_and_teams_any_order;
     Alcotest.test_case "ring link: a full ring parks its writer" `Quick
       test_ring_full_parks_writer;
     Alcotest.test_case "ring link: cancel wakes a parked reader and writer" `Quick
@@ -1033,4 +1033,6 @@ let suite =
       test_differential_fixed_cells;
     Alcotest.test_case "graph: one graph shared by four domains" `Quick
       test_shared_graph_across_domains;
+    Alcotest.test_case "teams: domains and teams in any order, in one process" `Quick
+      test_domains_and_teams_any_order;
   ]
