@@ -1126,8 +1126,7 @@ let route_cmd =
   let run workers socket worker_dir max_inflight jobs queue_depth cache_dir validate trace
       respawn =
     (* Streaming trace: the router streams to its own sink; each
-       worker it forks drops that sink unwritten and opens its own
-       file. *)
+       worker it spawns turns tracing on and opens its own file. *)
     if Option.is_some trace then Mimd_obs.Trace.enable ();
     let worker_dir = Option.value ~default:(Filename.dirname socket) worker_dir in
     let code =
@@ -1150,7 +1149,7 @@ let route_cmd =
   in
   let workers_t =
     Arg.(value & opt positive_int 2 & info [ "workers" ] ~docv:"N"
-           ~doc:"Size of the serve fleet: $(docv) forked worker processes, each a full \
+           ~doc:"Size of the serve fleet: $(docv) spawned worker processes, each a full \
                  compile service on its own Unix socket.")
   in
   let socket_t =
@@ -1170,13 +1169,13 @@ let route_cmd =
   in
   let respawn_t =
     Arg.(value & opt non_negative_int 0 & info [ "respawn" ] ~docv:"N"
-           ~doc:"Supervise the fleet: the router re-forks a dead worker up to $(docv) \
+           ~doc:"Supervise the fleet: the router respawns a dead worker up to $(docv) \
                  times (per worker).  A fleet-wide circuit breaker refuses respawn \
                  storms.  0 disables supervision.")
   in
   Cmd.v
     (Cmd.info "route"
-       ~doc:"Sharded serve fleet: a consistent-hash router in front of N forked serve \
+       ~doc:"Sharded serve fleet: a consistent-hash router in front of N spawned serve \
              workers sharing one disk cache, with per-worker health, failover, respawn \
              supervision and bounded-in-flight admission control")
     Term.(

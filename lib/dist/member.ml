@@ -5,25 +5,22 @@ module Wire = Mimd_runtime.Wire
 module Mesh_sock = Mimd_runtime.Mesh_sock
 module Value_run = Mimd_runtime.Value_run
 module Exec_compiled = Mimd_runtime.Exec_compiled
+module Team = Mimd_runtime.Team
 
 type role =
   | Pe of Mesh_sock.part
   | Tcp_pe of { mesh : Mesh_tcp.t; proc : int; fingerprint : string option }
   | Echo of Mesh_sock.part
   | Cycle_timer
-
-type report = {
-  vals : float array;
-  sent : int;
-  wall_ns : float;
-  trace : Trace.captured option;
-  unread : int;
-}
-
-type request = { key : string; form : Mimd_runtime.Lower.t option; tracing : bool }
-type reply = Ready | Done of report | Failed of string
-
-let hold entry held = List.filteri (fun i _ -> i < 8) (entry :: held)
+  | Serve_worker of {
+      listener : Unix.file_descr;
+      path : string;
+      jobs : int;
+      queue_depth : int;
+      cache_dir : string option;
+      validate : bool;
+      trace : string option;
+    }
 
 (* On Unix a file_descr is the descriptor number. *)
 let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
@@ -34,6 +31,7 @@ let fd_of_number (n : int) : Unix.file_descr = Obj.magic n
 let inherited = function
   | Pe part | Echo part -> part.rings :: List.filter_map Fun.id (Array.to_list part.links)
   | Tcp_pe { mesh; proc; _ } -> [ Mesh_tcp.listener mesh ~proc ]
+  | Serve_worker { listener; _ } -> [ listener ]
   | Cycle_timer -> []
 
 let marker = "--mimd-member"
@@ -60,7 +58,7 @@ let spawn role =
   with
   | pid ->
     Metrics.inc
-      (Metrics.counter ~help:"Member processes spawned: team PEs and link-probe peers"
+      (Metrics.counter ~help:"Member processes spawned: team PEs, probe peers, route workers"
          Metrics.default "mimd_dist_spawns_total");
     (try Wire.write ctl role with Unix.Unix_error _ -> ());
     (pid, ctl)
@@ -83,49 +81,6 @@ let close_inherited ~keep =
         try Unix.close (fd_of_number n) with Unix.Unix_error _ -> ())
       | _ -> ())
     (try Sys.readdir "/proc/self/fd" with Sys_error _ -> [||])
-
-(* A team PE: links up, "ready", then requests until end of stream on
-   [ctl] (the team retired, or the parent died).  A failed call ends
-   the member: its team is retired anyway. *)
-let serve ctl ~proc connect =
-  let reply r = try Wire.write ctl (r : reply) with _ -> Unix._exit 1 in
-  let row =
-    match connect () with
-    | row -> row
-    | exception e ->
-      reply (Failed (Printexc.to_string e));
-      Unix._exit 1
-  in
-  reply Ready;
-  let rec loop held =
-    match (Wire.read ctl : (request, Wire.error) result) with
-    | Error _ -> Unix._exit 0
-    | Ok { key; form; tracing } ->
-      let held = match form with Some l -> hold (key, l) held | None -> held in
-      if tracing then Trace.enable () else Trace.disable ();
-      let t0 = Clock.now_ns () in
-      (* Settling is part of the call: a peer that dies while this
-         member waits for its end marker is a "link down:" report, a
-         symptom, like a death seen during the worker. *)
-      let outcome =
-        match
-          let vals, sent =
-            Exec_compiled.worker ~lowered:(List.assoc key held) ~proc
-              ~chans:(Mesh_sock.row_chans row) ()
-          in
-          let wall_ns = float_of_int (Clock.now_ns () - t0) in
-          (vals, sent, wall_ns, Mesh_sock.settle row)
-        with
-        | vals, sent, wall_ns, unread ->
-          let trace = if tracing then Some (Trace.capture ()) else None in
-          Trace.clear ();
-          Done { vals; sent; wall_ns; trace; unread }
-        | exception e -> Failed (Printexc.to_string e)
-      in
-      reply outcome;
-      (match outcome with Done _ -> loop held | Ready | Failed _ -> Unix._exit 1)
-  in
-  loop []
 
 (* The link probe's peer, on the link a team member runs, so the
    measured cost is what a run's messages cost. *)
@@ -167,19 +122,32 @@ let main ctl =
   | Error _ -> ()
   | Ok role -> (
     close_inherited ~keep:(ctl :: inherited role);
+    let pe ~proc = Team.serve ctl ~proc ~traces:true ~worker:(Exec_compiled.worker ?init:None) in
     match role with
     | Pe part ->
-      serve ctl ~proc:part.proc (fun () -> Mesh_sock.ring_row (Mesh_sock.attach part) ~proc:part.proc)
+      pe ~proc:part.proc (fun () -> Mesh_sock.ring_row (Mesh_sock.attach part) ~proc:part.proc)
     | Tcp_pe { mesh; proc; fingerprint } ->
       (* The whole connection row is up and handshaken before "ready",
          so a call's request marks the start of execution, not of
          connection set-up, and a handshake mismatch fails the start
          before any peer computes a value. *)
-      serve ctl ~proc (fun () ->
+      pe ~proc (fun () ->
           let c = Mesh_tcp.connect_all ?fingerprint mesh ~proc in
           Mesh_sock.row ~procs:(Mesh_tcp.procs mesh) ~proc ~link:(fun peer -> Mesh_tcp.link c ~peer))
     | Echo part -> echo (Mesh_sock.ring_link (Mesh_sock.attach part) ~proc:part.proc ~peer:0)
-    | Cycle_timer -> Wire.write ctl (time_cycle_ns ()))
+    | Cycle_timer -> Wire.write ctl (time_cycle_ns ())
+    | Serve_worker { listener; path; jobs; queue_depth; cache_dir; validate; trace } ->
+      (* The ordinary serve stack on the listener its router bound. *)
+      Option.iter
+        (fun path ->
+          Trace.enable ();
+          Trace.set_sink ~threshold:256 path)
+        trace;
+      let server = Mimd_server.Server.make ?cache_dir ~validate ~jobs ~queue_depth () in
+      let code = Mimd_server.Server.serve_socket ~listener server ~path in
+      Mimd_server.Server.shutdown server;
+      Trace.close_sink ();
+      Unix._exit code)
 
 (* A member runs here, before the executable's own code. *)
 let () =

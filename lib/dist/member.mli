@@ -10,14 +10,27 @@
 
 type role =
   | Pe of Mimd_runtime.Mesh_sock.part
-      (** a team PE over ring links: serves {!request}s until end of
-          stream on its control socket *)
+      (** a team PE over ring links: {!Mimd_runtime.Team.serve} until
+          end of stream on its control socket *)
   | Tcp_pe of { mesh : Mesh_tcp.t; proc : int; fingerprint : string option }
       (** a team PE that dials its row first ({!Mesh_tcp.connect_all}) *)
   | Echo of Mimd_runtime.Mesh_sock.part
       (** the link probe's peer: echoes each frame from PE 0 until that
           end closes *)
   | Cycle_timer  (** writes {!Linkprobe.calibrate_cycle_ns}'s [float] back *)
+  | Serve_worker of {
+      listener : Unix.file_descr;
+      path : string;
+      jobs : int;
+      queue_depth : int;
+      cache_dir : string option;
+      validate : bool;
+      trace : string option;
+    }
+      (** a route fleet worker ({!Router}): a compile service on the
+          [listener] its router bound at [path], until it is asked to
+          stop.  With [trace], it turns tracing on and streams its
+          spans to that path. *)
 
 val spawn : role -> int * Unix.file_descr
 (** Start a member and send it [role]: its pid and this process's
@@ -25,24 +38,3 @@ val spawn : role -> int * Unix.file_descr
     close-on-exec; they lose the flag only during the spawn.  Ignores
     [SIGPIPE] process-wide, and bumps [mimd_dist_spawns_total] on the
     default metrics registry. *)
-
-(** {1 The team protocol} *)
-
-type report = {
-  vals : float array;  (** in the order of the PE's lowered [computes] *)
-  sent : int;
-  wall_ns : float;
-  trace : Mimd_obs.Trace.captured option;
-  unread : int;  (** frames the call left on the PE's links *)
-}
-
-type request = { key : string; form : Mimd_runtime.Lower.t option; tracing : bool }
-(** One call: the program's key, its lowered form only when the member
-    does not hold that key yet, and whether to trace. *)
-
-type reply = Ready | Done of report | Failed of string
-(** Once, that the PE's links are up; then one per call. *)
-
-val hold : 'a -> 'a list -> 'a list
-(** Keep the last 8 forms, newest first: member and parent apply it to
-    the same requests, so every key the parent sends is held. *)

@@ -1,5 +1,5 @@
 (* Respawn supervision policy, shared by the runner (whole-run retry)
-   and the router fleet (per-worker re-fork): a per-worker budget plus
+   and the router fleet (per-worker respawn): a per-worker budget plus
    a fleet-wide storm circuit breaker.
 
    The breaker exists because the most dangerous failure mode of any

@@ -1,4 +1,4 @@
-(** The respawn-storm circuit breaker of {!Router}'s worker re-fork
+(** The respawn-storm circuit breaker of {!Router}'s worker respawn
     supervision.  {!Runner}'s whole-run retry does not use it: its
     budget is the [?respawn] count of a call.
 

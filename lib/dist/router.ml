@@ -99,26 +99,11 @@ type t = {
   workers : conn option array;
   peers : (Unix.file_descr, peer) Hashtbl.t;
   mutable next_client : int;
-  mutable children : int list;  (** forked and not yet reaped *)
+  mutable children : int list;  (** spawned and not yet reaped *)
   mutable stop_by : float option;  (** set by [Stop]: the flush deadline *)
 }
 
 let worker_jobs cfg = match cfg.jobs with Some j -> j | None -> Server.default_jobs ~cap:4
-
-(* The forked child: the ordinary serve stack on the listener the
-   router bound for its slot. *)
-let run_worker cfg ~idx ~listener ~path =
-  (match cfg.trace with
-  | None -> ()
-  | Some base -> Trace.set_sink ~threshold:256 (Printf.sprintf "%s.worker%d" base idx));
-  let server =
-    Server.make ?cache_dir:cfg.cache_dir ~validate:cfg.validate ~jobs:(worker_jobs cfg)
-      ~queue_depth:cfg.queue_depth ()
-  in
-  let code = Server.serve_socket ~listener server ~path in
-  Server.shutdown server;
-  Trace.close_sink ();
-  exit code
 
 let reap_exited t =
   t.children <-
@@ -143,35 +128,40 @@ let drop_worker t slot c =
   Queue.push (Core.Worker_closed { slot }) t.queue
 
 (* Bind the slot's socket, dial it (the backlog takes the connection
-   before anyone accepts), fork, and send the boot ping whose answer
-   marks the slot live. *)
+   before anyone accepts), spawn the worker on that listener, and send
+   the boot ping whose answer marks the slot live. *)
 let spawn t slot =
   let path = worker_path t.cfg slot in
-  let forked =
+  let started =
     let listener = Server.listen_unix path in
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let worker =
+      Member.Serve_worker
+        {
+          listener;
+          path;
+          jobs = worker_jobs t.cfg;
+          queue_depth = t.cfg.queue_depth;
+          cache_dir = t.cfg.cache_dir;
+          validate = t.cfg.validate;
+          trace = Option.map (fun base -> Printf.sprintf "%s.worker%d" base slot) t.cfg.trace;
+        }
+    in
     match
+      Unix.set_close_on_exec listener;
       Unix.connect fd (Unix.ADDR_UNIX path);
-      flush_all ();
-      Unix.fork ()
+      Member.spawn worker
     with
     | exception e ->
       close_noerr fd;
       close_noerr listener;
       raise e
-    | 0 ->
-      (* The worker owns its listener only: shed everything else the
-         router holds, and the router's trace sink unwritten. *)
-      close_noerr fd;
-      Hashtbl.iter (fun fd _ -> close_noerr fd) t.peers;
-      Trace.drop_sink ();
-      Trace.clear ();
-      run_worker t.cfg ~idx:slot ~listener ~path
-    | pid ->
+    | pid, ctl ->
+      close_noerr ctl;
       close_noerr listener;
       (fd, pid)
   in
-  match forked with
+  match started with
   | exception Unix.Unix_error (e, fn, _) ->
     Queue.push
       (Core.Spawn_failed { slot; reason = Printf.sprintf "%s: %s" fn (Unix.error_message e) })

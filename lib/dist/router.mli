@@ -1,5 +1,5 @@
-(** The serve fleet: a thin router in front of N forked [serve
-    --socket] workers.
+(** The serve fleet: a thin router in front of N spawned [serve
+    --socket] workers ({!Member.Serve_worker}).
 
     Requests (the ordinary newline-delimited JSON of
     {!Mimd_server.Protocol}) are sharded by a consistent hash of the
@@ -22,9 +22,9 @@
     client that stops reading throttles only itself.  The router
     creates no thread and no domain.
 
-    {b Respawn supervision} ([respawn > 0]): the router re-forks a
+    {b Respawn supervision} ([respawn > 0]): the router respawns a
     dead worker itself.  It binds the slot's [worker-<i>.sock], dials
-    it, forks, and sends a boot ping; the slot takes traffic once the
+    it, spawns the worker on that listener, and sends a boot ping; the slot takes traffic once the
     ping's answer arrives.  Each worker carries a respawn budget of
     [respawn]; a fleet-wide {!Respawn} circuit breaker bounds respawn
     storms (a worker dying of its environment would otherwise turn the
@@ -61,7 +61,7 @@ val shard_key : Mimd_server.Protocol.compile_params -> string
     (exposed for the tests and the benchmark). *)
 
 val serve : config -> int
-(** Fork the fleet, wait for every worker's boot ping, serve until a
+(** Spawn the fleet, wait for every worker's boot ping, serve until a
     [shutdown] request has drained; returns the exit code (1 when the
     fleet does not boot).  Every worker is reaped and the worker and
     router sockets are unlinked on the way out. *)

@@ -188,7 +188,7 @@ let metrics_text t =
   count ~help:"Requests shed by admission control" "mimd_route_shed_total" t.shed;
   count ~help:"Worker processes lost" "mimd_route_worker_deaths_total" t.deaths;
   count ~help:"Requests re-dispatched after a worker death" "mimd_route_retries_total" t.retries;
-  count ~help:"Dead workers the router re-forked" "mimd_dist_respawns_total" t.respawns;
+  count ~help:"Dead workers the router respawned" "mimd_dist_respawns_total" t.respawns;
   Metrics.set
     (Metrics.gauge ~help:"Compile requests currently in flight" r "mimd_route_inflight")
     (float_of_int t.inflight);

@@ -11,7 +11,7 @@
     any interleaving and compare consecutive states.
 
     Slots.  A slot is [Booting] from its spawn until its boot ping is
-    answered (the shell sends the ping when it forks the worker), then
+    answered (the shell sends the ping when it spawns the worker), then
     [Live], then [Dead] once its connection closes.  Only a [Live]
     slot is ever forwarded to.  Before every slot has first come up, a
     dead slot is a boot failure ({!boot_status}); after that a death
@@ -36,14 +36,14 @@ type event =
   | Worker_line of { slot : int; line : string }
   | Worker_closed of { slot : int }
   | Spawned of { slot : int; pid : int }
-      (** the slot's worker is forked and its boot ping sent *)
+      (** the slot's worker is spawned and its boot ping sent *)
   | Spawn_failed of { slot : int; reason : string }
 
 type action =
   | Reply of { client : int; line : string }
   | Forward of { slot : int; line : string }
   | Spawn of { slot : int }
-      (** fork the slot's worker, send it the boot ping, and answer with
+      (** spawn the slot's worker, send it the boot ping, and answer with
           [Spawned] or [Spawn_failed] *)
   | Retire of { slot : int }  (** ask the slot's worker to exit *)
   | Stop  (** every admitted request is answered: the router may exit *)

@@ -1,58 +1,40 @@
-(** The supervisor of the socket runtime: one spawned OS process
-    ({!Member}) per scheduled processor, {!Mimd_runtime.Mesh_sock}
-    links between them, the shared
-    {!Mimd_runtime.Exec_compiled.worker} inside each, and a parent
-    that sends each call to them, collects per-member reports over
-    control sockets — each member's computed values as one unboxed
-    [float array] in the order of its lowered [computes], its message
-    count and its wall time — and folds them through
+(** The supervisor of the socket runtime: a {!Mimd_runtime.Team} of
+    spawned OS processes ({!Member}), one per scheduled processor, over
+    {!Mimd_runtime.Mesh_sock} ring links or {!Mesh_tcp}.  Each member
+    runs the shared {!Mimd_runtime.Exec_compiled.worker} and reports its
+    values as one unboxed [float array], its message count and its wall
+    time; the parent folds them through
     {!Mimd_runtime.Value_run.finalize}, so a distributed run yields the
     same [outcome] (bit-identical values, in the same dense tables) as
     the domain runtime and the sequential interpreter.
 
-    {b The warm team.}  A process keeps at most one team: p members,
-    their links and a control socket to each.  The first Unix-socket
-    call at a given p starts it: each member inherits only its mesh
-    row (its socketpair ends and the rings' memfd) and its control
-    end, builds its links once and says "ready"; the start returns
-    once every member has.  A member holds none of its parent's heap,
-    and a process may start a team before or after it runs domains.
-    A call sends each member a request — a program key, the marshalled
-    {!Mimd_runtime.Lower.t} only the first time the team sees that key
-    (the first program included), and the tracing switch — and the
-    members run it, settle their links
-    ({!Mimd_runtime.Mesh_sock.settle}), report and block on the next
-    request.  A key is the {!fingerprint} of the call's loop and
-    program; a held form is found by [==] on the loop and program
-    first, so a caller passing the same values again hashes nothing,
-    and a program the team holds is neither lowered nor shipped again.
-    The request is marshalled once and written to every member within
-    the stall bound; member and parent both hold the last 8 forms
-    ({!Member.hold}).
-
-    A team is {e retired} — no further call, every member SIGKILLed
-    and reaped — on any failure below, after a call that left a frame
-    unread on a link, and before a call that cannot use it (another p,
-    a TCP call).  A TCP team lives for one call (its handshake binds
-    one loop and program).  {!shutdown} ends the warm team and runs
+    {b The warm team.}  A process keeps at most one Unix-socket team,
+    started by the first call at a given p.  Each member inherits only
+    its mesh row (its socketpair ends and the rings' memfd) and its
+    control socket, and holds none of its parent's heap.  A call ships
+    a request by {!Mimd_runtime.Team}'s protocol; a held program is
+    found by [==] on the loop and program, then by {!fingerprint}, and
+    is neither lowered nor shipped again.  The team is retired (every
+    member SIGKILLed and reaped) on any failure below, after a call
+    that left a frame unread, and before a call that cannot use it
+    (another p, a TCP call); a TCP team lives for one call (its
+    handshake binds one loop and program).  {!shutdown} runs
     [at_exit]; a member whose parent died sees end of stream on its
     control socket and exits.  [mimd_dist_spawns_total] on the default
     metrics registry counts every member spawned.
 
     Failure is structured, as on domains
-    ({!Mimd_runtime.Watchdog.Runtime_deadlock}): no member reported
-    for the stall bound raises {!Dist_error}[ (Stalled _)], a crashed
-    member {!Dist_error}[ (Child_exit _)], a member-side exception
-    {!Dist_error}[ (Child_error _)].  A run ends by
-    {!Mimd_runtime.Collect}'s rule, as a domain run does: a member's
-    death reaches its peers as a [link down:] error, so after the
-    first failure the supervisor waits up to one more stall bound for
-    every other member, then raises the failure of the lowest-numbered
-    PE whose failure is its own (not [link down:]), or else of the
-    lowest-numbered failed PE.  The same fault thus names the same PE
-    on every run, and a TCP handshake mismatch fails a team's start
-    the same way.  On every failure path the team is retired before
-    raising — no orphans, ever. *)
+    ({!Mimd_runtime.Watchdog.Runtime_deadlock}), and ends a run by
+    {!Mimd_runtime.Collect}'s rule: no member reported for the stall
+    bound is {!Dist_error}[ (Stalled _)], a crashed member
+    {!Dist_error}[ (Child_exit _)], a member-side exception
+    {!Dist_error}[ (Child_error _)].  A member's death reaches its peers
+    as a [link down:] error, so after the first failure the others get
+    one more stall bound, and the run fails with the lowest-numbered
+    PE's own failure (not [link down:]), else the lowest-numbered
+    failed PE: the same fault names the same PE on every run, and a
+    TCP handshake mismatch fails a team's start the same way.  The
+    team is retired before raising — no orphans, ever. *)
 
 type failure =
   | Stalled of { timeout : float; waiting : int list }
@@ -80,9 +62,9 @@ type transport =
 
 val fingerprint :
   loop:Mimd_loop_ir.Ast.loop -> program:Mimd_codegen.Program.t -> string
-(** The schedule identity the TCP handshake enforces: a digest of the
-    exact loop + program pair.  Independently compiled peers agree on
-    it iff they compiled the same schedule. *)
+(** {!Mimd_runtime.Team.fingerprint}: the schedule identity the TCP
+    handshake enforces.  Independently compiled peers agree on it iff
+    they compiled the same schedule. *)
 
 val run :
   ?timeout:float ->
@@ -122,7 +104,7 @@ val run :
     @raise Dist_error as above; the team is retired first. *)
 
 val shutdown : unit -> unit
-(** Retire this process's warm team, if any: close the control ends,
-    SIGKILL every member and reap them all.  Registered with [at_exit]
-    when a team first starts; a process forked from the team's owner
-    only drops its copies of the control ends. *)
+(** Retire this process's warm team, if any: SIGKILL every member,
+    close the control ends and reap them all.  Runs [at_exit]; a
+    process forked from the team's owner only drops its copies of the
+    control ends. *)

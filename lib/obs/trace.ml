@@ -378,12 +378,3 @@ let close_sink () =
     output_string s.oc "]}\n";
     close_out s.oc;
     Mutex.unlock s.sink_mutex
-
-(* Every write to the sink is flushed at once, so the channel's buffer
-   is empty here and closing it writes nothing. *)
-let drop_sink () =
-  match !sink_state with
-  | None -> ()
-  | Some s ->
-    sink_state := None;
-    close_out_noerr s.oc

@@ -120,10 +120,6 @@ val flush_sink : unit -> unit
 val close_sink : unit -> unit
 (** Final flush, closing bracket, close the file (no-op without one). *)
 
-val drop_sink : unit -> unit
-(** Forget the sink and close its file without writing to it: for a
-    forked child, whose copy of the parent's sink is not its own. *)
-
 val sink_path : unit -> string option
 
 val sink_flushed : unit -> int

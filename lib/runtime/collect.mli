@@ -10,8 +10,8 @@
     that first failure; then the run fails with the lowest-numbered
     PE's own failure, or, when every failure is a symptom, the
     lowest-numbered one.  So a fault names the same PE whatever order
-    the events arrive in.  {!Exec_compiled.run} and
-    [Mimd_dist.Runner] are [select] shells over {!run}.  States are
+    the events arrive in.  {!Team}'s collect step, for both member
+    kinds, is the [select] shell over {!run}.  States are
     persistent; times are nanoseconds on the monotonic clock
     ({!Mimd_obs.Clock.now_ns}). *)
 

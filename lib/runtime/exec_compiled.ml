@@ -2,6 +2,7 @@ module Program = Mimd_codegen.Program
 module Interp = Mimd_loop_ir.Interp
 module Trace = Mimd_obs.Trace
 module Clock = Mimd_obs.Clock
+module Metrics = Mimd_obs.Metrics
 
 (* The per-processor evaluator: a tight walk over the flat records of
    {!Lower}.  All state is preallocated — the unboxed slot store, the
@@ -130,10 +131,9 @@ let processor ~init ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.chans) =
   in
   ((if Trace.is_enabled () then traced_exec else exec), fun () -> (vals, !sent))
 
-(* A processor on a thread of its own: its whole stream in order.
-   [Error (pc, e)]: instruction [pc] (0 while the state is built)
-   raised [e]. *)
-let drive ~init ~(lowered : Lower.t) ~proc ~chans =
+(* A processor's whole stream in order.  [Error (pc, e)]: instruction
+   [pc] (0 while the state is built) raised [e]. *)
+let worker ?(init = Interp.init) ~lowered ~proc ~chans () =
   if Trace.is_enabled () then Trace.set_thread_name (Printf.sprintf "PE%d" proc);
   let pc = ref 0 in
   match
@@ -147,9 +147,6 @@ let drive ~init ~(lowered : Lower.t) ~proc ~chans =
   | r -> Ok r
   | exception e -> Error (!pc, e)
 
-let worker ~lowered ~proc ~chans () =
-  match drive ~init:Interp.init ~lowered ~proc ~chans with Ok r -> r | Error (_, e) -> raise e
-
 (* [lowered], or [program] lowered here. *)
 let lowered_for name lowered ~loop ~(program : Program.t) =
   let l = match lowered with Some l -> l | None -> Lower.run ~loop ~program () in
@@ -157,78 +154,80 @@ let lowered_for name lowered ~loop ~(program : Program.t) =
     invalid_arg ("Exec_compiled." ^ name ^ ": lowered form is for another program");
   l
 
-let run ?(init = Interp.init) ?(timeout = 5.0) ?lowered ~loop ~(program : Program.t) () =
-  let lowered = lowered_for "run" lowered ~loop ~program in
-  let p = program.processors in
-  (* The socket team's ring mesh, every row built up front so a cancel
-     reaches every potential waiter, and the pipe each domain rings
-     once it has stopped; both closed on every way out. *)
-  let mesh = Mesh_sock.create ~procs:p () in
-  Fun.protect ~finally:(fun () -> Mesh_sock.close_all mesh) @@ fun () ->
-  let bell, ring = Unix.pipe ~cloexec:true () in
-  Fun.protect ~finally:(fun () -> List.iter Unix.close [ bell; ring ]) @@ fun () ->
-  let rows = Array.init p (fun proc -> Mesh_sock.ring_row mesh ~proc) in
-  (* Domain j's slot: the pc it stopped at and what it stopped with. *)
-  let slots = Array.init p (fun _ -> Atomic.make None) in
-  let t0 = Clock.now_ns () in
-  let body j () =
-    let stop =
-      match drive ~init ~lowered ~proc:j ~chans:(Mesh_sock.row_chans rows.(j)) with
-      | Ok (vals, sent) ->
-        let wall = float_of_int (Clock.now_ns () - t0) in
-        (Lower.instr_count lowered.Lower.procs.(j), Ok (vals, sent, wall))
-      | Error (pc, e) ->
-        (* Fail fast: siblings blocked on this domain's messages must
-           not wait out the stall bound. *)
-        (match e with Mesh_sock.Link_down _ -> () | _ -> Mesh_sock.cancel mesh);
-        (pc, Error e)
+(* The domain member kind: p domains on one ring mesh, every row built
+   up front so a cancel reaches every potential waiter.  A domain that
+   stops serving (its call failed, or its control socket closed)
+   cancels the mesh, so that peers blocked on its messages do not wait
+   out the stall bound, and closes its end of the control socket. *)
+let domains ?init ~procs () =
+  let mesh = Mesh_sock.create ~procs () in
+  let rows = Array.init procs (fun proc -> Mesh_sock.ring_row mesh ~proc) in
+  let started = ref [] in
+  let spawn j =
+    let ours, theirs = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let serve () =
+      Team.serve theirs ~proc:j ~traces:false ~worker:(worker ?init) (fun () -> rows.(j))
     in
-    Atomic.set slots.(j) (Some stop);
-    ignore (Unix.write_substring ring "." 0 1)
+    let stop () =
+      Mesh_sock.cancel mesh;
+      Unix.close theirs
+    in
+    match Domain.spawn (fun () -> Fun.protect serve ~finally:stop) with
+    | d ->
+      started := d :: !started;
+      Metrics.inc
+        (Metrics.counter ~help:"Domains started as team members" Metrics.default
+           "mimd_runtime_spawns_total");
+      ours
+    | exception e ->
+      List.iter Unix.close [ ours; theirs ];
+      raise e
   in
-  let event j = function
-    | _, Ok _ -> Collect.Report j
-    | _, Error (Mesh_sock.Link_down _) -> Symptom (j, "runtime: domain torn down without a stall")
-    | _, Error e ->
-      Own (j, Printf.sprintf "runtime: domain %d failed: %s" j (Printexc.to_string e))
+  let finish () =
+    List.iter (fun d -> try Domain.join d with _ -> ()) !started;
+    Mesh_sock.close_all mesh
   in
-  let buf = Bytes.create p in
-  let wait pending seconds =
-    match Unix.select [ bell ] [] [] seconds with
-    | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> []
-    | _ ->
-      ignore (Unix.read bell buf 0 p);
-      List.filter_map (fun j -> Option.map (event j) (Atomic.get slots.(j))) pending
-  in
-  (* Every domain is joined before the mesh closes.  The cancel wakes
-     any still waiting (after a stall or a failure); after a run that
-     ended well it finds none. *)
-  let domains = ref [] in
-  let verdict =
-    Fun.protect ~finally:(fun () ->
-        Mesh_sock.cancel mesh;
-        List.iter Domain.join !domains)
-    @@ fun () ->
-    for j = 0 to p - 1 do
-      domains := Domain.spawn (body j) :: !domains
-    done;
-    Collect.run ~procs:p ~timeout ~now:Clock.now_ns ~wait
-  in
-  let stopped j = Option.get (Atomic.get slots.(j)) in
-  match verdict with
-  | Collect.Done ->
-    Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered)
-      ~results:(Array.init p (fun j -> Result.get_ok (snd (stopped j))))
-  | Failed msg -> failwith msg
-  | Stalled _ ->
-    raise
-      (Watchdog.Runtime_deadlock
-         {
-           timeout;
-           snapshots =
-             Watchdog.snapshots ~graph:program.graph ~programs:program.programs
-               ~retired:(fun j -> fst (stopped j));
-         })
+  let exited _ = "stopped without a reply" in
+  let cancel () = Mesh_sock.cancel mesh in
+  { Team.layer = "runtime"; spawn; spawned = ignore; cancel; finish; exited }
+
+let warm = Team.slot ()
+let shutdown () = Team.clear warm
+
+let run ?init ?(timeout = 5.0) ?lowered ~loop ~(program : Program.t) () =
+  let procs = program.processors in
+  let lower () = lowered_for "run" lowered ~loop ~program in
+  if Option.is_some lowered then ignore (lower ());
+  let start ?once () = Team.start ?once (domains ?init ~procs ()) ~procs ~timeout in
+  match
+    let team =
+      match init with
+      | None -> Team.take warm ~procs ~start
+      | Some _ ->
+        shutdown ();
+        start ~once:true ()
+    in
+    Team.call team ~timeout ~lower ~loop ~program ()
+  with
+  | outcome -> outcome
+  | exception Team.Team_failed (Stalled { replies; _ }) ->
+    let retired j =
+      match replies.(j) with
+      | Some (Team.Failed { pc; _ }) -> pc
+      | Some (Done _) -> List.length program.programs.(j)
+      | Some Ready | None -> 0
+    in
+    let snapshots =
+      Watchdog.snapshots ~graph:program.graph ~programs:program.programs ~retired
+    in
+    raise (Watchdog.Runtime_deadlock { timeout; snapshots })
+  | exception Team.Team_failed f ->
+    failwith
+      (match f with
+      | _ when Team.symptom f -> "runtime: domain torn down without a stall"
+      | Raised { proc; message; _ } | Exited { proc; status = message } ->
+        Printf.sprintf "runtime: domain %d failed: %s" proc message
+      | Stalled _ -> assert false)
 
 let run_inline ?lowered ~loop ~(program : Program.t) () =
   let lowered = lowered_for "run_inline" lowered ~loop ~program in

@@ -2,9 +2,10 @@
 
     Each processor is one preallocated state plus "execute lowered
     instruction [ins]".  Domains and the socket and TCP meshes run a
-    processor's whole stream through {!worker}, over {!Value_run.chans}
-    built by {!Value_run.of_links}; {!run_inline} runs each instruction
-    as {!Mimd_codegen.Program.simulate}'s value step.  Operand reads
+    processor's whole stream through {!worker} as {!Team} members,
+    over {!Value_run.chans} built by {!Value_run.of_links};
+    {!run_inline} runs each instruction as
+    {!Mimd_codegen.Program.simulate}'s value step.  Operand reads
     are slot lookups in an unboxed [float array], expressions are
     postfix loops over a reusable float stack that store their result
     straight into the slots (no float is boxed per [Compute]), and
@@ -17,21 +18,22 @@
     {!Mimd_loop_ir.Interp.store}), folded by {!Value_run.finalize}. *)
 
 val worker :
+  ?init:(string -> int -> float) ->
   lowered:Lower.t ->
   proc:int ->
   chans:Value_run.chans ->
   unit ->
-  float array * int
-(** Execute processor [proc]'s lowered stream over any channel backend
-    (the ring links of {!run} or of a [Mimd_dist] team, or TCP); returns
-    (computed values, messages sent), the per-processor input of
-    {!Value_run.finalize}.  The values are unboxed and in the order of
-    [lowered.procs.(proc).computes]: element [k] is the value of its
-    [k]-th (node, iter) pair, the [k]-th instance that processor
-    computes.  Initial memory and
-    scalars are the defaults ({!Mimd_loop_ir.Interp.init},
-    {!Mimd_loop_ir.Interp.default_scalar}).  Outbound payloads are
-    the only allocation per instruction. *)
+  (float array * int, int * exn) result
+(** Execute processor [proc]'s lowered stream over any channel
+    backend: what a {!Team} member runs for each call.  [Ok] (computed
+    values, messages sent), the per-processor input of
+    {!Value_run.finalize}, or [Error (pc, e)] when instruction [pc] (0
+    while the state is built) raised [e].  The values are unboxed and
+    in the order of [lowered.procs.(proc).computes]: element [k] is
+    the value of its [k]-th (node, iter) pair.  Initial memory is
+    [init] (default {!Mimd_loop_ir.Interp.init}), scalars are
+    {!Mimd_loop_ir.Interp.default_scalar}.  Outbound payloads are the
+    only allocation per instruction. *)
 
 val run :
   ?init:(string -> int -> float) ->
@@ -41,33 +43,35 @@ val run :
   program:Mimd_codegen.Program.t ->
   unit ->
   Value_run.outcome
-(** Execute [program] on [program.processors] fresh domains over a
-    {!Mesh_sock} built for this call: one shared-memory ring per
-    ordered processor pair and a socketpair per pair as doorbell, the
-    links a socket team runs, each domain on its
-    {!Mesh_sock.row_chans}.  A domain that stops stores its result and
-    the pc it stopped at, and writes one byte to a pipe the caller
-    blocks on in [select]; {!Collect} decides how the run ends.  A
-    domain that raises cancels the mesh at once (a peer that the
-    cancel wakes is torn down, not failed).  [timeout] (default 5 s)
-    is the stall bound, as on [Mimd_dist.Runner.run]: no domain
-    reported for that long (any run the pipeline compiles takes
-    milliseconds).  A stall cancels the mesh, joins every domain and
-    builds {!Watchdog.snapshots} from the recorded pcs.  The mesh and
-    the pipe are closed on every way out, a stall included.
-    [init] is the initial memory (default
-    {!Mimd_loop_ir.Interp.init}); scalars are
-    {!Mimd_loop_ir.Interp.default_scalar}.  [loop] must be flat and
-    its assignment count must match the program's graph node count.
-    [lowered], an already
-    lowered form of [program], skips the lowering pass; omitted, the
-    program is lowered here.
+(** Execute [program] on a {!Team} of [program.processors] domains over
+    one {!Mesh_sock}, the ring links a socket team runs.  The process
+    keeps this warm team as [Mimd_dist.Runner] keeps its socket team
+    (so calls come from one domain at a time):
+    started by the first call at a p, reused (each domain parked on
+    its control socket, holding the last 8 forms), retired on any
+    failure or stall, after a call that left a frame unread and before
+    a call at another p, and ended by {!shutdown}.  A call with an
+    [init] (initial memory; default {!Mimd_loop_ir.Interp.init}) runs
+    on a team of its own, for that call, after the warm team retires.
+    [mimd_runtime_spawns_total] on the default metrics registry counts
+    every domain started.  [timeout] (default 5 s) is the stall bound,
+    as on [Mimd_dist.Runner.run]: a stall cancels the mesh, so each
+    blocked domain fails at the pc it stopped at, and the
+    {!Watchdog.snapshots} come from those replies.  A domain that
+    raises cancels the mesh at once (a peer that the cancel wakes is
+    torn down, not failed).  [loop] must be flat and its assignment
+    count must match the program's graph node count.  [lowered], an
+    already lowered form of [program], skips the lowering pass.
     @raise Invalid_argument as {!Lower.run} does, or when [lowered]
     was built for a different processor count.
     @raise Watchdog.Runtime_deadlock on a stall.
     @raise Failure [runtime: domain j failed: ...] with the
     lowest-numbered domain's own exception, once every domain
     stopped. *)
+
+val shutdown : unit -> unit
+(** Retire this process's warm domain team, if any: cancel its mesh,
+    close its control sockets and join its domains.  Runs [at_exit]. *)
 
 val run_inline :
   ?lowered:Lower.t ->

@@ -64,8 +64,8 @@ val close_link : t -> proc:int -> peer:int -> unit
 
 val close_all : t -> unit
 (** Close every endpoint still open here and unmap the rings: a team's
-    parent after all spawns (it holds no link), or {!Exec_compiled.run}
-    once its domains have joined. *)
+    parent after all spawns (it holds no link), or a domain team once
+    its domains have joined. *)
 
 val cancel : t -> unit
 (** Shut down every endpoint still open here, both directions, without

@@ -4,10 +4,10 @@
     can step); a real one cannot — a domain blocked in [Recv] for a
     message nobody will send just waits forever.  {!Exec_compiled.run}
     calls a run in which no domain reported for its stall bound a
-    stall ({!Collect}): it cancels the run's links (waking every
-    waiter), joins the domains and raises {!Runtime_deadlock} with
-    one {!snapshot} per domain, built from the pc each one stopped
-    at. *)
+    stall ({!Collect}): its {!Team} cancels the links (waking every
+    waiter, which replies with the pc it stopped at), retires, and
+    the run raises {!Runtime_deadlock} with one {!snapshot} per
+    domain, built from those pcs. *)
 
 type snapshot = {
   proc : int;  (** scheduled processor = domain index *)

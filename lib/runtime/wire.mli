@@ -2,7 +2,7 @@
 
     A {e marshal frame} is ["MDW1"], a big-endian u32 payload length,
     then the [Marshal] image of a value: the supervisor's
-    control/report channels in {!Mimd_dist.Runner} and the TCP handshake speak
+    control/report channels of a {!Team} and the TCP handshake speak
     it ({!write}, {!read}).  A {e link frame} is the binary value
     frame of the mesh links ({!encode}, {!decode}): {!Mesh_sock}'s
     links carry nothing else.  Either way a stream that

@@ -394,23 +394,31 @@ let test_watchdog_quiet_on_healthy_run () =
 
 let test_runs_leave_no_link () =
   (* Twenty runs, the tenth a stall, the fifteenth a domain that
-     raises: each closes its endpoints and its pipe and unmaps its
-     rings on the way out. *)
+     raises.  The warm team keeps its mesh and control sockets between
+     calls; the stall retires it (the p=2 stall also retires the p=3
+     team before it), and so does the failure, so each leaves no
+     endpoint, socket or ring behind on its own; after the shutdown
+     nothing is left either. *)
   let loop = Parser.parse Mimd_workloads.Fig7.source in
   let flat, program = compile ~p:3 ~iterations:30 loop in
   let bflat, _, broken = program_missing_a_send () in
+  Exec_compiled.shutdown ();
   let fds = open_fds () and rings = ring_mappings "self" in
   for i = 1 to 20 do
-    if i = 10 then
-      match Exec_compiled.run ~timeout:0.3 ~loop:bflat ~program:broken () with
+    if i = 10 then begin
+      (match Exec_compiled.run ~timeout:0.3 ~loop:bflat ~program:broken () with
       | _ -> Alcotest.fail "broken program terminated normally"
-      | exception Watchdog.Runtime_deadlock _ -> ()
+      | exception Watchdog.Runtime_deadlock _ -> ());
+      check_int "descriptors after a stall" fds (open_fds ());
+      check_int "ring mappings after a stall" rings (ring_mappings "self")
+    end
     else if i = 15 then
       match Exec_compiled.run ~init:(fun _ _ -> failwith "no memory") ~loop:flat ~program () with
       | _ -> Alcotest.fail "a failing init went unnoticed"
       | exception Failure _ -> ()
     else ignore (Exec_compiled.run ~loop:flat ~program ())
   done;
+  Exec_compiled.shutdown ();
   check_int "descriptors after 20 runs" fds (open_fds ());
   check_int "ring mappings after 20 runs" rings (ring_mappings "self")
 
@@ -886,7 +894,7 @@ let test_worker_minor_words () =
   in
   let instrs = Lower.instr_count lowered.Lower.procs.(0) in
   let w0 = Gc.minor_words () in
-  let vals, _ = Exec_compiled.worker ~lowered ~proc:0 ~chans () in
+  let vals, _ = Result.get_ok (Exec_compiled.worker ~lowered ~proc:0 ~chans ()) in
   let per_instr = (Gc.minor_words () -. w0) /. float_of_int instrs in
   check_int "one value per compute" (Array.length lowered.Lower.procs.(0).Lower.computes / 2)
     (Array.length vals);
@@ -968,6 +976,64 @@ let test_domains_and_teams_any_order () =
         outcomes)
     outcomes
 
+(* ---------------------------------------------------------------- *)
+(* The warm domain team                                               *)
+
+let domain_spawns () =
+  Mimd_obs.Metrics.counter_value
+    (Mimd_obs.Metrics.counter Mimd_obs.Metrics.default "mimd_runtime_spawns_total")
+
+let expect_spec name ~iterations flat (outcome : Value_run.outcome) =
+  match Value_run.check_instances ~spec:(Value_run.spec ~loop:flat ~iterations) outcome.instances with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s vs spec: %s" name e
+
+let test_domain_team_per_p () =
+  (* One team per p: a call at another p retires the old team and
+     starts one of that p; twenty calls at one p start one team. *)
+  let loop = Parser.parse Mimd_workloads.Fig7.source in
+  let at p = compile ~p ~iterations:30 loop in
+  let run name (flat, program) = expect_spec name ~iterations:30 flat (Exec_compiled.run ~loop:flat ~program ()) in
+  Exec_compiled.shutdown ();
+  let s0 = domain_spawns () in
+  run "p=2" (at 2);
+  run "p=3" (at 3);
+  run "p=2 again" (at 2);
+  check_int "p=2, p=3, p=2 start three teams (7 domains)" 7 (domain_spawns () - s0);
+  Exec_compiled.shutdown ();
+  let s1 = domain_spawns () in
+  let fig7 = at 2 and ewf = compile ~iterations:20 (Parser.parse Mimd_workloads.Elliptic.source) in
+  for i = 1 to 20 do
+    if i mod 2 = 0 then run "fig7" fig7
+    else
+      let flat, program = ewf in
+      expect_spec "ewf" ~iterations:20 flat (Exec_compiled.run ~loop:flat ~program ())
+  done;
+  check_int "20 calls at p=2 start one team" 2 (domain_spawns () - s1);
+  Exec_compiled.shutdown ()
+
+let test_domain_team_retires_on_failure () =
+  (* A stall and a failing init each retire the team: the next call at
+     the same p starts a new one and is still bit-identical to the
+     spec. *)
+  let flat, program, broken = program_missing_a_send () in
+  let next name =
+    let s = domain_spawns () in
+    expect_spec name ~iterations:10 flat (Exec_compiled.run ~loop:flat ~program ());
+    check_int (name ^ " starts a new team") 2 (domain_spawns () - s)
+  in
+  Exec_compiled.shutdown ();
+  ignore (Exec_compiled.run ~loop:flat ~program ());
+  (match Exec_compiled.run ~timeout:0.3 ~loop:flat ~program:broken () with
+  | _ -> Alcotest.fail "broken program terminated normally"
+  | exception Watchdog.Runtime_deadlock _ -> ());
+  next "the call after a stall";
+  (match Exec_compiled.run ~init:(fun _ _ -> failwith "no memory") ~loop:flat ~program () with
+  | _ -> Alcotest.fail "a failing init went unnoticed"
+  | exception Failure _ -> ());
+  next "the call after a failed init";
+  Exec_compiled.shutdown ()
+
 (* Alcotest reports a case by its index in the suite: new cases go at
    the end, so existing ones keep theirs. *)
 let suite =
@@ -1035,4 +1101,8 @@ let suite =
       test_shared_graph_across_domains;
     Alcotest.test_case "teams: domains and teams in any order, in one process" `Quick
       test_domains_and_teams_any_order;
+    Alcotest.test_case "domain team: one team per p, reused across calls" `Quick
+      test_domain_team_per_p;
+    Alcotest.test_case "domain team: a stall or a failed init retires it" `Quick
+      test_domain_team_retires_on_failure;
   ]
