@@ -641,9 +641,9 @@ let run_parallel_cmd =
                        dropped := true;
                        false
                      | _ -> true))
-                p.Mimd_codegen.Program.programs
+                (Mimd_codegen.Program.to_instrs p)
             in
-            if !dropped then Ok { p with Mimd_codegen.Program.programs }
+            if !dropped then Ok (Mimd_codegen.Program.of_instrs p.graph programs)
             else Error "--inject-fault drop-send: the program sends no messages"
         in
         match inject program with

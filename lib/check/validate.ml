@@ -82,32 +82,42 @@ let schedule ?(complete = true) sched =
   if complete then
     for v = 0 to Graph.node_count g - 1 do
       for i = 0 to iters - 1 do
-        if not (Schedule.is_scheduled sched { node = v; iter = i }) then
+        if Schedule.start_at sched ~node:v ~iter:i < 0 then
           issues := Missing { node = v; iter = i } :: !issues
       done
     done;
   (* (a) every DDG edge honored, edge by edge over the iteration
      space: start(v, i) >= finish(u, i - d) + comm when on distinct
      processors.  Predecessors reaching before iteration 0 constrain
-     nothing. *)
+     nothing.  Starts and processors are read as ints; the entries are
+     looked up only for an issue. *)
   let checks = ref 0 in
   List.iter
     (fun (edge : Graph.edge) ->
+      let lat = Graph.latency g edge.src in
       for i = 0 to iters - 1 do
-        match Schedule.find sched { node = edge.dst; iter = i } with
-        | None -> () (* absence is [Missing] above, or allowed for slices *)
-        | Some succ ->
-          let pi = i - edge.distance in
-          if pi >= 0 then begin
-            match Schedule.find sched { node = edge.src; iter = pi } with
-            | None -> () (* ditto *)
-            | Some pred ->
-              incr checks;
-              let comm = if pred.proc = succ.proc then 0 else Config.edge_cost m edge in
-              let earliest = pred.start + Graph.latency g pred.inst.node + comm in
-              if succ.start < earliest then
-                issues := Dependence { edge; pred; succ; comm; earliest } :: !issues
+        let pi = i - edge.distance in
+        let succ_start = Schedule.start_at sched ~node:edge.dst ~iter:i in
+        (* absence is [Missing] above, or allowed for slices *)
+        if succ_start >= 0 && pi >= 0 then begin
+          let pred_start = Schedule.start_at sched ~node:edge.src ~iter:pi in
+          if pred_start >= 0 then begin
+            incr checks;
+            let comm =
+              if
+                Schedule.proc_at sched ~node:edge.src ~iter:pi
+                = Schedule.proc_at sched ~node:edge.dst ~iter:i
+              then 0
+              else Config.edge_cost m edge
+            in
+            let earliest = pred_start + lat + comm in
+            if succ_start < earliest then begin
+              let entry node iter = Option.get (Schedule.find sched { node; iter }) in
+              let pred = entry edge.src pi and succ = entry edge.dst i in
+              issues := Dependence { edge; pred; succ; comm; earliest } :: !issues
+            end
           end
+        end
       done)
     (Graph.edges g);
   {

@@ -51,55 +51,57 @@ type stats = {
 
 type fault = Keep_extra_send
 
+let w = Program.width
+
 let messages (p : Program.t) =
   Array.fold_left
-    (fun acc prog ->
-      List.fold_left
-        (fun acc instr ->
-          match instr with
-          | Program.Send _ | Program.Send_pack _ -> acc + 1
-          | Program.Compute _ | Program.Recv _ | Program.Recv_pack _ -> acc)
-        acc prog)
-    0 p.Program.programs
+    (fun acc (c : Program.code) ->
+      let ins = c.instrs in
+      let acc = ref acc in
+      for k = 0 to Program.length c - 1 do
+        let kind = ins.((k * w) + Program.field_kind) in
+        if kind = Program.send || kind = Program.send_pack then incr acc
+      done;
+      !acc)
+    0 p.code
 
 (* FNV-1a ({!Mimd_util.Fnv}, as {!Full_sched.output_fingerprint}) over
    the instruction streams, so goldens pin the exact optimized
-   programs. *)
+   programs: per instruction a kind code (1 compute, 2 send, 3 recv,
+   4 send pack, 5 recv pack), then its instance or its tags and peer. *)
 let fingerprint (p : Program.t) =
   Mimd_util.Fnv.digest @@ fun mix ->
-  let mix_tag (t : Program.tag) =
-    mix t.node;
-    mix t.iter
-  in
   mix p.processors;
   Array.iter
-    (fun prog ->
+    (fun (c : Program.code) ->
       mix 0x50;
-      List.iter
-        (fun instr ->
-          match instr with
-          | Program.Compute { node; iter } ->
-            mix 1;
-            mix node;
-            mix iter
-          | Program.Send { tag; dst } ->
-            mix 2;
-            mix_tag tag;
-            mix dst
-          | Program.Recv { tag; src } ->
-            mix 3;
-            mix_tag tag;
-            mix src
-          | Program.Send_pack { tags; dst } ->
-            mix 4;
-            List.iter mix_tag tags;
-            mix dst
-          | Program.Recv_pack { tags; src } ->
-            mix 5;
-            List.iter mix_tag tags;
-            mix src)
-        prog)
-    p.programs
+      let ins = c.instrs and pool = c.pool in
+      for k = 0 to Program.length c - 1 do
+        let b = k * w in
+        let kind = ins.(b + Program.field_kind) in
+        if kind = Program.compute then begin
+          mix 1;
+          mix ins.(b + Program.field_node);
+          mix ins.(b + Program.field_iter)
+        end
+        else begin
+          mix
+            (if kind = Program.send then 2
+             else if kind = Program.recv then 3
+             else if kind = Program.send_pack then 4
+             else 5);
+          let count = ins.(b + Program.field_count) and at = ins.(b + Program.field_at) in
+          if count > 0 then begin
+            mix ins.(b + Program.field_node);
+            mix ins.(b + Program.field_iter)
+          end;
+          for i = 0 to (2 * (count - 1)) - 1 do
+            mix pool.(at + i)
+          done;
+          mix ins.(b + Program.field_peer)
+        end
+      done)
+    p.code
 
 type msg = {
   tag : Program.tag;
@@ -127,97 +129,108 @@ type msg = {
    and [at.(proc).(idx)], the one that sends or receives at [idx]. *)
 type input = { procs : int; keys : Keys.t; msgs : msg array; at : int array array }
 
-(* Dense keys over every instance a program array computes or sends. *)
-let keys_of progs =
+(* Dense keys over every instance a program computes or sends.  A
+   pack's further tags are left out: [collect] rejects packs. *)
+let keys_of (p : Program.t) =
   Keys.scan (fun see ->
-      let see_tag (t : Program.tag) = see t.node t.iter in
       Array.iter
-        (Array.iter (function
-          | Program.Compute { node; iter } -> see node iter
-          | Program.Send { tag; _ } | Program.Recv { tag; _ } -> see_tag tag
-          | Program.Send_pack { tags; _ } | Program.Recv_pack { tags; _ } ->
-            List.iter see_tag tags))
-        progs)
+        (fun (c : Program.code) ->
+          let ins = c.instrs in
+          for k = 0 to Program.length c - 1 do
+            let b = k * w in
+            if ins.(b + Program.field_kind) = Program.compute || ins.(b + Program.field_count) > 0
+            then see ins.(b + Program.field_node) ins.(b + Program.field_iter)
+          done)
+        p.code)
 
+(* The messages of a plain program, read off its records in place. *)
 let collect (p : Program.t) =
-  let progs = Array.map Array.of_list p.programs in
-  let procs = Array.length progs in
-  let keys = keys_of progs in
+  let code = p.code in
+  let procs = Array.length code in
+  let keys = keys_of p in
   let n = Keys.size keys in
-  let key (t : Program.tag) = Keys.key keys ~node:t.node ~iter:t.iter in
+  let key node iter = Keys.key keys ~node ~iter in
   (* Per processor, by instance key: where it first holds the value
      (its Compute, or the Recv that lands it) and first consumes it. *)
   let hold = Array.make n (-1) and use = Array.make n (-1) in
   let first table k idx = if k >= 0 && table.(k) < 0 then table.(k) <- idx in
   (* [limit.(proc).(idx)]: a Send's [start], a Recv's [deadline]. *)
-  let limit = Array.map (fun prog -> Array.make (Array.length prog) (-1)) progs in
+  let limit = Array.map (fun c -> Array.make (Program.length c) (-1)) code in
   (* [recv_at.(key * procs + dst)]: where dst receives that value. *)
   let recv_at = Array.make (n * procs) (-1) in
   let recvs = ref 0 in
   Array.iteri
-    (fun proc prog ->
+    (fun proc (c : Program.code) ->
+      let ins = c.instrs in
       Array.fill hold 0 n (-1);
       Array.fill use 0 n (-1);
-      Array.iteri
-        (fun idx -> function
-          | Program.Compute { node; iter } ->
-            first hold (Keys.key keys ~node ~iter) idx;
-            List.iter
-              (fun (e : Mimd_ddg.Graph.edge) ->
-                if iter - e.distance >= 0 then
-                  first use (Keys.key keys ~node:e.src ~iter:(iter - e.distance)) idx)
-              (Mimd_ddg.Graph.preds p.graph node)
-          | Program.Recv { tag; _ } ->
-            let c = (key tag * procs) + proc in
-            if recv_at.(c) >= 0 then invalid_arg "Comm_opt.run: duplicate recv in input";
-            recv_at.(c) <- idx;
-            incr recvs;
-            first hold (key tag) idx
-          | Program.Send _ -> ()
-          | Program.Send_pack _ | Program.Recv_pack _ ->
-            invalid_arg "Comm_opt.run: program already optimized")
-        prog;
-      Array.iteri
-        (fun idx -> function
-          | Program.Send { tag; _ } -> limit.(proc).(idx) <- hold.(key tag) + 1
-          | Program.Recv { tag; _ } ->
-            limit.(proc).(idx) <- (match use.(key tag) with -1 -> idx + 1 | u -> u)
-          | _ -> ())
-        prog)
-    progs;
+      for idx = 0 to Program.length c - 1 do
+        let b = idx * w in
+        let kind = ins.(b + Program.field_kind) in
+        let node = ins.(b + Program.field_node) and iter = ins.(b + Program.field_iter) in
+        if kind = Program.compute then begin
+          first hold (key node iter) idx;
+          List.iter
+            (fun (e : Mimd_ddg.Graph.edge) ->
+              if iter - e.distance >= 0 then first use (key e.src (iter - e.distance)) idx)
+            (Mimd_ddg.Graph.preds p.graph node)
+        end
+        else if kind = Program.recv then begin
+          let c = (key node iter * procs) + proc in
+          if recv_at.(c) >= 0 then invalid_arg "Comm_opt.run: duplicate recv in input";
+          recv_at.(c) <- idx;
+          incr recvs;
+          first hold (key node iter) idx
+        end
+        else if kind <> Program.send then invalid_arg "Comm_opt.run: program already optimized"
+      done;
+      for idx = 0 to Program.length c - 1 do
+        let b = idx * w in
+        let kind = ins.(b + Program.field_kind) in
+        let k = key ins.(b + Program.field_node) ins.(b + Program.field_iter) in
+        if kind = Program.send then limit.(proc).(idx) <- hold.(k) + 1
+        else if kind = Program.recv then
+          limit.(proc).(idx) <- (match use.(k) with -1 -> idx + 1 | u -> u)
+      done)
+    code;
   let msgs = ref [] in
   Array.iteri
-    (fun proc ->
-      Array.iteri (fun idx -> function
-          | Program.Send { tag; dst } ->
-            let key = key tag in
-            let c = (key * procs) + dst in
-            let recv_idx = recv_at.(c) in
-            let matched =
-              recv_idx >= 0
-              &&
-              match progs.(dst).(recv_idx) with
-              | Program.Recv { src; _ } -> src = proc
-              | _ -> false
-            in
-            if not matched then invalid_arg "Comm_opt.run: unmatched send in input";
-            recv_at.(c) <- -1;
-            msgs :=
-              { tag; key; src = proc; dst; send_idx = idx; recv_idx;
-                start = limit.(proc).(idx); deadline = limit.(dst).(recv_idx); smax = idx;
-                rmin = recv_idx; live = true; pinned = false; extras = []; group = -1 }
-              :: !msgs
-          | _ -> ()))
-    progs;
+    (fun proc (c : Program.code) ->
+      let ins = c.instrs in
+      for idx = 0 to Program.length c - 1 do
+        let b = idx * w in
+        if ins.(b + Program.field_kind) = Program.send then begin
+          let node = ins.(b + Program.field_node) and iter = ins.(b + Program.field_iter) in
+          let dst = ins.(b + Program.field_peer) in
+          let key = key node iter in
+          let c = (key * procs) + dst in
+          let recv_idx = recv_at.(c) in
+          let matched =
+            recv_idx >= 0
+            &&
+            let r = code.(dst).instrs in
+            r.((recv_idx * w) + Program.field_kind) = Program.recv
+            && r.((recv_idx * w) + Program.field_peer) = proc
+          in
+          if not matched then invalid_arg "Comm_opt.run: unmatched send in input";
+          recv_at.(c) <- -1;
+          msgs :=
+            { tag = { node; iter }; key; src = proc; dst; send_idx = idx; recv_idx;
+              start = limit.(proc).(idx); deadline = limit.(dst).(recv_idx); smax = idx;
+              rmin = recv_idx; live = true; pinned = false; extras = []; group = -1 }
+            :: !msgs
+        end
+      done)
+    code;
   if List.length !msgs <> !recvs then invalid_arg "Comm_opt.run: unmatched recv in input";
   let msgs = Array.of_list (List.rev !msgs) in
-  let at = Array.map (fun prog -> Array.make (Array.length prog) (-1)) progs in
+  let at = Array.map (fun c -> Array.make (Program.length c) (-1)) code in
   Array.iteri
     (fun i m ->
       at.(m.src).(m.send_idx) <- i;
       at.(m.dst).(m.recv_idx) <- i)
     msgs;
-  (progs, { procs; keys; msgs; at })
+  { procs; keys; msgs; at }
 
 (* The one happens-before search, an earliest-arrival worklist over
    processors.  [out.(p)] holds the messages p sends, ascending by own
@@ -401,7 +414,7 @@ let coalesce s ~window { procs; msgs; _ } =
 (* Every message at its current position: a grouped frame at its
    group's smax and rmin, carrying the base tags in member order, then
    each extra not already in the frame, in first-seen order. *)
-let rebuild progs { msgs; at; _ } groups =
+let rebuild (p : Program.t) { msgs; at; _ } groups =
   let frames =
     Array.map
       (fun members ->
@@ -416,24 +429,33 @@ let rebuild progs { msgs; at; _ } groups =
   let frame m = if m.group >= 0 then frames.(m.group) else m.tag :: m.extras in
   let plain m = m.group < 0 && m.extras = [] in
   Array.mapi
-    (fun proc prog ->
+    (fun proc (c : Program.code) ->
+      let ins = c.instrs in
       let kept = ref [] in
-      for idx = Array.length prog - 1 downto 0 do
+      for idx = Program.length c - 1 downto 0 do
         let keep i = kept := i :: !kept in
-        match prog.(idx) with
-        | Program.Compute _ as instr -> keep instr
-        | Program.Send { dst; _ } as instr ->
+        let b = idx * w in
+        let kind = ins.(b + Program.field_kind) and peer = ins.(b + Program.field_peer) in
+        if kind = Program.compute then
+          keep
+            (Program.Compute
+               { node = ins.(b + Program.field_node); iter = ins.(b + Program.field_iter) })
+        else begin
           let m = msgs.(at.(proc).(idx)) in
-          if m.live && idx = m.smax then
-            keep (if plain m then instr else Program.Send_pack { tags = frame m; dst })
-        | Program.Recv { src; _ } as instr ->
-          let m = msgs.(at.(proc).(idx)) in
-          if m.live && idx = m.rmin then
-            keep (if plain m then instr else Program.Recv_pack { tags = frame m; src })
-        | Program.Send_pack _ | Program.Recv_pack _ -> assert false
+          if kind = Program.send then begin
+            if m.live && idx = m.smax then
+              keep
+                (if plain m then Program.Send { tag = m.tag; dst = peer }
+                 else Program.Send_pack { tags = frame m; dst = peer })
+          end
+          else if m.live && idx = m.rmin then
+            keep
+              (if plain m then Program.Recv { tag = m.tag; src = peer }
+               else Program.Recv_pack { tags = frame m; src = peer })
+        end
       done;
       !kept)
-    progs
+    p.code
 
 (* The oracle-has-teeth probe: keep a frame's Send but drop its Recv,
    exactly the footprint of an unsound elision that forgot the
@@ -456,7 +478,7 @@ let break_first_recv programs =
 
 let run ?(window = 4) ?fault (p : Program.t) =
   if window < 0 then invalid_arg "Comm_opt.run: negative window";
-  let progs, input = collect p in
+  let input = collect p in
   let search = searcher input in
   let messages_before = Array.length input.msgs in
   let elided =
@@ -465,14 +487,14 @@ let run ?(window = 4) ?fault (p : Program.t) =
   let programs =
     Trace.span ~cat:"compile" "compile.comm_opt.coalesce" (fun () ->
         let groups = if window = 0 then [||] else coalesce search ~window input in
-        rebuild progs input groups)
+        rebuild p input groups)
   in
   let programs =
     match fault with
     | Some Keep_extra_send -> break_first_recv programs
     | None -> programs
   in
-  let p' = { p with programs } in
+  let p' = Program.of_instrs p.graph programs in
   let messages_after = messages p' in
   (match fault with
   | None -> (

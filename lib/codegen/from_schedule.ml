@@ -23,23 +23,55 @@ let run ?(validate = false) sched =
   let processors = machine.Mimd_machine.Config.processors in
   let entries = Schedule.entries sched in
   (* Every (node, iter) pair is identified by the int iter * n + node
-     below, indexing flat byte arrays of Θ(entries x processors) bytes —
-     proportional to the schedule itself.  Placements are read from the
-     schedule's own dense instance index. *)
+     below, indexing flat arrays of Θ(entries x processors) bytes —
+     proportional to the schedule itself.  [proc_of] holds each
+     instance's processor, -1 where none is scheduled, so a placement
+     is one read of an int array. *)
   let n = Graph.node_count graph in
   let iterations = Schedule.iterations sched in
   let inst_key ~node ~iter = (iter * n) + node in
   let inst_cap = max 1 (n * iterations) in
+  let proc_of = Array.make inst_cap (-1) in
+  List.iter
+    (fun (e : Schedule.entry) ->
+      proc_of.(inst_key ~node:e.inst.node ~iter:e.inst.iter) <- e.proc)
+    entries;
   (* have.[k*p + q]: processor q holds instance k; sent.[k*p + q]: the
      producer already sent instance k to q. *)
   let have = Bytes.make (inst_cap * processors) '\000' in
   let sent = Bytes.make (inst_cap * processors) '\000' in
-  let programs = Array.make processors [] in
-  let emit proc instr = programs.(proc) <- instr :: programs.(proc) in
+  (* One processor's code at a time is written in place into the
+     first [len] ints of [buf], which doubles when full, then copied out
+     at its exact size: a processor's entries are its own, so its have
+     and sent flags are set by it alone and walking the processors one
+     after the other emits what a walk over all entries would. *)
+  let w = Program.width in
+  let most = ref 0 in
+  for q = 0 to processors - 1 do
+    most := max !most (List.length (Schedule.entries_on sched q))
+  done;
+  let buf = ref (Array.make (w * ((2 * !most) + 16)) 0) and len = ref 0 in
+  let emit kind node iter peer count =
+    let at = !len in
+    if at + w > Array.length !buf then begin
+      let grown = Array.make (2 * Array.length !buf) 0 in
+      Array.blit !buf 0 grown 0 at;
+      buf := grown
+    end;
+    let b = !buf in
+    b.(at + Program.field_kind) <- kind;
+    b.(at + Program.field_node) <- node;
+    b.(at + Program.field_iter) <- iter;
+    b.(at + Program.field_peer) <- peer;
+    b.(at + Program.field_count) <- count;
+    len := at + w
+  in
   (* Per-entry scratch, sized by the largest degree and reused: the
      off-processor operands' instance keys, emitted as Recvs in
      ascending key — the consistent (iter, node) order — and the
-     off-processor consumers, sent to in ascending processor. *)
+     off-processor consumers, sent to in ascending processor.  The
+     entry being walked is in [cur_*], so the edge visitors are built
+     once. *)
   let max_degree f =
     let m = ref 0 in
     for v = 0 to n - 1 do
@@ -49,54 +81,62 @@ let run ?(validate = false) sched =
   in
   let operands = Array.make (max_degree Graph.preds) 0 in
   let consumers = Array.make (max_degree Graph.succs) 0 in
-  List.iter
-    (fun (e : Schedule.entry) ->
-      let v = e.inst.node and i = e.inst.iter in
-      let n_ops = ref 0 in
-      List.iter
-        (fun (edge : Graph.edge) ->
-          let pi = i - edge.distance in
-          if pi >= 0 then begin
-            let pp = Schedule.proc_at sched ~node:edge.src ~iter:pi in
-            if pp >= 0 && pp <> e.proc then begin
-              operands.(!n_ops) <- inst_key ~node:edge.src ~iter:pi;
-              incr n_ops
-            end
-          end)
-        (Graph.preds graph v);
-      sort_prefix operands !n_ops;
-      for j = 0 to !n_ops - 1 do
-        let key = operands.(j) in
-        let k = (key * processors) + e.proc in
-        if Bytes.get have k = '\000' then begin
-          Bytes.set have k '\001';
-          let node = key mod n and iter = key / n in
-          emit e.proc
-            (Program.Recv { tag = { node; iter }; src = Schedule.proc_at sched ~node ~iter })
-        end
-      done;
-      emit e.proc (Program.Compute { node = v; iter = i });
-      Bytes.set have ((inst_key ~node:v ~iter:i * processors) + e.proc) '\001';
-      let n_cons = ref 0 in
-      List.iter
-        (fun (edge : Graph.edge) ->
-          let cp = Schedule.proc_at sched ~node:edge.dst ~iter:(i + edge.distance) in
-          if cp >= 0 && cp <> e.proc then begin
-            consumers.(!n_cons) <- cp;
-            incr n_cons
-          end)
-        (Graph.succs graph v);
-      sort_prefix consumers !n_cons;
-      for j = 0 to !n_cons - 1 do
-        let dst = consumers.(j) in
-        let k = (inst_key ~node:v ~iter:i * processors) + dst in
-        if Bytes.get sent k = '\000' then begin
-          Bytes.set sent k '\001';
-          emit e.proc (Program.Send { tag = { node = v; iter = i }; dst })
-        end
-      done)
-    entries;
-  let p = { Program.graph; processors; programs = Array.map List.rev programs } in
+  let cur_proc = ref 0 and cur_iter = ref 0 in
+  let n_ops = ref 0 and n_cons = ref 0 in
+  let see_pred (edge : Graph.edge) =
+    let pi = !cur_iter - edge.distance in
+    if pi >= 0 then begin
+      let pp = proc_of.(inst_key ~node:edge.src ~iter:pi) in
+      if pp >= 0 && pp <> !cur_proc then begin
+        operands.(!n_ops) <- inst_key ~node:edge.src ~iter:pi;
+        incr n_ops
+      end
+    end
+  in
+  let see_succ (edge : Graph.edge) =
+    let ci = !cur_iter + edge.distance in
+    let cp = if ci < iterations then proc_of.(inst_key ~node:edge.dst ~iter:ci) else -1 in
+    if cp >= 0 && cp <> !cur_proc then begin
+      consumers.(!n_cons) <- cp;
+      incr n_cons
+    end
+  in
+  let walk (e : Schedule.entry) =
+    let v = e.inst.node and i = e.inst.iter and p = e.proc in
+    cur_proc := p;
+    cur_iter := i;
+    n_ops := 0;
+    List.iter see_pred (Graph.preds graph v);
+    sort_prefix operands !n_ops;
+    for j = 0 to !n_ops - 1 do
+      let key = operands.(j) in
+      let k = (key * processors) + p in
+      if Bytes.get have k = '\000' then begin
+        Bytes.set have k '\001';
+        emit Program.recv (key mod n) (key / n) proc_of.(key) 1
+      end
+    done;
+    emit Program.compute v i (-1) 0;
+    Bytes.set have ((inst_key ~node:v ~iter:i * processors) + p) '\001';
+    n_cons := 0;
+    List.iter see_succ (Graph.succs graph v);
+    sort_prefix consumers !n_cons;
+    for j = 0 to !n_cons - 1 do
+      let dst = consumers.(j) in
+      let k = (inst_key ~node:v ~iter:i * processors) + dst in
+      if Bytes.get sent k = '\000' then begin
+        Bytes.set sent k '\001';
+        emit Program.send v i dst 1
+      end
+    done
+  in
+  let code =
+    Array.init processors (fun q ->
+        len := 0;
+        List.iter walk (Schedule.entries_on sched q);
+        { Program.instrs = Array.sub !buf 0 !len; pool = [||] })
+  in
+  let p = { Program.graph; processors; code } in
   (if validate then
      match Program.check p with
      | [] -> ()

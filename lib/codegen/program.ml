@@ -7,21 +7,109 @@ type instr =
   | Send_pack of { tags : tag list; dst : int }
   | Recv_pack of { tags : tag list; src : int }
 
-type t = {
-  graph : Mimd_ddg.Graph.t;
-  processors : int;
-  programs : instr list array;
-}
+let width = 6
+let field_kind = 0
+let field_node = 1
+let field_iter = 2
+let field_peer = 3
+let field_at = 4
+let field_count = 5
+let compute = 0
+let send = 1
+let send_pack = 2
+let recv = 3
+let recv_pack = 4
 
-let instruction_count t =
-  Array.fold_left (fun acc prog -> acc + List.length prog) 0 t.programs
+type code = { instrs : int array; pool : int array }
+
+type t = { graph : Mimd_ddg.Graph.t; processors : int; code : code array }
+
+let length c = Array.length c.instrs / width
+let instruction_count t = Array.fold_left (fun acc c -> acc + length c) 0 t.code
 
 let computes_of t proc =
-  List.filter_map
-    (function
-      | Compute { node; iter } -> Some (node, iter)
-      | Send _ | Recv _ | Send_pack _ | Recv_pack _ -> None)
-    t.programs.(proc)
+  let c = t.code.(proc) in
+  let ins = c.instrs in
+  let out = ref [] in
+  for k = length c - 1 downto 0 do
+    let b = k * width in
+    if ins.(b + field_kind) = compute then
+      out := (ins.(b + field_node), ins.(b + field_iter)) :: !out
+  done;
+  !out
+
+(* [f node iter] over the tags of the message at record offset [b],
+   head first: the head is in the record, the rest in the pool. *)
+let iter_tags c b f =
+  let ins = c.instrs in
+  let count = ins.(b + field_count) in
+  if count > 0 then begin
+    f ins.(b + field_node) ins.(b + field_iter);
+    let at = ins.(b + field_at) in
+    for i = 0 to count - 2 do
+      f c.pool.(at + (2 * i)) c.pool.(at + (2 * i) + 1)
+    done
+  end
+
+let tags_of c b =
+  let tags = ref [] in
+  iter_tags c b (fun node iter -> tags := { node; iter } :: !tags);
+  List.rev !tags
+
+let decode c pc =
+  let ins = c.instrs and b = pc * width in
+  let kind = ins.(b + field_kind) and peer = ins.(b + field_peer) in
+  let node = ins.(b + field_node) and iter = ins.(b + field_iter) in
+  if kind = compute then Compute { node; iter }
+  else if kind = send then Send { tag = { node; iter }; dst = peer }
+  else if kind = recv then Recv { tag = { node; iter }; src = peer }
+  else if kind = send_pack then Send_pack { tags = tags_of c b; dst = peer }
+  else Recv_pack { tags = tags_of c b; src = peer }
+
+let to_instrs t = Array.map (fun c -> List.init (length c) (decode c)) t.code
+
+let encode prog =
+  let tail_words = function
+    | Send_pack { tags; _ } | Recv_pack { tags; _ } -> 2 * max 0 (List.length tags - 1)
+    | Compute _ | Send _ | Recv _ -> 0
+  in
+  let instrs = Array.make (width * List.length prog) 0 in
+  let pool = Array.make (List.fold_left (fun acc i -> acc + tail_words i) 0 prog) 0 in
+  let top = ref 0 in
+  List.iteri
+    (fun pc instr ->
+      let b = pc * width in
+      let record kind node iter peer count =
+        instrs.(b + field_kind) <- kind;
+        instrs.(b + field_node) <- node;
+        instrs.(b + field_iter) <- iter;
+        instrs.(b + field_peer) <- peer;
+        instrs.(b + field_count) <- count
+      in
+      let pack kind tags peer =
+        match tags with
+        | [] -> record kind 0 0 peer 0
+        | (head : tag) :: rest ->
+          record kind head.node head.iter peer (List.length tags);
+          instrs.(b + field_at) <- !top;
+          List.iter
+            (fun (t : tag) ->
+              pool.(!top) <- t.node;
+              pool.(!top + 1) <- t.iter;
+              top := !top + 2)
+            rest
+      in
+      match instr with
+      | Compute { node; iter } -> record compute node iter (-1) 0
+      | Send { tag; dst } -> record send tag.node tag.iter dst 1
+      | Recv { tag; src } -> record recv tag.node tag.iter src 1
+      | Send_pack { tags; dst } -> pack send_pack tags dst
+      | Recv_pack { tags; src } -> pack recv_pack tags src)
+    prog;
+  { instrs; pool }
+
+let of_instrs graph programs =
+  { graph; processors = Array.length programs; code = Array.map encode programs }
 
 type defect =
   | Unmatched_recv of { proc : int; instr : instr }
@@ -63,33 +151,36 @@ module Keys = struct
 end
 
 let check t =
-  let programs = t.programs in
+  let code = t.code in
   (* One scan sizes every table: the instance window of every Compute
      and tag (tags that only a Send or Recv names included), the
      processor ids messages name (out-of-range ones too), and the tag
      count. *)
-  let peer_lo = ref 0 and peer_hi = ref (Array.length programs - 1) in
+  let peer_lo = ref 0 and peer_hi = ref (Array.length code - 1) in
   let ntags = ref 0 in
   let keys =
     Keys.scan (fun see ->
-        let tag q (tg : tag) =
-          if q < !peer_lo then peer_lo := q;
-          if q > !peer_hi then peer_hi := q;
-          see tg.node tg.iter;
+        let see_tag node iter =
+          see node iter;
           incr ntags
         in
         Array.iter
-          (List.iter (function
-            | Compute { node; iter } -> see node iter
-            | Send { tag = tg; dst = q } | Recv { tag = tg; src = q } -> tag q tg
-            | Send_pack { tags; dst = q } | Recv_pack { tags; src = q } ->
-              List.iter (tag q) tags))
-          programs)
+          (fun c ->
+            let ins = c.instrs in
+            for k = 0 to length c - 1 do
+              let b = k * width in
+              if ins.(b + field_kind) = compute then see ins.(b + field_node) ins.(b + field_iter)
+              else if ins.(b + field_count) > 0 then begin
+                let q = ins.(b + field_peer) in
+                if q < !peer_lo then peer_lo := q;
+                if q > !peer_hi then peer_hi := q;
+                iter_tags c b see_tag
+              end
+            done)
+          code)
   in
   let peers = !peer_hi - !peer_lo + 1 in
-  let cell (tg : tag) q =
-    (Keys.key keys ~node:tg.node ~iter:tg.iter * peers) + (q - !peer_lo)
-  in
+  let cell node iter q = (Keys.key keys ~node ~iter * peers) + (q - !peer_lo) in
   (* A message's identity is (tag, producing proc, consuming proc).
      [sends_to.(cell tag dst)] heads the chain of procs that send [tag]
      to [dst]; [recvs_from.(cell tag src)] heads the chain of procs that
@@ -100,10 +191,7 @@ let check t =
   let recvs_from = Array.make (Keys.size keys * peers) (-1) in
   let next = Array.make !ntags (-1) and who = Array.make !ntags 0 in
   let links = ref 0 in
-  let mem heads c q =
-    let rec go m = m >= 0 && (who.(m) = q || go next.(m)) in
-    go heads.(c)
-  in
+  let rec on_chain m q = m >= 0 && (who.(m) = q || on_chain next.(m) q) in
   let push heads c q =
     let m = !links in
     incr links;
@@ -114,54 +202,67 @@ let check t =
   let computed = Bytes.make (Keys.size keys) '\000' in
   let defects = ref [] in
   let add d = defects := d :: !defects in
+  (* The message being walked: its processor, code, pc and peer. *)
+  let proc = ref 0 and cur = ref { instrs = [||]; pool = [||] } in
+  let pc = ref 0 and peer = ref 0 in
+  let send_tag node iter =
+    let c = cell node iter !peer in
+    if on_chain sends_to.(c) !proc then
+      add (Duplicate_send { proc = !proc; instr = decode !cur !pc })
+    else push sends_to c !proc
+  in
+  let recv_tag node iter =
+    let c = cell node iter !peer in
+    if not (on_chain recvs_from.(c) !proc) then push recvs_from c !proc
+  in
   Array.iteri
-    (fun proc prog ->
-      let send instr dst (tg : tag) =
-        let c = cell tg dst in
-        if mem sends_to c proc then add (Duplicate_send { proc; instr })
-        else push sends_to c proc
-      in
-      let recv src (tg : tag) =
-        let c = cell tg src in
-        if not (mem recvs_from c proc) then push recvs_from c proc
-      in
-      List.iter
-        (fun instr ->
-          match instr with
-          | Compute { node; iter } ->
-            let k = Keys.key keys ~node ~iter in
-            if Bytes.get computed k <> '\000' then
-              add (Duplicate_compute { proc; node; iter })
-            else Bytes.set computed k '\001'
-          | (Send { dst = q; _ } | Send_pack { dst = q; _ } | Recv { src = q; _ }
-            | Recv_pack { src = q; _ })
-            when q = proc ->
-            add (Self_message { proc; instr })
-          | Send { tag; dst } -> send instr dst tag
-          | Send_pack { tags; dst } -> List.iter (send instr dst) tags
-          | Recv { tag; src } -> recv src tag
-          | Recv_pack { tags; src } -> List.iter (recv src) tags)
-        prog)
-    programs;
+    (fun j c ->
+      let ins = c.instrs in
+      proc := j;
+      cur := c;
+      for k = 0 to length c - 1 do
+        let b = k * width in
+        let kind = ins.(b + field_kind) in
+        if kind = compute then begin
+          let node = ins.(b + field_node) and iter = ins.(b + field_iter) in
+          let key = Keys.key keys ~node ~iter in
+          if Bytes.get computed key <> '\000' then
+            add (Duplicate_compute { proc = j; node; iter })
+          else Bytes.set computed key '\001'
+        end
+        else if ins.(b + field_peer) = j then add (Self_message { proc = j; instr = decode c k })
+        else begin
+          pc := k;
+          peer := ins.(b + field_peer);
+          iter_tags c b (if kind = send || kind = send_pack then send_tag else recv_tag)
+        end
+      done)
+    code;
   (* Self messages were never recorded, so they are unmatched too. *)
+  let unmatched_send node iter =
+    if not (on_chain recvs_from.(cell node iter !proc) !peer) then
+      add (Unmatched_send { proc = !proc; instr = decode !cur !pc })
+  in
+  let unmatched_recv node iter =
+    if not (on_chain sends_to.(cell node iter !proc) !peer) then
+      add (Unmatched_recv { proc = !proc; instr = decode !cur !pc })
+  in
   Array.iteri
-    (fun proc prog ->
-      let send instr dst tg =
-        if not (mem recvs_from (cell tg proc) dst) then add (Unmatched_send { proc; instr })
-      in
-      let recv instr src tg =
-        if not (mem sends_to (cell tg proc) src) then add (Unmatched_recv { proc; instr })
-      in
-      List.iter
-        (fun instr ->
-          match instr with
-          | Compute _ -> ()
-          | Send { tag; dst } -> send instr dst tag
-          | Send_pack { tags; dst } -> List.iter (send instr dst) tags
-          | Recv { tag; src } -> recv instr src tag
-          | Recv_pack { tags; src } -> List.iter (recv instr src) tags)
-        prog)
-    programs;
+    (fun j c ->
+      let ins = c.instrs in
+      proc := j;
+      cur := c;
+      for k = 0 to length c - 1 do
+        let b = k * width in
+        let kind = ins.(b + field_kind) in
+        if kind <> compute then begin
+          pc := k;
+          peer := ins.(b + field_peer);
+          iter_tags c b
+            (if kind = send || kind = send_pack then unmatched_send else unmatched_recv)
+        end
+      done)
+    code;
   List.rev !defects
 
 let pp_tags ~names ppf tags =
@@ -203,37 +304,24 @@ type failure =
 
 exception Fail of failure
 
-let head_of = function
-  | Send { tag; _ } | Recv { tag; _ } | Send_pack { tags = tag :: _; _ }
-  | Recv_pack { tags = tag :: _; _ } ->
-    tag
-  | Send_pack { tags = []; _ } | Recv_pack { tags = []; _ } ->
-    invalid_arg "Program.simulate: empty pack"
-  | Compute _ -> invalid_arg "Program.simulate: not a message"
+let rec same_tail a s b r i = i < 0 || (a.(s + i) = b.(r + i) && same_tail a s b r (i - 1))
 
 (* The frame a Recv names is the one the Send carried: the lookup
    matched the head tag, so single-tag frames agree; packs must carry the
-   same tags in the same order. *)
-let same_frame sent recv =
-  match (sent, recv) with
-  | (Send _ | Send_pack { tags = [ _ ]; _ }), (Recv _ | Recv_pack { tags = [ _ ]; _ }) -> true
-  | Send_pack { tags = a; _ }, Recv_pack { tags = b; _ } -> a = b
-  | _ -> false
-
-(* [simulate]'s value step [f] as processor [j] retires its next
-   instruction: a Send's result becomes frame [m]'s payload, a Recv is
-   handed it, a Compute ([m < 0]) gets nothing. *)
-let value_step f pcs payload j ~send m =
-  let pc = pcs.(j) in
-  pcs.(j) <- pc + 1;
-  if send then payload.(m) <- f ~proc:j ~pc None
-  else ignore (f ~proc:j ~pc (if m < 0 then None else payload.(m)))
+   same tags in the same order.  [bs] and [br] are record offsets in the
+   sender's code [cs] and the receiver's code [cr]. *)
+let same_frame cs bs cr br =
+  let count = cs.instrs.(bs + field_count) in
+  count = cr.instrs.(br + field_count)
+  && same_tail cs.pool cs.instrs.(bs + field_at) cr.pool cr.instrs.(br + field_at)
+       ((2 * (count - 1)) - 1)
 
 let simulate ?step ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(record = false)
     t =
   if capacity < 1 then invalid_arg "Program.simulate: capacity < 1";
   let graph = t.graph in
-  let n = Array.length t.programs in
+  let code = t.code in
+  let n = Array.length code in
   (* One scan sizes every table: the instance window of every Compute
      and tag, the processor ids messages name (out-of-range ones too, so
      a stray peer only fills or starves its own link), and the number of
@@ -241,32 +329,32 @@ let simulate ?step ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(r
   let lo = ref 0 and hi = ref (n - 1) and sends = ref 0 in
   let keys =
     Keys.scan (fun see ->
-        let peer q (tg : tag) =
-          if q < !lo then lo := q;
-          if q > !hi then hi := q;
-          see tg.node tg.iter
-        in
         Array.iter
-          (List.iter (function
-            | Compute { node; iter } -> see node iter
-            | Send { tag; dst } ->
-              incr sends;
-              peer dst tag
-            | Send_pack { tags; dst } ->
-              incr sends;
-              List.iter (peer dst) tags
-            | Recv { tag; src } -> peer src tag
-            | Recv_pack { tags; src } -> List.iter (peer src) tags))
-          t.programs)
+          (fun c ->
+            let ins = c.instrs in
+            for k = 0 to length c - 1 do
+              let b = k * width in
+              let kind = ins.(b + field_kind) in
+              if kind = compute then see ins.(b + field_node) ins.(b + field_iter)
+              else begin
+                if kind = send || kind = send_pack then incr sends;
+                if ins.(b + field_count) > 0 then begin
+                  let q = ins.(b + field_peer) in
+                  if q < !lo then lo := q;
+                  if q > !hi then hi := q;
+                  iter_tags c b see
+                end
+              end
+            done)
+          code)
   in
   let lo = !lo in
-  let width = !hi - lo + 1 and size = Keys.size keys in
+  let width_p = !hi - lo + 1 and size = Keys.size keys in
   let { Keys.node_lo; width = kw; iter_lo; span } = keys in
-  let key (tg : tag) = ((tg.iter - iter_lo) * kw) + (tg.node - node_lo) in
+  let key node iter = ((iter - iter_lo) * kw) + (node - node_lo) in
   (* [held] is one byte per (processor, instance): set by its Compute
      or by the Recv that lands it. *)
   let held = Bytes.make (n * size) '\000' in
-  let land_ j (tg : tag) = Bytes.unsafe_set held ((j * size) + key tg) '\001' in
   (* Values from before iteration 0 are the loop's inputs, held by all. *)
   let[@inline] holds j ~node ~iter =
     let dn = node - node_lo and di = iter - iter_lo in
@@ -274,34 +362,33 @@ let simulate ?step ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(r
     || dn >= 0 && dn < kw && di >= 0 && di < span
        && Bytes.unsafe_get held ((j * size) + (di * kw) + dn) <> '\000'
   in
-  let need j instr (tg : tag) =
-    if not (holds j ~node:tg.node ~iter:tg.iter) then
-      raise (Fail (Missing_operand { proc = j; instr; operand = tg }))
+  let need j pc node iter =
+    if not (holds j ~node ~iter) then
+      raise
+        (Fail (Missing_operand { proc = j; instr = decode code.(j) pc; operand = { node; iter } }))
   in
   (* A Compute's operands: each predecessor's instance at its distance. *)
-  let rec operands j instr iter = function
+  let rec operands j pc iter = function
     | [] -> ()
     | (e : Mimd_ddg.Graph.edge) :: es ->
-      let at = iter - e.distance in
-      if not (holds j ~node:e.src ~iter:at) then
-        raise (Fail (Missing_operand { proc = j; instr; operand = { node = e.src; iter = at } }));
-      operands j instr iter es
+      need j pc e.src (iter - e.distance);
+      operands j pc iter es
   in
   (* Frames in flight, by id in send order.  [pending.(key head)] heads
      the chain (through [f_next]) of frames with that head tag sent and
-     not yet received — one per consumer of the value. *)
+     not yet received — one per consumer of the value.  [f_pc] is the
+     Send's pc on [f_src]. *)
   let pending = Array.make size (-1) in
   let f_next = Array.make !sends (-1) in
   let f_src = Array.make !sends 0 and f_dst = Array.make !sends 0 in
   let f_arrival = Array.make !sends 0 and f_seq = Array.make !sends 0 in
-  let f_send = Array.make !sends (Compute { node = 0; iter = 0 }) in
+  let f_pc = Array.make !sends 0 in
   let frames = ref 0 in
-  (* A value step's state: each frame's payload, each processor's pc.
-     Without a step, each retirement pays one test of [stepping]. *)
+  (* A value step's state: each frame's payload.  Without a step, each
+     retirement pays one test of [stepping]. *)
   let stepping = Option.is_some step in
   let step = Option.value step ~default:(fun ~proc:_ ~pc:_ _ -> None) in
   let payload = if stepping then Array.make !sends None else [||] in
-  let pcs = if stepping then Array.make n 0 else [||] in
   (* Unlink and return the frame [src] sent [dst] in chain [k], or -1. *)
   let rec take k ~src ~dst prev m =
     if m < 0 then -1
@@ -311,21 +398,25 @@ let simulate ?step ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(r
     end
     else take k ~src ~dst m f_next.(m)
   in
-  (* Per link [src * width + dst]: frames sent, frames the receiver has
+  (* Per link [src * width_p + dst]: frames sent, frames the receiver has
      pulled off it (in FIFO order, into its stash), and whether the
      sender is parked on a full link.  Unpulled = sent - pulled never
      exceeds [capacity]. *)
-  let link src dst = ((src - lo) * width) + (dst - lo) in
-  let sent = Array.make (width * width) 0 and pulled = Array.make (width * width) 0 in
-  let sender_parked = Array.make (width * width) false in
-  (* Per processor: clock, remaining program, and the (head key, src)
-     cell and link of the Recv it is parked on, or -1. *)
-  let time = Array.make n 0 and todo = Array.copy t.programs in
+  let link src dst = ((src - lo) * width_p) + (dst - lo) in
+  let sent = Array.make (width_p * width_p) 0 and pulled = Array.make (width_p * width_p) 0 in
+  let sender_parked = Array.make (width_p * width_p) false in
+  (* Per processor: clock, next pc, and the (head key, src) cell and
+     link of the Recv it is parked on, or -1. *)
+  let time = Array.make n 0 and pcs = Array.make n 0 in
   let wait_cell = Array.make n (-1) and wait_link = Array.make n (-1) in
   let runnable = Queue.create () and queued = Array.make n false in
   let delivered = ref 0 in
   let comm_cycles = ref 0 and busy_cycles = ref 0 and steps = ref 0 in
   let trace = ref [] in
+  let retire j pc at =
+    incr steps;
+    if record then trace := { time = at; proc = j; instr = decode code.(j) pc } :: !trace
+  in
   let enqueue j =
     if not queued.(j) then begin
       queued.(j) <- true;
@@ -344,7 +435,7 @@ let simulate ?step ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(r
       pulled.(l) <- upto;
       if sender_parked.(l) then begin
         sender_parked.(l) <- false;
-        let src = (l / width) + lo in
+        let src = (l / width_p) + lo in
         time.(src) <- max time.(src) at;
         wake src
       end
@@ -356,93 +447,113 @@ let simulate ?step ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(r
      its own instructions strictly in program order, so the per-link
      sequence of [latency] draws — every send on a link issues from the
      same source processor — does not depend on the run order.  The
-     processor's program and clock live in locals while it runs. *)
+     processor's pc and clock live in locals while it runs. *)
   let advance j =
-    let prog = ref todo.(j) and clock = ref time.(j) and parked = ref false in
+    let c = code.(j) in
+    let ins = c.instrs and pool = c.pool and len = length c in
+    let pc = ref pcs.(j) and clock = ref time.(j) and parked = ref false in
     while not !parked do
-      match !prog with
-      | [] -> parked := true
-      | (Compute { node; iter } as instr) :: rest ->
-        operands j instr iter (Mimd_ddg.Graph.preds graph node);
-        if stepping then value_step step pcs payload j ~send:false (-1);
-        Bytes.unsafe_set held ((j * size) + ((iter - iter_lo) * kw) + (node - node_lo)) '\001';
-        let lat = Mimd_ddg.Graph.latency graph node in
-        clock := !clock + lat;
-        busy_cycles := !busy_cycles + lat;
-        prog := rest;
-        incr steps;
-        if record then trace := { time = !clock; proc = j; instr } :: !trace
-      | ((Send { dst; _ } | Send_pack { dst; _ }) as instr) :: rest ->
-        (match instr with
-        | Send_pack { tags; _ } -> List.iter (need j instr) tags
-        | _ -> need j instr (head_of instr));
-        let l = link j dst in
-        if sent.(l) - pulled.(l) >= capacity then begin
-          sender_parked.(l) <- true;
-          parked := true
+      if !pc >= len then parked := true
+      else begin
+        let b = !pc * width in
+        let kind = ins.(b + field_kind) in
+        let node = ins.(b + field_node) and iter = ins.(b + field_iter) in
+        let count = ins.(b + field_count) and at = ins.(b + field_at) in
+        if kind = compute then begin
+          operands j !pc iter (Mimd_ddg.Graph.preds graph node);
+          if stepping then ignore (step ~proc:j ~pc:!pc None);
+          Bytes.unsafe_set held ((j * size) + key node iter) '\001';
+          let lat = Mimd_ddg.Graph.latency graph node in
+          clock := !clock + lat;
+          busy_cycles := !busy_cycles + lat;
+          retire j !pc !clock;
+          incr pc
         end
-        else begin
-          (* a pack is one frame on the link: one latency draw, one
-             message, identified by its head tag *)
-          let lat = latency ~src:j ~dst in
-          let m = !frames in
-          incr frames;
-          let k = key (head_of instr) in
-          f_src.(m) <- j;
-          f_dst.(m) <- dst;
-          f_arrival.(m) <- !clock + lat;
-          f_seq.(m) <- sent.(l);
-          f_send.(m) <- instr;
-          if stepping then value_step step pcs payload j ~send:true m;
-          f_next.(m) <- pending.(k);
-          pending.(k) <- m;
-          sent.(l) <- sent.(l) + 1;
-          comm_cycles := !comm_cycles + lat;
-          prog := rest;
-          incr steps;
-          if record then trace := { time = !clock; proc = j; instr } :: !trace;
-          if dst >= 0 && dst < n && wait_link.(dst) = l then begin
-            (* a parked receiver takes every frame off its link as it
-               comes *)
-            pull l ~upto:sent.(l) ~at:time.(dst);
-            if wait_cell.(dst) = (k * width) + (j - lo) then begin
-              wait_cell.(dst) <- -1;
-              wait_link.(dst) <- -1;
-              wake dst
+        else if kind = send || kind = send_pack then begin
+          let dst = ins.(b + field_peer) in
+          if count > 0 then need j !pc node iter;
+          for i = 0 to count - 2 do
+            need j !pc pool.(at + (2 * i)) pool.(at + (2 * i) + 1)
+          done;
+          let l = link j dst in
+          if sent.(l) - pulled.(l) >= capacity then begin
+            sender_parked.(l) <- true;
+            parked := true
+          end
+          else begin
+            (* a pack is one frame on the link: one latency draw, one
+               message, identified by its head tag *)
+            let lat = latency ~src:j ~dst in
+            if count = 0 then invalid_arg "Program.simulate: empty pack";
+            let m = !frames in
+            incr frames;
+            let k = key node iter in
+            f_src.(m) <- j;
+            f_dst.(m) <- dst;
+            f_arrival.(m) <- !clock + lat;
+            f_seq.(m) <- sent.(l);
+            f_pc.(m) <- !pc;
+            if stepping then payload.(m) <- step ~proc:j ~pc:!pc None;
+            f_next.(m) <- pending.(k);
+            pending.(k) <- m;
+            sent.(l) <- sent.(l) + 1;
+            comm_cycles := !comm_cycles + lat;
+            retire j !pc !clock;
+            incr pc;
+            if dst >= 0 && dst < n && wait_link.(dst) = l then begin
+              (* a parked receiver takes every frame off its link as it
+                 comes *)
+              pull l ~upto:sent.(l) ~at:time.(dst);
+              if wait_cell.(dst) = (k * width_p) + (j - lo) then begin
+                wait_cell.(dst) <- -1;
+                wait_link.(dst) <- -1;
+                wake dst
+              end
             end
           end
         end
-      | ((Recv { src; _ } | Recv_pack { src; _ }) as instr) :: rest ->
-        let k = key (head_of instr) in
-        let l = link src j in
-        let m = take k ~src ~dst:j (-1) pending.(k) in
-        if m < 0 then begin
-          wait_cell.(j) <- (k * width) + (src - lo);
-          wait_link.(j) <- l;
-          pull l ~upto:sent.(l) ~at:!clock;
-          parked := true
-        end
         else begin
-          if not (same_frame f_send.(m) instr) then
-            raise (Fail (Frame_mismatch { proc = j; instr; sent = f_send.(m) }));
-          if stepping then value_step step pcs payload j ~send:false m;
-          if f_arrival.(m) > !clock then clock := f_arrival.(m);
-          pull l ~upto:(f_seq.(m) + 1) ~at:!clock;
-          (match instr with
-          | Recv_pack { tags; _ } -> List.iter (land_ j) tags
-          | _ -> land_ j (head_of instr));
-          incr delivered;
-          prog := rest;
-          incr steps;
-          if record then trace := { time = !clock; proc = j; instr } :: !trace
+          let src = ins.(b + field_peer) in
+          if count = 0 then invalid_arg "Program.simulate: empty pack";
+          let k = key node iter in
+          let l = link src j in
+          let m = take k ~src ~dst:j (-1) pending.(k) in
+          if m < 0 then begin
+            wait_cell.(j) <- (k * width_p) + (src - lo);
+            wait_link.(j) <- l;
+            pull l ~upto:sent.(l) ~at:!clock;
+            parked := true
+          end
+          else begin
+            let sender = code.(f_src.(m)) in
+            if not (same_frame sender (f_pc.(m) * width) c b) then
+              raise
+                (Fail
+                   (Frame_mismatch
+                      { proc = j; instr = decode c !pc; sent = decode sender f_pc.(m) }));
+            if stepping then ignore (step ~proc:j ~pc:!pc payload.(m));
+            if f_arrival.(m) > !clock then clock := f_arrival.(m);
+            pull l ~upto:(f_seq.(m) + 1) ~at:!clock;
+            let base = j * size in
+            Bytes.unsafe_set held (base + k) '\001';
+            for i = 0 to count - 2 do
+              Bytes.unsafe_set held
+                (base + key pool.(at + (2 * i)) pool.(at + (2 * i) + 1))
+                '\001'
+            done;
+            incr delivered;
+            retire j !pc !clock;
+            incr pc
+          end
         end
+      end
     done;
-    todo.(j) <- !prog;
+    pcs.(j) <- !pc;
     time.(j) <- !clock
   in
   match
     for j = 0 to n - 1 do
-      if todo.(j) <> [] then enqueue j
+      if length code.(j) > 0 then enqueue j
     done;
     while not (Queue.is_empty runnable) do
       let j = Queue.take runnable in
@@ -455,7 +566,7 @@ let simulate ?step ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(r
     (* The queue drained: every processor is done or parked for good. *)
     let blocked = ref [] in
     for j = n - 1 downto 0 do
-      match todo.(j) with [] -> () | instr :: _ -> blocked := (j, instr) :: !blocked
+      if pcs.(j) < length code.(j) then blocked := (j, decode code.(j) pcs.(j)) :: !blocked
     done;
     if !blocked <> [] then Error (Stuck { delivered = !delivered; blocked = !blocked })
     else if !delivered < !frames then begin
@@ -464,7 +575,8 @@ let simulate ?step ?(capacity = max_int) ?(latency = fun ~src:_ ~dst:_ -> 0) ?(r
         incr k
       done;
       let m = pending.(!k) in
-      Error (Undelivered { src = f_src.(m); dst = f_dst.(m); instr = f_send.(m) })
+      Error
+        (Undelivered { src = f_src.(m); dst = f_dst.(m); instr = decode code.(f_src.(m)) f_pc.(m) })
     end
     else
       Ok
@@ -492,10 +604,12 @@ let pp ppf t =
   let names i = Mimd_ddg.Graph.name t.graph i in
   Format.fprintf ppf "@[<v>PARBEGIN@,";
   Array.iteri
-    (fun proc prog ->
+    (fun proc c ->
       Format.fprintf ppf "PE%d:@," proc;
-      List.iter (fun i -> Format.fprintf ppf "    %a@," (pp_instr ~names) i) prog)
-    t.programs;
+      for pc = 0 to length c - 1 do
+        Format.fprintf ppf "    %a@," (pp_instr ~names) (decode c pc)
+      done)
+    t.code;
   Format.fprintf ppf "PAREND@]"
 
 let pp_failure ~names ppf = function

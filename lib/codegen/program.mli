@@ -6,7 +6,18 @@
     instance.  [Send] is non-blocking (communication is fully
     overlapped, Section 4); [Recv] blocks until the named message has
     arrived.  These programs are what the simulated multiprocessor
-    ({!Mimd_sim}) executes. *)
+    ({!Mimd_sim}) executes.
+
+    {b The flat form.}  A processor's code is two int arrays, not one
+    block per instruction ({!code}): [instrs] holds one record of
+    {!width} ints per instruction, in program order, and [pool] holds
+    the tags of each pack after its head.  {!From_schedule} writes the
+    records directly, and every compile pass ({!check}, {!simulate},
+    [Lower.run], {!Comm_opt.messages}, {!Comm_opt.fingerprint}) reads
+    them in place.  {!instr} is the view that printers and pattern
+    matches use: {!decode} builds one for a defect, a failure or a
+    printout, {!to_instrs} for a whole program, and {!of_instrs} is the
+    one constructor from the view. *)
 
 type tag = { node : int; iter : int }
 (** A message is named by the instance that produced its value. *)
@@ -25,11 +36,62 @@ type instr =
           named by the head of [tags] arrives, then lands every
           carried value at once. *)
 
+(** {1 Instruction records} *)
+
+val width : int
+(** Ints per instruction record: record [k] of a PE is
+    [instrs.((k * width) + f)] for the fields [f] below. *)
+
+val field_kind : int
+(** One of {!compute}, {!send}, {!send_pack}, {!recv}, {!recv_pack}. *)
+
+val field_node : int
+(** The instance computed, or a message's head tag: node ... *)
+
+val field_iter : int
+(** ... and iteration. *)
+
+val field_peer : int
+(** A message's destination (sends) or source (recvs); [-1] for a
+    compute. *)
+
+val field_at : int
+(** A pack's offset in [pool] of its tags after the head, as
+    (node, iter) pairs; 0 for anything else. *)
+
+val field_count : int
+(** Tags a message carries, head included: 1 for a [Send] or [Recv],
+    the tag count for a pack (0 for an empty one); 0 for a compute. *)
+
+val compute : int
+val send : int
+val send_pack : int
+val recv : int
+val recv_pack : int
+
+type code = {
+  instrs : int array;  (** [width] ints per instruction, program order *)
+  pool : int array;  (** every pack's tags after its head, (node, iter) pairs *)
+}
+
 type t = {
   graph : Mimd_ddg.Graph.t;
   processors : int;
-  programs : instr list array;  (** one instruction sequence per processor *)
+  code : code array;  (** one instruction sequence per processor *)
 }
+
+val length : code -> int
+(** Instruction records in [instrs]. *)
+
+val of_instrs : Mimd_ddg.Graph.t -> instr list array -> t
+(** The program whose processor [j] runs [programs.(j)] ([processors]
+    is the array's length). *)
+
+val to_instrs : t -> instr list array
+(** The view of every processor's code: [to_instrs (of_instrs g a) = a]. *)
+
+val decode : code -> int -> instr
+(** [decode c pc]: the view of instruction [pc] of [c]. *)
 
 val instruction_count : t -> int
 
@@ -137,7 +199,7 @@ val simulate :
     depend on [capacity] at all.
     [step] (the runtime's inline value run) is called once per
     instruction as it retires, in program order per processor, with
-    its index [pc] in [programs.(proc)].  A Send's result is kept as
+    its index [pc] in [code.(proc)].  A Send's result is kept as
     its frame's payload and handed to the Recv that takes the frame;
     Computes get and return [None].  [step] changes nothing in the
     outcome, [steps] included; its exceptions pass through.

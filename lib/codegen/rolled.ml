@@ -120,6 +120,6 @@ let render (pattern : Pattern.t) =
               b.sends)
           body;
         Buffer.add_string buf "    ENDFOR  -- epilogue drains symmetrically\n"))
-    prog.Program.programs;
+    (Program.to_instrs prog);
   Buffer.add_string buf "PAREND\n";
   Buffer.contents buf

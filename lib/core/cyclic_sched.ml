@@ -120,7 +120,8 @@ let overlapping tl ~entry_of ~max_latency ~top ~bottom =
 (* Node instances are identified by the int-packed pair
    [(iter lsl node_bits) lor node], and every per-instance table
    (start, processor, admission count) is a
-   directly-indexed int array over that key space, grown by doubling —
+   directly-indexed int array over that key space — sized once for a
+   bounded run, grown by doubling for an unbounded one —
    a machine-word read or write per access, no hashing and no boxed
    entry until the caller asks for one.  The ready queue is a binary
    min-heap of ints packing (iter, normalized priority, node) so that
@@ -357,6 +358,9 @@ let init_state ~graph ~machine ~limit ~order =
   let prio_bits = bits_for (-prio_base) in
   let iter_cap = 1 lsl (62 - prio_bits - node_bits) in
   let p = machine.Config.processors in
+  (* A bounded run's keys stay below [limit lsl node_bits], so its
+     instance tables are sized once; the unbounded one grows them. *)
+  let inst_cap = if limit = max_int then 1024 else max 1 (limit lsl node_bits) in
   let st =
     {
       graph;
@@ -371,10 +375,10 @@ let init_state ~graph ~machine ~limit ~order =
       succ_dst;
       succ_dist;
       timelines = Array.init p (fun _ -> new_timeline ());
-      inst_cap = 1024;
-      start_of = Array.make 1024 (-1);
-      proc_of = Array.make 1024 0;
-      counts = Array.make 1024 max_int;
+      inst_cap;
+      start_of = Array.make inst_cap (-1);
+      proc_of = Array.make inst_cap 0;
+      counts = Array.make inst_cap max_int;
       heap = Array.make (max 16 (2 * n)) 0;
       heap_len = 0;
       fr_set = Iset.empty;

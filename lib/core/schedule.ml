@@ -52,6 +52,10 @@ module Index = struct
     let k = key_of t ~node ~iter in
     if k < 0 then -1 else if t.cells.(k).start < 0 then -1 else t.cells.(k).proc
 
+  let start_at t ~node ~iter =
+    let k = key_of t ~node ~iter in
+    if k < 0 then -1 else t.cells.(k).start
+
   let find t inst =
     let e = slot t inst in
     if e.start < 0 then None else Some e
@@ -123,6 +127,7 @@ let entries_on t p = t.by_proc.(p)
 let find t inst = Index.find t.index inst
 let is_scheduled t inst = Index.mem t.index inst
 let proc_at t ~node ~iter = Index.proc_at t.index ~node ~iter
+let start_at t ~node ~iter = Index.start_at t.index ~node ~iter
 
 let finish t e = e.start + Graph.latency t.graph e.inst.node
 let makespan t = List.fold_left (fun acc e -> max acc (finish t e)) 0 t.all

@@ -78,6 +78,10 @@ val proc_at : t -> node:int -> iter:int -> int
 (** Processor of instance [(node, iter)], or [-1] when it is not
     scheduled: {!find} without the option or the instance record. *)
 
+val start_at : t -> node:int -> iter:int -> int
+(** Start cycle of instance [(node, iter)], or [-1] when it is not
+    scheduled, allocating nothing, as {!proc_at}. *)
+
 val finish : t -> entry -> int
 (** [start + latency]. *)
 

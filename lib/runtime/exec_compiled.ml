@@ -214,12 +214,10 @@ let run ?init ?(timeout = 5.0) ?lowered ~loop ~(program : Program.t) () =
     let retired j =
       match replies.(j) with
       | Some (Team.Failed { pc; _ }) -> pc
-      | Some (Done _) -> List.length program.programs.(j)
+      | Some (Done _) -> Program.length program.code.(j)
       | Some Ready | None -> 0
     in
-    let snapshots =
-      Watchdog.snapshots ~graph:program.graph ~programs:program.programs ~retired
-    in
+    let snapshots = Watchdog.snapshots ~program ~retired in
     raise (Watchdog.Runtime_deadlock { timeout; snapshots })
   | exception Team.Team_failed f ->
     failwith
@@ -271,8 +269,7 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
          {
            timeout = 0.0;
            snapshots =
-             Watchdog.snapshots ~graph:program.graph ~programs:program.programs
-               ~retired:(Array.get retired);
+             Watchdog.snapshots ~program ~retired:(Array.get retired);
          })
   | Error f ->
     invalid_arg

@@ -136,53 +136,49 @@ let no_tag = (-1, -1)
 (* Pass 1 over one PE's program: its sizes; every instance it defines
    (Compute destinations and every tag a Recv/Recv_pack lands) goes to
    [see], and every initial-memory cell it reads widens [cells]. *)
-let measure ~plans ~cells ~see prog =
-  let n_instrs = ref 0 and n_pool = ref 0 and n_tags = ref 0 in
+let measure ~plans ~cells ~see (c : Program.code) =
+  let ins = c.instrs and tail = c.pool in
+  let n_pool = ref 0 and n_tags = ref 0 in
   let n_computes = ref 0 and n_memory = ref 0 in
-  let rec see_tags = function
-    | [] -> ()
-    | (t : Program.tag) :: rest ->
-      see t.node t.iter;
-      see_tags rest
-  in
-  List.iter
-    (fun instr ->
-      incr n_instrs;
-      match instr with
-      | Program.Compute { node; iter } ->
-        see node iter;
-        incr n_computes;
-        let p = plans.(node) in
-        let nr = Array.length p.src in
-        n_pool := !n_pool + nr;
-        for r = 0 to nr - 1 do
-          if p.src.(r) < 0 || iter - p.dist.(r) < 0 then begin
-            incr n_memory;
-            let a = p.arr.(r) and idx = if p.fixed.(r) then 0 else iter + p.offset.(r) in
-            if a < cells.arr_lo then cells.arr_lo <- a;
-            if a > cells.arr_hi then cells.arr_hi <- a;
-            if idx < cells.idx_lo then cells.idx_lo <- idx;
-            if idx > cells.idx_hi then cells.idx_hi <- idx
-          end
-        done
-      | Program.Send _ ->
-        incr n_pool;
-        incr n_tags
-      | Program.Send_pack { tags; _ } ->
-        let n = List.length tags in
-        n_pool := !n_pool + n;
-        n_tags := !n_tags + n
-      | Program.Recv { tag; _ } ->
-        see tag.node tag.iter;
-        n_pool := !n_pool + 3;
-        incr n_tags
-      | Program.Recv_pack { tags; _ } ->
-        see_tags tags;
-        n_pool := !n_pool + (3 * List.length tags);
-        incr n_tags)
-    prog;
+  for k = 0 to Program.length c - 1 do
+    let b = k * Program.width in
+    let kind = ins.(b + Program.field_kind) in
+    let node = ins.(b + Program.field_node) and iter = ins.(b + Program.field_iter) in
+    let count = ins.(b + Program.field_count) in
+    if kind = Program.compute then begin
+      see node iter;
+      incr n_computes;
+      let p = plans.(node) in
+      let nr = Array.length p.src in
+      n_pool := !n_pool + nr;
+      for r = 0 to nr - 1 do
+        if p.src.(r) < 0 || iter - p.dist.(r) < 0 then begin
+          incr n_memory;
+          let a = p.arr.(r) and idx = if p.fixed.(r) then 0 else iter + p.offset.(r) in
+          if a < cells.arr_lo then cells.arr_lo <- a;
+          if a > cells.arr_hi then cells.arr_hi <- a;
+          if idx < cells.idx_lo then cells.idx_lo <- idx;
+          if idx > cells.idx_hi then cells.idx_hi <- idx
+        end
+      done
+    end
+    else if kind = Program.send || kind = Program.send_pack then begin
+      n_pool := !n_pool + count;
+      n_tags := !n_tags + count
+    end
+    else begin
+      (* a Recv or a Recv_pack lands every tag it carries *)
+      if count > 0 then see node iter;
+      let at = ins.(b + Program.field_at) in
+      for i = 0 to count - 2 do
+        see tail.(at + (2 * i)) tail.(at + (2 * i) + 1)
+      done;
+      n_pool := !n_pool + (3 * count);
+      incr n_tags
+    end
+  done;
   {
-    n_instrs = !n_instrs;
+    n_instrs = Program.length c;
     n_pool = !n_pool;
     n_tags = !n_tags;
     n_computes = !n_computes;
@@ -261,70 +257,65 @@ let lower_proc ~plans ~(codes : code array) ~array_names ~keys ~slot_at ~cells ~
     tags.(!ttop) <- (node, iter);
     incr ttop
   in
-  let rec send_entries = function
-    | [] -> ()
-    | (t : Program.tag) :: rest ->
-      send_entry t.node t.iter;
-      send_entries rest
-  in
   let recv_entry node iter =
     pool.(!ptop) <- node;
     pool.(!ptop + 1) <- iter;
     pool.(!ptop + 2) <- define node iter;
     ptop := !ptop + 3
   in
-  let rec recv_entries = function
-    | [] -> ()
-    | (t : Program.tag) :: rest ->
-      recv_entry t.node t.iter;
-      recv_entries rest
-  in
   let recv_head kind pos node iter src count =
     record pos kind node iter src !ptop count !ttop;
     tags.(!ttop) <- (node, iter);
     incr ttop
   in
-  List.iteri
-    (fun pos instr ->
-      match instr with
-      | Program.Compute { node; iter } ->
-        let p = plans.(node) in
-        let nr = Array.length p.src and at = !ptop in
-        for r = 0 to nr - 1 do
-          let s = p.src.(r) and back = iter - p.dist.(r) in
-          pool.(at + r) <-
-            (if s >= 0 && back >= 0 then begin
-               let slot = defined_slot s back in
-               if slot < 0 then
-                 invalid_arg
-                   (Printf.sprintf "Lower: PE%d computing (%d,%d) lacks operand (%d,%d) for %s" j
-                      node iter s back array_names.(p.arr.(r)));
-               slot
-             end
-             else prefill_slot p.arr.(r) (if p.fixed.(r) then 0 else iter + p.offset.(r)))
-        done;
-        ptop := at + nr;
-        record pos compute node iter (-1) at nr (define node iter);
-        computes.(!ctop) <- node;
-        computes.(!ctop + 1) <- iter;
-        ctop := !ctop + 2;
-        let need = codes.(node).stack_need in
-        if need > !stack_need then stack_need := need
-      | Program.Send { tag = { node; iter }; dst } ->
-        record pos send node iter dst !ptop 1 !ttop;
-        send_entry node iter
-      | Program.Send_pack { tags = { node; iter } :: _ as entries; dst } ->
-        record pos send_pack node iter dst !ptop (List.length entries) !ttop;
-        send_entries entries
-      | Program.Recv { tag = { node; iter }; src } ->
-        recv_head recv pos node iter src 1;
-        recv_entry node iter
-      | Program.Recv_pack { tags = { node; iter } :: _ as entries; src } ->
-        recv_head recv_pack pos node iter src (List.length entries);
-        recv_entries entries
-      | Program.Send_pack { tags = []; _ } | Program.Recv_pack { tags = []; _ } ->
-        invalid_arg "Lower: empty pack")
-    prog;
+  let ins = prog.Program.instrs and tail = prog.Program.pool in
+  for pos = 0 to sz.n_instrs - 1 do
+    let b = pos * Program.width in
+    let kind = ins.(b + Program.field_kind) in
+    let node = ins.(b + Program.field_node) and iter = ins.(b + Program.field_iter) in
+    let peer = ins.(b + Program.field_peer) and count = ins.(b + Program.field_count) in
+    let rest = ins.(b + Program.field_at) in
+    if kind = Program.compute then begin
+      let p = plans.(node) in
+      let nr = Array.length p.src and at = !ptop in
+      for r = 0 to nr - 1 do
+        let s = p.src.(r) and back = iter - p.dist.(r) in
+        pool.(at + r) <-
+          (if s >= 0 && back >= 0 then begin
+             let slot = defined_slot s back in
+             if slot < 0 then
+               invalid_arg
+                 (Printf.sprintf "Lower: PE%d computing (%d,%d) lacks operand (%d,%d) for %s" j
+                    node iter s back array_names.(p.arr.(r)));
+             slot
+           end
+           else prefill_slot p.arr.(r) (if p.fixed.(r) then 0 else iter + p.offset.(r)))
+      done;
+      ptop := at + nr;
+      record pos compute node iter (-1) at nr (define node iter);
+      computes.(!ctop) <- node;
+      computes.(!ctop + 1) <- iter;
+      ctop := !ctop + 2;
+      let need = codes.(node).stack_need in
+      if need > !stack_need then stack_need := need
+    end
+    else if count = 0 then invalid_arg "Lower: empty pack"
+    else if kind = Program.send || kind = Program.send_pack then begin
+      record pos (if kind = Program.send then send else send_pack) node iter peer !ptop count
+        !ttop;
+      send_entry node iter;
+      for i = 0 to count - 2 do
+        send_entry tail.(rest + (2 * i)) tail.(rest + (2 * i) + 1)
+      done
+    end
+    else begin
+      recv_head (if kind = Program.recv then recv else recv_pack) pos node iter peer count;
+      recv_entry node iter;
+      for i = 0 to count - 2 do
+        recv_entry tail.(rest + (2 * i)) tail.(rest + (2 * i) + 1)
+      done
+    end
+  done;
   (* Leave the shared tables as they were found, for the next PE. *)
   for k = 0 to sz.n_instrs - 1 do
     let b = k * width in
@@ -415,7 +406,7 @@ let run ~loop ~(program : Program.t) () =
   let keys =
     Program.Keys.scan (fun see ->
         for j = 0 to p - 1 do
-          sizes.(j) <- measure ~plans ~cells ~see program.programs.(j)
+          sizes.(j) <- measure ~plans ~cells ~see program.code.(j)
         done)
   in
   let slot_at = Array.make (Program.Keys.size keys) (-1) in
@@ -428,7 +419,7 @@ let run ~loop ~(program : Program.t) () =
   let procs =
     Array.init p (fun j ->
         lower_proc ~plans ~codes ~array_names ~keys ~slot_at ~cells ~prefill_at sizes.(j)
-          program.programs.(j) j)
+          program.code.(j) j)
   in
   {
     processors = program.processors;

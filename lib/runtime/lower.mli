@@ -47,7 +47,7 @@
     The lowered form is transport-agnostic and is the only
     per-processor evaluator: {!Exec_compiled} runs it inline on the
     calling thread (as {!Mimd_codegen.Program.simulate}'s value step:
-    record [k] of PE [j] is instruction [k] of [programs.(j)]), on
+    record [k] of PE [j] is instruction [k] of [code.(j)]), on
     domains, and over the [Mimd_dist] socket and TCP meshes, and every
     one of those runs must match {!Mimd_loop_ir.Interp.instance_table}
     bit for bit.  Malformed programs (an operand or sent value that is
@@ -135,8 +135,9 @@ val instr_count : proc_code -> int
 (** Instruction records in [instrs]. *)
 
 val run : loop:Mimd_loop_ir.Ast.loop -> program:Mimd_codegen.Program.t -> unit -> t
-(** Lower every processor's instruction list.  [loop] must be flat and
-    its assignment count must match the program's graph node count.
+(** Lower every processor's instruction records, read in place.
+    [loop] must be flat and its assignment count must match the
+    program's graph node count.
     @raise Invalid_argument on a malformed pair, including a [Compute]
     whose operand (or a [Send] whose value) is not defined before use
     on its PE. *)

@@ -3,16 +3,18 @@ type stall = { timeout : float; snapshots : snapshot list }
 
 exception Runtime_deadlock of stall
 
-let snapshots ~graph ~programs ~retired =
-  let names = Mimd_ddg.Graph.name graph in
-  List.init (Array.length programs) (fun proc ->
-      let prog = Array.of_list programs.(proc) in
-      let retired = retired proc in
+module Program = Mimd_codegen.Program
+
+let snapshots ~(program : Program.t) ~retired =
+  let names = Mimd_ddg.Graph.name program.graph in
+  List.init (Array.length program.code) (fun proc ->
+      let code = program.code.(proc) in
+      let retired = retired proc and total = Program.length code in
       let current =
-        if retired >= Array.length prog then None
-        else Some (Format.asprintf "%a" (Mimd_codegen.Program.pp_instr ~names) prog.(retired))
+        if retired >= total then None
+        else Some (Format.asprintf "%a" (Program.pp_instr ~names) (Program.decode code retired))
       in
-      { proc; retired; total = Array.length prog; current })
+      { proc; retired; total; current })
 
 let pp_snapshot ppf s =
   Format.fprintf ppf "PE%d: %d/%d retired%s" s.proc s.retired s.total

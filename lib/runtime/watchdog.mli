@@ -25,13 +25,9 @@ exception Runtime_deadlock of stall
     executors on a stall.  [timeout] is the stall bound (0 for
     {!Exec_compiled.run_inline}, which sees a stall at once). *)
 
-val snapshots :
-  graph:Mimd_ddg.Graph.t ->
-  programs:Mimd_codegen.Program.instr list array ->
-  retired:(int -> int) ->
-  snapshot list
+val snapshots : program:Mimd_codegen.Program.t -> retired:(int -> int) -> snapshot list
 (** One snapshot per processor: [retired proc] instructions of
-    [programs.(proc)] done, [current] the next one rendered with the
+    [program.code.(proc)] done, [current] the next one rendered with the
     graph's node names.  Every executor's stall report is built here. *)
 
 val describe : stall -> string

@@ -65,8 +65,8 @@ let test_validate_minor_words () =
   let report = V.full full in
   let words = Gc.minor_words () -. w0 in
   check_bool "ewf clean" true (V.ok report);
-  if words > 1_265_714.0 then
-    Alcotest.failf "Validate.full: %.0f minor words on ewf n=1000 (bound 1265714)" words
+  if words > 17_993.0 then
+    Alcotest.failf "Validate.full: %.0f minor words on ewf n=1000 (bound 17993)" words
 
 let test_counters_pinned () =
   (* Every counter of a clean [V.full] at p=2 k=2 n=1000: the cells,
@@ -251,10 +251,10 @@ let drop_first_send program =
              dropped := true;
              false
            | _ -> true))
-      program.Program.programs
+      (Program.to_instrs program)
   in
   check_bool "a send was dropped" true !dropped;
-  { program with Program.programs }
+  Program.of_instrs program.Program.graph programs
 
 let test_protocol_deadlock_detected () =
   (* k = 0 spreads the work, so messages actually flow. *)
@@ -288,7 +288,7 @@ let drop_matched_pair (program : Program.t) =
               dropped := Some (tag, src, dst);
               false
             | _ -> true))
-      program.Program.programs
+      (Program.to_instrs program)
   in
   match !dropped with
   | None -> Alcotest.fail "no send to drop"
@@ -297,7 +297,7 @@ let drop_matched_pair (program : Program.t) =
       List.filter
         (function Program.Recv { tag = t; src = s } -> not (t = tag && s = src) | _ -> true)
         programs.(dst);
-    { program with Program.programs }
+    Program.of_instrs program.Program.graph programs
 
 let test_protocol_missing_operand_detected () =
   List.iter
@@ -331,7 +331,7 @@ let test_protocol_stray_peer_reported () =
           | Program.Recv { tag; _ } -> Program.Recv { tag; src = stray }
           | instr -> instr)
       in
-      let broken = { program with Program.programs = Array.map retarget program.Program.programs } in
+      let broken = Program.of_instrs program.Program.graph (Array.map retarget (Program.to_instrs program)) in
       let report = V.program broken in
       check_bool (Printf.sprintf "peer %d reported" stray) false (V.ok report))
     [ -1; program.Program.processors; 7 ]
@@ -365,11 +365,11 @@ let test_codegen_validate_runs_check () =
           dropped := true;
           false
         | _ -> true))
-      program.Program.programs
+      (Program.to_instrs program)
   in
   check_bool "a recv was dropped" true !dropped;
   check_bool "Program.check rejects the dropped recv" true
-    (Program.check { program with Program.programs } <> [])
+    (Program.check (Program.of_instrs program.Program.graph programs) <> [])
 
 (* ---------------------------------------------------------------- *)
 (* The fuzzing oracle                                                *)

@@ -61,7 +61,7 @@ let test_recv_precedes_use () =
           end
           | Program.Send _ | Program.Send_pack _ | Program.Recv_pack _ -> ())
         instrs)
-    prog.Program.programs
+    (Program.to_instrs prog)
 
 let test_no_messages_single_proc () =
   let sched =
@@ -77,7 +77,7 @@ let test_no_messages_single_proc () =
             Alcotest.fail "unexpected message"
           | Program.Compute _ -> ())
         instrs)
-    prog.Program.programs
+    (Program.to_instrs prog)
 
 let test_sends_deduplicated () =
   (* A value consumed twice on the same remote processor is sent once. *)
@@ -93,7 +93,7 @@ let test_sends_deduplicated () =
   let sched = Schedule.make ~graph:g ~machine:(machine ()) entries in
   let prog = From_schedule.run sched in
   let sends =
-    Array.to_list prog.Program.programs
+    Array.to_list (Program.to_instrs prog)
     |> List.concat
     |> List.filter (function Program.Send _ -> true | _ -> false)
   in
@@ -103,15 +103,11 @@ let test_sends_deduplicated () =
 let test_defect_detection () =
   let g = fig7 () in
   let bad =
-    {
-      Program.graph = g;
-      processors = 2;
-      programs =
-        [|
+    Program.of_instrs g
+      [|
           [ Program.Recv { tag = { node = 0; iter = 0 }; src = 1 } ];
           [ Program.Send { tag = { node = 1; iter = 0 }; dst = 0 } ];
-        |];
-    }
+        |]
   in
   let defects = Program.check bad in
   check_bool "unmatched recv" true
@@ -121,11 +117,8 @@ let test_defect_detection () =
 
 let test_self_message_detected () =
   let bad =
-    {
-      Program.graph = fig7 ();
-      processors = 1;
-      programs = [| [ Program.Send { tag = { node = 0; iter = 0 }; dst = 0 } ] |];
-    }
+    Program.of_instrs (fig7 ())
+      [| [ Program.Send { tag = { node = 0; iter = 0 }; dst = 0 } ] |]
   in
   check_bool "self message" true
     (List.exists
@@ -134,15 +127,11 @@ let test_self_message_detected () =
 
 let test_duplicate_compute_detected () =
   let bad =
-    {
-      Program.graph = fig7 ();
-      processors = 2;
-      programs =
-        [|
+    Program.of_instrs (fig7 ())
+      [|
           [ Program.Compute { node = 0; iter = 0 } ];
           [ Program.Compute { node = 0; iter = 0 } ];
-        |];
-    }
+        |]
   in
   check_bool "duplicate compute" true
     (List.exists
@@ -159,7 +148,7 @@ let send n i dst = Program.Send { tag = tag n i; dst }
 let recv n i src = Program.Recv { tag = tag n i; src }
 
 let defects programs =
-  let p = { Program.graph = fig7 (); processors = Array.length programs; programs } in
+  let p = Program.of_instrs (fig7 ()) programs in
   let names = Graph.name p.graph in
   List.map
     (fun d ->
@@ -308,6 +297,56 @@ let prop_programs_well_formed =
       in
       Program.check (From_schedule.run sched) = [])
 
+(* The flat form against its view: every example loop's program,
+   plain and through [Comm_opt] at windows 4 and 16, encodes back to the
+   same records from [to_instrs], and the view of that encoding is its
+   input; the fingerprint reads the same either way.  Window 16 must
+   produce packs somewhere, so pack tags round-trip too. *)
+let test_flat_round_trip () =
+  let packs = ref 0 in
+  Sys.readdir "../examples/loops" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".loop")
+  |> List.iter (fun name ->
+         let path = Filename.concat "../examples/loops" name in
+         let src = In_channel.with_open_text path In_channel.input_all in
+         let graph = (Mimd_loop_ir.Depend.analyze_string src).Mimd_loop_ir.Depend.graph in
+         let full = Mimd_core.Full_sched.run ~graph ~machine:(machine ()) ~iterations:60 () in
+         let plain = From_schedule.run full.Mimd_core.Full_sched.schedule in
+         List.iter
+           (fun (label, (p : Program.t)) ->
+             let view = Program.to_instrs p in
+             let back = Program.of_instrs p.graph view in
+             let what = Printf.sprintf "%s %s" name label in
+             check_bool (what ^ ": same records") true (back.code = p.code);
+             check_bool (what ^ ": view of the encoding") true (Program.to_instrs back = view);
+             check_string (what ^ ": fingerprint")
+               (Mimd_codegen.Comm_opt.fingerprint p)
+               (Mimd_codegen.Comm_opt.fingerprint back);
+             Array.iter
+               (List.iter (function
+                 | Program.Send_pack _ | Program.Recv_pack _ -> incr packs
+                 | Program.Compute _ | Program.Send _ | Program.Recv _ -> ()))
+               view)
+           [
+             ("plain", plain);
+             ("window 4", fst (Mimd_codegen.Comm_opt.run ~window:4 plain));
+             ("window 16", fst (Mimd_codegen.Comm_opt.run ~window:16 plain));
+           ]);
+  check_bool "some pack round-tripped" true (!packs > 0)
+
+(* Codegen writes its records in place: on ewf n=1000 it allocates a
+   few words for the result, not a cell per instruction. *)
+let test_codegen_minor_words () =
+  let flat = Mimd_loop_ir.Parser.parse Mimd_workloads.Elliptic.source in
+  let graph = (Mimd_loop_ir.Depend.analyze flat).Mimd_loop_ir.Depend.graph in
+  let full = Mimd_core.Full_sched.run ~graph ~machine:(machine ()) ~iterations:1000 () in
+  let w0 = Gc.minor_words () in
+  let program = From_schedule.run full.Mimd_core.Full_sched.schedule in
+  let words = Gc.minor_words () -. w0 in
+  check_bool "ewf well-formed" true (Program.check program = []);
+  if words > 116.0 then
+    Alcotest.failf "From_schedule.run: %.0f minor words on ewf n=1000 (bound 116)" words
+
 let suite =
   [
     Alcotest.test_case "programs well-formed" `Quick test_program_well_formed;
@@ -333,4 +372,6 @@ let suite =
       test_tags_beyond_every_compute;
     Alcotest.test_case "defects: a PE with an empty program" `Quick test_empty_pe_program;
     Alcotest.test_case "defects: full list in order" `Quick test_many_defects_in_order;
+    Alcotest.test_case "flat form: round trip over the examples" `Quick test_flat_round_trip;
+    Alcotest.test_case "codegen: minor words bounded" `Quick test_codegen_minor_words;
   ]

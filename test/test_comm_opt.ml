@@ -49,7 +49,7 @@ let test_diamond_elision_through_third_processor () =
       ];
     |]
   in
-  let p = { Program.graph; processors = 3; programs } in
+  let p = Program.of_instrs graph programs in
   check_bool "input well-formed" true (Program.check p = []);
   let opt, stats = Comm_opt.run ~window:0 p in
   check_int "elided" 1 stats.Comm_opt.elided;
@@ -57,12 +57,12 @@ let test_diamond_elision_through_third_processor () =
   check_int "messages after" 2 stats.Comm_opt.messages_after;
   check_int "forwarded values" 1 stats.Comm_opt.forwarded_values;
   check_bool "optimized well-formed" true (Program.check opt = []);
-  (match opt.Program.programs.(1) with
+  (match (Program.to_instrs opt).(1) with
   | [ Program.Recv _; Program.Compute _; Program.Send_pack { tags; dst = 2 } ]
     ->
     check_bool "b's frame carries a as extra" true (tags = [ tag 1 0; tag 0 0 ])
   | _ -> Alcotest.fail "P1 should end with a Send_pack carrying the extra");
-  match opt.Program.programs.(2) with
+  match (Program.to_instrs opt).(2) with
   | [ Program.Recv_pack { tags; src = 1 }; Program.Compute _ ] ->
     check_bool "P2 lands both values in one frame" true
       (tags = [ tag 1 0; tag 0 0 ])
@@ -91,13 +91,13 @@ let test_same_link_forwarding_uses_first_use_bound () =
       ];
     |]
   in
-  let p = { Program.graph; processors = 2; programs } in
+  let p = Program.of_instrs graph programs in
   check_bool "input well-formed" true (Program.check p = []);
   let opt, stats = Comm_opt.run ~window:0 p in
   check_int "elided" 1 stats.Comm_opt.elided;
   check_int "messages after" 1 stats.Comm_opt.messages_after;
   check_bool "optimized well-formed" true (Program.check opt = []);
-  match opt.Program.programs.(1) with
+  match (Program.to_instrs opt).(1) with
   | [ Program.Recv_pack { tags; src = 0 }; Program.Compute _ ] ->
     check_bool "frame lands both values" true (tags = [ tag 1 0; tag 0 0 ])
   | _ -> Alcotest.fail "P1 should land both values via one Recv_pack"
@@ -125,7 +125,7 @@ let test_elision_refused_when_value_would_arrive_late () =
       ];
     |]
   in
-  let p = { Program.graph; processors = 2; programs } in
+  let p = Program.of_instrs graph programs in
   check_bool "input well-formed" true (Program.check p = []);
   let opt, stats = Comm_opt.run ~window:0 p in
   check_int "nothing elided" 0 stats.Comm_opt.elided;
@@ -158,16 +158,16 @@ let test_coalesce_refuses_deadlocking_merge () =
       ];
     |]
   in
-  let p = { Program.graph; processors = 2; programs } in
+  let p = Program.of_instrs graph programs in
   check_bool "input well-formed" true (Program.check p = []);
   let opt, stats = Comm_opt.run ~window:2 p in
   check_int "nothing coalesced" 0 stats.Comm_opt.coalesced;
   check_int "nothing elided" 0 stats.Comm_opt.elided;
   check_int "messages unchanged" 3 stats.Comm_opt.messages_after;
   check_bool "P0 keeps both frames to P1 separate" true
-    (opt.Program.programs.(0) = programs.(0));
+    ((Program.to_instrs opt).(0) = programs.(0));
   check_bool "P1 keeps both receives separate" true
-    (opt.Program.programs.(1) = programs.(1));
+    ((Program.to_instrs opt).(1) = programs.(1));
   check_bool "validator accepts (simulation drains)" true
     (audit opt = Ok ())
 
@@ -296,7 +296,7 @@ let assert_values_available_in_time (p : Program.t) =
             Hashtbl.replace have (node, iter) ()
           | Program.Send _ | Program.Send_pack _ -> ())
         instrs)
-    p.Program.programs
+    (Program.to_instrs p)
 
 let test_values_available_in_time () =
   List.iter

@@ -99,7 +99,7 @@ let test_program_pp () =
   let s = Format.asprintf "%a" Mimd_codegen.Program.pp prog in
   check_bool "parbegin" true (contains s "PARBEGIN" && contains s "PAREND");
   check_int "instruction count sane" (Mimd_codegen.Program.instruction_count prog)
-    (Array.fold_left (fun acc l -> acc + List.length l) 0 prog.Mimd_codegen.Program.programs)
+    (Array.fold_left (fun acc l -> acc + List.length l) 0 (Mimd_codegen.Program.to_instrs prog))
 
 let test_full_sched_fold_tolerance () =
   (* tolerance 0 forces a strict comparison; the call still succeeds. *)

@@ -365,7 +365,7 @@ let test_runner_compiled_pack_delivery () =
       (List.exists (function
         | Mimd_codegen.Program.Recv_pack { tags; _ } -> List.length tags > 1
         | _ -> false))
-      packed.Mimd_codegen.Program.programs
+      (Mimd_codegen.Program.to_instrs packed)
   in
   check_bool "optimized program carries multi-value packs" true has_pack;
   let lowered = Mimd_runtime.Lower.run ~loop:flat ~program:packed () in
@@ -1740,7 +1740,7 @@ let test_runner_unread_frame_retires () =
   Runner.shutdown ();
   let iterations = 12 in
   let flat, program = compile ~iterations (Parser.parse Mimd_workloads.Fig7.source) in
-  let programs = Array.copy program.Mimd_codegen.Program.programs in
+  let programs = Array.copy (Mimd_codegen.Program.to_instrs program) in
   let is_send = function Mimd_codegen.Program.Send _ -> true | _ -> false in
   let sender =
     let rec find j =
@@ -1750,7 +1750,7 @@ let test_runner_unread_frame_retires () =
   in
   let dup = List.find is_send (List.rev programs.(sender)) in
   programs.(sender) <- programs.(sender) @ [ dup ];
-  let extra = { program with Mimd_codegen.Program.programs } in
+  let extra = Mimd_codegen.Program.of_instrs program.Mimd_codegen.Program.graph programs in
   let f0 = spawns () in
   expect_interp "extra send" ~iterations flat (Runner.run ~loop:flat ~program:extra ());
   expect_interp "the next call" ~iterations flat (Runner.run ~loop:flat ~program ());
@@ -1766,7 +1766,7 @@ let send_only_pe0 () =
       (Parser.parse
          "for i = 1 to n { A[i] = A[i-1] * 3 + A[i-1] * 2 + 1; B[i] = B[i-1] * 2 + B[i-1] * 3 + A[i-1]; }")
   in
-  let instrs = program.Mimd_codegen.Program.programs.(0) in
+  let instrs = (Mimd_codegen.Program.to_instrs program).(0) in
   check_bool "PE 0 sends and receives nothing" true
     (List.exists (function Mimd_codegen.Program.Send _ -> true | _ -> false) instrs
     && not

@@ -146,6 +146,35 @@ let test_corpus_fingerprints () =
 let test_corpus_fingerprints_n2000 () =
   check_fingerprint_golden ~iterations:2000 "goldens/fingerprints_p2_k2_n2000.txt"
 
+(* The plain codegen golden pins [Comm_opt.fingerprint] of every
+   corpus loop's unoptimized program at p=2 k=2 n=60, one line
+   "<hex> <name>", so codegen's output is pinned instruction by
+   instruction, not only through the schedule it lowers. *)
+let test_corpus_program_fingerprints () =
+  let lines =
+    In_channel.with_open_text "goldens/program_fingerprints_p2_k2_n60.txt" In_channel.input_lines
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ hex; name ] ->
+        let src =
+          In_channel.with_open_text (Filename.concat "../examples/loops" name) In_channel.input_all
+        in
+        let g = (Mimd_loop_ir.Depend.analyze_string src).Mimd_loop_ir.Depend.graph in
+        let machine = Mimd_machine.Config.make ~processors:2 ~comm_estimate:2 in
+        let full = Mimd_core.Full_sched.run ~graph:g ~machine ~iterations:60 () in
+        let program = Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule in
+        check_string (name ^ ": matches golden") hex (Mimd_codegen.Comm_opt.fingerprint program)
+      | _ -> Alcotest.failf "malformed program golden line: %S" line)
+    lines;
+  let corpus =
+    Sys.readdir "../examples/loops" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".loop")
+  in
+  check_int "every corpus file is pinned" (List.length corpus) (List.length lines)
+
 (* The comm-opt goldens pin both the optimized programs (fingerprint)
    and the message-count table (before->after) at the default window —
    the same files the CI comm-opt fingerprint-diff steps check.  The
@@ -301,4 +330,6 @@ let suite =
       test_sweep_fingerprints;
     Alcotest.test_case "golden: comm-opt sweep fingerprints p2-4 k1-4 n30-120 w1,4" `Quick
       test_commopt_sweep_fingerprints;
+    Alcotest.test_case "golden: corpus plain program fingerprints" `Quick
+      test_corpus_program_fingerprints;
   ]

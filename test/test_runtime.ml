@@ -211,8 +211,8 @@ let test_lower_minor_words () =
   let lowered = Lower.run ~loop:flat ~program () in
   let words = Gc.minor_words () -. w0 in
   ignore (Sys.opaque_identity lowered);
-  if words > 47_065.0 then
-    Alcotest.failf "Lower.run: %.0f minor words on ewf n=1000 (bound 47065)" words
+  if words > 46_889.0 then
+    Alcotest.failf "Lower.run: %.0f minor words on ewf n=1000 (bound 46889)" words
 
 (* ---------------------------------------------------------------- *)
 (* Differential execution: domains = inline = Interp, every instance  *)
@@ -327,10 +327,10 @@ let program_missing_a_send () =
              dropped := true;
              false
            | _ -> true))
-      program.Program.programs
+      (Program.to_instrs program)
   in
   check_bool "a send was dropped" true !dropped;
-  (flat, program, { program with Program.programs })
+  (flat, program, Program.of_instrs program.Program.graph programs)
 
 let test_watchdog_detects_deadlock () =
   (* The run must end in Runtime_deadlock, not hang, and each domain's
@@ -377,10 +377,10 @@ let test_inline_deadlock_is_structured () =
     let orphan j = function
       | Program.Recv { tag; src } ->
         not
-          (List.mem (Program.Send { tag; dst = j }) broken.Program.programs.(src))
+          (List.mem (Program.Send { tag; dst = j }) (Program.to_instrs broken).(src))
       | _ -> false
     in
-    let blocking = Array.mapi (fun j -> List.find_index (orphan j)) broken.Program.programs in
+    let blocking = Array.mapi (fun j -> List.find_index (orphan j)) (Program.to_instrs broken) in
     let j = Option.get (Array.find_index Option.is_some blocking) in
     check_int
       (Printf.sprintf "PE%d retired up to its blocking recv" j)
@@ -721,7 +721,7 @@ let check_mirrors name (program : Program.t) (lowered : Lower.t) =
         if not (in_store p.((3 * f) + 2)) then
           Alcotest.failf "%s: PE%d prefill %d outside the store" name j f
       done)
-    program.Program.programs
+    (Program.to_instrs program)
 
 let test_lower_mirrors_program () =
   let full_program ~p ~n (name, source, cost) =
@@ -777,7 +777,7 @@ let test_lower_rejects_malformed () =
   in
   let tag n i : Program.tag = { node = n; iter = i } in
   let raises name msg programs =
-    let program = { Program.graph; processors = Array.length programs; programs } in
+    let program = Program.of_instrs graph programs in
     Alcotest.check_raises name (Invalid_argument msg) (fun () ->
         ignore (Lower.run ~loop:flat ~program ()))
   in
@@ -836,7 +836,7 @@ let test_compiled_pack_delivery () =
       (List.exists (function
         | Program.Recv_pack { tags; _ } -> List.length tags > 1
         | _ -> false))
-      packed.Program.programs
+      (Program.to_instrs packed)
   in
   check_bool "optimized program carries multi-value packs" true has_pack;
   check_runtime ~prelower:true ~name:"ewf unpacked" ~iterations:30 ~flat program;
@@ -869,9 +869,9 @@ let test_inline_undelivered_frame () =
             |> Option.get
           in
           instrs @ [ Program.Send { tag; dst = 1 } ])
-      program.Program.programs
+      (Program.to_instrs program)
   in
-  let extra = { program with Program.programs = extra } in
+  let extra = Program.of_instrs program.Program.graph extra in
   match Exec_compiled.run_inline ~loop:flat ~program:extra () with
   | _ -> Alcotest.fail "a stranded frame went unnoticed"
   | exception Invalid_argument msg ->

@@ -80,7 +80,7 @@ let test_sim_counts_messages () =
   let sched = fig7_sched ~iterations:10 () in
   let prog = Mimd_codegen.From_schedule.run sched in
   let sends =
-    Array.to_list prog.Program.programs
+    Array.to_list (Program.to_instrs prog)
     |> List.concat
     |> List.filter (function Program.Send _ -> true | _ -> false)
     |> List.length
@@ -117,15 +117,11 @@ let test_sim_trace () =
 
 let test_sim_deadlock_detected () =
   let prog =
-    {
-      Program.graph = fig7 ();
-      processors = 2;
-      programs =
-        [|
+    Program.of_instrs (fig7 ())
+      [|
           [ Program.Recv { tag = { node = 0; iter = 0 }; src = 1 } ];
           [ Program.Recv { tag = { node = 1; iter = 0 }; src = 0 } ];
-        |];
-    }
+        |]
   in
   check_bool "deadlock raised" true
     (match Exec.run ~program:prog ~links:(Links.fixed 1) () with
@@ -137,11 +133,8 @@ let test_sim_send_before_recv_ordering () =
      arrives; blocking semantics, not rendezvous. *)
   let g = graph_of ~latencies:[| 5; 1 |] ~edges:[ (0, 1, 0) ] in
   let prog =
-    {
-      Program.graph = g;
-      processors = 2;
-      programs =
-        [|
+    Program.of_instrs g
+      [|
           [
             Program.Compute { node = 0; iter = 0 };
             Program.Send { tag = { node = 0; iter = 0 }; dst = 1 };
@@ -150,8 +143,7 @@ let test_sim_send_before_recv_ordering () =
             Program.Recv { tag = { node = 0; iter = 0 }; src = 0 };
             Program.Compute { node = 1; iter = 0 };
           ];
-        |];
-    }
+        |]
   in
   let out = Exec.run ~program:prog ~links:(Links.fixed 2) () in
   (* PE1 waits: 5 (compute) + 2 (comm) + 1 (own compute) = 8. *)
@@ -245,10 +237,10 @@ let prop_dropped_sends_deadlock_cleanly =
                   false
                 | _ -> true)
               instrs)
-          program.Program.programs
+          (Program.to_instrs program)
       in
       let dropped_any = !remaining < drop in
-      let broken = { program with Program.programs } in
+      let broken = Program.of_instrs program.Program.graph programs in
       match Exec.run ~program:broken ~links:(Links.fixed 1) () with
       | out ->
         (* No sends existed to drop, or the dropped ones were not on
@@ -287,7 +279,7 @@ let frames_per_link (program : Program.t) =
           Hashtbl.replace counts (src, dst)
             (1 + Option.value ~default:0 (Hashtbl.find_opt counts (src, dst)))
         | _ -> ()))
-    program.Program.programs;
+    (Program.to_instrs program);
   Hashtbl.fold (fun _ c acc -> max c acc) counts 0
 
 (* Over random loops and their comm-opted programs: a capacity no link
@@ -356,7 +348,7 @@ let prop_simulate_step_observes =
         let links = if mm = 1 then Links.fixed k else Links.uniform ~base:k ~mm ~seed in
         fun ~src ~dst -> Links.sample links ~src ~dst
       in
-      let prog = Array.map Array.of_list program.Program.programs in
+      let prog = Array.map Array.of_list (Program.to_instrs program) in
       let head = function
         | Program.Send { tag; _ } | Program.Recv { tag; _ } -> Some tag
         | Program.Send_pack { tags; _ } | Program.Recv_pack { tags; _ } -> List.nth_opt tags 0

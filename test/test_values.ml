@@ -372,10 +372,10 @@ let test_detects_missing_message () =
               false
             | _ -> true)
           instrs)
-      program.Mimd_codegen.Program.programs
+      (Mimd_codegen.Program.to_instrs program)
   in
   check_bool "a send was dropped" true !dropped;
-  let broken = { program with Mimd_codegen.Program.programs } in
+  let broken = Mimd_codegen.Program.of_instrs program.Mimd_codegen.Program.graph programs in
   check_bool "fails loudly" true
     (match Exec_compiled.run_inline ~loop ~program:broken () with
     | _ -> false
