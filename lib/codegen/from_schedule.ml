@@ -66,47 +66,53 @@ let run ?(validate = false) sched =
     b.(at + Program.field_count) <- count;
     len := at + w
   in
+  (* The graph's edges as int arrays: node v's predecessors are
+     [pred_src]/[pred_dist] from [pred_off.(v)] to [pred_off.(v + 1) - 1],
+     its successors likewise. *)
+  let flatten adjacent endpoint =
+    let off = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      off.(v + 1) <- off.(v) + List.length (adjacent graph v)
+    done;
+    let node = Array.make off.(n) 0 and dist = Array.make off.(n) 0 in
+    for v = 0 to n - 1 do
+      List.iteri
+        (fun j (e : Graph.edge) ->
+          node.(off.(v) + j) <- endpoint e;
+          dist.(off.(v) + j) <- e.distance)
+        (adjacent graph v)
+    done;
+    (off, node, dist)
+  in
+  let pred_off, pred_src, pred_dist = flatten Graph.preds (fun e -> e.src) in
+  let succ_off, succ_dst, succ_dist = flatten Graph.succs (fun e -> e.dst) in
   (* Per-entry scratch, sized by the largest degree and reused: the
      off-processor operands' instance keys, emitted as Recvs in
      ascending key — the consistent (iter, node) order — and the
-     off-processor consumers, sent to in ascending processor.  The
-     entry being walked is in [cur_*], so the edge visitors are built
-     once. *)
-  let max_degree f =
+     off-processor consumers, sent to in ascending processor. *)
+  let max_degree off =
     let m = ref 0 in
     for v = 0 to n - 1 do
-      m := max !m (List.length (f graph v))
+      m := max !m (off.(v + 1) - off.(v))
     done;
     !m
   in
-  let operands = Array.make (max_degree Graph.preds) 0 in
-  let consumers = Array.make (max_degree Graph.succs) 0 in
-  let cur_proc = ref 0 and cur_iter = ref 0 in
-  let n_ops = ref 0 and n_cons = ref 0 in
-  let see_pred (edge : Graph.edge) =
-    let pi = !cur_iter - edge.distance in
-    if pi >= 0 then begin
-      let pp = proc_of.(inst_key ~node:edge.src ~iter:pi) in
-      if pp >= 0 && pp <> !cur_proc then begin
-        operands.(!n_ops) <- inst_key ~node:edge.src ~iter:pi;
-        incr n_ops
-      end
-    end
-  in
-  let see_succ (edge : Graph.edge) =
-    let ci = !cur_iter + edge.distance in
-    let cp = if ci < iterations then proc_of.(inst_key ~node:edge.dst ~iter:ci) else -1 in
-    if cp >= 0 && cp <> !cur_proc then begin
-      consumers.(!n_cons) <- cp;
-      incr n_cons
-    end
-  in
+  let operands = Array.make (max_degree pred_off) 0 in
+  let consumers = Array.make (max_degree succ_off) 0 in
   let walk (e : Schedule.entry) =
     let v = e.inst.node and i = e.inst.iter and p = e.proc in
-    cur_proc := p;
-    cur_iter := i;
-    n_ops := 0;
-    List.iter see_pred (Graph.preds graph v);
+    let n_ops = ref 0 in
+    for j = pred_off.(v) to pred_off.(v + 1) - 1 do
+      let pi = i - pred_dist.(j) in
+      if pi >= 0 then begin
+        let key = inst_key ~node:pred_src.(j) ~iter:pi in
+        let pp = proc_of.(key) in
+        if pp >= 0 && pp <> p then begin
+          operands.(!n_ops) <- key;
+          incr n_ops
+        end
+      end
+    done;
     sort_prefix operands !n_ops;
     for j = 0 to !n_ops - 1 do
       let key = operands.(j) in
@@ -116,14 +122,22 @@ let run ?(validate = false) sched =
         emit Program.recv (key mod n) (key / n) proc_of.(key) 1
       end
     done;
+    let own = inst_key ~node:v ~iter:i in
     emit Program.compute v i (-1) 0;
-    Bytes.set have ((inst_key ~node:v ~iter:i * processors) + p) '\001';
-    n_cons := 0;
-    List.iter see_succ (Graph.succs graph v);
+    Bytes.set have ((own * processors) + p) '\001';
+    let n_cons = ref 0 in
+    for j = succ_off.(v) to succ_off.(v + 1) - 1 do
+      let ci = i + succ_dist.(j) in
+      let cp = if ci < iterations then proc_of.(inst_key ~node:succ_dst.(j) ~iter:ci) else -1 in
+      if cp >= 0 && cp <> p then begin
+        consumers.(!n_cons) <- cp;
+        incr n_cons
+      end
+    done;
     sort_prefix consumers !n_cons;
     for j = 0 to !n_cons - 1 do
       let dst = consumers.(j) in
-      let k = (inst_key ~node:v ~iter:i * processors) + dst in
+      let k = (own * processors) + dst in
       if Bytes.get sent k = '\000' then begin
         Bytes.set sent k '\001';
         emit Program.send v i dst 1
