@@ -11,13 +11,18 @@
     {b The flat form.}  A processor's code is two int arrays, not one
     block per instruction ({!code}): [instrs] holds one record of
     {!width} ints per instruction, in program order, and [pool] holds
-    the tags of each pack after its head.  {!From_schedule} writes the
-    records directly, and every compile pass ({!check}, {!simulate},
-    [Lower.run], {!Comm_opt.messages}, {!Comm_opt.fingerprint}) reads
-    them in place.  {!instr} is the view that printers and pattern
-    matches use: {!decode} builds one for a defect, a failure or a
-    printout, {!to_instrs} for a whole program, and {!of_instrs} is the
-    one constructor from the view. *)
+    the tags of each pack after its head.  This record is the one
+    instruction schema of the whole system: {!From_schedule} writes
+    the records directly, and every compile pass ({!check},
+    {!simulate}, [Lower.run], {!Comm_opt.messages},
+    {!Comm_opt.fingerprint}) and the runtime ([Exec_compiled], which
+    runs a lowered form that shares these very arrays, and
+    [Value_run.finalize], which reads each processor's compute
+    records for the order of its values) read them in place.
+    {!instr} is the view that printers and pattern matches use:
+    {!decode} builds one for a defect, a failure or a printout,
+    {!to_instrs} for a whole program, and {!of_instrs} is the one
+    constructor from the view. *)
 
 type tag = { node : int; iter : int }
 (** A message is named by the instance that produced its value. *)

@@ -42,7 +42,7 @@ let probe_one ?(rounds = 200) ~a ~b () =
   Mesh_sock.close_link mesh ~proc:1 ~peer:0;
   let link = Mesh_sock.ring_link mesh ~proc:0 ~peer:1 in
   let round i =
-    Mesh_sock.Link.send link ~tag:(0, i) (Value_run.Single (float_of_int i));
+    Mesh_sock.Link.send link ~node:0 ~iter:i (Value_run.Single (float_of_int i));
     match Mesh_sock.Link.pull link with
     | Ok _ -> ()
     | Error e -> raise (Wire.Wire_error e)

@@ -86,8 +86,8 @@ let close_inherited ~keep =
    measured cost is what a run's messages cost. *)
 let rec echo link =
   match Mesh_sock.Link.pull link with
-  | Ok (tag, v) ->
-    Mesh_sock.Link.send link ~tag v;
+  | Ok ((node, iter), v) ->
+    Mesh_sock.Link.send link ~node ~iter v;
     echo link
   | Error _ -> ()
 
@@ -107,7 +107,12 @@ let time_cycle_ns () =
   let program = Mimd_codegen.From_schedule.run schedule in
   let lowered = Mimd_runtime.Lower.run ~loop ~program () in
   let alone _ = invalid_arg "Linkprobe.calibrate_cycle_ns: a one-PE run sent a message" in
-  let chans = { Value_run.send = (fun ~dst ~tag:_ _ -> alone dst); recv = (fun ~src ~tag:_ -> alone src) } in
+  let chans =
+    {
+      Value_run.send = (fun ~dst ~node:_ ~iter:_ _ -> alone dst);
+      recv = (fun ~src ~node:_ ~iter:_ -> alone src);
+    }
+  in
   let run () =
     let t0 = Clock.now_ns () in
     ignore (Sys.opaque_identity (Exec_compiled.worker ~lowered ~proc:0 ~chans ()));

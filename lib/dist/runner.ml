@@ -111,6 +111,9 @@ let run_once ?(timeout = 5.0) ?sabotage ?(transport = Unix_sockets) ?(exec = `Co
   if not (Ast.is_flat loop) then invalid_arg "Runner.run: loop must be flat";
   if List.length (Ast.assignments loop) <> Graph.node_count program.Program.graph then
     invalid_arg "Runner.run: statement/node count mismatch";
+  (match exec with
+  | `Compiled_form l -> Lower.check_form ~caller:"Runner.run" l ~program
+  | `Compiled -> ());
   let procs = program.Program.processors in
   try
     let team =

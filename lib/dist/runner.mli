@@ -89,7 +89,10 @@ val run :
     over the form named by [exec]: [`Compiled] (default) lowers the
     program in the parent unless the team holds it, [`Compiled_form l]
     passes [l], which must be the lowering of this [loop] and
-    [program].  Either way a form ships to a team once.  [respawn]
+    [program]: a form lowered from another program raises
+    [Invalid_argument "Runner.run: lowered form is for another
+    program"] ({!Mimd_runtime.Lower.check_form}) before any member
+    starts.  Either way a form ships to a team once.  [respawn]
     (default 0) retries the whole run, on a new team, up to that many
     times after an {e environmental} failure — a [Child_exit], a
     [Stalled], or a [Child_error] carrying a [link down:] message (a

@@ -4,32 +4,33 @@ module Trace = Mimd_obs.Trace
 module Clock = Mimd_obs.Clock
 module Metrics = Mimd_obs.Metrics
 
-(* The per-processor evaluator: a tight walk over the flat records of
-   {!Lower}.  All state is preallocated — the unboxed slot store, the
-   evaluation stack, the computed-value array — so the compute path
-   allocates nothing per instruction: [eval] stores its result in
-   place, as a returned float would be boxed; only outbound message
-   payloads are built on demand (they cross domains and must be fresh
-   values either way), around tags built at lower time.  Returns the
-   function that executes instruction [k] of processor [j]'s lowered
+(* The per-processor evaluator: a tight walk over the program's own
+   records and the slots {!Lower} bound beside them.  All state is
+   preallocated — the unboxed value store, the evaluation stack, the
+   computed-value array — so the compute path allocates nothing per
+   instruction: [eval] stores its result in place, as a returned float
+   would be boxed; only outbound message payloads are built on demand
+   (they cross domains and must be fresh values either way).  Returns
+   the function that executes instruction [k] of processor [j]'s
    stream, and the one that reads the result: [vals.(k)] is the value
-   of the [k]-th pair of [computes]. *)
+   of its [k]-th compute. *)
 let processor ~init ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.chans) =
   let pc = lowered.Lower.procs.(j) in
-  let instrs = pc.Lower.instrs and pool = pc.Lower.pool and tags = pc.Lower.tags in
+  let ins = pc.Lower.code.Program.instrs and tail = pc.Lower.code.Program.pool in
+  let at = pc.Lower.at and slots = pc.Lower.slots in
   let codes = lowered.Lower.codes in
   (* NaN, not 0: a slot read before any write (impossible in a lowered
      program, guaranteed by the planted stale-slot fault) poisons the
      value instead of silently looking plausible. *)
-  let slots = Array.make pc.Lower.slot_count nan in
+  let store = Array.make pc.Lower.slot_count nan in
   let prefill = pc.Lower.prefill in
   for f = 0 to (Array.length prefill / 3) - 1 do
-    slots.(prefill.((3 * f) + 2)) <-
+    store.(prefill.((3 * f) + 2)) <-
       init lowered.Lower.array_names.(prefill.(3 * f)) prefill.((3 * f) + 1)
   done;
   let scal = Array.map Interp.default_scalar lowered.Lower.scalar_names in
   let stack = Array.make pc.Lower.stack_need 0.0 in
-  let vals = Array.make (Array.length pc.Lower.computes / 2) 0.0 in
+  let vals = Array.make pc.Lower.compute_count 0.0 in
   let ci = ref 0 in
   let sent = ref 0 in
   let eval (code : Lower.code) args dst =
@@ -38,7 +39,7 @@ let processor ~init ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.chans) =
     for k = 0 to Array.length ops - 1 do
       match ops.(k) with
       | Lower.Load a ->
-        stack.(!sp) <- slots.(pool.(args + a));
+        stack.(!sp) <- store.(slots.(args + a));
         incr sp
       | Lower.Const c ->
         stack.(!sp) <- c;
@@ -64,68 +65,83 @@ let processor ~init ~(lowered : Lower.t) ~proc:j ~(chans : Value_run.chans) =
           (if stack.(!sp - 3) > 0.0 then stack.(!sp - 2) else stack.(!sp - 1));
         sp := !sp - 2
     done;
-    slots.(dst) <- stack.(0);
+    store.(dst) <- stack.(0);
     vals.(!ci) <- stack.(0);
     incr ci
   in
-  (* Land one frame's pairs on the [m] (node, iter, slot) triples at
-     [at]: arrivals usually match them positionally (both sides come
-     from the same Comm_opt rewrite); fall back to a linear search, and
-     ignore instances this PE has no slot for — it can never read
-     them. *)
-  let land_pack at m pairs =
+  (* Tag [i] of the message whose record starts at [b]: the head is in
+     the record, the rest in the pool. *)
+  let tag_node b i =
+    if i = 0 then ins.(b + Program.field_node) else tail.(ins.(b + Program.field_at) + (2 * i) - 2)
+  in
+  let tag_iter b i =
+    if i = 0 then ins.(b + Program.field_iter) else tail.(ins.(b + Program.field_at) + (2 * i) - 1)
+  in
+  (* Land one frame's pairs on the landing slots at [a] of the [m]-tag
+     recv at [b]: arrivals usually match its tags positionally (both
+     sides come from the same Comm_opt rewrite); fall back to a linear
+     search, and ignore instances this PE has no slot for — it can
+     never read them. *)
+  let land_pack b a pairs =
+    let m = ins.(b + Program.field_count) in
+    let is k node iter = tag_node b k = node && tag_iter b k = iter in
     for i = 0 to Array.length pairs - 1 do
       let (node, iter), v = pairs.(i) in
-      let e = at + (3 * i) in
-      if i < m && pool.(e) = node && pool.(e + 1) = iter then slots.(pool.(e + 2)) <- v
+      if i < m && is i node iter then store.(slots.(a + i)) <- v
       else begin
         let k = ref 0 in
-        while !k < m && not (pool.(at + (3 * !k)) = node && pool.(at + (3 * !k) + 1) = iter) do
+        while !k < m && not (is !k node iter) do
           incr k
         done;
-        if !k < m then slots.(pool.(at + (3 * !k) + 2)) <- v
+        if !k < m then store.(slots.(a + !k)) <- v
       end
     done
   in
+  (* The record layout, bound once: [Program]'s constants are loads
+     from its module block in a build without cross-module inlining. *)
+  let width = Program.width and f_kind = Program.field_kind in
+  let f_node = Program.field_node and f_iter = Program.field_iter in
+  let f_peer = Program.field_peer and compute = Program.compute in
   let exec k =
-    let b = k * Lower.width in
-    let kind = instrs.(b + Lower.field_kind) in
-    let peer = instrs.(b + Lower.field_peer) in
-    let at = instrs.(b + Lower.field_pool) in
-    let aux = instrs.(b + Lower.field_aux) in
-    if kind = Lower.compute then eval codes.(instrs.(b + Lower.field_node)) at aux
-    else if kind = Lower.send then begin
-      chans.Value_run.send ~dst:peer ~tag:tags.(aux) (Value_run.Single slots.(pool.(at)));
-      incr sent
-    end
-    else if kind = Lower.send_pack then begin
-      let pairs = Array.make instrs.(b + Lower.field_count) (tags.(aux), slots.(pool.(at))) in
-      for i = 1 to Array.length pairs - 1 do
-        pairs.(i) <- (tags.(aux + i), slots.(pool.(at + i)))
-      done;
-      chans.Value_run.send ~dst:peer ~tag:tags.(aux) (Value_run.Pack pairs);
-      incr sent
-    end
+    let b = k * width and a = at.(k) in
+    let kind = ins.(b + f_kind) and node = ins.(b + f_node) in
+    if kind = compute then eval codes.(node) (a + 1) slots.(a)
     else
-      (* A Recv or a Recv_pack: either may take a Single or a Pack. *)
-      match chans.Value_run.recv ~src:peer ~tag:tags.(aux) with
-      | Value_run.Single v -> slots.(pool.(at + 2)) <- v
-      | Value_run.Pack pairs -> land_pack at instrs.(b + Lower.field_count) pairs
+      let iter = ins.(b + f_iter) and peer = ins.(b + f_peer) in
+      if kind = Program.send then begin
+        chans.Value_run.send ~dst:peer ~node ~iter (Value_run.Single store.(slots.(a)));
+        incr sent
+      end
+      else if kind = Program.send_pack then begin
+        let pairs =
+          Array.init ins.(b + Program.field_count) (fun i ->
+              ((tag_node b i, tag_iter b i), store.(slots.(a + i))))
+        in
+        chans.Value_run.send ~dst:peer ~node ~iter (Value_run.Pack pairs);
+        incr sent
+      end
+      else
+        (* A Recv or a Recv_pack: either may take a Single or a Pack. *)
+        match chans.Value_run.recv ~src:peer ~node ~iter with
+        | Value_run.Single v -> store.(slots.(a)) <- v
+        | Value_run.Pack pairs -> land_pack b a pairs
   in
   let traced_exec k =
-    let b = k * Lower.width in
-    let field f = instrs.(b + f) in
+    let b = k * Program.width in
+    let field f = ins.(b + f) in
     let int name v = (name, string_of_int v) in
     let msg name args peer q = (name, args @ [ int "pe" j; int peer q ]) in
-    let instance = [ int "node" (field Lower.field_node); int "iter" (field Lower.field_iter) ] in
-    let kind = field Lower.field_kind and peer = field Lower.field_peer in
+    let instance =
+      [ int "node" (field Program.field_node); int "iter" (field Program.field_iter) ]
+    in
+    let kind = field Program.field_kind and peer = field Program.field_peer in
     let name, args =
-      if kind = Lower.compute then ("run.compute", instance)
-      else if kind = Lower.send then msg "run.send" instance "dst" peer
-      else if kind = Lower.recv then msg "run.recv" instance "src" peer
-      else if kind = Lower.send_pack then
-        msg "run.send" [ int "tags" (field Lower.field_count) ] "dst" peer
-      else msg "run.recv" [ int "tags" (field Lower.field_count) ] "src" peer
+      if kind = Program.compute then ("run.compute", instance)
+      else if kind = Program.send then msg "run.send" instance "dst" peer
+      else if kind = Program.recv then msg "run.recv" instance "src" peer
+      else if kind = Program.send_pack then
+        msg "run.send" [ int "tags" (field Program.field_count) ] "dst" peer
+      else msg "run.recv" [ int "tags" (field Program.field_count) ] "src" peer
     in
     Trace.span ~cat:"run" ~args name (fun () -> exec k)
   in
@@ -138,7 +154,7 @@ let worker ?(init = Interp.init) ~lowered ~proc ~chans () =
   let pc = ref 0 in
   match
     let exec, result = processor ~init ~lowered ~proc ~chans in
-    for k = 0 to Lower.instr_count lowered.Lower.procs.(proc) - 1 do
+    for k = 0 to Program.length lowered.Lower.procs.(proc).Lower.code - 1 do
       pc := k;
       exec k
     done;
@@ -147,12 +163,13 @@ let worker ?(init = Interp.init) ~lowered ~proc ~chans () =
   | r -> Ok r
   | exception e -> Error (!pc, e)
 
-(* [lowered], or [program] lowered here. *)
-let lowered_for name lowered ~loop ~(program : Program.t) =
-  let l = match lowered with Some l -> l | None -> Lower.run ~loop ~program () in
-  if l.Lower.processors <> program.processors then
-    invalid_arg ("Exec_compiled." ^ name ^ ": lowered form is for another program");
-  l
+(* [lowered], checked against [program], or [program] lowered here. *)
+let lowered_for name lowered ~loop ~program =
+  match lowered with
+  | Some l ->
+    Lower.check_form ~caller:("Exec_compiled." ^ name) l ~program;
+    l
+  | None -> Lower.run ~loop ~program ()
 
 (* The domain member kind: p domains on one ring mesh, every row built
    up front so a cancel reaches every potential waiter.  A domain that
@@ -236,8 +253,8 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
   let frame = ref None in
   let chans =
     {
-      Value_run.send = (fun ~dst:_ ~tag:_ v -> frame := Some v);
-      recv = (fun ~src:_ ~tag:_ -> Option.get !frame);
+      Value_run.send = (fun ~dst:_ ~node:_ ~iter:_ v -> frame := Some v);
+      recv = (fun ~src:_ ~node:_ ~iter:_ -> Option.get !frame);
     }
   in
   let pes =
@@ -249,13 +266,13 @@ let run_inline ?lowered ~loop ~(program : Program.t) () =
     frame := got;
     fst pes.(proc) pc;
     retired.(proc) <- pc + 1;
-    if pc + 1 = Lower.instr_count lowered.Lower.procs.(proc) then
+    if pc + 1 = Program.length lowered.Lower.procs.(proc).Lower.code then
       wall.(proc) <- float_of_int (Clock.now_ns () - t0);
     !frame
   in
   match Program.simulate ~step:value_step program with
   | Ok _ ->
-    Value_run.finalize ~loop ~program ~computes:(Lower.computes lowered)
+    Value_run.finalize ~loop ~program
       ~results:
         (Array.mapi
            (fun j (_, result) ->

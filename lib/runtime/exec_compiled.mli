@@ -9,8 +9,9 @@
     are slot lookups in an unboxed [float array], expressions are
     postfix loops over a reusable float stack that store their result
     straight into the slots (no float is boxed per [Compute]), and
-    message endpoints, wire tags and slots were bound at lower time:
-    executing instruction [k] reads record [k] of the flat form.  The
+    every slot was bound at lower time: executing instruction [k]
+    reads record [k] of the program itself (kind, instance, peer, a
+    pack's tags, all in place) and its slots in the lowered form.  The
     differential suite and [check --fuzz] hold every run (inline,
     domains, sockets, TCP) to {!Value_run.spec}, instance by instance,
     bit for bit.  Every run returns its values as dense tables
@@ -29,8 +30,8 @@ val worker :
     values, messages sent), the per-processor input of
     {!Value_run.finalize}, or [Error (pc, e)] when instruction [pc] (0
     while the state is built) raised [e].  The values are unboxed and
-    in the order of [lowered.procs.(proc).computes]: element [k] is
-    the value of its [k]-th (node, iter) pair.  Initial memory is
+    in program order: element [k] is the value of the [k]-th
+    [Compute] record of processor [proc]'s code.  Initial memory is
     [init] (default {!Mimd_loop_ir.Interp.init}), scalars are
     {!Mimd_loop_ir.Interp.default_scalar}.  Outbound payloads are the
     only allocation per instruction. *)
@@ -63,7 +64,8 @@ val run :
     count must match the program's graph node count.  [lowered], an
     already lowered form of [program], skips the lowering pass.
     @raise Invalid_argument as {!Lower.run} does, or when [lowered]
-    was built for a different processor count.
+    was lowered from another program ({!Lower.check_form}), before any
+    domain starts.
     @raise Watchdog.Runtime_deadlock on a stall.
     @raise Failure [runtime: domain j failed: ...] with the
     lowest-numbered domain's own exception, once every domain

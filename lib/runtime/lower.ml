@@ -16,27 +16,13 @@ type op =
 
 type code = { ops : op array; stack_need : int }
 
-let width = 7
-let field_kind = 0
-let field_node = 1
-let field_iter = 2
-let field_peer = 3
-let field_pool = 4
-let field_count = 5
-let field_aux = 6
-let compute = 0
-let send = 1
-let send_pack = 2
-let recv = 3
-let recv_pack = 4
-
 type proc_code = {
-  instrs : int array;
-  pool : int array;
-  tags : (int * int) array;
+  code : Program.code;
+  at : int array;
+  slots : int array;
   slot_count : int;
   prefill : int array;
-  computes : int array;
+  compute_count : int;
   stack_need : int;
 }
 
@@ -47,8 +33,6 @@ type t = {
   array_names : string array;
   scalar_names : string array;
 }
-
-let instr_count pc = Array.length pc.instrs / width
 
 let check_pair ~loop ~program =
   if not (Ast.is_flat loop) then invalid_arg "Lower: loop must be flat";
@@ -67,7 +51,8 @@ let check_distances graph =
 (* Postfix compilation of one statement RHS.  [Load k] refers to the
    k-th reference in {!Ast.reads_of_expr} order — the pre-order leaf
    walk below visits leaves in exactly that order, so a compute's
-   operand slots (one per read, in the pool) index directly.  Select is
+   operand slots (one per read, after its destination slot) index
+   directly.  Select is
    compiled eagerly (predicate and both branches on the stack); the
    expressions are pure and every operand of either branch is delivered
    by codegen (dependences come from [reads_of_expr], which also covers
@@ -121,7 +106,7 @@ type plan = {
 }
 
 (* The sizes of one PE's arrays, from a first walk of its program. *)
-type sizes = { n_instrs : int; n_pool : int; n_tags : int; n_computes : int; n_memory : int }
+type sizes = { n_slots : int; n_computes : int; n_memory : int }
 
 (* The window of initial-memory cells read, by array id and cell index. *)
 type cells = {
@@ -131,15 +116,12 @@ type cells = {
   mutable idx_hi : int;
 }
 
-let no_tag = (-1, -1)
-
 (* Pass 1 over one PE's program: its sizes; every instance it defines
    (Compute destinations and every tag a Recv/Recv_pack lands) goes to
    [see], and every initial-memory cell it reads widens [cells]. *)
 let measure ~plans ~cells ~see (c : Program.code) =
   let ins = c.instrs and tail = c.pool in
-  let n_pool = ref 0 and n_tags = ref 0 in
-  let n_computes = ref 0 and n_memory = ref 0 in
+  let n_slots = ref 0 and n_computes = ref 0 and n_memory = ref 0 in
   for k = 0 to Program.length c - 1 do
     let b = k * Program.width in
     let kind = ins.(b + Program.field_kind) in
@@ -150,7 +132,7 @@ let measure ~plans ~cells ~see (c : Program.code) =
       incr n_computes;
       let p = plans.(node) in
       let nr = Array.length p.src in
-      n_pool := !n_pool + nr;
+      n_slots := !n_slots + 1 + nr;
       for r = 0 to nr - 1 do
         if p.src.(r) < 0 || iter - p.dist.(r) < 0 then begin
           incr n_memory;
@@ -162,46 +144,36 @@ let measure ~plans ~cells ~see (c : Program.code) =
         end
       done
     end
-    else if kind = Program.send || kind = Program.send_pack then begin
-      n_pool := !n_pool + count;
-      n_tags := !n_tags + count
-    end
     else begin
+      n_slots := !n_slots + count;
       (* a Recv or a Recv_pack lands every tag it carries *)
-      if count > 0 then see node iter;
-      let at = ins.(b + Program.field_at) in
-      for i = 0 to count - 2 do
-        see tail.(at + (2 * i)) tail.(at + (2 * i) + 1)
-      done;
-      n_pool := !n_pool + (3 * count);
-      incr n_tags
+      if (kind = Program.recv || kind = Program.recv_pack) && count > 0 then begin
+        see node iter;
+        let at = ins.(b + Program.field_at) in
+        for i = 0 to count - 2 do
+          see tail.(at + (2 * i)) tail.(at + (2 * i) + 1)
+        done
+      end
     end
   done;
-  {
-    n_instrs = Program.length c;
-    n_pool = !n_pool;
-    n_tags = !n_tags;
-    n_computes = !n_computes;
-    n_memory = !n_memory;
-  }
+  { n_slots = !n_slots; n_computes = !n_computes; n_memory = !n_memory }
 
-(* Pass 2: fill PE [j]'s arrays in one walk of its program, resolving
-   every operand to a slot and failing loudly on a malformed program
-   before anything runs.  [slot_at] (by instance key) and [prefill_at]
-   (by cell key) are shared by every PE and hold -1 between PEs: each
-   PE clears what it set. *)
+(* Pass 2: PE [j]'s slots in one walk of its program, resolving every
+   operand to a slot and failing loudly on a malformed program before
+   anything runs.  [slot_at] (by instance key) and [prefill_at] (by
+   cell key) are shared by every PE and hold -1 between PEs: each PE
+   clears what it set. *)
 let lower_proc ~plans ~(codes : code array) ~array_names ~keys ~slot_at ~cells ~prefill_at sz
-    prog j =
+    (prog : Program.code) j =
   let key node iter = Program.Keys.key keys ~node ~iter in
   let narr = cells.arr_hi - cells.arr_lo + 1 in
   let cell_key a idx = ((idx - cells.idx_lo) * narr) + (a - cells.arr_lo) in
-  let instrs = Array.make (width * sz.n_instrs) 0 in
-  let pool = Array.make sz.n_pool 0 in
-  let tags = Array.make sz.n_tags no_tag in
-  let computes = Array.make (2 * sz.n_computes) 0 in
+  let n = Program.length prog in
+  let at = Array.make n 0 in
+  let slots = Array.make sz.n_slots 0 in
   let prefill = Array.make (3 * min sz.n_memory (Array.length prefill_at)) 0 in
   let nslots = ref 0 and nprefill = ref 0 in
-  let ptop = ref 0 and ttop = ref 0 and ctop = ref 0 and stack_need = ref 1 in
+  let top = ref 0 and stack_need = ref 1 in
   (* A dense slot for every instance this PE defines, in order of first
      definition.  An instruction's reads resolve before its own
      definitions, so a slot defined at position [pos] is read from
@@ -241,46 +213,19 @@ let lower_proc ~plans ~(codes : code array) ~array_names ~keys ~slot_at ~cells ~
       slot
     end
   in
-  let record pos kind node iter peer at count aux =
-    let b = pos * width in
-    instrs.(b + field_kind) <- kind;
-    instrs.(b + field_node) <- node;
-    instrs.(b + field_iter) <- iter;
-    instrs.(b + field_peer) <- peer;
-    instrs.(b + field_pool) <- at;
-    instrs.(b + field_count) <- count;
-    instrs.(b + field_aux) <- aux
-  in
-  let send_entry node iter =
-    pool.(!ptop) <- sent_slot node iter;
-    incr ptop;
-    tags.(!ttop) <- (node, iter);
-    incr ttop
-  in
-  let recv_entry node iter =
-    pool.(!ptop) <- node;
-    pool.(!ptop + 1) <- iter;
-    pool.(!ptop + 2) <- define node iter;
-    ptop := !ptop + 3
-  in
-  let recv_head kind pos node iter src count =
-    record pos kind node iter src !ptop count !ttop;
-    tags.(!ttop) <- (node, iter);
-    incr ttop
-  in
-  let ins = prog.Program.instrs and tail = prog.Program.pool in
-  for pos = 0 to sz.n_instrs - 1 do
+  let ins = prog.instrs and tail = prog.pool in
+  for pos = 0 to n - 1 do
     let b = pos * Program.width in
     let kind = ins.(b + Program.field_kind) in
     let node = ins.(b + Program.field_node) and iter = ins.(b + Program.field_iter) in
-    let peer = ins.(b + Program.field_peer) and count = ins.(b + Program.field_count) in
-    let rest = ins.(b + Program.field_at) in
+    let count = ins.(b + Program.field_count) and rest = ins.(b + Program.field_at) in
+    at.(pos) <- !top;
     if kind = Program.compute then begin
       let p = plans.(node) in
-      let nr = Array.length p.src and at = !ptop in
+      let nr = Array.length p.src and ops = !top + 1 in
       for r = 0 to nr - 1 do
         let s = p.src.(r) and back = iter - p.dist.(r) in
-        pool.(at + r) <-
+        slots.(ops + r) <-
           (if s >= 0 && back >= 0 then begin
              let slot = defined_slot s back in
              if slot < 0 then
@@ -291,54 +236,46 @@ let lower_proc ~plans ~(codes : code array) ~array_names ~keys ~slot_at ~cells ~
            end
            else prefill_slot p.arr.(r) (if p.fixed.(r) then 0 else iter + p.offset.(r)))
       done;
-      ptop := at + nr;
-      record pos compute node iter (-1) at nr (define node iter);
-      computes.(!ctop) <- node;
-      computes.(!ctop + 1) <- iter;
-      ctop := !ctop + 2;
+      slots.(!top) <- define node iter;
+      top := ops + nr;
       let need = codes.(node).stack_need in
       if need > !stack_need then stack_need := need
     end
     else if count = 0 then invalid_arg "Lower: empty pack"
-    else if kind = Program.send || kind = Program.send_pack then begin
-      record pos (if kind = Program.send then send else send_pack) node iter peer !ptop count
-        !ttop;
-      send_entry node iter;
-      for i = 0 to count - 2 do
-        send_entry tail.(rest + (2 * i)) tail.(rest + (2 * i) + 1)
-      done
-    end
     else begin
-      recv_head (if kind = Program.recv then recv else recv_pack) pos node iter peer count;
-      recv_entry node iter;
-      for i = 0 to count - 2 do
-        recv_entry tail.(rest + (2 * i)) tail.(rest + (2 * i) + 1)
-      done
+      (* A send's source slots, or a recv's landing slots, head first. *)
+      let slot = if kind = Program.send || kind = Program.send_pack then sent_slot else define in
+      slots.(!top) <- slot node iter;
+      for i = 1 to count - 1 do
+        slots.(!top + i) <- slot tail.(rest + (2 * i) - 2) tail.(rest + (2 * i) - 1)
+      done;
+      top := !top + count
     end
   done;
   (* Leave the shared tables as they were found, for the next PE. *)
-  for k = 0 to sz.n_instrs - 1 do
-    let b = k * width in
-    let kind = instrs.(b + field_kind) in
-    if kind = compute then slot_at.(key instrs.(b + field_node) instrs.(b + field_iter)) <- -1
-    else if kind = recv || kind = recv_pack then
-      for i = 0 to instrs.(b + field_count) - 1 do
-        let e = instrs.(b + field_pool) + (3 * i) in
-        slot_at.(key pool.(e) pool.(e + 1)) <- -1
+  for pos = 0 to n - 1 do
+    let b = pos * Program.width in
+    let kind = ins.(b + Program.field_kind) in
+    if kind = Program.compute || kind = Program.recv || kind = Program.recv_pack then begin
+      slot_at.(key ins.(b + Program.field_node) ins.(b + Program.field_iter)) <- -1;
+      let rest = ins.(b + Program.field_at) in
+      for i = 1 to ins.(b + Program.field_count) - 1 do
+        slot_at.(key tail.(rest + (2 * i) - 2) tail.(rest + (2 * i) - 1)) <- -1
       done
+    end
   done;
   for f = 0 to !nprefill - 1 do
     prefill_at.(cell_key prefill.(3 * f) prefill.((3 * f) + 1)) <- -1
   done;
   {
-    instrs;
-    pool;
-    tags;
+    code = prog;
+    at;
+    slots;
     slot_count = max 1 !nslots;
     prefill =
       (if 3 * !nprefill = Array.length prefill then prefill
        else Array.sub prefill 0 (3 * !nprefill));
-    computes;
+    compute_count = sz.n_computes;
     stack_need = !stack_need;
   }
 
@@ -402,7 +339,7 @@ let run ~loop ~(program : Program.t) () =
   let array_names = Array.of_list (List.rev !array_order) in
   let p = program.processors in
   let cells = { arr_lo = max_int; arr_hi = min_int; idx_lo = max_int; idx_hi = min_int } in
-  let sizes = Array.make p { n_instrs = 0; n_pool = 0; n_tags = 0; n_computes = 0; n_memory = 0 } in
+  let sizes = Array.make p { n_slots = 0; n_computes = 0; n_memory = 0 } in
   let keys =
     Program.Keys.scan (fun see ->
         for j = 0 to p - 1 do
@@ -429,7 +366,14 @@ let run ~loop ~(program : Program.t) () =
     scalar_names = Array.of_list (List.rev !scalar_order);
   }
 
-let computes t = Array.map (fun pc -> pc.computes) t.procs
+let check_form ~caller t ~(program : Program.t) =
+  let same pc (c : Program.code) = pc.code == c || pc.code = c in
+  if
+    not
+      (t.processors = program.processors
+      && Array.length t.procs = Array.length program.code
+      && Array.for_all2 same t.procs program.code)
+  then invalid_arg (caller ^ ": lowered form is for another program")
 
 (* Deliberate corruption for the must-fail differential probe: the
    first Compute that has any operand has its first operand redirected
@@ -438,13 +382,15 @@ let computes t = Array.map (fun pc -> pc.computes) t.procs
    can see.  The input is left untouched — cached lowered forms stay
    valid. *)
 let sabotage_stale_slot t =
+  let reads node = Array.exists (function Load _ -> true | _ -> false) t.codes.(node).ops in
   let first_read pc =
+    let ins = pc.code.Program.instrs in
     let rec find k =
-      if k = instr_count pc then -1
+      if k = Program.length pc.code then -1
       else
-        let b = k * width in
-        if pc.instrs.(b + field_kind) = compute && pc.instrs.(b + field_count) > 0 then
-          pc.instrs.(b + field_pool)
+        let b = k * Program.width in
+        if ins.(b + Program.field_kind) = Program.compute && reads ins.(b + Program.field_node)
+        then pc.at.(k) + 1
         else find (k + 1)
     in
     find 0
@@ -457,11 +403,11 @@ let sabotage_stale_slot t =
         else
           match first_read pc with
           | -1 -> pc
-          | at ->
+          | e ->
             planted := true;
-            let pool = Array.copy pc.pool in
-            pool.(at) <- pc.slot_count;
-            { pc with pool; slot_count = pc.slot_count + 1 })
+            let slots = Array.copy pc.slots in
+            slots.(e) <- pc.slot_count;
+            { pc with slots; slot_count = pc.slot_count + 1 })
       t.procs
   in
   if not !planted then

@@ -20,29 +20,26 @@
     - {b expression compilation} — each statement RHS compiles once to
       a small postfix op array evaluated on a reusable float stack: no
       closures, no AST walk, no allocation per iteration;
-    - {b pre-bound communication} — Send/Recv/pack instructions carry
-      their endpoint, wire tag and source/destination slots already
-      resolved.
+    - {b pre-bound communication} — every message end has its
+      source or landing slot resolved; its endpoint and wire tag are
+      the program's own record.
 
-    {b The flat form.}  A PE's code is a constant number of int arrays,
-    not one block per instruction, so lowering allocates a handful of
-    arrays per PE (plus one tag per message, below) and a lowered form
-    marshals as a few flat arrays:
+    {b The flat form.}  Lowering keeps each PE's code as
+    {!Mimd_codegen.Program.code}, by reference: the program's
+    instruction records are the only instruction format, and the
+    evaluator reads kind, instance, peer and pack tags from them in
+    place.  What lowering decides is a constant number of int arrays
+    per PE beside them, so lowering allocates a handful of arrays per
+    PE and a lowered form marshals as those arrays and the program's
+    own:
 
-    - [instrs]: one fixed-width record of {!width} ints per
-      instruction; record [k] is [instrs.((k * width) + f)] for the
-      fields [f] below;
-    - [pool]: every record's variable-length part, at its
-      {!field_pool} offset: a [Compute]'s operand slots (one per read,
-      in {!code} [Load] order); a [Send]'s or [Send_pack]'s source
-      slots, one per entry; a [Recv]'s or [Recv_pack]'s
-      [(node, iter, slot)] triples, one per entry;
-    - [tags]: the wire tags, built once here so that a send or recv
-      allocates no tag: a message's head tag at its {!field_aux}
-      index, followed, for a [Send_pack], by its further entries;
-    - [prefill] and [computes]: int arrays of [(array id, cell index,
-      slot)] triples (array names in {!t.array_names}) and of
-      [(node, iter)] pairs.
+    - [slots]: every instruction's slot entries, at its [at] offset:
+      a [Compute]'s destination slot, then one operand slot per read
+      (in {!code} [Load] order); a message's slots, one per tag, head
+      first — the source slot of a [Send] or [Send_pack], the landing
+      slot of a [Recv] or [Recv_pack];
+    - [prefill]: (array id, cell index, slot) triples (array names in
+      {!t.array_names}).
 
     The lowered form is transport-agnostic and is the only
     per-processor evaluator: {!Exec_compiled} runs it inline on the
@@ -73,53 +70,20 @@ type code = { ops : op array; stack_need : int }
 (** One statement RHS in postfix; [stack_need] bounds the evaluation
     stack ([>= 1]). *)
 
-(** {1 Instruction records} *)
-
-val width : int
-(** Ints per instruction record. *)
-
-val field_kind : int
-(** One of {!compute}, {!send}, {!send_pack}, {!recv}, {!recv_pack}. *)
-
-val field_node : int
-(** The instance computed, or a message's head tag: node ... *)
-
-val field_iter : int
-(** ... and iteration. *)
-
-val field_peer : int
-(** A message's destination (sends) or source (recvs); [-1] for a
-    compute. *)
-
-val field_pool : int
-(** Offset of the record's entries in [pool]. *)
-
-val field_count : int
-(** Entries in [pool]: a compute's operand count, 1 for a [Send] or
-    [Recv], a pack's instance count. *)
-
-val field_aux : int
-(** A compute's destination slot; a message's head tag index in
-    [tags]. *)
-
-val compute : int
-val send : int
-val send_pack : int
-val recv : int
-val recv_pack : int
-
 type proc_code = {
-  instrs : int array;  (** [width] ints per instruction, program order *)
-  pool : int array;  (** operand, source and landing entries *)
-  tags : (int * int) array;  (** wire tags, see above *)
+  code : Mimd_codegen.Program.code;
+      (** the program's [code.(j)] itself, not a copy: instruction [k]
+          is its record [k] *)
+  at : int array;  (** [at.(k)]: instruction [k]'s first entry in [slots] *)
+  slots : int array;  (** destination, operand, source and landing slots *)
   slot_count : int;  (** size of the value store ([>= 1]) *)
   prefill : int array;
       (** (array id, cell index, slot) triples: initial-memory cells
           to load before the first instruction *)
-  computes : int array;
-      (** (node, iter) pairs of the instances this PE computes, program
-          order: pair [k] names the [k]-th value of the executor's
-          value array, which {!Value_run.finalize} scatters by it *)
+  compute_count : int;
+      (** [Compute] records in [code]: the length of the executor's
+          value array, whose element [k] is the [k]-th compute's value
+          ({!Value_run.finalize}) *)
   stack_need : int;
 }
 
@@ -130,9 +94,6 @@ type t = {
   array_names : string array;  (** by array id *)
   scalar_names : string array;
 }
-
-val instr_count : proc_code -> int
-(** Instruction records in [instrs]. *)
 
 val run : loop:Mimd_loop_ir.Ast.loop -> program:Mimd_codegen.Program.t -> unit -> t
 (** Lower every processor's instruction records, read in place.
@@ -147,10 +108,12 @@ val check_distances : Mimd_ddg.Graph.t -> (unit, string) result
     the only distances {!run} executes; otherwise the "loop needed
     unwinding" error that the fuzz oracle and the CLI report. *)
 
-val computes : t -> int array array
-(** Every processor's {!proc_code.computes}, in processor order: the
-    [computes] argument of {!Value_run.finalize} for workers run over
-    this lowered form. *)
+val check_form : caller:string -> t -> program:Mimd_codegen.Program.t -> unit
+(** The check every executor makes of a form it is handed: [t] was
+    lowered from [program] — each PE's code is [program]'s, physically
+    or else structurally.
+    @raise Invalid_argument ["<caller>: lowered form is for another
+    program"] otherwise. *)
 
 val sabotage_stale_slot : t -> t
 (** A copy of [t] with one deliberately stale operand: the first

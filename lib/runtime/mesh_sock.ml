@@ -235,10 +235,10 @@ module Link = struct
           write_from t off size
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_from t off size)
 
-  let send t ~tag payload =
+  let send t ~node ~iter payload =
     let size = Wire.frame_size payload in
     if Bytes.length t.out < size then t.out <- Bytes.create (max size (2 * Bytes.length t.out));
-    write_from t 0 (Wire.encode t.out ~tag payload)
+    write_from t 0 (Wire.encode t.out ~node ~iter payload)
 
   (* Move the undecoded tail to the front; double the buffer when a
      frame fills all of it. *)
@@ -381,8 +381,8 @@ let read row src l =
    going down, same as EOF on the read side — it is the same
    environmental event, and respawn supervision keys off the
    [Link_down] rendering. *)
-let write row dst ~tag v =
-  try Link.send (link_to row dst) ~tag v
+let write row dst ~node ~iter v =
+  try Link.send (link_to row dst) ~node ~iter v
   with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
     raise (Link_down { proc = row.proc; peer = dst; error = Wire.Closed })
 
@@ -390,11 +390,11 @@ let row_chans row =
   let traced = Trace.is_enabled () in
   row.pulled <- 0;
   row.delivered <- 0;
-  let send ~dst ~tag (v : Value_run.payload) =
+  let send ~dst ~node ~iter (v : Value_run.payload) =
     if traced then
       Trace.span ~cat:"dist" ~args:[ ("dst", string_of_int dst) ] "dist.send" (fun () ->
-          write row dst ~tag v)
-    else write row dst ~tag v
+          write row dst ~node ~iter v)
+    else write row dst ~node ~iter v
   in
   let next ~src =
     let l = link_to row src in
@@ -420,8 +420,8 @@ let row_chans row =
   {
     chans with
     recv =
-      (fun ~src ~tag ->
-        let v = chans.recv ~src ~tag in
+      (fun ~src ~node ~iter ->
+        let v = chans.recv ~src ~node ~iter in
         row.delivered <- row.delivered + 1;
         v);
   }
@@ -435,8 +435,9 @@ let end_tag = (-1, -1)
    pulled but never received (left in the stash) that is the count. *)
 let settle row =
   let stashed = row.pulled - row.delivered in
+  let node, iter = end_tag in
   Array.iteri
-    (fun dst l -> if Option.is_some l then write row dst ~tag:end_tag (Single 0.0))
+    (fun dst l -> if Option.is_some l then write row dst ~node ~iter (Single 0.0))
     row.links;
   let unread = ref stashed in
   Array.iteri

@@ -132,10 +132,12 @@ module Link : sig
   (** Take over a connected stream fd, whose bytes carry the frames:
       it is made non-blocking. *)
 
-  val send : t -> tag:int * int -> Value_run.payload -> unit
-  (** Encode and write one frame, parking in [select(2)] while the
-      ring or send buffer is full.  Allocates nothing for a Single
-      once the encode buffer has grown to fit.
+  val send : t -> node:int -> iter:int -> Value_run.payload -> unit
+  (** Encode and write the frame of instance (node, iter), parking in
+      [select(2)] while the ring or send buffer is full.  The tag is
+      the two ints, as a worker reads them from its program's record,
+      so nothing is allocated for a Single once the encode buffer has
+      grown to fit.
       @raise Unix.Unix_error when the stream is broken (over a ring:
       when the peer is found gone while waiting for room). *)
 

@@ -43,7 +43,7 @@ let serve ctl ~proc ~traces ~worker connect =
             if traces then Trace.clear ();
             Done { vals; sent; wall_ns; trace; unread }
           | exception e ->
-            let pc = Lower.instr_count lowered.Lower.procs.(proc) in
+            let pc = Mimd_codegen.Program.length lowered.Lower.procs.(proc).Lower.code in
             Failed { pc; message = Printexc.to_string e })
       in
       if reply outcome then match outcome with Done _ -> loop row held | Ready | Failed _ -> ()
@@ -72,15 +72,10 @@ let symptom = function
   | Raised { message; _ } -> String.starts_with ~prefix:"link down:" message
   | Exited _ | Stalled _ -> false
 
-(* A form the parent holds, with the loop and program it was lowered
-   from, so that a caller passing the same values again finds it by
-   [==] without hashing them. *)
-type held = {
-  key : string;
-  loop : Mimd_loop_ir.Ast.loop;
-  program : Mimd_codegen.Program.t;
-  form : Lower.t;
-}
+(* A form the members hold, by its key and the loop and program it was
+   lowered from, so that a caller passing the same values again finds
+   it by [==] without hashing them. *)
+type held = { key : string; loop : Mimd_loop_ir.Ast.loop; program : Mimd_codegen.Program.t }
 
 type t = {
   kind : kind;
@@ -195,18 +190,18 @@ let ship t ~timeout frame =
 let call t ~timeout ?shipped ~lower ~loop ~program () =
   (* A held program goes by its key alone and is never lowered again;
      any other is lowered, held, and shipped with its key. *)
-  let form, request =
+  let request =
     let key = lazy (fingerprint ~loop ~program) in
     let tracing = Trace.is_enabled () in
     match
       List.find_opt (fun h -> h.loop == loop && h.program == program) t.held
       |> function Some h -> Some h | None -> List.find_opt (fun h -> h.key = Lazy.force key) t.held
     with
-    | Some h -> (h.form, { key = h.key; form = None; tracing })
+    | Some h -> { key = h.key; form = None; tracing }
     | None ->
       let form = lower () in
-      t.held <- hold { key = Lazy.force key; loop; program; form } t.held;
-      (form, { key = Lazy.force key; form = Some form; tracing })
+      t.held <- hold { key = Lazy.force key; loop; program } t.held;
+      { key = Lazy.force key; form = Some form; tracing }
   in
   span t.kind ".run" @@ fun () ->
   let reports =
@@ -230,7 +225,7 @@ let call t ~timeout ?shipped ~lower ~loop ~program () =
   Array.iteri
     (fun j r -> Option.iter (fun c -> Trace.absorb ~tid_offset:((j + 1) * 1000) c) r.trace)
     reports;
-  Value_run.finalize ~loop ~program ~computes:(Lower.computes form)
+  Value_run.finalize ~loop ~program
     ~results:(Array.map (fun r -> (r.vals, r.sent, r.wall_ns)) reports)
 
 type slot = t option ref

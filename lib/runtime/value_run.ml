@@ -20,76 +20,112 @@ type payload =
   | Pack of ((int * int) * float) array
 
 type chans = {
-  send : dst:int -> tag:int * int -> payload -> unit;
-  recv : src:int -> tag:int * int -> payload;
+  send : dst:int -> node:int -> iter:int -> payload -> unit;
+  recv : src:int -> node:int -> iter:int -> payload;
 }
 
 let default_channel_capacity = 256
 
-(* Pull frames off [src]'s link until [tag]'s arrives, holding every
-   other frame in [held] for a later recv.  A function of its own, not
-   a closure in [recv], so an in-order frame costs no allocation. *)
-let rec pull next held ~src (((n : int), (i : int)) as tag) =
-  let ((n', i') as tag'), v = next ~src in
-  if n = n' && i = i' then v
+(* Pull frames off [src]'s link until instance (node, iter)'s arrives,
+   holding every other frame in [held] for a later recv.  A function
+   of its own, not a closure in [recv], so an in-order frame costs no
+   allocation. *)
+let rec pull next held ~src (node : int) (iter : int) =
+  let ((n, i) as tag), v = next ~src in
+  if n = node && i = iter then v
   else begin
-    Hashtbl.replace held tag' v;
-    pull next held ~src tag
+    Hashtbl.replace held tag v;
+    pull next held ~src node iter
   end
 
 let of_links ~procs ~send ~next =
   let stash = Array.init procs (fun _ -> Hashtbl.create 16) in
-  let recv ~src ~tag =
+  let recv ~src ~node ~iter =
     let held = stash.(src) in
-    if Hashtbl.length held = 0 then pull next held ~src tag
+    if Hashtbl.length held = 0 then pull next held ~src node iter
     else
-      match Hashtbl.find_opt held tag with
+      match Hashtbl.find_opt held (node, iter) with
       | Some v ->
-        Hashtbl.remove held tag;
+        Hashtbl.remove held (node, iter);
         v
-      | None -> pull next held ~src tag
+      | None -> pull next held ~src node iter
   in
   { send; recv }
 
-(* Each PE's value array is scattered into one nodes x iters table
-   (later PEs overwrite earlier ones, as every PE computing an instance
+(* The [nodes x iters] table's row of each node moved to a table of
+   [iters'] columns. *)
+let resize ~nodes ~iters ~iters' values present =
+  let values' = Array.make (nodes * iters') 0.0 in
+  let present' = Bytes.make (nodes * iters') '\000' in
+  let keep = min iters iters' in
+  for node = 0 to nodes - 1 do
+    Array.blit values (node * iters) values' (node * iters') keep;
+    Bytes.blit present (node * iters) present' (node * iters') keep
+  done;
+  (values', present')
+
+(* Each PE's value array is scattered into one nodes x iters table in
+   one walk of its compute records (value [k] is its [k]-th compute's;
+   later PEs overwrite earlier ones, as every PE computing an instance
    computes the same value); {!Interp.of_instances} replays it into the
-   final memory.  Nothing is allocated per instance. *)
-let finalize ~loop ~program ~computes ~results =
+   final memory.  A well-formed program computes every instance of its
+   iterations once, so the value count sets the table's columns; a
+   program that does not resizes it.  Nothing is allocated per
+   instance. *)
+let finalize ~loop ~program ~results =
   Trace.span ~cat:"run" "run.finalize" @@ fun () ->
   if not (Ast.is_flat loop) then invalid_arg "Value_run: loop must be flat";
   let nodes = List.length loop.Ast.body in
   if nodes <> Graph.node_count program.Program.graph then
     invalid_arg "Value_run: statement/node count mismatch";
-  if Array.length computes <> Array.length results then
-    invalid_arg "Value_run: one computes array per processor";
+  let code = program.Program.code in
+  if Array.length code <> Array.length results then
+    invalid_arg "Value_run: one result per processor";
+  let total = Array.fold_left (fun n (vals, _, _) -> n + Array.length vals) 0 results in
+  let cols = ref (if nodes = 0 then 0 else total / nodes) in
+  let values = ref (Array.make (nodes * !cols) 0.0) in
+  let present = ref (Bytes.make (nodes * !cols) '\000') in
   let iters = ref 0 in
-  Array.iteri
-    (fun j cs ->
-      let vals, _, _ = results.(j) in
-      if Array.length vals <> Array.length cs / 2 then
-        invalid_arg
-          (Printf.sprintf "Value_run: PE%d returned %d value(s) for %d compute(s)" j
-             (Array.length vals) (Array.length cs / 2));
-      for k = 0 to Array.length vals - 1 do
-        let node = cs.(2 * k) and iter = cs.((2 * k) + 1) in
+  (* The record layout, bound once: [Program]'s constants are loads
+     from its module block in a build without cross-module inlining. *)
+  let record = Program.width and compute = Program.compute in
+  let f_kind = Program.field_kind and f_node = Program.field_node in
+  let f_iter = Program.field_iter in
+  for j = 0 to Array.length code - 1 do
+    let vals, _, _ = results.(j) in
+    let ins = code.(j).instrs and k = ref 0 in
+    for pc = 0 to (Array.length ins / record) - 1 do
+      let b = pc * record in
+      if ins.(b + f_kind) = compute then begin
+        let node = ins.(b + f_node) and iter = ins.(b + f_iter) in
         if node < 0 || node >= nodes || iter < 0 then
           invalid_arg "Value_run: instance out of range";
-        if iter >= !iters then iters := iter + 1
-      done)
-    computes;
+        if !k < Array.length vals then begin
+          if iter >= !cols then begin
+            let wider = max (iter + 1) (2 * !cols) in
+            let v, p = resize ~nodes ~iters:!cols ~iters':wider !values !present in
+            values := v;
+            present := p;
+            cols := wider
+          end;
+          let ix = (node * !cols) + iter in
+          !values.(ix) <- vals.(!k);
+          Bytes.set !present ix '\001'
+        end;
+        if iter >= !iters then iters := iter + 1;
+        incr k
+      end
+    done;
+    if Array.length vals <> !k then
+      invalid_arg
+        (Printf.sprintf "Value_run: PE%d returned %d value(s) for %d compute(s)" j
+           (Array.length vals) !k)
+  done;
   let iters = !iters in
-  let values = Array.make (nodes * iters) 0.0 in
-  let present = Bytes.make (nodes * iters) '\000' in
-  Array.iteri
-    (fun j cs ->
-      let vals, _, _ = results.(j) in
-      for k = 0 to Array.length vals - 1 do
-        let ix = (cs.(2 * k) * iters) + cs.((2 * k) + 1) in
-        values.(ix) <- vals.(k);
-        Bytes.set present ix '\001'
-      done)
-    computes;
+  let values, present =
+    if iters = !cols then (!values, !present)
+    else resize ~nodes ~iters:!cols ~iters':iters !values !present
+  in
   let memory = Interp.of_instances loop ~iterations:iters ~values ~present in
   let messages = Array.fold_left (fun acc (_, sent, _) -> acc + sent) 0 results in
   let domain_wall_ns = Array.map (fun (_, _, ns) -> ns) results in

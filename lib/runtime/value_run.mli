@@ -72,58 +72,56 @@ type payload =
           it carries, head instance first ({!Mimd_codegen.Comm_opt}) *)
 
 type chans = {
-  send : dst:int -> tag:int * int -> payload -> unit;
-      (** Ship the frame for instance [tag] (a pack's head tag) to
-          processor [dst]. *)
-  recv : src:int -> tag:int * int -> payload;
-      (** Block until the frame named [tag] arrives from [src]. *)
+  send : dst:int -> node:int -> iter:int -> payload -> unit;
+      (** Ship the frame for instance (node, iter) (a pack's head tag)
+          to processor [dst]. *)
+  recv : src:int -> node:int -> iter:int -> payload;
+      (** Block until the frame named (node, iter) arrives from [src]. *)
 }
-(** What a channel backend provides to one worker. *)
+(** What a channel backend provides to one worker.  A frame is named
+    by its instance as two ints, so a send or recv builds no tag. *)
 
 val of_links :
   procs:int ->
-  send:(dst:int -> tag:int * int -> payload -> unit) ->
+  send:(dst:int -> node:int -> iter:int -> payload -> unit) ->
   next:(src:int -> (int * int) * payload) ->
   chans
 (** The one frame-matching rule, over any transport of FIFO links.
     [send] ships a frame to [dst] (blocking, if the transport bounds
     its links, while the link is full); [next ~src] blocks for the
     next [(tag, payload)] frame on the link from [src], in the order
-    [src] sent them.  The returned [recv ~src ~tag] takes the frame
-    from a per-source stash keyed by tag when an earlier pull already
-    brought it in, and otherwise pulls frames from [src] until [tag]'s
-    arrives, stashing the others.  A consumer may issue its [Recv]s in
-    another order than the producer issued the matching [Send]s; each
-    (src, dst, tag) frame is unique, so stashing never mis-delivers —
-    the rule {!Mimd_codegen.Program.simulate} models.  Receiving an
-    in-order frame allocates nothing.  One [chans] per processor
-    ([procs] sources); exceptions from [send] and [next] pass
-    through. *)
+    [src] sent them.  The returned [recv ~src ~node ~iter] takes the
+    frame from a per-source stash keyed by tag when an earlier pull
+    already brought it in, and otherwise pulls frames from [src] until
+    (node, iter)'s arrives, stashing the others.  A consumer may issue
+    its [Recv]s in another order than the producer issued the matching
+    [Send]s; each (src, dst, tag) frame is unique, so stashing never
+    mis-delivers — the rule {!Mimd_codegen.Program.simulate} models.
+    Receiving an in-order frame allocates nothing.  One [chans] per
+    processor ([procs] sources); exceptions from [send] and [next]
+    pass through. *)
 
 val finalize :
   loop:Mimd_loop_ir.Ast.loop ->
   program:Mimd_codegen.Program.t ->
-  computes:int array array ->
   results:(float array * int * float) array ->
   outcome
-(** Fold the per-processor results into an {!outcome}.  [computes.(j)]
-    holds the instances processor [j] computes as flat
-    [(node, iteration)] pairs, in program order
-    ({!Lower.proc_code.computes}); [results.(j)] is that processor's
-    [(values, sent, wall_ns)], where [values.(k)] is the value of pair
-    [k], [(computes.(j).(2k), computes.(j).(2k+1))].  The fold scatters every value into
-    the [instances] table, then replays it in sequential (iteration,
-    body position) order with {!Mimd_loop_ir.Interp.of_instances}, so
-    each written cell holds its last writer's value (fixed cells at
-    index 0 as in {!Mimd_loop_ir.Interp.cell_index}).  Nothing is
-    allocated per instance: the tables, the store and a few per-node
-    arrays are the whole cost.  Every executor folds through here, so
-    outcomes are comparable table for table.  Traced as the
-    [run.finalize] span.
+(** Fold the per-processor results into an {!outcome}.  [results.(j)]
+    is processor [j]'s [(values, sent, wall_ns)], where [values.(k)] is
+    the value of the [k]-th [Compute] record of [program.code.(j)], in
+    program order (the order every executor computes them in).  The
+    fold scatters every value into the [instances] table, then replays
+    it in sequential (iteration, body position) order with
+    {!Mimd_loop_ir.Interp.of_instances}, so each written cell holds its
+    last writer's value (fixed cells at index 0 as in
+    {!Mimd_loop_ir.Interp.cell_index}).  Nothing is allocated per
+    instance: the tables, the store and a few per-node arrays are the
+    whole cost.  Every executor folds through here, so outcomes are
+    comparable table for table.  Traced as the [run.finalize] span.
     @raise Invalid_argument on a malformed loop/program pair, when
-    [computes] and [results] differ in length, when a processor's value
-    array and its pairs differ in count, or on an instance
-    outside the loop's statements. *)
+    [results] has another length than [program.code], when a
+    processor's value array and its computes differ in count, or on an
+    instance outside the loop's statements. *)
 
 val spec : loop:Mimd_loop_ir.Ast.loop -> iterations:int -> instances
 (** The sequential spec as an instance table:

@@ -111,7 +111,7 @@ let frame_size : Value_run.payload -> int = function
   | Single _ -> header_len + single_body
   | Pack entries -> header_len + pack_body (Array.length entries)
 
-let encode buf ~tag:(node, iter) (payload : Value_run.payload) =
+let encode buf ~node ~iter (payload : Value_run.payload) =
   let size = frame_size payload in
   if Bytes.length buf < size then invalid_arg "Wire.encode: buffer too small";
   Bytes.blit_string link_magic 0 buf 0 4;

@@ -57,15 +57,17 @@ val read : Unix.file_descr -> ('a, error) result
     NaN payloads and [-0.] round-trip bit for bit. *)
 
 type frame = (int * int) * Value_run.payload
-(** A tag and its payload: what {!Value_run.of_links}
-    pulls. *)
+(** A tag and its payload: what {!Value_run.of_links} pulls.  The
+    sending side passes the tag as two ints ({!encode}); the bytes are
+    the same either way. *)
 
 val frame_size : Value_run.payload -> int
 (** Bytes of the link frame carrying this payload, header included. *)
 
-val encode : Bytes.t -> tag:int * int -> Value_run.payload -> int
-(** Write the link frame at offset 0 of the buffer and return its
-    size ({!frame_size}).  Allocates nothing for a Single.
+val encode : Bytes.t -> node:int -> iter:int -> Value_run.payload -> int
+(** Write the link frame of instance (node, iter) at offset 0 of the
+    buffer and return its size ({!frame_size}).  Allocates nothing for
+    a Single.
     @raise Invalid_argument when the buffer is shorter than the
     frame. *)
 

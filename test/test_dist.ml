@@ -220,9 +220,9 @@ let test_mesh_ping_pong () =
       try
         let ch = mesh_chans mesh ~proc:1 in
         for i = 0 to 9 do
-          match ch.Value_run.recv ~src:0 ~tag:(0, i) with
+          match ch.Value_run.recv ~src:0 ~node:0 ~iter:i with
           | Value_run.Single v ->
-            ch.Value_run.send ~dst:0 ~tag:(1, i) (Value_run.Single (v *. 2.0))
+            ch.Value_run.send ~dst:0 ~node:1 ~iter:i (Value_run.Single (v *. 2.0))
           | Value_run.Pack _ -> raise Exit
         done;
         0
@@ -233,15 +233,15 @@ let test_mesh_ping_pong () =
     let ch = mesh_chans mesh ~proc:0 in
     let single = function Value_run.Single v -> v | Value_run.Pack _ -> nan in
     for i = 0 to 9 do
-      ch.Value_run.send ~dst:1 ~tag:(0, i) (Value_run.Single (float_of_int i))
+      ch.Value_run.send ~dst:1 ~node:0 ~iter:i (Value_run.Single (float_of_int i))
     done;
     (* read replies out of order: the stash must hold the rest *)
-    let v9 = single (ch.Value_run.recv ~src:1 ~tag:(1, 9)) in
-    let v0 = single (ch.Value_run.recv ~src:1 ~tag:(1, 0)) in
+    let v9 = single (ch.Value_run.recv ~src:1 ~node:1 ~iter:9) in
+    let v0 = single (ch.Value_run.recv ~src:1 ~node:1 ~iter:0) in
     check_bool "reply 9" true (v9 = 18.0);
     check_bool "reply 0" true (v0 = 0.0);
     for i = 1 to 8 do
-      let v = single (ch.Value_run.recv ~src:1 ~tag:(1, i)) in
+      let v = single (ch.Value_run.recv ~src:1 ~node:1 ~iter:i) in
       check_bool (Printf.sprintf "reply %d" i) true (v = float_of_int (2 * i))
     done;
     Mesh_sock.close_all mesh;
@@ -260,7 +260,7 @@ let test_mesh_dead_peer_is_structured () =
     ignore (Unix.waitpid [] pid);
     Fun.protect ~finally:(fun () -> Unix.close a) @@ fun () ->
     let ch = Mesh_sock.row_chans (Mesh_sock.row ~procs:2 ~proc:0 ~link:(fun _ -> a)) in
-    match ch.Value_run.recv ~src:1 ~tag:(0, 0) with
+    match ch.Value_run.recv ~src:1 ~node:0 ~iter:0 with
     | _ -> Alcotest.fail "recv from a dead peer returned a value"
     | exception Mesh_sock.Link_down { peer = 1; error = Wire.Closed; _ } -> ()
     | exception Mesh_sock.Link_down _ -> ()
@@ -658,7 +658,7 @@ let test_tcp_link_holds_capacity () =
     let fd = Mesh_tcp.link conns ~peer:1 in
     Unix.set_nonblock fd;
     let frame = Bytes.create 64 in
-    let len = Wire.encode frame ~tag:(0, 0) (Value_run.Single 1.0) in
+    let len = Wire.encode frame ~node:0 ~iter:0 (Value_run.Single 1.0) in
     let rec fill n =
       if n = 100_000 then n
       else
@@ -1214,9 +1214,9 @@ let same_frame ((n, i), p) ((n', i'), p') =
   | _ -> false
 
 let encode_frame frame =
-  let tag, payload = frame in
+  let (node, iter), payload = frame in
   let buf = Bytes.create (Wire.frame_size payload) in
-  ignore (Wire.encode buf ~tag payload : int);
+  ignore (Wire.encode buf ~node ~iter payload : int);
   buf
 
 (* Decode [len] bytes at [pos] frame by frame: the whole frames in
@@ -1302,7 +1302,7 @@ let test_link_alloc_per_frame () =
   let tx = Mesh_sock.Link.create a and rx = Mesh_sock.Link.create b in
   let payload = Value_run.Single 2.5 in
   let round i =
-    Mesh_sock.Link.send tx ~tag:(1, i) payload;
+    Mesh_sock.Link.send tx ~node:1 ~iter:i payload;
     match Mesh_sock.Link.pull rx with
     | Ok ((1, j), Value_run.Single 2.5) when j = i -> ()
     | _ -> Alcotest.fail "frame lost or reordered"
@@ -1329,7 +1329,7 @@ let test_link_burst_and_big_frame () =
     @ [ ((1, 0), Value_run.Pack (Array.init 300 (fun i -> ((i, -i), awkward_floats.(i mod 9))))) ]
     @ List.init 40 (fun i -> ((2, i), Value_run.Single (-.float_of_int i)))
   in
-  List.iter (fun (tag, payload) -> Mesh_sock.Link.send tx ~tag payload) frames;
+  List.iter (fun ((node, iter), payload) -> Mesh_sock.Link.send tx ~node ~iter payload) frames;
   List.iteri
     (fun i want ->
       match Mesh_sock.Link.pull rx with
@@ -1367,14 +1367,14 @@ let ring_echo link =
   let rec go () =
     match Mesh_sock.Link.pull link with
     | Ok (tag, _) when tag = fst stop_frame -> 0
-    | Ok (tag, payload) ->
-      Mesh_sock.Link.send link ~tag payload;
+    | Ok ((node, iter), payload) ->
+      Mesh_sock.Link.send link ~node ~iter payload;
       go ()
     | Error _ -> 3
   in
   go ()
 
-let send_frame link (tag, payload) = Mesh_sock.Link.send link ~tag payload
+let send_frame link ((node, iter), payload) = Mesh_sock.Link.send link ~node ~iter payload
 
 let expect_exit name pid =
   match Unix.waitpid [] pid with
@@ -1486,13 +1486,14 @@ let expect_link_down name f =
 let test_ring_dead_peer_parked () =
   with_ring_peer ~peer:dies_later (fun mesh pid ->
       let ch = Mesh_sock.row_chans (Mesh_sock.ring_row mesh ~proc:0) in
-      expect_link_down "parked reader" (fun () -> ignore (ch.Value_run.recv ~src:1 ~tag:(0, 0)));
+      expect_link_down "parked reader" (fun () ->
+          ignore (ch.Value_run.recv ~src:1 ~node:0 ~iter:0));
       ignore (Unix.waitpid [] pid));
   with_ring_peer ~peer:dies_later (fun mesh pid ->
       let ch = Mesh_sock.row_chans (Mesh_sock.ring_row mesh ~proc:0) in
       expect_link_down "parked writer" (fun () ->
           for i = 0 to Mesh_sock.buffer_bytes do
-            ch.Value_run.send ~dst:1 ~tag:(0, i) (Value_run.Single 1.0)
+            ch.Value_run.send ~dst:1 ~node:0 ~iter:i (Value_run.Single 1.0)
           done);
       ignore (Unix.waitpid [] pid))
 
@@ -1504,7 +1505,7 @@ let test_ring_alloc_per_frame () =
   and rx = Mesh_sock.ring_link mesh ~proc:1 ~peer:0 in
   let payload = Value_run.Single 2.5 in
   let round i =
-    Mesh_sock.Link.send tx ~tag:(1, i) payload;
+    Mesh_sock.Link.send tx ~node:1 ~iter:i payload;
     match Mesh_sock.Link.pull rx with
     | Ok ((1, j), Value_run.Single 2.5) when j = i -> ()
     | _ -> Alcotest.fail "frame lost or reordered"
@@ -1908,6 +1909,53 @@ let test_team_holds_no_parent_heap () =
   Runner.shutdown ();
   check_bool "no orphan processes" true (no_children_left ())
 
+(* A form lowered from one program is refused for another at the same
+   p, by every executor and before any member starts: fig7's form
+   handed in with ewf's program.  A copy of fig7's program, equal but
+   not the same value, still takes it. *)
+let test_form_for_another_program () =
+  let module Lower = Mimd_runtime.Lower in
+  let module Exec_compiled = Mimd_runtime.Exec_compiled in
+  let iterations = 30 in
+  let fig7, fig7_program = compile ~iterations (Parser.parse Mimd_workloads.Fig7.source) in
+  let ewf, ewf_program = compile ~iterations (Parser.parse Mimd_workloads.Elliptic.source) in
+  let form = Lower.run ~loop:fig7 ~program:fig7_program () in
+  Runner.shutdown ();
+  Exec_compiled.shutdown ();
+  let domains () =
+    Mimd_obs.Metrics.counter_value
+      (Mimd_obs.Metrics.counter Mimd_obs.Metrics.default "mimd_runtime_spawns_total")
+  in
+  let members0 = spawns () and domains0 = domains () in
+  let refused name caller run =
+    Alcotest.check_raises name
+      (Invalid_argument (caller ^ ": lowered form is for another program"))
+      (fun () -> ignore (run () : Value_run.outcome))
+  in
+  refused "sockets" "Runner.run" (fun () ->
+      Runner.run ~exec:(`Compiled_form form) ~loop:ewf ~program:ewf_program ());
+  refused "domains" "Exec_compiled.run" (fun () ->
+      Exec_compiled.run ~lowered:form ~loop:ewf ~program:ewf_program ());
+  refused "inline" "Exec_compiled.run_inline" (fun () ->
+      Exec_compiled.run_inline ~lowered:form ~loop:ewf ~program:ewf_program ());
+  check_bool "no process started" true (spawns () = members0);
+  check_bool "no domain started" true (domains () = domains0);
+  let copy =
+    {
+      fig7_program with
+      code =
+        Array.map
+          (fun (c : Mimd_codegen.Program.code) ->
+            { Mimd_codegen.Program.instrs = Array.copy c.instrs; pool = Array.copy c.pool })
+          fig7_program.code;
+    }
+  in
+  expect_interp "the form on an equal program, inline" ~iterations fig7
+    (Exec_compiled.run_inline ~lowered:form ~loop:fig7 ~program:copy ());
+  expect_interp "the form on its own program, sockets" ~iterations fig7
+    (Runner.run ~exec:(`Compiled_form form) ~loop:fig7 ~program:fig7_program ());
+  Runner.shutdown ()
+
 let suite =
   [
     Alcotest.test_case "wire: round-trip + clean close" `Quick test_wire_roundtrip;
@@ -2004,4 +2052,6 @@ let suite =
     Alcotest.test_case "team: members die with their parent" `Quick test_team_dies_with_its_parent;
     Alcotest.test_case "team: a member holds none of its parent's heap" `Quick
       test_team_holds_no_parent_heap;
+    Alcotest.test_case "form check: a form for another program is refused by every executor"
+      `Quick test_form_for_another_program;
   ]

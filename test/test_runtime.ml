@@ -41,7 +41,7 @@ let pulls_in_order link n =
 (* Frame [i] carries tag (0, i) and value [i]. *)
 let send_frames link ~sent n =
   for i = 0 to n - 1 do
-    Mesh_sock.Link.send link ~tag:(0, i) (Value_run.Single (float_of_int i));
+    Mesh_sock.Link.send link ~node:0 ~iter:i (Value_run.Single (float_of_int i));
     Atomic.incr sent
   done
 
@@ -105,13 +105,13 @@ let test_ring_cancel_wakes_waiters () =
     let chans = Mesh_sock.row_chans (Mesh_sock.ring_row mesh ~proc:0) in
     down (fun () ->
         while true do
-          chans.Value_run.send ~dst:1 ~tag:(0, 0) (Value_run.Single 0.0);
+          chans.Value_run.send ~dst:1 ~node:0 ~iter:0 (Value_run.Single 0.0);
           Atomic.incr sent
         done)
   in
   let reader =
     let chans = Mesh_sock.row_chans (Mesh_sock.ring_row mesh ~proc:2) in
-    down (fun () -> ignore (chans.Value_run.recv ~src:1 ~tag:(0, 0)))
+    down (fun () -> ignore (chans.Value_run.recv ~src:1 ~node:0 ~iter:0))
   in
   check_int "the writer filled the ring" frames_per_ring (stops_at sent frames_per_ring);
   Mesh_sock.cancel mesh;
@@ -146,11 +146,13 @@ let prop_links_match_by_tag (sent, order) =
   in
   let chans =
     Value_run.of_links ~procs:(Array.length links)
-      ~send:(fun ~dst:_ ~tag:_ _ -> ())
+      ~send:(fun ~dst:_ ~node:_ ~iter:_ _ -> ())
       ~next:(fun ~src -> Queue.pop links.(src))
   in
   List.for_all
-    (fun (src, k) -> chans.Value_run.recv ~src ~tag:(link_tag k) == snd frames.(src).(k))
+    (fun (src, k) ->
+      let node, iter = link_tag k in
+      chans.Value_run.recv ~src ~node ~iter == snd frames.(src).(k))
     order
   && Array.for_all Queue.is_empty links
 
@@ -183,16 +185,17 @@ let test_links_minor_words () =
   let next = ref 0 in
   let chans =
     Value_run.of_links ~procs:2
-      ~send:(fun ~dst:_ ~tag:_ _ -> ())
+      ~send:(fun ~dst:_ ~node:_ ~iter:_ _ -> ())
       ~next:(fun ~src:_ ->
         let frame = frames.(!next) in
         incr next;
         frame)
   in
-  let tags = Array.map fst frames in
+  let nodes = Array.map (fun ((node, _), _) -> node) frames in
+  let iters = Array.map (fun ((_, iter), _) -> iter) frames in
   let w0 = Gc.minor_words () in
   for k = 0 to n - 1 do
-    ignore (chans.Value_run.recv ~src:1 ~tag:tags.(k))
+    ignore (chans.Value_run.recv ~src:1 ~node:nodes.(k) ~iter:iters.(k))
   done;
   let per_frame = (Gc.minor_words () -. w0) /. float_of_int n in
   if per_frame > 0.1 then
@@ -200,19 +203,21 @@ let test_links_minor_words () =
       per_frame
 
 (* Minor-heap words of one [Lower.run] on ewf as the exec benchmark
-   compiles it (p=2 k=2 n=1000, 17000 instances): 42786 (2.5 per
-   instance: one wire tag per message end, the read plans and small
-   arrays; the flat arrays themselves are too large for the minor
-   heap) when the bound was set, 10% below it.  The boxed form it
-   replaced, one record per instruction, cost 742435. *)
+   compiles it (p=2 k=2 n=1000, 17000 instances): 6614 (0.4 per
+   instance: the read plans, the compiled expressions and small
+   arrays; the slot arrays themselves are too large for the minor
+   heap, and the program's records are shared, not copied) when the
+   bound was set, 10% below it.  A form with its own records and one
+   wire tag per message end cost 42626; the boxed form before it, one
+   record per instruction, 742435. *)
 let test_lower_minor_words () =
   let flat, program, _ = ewf_benchmark_shape () in
   let w0 = Gc.minor_words () in
   let lowered = Lower.run ~loop:flat ~program () in
   let words = Gc.minor_words () -. w0 in
   ignore (Sys.opaque_identity lowered);
-  if words > 46_889.0 then
-    Alcotest.failf "Lower.run: %.0f minor words on ewf n=1000 (bound 46889)" words
+  if words > 7_275.0 then
+    Alcotest.failf "Lower.run: %.0f minor words on ewf n=1000 (bound 7275)" words
 
 (* ---------------------------------------------------------------- *)
 (* Differential execution: domains = inline = Interp, every instance  *)
@@ -656,66 +661,54 @@ let test_lower_shape () =
   in
   check_bool "initial-memory read is a prefilled slot" true prefills
 
-(* The contract [run_inline] relies on: record [k] of PE [j] is
-   instruction [k] of [programs.(j)] — the same kind, (node, iter) and
-   peer, a pack's entries in order — and every slot the form names is
-   inside the PE's store. *)
+(* What lowering decides beside the program's records, which the form
+   shares: instruction [k]'s entries start at [at.(k)] and run on
+   without gaps — a compute's destination slot, then one operand slot
+   per read; a message's source or landing slots, one per tag, head
+   first — and every slot the form names is inside the PE's store. *)
 let check_mirrors name (program : Program.t) (lowered : Lower.t) =
   Array.iteri
     (fun j prog ->
       let pc = lowered.Lower.procs.(j) in
       let fail k what = Alcotest.failf "%s: PE%d instruction %d: %s" name j k what in
-      let field k f = pc.Lower.instrs.((k * Lower.width) + f) in
       let in_store s = s >= 0 && s < pc.Lower.slot_count in
       check_int
-        (Printf.sprintf "%s: PE%d records" name j)
-        (List.length prog) (Lower.instr_count pc);
+        (Printf.sprintf "%s: PE%d offsets" name j)
+        (List.length prog) (Array.length pc.Lower.at);
+      let next = ref 0 in
       List.iteri
         (fun k instr ->
-          let kind, (head : Program.tag), peer, entries =
-            match instr with
-            | Program.Compute { node; iter } -> (Lower.compute, { node; iter }, -1, [])
-            | Program.Send { tag; dst } -> (Lower.send, tag, dst, [ tag ])
-            | Program.Recv { tag; src } -> (Lower.recv, tag, src, [ tag ])
-            | Program.Send_pack { tags; dst } -> (Lower.send_pack, List.hd tags, dst, tags)
-            | Program.Recv_pack { tags; src } -> (Lower.recv_pack, List.hd tags, src, tags)
-          in
-          if field k Lower.field_kind <> kind then fail k "kind";
-          if field k Lower.field_node <> head.node || field k Lower.field_iter <> head.iter then
-            fail k "(node, iter)";
-          if field k Lower.field_peer <> peer then fail k "peer";
-          let at = field k Lower.field_pool and count = field k Lower.field_count in
-          let aux = field k Lower.field_aux in
-          if kind = Lower.compute then begin
-            let loads =
-              Array.fold_left
-                (fun n -> function Lower.Load _ -> n + 1 | _ -> n)
-                0 lowered.Lower.codes.(head.node).Lower.ops
-            in
-            if count <> loads then fail k "operand count";
-            for r = 0 to count - 1 do
-              if not (in_store pc.Lower.pool.(at + r)) then fail k "operand slot"
+          let at = pc.Lower.at.(k) in
+          if at <> !next then fail k "entry offset";
+          let slot what i = if not (in_store pc.Lower.slots.(at + i)) then fail k what in
+          let tags what n =
+            for i = 0 to n - 1 do
+              slot what i
             done;
-            if not (in_store aux) then fail k "destination slot"
-          end
-          else begin
-            if count <> List.length entries then fail k "entry count";
-            if pc.Lower.tags.(aux) <> (head.node, head.iter) then fail k "wire tag";
-            List.iteri
-              (fun i (t : Program.tag) ->
-                if kind = Lower.send || kind = Lower.send_pack then begin
-                  if pc.Lower.tags.(aux + i) <> (t.node, t.iter) then fail k "entry tag";
-                  if not (in_store pc.Lower.pool.(at + i)) then fail k "source slot"
-                end
-                else begin
-                  let e = at + (3 * i) in
-                  if pc.Lower.pool.(e) <> t.node || pc.Lower.pool.(e + 1) <> t.iter then
-                    fail k "landing entry";
-                  if not (in_store pc.Lower.pool.(e + 2)) then fail k "landing slot"
-                end)
-              entries
-          end)
+            n
+          in
+          let entries =
+            match instr with
+            | Program.Compute { node; _ } ->
+              let loads =
+                Array.fold_left
+                  (fun n -> function Lower.Load _ -> n + 1 | _ -> n)
+                  0 lowered.Lower.codes.(node).Lower.ops
+              in
+              slot "destination slot" 0;
+              for r = 1 to loads do
+                slot "operand slot" r
+              done;
+              1 + loads
+            | Program.Send _ -> tags "source slot" 1
+            | Program.Recv _ -> tags "landing slot" 1
+            | Program.Send_pack { tags = t; _ } -> tags "source slot" (List.length t)
+            | Program.Recv_pack { tags = t; _ } -> tags "landing slot" (List.length t)
+          in
+          next := at + entries)
         prog;
+      check_int (Printf.sprintf "%s: PE%d slot entries" name j) !next
+        (Array.length pc.Lower.slots);
       let p = pc.Lower.prefill in
       for f = 0 to (Array.length p / 3) - 1 do
         if not (in_store p.((3 * f) + 2)) then
@@ -723,28 +716,33 @@ let check_mirrors name (program : Program.t) (lowered : Lower.t) =
       done)
     (Program.to_instrs program)
 
+(* [name p=P n=N], the loop flattened, and its program through the full
+   pipeline at p, k = 2, n. *)
+let full_program ~p ~n (name, source, cost) =
+  let ast = Parser.parse source in
+  let flat = if Mimd_loop_ir.Ast.is_flat ast then ast else Mimd_loop_ir.If_convert.run ast in
+  let graph = (Depend.analyze ~cost flat).Depend.graph in
+  let full = Mimd_core.Full_sched.run ~graph ~machine:(machine ~p ~k:2 ()) ~iterations:n () in
+  ( Printf.sprintf "%s p=%d n=%d" name p n,
+    flat,
+    Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule )
+
+(* Every examples/loops program but iir2 (which needs unwinding), by
+   file name. *)
+let example_loops () =
+  let dir = Filename.concat ".." (Filename.concat "examples" "loops") in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".loop" && f <> "iir2.loop")
+  |> List.sort compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_text (Filename.concat dir f) In_channel.input_all,
+          Mimd_loop_ir.Cost.weighted))
+
 let test_lower_mirrors_program () =
-  let full_program ~p ~n (name, source, cost) =
-    let ast = Parser.parse source in
-    let flat = if Mimd_loop_ir.Ast.is_flat ast then ast else Mimd_loop_ir.If_convert.run ast in
-    let graph = (Depend.analyze ~cost flat).Depend.graph in
-    let full = Mimd_core.Full_sched.run ~graph ~machine:(machine ~p ~k:2 ()) ~iterations:n () in
-    ( Printf.sprintf "%s p=%d n=%d" name p n,
-      flat,
-      Mimd_codegen.From_schedule.run full.Mimd_core.Full_sched.schedule )
-  in
   let mirrors (name, flat, program) =
     check_mirrors name program (Lower.run ~loop:flat ~program ())
   in
-  let dir = Filename.concat ".." (Filename.concat "examples" "loops") in
-  let examples =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".loop" && f <> "iir2.loop")
-    |> List.sort compare
-    |> List.map (fun f ->
-           (f, In_channel.with_open_text (Filename.concat dir f) In_channel.input_all,
-            Mimd_loop_ir.Cost.weighted))
-  in
+  let examples = example_loops () in
   let ss2 = Mimd_workloads.Kernels_src.state_space2 () in
   let deck =
     [
@@ -768,6 +766,25 @@ let test_lower_mirrors_program () =
         examples;
       List.iter (fun entry -> mirrors (full_program ~p ~n:1000 entry)) deck)
     [ 2; 3; 4 ]
+
+(* The lowered form keeps each PE's code by reference: the program's
+   own arrays, for every example loop, plain and through Comm_opt. *)
+let test_lower_shares_program_code () =
+  List.iter
+    (fun entry ->
+      let name, flat, program = full_program ~p:2 ~n:60 entry in
+      let packed, _ = Mimd_codegen.Comm_opt.run ~window:4 program in
+      List.iter
+        (fun (name, (program : Program.t)) ->
+          Array.iteri
+            (fun j pc ->
+              check_bool
+                (Printf.sprintf "%s: PE%d code is the program's" name j)
+                true
+                (pc.Lower.code == program.code.(j)))
+            (Lower.run ~loop:flat ~program ()).Lower.procs)
+        [ (name, program); (name ^ " comm-opt", packed) ])
+    (example_loops ())
 
 let test_lower_rejects_malformed () =
   (* Each malformed program fails lowering with the message the
@@ -889,14 +906,14 @@ let test_worker_minor_words () =
   let lowered = Lower.run ~loop:flat ~program () in
   let chans =
     Value_run.of_links ~procs:1
-      ~send:(fun ~dst:_ ~tag:_ _ -> invalid_arg "one PE sends nothing")
+      ~send:(fun ~dst:_ ~node:_ ~iter:_ _ -> invalid_arg "one PE sends nothing")
       ~next:(fun ~src:_ -> invalid_arg "one PE receives nothing")
   in
-  let instrs = Lower.instr_count lowered.Lower.procs.(0) in
+  let instrs = Program.length lowered.Lower.procs.(0).Lower.code in
   let w0 = Gc.minor_words () in
   let vals, _ = Result.get_ok (Exec_compiled.worker ~lowered ~proc:0 ~chans ()) in
   let per_instr = (Gc.minor_words () -. w0) /. float_of_int instrs in
-  check_int "one value per compute" (Array.length lowered.Lower.procs.(0).Lower.computes / 2)
+  check_int "one value per compute" lowered.Lower.procs.(0).Lower.compute_count
     (Array.length vals);
   if per_instr > 0.1 then
     Alcotest.failf "Exec_compiled.worker: %.3f minor words per instruction over %d (bound 0.1)"
@@ -1105,4 +1122,6 @@ let suite =
       test_domain_team_per_p;
     Alcotest.test_case "domain team: a stall or a failed init retires it" `Quick
       test_domain_team_retires_on_failure;
+    Alcotest.test_case "lower: each PE's code is its program's, not a copy" `Quick
+      test_lower_shares_program_code;
   ]

@@ -9,6 +9,7 @@ module Interp = Mimd_loop_ir.Interp
 module Value_run = Mimd_runtime.Value_run
 module Exec_compiled = Mimd_runtime.Exec_compiled
 module Lower = Mimd_runtime.Lower
+module Program = Mimd_codegen.Program
 
 (* ---------------------------------------------------------------- *)
 (* The sequential interpreter itself                                 *)
@@ -434,8 +435,12 @@ let gen_loop =
 (* ---------------------------------------------------------------- *)
 (* The outcome fold on its own                                        *)
 
-(* Instances as {!Value_run.finalize} takes them: flat (node, iter) pairs. *)
-let flat_pairs instances = Array.concat (List.map (fun (n, i) -> [| n; i |]) instances)
+(* A hand program over [graph] whose PE [j] computes [instances.(j)] in
+   that order: {!Value_run.finalize} reads the order of each PE's value
+   array from its compute records. *)
+let hand_computes graph instances =
+  Program.of_instrs graph
+    (Array.map (List.map (fun (node, iter) -> Program.Compute { node; iter })) instances)
 
 (* Per-PE value arrays built by hand from the spec, in an order no
    executor uses, so the fold alone must place every value: B[i] has
@@ -448,15 +453,15 @@ let test_fold_from_value_arrays () =
      C[i+2] = B[i] - C[i+1]; B[i+1] = B[i] + 3; }"
   in
   let iterations = 7 in
-  let loop, program = compile ~iterations src in
+  let loop, compiled = compile ~iterations src in
   let spec = Interp.instance_values loop ~iterations in
   (* PE0 takes even iterations, last first; PE1 the rest, node-major. *)
   let on_pe0 ((_, iter), _) = iter mod 2 = 0 in
   let pe0 = List.rev (List.filter on_pe0 spec) and pe1 = List.filter (fun x -> not (on_pe0 x)) spec in
-  let computes = Array.map (fun l -> flat_pairs (List.map fst l)) [| pe0; pe1 |] in
+  let program = hand_computes compiled.Program.graph (Array.map (List.map fst) [| pe0; pe1 |]) in
   let vals = Array.map (fun l -> Array.of_list (List.map snd l)) [| pe0; pe1 |] in
   let results = Array.map (fun v -> (v, 0, 0.0)) vals in
-  let outcome = Value_run.finalize ~loop ~program ~computes ~results in
+  let outcome = Value_run.finalize ~loop ~program ~results in
   check_bool "instance_values = Interp.instance_values" true
     (Value_run.instance_values outcome = spec);
   let expected = Interp.written_cells (Interp.run loop ~iterations) in
@@ -466,7 +471,7 @@ let test_fold_from_value_arrays () =
   let short = Array.copy results in
   short.(1) <- (Array.sub vals.(1) 0 (Array.length vals.(1) - 1), 0, 0.0);
   check_bool "value array shorter than its computes rejected" true
-    (match Value_run.finalize ~loop ~program ~computes ~results:short with
+    (match Value_run.finalize ~loop ~program ~results:short with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -477,9 +482,9 @@ let hand_loop, hand_program =
   compile ~iterations:3 "for i = 1 to n { A[i] = 3; B[i] = A[i] * 2; }"
 
 let hand_outcome instances =
-  let computes = [| flat_pairs (List.map fst instances) |] in
+  let program = hand_computes hand_program.Program.graph [| List.map fst instances |] in
   let results = [| (Array.of_list (List.map snd instances), 0, 0.0) |] in
-  Value_run.finalize ~loop:hand_loop ~program:hand_program ~computes ~results
+  Value_run.finalize ~loop:hand_loop ~program ~results
 
 let hand_spec =
   [ ((0, 0), 3.0); ((0, 1), 3.0); ((0, 2), 3.0); ((1, 0), 6.0); ((1, 1), 6.0); ((1, 2), 6.0) ]
@@ -577,15 +582,15 @@ let words_of f =
    words, bound 10% above; the list walk cost 268 535). *)
 let test_finalize_words_bounded () =
   let flat, program, iterations = ewf_benchmark_shape () in
-  let computes = Lower.computes (Lower.run ~loop:flat ~program ()) in
   let spec = Interp.instance_table flat ~iterations in
-  let value cs k = spec.((cs.(2 * k) * iterations) + cs.((2 * k) + 1)) in
+  let value (node, iter) = spec.((node * iterations) + iter) in
   let results =
-    Array.map (fun cs -> (Array.init (Array.length cs / 2) (value cs), 0, 0.0)) computes
+    Array.init program.Program.processors (fun j ->
+        (Array.of_list (List.map value (Program.computes_of program j)), 0, 0.0))
   in
-  let instances = Array.fold_left (fun a cs -> a + (Array.length cs / 2)) 0 computes in
+  let instances = Array.fold_left (fun a (vals, _, _) -> a + Array.length vals) 0 results in
   check_int "one compute per instance" (List.length flat.Ast.body * iterations) instances;
-  let finalize () = Value_run.finalize ~loop:flat ~program ~computes ~results in
+  let finalize () = Value_run.finalize ~loop:flat ~program ~results in
   ignore (finalize ());
   let outcome, fold = words_of finalize in
   if fold > 3.0 *. float_of_int instances then
