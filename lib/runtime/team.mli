@@ -9,7 +9,8 @@
     its links ({!Mesh_sock.settle}) and sends one {!reply}.  The
     parent marshals a request once, writes it to every member within
     the stall bound and collects the replies by {!Collect}'s rule;
-    parent and members hold the same last 8 forms.  A team
+    the parent keeps the keys of the last 8 forms and each member the
+    forms themselves.  A team
     {e retires} (no further call; its members end as their kind says)
     on any failure or stall, after a call that left a frame unread on
     a link, and after its one call when started [~once]. *)
